@@ -1,11 +1,11 @@
 // E13 — columnar batch execution on the hot path. The workload is the
-// vectorization-friendly chain the tentpole targets: filter → project
-// → global aggregate over a large two-column dataset, hinted with the
-// declarative column forms so the single-node engine can run its
-// columnar kernels. Row and batch runs execute the identical logical
-// plan on the identical platform assignment; the only difference is
-// the context's Columnar knob, so the measured gap is the row-at-a-time
-// tax itself.
+// vectorization-friendly chain: filter → project → global aggregate
+// over a large two-column dataset. It is built twice from one spec:
+// hinted, with the declarative column forms the single-node engine runs
+// its columnar kernels on, and as the UDF twin, from the row UDFs the
+// same spec generates. Both run on the identical platform assignment
+// and engine; the only difference is the plan, so the measured gap is
+// the row-at-a-time tax itself.
 
 package bench
 
@@ -60,17 +60,24 @@ func ColumnarSum(recs []data.Record) int64 {
 }
 
 // ColumnarPlan builds the hot-path chain over a prebuilt dataset:
-// FilterWhere(value < threshold) → ProjectCols(value) → AggregateCols
-// (sum). The column hints ride along with generated row UDFs, so the
-// same plan runs vectorized or row-at-a-time depending on the engine
-// configuration.
-func ColumnarPlan(recs []data.Record) (*physical.Plan, error) {
+// filter(value < threshold) → project(value) → sum. hinted builds it
+// with FilterWhere / ProjectCols / AggregateCols, whose column hints the
+// single-node engine vectorizes; otherwise the chain is its UDF twin —
+// plain Filter / Map / Reduce over the UDFs the same spec generates,
+// which every engine runs row by row.
+func ColumnarPlan(recs []data.Record, hinted bool) (*physical.Plan, error) {
 	b := plan.NewBuilder("colchain")
 	s := b.Source("src", plan.Collection(recs))
 	s.CardHint = int64(len(recs))
-	f := b.FilterWhere(s, 1, plan.Less, data.Int(ColumnarThreshold))
-	p := b.ProjectCols(f, 1)
-	b.Collect(b.AggregateCols(p, plan.AggSum))
+	if hinted {
+		f := b.FilterWhere(s, 1, plan.Less, data.Int(ColumnarThreshold))
+		b.Collect(b.AggregateCols(b.ProjectCols(f, 1), plan.AggSum))
+	} else {
+		pred := &plan.ColumnPredicate{Field: 1, Op: plan.Less, Operand: data.Int(ColumnarThreshold)}
+		f := b.Filter(s, pred.FilterFunc())
+		p := b.Map(f, func(r data.Record) (data.Record, error) { return r.Project(1), nil })
+		b.Collect(b.Reduce(p, (&plan.ColumnAggregate{Fns: []plan.AggFn{plan.AggSum}}).ReduceFunc()))
+	}
 	lp, err := b.Build()
 	if err != nil {
 		return nil, err
@@ -94,22 +101,11 @@ func ColumnarAssignments(pp *physical.Plan) map[int]engine.PlatformID {
 	return fa
 }
 
-// NewColumnarContext builds a context for the E13 measurement with the
-// vectorized path on or off.
-func NewColumnarContext(hub *metrics.Hub, batch bool) (*rheem.Context, error) {
-	cfg := rheem.Config{Columnar: batch}
-	if hub != nil {
-		return rheem.NewContext(cfg, rheem.WithTelemetryHub(hub))
-	}
-	return rheem.NewContext(cfg)
-}
-
-// RunColumnarTraced optimizes and executes the columnar chain on the
-// context's registry (whose java engine is row-path or vectorized per
-// NewColumnarContext), verifying the aggregate against the reference
-// sum. hub == nil runs untraced.
-func RunColumnarTraced(ctx *rheem.Context, hub *metrics.Hub, recs []data.Record) (*executor.Result, error) {
-	pp, err := ColumnarPlan(recs)
+// RunColumnarTraced optimizes and executes the columnar chain, hinted
+// or as its UDF twin, on the context's registry, verifying the
+// aggregate against the reference sum. hub == nil runs untraced.
+func RunColumnarTraced(ctx *rheem.Context, hub *metrics.Hub, recs []data.Record, hinted bool) (*executor.Result, error) {
+	pp, err := ColumnarPlan(recs, hinted)
 	if err != nil {
 		return nil, err
 	}
@@ -140,8 +136,8 @@ func RunColumnarTraced(ctx *rheem.Context, hub *metrics.Hub, recs []data.Record)
 }
 
 // columnar is the E13 experiment: the hot-path chain at growing sizes,
-// row path vs columnar batches, best-of-reps wall time (vectorization
-// is a wall-clock effect; the simulated clock moves only through the
+// UDF twin vs hinted plan, best-of-reps wall time (vectorization is a
+// wall-clock effect; the simulated clock moves only through the
 // cheaper conversion edges).
 func columnar(cfg Config) ([]*Table, error) {
 	sizes, reps := []int{50_000, 200_000, 1_000_000}, 3
@@ -150,22 +146,22 @@ func columnar(cfg Config) ([]*Table, error) {
 	}
 	t := &Table{
 		Title:   "E13 — columnar batch execution (filter → project → sum)",
-		Note:    "Same plan, same platforms; 'batch' runs the java engine's vectorized kernels over channel.Batch inputs, 'row' calls the UDFs per record.",
-		Columns: []string{"rows", "row wall", "batch wall", "row rec/s", "batch rec/s", "speedup"},
+		Note:    "Same spec, same platforms, same engine; 'hinted' carries column hints the java engine runs vectorized kernels on over channel.Batch inputs, 'udf' is the plan built from the generated row UDFs.",
+		Columns: []string{"rows", "udf wall", "hinted wall", "udf rec/s", "hinted rec/s", "speedup"},
 	}
 	for _, n := range sizes {
 		cfg.logf("columnar: rows=%d", n)
 		recs := ColumnarRecords(n)
 		walls := map[bool]time.Duration{}
-		for _, batch := range []bool{false, true} {
+		for _, hinted := range []bool{false, true} {
 			best := time.Duration(0)
 			for rep := 0; rep < reps; rep++ {
 				runtime.GC() // keep earlier reps' garbage out of this rep's wall
-				ctx, err := NewColumnarContext(cfg.Hub, batch)
+				ctx, err := newCtx(cfg)
 				if err != nil {
 					return nil, err
 				}
-				res, err := RunColumnarTraced(ctx, cfg.Hub, recs)
+				res, err := RunColumnarTraced(ctx, cfg.Hub, recs, hinted)
 				ctx.Close()
 				if err != nil {
 					return nil, err
@@ -174,7 +170,7 @@ func columnar(cfg Config) ([]*Table, error) {
 					best = res.Metrics.Wall
 				}
 			}
-			walls[batch] = best
+			walls[hinted] = best
 		}
 		rps := func(d time.Duration) string {
 			if d <= 0 {

@@ -20,49 +20,49 @@ func colRecordBytes(t *testing.T, recs []data.Record) []byte {
 }
 
 // TestColumnarSpeedup is E13's acceptance gate on the hot-path chain:
-// the batch path must produce byte-identical results to the row path
+// the hinted plan must produce byte-identical results to its UDF twin
 // and be meaningfully faster on wall clock. The gate here is a
 // conservative 1.5× at a mid size so it holds under the race detector
-// and on loaded CI boxes; the full ≥2× at 1M rows is demonstrated by
+// and on loaded CI boxes; the full gap at 1M rows is demonstrated by
 // the suite's columnar area and enforced against BENCH_columnar.json.
 func TestColumnarSpeedup(t *testing.T) {
 	const rows, reps = 200_000, 3
 	recs := ColumnarRecords(rows)
-	run := func(batch bool) *executor.Result {
+	run := func(hinted bool) *executor.Result {
 		t.Helper()
-		ctx, err := NewColumnarContext(nil, batch)
+		ctx, err := newCtx(Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer ctx.Close()
-		res, err := RunColumnarTraced(ctx, nil, recs)
+		res, err := RunColumnarTraced(ctx, nil, recs, hinted)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	best := func(batch bool) (*executor.Result, time.Duration) {
+	best := func(hinted bool) (*executor.Result, time.Duration) {
 		runtime.GC()
-		res := run(batch)
+		res := run(hinted)
 		min := res.Metrics.Wall
 		for i := 1; i < reps; i++ {
 			runtime.GC()
-			if r := run(batch); r.Metrics.Wall < min {
+			if r := run(hinted); r.Metrics.Wall < min {
 				res, min = r, r.Metrics.Wall
 			}
 		}
 		return res, min
 	}
 
-	row, rowWall := best(false)
+	udf, udfWall := best(false)
 	col, colWall := best(true)
-	if !bytes.Equal(colRecordBytes(t, row.Records), colRecordBytes(t, col.Records)) {
-		t.Errorf("batch path records differ from row path:\n  row   %v\n  batch %v", row.Records, col.Records)
+	if !bytes.Equal(colRecordBytes(t, udf.Records), colRecordBytes(t, col.Records)) {
+		t.Errorf("hinted plan's records differ from its UDF twin's:\n  udf    %v\n  hinted %v", udf.Records, col.Records)
 	}
-	speedup := float64(rowWall) / float64(colWall)
-	t.Logf("wall: row %v, batch %v — %.2fx at %d rows", rowWall, colWall, speedup, rows)
+	speedup := float64(udfWall) / float64(colWall)
+	t.Logf("wall: udf %v, hinted %v — %.2fx at %d rows", udfWall, colWall, speedup, rows)
 	if speedup < 1.5 {
-		t.Errorf("batch path speedup %.2fx, want ≥1.5x (row %v, batch %v)", speedup, rowWall, colWall)
+		t.Errorf("hinted plan speedup %.2fx, want ≥1.5x (udf %v, hinted %v)", speedup, udfWall, colWall)
 	}
 }
 

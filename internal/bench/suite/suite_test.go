@@ -87,7 +87,7 @@ func TestSuiteDeterminism(t *testing.T) {
 				t.Errorf("%s/%s: no p99 extracted from the telemetry hub", f.Area, s.Name)
 			}
 			// The flag is judged against the budget actually applied —
-			// scenarios with an elevated Scenario.NoisePct (colchain-*,
+			// scenarios with an elevated Scenario.NoisePct (colchain*,
 			// serve-*) are noisy only past their own budget.
 			budget := s.NoiseBudgetPct
 			if budget == 0 {
@@ -220,11 +220,30 @@ func TestPerScenarioNoiseBudget(t *testing.T) {
 func TestMatrixNoiseBudgets(t *testing.T) {
 	want := map[string]float64{
 		"serve-tenants1": 40, "serve-tenants4": 40,
-		"colchain-row": 60, "colchain-batch": 60,
+		"colchain": 60, "colchain-udf": 60,
 	}
 	for _, sc := range Scenarios() {
 		if got := want[sc.Name]; sc.NoisePct != got {
 			t.Errorf("%s: noise budget %v, want %v", sc.Name, sc.NoisePct, got)
+		}
+	}
+}
+
+// TestColumnarAllocsCountTheChainNotTheDataset pins what allocs_per_op
+// means in the columnar area: the dataset is built outside the measured
+// window, so the hinted chain — whose kernels allocate per column, not
+// per record — reads far under one allocation per input record. (With
+// the generator inside the window it read one per record plus change,
+// whatever the engine did.)
+func TestColumnarAllocsCountTheChainNotTheDataset(t *testing.T) {
+	files, err := Run(Options{Quick: true, Areas: []string{AreaColumnar}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const quickRows = 5_000
+	for _, s := range files[0].Scenarios {
+		if s.Name == "colchain" && s.AllocsPerOp > quickRows/5 {
+			t.Errorf("colchain: %d allocs/op over %d records: the dataset generator or a per-record allocation is inside the measured window", s.AllocsPerOp, quickRows)
 		}
 	}
 }

@@ -152,7 +152,13 @@ type Batch struct {
 // Rectangular scalar inputs become typed columns; anything else takes
 // a lossless fallback representation (see package comment), so the
 // conversion is total.
-func FromRecords(recs []data.Record) *Batch {
+//
+// Naming cols transposes only those fields, in that order: the result
+// is FromRecords(recs).Project(cols...) without the work of building
+// the columns the projection drops, and like Project it panics on an
+// index outside the records. Ragged input has no column to select and
+// comes back row-backed and whole, whatever cols says.
+func FromRecords(recs []data.Record, cols ...int) *Batch {
 	n := len(recs)
 	if n == 0 {
 		return &Batch{}
@@ -163,11 +169,17 @@ func FromRecords(recs []data.Record) *Batch {
 			return &Batch{rows: recs, n: n}
 		}
 	}
-	cols := make([]Column, w)
-	for c := 0; c < w; c++ {
-		cols[c] = buildColumn(recs, c)
+	if len(cols) == 0 {
+		cols = make([]int, w)
+		for c := range cols {
+			cols[c] = c
+		}
 	}
-	return &Batch{cols: cols, n: n}
+	out := make([]Column, len(cols))
+	for i, c := range cols {
+		out[i] = buildColumn(recs, c)
+	}
+	return &Batch{cols: out, n: n}
 }
 
 // buildColumn decides a column's representation and fills it in a

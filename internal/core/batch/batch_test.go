@@ -123,6 +123,39 @@ func TestColumnRepresentations(t *testing.T) {
 	}
 }
 
+// TestFromRecordsSelectedColumns pins the column-list form: it is
+// FromRecords(recs).Project(cols...) — same representations, same
+// records back — for every fixture shape; ragged input stays whole.
+func TestFromRecordsSelectedColumns(t *testing.T) {
+	for name, recs := range fixtures() {
+		t.Run(name, func(t *testing.T) {
+			whole := FromRecords(recs)
+			if !whole.Columnar() {
+				if got := FromRecords(recs, 0); got.Columnar() || got.Len() != len(recs) {
+					t.Fatalf("ragged input with a column list: columnar=%v len=%d, want the row-backed whole", got.Columnar(), got.Len())
+				}
+				return
+			}
+			if whole.NumCols() == 0 {
+				return
+			}
+			cols := []int{whole.NumCols() - 1, 0, whole.NumCols() - 1}
+			got, want := FromRecords(recs, cols...), whole.Project(cols...)
+			if got.NumCols() != len(cols) {
+				t.Fatalf("NumCols = %d, want %d", got.NumCols(), len(cols))
+			}
+			for c := range cols {
+				if got.Col(c).Kind != want.Col(c).Kind {
+					t.Errorf("column %d kind = %s, want %s", c, got.Col(c).Kind, want.Col(c).Kind)
+				}
+			}
+			if w, h := encode(t, want.ToRecords()), encode(t, got.ToRecords()); !bytes.Equal(w, h) {
+				t.Fatalf("selected columns differ from the projection of the whole:\n want %x\n have %x", w, h)
+			}
+		})
+	}
+}
+
 // TestSliceViews checks that Slice is a zero-copy view with correct
 // validity mapping through the shared bitmap, and that re-slicing a
 // slice composes.

@@ -6,6 +6,13 @@
 // plan shape in the battery runs on every platform and at shards=1 vs
 // shards=4, and the canonicalized outputs must be byte-identical.
 //
+// The single-node engine runs operators built with the column-hint
+// helpers on vectorized kernels and everything else row by row. That is
+// a property of the plan, not a mode of the engine, so the second axis
+// is a plan-level one: every hinted plan against its UDF twin — the
+// same plan with the hints dropped, leaving the UDFs the helpers
+// generated from the same spec (udfTwin).
+//
 // Canonicalization sorts the individual binary record encodings: the
 // hash-grouping engines iterate Go maps, so even a single platform's
 // output order is unspecified for grouped shapes — the multiset is the
@@ -15,6 +22,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -36,10 +44,10 @@ import (
 // the full operator set.
 var confPlatforms = []engine.PlatformID{javaengine.ID, sparksim.ID, relengine.ID}
 
-func confRegistry(t *testing.T, columnar bool) *engine.Registry {
+func confRegistry(t *testing.T) *engine.Registry {
 	t.Helper()
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{Columnar: columnar}); err != nil {
+	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sparksim.Register(reg, sparksim.Config{}); err != nil {
@@ -67,6 +75,21 @@ func canonical(t *testing.T, recs []data.Record) string {
 	return strings.Join(enc, "\x00")
 }
 
+// udfTwin drops every column hint from a freshly built plan, loop
+// bodies included. What remains are the UDFs the hint helpers generated
+// (ColumnPredicate.FilterFunc, Record.Project, ColumnAggregate.
+// ReduceFunc): the same plan as a caller without the helpers would have
+// written it, which every platform runs row by row.
+func udfTwin(p *plan.Plan) *plan.Plan {
+	for _, op := range p.Operators() {
+		op.ColPred, op.ColProject, op.ColAgg = nil, nil, nil
+		if op.Body != nil {
+			udfTwin(op.Body)
+		}
+	}
+	return p
+}
+
 // forEachOp walks a physical plan's operators, descending into loop
 // bodies (which share the plan's ID space).
 func forEachOp(p *physical.Plan, fn func(*physical.Operator)) {
@@ -91,20 +114,20 @@ type confCase struct {
 // shard fan-out and returns the canonicalized output. The sources are
 // pinned to a *different* feeder platform so the compute chain is a
 // separate atom with an external input — the shape sharding applies
-// to — and every result crosses a real platform boundary. columnar
-// toggles the java engine's vectorized batch path.
-func runConformance(t *testing.T, c confCase, target engine.PlatformID, shards int, columnar bool) string {
+// to — and every result crosses a real platform boundary. hinted=false
+// runs the case's UDF twin.
+func runConformance(t *testing.T, c confCase, target engine.PlatformID, shards int, hinted bool) string {
 	t.Helper()
-	return runConformanceCal(t, c, target, shards, columnar, nil)
+	return runConformanceCal(t, c, target, shards, hinted, nil)
 }
 
 // runConformanceCal is runConformance with a cost calibrator threaded
 // into both the optimizer and the executor (mid-run re-planning), the
 // way rheem.Execute wires one — the calibration differential suite's
 // entry point.
-func runConformanceCal(t *testing.T, c confCase, target engine.PlatformID, shards int, columnar bool, cal *cost.Calibrator) string {
+func runConformanceCal(t *testing.T, c confCase, target engine.PlatformID, shards int, hinted bool, cal *cost.Calibrator) string {
 	t.Helper()
-	reg := confRegistry(t, columnar)
+	reg := confRegistry(t)
 	feeder := javaengine.ID
 	if target == javaengine.ID {
 		feeder = sparksim.ID
@@ -122,7 +145,11 @@ func runConformanceCal(t *testing.T, c confCase, target engine.PlatformID, shard
 		srcs[i].CardHint = int64(len(recs))
 	}
 	c.build(b, srcs)
-	pp, err := physical.FromLogical(b.MustBuild())
+	lp := b.MustBuild()
+	if !hinted {
+		udfTwin(lp)
+	}
+	pp, err := physical.FromLogical(lp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +297,7 @@ func conformanceBattery() []confCase {
 		{name: "agg-col", build: func(b *plan.Builder, s []*plan.Operator) {
 			m := b.Map(s[0], func(r data.Record) (data.Record, error) {
 				k := r.Field(0).Int()
-				return data.NewRecord(data.Int(k), data.Int(k * k % 19), data.Float(float64(k) / 4)), nil
+				return data.NewRecord(data.Int(k), data.Int(k*k%19), data.Float(float64(k)/4)), nil
 			})
 			b.Collect(b.AggregateCols(m, plan.AggSum, plan.AggMax, plan.AggMin))
 		}},
@@ -308,7 +335,7 @@ func conformanceBattery() []confCase {
 func TestCrossPlatformConformance(t *testing.T) {
 	for _, c := range conformanceBattery() {
 		t.Run(c.name, func(t *testing.T) {
-			ref := runConformance(t, c, javaengine.ID, 1, false)
+			ref := runConformance(t, c, javaengine.ID, 1, true)
 			if ref == "" && c.name != "flatmap" {
 				// Every battery case is built to produce output; an empty
 				// reference means the case itself is broken.
@@ -319,7 +346,7 @@ func TestCrossPlatformConformance(t *testing.T) {
 					if target == javaengine.ID && shards == 1 {
 						continue // the reference itself
 					}
-					got := runConformance(t, c, target, shards, false)
+					got := runConformance(t, c, target, shards, true)
 					if got != ref {
 						t.Errorf("%s on %s with shards=%d diverges from the java shards=1 reference",
 							c.name, target, shards)
@@ -330,10 +357,13 @@ func TestCrossPlatformConformance(t *testing.T) {
 	}
 }
 
-// TestCrossPlatformConformanceColumnar re-runs the full battery with
-// the java engine's vectorized batch path enabled and compares every
-// output against the row-path reference: columnar execution must be a
-// pure physical substitution — byte-identical results, sharded or not.
+// TestCrossPlatformConformanceColumnar runs the full battery on the
+// java engine as written — hinted operators on the vectorized kernels,
+// their external input arriving as a channel.Batch — against each
+// case's UDF twin run row by row: a column hint must be a pure physical
+// substitution — byte-identical results, sharded or not. (For the cases
+// without a hint the twin is the plan itself, which keeps the battery
+// whole under one comparison.)
 func TestCrossPlatformConformanceColumnar(t *testing.T) {
 	for _, c := range conformanceBattery() {
 		t.Run(c.name, func(t *testing.T) {
@@ -341,7 +371,7 @@ func TestCrossPlatformConformanceColumnar(t *testing.T) {
 			for _, shards := range []int{1, 4} {
 				got := runConformance(t, c, javaengine.ID, shards, true)
 				if got != ref {
-					t.Errorf("%s with columnar batches (shards=%d) diverges from the row-path reference",
+					t.Errorf("%s as hinted (shards=%d) diverges from its UDF twin",
 						c.name, shards)
 				}
 			}
@@ -354,7 +384,7 @@ func TestCrossPlatformConformanceColumnar(t *testing.T) {
 // the conformance battery. The set of exercised kinds is derived from
 // the battery's own plans, so the check can't drift from the cases.
 func TestConformanceCoversAllSharedKinds(t *testing.T) {
-	reg := confRegistry(t, false)
+	reg := confRegistry(t)
 	mappedOn := map[plan.OpKind]map[engine.PlatformID]bool{}
 	for _, m := range reg.Mappings() {
 		if mappedOn[m.Kind] == nil {
@@ -447,10 +477,10 @@ func TestConformanceCalibrationDifferential(t *testing.T) {
 	for _, c := range conformanceBattery() {
 		t.Run(c.name, func(t *testing.T) {
 			for _, target := range confPlatforms {
-				ref := runConformance(t, c, target, 1, false)
+				ref := runConformance(t, c, target, 1, true)
 				for _, v := range variants {
 					for _, shards := range []int{1, 4} {
-						got := runConformanceCal(t, c, target, shards, false, v.cal)
+						got := runConformanceCal(t, c, target, shards, true, v.cal)
 						if got != ref {
 							t.Errorf("%s on %s: calibration=%s shards=%d changed the output",
 								c.name, target, v.name, shards)
@@ -462,5 +492,136 @@ func TestConformanceCalibrationDifferential(t *testing.T) {
 	}
 	if warm.Folds() != 1 {
 		t.Errorf("differential runs folded into the calibrator (folds=%d, want 1): the executor must never feed it", warm.Folds())
+	}
+}
+
+// inAtomCase is one plan of the in-atom differential suite: a dataset
+// and a hinted chain over it.
+type inAtomCase struct {
+	name  string
+	recs  []data.Record
+	build func(b *plan.Builder, src *plan.Operator)
+}
+
+// hintedChain is the hot-path shape: filter → project → aggregate.
+func hintedChain(field int, op plan.CompareOp, operand data.Value, cols []int, fns ...plan.AggFn) func(*plan.Builder, *plan.Operator) {
+	return func(b *plan.Builder, src *plan.Operator) {
+		f := b.FilterWhere(src, field, op, operand)
+		b.Collect(b.AggregateCols(b.ProjectCols(f, cols...), fns...))
+	}
+}
+
+// inAtomBattery holds the inputs a kernel is most likely to get wrong
+// when it is handed rows from inside its own atom rather than a batch a
+// converter built. Cases whose UDF panics (a predicate field or a
+// projection index outside the record) are not here: the executor runs
+// atoms on goroutines without a recover, so a panic cannot be compared
+// through it — javaengine's TestHintedFieldOutsideInput pins those at
+// the platform boundary.
+func inAtomBattery() []inAtomCase {
+	nan := math.NaN()
+	rec := data.NewRecord
+	return []inAtomCase{
+		{"empty-input", nil, hintedChain(0, plan.Less, data.Int(5), []int{0}, plan.AggSum)},
+		{"one-row", []data.Record{rec(data.Int(3), data.Str("a"))},
+			hintedChain(0, plan.Less, data.Int(5), []int{1, 0}, plan.AggFirst, plan.AggSum)},
+		{"leading-nulls", []data.Record{
+			rec(data.Null(), data.Int(1)), rec(data.Null(), data.Int(2)), rec(data.Int(4), data.Int(3)), rec(data.Int(9), data.Int(4)),
+		}, hintedChain(0, plan.GreaterEq, data.Int(4), []int{1, 0}, plan.AggSum, plan.AggMax)},
+		{"interior-nulls", []data.Record{
+			rec(data.Float(1.5), data.Str("a")), rec(data.Null(), data.Str("b")), rec(data.Float(2.5), data.Null()), rec(data.Float(0.5), data.Str("d")),
+		}, hintedChain(0, plan.NotEq, data.Float(0.5), []int{1, 0}, plan.AggMin, plan.AggMin)},
+		{"nan-operand", []data.Record{
+			rec(data.Float(1)), rec(data.Float(nan)), rec(data.Float(-2)), rec(data.Float(3)),
+		}, hintedChain(0, plan.LessEq, data.Float(nan), []int{0, 0}, plan.AggMax, plan.AggSum)},
+		{"nan-values", []data.Record{
+			rec(data.Float(nan)), rec(data.Float(1)), rec(data.Float(nan)), rec(data.Float(-2)),
+		}, hintedChain(0, plan.GreaterEq, data.Float(0), []int{0, 0}, plan.AggMin, plan.AggMax)},
+		{"mixed-kind-column", []data.Record{
+			rec(data.Int(1), data.Int(10)), rec(data.Str("x"), data.Int(20)), rec(data.Float(2.5), data.Int(30)), rec(data.Bool(true), data.Int(40)),
+		}, hintedChain(0, plan.Greater, data.Int(1), []int{0, 1}, plan.AggMax, plan.AggSum)},
+		{"ragged-records", []data.Record{
+			rec(data.Int(1), data.Int(10)), rec(data.Int(2)), rec(data.Int(3), data.Int(30), data.Int(300)), rec(data.Int(4), data.Int(40)),
+		}, func(b *plan.Builder, src *plan.Operator) {
+			b.Collect(b.ProjectCols(b.FilterWhere(src, 0, plan.NotEq, data.Int(3)), 0))
+		}},
+		{"string-sum-error", []data.Record{
+			rec(data.Int(1), data.Str("a")), rec(data.Int(2), data.Str("b")), rec(data.Int(3), data.Str("c")),
+		}, hintedChain(0, plan.Less, data.Int(9), []int{1}, plan.AggSum)},
+		{"filter-to-sink", confRecords(40, 0), func(b *plan.Builder, src *plan.Operator) {
+			b.Collect(b.FilterWhere(src, 1, plan.Less, data.Str("v2")))
+		}},
+		{"hinted-after-udf", confRecords(40, 3), func(b *plan.Builder, src *plan.Operator) {
+			m := b.Map(src, func(r data.Record) (data.Record, error) {
+				return data.NewRecord(r.Field(1), data.Int(r.Field(0).Int()*2), r.Field(0)), nil
+			})
+			f := b.FilterWhere(b.FilterWhere(m, 1, plan.Greater, data.Int(20)), 2, plan.Less, data.Int(35))
+			b.Collect(b.AggregateCols(b.ProjectCols(f, 1, 0), plan.AggSum, plan.AggMax))
+		}},
+		{"chain-in-loop-body", confRecords(40, 0), func(b *plan.Builder, src *plan.Operator) {
+			bb := plan.NewBodyBuilder("body")
+			f := bb.FilterWhere(bb.LoopInput("st"), 0, plan.Less, data.Int(30))
+			bb.Collect(bb.ProjectCols(bb.ProjectCols(f, 1, 0), 1, 0))
+			b.Collect(b.AggregateCols(b.Repeat(src, 3, bb.MustBuild()), plan.AggMax, plan.AggMin))
+		}},
+	}
+}
+
+// runInAtom executes one in-atom case with the whole plan pinned to
+// target, so source and chain share a task atom — the shape
+// Context.Execute produces for a pinned plan, where no channel
+// conversion stands between the source's rows and the hinted operator.
+func runInAtom(t *testing.T, c inAtomCase, target engine.PlatformID, shards int, hinted bool) (string, error) {
+	t.Helper()
+	b := plan.NewBuilder("inatom-" + c.name)
+	src := b.Source("src", plan.Collection(c.recs))
+	src.CardHint = int64(len(c.recs))
+	c.build(b, src)
+	lp := b.MustBuild()
+	if !hinted {
+		udfTwin(lp)
+	}
+	pp, err := physical.FromLogical(lp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := confRegistry(t)
+	ep, err := optimizer.Optimize(pp, reg, optimizer.Options{DisableRules: true, Shards: shards, FixedPlatform: target})
+	if err != nil {
+		t.Fatalf("%s on %s: optimize: %v", c.name, target, err)
+	}
+	if n := len(ep.Atoms); n != 1 && c.name != "chain-in-loop-body" {
+		t.Fatalf("%s on %s: plan split into %d atoms, want source and chain in one", c.name, target, n)
+	}
+	res, err := executor.Run(ep, reg, executor.Options{Shards: shards})
+	if err != nil {
+		return "", err
+	}
+	return canonical(t, res.Records), nil
+}
+
+// TestInAtomHintedMatchesUDFTwin is the differential suite for hinted
+// operators fed from inside their own atom: on every platform, sharded
+// or not, the plan as hinted and its UDF twin must agree byte for byte
+// — or fail with the same error text.
+func TestInAtomHintedMatchesUDFTwin(t *testing.T) {
+	for _, c := range inAtomBattery() {
+		t.Run(c.name, func(t *testing.T) {
+			for _, target := range confPlatforms {
+				for _, shards := range []int{1, 4} {
+					want, wantErr := runInAtom(t, c, target, shards, false)
+					got, gotErr := runInAtom(t, c, target, shards, true)
+					switch {
+					case (wantErr == nil) != (gotErr == nil), wantErr != nil && wantErr.Error() != gotErr.Error():
+						t.Errorf("%s on %s shards=%d: UDF twin failed with %v, hinted plan with %v", c.name, target, shards, wantErr, gotErr)
+					case got != want:
+						t.Errorf("%s on %s shards=%d: hinted plan diverges from its UDF twin", c.name, target, shards)
+					}
+					if c.name == "string-sum-error" && wantErr == nil {
+						t.Errorf("%s on %s: summing strings did not fail", c.name, target)
+					}
+				}
+			}
+		})
 	}
 }

@@ -174,15 +174,18 @@ type Sharder interface {
 // Vectorized is an optional Platform capability: the platform executes
 // some operators directly on the columnar batch format
 // (channel.Batch). SupportsBatch reports, per physical operator,
-// whether its columnar kernel applies — typically requiring the
-// logical operator to carry declarative column hints (plan.ColPred,
-// plan.ColProject, plan.ColAgg), since an opaque UDF closure cannot be
-// vectorized. The executor delivers external inputs of supporting
-// operators as Batch channels instead of the platform's native format,
-// and the optimizer prices such edges with the cheaper of the two
-// conversion paths. The columnar result must be byte-identical to the
-// row path's — the hints are an execution strategy, never a semantics
-// change.
+// whether the operator wants its input in that format — on the bundled
+// single-node engine, exactly when the logical operator carries a
+// declarative column hint (plan.ColPred, plan.ColProject, plan.ColAgg),
+// since an opaque UDF closure cannot be vectorized. It is a request for
+// an input format, not a mode: the answer depends on the operator
+// alone, and an operator that merely tolerates a batch (a sink) answers
+// false. The executor delivers external inputs of supporting operators
+// as Batch channels instead of the platform's native format, and the
+// optimizer prices such edges with the cheaper of the two conversion
+// paths. The columnar result must be byte-identical to what the
+// operator's UDF computes row by row — the hints are an execution
+// strategy, never a semantics change.
 type Vectorized interface {
 	SupportsBatch(op *physical.Operator) bool
 }

@@ -61,7 +61,7 @@ func sortedRecordBytes(t *testing.T, recs []data.Record) []string {
 // dies mid-run (one atom completes, then every execution fails), and
 // the run must still complete — via cross-platform failover — with
 // records identical to a fault-free run, the failed operators
-// re-assigned off the dead platform, and the breaker left open.
+// re-assigned off the dead platform, and the breaker tripped open.
 func TestChaosFailoverProducesIdenticalRecords(t *testing.T) {
 	pp, fa := faultPlan(t, []engine.PlatformID{"chaos", "chaos"})
 
@@ -140,8 +140,14 @@ func TestChaosFailoverProducesIdenticalRecords(t *testing.T) {
 			t.Errorf("re-planned op %d still assigned to the dead platform", opID)
 		}
 	}
-	if res.PlatformHealth["chaos"] != engine.BreakerOpen {
-		t.Errorf("chaos breaker state = %v, want open", res.PlatformHealth["chaos"])
+	// Assert on the recorded trip, not the final state: the two chaos
+	// atoms run concurrently, so the one permitted execution can report
+	// its success after its sibling's three failures opened the breaker
+	// — and any completed execution closes a breaker (Health.
+	// ReportSuccess). The failover above already proves the breaker was
+	// open when it mattered; which report lands last is scheduling.
+	if trips := reg.Stats().Snapshot()["chaos"].BreakerTrips; trips < 1 {
+		t.Errorf("chaos breaker trips = %d, want at least one (final state %v)", trips, res.PlatformHealth["chaos"])
 	}
 	if res.Reoptimized {
 		t.Error("failover must not consume the adaptive re-optimization budget")

@@ -1,20 +1,23 @@
 // Vectorized execution operators: columnar kernels for the hot-path
-// operator shapes (filter, projection, global aggregate) running
-// directly over batch.Batch inputs. Each kernel is the column form of
-// the same declarative spec that generated the operator's row UDF
-// (plan.ColumnPredicate / ColProject / ColumnAggregate), so the two
-// paths compute identical results — the conformance battery checks
-// byte-identity under the canonical encoding.
+// operator shapes (filter, projection, global aggregate). A hinted
+// operator always runs here: over a batch.Batch handed in from outside
+// the atom, or over the rows an operator of its own atom produced,
+// transposed once on the way in. Each kernel is the column form of the
+// same declarative spec that generated the operator's row UDF
+// (plan.ColumnPredicate / ColProject / ColumnAggregate), so it computes
+// what the UDF computes — the conformance battery checks byte-identity
+// under the canonical encoding against the plan built from the UDFs.
 //
-// The typed fast loops below express every comparison through < and >
-// only, exactly like plan.CompareValues, so NaN ordering ("keep-left")
-// matches the row path bit for bit.
+// The typed loops below express every comparison through < and > only,
+// exactly like plan.CompareValues, so NaN ordering ("keep-left")
+// matches the UDFs bit for bit.
 
 package javaengine
 
 import (
+	"cmp"
 	"fmt"
-	"strings"
+	"slices"
 
 	"rheem/internal/core/algo"
 	"rheem/internal/core/batch"
@@ -23,11 +26,87 @@ import (
 	"rheem/internal/data"
 )
 
-// execColumnar runs op on a columnar kernel when the input is a batch
-// and the operator carries a matching column hint. handled=false sends
-// the operator to the row path (after lossless materialisation), which
-// remains the semantic ground truth.
-func execColumnar(op *physical.Operator, inputs []any) (out any, handled bool, err error) {
+// view is a columnar dataset inside an atom. A nil src is a whole
+// batch. Otherwise b holds only the columns the rest of the atom reads
+// of a wider dataset, and column j of b is that dataset's column
+// src[j]; such a view is only ever handed to the hinted filters and
+// projections readBelow found, never to the row code or a channel.
+type view struct {
+	b   *batch.Batch
+	src []int
+}
+
+// pos returns where the dataset's column c sits in v.b, or -1.
+func (v view) pos(c int) int {
+	if v.src != nil {
+		return slices.Index(v.src, c)
+	}
+	if c < 0 || c >= v.b.NumCols() {
+		return -1
+	}
+	return c
+}
+
+// columns returns ds in column form; ok=false means it has none (ragged
+// records, a row-backed batch). Rows are transposed here: whole, or —
+// when reads lists every column anything will read of them and all of
+// those exist — only the columns in reads.
+func columns(ds any, reads []int) (v view, ok bool) {
+	switch ds := ds.(type) {
+	case view:
+		return ds, true
+	case *batch.Batch:
+		return view{b: ds}, ds.Columnar()
+	}
+	recs := ds.([]data.Record)
+	if len(recs) > 0 && len(reads) > 0 {
+		src := slices.Clone(reads)
+		slices.Sort(src)
+		src = slices.Compact(src)
+		if src[0] >= 0 && src[len(src)-1] < recs[0].Len() {
+			b := batch.FromRecords(recs, src...)
+			return view{b: b, src: src}, b.Columnar()
+		}
+	}
+	b := batch.FromRecords(recs)
+	return view{b: b}, b.Columnar()
+}
+
+// readBelow lists the columns of op's output that the rest of the atom
+// reads, where that can be known: the output stays inside the atom and
+// every consumer is a hinted projection, or a hinted filter whose own
+// output is read that way. nil means all of them.
+func (d *datasetOps) readBelow(op *physical.Operator) []int {
+	if d.atom == nil || slices.Contains(d.atom.Exits, op) {
+		return nil
+	}
+	var cols []int
+	for _, c := range d.atom.Ops {
+		if !slices.Contains(c.Inputs, op) {
+			continue
+		}
+		switch lop := c.Logical; {
+		case lop != nil && lop.Kind() == plan.KindMap && lop.ColProject != nil:
+			cols = append(cols, lop.ColProject...)
+		case lop != nil && lop.Kind() == plan.KindFilter && lop.ColPred != nil:
+			below := d.readBelow(c)
+			if below == nil {
+				return nil
+			}
+			cols = append(append(cols, lop.ColPred.Field), below...)
+		default:
+			return nil
+		}
+	}
+	return cols
+}
+
+// execColumnar runs op on a columnar kernel when it carries a column
+// hint and its input has a column form. handled=false sends the
+// operator to the row code, which stays the semantic ground truth: an
+// un-hinted UDF, ragged input, or a field index outside the input
+// (where the UDF's own panic is the contract).
+func (d *datasetOps) execColumnar(op *physical.Operator, inputs []any) (out any, handled bool, err error) {
 	lop := op.Logical
 	if lop == nil {
 		return nil, false, nil
@@ -37,67 +116,59 @@ func execColumnar(op *physical.Operator, inputs []any) (out any, handled bool, e
 		if lop.ColPred == nil {
 			return nil, false, nil
 		}
-		b, ok := batchInput(inputs, 0)
-		if !ok || lop.ColPred.Field >= b.NumCols() {
+		var reads []int
+		if below := d.readBelow(op); below != nil {
+			reads = append(below, lop.ColPred.Field)
+		}
+		v, ok := columns(inputs[0], reads)
+		field := v.pos(lop.ColPred.Field)
+		if !ok || field < 0 {
 			return nil, false, nil
 		}
-		res := filterBatch(b, lop.ColPred)
+		res := filterBatch(v.b, field, lop.ColPred)
+		if v.src != nil {
+			return view{b: res, src: v.src}, true, nil
+		}
 		return res, true, nil
 	case plan.KindMap:
 		if lop.ColProject == nil {
 			return nil, false, nil
 		}
-		b, ok := batchInput(inputs, 0)
+		v, ok := columns(inputs[0], lop.ColProject)
 		if !ok {
 			return nil, false, nil
 		}
-		for _, c := range lop.ColProject {
-			if c < 0 || c >= b.NumCols() {
-				return nil, false, nil // row path reproduces Record.Project's panic
+		idx := make([]int, len(lop.ColProject))
+		for i, c := range lop.ColProject {
+			if idx[i] = v.pos(c); idx[i] < 0 {
+				return nil, false, nil // row code reproduces Record.Project's panic
 			}
 		}
-		return b.Project(lop.ColProject...), true, nil
+		return v.b.Project(idx...), true, nil
 	case plan.KindReduce:
 		if lop.ColAgg == nil {
 			return nil, false, nil
 		}
-		b, ok := batchInput(inputs, 0)
+		v, ok := columns(inputs[0], nil)
 		if !ok {
 			return nil, false, nil
 		}
-		res, err := aggregateBatch(b, lop.ColAgg)
-		if err != nil {
-			return nil, true, err
-		}
-		return res, true, nil
-	case plan.KindSink:
-		// Sinks pass data through untouched; keeping the batch intact
-		// defers materialisation to the channel boundary.
-		return inputs[0], true, nil
+		res, err := aggregateBatch(v.b, lop.ColAgg)
+		return res, true, err
 	default:
 		return nil, false, nil
 	}
 }
 
-// batchInput returns input i as a columnar batch, or ok=false when the
-// dataset is rows or a row-backed (ragged) batch.
-func batchInput(inputs []any, i int) (*batch.Batch, bool) {
-	b, ok := inputs[i].(*batch.Batch)
-	if !ok || !b.Columnar() {
-		return nil, false
-	}
-	return b, true
-}
-
-// filterBatch evaluates the predicate column-at-a-time, collecting the
+// filterBatch evaluates the predicate over column field, collecting the
 // indices of matching rows and gathering them into a fresh batch. When
 // every row matches, the input batch is returned unchanged (zero-copy).
-func filterBatch(b *batch.Batch, p *plan.ColumnPredicate) *batch.Batch {
+func filterBatch(b *batch.Batch, field int, p *plan.ColumnPredicate) *batch.Batch {
 	n := b.Len()
 	if n == 0 {
 		return b
 	}
-	sel := selectRows(b, p)
+	sel := selectRows(b, field, p)
 	if len(sel) == n {
 		return b
 	}
@@ -108,69 +179,30 @@ func filterBatch(b *batch.Batch, p *plan.ColumnPredicate) *batch.Batch {
 // order. Typed columns whose kind matches the operand take a tight
 // unboxed loop; everything else goes through the generic value path,
 // which applies the exact row-UDF semantics (plan.ColumnPredicate.Match).
-func selectRows(b *batch.Batch, p *plan.ColumnPredicate) []int32 {
-	n := b.Len()
-	col := b.Col(p.Field)
-	off := b.Off()
-	sel := make([]int32, 0, n)
-	keep := func(i int) { sel = append(sel, int32(i)) }
-
+func selectRows(b *batch.Batch, field int, p *plan.ColumnPredicate) []int32 {
+	col, off := b.Col(field), b.Off()
+	sel := make([]int32, 0, b.Len())
 	switch {
 	case col.Kind == batch.ColInt64 && p.Operand.Kind() == data.KindInt:
-		k := p.Operand.Int()
-		if col.Valid == nil {
-			for i, v := range col.Int64s {
-				if cmpMatch(p.Op, v < k, v > k) {
-					keep(i)
-				}
-			}
-		} else {
-			for i, v := range col.Int64s {
-				if col.Valid.Get(off+i) && cmpMatch(p.Op, v < k, v > k) {
-					keep(i)
-				}
-			}
-		}
+		return selectOrdered(sel, col.Int64s, p.Operand.Int(), p.Op, col.Valid, off)
 	case col.Kind == batch.ColFloat64 && p.Operand.Kind() == data.KindFloat:
-		k := p.Operand.Float()
-		if col.Valid == nil {
-			for i, v := range col.Float64s {
-				if cmpMatch(p.Op, v < k, v > k) {
-					keep(i)
-				}
-			}
-		} else {
-			for i, v := range col.Float64s {
-				if col.Valid.Get(off+i) && cmpMatch(p.Op, v < k, v > k) {
-					keep(i)
-				}
-			}
-		}
+		return selectOrdered(sel, col.Float64s, p.Operand.Float(), p.Op, col.Valid, off)
 	case col.Kind == batch.ColString && p.Operand.Kind() == data.KindString:
-		k := p.Operand.Str()
-		if col.Valid == nil {
-			for i, v := range col.Strings {
-				c := strings.Compare(v, k)
-				if cmpMatch(p.Op, c < 0, c > 0) {
-					keep(i)
-				}
-			}
-		} else {
-			for i, v := range col.Strings {
-				if !col.Valid.Get(off + i) {
-					continue
-				}
-				c := strings.Compare(v, k)
-				if cmpMatch(p.Op, c < 0, c > 0) {
-					keep(i)
-				}
-			}
+		return selectOrdered(sel, col.Strings, p.Operand.Str(), p.Op, col.Valid, off)
+	}
+	for i := 0; i < b.Len(); i++ {
+		if p.Match(col.Value(off, i)) {
+			sel = append(sel, int32(i))
 		}
-	default:
-		for i := 0; i < n; i++ {
-			if p.Match(col.Value(off, i)) {
-				keep(i)
-			}
+	}
+	return sel
+}
+
+// selectOrdered is the typed selection loop: nulls never match.
+func selectOrdered[T cmp.Ordered](sel []int32, vals []T, k T, op plan.CompareOp, valid *algo.Bitset, off int) []int32 {
+	for i, v := range vals {
+		if (valid == nil || valid.Get(off+i)) && cmpMatch(op, v < k, v > k) {
+			sel = append(sel, int32(i))
 		}
 	}
 	return sel
@@ -198,6 +230,15 @@ func cmpMatch(op plan.CompareOp, less, greater bool) bool {
 	}
 }
 
+// take copies the selected elements of src, in selection order.
+func take[T any](src []T, sel []int32) []T {
+	out := make([]T, len(sel))
+	for j, i := range sel {
+		out[j] = src[i]
+	}
+	return out
+}
+
 // gather builds a new batch holding the selected rows of b, column by
 // column. Validity bitmaps are rebuilt densely (offset zero).
 func gather(b *batch.Batch, sel []int32) *batch.Batch {
@@ -208,40 +249,24 @@ func gather(b *batch.Batch, sel []int32) *batch.Batch {
 		src := b.Col(c)
 		dst := batch.Column{Kind: src.Kind}
 		if src.Kind != batch.ColAny && src.Valid != nil {
-			valid := algo.NewBitset(n)
+			dst.Valid = algo.NewBitset(n)
 			for j, i := range sel {
 				if src.Valid.Get(off + int(i)) {
-					valid.Set(j)
+					dst.Valid.Set(j)
 				}
 			}
-			dst.Valid = valid
 		}
 		switch src.Kind {
 		case batch.ColInt64:
-			dst.Int64s = make([]int64, n)
-			for j, i := range sel {
-				dst.Int64s[j] = src.Int64s[i]
-			}
+			dst.Int64s = take(src.Int64s, sel)
 		case batch.ColFloat64:
-			dst.Float64s = make([]float64, n)
-			for j, i := range sel {
-				dst.Float64s[j] = src.Float64s[i]
-			}
+			dst.Float64s = take(src.Float64s, sel)
 		case batch.ColString:
-			dst.Strings = make([]string, n)
-			for j, i := range sel {
-				dst.Strings[j] = src.Strings[i]
-			}
+			dst.Strings = take(src.Strings, sel)
 		case batch.ColBool:
-			dst.Bools = make([]bool, n)
-			for j, i := range sel {
-				dst.Bools[j] = src.Bools[i]
-			}
+			dst.Bools = take(src.Bools, sel)
 		default:
-			dst.Any = make([]data.Value, n)
-			for j, i := range sel {
-				dst.Any[j] = src.Any[i]
-			}
+			dst.Any = take(src.Any, sel)
 		}
 		cols[c] = dst
 	}
@@ -285,76 +310,26 @@ func aggregateBatch(b *batch.Batch, agg *plan.ColumnAggregate) ([]data.Record, e
 // AggFn.Fold, which is the row semantics verbatim (including the error
 // on summing nulls or mixed kinds).
 func foldColumn(b *batch.Batch, c int, fn plan.AggFn) (data.Value, error) {
-	col := b.Col(c)
-	off := b.Off()
-	n := b.Len()
-
+	col, off := b.Col(c), b.Off()
 	if fn == plan.AggFirst {
 		return col.Value(off, 0), nil
 	}
-	if col.Kind != batch.ColAny && col.Valid == nil {
+	if col.Valid == nil {
 		switch col.Kind {
 		case batch.ColInt64:
-			acc := col.Int64s[0]
-			switch fn {
-			case plan.AggSum:
-				for _, v := range col.Int64s[1:] {
-					acc += v
-				}
-			case plan.AggMin:
-				for _, v := range col.Int64s[1:] {
-					if v < acc {
-						acc = v
-					}
-				}
-			case plan.AggMax:
-				for _, v := range col.Int64s[1:] {
-					if v > acc {
-						acc = v
-					}
-				}
-			}
-			return data.Int(acc), nil
+			return data.Int(foldOrdered(col.Int64s, fn)), nil
 		case batch.ColFloat64:
-			acc := col.Float64s[0]
-			switch fn {
-			case plan.AggSum:
-				for _, v := range col.Float64s[1:] {
-					acc += v
-				}
-			case plan.AggMin:
-				// CompareValues(b,a) < 0 ⇔ b < a; NaN keeps the left
-				// accumulator, so plain < matches the fold exactly.
-				for _, v := range col.Float64s[1:] {
-					if v < acc {
-						acc = v
-					}
-				}
-			case plan.AggMax:
-				for _, v := range col.Float64s[1:] {
-					if v > acc {
-						acc = v
-					}
-				}
-			}
-			return data.Float(acc), nil
+			return data.Float(foldOrdered(col.Float64s, fn)), nil
 		case batch.ColString:
 			if fn == plan.AggSum {
 				return data.Null(), fmt.Errorf("plan: cannot sum string and string values")
 			}
-			acc := col.Strings[0]
-			for _, v := range col.Strings[1:] {
-				c := strings.Compare(v, acc)
-				if (fn == plan.AggMin && c < 0) || (fn == plan.AggMax && c > 0) {
-					acc = v
-				}
-			}
-			return data.Str(acc), nil
+			return data.Str(foldOrdered(col.Strings, fn)), nil
 		}
 	}
 	// Generic pairwise fold over materialised values.
 	acc := col.Value(off, 0)
-	for i := 1; i < n; i++ {
+	for i := 1; i < b.Len(); i++ {
 		v, err := fn.Fold(acc, col.Value(off, i))
 		if err != nil {
 			return data.Null(), err
@@ -362,4 +337,30 @@ func foldColumn(b *batch.Batch, c int, fn plan.AggFn) (data.Value, error) {
 		acc = v
 	}
 	return acc, nil
+}
+
+// foldOrdered is the typed fold, left to right like algo.Reduce so even
+// float sums reproduce. CompareValues(v, acc) < 0 ⇔ v < acc and a NaN
+// keeps the accumulator, so plain < and > match AggFn.Fold exactly.
+func foldOrdered[T cmp.Ordered](vals []T, fn plan.AggFn) T {
+	acc := vals[0]
+	switch fn {
+	case plan.AggSum:
+		for _, v := range vals[1:] {
+			acc += v
+		}
+	case plan.AggMin:
+		for _, v := range vals[1:] {
+			if v < acc {
+				acc = v
+			}
+		}
+	case plan.AggMax:
+		for _, v := range vals[1:] {
+			if v > acc {
+				acc = v
+			}
+		}
+	}
+	return acc
 }

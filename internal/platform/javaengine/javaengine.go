@@ -3,8 +3,10 @@
 // the paper's Figure 2 (see DESIGN.md §3).
 //
 // It executes every physical operator sequentially on driver-resident
-// []data.Record collections by delegating to the shared kernels in
-// package algo. It has no per-job overhead worth modelling and no
+// data: operators carrying a declarative column hint run vectorized
+// kernels over batch.Batch columns (columnar.go), everything else
+// delegates to the shared []data.Record kernels in package algo. It
+// has no per-job overhead worth modelling and no
 // parallelism: its simulated time equals its measured wall time plus a
 // small constant per atom. That is exactly why it wins on small inputs
 // and iteration-heavy loops, and loses to the Spark simulator once
@@ -34,13 +36,6 @@ type Config struct {
 	// StartupOverhead is charged to simulated time once per atom
 	// execution, modelling in-process dispatch. Default 200µs.
 	StartupOverhead time.Duration
-	// Columnar enables the vectorized execution path: operators
-	// carrying declarative column hints (plan.ColPred, plan.ColProject,
-	// plan.ColAgg) run columnar kernels over channel.Batch inputs
-	// instead of calling their UDF per record, and the platform
-	// advertises batch capability to the optimizer and executor
-	// (engine.Vectorized). Results are byte-identical to the row path.
-	Columnar bool
 }
 
 func (c *Config) defaults() {
@@ -83,15 +78,16 @@ func (p *Platform) SplitNative(ch *channel.Channel, n int) ([]*channel.Channel, 
 	return channel.Partition(ch, n)
 }
 
-// SupportsBatch implements engine.Vectorized: with the columnar path
-// enabled, operators whose logical form carries a declarative column
-// hint (and sinks, which pass data through untouched) execute directly
-// on channel.Batch inputs.
+// SupportsBatch implements engine.Vectorized: an operator whose logical
+// form carries a declarative column hint executes directly on
+// channel.Batch inputs. A sink hands a batch through when it is given
+// one but does not ask for the format — that would have the optimizer
+// price a batch edge for every plan's result.
 func (p *Platform) SupportsBatch(op *physical.Operator) bool {
-	if !p.cfg.Columnar || op.Logical == nil {
+	lop := op.Logical
+	if lop == nil {
 		return false
 	}
-	lop := op.Logical
 	switch lop.Kind() {
 	case plan.KindFilter:
 		return lop.ColPred != nil
@@ -99,8 +95,6 @@ func (p *Platform) SupportsBatch(op *physical.Operator) bool {
 		return lop.ColProject != nil
 	case plan.KindReduce:
 		return lop.ColAgg != nil
-	case plan.KindSink:
-		return true
 	default:
 		return false
 	}
@@ -109,7 +103,7 @@ func (p *Platform) SupportsBatch(op *physical.Operator) bool {
 // ExecuteAtom implements engine.Platform.
 func (p *Platform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) (map[int]*channel.Channel, engine.Metrics, error) {
 	start := time.Now()
-	d := &datasetOps{columnar: p.cfg.Columnar}
+	d := &datasetOps{atom: atom}
 	exits, err := engine.RunAtom(ctx, d, atom, inputs)
 	wall := time.Since(start)
 	m := engine.Metrics{
@@ -126,10 +120,11 @@ func (p *Platform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, input
 }
 
 // datasetOps adapts the engine's datasets — []data.Record rows, or
-// *batch.Batch columns on the vectorized path — to the generic atom
-// runner.
+// *batch.Batch columns between vectorized operators — to the generic
+// atom runner. atom is the one being run (nil in kernel tests), which
+// lets a hinted operator see what reads its output.
 type datasetOps struct {
-	columnar   bool
+	atom       *engine.TaskAtom
 	inRecords  int64
 	outRecords int64
 }
@@ -161,7 +156,7 @@ func (d *datasetOps) ToChannel(ds any) (*channel.Channel, error) {
 	return channel.NewCollection(recs), nil
 }
 
-// asRecords materialises a dataset for the row path; columnar batches
+// asRecords materialises a dataset for the row code; columnar batches
 // are converted losslessly.
 func asRecords(ds any) []data.Record {
 	if b, ok := ds.(*batch.Batch); ok {
@@ -171,14 +166,13 @@ func asRecords(ds any) []data.Record {
 }
 
 // ExecOp executes one physical operator via the shared kernels —
-// columnar where an input batch and a column hint line up, rows
-// otherwise. It is the java engine's complete set of execution
-// operators.
+// columnar where a column hint and an input with a column form line up,
+// the row code below otherwise: it is what un-hinted UDF operators run
+// on, and the fallback for hinted ones. It is the java engine's
+// complete set of execution operators.
 func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []any) (any, error) {
-	if d.columnar {
-		if out, handled, err := execColumnar(op, inputs); handled {
-			return out, err
-		}
+	if out, handled, err := d.execColumnar(op, inputs); handled {
+		return out, err
 	}
 	in := func(i int) []data.Record { return asRecords(inputs[i]) }
 	lop := op.Logical
@@ -293,7 +287,7 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 		}
 		return recs, nil
 	case plan.KindSink:
-		return in(0), nil
+		return inputs[0], nil // rows or a batch, untouched
 	case plan.KindRepeat, plan.KindDoWhile, plan.KindLoopInput:
 		return nil, fmt.Errorf("javaengine: %s must be driven by the executor", lop.Kind())
 	default:

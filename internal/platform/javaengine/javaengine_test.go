@@ -23,9 +23,7 @@ func runPlanOn(t *testing.T, p *Platform, build func(b *plan.Builder)) ([]data.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	atom := &engine.TaskAtom{ID: 0, Kind: engine.AtomCompute, Platform: ID,
-		Ops: pp.Ops, Exits: []*physical.Operator{pp.SinkOp}}
-	exits, m, err := p.ExecuteAtom(context.Background(), atom, engine.AtomInputs{})
+	exits, m, err := p.ExecuteAtom(context.Background(), inAtom(pp), engine.AtomInputs{})
 	if err != nil {
 		t.Fatal(err)
 	}

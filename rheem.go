@@ -63,14 +63,14 @@ type Config struct {
 	// creates a fresh one.
 	DB *relengine.DB
 
-	// Columnar enables vectorized batch execution on the single-node
-	// engine: filter/projection/aggregate operators built with the
-	// column-hint helpers (plan.FilterWhere, ProjectCols, AggregateCols)
-	// run columnar kernels over the channel.Batch format instead of
-	// calling their UDF per record, and the optimizer prices the batch
-	// conversion edges so plans adopt the format where it wins. Results
-	// are byte-identical to the row path (see DESIGN.md §9). Off by
-	// default.
+	// Columnar is ignored.
+	//
+	// Deprecated: vectorized batch execution is no longer a mode. An
+	// operator built with a column-hint helper (plan.FilterWhere,
+	// ProjectCols, AggregateCols) always runs the single-node engine's
+	// columnar kernels, and one built from a plain UDF always runs row
+	// by row (see DESIGN.md §9). The field remains only so callers that
+	// still set it keep compiling; nothing reads it.
 	Columnar bool
 }
 
@@ -153,9 +153,6 @@ func NewContext(cfg Config, opts ...ContextOption) (*Context, error) {
 		c.hub = metrics.NewHub()
 	}
 	var err error
-	if cfg.Columnar {
-		cfg.Java.Columnar = true
-	}
 	if !cfg.DisableJava {
 		if c.java, err = javaengine.Register(c.reg, cfg.Java); err != nil {
 			return nil, err

@@ -668,3 +668,54 @@ func TestFlightRecorderEndToEnd(t *testing.T) {
 		t.Errorf("unknown run = %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestHintedChainAllocationGate is ROADMAP item 2's allocation gate,
+// enforced where `go test ./...` runs it: a hinted FilterWhere →
+// ProjectCols → AggregateCols plan executed through the public API on
+// the default Config, pinned to the single-node engine — source and
+// chain in one atom — may allocate one object per thousand input rows
+// plus a fixed per-job allowance, and no more. One allocation per row
+// means something row-shaped is back on the columnar path.
+func TestHintedChainAllocationGate(t *testing.T) {
+	const (
+		rows = 100_000
+		// perJob covers what a job costs whatever its input: building and
+		// optimizing the plan, the atom's spans and channels, the kernels'
+		// handful of column-sized buffers. Measured at 206; the headroom
+		// is for toolchain drift, not for per-row work, which at this
+		// input size would overshoot it a hundredfold.
+		perJob = 300
+	)
+	recs := make([]data.Record, rows)
+	var want int64
+	for i := range recs {
+		v := int64(i*7919) % 1000
+		recs[i] = data.NewRecord(data.Int(int64(i)), data.Int(v))
+		if v < 500 {
+			want += v
+		}
+	}
+	ctx, err := rheem.NewContext(rheem.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := func() {
+		b := plan.NewBuilder("alloc-gate")
+		s := b.Source("rows", plan.Collection(recs))
+		s.CardHint = rows
+		f := b.FilterWhere(s, 1, plan.Less, data.Int(500))
+		b.Collect(b.AggregateCols(b.ProjectCols(f, 1), plan.AggSum))
+		out, _, err := ctx.Execute(b.MustBuild(), rheem.OnPlatform(javaengine.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 1 || out[0].Field(0).Int() != want {
+			t.Fatalf("hinted chain produced %v, want sum %d", out, want)
+		}
+	}
+	got := testing.AllocsPerRun(5, job)
+	t.Logf("%.0f allocations per job over %d rows", got, rows)
+	if limit := float64(rows/1000 + perJob); got > limit {
+		t.Errorf("hinted chain made %.0f allocations per job over %d rows, gate is %.0f (rows/1000 + %d)", got, rows, limit, perJob)
+	}
+}
