@@ -24,54 +24,69 @@ type Group struct {
 	Records []data.Record
 }
 
-// hashBuckets is an open hash table from Value keys to groups, chaining
-// on hash collisions with data.Equal as the tie-breaker. Values are not
-// Go-comparable (vectors), so the built-in map cannot key them directly.
-type hashBuckets struct {
-	m map[uint64][]*Group
-	n int
+// keyTable numbers distinct keys in first-seen order: a hash table on
+// data.Hash, chaining on collisions with data.Equal as the tie-breaker.
+// Values are not Go-comparable, so the built-in map cannot key them
+// directly. Callers keep what they store per key in a slice indexed by
+// the key's number.
+type keyTable struct {
+	head map[uint64]int // hash → 1 + the newest key with it
+	keys []data.Value
+	next []int // the next older key with the same hash, or -1
 }
 
-func newHashBuckets(capacity int) *hashBuckets {
-	return &hashBuckets{m: make(map[uint64][]*Group, capacity)}
-}
+// find returns k's number, or -1 if k was never added.
+func (t *keyTable) find(k data.Value) int { return t.probe(data.Hash(k, 0), k) }
 
-func (h *hashBuckets) get(key data.Value) *Group {
-	hv := data.Hash(key, 0)
-	for _, g := range h.m[hv] {
-		if data.Equal(g.Key, key) {
-			return g
-		}
+func (t *keyTable) probe(hv uint64, k data.Value) int {
+	i := t.head[hv] - 1
+	for i >= 0 && !data.Equal(t.keys[i], k) {
+		i = t.next[i]
 	}
-	g := &Group{Key: key}
-	h.m[hv] = append(h.m[hv], g)
-	h.n++
-	return g
+	return i
 }
 
-func (h *hashBuckets) groups() []Group {
-	out := make([]Group, 0, h.n)
-	for _, chain := range h.m {
-		for _, g := range chain {
-			out = append(out, *g)
-		}
+// add returns k's number, and whether this call is the one that gave
+// k a number (then it is len(keys)-1).
+func (t *keyTable) add(k data.Value) (int, bool) {
+	hv := data.Hash(k, 0)
+	if i := t.probe(hv, k); i >= 0 {
+		return i, false
 	}
-	return out
+	if t.head == nil {
+		t.head = make(map[uint64]int)
+	}
+	t.next = append(t.next, t.head[hv]-1)
+	t.keys = append(t.keys, k)
+	t.head[hv] = len(t.keys)
+	return len(t.keys) - 1, true
 }
 
-// HashGroup groups records by key using hashing. Group order is
-// unspecified; callers needing determinism sort the result.
-func HashGroup(recs []data.Record, key plan.KeyFunc) ([]Group, error) {
-	h := newHashBuckets(len(recs) / 4)
+// hashGroup is HashGroup plus the table that finds a key's group; keyErr
+// names the key function in errors.
+func hashGroup(recs []data.Record, key plan.KeyFunc, keyErr string) (*keyTable, []Group, error) {
+	t := new(keyTable)
+	var groups []Group
 	for _, r := range recs {
 		k, err := key(r)
 		if err != nil {
-			return nil, fmt.Errorf("algo: group key: %w", err)
+			return nil, nil, fmt.Errorf("algo: %s: %w", keyErr, err)
 		}
-		g := h.get(k)
-		g.Records = append(g.Records, r)
+		i, added := t.add(k)
+		if added {
+			groups = append(groups, Group{Key: k})
+		}
+		groups[i].Records = append(groups[i].Records, r)
 	}
-	return h.groups(), nil
+	return t, groups, nil
+}
+
+// HashGroup groups records by key using hashing. Groups come out in the
+// order their keys were first seen and records keep their input order
+// within a group.
+func HashGroup(recs []data.Record, key plan.KeyFunc) ([]Group, error) {
+	_, groups, err := hashGroup(recs, key, "group key")
+	return groups, err
 }
 
 // SortGroup groups records by key using a stable sort; groups come out
@@ -107,22 +122,44 @@ func SortGroup(recs []data.Record, key plan.KeyFunc) ([]Group, error) {
 	return out, nil
 }
 
-// ReduceGroups folds each group pairwise with f, returning one record
-// per group.
-func ReduceGroups(groups []Group, f plan.ReduceFunc) ([]data.Record, error) {
-	out := make([]data.Record, 0, len(groups))
-	for _, g := range groups {
-		acc := g.Records[0]
-		var err error
-		for _, r := range g.Records[1:] {
-			acc, err = f(acc, r)
-			if err != nil {
-				return nil, fmt.Errorf("algo: reduce: %w", err)
-			}
+// ReduceByKey folds each record into its key's accumulator with f, in
+// input order, and returns one record per key; the groups are never
+// built. Keys are told apart by data.Equal. Accumulators come out in the
+// order their keys were first seen, or in ascending key order when
+// sorted is set (physical.SortGroupBy). The first key or reduce failure
+// in input order is the one reported.
+func ReduceByKey(recs []data.Record, key plan.KeyFunc, f plan.ReduceFunc, sorted bool) ([]data.Record, error) {
+	var t keyTable
+	out := []data.Record{} // empty input yields an empty result, not nil
+	for _, r := range recs {
+		k, err := key(r)
+		if err != nil {
+			return nil, fmt.Errorf("algo: group key: %w", err)
 		}
-		out = append(out, acc)
+		i, added := t.add(k)
+		if added {
+			out = append(out, r)
+		} else if out[i], err = f(out[i], r); err != nil {
+			return nil, fmt.Errorf("algo: reduce: %w", err)
+		}
+	}
+	if sorted {
+		sort.Stable(&byKey{t.keys, out})
 	}
 	return out, nil
+}
+
+// byKey orders accumulators by their keys.
+type byKey struct {
+	keys []data.Value
+	recs []data.Record
+}
+
+func (s *byKey) Len() int           { return len(s.keys) }
+func (s *byKey) Less(i, j int) bool { return data.Compare(s.keys[i], s.keys[j]) < 0 }
+func (s *byKey) Swap(i, j int) {
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	s.recs[i], s.recs[j] = s.recs[j], s.recs[i]
 }
 
 // Reduce folds an entire dataset pairwise. An empty input yields an
@@ -193,14 +230,9 @@ outer:
 // input and probing with the left. Output records are Concat(l, r) in
 // left-input order.
 func HashJoin(l, r []data.Record, lkey, rkey plan.KeyFunc) ([]data.Record, error) {
-	build := newHashBuckets(len(r) / 2)
-	for _, rr := range r {
-		k, err := rkey(rr)
-		if err != nil {
-			return nil, fmt.Errorf("algo: join build key: %w", err)
-		}
-		g := build.get(k)
-		g.Records = append(g.Records, rr)
+	build, groups, err := hashGroup(r, rkey, "join build key")
+	if err != nil {
+		return nil, err
 	}
 	var out []data.Record
 	for _, lr := range l {
@@ -208,12 +240,8 @@ func HashJoin(l, r []data.Record, lkey, rkey plan.KeyFunc) ([]data.Record, error
 		if err != nil {
 			return nil, fmt.Errorf("algo: join probe key: %w", err)
 		}
-		hv := data.Hash(k, 0)
-		for _, g := range build.m[hv] {
-			if !data.Equal(g.Key, k) {
-				continue
-			}
-			for _, rr := range g.Records {
+		if i := build.find(k); i >= 0 {
+			for _, rr := range groups[i].Records {
 				out = append(out, data.Concat(lr, rr))
 			}
 		}

@@ -51,6 +51,11 @@ func TestHashGroupAndSortGroupAgree(t *testing.T) {
 			t.Errorf("key %d: hash %d records, sort %d", k, len(hm[k]), len(sm[k]))
 		}
 	}
+	// HashGroup yields keys in first-seen order.
+	recs2 := kvRecs(3, 0, 1, 0, 3, 1, 2, 0)
+	if g, _ := HashGroup(recs2, plan.FieldKey(0)); len(g) != 3 || g[0].Key.Int() != 3 || g[1].Key.Int() != 1 || g[2].Key.Int() != 2 || len(g[0].Records) != 2 {
+		t.Errorf("HashGroup = %v, want keys 3, 1, 2", g)
+	}
 	// SortGroup yields ascending keys and stable within-group order.
 	if !(sg[0].Key.Int() == 1 && sg[1].Key.Int() == 2 && sg[2].Key.Int() == 3) {
 		t.Error("SortGroup keys not ascending")
@@ -72,15 +77,24 @@ func TestGroupKeyError(t *testing.T) {
 	}
 }
 
-func TestReduceGroupsAndReduce(t *testing.T) {
-	recs := kvRecs(1, 10, 1, 5, 2, 7)
-	gs, _ := SortGroup(recs, plan.FieldKey(0))
-	red, err := ReduceGroups(gs, plan.SumField(1))
+func TestReduceByKeyAndReduce(t *testing.T) {
+	recs := kvRecs(2, 7, 1, 10, 1, 5)
+	red, err := ReduceByKey(recs, plan.FieldKey(0), plan.SumField(1), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(red) != 2 || red[0].Field(1).Int() != 15 || red[1].Field(1).Int() != 7 {
-		t.Errorf("ReduceGroups = %v", red)
+		t.Errorf("ReduceByKey sorted = %v", red)
+	}
+	red, err = ReduceByKey(recs, plan.FieldKey(0), plan.SumField(1), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(red) != 2 || red[0].Field(1).Int() != 7 || red[1].Field(1).Int() != 15 {
+		t.Errorf("ReduceByKey = %v, want first-seen key order", red)
+	}
+	if red, err := ReduceByKey(nil, plan.FieldKey(0), plan.SumField(1), true); err != nil || red == nil || len(red) != 0 {
+		t.Errorf("ReduceByKey on empty input = %v, %v; want empty, non-nil", red, err)
 	}
 
 	all, err := Reduce(intRecs(1, 2, 3, 4), plan.SumField(0))

@@ -288,17 +288,7 @@ func mergeExit(combine *physical.Operator, parts [][]data.Record) ([]data.Record
 	lop := op.Logical
 	switch op.Kind() {
 	case plan.KindReduceByKey:
-		var groups []algo.Group
-		var err error
-		if op.Algo == physical.SortGroupBy {
-			groups, err = algo.SortGroup(all, lop.Key)
-		} else {
-			groups, err = algo.HashGroup(all, lop.Key)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return algo.ReduceGroups(groups, lop.Reduce)
+		return algo.ReduceByKey(all, lop.Key, lop.Reduce, op.Algo == physical.SortGroupBy)
 	case plan.KindReduce:
 		return algo.Reduce(all, lop.Reduce)
 	case plan.KindCount:

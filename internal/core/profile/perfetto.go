@@ -51,7 +51,14 @@ func (r *Record) WritePerfetto(w io.Writer) error {
 		g.spans = append(g.spans, sp)
 	}
 	var base time.Time
-	for _, sp := range r.Spans {
+	for _, live := range r.Spans {
+		// Wall-clock readings only: a span loses its monotonic reading
+		// when persisted, and Sub over a mix of the two can land on the
+		// other side of a microsecond boundary, so the export of one
+		// record would differ before and after a restart.
+		wall := *live
+		wall.StartedAt, wall.EndedAt = wall.StartedAt.Round(0), wall.EndedAt.Round(0)
+		sp := &wall
 		if base.IsZero() || sp.StartedAt.Before(base) {
 			base = sp.StartedAt
 		}

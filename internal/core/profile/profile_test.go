@@ -287,6 +287,37 @@ func TestPerfettoExportParsesAndIsDeterministic(t *testing.T) {
 	}
 }
 
+// Spans stamped by the live clock carry a monotonic reading; the same
+// spans read back from storage do not. The export must not depend on it.
+func TestPerfettoExportSurvivesLosingMonotonicReadings(t *testing.T) {
+	spans := make([]*trace.Span, 2000)
+	for i := range spans {
+		sp := span(i+1, "op", 0, 0)
+		sp.StartedAt = time.Now()
+		sp.EndedAt = time.Now()
+		spans[i] = sp
+	}
+	live := &Record{Spans: spans}
+	raw, err := json.Marshal(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored Record
+	if err := json.Unmarshal(raw, &stored); err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if err := live.WritePerfetto(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := stored.WritePerfetto(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("perfetto export differs between live spans and the same spans read back from JSON")
+	}
+}
+
 func TestRecorderEviction(t *testing.T) {
 	store := storage.NewManager(0, nil)
 	if err := store.Register(memstore.New(1 << 30)); err != nil {

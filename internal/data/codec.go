@@ -133,25 +133,25 @@ func WriteBinary(w io.Writer, recs []Record) (int64, error) {
 			switch v.kind {
 			case KindNull:
 			case KindBool, KindInt:
-				if err := putUvarint(zigzag(v.i)); err != nil {
+				if err := putUvarint(zigzag(v.int())); err != nil {
 					return cw.n, err
 				}
 			case KindFloat:
-				if err := putUvarint(math.Float64bits(v.f)); err != nil {
+				if err := putUvarint(v.n); err != nil {
 					return cw.n, err
 				}
 			case KindString:
-				if err := putUvarint(uint64(len(v.s))); err != nil {
+				if err := putUvarint(v.n); err != nil {
 					return cw.n, err
 				}
-				if _, err := io.WriteString(cw, v.s); err != nil {
+				if _, err := io.WriteString(cw, v.str()); err != nil {
 					return cw.n, err
 				}
 			case KindVector:
-				if err := putUvarint(uint64(len(v.vec))); err != nil {
+				if err := putUvarint(v.n); err != nil {
 					return cw.n, err
 				}
-				for _, f := range v.vec {
+				for _, f := range v.vec() {
 					if err := putUvarint(math.Float64bits(f)); err != nil {
 						return cw.n, err
 					}

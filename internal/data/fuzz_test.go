@@ -31,11 +31,15 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		{},
 		{NewRecord(Int(1), Str("a"))},
 		{NewRecord(Null(), Bool(true), Bool(false))},
-		{NewRecord(Int(-1 << 62), Int(math.MaxInt64), Float(0))},
+		{NewRecord(Int(-1<<62), Int(math.MaxInt64), Float(0))},
 		{NewRecord(Float(math.NaN()), Float(math.Inf(1)), Float(-0.0))},
 		{NewRecord(Str("")), NewRecord(Str("héllo\x00world"))},
 		{NewRecord(Vec(nil)), NewRecord(Vec([]float64{1.5, math.Inf(-1)}))},
 		{NewRecord(), NewRecord(Int(7))},
+		// Zero-length payloads: a string with no bytes behind its pointer,
+		// a vector that is empty but not nil.
+		{NewRecord(Str(""), Str(""))},
+		{NewRecord(Vec([]float64{}), Vec(nil))},
 		// Columnar-conversion decision space: these shapes steer which
 		// representation batch.FromRecords picks (validity bitmaps,
 		// all-null and mixed-kind ColAny columns, the ragged row

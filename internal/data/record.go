@@ -131,9 +131,9 @@ func (r Record) Bytes() int {
 	for _, v := range r.fields {
 		switch v.kind {
 		case KindString:
-			n += 16 + len(v.s)
+			n += 16 + int(v.n)
 		case KindVector:
-			n += 24 + 8*len(v.vec)
+			n += 24 + 8*int(v.n)
 		default:
 			n += 16
 		}

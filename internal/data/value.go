@@ -16,6 +16,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the dynamic types a Value can hold.
@@ -76,15 +77,30 @@ func ParseKind(s string) (Kind, error) {
 // Value is a dynamically typed scalar or vector. It is a tagged union
 // rather than an interface so that records of scalars allocate nothing
 // beyond their field slice; this matters because logical operators are
-// applied per data quantum (§3.1) and run in tight loops.
+// applied per data quantum (§3.1) and run in tight loops, so what one
+// quantum costs multiplies through every operator, conversion and
+// shuffle of the row path.
+//
+// Layout: three words, 24 bytes on 64-bit targets. n holds the int, the
+// float's IEEE bits, the bool (0 or 1), or the length of the string or
+// vector; p points at the string's bytes or the vector's first element
+// and is nil for every other kind. Constructors box nothing and copy
+// nothing: Str and Vec keep the caller's backing array alive through p.
+//
+// Rules that follow from the layout:
+//   - Compare values with Equal (or Compare), never with == or
+//     reflect.DeepEqual. The zero-size func field keeps == from
+//     compiling; DeepEqual would compare string and vector pointers,
+//     not contents.
+//   - Vec() returns a slice with cap == len, whatever capacity the slice
+//     given to the constructor had: the capacity is not stored.
 //
 // The zero Value is Null.
 type Value struct {
+	_    [0]func() // not comparable
 	kind Kind
-	i    int64
-	f    float64
-	s    string
-	vec  []float64
+	n    uint64
+	p    unsafe.Pointer
 }
 
 // Null returns the null value.
@@ -92,25 +108,37 @@ func Null() Value { return Value{} }
 
 // Bool returns a boolean value.
 func Bool(b bool) Value {
-	var i int64
+	var n uint64
 	if b {
-		i = 1
+		n = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return Value{kind: KindBool, n: n}
 }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // Str returns a string value.
-func Str(v string) Value { return Value{kind: KindString, s: v} }
+func Str(v string) Value {
+	return Value{kind: KindString, n: uint64(len(v)), p: unsafe.Pointer(unsafe.StringData(v))}
+}
 
 // Vec returns a vector value. The slice is NOT copied; callers that
 // mutate the argument afterwards must copy it first.
-func Vec(v []float64) Value { return Value{kind: KindVector, vec: v} }
+func Vec(v []float64) Value {
+	return Value{kind: KindVector, n: uint64(len(v)), p: unsafe.Pointer(unsafe.SliceData(v))}
+}
+
+// The payload readers below do not check the kind; every caller has
+// switched on it. Nothing else reads p.
+
+func (v Value) int() int64     { return int64(v.n) }
+func (v Value) float() float64 { return math.Float64frombits(v.n) }
+func (v Value) str() string    { return unsafe.String((*byte)(v.p), int(v.n)) }
+func (v Value) vec() []float64 { return unsafe.Slice((*float64)(v.p), int(v.n)) }
 
 // Kind reports the dynamic kind of the value.
 func (v Value) Kind() Kind { return v.kind }
@@ -122,13 +150,13 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 // use Kind first when the type is not statically known.
 func (v Value) Bool() bool {
 	v.mustBe(KindBool)
-	return v.i != 0
+	return v.n != 0
 }
 
 // Int returns the integer payload, panicking on a kind mismatch.
 func (v Value) Int() int64 {
 	v.mustBe(KindInt)
-	return v.i
+	return v.int()
 }
 
 // Float returns the float payload. For convenience in numeric UDFs it
@@ -136,9 +164,9 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.float()
 	case KindInt:
-		return float64(v.i)
+		return float64(v.int())
 	}
 	panic(fmt.Sprintf("data: Float() on %s value", v.kind))
 }
@@ -146,14 +174,14 @@ func (v Value) Float() float64 {
 // Str returns the string payload, panicking on a kind mismatch.
 func (v Value) Str() string {
 	v.mustBe(KindString)
-	return v.s
+	return v.str()
 }
 
 // Vec returns the vector payload, panicking on a kind mismatch. The
-// returned slice aliases the value's storage.
+// returned slice aliases the value's storage and has cap == len.
 func (v Value) Vec() []float64 {
 	v.mustBe(KindVector)
-	return v.vec
+	return v.vec()
 }
 
 func (v Value) mustBe(k Kind) {
@@ -169,19 +197,19 @@ func (v Value) String() string {
 	case KindNull:
 		return ""
 	case KindBool:
-		if v.i != 0 {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
-		return v.s
+		return v.str()
 	case KindVector:
 		var sb strings.Builder
-		for i, f := range v.vec {
+		for i, f := range v.vec() {
 			if i > 0 {
 				sb.WriteByte(';')
 			}
@@ -269,23 +297,24 @@ func Compare(a, b Value) int {
 	case KindNull:
 		return 0
 	case KindBool:
-		return int(a.i - b.i)
+		return int(a.n) - int(b.n)
 	case KindString:
-		return strings.Compare(a.s, b.s)
+		return strings.Compare(a.str(), b.str())
 	case KindVector:
-		n := len(a.vec)
-		if len(b.vec) < n {
-			n = len(b.vec)
+		av, bv := a.vec(), b.vec()
+		n := len(av)
+		if len(bv) < n {
+			n = len(bv)
 		}
 		for i := 0; i < n; i++ {
 			switch {
-			case a.vec[i] < b.vec[i]:
+			case av[i] < bv[i]:
 				return -1
-			case a.vec[i] > b.vec[i]:
+			case av[i] > bv[i]:
 				return 1
 			}
 		}
-		return len(a.vec) - len(b.vec)
+		return len(av) - len(bv)
 	default:
 		return 0
 	}
@@ -293,9 +322,9 @@ func Compare(a, b Value) int {
 
 func (v Value) numeric() float64 {
 	if v.kind == KindInt {
-		return float64(v.i)
+		return float64(v.int())
 	}
-	return v.f
+	return v.float()
 }
 
 // Equal reports whether two values compare equal under Compare, except
@@ -309,17 +338,18 @@ func Equal(a, b Value) bool {
 	case KindNull:
 		return true
 	case KindBool, KindInt:
-		return a.i == b.i
+		return a.n == b.n
 	case KindFloat:
-		return a.f == b.f
+		return a.float() == b.float()
 	case KindString:
-		return a.s == b.s
+		return a.str() == b.str()
 	case KindVector:
-		if len(a.vec) != len(b.vec) {
+		av, bv := a.vec(), b.vec()
+		if len(av) != len(bv) {
 			return false
 		}
-		for i := range a.vec {
-			if a.vec[i] != b.vec[i] {
+		for i := range av {
+			if av[i] != bv[i] {
 				return false
 			}
 		}
@@ -336,25 +366,33 @@ const (
 
 // Hash returns a 64-bit FNV-1a hash of the value, seeded so that
 // partitioners can derive independent hash families. Equal values (per
-// Equal) hash identically.
+// Equal) hash identically, which for floats means -0 hashes as +0.
 func Hash(v Value, seed uint64) uint64 {
 	h := fnvOffset ^ seed
 	h = hashByte(h, byte(v.kind))
 	switch v.kind {
 	case KindBool, KindInt:
-		h = hashUint64(h, uint64(v.i))
+		h = hashUint64(h, v.n)
 	case KindFloat:
-		h = hashUint64(h, math.Float64bits(v.f))
+		h = hashFloat(h, v.float())
 	case KindString:
-		for i := 0; i < len(v.s); i++ {
-			h = hashByte(h, v.s[i])
+		s := v.str()
+		for i := 0; i < len(s); i++ {
+			h = hashByte(h, s[i])
 		}
 	case KindVector:
-		for _, f := range v.vec {
-			h = hashUint64(h, math.Float64bits(f))
+		for _, f := range v.vec() {
+			h = hashFloat(h, f)
 		}
 	}
 	return h
+}
+
+func hashFloat(h uint64, f float64) uint64 {
+	if f == 0 {
+		f = 0 // Equal(-0, +0) holds, so both hash as +0
+	}
+	return hashUint64(h, math.Float64bits(f))
 }
 
 func hashByte(h uint64, b byte) uint64 {

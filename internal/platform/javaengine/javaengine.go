@@ -228,11 +228,7 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 		}
 		return out, nil
 	case plan.KindReduceByKey:
-		groups, err := groupWith(op.Algo, in(0), lop.Key)
-		if err != nil {
-			return nil, err
-		}
-		return algo.ReduceGroups(groups, lop.Reduce)
+		return algo.ReduceByKey(in(0), lop.Key, lop.Reduce, op.Algo == physical.SortGroupBy)
 	case plan.KindReduce:
 		return algo.Reduce(in(0), lop.Reduce)
 	case plan.KindSort:

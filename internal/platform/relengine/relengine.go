@@ -298,15 +298,7 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 		}
 	case plan.KindReduceByKey:
 		relational = true
-		var groups []algo.Group
-		if op.Algo == physical.SortGroupBy {
-			groups, err = algo.SortGroup(rows(0), lop.Key)
-		} else {
-			groups, err = algo.HashGroup(rows(0), lop.Key)
-		}
-		if err == nil {
-			out, err = algo.ReduceGroups(groups, lop.Reduce)
-		}
+		out, err = algo.ReduceByKey(rows(0), lop.Key, lop.Reduce, op.Algo == physical.SortGroupBy)
 	case plan.KindReduce:
 		relational = true
 		out, err = algo.Reduce(rows(0), lop.Reduce)

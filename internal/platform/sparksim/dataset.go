@@ -215,13 +215,10 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 		// Map-side combine, then shuffle, then final reduce — the real
 		// Spark execution strategy, which keeps shuffle volume at
 		// O(partitions × keys).
-		combined, err := d.mapPartitions(in(0), func(p []data.Record) ([]data.Record, error) {
-			groups, err := groupWith(op.Algo, p, lop.Key)
-			if err != nil {
-				return nil, err
-			}
-			return algo.ReduceGroups(groups, lop.Reduce)
-		})
+		reduce := func(p []data.Record) ([]data.Record, error) {
+			return algo.ReduceByKey(p, lop.Key, lop.Reduce, op.Algo == physical.SortGroupBy)
+		}
+		combined, err := d.mapPartitions(in(0), reduce)
 		if err != nil {
 			return nil, err
 		}
@@ -229,13 +226,7 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 		if err != nil {
 			return nil, err
 		}
-		return d.mapPartitions(shuffled, func(p []data.Record) ([]data.Record, error) {
-			groups, err := groupWith(op.Algo, p, lop.Key)
-			if err != nil {
-				return nil, err
-			}
-			return algo.ReduceGroups(groups, lop.Reduce)
-		})
+		return d.mapPartitions(shuffled, reduce)
 
 	case plan.KindReduce:
 		partials, err := d.mapPartitions(in(0), func(p []data.Record) ([]data.Record, error) {

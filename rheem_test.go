@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -717,5 +718,74 @@ func TestHintedChainAllocationGate(t *testing.T) {
 	t.Logf("%.0f allocations per job over %d rows", got, rows)
 	if limit := float64(rows/1000 + perJob); got > limit {
 		t.Errorf("hinted chain made %.0f allocations per job over %d rows, gate is %.0f (rows/1000 + %d)", got, rows, limit, perJob)
+	}
+}
+
+// TestRowPathAllocationGate is the row path's counterpart: opaque UDFs,
+// so nothing columnar can engage. A UDF Map into a ReduceByKey over 32
+// keys, each UDF returning a fresh five-value record, must cost what the
+// UDFs themselves allocate — two five-value field slices per row, 128
+// bytes each in their size class — plus one 24-byte record header per
+// row for the Map's output slice. A fatter
+// data.Value, or a keyed reduce that materialises its groups before
+// folding them, shows up here as bytes per row.
+func TestRowPathAllocationGate(t *testing.T) {
+	const (
+		rows = 100_000
+		keys = 32
+		jobs = 5
+		// Measured at 280, of which 2×128 + 24 is the floor; a 64-byte
+		// Value with a group-then-fold reduce read 754.
+		bytesPerRow = 320
+	)
+	recs := make([]data.Record, rows)
+	var want [keys]float64
+	for i := range recs {
+		k, x := int64(i%keys), float64(i%1000)/8
+		recs[i] = data.NewRecord(data.Int(k), data.Int(int64(i)), data.Float(x), data.Float(2*x), data.Float(3*x))
+		want[k] += x + 1
+	}
+	ctx, err := rheem.NewContext(rheem.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := func() {
+		b := plan.NewBuilder("row-alloc-gate")
+		s := b.Source("rows", plan.Collection(recs))
+		s.CardHint = rows
+		m := b.Map(s, func(r data.Record) (data.Record, error) {
+			return data.NewRecord(r.Field(0), data.Float(r.Field(2).Float()+1), r.Field(3), r.Field(4), data.Int(1)), nil
+		})
+		b.Collect(b.ReduceByKey(m, plan.FieldKey(0), func(a, b data.Record) (data.Record, error) {
+			return data.NewRecord(a.Field(0),
+				data.Float(a.Field(1).Float()+b.Field(1).Float()),
+				data.Float(a.Field(2).Float()+b.Field(2).Float()),
+				data.Float(a.Field(3).Float()+b.Field(3).Float()),
+				data.Int(a.Field(4).Int()+b.Field(4).Int())), nil
+		}))
+		out, _, err := ctx.Execute(b.MustBuild(), rheem.OnPlatform(javaengine.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != keys {
+			t.Fatalf("%d keys out, want %d", len(out), keys)
+		}
+		for _, r := range out {
+			if k := r.Field(0).Int(); r.Field(1).Float() != want[k] || r.Field(4).Int() != rows/keys {
+				t.Fatalf("key %d folded to %s, want sum %g over %d rows", k, r, want[k], rows/keys)
+			}
+		}
+	}
+	job() // warm-up: pools, lazily built tables
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < jobs; i++ {
+		job()
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / (jobs * rows)
+	t.Logf("%.0f bytes allocated per input row", got)
+	if got > bytesPerRow {
+		t.Errorf("UDF map → reduce-by-key allocated %.0f bytes per input row, gate is %d", got, bytesPerRow)
 	}
 }
