@@ -16,8 +16,10 @@ package channel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rheem/internal/data"
@@ -95,18 +97,59 @@ func (c Converter) cost(bytes int64) time.Duration {
 
 // Registry is the conversion graph. Platforms and stores register
 // converters for their formats at startup; the optimizer prices paths
-// and the executor executes them — concurrently, when independent
-// atoms convert their inputs in parallel, so the graph is guarded by
-// a read-write lock.
+// and the executor executes them — concurrently, and far more often
+// than the graph changes. Readers therefore do not lock: PathCost,
+// Convert and Formats work on an immutable snapshot of the graph;
+// Register drops it and the next reader publishes a fresh one.
 type Registry struct {
-	mu    sync.RWMutex
-	edges map[Format][]Converter
+	mu         sync.Mutex  // guards converters and snapshot rebuilds
+	converters []Converter // registration order
+	snap       atomic.Pointer[graph]
 
-	// convMu guards the cumulative conversion traffic ledger, kept
-	// separate from mu so accounting a finished conversion never
-	// contends with concurrent path searches.
+	// convMu guards the cumulative conversion traffic ledger, which
+	// only finished conversions touch — never a path search.
 	convMu sync.Mutex
 	conv   map[[2]Format]*ConversionStat
+}
+
+// graph is one immutable snapshot of the conversion graph. Every format
+// a converter names is interned to its position in the name-sorted
+// formats slice, so the search keeps per-format state in an array.
+type graph struct {
+	formats []Format // sorted; a format's index is its dense id
+	edges   [][]edge // by From index, in registration order
+}
+
+// edge is a converter with its endpoints interned.
+type edge struct {
+	Converter
+	from, to int
+}
+
+// view returns the current snapshot, building it from the registered
+// converters if Register dropped the last one. Only that rebuild locks.
+func (r *Registry) view() *graph {
+	if g := r.snap.Load(); g != nil {
+		return g
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if g := r.snap.Load(); g != nil {
+		return g
+	}
+	g := &graph{}
+	for _, c := range r.converters {
+		g.formats = append(g.formats, c.From, c.To)
+	}
+	slices.Sort(g.formats)
+	g.formats = slices.Compact(g.formats)
+	g.edges = make([][]edge, len(g.formats))
+	for _, c := range r.converters {
+		e := edge{Converter: c, from: slices.Index(g.formats, c.From), to: slices.Index(g.formats, c.To)}
+		g.edges[e.from] = append(g.edges[e.from], e)
+	}
+	r.snap.Store(g)
+	return g
 }
 
 // ConversionStat is the cumulative traffic over one (from, to)
@@ -121,10 +164,7 @@ type ConversionStat struct {
 
 // NewRegistry returns an empty conversion graph.
 func NewRegistry() *Registry {
-	return &Registry{
-		edges: make(map[Format][]Converter),
-		conv:  make(map[[2]Format]*ConversionStat),
-	}
+	return &Registry{conv: make(map[[2]Format]*ConversionStat)}
 }
 
 // recordConversion accounts one performed end-to-end conversion.
@@ -165,15 +205,24 @@ func (r *Registry) ConversionStats() []ConversionStat {
 func (r *Registry) Register(c Converter) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.edges[c.From] = append(r.edges[c.From], c)
+	r.converters = append(r.converters, c)
+	r.snap.Store(nil)
 }
 
 // PathCost returns the cost of the cheapest conversion chain from one
 // format to another for the given byte volume, and whether a path
-// exists. Same-format queries cost zero.
+// exists. Same-format queries cost zero. It allocates nothing: the
+// optimizer asks once per (operator, consumer, producer) cell of its DP.
 func (r *Registry) PathCost(from, to Format, bytes int64) (time.Duration, bool) {
-	_, cost, ok := r.shortestPath(from, to, bytes)
-	return cost, ok
+	if from == to {
+		return 0, true
+	}
+	var buf [stackFormats]pathState
+	st, t, ok := r.view().search(buf[:], from, to, bytes)
+	if !ok {
+		return 0, false
+	}
+	return st[t].cost, true
 }
 
 // Convert transforms ch into the requested format along the cheapest
@@ -183,9 +232,17 @@ func (r *Registry) Convert(ch *Channel, to Format) (*Channel, time.Duration, int
 	if ch.Format == to {
 		return ch, 0, 0, nil
 	}
-	path, cost, ok := r.shortestPath(ch.Format, to, ch.Bytes)
+	var buf [stackFormats]pathState
+	st, t, ok := r.view().search(buf[:], ch.Format, to, ch.Bytes)
 	if !ok {
 		return nil, 0, 0, fmt.Errorf("channel: no conversion path %s → %s", ch.Format, to)
+	}
+	// The search leaves a predecessor edge per format; walk them back
+	// from the target once to get the chain in execution order.
+	path := make([]*edge, st[t].hops)
+	for i, at := len(path)-1, t; i >= 0; i-- {
+		path[i] = st[at].via
+		at = path[i].from
 	}
 	cur := ch
 	for _, conv := range path {
@@ -199,73 +256,73 @@ func (r *Registry) Convert(ch *Channel, to Format) (*Channel, time.Duration, int
 		cur = next
 	}
 	r.recordConversion(ch.Format, to, ch.Bytes)
-	return cur, cost, len(path), nil
+	return cur, st[t].cost, len(path), nil
 }
 
-// shortestPath runs Dijkstra over the (tiny) format graph. The volume
-// is assumed preserved along the chain, which is accurate enough for
-// pricing. The returned converters are executed by the caller without
-// the lock held — converter functions may themselves use the registry.
+// stackFormats is how many formats the path search handles on its
+// caller's stack (the bundled platforms and stores register six); a
+// larger graph makes the search allocate its state.
+const stackFormats = 16
+
+// pathState is the cheapest chain the search knows from the source to
+// one format: its cost, its length and its last edge.
+type pathState struct {
+	cost       time.Duration
+	hops       int
+	via        *edge
+	seen, done bool
+}
+
+// search runs Dijkstra from one format to a different one over the
+// (tiny) graph, on the caller's zeroed state when st is large enough,
+// and returns the state, the target's index and whether the target was
+// reached. The volume is assumed preserved along the chain, which is
+// accurate enough for pricing.
 //
-// The search is fully deterministic: equal-cost frontier nodes are
-// visited in Format name order (the frontier is a Go map, whose
-// iteration order would otherwise leak into the result), and between
-// equal-cost routes to the same node the shorter chain wins. Two runs
-// over the same registry therefore always pick the same chain — the
-// executor performs the exact conversions the optimizer priced.
-func (r *Registry) shortestPath(from, to Format, bytes int64) ([]Converter, time.Duration, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	type state struct {
-		cost time.Duration
-		via  []Converter
-		done bool
+// The search is fully deterministic: equal-cost frontier formats are
+// visited in Format name order (the index order), between equal-cost
+// routes to the same format the shorter chain wins, and between equal
+// chains the converter registered first — so the executor performs the
+// exact conversions the optimizer priced.
+func (g *graph) search(st []pathState, from, to Format, bytes int64) ([]pathState, int, bool) {
+	s, t := slices.Index(g.formats, from), slices.Index(g.formats, to)
+	if s < 0 || t < 0 {
+		return nil, 0, false
 	}
-	states := map[Format]*state{from: {}}
+	if n := len(g.formats); n <= len(st) {
+		st = st[:n]
+	} else {
+		st = make([]pathState, n)
+	}
+	st[s].seen = true
 	for {
-		// Pick the cheapest unfinished node (linear scan; the graph
-		// has a handful of formats), breaking cost ties by name.
-		var cur Format
-		var curState *state
-		for f, s := range states {
-			if s.done {
-				continue
-			}
-			if curState == nil || s.cost < curState.cost ||
-				(s.cost == curState.cost && f < cur) {
-				cur, curState = f, s
+		// Pick the cheapest unfinished format (linear scan; the graph
+		// has a handful), the strict < breaking cost ties by name.
+		cur := -1
+		for i := range st {
+			if st[i].seen && !st[i].done && (cur < 0 || st[i].cost < st[cur].cost) {
+				cur = i
 			}
 		}
-		if curState == nil {
+		if cur < 0 {
 			return nil, 0, false
 		}
-		if cur == to {
-			return curState.via, curState.cost, true
+		if cur == t {
+			return st, t, true
 		}
-		curState.done = true
-		for _, e := range r.edges[cur] {
-			nc := curState.cost + e.cost(bytes)
-			s, ok := states[e.To]
-			better := !ok || (!s.done && (nc < s.cost ||
-				(nc == s.cost && len(curState.via)+1 < len(s.via))))
-			if better {
-				via := make([]Converter, len(curState.via)+1)
-				copy(via, curState.via)
-				via[len(via)-1] = e
-				states[e.To] = &state{cost: nc, via: via}
+		st[cur].done = true
+		for i := range g.edges[cur] {
+			e := &g.edges[cur][i]
+			nc := st[cur].cost + e.cost(bytes)
+			if n := &st[e.to]; !n.seen || (!n.done && (nc < n.cost ||
+				(nc == n.cost && st[cur].hops+1 < n.hops))) {
+				*n = pathState{cost: nc, hops: st[cur].hops + 1, via: e, seen: true}
 			}
 		}
 	}
 }
 
-// Formats returns all formats reachable as sources of converter edges,
-// for diagnostics.
-func (r *Registry) Formats() []Format {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Format, 0, len(r.edges))
-	for f := range r.edges {
-		out = append(out, f)
-	}
-	return out
-}
+// Formats returns every format a registered converter names, as source
+// or target, sorted by name. The slice is the snapshot's own: read it,
+// do not modify it.
+func (r *Registry) Formats() []Format { return r.view().formats }

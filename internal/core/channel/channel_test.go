@@ -2,6 +2,9 @@ package channel
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -257,12 +260,165 @@ func TestConverterFormatMismatchDetected(t *testing.T) {
 	}
 }
 
+// TestFormats: every format a converter names is listed, sorted — also
+// one that is only ever a target.
 func TestFormats(t *testing.T) {
 	r := NewRegistry()
-	r.Register(tagConv(Collection, Table, 0, 0))
+	if got := r.Formats(); len(got) != 0 {
+		t.Errorf("empty registry lists %v", got)
+	}
 	r.Register(tagConv(Table, Collection, 0, 0))
-	if got := len(r.Formats()); got != 2 {
-		t.Errorf("Formats() = %d entries", got)
+	r.Register(tagConv(Collection, Table, 0, 0))
+	r.Register(tagConv(Table, CSVFile, 0, 0)) // CSVFile: a sink of the graph
+	want := []Format{Collection, CSVFile, Table}
+	for i := 0; i < 20; i++ {
+		if got := r.Formats(); !slices.Equal(got, want) {
+			t.Fatalf("Formats() = %v, want %v", got, want)
+		}
+	}
+}
+
+// refGraph is the map-based conversion graph this package used before
+// the snapshot registry, kept as the reference the dense search is
+// checked against.
+type refGraph struct{ edges map[Format][]Converter }
+
+// shortestPath is that registry's Dijkstra, verbatim but for the lock:
+// equal-cost frontier nodes in Format name order, the shorter chain
+// between equal-cost routes to the same node.
+func (r *refGraph) shortestPath(from, to Format, bytes int64) ([]Converter, time.Duration, bool) {
+	type state struct {
+		cost time.Duration
+		via  []Converter
+		done bool
+	}
+	states := map[Format]*state{from: {}}
+	for {
+		// Pick the cheapest unfinished node (linear scan; the graph
+		// has a handful of formats), breaking cost ties by name.
+		var cur Format
+		var curState *state
+		for f, s := range states {
+			if s.done {
+				continue
+			}
+			if curState == nil || s.cost < curState.cost ||
+				(s.cost == curState.cost && f < cur) {
+				cur, curState = f, s
+			}
+		}
+		if curState == nil {
+			return nil, 0, false
+		}
+		if cur == to {
+			return curState.via, curState.cost, true
+		}
+		curState.done = true
+		for _, e := range r.edges[cur] {
+			nc := curState.cost + e.cost(bytes)
+			s, ok := states[e.To]
+			better := !ok || (!s.done && (nc < s.cost ||
+				(nc == s.cost && len(curState.via)+1 < len(s.via))))
+			if better {
+				via := make([]Converter, len(curState.via)+1)
+				copy(via, curState.via)
+				via[len(via)-1] = e
+				states[e.To] = &state{cost: nc, via: via}
+			}
+		}
+	}
+}
+
+// TestSearchMatchesReference is the path search's differential test:
+// on seeded random graphs — duplicate edges, zero-cost edges, costs
+// from a tiny set so routes tie all the time, formats nothing leads to
+// — PathCost and Convert must agree with the reference on reachability,
+// cost and the exact chain (which of two parallel converters included),
+// for every format pair and volume.
+func TestSearchMatchesReference(t *testing.T) {
+	volumes := []int64{-1, 0, 1, 1 << 10, 1 << 30}
+	fixed := []time.Duration{0, 0, time.Microsecond, 2 * time.Microsecond, 3 * time.Microsecond}
+	perByte := []float64{0, 0, 0.001, 0.0015, 0.002}
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// Names drawn at random so index (name) order is unrelated to
+		// the order formats first appear in.
+		formats := make([]Format, 2+rng.Intn(11))
+		for i := range formats {
+			formats[i] = Format(fmt.Sprintf("%c%c%02d", 'a'+rng.Intn(26), 'a'+rng.Intn(26), i))
+		}
+		reg, ref := NewRegistry(), &refGraph{edges: map[Format][]Converter{}}
+		connected := formats[:len(formats)-rng.Intn(2)] // sometimes one format no edge touches
+		for e, n := 0, rng.Intn(3*len(formats)+1); e < n; e++ {
+			from, to := connected[rng.Intn(len(connected))], connected[rng.Intn(len(connected))]
+			tag := fmt.Sprintf(" %s>%s#%d", from, to, e)
+			c := Converter{
+				From: from, To: to,
+				Fixed: fixed[rng.Intn(len(fixed))], PerByteNS: perByte[rng.Intn(len(perByte))],
+				Convert: func(ch *Channel) (*Channel, error) {
+					return &Channel{Format: to, Payload: ch.Payload.(string) + tag, Bytes: ch.Bytes}, nil
+				},
+			}
+			reg.Register(c)
+			ref.edges[from] = append(ref.edges[from], c)
+			if rng.Intn(4) == 0 { // a parallel twin at the same price
+				twin := c
+				twinTag := tag + "'"
+				twin.Convert = func(ch *Channel) (*Channel, error) {
+					return &Channel{Format: to, Payload: ch.Payload.(string) + twinTag, Bytes: ch.Bytes}, nil
+				}
+				reg.Register(twin)
+				ref.edges[from] = append(ref.edges[from], twin)
+			}
+		}
+		for _, from := range formats {
+			for _, to := range formats {
+				for _, bytes := range volumes {
+					path, wantCost, wantOK := ref.shortestPath(from, to, bytes)
+					gotCost, gotOK := reg.PathCost(from, to, bytes)
+					if gotOK != wantOK || gotCost != wantCost {
+						t.Fatalf("seed %d %s→%s %dB: PathCost = %v, %v; reference %v, %v",
+							seed, from, to, bytes, gotCost, gotOK, wantCost, wantOK)
+					}
+					out, cost, steps, err := reg.Convert(&Channel{Format: from, Payload: "", Bytes: bytes}, to)
+					if (err == nil) != wantOK {
+						t.Fatalf("seed %d %s→%s %dB: Convert error %v, reference ok=%v", seed, from, to, bytes, err, wantOK)
+					}
+					if !wantOK {
+						continue
+					}
+					wantChain := ""
+					cur := &Channel{Payload: "", Bytes: bytes}
+					for _, c := range path {
+						cur, _ = c.Convert(cur)
+					}
+					wantChain = cur.Payload.(string)
+					if got := out.Payload.(string); got != wantChain || cost != wantCost || steps != len(path) {
+						t.Fatalf("seed %d %s→%s %dB: Convert took%s (%v, %d steps); reference%s (%v, %d steps)",
+							seed, from, to, bytes, got, cost, steps, wantChain, wantCost, len(path))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSearchBeyondStackState: a graph wider than the search's on-stack
+// state still finds its chain.
+func TestSearchBeyondStackState(t *testing.T) {
+	r := NewRegistry()
+	const n = 2*stackFormats + 3
+	name := func(i int) Format { return Format(fmt.Sprintf("f%03d", i)) }
+	for i := 0; i+1 < n; i++ {
+		r.Register(tagConv(name(i), name(i+1), time.Millisecond, 0))
+	}
+	cost, ok := r.PathCost(name(0), name(n-1), 10)
+	if !ok || cost != (n-1)*time.Millisecond {
+		t.Fatalf("PathCost over %d formats = %v, %v", n, cost, ok)
+	}
+	out, _, steps, err := r.Convert(&Channel{Format: name(0), Payload: "s"}, name(n-1))
+	if err != nil || steps != n-1 || out.Format != name(n-1) {
+		t.Fatalf("Convert over %d formats: %v, %d steps, err %v", n, out, steps, err)
 	}
 }
 

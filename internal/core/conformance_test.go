@@ -110,6 +110,23 @@ type confCase struct {
 	build   func(b *plan.Builder, srcs []*plan.Operator)
 }
 
+// confPlan builds a case's logical plan over its deterministic sources.
+func confPlan(c confCase, name string) *plan.Plan {
+	b := plan.NewBuilder(name)
+	ns := c.sources
+	if ns == 0 {
+		ns = 1
+	}
+	srcs := make([]*plan.Operator, ns)
+	for i := range srcs {
+		recs := confRecords(97+i*13, i)
+		srcs[i] = b.Source(fmt.Sprintf("src%d", i), plan.Collection(recs))
+		srcs[i].CardHint = int64(len(recs))
+	}
+	c.build(b, srcs)
+	return b.MustBuild()
+}
+
 // runConformance executes one case on one platform with the given
 // shard fan-out and returns the canonicalized output. The sources are
 // pinned to a *different* feeder platform so the compute chain is a
@@ -133,19 +150,7 @@ func runConformanceCal(t *testing.T, c confCase, target engine.PlatformID, shard
 		feeder = sparksim.ID
 	}
 
-	b := plan.NewBuilder(fmt.Sprintf("conf-%s-%s-%d", c.name, target, shards))
-	ns := c.sources
-	if ns == 0 {
-		ns = 1
-	}
-	srcs := make([]*plan.Operator, ns)
-	for i := range srcs {
-		recs := confRecords(97+i*13, i)
-		srcs[i] = b.Source(fmt.Sprintf("src%d", i), plan.Collection(recs))
-		srcs[i].CardHint = int64(len(recs))
-	}
-	c.build(b, srcs)
-	lp := b.MustBuild()
+	lp := confPlan(c, fmt.Sprintf("conf-%s-%s-%d", c.name, target, shards))
 	if !hinted {
 		udfTwin(lp)
 	}

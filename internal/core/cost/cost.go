@@ -159,9 +159,10 @@ func EstimateCalibrated(p *physical.Plan, overrides map[int]int64, cal *Calibrat
 func estimateInto(p *physical.Plan, est *Estimates, loopInputCard int64) {
 	for _, op := range p.Ops {
 		lop := op.Logical
-		in := make([]int64, len(op.Inputs))
-		for i, pin := range op.Inputs {
-			in[i] = est.Cards[pin.ID]
+		var buf [4]int64 // input cardinalities; on the stack up to four inputs
+		in := buf[:0]
+		for _, pin := range op.Inputs {
+			in = append(in, est.Cards[pin.ID])
 		}
 		var card int64
 		switch lop.Kind() {

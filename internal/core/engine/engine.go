@@ -17,8 +17,11 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rheem/internal/core/channel"
@@ -95,38 +98,46 @@ type TaskAtom struct {
 	// LoopOp is set for AtomLoop atoms: the Repeat/DoWhile operator.
 	LoopOp *physical.Operator
 
-	opSet map[int]bool
+	label string // String()'s result once Seal has fixed it
 }
 
 // Contains reports whether the atom holds the physical operator id.
 func (a *TaskAtom) Contains(opID int) bool {
-	if a.opSet == nil {
-		a.opSet = make(map[int]bool, len(a.Ops))
-		for _, op := range a.Ops {
-			a.opSet[op.ID] = true
-		}
-		if a.LoopOp != nil {
-			a.opSet[a.LoopOp.ID] = true
-		}
+	if a.LoopOp != nil && a.LoopOp.ID == opID {
+		return true
 	}
-	return a.opSet[opID]
+	return slices.ContainsFunc(a.Ops, func(op *physical.Operator) bool { return op.ID == opID })
 }
 
 // String renders the atom for plan explanations.
 func (a *TaskAtom) String() string {
-	names := ""
+	if a.label != "" {
+		return a.label
+	}
 	ops := a.Ops
 	if a.Kind == AtomLoop {
 		ops = []*physical.Operator{a.LoopOp}
 	}
+	b := make([]byte, 0, 96)
+	b = append(b, "atom#"...)
+	b = strconv.AppendInt(b, int64(a.ID), 10)
+	b = append(b, '@')
+	b = append(b, a.Platform...)
+	b = append(b, '{')
 	for i, op := range ops {
 		if i > 0 {
-			names += " → "
+			b = append(b, " → "...)
 		}
-		names += op.Name()
+		b = append(b, op.Name()...)
 	}
-	return fmt.Sprintf("atom#%d@%s{%s}", a.ID, a.Platform, names)
+	b = append(b, '}')
+	return string(b)
 }
+
+// Seal renders the atom's name once and keeps it, for the spans of
+// every run to carry. The optimizer seals an atom when its operators
+// and their algorithms are final; an unsealed atom renders on demand.
+func (a *TaskAtom) Seal() { a.label = a.String() }
 
 // AtomInputs maps a physical operator id to its external input
 // channels, indexed by input slot. Slots fed from inside the atom are
@@ -206,25 +217,75 @@ type Mapping struct {
 // mappings, and the shared channel-conversion graph. It is the single
 // source the optimizer and executor consult; applications never talk
 // to platforms directly. Lookups and registrations are safe for
-// concurrent use — the executor resolves platforms and mappings from
-// many scheduler goroutines at once.
+// concurrent use, and lookups do not lock: the optimizer asks MappingFor
+// once per DP cell and the executor resolves platforms from many
+// goroutines, while registrations happen at start-up. Readers work on
+// an immutable snapshot; a mutation drops it and the next reader
+// publishes a fresh one — one rebuild per burst of registrations.
 type Registry struct {
-	mu        sync.RWMutex
-	platforms map[PlatformID]Platform
-	order     []PlatformID
-	mappings  []Mapping
+	mu        sync.Mutex // guards platforms and mappings, and snapshot rebuilds
+	platforms []Platform // registration order
+	mappings  []Mapping  // registration order
+	snap      atomic.Pointer[snapshot]
 	channels  *channel.Registry
 	health    *Health
 	stats     *Stats
 }
 
+// snapshot is one immutable state of the registry.
+type snapshot struct {
+	platforms []Platform   // registration order
+	ids       []PlatformID // parallel to platforms
+	mappings  []Mapping    // registration order
+	// byOp holds each (platform, kind)'s mappings in registration order,
+	// so MappingFor scans one operator's candidates, not the whole table.
+	byOp map[opKey][]Mapping
+}
+
+type opKey struct {
+	platform PlatformID
+	kind     plan.OpKind
+}
+
+// view returns the current snapshot, building it from the registered
+// platforms and mappings if a mutation dropped the last one. Only that
+// rebuild locks.
+func (r *Registry) view() *snapshot {
+	if s := r.snap.Load(); s != nil {
+		return s
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s := r.snap.Load(); s != nil {
+		return s
+	}
+	s := &snapshot{
+		platforms: slices.Clone(r.platforms),
+		mappings:  slices.Clone(r.mappings),
+		byOp:      make(map[opKey][]Mapping),
+	}
+	for _, p := range s.platforms {
+		s.ids = append(s.ids, p.ID())
+	}
+	for _, m := range s.mappings {
+		k := opKey{m.Platform, m.Kind}
+		s.byOp[k] = append(s.byOp[k], m)
+	}
+	r.snap.Store(s)
+	return s
+}
+
+// registered reports whether a platform id is taken; callers hold mu.
+func (r *Registry) registered(id PlatformID) bool {
+	return slices.ContainsFunc(r.platforms, func(p Platform) bool { return p.ID() == id })
+}
+
 // NewRegistry returns an empty registry with a fresh conversion graph.
 func NewRegistry() *Registry {
 	r := &Registry{
-		platforms: make(map[PlatformID]Platform),
-		channels:  channel.NewRegistry(),
-		health:    newHealth(),
-		stats:     newStats(),
+		channels: channel.NewRegistry(),
+		health:   newHealth(),
+		stats:    newStats(),
 	}
 	// The columnar batch format is a driver format like Collection, not
 	// a platform's: every registry carries its hub edges so any pair of
@@ -240,11 +301,11 @@ func NewRegistry() *Registry {
 func (r *Registry) RegisterPlatform(p Platform) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.platforms[p.ID()]; dup {
+	if r.registered(p.ID()) {
 		return fmt.Errorf("engine: platform %q registered twice", p.ID())
 	}
-	r.platforms[p.ID()] = p
-	r.order = append(r.order, p.ID())
+	r.platforms = append(r.platforms, p)
+	r.snap.Store(nil)
 	p.RegisterConverters(r.channels)
 	return nil
 }
@@ -254,57 +315,42 @@ func (r *Registry) RegisterPlatform(p Platform) error {
 func (r *Registry) RegisterMapping(m Mapping) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.platforms[m.Platform]; !ok {
+	if !r.registered(m.Platform) {
 		return fmt.Errorf("engine: mapping for unknown platform %q", m.Platform)
 	}
 	if m.Cost == nil {
 		return fmt.Errorf("engine: mapping %v/%v/%v lacks a cost model", m.Platform, m.Kind, m.Algo)
 	}
 	r.mappings = append(r.mappings, m)
+	r.snap.Store(nil)
 	return nil
 }
 
 // Platform resolves a platform by id.
 func (r *Registry) Platform(id PlatformID) (Platform, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	p, ok := r.platforms[id]
-	return p, ok
+	s := r.view()
+	if i := slices.Index(s.ids, id); i >= 0 {
+		return s.platforms[i], true
+	}
+	return nil, false
 }
 
 // PlatformIDs returns the registered platform IDs in registration
 // order — the label set the telemetry layer enumerates gauges over.
-func (r *Registry) PlatformIDs() []PlatformID {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]PlatformID, len(r.order))
-	copy(out, r.order)
-	return out
-}
+// The slice is the snapshot's own: read it, do not modify it.
+func (r *Registry) PlatformIDs() []PlatformID { return r.view().ids }
 
-// Platforms returns all platforms in registration order.
-func (r *Registry) Platforms() []Platform {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Platform, 0, len(r.order))
-	for _, id := range r.order {
-		out = append(out, r.platforms[id])
-	}
-	return out
-}
+// Platforms returns all platforms in registration order. The slice is
+// the snapshot's own: read it, do not modify it.
+func (r *Registry) Platforms() []Platform { return r.view().platforms }
 
 // MappingFor finds the mapping a platform declares for a (kind, algo)
 // pair, falling back to the platform's Default-algorithm mapping for
 // the kind when no exact algorithm match exists.
 func (r *Registry) MappingFor(p PlatformID, kind plan.OpKind, algo physical.Algorithm) (Mapping, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	var fallback Mapping
 	haveFallback := false
-	for _, m := range r.mappings {
-		if m.Platform != p || m.Kind != kind {
-			continue
-		}
+	for _, m := range r.view().byOp[opKey{p, kind}] {
 		if m.Algo == algo {
 			return m, true
 		}
@@ -317,16 +363,11 @@ func (r *Registry) MappingFor(p PlatformID, kind plan.OpKind, algo physical.Algo
 
 // PlatformsFor lists platforms declaring any mapping for the kind.
 func (r *Registry) PlatformsFor(kind plan.OpKind) []PlatformID {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	seen := map[PlatformID]bool{}
+	s := r.view()
 	var out []PlatformID
-	for _, id := range r.order {
-		for _, m := range r.mappings {
-			if m.Platform == id && m.Kind == kind && !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
+	for _, id := range s.ids {
+		if len(s.byOp[opKey{id, kind}]) > 0 {
+			out = append(out, id)
 		}
 	}
 	return out
@@ -346,13 +387,7 @@ func (r *Registry) Health() *Health { return r.health }
 func (r *Registry) Stats() *Stats { return r.stats }
 
 // Mappings returns a copy of every registered operator mapping.
-func (r *Registry) Mappings() []Mapping {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Mapping, len(r.mappings))
-	copy(out, r.mappings)
-	return out
-}
+func (r *Registry) Mappings() []Mapping { return slices.Clone(r.view().mappings) }
 
 // CloneMappings registers, for the platform to, a copy of every mapping
 // the platform from declares (same kind, algorithm, cost model, hint).
@@ -362,21 +397,21 @@ func (r *Registry) Mappings() []Mapping {
 func (r *Registry) CloneMappings(from, to PlatformID) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.platforms[to]; !ok {
+	if !r.registered(to) {
 		return fmt.Errorf("engine: cloning mappings to unknown platform %q", to)
 	}
-	var cloned int
-	for _, m := range r.mappings {
+	declared := len(r.mappings)
+	for _, m := range r.mappings[:declared] {
 		if m.Platform != from {
 			continue
 		}
 		m.Platform = to
 		r.mappings = append(r.mappings, m)
-		cloned++
 	}
-	if cloned == 0 {
+	if len(r.mappings) == declared {
 		return fmt.Errorf("engine: platform %q has no mappings to clone", from)
 	}
+	r.snap.Store(nil)
 	return nil
 }
 
@@ -398,6 +433,7 @@ func (r *Registry) RewriteCosts(p PlatformID, wrap func(cost.Model) cost.Model) 
 		r.mappings[i].Cost = wrap(r.mappings[i].Cost)
 		n++
 	}
+	r.snap.Store(nil)
 	return n
 }
 
@@ -406,11 +442,10 @@ func (r *Registry) RewriteCosts(p PlatformID, wrap func(cost.Model) cost.Model) 
 // paper envisions mappings as first-class declarative data the
 // optimizer consumes (§3.1, §8.1); this is that data, made inspectable.
 func (r *Registry) DescribeMappings() string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	s := r.view()
 	var sb strings.Builder
-	for _, id := range r.order {
-		for _, m := range r.mappings {
+	for _, id := range s.ids {
+		for _, m := range s.mappings {
 			if m.Platform != id {
 				continue
 			}

@@ -257,3 +257,46 @@ func TestDescribeMappings(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkMappingFor prices one mapping lookup on a registry shaped
+// like the default one — three platforms, every operator kind, two
+// algorithms on some — for an exact algorithm match and for the
+// Default-algorithm fallback.
+func BenchmarkMappingFor(b *testing.B) {
+	r := NewRegistry()
+	model := cost.ConstModel(cost.Cost{CPU: time.Microsecond})
+	ids := []PlatformID{"one", "two", "three"}
+	for _, id := range ids {
+		if err := r.RegisterPlatform(&fakePlatform{id: id}); err != nil {
+			b.Fatal(err)
+		}
+		for k := plan.KindSource; k <= plan.KindSink; k++ {
+			algos := []physical.Algorithm{physical.Default}
+			if k == plan.KindJoin {
+				algos = []physical.Algorithm{physical.HashJoin, physical.SortMergeJoin}
+			}
+			for _, a := range algos {
+				if err := r.RegisterMapping(Mapping{Platform: id, Kind: k, Algo: a, Cost: model}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		kind plan.OpKind
+		algo physical.Algorithm
+	}{
+		{"exact", plan.KindJoin, physical.SortMergeJoin},
+		{"fallback", plan.KindSort, physical.SortGroupBy},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := r.MappingFor(ids[i%len(ids)], c.kind, c.algo); !ok {
+					b.Fatal("mapping not found")
+				}
+			}
+		})
+	}
+}

@@ -100,6 +100,33 @@ func TestPoolBoundsAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestPoolReleasedBeforeRunReturns pins the scheduler's
+// release-before-signal order: an atom gives its slot back before the
+// dispatcher hears it finished, so once Run returns nothing of the run
+// holds a slot. With the release deferred past the done message a
+// fraction of the iterations read InUse() == 1.
+func TestPoolReleasedBeforeRunReturns(t *testing.T) {
+	reg := engine.NewRegistry()
+	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	pool := NewPool(1)
+	var inFlight, peak int64
+	pp := poolPlan(t, 2, 1, &inFlight, &peak, 0)
+	ep, err := optimizer.Optimize(pp, reg, optimizer.Options{FixedPlatform: javaengine.ID})
+	if err != nil {
+		t.Fatalf("optimize: %v", err)
+	}
+	for i := 0; i < 1000; i++ {
+		if _, err := Run(ep, reg, Options{Parallelism: 4, Pool: pool}); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if got := pool.InUse(); got != 0 {
+			t.Fatalf("run %d returned holding %d pool slot(s)", i, got)
+		}
+	}
+}
+
 // TestPoolLoopBodiesDoNotDeadlock runs a looping plan through a
 // 1-slot pool: if loop atoms held slots while their bodies executed,
 // this would deadlock instantly.

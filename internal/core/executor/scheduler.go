@@ -161,8 +161,7 @@ func runPlan(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts *Options, s
 // first atom error after cancelling its in-flight siblings.
 func scheduleAtoms(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts *Options, st *runState, channels map[int]*channel.Channel, topLevel bool, iter int) (bool, *failoverError, error) {
 	// Graph setup is single-threaded: no workers are live yet, so the
-	// channel map can be read unlocked. Contains calls here also
-	// pre-build each atom's operator set before goroutines share it.
+	// channel map can be read unlocked.
 	producer := make(map[int]*atomNode)
 	var nodes []*atomNode
 	for _, atom := range ep.Atoms {
@@ -213,6 +212,40 @@ func scheduleAtoms(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts *Opti
 		err      error
 		mismatch bool // the atom's audit recorded new mismatches
 	}
+	// runNode executes one atom and reports how it went. Everything the
+	// atom holds — its pool slot above all — is released by the time
+	// runNode returns, so the dispatcher never learns of a finished atom
+	// (and Run never returns) while the atom still occupies a slot.
+	runNode := func(n *atomNode) doneMsg {
+		if err := opts.Context.Err(); err != nil {
+			return doneMsg{n: n, err: err}
+		}
+		// Compute atoms take a slot from the shared cross-run pool
+		// (when one is set) for the duration of their execution;
+		// the wait is part of the atom's queue time. Loop atoms
+		// never hold a slot — their body plans' compute atoms
+		// acquire their own — so slot holders cannot wait on each
+		// other (see pool.go).
+		if opts.Pool != nil && n.atom.Kind != engine.AtomLoop {
+			if err := opts.Pool.Acquire(opts.Context); err != nil {
+				return doneMsg{n: n, err: err}
+			}
+			defer opts.Pool.Release()
+		}
+		st.mu.Lock()
+		before := len(st.res.Mismatches)
+		st.mu.Unlock()
+		var err error
+		if n.atom.Kind == engine.AtomLoop {
+			err = runLoop(ep, n.atom, reg, opts, st, channels, n.readyAt, iter)
+		} else {
+			err = runComputeAtom(n.atom, ep, reg, opts, st, channels, n.readyAt, iter)
+		}
+		st.mu.Lock()
+		mismatch := len(st.res.Mismatches) > before
+		st.mu.Unlock()
+		return doneMsg{n: n, err: err, mismatch: mismatch}
+	}
 	doneCh := make(chan doneMsg)
 	inflight, finished := 0, 0
 	stopping, replan := false, false
@@ -226,38 +259,7 @@ func scheduleAtoms(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts *Opti
 			n := ready[0]
 			ready = ready[1:]
 			inflight++
-			go func(n *atomNode) {
-				if err := opts.Context.Err(); err != nil {
-					doneCh <- doneMsg{n: n, err: err}
-					return
-				}
-				// Compute atoms take a slot from the shared cross-run pool
-				// (when one is set) for the duration of their execution;
-				// the wait is part of the atom's queue time. Loop atoms
-				// never hold a slot — their body plans' compute atoms
-				// acquire their own — so slot holders cannot wait on each
-				// other (see pool.go).
-				if opts.Pool != nil && n.atom.Kind != engine.AtomLoop {
-					if err := opts.Pool.Acquire(opts.Context); err != nil {
-						doneCh <- doneMsg{n: n, err: err}
-						return
-					}
-					defer opts.Pool.Release()
-				}
-				st.mu.Lock()
-				before := len(st.res.Mismatches)
-				st.mu.Unlock()
-				var err error
-				if n.atom.Kind == engine.AtomLoop {
-					err = runLoop(ep, n.atom, reg, opts, st, channels, n.readyAt, iter)
-				} else {
-					err = runComputeAtom(n.atom, ep, reg, opts, st, channels, n.readyAt, iter)
-				}
-				st.mu.Lock()
-				mismatch := len(st.res.Mismatches) > before
-				st.mu.Unlock()
-				doneCh <- doneMsg{n: n, err: err, mismatch: mismatch}
-			}(n)
+			go func(n *atomNode) { doneCh <- runNode(n) }(n)
 		}
 		if inflight == 0 {
 			break

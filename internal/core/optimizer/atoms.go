@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"math/bits"
 
 	"rheem/internal/core/engine"
 	"rheem/internal/core/physical"
@@ -18,36 +19,32 @@ import (
 // During adaptive re-optimization, frozen (already-executed) operators
 // are never grouped with unfrozen ones, so fully-frozen atoms can be
 // skipped wholesale by the executor.
-func splitAtoms(p *physical.Plan, assignment map[int]engine.PlatformID, frozen map[int]bool) ([]*engine.TaskAtom, error) {
-	// ancestors[opID] = transitive input closure, used for the
-	// convexity check.
-	ancestors := make(map[int]map[int]bool, len(p.Ops))
-	for _, op := range p.Ops {
-		anc := map[int]bool{}
-		for _, in := range op.Inputs {
-			anc[in.ID] = true
-			for a := range ancestors[in.ID] {
-				anc[a] = true
-			}
-		}
-		ancestors[op.ID] = anc
-	}
+func splitAtoms(p *physical.Plan, pos []int32, assignment map[int]engine.PlatformID, frozen map[int]bool) ([]*engine.TaskAtom, error) {
+	// Every set the splitter keeps is a row of bits over one backing
+	// slice, indexed by operator position or by atom ID (there are at
+	// most as many atoms as operators, so one row width fits both).
+	n := len(p.Ops)
+	w := (n + 63) / 64
+	store := make([]uint64, (3*n+2)*w)
+	row := func(i int) bitset { return store[i*w : (i+1)*w] }
+	ancestors := func(op int) bitset { return row(op) }       // transitive input closure, for the convexity check
+	members := func(atom int) bitset { return row(n + atom) } // the atom's operators
+	deps := func(atom int) bitset { return row(2*n + atom) }  // atoms the atom consumes from
+	external, pending := row(3*n), row(3*n+1)                 // operators consumed outside their atom; atoms not yet ordered
 
-	atomOf := make(map[int]*engine.TaskAtom, len(p.Ops))
-	var atoms []*engine.TaskAtom
-	nextID := 0
-
+	atomOf := make([]*engine.TaskAtom, n) // by operator position
+	var atoms []*engine.TaskAtom          // atoms[i].ID == i
 	newAtom := func(kind engine.AtomKind, pl engine.PlatformID) *engine.TaskAtom {
-		a := &engine.TaskAtom{ID: nextID, Kind: kind, Platform: pl}
-		nextID++
+		a := &engine.TaskAtom{ID: len(atoms), Kind: kind, Platform: pl}
 		atoms = append(atoms, a)
 		return a
 	}
 
-	// atomOps[atom.ID] = set of op IDs, for the convexity check.
-	atomOps := map[int]map[int]bool{}
-
-	for _, op := range p.Ops {
+	for i, op := range p.Ops {
+		for _, in := range op.Inputs {
+			ancestors(i).set(int(pos[in.ID]))
+			ancestors(i).or(ancestors(int(pos[in.ID])))
+		}
 		pl, ok := assignment[op.ID]
 		if !ok {
 			return nil, fmt.Errorf("optimizer: %s has no platform assignment", op.Name())
@@ -58,8 +55,8 @@ func splitAtoms(p *physical.Plan, assignment map[int]engine.PlatformID, frozen m
 		case plan.KindRepeat, plan.KindDoWhile:
 			a := newAtom(engine.AtomLoop, pl)
 			a.LoopOp = op
-			atomOf[op.ID] = a
-			atomOps[a.ID] = map[int]bool{op.ID: true}
+			atomOf[i] = a
+			members(a.ID).set(i)
 			continue
 		}
 
@@ -69,7 +66,7 @@ func splitAtoms(p *physical.Plan, assignment map[int]engine.PlatformID, frozen m
 		// never share an atom.
 		var target *engine.TaskAtom
 		for _, in := range op.Inputs {
-			cand := atomOf[in.ID]
+			cand := atomOf[pos[in.ID]]
 			if cand == nil || cand.Platform != pl || cand.Kind != engine.AtomCompute {
 				continue
 			}
@@ -78,17 +75,9 @@ func splitAtoms(p *physical.Plan, assignment map[int]engine.PlatformID, frozen m
 			}
 			safe := true
 			for _, other := range op.Inputs {
-				if atomOf[other.ID] == cand {
-					continue
-				}
 				// Does `other` depend on anything inside cand?
-				for a := range ancestors[other.ID] {
-					if atomOps[cand.ID][a] {
-						safe = false
-						break
-					}
-				}
-				if !safe {
+				if atomOf[pos[other.ID]] != cand && ancestors(int(pos[other.ID])).intersects(members(cand.ID)) {
+					safe = false
 					break
 				}
 			}
@@ -99,75 +88,89 @@ func splitAtoms(p *physical.Plan, assignment map[int]engine.PlatformID, frozen m
 		}
 		if target == nil {
 			target = newAtom(engine.AtomCompute, pl)
-			atomOps[target.ID] = map[int]bool{}
 		}
-		target.Ops = append(target.Ops, op)
-		atomOps[target.ID][op.ID] = true
-		atomOf[op.ID] = target
+		members(target.ID).set(i)
+		atomOf[i] = target
 	}
 
-	// Exits: operators consumed outside their atom, plus the sink.
-	consumers := p.Consumers()
-	for _, op := range p.Ops {
-		a := atomOf[op.ID]
-		if a == nil || a.Kind != engine.AtomCompute {
-			continue
-		}
-		external := op == p.SinkOp
-		for _, c := range consumers[op.ID] {
-			if atomOf[c.ID] != a {
-				external = true
-			}
-		}
-		if external {
-			a.Exits = append(a.Exits, op)
-		}
-	}
-
-	// Order atoms topologically (Kahn): atom A precedes B if any op of
-	// A feeds an op of B. Convexity guarantees the atom graph is
-	// acyclic; a cycle here is an internal invariant violation.
-	deps := map[int]map[int]bool{} // atom ID → atom IDs it depends on
-	for _, op := range p.Ops {
-		a := atomOf[op.ID]
-		if a == nil {
-			continue
-		}
+	// Exits: operators consumed outside their atom, plus the sink. Atom
+	// A precedes B if any op of A feeds an op of B.
+	external.set(int(pos[p.SinkOp.ID]))
+	for i, op := range p.Ops {
+		a := atomOf[i]
 		for _, in := range op.Inputs {
-			ia := atomOf[in.ID]
-			if ia == nil || ia == a {
-				continue
+			ia := atomOf[pos[in.ID]]
+			if ia != a {
+				external.set(int(pos[in.ID]))
 			}
-			if deps[a.ID] == nil {
-				deps[a.ID] = map[int]bool{}
+			if a != nil && ia != nil && ia != a {
+				deps(a.ID).set(ia.ID)
 			}
-			deps[a.ID][ia.ID] = true
 		}
 	}
-	var sorted []*engine.TaskAtom
-	done := map[int]bool{}
+	// Ops and Exits of every atom share one backing array (an operator
+	// is in at most one of each); both list operators in plan order.
+	backing := make([]*physical.Operator, 0, 2*n)
+	take := func(set, mask bitset) []*physical.Operator {
+		start := len(backing)
+		for wi, word := range set {
+			if mask != nil {
+				word &= mask[wi]
+			}
+			for ; word != 0; word &= word - 1 {
+				backing = append(backing, p.Ops[wi*64+bits.TrailingZeros64(word)])
+			}
+		}
+		return backing[start:len(backing):len(backing)]
+	}
+	for _, a := range atoms {
+		if a.Kind == engine.AtomCompute {
+			a.Ops = take(members(a.ID), nil)
+			a.Exits = take(members(a.ID), external)
+		}
+		a.Seal()
+		pending.set(a.ID)
+	}
+
+	// Order atoms topologically (Kahn), earliest-created first among the
+	// ready. Convexity guarantees the atom graph is acyclic; a cycle here
+	// is an internal invariant violation.
+	sorted := make([]*engine.TaskAtom, 0, len(atoms))
 	for len(sorted) < len(atoms) {
 		progressed := false
 		for _, a := range atoms {
-			if done[a.ID] {
+			if !pending.has(a.ID) || deps(a.ID).intersects(pending) {
 				continue
 			}
-			ready := true
-			for dep := range deps[a.ID] {
-				if !done[dep] {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				done[a.ID] = true
-				sorted = append(sorted, a)
-				progressed = true
-			}
+			pending.clear(a.ID)
+			sorted = append(sorted, a)
+			progressed = true
 		}
 		if !progressed {
 			return nil, fmt.Errorf("optimizer: cycle in task atom graph of %q", p.Name)
 		}
 	}
 	return sorted, nil
+}
+
+// bitset is a fixed-width set of small integers.
+type bitset []uint64
+
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (i & 63) }
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+
+func (b bitset) or(o bitset) {
+	for i := range b {
+		b[i] |= o[i]
+	}
+}
+
+func (b bitset) intersects(o bitset) bool {
+	for i := range b {
+		if b[i]&o[i] != 0 {
+			return true
+		}
+	}
+	return false
 }

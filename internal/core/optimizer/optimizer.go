@@ -23,6 +23,8 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"time"
 
 	"rheem/internal/core/channel"
@@ -120,30 +122,13 @@ func (ep *ExecutionPlan) String() string {
 		s += "  " + a.String() + "\n"
 		if a.Kind == engine.AtomLoop {
 			if body := ep.LoopBodies[a.LoopOp.ID]; body != nil {
-				for _, line := range splitLines(body.String()) {
+				for _, line := range strings.Split(strings.TrimRight(body.String(), "\n"), "\n") {
 					s += "    " + line + "\n"
 				}
 			}
 		}
 	}
 	return s
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
 }
 
 // Optimize produces an execution plan for p over the registered
@@ -181,9 +166,6 @@ func optimizeWith(p *physical.Plan, reg *engine.Registry, opts Options, est, raw
 	}
 	// Optimize loop bodies first: a loop's cost and platform derive
 	// from its body.
-	loopCost := make(map[int]cost.Cost)
-	rawLoopCost := make(map[int]cost.Cost)
-	loopPlatform := make(map[int]engine.PlatformID)
 	for _, op := range p.Ops {
 		switch op.Kind() {
 		case plan.KindRepeat, plan.KindDoWhile:
@@ -191,29 +173,51 @@ func optimizeWith(p *physical.Plan, reg *engine.Registry, opts Options, est, raw
 			if err != nil {
 				return nil, fmt.Errorf("optimizer: loop body of %s: %w", op.Name(), err)
 			}
-			iters := op.Logical.Times
-			if op.Kind() == plan.KindDoWhile {
-				iters = op.Logical.MaxIter
-				if iters <= 0 {
-					iters = opts.DoWhileIterGuess
-				}
-			}
 			ep.LoopBodies[op.ID] = body
-			loopCost[op.ID] = body.Estimated.Times(float64(iters))
-			rawLoopCost[op.ID] = body.RawEstimated.Times(float64(iters))
-			loopPlatform[op.ID] = body.Assignment[op.Body.SinkOp.ID]
 		}
 	}
 
-	if err := assignPlatforms(p, reg, opts, est, ep, loopCost, rawLoopCost, loopPlatform); err != nil {
+	pos := positions(p)
+	if err := assignPlatforms(p, pos, reg, opts, ep); err != nil {
 		return nil, err
 	}
-	atoms, err := splitAtoms(p, ep.Assignment, opts.Frozen)
+	atoms, err := splitAtoms(p, pos, ep.Assignment, opts.Frozen)
 	if err != nil {
 		return nil, err
 	}
 	ep.Atoms = atoms
 	return ep, nil
+}
+
+// positions maps operator IDs to positions in p.Ops (-1: not in this
+// plan; IDs are shared across a plan tree). The DP's table and the atom
+// splitter's sets are indexed by position.
+func positions(p *physical.Plan) []int32 {
+	maxID := -1
+	for _, op := range p.Ops {
+		maxID = max(maxID, op.ID)
+	}
+	pos := make([]int32, maxID+1)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, op := range p.Ops {
+		pos[op.ID] = int32(i)
+	}
+	return pos
+}
+
+// loopCosts prices a loop operator from its optimized body: the body's
+// estimate — calibrated and raw — times the expected iteration count.
+func loopCosts(op *physical.Operator, body *ExecutionPlan, opts Options) (c, raw cost.Cost) {
+	iters := op.Logical.Times
+	if op.Kind() == plan.KindDoWhile {
+		iters = op.Logical.MaxIter
+		if iters <= 0 {
+			iters = opts.DoWhileIterGuess
+		}
+	}
+	return body.Estimated.Times(float64(iters)), body.RawEstimated.Times(float64(iters))
 }
 
 // choice is one DP cell: the best known way to have op's output
@@ -222,177 +226,218 @@ type choice struct {
 	total    time.Duration
 	opCost   cost.Cost
 	algo     physical.Algorithm
-	inPlats  []engine.PlatformID // chosen platform per input
+	inPlats  []int32 // chosen platform (index) per input
 	feasible bool
 }
 
-// designatedRoots picks, per weakly-connected component of the plan,
-// the zero-input operator with the smallest ID. The DP charges per-job
-// startup once at the designated root instead of at every root, so an
-// atom that happens to have several sources (a loop body reading both
-// its LoopInput state and a broadcast dataset) is not charged one job
-// submission per source.
-func designatedRoots(p *physical.Plan) map[int]bool {
-	parent := make(map[int]int, len(p.Ops))
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
+// designatedRoots marks, per weakly-connected component of the plan,
+// the position of the zero-input operator with the smallest ID. The DP
+// charges per-job startup once at the designated root
+// instead of at every root, so an atom that happens to have several
+// sources (a loop body reading both its LoopInput state and a broadcast
+// dataset) is not charged one job submission per source.
+func designatedRoots(p *physical.Plan, pos []int32) []bool {
+	n := len(p.Ops)
+	scratch := make([]int32, 2*n)
+	parent, minRoot := scratch[:n], scratch[n:] // union-find; component → its smallest-ID zero-input op
+	find := func(x int32) int32 {
+		for ; parent[x] != x; x = parent[x] {
+			parent[x] = parent[parent[x]]
 		}
-		return parent[x]
+		return x
 	}
-	for _, op := range p.Ops {
-		parent[op.ID] = op.ID
+	for i := range parent {
+		parent[i], minRoot[i] = int32(i), -1
 	}
-	for _, op := range p.Ops {
+	for i, op := range p.Ops {
 		for _, in := range op.Inputs {
-			parent[find(op.ID)] = find(in.ID)
+			parent[find(int32(i))] = find(pos[in.ID])
 		}
 	}
-	minRoot := map[int]int{} // component → smallest zero-input op ID
-	for _, op := range p.Ops {
+	for i, op := range p.Ops {
 		if len(op.Inputs) != 0 {
 			continue
 		}
-		c := find(op.ID)
-		if best, ok := minRoot[c]; !ok || op.ID < best {
-			minRoot[c] = op.ID
+		c := find(int32(i))
+		if best := minRoot[c]; best < 0 || op.ID < p.Ops[best].ID {
+			minRoot[c] = int32(i)
 		}
 	}
-	out := make(map[int]bool, len(minRoot))
-	for _, id := range minRoot {
-		out[id] = true
+	out := make([]bool, n)
+	for _, i := range minRoot {
+		if i >= 0 {
+			out[i] = true
+		}
 	}
 	return out
 }
 
+// dp is the state of one assignPlatforms run: a dense table of choices
+// indexed [operator position × platform index], platforms in the
+// registry's registration order.
+type dp struct {
+	reg       *engine.Registry
+	est       *cost.Estimates
+	platforms []engine.Platform
+	pos       []int32
+	cells     []choice
+}
+
+// row returns op's cells, one per platform.
+func (d *dp) row(op *physical.Operator) []choice {
+	i := int(d.pos[op.ID]) * len(d.platforms)
+	return d.cells[i : i+len(d.platforms)]
+}
+
 // assignPlatforms runs the DP over (operator, platform) states and
 // backtracks the cheapest assignment into ep.
-func assignPlatforms(p *physical.Plan, reg *engine.Registry, opts Options, est *cost.Estimates, ep *ExecutionPlan, loopCost, rawLoopCost map[int]cost.Cost, loopPlatform map[int]engine.PlatformID) error {
-	platforms := reg.Platforms()
-	if len(platforms) == 0 {
+//
+// Ties are broken by registration order, first-cheapest wins: wherever
+// the DP compares alternatives — producer platforms for an input,
+// algorithms for a cell, platforms for the sink — it walks them in the
+// order they were registered (or physical.Candidates lists them) and
+// replaces the incumbent only on a strictly lower total. Platforms with
+// identical costs (CloneMappings makes them) always yield one plan.
+func assignPlatforms(p *physical.Plan, pos []int32, reg *engine.Registry, opts Options, ep *ExecutionPlan) error {
+	d := dp{reg: reg, est: ep.Estimates, platforms: reg.Platforms(), pos: pos}
+	np := len(d.platforms)
+	if np == 0 {
 		return fmt.Errorf("optimizer: no platforms registered")
 	}
-	roots := designatedRoots(p)
-	dp := make(map[int]map[engine.PlatformID]*choice, len(p.Ops))
+	edges, maxIn := 0, 0
+	for _, op := range p.Ops {
+		edges += len(op.Inputs)
+		maxIn = max(maxIn, len(op.Inputs))
+		for _, in := range op.Inputs {
+			if in.ID >= len(pos) || pos[in.ID] < 0 {
+				return fmt.Errorf("optimizer: %s consumes %s, which is not in plan %q", op.Name(), in.Name(), p.Name)
+			}
+		}
+	}
+	roots := designatedRoots(p, pos)
+	d.cells = make([]choice, len(p.Ops)*np)
+	// One backing array for all cells' input picks, one scratch slice for
+	// the cost models' input cardinalities.
+	picks := make([]int32, edges*np)
+	cards := make([]int64, 2*maxIn)
 
 	for _, op := range p.Ops {
-		cells := make(map[engine.PlatformID]*choice)
-		dp[op.ID] = cells
-
-		inCards := make([]int64, len(op.Inputs))
-		for i, in := range op.Inputs {
-			inCards[i] = est.Cards[in.ID]
-		}
-		outCard := est.Cards[op.ID]
+		cells := d.row(op)
+		nin := len(op.Inputs)
 
 		// Loops: single pseudo-choice on the body's sink platform.
-		if op.Kind() == plan.KindRepeat || op.Kind() == plan.KindDoWhile {
-			pl := loopPlatform[op.ID]
-			c := &choice{opCost: loopCost[op.ID], algo: physical.Default, feasible: true}
+		if body := ep.LoopBodies[op.ID]; body != nil {
+			pi := slices.IndexFunc(d.platforms, func(pl engine.Platform) bool {
+				return pl.ID() == body.Assignment[op.Body.SinkOp.ID]
+			})
+			if pi < 0 {
+				return fmt.Errorf("optimizer: loop body of %s sits on an unregistered platform", op.Name())
+			}
+			c := &cells[pi]
+			c.opCost, _ = loopCosts(op, body, opts)
+			c.algo, c.feasible = physical.Default, true
 			c.total = c.opCost.Total()
-			c.inPlats = make([]engine.PlatformID, len(op.Inputs))
+			c.inPlats, picks = picks[:nin:nin], picks[nin:]
 			for i, in := range op.Inputs {
-				bestIn, ok := cheapestInput(dp[in.ID], reg, est, in.ID, pl, op)
+				from, total, ok := d.cheapestInput(in, pi, op)
 				if !ok {
 					return fmt.Errorf("optimizer: no feasible platform chain into %s", op.Name())
 				}
-				c.inPlats[i] = bestIn.platform
-				c.total += bestIn.cost
+				c.inPlats[i] = int32(from)
+				c.total += total
 			}
-			cells[pl] = c
 			continue
 		}
 
-		for _, platform := range platforms {
+		inCards := cards[:nin]
+		for i, in := range op.Inputs {
+			inCards[i] = d.est.Cards[in.ID]
+		}
+		outCard := d.est.Cards[op.ID]
+		kind, kindName := op.Kind(), op.Kind().String()
+		forced, isForced := opts.ForcedAssignments[op.ID]
+		offered := false
+		for pi, platform := range d.platforms {
 			pl := platform.ID()
 			if opts.FixedPlatform != "" && pl != opts.FixedPlatform {
 				continue
 			}
-			if forced, ok := opts.ForcedAssignments[op.ID]; ok && pl != forced {
+			if isForced && pl != forced {
 				continue
 			}
 			if opts.ExcludePlatforms[pl] && !opts.Frozen[op.ID] {
 				continue
 			}
-			// Input picks depend only on the consumer platform.
-			inPlats := make([]engine.PlatformID, len(op.Inputs))
+			// Input picks depend only on the consumer platform. The
+			// per-job startup charge applies only when this operator
+			// opens a new task atom on its platform: at the component's
+			// designated root, and wherever an input arrives from
+			// another platform. Within an atom, startup is paid once.
+			inPlats := picks[:nin:nin]
 			var inTotal time.Duration
+			newAtom := nin == 0 && roots[pos[op.ID]]
 			feasibleInputs := true
 			for i, in := range op.Inputs {
-				bestIn, found := cheapestInput(dp[in.ID], reg, est, in.ID, pl, op)
-				if !found {
+				from, total, ok := d.cheapestInput(in, pi, op)
+				if !ok {
 					feasibleInputs = false
 					break
 				}
-				inPlats[i] = bestIn.platform
-				inTotal += bestIn.cost
+				inPlats[i] = int32(from)
+				inTotal += total
+				newAtom = newAtom || from != pi
 			}
 			if !feasibleInputs {
 				continue
 			}
-			// The per-job startup charge applies only when this
-			// operator opens a new task atom on its platform: at the
-			// component's designated root, and wherever an input
-			// arrives from another platform. Within an atom, startup
-			// is paid once.
-			newAtom := len(op.Inputs) == 0 && roots[op.ID]
-			for _, inPl := range inPlats {
-				if inPl != pl {
-					newAtom = true
-				}
-			}
-			var best *choice
+			best := &cells[pi]
 			for _, algo := range physical.Candidates(op) {
-				m, ok := reg.MappingFor(pl, op.Kind(), algo)
+				m, ok := reg.MappingFor(pl, kind, algo)
 				if !ok {
 					continue
 				}
 				oc := m.Cost(op, inCards, outCard)
-				if shardDiscounts(opts, platform.Profile(), op.Kind()) {
+				if shardDiscounts(opts, platform.Profile(), kind) {
 					oc = cost.ShardDiscount(oc, opts.Shards)
 				}
 				// Learned correction: scale the model's estimate by the
 				// observed actual/estimated ratio for this (kind,
 				// platform). CostFactor is 1 on a nil or cold calibrator.
-				if f := opts.Calibration.CostFactor(op.Kind().String(), string(pl)); f != 1 {
+				if f := opts.Calibration.CostFactor(kindName, string(pl)); f != 1 {
 					oc = oc.Times(f)
 				}
-				opTotal := oc.CPU + oc.IO + oc.Net
+				total := oc.CPU + oc.IO + oc.Net + inTotal
 				if newAtom {
-					opTotal += oc.Startup
+					total += oc.Startup
 				}
-				c := &choice{opCost: oc, algo: algo, feasible: true,
-					total: opTotal + inTotal, inPlats: inPlats}
-				if best == nil || c.total < best.total {
-					best = c
+				if !best.feasible || total < best.total {
+					*best = choice{opCost: oc, algo: algo, feasible: true, total: total, inPlats: inPlats}
 				}
 			}
-			if best != nil {
-				cells[pl] = best
+			if best.feasible {
+				picks = picks[nin:]
+				offered = true
 			}
 		}
-		if len(cells) == 0 {
-			return fmt.Errorf("optimizer: no platform offers %s (kind %s)", op.Name(), op.Kind())
+		if !offered {
+			return fmt.Errorf("optimizer: no platform offers %s (kind %s)", op.Name(), kind)
 		}
 	}
 
 	// Pick the cheapest sink cell and backtrack.
-	sinkCells := dp[p.SinkOp.ID]
-	var bestPl engine.PlatformID
-	bestTotal := time.Duration(math.MaxInt64)
-	for pl, c := range sinkCells {
-		if c.total < bestTotal {
-			bestTotal, bestPl = c.total, pl
+	bestPl, bestTotal := -1, time.Duration(math.MaxInt64)
+	for pi, c := range d.row(p.SinkOp) {
+		if c.feasible && c.total < bestTotal {
+			bestPl, bestTotal = pi, c.total
 		}
 	}
-	if bestPl == "" {
+	if bestPl < 0 {
 		return fmt.Errorf("optimizer: no feasible plan for %q", p.Name)
 	}
-	backtrack(p.SinkOp, bestPl, dp, ep)
+	d.backtrack(p.SinkOp, bestPl, ep)
 	// Re-walk the chosen assignment to report the full cost vector
 	// (the DP optimises the scalar total only).
-	ep.Estimated, ep.RawEstimated = vectorCost(p, reg, opts, ep, loopCost, rawLoopCost, roots)
+	ep.Estimated, ep.RawEstimated = vectorCost(p, reg, opts, ep, roots, pos, cards)
 	return nil
 }
 
@@ -415,41 +460,33 @@ func shardDiscounts(opts Options, prof engine.Profile, kind plan.OpKind) bool {
 	return false
 }
 
-type inPick struct {
-	platform engine.PlatformID
-	cost     time.Duration
-}
-
-// cheapestInput finds the input-platform choice minimising input
-// subtree cost plus the conversion cost from that platform's native
-// format to the consuming operator's wanted format — the consumer
-// platform's native format, or, when the consumer is batch-capable for
-// op (engine.Vectorized), the cheaper of native and channel.Batch.
-// Pricing the batch alternative is what lets plans adopt the columnar
-// format on edges where it wins.
-func cheapestInput(cells map[engine.PlatformID]*choice, reg *engine.Registry, est *cost.Estimates, inID int, consumer engine.PlatformID, op *physical.Operator) (inPick, bool) {
-	consumerPlat, _ := reg.Platform(consumer)
-	best := inPick{cost: time.Duration(math.MaxInt64)}
-	found := false
-	for pl, c := range cells {
+// cheapestInput finds the platform (by index) to produce input in on,
+// minimising the input's subtree cost plus the conversion cost from
+// that platform's native format to the consuming operator's wanted
+// format — the consumer platform's native format, or, when the consumer
+// is batch-capable for op (engine.Vectorized), the cheaper of native and
+// channel.Batch. Pricing the batch alternative is what lets plans adopt
+// the columnar format on edges where it wins.
+func (d *dp) cheapestInput(in *physical.Operator, consumer int, op *physical.Operator) (int, time.Duration, bool) {
+	best, bestCost := -1, time.Duration(math.MaxInt64)
+	bytes := d.est.Bytes(in.ID)
+	for pi, c := range d.row(in) {
 		if !c.feasible {
 			continue
 		}
 		move := time.Duration(0)
-		if pl != consumer {
-			producerPlat, _ := reg.Platform(pl)
-			mc, ok := moveCost(reg, producerPlat, consumerPlat, op, est.Bytes(inID))
+		if pi != consumer {
+			mc, ok := moveCost(d.reg, d.platforms[pi], d.platforms[consumer], op, bytes)
 			if !ok {
 				continue
 			}
 			move = mc
 		}
-		if total := c.total + move; total < best.cost {
-			best = inPick{platform: pl, cost: total}
-			found = true
+		if total := c.total + move; total < bestCost {
+			best, bestCost = pi, total
 		}
 	}
-	return best, found
+	return best, bestCost, best >= 0
 }
 
 // moveCost prices moving an input produced on from's native format to
@@ -471,15 +508,15 @@ func moveCost(reg *engine.Registry, from, to engine.Platform, op *physical.Opera
 // On DAGs with shared sub-results the first visit wins; the cost
 // estimate then slightly over-counts the shared subtree, which is an
 // accepted approximation (plans are trees in practice).
-func backtrack(op *physical.Operator, pl engine.PlatformID, dp map[int]map[engine.PlatformID]*choice, ep *ExecutionPlan) {
+func (d *dp) backtrack(op *physical.Operator, pi int, ep *ExecutionPlan) {
 	if _, done := ep.Assignment[op.ID]; done {
 		return
 	}
-	c := dp[op.ID][pl]
-	ep.Assignment[op.ID] = pl
+	c := &d.row(op)[pi]
+	ep.Assignment[op.ID] = d.platforms[pi].ID()
 	op.Algo = c.algo
 	for i, in := range op.Inputs {
-		backtrack(in, c.inPlats[i], dp, ep)
+		d.backtrack(in, int(c.inPlats[i]), ep)
 	}
 }
 
@@ -488,18 +525,20 @@ func backtrack(op *physical.Operator, pl engine.PlatformID, dp map[int]map[engin
 // cost in ep.OpCosts for the executor's estimate-vs-actual audit. It
 // fills the raw (uncalibrated) twin in the same walk: raw model costs
 // on raw cardinalities, which is what the calibrator learns against.
-func vectorCost(p *physical.Plan, reg *engine.Registry, opts Options, ep *ExecutionPlan, loopCost, rawLoopCost map[int]cost.Cost, roots map[int]bool) (total, rawTotal cost.Cost) {
+// cards is scratch for the cost models' input cardinalities, twice the
+// plan's widest operator.
+func vectorCost(p *physical.Plan, reg *engine.Registry, opts Options, ep *ExecutionPlan, roots []bool, pos []int32, cards []int64) (total, rawTotal cost.Cost) {
 	est, rawEst := ep.Estimates, ep.RawEstimates
 	for _, op := range p.Ops {
 		pl := ep.Assignment[op.ID]
-		if lc, isLoop := loopCost[op.ID]; isLoop {
+		if body := ep.LoopBodies[op.ID]; body != nil {
+			lc, rawLC := loopCosts(op, body, opts)
 			ep.OpCosts[op.ID] = lc
-			ep.RawOpCosts[op.ID] = rawLoopCost[op.ID]
+			ep.RawOpCosts[op.ID] = rawLC
 			total = total.Plus(lc)
-			rawTotal = rawTotal.Plus(rawLoopCost[op.ID])
+			rawTotal = rawTotal.Plus(rawLC)
 		} else {
-			inCards := make([]int64, len(op.Inputs))
-			rawIn := make([]int64, len(op.Inputs))
+			inCards, rawIn := cards[:len(op.Inputs)], cards[len(cards)/2:][:len(op.Inputs)]
 			for i, in := range op.Inputs {
 				inCards[i] = est.Cards[in.ID]
 				rawIn[i] = rawEst.Cards[in.ID]
@@ -517,7 +556,7 @@ func vectorCost(p *physical.Plan, reg *engine.Registry, opts Options, ep *Execut
 				if f := opts.Calibration.CostFactor(op.Kind().String(), string(pl)); f != 1 {
 					oc = oc.Times(f)
 				}
-				newAtom := len(op.Inputs) == 0 && roots[op.ID]
+				newAtom := len(op.Inputs) == 0 && roots[pos[op.ID]]
 				for _, in := range op.Inputs {
 					if ep.Assignment[in.ID] != pl {
 						newAtom = true

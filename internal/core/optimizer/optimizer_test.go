@@ -1,11 +1,16 @@
 package optimizer
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"rheem/internal/core/channel"
+	"rheem/internal/core/cost"
 	"rheem/internal/core/engine"
+	"rheem/internal/core/fault"
 	"rheem/internal/core/physical"
 	"rheem/internal/core/plan"
 	"rheem/internal/data"
@@ -309,6 +314,217 @@ func TestExcludePlatformsKeepsFrozenAssignments(t *testing.T) {
 	for id, pl := range ep.Assignment {
 		if id != srcID && pl == javaengine.ID {
 			t.Errorf("re-planned op %d still on excluded platform", id)
+		}
+	}
+}
+
+// tiePlan has a branch and an algorithm choice, so every comparison the
+// DP makes — producer platform per input, algorithm per cell, platform
+// for the sink — sees tied alternatives on a cloned-platform registry.
+func tiePlan(t *testing.T) *physical.Plan {
+	return physOf(t, func(b *plan.Builder) {
+		l := b.Source("l", plan.Collection(nil))
+		l.CardHint = 5000
+		r := b.Source("r", plan.Collection(nil))
+		r.CardHint = 300
+		f := b.Filter(l, func(data.Record) (bool, error) { return true, nil })
+		j := b.Join(f, r, plan.FieldKey(0), plan.FieldKey(0))
+		b.Collect(b.ReduceByKey(j, plan.FieldKey(0), plan.SumField(0)))
+	})
+}
+
+// TestClonedPlatformTieIsStable pins the DP's tie-break: a platform and
+// its CloneMappings twin price every operator identically and exchange
+// data for free (same native format), so every cell ties — and the
+// platform registered first must win every one of them, every time. The
+// map-based DP broke these ties by Go map iteration order and flipped
+// the plan between runs.
+func TestClonedPlatformTieIsStable(t *testing.T) {
+	javaThenTwin := engine.NewRegistry()
+	java, err := javaengine.Register(javaThenTwin, javaengine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fault.Register(javaThenTwin, fault.Wrap(java, fault.Options{ID: "twin"}), javaengine.ID); err != nil {
+		t.Fatal(err)
+	}
+	// The twin's *platform* registered first, its mappings cloned after
+	// the donor's exist: platform order decides, not mapping order.
+	twinThenJava := engine.NewRegistry()
+	if err := twinThenJava.RegisterPlatform(fault.Wrap(javaengine.New(javaengine.Config{}), fault.Options{ID: "twin"})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := javaengine.Register(twinThenJava, javaengine.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := twinThenJava.CloneMappings(javaengine.ID, "twin"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		reg  *engine.Registry
+		want engine.PlatformID
+	}{{"java-first", javaThenTwin, javaengine.ID}, {"twin-first", twinThenJava, "twin"}} {
+		first := ""
+		for i := 0; i < 200; i++ {
+			ep, err := Optimize(tiePlan(t), c.reg, Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			for id, pl := range ep.Assignment {
+				if pl != c.want {
+					t.Fatalf("%s run %d: op %d on %s, want every op on the first-registered %s", c.name, i, id, pl, c.want)
+				}
+			}
+			if got := ep.String(); first == "" {
+				first = got
+			} else if got != first {
+				t.Fatalf("%s run %d: plan changed between runs:\n%s\nvs\n%s", c.name, i, got, first)
+			}
+		}
+	}
+}
+
+// TestRegistryReadsRaceWithRegistration is the snapshot registries'
+// -race test: eight goroutines price paths, look mappings up and
+// optimize while the main goroutine keeps registering converters,
+// mappings and whole cloned platforms. Nothing registered changes a
+// cost (appended duplicates never win a lookup, the new formats are
+// islands, a clone ties and loses), so every plan must still read the
+// same.
+func TestRegistryReadsRaceWithRegistration(t *testing.T) {
+	reg := fullRegistry(t)
+	java, _ := reg.Platform(javaengine.ID)
+	ref, err := Optimize(tiePlan(t), reg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.String()
+	wantMove, _ := reg.Channels().PathCost(channel.Table, channel.Partitioned, 1<<20)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if c, ok := reg.Channels().PathCost(channel.Table, channel.Partitioned, 1<<20); !ok || c != wantMove {
+					t.Errorf("PathCost = %v, %v; want %v", c, ok, wantMove)
+					return
+				}
+				if _, ok := reg.MappingFor(sparksim.ID, plan.KindJoin, physical.HashJoin); !ok {
+					t.Error("MappingFor lost spark's hash join")
+					return
+				}
+				ep, err := Optimize(tiePlan(t), reg, Options{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := ep.String(); got != want {
+					t.Errorf("plan changed under registration:\n%s\nwant\n%s", got, want)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 40; i++ {
+		from, to := channel.Format(fmt.Sprintf("island-%d", i)), channel.Format(fmt.Sprintf("island-%d", i+1))
+		reg.Channels().Register(channel.Converter{From: from, To: to})
+		m, _ := reg.MappingFor(javaengine.ID, plan.KindMap, physical.Default)
+		if err := reg.RegisterMapping(m); err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 0 {
+			id := engine.PlatformID(fmt.Sprintf("java-clone-%d", i))
+			if err := fault.Register(reg, fault.Wrap(java, fault.Options{ID: id}), javaengine.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reg.RewriteCosts(relengine.ID, func(m cost.Model) cost.Model { return m })
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// benchRegistry registers the three bundled platforms and then clones
+// of them (fault-free wrappers under new IDs) up to n platforms; n < 3
+// registers only the first n.
+func benchRegistry(tb testing.TB, n int) *engine.Registry {
+	tb.Helper()
+	reg := engine.NewRegistry()
+	var bundled []engine.Platform
+	j, err := javaengine.Register(reg, javaengine.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bundled = append(bundled, j)
+	if n >= 2 {
+		s, err := sparksim.Register(reg, sparksim.Config{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		bundled = append(bundled, s)
+	}
+	if n >= 3 {
+		r, err := relengine.Register(reg, nil, relengine.Config{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		bundled = append(bundled, r)
+	}
+	for i := len(bundled); i < n; i++ {
+		donor := bundled[i%len(bundled)]
+		id := engine.PlatformID(fmt.Sprintf("%s-%d", donor.ID(), i))
+		if err := fault.Register(reg, fault.Wrap(donor, fault.Options{ID: id}), donor.ID()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return reg
+}
+
+// BenchmarkOptimize prices the whole planning step — rules, estimates,
+// DP, atom split — against plan width (parallel filter→map branches
+// folded by unions into one reduce) and platform count. One op is one
+// Optimize of a freshly translated plan; the translation is untimed.
+func BenchmarkOptimize(b *testing.B) {
+	for _, width := range []int{1, 4, 16} {
+		pb := plan.NewBuilder("bench")
+		var out *plan.Operator
+		for i := 0; i < width; i++ {
+			s := pb.Source(fmt.Sprintf("s%d", i), plan.Collection(nil))
+			s.CardHint = int64(1000 * (i + 1))
+			leg := pb.Map(pb.Filter(s, func(data.Record) (bool, error) { return true, nil }), plan.Identity())
+			if out == nil {
+				out = leg
+			} else {
+				out = pb.Union(out, leg)
+			}
+		}
+		pb.Collect(pb.ReduceByKey(out, plan.FieldKey(0), plan.SumField(0)))
+		lp := pb.MustBuild()
+		for _, platforms := range []int{1, 3, 6} {
+			reg := benchRegistry(b, platforms)
+			b.Run(fmt.Sprintf("width=%d/platforms=%d", width, platforms), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					pp, err := physical.FromLogical(lp)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if _, err := Optimize(pp, reg, Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

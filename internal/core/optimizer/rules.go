@@ -62,13 +62,19 @@ func (FuseFilters) Name() string { return "fuse-filters" }
 
 // Apply implements Rule.
 func (FuseFilters) Apply(p *physical.Plan) (bool, error) {
-	consumers := p.Consumers()
+	var consumers map[int][]*physical.Operator // built at the first Filter→Filter pair
 	for _, op := range p.Ops {
 		if op.Kind() != plan.KindFilter {
 			continue
 		}
 		in := op.Inputs[0]
-		if in.Kind() != plan.KindFilter || len(consumers[in.ID]) != 1 {
+		if in.Kind() != plan.KindFilter {
+			continue
+		}
+		if consumers == nil {
+			consumers = p.Consumers()
+		}
+		if len(consumers[in.ID]) != 1 {
 			continue
 		}
 		first, second := in.Logical.Filter, op.Logical.Filter
@@ -112,13 +118,19 @@ func (PushFilterBeforeSort) Name() string { return "push-filter-before-sort" }
 
 // Apply implements Rule.
 func (PushFilterBeforeSort) Apply(p *physical.Plan) (bool, error) {
-	consumers := p.Consumers()
+	var consumers map[int][]*physical.Operator // built at the first Sort→Filter pair
 	for _, op := range p.Ops {
 		if op.Kind() != plan.KindFilter {
 			continue
 		}
 		sortOp := op.Inputs[0]
-		if sortOp.Kind() != plan.KindSort || len(consumers[sortOp.ID]) != 1 {
+		if sortOp.Kind() != plan.KindSort {
+			continue
+		}
+		if consumers == nil {
+			consumers = p.Consumers()
+		}
+		if len(consumers[sortOp.ID]) != 1 {
 			continue
 		}
 		// Rewire: source → filter → sort → (filter's consumers).
