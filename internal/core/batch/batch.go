@@ -87,9 +87,9 @@ func (c *Column) length() int {
 	}
 }
 
-// slice returns the zero-copy [lo, hi) view of the column. The validity
+// Slice returns the zero-copy [lo, hi) view of the column. The validity
 // bitmap is shared, not re-based; the caller tracks the offset.
-func (c Column) slice(lo, hi int) Column {
+func (c Column) Slice(lo, hi int) Column {
 	switch c.Kind {
 	case ColInt64:
 		c.Int64s = c.Int64s[lo:hi]
@@ -163,11 +163,9 @@ func FromRecords(recs []data.Record, cols ...int) *Batch {
 	if n == 0 {
 		return &Batch{}
 	}
-	w := recs[0].Len()
-	for i := 1; i < n; i++ {
-		if recs[i].Len() != w {
-			return &Batch{rows: recs, n: n}
-		}
+	w, ok := Width(recs)
+	if !ok {
+		return &Batch{rows: recs, n: n}
 	}
 	if len(cols) == 0 {
 		cols = make([]int, w)
@@ -177,45 +175,85 @@ func FromRecords(recs []data.Record, cols ...int) *Batch {
 	}
 	out := make([]Column, len(cols))
 	for i, c := range cols {
-		out[i] = buildColumn(recs, c)
+		out[i].Fill(recs, c)
 	}
 	return &Batch{cols: out, n: n}
 }
 
-// buildColumn decides a column's representation and fills it in a
-// single speculative pass: the first non-null value picks a typed
-// representation; a later value of another kind abandons the attempt
-// for the generic fallback (mixed columns are ColAny anyway, so only
-// they pay the restart). The conversion is on the columnar hot path —
-// every Collection/Table → Batch edge runs it over the whole input —
-// which is why it avoids a separate kind-scan pass.
-func buildColumn(recs []data.Record, c int) Column {
-	for i := range recs {
-		switch recs[i].Field(c).Kind() {
-		case data.KindNull:
-			continue
-		case data.KindInt:
-			return fillInt64(recs, c, i)
-		case data.KindFloat:
-			return fillFloat64(recs, c, i)
-		case data.KindString:
-			return fillString(recs, c, i)
-		case data.KindBool:
-			return fillBool(recs, c, i)
-		default: // vectors take the generic representation
-			return genericColumn(recs, c)
+// Width returns the arity recs share; ok is false when they are ragged
+// and have no column form.
+func Width(recs []data.Record) (w int, ok bool) {
+	if len(recs) == 0 {
+		return 0, true
+	}
+	w = recs[0].Len()
+	for i := 1; i < len(recs); i++ {
+		if recs[i].Len() != w {
+			return 0, false
 		}
 	}
-	return genericColumn(recs, c) // all null
+	return w, true
 }
 
-// genericColumn is the lossless ColAny fallback.
-func genericColumn(recs []data.Record, c int) Column {
-	any := make([]data.Value, len(recs))
-	for i := range recs {
-		any[i] = recs[i].Field(c)
+// Fill transposes field c of recs into col, at validity offset zero. It
+// is the one transposition path: FromRecords is Fill over the whole
+// input into fresh columns, a vector-at-a-time reader calls it once per
+// window on columns it keeps, and typed storage col already holds is
+// reused where it is large enough. recs must be rectangular (Width)
+// and c inside them.
+//
+// The representation is decided and filled in a single speculative
+// pass: the first non-null value picks a typed representation; a later
+// value of another kind abandons the attempt for the generic fallback
+// (mixed columns are ColAny anyway, so only they pay the restart). The
+// conversion is on the columnar hot path — every Collection/Table →
+// Batch edge runs it over the whole input — which is why it avoids a
+// separate kind-scan pass.
+func (col *Column) Fill(recs []data.Record, c int) {
+	start := 0
+	for start < len(recs) && recs[start].Field(c).IsNull() {
+		start++
 	}
-	return Column{Kind: ColAny, Any: any}
+	typed := false
+	if start < len(recs) {
+		switch recs[start].Field(c).Kind() {
+		case data.KindInt:
+			typed = col.fillInt64(recs, c, start)
+		case data.KindFloat:
+			typed = col.fillFloat64(recs, c, start)
+		case data.KindString:
+			typed = col.fillString(recs, c, start)
+		case data.KindBool:
+			typed = col.fillBool(recs, c, start)
+		}
+	}
+	if typed {
+		return
+	}
+	// The lossless fallback: vectors, mixed kinds, all null.
+	col.Kind, col.Valid, col.Any = ColAny, nil, grow(col.Any, len(recs))
+	for i := range recs {
+		col.Any[i] = recs[i].Field(c)
+	}
+}
+
+// grow returns s resized to n elements, reallocating only when its
+// capacity is too small. The contents are whatever s held.
+func grow[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// leadingNulls starts the validity bitmap of a column whose first start
+// rows are null, zeroing their (possibly reused) slots.
+func leadingNulls[T any](vals []T, start int) *algo.Bitset {
+	if start == 0 {
+		return nil
+	}
+	clear(vals[:start])
+	return algo.NewBitset(len(vals))
 }
 
 // markNull lazily materialises the validity bitmap on the first null:
@@ -232,16 +270,14 @@ func markNull(valid *algo.Bitset, n, start, i int) *algo.Bitset {
 }
 
 // The typed fill loops. All four are the same shape: store the scalar,
-// track validity only once a null has appeared, bail to the generic
-// representation on a kind mismatch.
+// track validity only once a null has appeared, report false on a kind
+// mismatch so Fill takes the generic representation.
 
-func fillInt64(recs []data.Record, c, start int) Column {
+func (col *Column) fillInt64(recs []data.Record, c, start int) bool {
 	n := len(recs)
-	vals := make([]int64, n)
-	var valid *algo.Bitset
-	if start > 0 {
-		valid = algo.NewBitset(n) // leading nulls
-	}
+	vals := grow(col.Int64s, n)
+	col.Int64s = vals
+	valid := leadingNulls(vals, start)
 	for i := start; i < n; i++ {
 		v := recs[i].Field(c)
 		switch v.Kind() {
@@ -251,21 +287,20 @@ func fillInt64(recs []data.Record, c, start int) Column {
 				valid.Set(i)
 			}
 		case data.KindNull:
-			valid = markNull(valid, n, start, i)
+			valid, vals[i] = markNull(valid, n, start, i), 0
 		default:
-			return genericColumn(recs, c)
+			return false
 		}
 	}
-	return Column{Kind: ColInt64, Int64s: vals, Valid: valid}
+	col.Kind, col.Valid = ColInt64, valid
+	return true
 }
 
-func fillFloat64(recs []data.Record, c, start int) Column {
+func (col *Column) fillFloat64(recs []data.Record, c, start int) bool {
 	n := len(recs)
-	vals := make([]float64, n)
-	var valid *algo.Bitset
-	if start > 0 {
-		valid = algo.NewBitset(n)
-	}
+	vals := grow(col.Float64s, n)
+	col.Float64s = vals
+	valid := leadingNulls(vals, start)
 	for i := start; i < n; i++ {
 		v := recs[i].Field(c)
 		switch v.Kind() {
@@ -275,21 +310,20 @@ func fillFloat64(recs []data.Record, c, start int) Column {
 				valid.Set(i)
 			}
 		case data.KindNull:
-			valid = markNull(valid, n, start, i)
+			valid, vals[i] = markNull(valid, n, start, i), 0
 		default:
-			return genericColumn(recs, c)
+			return false
 		}
 	}
-	return Column{Kind: ColFloat64, Float64s: vals, Valid: valid}
+	col.Kind, col.Valid = ColFloat64, valid
+	return true
 }
 
-func fillString(recs []data.Record, c, start int) Column {
+func (col *Column) fillString(recs []data.Record, c, start int) bool {
 	n := len(recs)
-	vals := make([]string, n)
-	var valid *algo.Bitset
-	if start > 0 {
-		valid = algo.NewBitset(n)
-	}
+	vals := grow(col.Strings, n)
+	col.Strings = vals
+	valid := leadingNulls(vals, start)
 	for i := start; i < n; i++ {
 		v := recs[i].Field(c)
 		switch v.Kind() {
@@ -299,21 +333,20 @@ func fillString(recs []data.Record, c, start int) Column {
 				valid.Set(i)
 			}
 		case data.KindNull:
-			valid = markNull(valid, n, start, i)
+			valid, vals[i] = markNull(valid, n, start, i), ""
 		default:
-			return genericColumn(recs, c)
+			return false
 		}
 	}
-	return Column{Kind: ColString, Strings: vals, Valid: valid}
+	col.Kind, col.Valid = ColString, valid
+	return true
 }
 
-func fillBool(recs []data.Record, c, start int) Column {
+func (col *Column) fillBool(recs []data.Record, c, start int) bool {
 	n := len(recs)
-	vals := make([]bool, n)
-	var valid *algo.Bitset
-	if start > 0 {
-		valid = algo.NewBitset(n)
-	}
+	vals := grow(col.Bools, n)
+	col.Bools = vals
+	valid := leadingNulls(vals, start)
 	for i := start; i < n; i++ {
 		v := recs[i].Field(c)
 		switch v.Kind() {
@@ -323,12 +356,13 @@ func fillBool(recs []data.Record, c, start int) Column {
 				valid.Set(i)
 			}
 		case data.KindNull:
-			valid = markNull(valid, n, start, i)
+			valid, vals[i] = markNull(valid, n, start, i), false
 		default:
-			return genericColumn(recs, c)
+			return false
 		}
 	}
-	return Column{Kind: ColBool, Bools: vals, Valid: valid}
+	col.Kind, col.Valid = ColBool, valid
+	return true
 }
 
 // New assembles a batch of n rows from freshly built columns (validity
@@ -391,7 +425,7 @@ func (b *Batch) Slice(lo, hi int) *Batch {
 	}
 	cols := make([]Column, len(b.cols))
 	for c := range b.cols {
-		cols[c] = b.cols[c].slice(lo, hi)
+		cols[c] = b.cols[c].Slice(lo, hi)
 	}
 	return &Batch{cols: cols, n: hi - lo, off: b.off + lo}
 }

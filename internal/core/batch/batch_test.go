@@ -247,6 +247,7 @@ func FuzzBatchRoundTrip(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes(), 0, len(recs))
+		f.Add(buf.Bytes(), 1, len(recs)-1) // an interior window: Fill into used storage
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, lo, hi int) {
 		recs, err := data.ReadBinary(bytes.NewReader(raw))
@@ -281,6 +282,24 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		view := b.Slice(lo, hi)
 		if want, have := encode(t, recs[clo:chi]), encode(t, view.ToRecords()); !bytes.Equal(want, have) {
 			t.Fatalf("slice [%d:%d) not byte-identical to record subslice", lo, hi)
+		}
+		// The window-at-a-time transposition agrees with the whole-input
+		// one: Fill over a window, into columns that already held another
+		// (storage reused, kinds possibly different), is that Slice.
+		if w, ok := Width(recs); ok && w > 0 && clo < chi {
+			cols := make([]Column, w)
+			for _, win := range [][]data.Record{recs, recs[clo:chi]} {
+				for c := range cols {
+					cols[c].Fill(win, c)
+				}
+			}
+			filled, err := New(chi-clo, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, have := encode(t, view.ToRecords()), encode(t, filled.ToRecords()); !bytes.Equal(want, have) {
+				t.Fatalf("windowed fill of [%d:%d) not byte-identical to the slice", lo, hi)
+			}
 		}
 	})
 }

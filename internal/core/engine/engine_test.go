@@ -220,6 +220,41 @@ func TestRunAtomCancelled(t *testing.T) {
 	}
 }
 
+// panicOnExport is fakeOps with an export that panics, the shape a lazily
+// evaluated dataset fails in.
+type panicOnExport struct{ fakeOps }
+
+func (panicOnExport) ToChannel(any) (*channel.Channel, error) { panic("export blew up") }
+
+// TestRunAtomRecoversPanics: a panic in an operator or in the export of
+// an exit comes back as a Fatal error naming the atom and what was
+// running, with the stack — never as a dead goroutine.
+func TestRunAtomRecoversPanics(t *testing.T) {
+	pp, atom := buildAtomFixture(t)
+	for _, op := range pp.Ops {
+		if op.Kind() == plan.KindMap {
+			op.Logical.Map = func(r data.Record) (data.Record, error) {
+				return data.NewRecord(r.Field(7)), nil // past the record
+			}
+		}
+	}
+	_, err := RunAtom(context.Background(), fakeOps{}, atom, AtomInputs{})
+	if !IsFatal(err) {
+		t.Fatalf("panicking UDF returned %v, want a Fatal error", err)
+	}
+	for _, want := range []string{"engine: atom#0: Map", "panicked: runtime error: index out of range [7]", "engine.RunAtom"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+
+	pp, atom = buildAtomFixture(t)
+	exits, err := RunAtom(context.Background(), panicOnExport{}, atom, AtomInputs{})
+	if exits != nil || !IsFatal(err) || !strings.Contains(err.Error(), pp.SinkOp.Name()+" panicked: export blew up") {
+		t.Errorf("panicking export returned %v, %v; want a Fatal error naming %s", exits, err, pp.SinkOp.Name())
+	}
+}
+
 func TestRunAtomRejectsLoopAtoms(t *testing.T) {
 	atom := &TaskAtom{Kind: AtomLoop}
 	if _, err := RunAtom(context.Background(), fakeOps{}, atom, AtomInputs{}); err == nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 
 	"rheem/internal/core/channel"
 	"rheem/internal/core/physical"
@@ -27,12 +28,29 @@ type DatasetOps interface {
 // RunAtom executes a compute atom's operators in order, tracking
 // intermediate native datasets, and exports the exits. It returns the
 // exit channels keyed by physical operator id.
-func RunAtom(ctx context.Context, d DatasetOps, atom *TaskAtom, inputs AtomInputs) (map[int]*channel.Channel, error) {
+//
+// A panic anywhere below it — a UDF indexing past its record, a kernel
+// bug, on any platform — is recovered here, once per atom, and returned
+// as a Fatal error carrying the operator that was running and the stack:
+// atoms run on scheduler goroutines, where an unrecovered panic would
+// take down the process and every other job in it. It is deterministic
+// like any operator error, so it is never retried or failed over. The
+// operator named is the one executing when the panic surfaced; where a
+// platform evaluates lazily that is the operator (or exit) that forced
+// the work, and the stack shows the stage that failed.
+func RunAtom(ctx context.Context, d DatasetOps, atom *TaskAtom, inputs AtomInputs) (exits map[int]*channel.Channel, err error) {
 	if atom.Kind != AtomCompute {
 		return nil, fmt.Errorf("engine: RunAtom on %v atom", atom.Kind)
 	}
+	var running *physical.Operator
+	defer func() {
+		if r := recover(); r != nil {
+			exits, err = nil, Fatal(fmt.Errorf("engine: atom#%d: %s panicked: %v\n%s", atom.ID, running.Name(), r, debug.Stack()))
+		}
+	}()
 	native := make(map[int]any, len(atom.Ops))
 	for _, op := range atom.Ops {
+		running = op
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -68,8 +86,9 @@ func RunAtom(ctx context.Context, d DatasetOps, atom *TaskAtom, inputs AtomInput
 		}
 		native[op.ID] = out
 	}
-	exits := make(map[int]*channel.Channel, len(atom.Exits))
+	exits = make(map[int]*channel.Channel, len(atom.Exits))
 	for _, ex := range atom.Exits {
+		running = ex
 		ds, ok := native[ex.ID]
 		if !ok {
 			return nil, fmt.Errorf("engine: atom#%d: exit %s never executed", atom.ID, ex.Name())

@@ -1,12 +1,23 @@
-// Vectorized execution operators: columnar kernels for the hot-path
-// operator shapes (filter, projection, global aggregate). A hinted
-// operator always runs here: over a batch.Batch handed in from outside
-// the atom, or over the rows an operator of its own atom produced,
-// transposed once on the way in. Each kernel is the column form of the
-// same declarative spec that generated the operator's row UDF
-// (plan.ColumnPredicate / ColProject / ColumnAggregate), so it computes
-// what the UDF computes — the conformance battery checks byte-identity
-// under the canonical encoding against the plan built from the UDFs.
+// Vectorized execution operators: a hinted chain (filter, projection,
+// global aggregate) inside an atom is one lazy pipeline, run
+// vector-at-a-time. ExecOp on a hinted filter or projection computes
+// nothing: it appends a stage to a pipeline value, and whatever consumes
+// that value forces it — a hinted aggregate folds it, the row code asks
+// for rows, ToChannel for the dataset in its source's form. Forcing
+// walks the source in windows of a fixed number of rows: transpose only
+// the columns the stages read into buffers that live for the one
+// forcing, evaluate each filter into a selection vector the later stages
+// read through, and finish the window before starting the next, so no
+// full-length intermediate is ever built.
+//
+// Each stage is the column form of the same declarative spec that
+// generated the operator's row UDF (plan.ColumnPredicate / ColProject /
+// ColumnAggregate), so it computes what the UDF computes — the
+// conformance battery checks byte-identity under the canonical encoding
+// against the plan built from the UDFs. A window without a column form
+// (ragged records, a field index outside them) runs through the stages'
+// own row UDFs, which stay the semantic ground truth and reproduce the
+// UDF's panic where that is the contract.
 //
 // The typed loops below express every comparison through < and > only,
 // exactly like plan.CompareValues, so NaN ordering ("keep-left")
@@ -16,7 +27,9 @@ package javaengine
 
 import (
 	"cmp"
+	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"rheem/internal/core/algo"
@@ -26,338 +39,605 @@ import (
 	"rheem/internal/data"
 )
 
-// view is a columnar dataset inside an atom. A nil src is a whole
-// batch. Otherwise b holds only the columns the rest of the atom reads
-// of a wider dataset, and column j of b is that dataset's column
-// src[j]; such a view is only ever handed to the hinted filters and
-// projections readBelow found, never to the row code or a channel.
-type view struct {
-	b   *batch.Batch
-	src []int
+// window is how many rows a forced pipeline handles at a time: one
+// int64 column of it is 32 KB and its selection vector 16 KB, so a
+// window's working set stays cache-resident from the transposition to
+// the fold. It is a constant, not an option: results do not depend on
+// it, and no workload has been shown to want another value.
+const window = 4096
+
+// pipeline is a lazy hinted chain: a source — rows an operator of the
+// same atom produced, or a columnar batch from a channel — plus the
+// hinted filters and projections appended so far. A pipeline has one
+// reader (execHinted evaluates a chain read more than once where it is
+// produced), which either appends to it or forces it.
+type pipeline struct {
+	ctx    context.Context // the producing ExecOp's: forcing happens where no context is passed
+	rows   []data.Record
+	cols   *batch.Batch // the source when rows is nil
+	stages []stage
+	// proj maps the columns of the chain's output so far to the source's;
+	// nil is the identity (no projection yet).
+	proj []int
+	// maxCol is the highest source column a stage names; a rows window
+	// no wider than that has no column form and runs through the row
+	// UDFs, which panic as the UDF twin does the moment a row reaches the
+	// stage. An index outside what an earlier projection kept maps to
+	// outside, so that no window is wide enough.
+	maxCol int
+
+	done bool // forced: out and err are final
+	out  any
+	err  error
 }
 
-// pos returns where the dataset's column c sits in v.b, or -1.
-func (v view) pos(c int) int {
-	if v.src != nil {
-		return slices.Index(v.src, c)
-	}
-	if c < 0 || c >= v.b.NumCols() {
-		return -1
-	}
-	return c
+// stage is one hinted filter or projection of a pipeline.
+type stage struct {
+	op  *plan.Operator
+	col int // a filter's field as a source column
 }
 
-// columns returns ds in column form; ok=false means it has none (ragged
-// records, a row-backed batch). Rows are transposed here: whole, or —
-// when reads lists every column anything will read of them and all of
-// those exist — only the columns in reads.
-func columns(ds any, reads []int) (v view, ok bool) {
-	switch ds := ds.(type) {
-	case view:
-		return ds, true
-	case *batch.Batch:
-		return view{b: ds}, ds.Columnar()
-	}
-	recs := ds.([]data.Record)
-	if len(recs) > 0 && len(reads) > 0 {
-		src := slices.Clone(reads)
-		slices.Sort(src)
-		src = slices.Compact(src)
-		if src[0] >= 0 && src[len(src)-1] < recs[0].Len() {
-			b := batch.FromRecords(recs, src...)
-			return view{b: b, src: src}, b.Columnar()
+// asPipeline starts a pipeline over ds, or continues the one ds is.
+func asPipeline(ctx context.Context, ds any) *pipeline {
+	if p, ok := ds.(*pipeline); ok {
+		if !p.done {
+			return p
 		}
+		ds = p.out
 	}
-	b := batch.FromRecords(recs)
-	return view{b: b}, b.Columnar()
+	p := &pipeline{ctx: ctx, maxCol: -1}
+	if b, ok := ds.(*batch.Batch); ok && b.Columnar() {
+		p.cols = b
+	} else if ok {
+		p.rows = b.Rows()
+	} else {
+		p.rows, _ = ds.([]data.Record)
+	}
+	return p
 }
 
-// readBelow lists the columns of op's output that the rest of the atom
-// reads, where that can be known: the output stays inside the atom and
-// every consumer is a hinted projection, or a hinted filter whose own
-// output is read that way. nil means all of them.
-func (d *datasetOps) readBelow(op *physical.Operator) []int {
-	if d.atom == nil || slices.Contains(d.atom.Exits, op) {
-		return nil
-	}
-	var cols []int
-	for _, c := range d.atom.Ops {
-		if !slices.Contains(c.Inputs, op) {
-			continue
-		}
-		switch lop := c.Logical; {
-		case lop != nil && lop.Kind() == plan.KindMap && lop.ColProject != nil:
-			cols = append(cols, lop.ColProject...)
-		case lop != nil && lop.Kind() == plan.KindFilter && lop.ColPred != nil:
-			below := d.readBelow(c)
-			if below == nil {
-				return nil
-			}
-			cols = append(append(cols, lop.ColPred.Field), below...)
-		default:
-			return nil
-		}
-	}
-	return cols
-}
+const outside = math.MaxInt32
 
-// execColumnar runs op on a columnar kernel when it carries a column
-// hint and its input has a column form. handled=false sends the
-// operator to the row code, which stays the semantic ground truth: an
-// un-hinted UDF, ragged input, or a field index outside the input
-// (where the UDF's own panic is the contract).
-func (d *datasetOps) execColumnar(op *physical.Operator, inputs []any) (out any, handled bool, err error) {
-	lop := op.Logical
-	if lop == nil {
-		return nil, false, nil
-	}
-	switch lop.Kind() {
-	case plan.KindFilter:
-		if lop.ColPred == nil {
-			return nil, false, nil
-		}
-		var reads []int
-		if below := d.readBelow(op); below != nil {
-			reads = append(below, lop.ColPred.Field)
-		}
-		v, ok := columns(inputs[0], reads)
-		field := v.pos(lop.ColPred.Field)
-		if !ok || field < 0 {
-			return nil, false, nil
-		}
-		res := filterBatch(v.b, field, lop.ColPred)
-		if v.src != nil {
-			return view{b: res, src: v.src}, true, nil
-		}
-		return res, true, nil
-	case plan.KindMap:
-		if lop.ColProject == nil {
-			return nil, false, nil
-		}
-		v, ok := columns(inputs[0], lop.ColProject)
-		if !ok {
-			return nil, false, nil
-		}
-		idx := make([]int, len(lop.ColProject))
-		for i, c := range lop.ColProject {
-			if idx[i] = v.pos(c); idx[i] < 0 {
-				return nil, false, nil // row code reproduces Record.Project's panic
-			}
-		}
-		return v.b.Project(idx...), true, nil
-	case plan.KindReduce:
-		if lop.ColAgg == nil {
-			return nil, false, nil
-		}
-		v, ok := columns(inputs[0], nil)
-		if !ok {
-			return nil, false, nil
-		}
-		res, err := aggregateBatch(v.b, lop.ColAgg)
-		return res, true, err
-	default:
-		return nil, false, nil
-	}
-}
-
-// filterBatch evaluates the predicate over column field, collecting the
-// indices of matching rows and gathering them into a fresh batch. When
-// every row matches, the input batch is returned unchanged (zero-copy).
-func filterBatch(b *batch.Batch, field int, p *plan.ColumnPredicate) *batch.Batch {
-	n := b.Len()
-	if n == 0 {
-		return b
-	}
-	sel := selectRows(b, field, p)
-	if len(sel) == n {
-		return b
-	}
-	return gather(b, sel)
-}
-
-// selectRows returns the indices of rows matching the predicate, in
-// order. Typed columns whose kind matches the operand take a tight
-// unboxed loop; everything else goes through the generic value path,
-// which applies the exact row-UDF semantics (plan.ColumnPredicate.Match).
-func selectRows(b *batch.Batch, field int, p *plan.ColumnPredicate) []int32 {
-	col, off := b.Col(field), b.Off()
-	sel := make([]int32, 0, b.Len())
+// source maps column j of the chain's output so far to a source column.
+func (p *pipeline) source(j int) int {
 	switch {
-	case col.Kind == batch.ColInt64 && p.Operand.Kind() == data.KindInt:
-		return selectOrdered(sel, col.Int64s, p.Operand.Int(), p.Op, col.Valid, off)
-	case col.Kind == batch.ColFloat64 && p.Operand.Kind() == data.KindFloat:
-		return selectOrdered(sel, col.Float64s, p.Operand.Float(), p.Op, col.Valid, off)
-	case col.Kind == batch.ColString && p.Operand.Kind() == data.KindString:
-		return selectOrdered(sel, col.Strings, p.Operand.Str(), p.Op, col.Valid, off)
+	case j >= 0 && p.proj == nil:
+		return j
+	case j >= 0 && j < len(p.proj):
+		return p.proj[j]
 	}
-	for i := 0; i < b.Len(); i++ {
-		if p.Match(col.Value(off, i)) {
-			sel = append(sel, int32(i))
-		}
-	}
-	return sel
+	return outside
 }
 
-// selectOrdered is the typed selection loop: nulls never match.
-func selectOrdered[T cmp.Ordered](sel []int32, vals []T, k T, op plan.CompareOp, valid *algo.Bitset, off int) []int32 {
-	for i, v := range vals {
-		if (valid == nil || valid.Get(off+i)) && cmpMatch(op, v < k, v > k) {
-			sel = append(sel, int32(i))
-		}
+// push appends a hinted filter or projection. A batch too narrow for it
+// is turned into rows: the row UDFs are what will run.
+func (p *pipeline) push(lop *plan.Operator) {
+	if p.stages == nil {
+		p.stages = make([]stage, 0, 4)
 	}
-	return sel
+	st := stage{op: lop}
+	if pred := lop.ColPred; pred != nil {
+		st.col = p.source(pred.Field)
+		p.maxCol = max(p.maxCol, st.col)
+	} else {
+		proj := make([]int, len(lop.ColProject))
+		for i, j := range lop.ColProject {
+			proj[i] = p.source(j)
+			p.maxCol = max(p.maxCol, proj[i])
+		}
+		p.proj = proj
+	}
+	if p.cols != nil && p.maxCol >= p.cols.NumCols() {
+		p.rows, p.cols = p.cols.ToRecords(), nil
+	}
+	p.stages = append(p.stages, st)
 }
 
-// cmpMatch decides a comparison from the two primitive orderings
-// (less, greater) alone — ≤, ≥, == and != are derived by negation, the
-// formulation that keeps NaN semantics identical to plan.CompareValues.
-func cmpMatch(op plan.CompareOp, less, greater bool) bool {
-	switch op {
-	case plan.Less:
-		return less
-	case plan.LessEq:
-		return !greater
-	case plan.Greater:
-		return greater
-	case plan.GreaterEq:
-		return !less
-	case plan.Eq:
-		return !less && !greater
-	case plan.NotEq:
-		return less || greater
-	default:
+// reads lists the source columns a forcing loads: the filters' fields
+// and, when the consumer reads the output's values, the columns the
+// output is made of — every column (all) when nothing projected.
+func (p *pipeline) reads(values bool) (cols []int, all bool) {
+	if values && p.proj == nil {
+		return nil, true
+	}
+	cols = make([]int, 0, len(p.stages)+len(p.proj))
+	for _, st := range p.stages {
+		if st.op.ColPred != nil {
+			cols = append(cols, st.col)
+		}
+	}
+	if values {
+		cols = append(cols, p.proj...)
+	}
+	slices.Sort(cols)
+	return slices.Compact(cols), false
+}
+
+// win is one window of a forcing in column form: rows [base, base+n) of
+// the source, addressed 0 … n-1. A rows source's columns are transposed
+// into storage the forcing keeps; a batch source's are views.
+type win struct {
+	cols  []batch.Column // by source column; only the read set is loaded
+	reads []int
+	all   bool // reads is every column of the window, however wide
+	off   int  // validity offset of row 0
+	base  int
+	n     int
+	width int // columns in the chain's output
+}
+
+// out returns column j of the output of p, the pipeline being forced.
+func (w *win) out(p *pipeline, j int) *batch.Column { return &w.cols[p.source(j)] }
+
+// load puts source rows [lo, hi) into w; false means they have no column
+// form, which only rows can lack.
+func (p *pipeline) load(w *win, lo, hi int) bool {
+	width := 0
+	if p.cols != nil {
+		width, w.off = p.cols.NumCols(), p.cols.Off()+lo
+	} else if wd, ok := batch.Width(p.rows[lo:hi]); ok && wd > p.maxCol {
+		width = wd
+	} else {
 		return false
 	}
-}
-
-// take copies the selected elements of src, in selection order.
-func take[T any](src []T, sel []int32) []T {
-	out := make([]T, len(sel))
-	for j, i := range sel {
-		out[j] = src[i]
+	if w.base, w.n, w.width = lo, hi-lo, len(p.proj); p.proj == nil {
+		w.width = width
 	}
-	return out
+	if w.all {
+		for c := len(w.reads); c < width; c++ {
+			w.reads = append(w.reads, c)
+		}
+	}
+	if need := max(p.maxCol+1, len(w.reads)); len(w.cols) < need {
+		w.cols = append(w.cols, make([]batch.Column, need-len(w.cols))...)
+	}
+	for _, c := range w.reads {
+		if c >= width {
+			break // all, over a window narrower than an earlier one
+		}
+		if p.cols != nil {
+			w.cols[c] = p.cols.Col(c).Slice(lo, hi)
+		} else {
+			w.cols[c].Fill(p.rows[lo:hi], c)
+		}
+	}
+	return true
 }
 
-// gather builds a new batch holding the selected rows of b, column by
-// column. Validity bitmaps are rebuilt densely (offset zero).
-func gather(b *batch.Batch, sel []int32) *batch.Batch {
-	n := len(sel)
-	off := b.Off()
-	cols := make([]batch.Column, b.NumCols())
-	for c := range cols {
-		src := b.Col(c)
-		dst := batch.Column{Kind: src.Kind}
+// run forces the pipeline: it walks the source window by window, hands
+// columns the window in column form with the rows surviving the filters
+// in sel (ascending; the slice is reused), and a window that has no
+// column form to rows after running it through the stages' row UDFs.
+// values says whether columns reads the output's values or only which
+// rows survived.
+func (p *pipeline) run(values bool, columns func(w *win, sel []int32) error, rows func([]data.Record) error) error {
+	n := len(p.rows)
+	if p.cols != nil {
+		n = p.cols.Len()
+	}
+	var w win
+	w.reads, w.all = p.reads(values)
+	// Every row of a window, and the rows that survive its filters.
+	whole, buf := identity(min(window, n)), make([]int32, min(window, n))
+	for lo := 0; lo < n; lo += window {
+		if err := p.ctx.Err(); err != nil {
+			return err
+		}
+		hi := min(lo+window, n)
+		if !p.load(&w, lo, hi) {
+			recs, err := p.rowWindow(p.rows[lo:hi])
+			if err == nil {
+				err = rows(recs)
+			}
+			if err != nil {
+				return err
+			}
+			continue
+		}
+		sel := whole[:w.n]
+		for _, st := range p.stages {
+			if st.op.ColPred != nil {
+				sel = selectRows(buf, sel, &w.cols[st.col], w.off, st.op.ColPred)
+			}
+		}
+		if err := columns(&w, sel); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// identity returns the selection of every row of an n-row window.
+func identity(n int) []int32 {
+	sel := make([]int32, n)
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	return sel
+}
+
+// rowWindow runs a window of source rows through the stages' row UDFs,
+// one stage over the whole window at a time as the row code would.
+func (p *pipeline) rowWindow(recs []data.Record) (_ []data.Record, err error) {
+	recs = slices.Clone(recs)
+	for _, st := range p.stages {
+		if st.op.ColPred != nil {
+			recs, err = filterRows(recs[:0], recs, st.op.Filter)
+		} else {
+			recs, err = mapRows(recs[:0], recs, st.op.Map)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return recs, nil
+}
+
+// force evaluates the pipeline into a dataset of its source's form: rows
+// from rows — the original records when nothing projected, as the row
+// filter returns them — and a batch from a batch, the source itself or
+// a zero-copy projection of it when every row survived. The result is
+// memoised.
+func (p *pipeline) force() (any, error) {
+	if !p.done {
+		if p.cols != nil {
+			p.out, p.err = p.gather()
+		} else {
+			p.out, p.err = p.records()
+		}
+		p.done = true
+	}
+	return p.out, p.err
+}
+
+// records forces the pipeline into rows. Projected rows, and rows out of
+// a batch, are cut from one []data.Value slab per window.
+func (p *pipeline) records() ([]data.Record, error) {
+	var out []data.Record
+	original := p.cols == nil && p.proj == nil
+	err := p.run(!original, func(w *win, sel []int32) error {
+		if original {
+			for _, i := range sel {
+				out = append(out, p.rows[w.base+int(i)])
+			}
+			return nil
+		}
+		slab := make([]data.Value, len(sel)*w.width)
+		for k, i := range sel {
+			row := slab[k*w.width : (k+1)*w.width : (k+1)*w.width]
+			for j := range row {
+				row[j] = w.out(p, j).Value(w.off, int(i))
+			}
+			out = append(out, data.NewRecord(row...))
+		}
+		return nil
+	}, func(recs []data.Record) error {
+		out = append(out, recs...)
+		return nil
+	})
+	return out, err
+}
+
+// gather forces a pipeline over a columnar batch into a batch, appending
+// each window's survivors to the output columns. Nothing is copied while
+// every row survives.
+func (p *pipeline) gather() (*batch.Batch, error) {
+	var cols []batch.Column
+	n := 0
+	err := p.run(true, func(w *win, sel []int32) error {
+		if cols == nil {
+			if len(sel) == w.n {
+				return nil
+			}
+			// The first row dropped: catch up on the windows that passed whole.
+			cols = make([]batch.Column, w.width)
+			passed := win{reads: w.reads}
+			p.load(&passed, 0, w.base)
+			n = p.appendRows(cols, &passed, identity(w.base), n)
+		}
+		n = p.appendRows(cols, w, sel, n)
+		return nil
+	}, nil)
+	switch {
+	case err != nil:
+		return nil, err
+	case cols == nil && p.proj == nil:
+		return p.cols, nil
+	case cols == nil:
+		return p.cols.Project(p.proj...), nil
+	}
+	return batch.New(n, cols)
+}
+
+// appendRows appends the selected rows to the output columns, which hold
+// n rows, and returns the new row count. Validity bitmaps are rebuilt
+// densely (offset zero), sized for the whole source.
+func (p *pipeline) appendRows(cols []batch.Column, w *win, sel []int32, n int) int {
+	for j := range cols {
+		src, dst := w.out(p, j), &cols[j]
+		dst.Kind = src.Kind
 		if src.Kind != batch.ColAny && src.Valid != nil {
-			dst.Valid = algo.NewBitset(n)
-			for j, i := range sel {
-				if src.Valid.Get(off + int(i)) {
-					dst.Valid.Set(j)
+			if dst.Valid == nil {
+				dst.Valid = algo.NewBitset(p.cols.Len())
+			}
+			for k, i := range sel {
+				if src.Valid.Get(w.off + int(i)) {
+					dst.Valid.Set(n + k)
 				}
 			}
 		}
 		switch src.Kind {
 		case batch.ColInt64:
-			dst.Int64s = take(src.Int64s, sel)
+			dst.Int64s = take(dst.Int64s, src.Int64s, sel)
 		case batch.ColFloat64:
-			dst.Float64s = take(src.Float64s, sel)
+			dst.Float64s = take(dst.Float64s, src.Float64s, sel)
 		case batch.ColString:
-			dst.Strings = take(src.Strings, sel)
+			dst.Strings = take(dst.Strings, src.Strings, sel)
 		case batch.ColBool:
-			dst.Bools = take(src.Bools, sel)
+			dst.Bools = take(dst.Bools, src.Bools, sel)
 		default:
-			dst.Any = take(src.Any, sel)
+			dst.Any = take(dst.Any, src.Any, sel)
 		}
-		cols[c] = dst
 	}
-	nb, err := batch.New(n, cols)
-	if err != nil {
-		panic(fmt.Sprintf("javaengine: gather built inconsistent batch: %v", err))
-	}
-	return nb
+	return n + len(sel)
 }
 
-// aggregateBatch folds each column under its AggFn, mirroring
-// algo.Reduce exactly: empty input yields empty output, a single row
-// comes back unfolded, and a column-count mismatch surfaces the same
-// arity error the row-path ReduceFunc raises.
-func aggregateBatch(b *batch.Batch, agg *plan.ColumnAggregate) ([]data.Record, error) {
-	n := b.Len()
-	if n == 0 {
-		return nil, nil
+// take appends the selected elements of src to dst, in selection order.
+func take[T any](dst, src []T, sel []int32) []T {
+	for _, i := range sel {
+		dst = append(dst, src[i])
 	}
-	if n == 1 {
-		return b.ToRecords(), nil
-	}
-	if b.NumCols() != len(agg.Fns) {
-		// Same shape check (and message) the row fold applies per pair.
-		return nil, fmt.Errorf("algo: reduce: plan: column aggregate over %d fields folding %d/%d-field records",
-			len(agg.Fns), b.NumCols(), b.NumCols())
-	}
-	out := make([]data.Value, len(agg.Fns))
-	for c, fn := range agg.Fns {
-		v, err := foldColumn(b, c, fn)
-		if err != nil {
-			return nil, fmt.Errorf("algo: reduce: %w", err)
-		}
-		out[c] = v
-	}
-	return []data.Record{data.NewRecord(out...)}, nil
+	return dst
 }
 
-// foldColumn folds one column under fn. Typed all-valid columns take
-// unboxed loops; anything else folds materialised values pairwise via
-// AggFn.Fold, which is the row semantics verbatim (including the error
-// on summing nulls or mixed kinds).
-func foldColumn(b *batch.Batch, c int, fn plan.AggFn) (data.Value, error) {
-	col, off := b.Col(c), b.Off()
-	if fn == plan.AggFirst {
-		return col.Value(off, 0), nil
+// shared reports whether op's output is read more than once — by
+// several operators of the atom, or by one and the atom's exit.
+func (d *datasetOps) shared(op *physical.Operator) bool {
+	if d.atom == nil {
+		return false
 	}
-	if col.Valid == nil {
-		switch col.Kind {
-		case batch.ColInt64:
-			return data.Int(foldOrdered(col.Int64s, fn)), nil
-		case batch.ColFloat64:
-			return data.Float(foldOrdered(col.Float64s, fn)), nil
-		case batch.ColString:
-			if fn == plan.AggSum {
-				return data.Null(), fmt.Errorf("plan: cannot sum string and string values")
+	n := 0
+	if slices.Contains(d.atom.Exits, op) {
+		n++
+	}
+	for _, c := range d.atom.Ops {
+		for _, in := range c.Inputs {
+			if in == op {
+				n++
 			}
-			return data.Str(foldOrdered(col.Strings, fn)), nil
 		}
 	}
-	// Generic pairwise fold over materialised values.
-	acc := col.Value(off, 0)
-	for i := 1; i < b.Len(); i++ {
-		v, err := fn.Fold(acc, col.Value(off, i))
-		if err != nil {
-			return data.Null(), err
-		}
-		acc = v
-	}
-	return acc, nil
+	return n > 1
 }
 
-// foldOrdered is the typed fold, left to right like algo.Reduce so even
-// float sums reproduce. CompareValues(v, acc) < 0 ⇔ v < acc and a NaN
-// keeps the accumulator, so plain < and > match AggFn.Fold exactly.
-func foldOrdered[T cmp.Ordered](vals []T, fn plan.AggFn) T {
-	acc := vals[0]
+// hinted reports whether the operator carries the column hint of its
+// kind.
+func hinted(lop *plan.Operator) bool {
+	if lop == nil {
+		return false
+	}
+	switch lop.Kind() {
+	case plan.KindFilter:
+		return lop.ColPred != nil
+	case plan.KindMap:
+		return lop.ColProject != nil
+	case plan.KindReduce:
+		return lop.ColAgg != nil
+	}
+	return false
+}
+
+// execHinted handles an operator that carries a column hint: a filter
+// or projection becomes a stage of its input's pipeline, an aggregate
+// folds it. handled=false sends an un-hinted operator to the row code.
+func (d *datasetOps) execHinted(ctx context.Context, op *physical.Operator, inputs []any) (out any, handled bool, err error) {
+	if !hinted(op.Logical) {
+		return nil, false, nil
+	}
+	p := asPipeline(ctx, inputs[0])
+	if agg := op.Logical.ColAgg; agg != nil {
+		out, err = p.fold(agg.Fns)
+		return out, true, err
+	}
+	p.push(op.Logical)
+	if d.shared(op) {
+		// Several readers: evaluate the chain here, once, and hand each
+		// of them the result.
+		out, err = p.force()
+		return out, true, err
+	}
+	return p, true, nil
+}
+
+// selectRows evaluates the predicate over the rows of col listed in in
+// and returns the survivors, in order, in dst's storage (in place when
+// the two are one slice). Typed columns whose kind matches the operand
+// take a tight unboxed loop; everything else goes through the generic
+// value path, which applies the exact row-UDF semantics
+// (plan.ColumnPredicate.Match).
+func selectRows(dst, in []int32, col *batch.Column, off int, p *plan.ColumnPredicate) []int32 {
+	switch {
+	case col.Kind == batch.ColInt64 && p.Operand.Kind() == data.KindInt:
+		return selectOrdered(dst, in, col.Int64s, p.Operand.Int(), p.Op, col.Valid, off)
+	case col.Kind == batch.ColFloat64 && p.Operand.Kind() == data.KindFloat:
+		return selectOrdered(dst, in, col.Float64s, p.Operand.Float(), p.Op, col.Valid, off)
+	case col.Kind == batch.ColString && p.Operand.Kind() == data.KindString:
+		return selectOrdered(dst, in, col.Strings, p.Operand.Str(), p.Op, col.Valid, off)
+	}
+	n := 0
+	for _, i := range in {
+		if p.Match(col.Value(off, int(i))) {
+			dst[n] = i
+			n++
+		}
+	}
+	return dst[:n]
+}
+
+// selectOrdered is the typed selection loop: nulls never match. It
+// stores every candidate and advances past the ones that match, so a
+// predicate that keeps half the rows at random costs no mispredicted
+// branches. keep tabulates the comparison by how a value stands to the
+// operand — less, neither, greater — from the two primitive orderings
+// alone; "neither" is equal or, with a NaN on either side, unordered,
+// which ≤, ≥ and == keep: the formulation that makes NaN semantics
+// identical to plan.CompareValues.
+func selectOrdered[T cmp.Ordered](dst, in []int32, vals []T, k T, op plan.CompareOp, valid *algo.Bitset, off int) []int32 {
+	zero := data.Int(0)
+	keep := [3]int{b2i(op.Eval(data.Int(-1), zero)), b2i(op.Eval(zero, zero)), b2i(op.Eval(data.Int(1), zero))}
+	n := 0
+	for _, i := range in {
+		v := vals[i]
+		dst[n] = i
+		m := keep[1+b2i(v > k)-b2i(v < k)]
+		if valid != nil && !valid.Get(off+int(i)) {
+			m = 0
+		}
+		n += m
+	}
+	return dst[:n]
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// folder is a hinted aggregate's running state, mirroring algo.Reduce
+// over the UDF twin exactly: no row yields no output, a single row comes
+// back unfolded, and every later row is folded into the accumulator left
+// to right. There is one accumulator for the whole input — each window
+// seeds its loops with it, never folds on its own to be combined later —
+// which is what keeps float sums, NaN "keep-left" and AggFirst
+// bit-identical across window boundaries.
+type folder struct {
+	fns  []plan.AggFn
+	acc  []data.Value // the first surviving row, then the fold
+	n    int          // surviving rows so far
+	slow []int        // scratch: the columns of a window no typed loop covers
+}
+
+// fold forces the pipeline through the aggregate.
+func (p *pipeline) fold(fns []plan.AggFn) ([]data.Record, error) {
+	f := folder{fns: fns}
+	err := p.run(true, func(w *win, sel []int32) error {
+		return f.columns(p, w, sel)
+	}, func(recs []data.Record) error {
+		for _, r := range recs {
+			if err := f.add(r.Fields()); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil || f.n == 0 {
+		return nil, err
+	}
+	return []data.Record{data.NewRecord(f.acc...)}, nil
+}
+
+// arity is the shape check (and message) the row fold applies per pair.
+func (f *folder) arity(width int) error {
+	if len(f.acc) != len(f.fns) || width != len(f.fns) {
+		return fmt.Errorf("algo: reduce: plan: column aggregate over %d fields folding %d/%d-field records",
+			len(f.fns), len(f.acc), width)
+	}
+	return nil
+}
+
+// add folds one row under AggFn.Fold — the row semantics verbatim,
+// including the error on summing nulls or mixed kinds.
+func (f *folder) add(row []data.Value) error {
+	f.n++
+	if f.n == 1 {
+		f.acc = slices.Clone(row)
+		return nil
+	}
+	if err := f.arity(len(row)); err != nil {
+		return err
+	}
+	for j, fn := range f.fns {
+		v, err := fn.Fold(f.acc[j], row[j])
+		if err != nil {
+			return fmt.Errorf("algo: reduce: %w", err)
+		}
+		f.acc[j] = v
+	}
+	return nil
+}
+
+// columns folds the selected rows of a window. A typed all-valid column
+// whose kind is the accumulator's takes an unboxed loop seeded with the
+// accumulator; the columns left over fold their materialised values row
+// by row, so the first error is the one the row fold would hit (the
+// typed loops cannot fail).
+func (f *folder) columns(p *pipeline, w *win, sel []int32) error {
+	if len(sel) == 0 {
+		return nil
+	}
+	if f.n == 0 {
+		f.n, f.acc = 1, make([]data.Value, w.width)
+		for j := range f.acc {
+			f.acc[j] = w.out(p, j).Value(w.off, int(sel[0]))
+		}
+		if sel = sel[1:]; len(sel) == 0 {
+			return nil
+		}
+	}
+	if err := f.arity(w.width); err != nil {
+		return err
+	}
+	f.slow = f.slow[:0]
+	for j, fn := range f.fns {
+		col, acc := w.out(p, j), &f.acc[j]
+		switch {
+		case fn == plan.AggFirst:
+		case col.Valid != nil || fn > plan.AggMax:
+			f.slow = append(f.slow, j)
+		case col.Kind == batch.ColInt64 && acc.Kind() == data.KindInt:
+			*acc = data.Int(foldOrdered(acc.Int(), col.Int64s, sel, fn))
+		case col.Kind == batch.ColFloat64 && acc.Kind() == data.KindFloat:
+			*acc = data.Float(foldOrdered(acc.Float(), col.Float64s, sel, fn))
+		case col.Kind == batch.ColString && acc.Kind() == data.KindString && fn != plan.AggSum:
+			*acc = data.Str(foldOrdered(acc.Str(), col.Strings, sel, fn))
+		default:
+			f.slow = append(f.slow, j)
+		}
+	}
+	f.n += len(sel)
+	for _, i := range sel {
+		for _, j := range f.slow {
+			v, err := f.fns[j].Fold(f.acc[j], w.out(p, j).Value(w.off, int(i)))
+			if err != nil {
+				return fmt.Errorf("algo: reduce: %w", err)
+			}
+			f.acc[j] = v
+		}
+	}
+	return nil
+}
+
+// foldOrdered is the typed fold of the selected values into acc, left
+// to right like algo.Reduce so even float sums reproduce.
+// CompareValues(v, acc) < 0 ⇔ v < acc and a NaN keeps the accumulator,
+// so plain < and > match AggFn.Fold exactly.
+func foldOrdered[T cmp.Ordered](acc T, vals []T, sel []int32, fn plan.AggFn) T {
 	switch fn {
 	case plan.AggSum:
-		for _, v := range vals[1:] {
-			acc += v
+		for _, i := range sel {
+			acc += vals[i]
 		}
 	case plan.AggMin:
-		for _, v := range vals[1:] {
-			if v < acc {
+		for _, i := range sel {
+			if v := vals[i]; v < acc {
 				acc = v
 			}
 		}
 	case plan.AggMax:
-		for _, v := range vals[1:] {
-			if v > acc {
+		for _, i := range sel {
+			if v := vals[i]; v > acc {
 				acc = v
 			}
 		}

@@ -37,7 +37,7 @@ func buildHinted(t *testing.T, op plan.CompareOp, operand data.Value) (*plan.Ope
 	src := b.Source("s", plan.Collection(nil))
 	f := b.FilterWhere(src, 0, op, operand)
 	p := b.ProjectCols(f, 1, 0)
-	a := b.AggregateCols(p, plan.AggSum, plan.AggMax)
+	a := b.AggregateCols(p, plan.AggMax, plan.AggSum)
 	b.Collect(a)
 	b.MustBuild()
 	return f, p, a
@@ -53,15 +53,21 @@ func encodeRecs(t *testing.T, recs []data.Record) []byte {
 	return buf.Bytes()
 }
 
-// execOp runs one operator outside an atom, turning a panic into an
-// error so a UDF's index panic can be compared like any other failure.
+// execOp runs one operator outside an atom — forcing the pipeline a
+// hinted filter or projection returns, as its consumer would — and turns
+// a panic into an error so a UDF's index panic can be compared like any
+// other failure.
 func execOp(lop *plan.Operator, in any) (out any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	return (&datasetOps{}).ExecOp(context.Background(), physOp(lop), []any{in})
+	out, err = (&datasetOps{}).ExecOp(context.Background(), physOp(lop), []any{in})
+	if p, ok := out.(*pipeline); ok && err == nil {
+		out, err = p.force()
+	}
+	return out, err
 }
 
 // runBoth executes the hinted operator — over rows, the shape an
@@ -278,61 +284,92 @@ func TestHintedAggregateMatchesUDF(t *testing.T) {
 	}
 }
 
-// TestHintedKernelsActuallyVectorize guards against silent fallback:
-// hinted operators must be handled by execColumnar whether they are
-// handed a batch or rows, and only ragged input or a missing hint may
-// send them to the row code.
+// countUDFs wraps the row UDFs of hinted operators so a test can tell
+// whether the row code ran: the returned counter is the number of UDF
+// calls so far.
+func countUDFs(lops ...*plan.Operator) *int {
+	calls := new(int)
+	for _, lop := range lops {
+		if f := lop.Filter; f != nil {
+			lop.Filter = func(r data.Record) (bool, error) { *calls++; return f(r) }
+		}
+		if f := lop.Map; f != nil {
+			lop.Map = func(r data.Record) (data.Record, error) { *calls++; return f(r) }
+		}
+		if f := lop.Reduce; f != nil {
+			lop.Reduce = func(a, b data.Record) (data.Record, error) { *calls++; return f(a, b) }
+		}
+	}
+	return calls
+}
+
+// TestHintedKernelsActuallyVectorize guards against silent fallback: a
+// hinted chain handed a batch or rows must never call its row UDFs, a
+// filter that keeps every row and a projection must not copy a batch's
+// columns, and only ragged input or a missing hint may reach the UDFs.
 func TestHintedKernelsActuallyVectorize(t *testing.T) {
 	recs := []data.Record{
 		data.NewRecord(data.Int(1), data.Str("a")),
 		data.NewRecord(data.Int(2), data.Str("b")),
 	}
+	ctx := context.Background()
 	d := &datasetOps{}
+	exec := func(lop *plan.Operator, in any) any {
+		t.Helper()
+		out, err := d.ExecOp(ctx, physOp(lop), []any{in})
+		if err != nil {
+			t.Fatalf("%s: %v", lop.Kind(), err)
+		}
+		return out
+	}
 	f, p, a := buildHinted(t, plan.Less, data.Int(10))
+	calls := countUDFs(f, p, a)
 	in := batch.FromRecords(recs)
-	out, handled, err := d.execColumnar(physOp(f), []any{in})
-	if err != nil || !handled {
-		t.Fatalf("filter not handled: handled=%v err=%v", handled, err)
+	for name, src := range map[string]any{"batch": in, "rows": recs} {
+		chain := exec(p, exec(f, src))
+		if _, lazy := chain.(*pipeline); !lazy {
+			t.Fatalf("filter → project over %s produced %T, want a lazy pipeline", name, chain)
+		}
+		sum := exec(a, chain).([]data.Record)
+		if len(sum) != 1 || sum[0].Field(0).Str() != "b" || sum[0].Field(1).Int() != 3 {
+			t.Errorf("aggregate over %s = %v", name, sum)
+		}
+		// The same chain to a row consumer and to a channel.
+		out, err := exec(p, exec(f, src)).(*pipeline).force()
+		if err != nil || len(asRecords(out)) != 2 {
+			t.Errorf("forcing over %s = %v, %v", name, out, err)
+		}
+		if *calls != 0 {
+			t.Fatalf("hinted chain over %s called its row UDFs %d times", name, *calls)
+		}
 	}
-	fb, ok := out.(*batch.Batch)
-	if !ok {
-		t.Fatalf("filter output is %T, want *batch.Batch", out)
-	}
-	if fb != in {
+	// Zero-copy over a batch: an all-pass filter hands the source back, a
+	// projection aliases its columns.
+	if out, _ := exec(f, in).(*pipeline).force(); out != in {
 		t.Error("all-pass filter should return the input batch unchanged")
 	}
-	out, handled, err = d.execColumnar(physOp(p), []any{fb})
-	if err != nil || !handled {
-		t.Fatalf("project not handled: handled=%v err=%v", handled, err)
-	}
-	pb := out.(*batch.Batch)
-	// Zero-copy projection: column 1 of the projection aliases column 0
-	// of the source batch.
-	if &pb.Col(1).Int64s[0] != &in.Col(0).Int64s[0] {
+	out, _ := exec(p, exec(f, in)).(*pipeline).force()
+	if pb := out.(*batch.Batch); &pb.Col(1).Int64s[0] != &in.Col(0).Int64s[0] {
 		t.Error("projection copied column storage")
 	}
-	if _, handled, _ = d.execColumnar(physOp(a), []any{pb}); !handled {
-		t.Fatal("aggregate not handled")
+	// An un-projected filter over rows hands the original records back.
+	out, _ = exec(f, recs).(*pipeline).force()
+	if rows := out.([]data.Record); len(rows) != 2 || &rows[0].Fields()[0] != &recs[0].Fields()[0] {
+		t.Error("filter over rows should return the original records")
 	}
-	// Rows from inside the atom are transposed, not sent to the UDF.
-	for _, lop := range []*plan.Operator{f, p} {
-		out, handled, err := d.execColumnar(physOp(lop), []any{recs})
-		if err != nil || !handled {
-			t.Fatalf("%s over rows not handled: handled=%v err=%v", lop.Kind(), handled, err)
-		}
-		if _, ok := out.(*batch.Batch); !ok {
-			t.Errorf("%s over rows produced %T, want *batch.Batch", lop.Kind(), out)
-		}
+	if *calls != 0 {
+		t.Fatalf("hinted kernels called their row UDFs %d times", *calls)
 	}
 	// Ragged input has no column form, as rows or as a batch.
 	ragged := []data.Record{data.NewRecord(data.Int(1)), data.NewRecord(data.Int(1), data.Int(2))}
 	for _, in := range []any{ragged, batch.FromRows(ragged)} {
-		if _, handled, _ = d.execColumnar(physOp(f), []any{in}); handled {
-			t.Errorf("ragged %T should fall back to the row code", in)
+		before := *calls
+		if _, err := exec(f, in).(*pipeline).force(); err != nil || *calls != before+len(ragged) {
+			t.Errorf("ragged %T should run through the row UDF: %d calls, err %v", in, *calls-before, err)
 		}
 	}
-	// Unhinted operators must fall back.
-	if _, handled, _ = d.execColumnar(physOp(udfTwin(f)), []any{in}); handled {
+	// Unhinted operators go to the row code.
+	if _, handled, _ := d.execHinted(ctx, physOp(udfTwin(f)), []any{in}); handled {
 		t.Error("unhinted filter should fall back to the row code")
 	}
 }
@@ -362,94 +399,67 @@ func inAtom(pp *physical.Plan) *engine.TaskAtom {
 		Ops: pp.Ops, Exits: []*physical.Operator{pp.SinkOp}}
 }
 
-// TestReadBelow pins the pruning analysis: the columns a hinted filter
-// needs to transpose are its own plus what the hinted chain below it
-// reads, and anything that is not such a chain reads everything.
-func TestReadBelow(t *testing.T) {
-	b := plan.NewBuilder("prune")
-	src := b.Source("s", plan.Collection(nil))
-	f1 := b.FilterWhere(src, 3, plan.Less, data.Int(1))
-	f2 := b.FilterWhere(f1, 0, plan.Less, data.Int(1))
-	p := b.ProjectCols(f2, 2, 2)
-	toUDF := b.FilterWhere(src, 1, plan.Less, data.Int(1))
-	udf := b.Map(toUDF, plan.Identity())
-	forked := b.FilterWhere(src, 1, plan.Less, data.Int(1))
-	b.Collect(b.Union(b.Union(p, udf), b.Union(b.ProjectCols(forked, 0), b.AggregateCols(forked, plan.AggSum))))
-	pp, err := physical.FromLogical(b.MustBuild())
-	if err != nil {
-		t.Fatal(err)
-	}
-	byLogical := map[*plan.Operator]*physical.Operator{}
-	for _, op := range pp.Ops {
-		byLogical[op.Logical] = op
-	}
-	d := &datasetOps{atom: inAtom(pp)}
-	for _, tc := range []struct {
-		name string
-		op   *plan.Operator
-		want []int
-	}{
-		{"filter above filter above projection", f1, []int{0, 2, 2}},
-		{"filter above projection", f2, []int{2, 2}},
-		{"filter above a UDF", toUDF, nil},
-		{"filter read by a projection and an aggregate", forked, nil},
-		{"the sink's input", byLogical[pp.SinkOp.Logical].Inputs[0].Logical, nil},
-	} {
-		if got := d.readBelow(byLogical[tc.op]); !slices.Equal(got, tc.want) {
-			t.Errorf("%s: readBelow = %v, want %v", tc.name, got, tc.want)
+// inAtomChain is source → filter → filter → project → aggregate over
+// five-column rows, hinted or as its UDF twin.
+func inAtomChain(recs []data.Record, hinted bool) func(*plan.Builder) {
+	return func(b *plan.Builder) {
+		src := b.Source("s", plan.Collection(recs))
+		f1 := b.FilterWhere(src, 3, plan.Less, data.Int(5))
+		f2 := b.FilterWhere(f1, 0, plan.GreaterEq, data.Int(10))
+		p := b.ProjectCols(f2, 2, 0)
+		a := b.AggregateCols(p, plan.AggSum, plan.AggMax)
+		b.Collect(a)
+		if !hinted {
+			for _, op := range []*plan.Operator{f1, f2, p, a} {
+				op.ColPred, op.ColProject, op.ColAgg = nil, nil, nil
+			}
 		}
-	}
-	// An operator whose output leaves the atom is read by code the atom
-	// cannot see.
-	d.atom.Exits = append(d.atom.Exits, byLogical[f2])
-	if got := d.readBelow(byLogical[f1]); got != nil {
-		t.Errorf("filter above an exit: readBelow = %v, want nil", got)
 	}
 }
 
-// TestInAtomChainPrunesAndMatchesUDF runs source → filter → filter →
-// project → aggregate as one atom — the shape Context.Execute produces
-// on a pinned plan — and checks the first filter transposed only the
-// three columns the chain reads, and that the answer is the UDF twin's.
+// TestInAtomChainPrunesAndMatchesUDF runs the chain as one atom — the
+// shape Context.Execute produces on a pinned plan — and checks that the
+// answer is the UDF twin's and that the pipeline the aggregate folds
+// transposes only the three columns the chain reads.
 func TestInAtomChainPrunesAndMatchesUDF(t *testing.T) {
 	recs := make([]data.Record, 50)
 	for i := range recs {
 		recs[i] = data.NewRecord(data.Int(int64(i)), data.Str("pad"), data.Float(float64(i)/2), data.Int(int64(i%7)), data.Str("pad"))
 	}
-	chain := func(hinted bool) func(*plan.Builder) {
-		return func(b *plan.Builder) {
-			src := b.Source("s", plan.Collection(recs))
-			f1 := b.FilterWhere(src, 3, plan.Less, data.Int(5))
-			f2 := b.FilterWhere(f1, 0, plan.GreaterEq, data.Int(10))
-			p := b.ProjectCols(f2, 2, 0)
-			a := b.AggregateCols(p, plan.AggSum, plan.AggMax)
-			b.Collect(a)
-			if !hinted {
-				for _, op := range []*plan.Operator{f1, f2, p, a} {
-					op.ColPred, op.ColProject, op.ColAgg = nil, nil, nil
-				}
-			}
-		}
-	}
-	got, _ := runPlanOn(t, New(Config{}), chain(true))
-	want, _ := runPlanOn(t, New(Config{}), chain(false))
+	got, _ := runPlanOn(t, New(Config{}), inAtomChain(recs, true))
+	want, _ := runPlanOn(t, New(Config{}), inAtomChain(recs, false))
 	if len(want) != 1 || !bytes.Equal(encodeRecs(t, got), encodeRecs(t, want)) {
 		t.Fatalf("in-atom hinted chain %v diverges from its UDF twin %v", got, want)
 	}
 
 	b := plan.NewBuilder("chain")
-	chain(true)(b)
+	inAtomChain(recs, true)(b)
 	hinted, err := physical.FromLogical(b.MustBuild())
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := &datasetOps{atom: inAtom(hinted)}
-	out, handled, err := d.execColumnar(hinted.Ops[1], []any{recs})
-	if err != nil || !handled {
-		t.Fatalf("first filter over in-atom rows not handled: handled=%v err=%v", handled, err)
+	var ds any = recs
+	for _, op := range hinted.Ops[1:4] {
+		if ds, err = d.ExecOp(context.Background(), op, []any{ds}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	v, ok := out.(view)
-	if !ok || !slices.Equal(v.src, []int{0, 2, 3}) || v.b.NumCols() != 3 {
-		t.Fatalf("first filter produced %T %+v, want a view of columns [0 2 3]", out, out)
+	p, ok := ds.(*pipeline)
+	if !ok {
+		t.Fatalf("filter → filter → project produced %T, want a lazy pipeline", ds)
+	}
+	if reads, all := p.reads(true); all || !slices.Equal(reads, []int{0, 2, 3}) {
+		t.Errorf("the chain's read set is %v (all=%v), want [0 2 3]", reads, all)
+	}
+	// Without the projection a value consumer reads every column, and a
+	// row consumer — handed the original records — only the filters'.
+	p = asPipeline(context.Background(), recs)
+	p.push(hinted.Ops[1].Logical)
+	if reads, all := p.reads(true); !all {
+		t.Errorf("an un-projected filter's values read %v, want every column", reads)
+	}
+	if reads, all := p.reads(false); all || !slices.Equal(reads, []int{3}) {
+		t.Errorf("an un-projected filter's survivors read %v (all=%v), want [3]", reads, all)
 	}
 }

@@ -3,12 +3,15 @@
 // the paper's Figure 2 (see DESIGN.md §3).
 //
 // It executes every physical operator sequentially on driver-resident
-// data: operators carrying a declarative column hint run vectorized
-// kernels over batch.Batch columns (columnar.go), everything else
-// delegates to the shared []data.Record kernels in package algo. It
-// has no per-job overhead worth modelling and no
-// parallelism: its simulated time equals its measured wall time plus a
-// small constant per atom. That is exactly why it wins on small inputs
+// data. Operators carrying a declarative column hint form a lazy
+// pipeline that is forced once, 4 096 rows at a time over column
+// slices, by whatever consumes it (columnar.go); everything else
+// delegates to the shared []data.Record kernels in package algo. A
+// panicking operator fails its job, not the process: engine.RunAtom
+// recovers it into a Fatal error. The engine has no per-job overhead
+// worth modelling and no parallelism: its simulated time equals its
+// measured wall time plus a small constant per atom. That is exactly
+// why it wins on small inputs
 // and iteration-heavy loops, and loses to the Spark simulator once
 // inputs are large enough for parallelism to amortise job overheads.
 package javaengine
@@ -83,22 +86,7 @@ func (p *Platform) SplitNative(ch *channel.Channel, n int) ([]*channel.Channel, 
 // channel.Batch inputs. A sink hands a batch through when it is given
 // one but does not ask for the format — that would have the optimizer
 // price a batch edge for every plan's result.
-func (p *Platform) SupportsBatch(op *physical.Operator) bool {
-	lop := op.Logical
-	if lop == nil {
-		return false
-	}
-	switch lop.Kind() {
-	case plan.KindFilter:
-		return lop.ColPred != nil
-	case plan.KindMap:
-		return lop.ColProject != nil
-	case plan.KindReduce:
-		return lop.ColAgg != nil
-	default:
-		return false
-	}
-}
+func (p *Platform) SupportsBatch(op *physical.Operator) bool { return hinted(op.Logical) }
 
 // ExecuteAtom implements engine.Platform.
 func (p *Platform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) (map[int]*channel.Channel, engine.Metrics, error) {
@@ -119,10 +107,11 @@ func (p *Platform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, input
 	return exits, m, nil
 }
 
-// datasetOps adapts the engine's datasets — []data.Record rows, or
-// *batch.Batch columns between vectorized operators — to the generic
-// atom runner. atom is the one being run (nil in kernel tests), which
-// lets a hinted operator see what reads its output.
+// datasetOps adapts the engine's datasets — []data.Record rows, a
+// *batch.Batch from a channel, or the lazy *pipeline a hinted filter or
+// projection returns — to the generic atom runner. atom is the one being
+// run (nil in kernel tests), which lets a hinted operator see how many
+// operators read its output.
 type datasetOps struct {
 	atom       *engine.TaskAtom
 	inRecords  int64
@@ -147,6 +136,12 @@ func (d *datasetOps) FromChannel(ch *channel.Channel) (any, error) {
 }
 
 func (d *datasetOps) ToChannel(ds any) (*channel.Channel, error) {
+	if p, ok := ds.(*pipeline); ok {
+		var err error
+		if ds, err = p.force(); err != nil {
+			return nil, err
+		}
+	}
 	if b, ok := ds.(*batch.Batch); ok {
 		d.outRecords += int64(b.Len())
 		return channel.NewBatch(b), nil
@@ -157,7 +152,7 @@ func (d *datasetOps) ToChannel(ds any) (*channel.Channel, error) {
 }
 
 // asRecords materialises a dataset for the row code; columnar batches
-// are converted losslessly.
+// are converted losslessly. ExecOp has forced any pipeline by then.
 func asRecords(ds any) []data.Record {
 	if b, ok := ds.(*batch.Batch); ok {
 		return b.ToRecords()
@@ -165,31 +160,32 @@ func asRecords(ds any) []data.Record {
 	return ds.([]data.Record)
 }
 
-// ExecOp executes one physical operator via the shared kernels —
-// columnar where a column hint and an input with a column form line up,
-// the row code below otherwise: it is what un-hinted UDF operators run
-// on, and the fallback for hinted ones. It is the java engine's
-// complete set of execution operators.
-func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []any) (any, error) {
-	if out, handled, err := d.execColumnar(op, inputs); handled {
+// ExecOp executes one physical operator via the shared kernels. An
+// operator with a column hint joins or folds its input's lazy pipeline
+// (columnar.go); the row code below is what un-hinted UDF operators run
+// on, forcing a pipeline they are handed into rows first. It is the java
+// engine's complete set of execution operators.
+func (d *datasetOps) ExecOp(ctx context.Context, op *physical.Operator, inputs []any) (any, error) {
+	if out, handled, err := d.execHinted(ctx, op, inputs); handled {
 		return out, err
 	}
-	in := func(i int) []data.Record { return asRecords(inputs[i]) }
 	lop := op.Logical
+	for i, ds := range inputs {
+		if p, ok := ds.(*pipeline); ok && lop.Kind() != plan.KindSink {
+			recs, err := p.records()
+			if err != nil {
+				return nil, err
+			}
+			inputs[i] = recs
+		}
+	}
+	in := func(i int) []data.Record { return asRecords(inputs[i]) }
 	switch lop.Kind() {
 	case plan.KindSource:
 		return lop.Source()
 	case plan.KindMap:
 		recs := in(0)
-		out := make([]data.Record, 0, len(recs))
-		for _, r := range recs {
-			nr, err := lop.Map(r)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, nr)
-		}
-		return out, nil
+		return mapRows(make([]data.Record, 0, len(recs)), recs, lop.Map)
 	case plan.KindFlatMap:
 		var out []data.Record
 		for _, r := range in(0) {
@@ -202,17 +198,7 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 		return out, nil
 	case plan.KindFilter:
 		recs := in(0)
-		out := make([]data.Record, 0, len(recs))
-		for _, r := range recs {
-			ok, err := lop.Filter(r)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, r)
-			}
-		}
-		return out, nil
+		return filterRows(make([]data.Record, 0, len(recs)), recs, lop.Filter)
 	case plan.KindGroupBy:
 		groups, err := groupWith(op.Algo, in(0), lop.Key)
 		if err != nil {
@@ -283,12 +269,36 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 		}
 		return recs, nil
 	case plan.KindSink:
-		return inputs[0], nil // rows or a batch, untouched
+		return inputs[0], nil // rows, a batch or a pipeline, untouched
 	case plan.KindRepeat, plan.KindDoWhile, plan.KindLoopInput:
 		return nil, fmt.Errorf("javaengine: %s must be driven by the executor", lop.Kind())
 	default:
 		return nil, fmt.Errorf("javaengine: unsupported operator kind %s", lop.Kind())
 	}
+}
+
+// mapRows appends f of every record to dst, which may be recs[:0].
+func mapRows(dst, recs []data.Record, f plan.MapFunc) ([]data.Record, error) {
+	for _, r := range recs {
+		nr, err := f(r)
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, nr)
+	}
+	return dst, nil
+}
+
+// filterRows appends the records f keeps to dst, which may be recs[:0].
+func filterRows(dst, recs []data.Record, f plan.FilterFunc) ([]data.Record, error) {
+	for _, r := range recs {
+		if ok, err := f(r); err != nil {
+			return nil, err
+		} else if ok {
+			dst = append(dst, r)
+		}
+	}
+	return dst, nil
 }
 
 // groupWith dispatches on the grouping algorithm decision.

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"rheem/internal/core/metrics"
+	"rheem/internal/data"
 )
 
 func newTestService(t *testing.T, cfg Config) *Service {
@@ -729,4 +731,40 @@ func ExampleService() {
 	final, _ := s.Wait(context.Background(), st.ID)
 	fmt.Println(final.State)
 	// Output: succeeded
+}
+
+// TestPanickingJobFailsAndServerKeepsServing: a job whose plan panics —
+// a query over a table whose rows are shorter than its schema, so the
+// compiled predicate indexes past its record — ends failed with the
+// panic in its error, and the same server runs the next job. Before the
+// atom runner recovered panics this took the process down, and every
+// tenant's jobs with it.
+func TestPanickingJobFailsAndServerKeepsServing(t *testing.T) {
+	s := newTestService(t, Config{})
+	schema, err := data.NewSchema(data.Field{Name: "a", Type: data.KindInt}, data.Field{Name: "b", Type: data.KindInt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := []data.Record{data.NewRecord(data.Int(1)), data.NewRecord(data.Int(2))}
+	if err := s.cat.Register("short", schema, short); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Submit(Request{Tenant: "acme", Spec: Spec{Kind: KindSQL, Query: "SELECT a FROM short WHERE b > 0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitTerminal(t, s, st.ID)
+	if final.State != StateFailed || !strings.Contains(final.Err, "panicked: runtime error: index out of range") {
+		t.Fatalf("panicking job ended %s (%s), want failed with the panic", final.State, final.Err)
+	}
+	if final.Failovers != 0 {
+		t.Errorf("a panic is deterministic, yet the job failed over %d times", final.Failovers)
+	}
+	st, err = s.Submit(wordcountReq("acme", 200, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next := waitTerminal(t, s, st.ID); next.State != StateSucceeded {
+		t.Fatalf("the job after the panic ended %s (%s)", next.State, next.Err)
+	}
 }
