@@ -71,19 +71,3 @@ func TestCardinalityAuditQuietWhenAccurate(t *testing.T) {
 		t.Errorf("accurate estimates flagged: %+v", res.Mismatches)
 	}
 }
-
-func TestCardinalityAuditDisabled(t *testing.T) {
-	full := fullRegistry(t)
-	ep, err := optimizer.Optimize(badSelectivityPlan(t, 1000), full,
-		optimizer.Options{FixedPlatform: javaengine.ID})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(ep, full, Options{AuditFactor: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Mismatches) != 0 {
-		t.Errorf("disabled audit recorded mismatches")
-	}
-}

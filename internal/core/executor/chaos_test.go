@@ -14,6 +14,7 @@ import (
 	"rheem/internal/core/optimizer"
 	"rheem/internal/core/physical"
 	"rheem/internal/core/plan"
+	"rheem/internal/core/trace"
 	"rheem/internal/data"
 	"rheem/internal/platform/javaengine"
 	"rheem/internal/platform/sparksim"
@@ -82,20 +83,20 @@ func TestChaosFailoverProducesIdenticalRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var failovers []Event
+	var failovers []trace.Event
 	completedOnChaos := map[int]bool{} // op IDs finished on chaos pre-failover
-	res, err := Run(ep, reg, Options{Parallelism: 2, Failover: true, RetryBackoff: -1, Monitor: func(e Event) {
+	res, err := Run(ep, reg, Options{Parallelism: 2, Failover: true, RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
 		switch e.Kind {
-		case EventFailover:
+		case trace.Failover:
 			failovers = append(failovers, e)
-		case EventAtomDone:
-			if e.Err == nil && e.Atom.Platform == "chaos" {
-				for _, op := range e.Atom.Ops {
+		case trace.SpanEnd:
+			if e.Err == nil && e.Span.Platform == "chaos" {
+				for _, op := range e.Span.Atom.Ops {
 					completedOnChaos[op.ID] = true
 				}
 			}
 		}
-	}})
+	})})
 	if err != nil {
 		t.Fatalf("chaos run failed despite failover: %v", err)
 	}
@@ -120,7 +121,7 @@ func TestChaosFailoverProducesIdenticalRecords(t *testing.T) {
 		t.Errorf("Failovers = %d", res.Failovers)
 	}
 	if len(failovers) == 0 {
-		t.Fatal("no EventFailover observed")
+		t.Fatal("no Failover event observed")
 	}
 	fe := failovers[0]
 	if fe.Atom == nil || fe.Atom.Platform != "chaos" {
@@ -197,11 +198,11 @@ func TestChaosFailoverInLoopBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	var failovers int
-	res, err := Run(ep, reg, Options{Failover: true, RetryBackoff: -1, Monitor: func(e Event) {
-		if e.Kind == EventFailover {
+	res, err := Run(ep, reg, Options{Failover: true, RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
+		if e.Kind == trace.Failover {
 			failovers++
 		}
-	}})
+	})})
 	if err != nil {
 		t.Fatalf("loop failover run failed: %v", err)
 	}

@@ -10,6 +10,7 @@ import (
 	"rheem/internal/core/optimizer"
 	"rheem/internal/core/physical"
 	"rheem/internal/core/plan"
+	"rheem/internal/core/trace"
 	"rheem/internal/data"
 	"rheem/internal/platform/javaengine"
 	"rheem/internal/platform/relengine"
@@ -230,9 +231,10 @@ func TestSchedulerHonorsDependencies(t *testing.T) {
 	}
 }
 
-// TestMonitorSerializedUnderParallelism asserts the Monitor contract:
-// callbacks never overlap, so an unsynchronized callback counter still
-// ends up exact, and per-atom event order stays start → done.
+// TestMonitorSerializedUnderParallelism asserts what a consumer
+// monitoring a run through its tracer is promised: callbacks never
+// overlap, so an unsynchronized callback counter still ends up exact,
+// and per-atom event order stays start → done.
 func TestMonitorSerializedUnderParallelism(t *testing.T) {
 	const branches, recs = 8, 16
 	reg := triRegistry(t)
@@ -242,25 +244,25 @@ func TestMonitorSerializedUnderParallelism(t *testing.T) {
 	starts := map[int]int{}
 	dones := map[int]int{}
 	var order []string
-	res, err := Run(ep, reg, Options{Parallelism: 8, Monitor: func(e Event) {
+	res, err := Run(ep, reg, Options{Parallelism: 8, Tracer: trace.New(func(e trace.Event) {
 		if inCallback {
 			t.Error("monitor callback re-entered concurrently")
 		}
 		inCallback = true
 		defer func() { inCallback = false }()
 		switch e.Kind {
-		case EventAtomStart:
-			starts[e.Atom.ID]++
-			if dones[e.Atom.ID] > 0 {
-				order = append(order, fmt.Sprintf("atom %d started after done", e.Atom.ID))
+		case trace.SpanStart:
+			starts[e.Span.AtomID]++
+			if dones[e.Span.AtomID] > 0 {
+				order = append(order, fmt.Sprintf("atom %d started after done", e.Span.AtomID))
 			}
-		case EventAtomDone:
-			dones[e.Atom.ID]++
-			if starts[e.Atom.ID] == 0 {
-				order = append(order, fmt.Sprintf("atom %d done before start", e.Atom.ID))
+		case trace.SpanEnd:
+			dones[e.Span.AtomID]++
+			if starts[e.Span.AtomID] == 0 {
+				order = append(order, fmt.Sprintf("atom %d done before start", e.Span.AtomID))
 			}
 		}
-	}})
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}

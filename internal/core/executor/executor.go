@@ -15,14 +15,23 @@
 // retried up to a bound, loop atoms are unrolled by repeatedly
 // executing the loop body's execution plan (charging the body
 // platform's per-job overhead every iteration — the mechanism behind
-// the paper's Figure 2), monitoring events are emitted, and metrics
-// and the sink's records are aggregated.
+// the paper's Figure 2), every step is published on the run's span
+// stream (package trace), and metrics and the sink's records are
+// aggregated.
+//
+// One Run is one run value (registry, defaulted options, context,
+// tracer, result, audit ledger, slot budget) and each execution plan it
+// schedules — the top-level plan, every loop-body iteration — is a
+// planScope over it; everything below Run is a method on one of the
+// two.
 package executor
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
+	"sync"
 	"time"
 
 	"rheem/internal/core/channel"
@@ -35,55 +44,25 @@ import (
 	"rheem/internal/data"
 )
 
-// EventKind classifies monitoring events.
-type EventKind int
-
-// Monitoring event kinds.
-const (
-	EventAtomStart EventKind = iota
-	EventAtomDone
-	EventAtomRetry
-	EventLoopIteration
-	EventPlanDone
-	// EventReplan reports that adaptive re-optimization replaced the
-	// remaining execution plan mid-run.
-	EventReplan
-	// EventFailover reports that an atom exhausted its retries on an
-	// unhealthy platform and the remaining plan was re-planned onto the
-	// surviving platforms. Atom and Err identify the failed execution;
-	// Excluded lists the platforms the replacement plan avoids.
-	EventFailover
-)
-
-// Event is one monitoring notification. Monitor callbacks are
-// serialized: the executor never invokes the monitor from two
-// goroutines at once, and events of one atom arrive in that atom's
-// program order (start, retries in attempt order, done).
-type Event struct {
-	Kind      EventKind
-	Atom      *engine.TaskAtom
-	Iteration int
-	// Attempt numbers the failed execution attempt on EventAtomRetry
-	// events, starting at 1; per atom it is strictly increasing.
-	Attempt int
-	Metrics engine.Metrics
-	Err     error
-	// Excluded lists the quarantined platforms on EventFailover events.
-	Excluded []engine.PlatformID
-}
-
 // NoRetries is the Options.MaxRetries sentinel for "fail on the first
 // error": the zero value means "default budget", so opting out of
 // retries needs an explicit marker.
 const NoRetries = -1
 
+// auditFactor is how far, in either direction, an operator's observed
+// output cardinality may be off the optimizer's estimate before the
+// audit flags it — the misses that land in Result.Mismatches and
+// trigger re-optimization.
+const auditFactor = 8
+
 // Options configures a run.
 type Options struct {
 	// Context cancels execution between (and inside) atoms.
 	Context context.Context
-	// Parallelism bounds how many task atoms execute concurrently
-	// (default runtime.NumCPU()). 1 reproduces the sequential
-	// executor: atoms run one at a time in topological order.
+	// Parallelism bounds how many task atoms of one plan are in flight
+	// at once (default runtime.NumCPU()). It is the dispatcher's cap, not
+	// a semaphore: 1 reproduces the sequential executor — atoms run one
+	// at a time in topological order.
 	Parallelism int
 	// MaxRetries bounds re-executions of a failed atom (default 2).
 	// Pass NoRetries (-1, or any negative value) to fail on the first
@@ -103,16 +82,16 @@ type Options struct {
 	// atom's input batch is split into up to Shards pieces that execute
 	// concurrently (see shard.go for the shardability rules and merge
 	// semantics). ≤1 disables sharding — every atom runs on its whole
-	// input, exactly the pre-sharding behavior. The shard fan-out has
-	// its own run-wide budget of Shards concurrent shard executions,
-	// independent of Parallelism's atom budget.
+	// input. The run has a budget of Shards extra shard goroutines; each
+	// must also win a slot from Pool when one is set, and a shard that
+	// wins neither runs inline under the slot its atom already holds.
 	Shards int
-	// Pool, when set, is a cross-run bound on atom execution: every
-	// compute atom additionally acquires a slot from this shared pool
-	// before executing (loop atoms never hold one — see pool.go for the
-	// no-deadlock argument). Parallelism still bounds this run's own
-	// in-flight atoms; the pool bounds the host-wide total across every
-	// run sharing it. nil means no cross-run bound — the single-shot
+	// Pool, when set, is the host-wide bound on execution: every compute
+	// atom holds one of its slots while it executes, and so does every
+	// extra shard goroutine (loop atoms never hold one — see pool.go for
+	// the no-deadlock argument). Parallelism still caps this run's own
+	// in-flight atoms; the pool bounds the total across every run
+	// sharing it. nil means no cross-run bound — the single-shot
 	// behavior.
 	Pool *Pool
 	// Failover enables cross-platform failover: when an atom exhausts
@@ -121,26 +100,16 @@ type Options struct {
 	// operators on the surviving platforms (completed atoms stay
 	// frozen). The run fails only if no capable platform remains.
 	Failover bool
-	// Monitor, when set, receives progress events. Calls are
-	// serialized; the callback itself need not be thread-safe.
-	Monitor func(Event)
-	// AuditFactor flags operators whose actual output cardinality is
-	// off the optimizer's estimate by more than this factor in either
-	// direction (default 8; ≤1 disables the audit). Audited mismatches
-	// land in Result.Mismatches — the raw material for re-optimization
-	// and for tuning source hints.
-	AuditFactor float64
 	// ReOptimize enables adaptive re-optimization: when the audit
 	// flags a gross cardinality mismatch at a top-level atom boundary,
 	// the executor quiesces in-flight atoms and re-plans the remaining
 	// operators with the observed cardinalities, keeping completed
 	// atoms frozen. At most one re-optimization happens per run.
 	ReOptimize bool
-	// Tracer, when set, receives the run's span stream (and keeps any
-	// consumers subscribed to it). nil gives the run a private tracer;
-	// either way Result.Trace holds the collected spans and audit
-	// trail. Monitor is implemented as one consumer of this stream, so
-	// a run with both sees identical event ordering.
+	// Tracer, when set, receives the run's span stream — subscribe a
+	// trace.Consumer on it to monitor progress; callbacks are
+	// serialized. nil gives the run a private tracer; either way
+	// Result.Trace holds the collected spans and audit trail.
 	Tracer *trace.Tracer
 	// Calibration propagates the learned cost-correction factors into
 	// mid-run re-planning: adaptive re-optimization and cross-platform
@@ -166,21 +135,9 @@ func (o *Options) defaults() {
 	} else if o.RetryBackoff < 0 {
 		o.RetryBackoff = 0
 	}
-	if o.AuditFactor == 0 {
-		o.AuditFactor = 8
-	}
 	if o.Shards < 1 {
 		o.Shards = 1
 	}
-}
-
-// CardMismatch reports one operator whose observed output cardinality
-// diverged badly from the optimizer's estimate (part of the executor's
-// monitoring duty, §4.2).
-type CardMismatch struct {
-	OpName    string
-	Estimated int64
-	Actual    int64
 }
 
 // Result aggregates a run's output and accounting.
@@ -189,14 +146,12 @@ type Result struct {
 	Records []data.Record
 	// Metrics is the whole-plan aggregate. Its Wall is the run's
 	// elapsed host time — under concurrent scheduling that is less
-	// than the sum of the per-atom Wall values in AtomMetrics.
+	// than the sum of the per-atom Wall values the spans carry.
 	Metrics engine.Metrics
-	// AtomMetrics holds per-atom aggregates, keyed by atom ID of the
-	// top-level plan.
-	AtomMetrics map[int]engine.Metrics
-	// Mismatches lists audited cardinality estimation failures (loop
-	// body operators are audited on their first iteration only).
-	Mismatches []CardMismatch
+	// Mismatches lists the audit records the cardinality audit flagged
+	// as gross estimation failures (loop body operators are audited on
+	// their first iteration only) — a subset of Trace.Audits.
+	Mismatches []trace.CardAudit
 	// Reoptimized reports whether adaptive re-optimization replaced
 	// the execution plan mid-run.
 	Reoptimized bool
@@ -216,100 +171,118 @@ type Result struct {
 	Trace *trace.Trace
 }
 
+// run is what one Run shares across its concurrently executing atoms
+// and nested loop-body plans.
+type run struct {
+	reg  *engine.Registry
+	opts Options // defaulted
+	// ctx is opts.Context made cancellable: the first atom error cancels
+	// it so in-flight siblings abort.
+	ctx    context.Context
+	cancel context.CancelFunc
+	tr     *trace.Tracer // the run's span stream; serializes consumers
+	// shards is the run's budget of extra shard goroutines (nil when
+	// sharding is off). It is only ever TryAcquired: an atom that finds
+	// no free slot runs the shard inline in its own goroutine, so shard
+	// scheduling cannot deadlock the atoms.
+	shards *Pool
+
+	mu      sync.Mutex // guards res, every plan's channel map, audited
+	res     *Result
+	audited map[int]bool
+	// excluded accumulates platforms ruled out by failover re-plans.
+	// Only the top-level dispatcher touches it, and only while
+	// quiesced, so it needs no lock. It only grows, which bounds the
+	// failover loop by the registry size.
+	excluded map[engine.PlatformID]bool
+}
+
+// planScope is one execution plan being scheduled within a run: the
+// top-level plan, or one iteration of a loop body.
+type planScope struct {
+	*run
+	ep       *optimizer.ExecutionPlan // replaced by a re-plan
+	channels map[int]*channel.Channel // operator ID → output; guarded by run.mu while atoms are in flight
+	topLevel bool
+	iter     int // enclosing loop iteration, -1 at the top level
+	// flagged records that some atom's audit in this plan flagged a
+	// gross cardinality miss. Owned by the plan's dispatcher goroutine.
+	flagged bool
+}
+
+// recoverFatal is the executor's panic net, deferred wherever code the
+// executor does not own — a converter, a loop condition, a driver-side
+// reduce UDF, a platform that does not use engine.RunAtom — runs on one
+// of its goroutines: the panic becomes an engine.Fatal carrying what
+// was running and the stack, so it fails the job, not the process, and
+// is never retried, failed over or counted against a platform's health.
+func recoverFatal(what any, err *error) {
+	if r := recover(); r != nil {
+		*err = engine.Fatal(fmt.Errorf("executor: %v panicked: %v\n%s", what, r, debug.Stack()))
+	}
+}
+
 // Run executes an optimized plan over the registry's platforms.
-func Run(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts Options) (*Result, error) {
+func Run(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts Options) (_ *Result, err error) {
 	opts.defaults()
 	ctx, cancel := context.WithCancel(opts.Context)
 	defer cancel()
-	opts.Context = ctx
-
 	// Every run notification flows through one span stream: the tracer
-	// collects spans and the audit trail, and the Monitor callback (if
-	// any) is just another consumer of the same stream.
+	// collects spans and the audit trail, and whoever monitors the run
+	// is a consumer subscribed to it.
 	tr := opts.Tracer
 	if tr == nil {
 		tr = trace.New()
 	}
-	if opts.Monitor != nil {
-		tr.Subscribe(monitorConsumer(opts.Monitor))
+	res := &Result{FinalPlan: ep}
+	r := &run{reg: reg, opts: opts, ctx: ctx, cancel: cancel, tr: tr, res: res, audited: map[int]bool{}}
+	if opts.Shards > 1 {
+		r.shards = NewPool(opts.Shards)
 	}
+	top := &planScope{run: r, ep: ep, channels: make(map[int]*channel.Channel), topLevel: true, iter: -1}
+	// Atoms recover on their own goroutines; this one covers the sink
+	// materialization below, which runs converters on the caller's.
+	defer recoverFatal("materializing the result", &err)
 
 	start := time.Now()
 	// Announce the plan and its atom count before scheduling starts, so
 	// live-progress consumers know the denominator from the first span.
 	tr.Start(ep.Physical.Name, len(ep.Atoms))
-	res := &Result{AtomMetrics: make(map[int]engine.Metrics), FinalPlan: ep}
-	st := &runState{cancel: cancel, res: res, tr: tr, audited: map[int]bool{}}
-	if opts.Shards > 1 {
-		st.shardSem = make(chan struct{}, opts.Shards)
-	}
-	channels := make(map[int]*channel.Channel)
-	if err := runPlan(ep, reg, &opts, st, channels, true, -1); err != nil {
+	if err := top.runPlan(); err != nil {
 		return nil, err
 	}
 	res.PlatformHealth = reg.Health().Snapshot()
 	// All atoms have drained; the remaining accesses are single-threaded.
-	ep = res.FinalPlan
-	sinkCh := channels[ep.Physical.SinkOp.ID]
+	sinkCh := top.channels[top.ep.Physical.SinkOp.ID]
 	if sinkCh == nil {
 		return nil, fmt.Errorf("executor: sink produced no channel")
 	}
-	out, moveCost, steps, err := reg.Channels().Convert(sinkCh, channel.Collection)
-	if err != nil {
+	if _, res.Records, err = r.collect(sinkCh, &res.Metrics); err != nil {
 		return nil, fmt.Errorf("executor: materializing result: %w", err)
 	}
-	res.Metrics.Sim += moveCost
-	res.Metrics.Conversions += steps
-	recs, err := out.AsCollection()
-	if err != nil {
-		return nil, err
-	}
-	res.Records = recs
 	res.Metrics.Wall = time.Since(start)
 	tr.PlanDone(res.Metrics)
 	res.Trace = tr.Snapshot()
 	return res, nil
 }
 
-// monitorConsumer adapts the span stream to the legacy Monitor event
-// vocabulary — the Monitor facility is one consumer of the stream, so
-// callbacks inherit the tracer's serialization guarantee.
-func monitorConsumer(f func(Event)) trace.Consumer {
-	return func(te trace.Event) {
-		e := Event{Err: te.Err, Metrics: te.Metrics}
-		switch te.Kind {
-		case trace.SpanStart:
-			e.Kind, e.Atom = EventAtomStart, te.Span.Atom
-		case trace.SpanRetry:
-			e.Kind, e.Atom, e.Attempt = EventAtomRetry, te.Span.Atom, te.Attempt
-		case trace.SpanEnd:
-			e.Kind, e.Atom = EventAtomDone, te.Span.Atom
-		case trace.LoopIteration:
-			e.Kind, e.Atom, e.Iteration = EventLoopIteration, te.Span.Atom, te.Iteration
-		case trace.Replan:
-			e.Kind = EventReplan
-		case trace.Failover:
-			e.Kind, e.Atom, e.Excluded = EventFailover, te.Atom, te.Excluded
-		case trace.PlanDone:
-			e.Kind = EventPlanDone
-		default:
-			return
-		}
-		f(e)
-	}
-}
-
 // atomEstCost sums the optimizer's estimated cost over the atom's
 // operators — the prediction the span's measured metrics audit.
 func atomEstCost(ep *optimizer.ExecutionPlan, atom *engine.TaskAtom) time.Duration {
-	if atom.Kind == engine.AtomLoop {
-		return ep.OpCosts[atom.LoopOp.ID].Total()
-	}
 	var total time.Duration
-	for _, op := range atom.Ops {
+	for _, op := range atomOps(atom) {
 		total += ep.OpCosts[op.ID].Total()
 	}
 	return total
+}
+
+// atomOps lists the operators an atom stands for in its plan: a compute
+// atom's own, a loop atom's loop operator.
+func atomOps(atom *engine.TaskAtom) []*physical.Operator {
+	if atom.Kind == engine.AtomLoop {
+		return []*physical.Operator{atom.LoopOp}
+	}
+	return atom.Ops
 }
 
 // atomKindEst splits a compute atom's RAW estimated cost by operator
@@ -350,68 +323,70 @@ func atomDone(atom *engine.TaskAtom, channels map[int]*channel.Channel) bool {
 	return true
 }
 
-// reoptimize re-plans the physical plan with observed cardinalities:
-// operators whose outputs exist keep their platforms and are frozen
-// into skippable atoms; everything downstream is re-costed and may
-// move to a different platform. Failover re-plans additionally pass
-// the quarantined platforms as excluded, so no remaining operator is
-// assigned to them. The caller must have quiesced all in-flight atoms
-// — reoptimize reads the channel map unlocked.
-func reoptimize(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts *Options, channels map[int]*channel.Channel, excluded map[engine.PlatformID]bool) (*optimizer.ExecutionPlan, error) {
+// reoptimize re-plans the scope's physical plan with observed
+// cardinalities: operators whose outputs exist keep their platforms and
+// are frozen into skippable atoms; everything downstream is re-costed
+// and may move to a different platform. A failover re-plan (fo non-nil)
+// first rules out the failed platform and whatever else the breaker
+// holds open, so no remaining operator is assigned to them. The caller
+// must have quiesced all in-flight atoms — reoptimize reads the channel
+// map unlocked.
+func (p *planScope) reoptimize(fo *failoverError) (*optimizer.ExecutionPlan, error) {
+	if fo != nil {
+		if p.excluded == nil {
+			p.excluded = map[engine.PlatformID]bool{}
+		}
+		p.excluded[fo.atom.Platform] = true
+		for _, id := range p.reg.Health().QuarantinedPlatforms() {
+			p.excluded[id] = true
+		}
+	}
 	overrides := map[int]int64{}
-	for id, ch := range channels {
+	for id, ch := range p.channels {
 		if ch != nil && ch.Records >= 0 {
 			overrides[id] = ch.Records
 		}
 	}
 	frozen := map[int]bool{}
 	forced := map[int]engine.PlatformID{}
-	for _, atom := range ep.Atoms {
-		if !atomDone(atom, channels) {
+	for _, atom := range p.ep.Atoms {
+		if !atomDone(atom, p.channels) {
 			continue
 		}
-		ops := atom.Ops
-		if atom.Kind == engine.AtomLoop {
-			ops = []*physical.Operator{atom.LoopOp}
-		}
-		for _, op := range ops {
+		for _, op := range atomOps(atom) {
 			frozen[op.ID] = true
-			forced[op.ID] = ep.Assignment[op.ID]
+			forced[op.ID] = p.ep.Assignment[op.ID]
 		}
 	}
-	return optimizer.Optimize(ep.Physical, reg, optimizer.Options{
+	newEP, err := optimizer.Optimize(p.ep.Physical, p.reg, optimizer.Options{
 		DisableRules:      true, // structure is fixed mid-run
 		CardOverrides:     overrides,
 		ForcedAssignments: forced,
 		Frozen:            frozen,
-		ExcludePlatforms:  excluded,
-		Calibration:       opts.Calibration,
+		ExcludePlatforms:  p.excluded,
+		Calibration:       p.opts.Calibration,
 	})
+	if err != nil && fo != nil {
+		// No capable platform remains for some operator: the run
+		// fails, reporting both the failure and the dead end.
+		return nil, fmt.Errorf("executor: failover from platform %q found no capable platform: %v (original failure: %w)",
+			fo.atom.Platform, err, fo.err)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("executor: re-optimization: %w", err)
+	}
+	return newEP, nil
 }
 
-// runComputeAtom gathers external inputs (converting formats as
-// needed), executes the atom with retries, and publishes exit channels.
-// It may run concurrently with other atoms: the shared channel map and
-// Result are touched only under st.mu, and the platform call itself
-// runs unlocked (Platform.ExecuteAtom must be safe for concurrent
-// calls — see engine.Platform). The whole execution — input
-// conversion, every attempt — is wrapped in one trace span.
-func runComputeAtom(atom *engine.TaskAtom, ep *optimizer.ExecutionPlan, reg *engine.Registry, opts *Options, st *runState, channels map[int]*channel.Channel, readyAt time.Time, iter int) error {
-	sp := st.tr.Begin(&trace.Span{
-		Kind: trace.KindAtom, AtomID: atom.ID, Name: atom.String(),
-		Platform: atom.Platform, Plan: ep.Physical.Name, Iteration: iter,
-		Shard: -1, EstCost: atomEstCost(ep, atom),
-		KindEst: atomKindEst(ep, atom), Atom: atom,
-	}, readyAt)
-	platform, ok := reg.Platform(atom.Platform)
-	if !ok {
-		err := fmt.Errorf("executor: unknown platform %q", atom.Platform)
-		st.tr.End(sp, engine.Metrics{}, err)
-		return err
-	}
+// gatherInputs collects the atom's external inputs from the plan's
+// channel map, converting each to the format its consumer wants (the
+// data movement the optimizer priced), and records the conversion
+// volume and format choices on the span. The metrics returned are the
+// movement's, for the caller to charge.
+func (p *planScope) gatherInputs(sp *trace.Span, platform engine.Platform, atom *engine.TaskAtom) (engine.AtomInputs, engine.Metrics, error) {
 	vec, _ := platform.(engine.Vectorized)
 	inputs := engine.AtomInputs{}
-	var moveMetrics engine.Metrics
+	var move engine.Metrics
 	for _, op := range atom.Ops {
 		// Batch-capable consumers take their external inputs in the
 		// columnar format instead of the platform's native one — the
@@ -426,24 +401,20 @@ func runComputeAtom(atom *engine.TaskAtom, ep *optimizer.ExecutionPlan, reg *eng
 				continue
 			}
 			external = true
-			st.mu.Lock()
-			src := channels[in.ID]
-			st.mu.Unlock()
+			p.mu.Lock()
+			src := p.channels[in.ID]
+			p.mu.Unlock()
 			if src == nil {
-				err := fmt.Errorf("executor: %s needs output of op %d which is not available", atom, in.ID)
-				st.tr.End(sp, moveMetrics, err)
-				return err
+				return nil, move, fmt.Errorf("executor: %s needs output of op %d which is not available", atom, in.ID)
 			}
-			conv, cost, steps, err := reg.Channels().Convert(src, want)
+			conv, cost, steps, err := p.reg.Channels().Convert(src, want)
 			if err != nil {
-				err = fmt.Errorf("executor: feeding %s: %w", atom, err)
-				st.tr.End(sp, moveMetrics, err)
-				return err
+				return nil, move, fmt.Errorf("executor: feeding %s: %w", atom, err)
 			}
-			moveMetrics.Sim += cost
-			moveMetrics.Conversions += steps
+			move.Sim += cost
+			move.Conversions += steps
 			if steps > 0 {
-				moveMetrics.MovedBytes += src.Bytes
+				move.MovedBytes += src.Bytes
 			}
 			if inputs[op.ID] == nil {
 				inputs[op.ID] = map[int]*channel.Channel{}
@@ -459,141 +430,152 @@ func runComputeAtom(atom *engine.TaskAtom, ep *optimizer.ExecutionPlan, reg *eng
 			sp.InFormats[string(want)]++
 		}
 	}
-	sp.ConvTime = moveMetrics.Sim
-	sp.ConvBytes = moveMetrics.MovedBytes
-	sp.ConvSteps = moveMetrics.Conversions
+	sp.ConvTime = move.Sim
+	sp.ConvBytes = move.MovedBytes
+	sp.ConvSteps = move.Conversions
+	return inputs, move, nil
+}
 
+// runComputeAtom gathers external inputs, executes the atom with
+// retries, and publishes exit channels. It may run concurrently with
+// other atoms: the shared channel map and Result are touched only under
+// run.mu, and the platform call itself runs unlocked
+// (Platform.ExecuteAtom must be safe for concurrent calls — see
+// engine.Platform). It returns what its span (opened and closed by
+// runAtom) ends with: the metrics charged, the audit records of its
+// exits on success, the failure otherwise.
+func (p *planScope) runComputeAtom(sp *trace.Span, atom *engine.TaskAtom) (engine.Metrics, []trace.CardAudit, error) {
+	platform, ok := p.reg.Platform(atom.Platform)
+	if !ok {
+		return engine.Metrics{}, nil, fmt.Errorf("executor: unknown platform %q", atom.Platform)
+	}
+	inputs, move, err := p.gatherInputs(sp, platform, atom)
+	if err != nil {
+		return move, nil, err
+	}
 	// Sharding decision: made once per atom, after input conversion (so
 	// the split sees platform-native channels) and outside the retry
 	// loop (a retry re-executes the same shards).
-	sh := planShards(platform, reg, atom, inputs, opts.Shards)
+	sh := p.planShards(platform, atom, inputs)
 	if sh != nil {
 		sp.Shards = len(sh.shards)
 	}
 
-	health := reg.Health()
-	stats := reg.Stats()
+	health := p.reg.Health()
+	stats := p.reg.Stats()
 	var exits map[int]*channel.Channel
 	var m engine.Metrics
-	var err error
 	for attempt := 0; ; attempt++ {
-		attStart := st.tr.Now()
-		if sh != nil {
-			exits, m, err = executeShardedAttempt(platform, atom, sh, opts, st, reg, ep.Physical.Name, iter)
-		} else {
-			exits, m, err = executeAttempt(platform, atom, inputs, opts)
-		}
-		att := trace.Attempt{Number: attempt + 1, Wall: st.tr.Now().Sub(attStart)}
+		attStart := p.tr.Now()
+		exits, m, err = p.attempt(platform, atom, inputs, sh)
+		att := trace.Attempt{Number: attempt + 1, Wall: p.tr.Now().Sub(attStart)}
 		if err == nil {
 			sp.Attempts = append(sp.Attempts, att)
 			health.ReportSuccess(atom.Platform)
 			break
 		}
+		fatal := engine.IsFatal(err)
 		att.Err = err.Error()
-		att.Fatal = engine.IsFatal(err)
+		att.Fatal = fatal
 		sp.Attempts = append(sp.Attempts, att)
 		// A cancelled run is not an atom failure: return the context
 		// error itself, untouched — it must not count against the retry
 		// budget, the platform's health, or read as "failed after
 		// retries" in the run error.
-		if ctxErr := opts.Context.Err(); ctxErr != nil {
-			m.Add(moveMetrics)
-			st.tr.End(sp, m, ctxErr)
-			return ctxErr
+		if ctxErr := p.ctx.Err(); ctxErr != nil {
+			m.Add(move)
+			return m, nil, ctxErr
 		}
-		fatal := engine.IsFatal(err)
 		stats.RecordAttemptFailure(atom.Platform, fatal)
 		if !fatal {
 			health.ReportFailure(atom.Platform)
 		}
-		if fatal || attempt >= opts.MaxRetries {
+		if fatal || attempt >= p.opts.MaxRetries {
 			break
 		}
-		moveMetrics.Retries++
+		move.Retries++
 		sp.Retries++
 		stats.RecordRetry(atom.Platform)
-		st.tr.Retry(sp, attempt+1, m, err)
-		st.mu.Lock()
-		st.res.Metrics.Add(m) // failed attempts still cost time
-		st.mu.Unlock()
-		if ctxErr := backoffSleep(opts, atom.ID, attempt); ctxErr != nil {
-			st.tr.End(sp, moveMetrics, ctxErr)
-			return ctxErr
+		p.tr.Retry(sp, attempt+1, m, err)
+		p.charge(m) // failed attempts still cost time
+		if ctxErr := p.backoff(atom.ID, attempt); ctxErr != nil {
+			return move, nil, ctxErr
 		}
 	}
-	m.Add(moveMetrics)
+	m.Add(move)
 	if err != nil {
 		stats.RecordFinalFailure(atom.Platform)
-		st.mu.Lock()
-		st.res.Metrics.Add(m) // the final attempt and its retries still cost time
-		st.mu.Unlock()
-		st.tr.End(sp, m, err)
-		wrapped := fmt.Errorf("executor: %s failed after %d attempt(s): %w", atom, moveMetrics.Retries+1, err)
-		if opts.Failover && !engine.IsFatal(err) && health.Quarantined(atom.Platform) {
-			return &failoverError{platform: atom.Platform, atom: atom, err: wrapped}
+		p.charge(m) // the final attempt and its retries still cost time
+		err = fmt.Errorf("executor: %s failed after %d attempt(s): %w", atom, move.Retries+1, err)
+		if p.opts.Failover && !engine.IsFatal(err) && health.Quarantined(atom.Platform) {
+			err = &failoverError{atom: atom, err: err}
 		}
-		return wrapped
+		return m, nil, err
 	}
 	stats.RecordSuccess(atom.Platform, m)
-	st.mu.Lock()
-	st.res.Metrics.Add(m)
-	am := st.res.AtomMetrics[atom.ID]
-	am.Add(m)
-	st.res.AtomMetrics[atom.ID] = am
+	p.mu.Lock()
+	p.res.Metrics.Add(m)
 	for id, ch := range exits {
-		channels[id] = ch
+		p.channels[id] = ch
 	}
-	audits := auditCardsLocked(atom, ep, exits, opts, st)
-	st.mu.Unlock()
-	st.tr.End(sp, m, nil)
-	st.tr.Audit(audits...)
-	return nil
+	audits := p.auditCardsLocked(atom, exits)
+	p.mu.Unlock()
+	return m, audits, nil
+}
+
+// collect brings a channel driver-side: converted to the hub Collection
+// format, with the movement charged to m, and read as records.
+func (r *run) collect(ch *channel.Channel, m *engine.Metrics) (*channel.Channel, []data.Record, error) {
+	conv, cost, steps, err := r.reg.Channels().Convert(ch, channel.Collection)
+	if err != nil {
+		return nil, nil, err
+	}
+	m.Sim += cost
+	m.Conversions += steps
+	recs, err := conv.AsCollection()
+	return conv, recs, err
+}
+
+// charge adds metrics to the run's aggregate.
+func (r *run) charge(m engine.Metrics) {
+	r.mu.Lock()
+	r.res.Metrics.Add(m)
+	r.mu.Unlock()
 }
 
 // auditCardsLocked compares observed exit cardinalities against the
-// optimizer's estimates, records gross mismatches in the Result, and
-// returns audit-trail records (every audited exit, flagged or not) for
-// the tracer. The caller holds st.mu.
-func auditCardsLocked(atom *engine.TaskAtom, ep *optimizer.ExecutionPlan, exits map[int]*channel.Channel, opts *Options, st *runState) []trace.CardAudit {
-	est := ep.Estimates
+// optimizer's estimates and returns one audit record per audited exit,
+// flagged or not, for the tracer; the flagged ones also land in
+// Result.Mismatches. The caller holds run.mu.
+func (p *planScope) auditCardsLocked(atom *engine.TaskAtom, exits map[int]*channel.Channel) []trace.CardAudit {
+	est := p.ep.Estimates
 	if est == nil {
 		return nil
 	}
 	var audits []trace.CardAudit
 	for _, ex := range atom.Exits {
 		ch := exits[ex.ID]
-		if ch == nil || ch.Records < 0 || st.audited[ex.ID] {
+		if ch == nil || ch.Records < 0 || p.audited[ex.ID] {
 			continue
 		}
-		st.audited[ex.ID] = true
+		p.audited[ex.ID] = true
 		estimate := est.Cards[ex.ID]
 		actual := ch.Records
-		lo, hi := estimate, actual
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if lo <= 0 {
-			lo = 1
-		}
-		if hi <= 0 {
-			hi = 1
-		}
-		factor := float64(hi) / float64(lo)
-		flagged := opts.AuditFactor > 1 && factor > opts.AuditFactor
+		// max/min with zero clamped to 1, so the factor is always ≥ 1.
+		factor := float64(max(estimate, actual, 1)) / float64(max(min(estimate, actual), 1))
 		rawEstimate := estimate
-		if ep.RawEstimates != nil {
-			rawEstimate = ep.RawEstimates.Cards[ex.ID]
+		if p.ep.RawEstimates != nil {
+			rawEstimate = p.ep.RawEstimates.Cards[ex.ID]
 		}
-		audits = append(audits, trace.CardAudit{
+		a := trace.CardAudit{
 			OpID: ex.ID, OpName: ex.Name(), Platform: atom.Platform,
 			Estimated: estimate, Actual: actual, ErrFactor: factor,
-			Flagged: flagged, EstCost: ep.OpCosts[ex.ID].Total(),
+			Flagged: factor > auditFactor, EstCost: p.ep.OpCosts[ex.ID].Total(),
 			OpKind: ex.Kind().String(), RawEstimated: rawEstimate,
-		})
-		if flagged {
-			st.res.Mismatches = append(st.res.Mismatches, CardMismatch{
-				OpName: ex.Name(), Estimated: estimate, Actual: actual,
-			})
+		}
+		audits = append(audits, a)
+		if a.Flagged {
+			p.res.Mismatches = append(p.res.Mismatches, a)
 		}
 	}
 	return audits
@@ -603,31 +585,25 @@ func auditCardsLocked(atom *engine.TaskAtom, ep *optimizer.ExecutionPlan, exits 
 // body's execution plan with the LoopInput channel bound to the
 // current state, then feeds the body output back as the next state.
 // Iterations stay strictly sequential, but each iteration's body plan
-// runs under the same concurrent scheduler as the top level. The whole
-// unrolled loop is one KindLoop span; body atoms get their own spans
-// tagged with the iteration they ran in.
-func runLoop(ep *optimizer.ExecutionPlan, atom *engine.TaskAtom, reg *engine.Registry, opts *Options, st *runState, channels map[int]*channel.Channel, readyAt time.Time, outerIter int) (err error) {
-	sp := st.tr.Begin(&trace.Span{
-		Kind: trace.KindLoop, AtomID: atom.ID, Name: atom.String(),
-		Platform: atom.Platform, Plan: ep.Physical.Name, Iteration: outerIter,
-		Shard: -1, EstCost: atomEstCost(ep, atom), Atom: atom,
-	}, readyAt)
-	defer func() { st.tr.End(sp, engine.Metrics{}, err) }()
-
+// is a planScope of its own under the same concurrent scheduler. The
+// whole unrolled loop is one KindLoop span (sp); body atoms get their
+// own spans tagged with the iteration they ran in. flagged reports
+// that a body atom's audit flagged a gross cardinality miss.
+func (p *planScope) runLoop(sp *trace.Span, atom *engine.TaskAtom) (flagged bool, err error) {
 	loopOp := atom.LoopOp
-	body := ep.LoopBodies[loopOp.ID]
+	body := p.ep.LoopBodies[loopOp.ID]
 	if body == nil {
-		return fmt.Errorf("executor: loop %s has no body plan", loopOp.Name())
+		return false, fmt.Errorf("executor: loop %s has no body plan", loopOp.Name())
 	}
 	loopInput := findLoopInput(body)
 	if loopInput == nil {
-		return fmt.Errorf("executor: loop body of %s has no LoopInput", loopOp.Name())
+		return false, fmt.Errorf("executor: loop body of %s has no LoopInput", loopOp.Name())
 	}
-	st.mu.Lock()
-	state := channels[loopOp.Inputs[0].ID]
-	st.mu.Unlock()
+	p.mu.Lock()
+	state := p.channels[loopOp.Inputs[0].ID]
+	p.mu.Unlock()
 	if state == nil {
-		return fmt.Errorf("executor: loop %s input not available", loopOp.Name())
+		return false, fmt.Errorf("executor: loop %s input not available", loopOp.Name())
 	}
 
 	lop := loopOp.Logical
@@ -640,35 +616,30 @@ func runLoop(ep *optimizer.ExecutionPlan, atom *engine.TaskAtom, reg *engine.Reg
 	}
 
 	for iter := 0; iter < maxIter; iter++ {
-		bodyChannels := make(map[int]*channel.Channel)
-		bodyChannels[loopInput.ID] = state
-		if err := runPlan(body, reg, opts, st, bodyChannels, false, iter); err != nil {
-			return fmt.Errorf("executor: loop %s iteration %d: %w", loopOp.Name(), iter, err)
+		it := &planScope{run: p.run, ep: body, channels: map[int]*channel.Channel{loopInput.ID: state}, iter: iter}
+		err := it.runPlan()
+		flagged = flagged || it.flagged
+		if err != nil {
+			return flagged, fmt.Errorf("executor: loop %s iteration %d: %w", loopOp.Name(), iter, err)
 		}
-		state = bodyChannels[body.Physical.SinkOp.ID]
+		state = it.channels[body.Physical.SinkOp.ID]
 		if state == nil {
-			return fmt.Errorf("executor: loop %s iteration %d produced no output", loopOp.Name(), iter)
+			return flagged, fmt.Errorf("executor: loop %s iteration %d produced no output", loopOp.Name(), iter)
 		}
-		st.tr.Loop(sp, iter)
+		p.tr.Loop(sp, iter)
 
 		if lop.Kind() == plan.KindDoWhile {
 			// Evaluate the condition on driver-side records, like a
 			// Spark driver collecting loop state.
-			conv, cost, steps, err := reg.Channels().Convert(state, channel.Collection)
+			var move engine.Metrics
+			conv, recs, err := p.collect(state, &move)
 			if err != nil {
-				return fmt.Errorf("executor: loop %s condition input: %w", loopOp.Name(), err)
+				return flagged, fmt.Errorf("executor: loop %s condition input: %w", loopOp.Name(), err)
 			}
-			st.mu.Lock()
-			st.res.Metrics.Sim += cost
-			st.res.Metrics.Conversions += steps
-			st.mu.Unlock()
-			recs, err := conv.AsCollection()
-			if err != nil {
-				return err
-			}
+			p.charge(move)
 			cont, err := lop.Cond(iter, recs)
 			if err != nil {
-				return fmt.Errorf("executor: loop %s condition: %w", loopOp.Name(), err)
+				return flagged, fmt.Errorf("executor: loop %s condition: %w", loopOp.Name(), err)
 			}
 			if !cont {
 				state = conv
@@ -676,10 +647,10 @@ func runLoop(ep *optimizer.ExecutionPlan, atom *engine.TaskAtom, reg *engine.Reg
 			}
 		}
 	}
-	st.mu.Lock()
-	channels[loopOp.ID] = state
-	st.mu.Unlock()
-	return nil
+	p.mu.Lock()
+	p.channels[loopOp.ID] = state
+	p.mu.Unlock()
+	return flagged, nil
 }
 
 func findLoopInput(body *optimizer.ExecutionPlan) *physical.Operator {

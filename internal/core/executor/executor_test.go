@@ -13,6 +13,7 @@ import (
 	"rheem/internal/core/optimizer"
 	"rheem/internal/core/physical"
 	"rheem/internal/core/plan"
+	"rheem/internal/core/trace"
 	"rheem/internal/data"
 	"rheem/internal/platform/javaengine"
 	"rheem/internal/platform/sparksim"
@@ -92,11 +93,11 @@ func TestRetrySucceedsWithinBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	var retries int
-	res, err := Run(ep, reg, Options{MaxRetries: 2, Monitor: func(e Event) {
-		if e.Kind == EventAtomRetry {
+	res, err := Run(ep, reg, Options{MaxRetries: 2, Tracer: trace.New(func(e trace.Event) {
+		if e.Kind == trace.SpanRetry {
 			retries++
 		}
-	}})
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +201,11 @@ func TestLoopChargesPerIterationJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var iterations int
-	res, err := Run(ep, reg, Options{Monitor: func(e Event) {
-		if e.Kind == EventLoopIteration {
+	res, err := Run(ep, reg, Options{Tracer: trace.New(func(e trace.Event) {
+		if e.Kind == trace.LoopIteration {
 			iterations++
 		}
-	}})
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +245,11 @@ func TestDoWhileRespectsMaxIter(t *testing.T) {
 		t.Fatal(err)
 	}
 	iters := 0
-	if _, err := Run(ep, reg, Options{Monitor: func(e Event) {
-		if e.Kind == EventLoopIteration {
+	if _, err := Run(ep, reg, Options{Tracer: trace.New(func(e trace.Event) {
+		if e.Kind == trace.LoopIteration {
 			iters++
 		}
-	}}); err != nil {
+	})}); err != nil {
 		t.Fatal(err)
 	}
 	if iters != 4 {

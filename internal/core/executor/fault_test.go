@@ -11,6 +11,7 @@ import (
 	"rheem/internal/core/optimizer"
 	"rheem/internal/core/physical"
 	"rheem/internal/core/plan"
+	"rheem/internal/core/trace"
 	"rheem/internal/platform/javaengine"
 )
 
@@ -93,7 +94,15 @@ func TestPermanentFailureCancelsSiblings(t *testing.T) {
 	// The stalling branch sleeps far longer than the suite tolerates;
 	// only cancellation from the boom branch's failure lets it finish.
 	stall := wrapJava(t, reg, "stall", fault.Options{Latency: 10 * time.Second})
-	wrapJava(t, reg, "boom", fault.Options{Schedules: []fault.Schedule{failAlways(errBoom)}})
+	// The boom branch holds its failure until the stalling one is
+	// executing: a sibling cancelled before it started proves nothing.
+	stallRunning := fault.FailMatching(func(*engine.TaskAtom) bool {
+		for give := time.Now().Add(5 * time.Second); stall.Stats().Calls == 0 && time.Now().Before(give); {
+			time.Sleep(100 * time.Microsecond)
+		}
+		return true
+	}, errBoom)
+	wrapJava(t, reg, "boom", fault.Options{Schedules: []fault.Schedule{stallRunning}})
 	registerMapKinds(t, reg, "stall")
 	registerMapKinds(t, reg, "boom")
 
@@ -104,11 +113,11 @@ func TestPermanentFailureCancelsSiblings(t *testing.T) {
 	}
 
 	var planDone bool
-	_, err = Run(ep, reg, Options{Parallelism: 4, MaxRetries: 1, RetryBackoff: -1, Monitor: func(e Event) {
-		if e.Kind == EventPlanDone {
+	_, err = Run(ep, reg, Options{Parallelism: 4, MaxRetries: 1, RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
+		if e.Kind == trace.PlanDone {
 			planDone = true
 		}
-	}})
+	})})
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("Run error = %v, want the injected failure", err)
 	}
@@ -116,12 +125,12 @@ func TestPermanentFailureCancelsSiblings(t *testing.T) {
 		t.Error("in-flight sibling atom was not cancelled after the failure")
 	}
 	if planDone {
-		t.Error("EventPlanDone emitted for a failed run")
+		t.Error("PlanDone emitted for a failed run")
 	}
 }
 
 // TestRetryAttemptsMonotonicPerAtom retries two concurrent atoms and
-// checks the monitoring contract: each atom's EventAtomRetry attempts
+// checks the monitoring contract: each atom's SpanRetry attempts
 // arrive strictly increasing from 1, even when retries interleave
 // across atoms.
 func TestRetryAttemptsMonotonicPerAtom(t *testing.T) {
@@ -139,11 +148,11 @@ func TestRetryAttemptsMonotonicPerAtom(t *testing.T) {
 	}
 
 	attempts := map[int][]int{} // atom ID → observed retry attempt numbers
-	res, err := Run(ep, reg, Options{Parallelism: 2, MaxRetries: 2, RetryBackoff: -1, Monitor: func(e Event) {
-		if e.Kind == EventAtomRetry {
-			attempts[e.Atom.ID] = append(attempts[e.Atom.ID], e.Attempt)
+	res, err := Run(ep, reg, Options{Parallelism: 2, MaxRetries: 2, RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
+		if e.Kind == trace.SpanRetry {
+			attempts[e.Span.AtomID] = append(attempts[e.Span.AtomID], e.Attempt)
 		}
-	}})
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,20 +5,26 @@
 // load is highest. A Pool is that bound: one fixed set of execution
 // slots shared by every run that carries it in Options.Pool.
 //
-// Slot discipline: only compute atoms (the leaf work that actually
-// occupies a platform) hold a slot, and only for the duration of their
-// execution. Loop atoms never hold one — their body plans' compute
-// atoms acquire slots themselves — so slot holders never wait on other
-// slot holders and the pool cannot deadlock, no matter how small it is
-// relative to plan depth or how many runs share it.
+// Slot discipline: only leaf work — what actually occupies a platform —
+// holds a slot, and only while it executes. A compute atom blocks for
+// its slot before it starts, holding nothing. Loop atoms never hold one
+// — their body plans' compute atoms acquire slots themselves. A sharded
+// atom's extra shard goroutines each need a slot too, but only ever
+// TryAcquire it: a shard that gets none runs inline under its atom's
+// slot. So no slot holder ever waits for another slot, and the pool
+// cannot deadlock, no matter how small it is relative to plan depth,
+// shard fan-out or how many runs share it.
+//
+// Pool is also the executor's only semaphore type: a run's own budget
+// of extra shard goroutines is a private Pool of Options.Shards slots.
 
 package executor
 
 import "context"
 
-// Pool is a bounded set of atom-execution slots shared across
-// concurrent runs. The zero value is unusable; construct with NewPool.
-// All methods are safe for concurrent use.
+// Pool is a bounded set of execution slots, shared across concurrent
+// runs when it is their Options.Pool. The zero value is unusable;
+// construct with NewPool. All methods are safe for concurrent use.
 type Pool struct {
 	sem chan struct{}
 }
@@ -32,8 +38,8 @@ func NewPool(n int) *Pool {
 }
 
 // Acquire blocks until a slot is free or ctx is done, returning the
-// context error in the latter case. Time spent waiting is charged to
-// the atom's queue wait, not its execution latency.
+// context error in the latter case. An atom waits before its span
+// starts, so the time is its queue wait, not its execution latency.
 func (p *Pool) Acquire(ctx context.Context) error {
 	select {
 	case p.sem <- struct{}{}:
@@ -43,7 +49,20 @@ func (p *Pool) Acquire(ctx context.Context) error {
 	}
 }
 
-// Release returns a slot acquired with Acquire.
+// TryAcquire takes a slot if one is free and reports whether it did; it
+// never blocks. It is how work that already runs under a slot asks for
+// a second one — a sharded atom's extra shard goroutines — since
+// blocking there could leave every slot held by a waiter.
+func (p *Pool) TryAcquire() bool {
+	select {
+	case p.sem <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+// Release returns a slot taken with Acquire or TryAcquire.
 func (p *Pool) Release() { <-p.sem }
 
 // Size returns the pool's slot count.

@@ -9,6 +9,7 @@ import (
 	"rheem/internal/core/optimizer"
 	"rheem/internal/core/physical"
 	"rheem/internal/core/plan"
+	"rheem/internal/core/trace"
 	"rheem/internal/data"
 	"rheem/internal/platform/javaengine"
 	"rheem/internal/platform/relengine"
@@ -194,11 +195,11 @@ func TestReoptimizeOncePerRunUnderParallelism(t *testing.T) {
 			t.Fatal(err)
 		}
 		replans := 0
-		res, err := Run(ep, reg, Options{ReOptimize: true, Parallelism: par, Monitor: func(e Event) {
-			if e.Kind == EventReplan {
+		res, err := Run(ep, reg, Options{ReOptimize: true, Parallelism: par, Tracer: trace.New(func(e trace.Event) {
+			if e.Kind == trace.Replan {
 				replans++
 			}
-		}})
+		})})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}

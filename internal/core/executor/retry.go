@@ -18,48 +18,52 @@ const maxRetryBackoff = 2 * time.Second
 // The top-level scheduler catches it (errors.As) and re-plans; with
 // Failover disabled it is never constructed.
 type failoverError struct {
-	platform engine.PlatformID
-	atom     *engine.TaskAtom
-	err      error
+	atom *engine.TaskAtom // the failed execution; its Platform is the one to quarantine
+	err  error
 }
 
 func (e *failoverError) Error() string { return e.err.Error() }
 func (e *failoverError) Unwrap() error { return e.err }
 
-// executeAttempt runs one execution attempt, bounding it with
-// Options.AtomTimeout when set. The deadline is per attempt — a retry
-// gets a fresh budget.
-func executeAttempt(platform engine.Platform, atom *engine.TaskAtom, inputs engine.AtomInputs, opts *Options) (map[int]*channel.Channel, engine.Metrics, error) {
-	ctx := opts.Context
-	if opts.AtomTimeout > 0 {
-		var cancel func()
-		ctx, cancel = context.WithTimeout(ctx, opts.AtomTimeout)
+// attempt runs one execution attempt of an atom — whole, or fanned out
+// over its planned shards when sh is set — bounding it with
+// Options.AtomTimeout when set. The deadline is per attempt: a retry
+// gets a fresh budget, and a sharded retry re-executes every shard.
+func (p *planScope) attempt(platform engine.Platform, atom *engine.TaskAtom, inputs engine.AtomInputs, sh *shardedExec) (exits map[int]*channel.Channel, m engine.Metrics, err error) {
+	ctx := p.ctx
+	if p.opts.AtomTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, p.opts.AtomTimeout)
 		defer cancel()
 	}
-	exits, m, err := platform.ExecuteAtom(ctx, atom, inputs)
-	if err != nil && ctx.Err() != nil && opts.Context.Err() == nil {
+	if sh != nil {
+		exits, m, err = p.executeShards(ctx, platform, atom, sh)
+	} else {
+		exits, m, err = platform.ExecuteAtom(ctx, atom, inputs)
+	}
+	if err != nil && ctx.Err() != nil && p.ctx.Err() == nil {
 		// The attempt deadline (not the run) expired: surface it as a
 		// retryable attempt failure rather than a bare context error.
-		err = engine.Transient(fmt.Errorf("executor: %s exceeded atom timeout %v: %w", atom, opts.AtomTimeout, err))
+		err = engine.Transient(fmt.Errorf("executor: %s exceeded atom timeout %v: %w", atom, p.opts.AtomTimeout, err))
 	}
 	return exits, m, err
 }
 
-// backoffSleep waits before re-executing a failed atom: exponential
-// (base doubling per attempt, capped) with deterministic jitter in
-// [d/2, d] derived from the atom ID and attempt number, so retry
-// storms de-synchronize without making runs irreproducible. Returns
-// the context error if the run is cancelled while waiting.
-func backoffSleep(opts *Options, atomID, attempt int) error {
-	d := backoffDelay(opts.RetryBackoff, atomID, attempt)
+// backoff waits before re-executing a failed atom: exponential (base
+// doubling per attempt, capped) with deterministic jitter in [d/2, d]
+// derived from the atom ID and attempt number, so retry storms
+// de-synchronize without making runs irreproducible. Returns the
+// context error if the run is cancelled while waiting.
+func (r *run) backoff(atomID, attempt int) error {
+	d := backoffDelay(r.opts.RetryBackoff, atomID, attempt)
 	if d <= 0 {
 		return nil
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
-	case <-opts.Context.Done():
-		return opts.Context.Err()
+	case <-r.ctx.Done():
+		return r.ctx.Err()
 	case <-t.C:
 		return nil
 	}

@@ -13,6 +13,7 @@ import (
 	"rheem/internal/core/optimizer"
 	"rheem/internal/core/physical"
 	"rheem/internal/core/plan"
+	"rheem/internal/core/trace"
 	"rheem/internal/data"
 	"rheem/internal/platform/javaengine"
 	"rheem/internal/platform/sparksim"
@@ -37,11 +38,11 @@ func TestNoRetriesSentinel(t *testing.T) {
 		t.Fatal(err)
 	}
 	var retries int
-	_, err = Run(ep, reg, Options{MaxRetries: NoRetries, RetryBackoff: -1, Monitor: func(e Event) {
-		if e.Kind == EventAtomRetry {
+	_, err = Run(ep, reg, Options{MaxRetries: NoRetries, RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
+		if e.Kind == trace.SpanRetry {
 			retries++
 		}
-	}})
+	})})
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("Run error = %v", err)
 	}
@@ -68,11 +69,11 @@ func TestCancellationDuringRetryReturnsContextError(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err = Run(ep, reg, Options{Context: ctx, MaxRetries: 5, RetryBackoff: -1, Monitor: func(e Event) {
-		if e.Kind == EventAtomRetry {
+	_, err = Run(ep, reg, Options{Context: ctx, MaxRetries: 5, RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
+		if e.Kind == trace.SpanRetry {
 			cancel()
 		}
-	}})
+	})})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run error = %v, want context.Canceled", err)
 	}
@@ -140,11 +141,11 @@ func TestFatalUDFErrorNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	var retries int
-	_, err = Run(ep, reg, Options{MaxRetries: 3, RetryBackoff: -1, Monitor: func(e Event) {
-		if e.Kind == EventAtomRetry {
+	_, err = Run(ep, reg, Options{MaxRetries: 3, RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
+		if e.Kind == trace.SpanRetry {
 			retries++
 		}
-	}})
+	})})
 	if !errors.Is(err, boom) {
 		t.Fatalf("Run error = %v", err)
 	}
@@ -189,8 +190,8 @@ func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
 // probe for the executor's input-conversion failure path.
 type opaquePlatform struct{ engine.Platform }
 
-func (p *opaquePlatform) ID() engine.PlatformID        { return "opaque" }
-func (p *opaquePlatform) NativeFormat() channel.Format { return channel.Format("opaque") }
+func (p *opaquePlatform) ID() engine.PlatformID                { return "opaque" }
+func (p *opaquePlatform) NativeFormat() channel.Format         { return channel.Format("opaque") }
 func (p *opaquePlatform) RegisterConverters(*channel.Registry) {}
 
 // TestInputConversionFailure forces a downstream atom onto a platform

@@ -6,57 +6,41 @@
 // dispatched onto a bounded worker pool (Options.Parallelism), and
 // exit channels published by one atom unblock its dependents.
 //
-// Concurrency contract (see also DESIGN.md §executor):
+// Concurrency contract (see also DESIGN.md §5):
 //
-//   - the channel map, Result accumulation, and the audit ledger are
-//     guarded by runState.mu; trace consumers (the Monitor callback
-//     among them) are serialized by the run's Tracer;
+//   - every plan's channel map, Result accumulation and the audit
+//     ledger are guarded by run.mu; trace consumers are serialized by
+//     the run's Tracer;
+//   - three bounds, one semaphore type: Parallelism caps a plan's
+//     in-flight atoms in the dispatcher itself (a counter — which is
+//     what keeps Parallelism 1 in topological order); Options.Pool is
+//     the host-wide semaphore every compute atom blocks on; run.shards
+//     is the run's budget of extra shard goroutines, which is only ever
+//     TryAcquired, together with a Pool slot (see shard.go);
+//   - runAtom is the one place an atom runs: it holds the Pool slot,
+//     owns the atom's span and recovers panics into engine.Fatal;
 //   - the first atom error wins: it cancels the run context so
 //     in-flight siblings abort, their (context) errors are discarded,
-//     and Run returns the original error without emitting
-//     EventPlanDone;
-//   - adaptive re-optimization quiesces: on a mismatch the dispatcher
-//     stops launching atoms, drains the ones in flight, and only then
-//     re-plans — so the re-optimizer sees a frozen, consistent
-//     channel map. At most one re-plan happens per run;
+//     and Run returns the original error without a PlanDone event;
+//   - re-planning quiesces: on a flagged audit (adaptive) or a
+//     quarantined platform's failure (failover) the dispatcher stops
+//     launching atoms, drains the ones in flight, and only then
+//     re-plans — so the re-optimizer sees a frozen, consistent channel
+//     map. At most one adaptive re-plan happens per run;
 //   - loop atoms keep sequential per-iteration semantics, but each
 //     iteration's body plan is scheduled concurrently by the same
-//     machinery (with its own channel map and worker budget).
+//     machinery (a planScope with its own channel map).
 package executor
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
-	"rheem/internal/core/channel"
 	"rheem/internal/core/engine"
-	"rheem/internal/core/optimizer"
 	"rheem/internal/core/trace"
 )
-
-// runState is the mutable state one run shares across concurrently
-// executing atoms and nested loop-body plans.
-type runState struct {
-	mu      sync.Mutex // guards res, every plan's channel map, audited
-	cancel  context.CancelFunc
-	res     *Result
-	tr      *trace.Tracer // the run's span stream; serializes consumers
-	audited map[int]bool
-	// shardSem is the run-wide budget for concurrent shard executions
-	// (nil when sharding is off). Acquisition never blocks: an atom that
-	// finds no free slot runs the shard inline in its own goroutine, so
-	// shard scheduling cannot deadlock the atom worker pool.
-	shardSem chan struct{}
-	// excluded accumulates platforms ruled out by failover re-plans.
-	// Only the top-level dispatcher touches it, and only while
-	// quiesced, so it needs no lock. It only grows, which bounds the
-	// failover loop by the registry size.
-	excluded map[engine.PlatformID]bool
-}
 
 // atomNode is one schedulable atom with its dependency bookkeeping.
 // All fields are owned by the dispatcher goroutine.
@@ -71,15 +55,8 @@ type atomNode struct {
 // atom needs before it can start: for compute atoms the inputs that
 // cross the atom boundary, for loop atoms the loop operator's inputs.
 func externalInputIDs(atom *engine.TaskAtom) []int {
-	if atom.Kind == engine.AtomLoop {
-		ids := make([]int, 0, len(atom.LoopOp.Inputs))
-		for _, in := range atom.LoopOp.Inputs {
-			ids = append(ids, in.ID)
-		}
-		return ids
-	}
 	var ids []int
-	for _, op := range atom.Ops {
+	for _, op := range atomOps(atom) {
 		for _, in := range op.Inputs {
 			if !atom.Contains(in.ID) {
 				ids = append(ids, in.ID)
@@ -89,112 +66,134 @@ func externalInputIDs(atom *engine.TaskAtom) []int {
 	return ids
 }
 
-// runPlan executes one execution plan's atoms against a shared channel
-// map (loop bodies are nested runPlan calls with the LoopInput channel
-// pre-seeded), re-planning at most once when the top-level schedule
-// requests adaptive re-optimization.
-func runPlan(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts *Options, st *runState, channels map[int]*channel.Channel, topLevel bool, iter int) error {
+// runPlan executes the scope's plan against its channel map (a loop
+// body's comes with the LoopInput channel pre-seeded), re-planning the
+// rest whenever the top-level schedule quiesces for it: once at most
+// for adaptive re-optimization, once per newly excluded platform for
+// failover.
+func (p *planScope) runPlan() error {
 	for {
-		replan, failover, err := scheduleAtoms(ep, reg, opts, st, channels, topLevel, iter)
+		replan, fo, err := p.scheduleAtoms()
+		if err != nil || !replan {
+			return err
+		}
+		// Quiesced: every worker has drained, so the channel map and the
+		// result are stable and single-threaded access is safe.
+		// Completed atoms keep their channels and stay frozen.
+		newEP, err := p.reoptimize(fo)
 		if err != nil {
 			return err
 		}
-		if failover != nil {
-			// Quiesced after a platform failure: quarantine the failed
-			// platform (plus anything else the breaker holds open) and
-			// re-plan the remaining operators onto the survivors.
-			// Completed atoms keep their channels and stay frozen.
-			if st.excluded == nil {
-				st.excluded = map[engine.PlatformID]bool{}
-			}
-			st.excluded[failover.platform] = true
-			for _, id := range reg.Health().QuarantinedPlatforms() {
-				st.excluded[id] = true
-			}
-			newEP, rerr := reoptimize(ep, reg, opts, channels, st.excluded)
-			if rerr != nil {
-				// No capable platform remains for some operator: the
-				// run fails, reporting both the failure and the dead end.
-				return fmt.Errorf("executor: failover from platform %q found no capable platform: %v (original failure: %w)",
-					failover.platform, rerr, failover.err)
-			}
-			st.mu.Lock()
-			st.res.Failovers++
-			st.res.FinalPlan = newEP
-			st.mu.Unlock()
-			excluded := make([]engine.PlatformID, 0, len(st.excluded))
-			for id := range st.excluded {
+		if fo != nil {
+			excluded := make([]engine.PlatformID, 0, len(p.excluded))
+			for id := range p.excluded {
 				excluded = append(excluded, id)
 			}
 			sort.Slice(excluded, func(i, j int) bool { return excluded[i] < excluded[j] })
-			st.tr.Failover(failover.atom, failover.err, excluded)
-			st.tr.Start(newEP.Physical.Name, len(newEP.Atoms))
-			ep = newEP
-			continue
+			p.res.Failovers++
+			p.tr.Failover(fo.atom, fo.err, excluded)
+		} else {
+			p.res.Reoptimized = true
+			p.tr.Replan()
 		}
-		if !replan {
-			return nil
-		}
-		// Quiesced: every worker has drained, so the channel map is
-		// stable and single-threaded access is safe.
-		newEP, err := reoptimize(ep, reg, opts, channels, st.excluded)
-		if err != nil {
-			return fmt.Errorf("executor: re-optimization: %w", err)
-		}
-		st.mu.Lock()
-		st.res.Reoptimized = true
-		st.res.FinalPlan = newEP
-		st.mu.Unlock()
-		st.tr.Replan()
-		st.tr.Start(newEP.Physical.Name, len(newEP.Atoms))
-		ep = newEP
-		// Completed atoms of the old plan are skipped via atomDone.
+		p.res.FinalPlan = newEP
+		p.tr.Start(newEP.Physical.Name, len(newEP.Atoms))
+		p.ep = newEP // its completed atoms are skipped via atomDone
 	}
 }
 
-// scheduleAtoms runs one plan's pending atoms to completion on a
-// bounded worker pool. It returns replan=true when a cardinality
-// mismatch at the top level requests adaptive re-optimization (after
-// all in-flight atoms have drained), a non-nil failover when a
-// quarantined platform's atom demands cross-platform failover (also
-// after draining — the survivors' outputs seed the re-plan), or the
-// first atom error after cancelling its in-flight siblings.
-func scheduleAtoms(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts *Options, st *runState, channels map[int]*channel.Channel, topLevel bool, iter int) (bool, *failoverError, error) {
+// runAtom is the one place an atom executes, on a goroutine of its
+// own: it takes the atom's slot from the host pool, opens its span,
+// runs it, recovers a panic from anything it ran into an engine.Fatal
+// (see recoverFatal), and closes the span with the outcome. Everything
+// the atom holds — its pool slot above all — is released by the time
+// runAtom returns, so the dispatcher never learns of a finished atom
+// (and Run never returns) while the atom still occupies a slot.
+// flagged reports that the atom's audit (or, for a loop, a body atom's)
+// flagged a gross cardinality miss.
+func (p *planScope) runAtom(n *atomNode) (flagged bool, err error) {
+	if err := p.ctx.Err(); err != nil {
+		return false, err
+	}
+	atom := n.atom
+	kind := trace.KindLoop
+	if atom.Kind != engine.AtomLoop {
+		kind = trace.KindAtom
+		// Compute atoms hold a slot of the shared cross-run pool (when
+		// one is set) while they execute; the wait is part of the
+		// atom's queue time. Loop atoms never hold one — their body
+		// plans' compute atoms acquire their own — so slot holders
+		// cannot wait on each other (see pool.go).
+		if pool := p.opts.Pool; pool != nil {
+			if err := pool.Acquire(p.ctx); err != nil {
+				return false, err
+			}
+			defer pool.Release()
+		}
+	}
+	sp := p.tr.Begin(&trace.Span{
+		Kind: kind, AtomID: atom.ID, Name: atom.String(),
+		Platform: atom.Platform, Plan: p.ep.Physical.Name, Iteration: p.iter,
+		Shard: -1, EstCost: atomEstCost(p.ep, atom),
+		KindEst: atomKindEst(p.ep, atom), Atom: atom,
+	}, n.readyAt)
+	var m engine.Metrics
+	var audits []trace.CardAudit
+	defer func() {
+		p.tr.End(sp, m, err)
+		p.tr.Audit(audits...)
+	}()
+	defer recoverFatal(atom, &err) // runs first: the span ends with the panic
+	if atom.Kind == engine.AtomLoop {
+		return p.runLoop(sp, atom)
+	}
+	m, audits, err = p.runComputeAtom(sp, atom)
+	for _, a := range audits {
+		flagged = flagged || a.Flagged
+	}
+	return flagged, err
+}
+
+// scheduleAtoms runs the plan's pending atoms to completion, at most
+// Parallelism of them in flight. It returns replan=true when the
+// top-level schedule quiesced — every in-flight atom drained — for a
+// re-plan: with a nil failover for adaptive re-optimization after a
+// flagged audit, with the failure when a quarantined platform's atom
+// demands cross-platform failover (the survivors' outputs seed the
+// re-plan). Otherwise it returns the first atom error, after
+// cancelling its in-flight siblings.
+func (p *planScope) scheduleAtoms() (replan bool, failover *failoverError, err error) {
 	// Graph setup is single-threaded: no workers are live yet, so the
 	// channel map can be read unlocked.
 	producer := make(map[int]*atomNode)
 	var nodes []*atomNode
-	for _, atom := range ep.Atoms {
-		if atomDone(atom, channels) {
+	for _, atom := range p.ep.Atoms {
+		if atomDone(atom, p.channels) {
 			continue // outputs already available (re-optimized run)
 		}
 		n := &atomNode{atom: atom}
 		nodes = append(nodes, n)
-		if atom.Kind == engine.AtomLoop {
-			producer[atom.LoopOp.ID] = n
-		} else {
-			for _, op := range atom.Ops {
-				producer[op.ID] = n
-			}
+		for _, op := range atomOps(atom) {
+			producer[op.ID] = n
 		}
 	}
 	var ready []*atomNode
 	for _, n := range nodes {
 		seen := make(map[*atomNode]bool)
 		for _, id := range externalInputIDs(n.atom) {
-			if channels[id] != nil {
+			if p.channels[id] != nil {
 				continue // pre-seeded or produced by a completed atom
 			}
 			// A needed channel with no pending producer is left for
 			// the atom itself to report, preserving the sequential
 			// executor's error message.
-			p := producer[id]
-			if p == nil || p == n || seen[p] {
+			prod := producer[id]
+			if prod == nil || prod == n || seen[prod] {
 				continue
 			}
-			seen[p] = true
+			seen[prod] = true
 			n.waits++
-			p.dependents = append(p.dependents, n)
+			prod.dependents = append(prod.dependents, n)
 		}
 		if n.waits == 0 {
 			ready = append(ready, n)
@@ -202,74 +201,46 @@ func scheduleAtoms(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts *Opti
 	}
 	// Atoms with no unmet dependencies have been waiting since the
 	// schedule started; their queue-wait clock starts now.
-	startReady := st.tr.Now()
+	startReady := p.tr.Now()
 	for _, n := range ready {
 		n.readyAt = startReady
 	}
 
 	type doneMsg struct {
-		n        *atomNode
-		err      error
-		mismatch bool // the atom's audit recorded new mismatches
-	}
-	// runNode executes one atom and reports how it went. Everything the
-	// atom holds — its pool slot above all — is released by the time
-	// runNode returns, so the dispatcher never learns of a finished atom
-	// (and Run never returns) while the atom still occupies a slot.
-	runNode := func(n *atomNode) doneMsg {
-		if err := opts.Context.Err(); err != nil {
-			return doneMsg{n: n, err: err}
-		}
-		// Compute atoms take a slot from the shared cross-run pool
-		// (when one is set) for the duration of their execution;
-		// the wait is part of the atom's queue time. Loop atoms
-		// never hold a slot — their body plans' compute atoms
-		// acquire their own — so slot holders cannot wait on each
-		// other (see pool.go).
-		if opts.Pool != nil && n.atom.Kind != engine.AtomLoop {
-			if err := opts.Pool.Acquire(opts.Context); err != nil {
-				return doneMsg{n: n, err: err}
-			}
-			defer opts.Pool.Release()
-		}
-		st.mu.Lock()
-		before := len(st.res.Mismatches)
-		st.mu.Unlock()
-		var err error
-		if n.atom.Kind == engine.AtomLoop {
-			err = runLoop(ep, n.atom, reg, opts, st, channels, n.readyAt, iter)
-		} else {
-			err = runComputeAtom(n.atom, ep, reg, opts, st, channels, n.readyAt, iter)
-		}
-		st.mu.Lock()
-		mismatch := len(st.res.Mismatches) > before
-		st.mu.Unlock()
-		return doneMsg{n: n, err: err, mismatch: mismatch}
+		n       *atomNode
+		flagged bool
+		err     error
 	}
 	doneCh := make(chan doneMsg)
-	inflight, finished := 0, 0
-	stopping, replan := false, false
+	// Adaptive re-optimization is the top level's, once per run; only
+	// this goroutine ever writes res.Reoptimized.
+	adaptive := p.topLevel && p.opts.ReOptimize && !p.res.Reoptimized
+	inflight, finished, stopping := 0, 0, false
 	var firstErr error
-	var failover *failoverError
 
 	for {
 		// FIFO dispatch keeps Parallelism=1 runs in the plan's
 		// topological atom order — the sequential executor's behavior.
-		for !stopping && inflight < opts.Parallelism && len(ready) > 0 {
+		for !stopping && inflight < p.opts.Parallelism && len(ready) > 0 {
 			n := ready[0]
 			ready = ready[1:]
 			inflight++
-			go func(n *atomNode) { doneCh <- runNode(n) }(n)
+			go func() {
+				flagged, err := p.runAtom(n)
+				doneCh <- doneMsg{n: n, flagged: flagged, err: err}
+			}()
 		}
 		if inflight == 0 {
 			break
 		}
 		m := <-doneCh
 		inflight--
+		p.flagged = p.flagged || m.flagged
 		if m.err != nil {
 			var fe *failoverError
+			wantsFailover := p.opts.Failover && errors.As(m.err, &fe)
 			switch {
-			case topLevel && opts.Failover && errors.As(m.err, &fe):
+			case wantsFailover && p.topLevel:
 				// Quiesce WITHOUT cancelling: in-flight siblings finish
 				// and their outputs survive into the failover re-plan.
 				// Later failover errors during the drain are subsumed by
@@ -277,19 +248,17 @@ func scheduleAtoms(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts *Opti
 				if firstErr == nil && failover == nil {
 					failover = fe
 				}
-			case !topLevel && opts.Failover && errors.As(m.err, &fe):
+			case wantsFailover:
 				// A loop-body atom wants failover: drain this body plan
 				// uncancelled and hand the error up — the top-level
 				// scheduler re-plans, loop included.
 				if firstErr == nil {
 					firstErr = m.err
 				}
-			default:
-				if firstErr == nil {
-					firstErr = m.err
-					st.cancel() // first error wins; abort in-flight siblings
-					failover = nil
-				}
+			case firstErr == nil:
+				firstErr = m.err
+				p.cancel() // first error wins; abort in-flight siblings
+				failover = nil
 			}
 			stopping = true
 			continue
@@ -301,34 +270,24 @@ func scheduleAtoms(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts *Opti
 		for _, d := range m.n.dependents {
 			d.waits--
 			if d.waits == 0 {
-				d.readyAt = st.tr.Now()
+				d.readyAt = p.tr.Now()
 				ready = append(ready, d)
 			}
 		}
-		if topLevel && opts.ReOptimize && m.mismatch && !replan {
-			st.mu.Lock()
-			already := st.res.Reoptimized
-			st.mu.Unlock()
-			if !already {
-				// Quiesce for re-planning: stop dispatching and let
-				// the atoms already in flight drain.
-				stopping = true
-				replan = true
-			}
+		if adaptive && m.flagged {
+			// Quiesce for re-planning: stop dispatching and let the
+			// atoms already in flight drain.
+			stopping, replan = true, true
 		}
 	}
 
-	if firstErr != nil {
+	switch {
+	case firstErr != nil:
 		return false, nil, firstErr
+	case failover != nil:
+		return true, failover, nil
+	case !replan && finished < len(nodes):
+		return false, nil, fmt.Errorf("executor: scheduler stalled after %d of %d atoms in plan %q", finished, len(nodes), p.ep.Physical.Name)
 	}
-	if failover != nil {
-		return false, failover, nil
-	}
-	if replan {
-		return true, nil, nil
-	}
-	if finished < len(nodes) {
-		return false, nil, fmt.Errorf("executor: scheduler stalled after %d of %d atoms in plan %q", finished, len(nodes), ep.Physical.Name)
-	}
-	return false, nil, nil
+	return replan, nil, nil
 }

@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -56,8 +57,8 @@ type shardedExec struct {
 // planShards decides whether the atom can execute sharded and, if so,
 // splits its single external input. nil means "run unsharded" — never
 // an error: sharding is an optimization, not a requirement.
-func planShards(platform engine.Platform, reg *engine.Registry, atom *engine.TaskAtom, inputs engine.AtomInputs, shards int) *shardedExec {
-	if shards <= 1 || atom.Kind != engine.AtomCompute {
+func (r *run) planShards(platform engine.Platform, atom *engine.TaskAtom, inputs engine.AtomInputs) *shardedExec {
+	if r.opts.Shards <= 1 || atom.Kind != engine.AtomCompute {
 		return nil
 	}
 	extOp, extSlot, n := 0, 0, 0
@@ -77,7 +78,7 @@ func planShards(platform engine.Platform, reg *engine.Registry, atom *engine.Tas
 	if in.Records < 2 {
 		return nil
 	}
-	split := splitShardInput(platform, reg, in, shards)
+	split := r.splitShardInput(platform, in)
 	if len(split) < 2 {
 		return nil
 	}
@@ -119,19 +120,20 @@ func shardClasses(atom *engine.TaskAtom) (map[int]*physical.Operator, bool) {
 
 // splitShardInput splits an input channel (the consuming operator's
 // wanted format — platform-native, or channel.Batch on the vectorized
-// path) into at most n shards: natively when the platform is an
-// engine.Sharder, otherwise through the hub Collection format with the
+// path) into at most Options.Shards shards: natively when the platform
+// is an engine.Sharder, otherwise through the hub Collection format with the
 // shards converted back to the input's own format. The mechanical
 // split cost is not charged to the run — native splits are slice
 // views, and the hub fallback only triggers for platforms without
 // native sharding. nil (or a single shard) means "don't shard".
-func splitShardInput(platform engine.Platform, reg *engine.Registry, ch *channel.Channel, n int) []*channel.Channel {
+func (r *run) splitShardInput(platform engine.Platform, ch *channel.Channel) []*channel.Channel {
+	n := r.opts.Shards
 	if s, ok := platform.(engine.Sharder); ok {
 		if shards, err := s.SplitNative(ch, n); err == nil {
 			return shards
 		}
 	}
-	coll, _, _, err := reg.Channels().Convert(ch, channel.Collection)
+	coll, _, _, err := r.reg.Channels().Convert(ch, channel.Collection)
 	if err != nil {
 		return nil
 	}
@@ -141,7 +143,7 @@ func splitShardInput(platform engine.Platform, reg *engine.Registry, ch *channel
 	}
 	out := make([]*channel.Channel, 0, len(parts))
 	for _, p := range parts {
-		conv, _, _, cerr := reg.Channels().Convert(p, ch.Format)
+		conv, _, _, cerr := r.reg.Channels().Convert(p, ch.Format)
 		if cerr != nil {
 			return nil
 		}
@@ -150,27 +152,43 @@ func splitShardInput(platform engine.Platform, reg *engine.Registry, ch *channel
 	return out
 }
 
-// executeShardedAttempt runs one attempt of a sharded atom: every
-// shard through Platform.ExecuteAtom — concurrently up to the run's
-// shard budget, inline in the atom's own goroutine when no slot is
-// free (so shard scheduling can never deadlock the atom pool) — then
-// the exits merged driver-side. Retries wrap the whole fan-out: a
-// failed attempt re-executes every shard, keeping the retry ledger
-// per-atom like the unsharded path.
+// tryShardSlot claims what an extra shard goroutine must hold: a slot of
+// the run's shard budget and, when the run shares a host pool, one of
+// its slots too — so shards count against the same bound as atoms.
+// Neither acquisition blocks, so a slot holder never waits on another
+// slot and the fan-out cannot deadlock however small the pools are.
+func (r *run) tryShardSlot() bool {
+	if !r.shards.TryAcquire() {
+		return false
+	}
+	if r.opts.Pool != nil && !r.opts.Pool.TryAcquire() {
+		r.shards.Release()
+		return false
+	}
+	return true
+}
+
+func (r *run) releaseShardSlot() {
+	if r.opts.Pool != nil {
+		r.opts.Pool.Release()
+	}
+	r.shards.Release()
+}
+
+// executeShards runs one attempt of a sharded atom: every shard
+// through Platform.ExecuteAtom — on a goroutine of its own while
+// tryShardSlot grants one, inline on the atom's goroutine (under the
+// pool slot the atom already holds) when it does not — then the exits
+// merged driver-side. Retries wrap the whole fan-out: a failed attempt
+// re-executes every shard, keeping the retry ledger per-atom like the
+// unsharded path.
 //
 // Aggregate metrics: Wall is the fan-out's elapsed host time; Sim is
 // the slowest shard's simulated time (shards run in parallel) plus the
 // merge's conversion cost; Jobs and the volume counters sum over
 // shards — a P-shard execution really launches P platform jobs.
-func executeShardedAttempt(platform engine.Platform, atom *engine.TaskAtom, sh *shardedExec, opts *Options, st *runState, reg *engine.Registry, planName string, iter int) (map[int]*channel.Channel, engine.Metrics, error) {
+func (p *planScope) executeShards(ctx context.Context, platform engine.Platform, atom *engine.TaskAtom, sh *shardedExec) (map[int]*channel.Channel, engine.Metrics, error) {
 	start := time.Now()
-	ctx := opts.Context
-	if opts.AtomTimeout > 0 {
-		var cancel func()
-		ctx, cancel = context.WithTimeout(ctx, opts.AtomTimeout)
-		defer cancel()
-	}
-
 	type shardResult struct {
 		exits map[int]*channel.Channel
 		m     engine.Metrics
@@ -178,29 +196,29 @@ func executeShardedAttempt(platform engine.Platform, atom *engine.TaskAtom, sh *
 	}
 	results := make([]shardResult, len(sh.shards))
 	runShard := func(i int) {
-		ssp := st.tr.Begin(&trace.Span{
+		r := &results[i]
+		ssp := p.tr.Begin(&trace.Span{
 			Kind: trace.KindShard, AtomID: atom.ID, Name: atom.String(),
-			Platform: atom.Platform, Plan: planName, Iteration: iter,
+			Platform: atom.Platform, Plan: p.ep.Physical.Name, Iteration: p.iter,
 			Shard: i, Shards: len(sh.shards), Atom: atom,
 		}, time.Time{})
+		defer func() { p.tr.End(ssp, r.m, r.err) }()
+		defer recoverFatal(atom, &r.err) // a shard goroutine is outside runAtom's net
 		ins := engine.AtomInputs{sh.extOp: {sh.extSlot: sh.shards[i]}}
-		exits, m, err := platform.ExecuteAtom(ctx, atom, ins)
-		st.tr.End(ssp, m, err)
-		results[i] = shardResult{exits: exits, m: m, err: err}
+		r.exits, r.m, r.err = platform.ExecuteAtom(ctx, atom, ins)
 	}
 	var wg sync.WaitGroup
 	for i := range sh.shards {
-		select {
-		case st.shardSem <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-st.shardSem }()
-				runShard(i)
-			}(i)
-		default:
+		if !p.tryShardSlot() {
 			runShard(i)
+			continue
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer p.releaseShardSlot()
+			runShard(i)
+		}()
 	}
 	wg.Wait()
 
@@ -209,30 +227,19 @@ func executeShardedAttempt(platform engine.Platform, atom *engine.TaskAtom, sh *
 	var firstErr error
 	for _, r := range results {
 		sm := r.m
-		if sm.Sim > maxSim {
-			maxSim = sm.Sim
-		}
+		maxSim = max(maxSim, sm.Sim)
 		sm.Sim = 0
 		sm.Wall = 0
 		m.Add(sm)
-		if r.err != nil && firstErr == nil {
+		// Prefer a real shard failure over siblings' context noise: when
+		// one shard dies and cancellation ripples, the cause should surface.
+		if r.err != nil && (firstErr == nil || isContextErr(firstErr) && !isContextErr(r.err)) {
 			firstErr = r.err
-		}
-	}
-	// Prefer a real shard failure over siblings' context noise: when one
-	// shard dies and cancellation ripples, the cause should surface.
-	for _, r := range results {
-		if r.err != nil && !errors.Is(r.err, context.Canceled) && !errors.Is(r.err, context.DeadlineExceeded) {
-			firstErr = r.err
-			break
 		}
 	}
 	m.Sim = maxSim
 	m.Wall = time.Since(start)
 	if firstErr != nil {
-		if ctx.Err() != nil && opts.Context.Err() == nil {
-			firstErr = engine.Transient(fmt.Errorf("executor: %s exceeded atom timeout %v: %w", atom, opts.AtomTimeout, firstErr))
-		}
 		return nil, m, firstErr
 	}
 
@@ -244,17 +251,10 @@ func executeShardedAttempt(platform engine.Platform, atom *engine.TaskAtom, sh *
 			if ch == nil {
 				return nil, m, fmt.Errorf("executor: %s shard %d produced no exit for %s", atom, i, ex.Name())
 			}
-			conv, cost, steps, err := reg.Channels().Convert(ch, channel.Collection)
-			if err != nil {
+			var err error
+			if _, parts[i], err = p.collect(ch, &m); err != nil {
 				return nil, m, fmt.Errorf("executor: merging %s: %w", atom, err)
 			}
-			m.Sim += cost
-			m.Conversions += steps
-			recs, err := conv.AsCollection()
-			if err != nil {
-				return nil, m, err
-			}
-			parts[i] = recs
 		}
 		merged, err := mergeExit(sh.combineOf[ex.ID], parts)
 		if err != nil {
@@ -267,20 +267,17 @@ func executeShardedAttempt(platform engine.Platform, atom *engine.TaskAtom, sh *
 	return exits, m, nil
 }
 
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
 // mergeExit folds one exit's per-shard results into the final output.
 // Record-wise exits (combine == nil) concatenate in shard order;
 // combining exits fold their partials with the governing combine
 // operator's own semantics (and algorithm choice, so a sort-based
 // grouping keeps its key-ordered output).
 func mergeExit(combine *physical.Operator, parts [][]data.Record) ([]data.Record, error) {
-	var n int
-	for _, p := range parts {
-		n += len(p)
-	}
-	all := make([]data.Record, 0, n)
-	for _, p := range parts {
-		all = append(all, p...)
-	}
+	all := slices.Concat(parts...)
 	if combine == nil {
 		return all, nil
 	}

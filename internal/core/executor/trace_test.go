@@ -49,9 +49,13 @@ func TestTraceCoversEveryAtom(t *testing.T) {
 			t.Errorf("atom %d executed without a span", atom.ID)
 		}
 	}
-	// Spans and per-atom metrics describe the same executions.
-	if len(res.AtomMetrics) != len(res.Trace.Spans) {
-		t.Errorf("%d AtomMetrics entries vs %d spans", len(res.AtomMetrics), len(res.Trace.Spans))
+	// The spans' metrics are the per-atom breakdown of the aggregate.
+	var jobs int
+	for _, sp := range res.Trace.Spans {
+		jobs += sp.Metrics.Jobs
+	}
+	if jobs != res.Metrics.Jobs {
+		t.Errorf("spans carry %d jobs, the run aggregate %d", jobs, res.Metrics.Jobs)
 	}
 	var estTotal int64
 	for _, sp := range res.Trace.Spans {
@@ -246,30 +250,6 @@ func TestTraceAuditTrail(t *testing.T) {
 	}
 }
 
-func TestTraceAuditCollectedWhenFlaggingDisabled(t *testing.T) {
-	reg := fullRegistry(t)
-	ep, err := optimizer.Optimize(badSelectivityPlan(t, 1000), reg,
-		optimizer.Options{FixedPlatform: javaengine.ID})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(ep, reg, Options{AuditFactor: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trace.Audits) == 0 {
-		t.Error("disabling flagging also dropped the audit trail")
-	}
-	for _, a := range res.Trace.Audits {
-		if a.Flagged {
-			t.Errorf("audit flagged with flagging disabled: %+v", a)
-		}
-	}
-	if len(res.Mismatches) != 0 {
-		t.Errorf("disabled audit recorded mismatches: %+v", res.Mismatches)
-	}
-}
-
 func TestTraceFailoverShowsBothPlatforms(t *testing.T) {
 	pp, fa := faultPlan(t, []engine.PlatformID{"chaos", "chaos"})
 	reg, _ := chaosRegistry(t, fault.Options{Schedules: []fault.Schedule{fault.FailAfterN(1, nil)}})
@@ -321,15 +301,16 @@ func TestTraceFailoverShowsBothPlatforms(t *testing.T) {
 }
 
 func TestExternalTracerSharesStream(t *testing.T) {
-	// A caller-provided tracer sees the same stream the Monitor does,
-	// and keeps collecting if reused across runs.
+	// Every consumer of a caller-provided tracer sees the same stream —
+	// the one it was built with and one subscribed later — and the
+	// tracer keeps what the stream delivered.
 	reg := fullRegistry(t)
 	ep, err := optimizer.Optimize(simplePlan(t, intRecords(10)), reg,
 		optimizer.Options{FixedPlatform: javaengine.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var consumerEnds, monitorDones, planDone int
+	var consumerEnds, subscriberEnds, planDone int
 	tr := trace.New(func(e trace.Event) {
 		switch e.Kind {
 		case trace.SpanEnd:
@@ -338,16 +319,17 @@ func TestExternalTracerSharesStream(t *testing.T) {
 			planDone++
 		}
 	})
-	res, err := Run(ep, reg, Options{Tracer: tr, Monitor: func(e Event) {
-		if e.Kind == EventAtomDone {
-			monitorDones++
+	tr.Subscribe(func(e trace.Event) {
+		if e.Kind == trace.SpanEnd {
+			subscriberEnds++
 		}
-	}})
+	})
+	res, err := Run(ep, reg, Options{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if consumerEnds == 0 || consumerEnds != monitorDones {
-		t.Errorf("consumer saw %d span ends, monitor %d atom-done events", consumerEnds, monitorDones)
+	if consumerEnds == 0 || consumerEnds != subscriberEnds {
+		t.Errorf("first consumer saw %d span ends, the subscribed one %d", consumerEnds, subscriberEnds)
 	}
 	if planDone != 1 {
 		t.Errorf("PlanDone events = %d", planDone)

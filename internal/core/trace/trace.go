@@ -11,8 +11,8 @@
 // The Tracer is a synchronous span stream: the executor publishes span
 // lifecycle events, and any number of Consumers observe them. Consumer
 // callbacks are serialized by the tracer's lock, so a consumer needs no
-// synchronization of its own — the executor's Monitor facility is
-// implemented as exactly one such consumer (see executor.Run). Finished
+// synchronization of its own — whoever monitors a run (rheem.WithMonitor,
+// the metrics hub) is exactly such a consumer. Finished
 // spans and audit records accumulate in the tracer and are exported as
 // an immutable Trace snapshot, which can be dumped as flame-friendly
 // JSON (one line per span).
@@ -152,8 +152,9 @@ func (s *Span) Failed() bool { return s.Err != "" }
 // CardAudit is one estimate-vs-actual record of the optimizer audit
 // trail: for an operator whose output crossed an atom boundary, the
 // estimated and observed output cardinality plus the operator's
-// estimated cost. Flagged marks gross misestimates (beyond the
-// executor's AuditFactor) — the ones that trigger re-optimization.
+// estimated cost. Flagged marks gross misestimates (off by more than
+// the executor's audit factor, 8×) — the ones that land in
+// Result.Mismatches and trigger re-optimization.
 type CardAudit struct {
 	OpID      int               `json:"op_id"`
 	OpName    string            `json:"op"`

@@ -60,9 +60,10 @@ type Config struct {
 	// (default 64); submissions past it are shed with 429.
 	QueueDepth int
 	// PoolSize is the shared scheduler pool's slot count — the global
-	// bound on concurrently executing atoms across ALL jobs (default
-	// runtime.NumCPU()). Without it, N concurrent jobs each spin their
-	// own worker pool and oversubscribe the host N-fold.
+	// bound on concurrently executing atoms, and shards of atoms,
+	// across ALL jobs (default runtime.NumCPU()). Without it, N
+	// concurrent jobs each spin their own worker pool and oversubscribe
+	// the host N-fold.
 	PoolSize int
 
 	// DefaultQuota applies to tenants without an entry in Quotas.

@@ -251,9 +251,10 @@ func (c *Context) SparkConfig() (sparksim.Config, bool) {
 type RunOption func(*runConfig)
 
 type runConfig struct {
-	opt     optimizer.Options
-	exec    executor.Options
-	tracing bool
+	opt      optimizer.Options
+	exec     executor.Options
+	tracing  bool
+	monitors []trace.Consumer
 }
 
 // OnPlatform pins the whole job to one platform — the single-platform
@@ -290,17 +291,26 @@ func WithExcludedPlatforms(ids ...engine.PlatformID) RunOption {
 	}
 }
 
-// WithSchedulerPool makes the run draw its atom-execution slots from a
-// shared executor.Pool in addition to its own Parallelism bound — how
-// a long-running service keeps N concurrent jobs from oversubscribing
-// the host with N independent worker pools.
+// WithSchedulerPool makes the run draw its execution slots from a
+// shared executor.Pool: every compute atom holds one while it executes,
+// and so does every extra shard goroutine of a sharded atom (a shard
+// that gets none runs inline under its atom's slot), so the pool's size
+// bounds what N concurrent jobs execute at once however they set
+// WithParallelism and WithShards — how a long-running service keeps its
+// jobs from oversubscribing the host.
 func WithSchedulerPool(p *executor.Pool) RunOption {
 	return func(rc *runConfig) { rc.exec.Pool = p }
 }
 
-// WithMonitor subscribes to executor progress events.
-func WithMonitor(f func(executor.Event)) RunOption {
-	return func(rc *runConfig) { rc.exec.Monitor = f }
+// WithMonitor subscribes f to the run's span stream — the one event
+// vocabulary of a run (trace.Event: SpanStart, SpanRetry and SpanEnd
+// per atom, loop and shard with the span they concern, LoopIteration,
+// Replan, Failover, RunStart, AuditRecords, and PlanDone on success
+// only). Calls are serialized, and one span's events arrive in program
+// order; f must not block for long and should read the span during the
+// call instead of keeping the pointer.
+func WithMonitor(f func(trace.Event)) RunOption {
+	return func(rc *runConfig) { rc.monitors = append(rc.monitors, f) }
 }
 
 // NoRetries is the WithMaxRetries sentinel for "fail on the first
@@ -348,7 +358,11 @@ func WithParallelism(n int) RunOption {
 // Sort); everything else runs whole, exactly as without the option.
 // The optimizer is told about the fan-out and discounts shardable
 // work on single-node platforms accordingly, so sharding can change
-// the platform assignment. n ≤ 0 selects runtime.GOMAXPROCS(0).
+// the platform assignment. The run spawns at most n extra shard
+// goroutines at a time, and under WithSchedulerPool each also needs a
+// pool slot — a shard that gets neither runs inline on its atom's
+// goroutine, so the fan-out never exceeds the host bound. n ≤ 0
+// selects runtime.GOMAXPROCS(0).
 func WithShards(n int) RunOption {
 	return func(rc *runConfig) {
 		if n <= 0 {
@@ -390,9 +404,9 @@ type Report struct {
 	// re-optimization, the replacement plan).
 	Plan    *optimizer.ExecutionPlan
 	Metrics engine.Metrics
-	// Mismatches lists cardinality estimates the executor's audit
-	// flagged as grossly wrong.
-	Mismatches []executor.CardMismatch
+	// Mismatches lists the audit records of cardinality estimates the
+	// executor's audit flagged as grossly wrong.
+	Mismatches []trace.CardAudit
 	// Reoptimized reports whether adaptive re-optimization replaced
 	// the plan mid-run.
 	Reoptimized bool
@@ -443,7 +457,7 @@ func (c *Context) Execute(p *plan.Plan, opts ...RunOption) ([]data.Record, *Repo
 	if err != nil {
 		return nil, nil, err
 	}
-	tracer, run := c.hub.NewRunTracer(p.Name())
+	tracer, run := c.hub.NewRunTracer(p.Name(), rc.monitors...)
 	rc.exec.Tracer = tracer
 	res, err := executor.Run(ep, c.reg, rc.exec)
 	run.End(err)

@@ -12,10 +12,10 @@ import (
 
 	"rheem"
 	"rheem/internal/core/engine"
-	"rheem/internal/core/executor"
 	"rheem/internal/core/fault"
 	"rheem/internal/core/plan"
 	"rheem/internal/core/profile"
+	"rheem/internal/core/trace"
 	"rheem/internal/data"
 	"rheem/internal/data/datagen"
 	"rheem/internal/platform/javaengine"
@@ -272,11 +272,11 @@ func TestMonitorEvents(t *testing.T) {
 	_, _, err := ctx.NewJob("mon").
 		ReadCollection("in", datagen.Words(50, 3)).
 		Distinct().
-		Collect(rheem.WithMonitor(func(e executor.Event) {
+		Collect(rheem.WithMonitor(func(e trace.Event) {
 			switch e.Kind {
-			case executor.EventAtomStart:
+			case trace.SpanStart:
 				starts++
-			case executor.EventAtomDone:
+			case trace.SpanEnd:
 				dones++
 			}
 		}))
