@@ -2,6 +2,8 @@ package rheemql
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"rheem"
@@ -113,91 +115,43 @@ func Compile(q *Query, cat *Catalog) (*Compiled, error) {
 		e.binds = append(e.binds, rightBind)
 	}
 
-	if len(q.Where) > 0 {
-		preds := make([]func(data.Record) (bool, error), 0, len(q.Where))
-		for _, cmp := range q.Where {
-			p, err := compilePredicate(cmp, e)
-			if err != nil {
-				return nil, err
-			}
-			preds = append(preds, p)
+	// Every conjunct is a filter of its own, sharing the 0.3 the whole
+	// WHERE is taken to keep: consecutive hinted filters are one pass over
+	// one selection vector where they are vectorized, and the optimizer
+	// fuses the others.
+	each := math.Pow(0.3, 1/float64(max(len(q.Where), 1)))
+	for _, cmp := range q.Where {
+		li, kind, err := e.resolve(cmp.Left)
+		if err != nil {
+			return nil, err
 		}
-		f := b.Filter(cur, func(r data.Record) (bool, error) {
-			for _, p := range preds {
-				ok, err := p(r)
-				if err != nil || !ok {
-					return false, err
-				}
-			}
-			return true, nil
-		})
-		f.Selectivity = 0.3
-		cur = f
+		if cur, err = filter(b, cur, li, kind, cmp, e); err != nil {
+			return nil, err
+		}
+		cur.Selectivity = each
 	}
 
 	var outSchema *data.Schema
-	hasAgg := false
-	for _, it := range q.Select {
-		if it.Agg != "" {
-			hasAgg = true
-		}
-	}
-
-	switch {
-	case hasAgg || len(q.GroupBy) > 0:
-		var err error
+	var err error
+	if len(q.GroupBy) > 0 || slices.ContainsFunc(q.Select, func(it SelectItem) bool { return it.Agg != "" }) {
 		cur, outSchema, err = compileAggregate(b, cur, q, e)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		var err error
+	} else {
 		cur, outSchema, err = compileProjection(b, cur, q, e)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 
-	if len(q.Having) > 0 {
-		preds := make([]func(data.Record) (bool, error), 0, len(q.Having))
-		for _, cmp := range q.Having {
-			idx := outSchema.IndexOf(cmp.Left.Column)
-			if idx < 0 {
-				return nil, fmt.Errorf("rheemql: HAVING column %s is not in the output", cmp.Left)
-			}
-			lit, err := literalValue(*cmp.RightLit, outSchema.Field(idx).Type)
-			if err != nil {
-				return nil, err
-			}
-			op := cmp.Op
-			preds = append(preds, func(r data.Record) (bool, error) {
-				c := data.Compare(r.Field(idx), lit)
-				switch op {
-				case "=":
-					return c == 0, nil
-				case "!=":
-					return c != 0, nil
-				case "<":
-					return c < 0, nil
-				case "<=":
-					return c <= 0, nil
-				case ">":
-					return c > 0, nil
-				case ">=":
-					return c >= 0, nil
-				}
-				return false, fmt.Errorf("rheemql: unknown operator %q", op)
-			})
+	for _, cmp := range q.Having {
+		idx := outSchema.IndexOf(cmp.Left.Column)
+		if idx < 0 {
+			return nil, fmt.Errorf("rheemql: HAVING column %s is not in the output", cmp.Left)
 		}
-		cur = b.Filter(cur, func(r data.Record) (bool, error) {
-			for _, p := range preds {
-				ok, err := p(r)
-				if err != nil || !ok {
-					return false, err
-				}
-			}
-			return true, nil
-		})
+		if cur, err = filter(b, cur, idx, outSchema.Field(idx).Type, cmp, nil); err != nil {
+			return nil, err
+		}
+		// Together the estimator's default for one filter, which HAVING was.
+		cur.Selectivity = math.Pow(0.5, 1/float64(len(q.Having)))
 	}
 
 	if q.OrderBy != nil {
@@ -218,58 +172,47 @@ func Compile(q *Query, cat *Catalog) (*Compiled, error) {
 	return &Compiled{Plan: p, Schema: outSchema}, nil
 }
 
-// compilePredicate lowers one comparison to a filter function.
-func compilePredicate(cmp Comparison, e *env) (func(data.Record) (bool, error), error) {
-	li, kind, err := e.resolve(cmp.Left)
-	if err != nil {
-		return nil, err
-	}
-	var rightOf func(data.Record) data.Value
-	if cmp.RightCol != nil {
+// compareOps are the comparison operators by their spelling. Whatever
+// the operator, a NULL on either side does not match (CompareOp.Holds).
+var compareOps = map[string]plan.CompareOp{
+	"=": plan.Eq, "!=": plan.NotEq, "<": plan.Less, "<=": plan.LessEq, ">": plan.Greater, ">=": plan.GreaterEq,
+}
+
+// filter lowers one comparison of field with cmp's right-hand side. A
+// literal makes it the declarative column predicate, which the
+// single-node engine runs vectorized; a column of e, which a hint cannot
+// say, a row UDF under the same rule. HAVING, whose right-hand side must
+// be a literal, passes no e.
+func filter(b *plan.Builder, in *plan.Operator, field int, kind data.Kind, cmp Comparison, e *env) (*plan.Operator, error) {
+	op, ok := compareOps[cmp.Op]
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("rheemql: unknown operator %q", cmp.Op)
+	case cmp.RightLit != nil:
+		return b.FilterWhere(in, field, op, literalValue(*cmp.RightLit, kind)), nil
+	case cmp.RightCol != nil && e != nil:
 		ri, _, err := e.resolve(*cmp.RightCol)
 		if err != nil {
 			return nil, err
 		}
-		rightOf = func(r data.Record) data.Value { return r.Field(ri) }
-	} else {
-		lit, err := literalValue(*cmp.RightLit, kind)
-		if err != nil {
-			return nil, err
-		}
-		rightOf = func(data.Record) data.Value { return lit }
+		return b.Filter(in, func(r data.Record) (bool, error) {
+			return op.Holds(r.Field(field), r.Field(ri)), nil
+		}), nil
 	}
-	op := cmp.Op
-	return func(r data.Record) (bool, error) {
-		c := data.Compare(r.Field(li), rightOf(r))
-		switch op {
-		case "=":
-			return c == 0, nil
-		case "!=":
-			return c != 0, nil
-		case "<":
-			return c < 0, nil
-		case "<=":
-			return c <= 0, nil
-		case ">":
-			return c > 0, nil
-		case ">=":
-			return c >= 0, nil
-		}
-		return false, fmt.Errorf("rheemql: unknown operator %q", op)
-	}, nil
+	return nil, fmt.Errorf("rheemql: %s %s needs a literal on its right", cmp.Left, cmp.Op)
 }
 
 // literalValue coerces a literal to the compared column's kind.
-func literalValue(l Literal, kind data.Kind) (data.Value, error) {
+func literalValue(l Literal, kind data.Kind) data.Value {
 	switch {
 	case l.IsString:
-		return data.Str(l.Str), nil
+		return data.Str(l.Str)
 	case l.IsBool:
-		return data.Bool(l.Bool), nil
+		return data.Bool(l.Bool)
 	case kind == data.KindInt && l.IsInt:
-		return data.Int(l.Int), nil
+		return data.Int(l.Int)
 	default:
-		return data.Float(l.Num), nil
+		return data.Float(l.Num)
 	}
 }
 
@@ -317,10 +260,7 @@ func compileProjection(b *plan.Builder, cur *plan.Operator, q *Query, e *env) (*
 	if err != nil {
 		return nil, nil, err
 	}
-	out := b.Map(cur, func(r data.Record) (data.Record, error) {
-		return r.Project(idx...), nil
-	})
-	return out, s, nil
+	return b.ProjectCols(cur, idx...), s, nil
 }
 
 func hasField(fields []data.Field, name string) bool {
@@ -332,160 +272,77 @@ func hasField(fields []data.Field, name string) bool {
 	return false
 }
 
-// compileAggregate lowers GROUP BY / global aggregation.
+// groupFns are the grouped folds behind the aggregate functions.
+var groupFns = map[AggFunc]plan.GroupFn{
+	AggCount: plan.GroupCount, AggSum: plan.GroupSum, AggAvg: plan.GroupAvg, AggMin: plan.GroupMin, AggMax: plan.GroupMax,
+}
+
+// compileAggregate lowers GROUP BY / global aggregation onto the
+// declarative grouped aggregate: the GROUP BY columns are its keys, the
+// select list its output columns.
 func compileAggregate(b *plan.Builder, cur *plan.Operator, q *Query, e *env) (*plan.Operator, *data.Schema, error) {
-	groupIdx := make([]int, len(q.GroupBy))
-	groupSet := map[string]int{} // column name → position in GroupBy
+	keys := make([]int, len(q.GroupBy))
 	for i, col := range q.GroupBy {
 		pos, _, err := e.resolve(col)
 		if err != nil {
 			return nil, nil, err
 		}
-		groupIdx[i] = pos
-		groupSet[col.Column] = i
+		keys[i] = pos
 	}
-
-	// Validate and type the select list.
-	type outCol struct {
-		groupPos int // ≥0: group column (position in groupIdx)
-		agg      AggFunc
-		argIdx   int // resolved field for the aggregate argument
-		argStar  bool
-		kind     data.Kind
-		name     string
-	}
-	outs := make([]outCol, len(q.Select))
+	outs := make([]plan.GroupCol, len(q.Select))
+	fields := make([]data.Field, len(q.Select))
 	for i, it := range q.Select {
+		name, kind := it.Alias, data.KindFloat
 		switch {
 		case it.Star:
 			return nil, nil, fmt.Errorf("rheemql: SELECT * with aggregation")
 		case it.Agg == "":
-			gp, ok := groupSet[it.Col.Column]
-			if !ok {
+			if !slices.ContainsFunc(q.GroupBy, func(g ColumnRef) bool { return g.Column == it.Col.Column }) {
 				return nil, nil, fmt.Errorf("rheemql: column %s is neither aggregated nor grouped", it.Col)
 			}
-			_, kind, err := e.resolve(it.Col)
+			pos, colKind, err := e.resolve(it.Col)
 			if err != nil {
 				return nil, nil, err
 			}
-			name := it.Alias
+			outs[i], kind = plan.GroupCol{Fn: plan.GroupKey, Field: pos}, colKind
 			if name == "" {
 				name = it.Col.Column
 			}
-			outs[i] = outCol{groupPos: gp, agg: "", kind: kind, name: name}
+		case it.ArgStar:
+			outs[i], kind = plan.GroupCol{Fn: plan.GroupCountAll}, data.KindInt
+			if name == "" {
+				name = strings.ToLower(string(it.Agg)) + "_star"
+			}
 		default:
-			oc := outCol{groupPos: -1, agg: it.Agg, kind: data.KindFloat}
-			if it.ArgStar {
-				oc.argStar = true
-				oc.kind = data.KindInt
-			} else {
-				pos, kind, err := e.resolve(it.Arg)
-				if err != nil {
-					return nil, nil, err
-				}
-				oc.argIdx = pos
-				switch it.Agg {
-				case AggCount:
-					oc.kind = data.KindInt
-				case AggMin, AggMax:
-					oc.kind = kind
-				}
+			pos, argKind, err := e.resolve(it.Arg)
+			if err != nil {
+				return nil, nil, err
 			}
-			oc.name = it.Alias
-			if oc.name == "" {
-				arg := "star"
-				if !oc.argStar {
-					arg = it.Arg.Column
-				}
-				oc.name = strings.ToLower(string(it.Agg)) + "_" + arg
+			fn, ok := groupFns[it.Agg]
+			if !ok {
+				return nil, nil, fmt.Errorf("rheemql: unknown aggregate %s", it.Agg)
 			}
-			outs[i] = oc
+			outs[i] = plan.GroupCol{Fn: fn, Field: pos}
+			switch it.Agg {
+			case AggCount:
+				kind = data.KindInt
+			case AggMin, AggMax:
+				kind = argKind
+			}
+			if name == "" {
+				name = strings.ToLower(string(it.Agg)) + "_" + it.Arg.Column
+			}
 		}
-	}
-	fields := make([]data.Field, len(outs))
-	for i, oc := range outs {
-		name := oc.name
 		for hasField(fields[:i], name) {
 			name = "_" + name
 		}
-		fields[i] = data.Field{Name: name, Type: oc.kind}
+		fields[i] = data.Field{Name: name, Type: kind}
 	}
 	schema, err := data.NewSchema(fields...)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	key := func(r data.Record) (data.Value, error) {
-		if len(groupIdx) == 0 {
-			return data.Int(0), nil
-		}
-		if len(groupIdx) == 1 {
-			return r.Field(groupIdx[0]), nil
-		}
-		h := uint64(0)
-		for _, gi := range groupIdx {
-			h = h*1099511628211 ^ data.Hash(r.Field(gi), 0)
-		}
-		return data.Int(int64(h)), nil
-	}
-
-	grouped := b.GroupBy(cur, key, func(_ data.Value, group []data.Record) ([]data.Record, error) {
-		vals := make([]data.Value, len(outs))
-		for i, oc := range outs {
-			if oc.agg == "" {
-				vals[i] = group[0].Field(groupIdx[oc.groupPos])
-				continue
-			}
-			switch oc.agg {
-			case AggCount:
-				if oc.argStar {
-					vals[i] = data.Int(int64(len(group)))
-				} else {
-					n := int64(0)
-					for _, r := range group {
-						if !r.Field(oc.argIdx).IsNull() {
-							n++
-						}
-					}
-					vals[i] = data.Int(n)
-				}
-			case AggSum, AggAvg:
-				var sum float64
-				n := 0
-				for _, r := range group {
-					v := r.Field(oc.argIdx)
-					if v.IsNull() {
-						continue
-					}
-					sum += v.Float()
-					n++
-				}
-				if oc.agg == AggAvg && n > 0 {
-					sum /= float64(n)
-				}
-				vals[i] = data.Float(sum)
-			case AggMin, AggMax:
-				var best data.Value
-				for _, r := range group {
-					v := r.Field(oc.argIdx)
-					if v.IsNull() {
-						continue
-					}
-					if best.IsNull() ||
-						(oc.agg == AggMin && data.Compare(v, best) < 0) ||
-						(oc.agg == AggMax && data.Compare(v, best) > 0) {
-						best = v
-					}
-				}
-				vals[i] = best
-			}
-		}
-		return []data.Record{data.NewRecord(vals...)}, nil
-	})
-	if len(groupIdx) > 0 {
-		grouped.DistinctKeys = 0 // let the estimator guess
-	}
-	return grouped, schema, nil
+	return b.GroupAggregate(cur, keys, outs...), schema, nil
 }
 
 // Run parses, compiles, and executes a query on a context.

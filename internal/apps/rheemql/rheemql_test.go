@@ -1,12 +1,14 @@
 package rheemql
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
 	"rheem"
 	"rheem/internal/data"
 	"rheem/internal/data/datagen"
+	"rheem/internal/platform/javaengine"
 	"rheem/internal/platform/sparksim"
 )
 
@@ -353,5 +355,118 @@ func TestQueryRunsOnEveryPlatform(t *testing.T) {
 	}
 	if want == "" {
 		t.Fatal("no platforms ran")
+	}
+}
+
+// rowsOf renders a result one row per line, sorted: the multiset a
+// query without ORDER BY promises.
+func rowsOf(recs []data.Record) string {
+	lines := make([]string, len(recs))
+	for i, r := range recs {
+		lines[i] = r.String()
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// TestNullNeverMatches pins the SQL rule at all three predicate sites —
+// column ⟨op⟩ literal, column ⟨op⟩ column, HAVING — on every platform: a
+// NULL on either side satisfies no comparison, <, <= and != included
+// (data.Compare orders NULL below every value, which used to let it
+// through those three).
+func TestNullNeverMatches(t *testing.T) {
+	ctx := testCtx(t)
+	cat := NewCatalog()
+	schema := data.MustSchema(
+		data.Field{Name: "id", Type: data.KindInt},
+		data.Field{Name: "hour", Type: data.KindInt},
+		data.Field{Name: "other", Type: data.KindInt},
+	)
+	null := data.Null()
+	if err := cat.Register("t", schema, []data.Record{
+		data.NewRecord(data.Int(1), data.Int(3), data.Int(9)),
+		data.NewRecord(data.Int(2), null, data.Int(9)),
+		data.NewRecord(data.Int(3), data.Int(7), null),
+		data.NewRecord(data.Int(4), null, null),
+		data.NewRecord(data.Int(5), data.Int(5), data.Int(5)),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT id FROM t WHERE hour < 5", "(1)"},
+		{"SELECT id FROM t WHERE hour <= 5", "(1)\n(5)"},
+		{"SELECT id FROM t WHERE hour != 5", "(1)\n(3)"},
+		{"SELECT id FROM t WHERE hour = 5", "(5)"},
+		{"SELECT id FROM t WHERE hour > 3", "(3)\n(5)"},
+		{"SELECT id FROM t WHERE hour >= 3", "(1)\n(3)\n(5)"},
+		{"SELECT id FROM t WHERE hour < other", "(1)"},
+		{"SELECT id FROM t WHERE hour <= other", "(1)\n(5)"},
+		{"SELECT id FROM t WHERE hour != other", "(1)"},
+		{"SELECT id FROM t WHERE other > hour", "(1)"},
+		// Groups by id: MIN(hour) is NULL for ids 2 and 4.
+		{"SELECT id, MIN(hour) AS m FROM t GROUP BY id HAVING m < 6", "(1, 3)\n(5, 5)"},
+		{"SELECT id, MIN(hour) AS m FROM t GROUP BY id HAVING m <= 3", "(1, 3)"},
+		{"SELECT id, MIN(hour) AS m FROM t GROUP BY id HAVING m != 3", "(3, 7)\n(5, 5)"},
+	} {
+		for _, p := range ctx.Registry().Platforms() {
+			recs, _, _, err := Run(ctx, cat, tc.sql, rheem.OnPlatform(p.ID()))
+			if err != nil {
+				t.Fatalf("%s on %s: %v", tc.sql, p.ID(), err)
+			}
+			if got := rowsOf(recs); got != tc.want {
+				t.Errorf("%s on %s returned\n%s\nwant\n%s", tc.sql, p.ID(), got, tc.want)
+			}
+		}
+	}
+}
+
+// TestMultiColumnGroupKeysAreExact: a multi-column GROUP BY tells key
+// tuples apart by their values, not by a 64-bit mix of their hashes that
+// two tuples can share — tuples that are permutations of each other, or
+// whose strings concatenate alike, stay apart on every platform — and
+// the single-node engine still emits groups in first-seen order.
+func TestMultiColumnGroupKeysAreExact(t *testing.T) {
+	ctx := testCtx(t)
+	cat := NewCatalog()
+	schema := data.MustSchema(
+		data.Field{Name: "a", Type: data.KindInt},
+		data.Field{Name: "b", Type: data.KindInt},
+		data.Field{Name: "s", Type: data.KindString},
+		data.Field{Name: "u", Type: data.KindString},
+		data.Field{Name: "v", Type: data.KindFloat},
+	)
+	row := func(a, b int64, s, u string, v float64) data.Record {
+		return data.NewRecord(data.Int(a), data.Int(b), data.Str(s), data.Str(u), data.Float(v))
+	}
+	if err := cat.Register("t", schema, []data.Record{
+		row(2, 1, "ab", "c", 1), row(1, 2, "a", "bc", 2), row(2, 1, "ab", "c", 4),
+		row(1, 2, "a", "bc", 8), row(1, 1, "", "abc", 16), row(2, 1, "a", "bc", 32),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT a, b, COUNT(*) AS n, SUM(v) AS f FROM t GROUP BY a, b", "(2, 1, 3, 37)\n(1, 2, 2, 10)\n(1, 1, 1, 16)"},
+		{"SELECT s, u, SUM(v) AS f FROM t GROUP BY s, u", "(ab, c, 5)\n(a, bc, 42)\n(, abc, 16)"},
+		{"SELECT u, a, s, COUNT(*) AS n FROM t GROUP BY a, s, u", "(c, 2, ab, 2)\n(bc, 1, a, 2)\n(abc, 1, , 1)\n(bc, 2, a, 1)"},
+	} {
+		for _, p := range ctx.Registry().Platforms() {
+			recs, _, _, err := Run(ctx, cat, tc.sql, rheem.OnPlatform(p.ID()))
+			if err != nil {
+				t.Fatalf("%s on %s: %v", tc.sql, p.ID(), err)
+			}
+			lines := make([]string, len(recs))
+			for i, r := range recs {
+				lines[i] = r.String()
+			}
+			got, want := strings.Join(lines, "\n"), tc.want
+			if p.ID() != javaengine.ID { // the others promise the multiset only
+				wl := strings.Split(want, "\n")
+				sort.Strings(wl)
+				got, want = rowsOf(recs), strings.Join(wl, "\n")
+			}
+			if got != want {
+				t.Errorf("%s on %s returned\n%s\nwant\n%s", tc.sql, p.ID(), got, want)
+			}
+		}
 	}
 }

@@ -24,21 +24,21 @@ type Group struct {
 	Records []data.Record
 }
 
-// keyTable numbers distinct keys in first-seen order: a hash table on
+// KeyTable numbers distinct keys in first-seen order: a hash table on
 // data.Hash, chaining on collisions with data.Equal as the tie-breaker.
 // Values are not Go-comparable, so the built-in map cannot key them
 // directly. Callers keep what they store per key in a slice indexed by
-// the key's number.
-type keyTable struct {
+// the key's number. The zero value is an empty table.
+type KeyTable struct {
 	head map[uint64]int // hash → 1 + the newest key with it
 	keys []data.Value
 	next []int // the next older key with the same hash, or -1
 }
 
 // find returns k's number, or -1 if k was never added.
-func (t *keyTable) find(k data.Value) int { return t.probe(data.Hash(k, 0), k) }
+func (t *KeyTable) find(k data.Value) int { return t.probe(data.Hash(k, 0), k) }
 
-func (t *keyTable) probe(hv uint64, k data.Value) int {
+func (t *KeyTable) probe(hv uint64, k data.Value) int {
 	i := t.head[hv] - 1
 	for i >= 0 && !data.Equal(t.keys[i], k) {
 		i = t.next[i]
@@ -46,9 +46,12 @@ func (t *keyTable) probe(hv uint64, k data.Value) int {
 	return i
 }
 
-// add returns k's number, and whether this call is the one that gave
-// k a number (then it is len(keys)-1).
-func (t *keyTable) add(k data.Value) (int, bool) {
+// Keys returns the keys by number. Callers must not mutate the slice.
+func (t *KeyTable) Keys() []data.Value { return t.keys }
+
+// Add returns k's number, and whether this call is the one that gave
+// k a number (then it is len(Keys())-1).
+func (t *KeyTable) Add(k data.Value) (int, bool) {
 	hv := data.Hash(k, 0)
 	if i := t.probe(hv, k); i >= 0 {
 		return i, false
@@ -64,15 +67,15 @@ func (t *keyTable) add(k data.Value) (int, bool) {
 
 // hashGroup is HashGroup plus the table that finds a key's group; keyErr
 // names the key function in errors.
-func hashGroup(recs []data.Record, key plan.KeyFunc, keyErr string) (*keyTable, []Group, error) {
-	t := new(keyTable)
+func hashGroup(recs []data.Record, key plan.KeyFunc, keyErr string) (*KeyTable, []Group, error) {
+	t := new(KeyTable)
 	var groups []Group
 	for _, r := range recs {
 		k, err := key(r)
 		if err != nil {
 			return nil, nil, fmt.Errorf("algo: %s: %w", keyErr, err)
 		}
-		i, added := t.add(k)
+		i, added := t.Add(k)
 		if added {
 			groups = append(groups, Group{Key: k})
 		}
@@ -91,7 +94,10 @@ func HashGroup(recs []data.Record, key plan.KeyFunc) ([]Group, error) {
 
 // SortGroup groups records by key using a stable sort; groups come out
 // in ascending key order and records keep their input order within a
-// group.
+// group. Keys order under plan.CompareValues, as they do wherever this
+// package sorts them: it tells int keys beyond 2⁵³ apart, which
+// data.Compare's float widening does not, so sorting and hashing form
+// the same groups.
 func SortGroup(recs []data.Record, key plan.KeyFunc) ([]Group, error) {
 	type keyed struct {
 		k data.Value
@@ -105,11 +111,11 @@ func SortGroup(recs []data.Record, key plan.KeyFunc) ([]Group, error) {
 		}
 		ks[i] = keyed{k, r}
 	}
-	sort.SliceStable(ks, func(i, j int) bool { return data.Compare(ks[i].k, ks[j].k) < 0 })
+	sort.SliceStable(ks, func(i, j int) bool { return plan.CompareValues(ks[i].k, ks[j].k) < 0 })
 	var out []Group
 	for i := 0; i < len(ks); {
 		j := i
-		for j < len(ks) && data.Compare(ks[i].k, ks[j].k) == 0 {
+		for j < len(ks) && plan.CompareValues(ks[i].k, ks[j].k) == 0 {
 			j++
 		}
 		g := Group{Key: ks[i].k, Records: make([]data.Record, 0, j-i)}
@@ -129,14 +135,14 @@ func SortGroup(recs []data.Record, key plan.KeyFunc) ([]Group, error) {
 // sorted is set (physical.SortGroupBy). The first key or reduce failure
 // in input order is the one reported.
 func ReduceByKey(recs []data.Record, key plan.KeyFunc, f plan.ReduceFunc, sorted bool) ([]data.Record, error) {
-	var t keyTable
+	var t KeyTable
 	out := []data.Record{} // empty input yields an empty result, not nil
 	for _, r := range recs {
 		k, err := key(r)
 		if err != nil {
 			return nil, fmt.Errorf("algo: group key: %w", err)
 		}
-		i, added := t.add(k)
+		i, added := t.Add(k)
 		if added {
 			out = append(out, r)
 		} else if out[i], err = f(out[i], r); err != nil {
@@ -156,7 +162,7 @@ type byKey struct {
 }
 
 func (s *byKey) Len() int           { return len(s.keys) }
-func (s *byKey) Less(i, j int) bool { return data.Compare(s.keys[i], s.keys[j]) < 0 }
+func (s *byKey) Less(i, j int) bool { return plan.CompareValues(s.keys[i], s.keys[j]) < 0 }
 func (s *byKey) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 	s.recs[i], s.recs[j] = s.recs[j], s.recs[i]
@@ -263,7 +269,7 @@ func SortMergeJoin(l, r []data.Record, lkey, rkey plan.KeyFunc) ([]data.Record, 
 	var out []data.Record
 	i, j := 0, 0
 	for i < len(lg) && j < len(rg) {
-		c := data.Compare(lg[i].Key, rg[j].Key)
+		c := plan.CompareValues(lg[i].Key, rg[j].Key)
 		switch {
 		case c < 0:
 			i++

@@ -261,3 +261,34 @@ func TestBitsetScanAbort(t *testing.T) {
 		t.Errorf("scan abort: err=%v calls=%d", err, calls)
 	}
 }
+
+// TestSortKernelsCompareIntKeysExactly: the sort-based kernels order keys
+// under plan.CompareValues, so int keys beyond 2⁵³ — equal to their
+// neighbours once widened to float64 — form the groups and the join
+// pairs the hash-based kernels form.
+func TestSortKernelsCompareIntKeysExactly(t *testing.T) {
+	big := int64(1) << 53
+	recs := []data.Record{
+		data.NewRecord(data.Int(big+1), data.Int(1)), data.NewRecord(data.Int(big), data.Int(2)),
+		data.NewRecord(data.Int(big+1), data.Int(4)), data.NewRecord(data.Int(big), data.Int(8)),
+	}
+	groups, err := SortGroup(recs, plan.FieldKey(0))
+	if err != nil || len(groups) != 2 || groups[0].Key.Int() != big || len(groups[0].Records) != 2 || groups[1].Key.Int() != big+1 {
+		t.Errorf("SortGroup formed %v, %v; want the groups of 2^53 and 2^53+1 in that order", groups, err)
+	}
+	sum := func(a, b data.Record) (data.Record, error) {
+		return data.NewRecord(a.Field(0), data.Int(a.Field(1).Int()+b.Field(1).Int())), nil
+	}
+	out, err := ReduceByKey(recs, plan.FieldKey(0), sum, true)
+	if err != nil || len(out) != 2 || out[0].String() != "(9007199254740992, 10)" || out[1].String() != "(9007199254740993, 5)" {
+		t.Errorf("sorted ReduceByKey returned %v, %v", out, err)
+	}
+	hashed, err := HashJoin(recs, recs[:2], plan.FieldKey(0), plan.FieldKey(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := SortMergeJoin(recs, recs[:2], plan.FieldKey(0), plan.FieldKey(0))
+	if err != nil || len(merged) != len(hashed) || len(merged) != 4 {
+		t.Errorf("SortMergeJoin paired %d rows (%v), HashJoin %d", len(merged), err, len(hashed))
+	}
+}

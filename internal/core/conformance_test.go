@@ -78,11 +78,12 @@ func canonical(t *testing.T, recs []data.Record) string {
 // udfTwin drops every column hint from a freshly built plan, loop
 // bodies included. What remains are the UDFs the hint helpers generated
 // (ColumnPredicate.FilterFunc, Record.Project, ColumnAggregate.
-// ReduceFunc): the same plan as a caller without the helpers would have
-// written it, which every platform runs row by row.
+// ReduceFunc, ColumnGroupAggregate.KeyFunc/GroupFunc): the same plan as
+// a caller without the helpers would have written it, which every
+// platform runs row by row.
 func udfTwin(p *plan.Plan) *plan.Plan {
 	for _, op := range p.Operators() {
-		op.ColPred, op.ColProject, op.ColAgg = nil, nil, nil
+		op.ColPred, op.ColProject, op.ColAgg, op.ColGroup = nil, nil, nil, nil
 		if op.Body != nil {
 			udfTwin(op.Body)
 		}
@@ -108,6 +109,11 @@ type confCase struct {
 	sources int  // number of sources build expects (default 1)
 	loop    bool // loops pin the whole plan (FixedPlatform) instead of splitting the source off
 	build   func(b *plan.Builder, srcs []*plan.Operator)
+	// recs, when set, is what source 0 serves instead of confRecords.
+	recs []data.Record
+	// algo, when set, overrides the optimizer's algorithm decision for
+	// every GroupBy of the plan.
+	algo physical.Algorithm
 }
 
 // confPlan builds a case's logical plan over its deterministic sources.
@@ -120,6 +126,9 @@ func confPlan(c confCase, name string) *plan.Plan {
 	srcs := make([]*plan.Operator, ns)
 	for i := range srcs {
 		recs := confRecords(97+i*13, i)
+		if i == 0 && c.recs != nil {
+			recs = c.recs
+		}
 		srcs[i] = b.Source(fmt.Sprintf("src%d", i), plan.Collection(recs))
 		srcs[i].CardHint = int64(len(recs))
 	}
@@ -177,6 +186,13 @@ func runConformanceCal(t *testing.T, c confCase, target engine.PlatformID, shard
 	if err != nil {
 		t.Fatalf("%s on %s: optimize: %v", c.name, target, err)
 	}
+	if c.algo != "" {
+		forEachOp(ep.Physical, func(op *physical.Operator) {
+			if op.Kind() == plan.KindGroupBy {
+				op.Algo = c.algo
+			}
+		})
+	}
 	res, err := executor.Run(ep, reg, executor.Options{Shards: shards, Calibration: cal})
 	if err != nil {
 		t.Fatalf("%s on %s (shards=%d): %v", c.name, target, shards, err)
@@ -206,6 +222,89 @@ func modKey(k int64) plan.KeyFunc {
 
 var sumReduce plan.ReduceFunc = func(a, b data.Record) (data.Record, error) {
 	return data.NewRecord(a.Field(0), data.Int(a.Field(1).Int()+b.Field(1).Int())), nil
+}
+
+// fullBattery is what the differential suites run: conformanceBattery,
+// whose optimized plans are recorded (TestOptimizerGoldenPlans), plus
+// the declarative grouped aggregate over groupedCases under both
+// grouping algorithms — vectorized on the java engine, its derived
+// KeyFunc/GroupFunc everywhere else.
+func fullBattery() []confCase {
+	battery := conformanceBattery()
+	for _, g := range groupedCases() {
+		for _, algo := range groupAlgos {
+			if len(g.recs) == 0 || g.hashOnly && algo == physical.SortGroupBy {
+				continue
+			}
+			battery = append(battery, confCase{
+				name: fmt.Sprintf("group-agg-%s-%s", g.name, algo), recs: g.recs, algo: algo,
+				build: func(b *plan.Builder, s []*plan.Operator) { b.Collect(b.GroupAggregate(s[0], g.keys, g.out...)) },
+			})
+		}
+	}
+	return battery
+}
+
+var groupAlgos = []physical.Algorithm{physical.HashGroupBy, physical.SortGroupBy}
+
+// groupedCase is one grouped aggregate of the differential suites: a
+// dataset, key columns and output columns.
+type groupedCase struct {
+	name string
+	recs []data.Record
+	keys []int
+	out  []plan.GroupCol
+	// hashOnly keeps the case off sort-based grouping: NaN keys, over
+	// which a comparison is no order and SortGroup has no defined answer.
+	hashOnly bool
+}
+
+// groupedCases are the inputs a grouped kernel is most likely to get
+// wrong: every key-table kind, every fold, nulls in keys and arguments,
+// and the keys where equality, hashing and ordering could disagree.
+func groupedCases() []groupedCase {
+	rec := data.NewRecord
+	// every fold over field arg, led by key column key.
+	folds := func(key, arg int) []plan.GroupCol {
+		return []plan.GroupCol{
+			{Fn: plan.GroupKey, Field: key}, {Fn: plan.GroupCountAll}, {Fn: plan.GroupCount, Field: arg},
+			{Fn: plan.GroupSum, Field: arg}, {Fn: plan.GroupAvg, Field: arg}, {Fn: plan.GroupMin, Field: arg}, {Fn: plan.GroupMax, Field: arg},
+		}
+	}
+	// (int key, string key, float argument with nulls, int argument).
+	mixed := make([]data.Record, 60)
+	for i := range mixed {
+		arg := data.Float(float64(i*13%32) / 4)
+		if i%7 == 3 {
+			arg = data.Null()
+		}
+		mixed[i] = rec(data.Int(int64(i*5%7)), data.Str(fmt.Sprintf("k%d", i*3%4)), arg, data.Int(int64(i%9-4)))
+	}
+	nan, negZero, big := math.NaN(), math.Copysign(0, -1), int64(1)<<53
+	return []groupedCase{
+		{name: "int-key", recs: mixed, keys: []int{0}, out: folds(0, 2)},
+		{name: "string-key", recs: mixed, keys: []int{1}, out: folds(1, 3)},
+		{name: "two-keys", recs: mixed, keys: []int{1, 0}, out: append(folds(0, 2), plan.GroupCol{Fn: plan.GroupKey, Field: 1})},
+		{name: "zero-keys", recs: mixed, out: append(folds(0, 2)[1:], folds(0, 3)[3:]...)},
+		{name: "count-star-alone", recs: mixed, out: []plan.GroupCol{{Fn: plan.GroupCountAll}}},
+		{name: "empty-input", keys: []int{0}, out: folds(0, 1)},
+		{name: "empty-input-zero-keys", out: folds(0, 1)[1:]},
+		{name: "all-null-argument", recs: []data.Record{
+			rec(data.Int(1), data.Null()), rec(data.Int(2), data.Null()), rec(data.Int(1), data.Null()),
+		}, keys: []int{0}, out: folds(0, 1)},
+		{name: "null-keys", recs: []data.Record{
+			rec(data.Int(1), data.Int(1)), rec(data.Null(), data.Int(2)), rec(data.Int(1), data.Int(4)), rec(data.Null(), data.Int(8)),
+		}, keys: []int{0}, out: folds(0, 1)},
+		{name: "signed-zero-keys", recs: []data.Record{
+			rec(data.Float(negZero), data.Int(1)), rec(data.Float(0), data.Int(2)), rec(data.Float(1), data.Int(4)), rec(data.Float(negZero), data.Int(8)),
+		}, keys: []int{0}, out: folds(0, 1)},
+		{name: "keys-beyond-2^53", recs: []data.Record{
+			rec(data.Int(big+1), data.Int(1)), rec(data.Int(big), data.Int(2)), rec(data.Int(big+1), data.Int(4)), rec(data.Int(-big-1), data.Int(8)),
+		}, keys: []int{0}, out: folds(0, 0)},
+		{name: "nan-keys", recs: []data.Record{
+			rec(data.Float(nan), data.Int(1)), rec(data.Float(1), data.Int(2)), rec(data.Float(nan), data.Int(4)), rec(data.Float(1), data.Int(8)),
+		}, keys: []int{0}, out: folds(0, 1), hashOnly: true},
+	}
 }
 
 // conformanceBattery covers every operator kind mapped on more than
@@ -363,7 +462,7 @@ func conformanceBattery() []confCase {
 // plan shape, every platform × shard width must reproduce the java
 // shards=1 reference output, canonicalized, byte for byte.
 func TestCrossPlatformConformance(t *testing.T) {
-	for _, c := range conformanceBattery() {
+	for _, c := range fullBattery() {
 		t.Run(c.name, func(t *testing.T) {
 			ref := runConformance(t, c, javaengine.ID, 1, true)
 			if ref == "" && c.name != "flatmap" {
@@ -395,7 +494,7 @@ func TestCrossPlatformConformance(t *testing.T) {
 // without a hint the twin is the plan itself, which keeps the battery
 // whole under one comparison.)
 func TestCrossPlatformConformanceColumnar(t *testing.T) {
-	for _, c := range conformanceBattery() {
+	for _, c := range fullBattery() {
 		t.Run(c.name, func(t *testing.T) {
 			ref := runConformance(t, c, javaengine.ID, 1, false)
 			for _, shards := range []int{1, 4} {
@@ -424,7 +523,7 @@ func TestConformanceCoversAllSharedKinds(t *testing.T) {
 	}
 
 	exercised := map[plan.OpKind]bool{}
-	for _, c := range conformanceBattery() {
+	for _, c := range fullBattery() {
 		b := plan.NewBuilder("cover-" + c.name)
 		ns := c.sources
 		if ns == 0 {
@@ -504,7 +603,7 @@ func TestConformanceCalibrationDifferential(t *testing.T) {
 		name string
 		cal  *cost.Calibrator
 	}{{"empty", empty}, {"warmed", warm}}
-	for _, c := range conformanceBattery() {
+	for _, c := range fullBattery() {
 		t.Run(c.name, func(t *testing.T) {
 			for _, target := range confPlatforms {
 				ref := runConformance(t, c, target, 1, true)
@@ -549,6 +648,30 @@ func hintedChain(field int, op plan.CompareOp, operand data.Value, cols []int, f
 // through it — javaengine's TestHintedFieldOutsideInput pins those at
 // the platform boundary.
 func inAtomBattery() []inAtomCase {
+	battery := hintedChainBattery()
+	for _, g := range groupedCases() {
+		// Each under both grouping algorithms, which runInAtom reads off
+		// the name: the optimizer would sort the smallest and hash the rest.
+		for _, algo := range groupAlgos {
+			if g.hashOnly && algo == physical.SortGroupBy {
+				continue
+			}
+			battery = append(battery, inAtomCase{fmt.Sprintf("group-agg-%s-%s", g.name, algo), g.recs, func(b *plan.Builder, src *plan.Operator) {
+				b.Collect(b.GroupAggregate(src, g.keys, g.out...))
+			}})
+		}
+	}
+	// A grouped aggregate reading a hinted chain, and a hinted filter
+	// (HAVING's shape) reading it.
+	return append(battery, inAtomCase{"group-agg-in-chain", groupedCases()[0].recs, func(b *plan.Builder, src *plan.Operator) {
+		f := b.FilterWhere(b.FilterWhere(src, 3, plan.GreaterEq, data.Int(-2)), 0, plan.NotEq, data.Int(4))
+		g := b.GroupAggregate(b.ProjectCols(f, 2, 1), []int{1}, plan.GroupCol{Fn: plan.GroupKey, Field: 1},
+			plan.GroupCol{Fn: plan.GroupCountAll}, plan.GroupCol{Fn: plan.GroupAvg, Field: 0})
+		b.Collect(b.FilterWhere(g, 1, plan.Greater, data.Int(9)))
+	}})
+}
+
+func hintedChainBattery() []inAtomCase {
 	nan := math.NaN()
 	rec := data.NewRecord
 	return []inAtomCase{
@@ -622,6 +745,15 @@ func runInAtom(t *testing.T, c inAtomCase, target engine.PlatformID, shards int,
 	}
 	if n := len(ep.Atoms); n != 1 && c.name != "chain-in-loop-body" {
 		t.Fatalf("%s on %s: plan split into %d atoms, want source and chain in one", c.name, target, n)
+	}
+	for _, algo := range groupAlgos {
+		if strings.HasSuffix(c.name, "-"+string(algo)) {
+			forEachOp(ep.Physical, func(op *physical.Operator) {
+				if op.Kind() == plan.KindGroupBy {
+					op.Algo = algo
+				}
+			})
+		}
 	}
 	res, err := executor.Run(ep, reg, executor.Options{Shards: shards})
 	if err != nil {

@@ -54,7 +54,9 @@ func applyRules(p *physical.Plan, rules []Rule) error {
 
 // FuseFilters merges a Filter whose single input is another Filter with
 // no other consumers into one conjunctive Filter, halving per-record
-// dispatch overhead.
+// dispatch overhead. A filter carrying a column predicate is left alone:
+// the closure would erase the hint, and where hints are honoured
+// consecutive hinted filters are one pass over one selection vector.
 type FuseFilters struct{}
 
 // Name implements Rule.
@@ -68,7 +70,7 @@ func (FuseFilters) Apply(p *physical.Plan) (bool, error) {
 			continue
 		}
 		in := op.Inputs[0]
-		if in.Kind() != plan.KindFilter {
+		if in.Kind() != plan.KindFilter || in.Logical.ColPred != nil || op.Logical.ColPred != nil {
 			continue
 		}
 		if consumers == nil {

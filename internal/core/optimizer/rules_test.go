@@ -86,6 +86,31 @@ func TestFuseFiltersSkipsSharedFilter(t *testing.T) {
 	}
 }
 
+// TestFuseFiltersLeavesHintedFilters: a filter carrying a column
+// predicate is not folded into an opaque closure — next to another hinted
+// filter or next to a UDF one — so the hint reaches the platform; two UDF
+// filters behind them still fuse.
+func TestFuseFiltersLeavesHintedFilters(t *testing.T) {
+	pp := physOf(t, func(b *plan.Builder) {
+		s := b.Source("s", plan.Collection(nil))
+		h1 := b.FilterWhere(s, 0, plan.Greater, data.Int(10))
+		h2 := b.FilterWhere(h1, 0, plan.Less, data.Int(99))
+		b.Collect(b.Filter(b.Filter(h2, evens), bigOnes))
+	})
+	if err := applyRules(pp, DefaultRules()); err != nil {
+		t.Fatal(err)
+	}
+	hinted := 0
+	for _, op := range pp.Ops {
+		if op.Kind() == plan.KindFilter && op.Logical.ColPred != nil {
+			hinted++
+		}
+	}
+	if got := countKind(pp, plan.KindFilter); hinted != 2 || got != 3 {
+		t.Errorf("%d filters of which %d hinted after the rules, want the two hinted ones and one fused UDF filter", got, hinted)
+	}
+}
+
 func TestPushFilterBeforeSort(t *testing.T) {
 	pp := physOf(t, func(b *plan.Builder) {
 		s := b.Source("s", plan.Collection(nil))

@@ -8,7 +8,9 @@
 package plan
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 
 	"rheem/internal/data"
@@ -59,28 +61,7 @@ type ColumnPredicate struct {
 
 // Match reports whether v satisfies the predicate. A null v never
 // matches (the SQL convention), regardless of the operator.
-func (p *ColumnPredicate) Match(v data.Value) bool {
-	if v.IsNull() {
-		return false
-	}
-	cmp := CompareValues(v, p.Operand)
-	switch p.Op {
-	case Less:
-		return cmp < 0
-	case LessEq:
-		return cmp <= 0
-	case Greater:
-		return cmp > 0
-	case GreaterEq:
-		return cmp >= 0
-	case Eq:
-		return cmp == 0
-	case NotEq:
-		return cmp != 0
-	default:
-		return false
-	}
-}
+func (p *ColumnPredicate) Match(v data.Value) bool { return p.Op.Holds(v, p.Operand) }
 
 // FilterFunc renders the predicate as the row-path UDF.
 func (p *ColumnPredicate) FilterFunc() FilterFunc {
@@ -202,5 +183,153 @@ func (b *Builder) AggregateCols(in *Operator, fns ...AggFn) *Operator {
 	agg := &ColumnAggregate{Fns: append([]AggFn(nil), fns...)}
 	o := b.Reduce(in, agg.ReduceFunc())
 	o.ColAgg = agg
+	return o
+}
+
+// GroupFn enumerates a ColumnGroupAggregate's folds. They are SQL's: all
+// but GroupCountAll skip nulls, and sums are float64 whatever they read.
+type GroupFn uint8
+
+// The grouped folds.
+const (
+	GroupKey      GroupFn = iota // Field as the group's first row has it — what a key column shows
+	GroupCountAll                // COUNT(*): the group's rows
+	GroupCount                   // COUNT(col): the rows whose Field is not null
+	GroupSum                     // SUM(col): 0 when every Field is null
+	GroupAvg                     // AVG(col): 0 when every Field is null
+	GroupMin                     // MIN(col) under CompareValues: null when every Field is null
+	GroupMax                     // MAX(col)
+)
+
+// GroupCol is one output column: Fn over input field Field (GroupCountAll reads none).
+type GroupCol struct {
+	Fn    GroupFn
+	Field int
+}
+
+// ColumnGroupAggregate is the declarative grouped aggregate: rows group
+// by the values of the Keys fields — told apart by data.Equal, so -0
+// groups with +0 and shows whichever came first — and each group yields
+// one record, column i of it Out[i] folded over the group's rows in input
+// order. No Keys is the global aggregate: one group, none without a row.
+type ColumnGroupAggregate struct {
+	Keys []int
+	Out  []GroupCol
+}
+
+// AppendKey appends v to the composite a multi-column key is compared
+// by: a kind byte and a self-delimiting payload, so composites are equal
+// exactly when built from data.Equal values (-0 encodes as +0; a NaN
+// equals the same NaN here).
+func AppendKey(dst []byte, v data.Value) []byte {
+	dst = append(dst, byte(v.Kind()))
+	switch v.Kind() {
+	case data.KindBool:
+		return append(dst, v.String()[0]) // 't' or 'f'
+	case data.KindInt:
+		return binary.BigEndian.AppendUint64(dst, uint64(v.Int()))
+	case data.KindFloat:
+		return binary.BigEndian.AppendUint64(dst, math.Float64bits(v.Float()+0))
+	case data.KindString:
+		return append(binary.AppendUvarint(dst, uint64(len(v.Str()))), v.Str()...)
+	case data.KindVector:
+		dst = binary.AppendUvarint(dst, uint64(len(v.Vec())))
+		for _, f := range v.Vec() {
+			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(f+0))
+		}
+	}
+	return dst
+}
+
+// KeyFunc renders the key as the row-path UDF: a constant for no key
+// column, the field itself for one, the AppendKey composite for several.
+func (g *ColumnGroupAggregate) KeyFunc() KeyFunc {
+	switch len(g.Keys) {
+	case 0:
+		return ConstKey()
+	case 1:
+		return FieldKey(g.Keys[0])
+	}
+	return func(r data.Record) (data.Value, error) {
+		buf := make([]byte, 0, 16*len(g.Keys))
+		for _, k := range g.Keys {
+			buf = AppendKey(buf, r.Field(k))
+		}
+		return data.Str(string(buf)), nil
+	}
+}
+
+// GroupFunc renders the folds as the row-path UDF over a materialised group.
+func (g *ColumnGroupAggregate) GroupFunc() GroupFunc {
+	return func(_ data.Value, group []data.Record) ([]data.Record, error) {
+		vals := make([]data.Value, len(g.Out))
+		for i, oc := range g.Out {
+			var s GroupState
+			for _, r := range group {
+				oc.Fn.Add(&s, oc.Arg(r))
+			}
+			vals[i] = oc.Fn.Result(s)
+		}
+		return []data.Record{data.NewRecord(vals...)}, nil
+	}
+}
+
+// Arg is the value the column's fold reads from r.
+func (c GroupCol) Arg(r data.Record) (v data.Value) {
+	if c.Fn != GroupCountAll {
+		v = r.Field(c.Field)
+	}
+	return v
+}
+
+// GroupState is one output column's running fold over one group.
+type GroupState struct {
+	N    int64
+	Sum  float64
+	Best data.Value
+}
+
+// Add folds the next row's value into s: the one definition of the folds,
+// for the derived GroupFunc and for a vectorized kernel's accumulators.
+func (f GroupFn) Add(s *GroupState, v data.Value) {
+	switch {
+	case f == GroupKey:
+		if s.N == 0 {
+			s.Best = v
+		}
+	case f == GroupCountAll:
+	case v.IsNull():
+		return
+	case f == GroupCount:
+	case f == GroupSum || f == GroupAvg:
+		s.Sum += v.Float()
+	case s.N == 0, f == GroupMin && CompareValues(v, s.Best) < 0, f == GroupMax && CompareValues(v, s.Best) > 0:
+		s.Best = v
+	}
+	s.N++
+}
+
+// Result is the fold's output value.
+func (f GroupFn) Result(s GroupState) data.Value {
+	switch f {
+	case GroupCountAll, GroupCount:
+		return data.Int(s.N)
+	case GroupAvg:
+		if s.N > 0 {
+			s.Sum /= float64(s.N)
+		}
+		fallthrough
+	case GroupSum:
+		return data.Float(s.Sum)
+	}
+	return s.Best
+}
+
+// GroupAggregate adds a GroupBy computing the grouped aggregate, carrying
+// the spec as a vectorization hint beside the UDFs derived from it.
+func (b *Builder) GroupAggregate(in *Operator, keys []int, out ...GroupCol) *Operator {
+	g := &ColumnGroupAggregate{Keys: append([]int(nil), keys...), Out: append([]GroupCol(nil), out...)}
+	o := b.GroupBy(in, g.KeyFunc(), g.GroupFunc())
+	o.ColGroup = g
 	return o
 }

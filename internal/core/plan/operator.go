@@ -141,9 +141,8 @@ func (c CompareOp) String() string {
 	}
 }
 
-// Eval applies the comparison to two values under data.Compare.
-func (c CompareOp) Eval(a, b data.Value) bool {
-	cmp := data.Compare(a, b)
+// test reports whether a three-way comparison result satisfies c.
+func (c CompareOp) test(cmp int) bool {
 	switch c {
 	case Less:
 		return cmp < 0
@@ -160,6 +159,17 @@ func (c CompareOp) Eval(a, b data.Value) bool {
 	default:
 		return false
 	}
+}
+
+// Eval applies the comparison to two values under data.Compare, the
+// total order an inequality join sorts by: nulls order first.
+func (c CompareOp) Eval(a, b data.Value) bool { return c.test(data.Compare(a, b)) }
+
+// Holds applies the comparison as a predicate, under the SQL rule every
+// declarative filter follows: a null on either side never matches,
+// whatever the operator; other values compare under CompareValues.
+func (c CompareOp) Holds(a, b data.Value) bool {
+	return !a.IsNull() && !b.IsNull() && c.test(CompareValues(a, b))
 }
 
 // IECondition is one inequality condition "left.Field ⊙ right.Field" of
@@ -214,12 +224,14 @@ type Operator struct {
 	// Vectorization hints: declarative column forms of the operator's
 	// UDF, letting batch-capable platforms run a columnar kernel
 	// instead of calling the closure per record. The builder helpers
-	// (FilterWhere, ProjectCols, AggregateCols) derive the UDF and the
+	// (FilterWhere, ProjectCols, AggregateCols, GroupAggregate) derive
+	// the UDF and the
 	// hint from one specification so the two can never disagree; the
 	// UDF remains the semantic ground truth on row-path platforms.
 	ColPred    *ColumnPredicate // Filter: Field ⟨Op⟩ Operand
 	ColProject []int            // Map that is a pure field projection
 	ColAgg     *ColumnAggregate // Reduce: per-field pairwise fold
+	ColGroup   *ColumnGroupAggregate // GroupBy: key columns and per-column folds
 }
 
 // ID returns the operator's plan-local identifier.

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -258,5 +259,84 @@ func TestHelperUDFs(t *testing.T) {
 	got, err := src()
 	if err != nil || len(got) != 1 {
 		t.Error("Collection broken")
+	}
+}
+
+// TestCompareOpHolds: the predicate form of a comparison follows the SQL
+// rule — a null on either side satisfies no operator — and compares
+// same-kind values exactly, where Eval orders nulls first and widens
+// ints through float64.
+func TestCompareOpHolds(t *testing.T) {
+	null, five := data.Null(), data.Int(5)
+	for op := Less; op <= NotEq; op++ {
+		if op.Holds(null, five) || op.Holds(five, null) || op.Holds(null, null) {
+			t.Errorf("%s holds with a null operand", op)
+		}
+	}
+	if !Less.Eval(null, five) || !NotEq.Eval(null, five) {
+		t.Error("Eval no longer orders null first")
+	}
+	big := int64(1) << 53
+	if !Less.Holds(data.Int(big), data.Int(big+1)) || Eq.Holds(data.Int(big), data.Int(big+1)) {
+		t.Error("Holds does not tell 2^53 from 2^53+1")
+	}
+	if !NotEq.Holds(data.Int(3), five) || !GreaterEq.Holds(five, data.Float(4.5)) {
+		t.Error("Holds rejects plain comparisons")
+	}
+}
+
+// TestGroupAggregateDerivedUDFs pins the row rendering of the grouped
+// aggregate: an exact key — distinct tuples get distinct composites,
+// however their hashes or their strings' concatenations fall, and equal
+// tuples one — and SQL's null-skipping folds.
+func TestGroupAggregateDerivedUDFs(t *testing.T) {
+	b := NewBuilder("g")
+	src := b.Source("s", Collection(nil))
+	two := b.GroupAggregate(src, []int{0, 1}, GroupCol{Fn: GroupKey, Field: 1})
+	b.Collect(two)
+	keyOf := func(vals ...data.Value) string {
+		k, err := two.Key(data.NewRecord(vals...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k.Str()
+	}
+	apart := [][2][]data.Value{
+		{{data.Int(1), data.Int(2)}, {data.Int(2), data.Int(1)}},
+		{{data.Str("a"), data.Str("bc")}, {data.Str("ab"), data.Str("c")}},
+		{{data.Str(""), data.Null()}, {data.Null(), data.Str("")}},
+		{{data.Int(1), data.Int(2)}, {data.Float(1), data.Float(2)}},
+		{{data.Bool(true), data.Int(1)}, {data.Int(1), data.Bool(true)}},
+		{{data.Str("a\x04"), data.Str("")}, {data.Str("a"), data.Str("\x04")}},
+	}
+	for _, pair := range apart {
+		if keyOf(pair[0]...) == keyOf(pair[1]...) {
+			t.Errorf("tuples %v and %v share a key", pair[0], pair[1])
+		}
+	}
+	negZero := data.Float(math.Copysign(0, -1))
+	if keyOf(data.Float(0), data.Str("x")) != keyOf(negZero, data.Str("x")) {
+		t.Error("-0 and +0, equal under data.Equal, get different composites")
+	}
+
+	g := &ColumnGroupAggregate{Keys: []int{0}, Out: []GroupCol{
+		{GroupKey, 0}, {GroupCountAll, 0}, {GroupCount, 1}, {GroupSum, 1}, {GroupAvg, 1}, {GroupMin, 1}, {GroupMax, 1},
+	}}
+	rec := func(v data.Value) data.Record { return data.NewRecord(data.Str("k"), v) }
+	big := int64(1) << 53
+	for _, tc := range []struct {
+		name  string
+		group []data.Record
+		want  string
+	}{
+		{"mixed", []data.Record{rec(data.Int(4)), rec(data.Null()), rec(data.Int(1)), rec(data.Int(7))}, "(k, 4, 3, 12, 4, 1, 7)"},
+		{"all-null", []data.Record{rec(data.Null()), rec(data.Null())}, "(k, 2, 0, 0, 0, , )"},
+		{"beyond-2^53", []data.Record{rec(data.Int(big)), rec(data.Int(big + 1))}, "(k, 2, 2, 1.8014398509481984e+16, 9.007199254740992e+15, 9007199254740992, 9007199254740993)"},
+		{"nan-keeps-left", []data.Record{rec(data.Float(math.NaN())), rec(data.Float(1))}, "(k, 2, 2, NaN, NaN, NaN, NaN)"},
+	} {
+		out, err := g.GroupFunc()(data.Str("k"), tc.group)
+		if err != nil || len(out) != 1 || out[0].String() != tc.want {
+			t.Errorf("%s folded to %v, %v; want %s", tc.name, out, err, tc.want)
+		}
 	}
 }

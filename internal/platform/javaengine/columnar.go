@@ -1,9 +1,9 @@
 // Vectorized execution operators: a hinted chain (filter, projection,
-// global aggregate) inside an atom is one lazy pipeline, run
+// global or grouped aggregate) inside an atom is one lazy pipeline, run
 // vector-at-a-time. ExecOp on a hinted filter or projection computes
 // nothing: it appends a stage to a pipeline value, and whatever consumes
-// that value forces it — a hinted aggregate folds it, the row code asks
-// for rows, ToChannel for the dataset in its source's form. Forcing
+// that value forces it — a hinted aggregate folds or groups it, the row
+// code asks for rows, ToChannel for the dataset in its source's form. Forcing
 // walks the source in windows of a fixed number of rows: transpose only
 // the columns the stages read into buffers that live for the one
 // forcing, evaluate each filter into a selection vector the later stages
@@ -12,7 +12,7 @@
 //
 // Each stage is the column form of the same declarative spec that
 // generated the operator's row UDF (plan.ColumnPredicate / ColProject /
-// ColumnAggregate), so it computes what the UDF computes — the
+// ColumnAggregate / ColumnGroupAggregate), so it computes what the UDF computes — the
 // conformance battery checks byte-identity under the canonical encoding
 // against the plan built from the UDFs. A window without a column form
 // (ragged records, a field index outside them) runs through the stages'
@@ -109,8 +109,7 @@ func (p *pipeline) source(j int) int {
 	return outside
 }
 
-// push appends a hinted filter or projection. A batch too narrow for it
-// is turned into rows: the row UDFs are what will run.
+// push appends a hinted filter or projection.
 func (p *pipeline) push(lop *plan.Operator) {
 	if p.stages == nil {
 		p.stages = make([]stage, 0, 4)
@@ -118,19 +117,30 @@ func (p *pipeline) push(lop *plan.Operator) {
 	st := stage{op: lop}
 	if pred := lop.ColPred; pred != nil {
 		st.col = p.source(pred.Field)
-		p.maxCol = max(p.maxCol, st.col)
+		p.project(nil, st.col)
 	} else {
-		proj := make([]int, len(lop.ColProject))
-		for i, j := range lop.ColProject {
+		p.project(lop.ColProject)
+	}
+	p.stages = append(p.stages, st)
+}
+
+// project makes the chain's output columns idx of its output so far (nil
+// leaves it) and notes the source columns more the chain also names. A
+// batch too narrow for those is turned into rows: the row UDFs will run.
+func (p *pipeline) project(idx []int, more ...int) {
+	if idx != nil {
+		proj := make([]int, len(idx))
+		for i, j := range idx {
 			proj[i] = p.source(j)
-			p.maxCol = max(p.maxCol, proj[i])
 		}
-		p.proj = proj
+		p.proj, more = proj, proj
+	}
+	for _, c := range more {
+		p.maxCol = max(p.maxCol, c)
 	}
 	if p.cols != nil && p.maxCol >= p.cols.NumCols() {
 		p.rows, p.cols = p.cols.ToRecords(), nil
 	}
-	p.stages = append(p.stages, st)
 }
 
 // reads lists the source columns a forcing loads: the filters' fields
@@ -217,8 +227,8 @@ func (p *pipeline) run(values bool, columns func(w *win, sel []int32) error, row
 	}
 	var w win
 	w.reads, w.all = p.reads(values)
-	// Every row of a window, and the rows that survive its filters.
-	whole, buf := identity(min(window, n)), make([]int32, min(window, n))
+	// Every row of a window; a chain's first filter overwrites it with the rows it keeps.
+	buf := identity(min(window, n))
 	for lo := 0; lo < n; lo += window {
 		if err := p.ctx.Err(); err != nil {
 			return err
@@ -234,11 +244,14 @@ func (p *pipeline) run(values bool, columns func(w *win, sel []int32) error, row
 			}
 			continue
 		}
-		sel := whole[:w.n]
+		var sel []int32 // nil: every row
 		for _, st := range p.stages {
 			if st.op.ColPred != nil {
-				sel = selectRows(buf, sel, &w.cols[st.col], w.off, st.op.ColPred)
+				sel = selectRows(buf[:w.n], sel, &w.cols[st.col], w.off, st.op.ColPred)
 			}
+		}
+		if sel == nil {
+			sel = buf[:w.n]
 		}
 		if err := columns(&w, sel); err != nil {
 			return err
@@ -291,11 +304,15 @@ func (p *pipeline) force() (any, error) {
 }
 
 // records forces the pipeline into rows. Projected rows, and rows out of
-// a batch, are cut from one []data.Value slab per window.
+// a batch, are cut from one []data.Value slab per window; a rows source's
+// values come from its rows, so only the filters' columns are transposed.
 func (p *pipeline) records() ([]data.Record, error) {
 	var out []data.Record
 	original := p.cols == nil && p.proj == nil
-	err := p.run(!original, func(w *win, sel []int32) error {
+	err := p.run(p.cols != nil, func(w *win, sel []int32) error {
+		if out == nil {
+			out = make([]data.Record, 0, len(sel)) // exact when there is one window
+		}
 		if original {
 			for _, i := range sel {
 				out = append(out, p.rows[w.base+int(i)])
@@ -306,7 +323,11 @@ func (p *pipeline) records() ([]data.Record, error) {
 		for k, i := range sel {
 			row := slab[k*w.width : (k+1)*w.width : (k+1)*w.width]
 			for j := range row {
-				row[j] = w.out(p, j).Value(w.off, int(i))
+				if p.cols == nil {
+					row[j] = p.rows[w.base+int(i)].Field(p.proj[j])
+				} else {
+					row[j] = w.out(p, j).Value(w.off, int(i))
+				}
 			}
 			out = append(out, data.NewRecord(row...))
 		}
@@ -423,13 +444,16 @@ func hinted(lop *plan.Operator) bool {
 		return lop.ColProject != nil
 	case plan.KindReduce:
 		return lop.ColAgg != nil
+	case plan.KindGroupBy:
+		return lop.ColGroup != nil
 	}
 	return false
 }
 
 // execHinted handles an operator that carries a column hint: a filter
 // or projection becomes a stage of its input's pipeline, an aggregate
-// folds it. handled=false sends an un-hinted operator to the row code.
+// folds it, a grouped aggregate groups it. handled=false sends an
+// un-hinted operator to the row code.
 func (d *datasetOps) execHinted(ctx context.Context, op *physical.Operator, inputs []any) (out any, handled bool, err error) {
 	if !hinted(op.Logical) {
 		return nil, false, nil
@@ -437,6 +461,10 @@ func (d *datasetOps) execHinted(ctx context.Context, op *physical.Operator, inpu
 	p := asPipeline(ctx, inputs[0])
 	if agg := op.Logical.ColAgg; agg != nil {
 		out, err = p.fold(agg.Fns)
+		return out, true, err
+	}
+	if op.Logical.ColGroup != nil {
+		out, err = p.group(op.Logical, op.Algo == physical.SortGroupBy)
 		return out, true, err
 	}
 	p.push(op.Logical)
@@ -449,9 +477,9 @@ func (d *datasetOps) execHinted(ctx context.Context, op *physical.Operator, inpu
 	return p, true, nil
 }
 
-// selectRows evaluates the predicate over the rows of col listed in in
-// and returns the survivors, in order, in dst's storage (in place when
-// the two are one slice). Typed columns whose kind matches the operand
+// selectRows evaluates the predicate over the rows of col listed in in —
+// nil lists every row, as many as dst is long — and returns the
+// survivors, in order, in dst's storage (in place when the two are one). Typed columns whose kind matches the operand
 // take a tight unboxed loop; everything else goes through the generic
 // value path, which applies the exact row-UDF semantics
 // (plan.ColumnPredicate.Match).
@@ -463,6 +491,12 @@ func selectRows(dst, in []int32, col *batch.Column, off int, p *plan.ColumnPredi
 		return selectOrdered(dst, in, col.Float64s, p.Operand.Float(), p.Op, col.Valid, off)
 	case col.Kind == batch.ColString && p.Operand.Kind() == data.KindString:
 		return selectOrdered(dst, in, col.Strings, p.Operand.Str(), p.Op, col.Valid, off)
+	}
+	if in == nil {
+		in = dst
+		for i := range in {
+			in[i] = int32(i)
+		}
 	}
 	n := 0
 	for _, i := range in {
@@ -486,16 +520,26 @@ func selectOrdered[T cmp.Ordered](dst, in []int32, vals []T, k T, op plan.Compar
 	zero := data.Int(0)
 	keep := [3]int{b2i(op.Eval(data.Int(-1), zero)), b2i(op.Eval(zero, zero)), b2i(op.Eval(data.Int(1), zero))}
 	n := 0
-	for _, i := range in {
-		v := vals[i]
-		dst[n] = i
-		m := keep[1+b2i(v > k)-b2i(v < k)]
-		if valid != nil && !valid.Get(off+int(i)) {
-			m = 0
+	if in == nil { // every row: the values in order, no index to load
+		for i, v := range vals[:len(dst)] {
+			dst[n] = int32(i)
+			n += kept(&keep, v, k, valid, off+i)
 		}
-		n += m
+		return dst[:n]
+	}
+	for _, i := range in {
+		dst[n] = i
+		n += kept(&keep, vals[i], k, valid, off+int(i))
 	}
 	return dst[:n]
+}
+
+// kept is 1 for a non-null value that stands to k as the operator wants.
+func kept[T cmp.Ordered](keep *[3]int, v, k T, valid *algo.Bitset, bit int) int {
+	if valid != nil && !valid.Get(bit) {
+		return 0
+	}
+	return keep[1+b2i(v > k)-b2i(v < k)]
 }
 
 func b2i(b bool) int {

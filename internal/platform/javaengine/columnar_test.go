@@ -25,7 +25,7 @@ func physOp(lop *plan.Operator) *physical.Operator {
 // the UDF the builder helper generated from the same spec.
 func udfTwin(lop *plan.Operator) *plan.Operator {
 	twin := *lop
-	twin.ColPred, twin.ColProject, twin.ColAgg = nil, nil, nil
+	twin.ColPred, twin.ColProject, twin.ColAgg, twin.ColGroup = nil, nil, nil, nil
 	return &twin
 }
 
@@ -57,13 +57,13 @@ func encodeRecs(t *testing.T, recs []data.Record) []byte {
 // hinted filter or projection returns, as its consumer would — and turns
 // a panic into an error so a UDF's index panic can be compared like any
 // other failure.
-func execOp(lop *plan.Operator, in any) (out any, err error) {
+func execOp(lop *plan.Operator, in any, algo physical.Algorithm) (out any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	out, err = (&datasetOps{}).ExecOp(context.Background(), physOp(lop), []any{in})
+	out, err = (&datasetOps{}).ExecOp(context.Background(), &physical.Operator{Logical: lop, Algo: algo}, []any{in})
 	if p, ok := out.(*pipeline); ok && err == nil {
 		out, err = p.force()
 	}
@@ -77,12 +77,18 @@ func execOp(lop *plan.Operator, in any) (out any, err error) {
 // It returns the twin's output.
 func runBoth(t *testing.T, lop *plan.Operator, recs []data.Record) []data.Record {
 	t.Helper()
-	want, wantErr := execOp(udfTwin(lop), data.CloneRecords(recs))
+	return runBothAlgo(t, lop, recs, physical.Default)
+}
+
+// runBothAlgo is runBoth under an algorithm decision.
+func runBothAlgo(t *testing.T, lop *plan.Operator, recs []data.Record, algo physical.Algorithm) []data.Record {
+	t.Helper()
+	want, wantErr := execOp(udfTwin(lop), data.CloneRecords(recs), algo)
 	for name, in := range map[string]any{
 		"rows":  data.CloneRecords(recs),
 		"batch": batch.FromRecords(data.CloneRecords(recs)),
 	} {
-		got, gotErr := execOp(lop, in)
+		got, gotErr := execOp(lop, in, algo)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("hinted over %s: error divergence: UDF %v, hinted %v", name, wantErr, gotErr)
 		}
@@ -166,7 +172,8 @@ func TestHintedFilterMatchesUDF(t *testing.T) {
 }
 
 // TestHintedFieldOutsideInput pins the bad-index contract: a predicate
-// field or projection index beyond the input's width fails exactly as
+// field, projection index, group key or fold argument beyond the input's
+// width fails exactly as
 // the UDF does (Record.Field / Record.Project index panic), never as a
 // kernel error of its own.
 func TestHintedFieldOutsideInput(t *testing.T) {
@@ -178,10 +185,12 @@ func TestHintedFieldOutsideInput(t *testing.T) {
 	src := b.Source("s", plan.Collection(nil))
 	f := b.FilterWhere(src, 2, plan.Less, data.Int(5))
 	p := b.ProjectCols(src, 0, 5)
-	b.Collect(b.Union(f, p))
+	gk := b.GroupAggregate(src, []int{3}, plan.GroupCol{Fn: plan.GroupCountAll})
+	ga := b.GroupAggregate(src, []int{0}, plan.GroupCol{Fn: plan.GroupSum, Field: 5})
+	b.Collect(b.Union(b.Union(f, p), b.Union(gk, ga)))
 	b.MustBuild()
-	for _, lop := range []*plan.Operator{f, p} {
-		if _, err := execOp(udfTwin(lop), recs); err == nil {
+	for _, lop := range []*plan.Operator{f, p, gk, ga} {
+		if _, err := execOp(udfTwin(lop), recs, physical.Default); err == nil {
 			t.Fatalf("%s: the UDF accepted an index outside the record", lop.Kind())
 		}
 		runBoth(t, lop, recs)
@@ -411,7 +420,7 @@ func inAtomChain(recs []data.Record, hinted bool) func(*plan.Builder) {
 		b.Collect(a)
 		if !hinted {
 			for _, op := range []*plan.Operator{f1, f2, p, a} {
-				op.ColPred, op.ColProject, op.ColAgg = nil, nil, nil
+				op.ColPred, op.ColProject, op.ColAgg, op.ColGroup = nil, nil, nil, nil
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"rheem/internal/core/batch"
@@ -52,8 +53,9 @@ func boundaryRecs(n int, ragged bool) []data.Record {
 // runChain builds source → build(...) → sink, hinted or as its UDF twin,
 // and runs everything below the source as one java atom fed in, which is
 // []data.Record (a Collection channel) or a *batch.Batch. It returns the
-// result under the canonical encoding, or the error.
-func runChain(t *testing.T, in any, hinted bool, build func(b *plan.Builder, src *plan.Operator) *plan.Operator) ([]byte, error) {
+// result under the canonical encoding, or the error. A chain whose name
+// ends in "/sorted" has its grouping sort-based.
+func runChain(t *testing.T, in any, hinted bool, name string, build func(b *plan.Builder, src *plan.Operator) *plan.Operator) ([]byte, error) {
 	t.Helper()
 	b := plan.NewBuilder("boundary")
 	src := b.Source("s", plan.Collection(nil))
@@ -78,6 +80,9 @@ func runChain(t *testing.T, in any, hinted bool, build func(b *plan.Builder, src
 		}
 		if !hinted {
 			op.Logical = udfTwin(op.Logical)
+		}
+		if op.Kind() == plan.KindGroupBy && strings.HasSuffix(name, "/sorted") {
+			op.Algo = physical.SortGroupBy
 		}
 		atom.Ops = append(atom.Ops, op)
 		for slot, p := range op.Inputs {
@@ -107,10 +112,14 @@ func runChain(t *testing.T, in any, hinted bool, build func(b *plan.Builder, src
 
 // TestPipelineWindowBoundaries is the differential suite for forcing a
 // pipeline across window boundaries: inputs one row short of a window,
-// exactly one, one over and three and a bit, as rows, as a batch and as
-// four shard views of a batch (validity offsets that are not zero),
-// into every kind of consumer — and the hinted chain must agree with
-// its UDF twin byte for byte, or fail with the same error text.
+// exactly one, one over, two and one and three and a bit, as rows, as a
+// batch and as four shard views of a batch (validity offsets that are
+// not zero), into every kind of consumer — and the hinted chain must
+// agree with its UDF twin byte for byte, or fail with the same error
+// text. For the grouped consumer every group's rows straddle the window
+// edges: the int key's table meets its first null key in window 2 and
+// hands its groups to the general one; the float key has the NaN (a
+// group per row), the −0 and the integer.
 func TestPipelineWindowBoundaries(t *testing.T) {
 	tag := func(r data.Record) (data.Record, error) { return r.Append(data.Str("udf")), nil }
 	// value <= 50 keeps about six rows in ten, the NaN, the −0 and the
@@ -168,7 +177,31 @@ func TestPipelineWindowBoundaries(t *testing.T) {
 			return b.AggregateCols(b.FilterWhere(project(b, s), 1, plan.Eq, data.Int(window)), plan.AggSum)
 		},
 	}
-	for _, n := range []int{window - 1, window, window + 1, 3*window + 7} {
+	groups := map[string]func(*plan.Builder, *plan.Operator) *plan.Operator{
+		"filter/group-int": func(b *plan.Builder, s *plan.Operator) *plan.Operator {
+			return b.GroupAggregate(filter(b, s), []int{2}, append(everyFold(2, 1), everyFold(2, 3)[2:]...)...)
+		},
+		"group-float": func(b *plan.Builder, s *plan.Operator) *plan.Operator {
+			return b.GroupAggregate(s, []int{1}, everyFold(1, 3)...)
+		},
+		"project/group-global": func(b *plan.Builder, s *plan.Operator) *plan.Operator {
+			return b.GroupAggregate(project(b, s), nil, append(everyFold(0, 3)[1:], everyFold(0, 0)[5:]...)...)
+		},
+		// Two keys, the first one a UDF made.
+		"udf-map/group-two-keys": func(b *plan.Builder, s *plan.Operator) *plan.Operator {
+			m := b.Map(s, func(r data.Record) (data.Record, error) {
+				return data.NewRecord(r.Field(0), r.Field(1), r.Field(2), r.Field(3), data.Int(r.Field(0).Int()%7%5)), nil
+			})
+			return b.GroupAggregate(filter(b, m), []int{4, 2}, everyFold(4, 3)...)
+		},
+	}
+	for name, build := range groups {
+		chains[name] = build
+		if name != "group-float" { // no sort order over its NaN keys
+			chains[name+"/sorted"] = build
+		}
+	}
+	for _, n := range []int{window - 1, window, window + 1, 2*window + 1, 3*window + 7} {
 		for _, ragged := range []bool{false, true} {
 			recs := boundaryRecs(n, ragged)
 			whole := batch.FromRecords(recs)
@@ -180,8 +213,8 @@ func TestPipelineWindowBoundaries(t *testing.T) {
 				for shape, ins := range inputs {
 					for i, in := range ins {
 						rows := asRecords(in)
-						want, wantErr := runChain(t, data.CloneRecords(rows), false, build)
-						got, gotErr := runChain(t, in, true, build)
+						want, wantErr := runChain(t, data.CloneRecords(rows), false, name, build)
+						got, gotErr := runChain(t, in, true, name, build)
 						id := fmt.Sprintf("n=%d ragged=%v %s over %s[%d]", n, ragged, name, shape, i)
 						switch {
 						case (wantErr == nil) != (gotErr == nil), wantErr != nil && wantErr.Error() != gotErr.Error():
@@ -214,7 +247,7 @@ func TestPipelineEvaluatedOnce(t *testing.T) {
 		p := b.ProjectCols(f, 1, 0)
 		return b.Union(b.AggregateCols(p, plan.AggMax, plan.AggSum), b.Count(p))
 	}
-	if _, err := runChain(t, recs, true, build); err != nil {
+	if _, err := runChain(t, recs, true, "fan-out", build); err != nil {
 		t.Fatal(err)
 	}
 	if upstream != len(recs) {

@@ -1,0 +1,77 @@
+// Not built under the race detector: its instrumentation allocates on the
+// program's behalf, and counts pinned to a few percent mean nothing then.
+
+//go:build !race
+
+package service
+
+import (
+	"runtime"
+	"testing"
+
+	"rheem"
+	"rheem/internal/apps/rheemql"
+)
+
+// sqlGateTemplates are the eight query shapes of the repository
+// benchmark's small-sql workload (benchmarks/e2e/sqlref.go) at one
+// literal each, with what rheemql.Run may allocate for one over
+// DefaultCatalog(500): objects and bytes, pinned about four percent
+// above what the vectorized lowering reads (160/176/178/167/176/173/138/
+// 216 objects, 39.9/40.0/35.4/24.3/32.1/30.2/23.8/59.5 KB). As opaque
+// closures over materialised groups the same queries read 364/399/416/
+// 177/283/172/172/500 objects and 40.0/58.8/60.7/29.6/55.3/42.0/25.4/
+// 69.7 KB.
+var sqlGateTemplates = []struct {
+	name, sql      string
+	objects, bytes float64
+}{
+	{"filter", "SELECT well, pressure FROM sensors WHERE pressure > 175.5 AND hour < 52", 168, 41500},
+	{"group", "SELECT well, COUNT(*) AS n, AVG(pressure) AS p FROM sensors WHERE hour < 40 GROUP BY well", 184, 41500},
+	{"having", "SELECT well, AVG(temperature) AS t FROM sensors GROUP BY well HAVING t > 68.5", 186, 36800},
+	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 175, 25600},
+	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 184, 33400},
+	{"global", "SELECT COUNT(*) AS n, MAX(pressure) AS hi, MIN(flow) AS lo FROM sensors WHERE temperature < 73.0", 181, 31400},
+	{"wordfilter", "SELECT word FROM words WHERE word = 'big'", 145, 24800},
+	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 225, 62000},
+}
+
+// TestSQLAllocationGate is ROADMAP item 2's gate on the SQL path: a
+// small query must not pay more for running on the column kernels than
+// it paid as rows — neither in objects nor in bytes, template by
+// template, so a regression on one shape cannot hide in the mean.
+func TestSQLAllocationGate(t *testing.T) {
+	cat, err := DefaultCatalog(500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := rheem.NewContext(rheem.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctx.Close()
+	const jobs = 20
+	for _, tpl := range sqlGateTemplates {
+		job := func() {
+			if _, _, _, err := rheemql.Run(ctx, cat, tpl.sql); err != nil {
+				t.Fatalf("%s: %v", tpl.name, err)
+			}
+		}
+		job() // warm-up: pools, lazily built tables
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < jobs; i++ {
+			job()
+		}
+		runtime.ReadMemStats(&after)
+		objects := float64(after.Mallocs-before.Mallocs) / jobs
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / jobs
+		t.Logf("%-10s %4.0f allocations, %6.0f bytes per query", tpl.name, objects, bytes)
+		if objects > tpl.objects {
+			t.Errorf("%s made %.0f allocations per query, gate is %.0f", tpl.name, objects, tpl.objects)
+		}
+		if bytes > tpl.bytes {
+			t.Errorf("%s allocated %.0f bytes per query, gate is %.0f", tpl.name, bytes, tpl.bytes)
+		}
+	}
+}
