@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"rheem/internal/core/batch"
 	"rheem/internal/core/plan"
 	"rheem/internal/data"
 )
@@ -85,7 +86,7 @@ func IEJoin(l, r []data.Record, c1, c2 plan.IECondition, emit func(l, r data.Rec
 		return c > 0
 	})
 
-	visited := NewBitset(n)
+	visited := batch.NewBitset(n)
 	strict2 := c2.Op == plan.Greater || c2.Op == plan.Less
 
 	// lowerBound returns the first L1 position with x >= v; upperBound

@@ -9,7 +9,7 @@
 // The format is lossless over the full data.Record model. Columns
 // whose values are uniformly one scalar kind become typed slices
 // (int64 / float64 / string / bool) with nulls tracked in an
-// algo.Bitset validity bitmap; columns mixing kinds or holding vectors
+// Bitset validity bitmap; columns mixing kinds or holding vectors
 // fall back to a generic []data.Value column; a ragged record set
 // (records of differing arity) is carried as rows behind the same
 // Batch interface. ToRecords therefore always reproduces the source
@@ -20,7 +20,6 @@ package batch
 import (
 	"fmt"
 
-	"rheem/internal/core/algo"
 	"rheem/internal/data"
 )
 
@@ -68,7 +67,7 @@ type Column struct {
 	Strings  []string
 	Bools    []bool
 	Any      []data.Value
-	Valid    *algo.Bitset
+	Valid    *Bitset
 }
 
 // length returns the populated slice's length.
@@ -132,6 +131,43 @@ func (c *Column) Value(off, i int) data.Value {
 	default:
 		return data.Bool(c.Bools[i])
 	}
+}
+
+// Reset makes the column n all-valid rows of a typed kind, reusing the
+// storage it holds where that is large enough. The rows' contents are
+// whatever the storage held: the caller writes every one.
+func (c *Column) Reset(kind ColKind, n int) {
+	c.Kind, c.Valid = kind, nil
+	switch kind {
+	case ColInt64:
+		c.Int64s = grow(c.Int64s, n)
+	case ColFloat64:
+		c.Float64s = grow(c.Float64s, n)
+	case ColString:
+		c.Strings = grow(c.Strings, n)
+	case ColBool:
+		c.Bools = grow(c.Bools, n)
+	default:
+		c.Any = grow(c.Any, n)
+	}
+}
+
+// Put stores v as row i of a typed column and reports whether it could:
+// a null, or a value of another kind than the column's, is not stored.
+func (c *Column) Put(i int, v data.Value) bool {
+	switch {
+	case c.Kind == ColInt64 && v.Kind() == data.KindInt:
+		c.Int64s[i] = v.Int()
+	case c.Kind == ColFloat64 && v.Kind() == data.KindFloat:
+		c.Float64s[i] = v.Float()
+	case c.Kind == ColString && v.Kind() == data.KindString:
+		c.Strings[i] = v.Str()
+	case c.Kind == ColBool && v.Kind() == data.KindBool:
+		c.Bools[i] = v.Bool()
+	default:
+		return false
+	}
+	return true
 }
 
 // Batch is a columnar view over n records. The zero value is an empty
@@ -248,20 +284,20 @@ func grow[T any](s []T, n int) []T {
 
 // leadingNulls starts the validity bitmap of a column whose first start
 // rows are null, zeroing their (possibly reused) slots.
-func leadingNulls[T any](vals []T, start int) *algo.Bitset {
+func leadingNulls[T any](vals []T, start int) *Bitset {
 	if start == 0 {
 		return nil
 	}
 	clear(vals[:start])
-	return algo.NewBitset(len(vals))
+	return NewBitset(len(vals))
 }
 
 // markNull lazily materialises the validity bitmap on the first null:
 // rows [start, i) of the speculative fill were all valid, rows before
 // start all null.
-func markNull(valid *algo.Bitset, n, start, i int) *algo.Bitset {
+func markNull(valid *Bitset, n, start, i int) *Bitset {
 	if valid == nil {
-		valid = algo.NewBitset(n)
+		valid = NewBitset(n)
 		for j := start; j < i; j++ {
 			valid.Set(j)
 		}

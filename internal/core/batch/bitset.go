@@ -1,12 +1,13 @@
-package algo
+package batch
 
 import "math/bits"
 
-// Bitset is a dense bit array. It is the heart of IEJoin (positions of
-// already-visited tuples in the first sort order) and doubles as the
-// validity bitmap of the columnar batch format: scanning runs of set
-// bits word-by-word is what gives both their small constants compared
-// to a per-element loop.
+// Bitset is a dense bit array: the validity bitmap of a typed column,
+// and the heart of algo's IEJoin (positions of already-visited tuples in
+// the first sort order). Scanning runs of set bits word-by-word is what
+// gives both their small constants compared to a per-element loop. It
+// lives here, below plan, so that plan can name batch.Column in a
+// columnar UDF's signature.
 type Bitset struct {
 	words []uint64
 	n     int

@@ -28,6 +28,7 @@ import (
 	"testing"
 	"time"
 
+	"rheem/internal/core/batch"
 	"rheem/internal/core/cost"
 	"rheem/internal/core/engine"
 	"rheem/internal/core/executor"
@@ -77,13 +78,13 @@ func canonical(t *testing.T, recs []data.Record) string {
 
 // udfTwin drops every column hint from a freshly built plan, loop
 // bodies included. What remains are the UDFs the hint helpers generated
-// (ColumnPredicate.FilterFunc, Record.Project, ColumnAggregate.
-// ReduceFunc, ColumnGroupAggregate.KeyFunc/GroupFunc): the same plan as
-// a caller without the helpers would have written it, which every
-// platform runs row by row.
+// (ColumnPredicate.FilterFunc, Record.Project, ColumnMap.MapFunc,
+// ColumnAggregate.ReduceFunc, ColumnGroupAggregate.KeyFunc/GroupFunc):
+// the same plan as a caller without the helpers would have written it,
+// which every platform runs row by row.
 func udfTwin(p *plan.Plan) *plan.Plan {
 	for _, op := range p.Operators() {
-		op.ColPred, op.ColProject, op.ColAgg, op.ColGroup = nil, nil, nil, nil
+		op.ColPred, op.ColProject, op.ColMap, op.ColAgg, op.ColGroup = nil, nil, nil, nil, nil
 		if op.Body != nil {
 			udfTwin(op.Body)
 		}
@@ -224,13 +225,33 @@ var sumReduce plan.ReduceFunc = func(a, b data.Record) (data.Record, error) {
 	return data.NewRecord(a.Field(0), data.Int(a.Field(1).Int()+b.Field(1).Int())), nil
 }
 
+// confColumnMap is a column map over confRecords' (int, string) rows; its
+// derived row UDF is what udfTwin leaves of it.
+var confColumnMap = plan.ColumnMap{
+	In:  []plan.ColumnIn{{Field: 0, Kind: batch.ColInt64}, {Field: 1, Kind: batch.ColString}},
+	Out: []batch.ColKind{batch.ColString, batch.ColInt64, batch.ColBool},
+	Fn: func(n int, in, out []batch.Column) error {
+		for i := 0; i < n; i++ {
+			x, v := in[0].Int64s[i], in[1].Strings[i]
+			out[0].Strings[i], out[1].Int64s[i], out[2].Bools[i] = v+"!", x*3+1, x%2 == 0
+		}
+		return nil
+	},
+}
+
 // fullBattery is what the differential suites run: conformanceBattery,
 // whose optimized plans are recorded (TestOptimizerGoldenPlans), plus
 // the declarative grouped aggregate over groupedCases under both
 // grouping algorithms — vectorized on the java engine, its derived
-// KeyFunc/GroupFunc everywhere else.
+// KeyFunc/GroupFunc everywhere else — and a column map, alone and in a
+// hinted chain.
 func fullBattery() []confCase {
-	battery := conformanceBattery()
+	battery := append(conformanceBattery(),
+		confCase{name: "map-columns", build: func(b *plan.Builder, s []*plan.Operator) { b.Collect(b.MapColumns(s[0], confColumnMap)) }},
+		confCase{name: "map-columns-chain", build: func(b *plan.Builder, s []*plan.Operator) {
+			m := b.MapColumns(b.FilterWhere(s[0], 1, plan.Less, data.Str("v2")), confColumnMap)
+			b.Collect(b.AggregateCols(b.ProjectCols(b.FilterWhere(m, 2, plan.Eq, data.Bool(true)), 1, 0), plan.AggSum, plan.AggMax))
+		}})
 	for _, g := range groupedCases() {
 		for _, algo := range groupAlgos {
 			if len(g.recs) == 0 || g.hashOnly && algo == physical.SortGroupBy {
@@ -661,6 +682,10 @@ func inAtomBattery() []inAtomCase {
 			}})
 		}
 	}
+	battery = append(battery, inAtomCase{"map-columns-in-chain", confRecords(40, 3), func(b *plan.Builder, src *plan.Operator) {
+		m := b.MapColumns(b.FilterWhere(src, 0, plan.Less, data.Int(35)), confColumnMap)
+		b.Collect(b.GroupAggregate(m, []int{2}, plan.GroupCol{Fn: plan.GroupKey, Field: 2}, plan.GroupCol{Fn: plan.GroupSum, Field: 1}, plan.GroupCol{Fn: plan.GroupMin, Field: 0}))
+	}})
 	// A grouped aggregate reading a hinted chain, and a hinted filter
 	// (HAVING's shape) reading it.
 	return append(battery, inAtomCase{"group-agg-in-chain", groupedCases()[0].recs, func(b *plan.Builder, src *plan.Operator) {

@@ -3,7 +3,10 @@
 // kernel carry a declarative specification alongside the UDF. The
 // builder helpers below derive BOTH from one spec — the hint and the
 // closure are two renderings of the same predicate/projection/fold,
-// so the batch path and the row path cannot disagree.
+// so the batch path and the row path cannot disagree. What no
+// declaration expresses, a computed column, has the same rule one level
+// down: ColumnMap is a UDF written once over typed column windows, and
+// the operator's row UDF is that function called on a one-row window.
 
 package plan
 
@@ -12,7 +15,9 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
+	"rheem/internal/core/batch"
 	"rheem/internal/data"
 )
 
@@ -174,6 +179,108 @@ func (b *Builder) ProjectCols(in *Operator, idx ...int) *Operator {
 		return r.Project(cols...), nil
 	})
 	o.ColProject = cols
+	return o
+}
+
+// ColumnIn is one input of a ColumnMap: a field of the input records and
+// the kind every value of it has.
+type ColumnIn struct {
+	Field int
+	Kind  batch.ColKind
+}
+
+// ColumnMap is the batch-at-a-time form of a Map UDF, and the only
+// definition the operator has. Fn computes the output records of n input
+// records, column-wise: in[i] holds field In[i].Field of them as n rows
+// of kind In[i].Kind, out[j] is n rows of kind Out[j] for it to write —
+// every one; they hold whatever the storage held — and the output record
+// is the out columns, in order. All are typed (no ColAny) and dense (no
+// validity bitmap: a null is not of the declared kind). Row k of out must
+// depend on row k of in alone, because how the input is cut into windows
+// is the platform's choice — 4 096 rows where hints are honoured, one
+// everywhere else — and Fn must not keep either slice, whose storage the
+// next window reuses.
+type ColumnMap struct {
+	In  []ColumnIn
+	Out []batch.ColKind
+	Fn  func(n int, in, out []batch.Column) error
+
+	op *Operator // names the operator in what Fn fails with
+}
+
+// Apply runs Fn over one window, naming the operator in the error it
+// returns or the panic it raises: where a platform evaluates lazily, the
+// operator running when either surfaces is the one that forced the work.
+func (m *ColumnMap) Apply(n int, in, out []batch.Column) error {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Errorf("%s: %v", m.op.Name(), r))
+		}
+	}()
+	if err := m.Fn(n, in, out); err != nil {
+		return fmt.Errorf("%s: %w", m.op.Name(), err)
+	}
+	return nil
+}
+
+// MapFunc renders the column function as the row-path UDF: the record's
+// declared fields go into a pooled one-row window, Fn runs over it, and
+// the output record is read back — one allocation, the record's. A record
+// without a declared field, or holding a null or a value of another kind
+// in one, is an error naming the operator and the field.
+func (m *ColumnMap) MapFunc() MapFunc {
+	type window struct{ in, out []batch.Column }
+	pool := sync.Pool{New: func() any {
+		w := &window{in: make([]batch.Column, len(m.In)), out: make([]batch.Column, len(m.Out))}
+		for i, c := range m.In {
+			w.in[i].Reset(c.Kind, 1)
+		}
+		for j, k := range m.Out {
+			w.out[j].Reset(k, 1)
+		}
+		return w
+	}}
+	return func(r data.Record) (data.Record, error) {
+		w := pool.Get().(*window)
+		defer pool.Put(w)
+		for i, c := range m.In {
+			if c.Field >= r.Len() {
+				return data.Record{}, fmt.Errorf("%s: reads field %d of a %d-field record", m.op.Name(), c.Field, r.Len())
+			}
+			if v := r.Field(c.Field); !w.in[i].Put(0, v) {
+				return data.Record{}, fmt.Errorf("%s: field %d holds a %s value, declared %s", m.op.Name(), c.Field, v.Kind(), c.Kind)
+			}
+		}
+		if err := m.Apply(1, w.in, w.out); err != nil {
+			return data.Record{}, err
+		}
+		vals := make([]data.Value, len(w.out))
+		for j := range vals {
+			vals[j] = w.out[j].Value(0, 0)
+		}
+		return data.NewRecord(vals...), nil
+	}
+}
+
+// MapColumns adds a Map defined by a column function: the batch form as
+// a vectorization hint, beside the row UDF derived from it.
+func (b *Builder) MapColumns(in *Operator, spec ColumnMap) *Operator {
+	m := &ColumnMap{In: append([]ColumnIn(nil), spec.In...), Out: append([]batch.ColKind(nil), spec.Out...), Fn: spec.Fn}
+	o := b.Map(in, m.MapFunc())
+	m.op, o.ColMap = o, m
+	if m.Fn == nil || len(m.Out) == 0 {
+		b.fail(fmt.Errorf("plan: %s requires a column function and at least one output column", o.Name()))
+	}
+	for _, c := range m.In {
+		if c.Field < 0 || c.Kind >= batch.ColAny {
+			b.fail(fmt.Errorf("plan: %s reads field %d as %s: want a field of the record and a typed kind", o.Name(), c.Field, c.Kind))
+		}
+	}
+	for _, k := range m.Out {
+		if k >= batch.ColAny {
+			b.fail(fmt.Errorf("plan: %s writes a %s column: want a typed kind", o.Name(), k))
+		}
+	}
 	return o
 }
 

@@ -224,12 +224,13 @@ type Operator struct {
 	// Vectorization hints: declarative column forms of the operator's
 	// UDF, letting batch-capable platforms run a columnar kernel
 	// instead of calling the closure per record. The builder helpers
-	// (FilterWhere, ProjectCols, AggregateCols, GroupAggregate) derive
-	// the UDF and the
+	// (FilterWhere, ProjectCols, MapColumns, AggregateCols,
+	// GroupAggregate) derive the UDF and the
 	// hint from one specification so the two can never disagree; the
 	// UDF remains the semantic ground truth on row-path platforms.
 	ColPred    *ColumnPredicate // Filter: Field ⟨Op⟩ Operand
 	ColProject []int            // Map that is a pure field projection
+	ColMap     *ColumnMap       // Map computing typed columns from typed columns, a window at a time
 	ColAgg     *ColumnAggregate // Reduce: per-field pairwise fold
 	ColGroup   *ColumnGroupAggregate // GroupBy: key columns and per-column folds
 }

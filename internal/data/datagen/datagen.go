@@ -244,16 +244,16 @@ func ZipfInts(n, domain int, seed uint64) []data.Record {
 }
 
 // Words generates n records each holding one word drawn from a small
-// vocabulary, the input for word-count-style quickstart examples.
+// vocabulary, cut from one slab of values — the word-count input.
 func Words(n int, seed uint64) []data.Record {
 	vocab := []string{
 		"road", "to", "freedom", "in", "big", "data", "analytics",
 		"rheem", "platform", "independence", "operator", "plan",
 	}
 	r := newRand(seed)
-	recs := make([]data.Record, n)
-	for i := 0; i < n; i++ {
-		recs[i] = data.NewRecord(data.Str(vocab[r.IntN(len(vocab))]))
+	recs, slab := make([]data.Record, n), make([]data.Value, n)
+	for i := range recs {
+		recs[i] = data.NewRecord(append(slab[i:i:i+1], data.Str(vocab[r.IntN(len(vocab))]))...)
 	}
 	return recs
 }
@@ -276,24 +276,24 @@ type SensorConfig struct {
 	Seed  uint64
 }
 
-// Sensors generates per-well sensor readings whose distribution differs
-// by well, so that aggregation followed by clustering finds structure.
+// Sensors generates per-well readings, cut from one slab of values, whose
+// distribution differs by well, so that aggregating then clustering finds structure.
 func Sensors(cfg SensorConfig) []data.Record {
 	if cfg.Wells <= 0 {
 		cfg.Wells = 16
 	}
 	r := newRand(cfg.Seed)
-	recs := make([]data.Record, cfg.N)
-	for i := 0; i < cfg.N; i++ {
+	recs, slab := make([]data.Record, cfg.N), make([]data.Value, 5*cfg.N)
+	for i := range recs {
 		well := r.IntN(cfg.Wells)
 		base := float64(well % 4)
-		recs[i] = data.NewRecord(
+		recs[i] = data.NewRecord(append(slab[5*i:5*i:5*i+5],
 			data.Int(int64(well)),
 			data.Int(int64(r.IntN(64))),
 			data.Float(100+base*50+r.NormFloat64()*5),
 			data.Float(60+base*10+r.NormFloat64()*2),
 			data.Float(10+base*3+r.NormFloat64()),
-		)
+		)...)
 	}
 	return recs
 }

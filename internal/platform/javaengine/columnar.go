@@ -1,23 +1,26 @@
 // Vectorized execution operators: a hinted chain (filter, projection,
-// global or grouped aggregate) inside an atom is one lazy pipeline, run
-// vector-at-a-time. ExecOp on a hinted filter or projection computes
-// nothing: it appends a stage to a pipeline value, and whatever consumes
-// that value forces it — a hinted aggregate folds or groups it, the row
-// code asks for rows, ToChannel for the dataset in its source's form. Forcing
-// walks the source in windows of a fixed number of rows: transpose only
-// the columns the stages read into buffers that live for the one
-// forcing, evaluate each filter into a selection vector the later stages
-// read through, and finish the window before starting the next, so no
-// full-length intermediate is ever built.
+// column map, global or grouped aggregate) inside an atom is one lazy
+// pipeline, run vector-at-a-time. ExecOp on a hinted filter, projection
+// or column map computes nothing: it appends a stage to a pipeline value,
+// and whatever consumes that value forces it — a hinted aggregate folds
+// or groups it, the row code asks for rows, ToChannel for the dataset in
+// its source's form. Forcing walks the source in windows of a fixed
+// number of rows: transpose only the columns the stages read into buffers
+// that live for the one forcing, evaluate each filter into a selection
+// vector the later stages read through and each column map into columns
+// that live for the window, and finish the window before starting the
+// next, so no full-length intermediate is ever built.
 //
 // Each stage is the column form of the same declarative spec that
 // generated the operator's row UDF (plan.ColumnPredicate / ColProject /
-// ColumnAggregate / ColumnGroupAggregate), so it computes what the UDF computes — the
-// conformance battery checks byte-identity under the canonical encoding
-// against the plan built from the UDFs. A window without a column form
-// (ragged records, a field index outside them) runs through the stages'
-// own row UDFs, which stay the semantic ground truth and reproduce the
-// UDF's panic where that is the contract.
+// ColumnAggregate / ColumnGroupAggregate), so it computes what the UDF
+// computes — the conformance battery checks byte-identity under the
+// canonical encoding against the plan built from the UDFs — or, for a
+// column map, the one function its row UDF calls a row at a time
+// (plan.ColumnMap). A window without a column form (ragged records, a
+// field index outside them) runs through the stages' own row UDFs, which
+// stay the semantic ground truth and reproduce the UDF's panic where that
+// is the contract.
 //
 // The typed loops below express every comparison through < and > only,
 // exactly like plan.CompareValues, so NaN ordering ("keep-left")
@@ -32,7 +35,6 @@ import (
 	"math"
 	"slices"
 
-	"rheem/internal/core/algo"
 	"rheem/internal/core/batch"
 	"rheem/internal/core/physical"
 	"rheem/internal/core/plan"
@@ -48,17 +50,23 @@ const window = 4096
 
 // pipeline is a lazy hinted chain: a source — rows an operator of the
 // same atom produced, or a columnar batch from a channel — plus the
-// hinted filters and projections appended so far. A pipeline has one
-// reader (execHinted evaluates a chain read more than once where it is
-// produced), which either appends to it or forces it.
+// hinted filters, projections and column maps appended so far. A pipeline
+// has one reader (execHinted evaluates a chain read more than once where
+// it is produced), which either appends to it or forces it.
+//
+// A column is named by an id: c ≥ 0 is column c of the source, ^k < 0 the
+// k-th column the chain's column maps compute (win.col).
 type pipeline struct {
 	ctx    context.Context // the producing ExecOp's: forcing happens where no context is passed
 	rows   []data.Record
 	cols   *batch.Batch // the source when rows is nil
 	stages []stage
-	// proj maps the columns of the chain's output so far to the source's;
-	// nil is the identity (no projection yet).
+	// proj maps the columns of the chain's output so far to column ids;
+	// nil is the identity over the source (no projection or map yet).
 	proj []int
+	// calc counts the computed columns. Past a column map the output is
+	// made of them alone: the source's are out of a later stage's reach.
+	calc int
 	// maxCol is the highest source column a stage names; a rows window
 	// no wider than that has no column form and runs through the row
 	// UDFs, which panic as the UDF twin does the moment a row reaches the
@@ -71,10 +79,11 @@ type pipeline struct {
 	err  error
 }
 
-// stage is one hinted filter or projection of a pipeline.
+// stage is one hinted filter, projection or column map of a pipeline.
 type stage struct {
 	op  *plan.Operator
-	col int // a filter's field as a source column
+	col int   // a filter's field as a column id; the first computed column of a map
+	in  []int // a map's inputs as column ids
 }
 
 // asPipeline starts a pipeline over ds, or continues the one ds is.
@@ -98,7 +107,7 @@ func asPipeline(ctx context.Context, ds any) *pipeline {
 
 const outside = math.MaxInt32
 
-// source maps column j of the chain's output so far to a source column.
+// source maps column j of the chain's output so far to a column id.
 func (p *pipeline) source(j int) int {
 	switch {
 	case j >= 0 && p.proj == nil:
@@ -109,7 +118,7 @@ func (p *pipeline) source(j int) int {
 	return outside
 }
 
-// push appends a hinted filter or projection.
+// push appends a hinted filter, projection or column map.
 func (p *pipeline) push(lop *plan.Operator) {
 	if p.stages == nil {
 		p.stages = make([]stage, 0, 4)
@@ -118,6 +127,19 @@ func (p *pipeline) push(lop *plan.Operator) {
 	if pred := lop.ColPred; pred != nil {
 		st.col = p.source(pred.Field)
 		p.project(nil, st.col)
+	} else if m := lop.ColMap; m != nil {
+		// One allocation: the inputs' ids, then the output's.
+		ids := make([]int, len(m.In)+len(m.Out))
+		for i, c := range m.In {
+			ids[i] = p.source(c.Field)
+		}
+		st.in, st.col = ids[:len(m.In):len(m.In)], p.calc
+		p.project(nil, st.in...)
+		p.proj = ids[len(m.In):]
+		for j := range p.proj {
+			p.proj[j] = ^(p.calc + j)
+		}
+		p.calc += len(m.Out)
 	} else {
 		p.project(lop.ColProject)
 	}
@@ -143,9 +165,10 @@ func (p *pipeline) project(idx []int, more ...int) {
 	}
 }
 
-// reads lists the source columns a forcing loads: the filters' fields
-// and, when the consumer reads the output's values, the columns the
-// output is made of — every column (all) when nothing projected.
+// reads lists the source columns a forcing loads: the filters' fields,
+// the column maps' inputs and, when the consumer reads the output's
+// values, the columns the output is made of — every column (all) when
+// nothing projected.
 func (p *pipeline) reads(values bool) (cols []int, all bool) {
 	if values && p.proj == nil {
 		return nil, true
@@ -155,12 +178,17 @@ func (p *pipeline) reads(values bool) (cols []int, all bool) {
 		if st.op.ColPred != nil {
 			cols = append(cols, st.col)
 		}
+		cols = append(cols, st.in...)
 	}
 	if values {
 		cols = append(cols, p.proj...)
 	}
 	slices.Sort(cols)
-	return slices.Compact(cols), false
+	cols = slices.Compact(cols)
+	for len(cols) > 0 && cols[0] < 0 { // computed columns: nothing to load
+		cols = cols[1:]
+	}
+	return cols, false
 }
 
 // win is one window of a forcing in column form: rows [base, base+n) of
@@ -173,11 +201,28 @@ type win struct {
 	off   int  // validity offset of row 0
 	base  int
 	n     int
-	width int // columns in the chain's output
+	width int        // columns in the chain's output
+	maps  *mapWindow // nil for a chain without a column map, which pays a word for them
+}
+
+// mapWindow is what a forcing keeps for its column maps.
+type mapWindow struct {
+	calc  []batch.Column // the computed columns: rewritten every window, storage kept
+	args  []batch.Column // scratch: a map's inputs as it is handed them
+	dense []batch.Column // scratch: the storage of those that are copies
+	vals  []data.Value   // scratch: the record a map's row form is handed
+}
+
+// col returns the column an id names.
+func (w *win) col(id int) *batch.Column {
+	if id < 0 {
+		return &w.maps.calc[^id]
+	}
+	return &w.cols[id]
 }
 
 // out returns column j of the output of p, the pipeline being forced.
-func (w *win) out(p *pipeline, j int) *batch.Column { return &w.cols[p.source(j)] }
+func (w *win) out(p *pipeline, j int) *batch.Column { return w.col(p.source(j)) }
 
 // load puts source rows [lo, hi) into w; false means they have no column
 // form, which only rows can lack.
@@ -227,8 +272,12 @@ func (p *pipeline) run(values bool, columns func(w *win, sel []int32) error, row
 	}
 	var w win
 	w.reads, w.all = p.reads(values)
-	// Every row of a window; a chain's first filter overwrites it with the rows it keeps.
+	if p.calc > 0 {
+		w.maps = &mapWindow{calc: make([]batch.Column, p.calc)}
+	}
+	// Every row of a window; a filter overwrites it with the rows it keeps.
 	buf := identity(min(window, n))
+	filtered := false
 	for lo := 0; lo < n; lo += window {
 		if err := p.ctx.Err(); err != nil {
 			return err
@@ -244,14 +293,29 @@ func (p *pipeline) run(values bool, columns func(w *win, sel []int32) error, row
 			}
 			continue
 		}
-		var sel []int32 // nil: every row
-		for _, st := range p.stages {
-			if st.op.ColPred != nil {
-				sel = selectRows(buf[:w.n], sel, &w.cols[st.col], w.off, st.op.ColPred)
+		var sel []int32 // nil: every row, of which there are live
+		live := w.n
+		for i := range p.stages {
+			switch st := &p.stages[i]; {
+			case st.op.ColPred != nil:
+				sel = selectRows(buf[:live], sel, w.col(st.col), w.off, st.op.ColPred)
+				filtered = true
+			case st.op.ColMap != nil:
+				// The map's output is dense: the rows that reached it,
+				// renumbered, and every one of them selected.
+				var err error
+				if live, err = w.mapColumns(st, sel, live); err != nil {
+					return err
+				}
+				sel = nil
 			}
 		}
 		if sel == nil {
-			sel = buf[:w.n]
+			if filtered { // a filter ahead of a map wrote its selection over buf
+				ascending(buf)
+				filtered = false
+			}
+			sel = buf[:live]
 		}
 		if err := columns(&w, sel); err != nil {
 			return err
@@ -260,13 +324,84 @@ func (p *pipeline) run(values bool, columns func(w *win, sel []int32) error, row
 	return nil
 }
 
+// mapColumns runs a column map over the live rows of the window — those
+// in sel, or all of them — into its computed columns, and returns how
+// many there are. The function sees its inputs dense and in order: views
+// when every row is live, otherwise copies of the selected ones, so a row
+// a filter dropped never reaches it. A window in which an input is not
+// the kind the map declares, or holds a null in a live row, goes through
+// the map's row UDF a live row at a time, which is where the error for
+// such a value comes from.
+func (w *win) mapColumns(st *stage, sel []int32, live int) (int, error) {
+	m, mw := st.op.ColMap, w.maps
+	if sel != nil {
+		live = len(sel)
+	}
+	out := mw.calc[st.col : st.col+len(m.Out)]
+	for j, k := range m.Out {
+		out[j].Reset(k, live)
+	}
+	if live == 0 {
+		return 0, nil
+	}
+	if len(mw.args) < len(st.in) {
+		mw.args, mw.dense = make([]batch.Column, len(st.in)), make([]batch.Column, len(st.in))
+	}
+	args, typed := mw.args[:len(st.in)], true
+	for a, id := range st.in {
+		src := w.col(id)
+		if typed = src.Kind == m.In[a].Kind && allValid(src.Valid, w.off, sel, live); !typed {
+			break
+		}
+		if sel == nil {
+			args[a] = src.Slice(0, live)
+			args[a].Valid = nil
+			continue
+		}
+		d := &mw.dense[a]
+		d.Reset(src.Kind, 0)
+		takeRows(d, src, sel)
+		args[a] = *d
+	}
+	if typed {
+		return live, m.Apply(live, args, out)
+	}
+	for _, c := range m.In {
+		if c.Field >= len(mw.vals) {
+			mw.vals = append(mw.vals, make([]data.Value, c.Field+1-len(mw.vals))...)
+		}
+	}
+	for k := 0; k < live; k++ {
+		i := k
+		if sel != nil {
+			i = int(sel[k])
+		}
+		for a, id := range st.in {
+			mw.vals[m.In[a].Field] = w.col(id).Value(w.off, i)
+		}
+		rec, err := st.op.Map(data.NewRecord(mw.vals...))
+		if err != nil {
+			return 0, err
+		}
+		for j := range out {
+			out[j].Put(k, rec.Field(j))
+		}
+	}
+	return live, nil
+}
+
 // identity returns the selection of every row of an n-row window.
 func identity(n int) []int32 {
 	sel := make([]int32, n)
+	ascending(sel)
+	return sel
+}
+
+// ascending makes sel the selection of its first len(sel) rows.
+func ascending(sel []int32) {
 	for i := range sel {
 		sel[i] = int32(i)
 	}
-	return sel
 }
 
 // rowWindow runs a window of source rows through the stages' row UDFs,
@@ -276,7 +411,7 @@ func (p *pipeline) rowWindow(recs []data.Record) (_ []data.Record, err error) {
 	for _, st := range p.stages {
 		if st.op.ColPred != nil {
 			recs, err = filterRows(recs[:0], recs, st.op.Filter)
-		} else {
+		} else { // a projection or a column map: either way the operator's row UDF
 			recs, err = mapRows(recs[:0], recs, st.op.Map)
 		}
 		if err != nil {
@@ -305,7 +440,8 @@ func (p *pipeline) force() (any, error) {
 
 // records forces the pipeline into rows. Projected rows, and rows out of
 // a batch, are cut from one []data.Value slab per window; a rows source's
-// values come from its rows, so only the filters' columns are transposed.
+// values come from its rows, so only the filters' columns and the column
+// maps' inputs are transposed.
 func (p *pipeline) records() ([]data.Record, error) {
 	var out []data.Record
 	original := p.cols == nil && p.proj == nil
@@ -323,10 +459,10 @@ func (p *pipeline) records() ([]data.Record, error) {
 		for k, i := range sel {
 			row := slab[k*w.width : (k+1)*w.width : (k+1)*w.width]
 			for j := range row {
-				if p.cols == nil {
-					row[j] = p.rows[w.base+int(i)].Field(p.proj[j])
+				if id := p.source(j); id >= 0 && p.cols == nil {
+					row[j] = p.rows[w.base+int(i)].Field(id)
 				} else {
-					row[j] = w.out(p, j).Value(w.off, int(i))
+					row[j] = w.col(id).Value(w.off, int(i))
 				}
 			}
 			out = append(out, data.NewRecord(row...))
@@ -341,20 +477,23 @@ func (p *pipeline) records() ([]data.Record, error) {
 
 // gather forces a pipeline over a columnar batch into a batch, appending
 // each window's survivors to the output columns. Nothing is copied while
-// every row survives.
+// every row survives and the output is the source's own columns; computed
+// columns live for their window and are copied from the first one on.
 func (p *pipeline) gather() (*batch.Batch, error) {
 	var cols []batch.Column
 	n := 0
 	err := p.run(true, func(w *win, sel []int32) error {
 		if cols == nil {
-			if len(sel) == w.n {
+			if len(sel) == w.n && p.calc == 0 {
 				return nil
 			}
-			// The first row dropped: catch up on the windows that passed whole.
 			cols = make([]batch.Column, w.width)
-			passed := win{reads: w.reads}
-			p.load(&passed, 0, w.base)
-			n = p.appendRows(cols, &passed, identity(w.base), n)
+			if w.base > 0 {
+				// The first row dropped: catch up on the windows that passed whole.
+				passed := win{reads: w.reads}
+				p.load(&passed, 0, w.base)
+				n = p.appendRows(cols, &passed, identity(w.base), n)
+			}
 		}
 		n = p.appendRows(cols, w, sel, n)
 		return nil
@@ -364,10 +503,10 @@ func (p *pipeline) gather() (*batch.Batch, error) {
 		return nil, err
 	case cols == nil && p.proj == nil:
 		return p.cols, nil
-	case cols == nil:
+	case cols == nil && p.calc == 0:
 		return p.cols.Project(p.proj...), nil
 	}
-	return batch.New(n, cols)
+	return batch.New(n, cols) // no column at all when a map met no row
 }
 
 // appendRows appends the selected rows to the output columns, which hold
@@ -379,7 +518,7 @@ func (p *pipeline) appendRows(cols []batch.Column, w *win, sel []int32, n int) i
 		dst.Kind = src.Kind
 		if src.Kind != batch.ColAny && src.Valid != nil {
 			if dst.Valid == nil {
-				dst.Valid = algo.NewBitset(p.cols.Len())
+				dst.Valid = batch.NewBitset(p.cols.Len())
 			}
 			for k, i := range sel {
 				if src.Valid.Get(w.off + int(i)) {
@@ -387,20 +526,42 @@ func (p *pipeline) appendRows(cols []batch.Column, w *win, sel []int32, n int) i
 				}
 			}
 		}
-		switch src.Kind {
-		case batch.ColInt64:
-			dst.Int64s = take(dst.Int64s, src.Int64s, sel)
-		case batch.ColFloat64:
-			dst.Float64s = take(dst.Float64s, src.Float64s, sel)
-		case batch.ColString:
-			dst.Strings = take(dst.Strings, src.Strings, sel)
-		case batch.ColBool:
-			dst.Bools = take(dst.Bools, src.Bools, sel)
-		default:
-			dst.Any = take(dst.Any, src.Any, sel)
-		}
+		takeRows(dst, src, sel)
 	}
 	return n + len(sel)
+}
+
+// takeRows appends the selected rows of src's storage to dst's.
+func takeRows(dst, src *batch.Column, sel []int32) {
+	switch src.Kind {
+	case batch.ColInt64:
+		dst.Int64s = take(dst.Int64s, src.Int64s, sel)
+	case batch.ColFloat64:
+		dst.Float64s = take(dst.Float64s, src.Float64s, sel)
+	case batch.ColString:
+		dst.Strings = take(dst.Strings, src.Strings, sel)
+	case batch.ColBool:
+		dst.Bools = take(dst.Bools, src.Bools, sel)
+	default:
+		dst.Any = take(dst.Any, src.Any, sel)
+	}
+}
+
+// allValid reports whether the live rows of a window — those in sel, or
+// the first live — are all set in a column's validity bitmap at offset off.
+func allValid(valid *batch.Bitset, off int, sel []int32, live int) bool {
+	if valid == nil {
+		return true
+	}
+	if sel == nil {
+		return valid.CountRange(off, off+live) == live
+	}
+	for _, i := range sel {
+		if !valid.Get(off + int(i)) {
+			return false
+		}
+	}
+	return true
 }
 
 // take appends the selected elements of src to dst, in selection order.
@@ -441,7 +602,7 @@ func hinted(lop *plan.Operator) bool {
 	case plan.KindFilter:
 		return lop.ColPred != nil
 	case plan.KindMap:
-		return lop.ColProject != nil
+		return lop.ColProject != nil || lop.ColMap != nil
 	case plan.KindReduce:
 		return lop.ColAgg != nil
 	case plan.KindGroupBy:
@@ -450,9 +611,9 @@ func hinted(lop *plan.Operator) bool {
 	return false
 }
 
-// execHinted handles an operator that carries a column hint: a filter
-// or projection becomes a stage of its input's pipeline, an aggregate
-// folds it, a grouped aggregate groups it. handled=false sends an
+// execHinted handles an operator that carries a column hint: a filter,
+// projection or column map becomes a stage of its input's pipeline, an
+// aggregate folds it, a grouped aggregate groups it. handled=false sends an
 // un-hinted operator to the row code.
 func (d *datasetOps) execHinted(ctx context.Context, op *physical.Operator, inputs []any) (out any, handled bool, err error) {
 	if !hinted(op.Logical) {
@@ -494,9 +655,7 @@ func selectRows(dst, in []int32, col *batch.Column, off int, p *plan.ColumnPredi
 	}
 	if in == nil {
 		in = dst
-		for i := range in {
-			in[i] = int32(i)
-		}
+		ascending(in)
 	}
 	n := 0
 	for _, i := range in {
@@ -516,7 +675,7 @@ func selectRows(dst, in []int32, col *batch.Column, off int, p *plan.ColumnPredi
 // alone; "neither" is equal or, with a NaN on either side, unordered,
 // which ≤, ≥ and == keep: the formulation that makes NaN semantics
 // identical to plan.CompareValues.
-func selectOrdered[T cmp.Ordered](dst, in []int32, vals []T, k T, op plan.CompareOp, valid *algo.Bitset, off int) []int32 {
+func selectOrdered[T cmp.Ordered](dst, in []int32, vals []T, k T, op plan.CompareOp, valid *batch.Bitset, off int) []int32 {
 	zero := data.Int(0)
 	keep := [3]int{b2i(op.Eval(data.Int(-1), zero)), b2i(op.Eval(zero, zero)), b2i(op.Eval(data.Int(1), zero))}
 	n := 0
@@ -535,7 +694,7 @@ func selectOrdered[T cmp.Ordered](dst, in []int32, vals []T, k T, op plan.Compar
 }
 
 // kept is 1 for a non-null value that stands to k as the operator wants.
-func kept[T cmp.Ordered](keep *[3]int, v, k T, valid *algo.Bitset, bit int) int {
+func kept[T cmp.Ordered](keep *[3]int, v, k T, valid *batch.Bitset, bit int) int {
 	if valid != nil && !valid.Get(bit) {
 		return 0
 	}

@@ -25,7 +25,7 @@ func physOp(lop *plan.Operator) *physical.Operator {
 // the UDF the builder helper generated from the same spec.
 func udfTwin(lop *plan.Operator) *plan.Operator {
 	twin := *lop
-	twin.ColPred, twin.ColProject, twin.ColAgg, twin.ColGroup = nil, nil, nil, nil
+	twin.ColPred, twin.ColProject, twin.ColMap, twin.ColAgg, twin.ColGroup = nil, nil, nil, nil, nil
 	return &twin
 }
 

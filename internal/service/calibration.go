@@ -61,11 +61,16 @@ func loadCalibration(store *storage.Manager, cal *cost.Calibrator) error {
 // saveCalibration persists the calibrator after a job folded into it.
 // Best-effort like profile persistence: a full or failing store must
 // not fail the job that triggered the save — the in-memory calibrator
-// keeps serving, and the next job retries the write.
+// keeps serving, and the next job retries the write. Saves are serialised,
+// the state encoded inside: jobs finish on their own goroutines, and a
+// save that encoded before a later job's fold must not land after — or
+// into — that job's save and leave the store a fold behind.
 func (s *Service) saveCalibration() {
 	if s.cal == nil || s.cfg.CalibrationStore == nil {
 		return
 	}
+	s.calSave.Lock()
+	defer s.calSave.Unlock()
 	state := base64.StdEncoding.EncodeToString(s.cal.Encode())
 	_, _ = s.cfg.CalibrationStore.Put(storage.PutRequest{
 		Dataset: calibrationDataset,

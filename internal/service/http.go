@@ -14,12 +14,11 @@ import (
 	"time"
 
 	"rheem/internal/core/metrics"
-	"rheem/internal/data"
 )
 
 // Handler mounts the job API:
 //
-//	POST   /jobs            submit (202, or 429 + Retry-After, or 503 draining)
+//	POST   /jobs            submit (202, or 429 + Retry-After, or 503 draining, or 413 over 1 MiB)
 //	GET    /jobs            list every remembered job
 //	GET    /jobs/{id}       one job's status
 //	GET    /jobs/{id}/result a succeeded job's records (JSON rows + digest)
@@ -52,12 +51,21 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// maxRequestBody bounds what POST /jobs reads: a job is a query or a few
+// numbers, and the decoder must not buffer whatever a client sends.
+const maxRequestBody = 1 << 20
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("bad request body: %v", err)})
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, apiError{Error: fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
 	st, err := s.Submit(req)
@@ -110,20 +118,14 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, apiError{Error: err.Error()})
 		return
 	}
-	rows := make([][]any, len(recs))
-	for i, rec := range recs {
-		row := make([]any, rec.Len())
-		for f := 0; f < rec.Len(); f++ {
-			row[f] = valueJSON(rec.Field(f))
-		}
-		rows[i] = row
+	buf := resultBufs.Get().(*[]byte)
+	*buf = appendResult((*buf)[:0], id, recs, digest)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(*buf) // a write fails when the client has gone: nobody to tell
+	if cap(*buf) <= maxPooledResult {
+		resultBufs.Put(buf)
 	}
-	writeJSON(w, http.StatusOK, struct {
-		ID      string  `json:"id"`
-		Records int     `json:"records"`
-		Digest  string  `json:"digest"`
-		Rows    [][]any `json:"rows"`
-	}{ID: id, Records: len(recs), Digest: digest, Rows: rows})
 }
 
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -155,24 +157,6 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Queued int    `json:"queued"`
 		Active int    `json:"active"`
 	}{Status: map[bool]string{false: "ok", true: "draining"}[draining], Queued: queued, Active: active})
-}
-
-// valueJSON converts one field to its natural JSON shape.
-func valueJSON(v data.Value) any {
-	switch v.Kind() {
-	case data.KindBool:
-		return v.Bool()
-	case data.KindInt:
-		return v.Int()
-	case data.KindFloat:
-		return v.Float()
-	case data.KindString:
-		return v.Str()
-	case data.KindVector:
-		return v.Vec()
-	default:
-		return nil
-	}
 }
 
 // Serve starts an HTTP server for the handler on addr (":0" picks a

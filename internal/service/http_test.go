@@ -179,6 +179,32 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedBodyIs413: POST /jobs reads at most 1 MiB; a larger
+// body is refused as too large, not buffered and then found malformed,
+// and a workload sized past the caps is a plain 400.
+func TestHTTPOversizedBodyIs413(t *testing.T) {
+	_, srv := startAPI(t, Config{})
+	post := func(body string) (int, string) {
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e apiError
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("error body: %v", err)
+		}
+		return resp.StatusCode, e.Error
+	}
+	big := `{"spec":{"kind":"sql","query":"SELECT word FROM words WHERE word = '` + strings.Repeat("x", 2<<20) + `'"}}`
+	if code, msg := post(big); code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "too large") {
+		t.Errorf("2 MiB body: %d %q, want 413", code, msg)
+	}
+	if code, msg := post(`{"spec":{"kind":"workload","workload":"sensor","n":4611686018427387904}}`); code != http.StatusBadRequest || !strings.Contains(msg, "too large") {
+		t.Errorf("oversized workload: %d %q, want 400", code, msg)
+	}
+}
+
 func TestHTTPCancel(t *testing.T) {
 	s, srv := startAPI(t, Config{MaxActiveJobs: 1, PoolSize: 1})
 	if err := s.SchedulerPool().Acquire(context.Background()); err != nil {

@@ -3,6 +3,8 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"runtime/debug"
 	"time"
 
 	"rheem/internal/core/engine"
@@ -54,6 +56,18 @@ type Job struct {
 	platforms []engine.PlatformID
 
 	done chan struct{}
+}
+
+// build runs buildPlan under the rule the atom boundary follows
+// (engine.RunAtom): a panic is that job's failure, with the stack in its
+// error, not the end of the process and of every other tenant's jobs.
+func (j *Job) build() (p *plan.Plan, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			p, err = nil, fmt.Errorf("service: building the plan of %s panicked: %v\n%s", j.id, r, debug.Stack())
+		}
+	}()
+	return j.buildPlan()
 }
 
 // ID returns the job's service-assigned identity.

@@ -176,6 +176,7 @@ type Service struct {
 	pool      *executor.Pool
 	rec       *profile.Recorder // nil when ProfileHistory < 0
 	cal       *cost.Calibrator  // nil unless Config.Calibration
+	calSave   sync.Mutex        // one saveCalibration at a time
 	platforms []engine.PlatformID
 
 	baseCtx    context.Context
@@ -535,7 +536,7 @@ func (s *Service) runJob(j *Job, tn *tenant) {
 		failovers int
 		runID     int64
 	)
-	p, err := j.buildPlan()
+	p, err := j.build()
 	if err == nil {
 		opts := []rheem.RunOption{
 			rheem.WithContext(ctx),

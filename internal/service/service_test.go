@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rheem/internal/core/metrics"
+	"rheem/internal/core/plan"
 	"rheem/internal/data"
 )
 
@@ -767,4 +768,74 @@ func TestPanickingJobFailsAndServerKeepsServing(t *testing.T) {
 	if next := waitTerminal(t, s, st.ID); next.State != StateSucceeded {
 		t.Fatalf("the job after the panic ended %s (%s)", next.State, next.Err)
 	}
+}
+
+// TestOversizedWorkloadRejected: a workload sized to overflow a make — it
+// used to be accepted, and the dispatch goroutine died generating its
+// input, taking the process with it — is refused at the door, as is one
+// merely too large to hold.
+func TestOversizedWorkloadRejected(t *testing.T) {
+	s := newTestService(t, Config{})
+	for _, spec := range []Spec{
+		{Kind: KindWorkload, Workload: WorkloadSensor, N: 1 << 62},
+		{Kind: KindWorkload, Workload: WorkloadWordcount, N: MaxWorkloadN + 1},
+		{Kind: KindWorkload, Workload: WorkloadFanout, N: 10, Branches: MaxBranches + 1},
+		{Kind: KindWorkload, Workload: WorkloadSensor, N: 10, Wells: MaxWells + 1},
+	} {
+		_, err := s.Submit(Request{Spec: spec})
+		var shed *ShedError
+		if err == nil || errors.As(err, &shed) || !strings.Contains(err.Error(), "too large") {
+			t.Errorf("%+v: Submit returned %v, want a too-large rejection", spec, err)
+		}
+	}
+	st, err := s.Submit(Request{Spec: Spec{Kind: KindWorkload, Workload: WorkloadFanout, N: 10, Branches: MaxBranches}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitTerminal(t, s, st.ID); final.State != StateSucceeded {
+		t.Errorf("the widest fanout allowed ended %s (%s)", final.State, final.Err)
+	}
+}
+
+// TestPanickingPlanBuilderFailsTheJob: building a workload's plan runs on
+// the job's goroutine, outside any atom, so a panic in it needs its own
+// recover: the job fails with the panic and its stack, the next one runs.
+func TestPanickingPlanBuilderFailsTheJob(t *testing.T) {
+	s := newTestService(t, Config{MaxActiveJobs: 1, PoolSize: 1})
+	// Hold the only pool slot: the first job blocks in the executor, the
+	// second waits in the queue, where its builder can be swapped.
+	if err := s.SchedulerPool().Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	head, err := s.Submit(wordcountReq("acme", 100, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, head.ID, StateRunning)
+	st, err := s.Submit(wordcountReq("acme", 100, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.jobs[st.ID].buildPlan = func() (*plan.Plan, error) { panic("builder blew up") }
+	s.mu.Unlock()
+	s.SchedulerPool().Release()
+	final := waitTerminal(t, s, st.ID)
+	if final.State != StateFailed || !strings.Contains(final.Err, "panicked: builder blew up") || !strings.Contains(final.Err, "goroutine ") {
+		t.Fatalf("job with a panicking builder ended %s (%s), want failed with the panic and its stack", final.State, final.Err)
+	}
+	for _, id := range []string{head.ID, mustSubmit(t, s, wordcountReq("acme", 100, 3))} {
+		if st := waitTerminal(t, s, id); st.State != StateSucceeded {
+			t.Errorf("job %s beside the panicking builder ended %s (%s)", id, st.State, st.Err)
+		}
+	}
+}
+
+func mustSubmit(t *testing.T, s *Service, req Request) string {
+	t.Helper()
+	st, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.ID
 }

@@ -4,6 +4,8 @@
 // constructs deterministically from the spec — deterministic enough
 // that the chaos suite can recompute every job's expected output
 // offline and demand byte identity from whatever the server returns.
+// The built-ins are written on the columnar forms (plan/columnar.go): typed
+// column windows on javaengine, the row UDFs derived from them elsewhere.
 
 package service
 
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"rheem/internal/apps/rheemql"
+	"rheem/internal/core/batch"
 	"rheem/internal/core/plan"
 	"rheem/internal/data"
 	"rheem/internal/data/datagen"
@@ -29,6 +32,10 @@ const (
 	WorkloadSensor    = "sensor"
 	WorkloadFanout    = "fanout"
 )
+
+// The largest workload a request may ask for: generated inputs live in
+// the server's memory, 144 bytes a sensor reading.
+const MaxWorkloadN, MaxBranches, MaxWells = 1 << 20, 64, 1 << 16
 
 // Spec describes what a job computes.
 type Spec struct {
@@ -108,8 +115,8 @@ func (r *Request) Validate() error {
 	if r.DeadlineMS < 0 || r.AtomTimeoutMS < 0 {
 		return fmt.Errorf("service: negative deadline")
 	}
-	if r.Spec.N < 0 || r.Spec.Branches < 0 || r.Spec.Wells < 0 {
-		return fmt.Errorf("service: negative workload size")
+	if s := r.Spec; s.N < 0 || s.Branches < 0 || s.Wells < 0 || s.N > MaxWorkloadN || s.Branches > MaxBranches || s.Wells > MaxWells {
+		return fmt.Errorf("service: workload negative or too large (n ≤ %d, branches ≤ %d, wells ≤ %d)", MaxWorkloadN, MaxBranches, MaxWells)
 	}
 	switch r.Spec.Kind {
 	case KindSQL:
@@ -177,64 +184,54 @@ func (s *Spec) wells() int {
 	return 32
 }
 
-// wordcountPlan is the classic: word → (word, 1) → per-key sum →
-// sort by word.
+// wordcountPlan is the classic, as SELECT word, COUNT(*) … GROUP BY word
+// ORDER BY word.
 func wordcountPlan(name string, n int, seed uint64) (*plan.Plan, error) {
-	words := datagen.Words(n, seed)
 	b := plan.NewBuilder(name)
-	src := b.Source("words", plan.Collection(words))
+	src := b.Source("words", plan.Collection(datagen.Words(n, seed)))
 	src.CardHint = int64(n)
-	pairs := b.Map(src, func(r data.Record) (data.Record, error) {
-		return data.NewRecord(r.Field(0), data.Int(1)), nil
-	})
-	counts := b.ReduceByKey(pairs, plan.FieldKey(0), func(a, b data.Record) (data.Record, error) {
-		return data.NewRecord(a.Field(0), data.Int(a.Field(1).Int()+b.Field(1).Int())), nil
-	})
+	counts := b.GroupAggregate(src, []int{0}, plan.GroupCol{Fn: plan.GroupKey}, plan.GroupCol{Fn: plan.GroupCountAll})
 	b.Collect(b.Sort(counts, plan.FieldKey(0), false))
 	return b.Build()
 }
 
-// sensorPlan is the §1 pipeline shape: normalize → per-well aggregate
-// → feature vector → sort, over generated readings.
+// sensorPlan is the §1 pipeline shape: normalize (a column map: pressure in
+// kPa, clamped at 0) → per-well sums and count → a vector of means → sort.
 func sensorPlan(name string, n, wells int, seed uint64) (*plan.Plan, error) {
-	readings := datagen.Sensors(datagen.SensorConfig{N: n, Wells: wells, Seed: seed})
 	b := plan.NewBuilder(name)
-	src := b.Source("readings", plan.Collection(readings))
+	src := b.Source("readings", plan.Collection(datagen.Sensors(datagen.SensorConfig{N: n, Wells: wells, Seed: seed})))
 	src.CardHint = int64(n)
-	norm := b.Map(src, func(r data.Record) (data.Record, error) {
-		p := r.Field(2).Float() * 6.894
-		if p < 0 {
-			p = 0
-		}
-		return data.NewRecord(r.Field(0),
-			data.Float(p), data.Float(r.Field(3).Float()), data.Float(r.Field(4).Float()),
-			data.Int(1)), nil
+	norm := b.MapColumns(src, plan.ColumnMap{
+		In:  []plan.ColumnIn{{Field: 0, Kind: batch.ColInt64}, {Field: 2, Kind: batch.ColFloat64}, {Field: 3, Kind: batch.ColFloat64}, {Field: 4, Kind: batch.ColFloat64}},
+		Out: []batch.ColKind{batch.ColInt64, batch.ColFloat64, batch.ColFloat64, batch.ColFloat64},
+		Fn: func(_ int, in, out []batch.Column) error {
+			copy(out[0].Int64s, in[0].Int64s)
+			for i, psi := range in[1].Float64s {
+				out[1].Float64s[i] = max(psi*6.894, 0)
+			}
+			copy(out[2].Float64s, in[2].Float64s)
+			copy(out[3].Float64s, in[3].Float64s)
+			return nil
+		},
 	})
-	agg := b.ReduceByKey(norm, plan.FieldKey(0), func(a, b data.Record) (data.Record, error) {
-		return data.NewRecord(a.Field(0),
-			data.Float(a.Field(1).Float()+b.Field(1).Float()),
-			data.Float(a.Field(2).Float()+b.Field(2).Float()),
-			data.Float(a.Field(3).Float()+b.Field(3).Float()),
-			data.Int(a.Field(4).Int()+b.Field(4).Int())), nil
-	})
+	sum := func(f int) plan.GroupCol { return plan.GroupCol{Fn: plan.GroupSum, Field: f} }
+	agg := b.GroupAggregate(norm, []int{0}, plan.GroupCol{Fn: plan.GroupKey}, sum(1), sum(2), sum(3), plan.GroupCol{Fn: plan.GroupCountAll})
 	feats := b.Map(agg, func(r data.Record) (data.Record, error) {
 		cnt := float64(r.Field(4).Int())
-		return data.NewRecord(r.Field(0), data.Vec([]float64{
-			r.Field(1).Float() / cnt, r.Field(2).Float() / cnt, r.Field(3).Float() / cnt,
-		})), nil
+		return data.NewRecord(r.Field(0), data.Vec([]float64{r.Field(1).Float() / cnt, r.Field(2).Float() / cnt, r.Field(3).Float() / cnt})), nil
 	})
 	b.Collect(b.Sort(feats, plan.FieldKey(0), false))
 	return b.Build()
 }
 
 // fanoutPlan is the E8-style diamond: one source feeding `branches`
-// independent map legs (each burning a deterministic amount of CPU per
-// record), unioned and folded to a checksum — wide enough to exercise
-// the shared scheduler pool.
+// independent legs (column maps, each burning a deterministic amount of
+// CPU per value), unioned and summed to a checksum — wide enough to
+// exercise the shared scheduler pool.
 func fanoutPlan(name string, n, branches int, seed uint64) (*plan.Plan, error) {
-	recs := make([]data.Record, n)
+	recs, slab := make([]data.Record, n), make([]data.Value, n)
 	for i := range recs {
-		recs[i] = data.NewRecord(data.Int(int64(i) + int64(seed)))
+		recs[i] = data.NewRecord(append(slab[i:i:i+1], data.Int(int64(i)+int64(seed)))...)
 	}
 	b := plan.NewBuilder(name)
 	src := b.Source("ints", plan.Collection(recs))
@@ -242,26 +239,29 @@ func fanoutPlan(name string, n, branches int, seed uint64) (*plan.Plan, error) {
 	legs := make([]*plan.Operator, branches)
 	for i := range legs {
 		leg := uint64(i + 1)
-		legs[i] = b.Map(src, func(r data.Record) (data.Record, error) {
-			x := uint64(r.Field(0).Int()) ^ leg
-			// A short deterministic mix loop: CPU work without sleeps,
-			// identical on every platform.
-			for j := 0; j < 64; j++ {
-				x ^= x << 13
-				x ^= x >> 7
-				x ^= x << 17
-			}
-			return data.NewRecord(data.Int(int64(x>>1) % 1_000_003)), nil
+		legs[i] = b.MapColumns(src, plan.ColumnMap{
+			In:  []plan.ColumnIn{{Field: 0, Kind: batch.ColInt64}},
+			Out: []batch.ColKind{batch.ColInt64},
+			Fn: func(_ int, in, out []batch.Column) error {
+				for k, v := range in[0].Int64s {
+					x := uint64(v) ^ leg
+					// A deterministic mix loop: CPU work without sleeps.
+					for j := 0; j < 64; j++ {
+						x ^= x << 13
+						x ^= x >> 7
+						x ^= x << 17
+					}
+					out[0].Int64s[k] = int64(x>>1) % 1_000_003
+				}
+				return nil
+			},
 		})
 	}
 	out := legs[0]
 	for _, l := range legs[1:] {
 		out = b.Union(out, l)
 	}
-	sum := b.Reduce(out, func(a, b data.Record) (data.Record, error) {
-		return data.NewRecord(data.Int(a.Field(0).Int() + b.Field(0).Int())), nil
-	})
-	b.Collect(sum)
+	b.Collect(b.AggregateCols(out, plan.AggSum))
 	return b.Build()
 }
 

@@ -75,3 +75,44 @@ func TestSQLAllocationGate(t *testing.T) {
 		}
 	}
 }
+
+// builtinGate is what one job of each built-in past admission — build
+// the plan, execute it, digest the result (runBuiltin), on a service
+// configured like the repository benchmark's service-http workload and at
+// that workload's sizes — may allocate: objects and bytes, pinned about
+// four percent above what the columnar plans read (209 / 343 / 339
+// objects, 317 / 918 / 155 KB). As row UDFs over records generated one by
+// one the same jobs read 12 200 / 12 286 / 2 037 objects and 0.70 / 1.76 /
+// 0.14 MB.
+var builtinGate = []struct{ objects, bytes float64 }{
+	{218, 330_000}, // wordcount, n = 4 000
+	{357, 955_000}, // sensor, n = 4 000
+	{353, 161_000}, // fanout, 200 × 4
+}
+
+// TestBuiltinAllocationGate is ROADMAP item 2a's gate: the service's own
+// workloads stay on the columnar forms — a record per row per operator, or
+// per generated row, is thousands of objects above these pins.
+func TestBuiltinAllocationGate(t *testing.T) {
+	svc := benchService(t)
+	const jobs = 20
+	for i, pin := range builtinGate {
+		spec := builtinGolden[i].spec
+		runBuiltin(t, svc, spec) // warm-up: pools, the calibrator's first fold
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for j := 0; j < jobs; j++ {
+			runBuiltin(t, svc, spec)
+		}
+		runtime.ReadMemStats(&after)
+		objects := float64(after.Mallocs-before.Mallocs) / jobs
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / jobs
+		t.Logf("%-10s %5.0f allocations, %7.0f bytes per job", spec.Workload, objects, bytes)
+		if objects > pin.objects {
+			t.Errorf("%s made %.0f allocations per job, gate is %.0f", spec.Workload, objects, pin.objects)
+		}
+		if bytes > pin.bytes {
+			t.Errorf("%s allocated %.0f bytes per job, gate is %.0f", spec.Workload, bytes, pin.bytes)
+		}
+	}
+}
