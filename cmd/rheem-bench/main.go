@@ -12,19 +12,10 @@
 //	            [-quick] [-clock sim|wall] [-csv DIR] [-v] [-trace FILE]
 //	            [-profile FILE] [-perfetto FILE]
 //	            [-metrics ADDR] [-linger DUR] [-scrape URL]
-//	rheem-bench -suite [-tier short|full] [-areas a,b] [-out DIR] [-quick] [-v]
-//	rheem-bench -compare OLD NEW [-threshold PCT] [-metric wall|sim]
-//	            [-allocs-threshold PCT] [-rps-threshold PCT]
 //
-// -suite runs the fixed benchmark scenario matrix (the E1/E5/E8/E11
-// cores plus the E12 job-service load) with warmup + repetitions and
-// writes one machine-readable BENCH_<area>.json per area — the repo's
-// persisted perf trajectory; -areas restricts the run to a subset.
-// -compare diffs two such result sets (files or directories), prints a
-// per-scenario delta table, and exits 1 if any scenario regressed more
-// than the threshold (default 10%) on the time metric, allocs/op
-// growth, or records/s drop (each sub-threshold inherits -threshold
-// when 0; negative disables it).
+// Regressions are gated elsewhere: by the tier-1 layout and allocation
+// gates (go test ./...) and by the repository benchmark (bash
+// benchmarks/run.sh, BENCHMARK.json).
 //
 // -profile runs the same demo job as -trace with the flight recorder
 // attached and writes the analyzed run profile — critical path, time
@@ -55,7 +46,6 @@ import (
 
 	"rheem"
 	"rheem/internal/bench"
-	"rheem/internal/bench/suite"
 	"rheem/internal/core/metrics"
 	"rheem/internal/core/plan"
 	"rheem/internal/core/profile"
@@ -75,59 +65,7 @@ func main() {
 	metricsAddr := flag.String("metrics", "", "serve /metrics, /runs and /debug/pprof on ADDR while experiments run, then print a final scrape to stdout")
 	linger := flag.Duration("linger", 0, "with -metrics: keep serving this long after the experiments finish")
 	scrapeURL := flag.String("scrape", "", "GET URL, validate the response (Prometheus exposition or JSON), then exit")
-	suiteMode := flag.Bool("suite", false, "run the benchmark scenario matrix and write BENCH_<area>.json files")
-	tier := flag.String("tier", "short", "suite tier: 'short' (CI-sized) or 'full'")
-	outDir := flag.String("out", ".", "with -suite: directory to write BENCH_*.json into")
-	comparePath := flag.String("compare", "", "compare this baseline result set (file or dir) against NEW (first positional arg), then exit")
-	threshold := flag.Float64("threshold", suite.DefaultThresholdPct, "with -compare: regression threshold in percent")
-	compareMetric := flag.String("metric", "wall", "with -compare: metric to gate on, 'wall' or 'sim'")
-	allocsThreshold := flag.Float64("allocs-threshold", 0, "with -compare: allocs/op growth threshold in percent (0 inherits -threshold, negative disables)")
-	rpsThreshold := flag.Float64("rps-threshold", 0, "with -compare: records/s drop threshold in percent (0 inherits -threshold, negative disables)")
-	areasFlag := flag.String("areas", "", "with -suite: comma-separated area filter (e.g. core,service)")
 	flag.Parse()
-
-	if *comparePath != "" {
-		// flag stops parsing at the first positional, so in
-		// `-compare OLD NEW -threshold 10` everything from NEW on lands
-		// in Args(). Take NEW, then re-parse the rest as flags.
-		rest := flag.Args()
-		if len(rest) >= 1 && len(rest[0]) > 0 && rest[0][0] != '-' {
-			if err := flag.CommandLine.Parse(rest[1:]); err != nil {
-				os.Exit(2)
-			}
-			rest = append(rest[:1], flag.Args()...)
-		}
-		if len(rest) != 1 {
-			fmt.Fprintln(os.Stderr, "rheem-bench: -compare OLD NEW needs exactly one positional argument (the new result set)")
-			os.Exit(2)
-		}
-		regressions, err := runCompare(*comparePath, rest[0], suite.CompareOptions{
-			ThresholdPct:       *threshold,
-			Metric:             *compareMetric,
-			AllocsThresholdPct: *allocsThreshold,
-			RPSThresholdPct:    *rpsThreshold,
-		}, os.Stdout)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rheem-bench: compare: %v\n", err)
-			os.Exit(2)
-		}
-		if regressions > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *suiteMode {
-		scfg := suiteConfig{tier: *tier, outDir: *outDir, quick: *quick, areas: splitAreas(*areasFlag)}
-		if *verbose {
-			scfg.verbose = os.Stderr
-		}
-		if err := runSuite(scfg, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "rheem-bench: suite: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *scrapeURL != "" {
 		if err := scrape(*scrapeURL, os.Stdout); err != nil {

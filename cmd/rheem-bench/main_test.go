@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"rheem/internal/bench/suite"
 	"rheem/internal/core/metrics"
 	"rheem/internal/core/trace"
 )
@@ -153,115 +152,5 @@ func TestScrapeValidates(t *testing.T) {
 	defer liarJSON.Close()
 	if err := scrape(liarJSON.URL, io.Discard); err == nil {
 		t.Error("scrape of truncated JSON did not fail")
-	}
-}
-
-// TestSuiteAndCompareEndToEnd exercises the -suite/-tier/-out and
-// -compare flag paths the way CI does: run the short tier into a temp
-// dir, compare the result set against itself, and require zero
-// regressions — then doctor a copy and require the regression to gate.
-func TestSuiteAndCompareEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the quick suite")
-	}
-	dir := t.TempDir()
-	var out bytes.Buffer
-	if err := runSuite(suiteConfig{tier: suite.TierShort, outDir: dir, quick: true}, &out); err != nil {
-		t.Fatal(err)
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) < 3 {
-		t.Fatalf("suite wrote %d BENCH files (%v), want >= 3", len(matches), matches)
-	}
-	for _, area := range []string{"core", "parallel", "sharding"} {
-		path := filepath.Join(dir, suite.Filename(area))
-		if _, err := os.Stat(path); err != nil {
-			t.Errorf("suite did not write %s: %v", suite.Filename(area), err)
-		}
-	}
-	if !strings.Contains(out.String(), "BENCH_core.json") {
-		t.Errorf("summary does not mention BENCH_core.json:\n%s", out.String())
-	}
-
-	// Self-compare: zero regressions, whatever the noise, because both
-	// sides are byte-identical.
-	out.Reset()
-	regressions, err := runCompare(dir, dir, suite.CompareOptions{}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressions != 0 {
-		t.Fatalf("self-compare found %d regressions:\n%s", regressions, out.String())
-	}
-	if !strings.Contains(out.String(), "OK: no regressions") {
-		t.Errorf("self-compare output missing OK line:\n%s", out.String())
-	}
-
-	// Doctor one area: inflate every wall by 2x — a certain >10%
-	// regression that must be reported and counted.
-	doctored := t.TempDir()
-	files, err := suite.LoadSet(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		for i := range f.Scenarios {
-			f.Scenarios[i].WallNS *= 2
-			f.Scenarios[i].SimNS *= 2
-		}
-	}
-	if err := suite.WriteFiles(doctored, files); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	regressions, err = runCompare(dir, doctored, suite.CompareOptions{}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressions == 0 {
-		t.Fatalf("2x-slower result set produced no regressions:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "FAIL") {
-		t.Errorf("regressing compare output missing FAIL line:\n%s", out.String())
-	}
-
-	// The reverse direction is an improvement, not a regression.
-	out.Reset()
-	regressions, err = runCompare(doctored, dir, suite.CompareOptions{}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressions != 0 {
-		t.Errorf("improvement gated as regression:\n%s", out.String())
-	}
-
-	// A single-file compare works too, and mismatched areas error.
-	core := filepath.Join(dir, suite.Filename("core"))
-	if _, err := runCompare(core, core, suite.CompareOptions{}, io.Discard); err != nil {
-		t.Errorf("single-file self-compare: %v", err)
-	}
-	shard := filepath.Join(dir, suite.Filename("sharding"))
-	if _, err := runCompare(core, shard, suite.CompareOptions{}, io.Discard); err == nil {
-		t.Error("comparing mismatched areas did not error")
-	}
-
-	// Unreadable inputs and bad options surface as errors (exit 2 in
-	// main), never as a clean zero-regression pass.
-	if _, err := runCompare(filepath.Join(dir, "nope.json"), core, suite.CompareOptions{}, io.Discard); err == nil {
-		t.Error("missing old path did not error")
-	}
-	if _, err := runCompare(core, core, suite.CompareOptions{Metric: "bogus"}, io.Discard); err == nil {
-		t.Error("bogus metric did not error")
-	}
-}
-
-// TestSuiteRejectsUnknownTier covers the -tier validation path.
-func TestSuiteRejectsUnknownTier(t *testing.T) {
-	err := runSuite(suiteConfig{tier: "medium", outDir: t.TempDir()}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "unknown tier") {
-		t.Errorf("unknown tier error = %v, want named tier error", err)
 	}
 }

@@ -358,6 +358,31 @@ func TestQueryRunsOnEveryPlatform(t *testing.T) {
 	}
 }
 
+// TestLimitZero: LIMIT 0 is a query, not a plan-build error — no row,
+// the query's own schema, on each pinned platform and under free choice.
+func TestLimitZero(t *testing.T) {
+	ctx := testCtx(t)
+	cat := taxCatalog(t, 100)
+	pins := [][]rheem.RunOption{nil}
+	for _, p := range ctx.Registry().Platforms() {
+		pins = append(pins, []rheem.RunOption{rheem.OnPlatform(p.ID())})
+	}
+	for _, q := range []string{
+		"SELECT zip, salary FROM tax LIMIT 0",
+		"SELECT zip, COUNT(*) AS n FROM tax GROUP BY zip ORDER BY zip LIMIT 0",
+	} {
+		for _, opts := range pins {
+			recs, schema, _, err := Run(ctx, cat, q, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			if len(recs) != 0 || schema.Len() != 2 || schema.Field(0).Name != "zip" {
+				t.Errorf("%s: %d rows with schema %v, want none with the two selected columns", q, len(recs), schema)
+			}
+		}
+	}
+}
+
 // rowsOf renders a result one row per line, sorted: the multiset a
 // query without ORDER BY promises.
 func rowsOf(recs []data.Record) string {

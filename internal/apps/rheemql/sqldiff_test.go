@@ -17,8 +17,8 @@ import (
 // diffCatalog: plain and aggregated select lists, zero to two GROUP BY
 // keys, WHERE conjuncts against literals and against columns, HAVING,
 // ORDER BY and LIMIT, with and without the join. Every query it draws
-// has one answer as a multiset: LIMIT appears only under an ORDER BY
-// whose column is unique in the output.
+// has one answer as a multiset: LIMIT (0 included) appears only under an
+// ORDER BY whose column is unique in the output.
 type sqlGen struct{ rng *rand.Rand }
 
 func (g *sqlGen) pick(opts ...string) string { return opts[g.rng.IntN(len(opts))] }
@@ -86,7 +86,7 @@ func (g *sqlGen) query() string {
 		if len(keys) == 1 && len(shown) == 1 && g.chance(50) {
 			tail += " ORDER BY " + shown[0] + g.pick("", " DESC")
 			if g.chance(50) {
-				tail += fmt.Sprint(" LIMIT ", 1+g.rng.IntN(4))
+				tail += fmt.Sprint(" LIMIT ", g.rng.IntN(5))
 			}
 		}
 	} else {
@@ -98,7 +98,7 @@ func (g *sqlGen) query() string {
 		if sel[0] == "id" && g.chance(60) {
 			tail += " ORDER BY id" + g.pick("", " DESC")
 			if g.chance(50) {
-				tail += fmt.Sprint(" LIMIT ", 1+g.rng.IntN(20))
+				tail += fmt.Sprint(" LIMIT ", g.rng.IntN(21))
 			}
 		}
 	}

@@ -23,8 +23,8 @@ func colRecordBytes(t *testing.T, recs []data.Record) []byte {
 // the hinted plan must produce byte-identical results to its UDF twin
 // and be meaningfully faster on wall clock. The gate here is a
 // conservative 1.5× at a mid size so it holds under the race detector
-// and on loaded CI boxes; the full gap at 1M rows is demonstrated by
-// the suite's columnar area and enforced against BENCH_columnar.json.
+// and on loaded CI boxes; the full gap at 1M rows is E13's table
+// (rheem-bench -experiment columnar).
 func TestColumnarSpeedup(t *testing.T) {
 	const rows, reps = 200_000, 3
 	recs := ColumnarRecords(rows)

@@ -1,9 +1,15 @@
-// Package suite is the benchmark-suite harness behind `rheem-bench
-// -suite`: a fixed scenario matrix (single-platform cores, the §1
-// multi-platform pipeline, the E8 fan-out diamond, the E11 sharded
-// wide chain) executed with warmup plus N repetitions, persisted as
-// one machine-readable BENCH_<area>.json per area, and a compare mode
-// that diffs two result sets and flags regressions past a threshold.
+// Package suite is the PR-14-era benchmark-suite harness: a fixed
+// scenario matrix (single-platform cores, the §1 multi-platform
+// pipeline, the E8 fan-out diamond, the E11 sharded wide chain) executed
+// with warmup plus N repetitions, persisted as one machine-readable
+// BENCH_<area>.json per area, and a compare mode that diffs two result
+// sets and flags regressions past a threshold.
+//
+// No command drives it any more: `rheem-bench -suite`/`-compare`, the
+// checked-in baselines and the CI job that compared against them are
+// gone, and this package goes next (ROADMAP 1a). It is still here only
+// because its 42 tier-1 test ids, with the 4 of metrics.Snapshot.Quantile
+// which it alone calls, are more than one PR may remove.
 //
 // The design follows elastic-package's system benchmarking loop
 // (scenario → run → collect metrics → summary report → compare against

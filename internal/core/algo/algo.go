@@ -1,13 +1,17 @@
-// Package algo provides the platform-neutral algorithm kernels behind
-// RHEEM's physical operators. Execution operators on every platform
-// delegate to these kernels: the single-node engine calls them on whole
-// datasets, the Spark simulator calls them per partition (after
-// shuffling), and the relational engine calls them on table row sets.
-// Keeping the kernels in one place means an algorithmic decision
-// (HashGroupBy vs SortGroupBy, HashJoin vs SortMergeJoin vs IEJoin) has
-// exactly one implementation to test, and adding a physical operator —
+// Package algo says what RHEEM's physical operators compute on rows,
+// once, for every platform. It has two layers. The kernels are the
+// algorithmic decisions over []data.Record (HashGroup vs SortGroup,
+// HashJoin vs SortMergeJoin vs IEJoin, ...), each with exactly one
+// implementation to test. The evaluator, Exec (exec.go), is the one
+// switch from a physical operator — its kind and the algorithm the
+// optimizer chose — onto those kernels: the single-node engine calls it
+// on whole datasets, the Spark simulator per partition (after
+// shuffling), the relational engine on table row sets and the executor
+// on the concatenated partials of a sharded atom. A platform owns where
+// the rows live, how they move and what that costs; nothing outside
+// this package calls a kernel directly. So adding a physical operator —
 // the paper's extensibility story (§5.2, IEJoin) — means adding one
-// kernel plus declarative mappings.
+// kernel, its case in Exec, and declarative mappings.
 package algo
 
 import (

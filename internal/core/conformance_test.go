@@ -28,6 +28,7 @@ import (
 	"testing"
 	"time"
 
+	"rheem/internal/core/algo"
 	"rheem/internal/core/batch"
 	"rheem/internal/core/cost"
 	"rheem/internal/core/engine"
@@ -243,10 +244,14 @@ var confColumnMap = plan.ColumnMap{
 // whose optimized plans are recorded (TestOptimizerGoldenPlans), plus
 // the declarative grouped aggregate over groupedCases under both
 // grouping algorithms — vectorized on the java engine, its derived
-// KeyFunc/GroupFunc everywhere else — and a column map, alone and in a
-// hinted chain.
+// KeyFunc/GroupFunc everywhere else — a column map, alone and in a
+// hinted chain, and the Sample that keeps nothing (LIMIT 0).
 func fullBattery() []confCase {
 	battery := append(conformanceBattery(),
+		confCase{name: "sample-zero", build: func(b *plan.Builder, s []*plan.Operator) {
+			sorted := b.Sort(s[0], modKey(97), false)
+			b.Collect(b.Union(b.Sample(sorted, 0), b.Sample(sorted, 3))) // three records, none from the first
+		}},
 		confCase{name: "map-columns", build: func(b *plan.Builder, s []*plan.Operator) { b.Collect(b.MapColumns(s[0], confColumnMap)) }},
 		confCase{name: "map-columns-chain", build: func(b *plan.Builder, s []*plan.Operator) {
 			m := b.MapColumns(b.FilterWhere(s[0], 1, plan.Less, data.Str("v2")), confColumnMap)
@@ -530,9 +535,10 @@ func TestCrossPlatformConformanceColumnar(t *testing.T) {
 }
 
 // TestConformanceCoversAllSharedKinds guards the battery itself: if a
-// new operator kind is mapped on two or more platforms, it must join
-// the conformance battery. The set of exercised kinds is derived from
-// the battery's own plans, so the check can't drift from the cases.
+// new operator kind is mapped on two or more platforms, or gains a row
+// form in algo.Exec (which every platform then runs), it must join the
+// conformance battery. The set of exercised kinds is derived from the
+// battery's own plans, so the check can't drift from the cases.
 func TestConformanceCoversAllSharedKinds(t *testing.T) {
 	reg := confRegistry(t)
 	mappedOn := map[plan.OpKind]map[engine.PlatformID]bool{}
@@ -566,6 +572,13 @@ func TestConformanceCoversAllSharedKinds(t *testing.T) {
 		if len(platforms) >= 2 && !exercised[kind] {
 			t.Errorf("operator kind %s is mapped on %d platforms but missing from the conformance battery",
 				kind, len(platforms))
+		}
+	}
+	for kind := plan.KindSource; kind <= plan.KindSink; kind++ {
+		// Over no rows only the dispatch runs: an error is "no row form".
+		_, err := algo.Exec(&physical.Operator{Logical: plan.NewSynthetic(kind, "probe")}, nil, nil)
+		if err == nil && !exercised[kind] {
+			t.Errorf("operator kind %s has a row form in algo.Exec but is missing from the conformance battery", kind)
 		}
 	}
 }

@@ -272,42 +272,24 @@ func isContextErr(err error) bool {
 }
 
 // mergeExit folds one exit's per-shard results into the final output.
-// Record-wise exits (combine == nil) concatenate in shard order;
-// combining exits fold their partials with the governing combine
-// operator's own semantics (and algorithm choice, so a sort-based
-// grouping keeps its key-ordered output).
+// Record-wise exits (combine == nil) concatenate in shard order. A
+// combining exit applies the governing operator once more to its
+// concatenated partials (algo.Exec — with its algorithm choice, so a
+// sort-based grouping keeps its key-ordered output; SortBy is stable and
+// shards are contiguous, so re-sorting per-shard sorted runs reproduces
+// the unsharded order exactly, equal keys included). Count is the one
+// combine that is not its own merge: the partial counts are summed.
 func mergeExit(combine *physical.Operator, parts [][]data.Record) ([]data.Record, error) {
 	all := slices.Concat(parts...)
 	if combine == nil {
 		return all, nil
 	}
-	op := combine
-	lop := op.Logical
-	switch op.Kind() {
-	case plan.KindReduceByKey:
-		return algo.ReduceByKey(all, lop.Key, lop.Reduce, op.Algo == physical.SortGroupBy)
-	case plan.KindReduce:
-		return algo.Reduce(all, lop.Reduce)
-	case plan.KindCount:
+	if combine.Kind() == plan.KindCount {
 		var total int64
 		for _, r := range all {
 			total += r.Field(0).Int()
 		}
 		return []data.Record{data.NewRecord(data.Int(total))}, nil
-	case plan.KindDistinct:
-		if op.Algo == physical.SortDistinct {
-			sorted, err := algo.SortBy(all, plan.RecordKey(), false)
-			if err != nil {
-				return nil, err
-			}
-			return algo.Distinct(sorted), nil
-		}
-		return algo.Distinct(all), nil
-	case plan.KindSort:
-		// SortBy is stable and shards are contiguous, so re-sorting the
-		// concatenation of per-shard sorted runs reproduces the unsharded
-		// order exactly, equal keys included.
-		return algo.SortBy(all, lop.Key, lop.Desc)
 	}
-	return nil, fmt.Errorf("executor: no shard merge for operator kind %s", op.Kind())
+	return algo.Exec(combine, all, nil)
 }

@@ -15,8 +15,7 @@ import (
 // histogram, no sample matches, or no observations were recorded.
 //
 // This is the bench suite's p99 source: it turns the live
-// rheem_atom_latency_seconds histogram into the single tail-latency
-// number persisted in BENCH_*.json.
+// rheem_atom_latency_seconds histogram into one tail-latency number.
 func (s *Snapshot) Quantile(name string, q float64, labels map[string]string) (float64, bool) {
 	if q <= 0 || q > 1 {
 		return 0, false

@@ -29,8 +29,8 @@ import (
 type Algorithm string
 
 // The algorithm pool. Registering a new algorithm (the paper's IEJoin
-// story) means adding a constant here, a kernel in package algo, and
-// declarative mappings — no optimizer changes.
+// story) means adding a constant here, a kernel in package algo with
+// its case in algo.Exec, and declarative mappings — no optimizer changes.
 const (
 	Default       Algorithm = "default"
 	HashGroupBy   Algorithm = "hash-groupby"

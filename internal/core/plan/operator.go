@@ -309,8 +309,8 @@ func (o *Operator) validatePayload() error {
 			return missing("a Body plan and a CondFunc")
 		}
 	case KindSample:
-		if o.N <= 0 {
-			return missing("positive N")
+		if o.N < 0 { // 0 is LIMIT 0: no record; the evaluator slices l[:N]
+			return missing("non-negative N")
 		}
 	case KindDistinct, KindUnion, KindCartesian, KindCount, KindSink, KindLoopInput:
 		// No payload.

@@ -93,6 +93,15 @@ func TestBuildErrors(t *testing.T) {
 			t.Error("second Build accepted")
 		}
 	})
+	t.Run("sample size", func(t *testing.T) {
+		for n, ok := range map[int]bool{-1: false, 0: true, 3: true} { // 0 is LIMIT 0
+			b := NewBuilder("p")
+			b.Collect(b.Sample(b.Source("s", sampleSource()), n))
+			if _, err := b.Build(); (err == nil) != ok {
+				t.Errorf("Sample(%d): Build returned %v", n, err)
+			}
+		}
+	})
 	t.Run("loop input outside body", func(t *testing.T) {
 		b := NewBuilder("p")
 		li := b.LoopInput("in")

@@ -35,6 +35,7 @@ import (
 	"math"
 	"slices"
 
+	"rheem/internal/core/algo"
 	"rheem/internal/core/batch"
 	"rheem/internal/core/physical"
 	"rheem/internal/core/plan"
@@ -410,9 +411,9 @@ func (p *pipeline) rowWindow(recs []data.Record) (_ []data.Record, err error) {
 	recs = slices.Clone(recs)
 	for _, st := range p.stages {
 		if st.op.ColPred != nil {
-			recs, err = filterRows(recs[:0], recs, st.op.Filter)
+			recs, err = algo.FilterRows(recs[:0], recs, st.op.Filter)
 		} else { // a projection or a column map: either way the operator's row UDF
-			recs, err = mapRows(recs[:0], recs, st.op.Map)
+			recs, err = algo.MapRows(recs[:0], recs, st.op.Map)
 		}
 		if err != nil {
 			return nil, err

@@ -5,8 +5,9 @@
 // It executes every physical operator sequentially on driver-resident
 // data. Operators carrying a declarative column hint form a lazy
 // pipeline that is forced once, 4 096 rows at a time over column
-// slices, by whatever consumes it (columnar.go); everything else
-// delegates to the shared []data.Record kernels in package algo. A
+// slices, by whatever consumes it (columnar.go) — the layout this
+// engine owns; for everything else the rows go to algo.Exec, the one
+// definition of what an operator computes that every platform shares. A
 // panicking operator fails its job, not the process: engine.RunAtom
 // recovers it into a Fatal error. The engine has no per-job overhead
 // worth modelling and no parallelism: its simulated time equals its
@@ -18,7 +19,6 @@ package javaengine
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"rheem/internal/core/algo"
@@ -160,165 +160,34 @@ func asRecords(ds any) []data.Record {
 	return ds.([]data.Record)
 }
 
-// ExecOp executes one physical operator via the shared kernels. An
-// operator with a column hint joins or folds its input's lazy pipeline
-// (columnar.go); the row code below is what un-hinted UDF operators run
-// on, forcing a pipeline they are handed into rows first. It is the java
-// engine's complete set of execution operators.
+// ExecOp executes one physical operator. What is the engine's own is the
+// layout: an operator with a column hint joins or folds its input's lazy
+// pipeline (columnar.go), a source reads on the driver and a sink hands
+// its input through. What any other operator computes on rows is
+// algo.Exec's to say; a pipeline or batch it is handed is forced into
+// rows first.
 func (d *datasetOps) ExecOp(ctx context.Context, op *physical.Operator, inputs []any) (any, error) {
 	if out, handled, err := d.execHinted(ctx, op, inputs); handled {
 		return out, err
 	}
-	lop := op.Logical
+	switch op.Kind() {
+	case plan.KindSource:
+		return op.Logical.Source()
+	case plan.KindSink:
+		return inputs[0], nil // rows, a batch or a pipeline, untouched
+	}
+	var in [2][]data.Record
 	for i, ds := range inputs {
-		if p, ok := ds.(*pipeline); ok && lop.Kind() != plan.KindSink {
+		if p, ok := ds.(*pipeline); ok {
 			recs, err := p.records()
 			if err != nil {
 				return nil, err
 			}
-			inputs[i] = recs
+			ds = recs
 		}
+		in[i] = asRecords(ds)
 	}
-	in := func(i int) []data.Record { return asRecords(inputs[i]) }
-	switch lop.Kind() {
-	case plan.KindSource:
-		return lop.Source()
-	case plan.KindMap:
-		recs := in(0)
-		return mapRows(make([]data.Record, 0, len(recs)), recs, lop.Map)
-	case plan.KindFlatMap:
-		var out []data.Record
-		for _, r := range in(0) {
-			nrs, err := lop.FlatMap(r)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, nrs...)
-		}
-		return out, nil
-	case plan.KindFilter:
-		recs := in(0)
-		return filterRows(make([]data.Record, 0, len(recs)), recs, lop.Filter)
-	case plan.KindGroupBy:
-		groups, err := groupWith(op.Algo, in(0), lop.Key)
-		if err != nil {
-			return nil, err
-		}
-		var out []data.Record
-		for _, g := range groups {
-			res, err := lop.Group(g.Key, g.Records)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, res...)
-		}
-		return out, nil
-	case plan.KindReduceByKey:
-		return algo.ReduceByKey(in(0), lop.Key, lop.Reduce, op.Algo == physical.SortGroupBy)
-	case plan.KindReduce:
-		return algo.Reduce(in(0), lop.Reduce)
-	case plan.KindSort:
-		return algo.SortBy(in(0), lop.Key, lop.Desc)
-	case plan.KindDistinct:
-		if op.Algo == physical.SortDistinct {
-			sorted, err := algo.SortBy(in(0), plan.RecordKey(), false)
-			if err != nil {
-				return nil, err
-			}
-			return algo.Distinct(sorted), nil
-		}
-		return algo.Distinct(in(0)), nil
-	case plan.KindUnion:
-		l, r := in(0), in(1)
-		out := make([]data.Record, 0, len(l)+len(r))
-		out = append(out, l...)
-		out = append(out, r...)
-		return out, nil
-	case plan.KindJoin:
-		if op.Algo == physical.SortMergeJoin {
-			return algo.SortMergeJoin(in(0), in(1), lop.Key, lop.RightKey)
-		}
-		return algo.HashJoin(in(0), in(1), lop.Key, lop.RightKey)
-	case plan.KindThetaJoin:
-		if op.Algo == physical.IEJoin && len(lop.Conditions) > 0 {
-			return algo.IEJoinRecords(in(0), in(1), lop.Conditions, lop.Pred)
-		}
-		pred := lop.Pred
-		if pred == nil {
-			pred = condsPred(lop.Conditions)
-		} else if len(lop.Conditions) > 0 {
-			cp := condsPred(lop.Conditions)
-			base := lop.Pred
-			pred = func(l, r data.Record) (bool, error) {
-				ok, err := cp(l, r)
-				if err != nil || !ok {
-					return false, err
-				}
-				return base(l, r)
-			}
-		}
-		return algo.NestedLoopJoin(in(0), in(1), pred)
-	case plan.KindCartesian:
-		return algo.Cartesian(in(0), in(1)), nil
-	case plan.KindCount:
-		return []data.Record{data.NewRecord(data.Int(int64(len(in(0)))))}, nil
-	case plan.KindSample:
-		recs := in(0)
-		if len(recs) > lop.N {
-			recs = recs[:lop.N]
-		}
-		return recs, nil
-	case plan.KindSink:
-		return inputs[0], nil // rows, a batch or a pipeline, untouched
-	case plan.KindRepeat, plan.KindDoWhile, plan.KindLoopInput:
-		return nil, fmt.Errorf("javaengine: %s must be driven by the executor", lop.Kind())
-	default:
-		return nil, fmt.Errorf("javaengine: unsupported operator kind %s", lop.Kind())
-	}
-}
-
-// mapRows appends f of every record to dst, which may be recs[:0].
-func mapRows(dst, recs []data.Record, f plan.MapFunc) ([]data.Record, error) {
-	for _, r := range recs {
-		nr, err := f(r)
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, nr)
-	}
-	return dst, nil
-}
-
-// filterRows appends the records f keeps to dst, which may be recs[:0].
-func filterRows(dst, recs []data.Record, f plan.FilterFunc) ([]data.Record, error) {
-	for _, r := range recs {
-		if ok, err := f(r); err != nil {
-			return nil, err
-		} else if ok {
-			dst = append(dst, r)
-		}
-	}
-	return dst, nil
-}
-
-// groupWith dispatches on the grouping algorithm decision.
-func groupWith(a physical.Algorithm, recs []data.Record, key plan.KeyFunc) ([]algo.Group, error) {
-	if a == physical.SortGroupBy {
-		return algo.SortGroup(recs, key)
-	}
-	return algo.HashGroup(recs, key)
-}
-
-// condsPred turns declarative inequality conditions into a predicate.
-func condsPred(conds []plan.IECondition) plan.PredFunc {
-	return func(l, r data.Record) (bool, error) {
-		for _, c := range conds {
-			if !c.Op.Eval(l.Field(c.LeftField), r.Field(c.RightField)) {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
+	return algo.Exec(op, in[0], in[1])
 }
 
 // Register creates the platform, registers it and its declarative

@@ -234,151 +234,35 @@ func (d *datasetOps) charge(wall time.Duration, relational bool) {
 	d.sim += time.Duration(float64(wall) * f)
 }
 
-// ExecOp executes one physical operator over tables — the relational
-// engine's execution-operator set. Each operator is one statement over
-// intermediate tables.
+// ExecOp executes one physical operator as one statement over
+// intermediate tables. The engine's own are the table layout (a source
+// is a bulk load, a sink hands its table through, every other result is
+// a temp table) and the clock, which prices opaque per-tuple UDF calls
+// (Map, FlatMap, Filter) up and everything else down; what the operator
+// computes on the rows is algo.Exec's to say.
 func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []any) (any, error) {
-	rows := func(i int) []data.Record { return inputs[i].(*Table).rowsUnsafe() }
-	lop := op.Logical
 	t0 := time.Now()
 	var out []data.Record
 	var err error
-	relational := false
-
-	switch lop.Kind() {
-	case plan.KindSource:
-		out, err = lop.Source()
-		relational = true
-	case plan.KindMap:
-		in := rows(0)
-		out = make([]data.Record, 0, len(in))
-		for _, r := range in {
-			nr, merr := lop.Map(r)
-			if merr != nil {
-				return nil, merr
-			}
-			out = append(out, nr)
-		}
-	case plan.KindFlatMap:
-		for _, r := range rows(0) {
-			nrs, merr := lop.FlatMap(r)
-			if merr != nil {
-				return nil, merr
-			}
-			out = append(out, nrs...)
-		}
-	case plan.KindFilter:
-		in := rows(0)
-		out = make([]data.Record, 0, len(in))
-		for _, r := range in {
-			ok, ferr := lop.Filter(r)
-			if ferr != nil {
-				return nil, ferr
-			}
-			if ok {
-				out = append(out, r)
-			}
-		}
-	case plan.KindGroupBy:
-		relational = true
-		var groups []algo.Group
-		if op.Algo == physical.SortGroupBy {
-			groups, err = algo.SortGroup(rows(0), lop.Key)
-		} else {
-			groups, err = algo.HashGroup(rows(0), lop.Key)
-		}
-		if err == nil {
-			for _, g := range groups {
-				res, gerr := lop.Group(g.Key, g.Records)
-				if gerr != nil {
-					return nil, gerr
-				}
-				out = append(out, res...)
-			}
-		}
-	case plan.KindReduceByKey:
-		relational = true
-		out, err = algo.ReduceByKey(rows(0), lop.Key, lop.Reduce, op.Algo == physical.SortGroupBy)
-	case plan.KindReduce:
-		relational = true
-		out, err = algo.Reduce(rows(0), lop.Reduce)
-	case plan.KindSort:
-		relational = true
-		out, err = algo.SortBy(rows(0), lop.Key, lop.Desc)
-	case plan.KindDistinct:
-		relational = true
-		if op.Algo == physical.SortDistinct {
-			var sorted []data.Record
-			sorted, err = algo.SortBy(rows(0), plan.RecordKey(), false)
-			if err == nil {
-				out = algo.Distinct(sorted)
-			}
-		} else {
-			out = algo.Distinct(rows(0))
-		}
-	case plan.KindUnion:
-		relational = true
-		l, r := rows(0), rows(1)
-		out = make([]data.Record, 0, len(l)+len(r))
-		out = append(out, l...)
-		out = append(out, r...)
-	case plan.KindJoin:
-		relational = true
-		if op.Algo == physical.SortMergeJoin {
-			out, err = algo.SortMergeJoin(rows(0), rows(1), lop.Key, lop.RightKey)
-		} else {
-			out, err = algo.HashJoin(rows(0), rows(1), lop.Key, lop.RightKey)
-		}
-	case plan.KindThetaJoin:
-		relational = true
-		if op.Algo == physical.IEJoin && len(lop.Conditions) > 0 {
-			out, err = algo.IEJoinRecords(rows(0), rows(1), lop.Conditions, lop.Pred)
-		} else {
-			out, err = algo.NestedLoopJoin(rows(0), rows(1), thetaPred(lop))
-		}
-	case plan.KindCartesian:
-		relational = true
-		out = algo.Cartesian(rows(0), rows(1))
-	case plan.KindCount:
-		relational = true
-		out = []data.Record{data.NewRecord(data.Int(int64(len(rows(0)))))}
-	case plan.KindSample:
-		relational = true
-		out = rows(0)
-		if len(out) > lop.N {
-			out = out[:lop.N]
-		}
+	relational := true
+	switch k := op.Kind(); k {
 	case plan.KindSink:
-		// Pass the input table through without copying.
-		d.charge(time.Since(t0), true)
 		return inputs[0], nil
-	case plan.KindRepeat, plan.KindDoWhile, plan.KindLoopInput:
-		return nil, fmt.Errorf("relengine: %s must be driven by the executor", lop.Kind())
+	case plan.KindSource:
+		out, err = op.Logical.Source()
 	default:
-		return nil, fmt.Errorf("relengine: unsupported operator kind %s", lop.Kind())
+		relational = k != plan.KindMap && k != plan.KindFlatMap && k != plan.KindFilter
+		var in [2][]data.Record
+		for i, t := range inputs {
+			in[i] = t.(*Table).rowsUnsafe()
+		}
+		out, err = algo.Exec(op, in[0], in[1])
 	}
 	if err != nil {
 		return nil, err
 	}
 	d.charge(time.Since(t0), relational)
 	return d.p.db.tempTable(out), nil
-}
-
-// thetaPred combines declarative conditions and the residual predicate.
-func thetaPred(lop *plan.Operator) plan.PredFunc {
-	conds := lop.Conditions
-	base := lop.Pred
-	return func(l, r data.Record) (bool, error) {
-		for _, c := range conds {
-			if !c.Op.Eval(l.Field(c.LeftField), r.Field(c.RightField)) {
-				return false, nil
-			}
-		}
-		if base != nil {
-			return base(l, r)
-		}
-		return true, nil
-	}
 }
 
 // Register creates the platform over db (fresh if nil), registers it

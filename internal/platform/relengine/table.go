@@ -11,7 +11,9 @@
 // simulated-time profile that favours relational operators (compiled
 // aggregation, joins) and penalises opaque per-tuple UDF calls — the
 // asymmetry that makes mixed pipelines split across platforms in the
-// multi-platform experiments (E5).
+// multi-platform experiments (E5). The tables and that clock are what
+// the platform owns; what an operator computes on a table's rows is
+// algo.Exec's, the definition every platform shares.
 package relengine
 
 import (

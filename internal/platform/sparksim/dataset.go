@@ -133,10 +133,24 @@ func (d *datasetOps) partitionByKey(parts [][]data.Record, key plan.KeyFunc) ([]
 // ExecOp executes one physical operator over partitioned datasets —
 // the Spark simulator's execution-operator set. Execution operators
 // work on whole partitions ("multiple data quanta rather than a single
-// one", paper §3.1).
+// one", paper §3.1). The simulator's own are where the rows are and what
+// that costs: the split, the shuffle, the map-side combine, the broadcast,
+// the driver-side finish, and the clock over all of them. What an
+// operator computes on the rows of one partition is algo.Exec's to say.
 func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []any) (any, error) {
 	in := func(i int) [][]data.Record { return inputs[i].([][]data.Record) }
 	lop := op.Logical
+	var rAll []data.Record // a broadcast right side
+	rows := func(p []data.Record) ([]data.Record, error) { return algo.Exec(op, p, rAll) }
+	// onDriver applies the operator once more to its per-partition
+	// partials, collected on the driver; the time is charged there,
+	// divided by par where the step is modelled as a parallel merge.
+	onDriver := func(partials [][]data.Record, par int) ([]data.Record, error) {
+		t0 := time.Now()
+		out, err := rows(flatten(partials))
+		d.driver(time.Since(t0) / time.Duration(par))
+		return out, err
+	}
 	switch lop.Kind() {
 	case plan.KindSource:
 		t0 := time.Now()
@@ -149,76 +163,25 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 		// no shuffle volume is charged; see package comment.
 		return splitEven(recs, d.cfg.tunedPartitions(int64(len(recs)))), nil
 
-	case plan.KindMap:
-		return d.mapPartitions(in(0), func(p []data.Record) ([]data.Record, error) {
-			out := make([]data.Record, 0, len(p))
-			for _, r := range p {
-				nr, err := lop.Map(r)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, nr)
-			}
-			return out, nil
-		})
+	case plan.KindMap, plan.KindFlatMap, plan.KindFilter:
+		return d.mapPartitions(in(0), rows)
 
-	case plan.KindFlatMap:
-		return d.mapPartitions(in(0), func(p []data.Record) ([]data.Record, error) {
-			var out []data.Record
-			for _, r := range p {
-				nrs, err := lop.FlatMap(r)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, nrs...)
-			}
-			return out, nil
-		})
-
-	case plan.KindFilter:
-		return d.mapPartitions(in(0), func(p []data.Record) ([]data.Record, error) {
-			out := make([]data.Record, 0, len(p))
-			for _, r := range p {
-				ok, err := lop.Filter(r)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					out = append(out, r)
-				}
-			}
-			return out, nil
-		})
-
-	case plan.KindGroupBy:
-		shuffled, err := d.partitionByKey(in(0), lop.Key)
+	case plan.KindGroupBy, plan.KindDistinct:
+		key := lop.Key
+		if lop.Kind() == plan.KindDistinct {
+			key = plan.RecordKey()
+		}
+		shuffled, err := d.partitionByKey(in(0), key)
 		if err != nil {
 			return nil, err
 		}
-		return d.mapPartitions(shuffled, func(p []data.Record) ([]data.Record, error) {
-			groups, err := groupWith(op.Algo, p, lop.Key)
-			if err != nil {
-				return nil, err
-			}
-			var out []data.Record
-			for _, g := range groups {
-				res, err := lop.Group(g.Key, g.Records)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, res...)
-			}
-			return out, nil
-		})
+		return d.mapPartitions(shuffled, rows)
 
 	case plan.KindReduceByKey:
 		// Map-side combine, then shuffle, then final reduce — the real
 		// Spark execution strategy, which keeps shuffle volume at
 		// O(partitions × keys).
-		reduce := func(p []data.Record) ([]data.Record, error) {
-			return algo.ReduceByKey(p, lop.Key, lop.Reduce, op.Algo == physical.SortGroupBy)
-		}
-		combined, err := d.mapPartitions(in(0), reduce)
+		combined, err := d.mapPartitions(in(0), rows)
 		if err != nil {
 			return nil, err
 		}
@@ -226,31 +189,24 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 		if err != nil {
 			return nil, err
 		}
-		return d.mapPartitions(shuffled, reduce)
+		return d.mapPartitions(shuffled, rows)
 
 	case plan.KindReduce:
-		partials, err := d.mapPartitions(in(0), func(p []data.Record) ([]data.Record, error) {
-			return algo.Reduce(p, lop.Reduce)
-		})
+		partials, err := d.mapPartitions(in(0), rows)
 		if err != nil {
 			return nil, err
 		}
-		t0 := time.Now()
-		final, err := algo.Reduce(flatten(partials), lop.Reduce)
+		final, err := onDriver(partials, 1)
 		if err != nil {
 			return nil, err
 		}
-		d.driver(time.Since(t0))
 		return [][]data.Record{final}, nil
 
 	case plan.KindSort:
 		// Global sort: per-partition sort stage, then a merge modelled
 		// on the driver, range-split back into partitions. The full
 		// volume crosses the wire.
-		parts := in(0)
-		sortedParts, err := d.mapPartitions(parts, func(p []data.Record) ([]data.Record, error) {
-			return algo.SortBy(p, lop.Key, lop.Desc)
-		})
+		sortedParts, err := d.mapPartitions(in(0), rows)
 		if err != nil {
 			return nil, err
 		}
@@ -259,29 +215,11 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 			bytes += data.TotalBytes(p)
 		}
 		d.shuffle(bytes)
-		t0 := time.Now()
-		merged, err := algo.SortBy(flatten(sortedParts), lop.Key, lop.Desc)
+		merged, err := onDriver(sortedParts, max(1, d.cfg.Slots()))
 		if err != nil {
 			return nil, err
 		}
-		d.driver(time.Since(t0) / time.Duration(maxInt(1, d.cfg.Slots())))
 		return splitEven(merged, d.cfg.tunedPartitions(int64(len(merged)))), nil
-
-	case plan.KindDistinct:
-		shuffled, err := d.partitionByKey(in(0), plan.RecordKey())
-		if err != nil {
-			return nil, err
-		}
-		return d.mapPartitions(shuffled, func(p []data.Record) ([]data.Record, error) {
-			if op.Algo == physical.SortDistinct {
-				sorted, err := algo.SortBy(p, plan.RecordKey(), false)
-				if err != nil {
-					return nil, err
-				}
-				return algo.Distinct(sorted), nil
-			}
-			return algo.Distinct(p), nil
-		})
 
 	case plan.KindUnion:
 		l, r := in(0), in(1)
@@ -303,16 +241,9 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 		times := make([]time.Duration, len(lParts))
 		for i := range lParts {
 			t0 := time.Now()
-			var joined []data.Record
-			if op.Algo == physical.SortMergeJoin {
-				joined, err = algo.SortMergeJoin(lParts[i], rParts[i], lop.Key, lop.RightKey)
-			} else {
-				joined, err = algo.HashJoin(lParts[i], rParts[i], lop.Key, lop.RightKey)
-			}
-			if err != nil {
+			if out[i], err = algo.Exec(op, lParts[i], rParts[i]); err != nil {
 				return nil, err
 			}
-			out[i] = joined
 			times[i] = time.Since(t0)
 		}
 		d.stage(times)
@@ -321,19 +252,9 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 	case plan.KindThetaJoin, plan.KindCartesian:
 		// Broadcast the right side to every worker, then join each
 		// left partition against the full right side.
-		rAll := flatten(in(1))
+		rAll = flatten(in(1))
 		d.broadcast(data.TotalBytes(rAll))
-		return d.mapPartitions(in(0), func(p []data.Record) ([]data.Record, error) {
-			switch {
-			case lop.Kind() == plan.KindCartesian:
-				return algo.Cartesian(p, rAll), nil
-			case op.Algo == physical.IEJoin && len(lop.Conditions) > 0:
-				return algo.IEJoinRecords(p, rAll, lop.Conditions, lop.Pred)
-			default:
-				pred := thetaPred(lop)
-				return algo.NestedLoopJoin(p, rAll, pred)
-			}
-		})
+		return d.mapPartitions(in(0), rows)
 
 	case plan.KindCount:
 		var n int64
@@ -358,44 +279,6 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 
 	case plan.KindSink:
 		return in(0), nil
-
-	case plan.KindRepeat, plan.KindDoWhile, plan.KindLoopInput:
-		return nil, fmt.Errorf("sparksim: %s must be driven by the executor", lop.Kind())
-
-	default:
-		return nil, fmt.Errorf("sparksim: unsupported operator kind %s", lop.Kind())
 	}
-}
-
-// groupWith dispatches on the grouping algorithm decision.
-func groupWith(a physical.Algorithm, recs []data.Record, key plan.KeyFunc) ([]algo.Group, error) {
-	if a == physical.SortGroupBy {
-		return algo.SortGroup(recs, key)
-	}
-	return algo.HashGroup(recs, key)
-}
-
-// thetaPred combines declarative conditions and the residual predicate
-// into one PredFunc.
-func thetaPred(lop *plan.Operator) plan.PredFunc {
-	conds := lop.Conditions
-	base := lop.Pred
-	return func(l, r data.Record) (bool, error) {
-		for _, c := range conds {
-			if !c.Op.Eval(l.Field(c.LeftField), r.Field(c.RightField)) {
-				return false, nil
-			}
-		}
-		if base != nil {
-			return base(l, r)
-		}
-		return true, nil
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return nil, fmt.Errorf("sparksim: %s must be driven by the executor", lop.Kind())
 }

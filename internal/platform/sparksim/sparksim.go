@@ -5,8 +5,11 @@
 // The simulator really executes every operator: datasets are hash- or
 // range-partitioned [][]data.Record collections, wide operators really
 // shuffle records between partitions, joins really co-partition, and
-// broadcasts really replicate — so results are exact and testable. What
-// is simulated is *time*: a virtual cluster clock models
+// broadcasts really replicate — so results are exact and testable. The
+// partitioning, the shuffle and the clock are the simulator's own; what
+// an operator computes on one partition's rows is algo.Exec's, the
+// definition every platform shares. What is simulated is *time*: a
+// virtual cluster clock models
 //
 //   - a fixed job-submission overhead per task atom execution
 //     (Config.JobOverhead) — the dominant term for small inputs and the

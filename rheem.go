@@ -373,11 +373,6 @@ func WithShards(n int) RunOption {
 	}
 }
 
-// WithoutRules disables optimizer rewrite rules for this run.
-func WithoutRules() RunOption {
-	return func(rc *runConfig) { rc.opt.DisableRules = true }
-}
-
 // WithReOptimize toggles adaptive re-optimization: when the executor's
 // cardinality audit exposes a gross estimation miss at an atom
 // boundary, the remaining plan is re-planned with the observed
