@@ -9,10 +9,10 @@ import (
 
 // CleanResult summarises an iterative detect→repair run.
 type CleanResult struct {
-	Rounds          int
+	Rounds            int
 	InitialViolations int
-	FinalViolations int
-	CellsChanged    int
+	FinalViolations   int
+	CellsChanged      int
 }
 
 // Clean iterates detection and repair to a fixpoint: detect, repair,

@@ -33,12 +33,12 @@ const (
 
 // SelectItem is one projection: a column, a star, or an aggregate.
 type SelectItem struct {
-	Star  bool
-	Col   ColumnRef
-	Agg   AggFunc   // "" for plain columns
-	Arg   ColumnRef // aggregate argument; Star for COUNT(*)
+	Star    bool
+	Col     ColumnRef
+	Agg     AggFunc   // "" for plain columns
+	Arg     ColumnRef // aggregate argument; Star for COUNT(*)
 	ArgStar bool
-	Alias string
+	Alias   string
 }
 
 // Literal is a constant in a comparison.

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"rheem"
+	"rheem/internal/core/batch"
 	"rheem/internal/core/plan"
 	"rheem/internal/data"
 )
@@ -16,10 +17,15 @@ type Catalog struct {
 	tables map[string]*TableDef
 }
 
-// TableDef is one queryable dataset.
+// TableDef is one queryable dataset, at rest in both forms: the records
+// it was registered with, and their columns, transposed once. Every
+// query's plan reads the same two, so neither may be written to.
 type TableDef struct {
 	Schema  *data.Schema
 	Records []data.Record
+
+	cols *batch.Batch    // row-backed when Records are ragged: no column form
+	rows plan.SourceFunc // serves Records
 }
 
 // NewCatalog returns an empty catalog.
@@ -27,13 +33,24 @@ func NewCatalog() *Catalog {
 	return &Catalog{tables: map[string]*TableDef{}}
 }
 
-// Register adds a dataset.
+// Register adds a dataset, transposing it once into the column form
+// every query's scan carries; recs are kept as its row form and must not
+// be written to afterwards.
 func (c *Catalog) Register(name string, schema *data.Schema, recs []data.Record) error {
 	if _, dup := c.tables[name]; dup {
 		return fmt.Errorf("rheemql: table %q already registered", name)
 	}
-	c.tables[name] = &TableDef{Schema: schema, Records: recs}
+	c.tables[name] = &TableDef{Schema: schema, Records: recs, cols: batch.FromRecords(recs), rows: plan.Collection(recs)}
 	return nil
+}
+
+// source adds the scan of a table: its columns as the hint, and as the
+// row form the records the table holds rather than a copy made of the
+// columns per query.
+func (t *TableDef) source(b *plan.Builder, name string) *plan.Operator {
+	src := b.SourceColumns(name, t.cols)
+	src.Source = t.rows
+	return src
 }
 
 // Compiled is a query lowered to a logical plan.
@@ -83,8 +100,7 @@ func Compile(q *Query, cat *Catalog) (*Compiled, error) {
 	if !ok {
 		return nil, fmt.Errorf("rheemql: unknown table %q", q.From.Name)
 	}
-	cur := b.Source(q.From.Name, plan.Collection(fromDef.Records))
-	cur.CardHint = int64(len(fromDef.Records))
+	cur := fromDef.source(b, q.From.Name)
 	e.binds = append(e.binds, binding{qualifier: q.From.aliasOrName(), schema: fromDef.Schema})
 
 	if q.Join != nil {
@@ -92,8 +108,7 @@ func Compile(q *Query, cat *Catalog) (*Compiled, error) {
 		if !ok {
 			return nil, fmt.Errorf("rheemql: unknown table %q", q.Join.Table.Name)
 		}
-		right := b.Source(q.Join.Table.Name, plan.Collection(joinDef.Records))
-		right.CardHint = int64(len(joinDef.Records))
+		right := joinDef.source(b, q.Join.Table.Name)
 		rightBind := binding{qualifier: q.Join.Table.aliasOrName(), schema: joinDef.Schema, offset: fromDef.Schema.Len()}
 		// Resolve the ON columns against each side independently.
 		leftEnv := &env{binds: []binding{e.binds[0]}}

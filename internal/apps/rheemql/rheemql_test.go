@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rheem"
+	"rheem/internal/core/plan"
 	"rheem/internal/data"
 	"rheem/internal/data/datagen"
 	"rheem/internal/platform/javaengine"
@@ -301,8 +302,8 @@ func TestHavingErrors(t *testing.T) {
 	ctx := testCtx(t)
 	cat := taxCatalog(t, 10)
 	bad := []string{
-		"SELECT id FROM tax HAVING id > 1",                          // no aggregation
-		"SELECT state, COUNT(*) FROM tax GROUP BY state HAVING ghost > 1", // unknown output column
+		"SELECT id FROM tax HAVING id > 1",                                      // no aggregation
+		"SELECT state, COUNT(*) FROM tax GROUP BY state HAVING ghost > 1",       // unknown output column
 		"SELECT state, COUNT(*) AS n FROM tax GROUP BY state HAVING n > salary", // column RHS
 	}
 	for _, q := range bad {
@@ -493,5 +494,47 @@ func TestMultiColumnGroupKeysAreExact(t *testing.T) {
 				t.Errorf("%s on %s returned\n%s\nwant\n%s", tc.sql, p.ID(), got, want)
 			}
 		}
+	}
+}
+
+// A registered table is at rest in both forms: a query's scan carries the
+// columns, transposed once at Register, as its hint, and serves as rows
+// the records the table was registered with — not a copy made of the
+// columns. A ragged table has no column form and carries no hint.
+func TestCatalogTablesAtRestInBothForms(t *testing.T) {
+	schema := data.MustSchema(data.Field{Name: "id", Type: data.KindInt}, data.Field{Name: "s", Type: data.KindString})
+	recs := []data.Record{data.NewRecord(data.Int(1), data.Str("a")), data.NewRecord(data.Int(2), data.Null())}
+	cat := NewCatalog()
+	if err := cat.Register("t", schema, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Register("ragged", schema, append(recs[:1:1], data.NewRecord(data.Int(3)))); err != nil {
+		t.Fatal(err)
+	}
+	scan := func(sql string) *plan.Operator {
+		q, err := Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Compile(q, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Plan.Operators()[0]
+	}
+	first, again := scan("SELECT id FROM t WHERE id > 1"), scan("SELECT s FROM t")
+	if first.ColSource == nil || first.ColSource != again.ColSource || first.ColSource.Len() != 2 || first.CardHint != 2 {
+		t.Errorf("two scans of t carry %p and %p (CardHint %d), want the one batch of its 2 rows", first.ColSource, again.ColSource, first.CardHint)
+	}
+	if rows, err := first.Source(); err != nil || len(rows) != 2 || &rows[0] != &recs[0] {
+		t.Errorf("the scan's row form is not the registered records: %v, %v", rows, err)
+	}
+	if src := scan("SELECT id FROM ragged"); src.ColSource != nil || src.CardHint != 2 {
+		t.Errorf("a ragged table's scan carries ColSource=%v CardHint=%d, want no hint and 2", src.ColSource, src.CardHint)
+	}
+	ctx := testCtx(t)
+	got, _, _, err := Run(ctx, cat, "SELECT s, id FROM t WHERE id >= 1", rheem.OnPlatform(javaengine.ID))
+	if err != nil || len(got) != 2 || !got[1].Field(0).IsNull() || got[1].Field(1).Int() != 2 {
+		t.Errorf("query over the columns = %v, %v", got, err)
 	}
 }

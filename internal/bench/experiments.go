@@ -95,8 +95,8 @@ func fig2(cfg Config) ([]*Table, error) {
 		clock = "wall"
 	}
 	t1 := &Table{
-		Title: fmt.Sprintf("Figure 2 — SVM (%d iterations, d=%d), Java vs Spark [%s time]", iters, dim, clock),
-		Note:  "Paper shape: plain Java wins by ~an order of magnitude on small inputs; Spark pays off only for big inputs.",
+		Title:   fmt.Sprintf("Figure 2 — SVM (%d iterations, d=%d), Java vs Spark [%s time]", iters, dim, clock),
+		Note:    "Paper shape: plain Java wins by ~an order of magnitude on small inputs; Spark pays off only for big inputs.",
 		Columns: []string{"points", "java", "spark", "winner", "java/spark"},
 	}
 	run := func(pts []data.Record, iters int, platform engine.PlatformID) (time.Duration, error) {
@@ -173,8 +173,8 @@ func fig3left(cfg Config) ([]*Table, error) {
 		monoCap = 2_000
 	}
 	t := &Table{
-		Title: "Figure 3 (left) — violation detection: single Detect UDF vs Scope/Block/Iterate/Detect pipeline [simulated time, spark]",
-		Note:  "Paper shape: the operator decomposition enables blocking + fine-grained distributed execution; the monolithic UDF degrades quadratically.",
+		Title:   "Figure 3 (left) — violation detection: single Detect UDF vs Scope/Block/Iterate/Detect pipeline [simulated time, spark]",
+		Note:    "Paper shape: the operator decomposition enables blocking + fine-grained distributed execution; the monolithic UDF degrades quadratically.",
 		Columns: []string{"rows", "single Detect UDF", "pipeline", "violations", "pipeline speedup"},
 	}
 	fd := zipCityFD()
@@ -226,8 +226,8 @@ func fig3right(cfg Config) ([]*Table, error) {
 		baseCap = 2_000
 	}
 	t := &Table{
-		Title: "Figure 3 (right) — BigDansing vs baselines [simulated time]",
-		Note:  "Baselines: SQL-style self-join on spark; NADEEF-style single-node pairwise. Paper stopped its baselines after 22 h; ours are extrapolated past the cap.",
+		Title:   "Figure 3 (right) — BigDansing vs baselines [simulated time]",
+		Note:    "Baselines: SQL-style self-join on spark; NADEEF-style single-node pairwise. Paper stopped its baselines after 22 h; ours are extrapolated past the cap.",
 		Columns: []string{"rows", "BigDansing (spark)", "self-join (spark)", "NADEEF-style (java)", "best-baseline/BigDansing"},
 	}
 	fd := zipCityFD()
@@ -299,8 +299,8 @@ func iejoin(cfg Config) ([]*Table, error) {
 		nlCap = 2_000
 	}
 	t := &Table{
-		Title: "E4 — inequality rule detection: IEJoin physical operator vs nested loop [simulated time, spark]",
-		Note:  "The paper's extensibility example (§5.1): IEJoin was added as a new physical operator to make inequality rules tractable.",
+		Title:   "E4 — inequality rule detection: IEJoin physical operator vs nested loop [simulated time, spark]",
+		Note:    "The paper's extensibility example (§5.1): IEJoin was added as a new physical operator to make inequality rules tractable.",
 		Columns: []string{"rows", "IEJoin", "nested loop", "violations", "IEJoin speedup"},
 	}
 	dc := salaryRateDC()
@@ -391,8 +391,8 @@ func multiplatform(cfg Config) ([]*Table, error) {
 	}
 	readings := datagen.Sensors(datagen.SensorConfig{N: n, Wells: 32, Seed: 7})
 	t := &Table{
-		Title: fmt.Sprintf("E5 — §1 pipeline (normalise → aggregate per well → features), %s readings [simulated time]", Count(n)),
-		Note:  "Free optimizer choice vs each platform pinned end-to-end; the optimizer may split the plan across platforms.",
+		Title:   fmt.Sprintf("E5 — §1 pipeline (normalise → aggregate per well → features), %s readings [simulated time]", Count(n)),
+		Note:    "Free optimizer choice vs each platform pinned end-to-end; the optimizer may split the plan across platforms.",
 		Columns: []string{"configuration", "time", "platforms used", "atoms"},
 	}
 	type option struct {
@@ -467,8 +467,8 @@ func optimizerChoice(cfg Config) ([]*Table, error) {
 	}
 	const dim = 10
 	t := &Table{
-		Title: "E6 — optimizer platform choice vs oracle (SVM sweep) [simulated time]",
-		Note:  "Regret = optimizer time − best fixed platform time. The §2 claim: the system should 'select the best available platform ... for a different input'.",
+		Title:   "E6 — optimizer platform choice vs oracle (SVM sweep) [simulated time]",
+		Note:    "Regret = optimizer time − best fixed platform time. The §2 claim: the system should 'select the best available platform ... for a different input'.",
 		Columns: []string{"points", "java", "spark", "optimizer", "chosen", "regret"},
 	}
 	for _, n := range sizes {

@@ -33,8 +33,8 @@ func reopt(cfg Config) ([]*Table, error) {
 		iters = 10
 	}
 	t := &Table{
-		Title: fmt.Sprintf("E7 — adaptive re-optimization under stale statistics (%s actual points, %d-iteration loop)", Count(actual), iters),
-		Note:  "The source's cardinality hint is inflated by the given factor; 'stubborn' keeps the mis-planned platform, 'adaptive' re-plans after the audit fires at the first atom boundary.",
+		Title:   fmt.Sprintf("E7 — adaptive re-optimization under stale statistics (%s actual points, %d-iteration loop)", Count(actual), iters),
+		Note:    "The source's cardinality hint is inflated by the given factor; 'stubborn' keeps the mis-planned platform, 'adaptive' re-plans after the audit fires at the first atom boundary.",
 		Columns: []string{"claimed/actual", "stubborn", "adaptive", "re-planned", "saving"},
 	}
 	pts := datagen.ZipfInts(actual, 1000, 77)

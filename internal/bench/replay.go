@@ -150,8 +150,8 @@ func calibrationExperiment(cfg Config) ([]*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		Title: fmt.Sprintf("E15 — cold-vs-warm oracle replay (java estimates skewed ×%d) [simulated time]", ReplaySkew),
-		Note:  "Gap = optimizer − best pinned platform. Every arm folds into one calibrator; the gap should collapse once the skew is learned away.",
+		Title:   fmt.Sprintf("E15 — cold-vs-warm oracle replay (java estimates skewed ×%d) [simulated time]", ReplaySkew),
+		Note:    "Gap = optimizer − best pinned platform. Every arm folds into one calibrator; the gap should collapse once the skew is learned away.",
 		Columns: []string{"round", "optimizer", "java", "spark", "chosen", "gap", "folds"},
 	}
 	for _, r := range res.Rounds {

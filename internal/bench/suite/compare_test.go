@@ -52,7 +52,7 @@ func TestCompareTable(t *testing.T) {
 		{
 			name: "custom threshold tightens the gate",
 			old:  res("s", base), new: res("s", base+base/20), // +5%
-			opts: CompareOptions{ThresholdPct: 2},
+			opts:       CompareOptions{ThresholdPct: 2},
 			wantStatus: StatusRegressed, wantGate: true,
 		},
 		{
@@ -68,7 +68,7 @@ func TestCompareTable(t *testing.T) {
 		{
 			name: "sim metric gates on sim",
 			old:  res("s", base), new: res("s", base), // walls equal…
-			opts: CompareOptions{Metric: "sim"},
+			opts:       CompareOptions{Metric: "sim"},
 			wantStatus: StatusOK,
 		},
 	}
@@ -117,13 +117,13 @@ func TestCompareGatesAllocs(t *testing.T) {
 		{name: "allocs drop past threshold improves", oldAllocs: 50_000, newAllocs: 40_000, wantStatus: StatusImproved},
 		{name: "tiny alloc baseline never gates", oldAllocs: DefaultAllocsFloor - 1, newAllocs: 1_000_000, wantStatus: StatusZeroBaseline},
 		{
-			name: "negative threshold disables alloc gating",
+			name:      "negative threshold disables alloc gating",
 			oldAllocs: 50_000, newAllocs: 500_000,
 			opts:       CompareOptions{AllocsThresholdPct: -1},
 			wantStatus: "",
 		},
 		{
-			name: "custom alloc threshold tightens the gate",
+			name:      "custom alloc threshold tightens the gate",
 			oldAllocs: 50_000, newAllocs: 52_000, // +4%
 			opts:       CompareOptions{AllocsThresholdPct: 2},
 			wantStatus: StatusRegressed, wantGate: true,
@@ -166,7 +166,7 @@ func TestCompareGatesRecordsPerSec(t *testing.T) {
 		{name: "throughput gain past threshold improves", oldRPS: 1000, newRPS: 1200, wantStatus: StatusImproved},
 		{name: "zero throughput baseline never gates", oldRPS: 0, newRPS: 1000, wantStatus: StatusZeroBaseline},
 		{
-			name: "negative threshold disables rps gating",
+			name:   "negative threshold disables rps gating",
 			oldRPS: 1000, newRPS: 10,
 			opts:       CompareOptions{RPSThresholdPct: -1},
 			wantStatus: "",

@@ -37,9 +37,9 @@ func IEJoin(l, r []data.Record, c1, c2 plan.IECondition, emit func(l, r data.Rec
 
 	// tuple is one element of the virtual union of both inputs.
 	type tuple struct {
-		rec   data.Record
-		left  bool
-		x, y  data.Value // condition-1 and condition-2 attributes
+		rec  data.Record
+		left bool
+		x, y data.Value // condition-1 and condition-2 attributes
 	}
 	tuples := make([]tuple, 0, n)
 	for _, rec := range l {

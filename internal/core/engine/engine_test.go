@@ -20,9 +20,9 @@ type fakePlatform struct {
 	id PlatformID
 }
 
-func (f *fakePlatform) ID() PlatformID                      { return f.id }
-func (f *fakePlatform) Profile() Profile                    { return Profile{Description: "fake"} }
-func (f *fakePlatform) NativeFormat() channel.Format        { return channel.Collection }
+func (f *fakePlatform) ID() PlatformID                       { return f.id }
+func (f *fakePlatform) Profile() Profile                     { return Profile{Description: "fake"} }
+func (f *fakePlatform) NativeFormat() channel.Format         { return channel.Collection }
 func (f *fakePlatform) RegisterConverters(*channel.Registry) {}
 
 func (f *fakePlatform) ExecuteAtom(ctx context.Context, atom *TaskAtom, inputs AtomInputs) (map[int]*channel.Channel, Metrics, error) {

@@ -20,9 +20,9 @@ type innerPlatform struct {
 	calls int
 }
 
-func (p *innerPlatform) ID() engine.PlatformID         { return p.id }
-func (p *innerPlatform) Profile() engine.Profile       { return engine.Profile{Description: "stub"} }
-func (p *innerPlatform) NativeFormat() channel.Format  { return channel.Format("stub") }
+func (p *innerPlatform) ID() engine.PlatformID                { return p.id }
+func (p *innerPlatform) Profile() engine.Profile              { return engine.Profile{Description: "stub"} }
+func (p *innerPlatform) NativeFormat() channel.Format         { return channel.Format("stub") }
 func (p *innerPlatform) RegisterConverters(*channel.Registry) {}
 func (p *innerPlatform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) (map[int]*channel.Channel, engine.Metrics, error) {
 	p.calls++

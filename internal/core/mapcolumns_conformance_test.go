@@ -141,7 +141,7 @@ func TestMapColumnsConformance(t *testing.T) {
 						if got := runConformance(t, external(c), target, shards, true); got != ref {
 							t.Errorf("on %s with shards=%d, fed from another platform: diverges from the row twin", target, shards)
 						}
-						if got, err := runInAtom(t, c, target, shards, true); err != nil || got != ref {
+						if got, err := runInAtom(t, c, target, shards, true, false); err != nil || got != ref {
 							t.Errorf("on %s with shards=%d, source in the atom: diverges from the row twin (%v)", target, shards, err)
 						}
 					}
@@ -200,18 +200,20 @@ func TestMapColumnsFailuresConformance(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			for _, target := range confPlatforms {
 				for _, shards := range []int{1, 4} {
-					_, err := runInAtom(t, inAtomCase{c.name, c.recs, func(b *plan.Builder, s *plan.Operator) {
-						b.Collect(b.AggregateCols(b.ProjectCols(b.MapColumns(s, c.spec), 0), plan.AggMax))
-					}}, target, shards, true)
-					if err == nil || !engine.IsFatal(err) {
-						t.Fatalf("on %s with shards=%d: got %v, want a fatal error", target, shards, err)
-					}
-					got := err.Error()[max(strings.LastIndex(err.Error(), "Map#"), 0):]
-					if line, _, _ := strings.Cut(got, "\n"); line != c.want {
-						t.Errorf("on %s with shards=%d: failed with %q, want %q", target, shards, err, c.want)
-					}
-					if c.name == "function-panic" && !strings.Contains(err.Error(), "panicked") {
-						t.Errorf("on %s with shards=%d: the panic is not reported as one: %v", target, shards, err)
+					for _, columns := range []bool{false, true} { // the source as rows, and at rest in column form
+						_, err := runInAtom(t, inAtomCase{c.name, c.recs, func(b *plan.Builder, s *plan.Operator) {
+							b.Collect(b.AggregateCols(b.ProjectCols(b.MapColumns(s, c.spec), 0), plan.AggMax))
+						}}, target, shards, true, columns)
+						if err == nil || !engine.IsFatal(err) {
+							t.Fatalf("on %s with shards=%d, columns=%v: got %v, want a fatal error", target, shards, columns, err)
+						}
+						got := err.Error()[max(strings.LastIndex(err.Error(), "Map#"), 0):]
+						if line, _, _ := strings.Cut(got, "\n"); line != c.want {
+							t.Errorf("on %s with shards=%d, columns=%v: failed with %q, want %q", target, shards, columns, err, c.want)
+						}
+						if c.name == "function-panic" && !strings.Contains(err.Error(), "panicked") {
+							t.Errorf("on %s with shards=%d: the panic is not reported as one: %v", target, shards, err)
+						}
 					}
 				}
 			}

@@ -162,6 +162,36 @@ func (c *ColumnAggregate) ReduceFunc() ReduceFunc {
 	}
 }
 
+// columnRows is the row form of a columnar source: made when a row reader
+// first asks and kept, because a source in a loop body or under a retried
+// atom is read again.
+type columnRows struct {
+	cols *batch.Batch
+	once sync.Once
+	rows []data.Record
+}
+
+func (s *columnRows) source() ([]data.Record, error) {
+	s.once.Do(func() { s.rows = s.cols.ToRecords() })
+	return s.rows, nil
+}
+
+// SourceColumns adds a source whose records are at rest in column form,
+// carrying the batch as a vectorization hint beside the SourceFunc that
+// reads it out as rows (at most once, and only if a row reader asks).
+// The batch is shared, not copied: by every job a catalog builds a plan
+// for, concurrently, so nothing downstream may write to its columns. A
+// row-backed batch (ragged records) has no column form and carries no
+// hint.
+func (b *Builder) SourceColumns(name string, cols *batch.Batch) *Operator {
+	o := b.Source(name, (&columnRows{cols: cols}).source)
+	o.CardHint = int64(cols.Len())
+	if cols.Columnar() {
+		o.ColSource = cols
+	}
+	return o
+}
+
 // FilterWhere adds a Filter carrying the declarative column predicate
 // "field ⟨op⟩ operand" alongside its generated UDF.
 func (b *Builder) FilterWhere(in *Operator, field int, op CompareOp, operand data.Value) *Operator {
@@ -199,7 +229,8 @@ type ColumnIn struct {
 // depend on row k of in alone, because how the input is cut into windows
 // is the platform's choice — 4 096 rows where hints are honoured, one
 // everywhere else — and Fn must not keep either slice, whose storage the
-// next window reuses.
+// next window reuses. in is read-only: over a columnar source
+// (SourceColumns) it is a view of storage every concurrent job shares.
 type ColumnMap struct {
 	In  []ColumnIn
 	Out []batch.ColKind

@@ -18,6 +18,7 @@ package plan
 import (
 	"fmt"
 
+	"rheem/internal/core/batch"
 	"rheem/internal/data"
 )
 
@@ -28,25 +29,25 @@ type OpKind int
 // (Map, GroupBy, Loop, ...) completed with the standard second-order
 // functions a UDF-centric dataflow system needs.
 const (
-	KindSource OpKind = iota // produce records from a SourceFunc
-	KindMap                  // one record in, one record out
-	KindFlatMap              // one record in, zero or more out
-	KindFilter               // keep records satisfying a predicate
-	KindGroupBy              // group by key, apply a per-group UDF
-	KindReduceByKey          // group by key, fold each group pairwise
-	KindReduce               // fold the whole input to a single record
-	KindSort                 // order by a key function
-	KindDistinct             // remove duplicate records
-	KindUnion                // concatenate two inputs
-	KindJoin                 // equi-join on two key functions
-	KindThetaJoin            // join on an arbitrary predicate
-	KindCartesian            // cross product of two inputs
-	KindCount                // count records, emit one (count) record
-	KindSample               // keep the first N records
-	KindRepeat               // run a body subplan a fixed number of times
-	KindDoWhile              // run a body subplan until a condition holds
-	KindLoopInput            // placeholder source inside a loop body
-	KindSink                 // terminal collection point of a plan
+	KindSource      OpKind = iota // produce records from a SourceFunc
+	KindMap                       // one record in, one record out
+	KindFlatMap                   // one record in, zero or more out
+	KindFilter                    // keep records satisfying a predicate
+	KindGroupBy                   // group by key, apply a per-group UDF
+	KindReduceByKey               // group by key, fold each group pairwise
+	KindReduce                    // fold the whole input to a single record
+	KindSort                      // order by a key function
+	KindDistinct                  // remove duplicate records
+	KindUnion                     // concatenate two inputs
+	KindJoin                      // equi-join on two key functions
+	KindThetaJoin                 // join on an arbitrary predicate
+	KindCartesian                 // cross product of two inputs
+	KindCount                     // count records, emit one (count) record
+	KindSample                    // keep the first N records
+	KindRepeat                    // run a body subplan a fixed number of times
+	KindDoWhile                   // run a body subplan until a condition holds
+	KindLoopInput                 // placeholder source inside a loop body
+	KindSink                      // terminal collection point of a plan
 )
 
 var kindNames = map[OpKind]string{
@@ -196,8 +197,8 @@ type Operator struct {
 	Map        MapFunc
 	FlatMap    FlatMapFunc
 	Filter     FilterFunc
-	Key        KeyFunc  // GroupBy, ReduceByKey, Sort, Join (left)
-	RightKey   KeyFunc  // Join (right)
+	Key        KeyFunc // GroupBy, ReduceByKey, Sort, Join (left)
+	RightKey   KeyFunc // Join (right)
 	Group      GroupFunc
 	Reduce     ReduceFunc
 	Pred       PredFunc      // ThetaJoin (residual predicate, may be nil if Conditions given)
@@ -210,28 +211,29 @@ type Operator struct {
 	Body       *Plan         // Repeat, DoWhile
 
 	// Optimizer hints.
-	Schema      *data.Schema // Source/LoopInput: advisory schema
-	CardHint    int64        // Source/LoopInput: expected record count
+	Schema   *data.Schema // Source/LoopInput: advisory schema
+	CardHint int64        // Source/LoopInput: expected record count
 	// ScanKey marks sources that provably produce identical records:
 	// sources sharing a non-empty ScanKey may be merged by the
 	// shared-scan optimization. Closure identity cannot be established
 	// portably in Go, so sharing is opt-in.
-	ScanKey string
-	Selectivity float64      // Filter/ThetaJoin: expected pass fraction (0 = default)
-	DistinctKeys int64       // GroupBy/ReduceByKey/Distinct: expected key count
-	GroupFanout  float64     // GroupBy: expected output records per input record (0 = default 1)
+	ScanKey      string
+	Selectivity  float64 // Filter/ThetaJoin: expected pass fraction (0 = default)
+	DistinctKeys int64   // GroupBy/ReduceByKey/Distinct: expected key count
+	GroupFanout  float64 // GroupBy: expected output records per input record (0 = default 1)
 
 	// Vectorization hints: declarative column forms of the operator's
 	// UDF, letting batch-capable platforms run a columnar kernel
 	// instead of calling the closure per record. The builder helpers
-	// (FilterWhere, ProjectCols, MapColumns, AggregateCols,
-	// GroupAggregate) derive the UDF and the
+	// (SourceColumns, FilterWhere, ProjectCols, MapColumns,
+	// AggregateCols, GroupAggregate) derive the UDF and the
 	// hint from one specification so the two can never disagree; the
 	// UDF remains the semantic ground truth on row-path platforms.
-	ColPred    *ColumnPredicate // Filter: Field ⟨Op⟩ Operand
-	ColProject []int            // Map that is a pure field projection
-	ColMap     *ColumnMap       // Map computing typed columns from typed columns, a window at a time
-	ColAgg     *ColumnAggregate // Reduce: per-field pairwise fold
+	ColSource  *batch.Batch          // Source: the records at rest in column form, shared read-only
+	ColPred    *ColumnPredicate      // Filter: Field ⟨Op⟩ Operand
+	ColProject []int                 // Map that is a pure field projection
+	ColMap     *ColumnMap            // Map computing typed columns from typed columns, a window at a time
+	ColAgg     *ColumnAggregate      // Reduce: per-field pairwise fold
 	ColGroup   *ColumnGroupAggregate // GroupBy: key columns and per-column folds
 }
 

@@ -58,7 +58,7 @@ func TestWriteCSVValidates(t *testing.T) {
 
 func TestReadCSVErrors(t *testing.T) {
 	cases := []string{
-		"id\n1\n",           // header cell without type
+		"id\n1\n",            // header cell without type
 		"id:frobnicate\n1\n", // unknown kind
 		"id:int\nnotanint\n", // unparseable cell
 	}

@@ -18,6 +18,7 @@ import (
 	"math"
 	"math/rand/v2"
 
+	"rheem/internal/core/batch"
 	"rheem/internal/data"
 )
 
@@ -243,19 +244,32 @@ func ZipfInts(n, domain int, seed uint64) []data.Record {
 	return recs
 }
 
-// Words generates n records each holding one word drawn from a small
-// vocabulary, cut from one slab of values — the word-count input.
-func Words(n int, seed uint64) []data.Record {
+// WordColumns generates n words drawn from a small vocabulary as one
+// string column — the word-count input, and the one definition of it.
+func WordColumns(n int, seed uint64) *batch.Batch {
 	vocab := []string{
 		"road", "to", "freedom", "in", "big", "data", "analytics",
 		"rheem", "platform", "independence", "operator", "plan",
 	}
 	r := newRand(seed)
-	recs, slab := make([]data.Record, n), make([]data.Value, n)
-	for i := range recs {
-		recs[i] = data.NewRecord(append(slab[i:i:i+1], data.Str(vocab[r.IntN(len(vocab))]))...)
+	words := make([]string, n)
+	for i := range words {
+		words[i] = vocab[r.IntN(len(vocab))]
 	}
-	return recs
+	return columns(n, batch.Column{Kind: batch.ColString, Strings: words})
+}
+
+// Words is WordColumns as records, one word each.
+func Words(n int, seed uint64) []data.Record { return WordColumns(n, seed).ToRecords() }
+
+// columns assembles a generator's batch; the columns are n rows long by
+// construction.
+func columns(n int, cols ...batch.Column) *batch.Batch {
+	b, err := batch.New(n, cols)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // SensorSchema is the schema of the oil-&-gas-style sensor readings used
@@ -276,24 +290,34 @@ type SensorConfig struct {
 	Seed  uint64
 }
 
-// Sensors generates per-well readings, cut from one slab of values, whose
-// distribution differs by well, so that aggregating then clustering finds structure.
-func Sensors(cfg SensorConfig) []data.Record {
+// SensorColumns generates per-well readings, a column per SensorSchema
+// field, whose distribution differs by well, so that aggregating then
+// clustering finds structure. It is the one definition of the generator:
+// a reading's five values are drawn together, in field order.
+func SensorColumns(cfg SensorConfig) *batch.Batch {
 	if cfg.Wells <= 0 {
 		cfg.Wells = 16
 	}
 	r := newRand(cfg.Seed)
-	recs, slab := make([]data.Record, cfg.N), make([]data.Value, 5*cfg.N)
-	for i := range recs {
+	wells, sensors := make([]int64, cfg.N), make([]int64, cfg.N)
+	pressure, temperature, flow := make([]float64, cfg.N), make([]float64, cfg.N), make([]float64, cfg.N)
+	for i := range wells {
 		well := r.IntN(cfg.Wells)
 		base := float64(well % 4)
-		recs[i] = data.NewRecord(append(slab[5*i:5*i:5*i+5],
-			data.Int(int64(well)),
-			data.Int(int64(r.IntN(64))),
-			data.Float(100+base*50+r.NormFloat64()*5),
-			data.Float(60+base*10+r.NormFloat64()*2),
-			data.Float(10+base*3+r.NormFloat64()),
-		)...)
+		wells[i] = int64(well)
+		sensors[i] = int64(r.IntN(64))
+		pressure[i] = 100 + base*50 + r.NormFloat64()*5
+		temperature[i] = 60 + base*10 + r.NormFloat64()*2
+		flow[i] = 10 + base*3 + r.NormFloat64()
 	}
-	return recs
+	return columns(cfg.N,
+		batch.Column{Kind: batch.ColInt64, Int64s: wells},
+		batch.Column{Kind: batch.ColInt64, Int64s: sensors},
+		batch.Column{Kind: batch.ColFloat64, Float64s: pressure},
+		batch.Column{Kind: batch.ColFloat64, Float64s: temperature},
+		batch.Column{Kind: batch.ColFloat64, Float64s: flow},
+	)
 }
+
+// Sensors is SensorColumns as records.
+func Sensors(cfg SensorConfig) []data.Record { return SensorColumns(cfg).ToRecords() }

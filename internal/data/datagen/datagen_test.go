@@ -1,6 +1,8 @@
 package datagen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"rheem/internal/data"
@@ -192,5 +194,43 @@ func TestSensors(t *testing.T) {
 	}
 	if len(wells) != 8 {
 		t.Errorf("got %d wells, want 8", len(wells))
+	}
+}
+
+// canonicalSHA is the SHA-256 of the records' canonical binary encoding.
+func canonicalSHA(t *testing.T, recs []data.Record) string {
+	t.Helper()
+	h := sha256.New()
+	if _, err := data.WriteBinary(h, recs); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// The column generators are the definition, the record forms derived from
+// them; benchmarks/e2e computes its reference answers from the record
+// forms, so neither may drift. The digests were recorded from Words and
+// Sensors as they stood before the column forms existed (PR 21).
+func TestGeneratorsPinned(t *testing.T) {
+	cfg := SensorConfig{N: 1000, Wells: 32, Seed: 7}
+	for _, tc := range []struct {
+		name       string
+		recs, cols []data.Record
+		sha        string
+	}{
+		{"words", Words(1000, 11), WordColumns(1000, 11).ToRecords(),
+			"bc85c4cb25555ba5712432405ed2b221d2aed3a984916e674871a669c97b5306"},
+		{"sensors", Sensors(cfg), SensorColumns(cfg).ToRecords(),
+			"c1f1defd018193def3e2f2af77b07461a5ad0f7f4417e7efecce1ea946330030"},
+	} {
+		if got := canonicalSHA(t, tc.recs); got != tc.sha {
+			t.Errorf("%s: records digest %s, pinned %s", tc.name, got, tc.sha)
+		}
+		if got := canonicalSHA(t, tc.cols); got != tc.sha {
+			t.Errorf("%s: columns digest %s, pinned %s", tc.name, got, tc.sha)
+		}
+	}
+	if err := SensorSchema.Validate(Sensors(cfg)[0]); err != nil {
+		t.Error(err)
 	}
 }

@@ -49,11 +49,20 @@ import (
 // it, and no workload has been shown to want another value.
 const window = 4096
 
+// atRest is a columnar source's batch (plan.SourceColumns) as a dataset:
+// what the source yields when only hinted operators read it. A chain over
+// it reads the columns where they stand, and that is all the hint changes:
+// what leaves the chain unconsumed is rows, as from any other source, so
+// an exit is in the format the optimizer priced and the plan's result is
+// cut a window at a time instead of gathered into a batch for the driver
+// to transpose.
+type atRest struct{ cols *batch.Batch }
+
 // pipeline is a lazy hinted chain: a source — rows an operator of the
-// same atom produced, or a columnar batch from a channel — plus the
-// hinted filters, projections and column maps appended so far. A pipeline
-// has one reader (execHinted evaluates a chain read more than once where
-// it is produced), which either appends to it or forces it.
+// same atom produced, a columnar batch from a channel, or one at rest —
+// plus the hinted filters, projections and column maps appended so far.
+// A pipeline has one reader (execHinted evaluates a chain read more than
+// once where it is produced), which either appends to it or forces it.
 //
 // A column is named by an id: c ≥ 0 is column c of the source, ^k < 0 the
 // k-th column the chain's column maps compute (win.col).
@@ -75,9 +84,10 @@ type pipeline struct {
 	// outside, so that no window is wide enough.
 	maxCol int
 
-	done bool // forced: out and err are final
-	out  any
-	err  error
+	asRows bool // cols is at rest: force yields rows, not a batch
+	done   bool // forced: out and err are final
+	out    any
+	err    error
 }
 
 // stage is one hinted filter, projection or column map of a pipeline.
@@ -96,12 +106,17 @@ func asPipeline(ctx context.Context, ds any) *pipeline {
 		ds = p.out
 	}
 	p := &pipeline{ctx: ctx, maxCol: -1}
-	if b, ok := ds.(*batch.Batch); ok && b.Columnar() {
-		p.cols = b
-	} else if ok {
-		p.rows = b.Rows()
-	} else {
-		p.rows, _ = ds.([]data.Record)
+	switch ds := ds.(type) {
+	case atRest:
+		p.cols, p.asRows = ds.cols, true
+	case *batch.Batch:
+		if ds.Columnar() {
+			p.cols = ds
+		} else {
+			p.rows = ds.Rows()
+		}
+	case []data.Record:
+		p.rows = ds
 	}
 	return p
 }
@@ -424,12 +439,12 @@ func (p *pipeline) rowWindow(recs []data.Record) (_ []data.Record, err error) {
 
 // force evaluates the pipeline into a dataset of its source's form: rows
 // from rows — the original records when nothing projected, as the row
-// filter returns them — and a batch from a batch, the source itself or
-// a zero-copy projection of it when every row survived. The result is
-// memoised.
+// filter returns them — and from columns at rest; a batch from a channel's
+// batch, the source itself or a zero-copy projection of it when every row
+// survived. The result is memoised.
 func (p *pipeline) force() (any, error) {
 	if !p.done {
-		if p.cols != nil {
+		if p.cols != nil && !p.asRows {
 			p.out, p.err = p.gather()
 		} else {
 			p.out, p.err = p.records()
@@ -591,6 +606,21 @@ func (d *datasetOps) shared(op *physical.Operator) bool {
 		}
 	}
 	return n > 1
+}
+
+// columnReaders reports whether a source's readers all take columns: it
+// is not an exit of the atom, and every operator of the atom reading it is
+// hinted. Then nobody needs its rows made.
+func (d *datasetOps) columnReaders(src *physical.Operator) bool {
+	if d.atom == nil || slices.Contains(d.atom.Exits, src) {
+		return false
+	}
+	for _, c := range d.atom.Ops {
+		if slices.Contains(c.Inputs, src) && !hinted(c.Logical) {
+			return false
+		}
+	}
+	return true
 }
 
 // hinted reports whether the operator carries the column hint of its

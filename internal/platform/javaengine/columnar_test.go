@@ -472,3 +472,67 @@ func TestInAtomChainPrunesAndMatchesUDF(t *testing.T) {
 		t.Errorf("an un-projected filter's survivors read %v (all=%v), want [3]", reads, all)
 	}
 }
+
+// TestColumnarSourceRowsOrColumns pins what decides the form a columnar
+// source is read in: its batch, untouched, when every operator of the atom
+// reading it is hinted; rows when one is not, or when the source leaves
+// the atom itself. And a chain over the batch that ends at the sink comes
+// out as rows without a row UDF called or a row form of the source made.
+func TestColumnarSourceRowsOrColumns(t *testing.T) {
+	recs := make([]data.Record, 50)
+	for i := range recs {
+		recs[i] = data.NewRecord(data.Int(int64(i)), data.Str("pad"))
+	}
+	cols := batch.FromRecords(recs)
+	ctx := context.Background()
+	for _, c := range []struct {
+		name    string
+		build   func(b *plan.Builder, src *plan.Operator)
+		exit    bool // the source is an exit of the atom too
+		columns bool
+	}{
+		{"hinted readers", func(b *plan.Builder, src *plan.Operator) {
+			b.Collect(b.Union(b.FilterWhere(src, 0, plan.Less, data.Int(5)), b.ProjectCols(src, 1)))
+		}, false, true},
+		{"an un-hinted reader among them", func(b *plan.Builder, src *plan.Operator) {
+			b.Collect(b.Union(b.FilterWhere(src, 0, plan.Less, data.Int(5)), b.Distinct(src)))
+		}, false, false},
+		{"read outside the atom", func(b *plan.Builder, src *plan.Operator) {
+			b.Collect(b.FilterWhere(src, 0, plan.Less, data.Int(5)))
+		}, true, false},
+	} {
+		b := plan.NewBuilder("source")
+		c.build(b, b.SourceColumns("s", cols))
+		pp, err := physical.FromLogical(b.MustBuild())
+		if err != nil {
+			t.Fatal(err)
+		}
+		atom := inAtom(pp)
+		if c.exit {
+			atom.Exits = append(atom.Exits, pp.Ops[0])
+		}
+		out, err := (&datasetOps{atom: atom}).ExecOp(ctx, pp.Ops[0], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, rows := out.([]data.Record); c.columns && out != (atRest{cols}) || !c.columns && !rows {
+			t.Errorf("%s: the source yields %T, want columns=%v", c.name, out, c.columns)
+		}
+	}
+
+	made, calls := 0, new(int)
+	got, _ := runPlanOn(t, New(Config{}), func(b *plan.Builder) {
+		src := b.SourceColumns("s", cols)
+		rows := src.Source
+		src.Source = func() ([]data.Record, error) { made++; return rows() }
+		filter := b.FilterWhere(src, 0, plan.GreaterEq, data.Int(45))
+		calls = countUDFs(filter)
+		b.Collect(filter)
+	})
+	if len(got) != 5 || !bytes.Equal(encodeRecs(t, got), encodeRecs(t, recs[45:])) {
+		t.Errorf("filter over the columnar source to the sink = %v", got)
+	}
+	if made != 0 || *calls != 0 {
+		t.Errorf("the chain made the source's rows %d times and called %d row UDFs, want neither", made, *calls)
+	}
+}

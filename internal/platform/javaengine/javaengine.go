@@ -108,8 +108,9 @@ func (p *Platform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, input
 }
 
 // datasetOps adapts the engine's datasets — []data.Record rows, a
-// *batch.Batch from a channel, or the lazy *pipeline a hinted filter or
-// projection returns — to the generic atom runner. atom is the one being
+// *batch.Batch from a channel, a columnar source's batch atRest, or the
+// lazy *pipeline a hinted filter or projection returns — to the generic
+// atom runner. atom is the one being
 // run (nil in kernel tests), which lets a hinted operator see how many
 // operators read its output.
 type datasetOps struct {
@@ -162,8 +163,9 @@ func asRecords(ds any) []data.Record {
 
 // ExecOp executes one physical operator. What is the engine's own is the
 // layout: an operator with a column hint joins or folds its input's lazy
-// pipeline (columnar.go), a source reads on the driver and a sink hands
-// its input through. What any other operator computes on rows is
+// pipeline (columnar.go), a source reads on the driver — its columns as
+// they stand when only such operators read it — and a sink hands its
+// input through. What any other operator computes on rows is
 // algo.Exec's to say; a pipeline or batch it is handed is forced into
 // rows first.
 func (d *datasetOps) ExecOp(ctx context.Context, op *physical.Operator, inputs []any) (any, error) {
@@ -172,6 +174,9 @@ func (d *datasetOps) ExecOp(ctx context.Context, op *physical.Operator, inputs [
 	}
 	switch op.Kind() {
 	case plan.KindSource:
+		if cols := op.Logical.ColSource; cols != nil && d.columnReaders(op) {
+			return atRest{cols}, nil
+		}
 		return op.Logical.Source()
 	case plan.KindSink:
 		return inputs[0], nil // rows, a batch or a pipeline, untouched

@@ -110,7 +110,11 @@ func (p *Platform) RegisterConverters(reg *channel.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			return channel.NewCollection(t.Rows()), nil
+			// A view, not a copy: rows in a snapshot are immutable, and the
+			// clipped capacity sends a consumer's append to storage of its
+			// own instead of the table's backing array.
+			rows := t.rowsUnsafe()
+			return channel.NewCollection(rows[:len(rows):len(rows)]), nil
 		},
 	})
 	// Direct table ↔ batch edges: a columnar export skips the row

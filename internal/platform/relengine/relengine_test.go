@@ -2,6 +2,8 @@ package relengine
 
 import (
 	"context"
+	"slices"
+	"sync"
 	"testing"
 
 	"rheem/internal/core/channel"
@@ -204,6 +206,60 @@ func TestConvertersRoundTrip(t *testing.T) {
 	recs, _ := back.AsCollection()
 	if len(recs) != 2 {
 		t.Errorf("round trip rows = %d", len(recs))
+	}
+}
+
+// The Table → Collection export is a view of the table's rows with its
+// capacity clipped: a consumer appending to what it was handed and the
+// table taking an Insert — at once, under -race — each keep their own.
+func TestTableExportIsAClippedView(t *testing.T) {
+	p := New(nil, Config{})
+	reg := channel.NewRegistry()
+	p.RegisterConverters(reg)
+	tab, err := p.db.CreateTable("people", peopleSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedPeople(t, tab)
+	person := func(id int64) data.Record { return data.NewRecord(data.Int(id), data.Str("eve"), data.Int(52)) }
+	if err := tab.Insert(person(5)); err != nil { // the fifth row leaves the backing array room
+		t.Fatal(err)
+	}
+	out, _, _, err := reg.Convert(TableChannel(tab), channel.Collection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported, err := out.AsCollection()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exported) != 5 || cap(exported) != 5 || &exported[0] != &tab.rowsUnsafe()[0] {
+		t.Fatalf("export has len %d cap %d, want the table's 5 rows themselves, capacity clipped", len(exported), cap(exported))
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		exported = append(exported, person(99))
+	}()
+	go func() {
+		defer wg.Done()
+		if err := tab.Insert(person(6)); err != nil {
+			t.Error(err)
+		}
+	}()
+	wg.Wait()
+	ids := func(recs []data.Record) (out []int64) {
+		for _, r := range recs {
+			out = append(out, r.Field(0).Int())
+		}
+		return out
+	}
+	if got, want := ids(exported), []int64{1, 2, 3, 4, 5, 99}; !slices.Equal(got, want) {
+		t.Errorf("exported rows after append: ids %v, want %v", got, want)
+	}
+	if got, want := ids(tab.Rows()), []int64{1, 2, 3, 4, 5, 6}; !slices.Equal(got, want) {
+		t.Errorf("table rows after Insert: ids %v, want %v", got, want)
 	}
 }
 

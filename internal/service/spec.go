@@ -188,8 +188,7 @@ func (s *Spec) wells() int {
 // ORDER BY word.
 func wordcountPlan(name string, n int, seed uint64) (*plan.Plan, error) {
 	b := plan.NewBuilder(name)
-	src := b.Source("words", plan.Collection(datagen.Words(n, seed)))
-	src.CardHint = int64(n)
+	src := b.SourceColumns("words", datagen.WordColumns(n, seed))
 	counts := b.GroupAggregate(src, []int{0}, plan.GroupCol{Fn: plan.GroupKey}, plan.GroupCol{Fn: plan.GroupCountAll})
 	b.Collect(b.Sort(counts, plan.FieldKey(0), false))
 	return b.Build()
@@ -199,8 +198,7 @@ func wordcountPlan(name string, n int, seed uint64) (*plan.Plan, error) {
 // kPa, clamped at 0) → per-well sums and count → a vector of means → sort.
 func sensorPlan(name string, n, wells int, seed uint64) (*plan.Plan, error) {
 	b := plan.NewBuilder(name)
-	src := b.Source("readings", plan.Collection(datagen.Sensors(datagen.SensorConfig{N: n, Wells: wells, Seed: seed})))
-	src.CardHint = int64(n)
+	src := b.SourceColumns("readings", datagen.SensorColumns(datagen.SensorConfig{N: n, Wells: wells, Seed: seed}))
 	norm := b.MapColumns(src, plan.ColumnMap{
 		In:  []plan.ColumnIn{{Field: 0, Kind: batch.ColInt64}, {Field: 2, Kind: batch.ColFloat64}, {Field: 3, Kind: batch.ColFloat64}, {Field: 4, Kind: batch.ColFloat64}},
 		Out: []batch.ColKind{batch.ColInt64, batch.ColFloat64, batch.ColFloat64, batch.ColFloat64},
@@ -229,13 +227,16 @@ func sensorPlan(name string, n, wells int, seed uint64) (*plan.Plan, error) {
 // CPU per value), unioned and summed to a checksum — wide enough to
 // exercise the shared scheduler pool.
 func fanoutPlan(name string, n, branches int, seed uint64) (*plan.Plan, error) {
-	recs, slab := make([]data.Record, n), make([]data.Value, n)
-	for i := range recs {
-		recs[i] = data.NewRecord(append(slab[i:i:i+1], data.Int(int64(i)+int64(seed)))...)
+	ints := make([]int64, n)
+	for i := range ints {
+		ints[i] = int64(i) + int64(seed)
+	}
+	cols, err := batch.New(n, []batch.Column{{Kind: batch.ColInt64, Int64s: ints}})
+	if err != nil {
+		return nil, err
 	}
 	b := plan.NewBuilder(name)
-	src := b.Source("ints", plan.Collection(recs))
-	src.CardHint = int64(n)
+	src := b.SourceColumns("ints", cols)
 	legs := make([]*plan.Operator, branches)
 	for i := range legs {
 		leg := uint64(i + 1)

@@ -17,23 +17,25 @@ import (
 // benchmark's small-sql workload (benchmarks/e2e/sqlref.go) at one
 // literal each, with what rheemql.Run may allocate for one over
 // DefaultCatalog(500): objects and bytes, pinned about four percent
-// above what the vectorized lowering reads (160/176/178/167/176/173/138/
-// 216 objects, 39.9/40.0/35.4/24.3/32.1/30.2/23.8/59.5 KB). As opaque
-// closures over materialised groups the same queries read 364/399/416/
-// 177/283/172/172/500 objects and 40.0/58.8/60.7/29.6/55.3/42.0/25.4/
+// above what the vectorized lowering reads over the catalog's columns
+// (158/173/177/166/175/170/137/213 objects, 31.8/27.8/27.4/20.3/23.9/
+// 18.0/15.8/47.5 KB). Transposing the catalog's rows per query it read
+// 160/176/178/167/176/173/138/216 objects and 39.9/40.0/35.4/24.3/32.1/
+// 30.2/23.8/59.5 KB; as opaque closures over materialised groups 364/399/
+// 416/177/283/172/172/500 objects and 40.0/58.8/60.7/29.6/55.3/42.0/25.4/
 // 69.7 KB.
 var sqlGateTemplates = []struct {
 	name, sql      string
 	objects, bytes float64
 }{
-	{"filter", "SELECT well, pressure FROM sensors WHERE pressure > 175.5 AND hour < 52", 168, 41500},
-	{"group", "SELECT well, COUNT(*) AS n, AVG(pressure) AS p FROM sensors WHERE hour < 40 GROUP BY well", 184, 41500},
-	{"having", "SELECT well, AVG(temperature) AS t FROM sensors GROUP BY well HAVING t > 68.5", 186, 36800},
-	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 175, 25600},
-	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 184, 33400},
-	{"global", "SELECT COUNT(*) AS n, MAX(pressure) AS hi, MIN(flow) AS lo FROM sensors WHERE temperature < 73.0", 181, 31400},
-	{"wordfilter", "SELECT word FROM words WHERE word = 'big'", 145, 24800},
-	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 225, 62000},
+	{"filter", "SELECT well, pressure FROM sensors WHERE pressure > 175.5 AND hour < 52", 164, 33100},
+	{"group", "SELECT well, COUNT(*) AS n, AVG(pressure) AS p FROM sensors WHERE hour < 40 GROUP BY well", 180, 28900},
+	{"having", "SELECT well, AVG(temperature) AS t FROM sensors GROUP BY well HAVING t > 68.5", 184, 28500},
+	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 173, 21100},
+	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 182, 24900},
+	{"global", "SELECT COUNT(*) AS n, MAX(pressure) AS hi, MIN(flow) AS lo FROM sensors WHERE temperature < 73.0", 177, 18700},
+	{"wordfilter", "SELECT word FROM words WHERE word = 'big'", 142, 16400},
+	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 222, 49400},
 }
 
 // TestSQLAllocationGate is ROADMAP item 2's gate on the SQL path: a
@@ -80,14 +82,16 @@ func TestSQLAllocationGate(t *testing.T) {
 // the plan, execute it, digest the result (runBuiltin), on a service
 // configured like the repository benchmark's service-http workload and at
 // that workload's sizes — may allocate: objects and bytes, pinned about
-// four percent above what the columnar plans read (209 / 343 / 339
-// objects, 317 / 918 / 155 KB). As row UDFs over records generated one by
-// one the same jobs read 12 200 / 12 286 / 2 037 objects and 0.70 / 1.76 /
-// 0.14 MB.
+// four percent above what the columnar plans read over inputs generated
+// as columns (209 / 345 / 336 objects, 121 / 370 / 140 KB; the sensor
+// job's object pin stays where it was, 3.5 % above). Over inputs generated
+// as records and transposed per job they read 209 / 344 / 340 objects and
+// 317 / 918 / 155 KB; as row UDFs over records generated one by one
+// 12 200 / 12 286 / 2 037 objects and 0.70 / 1.76 / 0.14 MB.
 var builtinGate = []struct{ objects, bytes float64 }{
-	{218, 330_000}, // wordcount, n = 4 000
-	{357, 955_000}, // sensor, n = 4 000
-	{353, 161_000}, // fanout, 200 × 4
+	{217, 125_500}, // wordcount, n = 4 000
+	{357, 385_000}, // sensor, n = 4 000
+	{349, 145_500}, // fanout, 200 × 4
 }
 
 // TestBuiltinAllocationGate is ROADMAP item 2a's gate: the service's own
