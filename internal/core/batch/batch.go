@@ -133,23 +133,32 @@ func (c *Column) Value(off, i int) data.Value {
 	}
 }
 
-// Reset makes the column n all-valid rows of a typed kind, reusing the
-// storage it holds where that is large enough. The rows' contents are
-// whatever the storage held: the caller writes every one.
+// Reset makes the column n all-valid zero rows of a typed kind, reusing
+// the storage it holds where that is large enough — storage that may have
+// served another job, which is why the rows are cleared and not left as
+// they were: a row the caller does not write reads zero, whoever held the
+// storage before.
 func (c *Column) Reset(kind ColKind, n int) {
 	c.Kind, c.Valid = kind, nil
 	switch kind {
 	case ColInt64:
-		c.Int64s = grow(c.Int64s, n)
+		c.Int64s = zeroed(c.Int64s, n)
 	case ColFloat64:
-		c.Float64s = grow(c.Float64s, n)
+		c.Float64s = zeroed(c.Float64s, n)
 	case ColString:
-		c.Strings = grow(c.Strings, n)
+		c.Strings = zeroed(c.Strings, n)
 	case ColBool:
-		c.Bools = grow(c.Bools, n)
+		c.Bools = zeroed(c.Bools, n)
 	default:
-		c.Any = grow(c.Any, n)
+		c.Any = zeroed(c.Any, n)
 	}
+}
+
+// zeroed returns s resized to n zero elements.
+func zeroed[T any](s []T, n int) []T {
+	s = grow(s, n)
+	clear(s)
+	return s
 }
 
 // Put stores v as row i of a typed column and reports whether it could:

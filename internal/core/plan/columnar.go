@@ -223,14 +223,15 @@ type ColumnIn struct {
 // definition the operator has. Fn computes the output records of n input
 // records, column-wise: in[i] holds field In[i].Field of them as n rows
 // of kind In[i].Kind, out[j] is n rows of kind Out[j] for it to write —
-// every one; they hold whatever the storage held — and the output record
-// is the out columns, in order. All are typed (no ColAny) and dense (no
-// validity bitmap: a null is not of the declared kind). Row k of out must
-// depend on row k of in alone, because how the input is cut into windows
-// is the platform's choice — 4 096 rows where hints are honoured, one
-// everywhere else — and Fn must not keep either slice, whose storage the
-// next window reuses. in is read-only: over a columnar source
-// (SourceColumns) it is a view of storage every concurrent job shares.
+// every one — and the output record is the out columns, in order. All are
+// typed (no ColAny) and dense (no validity bitmap: a null is not of the
+// declared kind). Row k of out must depend on row k of in alone, because
+// how the input is cut into windows is the platform's choice — 4 096 rows
+// where hints are honoured, one everywhere else — and Fn must not keep
+// either slice: the storage behind them is leased, reused by the next
+// window and recycled across jobs (javaengine hands out zeroed; the row
+// form's holds what its last record left). in is read-only: over a columnar
+// source (SourceColumns) it is a view of storage every concurrent job shares.
 type ColumnMap struct {
 	In  []ColumnIn
 	Out []batch.ColKind

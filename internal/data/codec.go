@@ -108,9 +108,13 @@ func cutLast(s string, sep byte) (before, after string, found bool) {
 // fields; each field is a kind byte followed by a kind-specific payload.
 
 // WriteBinary writes records in the compact binary format and returns
-// the number of payload bytes written.
+// the number of payload bytes written. It buffers w itself unless w is a
+// *bufio.Writer, which it writes through and flushes.
 func WriteBinary(w io.Writer, recs []Record) (int64, error) {
-	bw := bufio.NewWriter(w)
+	bw, ok := w.(*bufio.Writer)
+	if !ok {
+		bw = bufio.NewWriter(w)
+	}
 	cw := &countingWriter{w: bw}
 	var buf [binary.MaxVarintLen64]byte
 	putUvarint := func(v uint64) error {

@@ -5,11 +5,11 @@
 // and whatever consumes that value forces it — a hinted aggregate folds
 // or groups it, the row code asks for rows, ToChannel for the dataset in
 // its source's form. Forcing walks the source in windows of a fixed
-// number of rows: transpose only the columns the stages read into buffers
-// that live for the one forcing, evaluate each filter into a selection
-// vector the later stages read through and each column map into columns
-// that live for the window, and finish the window before starting the
-// next, so no full-length intermediate is ever built.
+// number of rows: transpose only the columns the stages read into leased
+// buffers (scratch.go), evaluate each filter into a selection vector the
+// later stages read through and each column map into columns that live
+// for the window, and finish the window before starting the next, so no
+// full-length intermediate is ever built.
 //
 // Each stage is the column form of the same declarative spec that
 // generated the operator's row UDF (plan.ColumnPredicate / ColProject /
@@ -181,15 +181,14 @@ func (p *pipeline) project(idx []int, more ...int) {
 	}
 }
 
-// reads lists the source columns a forcing loads: the filters' fields,
-// the column maps' inputs and, when the consumer reads the output's
-// values, the columns the output is made of — every column (all) when
-// nothing projected.
-func (p *pipeline) reads(values bool) (cols []int, all bool) {
+// reads lists, in cols' storage, the source columns a forcing loads: the
+// filters' fields, the column maps' inputs and, when the consumer reads
+// the output's values, the columns the output is made of — every column
+// (all) when nothing projected.
+func (p *pipeline) reads(cols []int, values bool) (_ []int, all bool) {
 	if values && p.proj == nil {
-		return nil, true
+		return cols, true
 	}
-	cols = make([]int, 0, len(p.stages)+len(p.proj))
 	for _, st := range p.stages {
 		if st.op.ColPred != nil {
 			cols = append(cols, st.col)
@@ -208,25 +207,26 @@ func (p *pipeline) reads(values bool) (cols []int, all bool) {
 }
 
 // win is one window of a forcing in column form: rows [base, base+n) of
-// the source, addressed 0 … n-1. A rows source's columns are transposed
-// into storage the forcing keeps; a batch source's are views.
+// the source, addressed 0 … n-1. Its columns are views: of the source
+// batch, or of store, into which a rows source's are transposed.
 type win struct {
 	cols  []batch.Column // by source column; only the read set is loaded
+	store []batch.Column // by source column: the storage of rows transposed
 	reads []int
 	all   bool // reads is every column of the window, however wide
 	off   int  // validity offset of row 0
 	base  int
 	n     int
-	width int        // columns in the chain's output
-	maps  *mapWindow // nil for a chain without a column map, which pays a word for them
+	width int // columns in the chain's output
+	maps  mapWindow
 }
 
 // mapWindow is what a forcing keeps for its column maps.
 type mapWindow struct {
 	calc  []batch.Column // the computed columns: rewritten every window, storage kept
-	args  []batch.Column // scratch: a map's inputs as it is handed them
-	dense []batch.Column // scratch: the storage of those that are copies
-	vals  []data.Value   // scratch: the record a map's row form is handed
+	args  []batch.Column // a map's inputs as it is handed them
+	dense []batch.Column // the storage of those that are copies
+	vals  []data.Value   // the record a map's row form is handed
 }
 
 // col returns the column an id names.
@@ -247,7 +247,7 @@ func (p *pipeline) load(w *win, lo, hi int) bool {
 	if p.cols != nil {
 		width, w.off = p.cols.NumCols(), p.cols.Off()+lo
 	} else if wd, ok := batch.Width(p.rows[lo:hi]); ok && wd > p.maxCol {
-		width = wd
+		width, w.off = wd, 0
 	} else {
 		return false
 	}
@@ -261,6 +261,7 @@ func (p *pipeline) load(w *win, lo, hi int) bool {
 	}
 	if need := max(p.maxCol+1, len(w.reads)); len(w.cols) < need {
 		w.cols = append(w.cols, make([]batch.Column, need-len(w.cols))...)
+		w.store = append(w.store, make([]batch.Column, need-len(w.store))...)
 	}
 	for _, c := range w.reads {
 		if c >= width {
@@ -269,7 +270,8 @@ func (p *pipeline) load(w *win, lo, hi int) bool {
 		if p.cols != nil {
 			w.cols[c] = p.cols.Col(c).Slice(lo, hi)
 		} else {
-			w.cols[c].Fill(p.rows[lo:hi], c)
+			w.store[c].Fill(p.rows[lo:hi], c)
+			w.cols[c] = w.store[c]
 		}
 	}
 	return true
@@ -277,29 +279,34 @@ func (p *pipeline) load(w *win, lo, hi int) bool {
 
 // run forces the pipeline: it walks the source window by window, hands
 // columns the window in column form with the rows surviving the filters
-// in sel (ascending; the slice is reused), and a window that has no
-// column form to rows after running it through the stages' row UDFs.
-// values says whether columns reads the output's values or only which
-// rows survived.
+// in sel (ascending; read-only, and leased: dead after the call), and a
+// window that has no column form to rows after running it through the
+// stages' row UDFs. values says whether columns reads the output's values
+// or only which rows survived.
 func (p *pipeline) run(values bool, columns func(w *win, sel []int32) error, rows func([]data.Record) error) error {
+	s := lease()
+	err := p.runIn(s, values, columns, rows)
+	s.release()
+	return err
+}
+
+// runIn is run in a scratch the caller leased.
+func (p *pipeline) runIn(s *scratch, values bool, columns func(w *win, sel []int32) error, rows func([]data.Record) error) error {
 	n := len(p.rows)
 	if p.cols != nil {
 		n = p.cols.Len()
 	}
-	var w win
-	w.reads, w.all = p.reads(values)
-	if p.calc > 0 {
-		w.maps = &mapWindow{calc: make([]batch.Column, p.calc)}
+	w := &s.win
+	w.reads, w.all = p.reads(w.reads[:0], values)
+	if more := p.calc - len(w.maps.calc); more > 0 {
+		w.maps.calc = append(w.maps.calc, make([]batch.Column, more)...)
 	}
-	// Every row of a window; a filter overwrites it with the rows it keeps.
-	buf := identity(min(window, n))
-	filtered := false
 	for lo := 0; lo < n; lo += window {
 		if err := p.ctx.Err(); err != nil {
 			return err
 		}
 		hi := min(lo+window, n)
-		if !p.load(&w, lo, hi) {
+		if !p.load(w, lo, hi) {
 			recs, err := p.rowWindow(p.rows[lo:hi])
 			if err == nil {
 				err = rows(recs)
@@ -314,8 +321,7 @@ func (p *pipeline) run(values bool, columns func(w *win, sel []int32) error, row
 		for i := range p.stages {
 			switch st := &p.stages[i]; {
 			case st.op.ColPred != nil:
-				sel = selectRows(buf[:live], sel, w.col(st.col), w.off, st.op.ColPred)
-				filtered = true
+				sel = selectRows(s.sel[:live], sel, w.col(st.col), w.off, st.op.ColPred)
 			case st.op.ColMap != nil:
 				// The map's output is dense: the rows that reached it,
 				// renumbered, and every one of them selected.
@@ -327,13 +333,9 @@ func (p *pipeline) run(values bool, columns func(w *win, sel []int32) error, row
 			}
 		}
 		if sel == nil {
-			if filtered { // a filter ahead of a map wrote its selection over buf
-				ascending(buf)
-				filtered = false
-			}
-			sel = buf[:live]
+			sel = everyRow[:live]
 		}
-		if err := columns(&w, sel); err != nil {
+		if err := columns(w, sel); err != nil {
 			return err
 		}
 	}
@@ -349,7 +351,7 @@ func (p *pipeline) run(values bool, columns func(w *win, sel []int32) error, row
 // the map's row UDF a live row at a time, which is where the error for
 // such a value comes from.
 func (w *win) mapColumns(st *stage, sel []int32, live int) (int, error) {
-	m, mw := st.op.ColMap, w.maps
+	m, mw := st.op.ColMap, &w.maps
 	if sel != nil {
 		live = len(sel)
 	}
@@ -406,12 +408,12 @@ func (w *win) mapColumns(st *stage, sel []int32, live int) (int, error) {
 	return live, nil
 }
 
-// identity returns the selection of every row of an n-row window.
-func identity(n int) []int32 {
-	sel := make([]int32, n)
-	ascending(sel)
+// everyRow is the selection of every row of a window, shared and
+// read-only: everyRow[:n] selects an n-row window's.
+var everyRow = func() (sel [window]int32) {
+	ascending(sel[:])
 	return sel
-}
+}()
 
 // ascending makes sel the selection of its first len(sel) rows.
 func ascending(sel []int32) {
@@ -504,11 +506,14 @@ func (p *pipeline) gather() (*batch.Batch, error) {
 				return nil
 			}
 			cols = make([]batch.Column, w.width)
-			if w.base > 0 {
-				// The first row dropped: catch up on the windows that passed whole.
-				passed := win{reads: w.reads}
-				p.load(&passed, 0, w.base)
-				n = p.appendRows(cols, &passed, identity(w.base), n)
+			if lo, hi := w.base, w.base+w.n; lo > 0 {
+				// The first row dropped: catch up on the windows that passed
+				// whole. They are views, so w takes each and then this one again.
+				for at := 0; at < lo; at += window {
+					p.load(w, at, at+window)
+					n = p.appendRows(cols, w, everyRow[:window], n)
+				}
+				p.load(w, lo, hi)
 			}
 		}
 		n = p.appendRows(cols, w, sel, n)
@@ -685,8 +690,7 @@ func selectRows(dst, in []int32, col *batch.Column, off int, p *plan.ColumnPredi
 		return selectOrdered(dst, in, col.Strings, p.Operand.Str(), p.Op, col.Valid, off)
 	}
 	if in == nil {
-		in = dst
-		ascending(in)
+		in = everyRow[:len(dst)]
 	}
 	n := 0
 	for _, i := range in {

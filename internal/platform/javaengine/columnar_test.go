@@ -458,17 +458,17 @@ func TestInAtomChainPrunesAndMatchesUDF(t *testing.T) {
 	if !ok {
 		t.Fatalf("filter → filter → project produced %T, want a lazy pipeline", ds)
 	}
-	if reads, all := p.reads(true); all || !slices.Equal(reads, []int{0, 2, 3}) {
+	if reads, all := p.reads(nil, true); all || !slices.Equal(reads, []int{0, 2, 3}) {
 		t.Errorf("the chain's read set is %v (all=%v), want [0 2 3]", reads, all)
 	}
 	// Without the projection a value consumer reads every column, and a
 	// row consumer — handed the original records — only the filters'.
 	p = asPipeline(context.Background(), recs)
 	p.push(hinted.Ops[1].Logical)
-	if reads, all := p.reads(true); !all {
+	if reads, all := p.reads(nil, true); !all {
 		t.Errorf("an un-projected filter's values read %v, want every column", reads)
 	}
-	if reads, all := p.reads(false); all || !slices.Equal(reads, []int{3}) {
+	if reads, all := p.reads(nil, false); all || !slices.Equal(reads, []int{3}) {
 		t.Errorf("an un-projected filter's survivors read %v (all=%v), want [3]", reads, all)
 	}
 }

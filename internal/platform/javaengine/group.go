@@ -24,24 +24,28 @@ type grouper struct {
 
 	// Groups are numbered by the key the derived KeyFunc gives their first
 	// row: int keys and string keys (a multi-column composite is one) in a
-	// Go map each while every key so far is of that kind; the first of
-	// another — a float, a null — moves the groups, in order, to the KeyTable.
+	// Go map each while every key so far is of that kind — the other map is
+	// empty — and the first of another — a float, a null — moves the groups,
+	// in order, to the KeyTable.
 	ints map[int64]int32
 	strs map[string]int32
 	any  *algo.KeyTable
 	keys []data.Value // by group
 
 	accs [][]plan.GroupState // by output column, by group
-	gid  []int32             // scratch: the group of each surviving row of a window
-	buf  []byte              // scratch: a composite key
+	gid  []int32             // the group of each surviving row of a window; at the end, the groups' order
+	buf  []byte              // a composite key
 }
 
 // group forces the pipeline through the grouped aggregate: one record
 // per group from one []data.Value slab, in first-seen order, or stably
 // sorted by key — as algo.SortGroup orders groups — when sorted is set.
 func (p *pipeline) group(lop *plan.Operator, sorted bool) ([]data.Record, error) {
-	spec := lop.ColGroup
-	g := grouper{lop: lop, cols: make([]int, len(spec.Out)), accs: make([][]plan.GroupState, len(spec.Out))}
+	spec, s := lop.ColGroup, lease()
+	g := &s.group
+	g.lop = lop
+	g.cols = slices.Grow(g.cols[:0], len(spec.Out))[:len(spec.Out)]
+	g.accs = slices.Grow(g.accs[:0], len(spec.Out))[:len(spec.Out)]
 	// The pipeline's output becomes the fields the spec names, keys first.
 	need := append([]int{}, spec.Keys...)
 	for j, oc := range spec.Out {
@@ -50,7 +54,7 @@ func (p *pipeline) group(lop *plan.Operator, sorted bool) ([]data.Record, error)
 		}
 	}
 	p.project(need)
-	err := p.run(true, func(w *win, sel []int32) error {
+	err := p.runIn(s, true, func(w *win, sel []int32) error {
 		g.columns(p, w, sel)
 		return nil
 	}, func(recs []data.Record) error {
@@ -68,9 +72,11 @@ func (p *pipeline) group(lop *plan.Operator, sorted bool) ([]data.Record, error)
 		return nil
 	})
 	if err != nil || len(g.keys) == 0 {
+		s.release()
 		return nil, err
 	}
-	order := identity(len(g.keys))
+	order := slices.Grow(g.gid[:0], len(g.keys))[:len(g.keys)]
+	ascending(order)
 	if sorted {
 		sort.SliceStable(order, func(i, j int) bool { return plan.CompareValues(g.keys[order[i]], g.keys[order[j]]) < 0 })
 	}
@@ -83,6 +89,7 @@ func (p *pipeline) group(lop *plan.Operator, sorted bool) ([]data.Record, error)
 		}
 		out[r] = data.NewRecord(row...)
 	}
+	s.release()
 	return out, nil
 }
 
@@ -94,12 +101,12 @@ func (g *grouper) add(k data.Value) int32 {
 	}
 	if g.any == nil {
 		switch {
-		case k.Kind() == data.KindInt && g.strs == nil:
+		case k.Kind() == data.KindInt && len(g.strs) == 0:
 			return lookup(g, &g.ints, k.Int(), k)
-		case k.Kind() == data.KindString && g.ints == nil:
+		case k.Kind() == data.KindString && len(g.ints) == 0:
 			return lookup(g, &g.strs, k.Str(), k)
 		}
-		g.any, g.ints, g.strs = new(algo.KeyTable), nil, nil
+		g.any = new(algo.KeyTable)
 		for _, old := range g.keys {
 			g.any.Add(old)
 		}
@@ -115,7 +122,7 @@ func lookup[K comparable](g *grouper, m *map[K]int32, k K, v data.Value) int32 {
 	if !ok {
 		if *m == nil {
 			// Presized: a few dozen groups do not grow either step by step.
-			*m, g.keys = make(map[K]int32, 32), make([]data.Value, 0, 32)
+			*m, g.keys = make(map[K]int32, 32), slices.Grow(g.keys, 32)
 		}
 		id = int32(len(g.keys))
 		(*m)[k], g.keys = id, append(g.keys, v)
@@ -147,11 +154,11 @@ func (g *grouper) number(p *pipeline, w *win, sel []int32) {
 			}
 			g.gid[k] = id
 		}
-	case col.Kind == batch.ColInt64 && col.Valid == nil && g.strs == nil && g.any == nil:
+	case col.Kind == batch.ColInt64 && col.Valid == nil && len(g.strs) == 0 && g.any == nil:
 		for k, i := range sel {
 			g.gid[k] = lookup(g, &g.ints, col.Int64s[i], data.Int(col.Int64s[i]))
 		}
-	case col.Kind == batch.ColString && col.Valid == nil && g.ints == nil && g.any == nil:
+	case col.Kind == batch.ColString && col.Valid == nil && len(g.ints) == 0 && g.any == nil:
 		for k, i := range sel {
 			g.gid[k] = lookup(g, &g.strs, col.Strings[i], data.Str(col.Strings[i]))
 		}

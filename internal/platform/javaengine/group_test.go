@@ -121,7 +121,7 @@ func TestHintedGroupNeverCallsTheUDFs(t *testing.T) {
 	if calls != 0 {
 		t.Errorf("the grouped consumer called the row UDFs %d times over rectangular rows", calls)
 	}
-	if reads, all := p.reads(true); all || fmt.Sprint(reads) != "[0 2 3]" {
+	if reads, all := p.reads(nil, true); all || fmt.Sprint(reads) != "[0 2 3]" {
 		t.Errorf("the grouped chain's read set is %v (all=%v), want [0 2 3]", reads, all)
 	}
 }

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"rheem/internal/core/engine"
@@ -131,8 +133,18 @@ func (j *Job) statusLocked() JobStatus {
 // their digests match.
 func Digest(recs []data.Record) (string, error) {
 	h := sha256.New()
-	if _, err := data.WriteBinary(h, recs); err != nil {
+	bw := digestWriters.Get().(*bufio.Writer)
+	bw.Reset(h)
+	_, err := data.WriteBinary(bw, recs)
+	bw.Reset(nil)
+	digestWriters.Put(bw)
+	if err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
+
+// digestWriters are the buffers between the encoder and the hash, which
+// every job would otherwise allocate: WriteBinary writes through, and
+// flushes, a *bufio.Writer it is handed.
+var digestWriters = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}

@@ -746,12 +746,15 @@ func TestHintedChainAllocationGate(t *testing.T) {
 		rows = 100_000
 		jobs = 5
 		// perJob covers what a job costs whatever its input: building and
-		// optimizing the plan, the atom's spans and channels, the
-		// pipeline's window-sized buffers. Measured at 133 objects and
-		// 78 KB; the headroom is for toolchain drift, not for per-row
-		// work, which at this input size would overshoot it many times.
+		// optimizing the plan, the atom's spans and channels — not the
+		// pipeline's window-sized buffers, which are leased: a forcing
+		// that allocates its window scratch again reads 60 KB. Measured
+		// at 124 objects and 10.6 KB, 21 KB when the collector had taken
+		// the scratch from the pool; the headroom is for that and for
+		// toolchain drift, not for per-row work, which at this input
+		// size would overshoot it many times.
 		perJob      = 200
-		perJobBytes = 128 << 10
+		perJobBytes = 32 << 10
 	)
 	recs := make([]data.Record, rows)
 	var want int64
