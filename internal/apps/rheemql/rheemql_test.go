@@ -1,6 +1,7 @@
 package rheemql
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -441,6 +442,57 @@ func TestNullNeverMatches(t *testing.T) {
 			}
 			if got := rowsOf(recs); got != tc.want {
 				t.Errorf("%s on %s returned\n%s\nwant\n%s", tc.sql, p.ID(), got, tc.want)
+			}
+		}
+	}
+}
+
+// TestSQLFollowsTheOneOrder: ORDER BY, WHERE and MIN/MAX read data.Compare,
+// so a NaN sorts first, equals nothing but a NaN and is below every
+// number, and int keys beyond 2⁵³ order exactly — on each pinned platform
+// and under free choice, rows in the order the query asked for.
+func TestSQLFollowsTheOneOrder(t *testing.T) {
+	ctx := testCtx(t)
+	cat := NewCatalog()
+	schema := data.MustSchema(
+		data.Field{Name: "id", Type: data.KindInt},
+		data.Field{Name: "x", Type: data.KindFloat},
+		data.Field{Name: "k", Type: data.KindInt},
+	)
+	nan, big := math.NaN(), int64(1)<<53
+	var rows []data.Record
+	for i, x := range []float64{3, nan, 1, 5, 2, 4} {
+		rows = append(rows, data.NewRecord(data.Int(int64(i+1)), data.Float(x), data.Int(big+[]int64{1, 0, 2, 5, 4, 3}[i])))
+	}
+	if err := cat.Register("t", schema, rows); err != nil {
+		t.Fatal(err)
+	}
+	pins := [][]rheem.RunOption{nil}
+	for _, p := range ctx.Registry().Platforms() {
+		pins = append(pins, []rheem.RunOption{rheem.OnPlatform(p.ID())})
+	}
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT id, x FROM t ORDER BY x", "(2, NaN)(3, 1)(5, 2)(1, 3)(6, 4)(4, 5)"},
+		{"SELECT id, x FROM t ORDER BY x DESC", "(4, 5)(6, 4)(1, 3)(5, 2)(3, 1)(2, NaN)"},
+		{"SELECT id, k FROM t ORDER BY k", "(2, 9007199254740992)(1, 9007199254740993)(3, 9007199254740994)(6, 9007199254740995)(5, 9007199254740996)(4, 9007199254740997)"},
+		{"SELECT id, k FROM t ORDER BY k DESC", "(4, 9007199254740997)(5, 9007199254740996)(6, 9007199254740995)(3, 9007199254740994)(1, 9007199254740993)(2, 9007199254740992)"},
+		{"SELECT id FROM t WHERE x = 5 ORDER BY id", "(4)"},
+		{"SELECT id FROM t WHERE x >= 5 ORDER BY id", "(4)"},
+		{"SELECT id FROM t WHERE x != 5 ORDER BY id", "(1)(2)(3)(5)(6)"},
+		{"SELECT id FROM t WHERE x < 2 ORDER BY id", "(2)(3)"},
+		{"SELECT MIN(x) AS lo, MAX(x) AS hi, MAX(k) AS top FROM t", "(NaN, 5, 9007199254740997)"},
+	} {
+		for _, opts := range pins {
+			recs, _, _, err := Run(ctx, cat, tc.sql, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.sql, err)
+			}
+			var got strings.Builder
+			for _, r := range recs {
+				got.WriteString(r.String())
+			}
+			if got.String() != tc.want {
+				t.Errorf("%s (%d run options) returned %s, want %s", tc.sql, len(opts), got.String(), tc.want)
 			}
 		}
 	}

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rheem/internal/core/metrics"
+	"rheem/internal/core/profile"
 )
 
 func TestFormatHelpers(t *testing.T) {
@@ -111,5 +114,37 @@ func TestAllExperimentsQuick(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestForcedRunsAreRecorded: every fixed-assignment workload hands its
+// traced run to the hub's flight recorder — the sharding and columnar
+// runs too, whose /runs/{id}/profile used to be a 404 under
+// rheem-bench -metrics while a parallelism run's was served.
+func TestForcedRunsAreRecorded(t *testing.T) {
+	hub := metrics.NewHub()
+	rec := profile.NewRecorder(0, nil)
+	hub.SetFlightRecorder(rec)
+	ctx, err := newCtx(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctx.Close()
+	if _, err := RunWideTraced(ctx.Registry(), hub, 20, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunColumnarTraced(ctx, hub, ColumnarRecords(100), true); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"wide-map": true, "colchain": true}
+	for _, st := range hub.Runs().Status() {
+		got, ok := rec.Get(st.ID)
+		if !ok || got.Name != st.Name || got.Profile == nil {
+			t.Errorf("run %d (%s) is not in the flight recorder: %+v", st.ID, st.Name, got)
+		}
+		delete(want, st.Name)
+	}
+	if len(want) != 0 {
+		t.Errorf("the hub tracked no run named %v", want)
 	}
 }

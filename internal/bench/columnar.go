@@ -109,23 +109,8 @@ func RunColumnarTraced(ctx *rheem.Context, hub *metrics.Hub, recs []data.Record,
 	if err != nil {
 		return nil, err
 	}
-	ep, err := optimizer.Optimize(pp, ctx.Registry(), optimizer.Options{
-		DisableRules:      true,
-		ForcedAssignments: ColumnarAssignments(pp),
-	})
-	if err != nil {
-		return nil, err
-	}
-	opts := executor.Options{}
-	var res *executor.Result
-	if hub == nil {
-		res, err = executor.Run(ep, ctx.Registry(), opts)
-	} else {
-		tracer, run := hub.NewRunTracer("colchain")
-		opts.Tracer = tracer
-		res, err = executor.Run(ep, ctx.Registry(), opts)
-		run.End(err)
-	}
+	res, err := runForced(pp, ctx.Registry(), hub, "colchain",
+		optimizer.Options{ForcedAssignments: ColumnarAssignments(pp)}, executor.Options{})
 	if err != nil {
 		return nil, err
 	}

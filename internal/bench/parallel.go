@@ -93,23 +93,31 @@ func RunFanOutTraced(reg *engine.Registry, hub *metrics.Hub, branches, recs int,
 	if err != nil {
 		return nil, err
 	}
-	ep, err := optimizer.Optimize(pp, reg, optimizer.Options{
-		DisableRules:      true,
-		ForcedAssignments: FanOutAssignments(pp),
-	})
+	return runForced(pp, reg, hub, "fanout",
+		optimizer.Options{ForcedAssignments: FanOutAssignments(pp)}, executor.Options{Parallelism: par})
+}
+
+// runForced is the run sequence of the fixed-assignment workloads
+// (E8, E11, E13): optimize pp with the rules off and oo's forced
+// assignments, execute it, and — given a hub — trace the run under
+// name and hand it to the hub's flight recorder, if it has one, so
+// /runs/{id}/profile and trace.json answer for every such run. A nil
+// hub runs untraced.
+func runForced(pp *physical.Plan, reg *engine.Registry, hub *metrics.Hub, name string, oo optimizer.Options, eo executor.Options) (*executor.Result, error) {
+	oo.DisableRules = true
+	ep, err := optimizer.Optimize(pp, reg, oo)
 	if err != nil {
 		return nil, err
 	}
-	opts := executor.Options{Parallelism: par}
 	if hub == nil {
-		return executor.Run(ep, reg, opts)
+		return executor.Run(ep, reg, eo)
 	}
-	tracer, run := hub.NewRunTracer("fanout")
-	opts.Tracer = tracer
-	res, err := executor.Run(ep, reg, opts)
+	tracer, run := hub.NewRunTracer(name)
+	eo.Tracer = tracer
+	res, err := executor.Run(ep, reg, eo)
 	run.End(err)
 	if rec := hub.FlightRecorder(); rec != nil {
-		rec.Record(run.ID(), "fanout", run.Started(), run.Ended(), err, tracer.Snapshot())
+		rec.Record(run.ID(), name, run.Started(), run.Ended(), err, tracer.Snapshot())
 	}
 	return res, err
 }

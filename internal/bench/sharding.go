@@ -104,23 +104,8 @@ func RunWideTraced(reg *engine.Registry, hub *metrics.Hub, recs int, delay time.
 	if err != nil {
 		return nil, err
 	}
-	ep, err := optimizer.Optimize(pp, reg, optimizer.Options{
-		DisableRules:      true,
-		ForcedAssignments: WideAssignments(pp),
-		Shards:            shards,
-	})
-	if err != nil {
-		return nil, err
-	}
-	opts := executor.Options{Shards: shards}
-	if hub == nil {
-		return executor.Run(ep, reg, opts)
-	}
-	tracer, run := hub.NewRunTracer("wide-map")
-	opts.Tracer = tracer
-	res, err := executor.Run(ep, reg, opts)
-	run.End(err)
-	return res, err
+	return runForced(pp, reg, hub, "wide-map",
+		optimizer.Options{ForcedAssignments: WideAssignments(pp), Shards: shards}, executor.Options{Shards: shards})
 }
 
 // shardSweep is the E11 fan-out sweep: 1 (the unsharded baseline),

@@ -98,10 +98,8 @@ func HashGroup(recs []data.Record, key plan.KeyFunc) ([]Group, error) {
 
 // SortGroup groups records by key using a stable sort; groups come out
 // in ascending key order and records keep their input order within a
-// group. Keys order under plan.CompareValues, as they do wherever this
-// package sorts them: it tells int keys beyond 2⁵³ apart, which
-// data.Compare's float widening does not, so sorting and hashing form
-// the same groups.
+// group. Keys order under data.Compare, whose zero is data.Equal within
+// a kind, so sorting and hashing form the same groups.
 func SortGroup(recs []data.Record, key plan.KeyFunc) ([]Group, error) {
 	type keyed struct {
 		k data.Value
@@ -115,11 +113,11 @@ func SortGroup(recs []data.Record, key plan.KeyFunc) ([]Group, error) {
 		}
 		ks[i] = keyed{k, r}
 	}
-	sort.SliceStable(ks, func(i, j int) bool { return plan.CompareValues(ks[i].k, ks[j].k) < 0 })
+	sort.SliceStable(ks, func(i, j int) bool { return data.Compare(ks[i].k, ks[j].k) < 0 })
 	var out []Group
 	for i := 0; i < len(ks); {
 		j := i
-		for j < len(ks) && plan.CompareValues(ks[i].k, ks[j].k) == 0 {
+		for j < len(ks) && data.Compare(ks[i].k, ks[j].k) == 0 {
 			j++
 		}
 		g := Group{Key: ks[i].k, Records: make([]data.Record, 0, j-i)}
@@ -166,7 +164,7 @@ type byKey struct {
 }
 
 func (s *byKey) Len() int           { return len(s.keys) }
-func (s *byKey) Less(i, j int) bool { return plan.CompareValues(s.keys[i], s.keys[j]) < 0 }
+func (s *byKey) Less(i, j int) bool { return data.Compare(s.keys[i], s.keys[j]) < 0 }
 func (s *byKey) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 	s.recs[i], s.recs[j] = s.recs[j], s.recs[i]
@@ -273,7 +271,7 @@ func SortMergeJoin(l, r []data.Record, lkey, rkey plan.KeyFunc) ([]data.Record, 
 	var out []data.Record
 	i, j := 0, 0
 	for i < len(lg) && j < len(rg) {
-		c := plan.CompareValues(lg[i].Key, rg[j].Key)
+		c := data.Compare(lg[i].Key, rg[j].Key)
 		switch {
 		case c < 0:
 			i++

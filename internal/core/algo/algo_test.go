@@ -211,9 +211,9 @@ func TestCartesian(t *testing.T) {
 }
 
 // TestSortKernelsCompareIntKeysExactly: the sort-based kernels order keys
-// under plan.CompareValues, so int keys beyond 2⁵³ — equal to their
-// neighbours once widened to float64 — form the groups and the join
-// pairs the hash-based kernels form.
+// under data.Compare, which is exact, so int keys beyond 2⁵³ — equal to
+// their neighbours once widened to float64 — form the groups and the
+// join pairs the hash-based kernels form.
 func TestSortKernelsCompareIntKeysExactly(t *testing.T) {
 	big := int64(1) << 53
 	recs := []data.Record{

@@ -23,6 +23,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -114,7 +115,7 @@ type confCase struct {
 	// recs, when set, is what source 0 serves instead of confRecords.
 	recs []data.Record
 	// algo, when set, overrides the optimizer's algorithm decision for
-	// every GroupBy of the plan.
+	// every operator of the plan that has it among its candidates.
 	algo physical.Algorithm
 	// columns keeps the sources' records at rest in column form (confSource).
 	columns bool
@@ -203,7 +204,7 @@ func runConformanceCal(t *testing.T, c confCase, target engine.PlatformID, shard
 	}
 	if c.algo != "" {
 		forEachOp(ep.Physical, func(op *physical.Operator) {
-			if op.Kind() == plan.KindGroupBy {
+			if slices.Contains(physical.Candidates(op), c.algo) {
 				op.Algo = c.algo
 			}
 		})
@@ -272,7 +273,7 @@ func fullBattery() []confCase {
 		}})
 	for _, g := range groupedCases() {
 		for _, algo := range groupAlgos {
-			if len(g.recs) == 0 || g.hashOnly && algo == physical.SortGroupBy {
+			if len(g.recs) == 0 {
 				continue
 			}
 			battery = append(battery, confCase{
@@ -293,9 +294,6 @@ type groupedCase struct {
 	recs []data.Record
 	keys []int
 	out  []plan.GroupCol
-	// hashOnly keeps the case off sort-based grouping: NaN keys, over
-	// which a comparison is no order and SortGroup has no defined answer.
-	hashOnly bool
 }
 
 // groupedCases are the inputs a grouped kernel is most likely to get
@@ -342,7 +340,7 @@ func groupedCases() []groupedCase {
 		}, keys: []int{0}, out: folds(0, 0)},
 		{name: "nan-keys", recs: []data.Record{
 			rec(data.Float(nan), data.Int(1)), rec(data.Float(1), data.Int(2)), rec(data.Float(nan), data.Int(4)), rec(data.Float(1), data.Int(8)),
-		}, keys: []int{0}, out: folds(0, 1), hashOnly: true},
+		}, keys: []int{0}, out: folds(0, 1)},
 	}
 }
 
@@ -700,9 +698,6 @@ func inAtomBattery() []inAtomCase {
 		// Each under both grouping algorithms, which runInAtom reads off
 		// the name: the optimizer would sort the smallest and hash the rest.
 		for _, algo := range groupAlgos {
-			if g.hashOnly && algo == physical.SortGroupBy {
-				continue
-			}
 			battery = append(battery, inAtomCase{fmt.Sprintf("group-agg-%s-%s", g.name, algo), g.recs, func(b *plan.Builder, src *plan.Operator) {
 				b.Collect(b.GroupAggregate(src, g.keys, g.out...))
 			}})

@@ -53,10 +53,11 @@ func (c *HealthConfig) defaults() {
 	}
 }
 
-// Health tracks per-platform execution health for a Registry: one
-// circuit breaker per platform, fed by the executor after every atom
-// execution attempt. All methods are safe for concurrent use — the
-// executor reports outcomes from many scheduler goroutines at once.
+// Health tracks per-platform execution health: one circuit breaker per
+// platform, fed with execution outcomes — a Registry's by the executor
+// after every atom execution attempt. All methods are safe for
+// concurrent use — the executor reports outcomes from many scheduler
+// goroutines at once.
 type Health struct {
 	mu      sync.Mutex
 	cfg     HealthConfig
@@ -73,10 +74,14 @@ type breakerEntry struct {
 	openedAt    time.Time // when the breaker last tripped Open
 }
 
-func newHealth() *Health {
-	h := &Health{now: time.Now, entries: make(map[PlatformID]*breakerEntry)}
-	h.cfg.defaults()
-	return h
+func newHealth() *Health { return NewHealth(HealthConfig{}, time.Now) }
+
+// NewHealth returns a tracker with every breaker closed, tuned by cfg
+// (zero fields take the defaults) and reading time from now. The
+// registry has one for the engine; the job service keeps one per tenant.
+func NewHealth(cfg HealthConfig, now func() time.Time) *Health {
+	cfg.defaults()
+	return &Health{cfg: cfg, now: now, entries: make(map[PlatformID]*breakerEntry)}
 }
 
 // Configure replaces the breaker tuning; zero fields keep defaults.

@@ -14,48 +14,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 
 	"rheem/internal/core/batch"
 	"rheem/internal/data"
 )
-
-// CompareValues orders two values like data.Compare, except that two
-// values of the same kind compare exactly instead of through the
-// float64 widening data.Compare applies to numerics — so int64 keys
-// beyond 2⁵³ still order correctly. It is the comparison both the
-// generated row UDFs and the columnar kernels use, which is what keeps
-// their outputs byte-identical.
-func CompareValues(a, b data.Value) int {
-	if a.Kind() != b.Kind() {
-		return data.Compare(a, b)
-	}
-	switch a.Kind() {
-	case data.KindInt:
-		ai, bi := a.Int(), b.Int()
-		switch {
-		case ai < bi:
-			return -1
-		case ai > bi:
-			return 1
-		}
-		return 0
-	case data.KindFloat:
-		af, bf := a.Float(), b.Float()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		}
-		return 0 // equal, or NaN involved: keep-left, like data.Compare
-	case data.KindString:
-		return strings.Compare(a.Str(), b.Str())
-	default:
-		return data.Compare(a, b)
-	}
-}
 
 // ColumnPredicate is the declarative filter "Field ⟨Op⟩ Operand".
 type ColumnPredicate struct {
@@ -129,12 +92,12 @@ func (f AggFn) Fold(a, b data.Value) (data.Value, error) {
 	case AggSum:
 		return SumValues(a, b)
 	case AggMin:
-		if CompareValues(b, a) < 0 {
+		if data.Compare(b, a) < 0 {
 			return b, nil
 		}
 		return a, nil
 	case AggMax:
-		if CompareValues(b, a) > 0 {
+		if data.Compare(b, a) > 0 {
 			return b, nil
 		}
 		return a, nil
@@ -336,7 +299,7 @@ const (
 	GroupCount                   // COUNT(col): the rows whose Field is not null
 	GroupSum                     // SUM(col): 0 when every Field is null
 	GroupAvg                     // AVG(col): 0 when every Field is null
-	GroupMin                     // MIN(col) under CompareValues: null when every Field is null
+	GroupMin                     // MIN(col) under data.Compare: null when every Field is null
 	GroupMax                     // MAX(col)
 )
 
@@ -358,8 +321,8 @@ type ColumnGroupAggregate struct {
 
 // AppendKey appends v to the composite a multi-column key is compared
 // by: a kind byte and a self-delimiting payload, so composites are equal
-// exactly when built from data.Equal values (-0 encodes as +0; a NaN
-// equals the same NaN here).
+// exactly when built from data.Equal values (-0 encodes as +0, every
+// NaN as one NaN).
 func AppendKey(dst []byte, v data.Value) []byte {
 	dst = append(dst, byte(v.Kind()))
 	switch v.Kind() {
@@ -368,16 +331,24 @@ func AppendKey(dst []byte, v data.Value) []byte {
 	case data.KindInt:
 		return binary.BigEndian.AppendUint64(dst, uint64(v.Int()))
 	case data.KindFloat:
-		return binary.BigEndian.AppendUint64(dst, math.Float64bits(v.Float()+0))
+		return binary.BigEndian.AppendUint64(dst, keyBits(v.Float()))
 	case data.KindString:
 		return append(binary.AppendUvarint(dst, uint64(len(v.Str()))), v.Str()...)
 	case data.KindVector:
 		dst = binary.AppendUvarint(dst, uint64(len(v.Vec())))
 		for _, f := range v.Vec() {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(f+0))
+			dst = binary.BigEndian.AppendUint64(dst, keyBits(f))
 		}
 	}
 	return dst
+}
+
+// keyBits is f's bits with the floats data.Equal equates made one.
+func keyBits(f float64) uint64 {
+	if f != f {
+		f = math.NaN()
+	}
+	return math.Float64bits(f + 0)
 }
 
 // KeyFunc renders the key as the row-path UDF: a constant for no key
@@ -442,7 +413,7 @@ func (f GroupFn) Add(s *GroupState, v data.Value) {
 	case f == GroupCount:
 	case f == GroupSum || f == GroupAvg:
 		s.Sum += v.Float()
-	case s.N == 0, f == GroupMin && CompareValues(v, s.Best) < 0, f == GroupMax && CompareValues(v, s.Best) > 0:
+	case s.N == 0, f == GroupMin && data.Compare(v, s.Best) < 0, f == GroupMax && data.Compare(v, s.Best) > 0:
 		s.Best = v
 	}
 	s.N++

@@ -168,9 +168,9 @@ func (c CompareOp) Eval(a, b data.Value) bool { return c.test(data.Compare(a, b)
 
 // Holds applies the comparison as a predicate, under the SQL rule every
 // declarative filter follows: a null on either side never matches,
-// whatever the operator; other values compare under CompareValues.
+// whatever the operator; other values compare as Eval compares them.
 func (c CompareOp) Holds(a, b data.Value) bool {
-	return !a.IsNull() && !b.IsNull() && c.test(CompareValues(a, b))
+	return !a.IsNull() && !b.IsNull() && c.Eval(a, b)
 }
 
 // IECondition is one inequality condition "left.Field ⊙ right.Field" of

@@ -341,7 +341,7 @@ func TestGroupAggregateDerivedUDFs(t *testing.T) {
 		{"mixed", []data.Record{rec(data.Int(4)), rec(data.Null()), rec(data.Int(1)), rec(data.Int(7))}, "(k, 4, 3, 12, 4, 1, 7)"},
 		{"all-null", []data.Record{rec(data.Null()), rec(data.Null())}, "(k, 2, 0, 0, 0, , )"},
 		{"beyond-2^53", []data.Record{rec(data.Int(big)), rec(data.Int(big + 1))}, "(k, 2, 2, 1.8014398509481984e+16, 9.007199254740992e+15, 9007199254740992, 9007199254740993)"},
-		{"nan-keeps-left", []data.Record{rec(data.Float(math.NaN())), rec(data.Float(1))}, "(k, 2, 2, NaN, NaN, NaN, NaN)"},
+		{"nan-sorts-first", []data.Record{rec(data.Float(math.NaN())), rec(data.Float(1))}, "(k, 2, 2, NaN, NaN, NaN, 1)"},
 	} {
 		out, err := g.GroupFunc()(data.Str("k"), tc.group)
 		if err != nil || len(out) != 1 || out[0].String() != tc.want {

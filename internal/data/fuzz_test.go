@@ -84,3 +84,29 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCompareTotalOrder draws values from whatever the codec's decoder
+// accepts and holds Compare to the order's properties over every triple
+// of them (checkOrder) — NaN payloads, ints no float64 holds and ragged
+// vectors included, which the seeds start from.
+func FuzzCompareTotalOrder(f *testing.F) {
+	pool := orderPool()
+	for i := 0; i < len(pool); i += 6 {
+		var buf bytes.Buffer
+		if _, err := WriteBinary(&buf, []Record{NewRecord(pool[i:min(i+6, len(pool))]...)}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		recs, err := ReadBinary(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var vals []Value
+		for _, r := range recs {
+			vals = append(vals, r.Fields()...)
+		}
+		checkOrder(t, vals[:min(len(vals), 16)]) // cubic in the values: keep an input cheap
+	})
+}

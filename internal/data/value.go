@@ -12,8 +12,10 @@
 package data
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -267,69 +269,71 @@ func ParseValue(s string, k Kind) (Value, error) {
 	}
 }
 
-// Compare orders two values. Nulls sort first; values of different
-// kinds order by kind; Int and Float compare numerically with each
-// other. Vectors compare lexicographically. The ordering is total, which
-// sort-based physical operators (SortGroupBy, SortMergeJoin, IEJoin)
-// rely on.
+// Compare is the one order of the system: every sort, sort-based group
+// and join, predicate and MIN/MAX goes through it (or, in javaengine's
+// typed loops, through its unboxed form). It is total and
+// exact. Null sorts first; values of different kinds order by kind,
+// except that Int and Float order numerically against each other —
+// exactly, the int is not widened to a float64 that cannot hold it —
+// and by kind only when numerically equal. Ints order as ints, floats
+// as cmp.Compare orders them (every NaN equals every NaN and is below
+// every number, -0 equals +0), strings bytewise, vectors element by
+// element under the float order and then by length.
+//
+// The invariant the rest of the tree leans on: for two values of one
+// kind, Compare(a, b) == 0 ⇔ Equal(a, b) ⇒ Hash(a) == Hash(b) (and
+// across kinds Compare is never zero). So hashing and sorting form the
+// same groups, whichever the optimizer picks.
 func Compare(a, b Value) int {
-	// Numeric cross-kind comparison.
-	an := a.kind == KindInt || a.kind == KindFloat
-	bn := b.kind == KindInt || b.kind == KindFloat
-	if an && bn {
-		af, bf := a.numeric(), b.numeric()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		}
-		// Equal numerically: make the order total across kinds.
-		return int(a.kind) - int(b.kind)
-	}
-	if a.kind != b.kind {
-		if a.kind < b.kind {
-			return -1
-		}
-		return 1
+	switch {
+	case a.kind == KindInt && b.kind == KindFloat:
+		return compareIntFloat(a.int(), b.float())
+	case a.kind == KindFloat && b.kind == KindInt:
+		return -compareIntFloat(b.int(), a.float())
+	case a.kind != b.kind:
+		return cmp.Compare(a.kind, b.kind)
 	}
 	switch a.kind {
-	case KindNull:
-		return 0
 	case KindBool:
 		return int(a.n) - int(b.n)
+	case KindInt:
+		return cmp.Compare(a.int(), b.int())
+	case KindFloat:
+		return cmp.Compare(a.float(), b.float())
 	case KindString:
 		return strings.Compare(a.str(), b.str())
 	case KindVector:
-		av, bv := a.vec(), b.vec()
-		n := len(av)
-		if len(bv) < n {
-			n = len(bv)
-		}
-		for i := 0; i < n; i++ {
-			switch {
-			case av[i] < bv[i]:
-				return -1
-			case av[i] > bv[i]:
-				return 1
-			}
-		}
-		return len(av) - len(bv)
+		return slices.Compare(a.vec(), b.vec())
 	default:
 		return 0
 	}
 }
 
-func (v Value) numeric() float64 {
-	if v.kind == KindInt {
-		return float64(v.int())
+// compareIntFloat orders the int i against the float f: a NaN is below
+// and a float outside int64's range beyond every int; inside it f's
+// integer part is an int64 exactly, and its fraction breaks the tie. A
+// numerically equal pair orders by kind, the int first.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f || f < -(1<<63):
+		return 1
+	case f >= 1<<63:
+		return -1
 	}
-	return v.float()
+	whole := math.Trunc(f)
+	if c := cmp.Compare(i, int64(whole)); c != 0 {
+		return c
+	}
+	if f < whole {
+		return 1
+	}
+	return -1
 }
 
-// Equal reports whether two values compare equal under Compare, except
-// that it does not equate an Int with a numerically equal Float (hash
-// grouping must agree with Hash, which is kind-sensitive).
+// Equal reports whether two values are of one kind and compare equal
+// under Compare: an Int never equals a Float, every NaN equals every
+// NaN and -0 equals +0 — what Hash agrees with, so hash grouping is
+// sound.
 func Equal(a, b Value) bool {
 	if a.kind != b.kind {
 		return false
@@ -340,20 +344,11 @@ func Equal(a, b Value) bool {
 	case KindBool, KindInt:
 		return a.n == b.n
 	case KindFloat:
-		return a.float() == b.float()
+		return cmp.Compare(a.float(), b.float()) == 0
 	case KindString:
 		return a.str() == b.str()
 	case KindVector:
-		av, bv := a.vec(), b.vec()
-		if len(av) != len(bv) {
-			return false
-		}
-		for i := range av {
-			if av[i] != bv[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Compare(a.vec(), b.vec()) == 0
 	default:
 		return false
 	}
@@ -366,7 +361,8 @@ const (
 
 // Hash returns a 64-bit FNV-1a hash of the value, seeded so that
 // partitioners can derive independent hash families. Equal values (per
-// Equal) hash identically, which for floats means -0 hashes as +0.
+// Equal) hash identically, which for floats means -0 hashes as +0 and
+// every NaN as one NaN.
 func Hash(v Value, seed uint64) uint64 {
 	h := fnvOffset ^ seed
 	h = hashByte(h, byte(v.kind))
@@ -389,8 +385,11 @@ func Hash(v Value, seed uint64) uint64 {
 }
 
 func hashFloat(h uint64, f float64) uint64 {
-	if f == 0 {
+	switch {
+	case f == 0:
 		f = 0 // Equal(-0, +0) holds, so both hash as +0
+	case f != f:
+		f = math.NaN() // and every NaN payload as one
 	}
 	return hashUint64(h, math.Float64bits(f))
 }

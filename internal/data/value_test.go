@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -254,13 +255,89 @@ func TestHashDistinguishesKinds(t *testing.T) {
 	}
 }
 
+// TestEqualNaN: every NaN is one key — equal to itself and to a NaN of
+// another payload, hashed alike — so hash grouping puts NaNs in the one
+// group sort grouping does.
 func TestEqualNaN(t *testing.T) {
-	nan := Float(math.NaN())
-	if Equal(nan, nan) {
-		t.Log("NaN equals itself under bit equality — acceptable only if hash agrees")
+	nan, other := Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000abc))
+	if !math.IsNaN(other.Float()) {
+		t.Fatal("the second payload is no NaN")
 	}
-	// Whatever Equal says, Hash must agree for grouping to be sound.
-	if Equal(nan, nan) && Hash(nan, 0) != Hash(nan, 0) {
+	if !Equal(nan, nan) || !Equal(nan, other) || Compare(nan, other) != 0 {
+		t.Error("NaN values do not equal each other")
+	}
+	if Hash(nan, 0) != Hash(other, 0) || Hash(nan, 7) != Hash(other, 7) {
 		t.Error("Equal NaN values hash differently")
 	}
+	if Equal(nan, Float(0)) || Compare(nan, Float(math.Inf(-1))) >= 0 || Compare(Int(math.MinInt64), nan) <= 0 {
+		t.Error("NaN is not below every number")
+	}
+}
+
+// orderPool is a fixed pool of values around every edge of the order:
+// each kind, ints where float64 runs out of integers, floats at the
+// int64 range's ends and half a step off an int, signed zeros,
+// infinities, two NaN payloads, and vectors holding them.
+func orderPool() []Value {
+	const p53 = int64(1) << 53
+	nan2 := math.Float64frombits(0x7ff8000000000abc)
+	negZero := math.Copysign(0, -1)
+	return []Value{
+		Null(), Bool(false), Bool(true),
+		Int(0), Int(1), Int(-1), Int(5), Int(p53), Int(p53 + 1), Int(p53 + 2), Int(-p53), Int(-p53 - 1),
+		Int(math.MinInt64), Int(math.MinInt64 + 1), Int(math.MaxInt64), Int(math.MaxInt64 - 1),
+		Float(0), Float(negZero), Float(1), Float(5), Float(4.5), Float(5.5), Float(-0.5), Float(-1.5),
+		Float(float64(p53)), Float(float64(p53) + 2), Float(-float64(p53)),
+		Float(1 << 63), Float(-(1 << 63)), Float(math.Nextafter(1<<63, 0)), Float(math.Nextafter(-(1 << 63), 0)),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.NaN()), Float(nan2),
+		Float(math.MaxFloat64), Float(math.SmallestNonzeroFloat64),
+		Str(""), Str("a"), Str("ab"), Str("b"),
+		Vec(nil), Vec([]float64{}), Vec([]float64{1}), Vec([]float64{1, 0}), Vec([]float64{1, negZero}),
+		Vec([]float64{math.NaN()}), Vec([]float64{nan2}), Vec([]float64{math.NaN(), 1}), Vec([]float64{1, math.NaN()}),
+		Vec([]float64{math.Inf(-1)}), Vec([]float64{2}),
+	}
+}
+
+// checkOrder holds Compare to what data.Compare's comment promises over
+// every pair and triple of vals: antisymmetric and transitive (a total
+// preorder), zero exactly where Equal holds, Equal values hashing alike,
+// and an int against a float standing as the exact numbers do.
+func checkOrder(t *testing.T, vals []Value) {
+	t.Helper()
+	for _, a := range vals {
+		for _, b := range vals {
+			ab := Compare(a, b)
+			if sign(ab) != -sign(Compare(b, a)) {
+				t.Errorf("Compare(%s %s, %s %s) = %d but the converse is %d", a.Kind(), a, b.Kind(), b, ab, Compare(b, a))
+			}
+			if (ab == 0) != Equal(a, b) {
+				t.Errorf("Compare(%s %s, %s %s) = %d but Equal is %v", a.Kind(), a, b.Kind(), b, ab, Equal(a, b))
+			}
+			if Equal(a, b) && (Hash(a, 0) != Hash(b, 0) || Hash(a, 99) != Hash(b, 99)) {
+				t.Errorf("%s %s and %s %s are Equal and hash differently", a.Kind(), a, b.Kind(), b)
+			}
+			if a.Kind() == KindInt && b.Kind() == KindFloat && !math.IsNaN(b.Float()) {
+				want := new(big.Float).SetInt64(a.Int()).Cmp(big.NewFloat(b.Float()))
+				if want == 0 {
+					want = -1 // numerically equal: by kind, the int first
+				}
+				if sign(ab) != want {
+					t.Errorf("Compare(int %s, float %s) = %d, exact arithmetic says %d", a, b, ab, want)
+				}
+			}
+			if ab > 0 {
+				continue
+			}
+			for _, c := range vals {
+				if Compare(b, c) <= 0 && Compare(a, c) > 0 {
+					t.Errorf("%s %s ≤ %s %s ≤ %s %s, but the first is above the last", a.Kind(), a, b.Kind(), b, c.Kind(), c)
+				}
+			}
+		}
+	}
+}
+
+// TestCompareIsATotalOrder is the order as a property over the pool.
+func TestCompareIsATotalOrder(t *testing.T) {
+	checkOrder(t, orderPool())
 }

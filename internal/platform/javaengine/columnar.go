@@ -22,9 +22,9 @@
 // stay the semantic ground truth and reproduce the UDF's panic where that
 // is the contract.
 //
-// The typed loops below express every comparison through < and > only,
-// exactly like plan.CompareValues, so NaN ordering ("keep-left")
-// matches the UDFs bit for bit.
+// The typed loops below are data.Compare unboxed — kept and foldOrdered
+// hold the order's one statement outside package data — so they match
+// the UDFs bit for bit, NaN included.
 
 package javaengine
 
@@ -677,14 +677,15 @@ func (d *datasetOps) execHinted(ctx context.Context, op *physical.Operator, inpu
 // selectRows evaluates the predicate over the rows of col listed in in —
 // nil lists every row, as many as dst is long — and returns the
 // survivors, in order, in dst's storage (in place when the two are one). Typed columns whose kind matches the operand
-// take a tight unboxed loop; everything else goes through the generic
-// value path, which applies the exact row-UDF semantics
+// take a tight unboxed loop; everything else — a NaN operand too, which
+// the loop's two primitive orderings cannot place — goes through the
+// generic value path, which applies the exact row-UDF semantics
 // (plan.ColumnPredicate.Match).
 func selectRows(dst, in []int32, col *batch.Column, off int, p *plan.ColumnPredicate) []int32 {
 	switch {
 	case col.Kind == batch.ColInt64 && p.Operand.Kind() == data.KindInt:
 		return selectOrdered(dst, in, col.Int64s, p.Operand.Int(), p.Op, col.Valid, off)
-	case col.Kind == batch.ColFloat64 && p.Operand.Kind() == data.KindFloat:
+	case col.Kind == batch.ColFloat64 && p.Operand.Kind() == data.KindFloat && !math.IsNaN(p.Operand.Float()):
 		return selectOrdered(dst, in, col.Float64s, p.Operand.Float(), p.Op, col.Valid, off)
 	case col.Kind == batch.ColString && p.Operand.Kind() == data.KindString:
 		return selectOrdered(dst, in, col.Strings, p.Operand.Str(), p.Op, col.Valid, off)
@@ -706,10 +707,7 @@ func selectRows(dst, in []int32, col *batch.Column, off int, p *plan.ColumnPredi
 // stores every candidate and advances past the ones that match, so a
 // predicate that keeps half the rows at random costs no mispredicted
 // branches. keep tabulates the comparison by how a value stands to the
-// operand — less, neither, greater — from the two primitive orderings
-// alone; "neither" is equal or, with a NaN on either side, unordered,
-// which ≤, ≥ and == keep: the formulation that makes NaN semantics
-// identical to plan.CompareValues.
+// operand k under data.Compare — less, equal, greater; k is no NaN.
 func selectOrdered[T cmp.Ordered](dst, in []int32, vals []T, k T, op plan.CompareOp, valid *batch.Bitset, off int) []int32 {
 	zero := data.Int(0)
 	keep := [3]int{b2i(op.Eval(data.Int(-1), zero)), b2i(op.Eval(zero, zero)), b2i(op.Eval(data.Int(1), zero))}
@@ -728,12 +726,15 @@ func selectOrdered[T cmp.Ordered](dst, in []int32, vals []T, k T, op plan.Compar
 	return dst[:n]
 }
 
-// kept is 1 for a non-null value that stands to k as the operator wants.
+// kept is 1 for a non-null value that stands to k as the operator wants:
+// data.Compare(v, k) for a k that is no NaN, as a table index — a NaN v
+// (the one T value with v != v) is less — and so without a branch to
+// mispredict, which cmp.Compare here would be.
 func kept[T cmp.Ordered](keep *[3]int, v, k T, valid *batch.Bitset, bit int) int {
 	if valid != nil && !valid.Get(bit) {
 		return 0
 	}
-	return keep[1+b2i(v > k)-b2i(v < k)]
+	return keep[1+b2i(v > k)-b2i(v < k || v != v)]
 }
 
 func b2i(b bool) int {
@@ -748,8 +749,8 @@ func b2i(b bool) int {
 // back unfolded, and every later row is folded into the accumulator left
 // to right. There is one accumulator for the whole input — each window
 // seeds its loops with it, never folds on its own to be combined later —
-// which is what keeps float sums, NaN "keep-left" and AggFirst
-// bit-identical across window boundaries.
+// which is what keeps float sums and AggFirst bit-identical across
+// window boundaries.
 type folder struct {
 	fns  []plan.AggFn
 	acc  []data.Value // the first surviving row, then the fold
@@ -858,9 +859,9 @@ func (f *folder) columns(p *pipeline, w *win, sel []int32) error {
 }
 
 // foldOrdered is the typed fold of the selected values into acc, left
-// to right like algo.Reduce so even float sums reproduce.
-// CompareValues(v, acc) < 0 ⇔ v < acc and a NaN keeps the accumulator,
-// so plain < and > match AggFn.Fold exactly.
+// to right like algo.Reduce so even float sums reproduce. cmp.Less is
+// data.Compare < 0 on the payload, so MIN and MAX match AggFn.Fold
+// exactly.
 func foldOrdered[T cmp.Ordered](acc T, vals []T, sel []int32, fn plan.AggFn) T {
 	switch fn {
 	case plan.AggSum:
@@ -869,13 +870,13 @@ func foldOrdered[T cmp.Ordered](acc T, vals []T, sel []int32, fn plan.AggFn) T {
 		}
 	case plan.AggMin:
 		for _, i := range sel {
-			if v := vals[i]; v < acc {
+			if v := vals[i]; cmp.Less(v, acc) {
 				acc = v
 			}
 		}
 	case plan.AggMax:
 		for _, i := range sel {
-			if v := vals[i]; v > acc {
+			if v := vals[i]; cmp.Less(acc, v) {
 				acc = v
 			}
 		}

@@ -78,7 +78,7 @@ func (p *pipeline) group(lop *plan.Operator, sorted bool) ([]data.Record, error)
 	order := slices.Grow(g.gid[:0], len(g.keys))[:len(g.keys)]
 	ascending(order)
 	if sorted {
-		sort.SliceStable(order, func(i, j int) bool { return plan.CompareValues(g.keys[order[i]], g.keys[order[j]]) < 0 })
+		sort.SliceStable(order, func(i, j int) bool { return data.Compare(g.keys[order[i]], g.keys[order[j]]) < 0 })
 	}
 	width := len(spec.Out)
 	slab, out := make([]data.Value, len(order)*width), make([]data.Record, len(order))

@@ -70,85 +70,6 @@ func TestInsertValidatesSchema(t *testing.T) {
 	}
 }
 
-func TestHashIndexLookup(t *testing.T) {
-	db := NewDB()
-	tab, _ := db.CreateTable("people", peopleSchema())
-	seedPeople(t, tab)
-	if err := tab.CreateHashIndex("age"); err != nil {
-		t.Fatal(err)
-	}
-	rows, indexed, err := tab.LookupEq("age", data.Int(30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !indexed {
-		t.Error("index not used")
-	}
-	if len(rows) != 2 {
-		t.Errorf("got %d rows", len(rows))
-	}
-	// Insert after index creation is indexed too.
-	if err := tab.Insert(data.NewRecord(data.Int(5), data.Str("eve"), data.Int(30))); err != nil {
-		t.Fatal(err)
-	}
-	rows, _, _ = tab.LookupEq("age", data.Int(30))
-	if len(rows) != 3 {
-		t.Errorf("post-insert lookup got %d rows", len(rows))
-	}
-	// Without an index a scan answers.
-	rows, indexed, err = tab.LookupEq("name", data.Str("bob"))
-	if err != nil || indexed || len(rows) != 1 {
-		t.Errorf("scan lookup: %v indexed=%v n=%d", err, indexed, len(rows))
-	}
-	if _, _, err := tab.LookupEq("ghost", data.Int(1)); err == nil {
-		t.Error("lookup on missing column accepted")
-	}
-}
-
-func TestOrderedIndexRange(t *testing.T) {
-	db := NewDB()
-	tab, _ := db.CreateTable("people", peopleSchema())
-	seedPeople(t, tab)
-	if err := tab.CreateOrderedIndex("age"); err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := data.Int(26), data.Int(40)
-	rows, indexed, err := tab.LookupRange("age", &lo, &hi)
-	if err != nil || !indexed {
-		t.Fatalf("range lookup: %v indexed=%v", err, indexed)
-	}
-	if len(rows) != 2 {
-		t.Errorf("range [26,40] got %d rows", len(rows))
-	}
-	// Open bounds.
-	rows, _, _ = tab.LookupRange("age", nil, &hi)
-	if len(rows) != 3 {
-		t.Errorf("range (-∞,40] got %d rows", len(rows))
-	}
-	rows, _, _ = tab.LookupRange("age", &lo, nil)
-	if len(rows) != 3 {
-		t.Errorf("range [26,∞) got %d rows", len(rows))
-	}
-	// Insert into an ordered index keeps order.
-	if err := tab.Insert(data.NewRecord(data.Int(9), data.Str("zed"), data.Int(33))); err != nil {
-		t.Fatal(err)
-	}
-	rows, _, _ = tab.LookupRange("age", &lo, &hi)
-	if len(rows) != 3 {
-		t.Errorf("post-insert range got %d rows", len(rows))
-	}
-	for i := 1; i < len(rows); i++ {
-		if data.Compare(rows[i-1].Field(2), rows[i].Field(2)) > 0 {
-			t.Error("range result out of order")
-		}
-	}
-	// Scan fallback without index.
-	rows, indexed, _ = tab.LookupRange("id", &lo, nil)
-	if indexed || len(rows) != 0 {
-		t.Errorf("id range: indexed=%v n=%d", indexed, len(rows))
-	}
-}
-
 func TestRowsIsACopy(t *testing.T) {
 	db := NewDB()
 	tab, _ := db.CreateTable("people", peopleSchema())

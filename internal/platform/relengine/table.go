@@ -5,20 +5,18 @@
 // faster if executed on Spark"). See DESIGN.md §3.
 //
 // The engine has two faces. As a *substrate* it is a small but real
-// relational store: a catalog of schema-typed tables with insert,
-// scan, and hash/ordered indexes with point and range lookups. As a
-// *platform* it executes RHEEM physical plans over tables, with a
-// simulated-time profile that favours relational operators (compiled
-// aggregation, joins) and penalises opaque per-tuple UDF calls — the
-// asymmetry that makes mixed pipelines split across platforms in the
-// multi-platform experiments (E5). The tables and that clock are what
+// relational store: a catalog of schema-typed tables with insert and
+// scan. As a *platform* it executes RHEEM physical plans over tables,
+// with a simulated-time profile that favours relational operators
+// (compiled aggregation, joins) and penalises opaque per-tuple UDF calls
+// — the asymmetry that makes mixed pipelines split across platforms in
+// the multi-platform experiments (E5). The tables and that clock are what
 // the platform owns; what an operator computes on a table's rows is
 // algo.Exec's, the definition every platform shares.
 package relengine
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"rheem/internal/data"
@@ -29,24 +27,7 @@ type Table struct {
 	Name   string
 	Schema *data.Schema
 	rows   []data.Record
-
-	mu      sync.RWMutex
-	hashIdx map[int]*hashIndex
-	ordIdx  map[int]*orderedIndex
-}
-
-// hashIndex maps column-value hashes to row positions, chaining on
-// collisions.
-type hashIndex struct {
-	col int
-	m   map[uint64][]int
-}
-
-// orderedIndex keeps row positions sorted by column value for range
-// scans.
-type orderedIndex struct {
-	col  int
-	rows []int // row positions ordered by column value
+	mu     sync.RWMutex
 }
 
 // NumRows reports the table's row count.
@@ -73,8 +54,7 @@ func (t *Table) rowsUnsafe() []data.Record {
 	return t.rows
 }
 
-// Insert appends rows after validating them against the schema, and
-// maintains any indexes.
+// Insert appends rows after validating them against the schema.
 func (t *Table) Insert(rows ...data.Record) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -83,142 +63,8 @@ func (t *Table) Insert(rows ...data.Record) error {
 			return fmt.Errorf("relengine: insert into %s: %w", t.Name, err)
 		}
 	}
-	for _, r := range rows {
-		pos := len(t.rows)
-		t.rows = append(t.rows, r)
-		for _, idx := range t.hashIdx {
-			h := data.Hash(r.Field(idx.col), 0)
-			idx.m[h] = append(idx.m[h], pos)
-		}
-		for _, idx := range t.ordIdx {
-			// Insertion into the sorted position keeps lookups valid;
-			// bulk loads should create the index after inserting.
-			v := r.Field(idx.col)
-			at := sort.Search(len(idx.rows), func(i int) bool {
-				return data.Compare(t.rows[idx.rows[i]].Field(idx.col), v) > 0
-			})
-			idx.rows = append(idx.rows, 0)
-			copy(idx.rows[at+1:], idx.rows[at:])
-			idx.rows[at] = pos
-		}
-	}
+	t.rows = append(t.rows, rows...)
 	return nil
-}
-
-// CreateHashIndex builds a hash index over the named column, enabling
-// LookupEq point queries.
-func (t *Table) CreateHashIndex(column string) error {
-	col := t.Schema.IndexOf(column)
-	if col < 0 {
-		return fmt.Errorf("relengine: no column %q in %s", column, t.Name)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	idx := &hashIndex{col: col, m: make(map[uint64][]int, len(t.rows))}
-	for pos, r := range t.rows {
-		h := data.Hash(r.Field(col), 0)
-		idx.m[h] = append(idx.m[h], pos)
-	}
-	if t.hashIdx == nil {
-		t.hashIdx = map[int]*hashIndex{}
-	}
-	t.hashIdx[col] = idx
-	return nil
-}
-
-// CreateOrderedIndex builds an ordered index over the named column,
-// enabling LookupRange queries.
-func (t *Table) CreateOrderedIndex(column string) error {
-	col := t.Schema.IndexOf(column)
-	if col < 0 {
-		return fmt.Errorf("relengine: no column %q in %s", column, t.Name)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	idx := &orderedIndex{col: col, rows: make([]int, len(t.rows))}
-	for i := range t.rows {
-		idx.rows[i] = i
-	}
-	sort.SliceStable(idx.rows, func(a, b int) bool {
-		return data.Compare(t.rows[idx.rows[a]].Field(col), t.rows[idx.rows[b]].Field(col)) < 0
-	})
-	if t.ordIdx == nil {
-		t.ordIdx = map[int]*orderedIndex{}
-	}
-	t.ordIdx[col] = idx
-	return nil
-}
-
-// LookupEq returns the rows whose column equals v, via the hash index
-// if one exists or a scan otherwise. The second result reports whether
-// an index served the query.
-func (t *Table) LookupEq(column string, v data.Value) ([]data.Record, bool, error) {
-	col := t.Schema.IndexOf(column)
-	if col < 0 {
-		return nil, false, fmt.Errorf("relengine: no column %q in %s", column, t.Name)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if idx, ok := t.hashIdx[col]; ok {
-		var out []data.Record
-		for _, pos := range idx.m[data.Hash(v, 0)] {
-			if data.Equal(t.rows[pos].Field(col), v) {
-				out = append(out, t.rows[pos])
-			}
-		}
-		return out, true, nil
-	}
-	var out []data.Record
-	for _, r := range t.rows {
-		if data.Equal(r.Field(col), v) {
-			out = append(out, r)
-		}
-	}
-	return out, false, nil
-}
-
-// LookupRange returns rows with lo ≤ column ≤ hi (nil bounds are open),
-// via the ordered index if one exists or a scan otherwise.
-func (t *Table) LookupRange(column string, lo, hi *data.Value) ([]data.Record, bool, error) {
-	col := t.Schema.IndexOf(column)
-	if col < 0 {
-		return nil, false, fmt.Errorf("relengine: no column %q in %s", column, t.Name)
-	}
-	inRange := func(v data.Value) bool {
-		if lo != nil && data.Compare(v, *lo) < 0 {
-			return false
-		}
-		if hi != nil && data.Compare(v, *hi) > 0 {
-			return false
-		}
-		return true
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if idx, ok := t.ordIdx[col]; ok {
-		start := 0
-		if lo != nil {
-			start = sort.Search(len(idx.rows), func(i int) bool {
-				return data.Compare(t.rows[idx.rows[i]].Field(col), *lo) >= 0
-			})
-		}
-		var out []data.Record
-		for _, pos := range idx.rows[start:] {
-			v := t.rows[pos].Field(col)
-			if hi != nil && data.Compare(v, *hi) > 0 {
-				break
-			}
-			out = append(out, t.rows[pos])
-		}
-		return out, true, nil
-	}
-	var out []data.Record
-	for _, r := range t.rows {
-		if inRange(r.Field(col)) {
-			out = append(out, r)
-		}
-	}
-	return out, false, nil
 }
 
 // DB is the engine's catalog of tables.

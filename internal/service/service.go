@@ -350,7 +350,8 @@ func (s *Service) tenantLocked(name string, now time.Time) *tenant {
 			q = override
 		}
 		q = q.withDefaults()
-		tn = &tenant{name: name, quota: q, bucket: newBucket(q, now)}
+		tn = &tenant{name: name, quota: q, bucket: newBucket(q, now), health: engine.NewHealth(
+			engine.HealthConfig{Threshold: s.cfg.FailureThreshold, Cooldown: s.cfg.Cooldown}, s.cfg.Clock)}
 		s.tenants[name] = tn
 		s.order = append(s.order, name)
 	}
@@ -518,8 +519,8 @@ func (s *Service) runJob(j *Job, tn *tenant) {
 		return
 	}
 	j.cancel = cancel
-	excluded := tn.excludedLocked(s.now())
 	s.mu.Unlock()
+	excluded := tn.health.QuarantinedPlatforms()
 	s.mQueueWait.With(j.tenant).Observe(j.started.Sub(j.submitted).Seconds())
 
 	// Tenant health may have opened a breaker for every platform; keep
@@ -587,8 +588,7 @@ func (s *Service) runJob(j *Job, tn *tenant) {
 
 	s.mu.Lock()
 	if state != StateCancelled && len(platforms) > 0 {
-		tn.reportOutcomeLocked(platforms, state == StateFailed,
-			s.cfg.FailureThreshold, s.cfg.Cooldown, s.now())
+		tn.reportOutcome(platforms, state == StateFailed)
 	}
 	j.runID = runID
 	s.jobDoneLocked(j, tn, state, err, recs, digest, platforms, failovers)
@@ -750,7 +750,6 @@ func jobNum(id string) int64 {
 func (s *Service) Tenants() []TenantStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.now()
 	out := make([]TenantStatus, 0, len(s.order))
 	for _, name := range s.order {
 		tn := s.tenants[name]
@@ -760,7 +759,7 @@ func (s *Service) Tenants() []TenantStatus {
 			Accepted: tn.accepted, Shed: tn.shed,
 			Completed: tn.completed, Failed: tn.failed, Cancelled: tn.cancelled,
 		}
-		for _, id := range tn.excludedLocked(now) {
+		for _, id := range tn.health.QuarantinedPlatforms() {
 			st.ExcludedPlatforms = append(st.ExcludedPlatforms, string(id))
 		}
 		out = append(out, st)

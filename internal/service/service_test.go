@@ -497,6 +497,78 @@ func TestTenantBreakerIsolation(t *testing.T) {
 	_ = first
 }
 
+// TestTenantBreakerHalfOpenProbe walks a tenant's breaker through the
+// rest of the machine under the injected clock: the cool-down re-admits
+// the platform for one probe, a failed probe re-opens at once (no second
+// run-up to the threshold), a successful one closes and resets the streak.
+func TestTenantBreakerHalfOpenProbe(t *testing.T) {
+	var fake atomic.Int64
+	base := time.Unix(1_700_000_000, 0)
+	s := newTestService(t, Config{
+		MaxActiveJobs:    1,
+		PoolSize:         1,
+		FailureThreshold: 2,
+		Cooldown:         time.Minute,
+		Clock:            func() time.Time { return base.Add(time.Duration(fake.Load())) },
+	})
+	failOne := func() {
+		t.Helper()
+		if err := s.SchedulerPool().Acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.Submit(Request{
+			Tenant:     "trouble",
+			Spec:       Spec{Kind: KindWorkload, Workload: WorkloadWordcount, N: 200},
+			DeadlineMS: 30,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := waitTerminal(t, s, st.ID)
+		s.SchedulerPool().Release()
+		if final.State != StateFailed || len(final.Platforms) == 0 {
+			t.Fatalf("frozen job ended %s on %v (%s), want failed with platforms", final.State, final.Platforms, final.Err)
+		}
+	}
+	excluded := func() []string {
+		for _, tn := range s.Tenants() {
+			if tn.Name == "trouble" {
+				return tn.ExcludedPlatforms
+			}
+		}
+		return nil
+	}
+	expect := func(when string, open bool) {
+		t.Helper()
+		if got := excluded(); (len(got) > 0) != open {
+			t.Fatalf("%s: excluded platforms %v, want open=%v", when, got, open)
+		}
+	}
+
+	failOne()
+	expect("one failure, threshold 2", false)
+	failOne()
+	expect("two failures", true)
+	fake.Add(int64(30 * time.Second))
+	expect("half the cool-down", true)
+	fake.Add(int64(31 * time.Second))
+	expect("cool-down over: half-open", false)
+	failOne()
+	expect("failed probe", true)
+
+	fake.Add(int64(61 * time.Second))
+	st, err := s.Submit(wordcountReq("trouble", 200, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitTerminal(t, s, st.ID); final.State != StateSucceeded {
+		t.Fatalf("probe job ended %s (%s)", final.State, final.Err)
+	}
+	expect("successful probe", false)
+	failOne()
+	expect("one failure after the breaker closed", false)
+}
+
 // TestJobHistoryEviction bounds the finished-job table.
 func TestJobHistoryEviction(t *testing.T) {
 	s := newTestService(t, Config{JobHistory: 2})

@@ -1,6 +1,7 @@
 // Per-tenant state: concurrency quotas, a token-bucket rate limit on
-// submissions, and tenant-level platform health. The health layer
-// folds the engine's per-platform circuit breakers into per-tenant
+// submissions, and tenant-level platform health. Each tenant has its
+// own engine.Health — the engine's per-platform circuit breakers, fed
+// with this tenant's jobs only — which gives per-tenant
 // isolation: a tenant whose jobs keep dying on one platform gets that
 // platform excluded from its own future plans (the optimizer simply
 // never assigns it), while every other tenant keeps using it — one
@@ -11,7 +12,6 @@ package service
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"rheem/internal/core/engine"
@@ -78,14 +78,8 @@ func (b *bucket) take(now time.Time) (ok bool, retryAfter time.Duration) {
 	return false, time.Duration(need * float64(time.Second))
 }
 
-// platformBreaker is the tenant-level breaker for one platform.
-type platformBreaker struct {
-	failures  int // consecutive job failures attributed to the platform
-	openUntil time.Time
-}
-
-// tenant is the service's per-tenant record. All fields are guarded by
-// the Service mutex.
+// tenant is the service's per-tenant record. All fields but health,
+// which locks itself, are guarded by the Service mutex.
 type tenant struct {
 	name    string
 	quota   Quota
@@ -99,7 +93,9 @@ type tenant struct {
 	failed    int64
 	cancelled int64
 
-	breakers map[engine.PlatformID]*platformBreaker
+	// health is the tenant's own breaker per platform: what its
+	// QuarantinedPlatforms lists is kept out of the tenant's next plans.
+	health *engine.Health
 }
 
 // TenantStatus is the /tenants JSON view of one tenant.
@@ -118,48 +114,14 @@ type TenantStatus struct {
 	ExcludedPlatforms []string `json:"excluded_platforms,omitempty"`
 }
 
-// excluded returns the platforms currently open for the tenant,
-// sorted. Expired exclusions (cooldown passed) are dropped in place —
-// the next job is the half-open probe.
-func (t *tenant) excludedLocked(now time.Time) []engine.PlatformID {
-	var out []engine.PlatformID
-	for id, br := range t.breakers {
-		if br.openUntil.IsZero() {
-			continue
-		}
-		if now.After(br.openUntil) {
-			// Half-open: let the next job probe the platform again. The
-			// failure count survives, so one more failure re-opens.
-			br.openUntil = time.Time{}
-			continue
-		}
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// reportOutcome updates the tenant's breakers from a finished job:
-// platforms a failed job ran on accrue a consecutive-failure count and
-// open after threshold; any success on a platform resets it.
-func (t *tenant) reportOutcomeLocked(platforms []engine.PlatformID, failed bool, threshold int, cooldown time.Duration, now time.Time) {
-	if t.breakers == nil {
-		t.breakers = map[engine.PlatformID]*platformBreaker{}
-	}
+// reportOutcome feeds a finished job into the tenant's breakers, once
+// per platform its plan used.
+func (t *tenant) reportOutcome(platforms []engine.PlatformID, failed bool) {
 	for _, id := range platforms {
-		br := t.breakers[id]
-		if br == nil {
-			br = &platformBreaker{}
-			t.breakers[id] = br
-		}
 		if failed {
-			br.failures++
-			if br.failures >= threshold && br.openUntil.IsZero() {
-				br.openUntil = now.Add(cooldown)
-			}
+			t.health.ReportFailure(id)
 		} else {
-			br.failures = 0
-			br.openUntil = time.Time{}
+			t.health.ReportSuccess(id)
 		}
 	}
 }
