@@ -53,12 +53,36 @@ type token struct {
 	pos  int
 }
 
+// isKeyword reports whether word spells a keyword in any case, without
+// the string strings.ToUpper would make for every identifier. A word
+// with a non-ASCII byte takes ToUpper's path: it folds some letters to
+// ASCII ones.
+func isKeyword(word string) bool {
+	var up [6]byte // SELECT and HAVING are the longest keywords
+	if len(word) > len(up) {
+		return false
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= 0x80 {
+			return keywords[strings.ToUpper(word)]
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	return keywords[string(up[:len(word)])]
+}
+
 // lex tokenises a query, failing on unterminated strings or stray
 // runes.
 func lex(input string) ([]token, error) {
-	// A token with the space after it averages three and a half bytes of a
-	// query; one packed tighter ("a.k=b.k") grows the slice once.
-	toks := make([]token, 0, len(input)/3+1)
+	// Tokens collect on the stack and are copied out once, into a slice
+	// of their exact length; only a query of more than 64 tokens spills
+	// the buffer to the heap.
+	var buf [64]token
+	toks := buf[:0]
 	i := 0
 	for i < len(input) {
 		c := rune(input[i])
@@ -71,7 +95,7 @@ func lex(input string) ([]token, error) {
 				i++
 			}
 			word := input[start:i]
-			if keywords[strings.ToUpper(word)] {
+			if isKeyword(word) {
 				toks = append(toks, token{tokKeyword, strings.ToUpper(word), start})
 			} else {
 				toks = append(toks, token{tokIdent, word, start})
@@ -112,5 +136,5 @@ func lex(input string) ([]token, error) {
 		}
 	}
 	toks = append(toks, token{tokEOF, "", len(input)})
-	return toks, nil
+	return append(make([]token, 0, len(toks)), toks...), nil
 }

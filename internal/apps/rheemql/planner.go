@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"rheem"
 	"rheem/internal/core/batch"
@@ -287,6 +286,12 @@ func hasField(fields []data.Field, name string) bool {
 	return false
 }
 
+// aggNames spell the aggregates in the names of the columns they
+// generate ("count_star", "avg_pressure").
+var aggNames = map[AggFunc]string{
+	AggCount: "count", AggSum: "sum", AggAvg: "avg", AggMin: "min", AggMax: "max",
+}
+
 // groupFns are the grouped folds behind the aggregate functions.
 var groupFns = map[AggFunc]plan.GroupFn{
 	AggCount: plan.GroupCount, AggSum: plan.GroupSum, AggAvg: plan.GroupAvg, AggMin: plan.GroupMin, AggMax: plan.GroupMax,
@@ -326,7 +331,7 @@ func compileAggregate(b *plan.Builder, cur *plan.Operator, q *Query, e *env) (*p
 		case it.ArgStar:
 			outs[i], kind = plan.GroupCol{Fn: plan.GroupCountAll}, data.KindInt
 			if name == "" {
-				name = strings.ToLower(string(it.Agg)) + "_star"
+				name = aggNames[it.Agg] + "_star"
 			}
 		default:
 			pos, argKind, err := e.resolve(it.Arg)
@@ -345,7 +350,7 @@ func compileAggregate(b *plan.Builder, cur *plan.Operator, q *Query, e *env) (*p
 				kind = argKind
 			}
 			if name == "" {
-				name = strings.ToLower(string(it.Agg)) + "_" + it.Arg.Column
+				name = aggNames[it.Agg] + "_" + it.Arg.Column
 			}
 		}
 		for hasField(fields[:i], name) {

@@ -103,10 +103,12 @@ func PerRecord(startup time.Duration, perIn, perOut time.Duration) Model {
 }
 
 // Estimates holds per-operator cardinality estimates for one physical
-// plan (keyed by physical operator ID), plus average record width used
-// to turn cardinalities into bytes for movement costing.
+// plan tree, plus average record width used to turn cardinalities into
+// bytes for movement costing.
 type Estimates struct {
-	Cards    map[int]int64
+	// Cards is indexed by physical operator ID, as long as the tree's
+	// physical.Plan.IDBound.
+	Cards    []int64
 	RecBytes int64 // assumed average record footprint
 
 	overrides map[int]int64
@@ -147,7 +149,7 @@ func EstimateWith(p *physical.Plan, overrides map[int]int64) *Estimates {
 // after (and never scaled — they are measurements, not estimates). A
 // nil calibrator degrades to the uncalibrated rules.
 func EstimateCalibrated(p *physical.Plan, overrides map[int]int64, cal *Calibrator) *Estimates {
-	est := &Estimates{Cards: make(map[int]int64, len(p.Ops)), RecBytes: DefaultRecBytes}
+	est := &Estimates{Cards: make([]int64, p.IDBound()), RecBytes: DefaultRecBytes}
 	est.overrides = overrides
 	est.cal = cal
 	estimateInto(p, est, -1)

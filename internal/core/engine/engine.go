@@ -103,10 +103,13 @@ type TaskAtom struct {
 
 // Contains reports whether the atom holds the physical operator id.
 func (a *TaskAtom) Contains(opID int) bool {
-	if a.LoopOp != nil && a.LoopOp.ID == opID {
-		return true
-	}
-	return slices.ContainsFunc(a.Ops, func(op *physical.Operator) bool { return op.ID == opID })
+	return (a.LoopOp != nil && a.LoopOp.ID == opID) || a.position(opID) >= 0
+}
+
+// position returns the position in Ops of the operator id, -1 if the
+// atom does not compute it.
+func (a *TaskAtom) position(opID int) int {
+	return slices.IndexFunc(a.Ops, func(op *physical.Operator) bool { return op.ID == opID })
 }
 
 // String renders the atom for plan explanations.
@@ -118,7 +121,9 @@ func (a *TaskAtom) String() string {
 	if a.Kind == AtomLoop {
 		ops = []*physical.Operator{a.LoopOp}
 	}
-	b := make([]byte, 0, 96)
+	// On the stack: a label up to 512 bytes costs one allocation, the
+	// string, however many operators it names.
+	b := make([]byte, 0, 512)
 	b = append(b, "atom#"...)
 	b = strconv.AppendInt(b, int64(a.ID), 10)
 	b = append(b, '@')
@@ -128,7 +133,7 @@ func (a *TaskAtom) String() string {
 		if i > 0 {
 			b = append(b, " → "...)
 		}
-		b = append(b, op.Name()...)
+		b = op.AppendName(b)
 	}
 	b = append(b, '}')
 	return string(b)
@@ -139,10 +144,36 @@ func (a *TaskAtom) String() string {
 // and their algorithms are final; an unsealed atom renders on demand.
 func (a *TaskAtom) Seal() { a.label = a.String() }
 
-// AtomInputs maps a physical operator id to its external input
-// channels, indexed by input slot. Slots fed from inside the atom are
-// absent.
-type AtomInputs map[int]map[int]*channel.Channel
+// AtomInputs holds a compute atom's external input channels, indexed
+// by the consuming operator's position in TaskAtom.Ops and then by
+// input slot. Slots fed from inside the atom are nil, and so is the
+// slot list of an operator with no external input.
+type AtomInputs [][]*channel.Channel
+
+// NewAtomInputs returns the atom's input table with every slot empty:
+// the slot lists of all its operators share one backing array.
+func NewAtomInputs(atom *TaskAtom) AtomInputs {
+	n := 0
+	for _, op := range atom.Ops {
+		n += len(op.Inputs)
+	}
+	slots := make([]*channel.Channel, n)
+	in := make(AtomInputs, len(atom.Ops))
+	for i, op := range atom.Ops {
+		k := len(op.Inputs)
+		in[i], slots = slots[:k:k], slots[k:]
+	}
+	return in
+}
+
+// Channel returns the external channel feeding input slot of the
+// operator at position pos of the atom, nil if there is none.
+func (in AtomInputs) Channel(pos, slot int) *channel.Channel {
+	if pos >= len(in) || slot >= len(in[pos]) {
+		return nil
+	}
+	return in[pos][slot]
+}
 
 // Platform is a pluggable data processing platform.
 type Platform interface {

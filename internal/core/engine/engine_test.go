@@ -185,8 +185,9 @@ func TestRunAtomExternalInput(t *testing.T) {
 	atom := &TaskAtom{ID: 1, Kind: AtomCompute, Platform: "fake",
 		Ops: []*physical.Operator{mapOp, pp.SinkOp}, Exits: []*physical.Operator{pp.SinkOp}}
 	in := channel.NewCollection([]data.Record{data.NewRecord(data.Int(9))})
-	exits, err := RunAtom(context.Background(), fakeOps{}, atom,
-		AtomInputs{mapOp.ID: {0: in}})
+	inputs := NewAtomInputs(atom)
+	inputs[0][0] = in // the Map, at position 0, reads it on slot 0
+	exits, err := RunAtom(context.Background(), fakeOps{}, atom, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

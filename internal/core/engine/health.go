@@ -195,14 +195,22 @@ func (h *Health) QuarantinedPlatforms() []PlatformID {
 	return out
 }
 
-// Snapshot returns every tracked platform's breaker state. Platforms
-// that never reported an outcome are absent (implicitly Closed).
+// Snapshot returns the state of every breaker that is not Closed, nil
+// when all are. A platform absent from it is Closed — the zero
+// BreakerState — so indexing the snapshot reads every platform right,
+// and a healthy run copies nothing.
 func (h *Health) Snapshot() map[PlatformID]BreakerState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make(map[PlatformID]BreakerState, len(h.entries))
+	var out map[PlatformID]BreakerState
 	for id, e := range h.entries {
 		h.refreshLocked(id, e)
+		if e.state == BreakerClosed {
+			continue
+		}
+		if out == nil {
+			out = make(map[PlatformID]BreakerState)
+		}
 		out[id] = e.state
 	}
 	return out

@@ -48,23 +48,32 @@ func RunAtom(ctx context.Context, d DatasetOps, atom *TaskAtom, inputs AtomInput
 			exits, err = nil, Fatal(fmt.Errorf("engine: atom#%d: %s panicked: %v\n%s", atom.ID, running.Name(), r, debug.Stack()))
 		}
 	}()
-	native := make(map[int]any, len(atom.Ops))
+	// One backing array per atom, whatever its width: every operator's
+	// native dataset by its position in atom.Ops, then every operator's
+	// input list.
+	n, edges := len(atom.Ops), 0
 	for _, op := range atom.Ops {
+		edges += len(op.Inputs)
+	}
+	buf := make([]any, n+edges)
+	native, free := buf[:n:n], buf[n:]
+	for i, op := range atom.Ops {
 		running = op
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ins := make([]any, len(op.Inputs))
+		k := len(op.Inputs)
+		ins := free[:k:k]
+		free = free[k:]
 		for slot, in := range op.Inputs {
-			if atom.Contains(in.ID) {
-				ds, ok := native[in.ID]
-				if !ok {
+			if j := atom.position(in.ID); j >= 0 {
+				if j >= i {
 					return nil, fmt.Errorf("engine: atom#%d: %s needs %s before it ran", atom.ID, op.Name(), in.Name())
 				}
-				ins[slot] = ds
+				ins[slot] = native[j]
 				continue
 			}
-			ch := inputs[op.ID][slot]
+			ch := inputs.Channel(i, slot)
 			if ch == nil {
 				return nil, fmt.Errorf("engine: atom#%d: %s slot %d has no external channel", atom.ID, op.Name(), slot)
 			}
@@ -84,16 +93,16 @@ func RunAtom(ctx context.Context, d DatasetOps, atom *TaskAtom, inputs AtomInput
 			// executor must not retry or fail over.
 			return nil, Fatal(fmt.Errorf("engine: atom#%d: %s: %w", atom.ID, op.Name(), err))
 		}
-		native[op.ID] = out
+		native[i] = out
 	}
 	exits = make(map[int]*channel.Channel, len(atom.Exits))
 	for _, ex := range atom.Exits {
 		running = ex
-		ds, ok := native[ex.ID]
-		if !ok {
+		j := atom.position(ex.ID)
+		if j < 0 {
 			return nil, fmt.Errorf("engine: atom#%d: exit %s never executed", atom.ID, ex.Name())
 		}
-		ch, err := d.ToChannel(ds)
+		ch, err := d.ToChannel(native[j])
 		if err != nil {
 			return nil, fmt.Errorf("engine: atom#%d: export of %s: %w", atom.ID, ex.Name(), err)
 		}

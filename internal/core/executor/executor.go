@@ -159,8 +159,10 @@ type Result struct {
 	// during the run (each quarantines at least one more platform, so
 	// the count is bounded by the registry size).
 	Failovers int
-	// PlatformHealth is the circuit-breaker state per platform at the
-	// end of the run, from the registry's health tracker.
+	// PlatformHealth is the circuit-breaker state at the end of the run,
+	// from the registry's health tracker, of every platform whose breaker
+	// is not Closed; nil when all are. An absent platform is Closed, the
+	// zero BreakerState, so indexing it reads every platform right.
 	PlatformHealth map[engine.PlatformID]engine.BreakerState
 	// FinalPlan is the execution plan that finished the run — the
 	// original one, or the re-optimized replacement.
@@ -187,22 +189,29 @@ type run struct {
 	// scheduling cannot deadlock the atoms.
 	shards *Pool
 
-	mu      sync.Mutex // guards res, every plan's channel map, audited
-	res     *Result
-	audited map[int]bool
+	mu  sync.Mutex // guards res, every plan's channel table, audited
+	res *Result
+	// audited marks, by operator ID, the exits the cardinality audit has
+	// recorded: a loop body's on its first iteration only.
+	audited []bool
 	// excluded accumulates platforms ruled out by failover re-plans.
 	// Only the top-level dispatcher touches it, and only while
 	// quiesced, so it needs no lock. It only grows, which bounds the
 	// failover loop by the registry size.
 	excluded map[engine.PlatformID]bool
+	// top is the scope of the plan Run was given, allocated with the run.
+	top planScope
 }
 
 // planScope is one execution plan being scheduled within a run: the
 // top-level plan, or one iteration of a loop body.
 type planScope struct {
 	*run
-	ep       *optimizer.ExecutionPlan // replaced by a re-plan
-	channels map[int]*channel.Channel // operator ID → output; guarded by run.mu while atoms are in flight
+	ep *optimizer.ExecutionPlan // replaced by a re-plan
+	// channels holds each operator's output by operator ID, sized from
+	// the plan tree's ID bound; guarded by run.mu while atoms are in
+	// flight.
+	channels []*channel.Channel
 	topLevel bool
 	iter     int // enclosing loop iteration, -1 at the top level
 	// flagged records that some atom's audit in this plan flagged a
@@ -235,11 +244,13 @@ func Run(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts Options) (_ *Re
 		tr = trace.New()
 	}
 	res := &Result{FinalPlan: ep}
-	r := &run{reg: reg, opts: opts, ctx: ctx, cancel: cancel, tr: tr, res: res, audited: map[int]bool{}}
+	ids := ep.Physical.IDBound()
+	r := &run{reg: reg, opts: opts, ctx: ctx, cancel: cancel, tr: tr, res: res, audited: make([]bool, ids)}
 	if opts.Shards > 1 {
 		r.shards = NewPool(opts.Shards)
 	}
-	top := &planScope{run: r, ep: ep, channels: make(map[int]*channel.Channel), topLevel: true, iter: -1}
+	r.top = planScope{run: r, ep: ep, channels: make([]*channel.Channel, ids), topLevel: true, iter: -1}
+	top := &r.top
 	// Atoms recover on their own goroutines; this one covers the sink
 	// materialization below, which runs converters on the caller's.
 	defer recoverFatal("materializing the result", &err)
@@ -294,7 +305,7 @@ func atomKindEst(ep *optimizer.ExecutionPlan, atom *engine.TaskAtom) map[string]
 	if atom.Kind != engine.AtomCompute || len(ep.RawOpCosts) == 0 {
 		return nil
 	}
-	m := make(map[string]int64, len(atom.Ops))
+	m := make(map[string]int64) // no hint: an atom's kinds are few, however many its operators
 	for _, op := range atom.Ops {
 		if c, ok := ep.RawOpCosts[op.ID]; ok {
 			m[op.Kind().String()] += int64(c.Total())
@@ -308,7 +319,7 @@ func atomKindEst(ep *optimizer.ExecutionPlan, atom *engine.TaskAtom) map[string]
 
 // atomDone reports whether every output the atom owes the rest of the
 // plan is already available.
-func atomDone(atom *engine.TaskAtom, channels map[int]*channel.Channel) bool {
+func atomDone(atom *engine.TaskAtom, channels []*channel.Channel) bool {
 	if atom.Kind == engine.AtomLoop {
 		return channels[atom.LoopOp.ID] != nil
 	}
@@ -379,15 +390,15 @@ func (p *planScope) reoptimize(fo *failoverError) (*optimizer.ExecutionPlan, err
 }
 
 // gatherInputs collects the atom's external inputs from the plan's
-// channel map, converting each to the format its consumer wants (the
+// channel table, converting each to the format its consumer wants (the
 // data movement the optimizer priced), and records the conversion
 // volume and format choices on the span. The metrics returned are the
 // movement's, for the caller to charge.
 func (p *planScope) gatherInputs(sp *trace.Span, platform engine.Platform, atom *engine.TaskAtom) (engine.AtomInputs, engine.Metrics, error) {
 	vec, _ := platform.(engine.Vectorized)
-	inputs := engine.AtomInputs{}
+	var inputs engine.AtomInputs // made at the first external input
 	var move engine.Metrics
-	for _, op := range atom.Ops {
+	for pos, op := range atom.Ops {
 		// Batch-capable consumers take their external inputs in the
 		// columnar format instead of the platform's native one — the
 		// cheaper edge the optimizer priced via channel.Batch.
@@ -416,10 +427,10 @@ func (p *planScope) gatherInputs(sp *trace.Span, platform engine.Platform, atom 
 			if steps > 0 {
 				move.MovedBytes += src.Bytes
 			}
-			if inputs[op.ID] == nil {
-				inputs[op.ID] = map[int]*channel.Channel{}
+			if inputs == nil {
+				inputs = engine.NewAtomInputs(atom)
 			}
-			inputs[op.ID][slot] = conv
+			inputs[pos][slot] = conv
 		}
 		// Record the format choice per consumer with external inputs —
 		// the span-level evidence of columnar (batch) adoption.
@@ -438,7 +449,7 @@ func (p *planScope) gatherInputs(sp *trace.Span, platform engine.Platform, atom 
 
 // runComputeAtom gathers external inputs, executes the atom with
 // retries, and publishes exit channels. It may run concurrently with
-// other atoms: the shared channel map and Result are touched only under
+// other atoms: the shared channel table and Result are touched only under
 // run.mu, and the platform call itself runs unlocked
 // (Platform.ExecuteAtom must be safe for concurrent calls — see
 // engine.Platform). It returns what its span (opened and closed by
@@ -516,7 +527,9 @@ func (p *planScope) runComputeAtom(sp *trace.Span, atom *engine.TaskAtom) (engin
 	p.mu.Lock()
 	p.res.Metrics.Add(m)
 	for id, ch := range exits {
-		p.channels[id] = ch
+		if id >= 0 && id < len(p.channels) { // an exit outside the plan has no reader
+			p.channels[id] = ch
+		}
 	}
 	audits := p.auditCardsLocked(atom, exits)
 	p.mu.Unlock()
@@ -616,7 +629,8 @@ func (p *planScope) runLoop(sp *trace.Span, atom *engine.TaskAtom) (flagged bool
 	}
 
 	for iter := 0; iter < maxIter; iter++ {
-		it := &planScope{run: p.run, ep: body, channels: map[int]*channel.Channel{loopInput.ID: state}, iter: iter}
+		it := &planScope{run: p.run, ep: body, channels: make([]*channel.Channel, body.Physical.IDBound()), iter: iter}
+		it.channels[loopInput.ID] = state
 		err := it.runPlan()
 		flagged = flagged || it.flagged
 		if err != nil {

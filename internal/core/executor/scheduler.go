@@ -8,7 +8,7 @@
 //
 // Concurrency contract (see also DESIGN.md §5):
 //
-//   - every plan's channel map, Result accumulation and the audit
+//   - every plan's channel table, Result accumulation and the audit
 //     ledger are guarded by run.mu; trace consumers are serialized by
 //     the run's Tracer;
 //   - three bounds, one semaphore type: Parallelism caps a plan's
@@ -29,7 +29,7 @@
 //     map. At most one adaptive re-plan happens per run;
 //   - loop atoms keep sequential per-iteration semantics, but each
 //     iteration's body plan is scheduled concurrently by the same
-//     machinery (a planScope with its own channel map).
+//     machinery (a planScope with its own channel table).
 package executor
 
 import (
@@ -51,22 +51,7 @@ type atomNode struct {
 	readyAt    time.Time // when the last dependency resolved (queue-wait base)
 }
 
-// externalInputIDs lists the physical operator IDs whose channels the
-// atom needs before it can start: for compute atoms the inputs that
-// cross the atom boundary, for loop atoms the loop operator's inputs.
-func externalInputIDs(atom *engine.TaskAtom) []int {
-	var ids []int
-	for _, op := range atomOps(atom) {
-		for _, in := range op.Inputs {
-			if !atom.Contains(in.ID) {
-				ids = append(ids, in.ID)
-			}
-		}
-	}
-	return ids
-}
-
-// runPlan executes the scope's plan against its channel map (a loop
+// runPlan executes the scope's plan against its channel table (a loop
 // body's comes with the LoopInput channel pre-seeded), re-planning the
 // rest whenever the top-level schedule quiesces for it: once at most
 // for adaptive re-optimization, once per newly excluded platform for
@@ -77,7 +62,7 @@ func (p *planScope) runPlan() error {
 		if err != nil || !replan {
 			return err
 		}
-		// Quiesced: every worker has drained, so the channel map and the
+		// Quiesced: every worker has drained, so the channel table and the
 		// result are stable and single-threaded access is safe.
 		// Completed atoms keep their channels and stay frozen.
 		newEP, err := p.reoptimize(fo)
@@ -164,36 +149,42 @@ func (p *planScope) runAtom(n *atomNode) (flagged bool, err error) {
 // cancelling its in-flight siblings.
 func (p *planScope) scheduleAtoms() (replan bool, failover *failoverError, err error) {
 	// Graph setup is single-threaded: no workers are live yet, so the
-	// channel map can be read unlocked.
-	producer := make(map[int]*atomNode)
-	var nodes []*atomNode
+	// channel table can be read unlocked. The pending atoms' nodes share
+	// one slab and the producer index is a table by operator ID: the
+	// graph costs the same whatever the plan's width.
+	nodes := make([]atomNode, 0, len(p.ep.Atoms))
+	producer := make([]*atomNode, len(p.channels))
 	for _, atom := range p.ep.Atoms {
 		if atomDone(atom, p.channels) {
 			continue // outputs already available (re-optimized run)
 		}
-		n := &atomNode{atom: atom}
-		nodes = append(nodes, n)
+		nodes = append(nodes, atomNode{atom: atom})
 		for _, op := range atomOps(atom) {
-			producer[op.ID] = n
+			producer[op.ID] = &nodes[len(nodes)-1]
 		}
 	}
-	var ready []*atomNode
-	for _, n := range nodes {
-		seen := make(map[*atomNode]bool)
-		for _, id := range externalInputIDs(n.atom) {
-			if p.channels[id] != nil {
-				continue // pre-seeded or produced by a completed atom
+	ready := make([]*atomNode, 0, len(nodes))
+	for i := range nodes {
+		n := &nodes[i]
+		// The producers an atom waits for: those of its inputs that cross
+		// the atom boundary (a loop atom's are its loop operator's).
+		for _, op := range atomOps(n.atom) {
+			for _, in := range op.Inputs {
+				if n.atom.Contains(in.ID) || p.channels[in.ID] != nil {
+					continue // in-atom, pre-seeded or produced by a completed atom
+				}
+				// A needed channel with no pending producer is left for
+				// the atom itself to report, preserving the sequential
+				// executor's error message. The scan is in atom order, so
+				// a producer already counted is the last one this atom
+				// joined.
+				prod := producer[in.ID]
+				if prod == nil || prod == n || (len(prod.dependents) > 0 && prod.dependents[len(prod.dependents)-1] == n) {
+					continue
+				}
+				n.waits++
+				prod.dependents = append(prod.dependents, n)
 			}
-			// A needed channel with no pending producer is left for
-			// the atom itself to report, preserving the sequential
-			// executor's error message.
-			prod := producer[id]
-			if prod == nil || prod == n || seen[prod] {
-				continue
-			}
-			seen[prod] = true
-			n.waits++
-			prod.dependents = append(prod.dependents, n)
 		}
 		if n.waits == 0 {
 			ready = append(ready, n)

@@ -46,8 +46,8 @@ import (
 // shardedExec is one atom's planned shard fan-out: the pre-split input
 // shards and the per-exit merge classification.
 type shardedExec struct {
-	extOp, extSlot int                // the single external (op, slot) the shards feed
-	shards         []*channel.Channel // per-shard input, platform-native format
+	extPos, extSlot int                // the single external (operator position, slot) the shards feed
+	shards          []*channel.Channel // per-shard input, platform-native format
 	// combineOf maps each operator to the combining operator governing
 	// its output's merge (a sink inherits its input's), or nil for
 	// record-wise output (exit merge = concat in shard order).
@@ -61,10 +61,12 @@ func (r *run) planShards(platform engine.Platform, atom *engine.TaskAtom, inputs
 	if r.opts.Shards <= 1 || atom.Kind != engine.AtomCompute {
 		return nil
 	}
-	extOp, extSlot, n := 0, 0, 0
-	for opID, slots := range inputs {
-		for slot := range slots {
-			extOp, extSlot, n = opID, slot, n+1
+	extPos, extSlot, n := 0, 0, 0
+	for pos, slots := range inputs {
+		for slot, ch := range slots {
+			if ch != nil {
+				extPos, extSlot, n = pos, slot, n+1
+			}
 		}
 	}
 	if n != 1 {
@@ -74,7 +76,7 @@ func (r *run) planShards(platform engine.Platform, atom *engine.TaskAtom, inputs
 	if !ok {
 		return nil
 	}
-	in := inputs[extOp][extSlot]
+	in := inputs[extPos][extSlot]
 	if in.Records < 2 {
 		return nil
 	}
@@ -82,7 +84,7 @@ func (r *run) planShards(platform engine.Platform, atom *engine.TaskAtom, inputs
 	if len(split) < 2 {
 		return nil
 	}
-	return &shardedExec{extOp: extOp, extSlot: extSlot, shards: split, combineOf: combineOf}
+	return &shardedExec{extPos: extPos, extSlot: extSlot, shards: split, combineOf: combineOf}
 }
 
 // shardClasses classifies the atom's operators for sharding: streamy
@@ -204,7 +206,8 @@ func (p *planScope) executeShards(ctx context.Context, platform engine.Platform,
 		}, time.Time{})
 		defer func() { p.tr.End(ssp, r.m, r.err) }()
 		defer recoverFatal(atom, &r.err) // a shard goroutine is outside runAtom's net
-		ins := engine.AtomInputs{sh.extOp: {sh.extSlot: sh.shards[i]}}
+		ins := engine.NewAtomInputs(atom)
+		ins[sh.extPos][sh.extSlot] = sh.shards[i]
 		r.exits, r.m, r.err = platform.ExecuteAtom(ctx, atom, ins)
 	}
 	var wg sync.WaitGroup

@@ -7,8 +7,8 @@
 package metrics
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"sync/atomic"
 
 	"rheem/internal/core/channel"
@@ -370,7 +370,7 @@ func (c *Collector) Consumer(run *Run) trace.Consumer {
 			run.replan()
 		case trace.AuditRecords:
 			for _, a := range e.Audits {
-				c.audits.With(fmt.Sprintf("%t", a.Flagged)).Inc()
+				c.audits.With(strconv.FormatBool(a.Flagged)).Inc()
 			}
 		}
 	}

@@ -6,6 +6,10 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
+
+	"rheem/internal/core/profile"
+	"rheem/internal/core/trace"
 )
 
 func TestServerEndpoints(t *testing.T) {
@@ -96,5 +100,55 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProfileEndpointBuildsOnRead pins the flight recorder's lazy
+// profile: recorded without a store, annotated by the job service, and
+// read for the first time over /runs/{id}/profile, a run serves the same
+// bytes as the profile built eagerly from the same spans — and the same
+// bytes again on the next read.
+func TestProfileEndpointBuildsOnRead(t *testing.T) {
+	h := NewHub()
+	rec := profile.NewRecorder(4, nil)
+	h.SetFlightRecorder(rec)
+	started := time.Now()
+	at := func(ms int) time.Time { return started.Add(time.Duration(ms) * time.Millisecond) }
+	span := func(id int, name string, from, to int) *trace.Span {
+		return &trace.Span{ID: id, Kind: trace.KindAtom, AtomID: id - 1, Name: name, Platform: "java",
+			Iteration: -1, Shard: -1, StartedAt: at(from), EndedAt: at(to), Wall: at(to).Sub(at(from))}
+	}
+	spans := []*trace.Span{span(1, "atom#0@java{src → Map#1}", 0, 3), span(2, "atom#1@java{Sink#2}", 3, 5)}
+	rec.Record(7, "lazy", at(0), at(6), nil, &trace.Trace{Spans: spans})
+	dispatch := &trace.Span{Kind: trace.KindDispatch, Name: "dispatch", Plan: "t/lazy#j-1",
+		Iteration: -1, Shard: -1, Job: "j-1", Tenant: "t", StartedAt: at(0), EndedAt: at(6), Wall: at(6).Sub(at(0))}
+	if err := rec.Annotate(7, dispatch); err != nil {
+		t.Fatal(err)
+	}
+	eager, err := json.MarshalIndent(profile.Build(7, "lazy", at(0), at(6), "", append(spans, dispatch)), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(append(eager, '\n'))
+
+	srv := NewServer(h)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for read := 1; read <= 2; read++ {
+		resp, err := http.Get("http://" + addr + "/runs/7/profile")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("read %d: status %d\n%s", read, resp.StatusCode, body)
+		}
+		if string(body) != want {
+			t.Errorf("read %d serves\n%s\nwant the eagerly built\n%s", read, body, want)
+		}
 	}
 }

@@ -32,8 +32,11 @@ func splitAtoms(p *physical.Plan, pos []int32, assignment map[int]engine.Platfor
 	deps := func(atom int) bitset { return row(2*n + atom) }  // atoms the atom consumes from
 	external, pending := row(3*n), row(3*n+1)                 // operators consumed outside their atom; atoms not yet ordered
 
-	atomOf := make([]*engine.TaskAtom, n) // by operator position
-	var atoms []*engine.TaskAtom          // atoms[i].ID == i
+	// There are at most as many atoms as operators, so the atom of every
+	// operator (by position), the atoms in creation order (atoms[i].ID ==
+	// i) and the atoms in execution order share one backing array.
+	refs := make([]*engine.TaskAtom, 3*n)
+	atomOf, atoms, sorted := refs[:n], refs[n:n:2*n], refs[2*n:2*n:3*n]
 	newAtom := func(kind engine.AtomKind, pl engine.PlatformID) *engine.TaskAtom {
 		a := &engine.TaskAtom{ID: len(atoms), Kind: kind, Platform: pl}
 		atoms = append(atoms, a)
@@ -135,7 +138,6 @@ func splitAtoms(p *physical.Plan, pos []int32, assignment map[int]engine.Platfor
 	// Order atoms topologically (Kahn), earliest-created first among the
 	// ready. Convexity guarantees the atom graph is acyclic; a cycle here
 	// is an internal invariant violation.
-	sorted := make([]*engine.TaskAtom, 0, len(atoms))
 	for len(sorted) < len(atoms) {
 		progressed := false
 		for _, a := range atoms {

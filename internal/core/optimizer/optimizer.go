@@ -109,7 +109,7 @@ type ExecutionPlan struct {
 	// so the calibrator always learns against the fixed, uncalibrated
 	// model — learning against already-corrected estimates would feed
 	// the correction back into itself. Without calibration they alias
-	// the calibrated fields.
+	// the calibrated fields (RawOpCosts is OpCosts, the same map).
 	RawOpCosts   map[int]cost.Cost
 	RawEstimates *cost.Estimates
 	RawEstimated cost.Cost
@@ -157,12 +157,16 @@ func Optimize(p *physical.Plan, reg *engine.Registry, opts Options) (*ExecutionP
 func optimizeWith(p *physical.Plan, reg *engine.Registry, opts Options, est, rawEst *cost.Estimates) (*ExecutionPlan, error) {
 	ep := &ExecutionPlan{
 		Physical:     p,
-		Assignment:   make(map[int]engine.PlatformID, len(p.Ops)),
-		LoopBodies:   make(map[int]*ExecutionPlan),
+		Assignment:   make(map[int]engine.PlatformID, perOp(p)),
 		Estimates:    est,
 		RawEstimates: rawEst,
-		OpCosts:      make(map[int]cost.Cost, len(p.Ops)),
-		RawOpCosts:   make(map[int]cost.Cost, len(p.Ops)),
+		OpCosts:      make(map[int]cost.Cost, perOp(p)),
+	}
+	// Uncalibrated, raw and calibrated costs are one computation: vectorCost
+	// writes the same value into both, so one map serves.
+	ep.RawOpCosts = ep.OpCosts
+	if opts.Calibration != nil {
+		ep.RawOpCosts = make(map[int]cost.Cost, perOp(p))
 	}
 	// Optimize loop bodies first: a loop's cost and platform derive
 	// from its body.
@@ -172,6 +176,9 @@ func optimizeWith(p *physical.Plan, reg *engine.Registry, opts Options, est, raw
 			body, err := optimizeWith(op.Body, reg, opts, est, rawEst)
 			if err != nil {
 				return nil, fmt.Errorf("optimizer: loop body of %s: %w", op.Name(), err)
+			}
+			if ep.LoopBodies == nil {
+				ep.LoopBodies = make(map[int]*ExecutionPlan)
 			}
 			ep.LoopBodies[op.ID] = body
 		}
@@ -188,6 +195,13 @@ func optimizeWith(p *physical.Plan, reg *engine.Registry, opts Options, est, raw
 	ep.Atoms = atoms
 	return ep, nil
 }
+
+// perOp is the size hint of a map keyed by the plan's operators: never
+// below nine, so the runtime builds the map as a table at once — four
+// objects up to some 900 operators. A small map takes two objects up to
+// eight entries and four past them, and a plan's width would show in
+// what optimizing it allocates.
+func perOp(p *physical.Plan) int { return max(len(p.Ops), 9) }
 
 // positions maps operator IDs to positions in p.Ops (-1: not in this
 // plan; IDs are shared across a plan tree). The DP's table and the atom
@@ -235,11 +249,12 @@ type choice struct {
 // charges per-job startup once at the designated root
 // instead of at every root, so an atom that happens to have several
 // sources (a loop body reading both its LoopInput state and a broadcast
-// dataset) is not charged one job submission per source.
-func designatedRoots(p *physical.Plan, pos []int32) []bool {
+// dataset) is not charged one job submission per source. It works in
+// scratch, 2·len(p.Ops) long, and returns its first half: 1 at a
+// designated root's position, 0 elsewhere.
+func designatedRoots(p *physical.Plan, pos []int32, scratch []int32) []int32 {
 	n := len(p.Ops)
-	scratch := make([]int32, 2*n)
-	parent, minRoot := scratch[:n], scratch[n:] // union-find; component → its smallest-ID zero-input op
+	parent, minRoot := scratch[:n], scratch[n:2*n] // union-find; component → its smallest-ID zero-input op
 	find := func(x int32) int32 {
 		for ; parent[x] != x; x = parent[x] {
 			parent[x] = parent[parent[x]]
@@ -263,10 +278,11 @@ func designatedRoots(p *physical.Plan, pos []int32) []bool {
 			minRoot[c] = int32(i)
 		}
 	}
-	out := make([]bool, n)
+	out := parent // the union-find is done with it
+	clear(out)
 	for _, i := range minRoot {
 		if i >= 0 {
-			out[i] = true
+			out[i] = 1
 		}
 	}
 	return out
@@ -314,11 +330,12 @@ func assignPlatforms(p *physical.Plan, pos []int32, reg *engine.Registry, opts O
 			}
 		}
 	}
-	roots := designatedRoots(p, pos)
+	// One backing array for the root marks and all cells' input picks,
+	// one scratch slice for the cost models' input cardinalities.
+	ints := make([]int32, 2*len(p.Ops)+edges*np)
+	roots := designatedRoots(p, pos, ints)
+	picks := ints[2*len(p.Ops):]
 	d.cells = make([]choice, len(p.Ops)*np)
-	// One backing array for all cells' input picks, one scratch slice for
-	// the cost models' input cardinalities.
-	picks := make([]int32, edges*np)
 	cards := make([]int64, 2*maxIn)
 
 	for _, op := range p.Ops {
@@ -375,7 +392,7 @@ func assignPlatforms(p *physical.Plan, pos []int32, reg *engine.Registry, opts O
 			// another platform. Within an atom, startup is paid once.
 			inPlats := picks[:nin:nin]
 			var inTotal time.Duration
-			newAtom := nin == 0 && roots[pos[op.ID]]
+			newAtom := nin == 0 && roots[pos[op.ID]] != 0
 			feasibleInputs := true
 			for i, in := range op.Inputs {
 				from, total, ok := d.cheapestInput(in, pi, op)
@@ -527,7 +544,7 @@ func (d *dp) backtrack(op *physical.Operator, pi int, ep *ExecutionPlan) {
 // on raw cardinalities, which is what the calibrator learns against.
 // cards is scratch for the cost models' input cardinalities, twice the
 // plan's widest operator.
-func vectorCost(p *physical.Plan, reg *engine.Registry, opts Options, ep *ExecutionPlan, roots []bool, pos []int32, cards []int64) (total, rawTotal cost.Cost) {
+func vectorCost(p *physical.Plan, reg *engine.Registry, opts Options, ep *ExecutionPlan, roots, pos []int32, cards []int64) (total, rawTotal cost.Cost) {
 	est, rawEst := ep.Estimates, ep.RawEstimates
 	for _, op := range p.Ops {
 		pl := ep.Assignment[op.ID]
@@ -556,7 +573,7 @@ func vectorCost(p *physical.Plan, reg *engine.Registry, opts Options, ep *Execut
 				if f := opts.Calibration.CostFactor(op.Kind().String(), string(pl)); f != 1 {
 					oc = oc.Times(f)
 				}
-				newAtom := len(op.Inputs) == 0 && roots[pos[op.ID]]
+				newAtom := len(op.Inputs) == 0 && roots[pos[op.ID]] != 0
 				for _, in := range op.Inputs {
 					if ep.Assignment[in.ID] != pl {
 						newAtom = true

@@ -58,14 +58,24 @@ func (o *Operator) Kind() plan.OpKind { return o.Logical.Kind() }
 
 // Name renders the operator with its algorithm for plan printouts.
 func (o *Operator) Name() string {
-	n := o.Logical.Name()
+	if !o.Enhancer && (o.Algo == Default || o.Algo == "") {
+		return o.Logical.Name()
+	}
+	return string(o.AppendName(make([]byte, 0, 64)))
+}
+
+// AppendName appends Name() to b.
+func (o *Operator) AppendName(b []byte) []byte {
+	b = o.Logical.AppendName(b)
 	if o.Enhancer {
-		n += "+"
+		b = append(b, '+')
 	}
 	if o.Algo != Default && o.Algo != "" {
-		n += "[" + string(o.Algo) + "]"
+		b = append(b, '[')
+		b = append(b, o.Algo...)
+		b = append(b, ']')
 	}
-	return n
+	return b
 }
 
 // Plan is a DAG of physical operators with one sink, in topological
@@ -94,31 +104,69 @@ func FromLogical(p *plan.Plan) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("physical: %w", err)
 	}
-	return fromLogical(p, new(atomic.Int64))
+	r := new(root)
+	r.nextID = &r.ids
+	fromLogical(&r.Plan, p)
+	return &r.Plan, nil
 }
 
-func fromLogical(p *plan.Plan, counter *atomic.Int64) (*Plan, error) {
-	out := &Plan{Name: p.Name(), nextID: counter}
-	byLogical := make(map[int]*Operator, len(p.Operators()))
-	for _, lop := range p.Operators() {
-		pop := &Operator{ID: int(counter.Add(1) - 1), Logical: lop}
-		for _, in := range lop.Inputs() {
-			pop.Inputs = append(pop.Inputs, byLogical[in.ID()])
+// root is a top-level plan and the ID counter its loop bodies share, in
+// one allocation.
+type root struct {
+	Plan
+	ids atomic.Int64
+}
+
+// fromLogical fills out, whose nextID is set, from p. Whatever the
+// plan's width it allocates twice: one slab holds the operators, one
+// backing array the operator list and every input list. Logical IDs are
+// positions (plan.Validate checks it), so the slab is also the index
+// from a logical input to its physical operator.
+func fromLogical(out *Plan, p *plan.Plan) {
+	lops := p.Operators()
+	n, edges := len(lops), 0
+	for _, lop := range lops {
+		edges += len(lop.Inputs())
+	}
+	slab := make([]Operator, n)
+	ptrs := make([]*Operator, n+edges)
+	out.Name, out.Ops = p.Name(), ptrs[:n:n]
+	ins := ptrs[n:]
+	for i, lop := range lops {
+		pop := &slab[i]
+		pop.ID, pop.Logical = int(out.nextID.Add(1)-1), lop
+		if k := len(lop.Inputs()); k > 0 {
+			pop.Inputs, ins = ins[:k:k], ins[k:]
+			for j, in := range lop.Inputs() {
+				pop.Inputs[j] = &slab[in.ID()]
+			}
 		}
 		if lop.Body != nil {
-			body, err := fromLogical(lop.Body, counter)
-			if err != nil {
-				return nil, err
-			}
-			pop.Body = body
+			pop.Body = &Plan{nextID: out.nextID}
+			fromLogical(pop.Body, lop.Body)
 		}
-		byLogical[lop.ID()] = pop
-		out.Ops = append(out.Ops, pop)
+		out.Ops[i] = pop
 		if lop == p.Sink() {
 			out.SinkOp = pop
 		}
 	}
-	return out, nil
+}
+
+// IDBound returns a bound on the operator IDs of the plan's tree — the
+// plan, its loop bodies and the plan it is a body of: every ID is below
+// it, so a slice of that length indexes operators by ID.
+func (p *Plan) IDBound() int {
+	if p.nextID != nil {
+		return int(p.nextID.Load())
+	}
+	n := 0
+	for _, op := range p.Ops {
+		n = max(n, op.ID+1)
+		if op.Body != nil {
+			n = max(n, op.Body.IDBound())
+		}
+	}
+	return n
 }
 
 // Candidates returns the algorithmic decision space of an operator —
@@ -159,25 +207,38 @@ func (p *Plan) Validate() error {
 	if p.SinkOp == nil {
 		return fmt.Errorf("physical: plan %q has no sink", p.Name)
 	}
-	seen := map[int]bool{}
+	// The IDs seen so far: a bitset, on the stack up to 256 IDs.
+	bound := 0
+	for _, op := range p.Ops {
+		if op.ID < 0 {
+			return fmt.Errorf("physical: plan %q: %s has negative id %d", p.Name, op.Name(), op.ID)
+		}
+		bound = max(bound, op.ID+1)
+	}
+	var small [4]uint64
+	seen := small[:]
+	if w := (bound + 63) / 64; w > len(small) {
+		seen = make([]uint64, w)
+	}
+	has := func(id int) bool { return id >= 0 && id < bound && seen[id>>6]&(1<<(id&63)) != 0 }
 	for _, op := range p.Ops {
 		for _, in := range op.Inputs {
-			if !seen[in.ID] {
+			if !has(in.ID) {
 				return fmt.Errorf("physical: plan %q: %s consumes %s before definition",
 					p.Name, op.Name(), in.Name())
 			}
 		}
-		if seen[op.ID] {
+		if has(op.ID) {
 			return fmt.Errorf("physical: plan %q: duplicate op id %d", p.Name, op.ID)
 		}
-		seen[op.ID] = true
+		seen[op.ID>>6] |= 1 << (op.ID & 63)
 		if op.Body != nil {
 			if err := op.Body.Validate(); err != nil {
 				return err
 			}
 		}
 	}
-	if !seen[p.SinkOp.ID] {
+	if !has(p.SinkOp.ID) {
 		return fmt.Errorf("physical: plan %q: sink not in op list", p.Name)
 	}
 	return nil

@@ -72,6 +72,40 @@ func TestFromLogicalLoopBody(t *testing.T) {
 	}
 }
 
+// TestFromLogicalAllocatesPerPlan pins the slab translation: a plan
+// costs three objects — the plan with its ID counter, the operator
+// slab, one array for the operator list and every input list — however
+// wide it is, and a loop body three more (its plan, slab and array).
+func TestFromLogicalAllocatesPerPlan(t *testing.T) {
+	chain := func(width int) *plan.Plan {
+		b := plan.NewBuilder("chain")
+		op := b.Source("src", plan.Collection(nil))
+		for i := 0; i < width-2; i++ {
+			op = b.Filter(op, func(data.Record) (bool, error) { return true, nil })
+		}
+		b.Collect(op)
+		return b.MustBuild()
+	}
+	bb := plan.NewBodyBuilder("body")
+	bb.Collect(bb.Map(bb.LoopInput("st"), plan.Identity()))
+	b := plan.NewBuilder("loop")
+	b.Collect(b.Repeat(b.Source("src", plan.Collection(nil)), 2, bb.MustBuild()))
+	for _, c := range []struct {
+		name string
+		p    *plan.Plan
+		want float64
+	}{{"4 operators", chain(4), 3}, {"64 operators", chain(64), 3}, {"a loop", b.MustBuild(), 6}} {
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := FromLogical(c.p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("translating %s made %.0f allocations, want %.0f", c.name, got, c.want)
+		}
+	}
+}
+
 func TestCandidates(t *testing.T) {
 	p, _ := FromLogical(buildLogical(t))
 	var groupOp *Operator

@@ -17,6 +17,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 
 	"rheem/internal/core/batch"
 	"rheem/internal/data"
@@ -248,7 +249,18 @@ func (o *Operator) Name() string {
 	if o.name != "" {
 		return o.name
 	}
-	return fmt.Sprintf("%s#%d", o.kind, o.id)
+	return o.kind.String() + "#" + strconv.Itoa(o.id)
+}
+
+// AppendName appends the operator's display name to b, so a label made
+// of many operators' names (a task atom's) costs no string per name.
+func (o *Operator) AppendName(b []byte) []byte {
+	if o.name != "" {
+		return append(b, o.name...)
+	}
+	b = append(b, o.kind.String()...)
+	b = append(b, '#')
+	return strconv.AppendInt(b, int64(o.id), 10)
 }
 
 // Inputs returns the upstream operators. Callers must not mutate the

@@ -47,10 +47,16 @@ func (p *Plan) Validate() error {
 	if p.sink == nil {
 		return fmt.Errorf("plan %q: no sink", p.name)
 	}
-	seen := make(map[int]bool, len(p.ops))
-	consumed := make(map[int]bool, len(p.ops))
+	// The builder numbers operators by position, so "defined earlier" is
+	// a position test and the consumed set a bitset over positions — on
+	// the stack up to 256 operators.
+	var small [4]uint64
+	consumed := small[:]
+	if w := (len(p.ops) + 63) / 64; w > len(small) {
+		consumed = make([]uint64, w)
+	}
 	loopInputs := 0
-	for _, op := range p.ops {
+	for i, op := range p.ops {
 		if err := op.validatePayload(); err != nil {
 			return fmt.Errorf("plan %q: %w", p.name, err)
 		}
@@ -58,16 +64,15 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("plan %q: %s has %d inputs, kind wants %d", p.name, op.Name(), got, want)
 		}
 		for _, in := range op.in {
-			if !seen[in.id] {
+			if in.id < 0 || in.id >= i || p.ops[in.id] != in {
 				return fmt.Errorf("plan %q: %s consumes %s before definition (cycle or foreign operator)",
 					p.name, op.Name(), in.Name())
 			}
-			consumed[in.id] = true
+			consumed[in.id>>6] |= 1 << (in.id & 63)
 		}
-		if seen[op.id] {
-			return fmt.Errorf("plan %q: duplicate operator id %d", p.name, op.id)
+		if op.id != i {
+			return fmt.Errorf("plan %q: operator id %d at position %d", p.name, op.id, i)
 		}
-		seen[op.id] = true
 		switch op.kind {
 		case KindLoopInput:
 			loopInputs++
@@ -86,8 +91,8 @@ func (p *Plan) Validate() error {
 	if p.body && loopInputs != 1 {
 		return fmt.Errorf("plan %q: loop body has %d LoopInputs, want 1", p.name, loopInputs)
 	}
-	for _, op := range p.ops {
-		if op != p.sink && !consumed[op.id] && op.kind != KindSink {
+	for i, op := range p.ops {
+		if op != p.sink && consumed[i>>6]&(1<<(i&63)) == 0 && op.kind != KindSink {
 			return fmt.Errorf("plan %q: %s is dangling (never consumed)", p.name, op.Name())
 		}
 	}

@@ -369,9 +369,44 @@ func TestRecorderAnnotate(t *testing.T) {
 	}
 }
 
+// TestRecorderBuildsProfileOnce pins when the recorder builds: without
+// a store not on Record or Annotate but on the first Get, which keeps
+// the built record for every later reader; with one on Record, because
+// the persisted JSON carries the profile.
+func TestRecorderBuildsProfileOnce(t *testing.T) {
+	r := NewRecorder(4, nil)
+	if rec := r.Record(1, "lazy", at(0), at(3), nil, &trace.Trace{Spans: []*trace.Span{span(1, "map", 0, 3)}}); rec.Profile != nil {
+		t.Error("Record built the profile of a run nobody has read")
+	}
+	first, _ := r.Get(1)
+	again, _ := r.Get(1)
+	if first.Profile == nil || first != again {
+		t.Fatalf("Get returned %p then %p, want one built record", first, again)
+	}
+	if err := r.Annotate(1, &trace.Span{Kind: trace.KindQueue, Iteration: -1, Shard: -1, StartedAt: at(0), EndedAt: at(1), Wall: time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	annotated, _ := r.Get(1)
+	if annotated == first || first.Profile.Phases != nil || len(annotated.Profile.Phases) != 1 {
+		t.Errorf("annotation changed the record already read, or its profile lacks the phase: %+v", annotated.Profile.Phases)
+	}
+	if p := annotated.Profile; p.WallNS != int64(3*time.Second) || p.Err != "" || p.Name != "lazy" {
+		t.Errorf("profile built on read lost the run's times or name: %+v", p)
+	}
+
+	store := storage.NewManager(0, nil)
+	if err := store.Register(memstore.New(1 << 20)); err != nil {
+		t.Fatal(err)
+	}
+	if rec := NewRecorder(4, store).Record(2, "kept", at(0), at(1), nil, nil); rec.Profile == nil {
+		t.Error("a persisted record went to the store without its profile")
+	}
+}
+
 func TestRecorderFailedRun(t *testing.T) {
 	r := NewRecorder(4, nil)
-	rec := r.Record(3, "boom", at(0), at(2), errors.New("injected"), nil)
+	r.Record(3, "boom", at(0), at(2), errors.New("injected"), nil)
+	rec, _ := r.Get(3)
 	if rec.Profile.Err != "injected" || rec.Profile.Spans != 0 {
 		t.Errorf("failed-run profile = %+v", rec.Profile)
 	}

@@ -29,7 +29,9 @@ var recordSchema = data.MustSchema(data.Field{Name: "json", Type: data.KindStrin
 // Record is one completed run as the flight recorder keeps it: the raw
 // spans and audit trail plus the profile built from them. Spans lose
 // their Atom pointers when persisted, so the profile travels with them
-// instead of being recomputed.
+// instead of being recomputed. A record Get returns always carries its
+// profile; one kept in memory only builds it there, the first time it
+// is read.
 type Record struct {
 	Schema  int               `json:"schema"`
 	RunID   int64             `json:"run_id"`
@@ -37,6 +39,21 @@ type Record struct {
 	Spans   []*trace.Span     `json:"spans"`
 	Audits  []trace.CardAudit `json:"audits,omitempty"`
 	Profile *Profile          `json:"profile"`
+
+	// What Build takes besides the spans, for a profile not built yet.
+	started, ended time.Time
+	runErr         string
+}
+
+// built returns the record with its profile: rec itself when it has
+// one, else a copy carrying the profile Build makes.
+func (rec *Record) built() *Record {
+	if rec.Profile != nil {
+		return rec
+	}
+	b := *rec
+	b.Profile = Build(b.RunID, b.Name, b.started, b.ended, b.runErr, b.Spans)
+	return &b
 }
 
 // Recorder keeps a bounded history of completed-run records, optionally
@@ -79,9 +96,11 @@ func (r *Recorder) SetHistory(n int) {
 	r.trimLocked()
 }
 
-// Record folds a completed run into the history: builds its profile,
-// evicts past the history bound and persists the record if a store is
-// configured. Returns the stored record.
+// Record folds a completed run into the history: evicts past the
+// history bound and, if a store is configured, builds the run's profile
+// and persists the record. Without a store the profile is built the
+// first time Get reads the record — most runs are never looked at.
+// Returns the stored record, whose Profile is nil until then.
 func (r *Recorder) Record(runID int64, name string, started, ended time.Time, runErr error, tr *trace.Trace) *Record {
 	errStr := ""
 	if runErr != nil {
@@ -98,7 +117,12 @@ func (r *Recorder) Record(runID int64, name string, started, ended time.Time, ru
 		Name:    name,
 		Spans:   spans,
 		Audits:  audits,
-		Profile: Build(runID, name, started, ended, errStr, spans),
+		started: started,
+		ended:   ended,
+		runErr:  errStr,
+	}
+	if r.store != nil {
+		rec = rec.built() // the persisted JSON carries the profile
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -115,12 +139,13 @@ func (r *Recorder) Record(runID int64, name string, started, ended time.Time, ru
 
 // Annotate appends spans to an already-recorded run — the job service
 // uses it to attach the admission/queue/dispatch phases after the job
-// reaches its terminal state — then rebuilds the profile and
-// re-persists. Spans with ID 0 are assigned IDs continuing past the
-// record's highest. Unknown runs (evicted, or never recorded) return an
-// error. Annotate installs a replacement record rather than mutating in
-// place: a Record returned by Get is immutable, so concurrent readers
-// (the monitoring endpoints) never observe a half-updated profile.
+// reaches its terminal state — then, with a store, rebuilds the profile
+// and re-persists (without one the profile is built when first read).
+// Spans with ID 0 are assigned IDs continuing past the record's highest.
+// Unknown runs (evicted, or never recorded) return an error. Annotate
+// installs a replacement record rather than mutating in place: a Record
+// returned by Get is immutable, so concurrent readers (the monitoring
+// endpoints) never observe a half-updated profile.
 func (r *Recorder) Annotate(runID int64, spans ...*trace.Span) error {
 	if len(spans) == 0 {
 		return nil
@@ -145,18 +170,31 @@ func (r *Recorder) Annotate(runID int64, spans ...*trace.Span) error {
 			sp.ID = maxID
 		}
 	}
-	p := old.Profile
-	rec.Profile = Build(rec.RunID, rec.Name, p.StartedAt, p.EndedAt, p.Err, rec.Spans)
-	r.recs[runID] = &rec
-	r.persistLocked(&rec)
+	if p := old.Profile; p != nil {
+		// A rehydrated record knows its run's times only from its profile.
+		rec.started, rec.ended, rec.runErr = p.StartedAt, p.EndedAt, p.Err
+	}
+	rec.Profile = nil
+	next := &rec
+	if r.store != nil {
+		next = next.built()
+	}
+	r.recs[runID] = next
+	r.persistLocked(next)
 	return nil
 }
 
-// Get returns the record for a run, if still retained.
+// Get returns the record for a run, if still retained, with its
+// profile: built now, once, if nobody has read the record before — the
+// built record replaces the stored one, as Annotate's does.
 func (r *Recorder) Get(runID int64) (*Record, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rec, ok := r.recs[runID]
+	if ok && rec.Profile == nil {
+		rec = rec.built()
+		r.recs[runID] = rec
+	}
 	return rec, ok
 }
 

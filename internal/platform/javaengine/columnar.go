@@ -664,6 +664,11 @@ func (d *datasetOps) execHinted(ctx context.Context, op *physical.Operator, inpu
 		out, err = p.group(op.Logical, op.Algo == physical.SortGroupBy)
 		return out, true, err
 	}
+	if p.stages == nil && d.atom != nil {
+		// Room for the longest chain the atom holds: a pipeline never
+		// grows its stage list, whatever the atom's width.
+		p.stages = make([]stage, 0, len(d.atom.Ops))
+	}
 	p.push(op.Logical)
 	if d.shared(op) {
 		// Several readers: evaluate the chain here, once, and hand each

@@ -73,7 +73,7 @@ func runChain(t *testing.T, in any, hinted bool, name string, build func(b *plan
 		ch = channel.NewBatch(in)
 	}
 	atom := &engine.TaskAtom{Kind: engine.AtomCompute, Platform: ID, Exits: []*physical.Operator{pp.SinkOp}}
-	inputs := engine.AtomInputs{}
+	var inputs engine.AtomInputs
 	for _, op := range pp.Ops {
 		if op.Kind() == plan.KindSource {
 			continue
@@ -85,11 +85,13 @@ func runChain(t *testing.T, in any, hinted bool, name string, build func(b *plan
 			op.Algo = physical.SortGroupBy
 		}
 		atom.Ops = append(atom.Ops, op)
+		slots := make([]*channel.Channel, len(op.Inputs))
 		for slot, p := range op.Inputs {
 			if p.Kind() == plan.KindSource {
-				inputs[op.ID] = map[int]*channel.Channel{slot: ch}
+				slots[slot] = ch
 			}
 		}
+		inputs = append(inputs, slots)
 	}
 	exits, _, err := New(Config{}).ExecuteAtom(context.Background(), atom, inputs)
 	if err != nil {

@@ -17,12 +17,17 @@ import (
 // benchmark's small-sql workload (benchmarks/e2e/sqlref.go) at one
 // literal each, with what rheemql.Run may allocate for one over
 // DefaultCatalog(500): objects and bytes, pinned about four percent
-// above what the vectorized lowering reads over the catalog's columns with
-// its window scratch leased (150/150/149/157/154/151/129/183 objects,
-// 29.1/16.1/15.4/16.2/14.4/12.8/12.9/27.0 KB) plus, in bytes, the 1.4 KB
-// a query reads more when one of the twenty had its scratch made anew —
-// the pool is emptied by the collector and keeps a scratch per P. With
-// every forcing allocating its scratch the templates read 158/173/176/
+// above what the vectorized lowering reads over the catalog's columns
+// with its window scratch leased and a control plane that allocates per
+// plan and per atom (112/116/116/115/116/117/98/138 objects, 28.1/15.2/
+// 14.4/15.3/13.6/11.9/12.0/26.3 KB) plus, in bytes, the 1.4 KB a query
+// reads more when one of the twenty had its scratch made anew — the pool
+// is emptied by the collector and keeps a scratch per P. With objects
+// per operator — a physical plan built one at a time, atom inputs in
+// maps, names through fmt — and two trace snapshots a run they read
+// 150/152/151/157/155/153/129/186 objects and 29.1/16.1/15.4/16.2/14.5/
+// 12.8/12.9/28.8 KB. With every forcing allocating its scratch as well
+// 158/173/176/
 // 166/175/171/137/213 objects and 31.8/27.8/27.4/20.3/23.9/18.1/15.8/
 // 47.5 KB; transposing the catalog's rows per query as well, 160/176/
 // 178/167/176/173/138/216 objects and 39.9/40.0/35.4/24.3/32.1/30.2/
@@ -33,14 +38,14 @@ var sqlGateTemplates = []struct {
 	name, sql      string
 	objects, bytes float64
 }{
-	{"filter", "SELECT well, pressure FROM sensors WHERE pressure > 175.5 AND hour < 52", 157, 31800},
-	{"group", "SELECT well, COUNT(*) AS n, AVG(pressure) AS p FROM sensors WHERE hour < 40 GROUP BY well", 156, 18200},
-	{"having", "SELECT well, AVG(temperature) AS t FROM sensors GROUP BY well HAVING t > 68.5", 155, 17500},
-	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 164, 18300},
-	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 161, 16500},
-	{"global", "SELECT COUNT(*) AS n, MAX(pressure) AS hi, MIN(flow) AS lo FROM sensors WHERE temperature < 73.0", 158, 14800},
-	{"wordfilter", "SELECT word FROM words WHERE word = 'big'", 135, 14900},
-	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 191, 30000},
+	{"filter", "SELECT well, pressure FROM sensors WHERE pressure > 175.5 AND hour < 52", 117, 30600},
+	{"group", "SELECT well, COUNT(*) AS n, AVG(pressure) AS p FROM sensors WHERE hour < 40 GROUP BY well", 121, 17300},
+	{"having", "SELECT well, AVG(temperature) AS t FROM sensors GROUP BY well HAVING t > 68.5", 121, 16400},
+	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 120, 17400},
+	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 121, 15500},
+	{"global", "SELECT COUNT(*) AS n, MAX(pressure) AS hi, MIN(flow) AS lo FROM sensors WHERE temperature < 73.0", 122, 13900},
+	{"wordfilter", "SELECT word FROM words WHERE word = 'big'", 102, 14000},
+	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 144, 28800},
 }
 
 // TestSQLAllocationGate is ROADMAP item 2's gate on the SQL path: a
@@ -88,19 +93,23 @@ func TestSQLAllocationGate(t *testing.T) {
 // configured like the repository benchmark's service-http workload and at
 // that workload's sizes — may allocate: objects and bytes, pinned about
 // four percent above the most the columnar plans read over inputs
-// generated as columns with their window scratch leased (191 / 314–319 /
-// 297 objects, 79.6–80.7 / 197–217 / 112 KB: a 4 000-row scratch the
-// collector took from the pool is 200 KB to make again, 10 KB a job over
-// twenty, and the sensor job allocates enough for that to happen). With
+// generated as columns with their window scratch leased, on a control
+// plane that allocates per plan and per atom and a flight recorder that
+// builds a profile only when one is read (152 / 269–270 / 189 objects,
+// 78.6–79.8 / 196–217 / 107 KB: a 4 000-row scratch the collector took
+// from the pool is 200 KB to make again, 10 KB a job over twenty, and
+// the sensor job allocates enough for that to happen). Building the
+// physical plan an operator at a time and every profile twice they read
+// 191 / 314–319 / 297 objects and 79.6–80.7 / 197–217 / 112 KB. With
 // every forcing allocating its scratch they read 209 / 345 / 336 objects
 // and 121 / 370 / 140 KB; over inputs generated as records and transposed
 // per job 209 / 344 / 340 objects and 317 / 918 / 155 KB; as row UDFs over
 // records generated one by one 12 200 / 12 286 / 2 037 objects and 0.70 /
 // 1.76 / 0.14 MB.
 var builtinGate = []struct{ objects, bytes float64 }{
-	{199, 85_000},  // wordcount, n = 4 000
-	{332, 230_000}, // sensor, n = 4 000
-	{309, 116_500}, // fanout, 200 × 4
+	{158, 83_000},  // wordcount, n = 4 000
+	{281, 226_000}, // sensor, n = 4 000
+	{197, 112_000}, // fanout, 200 × 4
 }
 
 // TestBuiltinAllocationGate is ROADMAP item 2a's gate: the service's own

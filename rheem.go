@@ -408,8 +408,10 @@ type Report struct {
 	// Failovers counts cross-platform failover re-plans (only non-zero
 	// under WithFailover).
 	Failovers int
-	// PlatformHealth is the per-platform circuit-breaker state at the
-	// end of the run.
+	// PlatformHealth is the circuit-breaker state at the end of the run
+	// of every platform whose breaker is not Closed; nil when all are.
+	// An absent platform is Closed, the zero BreakerState, so
+	// PlatformHealth[id] reads every platform right.
 	PlatformHealth map[engine.PlatformID]engine.BreakerState
 	// Trace is the run's span trace and estimate-vs-actual audit trail;
 	// nil unless the run was started WithTracing.
@@ -456,11 +458,18 @@ func (c *Context) Execute(p *plan.Plan, opts ...RunOption) ([]data.Record, *Repo
 	rc.exec.Tracer = tracer
 	res, err := executor.Run(ep, c.reg, rc.exec)
 	run.End(err)
-	// The flight recorder sees every run, failed ones included — the
-	// tracer's snapshot has whatever spans completed before the error.
-	// The calibrator likewise folds whatever finished: completed spans
-	// of a failed run are still evidence about the cost model.
-	snap := tracer.Snapshot()
+	// The flight recorder sees every run, failed ones included, and the
+	// calibrator folds whatever finished: completed spans of a failed run
+	// are still evidence about the cost model. A finished run hands them
+	// the trace the executor took; a failed one has no result, so the
+	// spans that completed come from the tracer. So does the recorder's
+	// copy when the Report carries res.Trace: the caller owns that one.
+	var snap *trace.Trace
+	if err != nil || rc.tracing {
+		snap = tracer.Snapshot()
+	} else {
+		snap = res.Trace
+	}
 	if rec := c.hub.FlightRecorder(); rec != nil {
 		rec.Record(run.ID(), p.Name(), run.Started(), run.Ended(), err, snap)
 	}

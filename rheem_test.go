@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"rheem"
+	"rheem/internal/core/cost"
 	"rheem/internal/core/engine"
 	"rheem/internal/core/fault"
 	"rheem/internal/core/plan"
@@ -670,6 +671,107 @@ func TestFlightRecorderEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFailedRunReachesRecorderAndCalibrator pins Execute's error path:
+// a finished run hands the flight recorder and the calibrator the trace
+// the executor took, but a run that fails mid-plan returns no result,
+// and what its completed atoms measured must still reach both — the
+// spans come from the tracer then.
+func TestFailedRunReachesRecorderAndCalibrator(t *testing.T) {
+	rec := profile.NewRecorder(4, nil)
+	cal := cost.NewCalibrator(cost.CalibratorConfig{})
+	ctx, err := rheem.NewContext(rheem.Config{}, rheem.WithFlightRecorder(rec), rheem.WithCalibration(cal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Java's coverage, surviving one execution: the atom before the loop
+	// runs, the loop body's first atom fails.
+	p := fault.Wrap(javaengine.New(javaengine.Config{}), fault.Options{
+		ID:        "chaos",
+		Schedules: []fault.Schedule{fault.FailAfterN(1, nil)},
+	})
+	if err := fault.Register(ctx.Registry(), p, javaengine.ID); err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := ctx.NewJob("fails-mid-plan").ReadCollection("words", datagen.Words(200, 2)).
+		Map(func(r data.Record) (data.Record, error) { return r.Append(data.Int(1)), nil }).
+		Repeat(2, func(_ *rheem.LoopBody, q *rheem.DataQuanta) *rheem.DataQuanta {
+			return q.Map(func(r data.Record) (data.Record, error) { return r, nil })
+		}).
+		Collect(rheem.OnPlatform("chaos"), rheem.WithMaxRetries(rheem.NoRetries))
+	if err == nil {
+		t.Fatal("the run survived a platform that fails from its second execution")
+	}
+	if rep == nil || rep.RunID == 0 {
+		t.Fatalf("failed run's report = %+v, want its run ID", rep)
+	}
+	r, ok := rec.Get(rep.RunID)
+	if !ok {
+		t.Fatalf("the failed run %d is not in the flight recorder", rep.RunID)
+	}
+	var completed, failed int
+	for _, sp := range r.Spans {
+		switch {
+		case sp.Failed():
+			failed++
+		case sp.Kind == trace.KindAtom:
+			completed++
+		}
+	}
+	if completed != 1 || failed == 0 {
+		t.Errorf("recorded %d completed atom spans and %d failed spans, want 1 and some: %+v", completed, failed, r.Spans)
+	}
+	if r.Profile.Err == "" || r.Profile.Atoms == 0 {
+		t.Errorf("failed run's profile = %+v", r.Profile)
+	}
+	if n := cal.Folds(); n != 1 {
+		t.Errorf("calibrator folded %d runs, want the failed run's completed atom", n)
+	}
+}
+
+// TestPlatformHealthCarriesOnlyOpenBreakers pins Report.PlatformHealth:
+// the breakers that are not Closed, nil when none is. Every platform
+// reads right through the zero value — absent is Closed — and after
+// injected failures the dead platform reads Open.
+func TestPlatformHealthCarriesOnlyOpenBreakers(t *testing.T) {
+	ctx := newCtx(t)
+	p := fault.Wrap(javaengine.New(javaengine.Config{}), fault.Options{
+		ID:        "chaos",
+		Schedules: []fault.Schedule{fault.FailAfterN(0, nil)},
+	})
+	if err := fault.Register(ctx.Registry(), p, javaengine.ID); err != nil {
+		t.Fatal(err)
+	}
+	job := func(name string) *rheem.DataQuanta {
+		return ctx.NewJob(name).ReadCollection("words", datagen.Words(200, 2)).
+			Map(func(r data.Record) (data.Record, error) { return r.Append(data.Int(1)), nil })
+	}
+	_, rep, err := job("healthy").Collect(rheem.OnPlatform(javaengine.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PlatformHealth != nil {
+		t.Errorf("healthy run's PlatformHealth = %v, want nil", rep.PlatformHealth)
+	}
+	for _, id := range ctx.Registry().PlatformIDs() {
+		if st := rep.PlatformHealth[id]; st != engine.BreakerClosed {
+			t.Errorf("healthy run reads %s as %v", id, st)
+		}
+	}
+
+	_, rep, err = job("failover").Collect(rheem.OnPlatform("chaos"), rheem.WithFailover(true))
+	if err != nil {
+		t.Fatalf("the run failed despite failover: %v", err)
+	}
+	if len(rep.PlatformHealth) != 1 || rep.PlatformHealth["chaos"] != engine.BreakerOpen {
+		t.Errorf("PlatformHealth after injected failures = %v, want chaos open and nothing else", rep.PlatformHealth)
+	}
+	for _, id := range ctx.Registry().PlatformIDs() {
+		if st := rep.PlatformHealth[id]; id != "chaos" && st != engine.BreakerClosed {
+			t.Errorf("%s reads %v after chaos failed", id, st)
+		}
+	}
+}
+
 // TestPanickingOperatorFailsTheJobNotTheProcess is ROADMAP item 4's
 // process-killer: an operator that indexes past its record — as a hinted
 // FilterWhere, which on the single-node engine is a lazy stage that
@@ -749,7 +851,8 @@ func TestHintedChainAllocationGate(t *testing.T) {
 		// optimizing the plan, the atom's spans and channels — not the
 		// pipeline's window-sized buffers, which are leased: a forcing
 		// that allocates its window scratch again reads 60 KB. Measured
-		// at 124 objects and 10.6 KB, 21 KB when the collector had taken
+		// at 91 objects and 10.0 KB (124 and 10.6 KB while the control
+		// plane allocated per operator), 21 KB when the collector had taken
 		// the scratch from the pool; the headroom is for that and for
 		// toolchain drift, not for per-row work, which at this input
 		// size would overshoot it many times.
