@@ -66,7 +66,6 @@ func RunChaos(branches, recs int, delay time.Duration, failAfter int) (*executor
 		return nil, err
 	}
 	return executor.Run(ep, reg, executor.Options{
-		Failover:     true,
 		RetryBackoff: -1, // measure re-planning cost, not sleep time
 	})
 }

@@ -77,6 +77,21 @@ func platformsUsed(rep *rheem.Report) string {
 
 // --- E1 / Figure 2: SVM on Spark and Java -------------------------------
 
+// fig2Dim is the feature dimensionality of every Figure 2 dataset.
+const fig2Dim = 10
+
+// fig2Arm trains the SVM on pts pinned to one platform: one arm of
+// Figure 2.
+func fig2Arm(ctx *rheem.Context, pts []data.Record, iters int, platform engine.PlatformID) (*rheem.Report, error) {
+	_, rep, err := ml.SVM(pts, ml.GradientConfig{Iterations: iters, Dim: fig2Dim}).Run(ctx, rheem.OnPlatform(platform))
+	return rep, err
+}
+
+// fig2Points is a Figure 2 dataset: n labelled points, 5 % noise.
+func fig2Points(n int, seed uint64) []data.Record {
+	return datagen.Points(datagen.PointsConfig{N: n, Dim: fig2Dim, Noise: 0.05, Seed: seed})
+}
+
 func fig2(cfg Config) ([]*Table, error) {
 	ctx, err := newCtx(cfg)
 	if err != nil {
@@ -88,20 +103,17 @@ func fig2(cfg Config) ([]*Table, error) {
 		sizes = []int{500, 2_000, 10_000}
 		iters = 10
 	}
-	const dim = 10
-
 	clock := "simulated"
 	if cfg.WallClock {
 		clock = "wall"
 	}
 	t1 := &Table{
-		Title:   fmt.Sprintf("Figure 2 — SVM (%d iterations, d=%d), Java vs Spark [%s time]", iters, dim, clock),
+		Title:   fmt.Sprintf("Figure 2 — SVM (%d iterations, d=%d), Java vs Spark [%s time]", iters, fig2Dim, clock),
 		Note:    "Paper shape: plain Java wins by ~an order of magnitude on small inputs; Spark pays off only for big inputs.",
 		Columns: []string{"points", "java", "spark", "winner", "java/spark"},
 	}
 	run := func(pts []data.Record, iters int, platform engine.PlatformID) (time.Duration, error) {
-		tpl := ml.SVM(pts, ml.GradientConfig{Iterations: iters, Dim: dim})
-		_, rep, err := tpl.Run(ctx, rheem.OnPlatform(platform))
+		rep, err := fig2Arm(ctx, pts, iters, platform)
 		if err != nil {
 			return 0, err
 		}
@@ -109,7 +121,7 @@ func fig2(cfg Config) ([]*Table, error) {
 	}
 	for _, n := range sizes {
 		cfg.logf("fig2: n=%d", n)
-		pts := datagen.Points(datagen.PointsConfig{N: n, Dim: dim, Noise: 0.05, Seed: uint64(n)})
+		pts := fig2Points(n, uint64(n))
 		tj, err := run(pts, iters, javaengine.ID)
 		if err != nil {
 			return nil, err
@@ -138,7 +150,7 @@ func fig2(cfg Config) ([]*Table, error) {
 		Title:   fmt.Sprintf("Figure 2 (inset) — iteration sweep at n=%s", Count(nFixed)),
 		Columns: []string{"iterations", "java", "spark", "spark-java gap"},
 	}
-	pts := datagen.Points(datagen.PointsConfig{N: nFixed, Dim: dim, Noise: 0.05, Seed: 99})
+	pts := fig2Points(nFixed, 99)
 	for _, it := range iterSweep {
 		cfg.logf("fig2 inset: iters=%d", it)
 		tj, err := run(pts, it, javaengine.ID)
@@ -473,7 +485,7 @@ func optimizerChoice(cfg Config) ([]*Table, error) {
 	}
 	for _, n := range sizes {
 		cfg.logf("optimizer: n=%d", n)
-		pts := datagen.Points(datagen.PointsConfig{N: n, Dim: dim, Noise: 0.05, Seed: uint64(n)})
+		pts := fig2Points(n, uint64(n))
 		times := map[string]time.Duration{}
 		var chosen string
 		for _, opt := range []struct {

@@ -105,7 +105,7 @@ func RunWideTraced(reg *engine.Registry, hub *metrics.Hub, recs int, delay time.
 		return nil, err
 	}
 	return runForced(pp, reg, hub, "wide-map",
-		optimizer.Options{ForcedAssignments: WideAssignments(pp), Shards: shards}, executor.Options{Shards: shards})
+		optimizer.Options{ForcedAssignments: WideAssignments(pp), Shards: shards}, executor.Options{})
 }
 
 // shardSweep is the E11 fan-out sweep: 1 (the unsharded baseline),

@@ -209,7 +209,7 @@ func runConformanceCal(t *testing.T, c confCase, target engine.PlatformID, shard
 			}
 		})
 	}
-	res, err := executor.Run(ep, reg, executor.Options{Shards: shards, Calibration: cal})
+	res, err := executor.Run(ep, reg, executor.Options{Calibration: cal})
 	if err != nil {
 		t.Fatalf("%s on %s (shards=%d): %v", c.name, target, shards, err)
 	}
@@ -806,7 +806,7 @@ func runInAtom(t *testing.T, c inAtomCase, target engine.PlatformID, shards int,
 			})
 		}
 	}
-	res, err := executor.Run(ep, reg, executor.Options{Shards: shards})
+	res, err := executor.Run(ep, reg, executor.Options{})
 	if err != nil {
 		return "", err
 	}

@@ -85,7 +85,7 @@ func TestChaosFailoverProducesIdenticalRecords(t *testing.T) {
 	}
 	var failovers []trace.Event
 	completedOnChaos := map[int]bool{} // op IDs finished on chaos pre-failover
-	res, err := Run(ep, reg, Options{Parallelism: 2, Failover: true, RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
+	res, err := Run(ep, reg, Options{Parallelism: 2, RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
 		switch e.Kind {
 		case trace.Failover:
 			failovers = append(failovers, e)
@@ -198,7 +198,7 @@ func TestChaosFailoverInLoopBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	var failovers int
-	res, err := Run(ep, reg, Options{Failover: true, RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
+	res, err := Run(ep, reg, Options{RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
 		if e.Kind == trace.Failover {
 			failovers++
 		}
@@ -234,7 +234,7 @@ func TestFailoverNoCapablePlatformFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(ep, reg, Options{Failover: true, RetryBackoff: -1})
+	_, err = Run(ep, reg, Options{RetryBackoff: -1})
 	if err == nil {
 		t.Fatal("run succeeded with every platform dead")
 	}
@@ -249,22 +249,39 @@ func TestFailoverNoCapablePlatformFails(t *testing.T) {
 	}
 }
 
-// TestFailoverDisabledPropagatesError pins the default: without
-// Options.Failover the same dead platform fails the run even though
-// healthy platforms are registered.
-func TestFailoverDisabledPropagatesError(t *testing.T) {
-	pp, fa := faultPlan(t, []engine.PlatformID{"chaos", "chaos"})
-	reg, _ := chaosRegistry(t, fault.Options{Schedules: []fault.Schedule{fault.FailAfterN(1, nil)}})
-	ep, err := optimizer.Optimize(pp, reg, optimizer.Options{DisableRules: true, ForcedAssignments: fa})
+// TestFailoverByDefaultNotOnFatal pins the failover rule: with no
+// option set, a failure that is not fatal on a platform whose breaker
+// opened moves the rest of the run to the survivors, while a fatal one
+// on the same dying platform is never failed over — it fails the run
+// with its attempt accounting and leaves the breaker closed.
+func TestFailoverByDefaultNotOnFatal(t *testing.T) {
+	run := func(cause error) (*Result, *engine.Registry, error) {
+		pp, fa := faultPlan(t, []engine.PlatformID{"chaos", "chaos"})
+		reg, _ := chaosRegistry(t, fault.Options{Schedules: []fault.Schedule{fault.FailAfterN(1, cause)}})
+		ep, err := optimizer.Optimize(pp, reg, optimizer.Options{DisableRules: true, ForcedAssignments: fa})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(ep, reg, Options{Parallelism: 2, RetryBackoff: -1})
+		return res, reg, err
+	}
+	res, _, err := run(nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("a dying platform failed the run: %v", err)
 	}
-	_, err = Run(ep, reg, Options{Parallelism: 2, RetryBackoff: -1})
-	if !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("Run error = %v, want the injected failure", err)
+	if res.Failovers < 1 || len(res.Records) != 16 {
+		t.Errorf("Failovers = %d with %d records, want ≥1 and 16", res.Failovers, len(res.Records))
 	}
-	if !strings.Contains(err.Error(), "failed after") {
+
+	_, reg, err := run(engine.Fatal(errBoom))
+	if !errors.Is(err, errBoom) || !engine.IsFatal(err) {
+		t.Fatalf("Run error = %v, want the injected fatal failure", err)
+	}
+	if !strings.Contains(err.Error(), "failed after 1 attempt") {
 		t.Errorf("error lacks the attempt accounting: %v", err)
+	}
+	if st := reg.Health().State("chaos"); st != engine.BreakerClosed {
+		t.Errorf("a fatal failure left the breaker %v", st)
 	}
 }
 
@@ -342,7 +359,7 @@ func TestChaosFailoverWithWarmedCalibrator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(ep, reg, Options{Parallelism: 2, Failover: true, RetryBackoff: -1, Calibration: cal})
+	res, err := Run(ep, reg, Options{Parallelism: 2, RetryBackoff: -1, Calibration: cal})
 	if err != nil {
 		t.Fatalf("chaos run with warmed calibrator failed despite failover: %v", err)
 	}

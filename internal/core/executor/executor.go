@@ -29,6 +29,7 @@ package executor
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -55,7 +56,9 @@ const NoRetries = -1
 // trigger re-optimization.
 const auditFactor = 8
 
-// Options configures a run.
+// Options configures a run. It holds run settings only: what the plan
+// was made under — pins, exclusions, the shard count — is the plan's
+// ExecutionPlan.Options, which the run and every re-plan read.
 type Options struct {
 	// Context cancels execution between (and inside) atoms.
 	Context context.Context
@@ -78,14 +81,6 @@ type Options struct {
 	// attempt exceeding it fails with context.DeadlineExceeded and is
 	// retried like any transient failure. 0 disables the bound.
 	AtomTimeout time.Duration
-	// Shards enables intra-atom data parallelism: a shardable compute
-	// atom's input batch is split into up to Shards pieces that execute
-	// concurrently (see shard.go for the shardability rules and merge
-	// semantics). ≤1 disables sharding — every atom runs on its whole
-	// input. The run has a budget of Shards extra shard goroutines; each
-	// must also win a slot from Pool when one is set, and a shard that
-	// wins neither runs inline under the slot its atom already holds.
-	Shards int
 	// Pool, when set, is the host-wide bound on execution: every compute
 	// atom holds one of its slots while it executes, and so does every
 	// extra shard goroutine (loop atoms never hold one — see pool.go for
@@ -94,27 +89,14 @@ type Options struct {
 	// sharing it. nil means no cross-run bound — the single-shot
 	// behavior.
 	Pool *Pool
-	// Failover enables cross-platform failover: when an atom exhausts
-	// its retries on a platform the health tracker has quarantined, the
-	// executor quiesces in-flight atoms and re-plans the remaining
-	// operators on the surviving platforms (completed atoms stay
-	// frozen). The run fails only if no capable platform remains.
-	Failover bool
-	// ReOptimize enables adaptive re-optimization: when the audit
-	// flags a gross cardinality mismatch at a top-level atom boundary,
-	// the executor quiesces in-flight atoms and re-plans the remaining
-	// operators with the observed cardinalities, keeping completed
-	// atoms frozen. At most one re-optimization happens per run.
-	ReOptimize bool
 	// Tracer, when set, receives the run's span stream — subscribe a
 	// trace.Consumer on it to monitor progress; callbacks are
 	// serialized. nil gives the run a private tracer; either way
 	// Result.Trace holds the collected spans and audit trail.
 	Tracer *trace.Tracer
-	// Calibration propagates the learned cost-correction factors into
-	// mid-run re-planning: adaptive re-optimization and cross-platform
-	// failover re-run the optimizer, and without this the replacement
-	// plan would be priced uncalibrated. Nil is fine.
+	// Calibration prices mid-run re-plans: they start from the plan's
+	// own ExecutionPlan.Options, and this replaces its calibrator.
+	// Nil prices them uncalibrated.
 	Calibration *cost.Calibrator
 }
 
@@ -134,9 +116,6 @@ func (o *Options) defaults() {
 		o.RetryBackoff = 10 * time.Millisecond
 	} else if o.RetryBackoff < 0 {
 		o.RetryBackoff = 0
-	}
-	if o.Shards < 1 {
-		o.Shards = 1
 	}
 }
 
@@ -183,8 +162,9 @@ type run struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	tr     *trace.Tracer // the run's span stream; serializes consumers
-	// shards is the run's budget of extra shard goroutines (nil when
-	// sharding is off). It is only ever TryAcquired: an atom that finds
+	// shards is the run's budget of extra shard goroutines, sized by
+	// the plan's Options.Shards (nil when sharding is off); its size is
+	// also the fan-out. It is only ever TryAcquired: an atom that finds
 	// no free slot runs the shard inline in its own goroutine, so shard
 	// scheduling cannot deadlock the atoms.
 	shards *Pool
@@ -246,8 +226,8 @@ func Run(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts Options) (_ *Re
 	res := &Result{FinalPlan: ep}
 	ids := ep.Physical.IDBound()
 	r := &run{reg: reg, opts: opts, ctx: ctx, cancel: cancel, tr: tr, res: res, audited: make([]bool, ids)}
-	if opts.Shards > 1 {
-		r.shards = NewPool(opts.Shards)
+	if n := ep.Options.Shards; n > 1 {
+		r.shards = NewPool(n)
 	}
 	r.top = planScope{run: r, ep: ep, channels: make([]*channel.Channel, ids), topLevel: true, iter: -1}
 	top := &r.top
@@ -335,13 +315,15 @@ func atomDone(atom *engine.TaskAtom, channels []*channel.Channel) bool {
 }
 
 // reoptimize re-plans the scope's physical plan with observed
-// cardinalities: operators whose outputs exist keep their platforms and
-// are frozen into skippable atoms; everything downstream is re-costed
-// and may move to a different platform. A failover re-plan (fo non-nil)
-// first rules out the failed platform and whatever else the breaker
-// holds open, so no remaining operator is assigned to them. The caller
-// must have quiesced all in-flight atoms — reoptimize reads the channel
-// map unlocked.
+// cardinalities, starting from the options the plan was made with:
+// operators whose outputs exist keep their platforms and are frozen
+// into skippable atoms; everything downstream is re-costed and may move
+// to a different platform, within the caller's pins and exclusions. A
+// failover re-plan (fo non-nil) first rules out the failed platform and
+// whatever else the breaker holds open, so no remaining operator is
+// assigned to them — a caller's pin to one of them, FixedPlatform
+// included, gives way. The caller must have quiesced all in-flight
+// atoms — reoptimize reads the channel map unlocked.
 func (p *planScope) reoptimize(fo *failoverError) (*optimizer.ExecutionPlan, error) {
 	if fo != nil {
 		if p.excluded == nil {
@@ -352,6 +334,19 @@ func (p *planScope) reoptimize(fo *failoverError) (*optimizer.ExecutionPlan, err
 			p.excluded[id] = true
 		}
 	}
+	opts := p.ep.Options // the caller's; its maps are read, never written
+	excluded := make(map[engine.PlatformID]bool, len(opts.ExcludePlatforms)+len(p.excluded))
+	maps.Copy(excluded, opts.ExcludePlatforms)
+	maps.Copy(excluded, p.excluded)
+	forced := make(map[int]engine.PlatformID, len(opts.ForcedAssignments))
+	for id, pl := range opts.ForcedAssignments {
+		if !excluded[pl] {
+			forced[id] = pl
+		}
+	}
+	if excluded[opts.FixedPlatform] {
+		opts.FixedPlatform = ""
+	}
 	overrides := map[int]int64{}
 	for id, ch := range p.channels {
 		if ch != nil && ch.Records >= 0 {
@@ -359,7 +354,6 @@ func (p *planScope) reoptimize(fo *failoverError) (*optimizer.ExecutionPlan, err
 		}
 	}
 	frozen := map[int]bool{}
-	forced := map[int]engine.PlatformID{}
 	for _, atom := range p.ep.Atoms {
 		if !atomDone(atom, p.channels) {
 			continue
@@ -369,14 +363,11 @@ func (p *planScope) reoptimize(fo *failoverError) (*optimizer.ExecutionPlan, err
 			forced[op.ID] = p.ep.Assignment[op.ID]
 		}
 	}
-	newEP, err := optimizer.Optimize(p.ep.Physical, p.reg, optimizer.Options{
-		DisableRules:      true, // structure is fixed mid-run
-		CardOverrides:     overrides,
-		ForcedAssignments: forced,
-		Frozen:            frozen,
-		ExcludePlatforms:  p.excluded,
-		Calibration:       p.opts.Calibration,
-	})
+	opts.DisableRules = true // structure is fixed mid-run
+	opts.CardOverrides, opts.Frozen = overrides, frozen
+	opts.ForcedAssignments, opts.ExcludePlatforms = forced, excluded
+	opts.Calibration = p.opts.Calibration
+	newEP, err := optimizer.Optimize(p.ep.Physical, p.reg, opts)
 	if err != nil && fo != nil {
 		// No capable platform remains for some operator: the run
 		// fails, reporting both the failure and the dead end.
@@ -518,7 +509,7 @@ func (p *planScope) runComputeAtom(sp *trace.Span, atom *engine.TaskAtom) (engin
 		stats.RecordFinalFailure(atom.Platform)
 		p.charge(m) // the final attempt and its retries still cost time
 		err = fmt.Errorf("executor: %s failed after %d attempt(s): %w", atom, move.Retries+1, err)
-		if p.opts.Failover && !engine.IsFatal(err) && health.Quarantined(atom.Platform) {
+		if !engine.IsFatal(err) && health.Quarantined(atom.Platform) {
 			err = &failoverError{atom: atom, err: err}
 		}
 		return m, nil, err

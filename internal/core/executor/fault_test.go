@@ -174,12 +174,14 @@ func TestRetryAttemptsMonotonicPerAtom(t *testing.T) {
 
 // TestFailureUnderStress repeats the failure/cancellation scenario at
 // high parallelism; under -race it checks the error path for races.
+// The failure is fatal, so it is never failed over however often the
+// platform fails: the first error wins every run.
 func TestFailureUnderStress(t *testing.T) {
 	reg := engine.NewRegistry()
 	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	wrapJava(t, reg, "boom", fault.Options{Schedules: []fault.Schedule{failAlways(errBoom)}})
+	wrapJava(t, reg, "boom", fault.Options{Schedules: []fault.Schedule{failAlways(engine.Fatal(errBoom))}})
 	registerMapKinds(t, reg, "boom")
 
 	for i := 0; i < 25; i++ {

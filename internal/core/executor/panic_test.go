@@ -110,7 +110,7 @@ func TestPanickingShardMergeUDFFailsTheRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, msg := expectPanicContained(t, reg, ep, Options{Shards: 4})
+	tr, msg := expectPanicContained(t, reg, ep, Options{})
 	if !strings.Contains(msg, "merge exploded") {
 		t.Errorf("run error = %q", msg)
 	}
@@ -202,7 +202,7 @@ func TestPanickingPlatformFailsTheRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr, msg := expectPanicContained(t, reg, ep, Options{Shards: shards})
+			tr, msg := expectPanicContained(t, reg, ep, Options{})
 			if !strings.Contains(msg, "platform exploded") {
 				t.Errorf("run error = %q", msg)
 			}

@@ -16,7 +16,8 @@
 // shard fan-out or how many runs share it.
 //
 // Pool is also the executor's only semaphore type: a run's own budget
-// of extra shard goroutines is a private Pool of Options.Shards slots.
+// of extra shard goroutines is a private Pool of as many slots as the
+// plan's shard count (optimizer.Options.Shards).
 
 package executor
 

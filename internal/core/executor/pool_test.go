@@ -293,7 +293,7 @@ func TestPoolBoundsShardFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	unpooled, err := Run(ep, reg, Options{Shards: shards})
+	unpooled, err := Run(ep, reg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestPoolBoundsShardFanOut(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			check(Run(ep, reg, Options{Shards: shards, Pool: pool}))
+			check(Run(ep, reg, Options{Pool: pool}))
 		}()
 	}
 	wg.Wait()
@@ -334,7 +334,7 @@ func TestPoolBoundsShardFanOut(t *testing.T) {
 	// Alone, a run's shard goroutines are the only other slot holders:
 	// they too must be done with their slots when Run returns.
 	for i := 0; i < 10; i++ {
-		check(Run(ep, reg, Options{Shards: shards, Pool: pool}))
+		check(Run(ep, reg, Options{Pool: pool}))
 		if got := pool.InUse(); got != 0 {
 			t.Fatalf("run %d returned holding %d pool slot(s)", i, got)
 		}

@@ -78,7 +78,7 @@ func TestAdaptiveReoptimizationMovesLoopOffCluster(t *testing.T) {
 		t.Skipf("initial plan not on spark (%v); calibration moved the threshold", pls)
 	}
 
-	res, err := Run(ep, reg, Options{ReOptimize: true})
+	res, err := Run(ep, reg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,18 +95,46 @@ func TestAdaptiveReoptimizationMovesLoopOffCluster(t *testing.T) {
 	}
 }
 
-func TestReoptimizationOffByDefault(t *testing.T) {
+// TestReplanOnlyWhileAtomsRemain pins the adaptive rule: a flagged
+// audit re-plans the atoms that have not started, so a flag on the
+// plan's last atom is audit evidence only — and the same lie one atom
+// earlier does re-plan, with no option set.
+func TestReplanOnlyWhileAtomsRemain(t *testing.T) {
 	reg := defaultRegistry(t)
-	ep, err := optimizer.Optimize(lyingSourcePlan(t), reg, optimizer.Options{})
+	lying := func() (pp *physical.Plan, srcID, mapID int) {
+		b := plan.NewBuilder("lying-chain")
+		s := b.Source("liar", plan.Collection(intRecords(100)))
+		s.CardHint = 2_000_000
+		b.Collect(b.Map(s, func(r data.Record) (data.Record, error) { return r, nil }))
+		pp, err := physical.FromLogical(b.MustBuild())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range pp.Ops {
+			switch op.Kind() {
+			case plan.KindSource:
+				srcID = op.ID
+			case plan.KindMap:
+				mapID = op.ID
+			}
+		}
+		return pp, srcID, mapID
+	}
+
+	pp, _, _ := lying()
+	ep, err := optimizer.Optimize(pp, reg, optimizer.Options{FixedPlatform: javaengine.ID})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(ep.Atoms) != 1 {
+		t.Fatalf("pinned chain split into %d atoms, want 1", len(ep.Atoms))
 	}
 	res, err := Run(ep, reg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reoptimized {
-		t.Error("re-optimization ran without opt-in")
+	if res.Reoptimized || res.FinalPlan != ep {
+		t.Error("a flag on the plan's last atom re-planned it")
 	}
 	if len(res.Mismatches) == 0 {
 		t.Error("audit should still flag the lying source")
@@ -114,25 +142,110 @@ func TestReoptimizationOffByDefault(t *testing.T) {
 	if len(res.Records) != 100 {
 		t.Errorf("%d records", len(res.Records))
 	}
+
+	// The map pinned off the source's platform: the source's atom flags
+	// while the map's has yet to start.
+	pp, srcID, mapID := lying()
+	ep, err = optimizer.Optimize(pp, reg, optimizer.Options{
+		ForcedAssignments: map[int]engine.PlatformID{srcID: javaengine.ID, mapID: sparksim.ID},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ep.Atoms) < 2 {
+		t.Fatalf("split chain has %d atoms, want the source's and the map's", len(ep.Atoms))
+	}
+	res, err = Run(ep, reg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Reoptimized {
+		t.Error("a flag with atoms still to start did not re-plan")
+	}
+	if pl := res.FinalPlan.Assignment[mapID]; pl != sparksim.ID {
+		t.Errorf("re-plan moved the pinned map to %s", pl)
+	}
+	if len(res.Records) != 100 {
+		t.Errorf("%d records after the re-plan", len(res.Records))
+	}
 }
 
+// TestReoptimizationCheaperThanStubborn: the stubborn arm is the job
+// pinned to the platform the stale plan gave its loop — a re-plan keeps
+// the pin, so it cannot migrate — and re-planning the free job pays.
 func TestReoptimizationCheaperThanStubborn(t *testing.T) {
 	reg := defaultRegistry(t)
-	run := func(reopt bool) time.Duration {
-		ep, err := optimizer.Optimize(lyingSourcePlan(t), reg, optimizer.Options{})
+	run := func(opts optimizer.Options) *Result {
+		ep, err := optimizer.Optimize(lyingSourcePlan(t), reg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(ep, reg, Options{ReOptimize: reopt})
+		res, err := Run(ep, reg, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Metrics.Sim
+		return res
 	}
-	stubborn := run(false)
-	adaptive := run(true)
-	if adaptive >= stubborn {
-		t.Errorf("re-optimization did not pay off: adaptive %v vs stubborn %v", adaptive, stubborn)
+	stubborn := run(optimizer.Options{FixedPlatform: sparksim.ID})
+	adaptive := run(optimizer.Options{})
+	if pls := bodyPlatforms(stubborn.FinalPlan); pls[string(javaengine.ID)] {
+		t.Errorf("the pinned job migrated: body platforms %v", pls)
+	}
+	if !adaptive.Reoptimized {
+		t.Error("the free job did not re-plan")
+	}
+	if adaptive.Metrics.Sim >= stubborn.Metrics.Sim {
+		t.Errorf("re-optimization did not pay off: adaptive %v vs stubborn %v", adaptive.Metrics.Sim, stubborn.Metrics.Sim)
+	}
+}
+
+// TestReplanKeepsForcedAssignmentsAndShards: a re-plan starts from the
+// options the plan was made with, so an operator the caller pinned
+// stays put — where the observed cardinalities alone would move it —
+// the plan's shard count carries over, and the caller's map is left as
+// it was.
+func TestReplanKeepsForcedAssignmentsAndShards(t *testing.T) {
+	reg := defaultRegistry(t)
+	pp := lyingSourcePlan(t)
+	bodyMap := -1
+	for _, op := range pp.Ops {
+		if op.Body != nil {
+			for _, bop := range op.Body.Ops {
+				if bop.Kind() == plan.KindMap {
+					bodyMap = bop.ID
+				}
+			}
+		}
+	}
+	pins := map[int]engine.PlatformID{bodyMap: sparksim.ID}
+	ep, err := optimizer.Optimize(pp, reg, optimizer.Options{ForcedAssignments: pins, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(ep, reg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Reoptimized {
+		t.Fatal("audit did not trigger re-optimization")
+	}
+	if len(res.Records) != 100 || res.Records[0].Field(0).Int() != 20 {
+		t.Errorf("wrong results after re-optimization: %d records", len(res.Records))
+	}
+	final := res.FinalPlan
+	for _, body := range final.LoopBodies {
+		if pl := body.Assignment[bodyMap]; pl != sparksim.ID {
+			t.Errorf("re-plan moved the pinned body map to %s", pl)
+		}
+	}
+	if pl := final.Options.ForcedAssignments[bodyMap]; pl != sparksim.ID {
+		t.Errorf("re-plan dropped the caller's pin: %v", final.Options.ForcedAssignments)
+	}
+	if final.Options.Shards != 4 {
+		t.Errorf("re-plan's shard count = %d, want the plan's 4", final.Options.Shards)
+	}
+	if len(pins) != 1 {
+		t.Errorf("the re-plan wrote into the caller's pins: %v", pins)
 	}
 }
 
@@ -195,7 +308,7 @@ func TestReoptimizeOncePerRunUnderParallelism(t *testing.T) {
 			t.Fatal(err)
 		}
 		replans := 0
-		res, err := Run(ep, reg, Options{ReOptimize: true, Parallelism: par, Tracer: trace.New(func(e trace.Event) {
+		res, err := Run(ep, reg, Options{Parallelism: par, Tracer: trace.New(func(e trace.Event) {
 			if e.Kind == trace.Replan {
 				replans++
 			}
@@ -229,7 +342,7 @@ func TestReoptimizationAccurateEstimatesNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(ep, reg, Options{ReOptimize: true})
+	res, err := Run(ep, reg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,7 @@ const maxRetryBackoff = 2 * time.Second
 // failoverError marks an atom failure that should trigger a
 // cross-platform failover instead of failing the run: its platform
 // exhausted the retry budget while quarantined by the health tracker.
-// The top-level scheduler catches it (errors.As) and re-plans; with
-// Failover disabled it is never constructed.
+// The top-level scheduler catches it (errors.As) and re-plans.
 type failoverError struct {
 	atom *engine.TaskAtom // the failed execution; its Platform is the one to quarantine
 	err  error

@@ -22,9 +22,10 @@
 //   - the first atom error wins: it cancels the run context so
 //     in-flight siblings abort, their (context) errors are discarded,
 //     and Run returns the original error without a PlanDone event;
-//   - re-planning quiesces: on a flagged audit (adaptive) or a
-//     quarantined platform's failure (failover) the dispatcher stops
-//     launching atoms, drains the ones in flight, and only then
+//   - re-planning is always on, and it quiesces: on a flagged audit
+//     while the plan still has atoms that have not started (adaptive)
+//     or a quarantined platform's failure (failover) the dispatcher
+//     stops launching atoms, drains the ones in flight, and only then
 //     re-plans — so the re-optimizer sees a frozen, consistent channel
 //     map. At most one adaptive re-plan happens per run;
 //   - loop atoms keep sequential per-iteration semantics, but each
@@ -205,7 +206,7 @@ func (p *planScope) scheduleAtoms() (replan bool, failover *failoverError, err e
 	doneCh := make(chan doneMsg)
 	// Adaptive re-optimization is the top level's, once per run; only
 	// this goroutine ever writes res.Reoptimized.
-	adaptive := p.topLevel && p.opts.ReOptimize && !p.res.Reoptimized
+	adaptive := p.topLevel && !p.res.Reoptimized
 	inflight, finished, stopping := 0, 0, false
 	var firstErr error
 
@@ -229,7 +230,7 @@ func (p *planScope) scheduleAtoms() (replan bool, failover *failoverError, err e
 		p.flagged = p.flagged || m.flagged
 		if m.err != nil {
 			var fe *failoverError
-			wantsFailover := p.opts.Failover && errors.As(m.err, &fe)
+			wantsFailover := errors.As(m.err, &fe)
 			switch {
 			case wantsFailover && p.topLevel:
 				// Quiesce WITHOUT cancelling: in-flight siblings finish
@@ -265,9 +266,10 @@ func (p *planScope) scheduleAtoms() (replan bool, failover *failoverError, err e
 				ready = append(ready, d)
 			}
 		}
-		if adaptive && m.flagged {
+		if adaptive && m.flagged && finished+inflight < len(nodes) {
 			// Quiesce for re-planning: stop dispatching and let the
-			// atoms already in flight drain.
+			// atoms already in flight drain. A flag once every atom has
+			// started is audit evidence only: nothing is left to move.
 			stopping, replan = true, true
 		}
 	}

@@ -58,7 +58,7 @@ type shardedExec struct {
 // splits its single external input. nil means "run unsharded" — never
 // an error: sharding is an optimization, not a requirement.
 func (r *run) planShards(platform engine.Platform, atom *engine.TaskAtom, inputs engine.AtomInputs) *shardedExec {
-	if r.opts.Shards <= 1 || atom.Kind != engine.AtomCompute {
+	if r.shards == nil || atom.Kind != engine.AtomCompute {
 		return nil
 	}
 	extPos, extSlot, n := 0, 0, 0
@@ -122,14 +122,15 @@ func shardClasses(atom *engine.TaskAtom) (map[int]*physical.Operator, bool) {
 
 // splitShardInput splits an input channel (the consuming operator's
 // wanted format — platform-native, or channel.Batch on the vectorized
-// path) into at most Options.Shards shards: natively when the platform
-// is an engine.Sharder, otherwise through the hub Collection format with the
-// shards converted back to the input's own format. The mechanical
+// path) into at most the plan's Options.Shards shards: natively when
+// the platform is an engine.Sharder, otherwise through the hub
+// Collection format with the shards converted back to the input's own
+// format. The mechanical
 // split cost is not charged to the run — native splits are slice
 // views, and the hub fallback only triggers for platforms without
 // native sharding. nil (or a single shard) means "don't shard".
 func (r *run) splitShardInput(platform engine.Platform, ch *channel.Channel) []*channel.Channel {
-	n := r.opts.Shards
+	n := r.shards.Size()
 	if s, ok := platform.(engine.Sharder); ok {
 		if shards, err := s.SplitNative(ch, n); err == nil {
 			return shards

@@ -28,12 +28,13 @@ func chaosShardFixture(t *testing.T, recs []data.Record, build func(b *plan.Buil
 	return pp, fa
 }
 
-// runShardChaos optimizes and runs the fixture on a chaos registry.
-func runShardChaos(t *testing.T, pp *physical.Plan, fa map[int]engine.PlatformID, fopts fault.Options, opts Options) (*Result, *fault.Platform, error) {
+// runShardChaos optimizes the fixture for the given shard fan-out and
+// runs it on a chaos registry.
+func runShardChaos(t *testing.T, pp *physical.Plan, fa map[int]engine.PlatformID, fopts fault.Options, shards int, opts Options) (*Result, *fault.Platform, error) {
 	t.Helper()
 	reg, p := chaosRegistry(t, fopts)
 	ep, err := optimizer.Optimize(pp, reg, optimizer.Options{
-		DisableRules: true, ForcedAssignments: fa, Shards: opts.Shards,
+		DisableRules: true, ForcedAssignments: fa, Shards: shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +104,7 @@ func TestShardChaosTransientRetries(t *testing.T) {
 		}))
 	}
 	ppClean, faClean := chaosShardFixture(t, intRecords(120), build)
-	clean, _, err := runShardChaos(t, ppClean, faClean, fault.Options{}, Options{})
+	clean, _, err := runShardChaos(t, ppClean, faClean, fault.Options{}, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestShardChaosTransientRetries(t *testing.T) {
 	pp, fa := chaosShardFixture(t, intRecords(120), build)
 	res, p, err := runShardChaos(t, pp, fa,
 		fault.Options{Schedules: []fault.Schedule{fault.FailFirstN(2, nil)}},
-		Options{Shards: 4, RetryBackoff: -1})
+		4, Options{RetryBackoff: -1})
 	if err != nil {
 		t.Fatalf("run did not survive transient shard failures: %v", err)
 	}
@@ -154,7 +155,7 @@ func TestShardChaosFailover(t *testing.T) {
 		b.Collect(b.ReduceByKey(m, modKey(6), sumReduce))
 	}
 	ppClean, faClean := chaosShardFixture(t, intRecords(100), build)
-	clean, _, err := runShardChaos(t, ppClean, faClean, fault.Options{}, Options{})
+	clean, _, err := runShardChaos(t, ppClean, faClean, fault.Options{}, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestShardChaosFailover(t *testing.T) {
 	pp, fa := chaosShardFixture(t, intRecords(100), build)
 	res, p, err := runShardChaos(t, pp, fa,
 		fault.Options{Schedules: []fault.Schedule{failAlways(nil)}},
-		Options{Shards: 4, RetryBackoff: -1, Failover: true})
+		4, Options{RetryBackoff: -1})
 	if err != nil {
 		t.Fatalf("failover did not rescue the sharded atom: %v", err)
 	}
@@ -208,7 +209,7 @@ func TestShardChaosRaceStress(t *testing.T) {
 		b.Collect(b.Distinct(m))
 	}
 	ppClean, faClean := chaosShardFixture(t, intRecords(64), build)
-	clean, _, err := runShardChaos(t, ppClean, faClean, fault.Options{}, Options{})
+	clean, _, err := runShardChaos(t, ppClean, faClean, fault.Options{}, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestShardChaosRaceStress(t *testing.T) {
 		pp, fa := chaosShardFixture(t, intRecords(64), build)
 		res, _, err := runShardChaos(t, pp, fa,
 			fault.Options{Schedules: []fault.Schedule{fault.FailFirstN(3, nil)}},
-			Options{Shards: 4, Parallelism: 4, RetryBackoff: -1})
+			4, Options{Parallelism: 4, RetryBackoff: -1})
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}

@@ -58,7 +58,7 @@ func runWithShards(t *testing.T, pp *physical.Plan, fa map[int]engine.PlatformID
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(ep, reg, Options{Shards: shards})
+	res, err := Run(ep, reg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

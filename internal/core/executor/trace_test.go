@@ -257,7 +257,7 @@ func TestTraceFailoverShowsBothPlatforms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(ep, reg, Options{Parallelism: 2, Failover: true, RetryBackoff: -1})
+	res, err := Run(ep, reg, Options{Parallelism: 2, RetryBackoff: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,19 +55,19 @@ type Options struct {
 	// ShardDiscount and failover re-planning run through the same DP,
 	// both inherit calibrated costs automatically.
 	Calibration *cost.Calibrator
-	// Shards is the executor's intra-atom shard fan-out (≤1 = off). The
-	// DP discounts the compute cost of shardable operator kinds on
-	// non-distributed platforms by cost.ShardDiscount — distributed
-	// platforms already price their internal parallelism, and
-	// unshardable kinds run whole either way. The discount can flip a
-	// platform assignment: a sharded single-node engine beats the
-	// simulated cluster on mid-size inputs where the cluster's per-job
-	// overhead still dominates.
+	// Shards is the run's intra-atom shard fan-out (≤1 = off); the
+	// executor takes it from ExecutionPlan.Options. The DP discounts
+	// the compute cost of shardable operator kinds on non-distributed
+	// platforms by cost.ShardDiscount — distributed platforms already
+	// price their internal parallelism, and unshardable kinds run whole
+	// either way. The discount can flip a platform assignment: a sharded
+	// single-node engine beats the simulated cluster on mid-size inputs
+	// where the cluster's per-job overhead still dominates.
 	Shards int
 
-	// The remaining options support adaptive re-optimization (the
-	// executor re-plans a partially executed job with observed
-	// statistics):
+	// The remaining options are set by callers and, on top of theirs,
+	// by the executor when it re-plans a partially executed job with
+	// observed statistics:
 	//
 	// CardOverrides replaces rule-derived cardinality estimates with
 	// observed values for the given physical operator IDs.
@@ -113,6 +113,10 @@ type ExecutionPlan struct {
 	RawOpCosts   map[int]cost.Cost
 	RawEstimates *cost.Estimates
 	RawEstimated cost.Cost
+	// Options is what Optimize was called with (maps shared, not
+	// copied): the caller's pins, exclusions and shard count, which
+	// every mid-run re-plan starts from. Loop-body plans leave it zero.
+	Options Options
 }
 
 // String renders the execution plan as its atom sequence.
@@ -151,7 +155,12 @@ func Optimize(p *physical.Plan, reg *engine.Registry, opts Options) (*ExecutionP
 	if opts.Calibration != nil {
 		rawEst = cost.EstimateWith(p, opts.CardOverrides)
 	}
-	return optimizeWith(p, reg, opts, est, rawEst)
+	ep, err := optimizeWith(p, reg, opts, est, rawEst)
+	if err != nil {
+		return nil, err
+	}
+	ep.Options = opts
+	return ep, nil
 }
 
 func optimizeWith(p *physical.Plan, reg *engine.Registry, opts Options, est, rawEst *cost.Estimates) (*ExecutionPlan, error) {

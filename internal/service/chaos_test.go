@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"rheem"
+	"rheem/internal/core/engine"
 	"rheem/internal/core/fault"
 	"rheem/internal/platform/javaengine"
 )
@@ -278,5 +279,55 @@ func TestChaosPlatformDeathUnderLoad(t *testing.T) {
 	}
 	if failovers == 0 {
 		t.Fatal("the platform died but no job reported a failover — the fault never fired")
+	}
+}
+
+// TestTenantExclusionsSurviveFailover: a tenant whose health keeps the
+// java engine out of its plans runs a job that lands on a java twin,
+// which then dies. The failover re-plan must still honour the tenant's
+// exclusion — no operator on java — and the answer must match the clean
+// run's.
+func TestTenantExclusionsSurviveFailover(t *testing.T) {
+	spec := Spec{Kind: KindWorkload, Workload: WorkloadWordcount, N: 300, Seed: 11}
+	want := expectedDigests(t, []Spec{spec})[0]
+
+	s := newTestService(t, Config{
+		FailureThreshold: 1,
+		Cooldown:         time.Hour,
+		Prepare: func(c *rheem.Context) error {
+			// java's operator coverage and costs, dead from the first call.
+			twin := fault.Wrap(javaengine.New(javaengine.Config{}), fault.Options{
+				ID:        "twin",
+				Schedules: []fault.Schedule{fault.FailAfterN(0, nil)},
+			})
+			return fault.Register(c.Registry(), twin, javaengine.ID)
+		},
+	})
+	s.mu.Lock()
+	tn := s.tenantLocked("isolated", s.now())
+	s.mu.Unlock()
+	tn.reportOutcome([]engine.PlatformID{javaengine.ID}, true)
+	if ex := tn.health.QuarantinedPlatforms(); len(ex) != 1 || ex[0] != javaengine.ID {
+		t.Fatalf("tenant excludes %v, want java alone", ex)
+	}
+
+	st, err := s.Submit(Request{Tenant: "isolated", Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitTerminal(t, s, st.ID)
+	if final.State != StateSucceeded {
+		t.Fatalf("job ended %s (%s), want a failover off the dead twin", final.State, final.Err)
+	}
+	if final.Failovers < 1 {
+		t.Fatalf("Failovers = %d: the job never reached the twin", final.Failovers)
+	}
+	for _, pl := range final.Platforms {
+		if pl == string(javaengine.ID) || pl == "twin" {
+			t.Errorf("the failover re-plan used %s (plan on %v)", pl, final.Platforms)
+		}
+	}
+	if final.Digest != want {
+		t.Errorf("digest %s after failover, clean run %s", final.Digest, want)
 	}
 }

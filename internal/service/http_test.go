@@ -179,6 +179,30 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsFailoverOptOut: failover is no option a job can turn
+// off, and the decoder disallows unknown fields, so a submission that
+// still asks for no_failover is a 400 naming the field, not a job that
+// silently fails over anyway.
+func TestHTTPRejectsFailoverOptOut(t *testing.T) {
+	s, srv := startAPI(t, Config{})
+	body := `{"tenant":"acme","spec":{"kind":"workload","workload":"wordcount","n":100},"no_failover":true}`
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e apiError
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("error body: %v", err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "no_failover") {
+		t.Errorf("no_failover submission: %d %q, want 400 naming the field", resp.StatusCode, e.Error)
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Errorf("the rejected submission left %d job(s)", len(jobs))
+	}
+}
+
 // TestHTTPOversizedBodyIs413: POST /jobs reads at most 1 MiB; a larger
 // body is refused as too large, not buffered and then found malformed,
 // and a workload sized past the caps is a plain 400.

@@ -542,7 +542,6 @@ func (s *Service) runJob(j *Job, tn *tenant) {
 		opts := []rheem.RunOption{
 			rheem.WithContext(ctx),
 			rheem.WithSchedulerPool(s.pool),
-			rheem.WithFailover(!j.req.NoFailover),
 		}
 		if at := s.atomTimeout(j.req); at > 0 {
 			opts = append(opts, rheem.WithAtomTimeout(at))

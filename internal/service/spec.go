@@ -80,9 +80,6 @@ type Request struct {
 	Platform string `json:"platform,omitempty"`
 	// Shards enables intra-atom data parallelism (see rheem.WithShards).
 	Shards int `json:"shards,omitempty"`
-	// NoFailover disables cross-platform failover for this job
-	// (failover is on by default — a service survives platform trouble).
-	NoFailover bool `json:"no_failover,omitempty"`
 }
 
 func (r *Request) normalize() {

@@ -332,15 +332,6 @@ func WithAtomTimeout(d time.Duration) RunOption {
 	return func(rc *runConfig) { rc.exec.AtomTimeout = d }
 }
 
-// WithFailover enables cross-platform failover: when a task atom
-// exhausts its retries on a platform the health tracker has
-// quarantined (circuit breaker open after consecutive failures), the
-// executor re-plans the remaining operators on the surviving platforms
-// and continues — the run fails only if no capable platform remains.
-func WithFailover(on bool) RunOption {
-	return func(rc *runConfig) { rc.exec.Failover = on }
-}
-
 // WithParallelism bounds how many independent task atoms the executor
 // schedules concurrently. 1 forces sequential execution in plan order;
 // values below 1 (including the default) mean runtime.NumCPU().
@@ -369,16 +360,7 @@ func WithShards(n int) RunOption {
 			n = runtime.GOMAXPROCS(0)
 		}
 		rc.opt.Shards = n
-		rc.exec.Shards = n
 	}
-}
-
-// WithReOptimize toggles adaptive re-optimization: when the executor's
-// cardinality audit exposes a gross estimation miss at an atom
-// boundary, the remaining plan is re-planned with the observed
-// statistics.
-func WithReOptimize(on bool) RunOption {
-	return func(rc *runConfig) { rc.exec.ReOptimize = on }
 }
 
 // WithTracing enables cross-layer observability for the run: the
@@ -403,10 +385,13 @@ type Report struct {
 	// executor's audit flagged as grossly wrong.
 	Mismatches []trace.CardAudit
 	// Reoptimized reports whether adaptive re-optimization replaced
-	// the plan mid-run.
+	// the plan mid-run: a flagged audit with atoms still to start makes
+	// the executor re-plan them with the observed cardinalities, once.
 	Reoptimized bool
-	// Failovers counts cross-platform failover re-plans (only non-zero
-	// under WithFailover).
+	// Failovers counts cross-platform failover re-plans: an atom that
+	// exhausts its retries on a platform whose breaker opened moves,
+	// with the rest, to the survivors. Every re-plan keeps the run's
+	// pins and exclusions, except pins to a dead platform.
 	Failovers int
 	// PlatformHealth is the circuit-breaker state at the end of the run
 	// of every platform whose breaker is not Closed; nil when all are.

@@ -456,7 +456,7 @@ func TestReportSnapshotsDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestTracingChaosFailover runs WithTracing and WithFailover together
+// TestTracingChaosFailover runs WithTracing through a failover
 // under fault injection: the trace must contain spans for the failed
 // attempts on the dying platform AND spans for the re-planned atoms on
 // the survivors, consistent with the report's failover count.
@@ -490,7 +490,7 @@ func TestTracingChaosFailover(t *testing.T) {
 	want := sortedStrings(mustCollect(t, build("chaos-clean"), rheem.OnPlatform(javaengine.ID)))
 
 	got, rep, err := build("chaos-run").Collect(
-		rheem.OnPlatform("chaos"), rheem.WithFailover(true), rheem.WithTracing())
+		rheem.OnPlatform("chaos"), rheem.WithTracing())
 	if err != nil {
 		t.Fatalf("chaos run failed despite failover: %v", err)
 	}
@@ -758,7 +758,7 @@ func TestPlatformHealthCarriesOnlyOpenBreakers(t *testing.T) {
 		}
 	}
 
-	_, rep, err = job("failover").Collect(rheem.OnPlatform("chaos"), rheem.WithFailover(true))
+	_, rep, err = job("failover").Collect(rheem.OnPlatform("chaos"))
 	if err != nil {
 		t.Fatalf("the run failed despite failover: %v", err)
 	}
@@ -801,7 +801,7 @@ func TestPanickingOperatorFailsTheJobNotTheProcess(t *testing.T) {
 	for _, id := range []engine.PlatformID{javaengine.ID, sparksim.ID, relengine.ID} {
 		for _, hinted := range []bool{true, false} {
 			before := ctx.Registry().Stats().Snapshot()[id]
-			_, _, err := ctx.Execute(build(99, hinted), rheem.OnPlatform(id), rheem.WithFailover(true))
+			_, _, err := ctx.Execute(build(99, hinted), rheem.OnPlatform(id))
 			switch {
 			case err == nil:
 				t.Fatalf("%s hinted=%v: a filter on field 99 of two-field rows succeeded", id, hinted)
