@@ -237,7 +237,7 @@ func BenchmarkExecutorParallelism(b *testing.B) {
 	for _, par := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := bench.RunFanOut(ctx.Registry(), branches, recs, delay, par)
+				res, err := bench.RunFanOutTraced(ctx.Registry(), nil, branches, recs, delay, par)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -320,7 +320,7 @@ func BenchmarkShardedExecution(b *testing.B) {
 	for _, shards := range []int{1, wide} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := bench.RunWide(ctx.Registry(), recs, delay, shards)
+				res, err := bench.RunWideTraced(ctx.Registry(), nil, recs, delay, shards)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -34,7 +34,7 @@ func RunChaos(branches, recs int, delay time.Duration, failAfter int) (*executor
 	if _, err := sparksim.Register(reg, sparksim.Config{}); err != nil {
 		return nil, err
 	}
-	if _, err := relengine.Register(reg, nil, relengine.Config{}); err != nil {
+	if _, err := relengine.Register(reg, relengine.Config{}); err != nil {
 		return nil, err
 	}
 	var opts fault.Options

@@ -78,16 +78,11 @@ func FanOutAssignments(pp *physical.Plan) map[int]engine.PlatformID {
 	return fa
 }
 
-// RunFanOut optimizes a fresh fan-out plan against the registry and
-// executes it at the given scheduler parallelism.
-func RunFanOut(reg *engine.Registry, branches, recs int, delay time.Duration, par int) (*executor.Result, error) {
-	return RunFanOutTraced(reg, nil, branches, recs, delay, par)
-}
-
-// RunFanOutTraced is RunFanOut with the run's span stream feeding a
-// telemetry hub — the workload behind the metrics-overhead acceptance
-// benchmark (BenchmarkExecutorParallelismMetrics). A nil hub runs
-// untraced.
+// RunFanOutTraced optimizes a fresh fan-out plan against the registry
+// and executes it at the given scheduler parallelism, with the run's
+// span stream feeding a telemetry hub — the workload behind the
+// metrics-overhead acceptance benchmark
+// (BenchmarkExecutorParallelismMetrics). A nil hub runs untraced.
 func RunFanOutTraced(reg *engine.Registry, hub *metrics.Hub, branches, recs int, delay time.Duration, par int) (*executor.Result, error) {
 	pp, err := FanOutPlan(branches, recs, delay)
 	if err != nil {

@@ -90,15 +90,10 @@ func WideAssignments(pp *physical.Plan) map[int]engine.PlatformID {
 	return fa
 }
 
-// RunWide optimizes a fresh wide-chain plan and executes it with the
-// given shard fan-out (≤1 disables sharding).
-func RunWide(reg *engine.Registry, recs int, delay time.Duration, shards int) (*executor.Result, error) {
-	return RunWideTraced(reg, nil, recs, delay, shards)
-}
-
-// RunWideTraced is RunWide with the span stream feeding a telemetry
-// hub (nil runs untraced), so rheem-bench -metrics sees per-shard
-// spans and the skew they expose.
+// RunWideTraced optimizes a fresh wide-chain plan and executes it with
+// the given shard fan-out (≤1 disables sharding), with the span stream
+// feeding a telemetry hub (nil runs untraced), so rheem-bench -metrics
+// sees per-shard spans and the skew they expose.
 func RunWideTraced(reg *engine.Registry, hub *metrics.Hub, recs int, delay time.Duration, shards int) (*executor.Result, error) {
 	pp, err := WidePlan(recs, delay)
 	if err != nil {

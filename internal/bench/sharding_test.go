@@ -50,7 +50,7 @@ func TestShardingSpeedup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunWide(ctx.Registry(), recs, delay, shards)
+		res, err := RunWideTraced(ctx.Registry(), nil, recs, delay, shards)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ func BenchmarkPathCost(b *testing.B) {
 	if _, err := sparksim.Register(reg, sparksim.Config{}); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := relengine.Register(reg, nil, relengine.Config{}); err != nil {
+	if _, err := relengine.Register(reg, relengine.Config{}); err != nil {
 		b.Fatal(err)
 	}
 	graph := reg.Channels()

@@ -29,7 +29,7 @@ func triRegistry(t *testing.T) *engine.Registry {
 	if _, err := sparksim.Register(reg, sparksim.Config{JobOverhead: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := relengine.Register(reg, nil, relengine.Config{}); err != nil {
+	if _, err := relengine.Register(reg, relengine.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	return reg

@@ -301,16 +301,15 @@ func TestTraceFailoverShowsBothPlatforms(t *testing.T) {
 }
 
 func TestExternalTracerSharesStream(t *testing.T) {
-	// Every consumer of a caller-provided tracer sees the same stream —
-	// the one it was built with and one subscribed later — and the
-	// tracer keeps what the stream delivered.
+	// Every consumer of a caller-provided tracer sees the same stream,
+	// and the tracer keeps what the stream delivered.
 	reg := fullRegistry(t)
 	ep, err := optimizer.Optimize(simplePlan(t, intRecords(10)), reg,
 		optimizer.Options{FixedPlatform: javaengine.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var consumerEnds, subscriberEnds, planDone int
+	var consumerEnds, secondEnds, planDone int
 	tr := trace.New(func(e trace.Event) {
 		switch e.Kind {
 		case trace.SpanEnd:
@@ -318,18 +317,17 @@ func TestExternalTracerSharesStream(t *testing.T) {
 		case trace.PlanDone:
 			planDone++
 		}
-	})
-	tr.Subscribe(func(e trace.Event) {
+	}, func(e trace.Event) {
 		if e.Kind == trace.SpanEnd {
-			subscriberEnds++
+			secondEnds++
 		}
 	})
 	res, err := Run(ep, reg, Options{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if consumerEnds == 0 || consumerEnds != subscriberEnds {
-		t.Errorf("first consumer saw %d span ends, the subscribed one %d", consumerEnds, subscriberEnds)
+	if consumerEnds == 0 || consumerEnds != secondEnds {
+		t.Errorf("first consumer saw %d span ends, the second %d", consumerEnds, secondEnds)
 	}
 	if planDone != 1 {
 		t.Errorf("PlanDone events = %d", planDone)

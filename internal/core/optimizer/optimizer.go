@@ -44,9 +44,6 @@ type Options struct {
 	Rules []Rule
 	// DisableRules skips the rewrite phase entirely.
 	DisableRules bool
-	// DoWhileIterGuess is the iteration count assumed for DoWhile
-	// loops when costing (default 10).
-	DoWhileIterGuess int
 	// Calibration supplies learned per-(kind, platform) cost correction
 	// factors and per-kind cardinality corrections folded from completed
 	// runs (cost.Calibrator). The DP multiplies each candidate's model
@@ -138,9 +135,6 @@ func (ep *ExecutionPlan) String() string {
 // Optimize produces an execution plan for p over the registered
 // platforms.
 func Optimize(p *physical.Plan, reg *engine.Registry, opts Options) (*ExecutionPlan, error) {
-	if opts.DoWhileIterGuess <= 0 {
-		opts.DoWhileIterGuess = 10
-	}
 	if !opts.DisableRules {
 		rules := opts.Rules
 		if rules == nil {
@@ -230,14 +224,18 @@ func positions(p *physical.Plan) []int32 {
 	return pos
 }
 
+// doWhileIterGuess is the iteration count assumed for a DoWhile loop
+// without an iteration bound when costing.
+const doWhileIterGuess = 10
+
 // loopCosts prices a loop operator from its optimized body: the body's
 // estimate — calibrated and raw — times the expected iteration count.
-func loopCosts(op *physical.Operator, body *ExecutionPlan, opts Options) (c, raw cost.Cost) {
+func loopCosts(op *physical.Operator, body *ExecutionPlan) (c, raw cost.Cost) {
 	iters := op.Logical.Times
 	if op.Kind() == plan.KindDoWhile {
 		iters = op.Logical.MaxIter
 		if iters <= 0 {
-			iters = opts.DoWhileIterGuess
+			iters = doWhileIterGuess
 		}
 	}
 	return body.Estimated.Times(float64(iters)), body.RawEstimated.Times(float64(iters))
@@ -360,7 +358,7 @@ func assignPlatforms(p *physical.Plan, pos []int32, reg *engine.Registry, opts O
 				return fmt.Errorf("optimizer: loop body of %s sits on an unregistered platform", op.Name())
 			}
 			c := &cells[pi]
-			c.opCost, _ = loopCosts(op, body, opts)
+			c.opCost, _ = loopCosts(op, body)
 			c.algo, c.feasible = physical.Default, true
 			c.total = c.opCost.Total()
 			c.inPlats, picks = picks[:nin:nin], picks[nin:]
@@ -558,7 +556,7 @@ func vectorCost(p *physical.Plan, reg *engine.Registry, opts Options, ep *Execut
 	for _, op := range p.Ops {
 		pl := ep.Assignment[op.ID]
 		if body := ep.LoopBodies[op.ID]; body != nil {
-			lc, rawLC := loopCosts(op, body, opts)
+			lc, rawLC := loopCosts(op, body)
 			ep.OpCosts[op.ID] = lc
 			ep.RawOpCosts[op.ID] = rawLC
 			total = total.Plus(lc)

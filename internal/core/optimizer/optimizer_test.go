@@ -28,7 +28,7 @@ func fullRegistry(t *testing.T) *engine.Registry {
 	if _, err := sparksim.Register(reg, sparksim.Config{JobOverhead: 20 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := relengine.Register(reg, nil, relengine.Config{}); err != nil {
+	if _, err := relengine.Register(reg, relengine.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	return reg
@@ -473,7 +473,7 @@ func benchRegistry(tb testing.TB, n int) *engine.Registry {
 		bundled = append(bundled, s)
 	}
 	if n >= 3 {
-		r, err := relengine.Register(reg, nil, relengine.Config{})
+		r, err := relengine.Register(reg, relengine.Config{})
 		if err != nil {
 			tb.Fatal(err)
 		}

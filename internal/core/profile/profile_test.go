@@ -336,13 +336,17 @@ func TestRecorderEviction(t *testing.T) {
 	if ds := store.Datasets(); len(ds) != 2 || ds[0] != "runprofile-2" || ds[1] != "runprofile-3" {
 		t.Errorf("persisted datasets = %v", ds)
 	}
-	// Tightening the bound evicts immediately, like SetDoneHistory.
-	r.SetHistory(1)
+	// A tighter bound evicts at once: a recorder keeping one record
+	// rehydrates only the newest and deletes the other's dataset.
+	r = NewRecorder(1, store)
+	if _, err := r.LoadPersisted(); err != nil {
+		t.Fatal(err)
+	}
 	if got := r.Runs(); len(got) != 1 || got[0] != 3 {
-		t.Errorf("runs after SetHistory(1) = %v", got)
+		t.Errorf("runs rehydrated under a bound of 1 = %v", got)
 	}
 	if ds := store.Datasets(); len(ds) != 1 || ds[0] != "runprofile-3" {
-		t.Errorf("datasets after SetHistory(1) = %v", ds)
+		t.Errorf("datasets after rehydrating under a bound of 1 = %v", ds)
 	}
 }
 

@@ -76,26 +76,6 @@ func NewRecorder(history int, store *storage.Manager) *Recorder {
 	return &Recorder{history: history, store: store, recs: map[int64]*Record{}}
 }
 
-// History returns the bound on retained records.
-func (r *Recorder) History() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.history
-}
-
-// SetHistory rebounds the record history (negative clamps to zero) and
-// evicts immediately if the new bound is tighter — the same semantics
-// as the run tracker's SetDoneHistory.
-func (r *Recorder) SetHistory(n int) {
-	if n < 0 {
-		n = 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.history = n
-	r.trimLocked()
-}
-
 // Record folds a completed run into the history: evicts past the
 // history bound and, if a store is configured, builds the run's profile
 // and persists the record. Without a store the profile is built the

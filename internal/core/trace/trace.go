@@ -257,13 +257,6 @@ func New(consumers ...Consumer) *Tracer {
 	return &Tracer{now: time.Now, consumers: consumers}
 }
 
-// Subscribe adds a consumer to the span stream.
-func (t *Tracer) Subscribe(c Consumer) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.consumers = append(t.consumers, c)
-}
-
 // SetClock injects a clock (tests only).
 func (t *Tracer) SetClock(now func() time.Time) {
 	t.mu.Lock()

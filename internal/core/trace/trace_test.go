@@ -23,11 +23,9 @@ func fakeClock(step time.Duration) func() time.Time {
 }
 
 func TestSpanLifecycleAndSnapshot(t *testing.T) {
-	tr := New()
-	tr.SetClock(fakeClock(time.Millisecond))
-
 	var kinds []EventKind
-	tr.Subscribe(func(e Event) { kinds = append(kinds, e.Kind) })
+	tr := New(func(e Event) { kinds = append(kinds, e.Kind) })
+	tr.SetClock(fakeClock(time.Millisecond))
 
 	ready := tr.Now()
 	sp := tr.Begin(&Span{Kind: KindAtom, AtomID: 7, Platform: "java"}, ready)
@@ -71,10 +69,9 @@ func TestSpanLifecycleAndSnapshot(t *testing.T) {
 }
 
 func TestConsumersSerialized(t *testing.T) {
-	tr := New()
 	inCallback := false // races under -race if callbacks overlap
 	events := 0
-	tr.Subscribe(func(Event) {
+	tr := New(func(Event) {
 		if inCallback {
 			t.Error("consumer re-entered concurrently")
 		}

@@ -45,24 +45,16 @@ func (c *Config) defaults() {
 	}
 }
 
-// Platform executes RHEEM plans over DB tables.
+// Platform executes RHEEM plans over tables.
 type Platform struct {
 	cfg Config
-	db  *DB
 }
 
-// New returns a platform over the given catalog (a fresh one if nil).
-func New(db *DB, cfg Config) *Platform {
+// New returns a platform with the given profile.
+func New(cfg Config) *Platform {
 	cfg.defaults()
-	if db == nil {
-		db = NewDB()
-	}
-	return &Platform{cfg: cfg, db: db}
+	return &Platform{cfg: cfg}
 }
-
-// DB exposes the underlying catalog (shared with storage engines and
-// examples).
-func (p *Platform) DB() *DB { return p.db }
 
 // ID implements engine.Platform.
 func (p *Platform) ID() engine.PlatformID { return ID }
@@ -75,15 +67,13 @@ func (p *Platform) Profile() engine.Profile {
 // NativeFormat implements engine.Platform.
 func (p *Platform) NativeFormat() channel.Format { return channel.Table }
 
-// TableChannel wraps an existing table as a Table-format channel, the
-// entry point for plans reading catalog tables natively.
-func TableChannel(t *Table) *channel.Channel {
-	rows := t.rowsUnsafe()
+// tableChannel wraps a table as a Table-format channel.
+func tableChannel(t *Table) *channel.Channel {
 	return &channel.Channel{
 		Format:  channel.Table,
 		Payload: t,
-		Records: int64(len(rows)),
-		Bytes:   data.TotalBytes(rows),
+		Records: int64(len(t.rows)),
+		Bytes:   data.TotalBytes(t.rows),
 	}
 }
 
@@ -99,7 +89,7 @@ func (p *Platform) RegisterConverters(reg *channel.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			return TableChannel(p.db.tempTable(data.CloneRecords(recs))), nil
+			return tableChannel(&Table{rows: data.CloneRecords(recs)}), nil
 		},
 	})
 	reg.Register(channel.Converter{
@@ -110,11 +100,10 @@ func (p *Platform) RegisterConverters(reg *channel.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			// A view, not a copy: rows in a snapshot are immutable, and the
+			// A view, not a copy: a table's rows are immutable, and the
 			// clipped capacity sends a consumer's append to storage of its
 			// own instead of the table's backing array.
-			rows := t.rowsUnsafe()
-			return channel.NewCollection(rows[:len(rows):len(rows)]), nil
+			return channel.NewCollection(t.rows[:len(t.rows):len(t.rows)]), nil
 		},
 	})
 	// Direct table ↔ batch edges: a columnar export skips the row
@@ -132,7 +121,7 @@ func (p *Platform) RegisterConverters(reg *channel.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			return channel.NewBatch(batch.FromRecords(t.rowsUnsafe())), nil
+			return channel.NewBatch(batch.FromRecords(t.rows)), nil
 		},
 	})
 	reg.Register(channel.Converter{
@@ -143,21 +132,19 @@ func (p *Platform) RegisterConverters(reg *channel.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			return TableChannel(p.db.tempTable(data.CloneRecords(b.ToRecords()))), nil
+			return tableChannel(&Table{rows: data.CloneRecords(b.ToRecords())}), nil
 		},
 	})
 }
 
-// SplitNative implements engine.Sharder: each shard is a temp table
-// over a contiguous slice of the source table's row snapshot, so no
-// rows are copied. Shard tables are anonymous intermediates, dropped
-// with the rest by DB.ReleaseTemp.
+// SplitNative implements engine.Sharder: each shard is a table over a
+// contiguous slice of the source table's rows, so no rows are copied.
 func (p *Platform) SplitNative(ch *channel.Channel, n int) ([]*channel.Channel, error) {
 	t, err := tableOf(ch)
 	if err != nil {
 		return nil, err
 	}
-	rows := t.rowsUnsafe()
+	rows := t.rows
 	if n > len(rows) {
 		n = len(rows)
 	}
@@ -171,7 +158,7 @@ func (p *Platform) SplitNative(ch *channel.Channel, n int) ([]*channel.Channel, 
 		if hi > len(rows) {
 			hi = len(rows)
 		}
-		out = append(out, TableChannel(p.db.tempTable(rows[lo:hi])))
+		out = append(out, tableChannel(&Table{rows: rows[lo:hi]}))
 	}
 	return out, nil
 }
@@ -225,7 +212,7 @@ func (d *datasetOps) FromChannel(ch *channel.Channel) (any, error) {
 func (d *datasetOps) ToChannel(ds any) (*channel.Channel, error) {
 	t := ds.(*Table)
 	d.outRecords += int64(t.NumRows())
-	return TableChannel(t), nil
+	return tableChannel(t), nil
 }
 
 // charge records op wall time into simulated time with the profile
@@ -241,7 +228,7 @@ func (d *datasetOps) charge(wall time.Duration, relational bool) {
 // ExecOp executes one physical operator as one statement over
 // intermediate tables. The engine's own are the table layout (a source
 // is a bulk load, a sink hands its table through, every other result is
-// a temp table) and the clock, which prices opaque per-tuple UDF calls
+// a new table) and the clock, which prices opaque per-tuple UDF calls
 // (Map, FlatMap, Filter) up and everything else down; what the operator
 // computes on the rows is algo.Exec's to say.
 func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []any) (any, error) {
@@ -258,7 +245,7 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 		relational = k != plan.KindMap && k != plan.KindFlatMap && k != plan.KindFilter
 		var in [2][]data.Record
 		for i, t := range inputs {
-			in[i] = t.(*Table).rowsUnsafe()
+			in[i] = t.(*Table).rows
 		}
 		out, err = algo.Exec(op, in[0], in[1])
 	}
@@ -266,15 +253,15 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 		return nil, err
 	}
 	d.charge(time.Since(t0), relational)
-	return d.p.db.tempTable(out), nil
+	return &Table{rows: out}, nil
 }
 
-// Register creates the platform over db (fresh if nil), registers it
-// and its mappings, and returns it. Declared costs mirror the
-// simulated-time profile: relational shapes are scaled down, UDF
-// shapes up, plus the per-statement connect overhead.
-func Register(reg *engine.Registry, db *DB, cfg Config) (*Platform, error) {
-	p := New(db, cfg)
+// Register creates the platform, registers it and its mappings, and
+// returns it. Declared costs mirror the simulated-time profile:
+// relational shapes are scaled down, UDF shapes up, plus the
+// per-statement connect overhead.
+func Register(reg *engine.Registry, cfg Config) (*Platform, error) {
+	p := New(cfg)
 	if err := reg.RegisterPlatform(p); err != nil {
 		return nil, err
 	}

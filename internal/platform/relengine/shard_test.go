@@ -8,30 +8,25 @@ import (
 )
 
 func TestSplitNativeSlicesRows(t *testing.T) {
-	db := NewDB()
-	tab, err := db.CreateTable("people", peopleSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedPeople(t, tab)
-	p := New(db, Config{})
+	tab := &Table{rows: people()}
+	p := New(Config{})
 
-	shards, err := p.SplitNative(TableChannel(tab), 2)
+	shards, err := p.SplitNative(tableChannel(tab), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(shards) != 2 {
 		t.Fatalf("%d shards, want 2", len(shards))
 	}
-	orig := tab.rowsUnsafe()
+	orig := tab.rows
 	var replay []data.Record
 	for i, s := range shards {
 		st, err := tableOf(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := st.rowsUnsafe()
-		// Shard tables are zero-copy views of the source row snapshot.
+		rows := st.rows
+		// Shard tables are zero-copy views of the source table's rows.
 		if &rows[0] != &orig[len(replay)] {
 			t.Errorf("shard %d does not alias the source rows", i)
 		}
@@ -48,12 +43,10 @@ func TestSplitNativeSlicesRows(t *testing.T) {
 }
 
 func TestSplitNativeDegenerateAndErrors(t *testing.T) {
-	db := NewDB()
-	tab, _ := db.CreateTable("people", peopleSchema())
-	seedPeople(t, tab)
-	p := New(db, Config{})
+	tab := &Table{rows: people()}
+	p := New(Config{})
 
-	ch := TableChannel(tab)
+	ch := tableChannel(tab)
 	shards, err := p.SplitNative(ch, 1)
 	if err != nil {
 		t.Fatal(err)

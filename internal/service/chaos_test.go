@@ -304,8 +304,11 @@ func TestTenantExclusionsSurviveFailover(t *testing.T) {
 		},
 	})
 	s.mu.Lock()
-	tn := s.tenantLocked("isolated", s.now())
+	tn, err := s.tenantLocked("isolated", s.now())
 	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
 	tn.reportOutcome([]engine.PlatformID{javaengine.ID}, true)
 	if ex := tn.health.QuarantinedPlatforms(); len(ex) != 1 || ex[0] != javaengine.ID {
 		t.Fatalf("tenant excludes %v, want java alone", ex)

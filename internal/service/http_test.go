@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -226,6 +227,73 @@ func TestHTTPOversizedBodyIs413(t *testing.T) {
 	}
 	if code, msg := post(`{"spec":{"kind":"workload","workload":"sensor","n":4611686018427387904}}`); code != http.StatusBadRequest || !strings.Contains(msg, "too large") {
 		t.Errorf("oversized workload: %d %q, want 400", code, msg)
+	}
+}
+
+// TestTenantNamesBoundedAtTheDoor: a tenant's name labels its service_*
+// series and its record lives as long as the service, so POST /jobs
+// refuses with a 400 a name past 64 bytes, a name with a byte outside
+// [A-Za-z0-9._-] and a new tenant past the 1 024th — shed submissions
+// name tenants too — and /metrics does not grow with them.
+func TestTenantNamesBoundedAtTheDoor(t *testing.T) {
+	s, srv := startAPI(t, Config{MaxActiveJobs: 1, QueueDepth: 1, PoolSize: 1})
+	if err := s.SchedulerPool().Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer s.SchedulerPool().Release()
+	req := func(tenant string) Request {
+		return Request{Tenant: tenant, Spec: Spec{Kind: KindWorkload, Workload: WorkloadWordcount, N: 100}}
+	}
+	// With the pool held the first job runs, the second queues and every
+	// later one is shed, each for a tenant of its own.
+	for i := 0; i < maxTenants; i++ {
+		name := fmt.Sprintf("t-%d", i)
+		switch i {
+		case 0:
+			name = strings.Repeat("x", 64)
+		case 1:
+			name = "Acme.corp_2-eu"
+		}
+		var shed *ShedError
+		if _, err := s.Submit(req(name)); err != nil && !errors.As(err, &shed) {
+			t.Fatalf("tenant %q refused: %v", name, err)
+		}
+	}
+	// The series a tenant name labels; the rest of /metrics moves with
+	// the job in flight.
+	series := func() int {
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Count(body, []byte(`tenant="`))
+	}
+	before := series()
+	for _, c := range []struct{ what, tenant string }{
+		{"a 65-byte name", strings.Repeat("x", 65)},
+		{"a 1 MiB name", strings.Repeat("y", 1<<20-100)},
+		{"a space", "acme corp"},
+		{"a label quote", `acme"}`},
+		{"a non-ASCII byte", "acmé"},
+		{"the 1 025th tenant", "t-1024"},
+	} {
+		if resp, payload := postJob(t, srv.URL, req(c.tenant)); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %d %.200s, want 400", c.what, resp.StatusCode, payload)
+		}
+	}
+	if after := series(); after != before {
+		t.Errorf("/metrics went from %d to %d tenant-labelled series on refused submissions", before, after)
+	}
+	if resp, payload := postJob(t, srv.URL, req("t-7")); resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("a known tenant: %d %s, want 429 (shed, not refused)", resp.StatusCode, payload)
+	}
+	if n := len(s.Tenants()); n != maxTenants {
+		t.Errorf("%d tenant records, want %d", n, maxTenants)
 	}
 }
 

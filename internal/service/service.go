@@ -341,10 +341,19 @@ func (s *Service) registerMetrics() {
 		func() []metrics.Sample { return one(time.Duration(s.gDrainNS.Load()).Seconds()) })
 }
 
-// tenantLocked finds or creates the tenant record.
-func (s *Service) tenantLocked(name string, now time.Time) *tenant {
+// maxTenants bounds the tenant records, and with them the tenant-labelled
+// service_* series, that submissions can create: a record lives as long
+// as the service.
+const maxTenants = 1024
+
+// tenantLocked finds or creates the tenant record, refusing a new one
+// past maxTenants.
+func (s *Service) tenantLocked(name string, now time.Time) (*tenant, error) {
 	tn := s.tenants[name]
 	if tn == nil {
+		if len(s.tenants) >= maxTenants {
+			return nil, fmt.Errorf("service: no room for tenant %q: the service serves %d tenants already", name, maxTenants)
+		}
 		q := s.cfg.DefaultQuota
 		if override, ok := s.cfg.Quotas[name]; ok {
 			q = override
@@ -355,7 +364,7 @@ func (s *Service) tenantLocked(name string, now time.Time) *tenant {
 		s.tenants[name] = tn
 		s.order = append(s.order, name)
 	}
-	return tn
+	return tn, nil
 }
 
 // Submit runs admission control and, on acceptance, acks the job:
@@ -400,7 +409,10 @@ func (s *Service) Submit(req Request) (JobStatus, error) {
 	if s.draining || s.closed {
 		return JobStatus{}, ErrDraining
 	}
-	tn := s.tenantLocked(req.Tenant, now)
+	tn, err := s.tenantLocked(req.Tenant, now)
+	if err != nil {
+		return JobStatus{}, err
+	}
 	if ok, retry := tn.bucket.take(now); !ok {
 		tn.shed++
 		s.mShed.With(tn.name, "rate-limit").Inc()

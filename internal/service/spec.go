@@ -59,9 +59,14 @@ type Spec struct {
 	Wells int `json:"wells,omitempty"`
 }
 
+// maxTenantName bounds a tenant name: it is a label value on every
+// service_* series of its tenant.
+const maxTenantName = 64
+
 // Request is the job-submission payload.
 type Request struct {
-	// Tenant is the submitting tenant's identity; "" maps to "default".
+	// Tenant is the submitting tenant's identity: at most 64 bytes of
+	// [A-Za-z0-9._-]; "" maps to "default".
 	Tenant string `json:"tenant,omitempty"`
 	// Name labels the job in statuses and /runs; "" derives one from
 	// the spec.
@@ -109,6 +114,9 @@ func (r *Request) deadline(def, max time.Duration) time.Duration {
 
 // Validate rejects malformed requests before they cost anything.
 func (r *Request) Validate() error {
+	if !validTenant(r.Tenant) {
+		return fmt.Errorf("service: tenant name must be at most %d bytes of [A-Za-z0-9._-]", maxTenantName)
+	}
 	if r.DeadlineMS < 0 || r.AtomTimeoutMS < 0 {
 		return fmt.Errorf("service: negative deadline")
 	}
@@ -130,6 +138,21 @@ func (r *Request) Validate() error {
 		return fmt.Errorf("service: unknown spec kind %q (want %q or %q)", r.Spec.Kind, KindSQL, KindWorkload)
 	}
 	return nil
+}
+
+// validTenant reports whether name fits maxTenantName and uses only
+// [A-Za-z0-9._-].
+func validTenant(name string) bool {
+	if len(name) > maxTenantName {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return true
 }
 
 // BuildPlan lowers the spec to a logical plan named name, compiling

@@ -59,9 +59,6 @@ type Config struct {
 	Java       javaengine.Config
 	Spark      sparksim.Config
 	Relational relengine.Config
-	// DB shares an existing relational catalog with the context; nil
-	// creates a fresh one.
-	DB *relengine.DB
 
 	// Columnar is ignored.
 	//
@@ -133,11 +130,7 @@ func WithCalibration(cal *cost.Calibrator) ContextOption {
 // Context owns the platform registry and is the entry point for
 // building and executing jobs. A Context is safe to reuse across jobs.
 type Context struct {
-	reg   *engine.Registry
-	java  *javaengine.Platform
-	spark *sparksim.Platform
-	rel   *relengine.Platform
-
+	reg    *engine.Registry
 	hub    *metrics.Hub
 	monSrv *metrics.Server
 }
@@ -152,19 +145,18 @@ func NewContext(cfg Config, opts ...ContextOption) (*Context, error) {
 	if c.hub == nil {
 		c.hub = metrics.NewHub()
 	}
-	var err error
 	if !cfg.DisableJava {
-		if c.java, err = javaengine.Register(c.reg, cfg.Java); err != nil {
+		if _, err := javaengine.Register(c.reg, cfg.Java); err != nil {
 			return nil, err
 		}
 	}
 	if !cfg.DisableSpark {
-		if c.spark, err = sparksim.Register(c.reg, cfg.Spark); err != nil {
+		if _, err := sparksim.Register(c.reg, cfg.Spark); err != nil {
 			return nil, err
 		}
 	}
 	if !cfg.DisableRelational {
-		if c.rel, err = relengine.Register(c.reg, cfg.DB, cfg.Relational); err != nil {
+		if _, err := relengine.Register(c.reg, cfg.Relational); err != nil {
 			return nil, err
 		}
 	}
@@ -228,25 +220,6 @@ func (c *Context) Close() error {
 // platforms and operator mappings can be plugged in.
 func (c *Context) Registry() *engine.Registry { return c.reg }
 
-// DB returns the relational platform's catalog, or nil if the platform
-// is disabled.
-func (c *Context) DB() *relengine.DB {
-	if c.rel == nil {
-		return nil
-	}
-	return c.rel.DB()
-}
-
-// SparkConfig returns the effective Spark-simulator configuration (for
-// experiment reporting); the second result is false if the platform is
-// disabled.
-func (c *Context) SparkConfig() (sparksim.Config, bool) {
-	if c.spark == nil {
-		return sparksim.Config{}, false
-	}
-	return c.spark.Config(), true
-}
-
 // RunOption customises one execution.
 type RunOption func(*runConfig)
 
@@ -296,8 +269,9 @@ func WithExcludedPlatforms(ids ...engine.PlatformID) RunOption {
 // and so does every extra shard goroutine of a sharded atom (a shard
 // that gets none runs inline under its atom's slot), so the pool's size
 // bounds what N concurrent jobs execute at once however they set
-// WithParallelism and WithShards — how a long-running service keeps its
-// jobs from oversubscribing the host.
+// WithShards — how a long-running service keeps its jobs from
+// oversubscribing the host. A pool of one runs a job's atoms one at a
+// time.
 func WithSchedulerPool(p *executor.Pool) RunOption {
 	return func(rc *runConfig) { rc.exec.Pool = p }
 }
@@ -313,30 +287,11 @@ func WithMonitor(f func(trace.Event)) RunOption {
 	return func(rc *runConfig) { rc.monitors = append(rc.monitors, f) }
 }
 
-// NoRetries is the WithMaxRetries sentinel for "fail on the first
-// error" — 0 means the default budget.
-const NoRetries = executor.NoRetries
-
-// WithMaxRetries overrides the executor's failure retry bound (0
-// selects the default of 2; NoRetries disables retrying). Failed
-// attempts back off exponentially with deterministic jitter, and
-// deterministic (fatal) errors such as UDF failures are never retried.
-func WithMaxRetries(n int) RunOption {
-	return func(rc *runConfig) { rc.exec.MaxRetries = n }
-}
-
 // WithAtomTimeout bounds each execution attempt of a single task atom;
 // an attempt exceeding the timeout fails with a deadline error and is
 // retried like any transient failure. 0 disables the bound.
 func WithAtomTimeout(d time.Duration) RunOption {
 	return func(rc *runConfig) { rc.exec.AtomTimeout = d }
-}
-
-// WithParallelism bounds how many independent task atoms the executor
-// schedules concurrently. 1 forces sequential execution in plan order;
-// values below 1 (including the default) mean runtime.NumCPU().
-func WithParallelism(n int) RunOption {
-	return func(rc *runConfig) { rc.exec.Parallelism = n }
 }
 
 // WithShards enables intra-atom data parallelism: a shardable task

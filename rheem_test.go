@@ -2,6 +2,7 @@ package rheem_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -332,12 +333,6 @@ func TestPlatformRegistryExposed(t *testing.T) {
 	ctx := newCtx(t)
 	if len(ctx.Registry().Platforms()) != 3 {
 		t.Errorf("got %d platforms", len(ctx.Registry().Platforms()))
-	}
-	if ctx.DB() == nil {
-		t.Error("relational catalog not exposed")
-	}
-	if _, ok := ctx.SparkConfig(); !ok {
-		t.Error("spark config not exposed")
 	}
 	ids := map[engine.PlatformID]bool{}
 	for _, p := range ctx.Registry().Platforms() {
@@ -684,10 +679,11 @@ func TestFailedRunReachesRecorderAndCalibrator(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Java's coverage, surviving one execution: the atom before the loop
-	// runs, the loop body's first atom fails.
+	// runs, the loop body's first atom fails for good — a fatal error is
+	// neither retried nor failed over.
 	p := fault.Wrap(javaengine.New(javaengine.Config{}), fault.Options{
 		ID:        "chaos",
-		Schedules: []fault.Schedule{fault.FailAfterN(1, nil)},
+		Schedules: []fault.Schedule{fault.FailAfterN(1, engine.Fatal(errors.New("injected")))},
 	})
 	if err := fault.Register(ctx.Registry(), p, javaengine.ID); err != nil {
 		t.Fatal(err)
@@ -697,7 +693,7 @@ func TestFailedRunReachesRecorderAndCalibrator(t *testing.T) {
 		Repeat(2, func(_ *rheem.LoopBody, q *rheem.DataQuanta) *rheem.DataQuanta {
 			return q.Map(func(r data.Record) (data.Record, error) { return r, nil })
 		}).
-		Collect(rheem.OnPlatform("chaos"), rheem.WithMaxRetries(rheem.NoRetries))
+		Collect(rheem.OnPlatform("chaos"))
 	if err == nil {
 		t.Fatal("the run survived a platform that fails from its second execution")
 	}
