@@ -129,12 +129,12 @@ func WriteBinary(w io.Writer, recs []Record) (int64, error) {
 		if err := putUvarint(uint64(r.Len())); err != nil {
 			return cw.n, err
 		}
-		for i := 0; i < r.Len(); i++ {
-			v := r.Field(i)
-			if _, err := cw.Write([]byte{byte(v.kind)}); err != nil {
+		for _, v := range r.Fields() {
+			k := v.Kind()
+			if _, err := cw.Write([]byte{byte(k)}); err != nil {
 				return cw.n, err
 			}
-			switch v.kind {
+			switch k {
 			case KindNull:
 			case KindBool, KindInt:
 				if err := putUvarint(zigzag(v.int())); err != nil {
@@ -145,14 +145,14 @@ func WriteBinary(w io.Writer, recs []Record) (int64, error) {
 					return cw.n, err
 				}
 			case KindString:
-				if err := putUvarint(v.n); err != nil {
+				if err := putUvarint(uint64(v.len())); err != nil {
 					return cw.n, err
 				}
 				if _, err := io.WriteString(cw, v.str()); err != nil {
 					return cw.n, err
 				}
 			case KindVector:
-				if err := putUvarint(v.n); err != nil {
+				if err := putUvarint(uint64(v.len())); err != nil {
 					return cw.n, err
 				}
 				for _, f := range v.vec() {
@@ -161,7 +161,7 @@ func WriteBinary(w io.Writer, recs []Record) (int64, error) {
 					}
 				}
 			default:
-				return cw.n, fmt.Errorf("data: binary-encode unknown kind %d", v.kind)
+				return cw.n, fmt.Errorf("data: binary-encode unknown kind %d", k)
 			}
 		}
 	}

@@ -2,7 +2,9 @@ package data
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -20,13 +22,68 @@ func encodeBatch(t *testing.T, recs []Record) []byte {
 	return buf.Bytes()
 }
 
+// sameValues fails unless got holds want's values: record by record,
+// each field of the same kind and Equal.
+func sameValues(tb testing.TB, want, got []Record) {
+	tb.Helper()
+	if len(got) != len(want) {
+		tb.Fatalf("round trip changed record count: %d -> %d", len(want), len(got))
+	}
+	for i, r := range want {
+		if got[i].Len() != r.Len() {
+			tb.Fatalf("record %d: round trip changed arity: %d -> %d", i, r.Len(), got[i].Len())
+		}
+		for j, v := range r.Fields() {
+			if w := got[i].Field(j); w.Kind() != v.Kind() || !Equal(v, w) {
+				tb.Fatalf("record %d field %d: %s %s round-tripped to %s %s", i, j, v.Kind(), v, w.Kind(), w)
+			}
+		}
+	}
+}
+
+// writtenKinds walks a stream ReadBinary accepted and returns the kind
+// byte of every field in it, in order: what each decoded value must
+// report, read off the wire rather than off a Value.
+func writtenKinds(t *testing.T, raw []byte) []Kind {
+	t.Helper()
+	uvarint := func() uint64 {
+		u, n := binary.Uvarint(raw)
+		if n <= 0 {
+			t.Fatalf("ReadBinary accepted a stream whose varint at %x does not parse", raw)
+		}
+		raw = raw[n:]
+		return u
+	}
+	var kinds []Kind
+	for count := uvarint(); count > 0; count-- {
+		for arity := uvarint(); arity > 0; arity-- {
+			k := Kind(raw[0])
+			raw = raw[1:]
+			kinds = append(kinds, k)
+			switch k {
+			case KindBool, KindInt, KindFloat:
+				uvarint()
+			case KindString:
+				raw = raw[uvarint():]
+			case KindVector:
+				for n := uvarint(); n > 0; n-- {
+					uvarint()
+				}
+			}
+		}
+	}
+	return kinds
+}
+
 // FuzzCodecRoundTrip drives arbitrary bytes through the binary codec.
-// The decoder must never panic or allocate unboundedly, and whatever
-// it accepts must re-encode to a fixed point: decode(encode(recs)) ==
-// recs, compared through the canonical encoding so NaN floats and
-// non-minimal varints in the original input don't produce spurious
-// mismatches.
+// The decoder must never panic or allocate unboundedly, every value it
+// decodes must report the kind byte it was read from, and whatever it
+// accepts must re-encode to a fixed point: decode(encode(recs)) == recs,
+// value by value under Equal and byte for byte through the canonical
+// encoding, so NaN floats and non-minimal varints in the original input
+// don't produce spurious mismatches.
 func FuzzCodecRoundTrip(f *testing.F) {
+	long := strings.Repeat("substring", 4)
 	seedBatches := [][]Record{
 		{},
 		{NewRecord(Int(1), Str("a"))},
@@ -40,6 +97,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		// a vector that is empty but not nil.
 		{NewRecord(Str(""), Str(""))},
 		{NewRecord(Vec([]float64{}), Vec(nil))},
+		// An empty substring of a longer string, and an empty vector with
+		// capacity behind it: neither may read back as another kind.
+		{NewRecord(Str(long[9:9]), Vec(make([]float64, 0, 4)))},
 		// Columnar-conversion decision space: these shapes steer which
 		// representation batch.FromRecords picks (validity bitmaps,
 		// all-null and mixed-kind ColAny columns, the ragged row
@@ -58,6 +118,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+		again, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			f.Fatal(err)
+		}
+		sameValues(f, batch, again)
 	}
 	// Corrupt headers: huge declared counts with no payload behind them
 	// must fail fast, not allocate gigabytes.
@@ -76,9 +141,16 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoding our own encoding failed: %v", err)
 		}
-		if len(again) != len(recs) {
-			t.Fatalf("round trip changed record count: %d -> %d", len(recs), len(again))
+		kinds := writtenKinds(t, raw)
+		for _, r := range recs {
+			for _, v := range r.Fields() {
+				if v.Kind() != kinds[0] {
+					t.Fatalf("decoded a %s %s from kind byte %d", v.Kind(), v, kinds[0])
+				}
+				kinds = kinds[1:]
+			}
 		}
+		sameValues(t, recs, again)
 		if enc2 := encodeBatch(t, again); !bytes.Equal(enc, enc2) {
 			t.Fatalf("canonical encoding is not a fixed point:\n first %x\nsecond %x", enc, enc2)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -13,15 +14,21 @@ import (
 // are exactly these, the zero-size func array that keeps the type from
 // being comparable included.
 var _ = struct {
-	_    [0]func()
-	kind Kind
-	n    uint64
-	p    unsafe.Pointer
+	_ [0]func()
+	p unsafe.Pointer
+	n uint64
 }(Value{})
 
+// And Record's: the first field's address and the field count.
+var _ = struct {
+	_ [0]func()
+	p *Value
+	n int
+}(Record{})
+
 func TestValueLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Value{}); got != 24 {
-		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 24", got)
+	if got := unsafe.Sizeof(Value{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 16", got)
 	}
 	var zero Value
 	if !zero.IsNull() || zero.Kind() != KindNull || !Equal(zero, Null()) || zero.String() != "" {
@@ -29,6 +36,90 @@ func TestValueLayout(t *testing.T) {
 	}
 	if reflect.TypeOf(Value{}).Comparable() {
 		t.Error("Value is comparable: == would compare string and vector pointers, not contents")
+	}
+}
+
+func TestRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(Record{}) = %d, want 16", got)
+	}
+	if reflect.TypeOf(Record{}).Comparable() {
+		t.Error("Record is comparable: == would compare field pointers, not contents")
+	}
+	var zero Record
+	if zero.Len() != 0 || zero.Fields() != nil || zero.String() != "()" || !EqualRecords(zero, NewRecord()) {
+		t.Errorf("zero Record has %d fields %#v, want none and nil", zero.Len(), zero.Fields())
+	}
+	// Fields aliases the slice given to NewRecord and forgets its capacity.
+	vals := make([]Value, 3, 8)
+	vals[1] = Int(7)
+	fields := NewRecord(vals...).Fields()
+	if len(fields) != 3 || cap(fields) != 3 || &fields[0] != &vals[0] || fields[1].Int() != 7 {
+		t.Errorf("Fields() has len %d cap %d, want 3 and 3 over the constructor's slice", len(fields), cap(fields))
+	}
+}
+
+// TestKindEncoding holds every kind's encoding — a nil pointer, a tag, or
+// a payload pointer with the kind in n's top byte — to what a value of
+// that kind must answer, at zero-length, short and extreme payloads: its
+// kind, and equal, order-equal and hash-equal to the same payload built
+// afresh, and to no value of another kind.
+func TestKindEncoding(t *testing.T) {
+	big := strings.Repeat("0123456789abcdef", 1<<16) // 1 MiB
+	bigVec := make([]float64, 1<<16)
+	bigVec[len(bigVec)-1] = math.NaN()
+	cases := []struct {
+		v, fresh Value
+		kind     Kind
+	}{
+		{Null(), Value{}, KindNull},
+		{Bool(false), Bool(false), KindBool},
+		{Bool(true), Bool(true), KindBool},
+		{Int(0), Int(0), KindInt},
+		{Int(-1), Int(-1), KindInt}, // every bit of n set, the top byte too
+		{Int(math.MinInt64), Int(math.MinInt64), KindInt},
+		{Int(math.MaxInt64), Int(math.MaxInt64), KindInt},
+		{Int(int64(KindString) << 56), Int(int64(KindString) << 56), KindInt}, // a string's top byte
+		{Float(0), Float(math.Copysign(0, -1)), KindFloat},
+		{Float(math.Inf(-1)), Float(math.Inf(-1)), KindFloat},
+		{Float(math.Float64frombits(^uint64(0))), Float(math.NaN()), KindFloat},
+		{Float(math.SmallestNonzeroFloat64), Float(math.SmallestNonzeroFloat64), KindFloat},
+		{Str(""), Str(string([]byte{})), KindString},
+		{Str(big[7:7]), Str(""), KindString}, // an empty substring
+		{Str("x"), Str(string([]byte("x"))), KindString},
+		{Str(big[5:9]), Str("5678"), KindString},
+		{Str(big), Str(strings.Clone(big)), KindString},
+		{Vec(nil), Vec([]float64{}), KindVector},
+		{Vec([]float64{}), Vec(nil), KindVector},
+		{Vec(make([]float64, 0, 4)), Vec(nil), KindVector},
+		{Vec([]float64{math.Inf(1)}), Vec([]float64{math.Inf(1)}), KindVector},
+		{Vec(bigVec), Vec(slices.Clone(bigVec)), KindVector},
+	}
+	for i, c := range cases {
+		if c.v.Kind() != c.kind || c.fresh.Kind() != c.kind || c.v.IsNull() != (c.kind == KindNull) {
+			t.Errorf("case %d: Kind() = %s (afresh %s), IsNull() = %v; want %s", i, c.v.Kind(), c.fresh.Kind(), c.v.IsNull(), c.kind)
+		}
+		if !Equal(c.v, c.fresh) || !Equal(c.fresh, c.v) || Compare(c.v, c.fresh) != 0 {
+			t.Errorf("case %d: %s %.20s is not Equal and Compare-equal to its payload afresh", i, c.kind, c.v)
+		}
+		for _, seed := range []uint64{0, 7} {
+			if Hash(c.v, seed) != Hash(c.fresh, seed) {
+				t.Errorf("case %d: %s %.20s hashes apart from its payload afresh at seed %d", i, c.kind, c.v, seed)
+			}
+		}
+		for _, o := range cases {
+			if o.kind != c.kind && (Equal(c.v, o.v) || Compare(c.v, o.v) == 0) {
+				t.Errorf("case %d: %s %.20s equals %s %.20s", i, c.kind, c.v, o.kind, o.v)
+			}
+		}
+	}
+
+	// The zero-length payloads read back as what they were made from.
+	if Str(big[7:7]).Str() != "" || Vec(nil).Vec() != nil {
+		t.Error("an empty string or nil vector reads back non-empty")
+	}
+	if got := Vec(make([]float64, 0, 4)).Vec(); got == nil || len(got) != 0 || cap(got) != 0 {
+		t.Errorf("a non-nil empty vector reads back as %#v with cap %d, want empty and non-nil", got, cap(got))
 	}
 }
 

@@ -3,86 +3,98 @@ package data
 import (
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // Record is a single data quantum: an ordered tuple of values. Records
-// are small value types; copying one copies only the field-slice header.
-// Operators must treat records as immutable — derive new records with
-// WithField, Project, or Concat instead of writing through Fields.
+// are small value types; copying one copies only the field-slice pointer
+// and length. Operators must treat records as immutable — derive new
+// records with WithField, Project, or Concat instead of writing through
+// Fields.
+//
+// Layout: two words, 16 bytes on 64-bit targets — the first field's
+// address and the field count. The capacity of the slice given to
+// NewRecord is not stored, so Fields() returns a slice with cap == len.
+// Like Value, a Record is not comparable: compare records with
+// EqualRecords (or CompareRecords), never with reflect.DeepEqual, which
+// would compare field pointers, not contents. The zero Record has no
+// fields and nil Fields().
 type Record struct {
-	fields []Value
+	_ [0]func() // not comparable
+	p *Value
+	n int
 }
 
 // NewRecord builds a record from the given values. The slice is owned by
 // the record afterwards.
-func NewRecord(vals ...Value) Record { return Record{fields: vals} }
+func NewRecord(vals ...Value) Record { return Record{p: unsafe.SliceData(vals), n: len(vals)} }
 
 // Len reports the number of fields.
-func (r Record) Len() int { return len(r.fields) }
+func (r Record) Len() int { return r.n }
 
 // Field returns field i. It panics if i is out of range, mirroring slice
 // indexing; plan validation catches arity mismatches before execution.
-func (r Record) Field(i int) Value { return r.fields[i] }
+func (r Record) Field(i int) Value { return r.Fields()[i] }
 
-// Fields returns the underlying field slice. Callers must not mutate it.
-func (r Record) Fields() []Value { return r.fields }
+// Fields returns the underlying field slice, with cap == len. Callers
+// must not mutate it.
+func (r Record) Fields() []Value { return unsafe.Slice(r.p, r.n) }
 
 // WithField returns a copy of the record with field i replaced.
 func (r Record) WithField(i int, v Value) Record {
-	out := make([]Value, len(r.fields))
-	copy(out, r.fields)
+	out := make([]Value, r.n)
+	copy(out, r.Fields())
 	out[i] = v
-	return Record{fields: out}
+	return NewRecord(out...)
 }
 
 // Append returns a new record with the given values appended.
 func (r Record) Append(vals ...Value) Record {
-	out := make([]Value, 0, len(r.fields)+len(vals))
-	out = append(out, r.fields...)
+	out := make([]Value, 0, r.n+len(vals))
+	out = append(out, r.Fields()...)
 	out = append(out, vals...)
-	return Record{fields: out}
+	return NewRecord(out...)
 }
 
 // Project returns a new record containing the selected fields in order.
 func (r Record) Project(idx ...int) Record {
+	fields := r.Fields()
 	out := make([]Value, len(idx))
 	for i, j := range idx {
-		out[i] = r.fields[j]
+		out[i] = fields[j]
 	}
-	return Record{fields: out}
+	return NewRecord(out...)
 }
 
 // Concat returns the concatenation of two records, the standard join
 // output shape.
 func Concat(l, r Record) Record {
-	out := make([]Value, 0, len(l.fields)+len(r.fields))
-	out = append(out, l.fields...)
-	out = append(out, r.fields...)
-	return Record{fields: out}
+	out := make([]Value, 0, l.n+r.n)
+	out = append(out, l.Fields()...)
+	out = append(out, r.Fields()...)
+	return NewRecord(out...)
 }
 
 // CompareRecords orders records field-by-field (shorter records sort
 // first on a shared prefix).
 func CompareRecords(a, b Record) int {
-	n := len(a.fields)
-	if len(b.fields) < n {
-		n = len(b.fields)
-	}
-	for i := 0; i < n; i++ {
-		if c := Compare(a.fields[i], b.fields[i]); c != 0 {
+	af, bf := a.Fields(), b.Fields()
+	for i := range min(len(af), len(bf)) {
+		if c := Compare(af[i], bf[i]); c != 0 {
 			return c
 		}
 	}
-	return len(a.fields) - len(b.fields)
+	return len(af) - len(bf)
 }
 
 // EqualRecords reports field-wise equality under Equal.
 func EqualRecords(a, b Record) bool {
-	if len(a.fields) != len(b.fields) {
+	af, bf := a.Fields(), b.Fields()
+	if len(af) != len(bf) {
 		return false
 	}
-	for i := range a.fields {
-		if !Equal(a.fields[i], b.fields[i]) {
+	for i := range af {
+		if !Equal(af[i], bf[i]) {
 			return false
 		}
 	}
@@ -92,7 +104,7 @@ func EqualRecords(a, b Record) bool {
 // HashRecord hashes all fields of a record with the given seed.
 func HashRecord(r Record, seed uint64) uint64 {
 	h := fnvOffset ^ seed
-	for _, v := range r.fields {
+	for _, v := range r.Fields() {
 		h = hashUint64(h, Hash(v, seed))
 	}
 	return h
@@ -102,7 +114,7 @@ func HashRecord(r Record, seed uint64) uint64 {
 func (r Record) String() string {
 	var sb strings.Builder
 	sb.WriteByte('(')
-	for i, v := range r.fields {
+	for i, v := range r.Fields() {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
@@ -125,15 +137,18 @@ func SortRecordsBy(recs []Record, key func(Record) Value) {
 
 // Bytes estimates the in-memory footprint of the record in bytes. The
 // channel conversion graph and the shuffle model use it to account for
-// data movement volume; it is an estimate, not an exact allocation size.
+// data movement volume; it is a model, not an exact allocation size, and
+// its constants are kept apart from the layout so that modelled costs do
+// not move with it (for a record of scalars the two happen to agree: a
+// 16-byte header and 16 bytes a field).
 func (r Record) Bytes() int {
-	n := 16 // slice header + kind tags, amortised
-	for _, v := range r.fields {
-		switch v.kind {
+	n := 16 // the record header
+	for _, v := range r.Fields() {
+		switch v.Kind() {
 		case KindString:
-			n += 16 + int(v.n)
+			n += 16 + v.len()
 		case KindVector:
-			n += 24 + 8*int(v.n)
+			n += 24 + 8*v.len()
 		default:
 			n += 16
 		}

@@ -83,27 +83,49 @@ func ParseKind(s string) (Kind, error) {
 // quantum costs multiplies through every operator, conversion and
 // shuffle of the row path.
 //
-// Layout: three words, 24 bytes on 64-bit targets. n holds the int, the
-// float's IEEE bits, the bool (0 or 1), or the length of the string or
-// vector; p points at the string's bytes or the vector's first element
-// and is nil for every other kind. Constructors box nothing and copy
-// nothing: Str and Vec keep the caller's backing array alive through p.
+// Layout: two words, 16 bytes on 64-bit targets, the kind encoded in p:
+//   - Null: p is nil, so the zero Value is Null.
+//   - Bool, Int and Float: p is the kind's tag, the address of its entry
+//     in kindTags; n holds the bool (0 or 1), the int or the float's
+//     IEEE bits.
+//   - A non-empty string and a non-nil vector: p points at the string's
+//     bytes or the vector's first element, and n is the length with the
+//     kind in its top byte.
+//   - The empty string and the nil vector: p is the kind's tag and n is
+//     0, so an empty substring keeps nothing of its parent alive.
+//
+// Constructors box nothing and copy nothing: Str and Vec keep the
+// caller's backing array alive through p.
 //
 // Rules that follow from the layout:
 //   - Compare values with Equal (or Compare), never with == or
 //     reflect.DeepEqual. The zero-size func field keeps == from
 //     compiling; DeepEqual would compare string and vector pointers,
-//     not contents.
+//     not contents. The same holds for Record, which holds a pointer
+//     to its fields.
 //   - Vec() returns a slice with cap == len, whatever capacity the slice
-//     given to the constructor had: the capacity is not stored.
-//
-// The zero Value is Null.
+//     given to the constructor had: the capacity is not stored. A
+//     non-nil empty vector keeps its data pointer, so Vec(nil).Vec() is
+//     nil and Vec([]float64{}).Vec() is empty and non-nil.
 type Value struct {
-	_    [0]func() // not comparable
-	kind Kind
-	n    uint64
-	p    unsafe.Pointer
+	_ [0]func() // not comparable
+	p unsafe.Pointer
+	n uint64
 }
+
+// kindTags gives every kind an address of its own: a value whose p is
+// &kindTags[k] is of kind k (kindTags[k] == k, so the offset into the
+// array is the kind). Every tag is a real byte; no pointer is ever built
+// from an integer.
+var kindTags = [...]Kind{KindNull, KindBool, KindInt, KindFloat, KindString, KindVector}
+
+// tag returns kind k's tag.
+func tag(k Kind) unsafe.Pointer { return unsafe.Pointer(&kindTags[k]) }
+
+const (
+	kindShift = 56               // a string's or vector's kind sits in n's top byte
+	lenMask   = 1<<kindShift - 1 // and its length below it
+)
 
 // Null returns the null value.
 func Null() Value { return Value{} }
@@ -114,63 +136,88 @@ func Bool(b bool) Value {
 	if b {
 		n = 1
 	}
-	return Value{kind: KindBool, n: n}
+	return Value{p: tag(KindBool), n: n}
 }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
+func Int(v int64) Value { return Value{p: tag(KindInt), n: uint64(v)} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
+func Float(v float64) Value { return Value{p: tag(KindFloat), n: math.Float64bits(v)} }
 
 // Str returns a string value.
 func Str(v string) Value {
-	return Value{kind: KindString, n: uint64(len(v)), p: unsafe.Pointer(unsafe.StringData(v))}
+	if len(v) == 0 {
+		return Value{p: tag(KindString)}
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), n: uint64(len(v)) | uint64(KindString)<<kindShift}
 }
 
 // Vec returns a vector value. The slice is NOT copied; callers that
 // mutate the argument afterwards must copy it first.
 func Vec(v []float64) Value {
-	return Value{kind: KindVector, n: uint64(len(v)), p: unsafe.Pointer(unsafe.SliceData(v))}
+	if v == nil {
+		return Value{p: tag(KindVector)}
+	}
+	return Value{p: unsafe.Pointer(unsafe.SliceData(v)), n: uint64(len(v)) | uint64(KindVector)<<kindShift}
 }
 
 // The payload readers below do not check the kind; every caller has
-// switched on it. Nothing else reads p.
+// switched on it. Nothing else dereferences p.
 
 func (v Value) int() int64     { return int64(v.n) }
 func (v Value) float() float64 { return math.Float64frombits(v.n) }
-func (v Value) str() string    { return unsafe.String((*byte)(v.p), int(v.n)) }
-func (v Value) vec() []float64 { return unsafe.Slice((*float64)(v.p), int(v.n)) }
+func (v Value) len() int       { return int(v.n & lenMask) } // a tag's n is 0
+func (v Value) str() string    { return unsafe.String((*byte)(v.p), v.len()) }
+
+func (v Value) vec() []float64 {
+	if v.p == tag(KindVector) {
+		return nil // the tag is a byte, not a float64 to point a slice at
+	}
+	return unsafe.Slice((*float64)(v.p), v.len())
+}
 
 // Kind reports the dynamic kind of the value.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	if v.p == nil {
+		return KindNull
+	}
+	if i := uintptr(v.p) - uintptr(unsafe.Pointer(&kindTags)); i < uintptr(len(kindTags)) {
+		return Kind(i)
+	}
+	return Kind(v.n >> kindShift)
+}
 
 // IsNull reports whether the value is null.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.p == nil }
 
 // Bool returns the boolean payload. It panics if the kind is not Bool;
 // use Kind first when the type is not statically known.
 func (v Value) Bool() bool {
-	v.mustBe(KindBool)
+	if v.p != tag(KindBool) {
+		v.mismatch(KindBool)
+	}
 	return v.n != 0
 }
 
 // Int returns the integer payload, panicking on a kind mismatch.
 func (v Value) Int() int64 {
-	v.mustBe(KindInt)
+	if v.p != tag(KindInt) {
+		v.mismatch(KindInt)
+	}
 	return v.int()
 }
 
 // Float returns the float payload. For convenience in numeric UDFs it
 // also accepts an Int value (widened); any other kind panics.
 func (v Value) Float() float64 {
-	switch v.kind {
-	case KindFloat:
+	switch v.p {
+	case tag(KindFloat):
 		return v.float()
-	case KindInt:
+	case tag(KindInt):
 		return float64(v.int())
 	}
-	panic(fmt.Sprintf("data: Float() on %s value", v.kind))
+	panic(fmt.Sprintf("data: Float() on %s value", v.Kind()))
 }
 
 // Str returns the string payload, panicking on a kind mismatch.
@@ -187,15 +234,19 @@ func (v Value) Vec() []float64 {
 }
 
 func (v Value) mustBe(k Kind) {
-	if v.kind != k {
-		panic(fmt.Sprintf("data: %s() on %s value", k, v.kind))
+	if v.Kind() != k {
+		v.mismatch(k)
 	}
+}
+
+func (v Value) mismatch(k Kind) {
+	panic(fmt.Sprintf("data: %s() on %s value", k, v.Kind()))
 }
 
 // String renders the value for debugging and CSV output. Null renders
 // as the empty string, vectors as semicolon-separated floats.
 func (v Value) String() string {
-	switch v.kind {
+	switch k := v.Kind(); k {
 	case KindNull:
 		return ""
 	case KindBool:
@@ -219,7 +270,7 @@ func (v Value) String() string {
 		}
 		return sb.String()
 	default:
-		return fmt.Sprintf("<%s>", v.kind)
+		return fmt.Sprintf("<%s>", k)
 	}
 }
 
@@ -285,15 +336,16 @@ func ParseValue(s string, k Kind) (Value, error) {
 // across kinds Compare is never zero). So hashing and sorting form the
 // same groups, whichever the optimizer picks.
 func Compare(a, b Value) int {
+	ka, kb := a.Kind(), b.Kind()
 	switch {
-	case a.kind == KindInt && b.kind == KindFloat:
+	case ka == KindInt && kb == KindFloat:
 		return compareIntFloat(a.int(), b.float())
-	case a.kind == KindFloat && b.kind == KindInt:
+	case ka == KindFloat && kb == KindInt:
 		return -compareIntFloat(b.int(), a.float())
-	case a.kind != b.kind:
-		return cmp.Compare(a.kind, b.kind)
+	case ka != kb:
+		return cmp.Compare(ka, kb)
 	}
-	switch a.kind {
+	switch ka {
 	case KindBool:
 		return int(a.n) - int(b.n)
 	case KindInt:
@@ -335,10 +387,11 @@ func compareIntFloat(i int64, f float64) int {
 // NaN and -0 equals +0 — what Hash agrees with, so hash grouping is
 // sound.
 func Equal(a, b Value) bool {
-	if a.kind != b.kind {
+	k := a.Kind()
+	if k != b.Kind() {
 		return false
 	}
-	switch a.kind {
+	switch k {
 	case KindNull:
 		return true
 	case KindBool, KindInt:
@@ -364,9 +417,9 @@ const (
 // Equal) hash identically, which for floats means -0 hashes as +0 and
 // every NaN as one NaN.
 func Hash(v Value, seed uint64) uint64 {
-	h := fnvOffset ^ seed
-	h = hashByte(h, byte(v.kind))
-	switch v.kind {
+	k := v.Kind()
+	h := hashByte(fnvOffset^seed, byte(k))
+	switch k {
 	case KindBool, KindInt:
 		h = hashUint64(h, v.n)
 	case KindFloat:

@@ -18,11 +18,13 @@ import (
 // literal each, with what rheemql.Run may allocate for one over
 // DefaultCatalog(500): objects and bytes, pinned about four percent
 // above what the vectorized lowering reads over the catalog's columns
-// with its window scratch leased and a control plane that allocates per
-// plan and per atom (112/116/116/115/116/117/98/138 objects, 28.1/15.2/
-// 14.4/15.3/13.6/11.9/12.0/26.3 KB) plus, in bytes, the 1.4 KB a query
-// reads more when one of the twenty had its scratch made anew — the pool
-// is emptied by the collector and keeps a scratch per P. With objects
+// with its window scratch leased, a control plane that allocates per
+// plan and per atom and two-word data quanta (112/116/116/115/116/117/
+// 98/137 objects, 24.1/14.0/13.1/14.3/12.9/11.9/11.4/22.3 KB) plus, in
+// bytes, the 1.4 KB a query reads more when one of the twenty had its
+// scratch made anew — the pool is emptied by the collector and keeps a
+// scratch per P. With three-word quanta (a 24-byte Value and Record)
+// the bytes read 28.1/15.2/14.4/15.3/13.6/11.9/12.0/26.3 KB. With objects
 // per operator — a physical plan built one at a time, atom inputs in
 // maps, names through fmt — and two trace snapshots a run they read
 // 150/152/151/157/155/153/129/186 objects and 29.1/16.1/15.4/16.2/14.5/
@@ -38,14 +40,14 @@ var sqlGateTemplates = []struct {
 	name, sql      string
 	objects, bytes float64
 }{
-	{"filter", "SELECT well, pressure FROM sensors WHERE pressure > 175.5 AND hour < 52", 117, 30600},
-	{"group", "SELECT well, COUNT(*) AS n, AVG(pressure) AS p FROM sensors WHERE hour < 40 GROUP BY well", 121, 17300},
-	{"having", "SELECT well, AVG(temperature) AS t FROM sensors GROUP BY well HAVING t > 68.5", 121, 16400},
-	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 120, 17400},
-	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 121, 15500},
+	{"filter", "SELECT well, pressure FROM sensors WHERE pressure > 175.5 AND hour < 52", 117, 26500},
+	{"group", "SELECT well, COUNT(*) AS n, AVG(pressure) AS p FROM sensors WHERE hour < 40 GROUP BY well", 121, 16000},
+	{"having", "SELECT well, AVG(temperature) AS t FROM sensors GROUP BY well HAVING t > 68.5", 121, 15100},
+	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 120, 16300},
+	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 121, 14800},
 	{"global", "SELECT COUNT(*) AS n, MAX(pressure) AS hi, MIN(flow) AS lo FROM sensors WHERE temperature < 73.0", 122, 13900},
-	{"wordfilter", "SELECT word FROM words WHERE word = 'big'", 102, 14000},
-	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 144, 28800},
+	{"wordfilter", "SELECT word FROM words WHERE word = 'big'", 102, 13300},
+	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 144, 24600},
 }
 
 // TestSQLAllocationGate is ROADMAP item 2's gate on the SQL path: a
@@ -94,11 +96,13 @@ func TestSQLAllocationGate(t *testing.T) {
 // that workload's sizes — may allocate: objects and bytes, pinned about
 // four percent above the most the columnar plans read over inputs
 // generated as columns with their window scratch leased, on a control
-// plane that allocates per plan and per atom and a flight recorder that
-// builds a profile only when one is read (152 / 269–270 / 189 objects,
-// 78.6–79.8 / 196–217 / 107 KB: a 4 000-row scratch the collector took
-// from the pool is 200 KB to make again, 10 KB a job over twenty, and
-// the sensor job allocates enough for that to happen). Building the
+// plane that allocates per plan and per atom, a flight recorder that
+// builds a profile only when one is read and two-word data quanta (152 /
+// 269–270 / 189 objects, 78.0–80.1 / 185–204 / 79.0–82.2 KB: a 4 000-row
+// scratch the collector took from the pool is 200 KB to make again, 10
+// KB a job over twenty, and the sensor job allocates enough for that to
+// happen). With three-word quanta (a 24-byte Value and Record) the bytes
+// read 78.6–79.8 / 196–217 / 107 KB. Building the
 // physical plan an operator at a time and every profile twice they read
 // 191 / 314–319 / 297 objects and 79.6–80.7 / 197–217 / 112 KB. With
 // every forcing allocating its scratch they read 209 / 345 / 336 objects
@@ -108,8 +112,8 @@ func TestSQLAllocationGate(t *testing.T) {
 // 1.76 / 0.14 MB.
 var builtinGate = []struct{ objects, bytes float64 }{
 	{158, 83_000},  // wordcount, n = 4 000
-	{281, 226_000}, // sensor, n = 4 000
-	{197, 112_000}, // fanout, 200 × 4
+	{281, 212_000}, // sensor, n = 4 000
+	{197, 86_000},  // fanout, 200 × 4
 }
 
 // TestBuiltinAllocationGate is ROADMAP item 2a's gate: the service's own

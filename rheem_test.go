@@ -903,19 +903,21 @@ func TestHintedChainAllocationGate(t *testing.T) {
 // TestRowPathAllocationGate is the row path's counterpart: opaque UDFs,
 // so nothing columnar can engage. A UDF Map into a ReduceByKey over 32
 // keys, each UDF returning a fresh five-value record, must cost what the
-// UDFs themselves allocate — two five-value field slices per row, 128
-// bytes each in their size class — plus one 24-byte record header per
-// row for the Map's output slice. A fatter
-// data.Value, or a keyed reduce that materialises its groups before
+// UDFs themselves allocate — two five-value field slices per row, 80
+// bytes each in their size class — plus one 16-byte record header per
+// row for the Map's output slice. A fatter data.Value or data.Record
+// (three words put each slice in the 128-byte class and the header at
+// 24 bytes), or a keyed reduce that materialises its groups before
 // folding them, shows up here as bytes per row.
 func TestRowPathAllocationGate(t *testing.T) {
 	const (
 		rows = 100_000
 		keys = 32
 		jobs = 5
-		// Measured at 280, of which 2×128 + 24 is the floor; a 64-byte
-		// Value with a group-then-fold reduce read 754.
-		bytesPerRow = 320
+		// Measured at 176, exactly the floor of 2×80 + 16; three-word
+		// quanta read 280 (2×128 + 24), and a 64-byte Value with a
+		// group-then-fold reduce 754.
+		bytesPerRow = 200
 	)
 	recs := make([]data.Record, rows)
 	var want [keys]float64
