@@ -154,6 +154,39 @@ func TestDCDetectionViaIEJoinMatchesNestedLoop(t *testing.T) {
 	}
 }
 
+// TestDetectReportNamesLastRun runs two rules, each its own job: the
+// merged report's RunID, like its Plan and Trace, is the last rule's run,
+// and the context's run tracker knows it by that ID.
+func TestDetectReportNamesLastRun(t *testing.T) {
+	recs := datagen.Tax(datagen.TaxConfig{N: 100, Zips: 10, ErrorRate: 0.1, Seed: 5})
+	ctx := testCtx(t)
+	d, err := NewDetector(ctx, zipCityFD(), salaryRateDC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := d.Detect(recs, rheem.WithTracing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RunID == 0 {
+		t.Fatal("merged report has RunID 0")
+	}
+	const last = "detect-ie-salary-rate"
+	named := ""
+	statuses := ctx.Telemetry().Runs().Status()
+	for _, st := range statuses {
+		if st.ID == rep.RunID {
+			named = st.Name
+		}
+	}
+	if named != last || len(statuses) != 2 {
+		t.Errorf("RunID %d names run %q among %d, want the last rule's %q among one per rule", rep.RunID, named, len(statuses), last)
+	}
+	if rep.Trace == nil || rep.Telemetry == nil {
+		t.Error("traced Detect lost the last rule's trace or telemetry")
+	}
+}
+
 func TestBaselinesAgreeWithPipeline(t *testing.T) {
 	recs := datagen.Tax(datagen.TaxConfig{N: 120, Zips: 10, ErrorRate: 0.15, Seed: 4})
 	ctx := testCtx(t)

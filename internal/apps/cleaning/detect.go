@@ -39,7 +39,9 @@ func decodeViolations(recs []data.Record) []Violation {
 // Detect runs every rule's detection dataflow and returns all
 // violations. Equality rules use the blocked five-operator pipeline;
 // rules with declarative inequality conditions use a self theta-join
-// so the optimizer can pick IEJoin. Reports are merged across rules.
+// so the optimizer can pick IEJoin. Reports are merged across rules:
+// metrics, failovers and mismatches add up, while Plan, Trace and RunID
+// are the last rule's run, the one Telemetry's snapshot was taken after.
 func (d *Detector) Detect(dataset []data.Record, opts ...rheem.RunOption) ([]Violation, *rheem.Report, error) {
 	var all []Violation
 	merged := &rheem.Report{}
@@ -61,6 +63,7 @@ func (d *Detector) Detect(dataset []data.Record, opts ...rheem.RunOption) ([]Vio
 		if rep != nil {
 			merged.Metrics.Add(rep.Metrics)
 			merged.Plan = rep.Plan
+			merged.RunID = rep.RunID
 			merged.Failovers += rep.Failovers
 			merged.PlatformHealth = rep.PlatformHealth
 			merged.Reoptimized = merged.Reoptimized || rep.Reoptimized
@@ -68,11 +71,8 @@ func (d *Detector) Detect(dataset []data.Record, opts ...rheem.RunOption) ([]Vio
 			if rep.Trace != nil {
 				merged.Trace = rep.Trace
 			}
-			// The stats and telemetry snapshots are cumulative across the
-			// context's runs, so the last rule's snapshot covers them all.
-			if rep.PlatformStats != nil {
-				merged.PlatformStats = rep.PlatformStats
-			}
+			// The telemetry snapshot is cumulative across the context's
+			// runs, so the last rule's snapshot covers them all.
 			if rep.Telemetry != nil {
 				merged.Telemetry = rep.Telemetry
 			}

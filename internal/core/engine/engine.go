@@ -260,7 +260,6 @@ type Registry struct {
 	snap      atomic.Pointer[snapshot]
 	channels  *channel.Registry
 	health    *Health
-	stats     *Stats
 }
 
 // snapshot is one immutable state of the registry.
@@ -316,15 +315,11 @@ func NewRegistry() *Registry {
 	r := &Registry{
 		channels: channel.NewRegistry(),
 		health:   newHealth(),
-		stats:    newStats(),
 	}
 	// The columnar batch format is a driver format like Collection, not
 	// a platform's: every registry carries its hub edges so any pair of
 	// platforms can exchange batches once one of them vectorizes.
 	channel.RegisterBatchConverters(r.channels)
-	// Breaker transitions feed the per-platform counters, so trips and
-	// recoveries are visible without subscribing to the health tracker.
-	r.health.observe = r.stats.breakerTransition
 	return r
 }
 
@@ -410,12 +405,6 @@ func (r *Registry) Channels() *channel.Registry { return r.channels }
 // Health returns the registry's platform health tracker (one circuit
 // breaker per platform, fed by the executor).
 func (r *Registry) Health() *Health { return r.health }
-
-// Stats returns the registry's per-platform execution counters (atoms
-// executed, records in/out, error classes, breaker transitions), fed
-// by the executor. Counters are cumulative across runs; callers
-// wanting per-phase deltas can Reset between runs.
-func (r *Registry) Stats() *Stats { return r.stats }
 
 // Mappings returns a copy of every registered operator mapping.
 func (r *Registry) Mappings() []Mapping { return slices.Clone(r.view().mappings) }

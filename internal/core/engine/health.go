@@ -55,23 +55,22 @@ func (c *HealthConfig) defaults() {
 
 // Health tracks per-platform execution health: one circuit breaker per
 // platform, fed with execution outcomes — a Registry's by the executor
-// after every atom execution attempt. All methods are safe for
-// concurrent use — the executor reports outcomes from many scheduler
-// goroutines at once.
+// after every atom execution attempt — and counting its own
+// transitions. All methods are safe for concurrent use — the executor
+// reports outcomes from many scheduler goroutines at once.
 type Health struct {
 	mu      sync.Mutex
 	cfg     HealthConfig
 	now     func() time.Time // injectable clock for deterministic tests
 	entries map[PlatformID]*breakerEntry
-	// observe, when set, is called (under mu) on every breaker state
-	// transition — the registry wires it to its Stats counters.
-	observe func(id PlatformID, from, to BreakerState)
 }
 
 type breakerEntry struct {
 	state       BreakerState
 	consecutive int       // consecutive failures while Closed
 	openedAt    time.Time // when the breaker last tripped Open
+	trips       int64     // transitions into Open
+	recoveries  int64     // transitions back to Closed
 }
 
 func newHealth() *Health { return NewHealth(HealthConfig{}, time.Now) }
@@ -84,22 +83,6 @@ func NewHealth(cfg HealthConfig, now func() time.Time) *Health {
 	return &Health{cfg: cfg, now: now, entries: make(map[PlatformID]*breakerEntry)}
 }
 
-// Configure replaces the breaker tuning; zero fields keep defaults.
-// Existing breaker states are preserved.
-func (h *Health) Configure(cfg HealthConfig) {
-	cfg.defaults()
-	h.mu.Lock()
-	h.cfg = cfg
-	h.mu.Unlock()
-}
-
-// setClock injects a fake clock (tests only).
-func (h *Health) setClock(now func() time.Time) {
-	h.mu.Lock()
-	h.now = now
-	h.mu.Unlock()
-}
-
 func (h *Health) entry(id PlatformID) *breakerEntry {
 	e := h.entries[id]
 	if e == nil {
@@ -109,23 +92,26 @@ func (h *Health) entry(id PlatformID) *breakerEntry {
 	return e
 }
 
-// transitionLocked moves the breaker to a new state, notifying the
-// observer when the state actually changes. The caller holds mu.
-func (h *Health) transitionLocked(id PlatformID, e *breakerEntry, to BreakerState) {
+// transition moves the breaker to a new state, counting a trip into
+// Open or a recovery to Closed when the state actually changes. The
+// caller holds the tracker's mu.
+func (e *breakerEntry) transition(to BreakerState) {
 	if e.state == to {
 		return
 	}
-	from := e.state
-	e.state = to
-	if h.observe != nil {
-		h.observe(id, from, to)
+	switch to {
+	case BreakerOpen:
+		e.trips++
+	case BreakerClosed:
+		e.recoveries++
 	}
+	e.state = to
 }
 
 // refreshLocked applies the cooldown transition Open → HalfOpen.
-func (h *Health) refreshLocked(id PlatformID, e *breakerEntry) {
+func (h *Health) refreshLocked(e *breakerEntry) {
 	if e.state == BreakerOpen && h.now().Sub(e.openedAt) >= h.cfg.Cooldown {
-		h.transitionLocked(id, e, BreakerHalfOpen)
+		e.transition(BreakerHalfOpen)
 	}
 }
 
@@ -137,7 +123,7 @@ func (h *Health) ReportSuccess(id PlatformID) {
 	defer h.mu.Unlock()
 	e := h.entry(id)
 	e.consecutive = 0
-	h.transitionLocked(id, e, BreakerClosed)
+	e.transition(BreakerClosed)
 }
 
 // ReportFailure records a failed execution attempt and returns whether
@@ -147,15 +133,15 @@ func (h *Health) ReportFailure(id PlatformID) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	e := h.entry(id)
-	h.refreshLocked(id, e)
+	h.refreshLocked(e)
 	switch e.state {
 	case BreakerHalfOpen:
-		h.transitionLocked(id, e, BreakerOpen)
+		e.transition(BreakerOpen)
 		e.openedAt = h.now()
 	case BreakerClosed:
 		e.consecutive++
 		if e.consecutive >= h.cfg.Threshold {
-			h.transitionLocked(id, e, BreakerOpen)
+			e.transition(BreakerOpen)
 			e.openedAt = h.now()
 		}
 	case BreakerOpen:
@@ -170,8 +156,20 @@ func (h *Health) State(id PlatformID) BreakerState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	e := h.entry(id)
-	h.refreshLocked(id, e)
+	h.refreshLocked(e)
 	return e.state
+}
+
+// Transitions returns how often the platform's breaker has tripped into
+// Open and recovered to Closed since the tracker was made; both are 0
+// for a platform that never reported.
+func (h *Health) Transitions(id PlatformID) (trips, recoveries int64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if e := h.entries[id]; e != nil {
+		return e.trips, e.recoveries
+	}
+	return 0, 0
 }
 
 // Quarantined reports whether the platform's breaker is Open.
@@ -186,7 +184,7 @@ func (h *Health) QuarantinedPlatforms() []PlatformID {
 	defer h.mu.Unlock()
 	var out []PlatformID
 	for id, e := range h.entries {
-		h.refreshLocked(id, e)
+		h.refreshLocked(e)
 		if e.state == BreakerOpen {
 			out = append(out, id)
 		}
@@ -204,7 +202,7 @@ func (h *Health) Snapshot() map[PlatformID]BreakerState {
 	defer h.mu.Unlock()
 	var out map[PlatformID]BreakerState
 	for id, e := range h.entries {
-		h.refreshLocked(id, e)
+		h.refreshLocked(e)
 		if e.state == BreakerClosed {
 			continue
 		}

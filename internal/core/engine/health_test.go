@@ -36,8 +36,7 @@ func TestErrorClassification(t *testing.T) {
 }
 
 func TestBreakerOpensAtThreshold(t *testing.T) {
-	h := newHealth()
-	h.Configure(HealthConfig{Threshold: 3, Cooldown: time.Hour})
+	h := NewHealth(HealthConfig{Threshold: 3, Cooldown: time.Hour}, time.Now)
 	const id = PlatformID("p")
 	for i := 0; i < 2; i++ {
 		if h.ReportFailure(id) {
@@ -59,8 +58,7 @@ func TestBreakerOpensAtThreshold(t *testing.T) {
 }
 
 func TestBreakerSuccessResetsStreak(t *testing.T) {
-	h := newHealth()
-	h.Configure(HealthConfig{Threshold: 3, Cooldown: time.Hour})
+	h := NewHealth(HealthConfig{Threshold: 3, Cooldown: time.Hour}, time.Now)
 	const id = PlatformID("p")
 	h.ReportFailure(id)
 	h.ReportFailure(id)
@@ -73,10 +71,8 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbe(t *testing.T) {
-	h := newHealth()
-	h.Configure(HealthConfig{Threshold: 1, Cooldown: time.Minute})
 	now := time.Unix(1000, 0)
-	h.setClock(func() time.Time { return now })
+	h := NewHealth(HealthConfig{Threshold: 1, Cooldown: time.Minute}, func() time.Time { return now })
 	const id = PlatformID("p")
 
 	h.ReportFailure(id)
@@ -114,6 +110,48 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	}
 }
 
+func TestHealthCountsTransitions(t *testing.T) {
+	now := time.Unix(0, 0)
+	h := NewHealth(HealthConfig{Threshold: 2, Cooldown: time.Minute}, func() time.Time { return now })
+	check := func(when string, trips, recoveries int64) {
+		t.Helper()
+		if gt, gr := h.Transitions("flaky"); gt != trips || gr != recoveries {
+			t.Errorf("%s: trips %d, recoveries %d, want %d and %d", when, gt, gr, trips, recoveries)
+		}
+	}
+	check("before any report", 0, 0)
+
+	// Two failures trip the breaker once; a third keeps it open without
+	// re-counting, and a success while Closed is no recovery.
+	h.ReportSuccess("flaky")
+	h.ReportFailure("flaky")
+	h.ReportFailure("flaky")
+	h.ReportFailure("flaky")
+	check("after the trip", 1, 0)
+
+	// Cooldown elapses, the half-open probe succeeds: one recovery.
+	now = now.Add(2 * time.Minute)
+	if got := h.State("flaky"); got != BreakerHalfOpen {
+		t.Fatalf("state after cooldown = %v", got)
+	}
+	check("half-open", 1, 0)
+	h.ReportSuccess("flaky")
+	check("after the recovery", 1, 1)
+
+	// Trip again, then a failed half-open probe re-trips.
+	h.ReportFailure("flaky")
+	h.ReportFailure("flaky")
+	now = now.Add(2 * time.Minute)
+	h.ReportFailure("flaky")
+	if got := h.State("flaky"); got != BreakerOpen {
+		t.Fatalf("state after a failed probe = %v", got)
+	}
+	check("after the half-open re-trip", 3, 1)
+	if trips, recoveries := h.Transitions("other"); trips != 0 || recoveries != 0 {
+		t.Errorf("a platform that never reported reads %d trips, %d recoveries", trips, recoveries)
+	}
+}
+
 func TestRegistryHealthSharedAndConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Health()
@@ -127,14 +165,37 @@ func TestRegistryHealthSharedAndConcurrent(t *testing.T) {
 			id := PlatformID(fmt.Sprintf("p%d", g%2))
 			for i := 0; i < 100; i++ {
 				h.ReportFailure(id)
+				h.ReportFailure(id)
+				h.ReportFailure(id)
 				h.ReportSuccess(id)
 				h.State(id)
 				h.QuarantinedPlatforms()
+				h.Transitions(id)
 			}
 		}(g)
 	}
-	for g := 0; g < 4; g++ {
-		<-done
+	// A reader of the counters while the reporters run: they only grow,
+	// and a recovery never outnumbers the trips before it.
+	var lastTrips, lastRecoveries int64
+	for g := 0; g < 4; {
+		select {
+		case <-done:
+			g++
+		default:
+			trips, recoveries := h.Transitions("p0")
+			if trips < lastTrips || recoveries < lastRecoveries || recoveries > trips {
+				t.Errorf("counters read %d/%d after %d/%d", trips, recoveries, lastTrips, lastRecoveries)
+			}
+			lastTrips, lastRecoveries = trips, recoveries
+		}
+	}
+	// The first three reports on an id are failures whatever the
+	// interleaving, which trips the default threshold of 3; every
+	// reporter ends on a success, which closes the breaker again.
+	for _, id := range []PlatformID{"p0", "p1"} {
+		if trips, recoveries := h.Transitions(id); trips < 1 || recoveries != trips {
+			t.Errorf("%s: %d trips, %d recoveries, want at least one of each and as many", id, trips, recoveries)
+		}
 	}
 }
 

@@ -147,7 +147,7 @@ func TestChaosFailoverProducesIdenticalRecords(t *testing.T) {
 	// — and any completed execution closes a breaker (Health.
 	// ReportSuccess). The failover above already proves the breaker was
 	// open when it mattered; which report lands last is scheduling.
-	if trips := reg.Stats().Snapshot()["chaos"].BreakerTrips; trips < 1 {
+	if trips, _ := reg.Health().Transitions("chaos"); trips < 1 {
 		t.Errorf("chaos breaker trips = %d, want at least one (final state %v)", trips, res.PlatformHealth["chaos"])
 	}
 	if res.Reoptimized {

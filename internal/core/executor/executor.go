@@ -464,7 +464,6 @@ func (p *planScope) runComputeAtom(sp *trace.Span, atom *engine.TaskAtom) (engin
 	}
 
 	health := p.reg.Health()
-	stats := p.reg.Stats()
 	var exits map[int]*channel.Channel
 	var m engine.Metrics
 	for attempt := 0; ; attempt++ {
@@ -488,7 +487,6 @@ func (p *planScope) runComputeAtom(sp *trace.Span, atom *engine.TaskAtom) (engin
 			m.Add(move)
 			return m, nil, ctxErr
 		}
-		stats.RecordAttemptFailure(atom.Platform, fatal)
 		if !fatal {
 			health.ReportFailure(atom.Platform)
 		}
@@ -497,7 +495,6 @@ func (p *planScope) runComputeAtom(sp *trace.Span, atom *engine.TaskAtom) (engin
 		}
 		move.Retries++
 		sp.Retries++
-		stats.RecordRetry(atom.Platform)
 		p.tr.Retry(sp, attempt+1, m, err)
 		p.charge(m) // failed attempts still cost time
 		if ctxErr := p.backoff(atom.ID, attempt); ctxErr != nil {
@@ -506,7 +503,6 @@ func (p *planScope) runComputeAtom(sp *trace.Span, atom *engine.TaskAtom) (engin
 	}
 	m.Add(move)
 	if err != nil {
-		stats.RecordFinalFailure(atom.Platform)
 		p.charge(m) // the final attempt and its retries still cost time
 		err = fmt.Errorf("executor: %s failed after %d attempt(s): %w", atom, move.Retries+1, err)
 		if !engine.IsFatal(err) && health.Quarantined(atom.Platform) {
@@ -514,7 +510,6 @@ func (p *planScope) runComputeAtom(sp *trace.Span, atom *engine.TaskAtom) (engin
 		}
 		return m, nil, err
 	}
-	stats.RecordSuccess(atom.Platform, m)
 	p.mu.Lock()
 	p.res.Metrics.Add(m)
 	for id, ch := range exits {

@@ -8,6 +8,7 @@ import (
 	"rheem/internal/core/cost"
 	"rheem/internal/core/engine"
 	"rheem/internal/core/fault"
+	"rheem/internal/core/metrics"
 	"rheem/internal/core/optimizer"
 	"rheem/internal/core/physical"
 	"rheem/internal/core/plan"
@@ -85,7 +86,9 @@ func faultPlan(t *testing.T, branchPlatforms []engine.PlatformID) (*physical.Pla
 // TestPermanentFailureCancelsSiblings injects a permanently failing
 // atom next to one that blocks (injected latency) until cancelled: Run
 // must return the failing atom's error, propagate cancellation to the
-// in-flight sibling, and never report plan completion.
+// in-flight sibling, and never report plan completion. A telemetry
+// hub's tracer must count the failed atom as an error and the sibling
+// as cancelled, not as a second error.
 func TestPermanentFailureCancelsSiblings(t *testing.T) {
 	reg := engine.NewRegistry()
 	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
@@ -113,11 +116,14 @@ func TestPermanentFailureCancelsSiblings(t *testing.T) {
 	}
 
 	var planDone bool
-	_, err = Run(ep, reg, Options{Parallelism: 4, MaxRetries: 1, RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
+	hub := metrics.NewHub()
+	tr, run := hub.NewRunTracer("cancel-siblings", func(e trace.Event) {
 		if e.Kind == trace.PlanDone {
 			planDone = true
 		}
-	})})
+	})
+	_, err = Run(ep, reg, Options{Parallelism: 4, MaxRetries: 1, RetryBackoff: -1, Tracer: tr})
+	run.End(err)
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("Run error = %v, want the injected failure", err)
 	}
@@ -126,6 +132,19 @@ func TestPermanentFailureCancelsSiblings(t *testing.T) {
 	}
 	if planDone {
 		t.Error("PlanDone emitted for a failed run")
+	}
+	snap := hub.Registry().Snapshot()
+	for _, c := range []struct {
+		platform, status string
+		want             float64
+	}{
+		{"boom", "error", 1},
+		{"stall", "cancelled", 1},
+		{"stall", "error", 0},
+	} {
+		if got, _ := snap.Counter("rheem_atoms_total", map[string]string{"platform": c.platform, "status": c.status}); got != c.want {
+			t.Errorf("rheem_atoms_total{%s,%s} = %v, want %v", c.platform, c.status, got, c.want)
+		}
 	}
 }
 

@@ -7,7 +7,8 @@
 package metrics
 
 import (
-	"sort"
+	"context"
+	"errors"
 	"strconv"
 	"sync/atomic"
 
@@ -136,47 +137,49 @@ func (h *Hub) NewRunTracer(name string, extra ...trace.Consumer) (*trace.Tracer,
 	return trace.New(consumers...), run
 }
 
-// BindEngine exports a platform registry's scrape-time state: breaker
-// states as gauges and the cumulative per-platform counters the
-// registry's Stats ledger keeps (trips, recoveries, failed atoms).
-// Rebinding (a newer Context sharing the hub) replaces the previous
-// callbacks — the latest bound registry is the one a scrape shows.
+// BindEngine exports a platform registry's scrape-time state: each
+// registered platform's breaker state as a gauge, and the trips and
+// recoveries its health tracker counted. What the atoms themselves did
+// is the span stream's, folded by the Collector. Rebinding (a newer
+// Context sharing the hub) replaces the previous callbacks — the latest
+// bound registry is the one a scrape shows.
 func (h *Hub) BindEngine(reg *engine.Registry) {
+	health := reg.Health()
 	h.reg.SetFunc("rheem_breaker_state",
 		"Per-platform circuit breaker state (0=closed, 1=half-open, 2=open).",
 		typeGauge, []string{"platform"}, func() []Sample {
-			ids := reg.PlatformIDs()
-			health := reg.Health()
-			out := make([]Sample, 0, len(ids))
-			for _, id := range ids {
-				out = append(out, Sample{
-					Labels: []Label{{Name: "platform", Value: string(id)}},
-					Value:  float64(health.State(id)),
-				})
-			}
-			return out
+			return perPlatform(reg, func(id engine.PlatformID) float64 { return float64(health.State(id)) })
 		})
 	h.reg.SetFunc("rheem_breaker_trips_total",
 		"Circuit breaker transitions into Open (platform quarantined).",
 		typeCounter, []string{"platform"}, func() []Sample {
-			return platformStatSamples(reg, func(s engine.PlatformStats) float64 {
-				return float64(s.BreakerTrips)
+			return perPlatform(reg, func(id engine.PlatformID) float64 {
+				trips, _ := health.Transitions(id)
+				return float64(trips)
 			})
 		})
 	h.reg.SetFunc("rheem_breaker_recoveries_total",
 		"Circuit breaker transitions back to Closed after a successful probe.",
 		typeCounter, []string{"platform"}, func() []Sample {
-			return platformStatSamples(reg, func(s engine.PlatformStats) float64 {
-				return float64(s.BreakerRecoveries)
+			return perPlatform(reg, func(id engine.PlatformID) float64 {
+				_, recoveries := health.Transitions(id)
+				return float64(recoveries)
 			})
 		})
-	h.reg.SetFunc("rheem_atoms_failed_total",
-		"Atom executions that exhausted their retries, per platform.",
-		typeCounter, []string{"platform"}, func() []Sample {
-			return platformStatSamples(reg, func(s engine.PlatformStats) float64 {
-				return float64(s.AtomsFailed)
-			})
+}
+
+// perPlatform samples value once per registered platform, in
+// registration order.
+func perPlatform(reg *engine.Registry, value func(engine.PlatformID) float64) []Sample {
+	ids := reg.PlatformIDs()
+	out := make([]Sample, 0, len(ids))
+	for _, id := range ids {
+		out = append(out, Sample{
+			Labels: []Label{{Name: "platform", Value: string(id)}},
+			Value:  value(id),
 		})
+	}
+	return out
 }
 
 // BindChannels exports the conversion graph's cumulative per-edge
@@ -214,23 +217,6 @@ func (h *Hub) BindChannels(reg *channel.Registry) {
 			}
 			return out
 		})
-}
-
-func platformStatSamples(reg *engine.Registry, pick func(engine.PlatformStats) float64) []Sample {
-	stats := reg.Stats().Snapshot()
-	ids := make([]engine.PlatformID, 0, len(stats))
-	for id := range stats {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]Sample, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, Sample{
-			Labels: []Label{{Name: "platform", Value: string(id)}},
-			Value:  pick(stats[id]),
-		})
-	}
-	return out
 }
 
 // Collector folds span-stream events into the hub's instruments. One
@@ -271,7 +257,7 @@ func newCollector(reg *Registry) *Collector {
 		shards: reg.CounterVec("rheem_shards_total",
 			"Intra-atom shard executions launched.", "platform"),
 		atoms: reg.CounterVec("rheem_atoms_total",
-			"Task atom executions by final status.", "platform", "status"),
+			"Task atom executions by final status: ok, error, or cancelled.", "platform", "status"),
 		recordsIn: reg.CounterVec("rheem_records_in_total",
 			"Records consumed from input channels by successful atoms.", "platform"),
 		recordsOut: reg.CounterVec("rheem_records_out_total",
@@ -336,11 +322,7 @@ func (c *Collector) Consumer(run *Run) trace.Consumer {
 				c.shardLatency.With(platform).Observe(sp.Wall.Seconds())
 				return
 			}
-			status := "ok"
-			if sp.Failed() {
-				status = "error"
-			}
-			c.atoms.With(platform, status).Inc()
+			c.atoms.With(platform, spanStatus(e.Err)).Inc()
 			if sp.Kind == trace.KindAtom {
 				c.atomLatency.With(platform).Observe(sp.Wall.Seconds())
 				if sp.QueueWait > 0 {
@@ -374,4 +356,18 @@ func (c *Collector) Consumer(run *Run) trace.Consumer {
 			}
 		}
 	}
+}
+
+// spanStatus is a span's rheem_atoms_total status: "ok", "error", or
+// "cancelled" when the span ended because its run was cancelled — a
+// sibling's failure won, or the caller gave up — rather than failing
+// itself. A deadline or an atom timeout is still an error.
+func spanStatus(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, context.Canceled):
+		return "cancelled"
+	}
+	return "error"
 }

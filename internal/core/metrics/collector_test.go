@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -96,6 +98,35 @@ func TestCollectorFoldsSpanStream(t *testing.T) {
 	statuses := h.Runs().Status()
 	if len(statuses) != 1 || !statuses[0].Done || statuses[0].Name != "unit-plan" {
 		t.Fatalf("tracker status = %+v", statuses)
+	}
+}
+
+// TestCollectorCountsCancelledApart ends one span per kind of failure:
+// a run's cancellation, bare or wrapped the way a loop wraps its body's
+// error, is "cancelled"; a deadline (a job's or an atom timeout's) and a
+// plain failure are "error".
+func TestCollectorCountsCancelledApart(t *testing.T) {
+	h := NewHub()
+	tr, run := h.NewRunTracer("cancel-plan")
+	for _, err := range []error{
+		context.Canceled,
+		fmt.Errorf("executor: loop body iteration 2: %w", context.Canceled),
+		context.DeadlineExceeded,
+		fmt.Errorf("executor: atom exceeded atom timeout 1ms: %w", context.DeadlineExceeded),
+		errors.New("boom"),
+		nil,
+	} {
+		sp := &trace.Span{Kind: trace.KindAtom, Platform: "java", Iteration: -1}
+		tr.Begin(sp, time.Time{})
+		tr.End(sp, engine.Metrics{}, err)
+	}
+	run.End(nil)
+
+	snap := h.Registry().Snapshot()
+	for status, want := range map[string]float64{"cancelled": 2, "error": 3, "ok": 1} {
+		if got, _ := snap.Counter("rheem_atoms_total", map[string]string{"platform": "java", "status": status}); got != want {
+			t.Errorf("rheem_atoms_total{status=%q} = %v, want %v", status, got, want)
+		}
 	}
 }
 

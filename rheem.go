@@ -163,7 +163,7 @@ func NewContext(cfg Config, opts ...ContextOption) (*Context, error) {
 	if len(c.reg.Platforms()) == 0 {
 		return nil, fmt.Errorf("rheem: no platforms enabled")
 	}
-	// Scrape-time state — breaker gauges, platform failure counters,
+	// Scrape-time state — breaker gauges and transition counters,
 	// conversion traffic — comes straight from the live registries.
 	c.hub.BindEngine(c.reg)
 	c.hub.BindChannels(c.reg.Channels())
@@ -322,8 +322,8 @@ func WithShards(n int) RunOption {
 // Report carries the full span trace (one span per executed task atom
 // — queue wait, per-attempt latency, conversion volume, chosen
 // platform — plus the optimizer's estimate-vs-actual audit trail) and
-// a snapshot of the per-platform execution counters. Trace.WriteJSON
-// dumps the trace as flame-friendly JSON lines.
+// a snapshot of the telemetry counters folded from the same span
+// stream. Trace.WriteJSON dumps the trace as flame-friendly JSON lines.
 func WithTracing() RunOption {
 	return func(rc *runConfig) { rc.tracing = true }
 }
@@ -356,11 +356,6 @@ type Report struct {
 	// Trace is the run's span trace and estimate-vs-actual audit trail;
 	// nil unless the run was started WithTracing.
 	Trace *trace.Trace
-	// PlatformStats snapshots the registry's per-platform execution
-	// counters after the run (cumulative across the context's runs);
-	// nil unless the run was started WithTracing. The snapshot is a
-	// deep copy: mutating it cannot alias live registry state.
-	PlatformStats map[engine.PlatformID]engine.PlatformStats
 	// Telemetry is a deep-copied snapshot of the context's live metrics
 	// registry taken when the run finished — the same numbers the
 	// /metrics endpoint serves (cumulative across the hub's runs); nil
@@ -434,7 +429,6 @@ func (c *Context) Execute(p *plan.Plan, opts ...RunOption) ([]data.Record, *Repo
 	}
 	if rc.tracing {
 		rep.Trace = res.Trace
-		rep.PlatformStats = c.reg.Stats().Snapshot()
 		rep.Telemetry = c.hub.Registry().Snapshot()
 	}
 	return res.Records, rep, nil

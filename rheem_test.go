@@ -361,8 +361,8 @@ func TestWithTracingExposesTraceAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Trace != nil || rep.PlatformStats != nil {
-		t.Error("untraced run exposed trace or stats")
+	if rep.Trace != nil || rep.Telemetry != nil {
+		t.Error("untraced run exposed trace or counters")
 	}
 
 	_, rep, err = build("traced").Collect(rheem.WithTracing())
@@ -380,20 +380,25 @@ func TestWithTracingExposesTraceAndStats(t *testing.T) {
 			t.Errorf("span = %+v", sp)
 		}
 	}
-	if rep.PlatformStats == nil {
-		t.Fatal("WithTracing run has no platform stats")
+	if rep.Telemetry == nil {
+		t.Fatal("WithTracing run has no telemetry snapshot")
 	}
+	// The counters are folded from the same span stream as the trace:
+	// both runs' atoms succeeded, and each platform counts them.
 	for _, id := range rep.Trace.Platforms() {
-		if rep.PlatformStats[id].AtomsExecuted == 0 {
-			t.Errorf("platform %s ran spans but counted no atoms", id)
+		atoms, _ := rep.Telemetry.Counter("rheem_atoms_total", map[string]string{"platform": string(id), "status": "ok"})
+		if int(atoms) < len(rep.Trace.SpansOn(id)) {
+			t.Errorf("platform %s ran %d spans but counted %v atoms", id, len(rep.Trace.SpansOn(id)), atoms)
+		}
+		if errs, present := rep.Telemetry.Counter("rheem_atoms_total", map[string]string{"platform": string(id), "status": "error"}); present {
+			t.Errorf("platform %s counted %v failed atoms in a clean run", id, errs)
 		}
 	}
 }
 
 // TestReportSnapshotsDoNotAlias pins the Report contract: the
-// per-platform counters and the telemetry snapshot are deep copies, so
-// mutating a finished report cannot corrupt the live registries a
-// subsequent run reads and extends.
+// telemetry snapshot is a deep copy, so mutating a finished report
+// cannot corrupt the live registry a subsequent run reads and extends.
 func TestReportSnapshotsDoNotAlias(t *testing.T) {
 	ctx := newCtx(t)
 	words := datagen.Words(200, 2)
@@ -418,10 +423,19 @@ func TestReportSnapshotsDoNotAlias(t *testing.T) {
 		t.Fatalf("rheem_runs_total after first run = %v (present=%v)", v, ok)
 	}
 
-	// Poison everything the first report handed out.
-	for id := range first.PlatformStats {
-		first.PlatformStats[id] = engine.PlatformStats{AtomsExecuted: -999, Retries: -999}
+	okAtoms := func(rep *rheem.Report) (sum float64) {
+		for _, id := range ctx.Registry().PlatformIDs() {
+			v, _ := rep.Telemetry.Counter("rheem_atoms_total", map[string]string{"platform": string(id), "status": "ok"})
+			sum += v
+		}
+		return sum
 	}
+	firstAtoms := okAtoms(first)
+	if firstAtoms == 0 {
+		t.Fatal("first run counted no executed atoms")
+	}
+
+	// Poison everything the first report handed out.
 	for i := range first.Telemetry.Families {
 		f := &first.Telemetry.Families[i]
 		f.Name = "clobbered"
@@ -434,17 +448,10 @@ func TestReportSnapshotsDoNotAlias(t *testing.T) {
 	}
 
 	second := run("aliasing-2")
-	for id, st := range second.PlatformStats {
-		if st.AtomsExecuted < 0 || st.Retries < 0 {
-			t.Errorf("platform %s stats poisoned by first report's mutation: %+v", id, st)
-		}
-	}
-	var executed int64
-	for _, st := range second.PlatformStats {
-		executed += st.AtomsExecuted
-	}
-	if executed == 0 {
-		t.Error("second run counted no executed atoms")
+	// The cumulative counter grew from where the first run left it,
+	// untouched by the first report's mutation.
+	if got := okAtoms(second); got <= firstAtoms {
+		t.Errorf("executed atoms after the second run = %v, after the first %v", got, firstAtoms)
 	}
 	if v, ok := second.Telemetry.Counter("rheem_runs_total", nil); !ok || v != 2 {
 		t.Errorf("rheem_runs_total after second run = %v (present=%v), want 2", v, ok)
@@ -550,9 +557,20 @@ func TestTracingChaosFailover(t *testing.T) {
 	if rep.PlatformHealth["chaos"] != engine.BreakerOpen {
 		t.Errorf("chaos breaker state = %v, want open", rep.PlatformHealth["chaos"])
 	}
-	// The telemetry snapshot agrees with the report.
+	// The telemetry snapshot agrees with the report, and with the trace
+	// on how many spans failed on the dead platform.
 	if v, _ := rep.Telemetry.Counter("rheem_failovers_total", nil); int(v) != rep.Failovers {
 		t.Errorf("rheem_failovers_total = %v, report says %d", v, rep.Failovers)
+	}
+	if v, _ := rep.Telemetry.Counter("rheem_breaker_trips_total", map[string]string{"platform": "chaos"}); v < 1 {
+		t.Errorf("rheem_breaker_trips_total{chaos} = %v, want at least one trip", v)
+	}
+	// A failed span is an error, or cancelled when a sibling's failure
+	// stopped it first.
+	errs, _ := rep.Telemetry.Counter("rheem_atoms_total", map[string]string{"platform": "chaos", "status": "error"})
+	cancelled, _ := rep.Telemetry.Counter("rheem_atoms_total", map[string]string{"platform": "chaos", "status": "cancelled"})
+	if errs < 1 || int(errs+cancelled) != failedOnChaos {
+		t.Errorf("rheem_atoms_total{chaos} reads %v error and %v cancelled, the trace has %d failed spans there", errs, cancelled, failedOnChaos)
 	}
 }
 
@@ -796,8 +814,17 @@ func TestPanickingOperatorFailsTheJobNotTheProcess(t *testing.T) {
 	}
 	for _, id := range []engine.PlatformID{javaengine.ID, sparksim.ID, relengine.ID} {
 		for _, hinted := range []bool{true, false} {
-			before := ctx.Registry().Stats().Snapshot()[id]
-			_, _, err := ctx.Execute(build(99, hinted), rheem.OnPlatform(id))
+			trips, _ := ctx.Registry().Health().Transitions(id)
+			var failed []trace.Span
+			retries := 0
+			_, _, err := ctx.Execute(build(99, hinted), rheem.OnPlatform(id), rheem.WithMonitor(func(e trace.Event) {
+				switch {
+				case e.Kind == trace.SpanRetry:
+					retries++
+				case e.Kind == trace.SpanEnd && e.Span.Failed():
+					failed = append(failed, *e.Span)
+				}
+			}))
 			switch {
 			case err == nil:
 				t.Fatalf("%s hinted=%v: a filter on field 99 of two-field rows succeeded", id, hinted)
@@ -814,10 +841,14 @@ func TestPanickingOperatorFailsTheJobNotTheProcess(t *testing.T) {
 			if eager := !hinted || id != javaengine.ID; eager && !strings.Contains(err.Error(), ": Filter#") {
 				t.Errorf("%s hinted=%v: error does not name the filter:\n%v", id, hinted, err)
 			}
-			after := ctx.Registry().Stats().Snapshot()[id]
-			if after.FatalErrors != before.FatalErrors+1 || after.Retries != before.Retries ||
-				after.TransientErrors != before.TransientErrors || after.BreakerTrips != before.BreakerTrips {
-				t.Errorf("%s hinted=%v: stats went %+v → %+v, want one fatal attempt and nothing else", id, hinted, before, after)
+			// The span stream saw one failed atom, one attempt, fatal, and
+			// no retry; the breaker did not trip.
+			if len(failed) != 1 || len(failed[0].Attempts) != 1 || !failed[0].Attempts[0].Fatal ||
+				failed[0].Retries != 0 || retries != 0 {
+				t.Errorf("%s hinted=%v: failed spans %+v and %d retries, want one span with one fatal attempt", id, hinted, failed, retries)
+			}
+			if after, _ := ctx.Registry().Health().Transitions(id); after != trips {
+				t.Errorf("%s hinted=%v: breaker trips went %d → %d after a fatal error", id, hinted, trips, after)
 			}
 			if st := ctx.Registry().Health().State(id); st != engine.BreakerClosed {
 				t.Errorf("%s hinted=%v: breaker is %v after a fatal error", id, hinted, st)
