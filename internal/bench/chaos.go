@@ -28,13 +28,13 @@ func init() {
 // per-run.
 func RunChaos(branches, recs int, delay time.Duration, failAfter int) (*executor.Result, error) {
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(reg); err != nil {
 		return nil, err
 	}
 	if _, err := sparksim.Register(reg, sparksim.Config{}); err != nil {
 		return nil, err
 	}
-	if _, err := relengine.Register(reg, relengine.Config{}); err != nil {
+	if _, err := relengine.Register(reg); err != nil {
 		return nil, err
 	}
 	var opts fault.Options
@@ -42,7 +42,7 @@ func RunChaos(branches, recs int, delay time.Duration, failAfter int) (*executor
 	if failAfter >= 0 {
 		opts.Schedules = []fault.Schedule{fault.FailAfterN(failAfter, nil)}
 	}
-	if err := fault.Register(reg, fault.Wrap(javaengine.New(javaengine.Config{}), opts), javaengine.ID); err != nil {
+	if err := fault.Register(reg, fault.Wrap(javaengine.New(), opts), javaengine.ID); err != nil {
 		return nil, err
 	}
 

@@ -15,13 +15,13 @@ import (
 // optimizer's DP asks for every (operator, consumer, producer) cell.
 func BenchmarkPathCost(b *testing.B) {
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(reg); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := sparksim.Register(reg, sparksim.Config{}); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := relengine.Register(reg, relengine.Config{}); err != nil {
+	if _, err := relengine.Register(reg); err != nil {
 		b.Fatal(err)
 	}
 	graph := reg.Channels()

@@ -50,13 +50,13 @@ var confPlatforms = []engine.PlatformID{javaengine.ID, sparksim.ID, relengine.ID
 func confRegistry(t *testing.T) *engine.Registry {
 	t.Helper()
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(reg); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sparksim.Register(reg, sparksim.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := relengine.Register(reg, relengine.Config{}); err != nil {
+	if _, err := relengine.Register(reg); err != nil {
 		t.Fatal(err)
 	}
 	return reg
@@ -170,9 +170,12 @@ func runConformance(t *testing.T, c confCase, target engine.PlatformID, shards i
 func runConformanceCal(t *testing.T, c confCase, target engine.PlatformID, shards int, hinted bool, cal *cost.Calibrator) string {
 	t.Helper()
 	reg := confRegistry(t)
+	// The java target is fed from relengine, whose direct Table → Batch
+	// edge is the cheaper route, so a hinted consumer's external input
+	// arrives as a batch.
 	feeder := javaengine.ID
 	if target == javaengine.ID {
-		feeder = sparksim.ID
+		feeder = relengine.ID
 	}
 
 	lp := confPlan(c, fmt.Sprintf("conf-%s-%s-%d", c.name, target, shards))

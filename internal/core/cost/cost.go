@@ -130,25 +130,15 @@ const DefaultRecBytes = 64
 // cardinality estimate per operator from source hints and standard
 // selectivity rules. Loop bodies are estimated with the loop input
 // bound to the loop operator's input cardinality.
-func Estimate(p *physical.Plan) *Estimates {
-	return EstimateWith(p, nil)
-}
-
-// EstimateWith is Estimate with per-operator overrides: where an
-// observed cardinality is known (the executor's audit), it replaces
-// the rule-derived estimate, and downstream operators are estimated
-// from the corrected value. This is the statistics-feedback half of
-// adaptive re-optimization.
-func EstimateWith(p *physical.Plan, overrides map[int]int64) *Estimates {
-	return EstimateCalibrated(p, overrides, nil)
-}
-
-// EstimateCalibrated is EstimateWith with a calibrator: each rule-
-// derived cardinality is scaled by the calibrator's learned per-kind
-// correction before flowing downstream. Observed overrides are applied
-// after (and never scaled — they are measurements, not estimates). A
-// nil calibrator degrades to the uncalibrated rules.
-func EstimateCalibrated(p *physical.Plan, overrides map[int]int64, cal *Calibrator) *Estimates {
+//
+// Where an observed cardinality is known (the executor's audit),
+// overrides replaces the rule-derived estimate, and downstream
+// operators are estimated from the corrected value — the
+// statistics-feedback half of adaptive re-optimization. A non-nil cal
+// scales each rule-derived cardinality by the calibrator's learned
+// per-kind correction before it flows downstream; overrides are applied
+// after, and never scaled — they are measurements, not estimates.
+func Estimate(p *physical.Plan, overrides map[int]int64, cal *Calibrator) *Estimates {
 	est := &Estimates{Cards: make([]int64, p.IDBound()), RecBytes: DefaultRecBytes}
 	est.overrides = overrides
 	est.cal = cal

@@ -67,7 +67,7 @@ func TestEstimateLinear(t *testing.T) {
 		m := b.Map(f, plan.Identity())
 		b.Collect(m)
 	})
-	est := Estimate(pp)
+	est := Estimate(pp, nil, nil)
 	cards := make([]int64, len(pp.Ops))
 	for i, op := range pp.Ops {
 		cards[i] = est.Cards[op.ID]
@@ -94,7 +94,7 @@ func TestEstimateDefaultsAndKinds(t *testing.T) {
 		c := b.Count(g)
 		b.Collect(c)
 	})
-	est := Estimate(pp)
+	est := Estimate(pp, nil, nil)
 	get := func(kind plan.OpKind) int64 {
 		for _, op := range pp.Ops {
 			if op.Kind() == kind {
@@ -128,7 +128,7 @@ func TestEstimateCartesianAndTheta(t *testing.T) {
 		tj.Selectivity = 0.5
 		b.Collect(tj)
 	})
-	est := Estimate(pp)
+	est := Estimate(pp, nil, nil)
 	for _, op := range pp.Ops {
 		if op.Kind() == plan.KindThetaJoin {
 			if est.Cards[op.ID] != 1500 {
@@ -151,7 +151,7 @@ func TestEstimateLoopBody(t *testing.T) {
 		rep := b.Repeat(s, 3, body)
 		b.Collect(rep)
 	})
-	est := Estimate(pp)
+	est := Estimate(pp, nil, nil)
 	var repOp *physical.Operator
 	for _, op := range pp.Ops {
 		if op.Kind() == plan.KindRepeat {
@@ -176,7 +176,7 @@ func TestDistinctSqrtDefault(t *testing.T) {
 		d := b.Distinct(s)
 		b.Collect(d)
 	})
-	est := Estimate(pp)
+	est := Estimate(pp, nil, nil)
 	for _, op := range pp.Ops {
 		if op.Kind() == plan.KindDistinct {
 			if est.Cards[op.ID] != 100 { // √10000

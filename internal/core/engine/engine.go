@@ -222,12 +222,11 @@ type Sharder interface {
 // since an opaque UDF closure cannot be vectorized. It is a request for
 // an input format, not a mode: the answer depends on the operator
 // alone, and an operator that merely tolerates a batch (a sink) answers
-// false. The executor delivers external inputs of supporting operators
-// as Batch channels instead of the platform's native format, and the
-// optimizer prices such edges with the cheaper of the two conversion
-// paths. The columnar result must be byte-identical to what the
-// operator's UDF computes row by row — the hints are an execution
-// strategy, never a semantics change.
+// false. Registry.InputFormat decides, per input, whether a supporting
+// operator takes it as a Batch channel or in the platform's native
+// format — whichever conversion is cheaper. The columnar result must be
+// byte-identical to what the operator's UDF computes row by row — the
+// hints are an execution strategy, never a semantics change.
 type Vectorized interface {
 	SupportsBatch(op *physical.Operator) bool
 }
@@ -401,6 +400,26 @@ func (r *Registry) PlatformsFor(kind plan.OpKind) []PlatformID {
 
 // Channels returns the shared conversion graph.
 func (r *Registry) Channels() *channel.Registry { return r.channels }
+
+// InputFormat decides the format in which op, running on platform to,
+// takes an input that is in format from, and what moving bytes there
+// costs: to's native format, or channel.Batch when to vectorizes op and
+// the batch route is cheaper. ok is false when neither is reachable.
+// It is the one answer to that question: the optimizer prices every
+// cross-platform edge with it (from being the producer's native
+// format), and the executor converts every external input to the format
+// it returns (from being the channel's actual format, so a batch exit
+// stays a batch), so a plan runs the way it was priced.
+func (r *Registry) InputFormat(from channel.Format, to Platform, op *physical.Operator, bytes int64) (channel.Format, time.Duration, bool) {
+	want := to.NativeFormat()
+	d, ok := r.channels.PathCost(from, want, bytes)
+	if vec, isVec := to.(Vectorized); isVec && op != nil && vec.SupportsBatch(op) {
+		if bd, bok := r.channels.PathCost(from, channel.Batch, bytes); bok && (!ok || bd < d) {
+			return channel.Batch, bd, true
+		}
+	}
+	return want, d, ok
+}
 
 // Health returns the registry's platform health tracker (one circuit
 // breaker per platform, fed by the executor).

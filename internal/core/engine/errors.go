@@ -3,22 +3,17 @@ package engine
 import "errors"
 
 // Error classification for the executor's retry policy (the paper's
-// §4.2 "coping with failures" duty). A platform — or any layer between
-// the executor and a platform — wraps an error to tell the executor how
-// to react:
+// §4.2 "coping with failures" duty). An error is either Fatal or
+// retried: a platform — or any layer between the executor and a
+// platform — wraps a deterministic failure in Fatal to tell the executor
+// that re-running the atom, on this or any other platform, would fail
+// identically (a UDF bug, a plan inconsistency). The executor then fails
+// the run immediately, without retries and without cross-platform
+// failover. Every other error is environmental (an injected fault, a
+// lost worker, a timeout) and is retried.
 //
-//   - Fatal errors are deterministic: re-running the atom, on this or
-//     any other platform, would fail identically (a UDF bug, a plan
-//     inconsistency). The executor fails the run immediately, without
-//     retries and without cross-platform failover.
-//   - Transient errors are environmental: a re-execution may succeed
-//     (an injected fault, a lost worker, a timeout). Unclassified
-//     errors are treated as transient too — platforms do not have to
-//     opt in to be retried — so Transient exists to make the contract
-//     explicit at injection sites.
-//
-// Both wrappers are invisible to errors.Is/errors.As chains: they
-// implement Unwrap, so callers keep matching the underlying cause.
+// The wrapper is invisible to errors.Is/errors.As chains: it implements
+// Unwrap, so callers keep matching the underlying cause.
 
 // fatalError marks an error as non-retryable.
 type fatalError struct{ err error }
@@ -39,27 +34,4 @@ func Fatal(err error) error {
 func IsFatal(err error) bool {
 	var f *fatalError
 	return errors.As(err, &f)
-}
-
-// transientError marks an error as explicitly retryable.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient marks err as explicitly retryable. Unwrapped errors are
-// already retried by default; the wrapper documents intent at the
-// injection site and survives further fmt.Errorf("%w") wrapping.
-// Transient(nil) returns nil.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err was explicitly marked Transient.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
 }

@@ -10,18 +10,14 @@ import (
 
 func TestErrorClassification(t *testing.T) {
 	base := errors.New("boom")
-	if Fatal(nil) != nil || Transient(nil) != nil {
+	if Fatal(nil) != nil {
 		t.Error("wrapping nil must stay nil")
 	}
 	f := Fatal(base)
-	if !IsFatal(f) || IsTransient(f) {
-		t.Errorf("Fatal classification wrong: fatal=%v transient=%v", IsFatal(f), IsTransient(f))
+	if !IsFatal(f) {
+		t.Error("Fatal classification wrong")
 	}
-	tr := Transient(base)
-	if !IsTransient(tr) || IsFatal(tr) {
-		t.Errorf("Transient classification wrong")
-	}
-	// Wrappers must stay visible through further %w wrapping and keep
+	// The wrapper must stay visible through further %w wrapping and keep
 	// the cause reachable.
 	wrapped := fmt.Errorf("executor: atom failed: %w", f)
 	if !IsFatal(wrapped) {
@@ -30,7 +26,7 @@ func TestErrorClassification(t *testing.T) {
 	if !errors.Is(wrapped, base) {
 		t.Error("cause lost through Fatal wrapper")
 	}
-	if IsFatal(tr) || IsFatal(errors.New("plain")) {
+	if IsFatal(base) || IsFatal(fmt.Errorf("wrapped: %w", base)) {
 		t.Error("IsFatal false positives")
 	}
 }

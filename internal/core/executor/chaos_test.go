@@ -26,14 +26,14 @@ import (
 func chaosRegistry(t *testing.T, opts fault.Options) (*engine.Registry, *fault.Platform) {
 	t.Helper()
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(reg); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sparksim.Register(reg, sparksim.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	opts.ID = "chaos"
-	p := fault.Wrap(javaengine.New(javaengine.Config{}), opts)
+	p := fault.Wrap(javaengine.New(), opts)
 	if err := fault.Register(reg, p, javaengine.ID); err != nil {
 		t.Fatal(err)
 	}

@@ -23,13 +23,13 @@ import (
 func triRegistry(t *testing.T) *engine.Registry {
 	t.Helper()
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(reg); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sparksim.Register(reg, sparksim.Config{JobOverhead: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := relengine.Register(reg, relengine.Config{}); err != nil {
+	if _, err := relengine.Register(reg); err != nil {
 		t.Fatal(err)
 	}
 	return reg

@@ -12,7 +12,7 @@
 // channels the sequential executor would have handed it. Channel
 // conversions are inserted at every cross-platform edge (performing
 // the data movement the optimizer priced), failed atom executions are
-// retried up to a bound, loop atoms are unrolled by repeatedly
+// retried up to a constant budget, loop atoms are unrolled by repeatedly
 // executing the loop body's execution plan (charging the body
 // platform's per-job overhead every iteration — the mechanism behind
 // the paper's Figure 2), every step is published on the run's span
@@ -45,10 +45,9 @@ import (
 	"rheem/internal/data"
 )
 
-// NoRetries is the Options.MaxRetries sentinel for "fail on the first
-// error": the zero value means "default budget", so opting out of
-// retries needs an explicit marker.
-const NoRetries = -1
+// retryBudget is how many times a failed atom is re-executed before
+// its failure is final. An error marked engine.Fatal is never retried.
+const retryBudget = 2
 
 // auditFactor is how far, in either direction, an operator's observed
 // output cardinality may be off the optimizer's estimate before the
@@ -67,11 +66,6 @@ type Options struct {
 	// a semaphore: 1 reproduces the sequential executor — atoms run one
 	// at a time in topological order.
 	Parallelism int
-	// MaxRetries bounds re-executions of a failed atom (default 2).
-	// Pass NoRetries (-1, or any negative value) to fail on the first
-	// error; 0 selects the default. Fatal errors (engine.Fatal — e.g. a
-	// deterministic UDF failure) are never retried regardless.
-	MaxRetries int
 	// RetryBackoff is the base delay before the first re-execution;
 	// subsequent attempts back off exponentially (doubling, capped at
 	// 2s) with deterministic jitter. 0 selects the default (10ms); a
@@ -79,7 +73,8 @@ type Options struct {
 	RetryBackoff time.Duration
 	// AtomTimeout bounds each execution attempt of a single atom; an
 	// attempt exceeding it fails with context.DeadlineExceeded and is
-	// retried like any transient failure. 0 disables the bound.
+	// retried like any failure not marked engine.Fatal. 0 disables the
+	// bound.
 	AtomTimeout time.Duration
 	// Pool, when set, is the host-wide bound on execution: every compute
 	// atom holds one of its slots while it executes, and so does every
@@ -106,11 +101,6 @@ func (o *Options) defaults() {
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.NumCPU()
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 2
-	} else if o.MaxRetries < 0 {
-		o.MaxRetries = 0 // NoRetries: first failure is final
 	}
 	if o.RetryBackoff == 0 {
 		o.RetryBackoff = 10 * time.Millisecond
@@ -211,8 +201,11 @@ func recoverFatal(what any, err *error) {
 	}
 }
 
-// Run executes an optimized plan over the registry's platforms.
-func Run(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts Options) (_ *Result, err error) {
+// Run executes an optimized plan over the registry's platforms. The
+// Result is never nil: a failed run returns, with its error, how far it
+// got — FinalPlan, Failovers, Reoptimized and Mismatches — and no
+// Records, PlatformHealth or Trace.
+func Run(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts Options) (res *Result, err error) {
 	opts.defaults()
 	ctx, cancel := context.WithCancel(opts.Context)
 	defer cancel()
@@ -223,7 +216,7 @@ func Run(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts Options) (_ *Re
 	if tr == nil {
 		tr = trace.New()
 	}
-	res := &Result{FinalPlan: ep}
+	res = &Result{FinalPlan: ep}
 	ids := ep.Physical.IDBound()
 	r := &run{reg: reg, opts: opts, ctx: ctx, cancel: cancel, tr: tr, res: res, audited: make([]bool, ids)}
 	if n := ep.Options.Shards; n > 1 {
@@ -239,18 +232,19 @@ func Run(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts Options) (_ *Re
 	// Announce the plan and its atom count before scheduling starts, so
 	// live-progress consumers know the denominator from the first span.
 	tr.Start(ep.Physical.Name, len(ep.Atoms))
+	// However runPlan ends, every atom has drained by then: the remaining
+	// accesses are single-threaded.
 	if err := top.runPlan(); err != nil {
-		return nil, err
+		return res, err
 	}
-	res.PlatformHealth = reg.Health().Snapshot()
-	// All atoms have drained; the remaining accesses are single-threaded.
 	sinkCh := top.channels[top.ep.Physical.SinkOp.ID]
 	if sinkCh == nil {
-		return nil, fmt.Errorf("executor: sink produced no channel")
+		return res, fmt.Errorf("executor: sink produced no channel")
 	}
 	if _, res.Records, err = r.collect(sinkCh, &res.Metrics); err != nil {
-		return nil, fmt.Errorf("executor: materializing result: %w", err)
+		return res, fmt.Errorf("executor: materializing result: %w", err)
 	}
+	res.PlatformHealth = reg.Health().Snapshot()
 	res.Metrics.Wall = time.Since(start)
 	tr.PlanDone(res.Metrics)
 	res.Trace = tr.Snapshot()
@@ -381,34 +375,26 @@ func (p *planScope) reoptimize(fo *failoverError) (*optimizer.ExecutionPlan, err
 }
 
 // gatherInputs collects the atom's external inputs from the plan's
-// channel table, converting each to the format its consumer wants (the
-// data movement the optimizer priced), and records the conversion
-// volume and format choices on the span. The metrics returned are the
-// movement's, for the caller to charge.
+// channel table, converting each to the format its consumer takes it in
+// (engine.Registry.InputFormat: the data movement the optimizer
+// priced), and records the conversion volume and formats on the span.
+// The metrics returned are the movement's, for the caller to charge.
 func (p *planScope) gatherInputs(sp *trace.Span, platform engine.Platform, atom *engine.TaskAtom) (engine.AtomInputs, engine.Metrics, error) {
-	vec, _ := platform.(engine.Vectorized)
 	var inputs engine.AtomInputs // made at the first external input
 	var move engine.Metrics
 	for pos, op := range atom.Ops {
-		// Batch-capable consumers take their external inputs in the
-		// columnar format instead of the platform's native one — the
-		// cheaper edge the optimizer priced via channel.Batch.
-		want := platform.NativeFormat()
-		if vec != nil && vec.SupportsBatch(op) {
-			want = channel.Batch
-		}
-		external := false
 		for slot, in := range op.Inputs {
 			if atom.Contains(in.ID) {
 				continue
 			}
-			external = true
 			p.mu.Lock()
 			src := p.channels[in.ID]
 			p.mu.Unlock()
 			if src == nil {
 				return nil, move, fmt.Errorf("executor: %s needs output of op %d which is not available", atom, in.ID)
 			}
+			// No path to either format: Convert reports it.
+			want, _, _ := p.reg.InputFormat(src.Format, platform, op, src.Bytes)
 			conv, cost, steps, err := p.reg.Channels().Convert(src, want)
 			if err != nil {
 				return nil, move, fmt.Errorf("executor: feeding %s: %w", atom, err)
@@ -422,10 +408,8 @@ func (p *planScope) gatherInputs(sp *trace.Span, platform engine.Platform, atom 
 				inputs = engine.NewAtomInputs(atom)
 			}
 			inputs[pos][slot] = conv
-		}
-		// Record the format choice per consumer with external inputs —
-		// the span-level evidence of columnar (batch) adoption.
-		if external {
+			// The format choice per external input — the span-level
+			// evidence of columnar (batch) adoption.
 			if sp.InFormats == nil {
 				sp.InFormats = map[string]int{}
 			}
@@ -490,7 +474,7 @@ func (p *planScope) runComputeAtom(sp *trace.Span, atom *engine.TaskAtom) (engin
 		if !fatal {
 			health.ReportFailure(atom.Platform)
 		}
-		if fatal || attempt >= p.opts.MaxRetries {
+		if fatal || attempt >= retryBudget {
 			break
 		}
 		move.Retries++

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"rheem/internal/core/trace"
 	"rheem/internal/data"
 	"rheem/internal/platform/javaengine"
+	"rheem/internal/platform/relengine"
 	"rheem/internal/platform/sparksim"
 )
 
@@ -44,7 +47,7 @@ func (f *flakyPlatform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, 
 func flakyRegistry(t *testing.T, failures int) (*engine.Registry, *flakyPlatform) {
 	t.Helper()
 	reg := engine.NewRegistry()
-	fp := &flakyPlatform{Platform: javaengine.New(javaengine.Config{}), failuresLeft: failures}
+	fp := &flakyPlatform{Platform: javaengine.New(), failuresLeft: failures}
 	if err := reg.RegisterPlatform(fp); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +96,7 @@ func TestRetrySucceedsWithinBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	var retries int
-	res, err := Run(ep, reg, Options{MaxRetries: 2, Tracer: trace.New(func(e trace.Event) {
+	res, err := Run(ep, reg, Options{Tracer: trace.New(func(e trace.Event) {
 		if e.Kind == trace.SpanRetry {
 			retries++
 		}
@@ -115,14 +118,24 @@ func TestRetrySucceedsWithinBudget(t *testing.T) {
 	}
 }
 
+// TestRetriesExhaustedFails pins the constant retry budget: a failure
+// not marked engine.Fatal is retried twice, so a platform that keeps
+// failing is called three times before the run fails.
 func TestRetriesExhaustedFails(t *testing.T) {
-	reg, _ := flakyRegistry(t, 10)
+	reg, fp := flakyRegistry(t, 10)
 	ep, err := optimizer.Optimize(simplePlan(t, intRecords(3)), reg, optimizer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(ep, reg, Options{MaxRetries: 2}); err == nil {
-		t.Error("run succeeded despite persistent failures")
+	_, err = Run(ep, reg, Options{RetryBackoff: -1})
+	if err == nil {
+		t.Fatal("run succeeded despite persistent failures")
+	}
+	if fp.calls != 3 {
+		t.Errorf("platform called %d times, want 3 (two retries)", fp.calls)
+	}
+	if !strings.Contains(err.Error(), "after 3 attempt") {
+		t.Errorf("error text misreports the attempt count: %v", err)
 	}
 }
 
@@ -142,7 +155,7 @@ func TestContextCancellation(t *testing.T) {
 func fullRegistry(t *testing.T) *engine.Registry {
 	t.Helper()
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(reg); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sparksim.Register(reg, sparksim.Config{JobOverhead: time.Millisecond}); err != nil {
@@ -272,8 +285,66 @@ func TestErrorFromUDFPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(ep, reg, Options{MaxRetries: 1})
+	_, err = Run(ep, reg, Options{RetryBackoff: -1})
 	if err == nil || !errors.Is(err, boom) {
 		t.Errorf("UDF error not propagated: %v", err)
+	}
+}
+
+// TestInputFormatMatchesPricedRoute: a hinted java filter takes its
+// external input in the format the optimizer priced. Fed by sparksim,
+// the native route (Partitioned → Collection, one step) is cheaper than
+// going on to a batch, so the filter reads rows; fed by relengine, the
+// direct Table → Batch edge is cheaper, so it reads a batch.
+func TestInputFormatMatchesPricedRoute(t *testing.T) {
+	reg := fullRegistry(t)
+	if _, err := relengine.Register(reg); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		feeder engine.PlatformID
+		want   map[string]int
+	}{
+		{sparksim.ID, map[string]int{"collection": 1}},
+		{relengine.ID, map[string]int{"batch": 1}},
+	} {
+		b := plan.NewBuilder("fed-by-" + string(c.feeder))
+		s := b.Source("s", plan.Collection(intRecords(100)))
+		b.Collect(b.FilterWhere(s, 0, plan.Less, data.Int(50)))
+		pp, err := physical.FromLogical(b.MustBuild())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fa := map[int]engine.PlatformID{}
+		for _, op := range pp.Ops {
+			fa[op.ID] = javaengine.ID
+			if op.Kind() == plan.KindSource {
+				fa[op.ID] = c.feeder
+			}
+		}
+		ep, err := optimizer.Optimize(pp, reg, optimizer.Options{DisableRules: true, ForcedAssignments: fa})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(ep, reg, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Records) != 50 {
+			t.Errorf("fed by %s: %d records, want 50", c.feeder, len(res.Records))
+		}
+		var fed int
+		for _, sp := range res.Trace.Spans {
+			if sp.Kind != trace.KindAtom || sp.Platform != javaengine.ID {
+				continue
+			}
+			fed++
+			if !maps.Equal(sp.InFormats, c.want) || sp.ConvSteps != 1 {
+				t.Errorf("fed by %s: the filter read %v in %d conversion steps, want %v in 1", c.feeder, sp.InFormats, sp.ConvSteps, c.want)
+			}
+		}
+		if fed != 1 {
+			t.Errorf("fed by %s: %d java atom spans, want 1", c.feeder, fed)
+		}
 	}
 }

@@ -29,7 +29,7 @@ func failAlways(err error) fault.Schedule {
 func wrapJava(t *testing.T, reg *engine.Registry, id engine.PlatformID, opts fault.Options) *fault.Platform {
 	t.Helper()
 	opts.ID = id
-	p := fault.Wrap(javaengine.New(javaengine.Config{}), opts)
+	p := fault.Wrap(javaengine.New(), opts)
 	if err := reg.RegisterPlatform(p); err != nil {
 		t.Fatal(err)
 	}
@@ -83,15 +83,15 @@ func faultPlan(t *testing.T, branchPlatforms []engine.PlatformID) (*physical.Pla
 	return pp, fa
 }
 
-// TestPermanentFailureCancelsSiblings injects a permanently failing
-// atom next to one that blocks (injected latency) until cancelled: Run
+// TestPermanentFailureCancelsSiblings injects a fatally failing atom
+// next to one that blocks (injected latency) until cancelled: Run
 // must return the failing atom's error, propagate cancellation to the
 // in-flight sibling, and never report plan completion. A telemetry
 // hub's tracer must count the failed atom as an error and the sibling
 // as cancelled, not as a second error.
 func TestPermanentFailureCancelsSiblings(t *testing.T) {
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(reg); err != nil {
 		t.Fatal(err)
 	}
 	// The stalling branch sleeps far longer than the suite tolerates;
@@ -104,7 +104,7 @@ func TestPermanentFailureCancelsSiblings(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 		}
 		return true
-	}, errBoom)
+	}, engine.Fatal(errBoom))
 	wrapJava(t, reg, "boom", fault.Options{Schedules: []fault.Schedule{stallRunning}})
 	registerMapKinds(t, reg, "stall")
 	registerMapKinds(t, reg, "boom")
@@ -122,7 +122,7 @@ func TestPermanentFailureCancelsSiblings(t *testing.T) {
 			planDone = true
 		}
 	})
-	_, err = Run(ep, reg, Options{Parallelism: 4, MaxRetries: 1, RetryBackoff: -1, Tracer: tr})
+	_, err = Run(ep, reg, Options{Parallelism: 4, RetryBackoff: -1, Tracer: tr})
 	run.End(err)
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("Run error = %v, want the injected failure", err)
@@ -154,7 +154,7 @@ func TestPermanentFailureCancelsSiblings(t *testing.T) {
 // across atoms.
 func TestRetryAttemptsMonotonicPerAtom(t *testing.T) {
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(reg); err != nil {
 		t.Fatal(err)
 	}
 	wrapJava(t, reg, "retry", fault.Options{Schedules: []fault.Schedule{fault.FailFirstN(2, nil)}})
@@ -167,7 +167,7 @@ func TestRetryAttemptsMonotonicPerAtom(t *testing.T) {
 	}
 
 	attempts := map[int][]int{} // atom ID → observed retry attempt numbers
-	res, err := Run(ep, reg, Options{Parallelism: 2, MaxRetries: 2, RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
+	res, err := Run(ep, reg, Options{Parallelism: 2, RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
 		if e.Kind == trace.SpanRetry {
 			attempts[e.Span.AtomID] = append(attempts[e.Span.AtomID], e.Attempt)
 		}
@@ -197,7 +197,7 @@ func TestRetryAttemptsMonotonicPerAtom(t *testing.T) {
 // platform fails: the first error wins every run.
 func TestFailureUnderStress(t *testing.T) {
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(reg); err != nil {
 		t.Fatal(err)
 	}
 	wrapJava(t, reg, "boom", fault.Options{Schedules: []fault.Schedule{failAlways(engine.Fatal(errBoom))}})
@@ -209,7 +209,7 @@ func TestFailureUnderStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run(ep, reg, Options{Parallelism: 8, MaxRetries: 1, RetryBackoff: -1}); !errors.Is(err, errBoom) {
+		if _, err := Run(ep, reg, Options{Parallelism: 8, RetryBackoff: -1}); !errors.Is(err, errBoom) {
 			t.Fatalf("run %d: error = %v, want the injected failure", i, err)
 		}
 	}

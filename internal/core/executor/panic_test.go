@@ -184,7 +184,7 @@ func TestPanickingPlatformFailsTheRun(t *testing.T) {
 	for name, shards := range map[string]int{"whole": 1, "sharded": 4} {
 		t.Run(name, func(t *testing.T) {
 			reg := fullRegistry(t)
-			if err := reg.RegisterPlatform(rawPlatform{javaengine.New(javaengine.Config{})}); err != nil {
+			if err := reg.RegisterPlatform(rawPlatform{javaengine.New()}); err != nil {
 				t.Fatal(err)
 			}
 			if err := reg.CloneMappings(javaengine.ID, "raw"); err != nil {

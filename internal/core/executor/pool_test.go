@@ -73,7 +73,7 @@ func poolPlan(t *testing.T, branches, recs int, inFlight, peak *int64, hold time
 // per-run Parallelism would allow far more.
 func TestPoolBoundsAcrossRuns(t *testing.T) {
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(reg); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	const poolSize = 2
@@ -116,7 +116,7 @@ func TestPoolBoundsAcrossRuns(t *testing.T) {
 // fraction of the iterations read InUse() == 1.
 func TestPoolReleasedBeforeRunReturns(t *testing.T) {
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(reg); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	pool := NewPool(1)
@@ -141,7 +141,7 @@ func TestPoolReleasedBeforeRunReturns(t *testing.T) {
 // this would deadlock instantly.
 func TestPoolLoopBodiesDoNotDeadlock(t *testing.T) {
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(reg); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	b := plan.NewBuilder("pool-loop")
@@ -192,7 +192,7 @@ func TestPoolLoopBodiesDoNotDeadlock(t *testing.T) {
 // run must return the context error promptly.
 func TestPoolAcquireRespectsCancellation(t *testing.T) {
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(reg); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	pool := NewPool(1)
@@ -269,7 +269,7 @@ func TestPoolBoundsShardFanOut(t *testing.T) {
 	reg := fullRegistry(t)
 	var inFlight, peak int64
 	gauged := gaugedPlatform{
-		Platform: fault.Wrap(javaengine.New(javaengine.Config{}), fault.Options{ID: "gauged", Latency: 2 * time.Millisecond}),
+		Platform: fault.Wrap(javaengine.New(), fault.Options{ID: "gauged", Latency: 2 * time.Millisecond}),
 		inFlight: &inFlight, peak: &peak,
 	}
 	if err := reg.RegisterPlatform(gauged); err != nil {

@@ -43,7 +43,7 @@ func (p *planScope) attempt(platform engine.Platform, atom *engine.TaskAtom, inp
 	if err != nil && ctx.Err() != nil && p.ctx.Err() == nil {
 		// The attempt deadline (not the run) expired: surface it as a
 		// retryable attempt failure rather than a bare context error.
-		err = engine.Transient(fmt.Errorf("executor: %s exceeded atom timeout %v: %w", atom, p.opts.AtomTimeout, err))
+		err = fmt.Errorf("executor: %s exceeded atom timeout %v: %w", atom, p.opts.AtomTimeout, err)
 	}
 	return exits, m, err
 }

@@ -28,37 +28,9 @@ func boomRegistry(t *testing.T) (*engine.Registry, *fault.Platform) {
 	return reg, p
 }
 
-// TestNoRetriesSentinel pins the MaxRetries semantics: 0 selects the
-// default budget (2 retries), while the NoRetries sentinel means the
-// first failure is final — exactly one platform call, no retry events.
-func TestNoRetriesSentinel(t *testing.T) {
-	reg, p := boomRegistry(t)
-	ep, err := optimizer.Optimize(simplePlan(t, intRecords(3)), reg, optimizer.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var retries int
-	_, err = Run(ep, reg, Options{MaxRetries: NoRetries, RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
-		if e.Kind == trace.SpanRetry {
-			retries++
-		}
-	})})
-	if !errors.Is(err, errBoom) {
-		t.Fatalf("Run error = %v", err)
-	}
-	if got := p.Stats().Calls; got != 1 {
-		t.Errorf("platform called %d times under NoRetries, want exactly 1", got)
-	}
-	if retries != 0 {
-		t.Errorf("%d retry events under NoRetries", retries)
-	}
-	if !strings.Contains(err.Error(), "after 1 attempt") {
-		t.Errorf("error text misreports the attempt count: %v", err)
-	}
-}
-
 // TestCancellationDuringRetryReturnsContextError cancels the run from
-// the monitor while an atom is between retry attempts: Run must return
+// the monitor at the atom's first retry, before its second attempt: Run
+// must return
 // the context error itself — not a "failed after retries" wrapper that
 // blames the atom.
 func TestCancellationDuringRetryReturnsContextError(t *testing.T) {
@@ -69,7 +41,7 @@ func TestCancellationDuringRetryReturnsContextError(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err = Run(ep, reg, Options{Context: ctx, MaxRetries: 5, RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
+	_, err = Run(ep, reg, Options{Context: ctx, RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
 		if e.Kind == trace.SpanRetry {
 			cancel()
 		}
@@ -94,7 +66,7 @@ func TestAtomTimeoutBoundsAttempts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(ep, reg, Options{MaxRetries: NoRetries, RetryBackoff: -1, AtomTimeout: 20 * time.Millisecond})
+	_, err = Run(ep, reg, Options{RetryBackoff: -1, AtomTimeout: 20 * time.Millisecond})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Run error = %v, want a deadline error", err)
 	}
@@ -141,7 +113,7 @@ func TestFatalUDFErrorNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	var retries int
-	_, err = Run(ep, reg, Options{MaxRetries: 3, RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
+	_, err = Run(ep, reg, Options{RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
 		if e.Kind == trace.SpanRetry {
 			retries++
 		}
@@ -199,13 +171,13 @@ func (p *opaquePlatform) RegisterConverters(*channel.Registry) {}
 // the atom must fail with a conversion error, not a panic or a stall.
 func TestInputConversionFailure(t *testing.T) {
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(reg); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sparksim.Register(reg, sparksim.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.RegisterPlatform(&opaquePlatform{Platform: javaengine.New(javaengine.Config{})}); err != nil {
+	if err := reg.RegisterPlatform(&opaquePlatform{Platform: javaengine.New()}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -246,7 +218,7 @@ func TestInputConversionFailure(t *testing.T) {
 // registry has never seen.
 func TestUnknownPlatformFails(t *testing.T) {
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(reg); err != nil {
 		t.Fatal(err)
 	}
 	ep, err := optimizer.Optimize(simplePlan(t, intRecords(4)), reg, optimizer.Options{})

@@ -46,7 +46,7 @@ func shardFixture(t *testing.T, recs []data.Record, build func(b *plan.Builder, 
 func runWithShards(t *testing.T, pp *physical.Plan, fa map[int]engine.PlatformID, shards int) *Result {
 	t.Helper()
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(reg); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sparksim.Register(reg, sparksim.Config{}); err != nil {
@@ -286,7 +286,7 @@ func TestShardSpanTree(t *testing.T) {
 // parallelism.
 func TestShardDiscountFlipsPlatform(t *testing.T) {
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(reg); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sparksim.Register(reg, sparksim.Config{}); err != nil {

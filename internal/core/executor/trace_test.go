@@ -84,7 +84,7 @@ func TestTraceRecordsRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(ep, reg, Options{MaxRetries: 2, RetryBackoff: -1})
+	res, err := Run(ep, reg, Options{RetryBackoff: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 // schedules key off deterministic call counters (per-atom and global)
 // and the jitter source is a seeded hash, a chaos run replays
 // identically: same plan, same schedule, same failures. Injected
-// errors are wrapped engine.Transient, so the executor's retry,
+// errors are plain (never engine.Fatal), so the executor's retry,
 // circuit-breaker, and failover machinery engages exactly as it would
 // for a real environmental failure.
 package fault
@@ -111,7 +111,7 @@ type Options struct {
 	// platform in a registry).
 	ID engine.PlatformID
 	// Schedules are consulted in order before every delegation; the
-	// first non-nil error is injected (wrapped engine.Transient).
+	// first non-nil error is injected.
 	Schedules []Schedule
 	// Latency is added before every execution attempt (after the
 	// injection decision is made it still applies to failures — a dying
@@ -274,8 +274,7 @@ func (p *Platform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, input
 		p.mu.Lock()
 		p.stats.Injected++
 		p.mu.Unlock()
-		return nil, engine.Metrics{Jobs: 1},
-			engine.Transient(fmt.Errorf("fault: %s on %s: %w", atom, p.ID(), cause))
+		return nil, engine.Metrics{Jobs: 1}, fmt.Errorf("fault: %s on %s: %w", atom, p.ID(), cause)
 	}
 	return p.inner.ExecuteAtom(ctx, atom, inputs)
 }

@@ -44,8 +44,8 @@ func TestFailFirstNPerAtom(t *testing.T) {
 				if !errors.Is(err, ErrInjected) {
 					t.Fatalf("atom %d call %d: err = %v, want injected", atomID, call, err)
 				}
-				if !engine.IsTransient(err) {
-					t.Fatalf("injected error not classified transient: %v", err)
+				if engine.IsFatal(err) {
+					t.Fatalf("injected error classified fatal, so it would not be retried: %v", err)
 				}
 			} else if err != nil {
 				t.Fatalf("atom %d call %d: unexpected err %v", atomID, call, err)

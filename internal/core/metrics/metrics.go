@@ -83,29 +83,6 @@ func (c *Counter) Value() int64 {
 	return total
 }
 
-// Gauge is a float-valued instrument that can go up and down (breaker
-// states, occupancy, ratios).
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta (CAS loop; gauges are not hot-path).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value reads the gauge.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Histogram is a fixed-bucket histogram: observation counts per
 // upper-bound bucket plus a running sum and count. Buckets are chosen
 // at registration and never change, so Observe is a binary search plus
@@ -179,7 +156,9 @@ const (
 func labelKey(values []string) string { return strings.Join(values, "\x1f") }
 
 // family is one named metric family: a set of children keyed by label
-// values, or a callback producing samples at scrape time.
+// values, or a callback producing samples at scrape time. A gauge is
+// always a callback: what it reports is read from live state when
+// scraped, never stored.
 type family struct {
 	name       string
 	help       string
@@ -188,7 +167,6 @@ type family struct {
 
 	mu       sync.RWMutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	order    []string // child label keys in first-use order
 	bounds   []float64
@@ -236,7 +214,6 @@ func (r *Registry) getOrCreate(name, help, typ string, labelNames []string, boun
 	f := &family{
 		name: name, help: help, typ: typ, labelNames: labelNames, bounds: bounds,
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 	}
 	r.families[name] = f
@@ -248,11 +225,6 @@ func (r *Registry) getOrCreate(name, help, typ string, labelNames []string, boun
 // label names.
 func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterVec {
 	return &CounterVec{r.getOrCreate(name, help, typeCounter, labelNames, nil)}
-}
-
-// GaugeVec registers (or returns) a gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{r.getOrCreate(name, help, typeGauge, labelNames, nil)}
 }
 
 // HistogramVec registers (or returns) a histogram family with the
@@ -292,28 +264,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 		v.f.order = append(v.f.order, key)
 	}
 	return c
-}
-
-// GaugeVec is a labelled gauge family.
-type GaugeVec struct{ f *family }
-
-// With returns the child gauge for the label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	key := labelKey(values)
-	v.f.mu.RLock()
-	g := v.f.gauges[key]
-	v.f.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	v.f.mu.Lock()
-	defer v.f.mu.Unlock()
-	if g = v.f.gauges[key]; g == nil {
-		g = &Gauge{}
-		v.f.gauges[key] = g
-		v.f.order = append(v.f.order, key)
-	}
-	return g
 }
 
 // HistogramVec is a labelled histogram family.
@@ -496,14 +446,12 @@ func (f *family) collect() []collected {
 	var out []collected
 	for _, key := range keys {
 		f.mu.RLock()
-		c, g, h := f.counters[key], f.gauges[key], f.hists[key]
+		c, h := f.counters[key], f.hists[key]
 		f.mu.RUnlock()
 		labels := f.labelsFor(key)
 		switch {
 		case c != nil:
 			out = append(out, collected{labels: labels, value: float64(c.Value())})
-		case g != nil:
-			out = append(out, collected{labels: labels, value: g.Value()})
 		case h != nil:
 			buckets, sum, count := h.snapshot()
 			out = append(out, collected{labels: labels, buckets: buckets, sum: sum, count: count})

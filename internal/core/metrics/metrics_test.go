@@ -30,18 +30,6 @@ func TestCounterConcurrentAdds(t *testing.T) {
 	}
 }
 
-func TestGaugeSetAddValue(t *testing.T) {
-	var g Gauge
-	g.Set(2.5)
-	if got := g.Value(); got != 2.5 {
-		t.Fatalf("gauge = %v", got)
-	}
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge after add = %v", got)
-	}
-}
-
 func TestHistogramBucketsAndSum(t *testing.T) {
 	h := newHistogram([]float64{1, 10, 100})
 	for _, v := range []float64{0.5, 5, 5, 50, 500} {
@@ -129,8 +117,10 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 func TestWritePromRoundTrips(t *testing.T) {
 	r := NewRegistry()
 	r.CounterVec("rheem_atoms_total", "Atoms.", "platform", "status").With("java", "ok").Add(4)
-	r.GaugeVec("rheem_occupancy", "Occupancy.", "platform").With(`we"ird\pla
-tform`).Set(1.5)
+	r.SetFunc("rheem_occupancy", "Occupancy.", "gauge", []string{"platform"}, func() []Sample {
+		return []Sample{{Labels: []Label{{Name: "platform", Value: `we"ird\pla
+tform`}}, Value: 1.5}}
+	})
 	r.HistogramVec("rheem_atom_latency_seconds", "Latency.", LatencyBuckets, "platform").
 		With("sparksim").Observe(0.003)
 	r.SetFunc("rheem_breaker_state", "Breaker.", "gauge", []string{"platform"}, func() []Sample {

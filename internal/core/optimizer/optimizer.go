@@ -27,7 +27,6 @@ import (
 	"strings"
 	"time"
 
-	"rheem/internal/core/channel"
 	"rheem/internal/core/cost"
 	"rheem/internal/core/engine"
 	"rheem/internal/core/physical"
@@ -40,9 +39,7 @@ type Options struct {
 	// single-platform baselines of the experiments. Empty means free
 	// choice.
 	FixedPlatform engine.PlatformID
-	// Rules overrides the rewrite rule set (nil = DefaultRules()).
-	Rules []Rule
-	// DisableRules skips the rewrite phase entirely.
+	// DisableRules skips the rewrite phase (DefaultRules) entirely.
 	DisableRules bool
 	// Calibration supplies learned per-(kind, platform) cost correction
 	// factors and per-kind cardinality corrections folded from completed
@@ -136,18 +133,14 @@ func (ep *ExecutionPlan) String() string {
 // platforms.
 func Optimize(p *physical.Plan, reg *engine.Registry, opts Options) (*ExecutionPlan, error) {
 	if !opts.DisableRules {
-		rules := opts.Rules
-		if rules == nil {
-			rules = DefaultRules()
-		}
-		if err := applyRules(p, rules); err != nil {
+		if err := applyRules(p, DefaultRules()); err != nil {
 			return nil, err
 		}
 	}
-	est := cost.EstimateCalibrated(p, opts.CardOverrides, opts.Calibration)
+	est := cost.Estimate(p, opts.CardOverrides, opts.Calibration)
 	rawEst := est
 	if opts.Calibration != nil {
-		rawEst = cost.EstimateWith(p, opts.CardOverrides)
+		rawEst = cost.Estimate(p, opts.CardOverrides, nil)
 	}
 	ep, err := optimizeWith(p, reg, opts, est, rawEst)
 	if err != nil {
@@ -486,11 +479,12 @@ func shardDiscounts(opts Options, prof engine.Profile, kind plan.OpKind) bool {
 
 // cheapestInput finds the platform (by index) to produce input in on,
 // minimising the input's subtree cost plus the conversion cost from
-// that platform's native format to the consuming operator's wanted
-// format — the consumer platform's native format, or, when the consumer
-// is batch-capable for op (engine.Vectorized), the cheaper of native and
-// channel.Batch. Pricing the batch alternative is what lets plans adopt
-// the columnar format on edges where it wins.
+// that platform's native format to the format the consuming operator
+// takes it in (engine.Registry.InputFormat, which the executor converts
+// to as well): the consumer platform's native format, or channel.Batch
+// where op is batch-capable and that route is cheaper. Pricing the batch
+// alternative is what lets plans adopt the columnar format on edges
+// where it wins.
 func (d *dp) cheapestInput(in *physical.Operator, consumer int, op *physical.Operator) (int, time.Duration, bool) {
 	best, bestCost := -1, time.Duration(math.MaxInt64)
 	bytes := d.est.Bytes(in.ID)
@@ -500,7 +494,7 @@ func (d *dp) cheapestInput(in *physical.Operator, consumer int, op *physical.Ope
 		}
 		move := time.Duration(0)
 		if pi != consumer {
-			mc, ok := moveCost(d.reg, d.platforms[pi], d.platforms[consumer], op, bytes)
+			_, mc, ok := d.reg.InputFormat(d.platforms[pi].NativeFormat(), d.platforms[consumer], op, bytes)
 			if !ok {
 				continue
 			}
@@ -511,21 +505,6 @@ func (d *dp) cheapestInput(in *physical.Operator, consumer int, op *physical.Ope
 		}
 	}
 	return best, bestCost, best >= 0
-}
-
-// moveCost prices moving an input produced on from's native format to
-// the consuming operator op executing on to: the conversion path to
-// to's native format, or to channel.Batch when that is cheaper and to
-// is batch-capable for op. It mirrors the executor's per-op want-format
-// decision (runComputeAtom), so the plan is priced the way it runs.
-func moveCost(reg *engine.Registry, from, to engine.Platform, op *physical.Operator, bytes int64) (time.Duration, bool) {
-	mc, ok := reg.Channels().PathCost(from.NativeFormat(), to.NativeFormat(), bytes)
-	if vec, isVec := to.(engine.Vectorized); isVec && op != nil && vec.SupportsBatch(op) {
-		if bc, bok := reg.Channels().PathCost(from.NativeFormat(), channel.Batch, bytes); bok && (!ok || bc < mc) {
-			return bc, true
-		}
-	}
-	return mc, ok
 }
 
 // backtrack fixes assignments and algorithms along the chosen DP path.
@@ -603,7 +582,7 @@ func vectorCost(p *physical.Plan, reg *engine.Registry, opts Options, ep *Execut
 			}
 			from, _ := reg.Platform(inPl)
 			to, _ := reg.Platform(pl)
-			if mc, ok := moveCost(reg, from, to, op, est.Bytes(in.ID)); ok {
+			if _, mc, ok := reg.InputFormat(from.NativeFormat(), to, op, est.Bytes(in.ID)); ok {
 				total = total.Plus(cost.Cost{Net: mc})
 				rawTotal = rawTotal.Plus(cost.Cost{Net: mc})
 			}

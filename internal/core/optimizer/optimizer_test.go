@@ -22,13 +22,13 @@ import (
 func fullRegistry(t *testing.T) *engine.Registry {
 	t.Helper()
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(reg); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sparksim.Register(reg, sparksim.Config{JobOverhead: 20 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := relengine.Register(reg, relengine.Config{}); err != nil {
+	if _, err := relengine.Register(reg); err != nil {
 		t.Fatal(err)
 	}
 	return reg
@@ -235,7 +235,7 @@ func TestAtomConvexityOnDiamond(t *testing.T) {
 
 func TestNoPlatformForKindFails(t *testing.T) {
 	reg := engine.NewRegistry()
-	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(reg); err != nil {
 		t.Fatal(err)
 	}
 	pp := physOf(t, func(b *plan.Builder) {
@@ -341,7 +341,7 @@ func tiePlan(t *testing.T) *physical.Plan {
 // the plan between runs.
 func TestClonedPlatformTieIsStable(t *testing.T) {
 	javaThenTwin := engine.NewRegistry()
-	java, err := javaengine.Register(javaThenTwin, javaengine.Config{})
+	java, err := javaengine.Register(javaThenTwin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,10 +351,10 @@ func TestClonedPlatformTieIsStable(t *testing.T) {
 	// The twin's *platform* registered first, its mappings cloned after
 	// the donor's exist: platform order decides, not mapping order.
 	twinThenJava := engine.NewRegistry()
-	if err := twinThenJava.RegisterPlatform(fault.Wrap(javaengine.New(javaengine.Config{}), fault.Options{ID: "twin"})); err != nil {
+	if err := twinThenJava.RegisterPlatform(fault.Wrap(javaengine.New(), fault.Options{ID: "twin"})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := javaengine.Register(twinThenJava, javaengine.Config{}); err != nil {
+	if _, err := javaengine.Register(twinThenJava); err != nil {
 		t.Fatal(err)
 	}
 	if err := twinThenJava.CloneMappings(javaengine.ID, "twin"); err != nil {
@@ -460,7 +460,7 @@ func benchRegistry(tb testing.TB, n int) *engine.Registry {
 	tb.Helper()
 	reg := engine.NewRegistry()
 	var bundled []engine.Platform
-	j, err := javaengine.Register(reg, javaengine.Config{})
+	j, err := javaengine.Register(reg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func benchRegistry(tb testing.TB, n int) *engine.Registry {
 		bundled = append(bundled, s)
 	}
 	if n >= 3 {
-		r, err := relengine.Register(reg, relengine.Config{})
+		r, err := relengine.Register(reg)
 		if err != nil {
 			tb.Fatal(err)
 		}

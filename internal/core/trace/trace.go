@@ -115,10 +115,10 @@ type Span struct {
 	ConvBytes int64         `json:"conv_bytes"`
 	ConvSteps int           `json:"conv_steps"`
 
-	// InFormats counts the atom's consumer operators by the channel
-	// format the executor delivered their external inputs in
-	// ("collection", "batch", "table", ...) — the runtime record of the
-	// per-consumer row-vs-batch format choice.
+	// InFormats counts the atom's external inputs by the channel format
+	// the executor delivered them in ("collection", "batch", "table",
+	// ...) — the runtime record of the per-input row-vs-batch format
+	// choice.
 	InFormats map[string]int `json:"in_formats,omitempty"`
 
 	// EstCost is the optimizer's estimated cost total for the atom's

@@ -385,7 +385,7 @@ func TestHintedKernelsActuallyVectorize(t *testing.T) {
 
 func TestSupportsBatch(t *testing.T) {
 	f, p, a := buildHinted(t, plan.Less, data.Int(1))
-	java := New(Config{})
+	java := New()
 	for _, lop := range []*plan.Operator{f, p, a} {
 		if !java.SupportsBatch(physOp(lop)) {
 			t.Errorf("a hinted %s must ask for batch input: the hint alone decides", lop.Kind())
@@ -435,8 +435,8 @@ func TestInAtomChainPrunesAndMatchesUDF(t *testing.T) {
 	for i := range recs {
 		recs[i] = data.NewRecord(data.Int(int64(i)), data.Str("pad"), data.Float(float64(i)/2), data.Int(int64(i%7)), data.Str("pad"))
 	}
-	got, _ := runPlanOn(t, New(Config{}), inAtomChain(recs, true))
-	want, _ := runPlanOn(t, New(Config{}), inAtomChain(recs, false))
+	got, _ := runPlanOn(t, New(), inAtomChain(recs, true))
+	want, _ := runPlanOn(t, New(), inAtomChain(recs, false))
 	if len(want) != 1 || !bytes.Equal(encodeRecs(t, got), encodeRecs(t, want)) {
 		t.Fatalf("in-atom hinted chain %v diverges from its UDF twin %v", got, want)
 	}
@@ -521,7 +521,7 @@ func TestColumnarSourceRowsOrColumns(t *testing.T) {
 	}
 
 	made, calls := 0, new(int)
-	got, _ := runPlanOn(t, New(Config{}), func(b *plan.Builder) {
+	got, _ := runPlanOn(t, New(), func(b *plan.Builder) {
 		src := b.SourceColumns("s", cols)
 		rows := src.Source
 		src.Source = func() ([]data.Record, error) { made++; return rows() }

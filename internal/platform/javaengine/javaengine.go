@@ -34,29 +34,15 @@ import (
 // ID is the platform identifier.
 const ID engine.PlatformID = "java"
 
-// Config tunes the engine's (small) simulated overheads.
-type Config struct {
-	// StartupOverhead is charged to simulated time once per atom
-	// execution, modelling in-process dispatch. Default 200µs.
-	StartupOverhead time.Duration
-}
-
-func (c *Config) defaults() {
-	if c.StartupOverhead == 0 {
-		c.StartupOverhead = 200 * time.Microsecond
-	}
-}
+// startupOverhead is charged to simulated time once per atom execution,
+// modelling in-process dispatch.
+const startupOverhead = 200 * time.Microsecond
 
 // Platform is the single-node engine.
-type Platform struct {
-	cfg Config
-}
+type Platform struct{}
 
-// New returns a platform with the given configuration.
-func New(cfg Config) *Platform {
-	cfg.defaults()
-	return &Platform{cfg: cfg}
-}
+// New returns the platform.
+func New() *Platform { return &Platform{} }
 
 // ID implements engine.Platform.
 func (p *Platform) ID() engine.PlatformID { return ID }
@@ -96,7 +82,7 @@ func (p *Platform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, input
 	wall := time.Since(start)
 	m := engine.Metrics{
 		Wall:       wall,
-		Sim:        wall + p.cfg.StartupOverhead,
+		Sim:        wall + startupOverhead,
 		Jobs:       1,
 		InRecords:  d.inRecords,
 		OutRecords: d.outRecords,
@@ -198,8 +184,8 @@ func (d *datasetOps) ExecOp(ctx context.Context, op *physical.Operator, inputs [
 // Register creates the platform, registers it and its declarative
 // operator mappings, and returns it. Cost constants are calibrated to
 // the shared kernels: ~500ns of CPU per record for linear operators.
-func Register(reg *engine.Registry, cfg Config) (*Platform, error) {
-	p := New(cfg)
+func Register(reg *engine.Registry) (*Platform, error) {
+	p := New()
 	if err := reg.RegisterPlatform(p); err != nil {
 		return nil, err
 	}
@@ -240,7 +226,7 @@ func Register(reg *engine.Registry, cfg Config) (*Platform, error) {
 		{plan.KindSink, physical.Default, cost.ConstModel(cost.Cost{}), ""},
 		{plan.KindRepeat, physical.Default, cost.ConstModel(cost.Cost{}), "loop driven by executor"},
 		{plan.KindDoWhile, physical.Default, cost.ConstModel(cost.Cost{}), "loop driven by executor"},
-		{plan.KindLoopInput, physical.Default, cost.ConstModel(cost.Cost{Startup: p.cfg.StartupOverhead}), "in-process iteration"},
+		{plan.KindLoopInput, physical.Default, cost.ConstModel(cost.Cost{Startup: startupOverhead}), "in-process iteration"},
 	}
 	for _, d := range decls {
 		if err := reg.RegisterMapping(engine.Mapping{

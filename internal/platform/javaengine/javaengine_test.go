@@ -3,7 +3,6 @@ package javaengine
 import (
 	"context"
 	"testing"
-	"time"
 
 	"rheem/internal/core/engine"
 	"rheem/internal/core/physical"
@@ -35,7 +34,7 @@ func runPlanOn(t *testing.T, p *Platform, build func(b *plan.Builder)) ([]data.R
 }
 
 func TestFullOperatorSet(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	src := []data.Record{
 		data.NewRecord(data.Int(3), data.Str("c")),
 		data.NewRecord(data.Int(1), data.Str("a")),
@@ -60,7 +59,7 @@ func TestFullOperatorSet(t *testing.T) {
 }
 
 func TestSampleAndCount(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	var src []data.Record
 	for i := int64(0); i < 20; i++ {
 		src = append(src, data.NewRecord(data.Int(i)))
@@ -81,7 +80,7 @@ func TestGroupByAlgorithms(t *testing.T) {
 		data.NewRecord(data.Int(1)), data.NewRecord(data.Int(2)), data.NewRecord(data.Int(1)),
 	}
 	for _, algo := range []physical.Algorithm{physical.HashGroupBy, physical.SortGroupBy} {
-		p := New(Config{})
+		p := New()
 		b := plan.NewBuilder("g")
 		s := b.Source("s", plan.Collection(src))
 		g := b.GroupBy(s, plan.FieldKey(0), func(k data.Value, grp []data.Record) ([]data.Record, error) {
@@ -120,7 +119,7 @@ func TestLoopKindsRejected(t *testing.T) {
 
 func TestRegisterProvidesAllMappings(t *testing.T) {
 	reg := engine.NewRegistry()
-	if _, err := Register(reg, Config{}); err != nil {
+	if _, err := Register(reg); err != nil {
 		t.Fatal(err)
 	}
 	kinds := []plan.OpKind{
@@ -146,16 +145,5 @@ func TestRegisterProvidesAllMappings(t *testing.T) {
 	cards := []int64{100000, 100000}
 	if ie.Cost(nil, cards, 1000).Total() >= nl.Cost(nil, cards, 1000).Total() {
 		t.Error("IEJoin not cheaper than nested loop at 1e5×1e5")
-	}
-}
-
-func TestStartupOverheadConfigurable(t *testing.T) {
-	p := New(Config{StartupOverhead: time.Second})
-	_, m := runPlanOn(t, p, func(b *plan.Builder) {
-		s := b.Source("s", plan.Collection(nil))
-		b.Collect(s)
-	})
-	if m.Sim < time.Second {
-		t.Errorf("sim %v missing configured startup", m.Sim)
 	}
 }

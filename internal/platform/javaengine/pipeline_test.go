@@ -93,7 +93,7 @@ func runChain(t *testing.T, in any, hinted bool, name string, build func(b *plan
 		}
 		inputs = append(inputs, slots)
 	}
-	exits, _, err := New(Config{}).ExecuteAtom(context.Background(), atom, inputs)
+	exits, _, err := New().ExecuteAtom(context.Background(), atom, inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +301,7 @@ func TestPipelineHonoursCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = New(Config{}).ExecuteAtom(cctx, inAtom(pp), engine.AtomInputs{})
+	_, _, err = New().ExecuteAtom(cctx, inAtom(pp), engine.AtomInputs{})
 	if !errors.Is(err, context.Canceled) || engine.IsFatal(err) {
 		t.Errorf("an atom cancelled while its source ran returned %v, want context.Canceled", err)
 	}

@@ -133,7 +133,7 @@ func runWhole(source func(*plan.Builder) *plan.Operator, hinted bool, build func
 			op.Logical = udfTwin(op.Logical)
 		}
 	}
-	exits, _, err := New(Config{}).ExecuteAtom(context.Background(), inAtom(pp), engine.AtomInputs{})
+	exits, _, err := New().ExecuteAtom(context.Background(), inAtom(pp), engine.AtomInputs{})
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,7 @@ import (
 func TestSplitNativeIsZeroCopyPartition(t *testing.T) {
 	// The java engine's native format is the hub Collection, so its
 	// native split is exactly channel.Partition: contiguous slice views.
-	p := New(Config{})
+	p := New()
 	recs := make([]data.Record, 10)
 	for i := range recs {
 		recs[i] = data.NewRecord(data.Int(int64(i)))

@@ -19,7 +19,7 @@ import (
 // the platform that made it is still alive. Weak pointers are Go 1.24's,
 // hence the file's build line; the module itself asks for Go 1.22.
 func TestTempTablesAndRelease(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	exit := func() weak.Pointer[Table] {
 		b := plan.NewBuilder("leak")
 		s := b.Source("s", plan.Collection(people()))

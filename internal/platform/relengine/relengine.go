@@ -18,43 +18,25 @@ import (
 // ID is the platform identifier.
 const ID engine.PlatformID = "relational"
 
-// Config tunes the simulated-time profile of the engine.
-type Config struct {
-	// ConnectOverhead is charged per atom execution (statement
-	// planning/dispatch). Default 5ms.
-	ConnectOverhead time.Duration
-	// RelationalBoost scales simulated time for relational operators
+// The engine's simulated-time profile.
+const (
+	// connectOverhead is charged per atom execution (statement
+	// planning/dispatch).
+	connectOverhead = 5 * time.Millisecond
+	// relationalBoost scales simulated time for relational operators
 	// (group-by, join, sort, distinct, count): compiled execution is
-	// faster than the generic kernels' wall time. Default 0.5.
-	RelationalBoost float64
-	// UDFPenalty scales simulated time for opaque per-tuple UDF calls
-	// (map, flatmap, filter): each call crosses the engine/UDF
-	// boundary. Default 2.5.
-	UDFPenalty float64
-}
-
-func (c *Config) defaults() {
-	if c.ConnectOverhead == 0 {
-		c.ConnectOverhead = 5 * time.Millisecond
-	}
-	if c.RelationalBoost == 0 {
-		c.RelationalBoost = 0.5
-	}
-	if c.UDFPenalty == 0 {
-		c.UDFPenalty = 2.5
-	}
-}
+	// faster than the generic kernels' wall time.
+	relationalBoost = 0.5
+	// udfPenalty scales simulated time for opaque per-tuple UDF calls
+	// (map, flatmap, filter): each call crosses the engine/UDF boundary.
+	udfPenalty = 2.5
+)
 
 // Platform executes RHEEM plans over tables.
-type Platform struct {
-	cfg Config
-}
+type Platform struct{}
 
-// New returns a platform with the given profile.
-func New(cfg Config) *Platform {
-	cfg.defaults()
-	return &Platform{cfg: cfg}
-}
+// New returns the platform.
+func New() *Platform { return &Platform{} }
 
 // ID implements engine.Platform.
 func (p *Platform) ID() engine.PlatformID { return ID }
@@ -177,11 +159,11 @@ func tableOf(ch *channel.Channel) (*Table, error) {
 // ExecuteAtom implements engine.Platform.
 func (p *Platform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) (map[int]*channel.Channel, engine.Metrics, error) {
 	start := time.Now()
-	d := &datasetOps{p: p}
+	d := &datasetOps{}
 	exits, err := engine.RunAtom(ctx, d, atom, inputs)
 	m := engine.Metrics{
 		Wall:       time.Since(start),
-		Sim:        p.cfg.ConnectOverhead + d.sim,
+		Sim:        connectOverhead + d.sim,
 		Jobs:       1,
 		InRecords:  d.inRecords,
 		OutRecords: d.outRecords,
@@ -194,7 +176,6 @@ func (p *Platform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, input
 
 // datasetOps executes physical operators over *Table datasets.
 type datasetOps struct {
-	p          *Platform
 	sim        time.Duration
 	inRecords  int64
 	outRecords int64
@@ -218,9 +199,9 @@ func (d *datasetOps) ToChannel(ds any) (*channel.Channel, error) {
 // charge records op wall time into simulated time with the profile
 // factor for the operator class.
 func (d *datasetOps) charge(wall time.Duration, relational bool) {
-	f := d.p.cfg.UDFPenalty
+	f := udfPenalty
 	if relational {
-		f = d.p.cfg.RelationalBoost
+		f = relationalBoost
 	}
 	d.sim += time.Duration(float64(wall) * f)
 }
@@ -260,18 +241,17 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 // returns it. Declared costs mirror the simulated-time profile:
 // relational shapes are scaled down, UDF shapes up, plus the
 // per-statement connect overhead.
-func Register(reg *engine.Registry, cfg Config) (*Platform, error) {
-	p := New(cfg)
+func Register(reg *engine.Registry) (*Platform, error) {
+	p := New()
 	if err := reg.RegisterPlatform(p); err != nil {
 		return nil, err
 	}
-	c := p.cfg
 	const perRec = 200 * time.Nanosecond // calibrated to the shared kernels (see EXPERIMENTS.md)
 	rel := func(m cost.Model) cost.Model {
-		return cost.WithStartup(cost.Scaled(m, c.RelationalBoost), c.ConnectOverhead)
+		return cost.WithStartup(cost.Scaled(m, relationalBoost), connectOverhead)
 	}
 	udf := func(m cost.Model) cost.Model {
-		return cost.WithStartup(cost.Scaled(m, c.UDFPenalty), c.ConnectOverhead)
+		return cost.WithStartup(cost.Scaled(m, udfPenalty), connectOverhead)
 	}
 	linear := cost.PerRecord(0, perRec, perRec/4)
 	nlogn := cost.NLogN(0, perRec/2)
@@ -307,7 +287,7 @@ func Register(reg *engine.Registry, cfg Config) (*Platform, error) {
 		{plan.KindSink, physical.Default, cost.ConstModel(cost.Cost{}), ""},
 		{plan.KindRepeat, physical.Default, cost.ConstModel(cost.Cost{}), "loop driven by executor"},
 		{plan.KindDoWhile, physical.Default, cost.ConstModel(cost.Cost{}), "loop driven by executor"},
-		{plan.KindLoopInput, physical.Default, cost.ConstModel(cost.Cost{Startup: c.ConnectOverhead}), "each loop iteration is a statement"},
+		{plan.KindLoopInput, physical.Default, cost.ConstModel(cost.Cost{Startup: connectOverhead}), "each loop iteration is a statement"},
 	}
 	for _, d := range decls {
 		if err := reg.RegisterMapping(engine.Mapping{

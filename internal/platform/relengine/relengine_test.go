@@ -23,7 +23,7 @@ func people() []data.Record {
 }
 
 func TestConvertersRoundTrip(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	reg := channel.NewRegistry()
 	p.RegisterConverters(reg)
 	in := channel.NewCollection([]data.Record{
@@ -54,7 +54,7 @@ func TestConvertersRoundTrip(t *testing.T) {
 // capacity clipped: a consumer appending to what it was handed writes
 // storage of its own, never the spare room in the table's backing array.
 func TestTableExportIsAClippedView(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	reg := channel.NewRegistry()
 	p.RegisterConverters(reg)
 	person := func(id int64) data.Record { return data.NewRecord(data.Int(id), data.Str("eve"), data.Int(52)) }
@@ -90,7 +90,7 @@ func TestTableExportIsAClippedView(t *testing.T) {
 }
 
 func TestExecuteAtomAggregation(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	b := plan.NewBuilder("agg")
 	s := b.Source("s", plan.Collection([]data.Record{
 		data.NewRecord(data.Int(1), data.Float(10)),
@@ -109,7 +109,7 @@ func TestExecuteAtomAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Sim < p.cfg.ConnectOverhead {
+	if m.Sim < connectOverhead {
 		t.Errorf("sim %v below connect overhead", m.Sim)
 	}
 	tab, err := tableOf(exits[pp.SinkOp.ID])
@@ -122,12 +122,10 @@ func TestExecuteAtomAggregation(t *testing.T) {
 }
 
 func TestSimTimeProfileFavoursRelationalOps(t *testing.T) {
-	cfg := Config{RelationalBoost: 0.5, UDFPenalty: 2.0}
-	cfg.defaults()
-	d := &datasetOps{p: New(cfg)}
+	d := &datasetOps{}
 	d.charge(100, true)
 	relSim := d.sim
-	d2 := &datasetOps{p: New(cfg)}
+	d2 := &datasetOps{}
 	d2.charge(100, false)
 	if relSim >= d2.sim {
 		t.Errorf("relational charge %v not cheaper than UDF charge %v", relSim, d2.sim)
@@ -135,7 +133,7 @@ func TestSimTimeProfileFavoursRelationalOps(t *testing.T) {
 }
 
 func TestProfileAndFormat(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	if !p.Profile().Relational {
 		t.Error("not marked relational")
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestSplitNativeSlicesRows(t *testing.T) {
 	tab := &Table{rows: people()}
-	p := New(Config{})
+	p := New()
 
 	shards, err := p.SplitNative(tableChannel(tab), 2)
 	if err != nil {
@@ -44,7 +44,7 @@ func TestSplitNativeSlicesRows(t *testing.T) {
 
 func TestSplitNativeDegenerateAndErrors(t *testing.T) {
 	tab := &Table{rows: people()}
-	p := New(Config{})
+	p := New()
 
 	ch := tableChannel(tab)
 	shards, err := p.SplitNative(ch, 1)

@@ -65,7 +65,7 @@ func (d *datasetOps) shuffle(bytes int64) {
 		return
 	}
 	d.shuffled += bytes
-	d.clock += time.Duration(float64(bytes) / d.cfg.ShuffleBandwidth * 1e9)
+	d.clock += time.Duration(float64(bytes) / shuffleBandwidth * 1e9)
 }
 
 // broadcast charges replicating the given volume to every worker.
@@ -75,7 +75,7 @@ func (d *datasetOps) broadcast(bytes int64) {
 	}
 	total := bytes * int64(d.cfg.Workers)
 	d.shuffled += total
-	d.clock += time.Duration(float64(total) / d.cfg.BroadcastBandwidth * 1e9)
+	d.clock += time.Duration(float64(total) / broadcastBandwidth * 1e9)
 }
 
 // driver charges work executed on the simulated driver (no

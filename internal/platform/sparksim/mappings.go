@@ -46,7 +46,7 @@ func Register(reg *engine.Registry, cfg Config) (*Platform, error) {
 				in += card
 			}
 			bytes := float64(in * cost.DefaultRecBytes)
-			base.Net += time.Duration(bytes / c.ShuffleBandwidth * 1e9)
+			base.Net += time.Duration(bytes / shuffleBandwidth * 1e9)
 			return base
 		}
 	}

@@ -49,12 +49,6 @@ type Config struct {
 	JobOverhead time.Duration
 	// TaskOverhead is charged per scheduling wave per stage. Default 1ms.
 	TaskOverhead time.Duration
-	// ShuffleBandwidth is the simulated aggregate shuffle throughput in
-	// bytes/second. Default 200 MB/s.
-	ShuffleBandwidth float64
-	// BroadcastBandwidth is the simulated broadcast throughput in
-	// bytes/second. Default 500 MB/s.
-	BroadcastBandwidth float64
 	// AutoTunePartitions enables the platform-layer optimization phase
 	// of the paper (§4.3, "plugged-in platform-specific optimization
 	// tools ... e.g. Starfish"): instead of always materialising the
@@ -83,16 +77,16 @@ func (c *Config) defaults() {
 	if c.TaskOverhead == 0 {
 		c.TaskOverhead = time.Millisecond
 	}
-	if c.ShuffleBandwidth == 0 {
-		c.ShuffleBandwidth = 200 << 20
-	}
-	if c.BroadcastBandwidth == 0 {
-		c.BroadcastBandwidth = 500 << 20
-	}
 	if c.TargetRecordsPerTask <= 0 {
 		c.TargetRecordsPerTask = 10_000
 	}
 }
+
+// The simulated network, in bytes/second.
+const (
+	shuffleBandwidth   = 200 << 20 // aggregate shuffle throughput
+	broadcastBandwidth = 500 << 20 // broadcast throughput
+)
 
 // tunedPartitions applies the platform-layer partition-count tuning
 // for the given cardinality; without auto-tuning it returns the static
@@ -125,9 +119,6 @@ func New(cfg Config) *Platform {
 	return &Platform{cfg: cfg}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (p *Platform) Config() Config { return p.cfg }
-
 // ID implements engine.Platform.
 func (p *Platform) ID() engine.PlatformID { return ID }
 
@@ -142,7 +133,7 @@ func (p *Platform) NativeFormat() channel.Format { return channel.Partitioned }
 // RegisterConverters implements engine.Platform: partitioned ↔
 // collection, priced as cluster↔driver movement.
 func (p *Platform) RegisterConverters(reg *channel.Registry) {
-	perByte := 1e9 / p.cfg.ShuffleBandwidth // ns per byte
+	const perByte = 1e9 / shuffleBandwidth // ns per byte
 	reg.Register(channel.Converter{
 		From: channel.Collection, To: channel.Partitioned,
 		Fixed: 2 * time.Millisecond, PerByteNS: perByte,

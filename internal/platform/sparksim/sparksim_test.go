@@ -22,8 +22,7 @@ func intRecords(n int) []data.Record {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	p := New(Config{})
-	c := p.Config()
+	c := New(Config{}).cfg
 	if c.Workers != 4 || c.SlotsPerWorker != 2 || c.Partitions != 8 {
 		t.Errorf("defaults = %+v", c)
 	}

@@ -38,10 +38,10 @@ func BenchmarkSubmit(b *testing.B) {
 			}
 			defer svc.Close()
 			defer svc.Kill()
-			if err := svc.SchedulerPool().Acquire(context.Background()); err != nil {
+			if err := svc.pool.Acquire(context.Background()); err != nil {
 				b.Fatal(err)
 			}
-			defer svc.SchedulerPool().Release()
+			defer svc.pool.Release()
 			head, err := svc.Submit(Request{Spec: spec})
 			for err == nil && head.State != StateRunning {
 				time.Sleep(time.Millisecond)

@@ -14,7 +14,7 @@ import (
 // calibrator saw all of them and learned applied factors.
 func TestCalibrationSharedAcrossTenants(t *testing.T) {
 	s := newTestService(t, Config{Calibration: true})
-	cal := s.Calibrator()
+	cal := s.cal
 	if cal == nil {
 		t.Fatal("Config.Calibration should install a calibrator")
 	}
@@ -62,7 +62,7 @@ func TestCalibrationSharedAcrossTenants(t *testing.T) {
 
 	// Default config leaves calibration off: no calibrator anywhere.
 	off := newTestService(t, Config{})
-	if off.Calibrator() != nil || off.hub.Calibrator() != nil {
+	if off.cal != nil || off.hub.Calibrator() != nil {
 		t.Fatal("calibration must be opt-in")
 	}
 }
@@ -83,7 +83,7 @@ func TestCalibrationPersistenceAcrossRestart(t *testing.T) {
 			t.Fatalf("job %s: %s (%s)", st.ID, final.State, final.Err)
 		}
 	}
-	wantFolds := s1.Calibrator().Folds()
+	wantFolds := s1.cal.Folds()
 	if wantFolds < 4 {
 		t.Fatalf("folded %d times, want >= 4", wantFolds)
 	}
@@ -102,15 +102,15 @@ func TestCalibrationPersistenceAcrossRestart(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	wantState := s1.Calibrator().Encode()
+	wantState := s1.cal.Encode()
 	s1.Kill()
 	s1.Close()
 
 	s2 := newTestService(t, Config{Calibration: true, CalibrationStore: profileStore(t, dir)})
-	if got := s2.Calibrator().Folds(); got != wantFolds {
+	if got := s2.cal.Folds(); got != wantFolds {
 		t.Fatalf("restarted service rehydrated %d folds, want %d", got, wantFolds)
 	}
-	if got := s2.Calibrator().Encode(); string(got) != string(wantState) {
+	if got := s2.cal.Encode(); string(got) != string(wantState) {
 		t.Fatalf("rehydrated state differs from persisted state:\nwant %x\ngot  %x", wantState, got)
 	}
 
@@ -122,7 +122,7 @@ func TestCalibrationPersistenceAcrossRestart(t *testing.T) {
 	if final := waitTerminal(t, s2, st.ID); final.State != StateSucceeded {
 		t.Fatalf("post-restart job: %s (%s)", final.State, final.Err)
 	}
-	if got := s2.Calibrator().Folds(); got <= wantFolds {
+	if got := s2.cal.Folds(); got <= wantFolds {
 		t.Fatalf("warm service stopped learning: folds %d, want > %d", got, wantFolds)
 	}
 }

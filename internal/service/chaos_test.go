@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +18,8 @@ import (
 	"rheem/internal/core/engine"
 	"rheem/internal/core/fault"
 	"rheem/internal/platform/javaengine"
+	"rheem/internal/platform/relengine"
+	"rheem/internal/platform/sparksim"
 )
 
 // expectedDigests executes each spec on a clean, unfaulted service and
@@ -149,10 +152,10 @@ func TestChaosKillMidDrain(t *testing.T) {
 		PoolSize:      1,
 		DrainTimeout:  60 * time.Second, // the drain would hang without Kill
 	})
-	if err := s.SchedulerPool().Acquire(context.Background()); err != nil {
+	if err := s.pool.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer s.SchedulerPool().Release()
+	defer s.pool.Release()
 
 	var ids []string
 	for i := 0; i < 6; i++ {
@@ -174,7 +177,7 @@ func TestChaosKillMidDrain(t *testing.T) {
 	// Wait for the drain to observably start, then escalate.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if v, _ := s.Hub().Registry().Snapshot().Counter("service_draining", nil); v == 1 {
+		if v, _ := s.hub.Registry().Snapshot().Counter("service_draining", nil); v == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -218,7 +221,7 @@ func TestChaosPlatformDeathUnderLoad(t *testing.T) {
 	s := newTestService(t, Config{
 		MaxActiveJobs: 3,
 		Prepare: func(c *rheem.Context) error {
-			flaky := fault.Wrap(javaengine.New(javaengine.Config{}), fault.Options{
+			flaky := fault.Wrap(javaengine.New(), fault.Options{
 				ID: "flaky",
 				// Dies after 5 executions — mid-load, deterministically.
 				Schedules: []fault.Schedule{fault.FailAfterN(5, nil)},
@@ -296,7 +299,7 @@ func TestTenantExclusionsSurviveFailover(t *testing.T) {
 		Cooldown:         time.Hour,
 		Prepare: func(c *rheem.Context) error {
 			// java's operator coverage and costs, dead from the first call.
-			twin := fault.Wrap(javaengine.New(javaengine.Config{}), fault.Options{
+			twin := fault.Wrap(javaengine.New(), fault.Options{
 				ID:        "twin",
 				Schedules: []fault.Schedule{fault.FailAfterN(0, nil)},
 			})
@@ -332,5 +335,52 @@ func TestTenantExclusionsSurviveFailover(t *testing.T) {
 	}
 	if final.Digest != want {
 		t.Errorf("digest %s after failover, clean run %s", final.Digest, want)
+	}
+}
+
+// TestFailedJobReportsItsLastPlan: a tenant kept off the three bundled
+// platforms runs a job on one of two dead java twins; it fails over to
+// the other, which is dead too. The failed job must report the failover
+// and the platform it failed on — the one its tenant's health is charged
+// for — not the plan it started from.
+func TestFailedJobReportsItsLastPlan(t *testing.T) {
+	s := newTestService(t, Config{
+		FailureThreshold: 1,
+		Cooldown:         time.Hour,
+		Prepare: func(c *rheem.Context) error {
+			for _, id := range []engine.PlatformID{"twin-a", "twin-b"} {
+				dead := fault.Wrap(javaengine.New(), fault.Options{ID: id, Schedules: []fault.Schedule{fault.FailAfterN(0, nil)}})
+				if err := fault.Register(c.Registry(), dead, javaengine.ID); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	})
+	s.mu.Lock()
+	tn, err := s.tenantLocked("doomed", s.now())
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn.reportOutcome([]engine.PlatformID{javaengine.ID, sparksim.ID, relengine.ID}, true)
+
+	st, err := s.Submit(Request{Tenant: "doomed", Spec: Spec{Kind: KindWorkload, Workload: WorkloadWordcount, N: 100, Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitTerminal(t, s, st.ID)
+	if final.State != StateFailed {
+		t.Fatalf("job ended %s (%s), want failed on both twins", final.State, final.Err)
+	}
+	if final.Failovers != 1 {
+		t.Errorf("Failovers = %d, want the one failover between the twins", final.Failovers)
+	}
+	if len(final.Platforms) != 1 {
+		t.Fatalf("job reports platforms %v, want the one twin it failed on", final.Platforms)
+	}
+	excluded := tn.health.QuarantinedPlatforms()
+	if !slices.Contains(excluded, engine.PlatformID(final.Platforms[0])) {
+		t.Errorf("tenant excludes %v, want the %s the job reports failing on", excluded, final.Platforms[0])
 	}
 }

@@ -117,10 +117,10 @@ func TestHTTPSubmitPollResult(t *testing.T) {
 
 func TestHTTPShedReturns429WithRetryAfter(t *testing.T) {
 	s, srv := startAPI(t, Config{MaxActiveJobs: 1, QueueDepth: 1, PoolSize: 1})
-	if err := s.SchedulerPool().Acquire(context.Background()); err != nil {
+	if err := s.pool.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer s.SchedulerPool().Release()
+	defer s.pool.Release()
 
 	req := Request{Tenant: "acme", Spec: Spec{Kind: KindWorkload, Workload: WorkloadWordcount, N: 100}}
 	resp, payload := postJob(t, srv.URL, req)
@@ -237,10 +237,10 @@ func TestHTTPOversizedBodyIs413(t *testing.T) {
 // name tenants too — and /metrics does not grow with them.
 func TestTenantNamesBoundedAtTheDoor(t *testing.T) {
 	s, srv := startAPI(t, Config{MaxActiveJobs: 1, QueueDepth: 1, PoolSize: 1})
-	if err := s.SchedulerPool().Acquire(context.Background()); err != nil {
+	if err := s.pool.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer s.SchedulerPool().Release()
+	defer s.pool.Release()
 	req := func(tenant string) Request {
 		return Request{Tenant: tenant, Spec: Spec{Kind: KindWorkload, Workload: WorkloadWordcount, N: 100}}
 	}
@@ -255,8 +255,14 @@ func TestTenantNamesBoundedAtTheDoor(t *testing.T) {
 			name = "Acme.corp_2-eu"
 		}
 		var shed *ShedError
-		if _, err := s.Submit(req(name)); err != nil && !errors.As(err, &shed) {
+		st, err := s.Submit(req(name))
+		if err != nil && !errors.As(err, &shed) {
 			t.Fatalf("tenant %q refused: %v", name, err)
+		}
+		if i == 0 {
+			// Out of the queue before the next submission, or that one
+			// would be shed and a later one queue in its place.
+			waitState(t, s, st.ID, StateRunning)
 		}
 	}
 	// The series a tenant name labels; the rest of /metrics moves with
@@ -299,10 +305,10 @@ func TestTenantNamesBoundedAtTheDoor(t *testing.T) {
 
 func TestHTTPCancel(t *testing.T) {
 	s, srv := startAPI(t, Config{MaxActiveJobs: 1, PoolSize: 1})
-	if err := s.SchedulerPool().Acquire(context.Background()); err != nil {
+	if err := s.pool.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer s.SchedulerPool().Release()
+	defer s.pool.Release()
 
 	req := Request{Tenant: "acme", Spec: Spec{Kind: KindWorkload, Workload: WorkloadWordcount, N: 100}}
 	_, payload := postJob(t, srv.URL, req)

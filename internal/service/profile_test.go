@@ -64,7 +64,7 @@ func TestFlightRecorderAnnotatesJobs(t *testing.T) {
 	if final.RunID == 0 {
 		t.Fatal("terminal status has no run ID")
 	}
-	rec := s.FlightRecorder()
+	rec := s.rec
 	if rec == nil {
 		t.Fatal("default config should enable the flight recorder")
 	}
@@ -90,7 +90,7 @@ func TestFlightRecorderAnnotatesJobs(t *testing.T) {
 
 	// ProfileHistory < 0 disables the recorder without breaking jobs.
 	off := newTestService(t, Config{ProfileHistory: -1})
-	if off.FlightRecorder() != nil {
+	if off.rec != nil {
 		t.Fatal("negative ProfileHistory should disable the recorder")
 	}
 	st2, err := off.Submit(Request{
@@ -144,7 +144,7 @@ func TestProfilePersistenceAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := submit(s1)
-	r1 := waitAnnotated(t, s1.FlightRecorder(), final.RunID)
+	r1 := waitAnnotated(t, s1.rec, final.RunID)
 	wantProf, wantTrace := render(r1)
 	if _, err := s1.Drain(context.Background()); err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestProfilePersistenceAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { s2.Kill(); s2.Close() }()
-	r2, ok := s2.FlightRecorder().Get(final.RunID)
+	r2, ok := s2.rec.Get(final.RunID)
 	if !ok {
 		t.Fatalf("run %d not rehydrated after restart", final.RunID)
 	}

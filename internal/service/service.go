@@ -49,10 +49,9 @@ var ErrDraining = errors.New("service: draining, not accepting jobs")
 var ErrNotFound = errors.New("service: no such job")
 
 // Config tunes the service. The zero value serves with sane defaults.
+// Every job runs on one shared engine context with the three bundled
+// platforms at their defaults.
 type Config struct {
-	// Rheem configures the shared engine context all jobs run on.
-	Rheem rheem.Config
-
 	// MaxActiveJobs bounds jobs executing simultaneously, service-wide
 	// (default 4). Everything else waits in the pending queue.
 	MaxActiveJobs int
@@ -102,8 +101,6 @@ type Config struct {
 	// learned corrections — the service's live traffic warms the
 	// optimizer. Inspect it at GET /calibration.
 	Calibration bool
-	// CalibrationConfig tunes the calibrator (zero value = defaults).
-	CalibrationConfig cost.CalibratorConfig
 	// CalibrationStore, when set (and Calibration is on), persists the
 	// calibrator's state after every finished job and rehydrates it in
 	// New, so learning survives restarts.
@@ -223,7 +220,7 @@ func New(cfg Config) (*Service, error) {
 	if hub == nil {
 		hub = metrics.NewHub()
 	}
-	rctx, err := rheem.NewContext(cfg.Rheem, rheem.WithTelemetryHub(hub))
+	rctx, err := rheem.NewContext(rheem.Config{}, rheem.WithTelemetryHub(hub))
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +255,7 @@ func New(cfg Config) (*Service, error) {
 	// previous process learned.
 	var cal *cost.Calibrator
 	if cfg.Calibration {
-		cal = cost.NewCalibrator(cfg.CalibrationConfig)
+		cal = cost.NewCalibrator(cost.CalibratorConfig{})
 		if cfg.CalibrationStore != nil {
 			if err := loadCalibration(cfg.CalibrationStore, cal); err != nil {
 				return nil, fmt.Errorf("service: loading calibration: %w", err)
@@ -293,24 +290,8 @@ func New(cfg Config) (*Service, error) {
 
 func (s *Service) now() time.Time { return s.cfg.Clock() }
 
-// Hub returns the service's telemetry hub (mount metrics.NewServer on
-// it, or let http.go's Handler do so).
-func (s *Service) Hub() *metrics.Hub { return s.hub }
-
 // Engine returns the shared engine context (tests, fault injection).
 func (s *Service) Engine() *rheem.Context { return s.rctx }
-
-// SchedulerPool returns the shared scheduler pool every job draws atom
-// slots from. Tests hold its slots to freeze execution deterministically.
-func (s *Service) SchedulerPool() *executor.Pool { return s.pool }
-
-// FlightRecorder returns the service's run-profile recorder, nil when
-// Config.ProfileHistory disabled it.
-func (s *Service) FlightRecorder() *profile.Recorder { return s.rec }
-
-// Calibrator returns the shared cost calibrator, nil unless
-// Config.Calibration enabled it.
-func (s *Service) Calibrator() *cost.Calibrator { return s.cal }
 
 var latencyBounds = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
 

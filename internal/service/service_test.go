@@ -170,13 +170,13 @@ func TestQueueFullSheds(t *testing.T) {
 		QueueDepth:    2,
 		PoolSize:      1,
 	})
-	if err := s.SchedulerPool().Acquire(context.Background()); err != nil {
+	if err := s.pool.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	released := false
 	defer func() {
 		if !released {
-			s.SchedulerPool().Release()
+			s.pool.Release()
 		}
 	}()
 
@@ -205,14 +205,14 @@ func TestQueueFullSheds(t *testing.T) {
 	}
 
 	// Unfreeze: everything accepted must finish.
-	s.SchedulerPool().Release()
+	s.pool.Release()
 	released = true
 	for _, id := range ids {
 		if final := waitTerminal(t, s, id); final.State != StateSucceeded {
 			t.Fatalf("job %s ended %s (%s)", id, final.State, final.Err)
 		}
 	}
-	snap := s.Hub().Registry().Snapshot()
+	snap := s.hub.Registry().Snapshot()
 	if got, ok := snap.Counter("service_jobs_shed_total", map[string]string{"tenant": "acme", "reason": "queue-full"}); !ok || got != 1 {
 		t.Fatalf("shed counter = %v (present %v), want 1", got, ok)
 	}
@@ -227,10 +227,10 @@ func TestTenantQueueQuota(t *testing.T) {
 		PoolSize:      1,
 		DefaultQuota:  Quota{MaxConcurrent: 1, MaxQueued: 1},
 	})
-	if err := s.SchedulerPool().Acquire(context.Background()); err != nil {
+	if err := s.pool.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer s.SchedulerPool().Release()
+	defer s.pool.Release()
 
 	// Tenant A: one running (pool-blocked), one queued; the third is shed.
 	for i := 0; i < 2; i++ {
@@ -292,7 +292,7 @@ func TestRoundRobinFairness(t *testing.T) {
 		PoolSize:      1,
 		DefaultQuota:  Quota{MaxConcurrent: 1, MaxQueued: 16},
 	})
-	if err := s.SchedulerPool().Acquire(context.Background()); err != nil {
+	if err := s.pool.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -308,7 +308,7 @@ func TestRoundRobinFairness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SchedulerPool().Release()
+	s.pool.Release()
 
 	bFinal := waitTerminal(t, s, bSt.ID)
 	lastA := waitTerminal(t, s, aIDs[len(aIDs)-1])
@@ -325,13 +325,13 @@ func TestRoundRobinFairness(t *testing.T) {
 // and a running one (terminal when the executor unwinds).
 func TestCancelQueuedAndRunning(t *testing.T) {
 	s := newTestService(t, Config{MaxActiveJobs: 1, PoolSize: 1})
-	if err := s.SchedulerPool().Acquire(context.Background()); err != nil {
+	if err := s.pool.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	released := false
 	defer func() {
 		if !released {
-			s.SchedulerPool().Release()
+			s.pool.Release()
 		}
 	}()
 
@@ -390,10 +390,10 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 // hanging or vanishing.
 func TestDeadlineFailsJob(t *testing.T) {
 	s := newTestService(t, Config{MaxActiveJobs: 1, PoolSize: 1})
-	if err := s.SchedulerPool().Acquire(context.Background()); err != nil {
+	if err := s.pool.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer s.SchedulerPool().Release()
+	defer s.pool.Release()
 	// The held pool slot guarantees the deadline expires while the job
 	// is frozen mid-execution — no dependence on workload size.
 	st, err := s.Submit(Request{
@@ -425,7 +425,7 @@ func TestTenantBreakerIsolation(t *testing.T) {
 		Cooldown:         time.Hour,
 	})
 	failOne := func() JobStatus {
-		if err := s.SchedulerPool().Acquire(context.Background()); err != nil {
+		if err := s.pool.Acquire(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		st, err := s.Submit(Request{
@@ -437,7 +437,7 @@ func TestTenantBreakerIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 		final := waitTerminal(t, s, st.ID)
-		s.SchedulerPool().Release()
+		s.pool.Release()
 		if final.State != StateFailed {
 			t.Fatalf("frozen job ended %s (%s), want failed", final.State, final.Err)
 		}
@@ -513,7 +513,7 @@ func TestTenantBreakerHalfOpenProbe(t *testing.T) {
 	})
 	failOne := func() {
 		t.Helper()
-		if err := s.SchedulerPool().Acquire(context.Background()); err != nil {
+		if err := s.pool.Acquire(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		st, err := s.Submit(Request{
@@ -525,7 +525,7 @@ func TestTenantBreakerHalfOpenProbe(t *testing.T) {
 			t.Fatal(err)
 		}
 		final := waitTerminal(t, s, st.ID)
-		s.SchedulerPool().Release()
+		s.pool.Release()
 		if final.State != StateFailed || len(final.Platforms) == 0 {
 			t.Fatalf("frozen job ended %s on %v (%s), want failed with platforms", final.State, final.Platforms, final.Err)
 		}
@@ -597,7 +597,7 @@ func TestJobHistoryEviction(t *testing.T) {
 // closed, and the drain metrics fire.
 func TestDrainFinishesAcceptedJobs(t *testing.T) {
 	s := newTestService(t, Config{MaxActiveJobs: 2, PoolSize: 1, DrainTimeout: 20 * time.Second})
-	if err := s.SchedulerPool().Acquire(context.Background()); err != nil {
+	if err := s.pool.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var ids []string
@@ -622,7 +622,7 @@ func TestDrainFinishesAcceptedJobs(t *testing.T) {
 	// anything else happens), then admission must be closed.
 	closedDeadline := time.Now().Add(10 * time.Second)
 	for {
-		v, _ := s.Hub().Registry().Snapshot().Counter("service_draining", nil)
+		v, _ := s.hub.Registry().Snapshot().Counter("service_draining", nil)
 		if v == 1 {
 			break
 		}
@@ -635,7 +635,7 @@ func TestDrainFinishesAcceptedJobs(t *testing.T) {
 		t.Fatalf("submission mid-drain got %v, want ErrDraining", err)
 	}
 
-	s.SchedulerPool().Release()
+	s.pool.Release()
 	rep := <-drainDone
 	if rep.Forced {
 		t.Fatal("drain had to force-cancel despite released pool")
@@ -649,7 +649,7 @@ func TestDrainFinishesAcceptedJobs(t *testing.T) {
 			t.Fatalf("drained job %s ended %s (%s), want succeeded", id, st.State, st.Err)
 		}
 	}
-	snap := s.Hub().Registry().Snapshot()
+	snap := s.hub.Registry().Snapshot()
 	if v, ok := snap.Counter("service_draining", nil); !ok || v != 0 {
 		t.Fatalf("service_draining = %v (present %v) after drain, want 0", v, ok)
 	}
@@ -662,10 +662,10 @@ func TestDrainFinishesAcceptedJobs(t *testing.T) {
 // drain budget it is force-cancelled — observable, never lost.
 func TestDrainTimeoutForceCancels(t *testing.T) {
 	s := newTestService(t, Config{MaxActiveJobs: 1, PoolSize: 1, DrainTimeout: 50 * time.Millisecond})
-	if err := s.SchedulerPool().Acquire(context.Background()); err != nil {
+	if err := s.pool.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer s.SchedulerPool().Release()
+	defer s.pool.Release()
 
 	var ids []string
 	for i := 0; i < 3; i++ {
@@ -702,7 +702,7 @@ func TestServiceMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTerminal(t, s, st.ID)
-	snap := s.Hub().Registry().Snapshot()
+	snap := s.hub.Registry().Snapshot()
 	if got, ok := snap.Counter("service_jobs_accepted_total", map[string]string{"tenant": "acme"}); !ok || got != 1 {
 		t.Fatalf("accepted counter = %v (present %v), want 1", got, ok)
 	}
@@ -731,10 +731,10 @@ func TestRunTrackerHistoryBoundedByService(t *testing.T) {
 
 func TestResultBeforeCompletionConflicts(t *testing.T) {
 	s := newTestService(t, Config{MaxActiveJobs: 1, PoolSize: 1})
-	if err := s.SchedulerPool().Acquire(context.Background()); err != nil {
+	if err := s.pool.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer s.SchedulerPool().Release()
+	defer s.pool.Release()
 	st, err := s.Submit(wordcountReq("acme", 100, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -876,7 +876,7 @@ func TestPanickingPlanBuilderFailsTheJob(t *testing.T) {
 	s := newTestService(t, Config{MaxActiveJobs: 1, PoolSize: 1})
 	// Hold the only pool slot: the first job blocks in the executor, the
 	// second waits in the queue, where its builder can be swapped.
-	if err := s.SchedulerPool().Acquire(context.Background()); err != nil {
+	if err := s.pool.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	head, err := s.Submit(wordcountReq("acme", 100, 1))
@@ -891,7 +891,7 @@ func TestPanickingPlanBuilderFailsTheJob(t *testing.T) {
 	s.mu.Lock()
 	s.jobs[st.ID].buildPlan = func() (*plan.Plan, error) { panic("builder blew up") }
 	s.mu.Unlock()
-	s.SchedulerPool().Release()
+	s.pool.Release()
 	final := waitTerminal(t, s, st.ID)
 	if final.State != StateFailed || !strings.Contains(final.Err, "panicked: builder blew up") || !strings.Contains(final.Err, "goroutine ") {
 		t.Fatalf("job with a panicking builder ended %s (%s), want failed with the panic and its stack", final.State, final.Err)

@@ -5,6 +5,7 @@ import (
 
 	"rheem"
 	"rheem/internal/core/engine"
+	"rheem/internal/core/fault"
 	"rheem/internal/core/optimizer"
 	"rheem/internal/core/plan"
 	"rheem/internal/data"
@@ -78,5 +79,36 @@ func TestReplanKeepsExcludedPlatforms(t *testing.T) {
 	rep := runLyingLoop(t, rheem.WithExcludedPlatforms(javaengine.ID, relengine.ID))
 	if n := planPlatforms(rep.Plan); n[javaengine.ID] > 0 || n[relengine.ID] > 0 {
 		t.Errorf("re-planned job's operators per platform = %v, want none on the excluded", n)
+	}
+}
+
+// TestFailedRunReportsItsLastPlan: a job pinned to a dying twin of the
+// java engine fails over to a second twin, which dies too. The failed
+// run's Report must describe the run as it ended — the failover counted,
+// the plan it failed on with nothing on the first twin — not the plan
+// it started from.
+func TestFailedRunReportsItsLastPlan(t *testing.T) {
+	ctx, err := rheem.NewContext(rheem.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []engine.PlatformID{"twin-a", "twin-b"} {
+		dead := fault.Wrap(javaengine.New(), fault.Options{ID: id, Schedules: []fault.Schedule{fault.FailAfterN(0, nil)}})
+		if err := fault.Register(ctx.Registry(), dead, javaengine.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs := []data.Record{data.NewRecord(data.Int(1)), data.NewRecord(data.Int(2))}
+	_, rep, err := ctx.NewJob("dies-twice").ReadCollection("in", recs).
+		Map(func(r data.Record) (data.Record, error) { return r, nil }).
+		Collect(rheem.OnPlatform("twin-a"), rheem.WithExcludedPlatforms(javaengine.ID, sparksim.ID, relengine.ID))
+	if err == nil {
+		t.Fatal("the run survived two dead platforms")
+	}
+	if rep == nil || rep.Failovers < 1 {
+		t.Fatalf("failed run's report = %+v, want at least one failover", rep)
+	}
+	if n := planPlatforms(rep.Plan); n["twin-a"] > 0 || n["twin-b"] == 0 {
+		t.Errorf("failed run's plan has operators per platform %v, want twin-b's and none on twin-a", n)
 	}
 }

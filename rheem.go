@@ -30,7 +30,6 @@ package rheem
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"time"
 
@@ -49,16 +48,12 @@ import (
 	"rheem/internal/platform/sparksim"
 )
 
-// Config selects and tunes the bundled platforms. The zero value
-// enables all three with defaults.
+// Config is the simulated Spark cluster's profile. Every context
+// registers all three bundled platforms; the single-node and relational
+// engines have no settings. To keep a run off a platform, pass
+// WithExcludedPlatforms.
 type Config struct {
-	DisableJava       bool
-	DisableSpark      bool
-	DisableRelational bool
-
-	Java       javaengine.Config
-	Spark      sparksim.Config
-	Relational relengine.Config
+	Spark sparksim.Config
 
 	// Columnar is ignored.
 	//
@@ -135,7 +130,7 @@ type Context struct {
 	monSrv *metrics.Server
 }
 
-// NewContext registers the configured platforms and their mappings.
+// NewContext registers the three bundled platforms and their mappings.
 func NewContext(cfg Config, opts ...ContextOption) (*Context, error) {
 	var co ctxOptions
 	for _, o := range opts {
@@ -145,23 +140,14 @@ func NewContext(cfg Config, opts ...ContextOption) (*Context, error) {
 	if c.hub == nil {
 		c.hub = metrics.NewHub()
 	}
-	if !cfg.DisableJava {
-		if _, err := javaengine.Register(c.reg, cfg.Java); err != nil {
-			return nil, err
-		}
+	if _, err := javaengine.Register(c.reg); err != nil {
+		return nil, err
 	}
-	if !cfg.DisableSpark {
-		if _, err := sparksim.Register(c.reg, cfg.Spark); err != nil {
-			return nil, err
-		}
+	if _, err := sparksim.Register(c.reg, cfg.Spark); err != nil {
+		return nil, err
 	}
-	if !cfg.DisableRelational {
-		if _, err := relengine.Register(c.reg, cfg.Relational); err != nil {
-			return nil, err
-		}
-	}
-	if len(c.reg.Platforms()) == 0 {
-		return nil, fmt.Errorf("rheem: no platforms enabled")
+	if _, err := relengine.Register(c.reg); err != nil {
+		return nil, err
 	}
 	// Scrape-time state — breaker gauges and transition counters,
 	// conversion traffic — comes straight from the live registries.
@@ -289,7 +275,8 @@ func WithMonitor(f func(trace.Event)) RunOption {
 
 // WithAtomTimeout bounds each execution attempt of a single task atom;
 // an attempt exceeding the timeout fails with a deadline error and is
-// retried like any transient failure. 0 disables the bound.
+// retried like any failure not marked engine.Fatal. 0 disables the
+// bound.
 func WithAtomTimeout(d time.Duration) RunOption {
 	return func(rc *runConfig) { rc.exec.AtomTimeout = d }
 }
@@ -332,8 +319,8 @@ func WithTracing() RunOption {
 // aggregate metrics (wall time, simulated cluster time, shuffled and
 // moved bytes, jobs, retries).
 type Report struct {
-	// Plan is the execution plan that finished the run (after adaptive
-	// re-optimization, the replacement plan).
+	// Plan is the execution plan the run ended on (after adaptive
+	// re-optimization or failover, the replacement plan), failed or not.
 	Plan    *optimizer.ExecutionPlan
 	Metrics engine.Metrics
 	// Mismatches lists the audit records of cardinality estimates the
@@ -370,7 +357,11 @@ type Report struct {
 // Execute optimizes and runs a logical plan, returning the sink's
 // records and the run report. Every execution feeds the context's
 // telemetry hub: while the plan runs, /metrics and /runs (see
-// WithMetricsAddr) show its live progress.
+// WithMetricsAddr) show its live progress. A run that reached the
+// executor and failed still returns a Report: its Plan is the last plan
+// the run was on (after any failover or re-optimization), with that
+// run's Failovers, Reoptimized, Mismatches and RunID; Metrics,
+// PlatformHealth, Trace and Telemetry are left empty.
 func (c *Context) Execute(p *plan.Plan, opts ...RunOption) ([]data.Record, *Report, error) {
 	var rc runConfig
 	for _, o := range opts {
@@ -396,9 +387,10 @@ func (c *Context) Execute(p *plan.Plan, opts ...RunOption) ([]data.Record, *Repo
 	// The flight recorder sees every run, failed ones included, and the
 	// calibrator folds whatever finished: completed spans of a failed run
 	// are still evidence about the cost model. A finished run hands them
-	// the trace the executor took; a failed one has no result, so the
-	// spans that completed come from the tracer. So does the recorder's
-	// copy when the Report carries res.Trace: the caller owns that one.
+	// the trace the executor took; a failed one's result carries none, so
+	// the spans that completed come from the tracer. So does the
+	// recorder's copy when the Report carries res.Trace: the caller owns
+	// that one.
 	var snap *trace.Trace
 	if err != nil || rc.tracing {
 		snap = tracer.Snapshot()
@@ -411,22 +403,18 @@ func (c *Context) Execute(p *plan.Plan, opts ...RunOption) ([]data.Record, *Repo
 	if cal != nil {
 		cal.Fold(profile.Observations(snap.Spans, snap.Audits))
 	}
-	if err != nil {
-		return nil, &Report{Plan: ep, RunID: run.ID()}, err
-	}
-	finalPlan := res.FinalPlan
-	if finalPlan == nil {
-		finalPlan = ep
-	}
 	rep := &Report{
-		Plan:           finalPlan,
-		Metrics:        res.Metrics,
-		Mismatches:     res.Mismatches,
-		Reoptimized:    res.Reoptimized,
-		Failovers:      res.Failovers,
-		PlatformHealth: res.PlatformHealth,
-		RunID:          run.ID(),
+		Plan:        res.FinalPlan,
+		Mismatches:  res.Mismatches,
+		Reoptimized: res.Reoptimized,
+		Failovers:   res.Failovers,
+		RunID:       run.ID(),
 	}
+	if err != nil {
+		return nil, rep, err
+	}
+	rep.Metrics = res.Metrics
+	rep.PlatformHealth = res.PlatformHealth
 	if rc.tracing {
 		rep.Trace = res.Trace
 		rep.Telemetry = c.hub.Registry().Snapshot()

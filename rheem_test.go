@@ -322,13 +322,6 @@ func TestCrossJobCombineRejected(t *testing.T) {
 	}
 }
 
-func TestContextRequiresAPlatform(t *testing.T) {
-	_, err := rheem.NewContext(rheem.Config{DisableJava: true, DisableSpark: true, DisableRelational: true})
-	if err == nil {
-		t.Error("context without platforms accepted")
-	}
-}
-
 func TestPlatformRegistryExposed(t *testing.T) {
 	ctx := newCtx(t)
 	if len(ctx.Registry().Platforms()) != 3 {
@@ -466,7 +459,7 @@ func TestTracingChaosFailover(t *testing.T) {
 	ctx := newCtx(t)
 	// A chaos platform with java's operator coverage that survives
 	// exactly one execution, then fails everything.
-	p := fault.Wrap(javaengine.New(javaengine.Config{}), fault.Options{
+	p := fault.Wrap(javaengine.New(), fault.Options{
 		ID:        "chaos",
 		Schedules: []fault.Schedule{fault.FailAfterN(1, nil)},
 	})
@@ -686,9 +679,9 @@ func TestFlightRecorderEndToEnd(t *testing.T) {
 
 // TestFailedRunReachesRecorderAndCalibrator pins Execute's error path:
 // a finished run hands the flight recorder and the calibrator the trace
-// the executor took, but a run that fails mid-plan returns no result,
-// and what its completed atoms measured must still reach both — the
-// spans come from the tracer then.
+// the executor took, but a run that fails mid-plan returns a result
+// without one, and what its completed atoms measured must still reach
+// both — the spans come from the tracer then.
 func TestFailedRunReachesRecorderAndCalibrator(t *testing.T) {
 	rec := profile.NewRecorder(4, nil)
 	cal := cost.NewCalibrator(cost.CalibratorConfig{})
@@ -699,7 +692,7 @@ func TestFailedRunReachesRecorderAndCalibrator(t *testing.T) {
 	// Java's coverage, surviving one execution: the atom before the loop
 	// runs, the loop body's first atom fails for good — a fatal error is
 	// neither retried nor failed over.
-	p := fault.Wrap(javaengine.New(javaengine.Config{}), fault.Options{
+	p := fault.Wrap(javaengine.New(), fault.Options{
 		ID:        "chaos",
 		Schedules: []fault.Schedule{fault.FailAfterN(1, engine.Fatal(errors.New("injected")))},
 	})
@@ -748,7 +741,7 @@ func TestFailedRunReachesRecorderAndCalibrator(t *testing.T) {
 // injected failures the dead platform reads Open.
 func TestPlatformHealthCarriesOnlyOpenBreakers(t *testing.T) {
 	ctx := newCtx(t)
-	p := fault.Wrap(javaengine.New(javaengine.Config{}), fault.Options{
+	p := fault.Wrap(javaengine.New(), fault.Options{
 		ID:        "chaos",
 		Schedules: []fault.Schedule{fault.FailAfterN(0, nil)},
 	})
