@@ -224,7 +224,7 @@ func BenchmarkOptimizeOnly(b *testing.B) {
 	}
 }
 
-// --- E8 / concurrent DAG scheduler ----------------------------------------
+// --- Concurrent DAG scheduler ---------------------------------------------
 
 // BenchmarkExecutorParallelism runs the wide fan-out diamond (8 map
 // branches pinned across platforms, per-record work in each branch) at

@@ -1,21 +1,20 @@
 // Command rheem-bench regenerates the paper's evaluation artifacts
-// (Figure 2, both sides of Figure 3) plus this reproduction's ablation
-// experiments (E4–E11: extensibility, multi-platform choice, adaptive
-// re-optimization, concurrent scheduling, fault tolerance, live
-// telemetry, sharded intra-atom execution). See DESIGN.md §6 for the
-// experiment index and EXPERIMENTS.md for recorded paper-vs-measured
-// comparisons.
+// (Figure 2, both sides of Figure 3, IEJoin and the §1 pipeline) plus
+// this reproduction's extension experiments. `rheem-bench -h` lists the
+// experiments; DESIGN.md §6 indexes them and EXPERIMENTS.md records
+// paper-vs-measured comparisons.
 //
 // Usage:
 //
-//	rheem-bench [-experiment all|fig2|fig3left|fig3right|iejoin|multiplatform|optimizer|reopt|parallelism|chaos|telemetry|sharding]
-//	            [-quick] [-clock sim|wall] [-csv DIR] [-v] [-trace FILE]
-//	            [-profile FILE] [-perfetto FILE]
+//	rheem-bench [-experiment all|NAME] [-quick] [-clock sim|wall] [-csv DIR]
+//	            [-v] [-trace FILE] [-profile FILE] [-perfetto FILE]
 //	            [-metrics ADDR] [-linger DUR] [-scrape URL]
 //
-// Regressions are gated elsewhere: by the tier-1 layout and allocation
-// gates (go test ./...) and by the repository benchmark (bash
-// benchmarks/run.sh, BENCHMARK.json).
+// Regressions are gated elsewhere: by the tier-1 paper fences in
+// internal/bench (TestFigure2Shape, TestOptimizerTracksFigure2,
+// TestFigure3Shape, TestSection1PlacementPlan), the layout and
+// allocation gates (go test ./...) and by the repository benchmark
+// (bash benchmarks/run.sh, BENCHMARK.json).
 //
 // -profile runs the same demo job as -trace with the flight recorder
 // attached and writes the analyzed run profile — critical path, time
@@ -53,7 +52,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "experiment to run, or 'all'")
+	experiment := flag.String("experiment", "all", "experiment to run ("+strings.Join(bench.Experiments(), ", ")+"), or 'all'")
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
 	clock := flag.String("clock", "sim", "reported clock: 'sim' (simulated cluster time) or 'wall'")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")

@@ -76,7 +76,7 @@ func TestTablePrintAndCSV(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	names := Experiments()
-	want := []string{"calibration", "chaos", "columnar", "fig2", "fig3left", "fig3right", "iejoin", "multiplatform", "optimizer", "parallelism", "reopt", "service", "sharding", "telemetry"}
+	want := []string{"calibration", "chaos", "columnar", "fig2", "fig3left", "fig3right", "iejoin", "multiplatform", "optimizer", "reopt", "service", "sharding"}
 	if len(names) != len(want) {
 		t.Fatalf("experiments = %v", names)
 	}

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"rheem"
@@ -65,14 +66,7 @@ func platformsUsed(rep *rheem.Report) string {
 		out = append(out, id)
 	}
 	sort.Strings(out)
-	s := ""
-	for i, id := range out {
-		if i > 0 {
-			s += "+"
-		}
-		s += id
-	}
-	return s
+	return strings.Join(out, "+")
 }
 
 // --- E1 / Figure 2: SVM on Spark and Java -------------------------------
@@ -166,15 +160,116 @@ func fig2(cfg Config) ([]*Table, error) {
 	return []*Table{t1, t2}, nil
 }
 
-// --- E2 / Figure 3 left: monolithic Detect UDF vs operator pipeline -----
+// --- E2, E3 and E4: Figure 3 and IEJoin's datasets and arms -------------
 
 func zipCityFD() cleaning.FD {
 	return cleaning.FD{RuleName: "zip->city", ID: datagen.TaxID,
 		LHS: []int{datagen.TaxZip}, RHS: []int{datagen.TaxCity}}
 }
 
-func fig3left(cfg Config) ([]*Table, error) {
+func salaryRateDC() cleaning.DenialConstraint {
+	return cleaning.DenialConstraint{RuleName: "salary-rate", ID: datagen.TaxID,
+		Preds: []cleaning.Pred{
+			{LeftField: datagen.TaxSalary, Op: plan.Greater, RightField: datagen.TaxSalary},
+			{LeftField: datagen.TaxRate, Op: plan.Less, RightField: datagen.TaxRate},
+		},
+		FixField: datagen.TaxRate,
+	}
+}
+
+// fig3Tax is the Figure 3 dataset: n tax records, 1 % of them dirty,
+// one zip code per 50 rows.
+func fig3Tax(n int) []data.Record {
+	return datagen.Tax(datagen.TaxConfig{N: n, Zips: n / 50, ErrorRate: 0.01, Seed: uint64(n)})
+}
+
+// dcTax is E4's dataset: n tax records over 50 zip codes, errRate dirty.
+func dcTax(n int, errRate float64) []data.Record {
+	return datagen.Tax(datagen.TaxConfig{N: n, Zips: 50, ErrorRate: errRate, Seed: uint64(n)})
+}
+
+// arm is one detection approach of Figure 3 or E4 over a dataset.
+type arm func(recs []data.Record) ([]cleaning.Violation, *rheem.Report, error)
+
+// arms are Figure 3's and E4's detection approaches on one experiment
+// context, each pinned where the paper ran it. The experiments tabulate
+// them and TestFigure3Shape checks them.
+type arms struct {
+	// Over the zip → city FD: BigDansing's Scope/Block/Iterate/Detect
+	// operators, one monolithic Detect UDF, a SQL-style self-join, and
+	// the NADEEF-style pairwise UDF on a single node.
+	pipeline, udf, selfJoin, nadeef arm
+	// Over the salary/rate DC: through the IEJoin operator, and, with
+	// the rule's declarative conditions hidden, a nested loop.
+	ieJoin, nestedLoop arm
+}
+
+func newArms(cfg Config) (*arms, error) {
 	ctx, err := newCtx(cfg)
+	if err != nil {
+		return nil, err
+	}
+	fd, err := cleaning.NewDetector(ctx, zipCityFD())
+	if err != nil {
+		return nil, err
+	}
+	ie, err := cleaning.NewDetector(ctx, salaryRateDC())
+	if err != nil {
+		return nil, err
+	}
+	nl, err := cleaning.NewDetector(ctx, cleaning.StripConditions(salaryRateDC()))
+	if err != nil {
+		return nil, err
+	}
+	spark, java := rheem.OnPlatform(sparksim.ID), rheem.OnPlatform(javaengine.ID)
+	return &arms{
+		pipeline: func(recs []data.Record) ([]cleaning.Violation, *rheem.Report, error) { return fd.Detect(recs, spark) },
+		udf: func(recs []data.Record) ([]cleaning.Violation, *rheem.Report, error) {
+			return fd.DetectMonolithic(zipCityFD(), recs, spark)
+		},
+		selfJoin: func(recs []data.Record) ([]cleaning.Violation, *rheem.Report, error) {
+			return fd.DetectSelfJoin(zipCityFD(), recs, spark)
+		},
+		nadeef: func(recs []data.Record) ([]cleaning.Violation, *rheem.Report, error) {
+			return fd.DetectMonolithic(zipCityFD(), recs, java)
+		},
+		ieJoin:     func(recs []data.Record) ([]cleaning.Violation, *rheem.Report, error) { return ie.Detect(recs, spark) },
+		nestedLoop: func(recs []data.Record) ([]cleaning.Violation, *rheem.Report, error) { return nl.Detect(recs, spark) },
+	}, nil
+}
+
+// timeArm runs a over recs: its violation count and reported time.
+func timeArm(cfg Config, a arm, recs []data.Record) (int, time.Duration, error) {
+	vs, rep, err := a(recs)
+	if err != nil {
+		return 0, 0, err
+	}
+	return len(vs), pick(cfg, rep.Metrics), nil
+}
+
+// capped is a quadratic baseline: measured up to upTo rows, and past
+// that extrapolated from the last size it measured.
+type capped struct {
+	a           arm
+	upTo, lastN int
+	last        time.Duration
+}
+
+// at is the baseline's table cell and time over recs.
+func (c *capped) at(cfg Config, recs []data.Record) (string, time.Duration, error) {
+	if n := len(recs); n > c.upTo {
+		d := ExtrapolateQuadratic(c.last, c.lastN, n)
+		return EstDur(d), d, nil
+	}
+	_, d, err := timeArm(cfg, c.a, recs)
+	c.last, c.lastN = d, len(recs)
+	return Dur(d), d, err
+}
+
+// --- E2 / Figure 3 left: monolithic Detect UDF vs operator pipeline -----
+
+func fig3left(cfg Config) ([]*Table, error) {
+	a, err := newArms(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -189,37 +284,19 @@ func fig3left(cfg Config) ([]*Table, error) {
 		Note:    "Paper shape: the operator decomposition enables blocking + fine-grained distributed execution; the monolithic UDF degrades quadratically.",
 		Columns: []string{"rows", "single Detect UDF", "pipeline", "violations", "pipeline speedup"},
 	}
-	fd := zipCityFD()
-	det, err := cleaning.NewDetector(ctx, fd)
-	if err != nil {
-		return nil, err
-	}
-	var lastMono time.Duration
-	var lastMonoN int
+	mono := &capped{a: a.udf, upTo: monoCap}
 	for _, n := range sizes {
 		cfg.logf("fig3left: n=%d", n)
-		recs := datagen.Tax(datagen.TaxConfig{N: n, Zips: n / 50, ErrorRate: 0.01, Seed: uint64(n)})
-		vs, rep, err := det.Detect(recs, rheem.OnPlatform(sparksim.ID))
+		recs := fig3Tax(n)
+		vs, pipe, err := timeArm(cfg, a.pipeline, recs)
 		if err != nil {
 			return nil, err
 		}
-		pipe := pick(cfg, rep.Metrics)
-
-		var monoCell string
-		var mono time.Duration
-		if n <= monoCap {
-			_, mrep, err := det.DetectMonolithic(fd, recs, rheem.OnPlatform(sparksim.ID))
-			if err != nil {
-				return nil, err
-			}
-			mono = pick(cfg, mrep.Metrics)
-			lastMono, lastMonoN = mono, n
-			monoCell = Dur(mono)
-		} else {
-			mono = ExtrapolateQuadratic(lastMono, lastMonoN, n)
-			monoCell = EstDur(mono)
+		monoCell, monoT, err := mono.at(cfg, recs)
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(Count(n), monoCell, Dur(pipe), Count(len(vs)), Speedup(mono, pipe))
+		t.AddRow(Count(n), monoCell, Dur(pipe), Count(vs), Speedup(monoT, pipe))
 	}
 	return []*Table{t}, nil
 }
@@ -227,7 +304,7 @@ func fig3left(cfg Config) ([]*Table, error) {
 // --- E3 / Figure 3 right: BigDansing vs baselines on Spark --------------
 
 func fig3right(cfg Config) ([]*Table, error) {
-	ctx, err := newCtx(cfg)
+	a, err := newArms(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -242,113 +319,58 @@ func fig3right(cfg Config) ([]*Table, error) {
 		Note:    "Baselines: SQL-style self-join on spark; NADEEF-style single-node pairwise. Paper stopped its baselines after 22 h; ours are extrapolated past the cap.",
 		Columns: []string{"rows", "BigDansing (spark)", "self-join (spark)", "NADEEF-style (java)", "best-baseline/BigDansing"},
 	}
-	fd := zipCityFD()
-	det, err := cleaning.NewDetector(ctx, fd)
-	if err != nil {
-		return nil, err
-	}
-	var lastSelf, lastNadeef time.Duration
-	var lastN int
+	self, nadeef := &capped{a: a.selfJoin, upTo: baseCap}, &capped{a: a.nadeef, upTo: baseCap}
 	for _, n := range sizes {
 		cfg.logf("fig3right: n=%d", n)
-		recs := datagen.Tax(datagen.TaxConfig{N: n, Zips: n / 50, ErrorRate: 0.01, Seed: uint64(n)})
-		_, rep, err := det.Detect(recs, rheem.OnPlatform(sparksim.ID))
+		recs := fig3Tax(n)
+		_, bd, err := timeArm(cfg, a.pipeline, recs)
 		if err != nil {
 			return nil, err
 		}
-		bd := pick(cfg, rep.Metrics)
-
-		var selfCell, nadeefCell string
-		var selfT, nadeefT time.Duration
-		if n <= baseCap {
-			_, srep, err := det.DetectSelfJoin(fd, recs, rheem.OnPlatform(sparksim.ID))
-			if err != nil {
-				return nil, err
-			}
-			selfT = pick(cfg, srep.Metrics)
-			_, nrep, err := det.DetectMonolithic(fd, recs, rheem.OnPlatform(javaengine.ID))
-			if err != nil {
-				return nil, err
-			}
-			nadeefT = pick(cfg, nrep.Metrics)
-			lastSelf, lastNadeef, lastN = selfT, nadeefT, n
-			selfCell, nadeefCell = Dur(selfT), Dur(nadeefT)
-		} else {
-			selfT = ExtrapolateQuadratic(lastSelf, lastN, n)
-			nadeefT = ExtrapolateQuadratic(lastNadeef, lastN, n)
-			selfCell, nadeefCell = EstDur(selfT), EstDur(nadeefT)
+		selfCell, selfT, err := self.at(cfg, recs)
+		if err != nil {
+			return nil, err
 		}
-		best := selfT
-		if nadeefT < best {
-			best = nadeefT
+		nadeefCell, nadeefT, err := nadeef.at(cfg, recs)
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(Count(n), Dur(bd), selfCell, nadeefCell, Speedup(best, bd))
+		t.AddRow(Count(n), Dur(bd), selfCell, nadeefCell, Speedup(min(selfT, nadeefT), bd))
 	}
 	return []*Table{t}, nil
 }
 
 // --- E4: IEJoin extensibility -------------------------------------------
 
-func salaryRateDC() cleaning.DenialConstraint {
-	return cleaning.DenialConstraint{RuleName: "salary-rate", ID: datagen.TaxID,
-		Preds: []cleaning.Pred{
-			{LeftField: datagen.TaxSalary, Op: plan.Greater, RightField: datagen.TaxSalary},
-			{LeftField: datagen.TaxRate, Op: plan.Less, RightField: datagen.TaxRate},
-		},
-		FixField: datagen.TaxRate,
-	}
-}
-
 func iejoin(cfg Config) ([]*Table, error) {
-	ctx, err := newCtx(cfg)
+	a, err := newArms(cfg)
 	if err != nil {
 		return nil, err
 	}
 	sizes := []int{2_000, 5_000, 10_000, 20_000, 50_000}
 	nlCap := 10_000
 	if cfg.Quick {
-		sizes = []int{500, 2_000}
-		nlCap = 2_000
+		sizes = []int{500, 1_000}
+		nlCap = 1_000
 	}
 	t := &Table{
 		Title:   "E4 — inequality rule detection: IEJoin physical operator vs nested loop [simulated time, spark]",
 		Note:    "The paper's extensibility example (§5.1): IEJoin was added as a new physical operator to make inequality rules tractable.",
 		Columns: []string{"rows", "IEJoin", "nested loop", "violations", "IEJoin speedup"},
 	}
-	dc := salaryRateDC()
-	detIE, err := cleaning.NewDetector(ctx, dc)
-	if err != nil {
-		return nil, err
-	}
-	detNL, err := cleaning.NewDetector(ctx, cleaning.StripConditions(dc))
-	if err != nil {
-		return nil, err
-	}
-	var lastNL time.Duration
-	var lastN int
+	loop := &capped{a: a.nestedLoop, upTo: nlCap}
 	for _, n := range sizes {
 		cfg.logf("iejoin: n=%d", n)
-		recs := datagen.Tax(datagen.TaxConfig{N: n, Zips: 50, ErrorRate: 0.002, Seed: uint64(n)})
-		vs, rep, err := detIE.Detect(recs, rheem.OnPlatform(sparksim.ID))
+		recs := dcTax(n, 0.002)
+		vs, ie, err := timeArm(cfg, a.ieJoin, recs)
 		if err != nil {
 			return nil, err
 		}
-		ie := pick(cfg, rep.Metrics)
-		var nlCell string
-		var nl time.Duration
-		if n <= nlCap {
-			_, nrep, err := detNL.Detect(recs, rheem.OnPlatform(sparksim.ID))
-			if err != nil {
-				return nil, err
-			}
-			nl = pick(cfg, nrep.Metrics)
-			lastNL, lastN = nl, n
-			nlCell = Dur(nl)
-		} else {
-			nl = ExtrapolateQuadratic(lastNL, lastN, n)
-			nlCell = EstDur(nl)
+		nlCell, nl, err := loop.at(cfg, recs)
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(Count(n), Dur(ie), nlCell, Count(len(vs)), Speedup(nl, ie))
+		t.AddRow(Count(n), Dur(ie), nlCell, Count(vs), Speedup(nl, ie))
 	}
 	return []*Table{t}, nil
 }
@@ -356,12 +378,16 @@ func iejoin(cfg Config) ([]*Table, error) {
 // --- E5: the §1 multi-platform pipeline ----------------------------------
 
 // SensorPipeline is the oil-&-gas motivating pipeline (E5 and the
-// bench suite's multi-platform scenario): normalise raw
-// sensor quanta (opaque UDF), aggregate per well (relational
-// strength), emit per-well feature vectors.
+// bench suite's multi-platform scenario): sensorFeatures over readings.
 func SensorPipeline(ctx *rheem.Context, readings []data.Record, opts ...rheem.RunOption) ([]data.Record, *rheem.Report, error) {
-	job := ctx.NewJob("sensor-features")
-	q := job.ReadCollection("readings", readings).
+	return sensorFeatures(ctx.NewJob("sensor-features").ReadCollection("readings", readings)).Collect(opts...)
+}
+
+// sensorFeatures is E5's dataflow: normalise raw sensor quanta (opaque
+// UDF), aggregate per well (relational strength), emit per-well feature
+// vectors sorted by well.
+func sensorFeatures(readings *rheem.DataQuanta) *rheem.DataQuanta {
+	return readings.
 		// Normalise: psi→kPa-ish unit conversion plus clamping, an
 		// opaque per-quantum UDF.
 		Map(func(r data.Record) (data.Record, error) {
@@ -389,7 +415,16 @@ func SensorPipeline(ctx *rheem.Context, readings []data.Record, opts ...rheem.Ru
 			})), nil
 		}).
 		Sort(plan.FieldKey(0), false)
-	return q.Collect(opts...)
+}
+
+// wellClusters is E5's downstream ML step, on free choice: k-means
+// (k = 4) over the per-well feature vectors SensorPipeline emits.
+func wellClusters(ctx *rheem.Context, wells []data.Record, iters int) ([]data.Record, *rheem.Report, error) {
+	pts := make([]data.Record, len(wells))
+	for i, w := range wells {
+		pts[i] = data.NewRecord(data.Int(int64(i)), w.Field(1))
+	}
+	return ml.KMeans(pts, ml.KMeansConfig{K: 4, Iterations: iters, Dim: 3}).Run(ctx)
 }
 
 func multiplatform(cfg Config) ([]*Table, error) {
@@ -443,16 +478,11 @@ func multiplatform(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pts := make([]data.Record, len(wells))
-	for i, w := range wells {
-		pts[i] = data.NewRecord(data.Int(int64(i)), w.Field(1))
-	}
 	iters := 10
 	if cfg.Quick {
 		iters = 3
 	}
-	tpl := ml.KMeans(pts, ml.KMeansConfig{K: 4, Iterations: iters, Dim: 3})
-	state, rep, err := tpl.Run(ctx)
+	state, rep, err := wellClusters(ctx, wells, iters)
 	if err != nil {
 		return nil, err
 	}
@@ -477,7 +507,6 @@ func optimizerChoice(cfg Config) ([]*Table, error) {
 		sizes = []int{500, 2_000, 10_000}
 		iters = 10
 	}
-	const dim = 10
 	t := &Table{
 		Title:   "E6 — optimizer platform choice vs oracle (SVM sweep) [simulated time]",
 		Note:    "Regret = optimizer time − best fixed platform time. The §2 claim: the system should 'select the best available platform ... for a different input'.",
@@ -496,8 +525,7 @@ func optimizerChoice(cfg Config) ([]*Table, error) {
 			{"spark", []rheem.RunOption{rheem.OnPlatform(sparksim.ID)}},
 			{"optimizer", nil},
 		} {
-			tpl := ml.SVM(pts, ml.GradientConfig{Iterations: iters, Dim: dim})
-			_, rep, err := tpl.Run(ctx, opt.opts...)
+			_, rep, err := ml.SVM(pts, ml.GradientConfig{Iterations: iters, Dim: fig2Dim}).Run(ctx, opt.opts...)
 			if err != nil {
 				return nil, err
 			}
@@ -506,14 +534,7 @@ func optimizerChoice(cfg Config) ([]*Table, error) {
 				chosen = platformsUsed(rep)
 			}
 		}
-		oracle := times["java"]
-		if times["spark"] < oracle {
-			oracle = times["spark"]
-		}
-		regret := times["optimizer"] - oracle
-		if regret < 0 {
-			regret = 0
-		}
+		regret := max(times["optimizer"]-min(times["java"], times["spark"]), 0)
 		t.AddRow(Count(n), Dur(times["java"]), Dur(times["spark"]),
 			Dur(times["optimizer"]), chosen, Dur(regret))
 	}

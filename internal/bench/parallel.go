@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"time"
 
 	"rheem/internal/core/engine"
@@ -15,10 +14,6 @@ import (
 	"rheem/internal/platform/relengine"
 	"rheem/internal/platform/sparksim"
 )
-
-func init() {
-	register("parallelism", parallelism)
-}
 
 // FanOutPlan builds the concurrent-scheduler workload: one source
 // fanning out into `branches` independent map branches (each sleeping
@@ -93,7 +88,7 @@ func RunFanOutTraced(reg *engine.Registry, hub *metrics.Hub, branches, recs int,
 }
 
 // runForced is the run sequence of the fixed-assignment workloads
-// (E8, E11, E13): optimize pp with the rules off and oo's forced
+// (the fan-out benchmarks, E11, E13): optimize pp with the rules off and oo's forced
 // assignments, execute it, and — given a hub — trace the run under
 // name and hand it to the hub's flight recorder, if it has one, so
 // /runs/{id}/profile and trace.json answer for every such run. A nil
@@ -115,40 +110,4 @@ func runForced(pp *physical.Plan, reg *engine.Registry, hub *metrics.Hub, name s
 		rec.Record(run.ID(), name, run.Started(), run.Ended(), err, tracer.Snapshot())
 	}
 	return res, err
-}
-
-// parallelism measures the executor's concurrent DAG scheduler on the
-// wide fan-out diamond: wall time at parallelism 1 (the sequential
-// executor) versus bounded worker pools. Records and job counts must
-// not change with parallelism — only the wall clock does.
-func parallelism(cfg Config) ([]*Table, error) {
-	ctx, err := newCtx(cfg)
-	if err != nil {
-		return nil, err
-	}
-	branches, recs, delay := 8, 100, 2*time.Millisecond
-	if cfg.Quick {
-		recs, delay = 10, 500*time.Microsecond
-	}
-	t := &Table{
-		Title: fmt.Sprintf("E8 — concurrent DAG scheduler (%d branches × %s records, %v work per record)",
-			branches, Count(recs), delay),
-		Note:    "The same multi-platform diamond executed with different worker-pool bounds; records and job counts are invariant, wall time shrinks with available parallelism.",
-		Columns: []string{"parallelism", "wall", "sim", "jobs", "speedup"},
-	}
-	var base time.Duration
-	for _, par := range []int{1, 2, 4, 8} {
-		cfg.logf("parallelism: par=%d", par)
-		res, err := RunFanOutTraced(ctx.Registry(), cfg.Hub, branches, recs, delay, par)
-		if err != nil {
-			return nil, err
-		}
-		wall := res.Metrics.Wall
-		if par == 1 {
-			base = wall
-		}
-		t.AddRow(fmt.Sprint(par), Dur(wall), Dur(res.Metrics.Sim),
-			fmt.Sprint(res.Metrics.Jobs), Speedup(base, wall))
-	}
-	return []*Table{t}, nil
 }

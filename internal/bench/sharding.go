@@ -37,8 +37,8 @@ func Burn(v int64, work int) int64 {
 
 // WidePlan builds the sharding workload: one source feeding a Map
 // (sleeping `delay` per record to stand in for real per-tuple work,
-// the same stand-in E8 uses) and a Filter into the sink. The shape is
-// the opposite of E8's diamond — a single straight chain with *no*
+// the same stand-in FanOutPlan uses) and a Filter into the sink. The
+// shape is the opposite of its diamond — a single straight chain with *no*
 // independent branches, so the concurrent DAG scheduler (inter-atom
 // parallelism) finds nothing to overlap and only intra-atom sharding
 // can shorten the wide atom.
@@ -74,7 +74,7 @@ func WideRecords(recs int) int {
 }
 
 // WideAssignments pins the source to the relational engine (the same
-// boundary idiom as E8's diamond) and the map–filter chain (plus sink)
+// boundary idiom as FanOutPlan's diamond) and the map–filter chain (plus sink)
 // to the single-node engine. The platform boundary keeps the chain out
 // of the source's atom, making it exactly the shape planShards
 // accepts: a single-input compute atom of record-wise operators.
@@ -132,8 +132,8 @@ func shardSweep() []int {
 // fan-out because each shard is a real platform job. The single-node
 // engine's simulated clock is its measured atom time, and a sharded
 // atom reports the slowest shard (parallel-shard semantics), so both
-// clocks shrink as the fan-out widens. Best-of-3 per point (like E10)
-// to shave scheduler noise.
+// clocks shrink as the fan-out widens. Best-of-3 per point to shave
+// scheduler noise.
 func sharding(cfg Config) ([]*Table, error) {
 	recs, delay, reps := 600, 150*time.Microsecond, 3
 	if cfg.Quick {

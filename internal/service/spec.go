@@ -242,7 +242,7 @@ func sensorPlan(name string, n, wells int, seed uint64) (*plan.Plan, error) {
 	return b.Build()
 }
 
-// fanoutPlan is the E8-style diamond: one source feeding `branches`
+// fanoutPlan is a fan-out diamond: one source feeding `branches`
 // independent legs (column maps, each burning a deterministic amount of
 // CPU per value), unioned and summed to a checksum — wide enough to
 // exercise the shared scheduler pool.

@@ -128,7 +128,7 @@ stop
 # --- rheem-bench ------------------------------------------------------------
 run rheem-bench -quick -csv "$out/csv"
 run rheem-bench -mappings
-run rheem-bench -experiment telemetry -quick -v -metrics 127.0.0.1:0
+run rheem-bench -experiment fig3left -quick -v -metrics 127.0.0.1:0
 run rheem-bench -trace "$out/trace.jsonl"
 run rheem-bench -profile "$out/profile.json" -perfetto "$out/perfetto.json"
 
