@@ -10,8 +10,7 @@
 //	            [-drain-timeout DUR] [-deadline DUR] [-atom-timeout DUR]
 //	            [-tenant-concurrent N] [-tenant-queued N]
 //	            [-tenant-rate R] [-catalog-scale N]
-//	            [-profile-history N] [-profile-dir DIR]
-//	            [-calibration] [-calibration-dir DIR]
+//	            [-profile-history N] [-calibration] [-state-dir DIR]
 //
 // Endpoints: POST /jobs, GET /jobs, GET /jobs/{id},
 // GET /jobs/{id}/result, DELETE /jobs/{id}, GET /tenants, GET /healthz,
@@ -19,15 +18,18 @@
 // /calibration and /debug/pprof from the telemetry hub.
 //
 // The flight recorder keeps a bounded history of completed-run
-// profiles (-profile-history, negative disables); -profile-dir
-// persists them so the history survives a restart.
+// profiles (-profile-history, negative disables).
 //
 // Calibration (on by default, -calibration=false disables) folds every
 // finished job's estimate-vs-actual residuals into a cost calibrator
 // shared across all tenants, so the optimizer's platform choices
-// improve with the service's live traffic; -calibration-dir persists
-// the learned state across restarts. Inspect it at GET /calibration
-// and via the rheem_calibration_* metrics.
+// improve with the service's live traffic. Inspect it at GET
+// /calibration and via the rheem_calibration_* metrics.
+//
+// -state-dir names a directory that keeps both across a restart: one
+// runprofile-<id>.json per retained profile while the recorder is on,
+// and calibration.bin while calibration is. Files an older build wrote
+// there (runprofile-<id>.csv, calibration.csv) are ignored.
 //
 // Shutdown: the first SIGTERM/SIGINT starts a graceful drain — stop
 // admitting (503), let queued and running jobs finish (force-cancelled
@@ -47,8 +49,6 @@ import (
 	"time"
 
 	"rheem/internal/service"
-	"rheem/internal/storage"
-	"rheem/internal/storage/csvstore"
 )
 
 // onListen, when non-nil, receives the bound address (tests).
@@ -78,34 +78,10 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error {
 	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant submissions/sec rate limit (0 = unlimited)")
 	catalogScale := fs.Int("catalog-scale", 0, "rows in the SQL catalog tables (0 = full size)")
 	profileHistory := fs.Int("profile-history", 0, "completed-run profiles the flight recorder retains (0 = default 64, negative disables)")
-	profileDir := fs.String("profile-dir", "", "directory persisting flight-recorder profiles across restarts (empty = memory only)")
 	calibration := fs.Bool("calibration", true, "learn cost corrections from finished jobs (shared across tenants)")
-	calibrationDir := fs.String("calibration-dir", "", "directory persisting learned calibration across restarts (empty = memory only)")
+	stateDir := fs.String("state-dir", "", "directory keeping flight-recorder profiles and learned calibration across restarts (empty = memory only)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	var profiles *storage.Manager
-	if *profileDir != "" {
-		st, err := csvstore.New(*profileDir)
-		if err != nil {
-			return fmt.Errorf("profile store: %w", err)
-		}
-		profiles = storage.NewManager(0, nil)
-		if err := profiles.Register(st); err != nil {
-			return fmt.Errorf("profile store: %w", err)
-		}
-	}
-	var calibrations *storage.Manager
-	if *calibrationDir != "" {
-		st, err := csvstore.New(*calibrationDir)
-		if err != nil {
-			return fmt.Errorf("calibration store: %w", err)
-		}
-		calibrations = storage.NewManager(0, nil)
-		if err := calibrations.Register(st); err != nil {
-			return fmt.Errorf("calibration store: %w", err)
-		}
 	}
 
 	svc, err := service.New(service.Config{
@@ -122,9 +98,8 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) error {
 		DefaultAtomTimeout: *atomTimeout,
 		CatalogScale:       *catalogScale,
 		ProfileHistory:     *profileHistory,
-		ProfileStore:       profiles,
 		Calibration:        *calibration,
-		CalibrationStore:   calibrations,
+		StateDir:           *stateDir,
 	})
 	if err != nil {
 		return err

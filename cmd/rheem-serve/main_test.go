@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -186,10 +187,10 @@ func TestServeBadFlags(t *testing.T) {
 	}
 }
 
-// TestServeProfileSurvivesRestart boots the server with a profile
-// directory, runs a job, captures its profile and Perfetto export over
-// HTTP, restarts the process loop on the same directory, and verifies
-// both documents come back byte-identical.
+// TestServeProfileSurvivesRestart boots the server with a state
+// directory, runs a job, captures its profile, Perfetto export and the
+// learned calibration over HTTP, restarts the process loop on the same
+// directory, and verifies all three documents come back byte-identical.
 func TestServeProfileSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 
@@ -219,7 +220,7 @@ func TestServeProfileSurvivesRestart(t *testing.T) {
 		}
 	}
 
-	addr, sig, done, _ := startServe(t, "-profile-dir", dir)
+	addr, sig, done, _ := startServe(t, "-state-dir", dir)
 	base := "http://" + addr
 	body := `{"tenant":"acme","spec":{"kind":"workload","workload":"wordcount","n":300,"seed":7}}`
 	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(body))
@@ -270,15 +271,24 @@ func TestServeProfileSurvivesRestart(t *testing.T) {
 	tracePath := fmt.Sprintf("/runs/%d/trace.json", runID)
 	wantProf := fetch(base, profPath)
 	wantTrace := fetch(base, tracePath)
+	wantCal := fetch(base, "/calibration")
 	stop(sig, done)
+	for _, name := range []string{fmt.Sprintf("runprofile-%d.json", runID), "calibration.bin"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("state directory lacks %s: %v", name, err)
+		}
+	}
 
-	addr2, sig2, done2, _ := startServe(t, "-profile-dir", dir)
+	addr2, sig2, done2, _ := startServe(t, "-state-dir", dir)
 	base2 := "http://" + addr2
 	if got := fetch(base2, profPath); !bytes.Equal(wantProf, got) {
 		t.Errorf("profile changed across restart:\nbefore: %s\nafter:  %s", wantProf, got)
 	}
 	if got := fetch(base2, tracePath); !bytes.Equal(wantTrace, got) {
 		t.Errorf("Perfetto export changed across restart:\nbefore: %s\nafter:  %s", wantTrace, got)
+	}
+	if got := fetch(base2, "/calibration"); !bytes.Equal(wantCal, got) {
+		t.Errorf("calibration changed across restart:\nbefore: %s\nafter:  %s", wantCal, got)
 	}
 	stop(sig2, done2)
 }

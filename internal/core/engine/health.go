@@ -3,6 +3,7 @@ package engine
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -63,12 +64,14 @@ type Health struct {
 	cfg     HealthConfig
 	now     func() time.Time // injectable clock for deterministic tests
 	entries map[PlatformID]*breakerEntry
+	seq     atomic.Uint64 // failures reported so far; advanced under mu
 }
 
 type breakerEntry struct {
 	state       BreakerState
 	consecutive int       // consecutive failures while Closed
 	openedAt    time.Time // when the breaker last tripped Open
+	lastFailure uint64    // Health.seq at the platform's latest failure
 	trips       int64     // transitions into Open
 	recoveries  int64     // transitions back to Closed
 }
@@ -115,13 +118,22 @@ func (h *Health) refreshLocked(e *breakerEntry) {
 	}
 }
 
-// ReportSuccess records a successful execution on the platform: the
-// failure streak resets and a half-open (or still-open) breaker closes
-// — any completed execution is direct evidence the platform works.
-func (h *Health) ReportSuccess(id PlatformID) {
+// FailureSeq counts the failures reported so far, on any platform: read
+// it before an execution starts, and pass it to ReportSuccess.
+func (h *Health) FailureSeq() uint64 { return h.seq.Load() }
+
+// ReportSuccess records a successful execution on the platform, started
+// when FailureSeq read since: the failure streak resets and a half-open
+// (or still-open) breaker closes. A success is stale, and ignored, when
+// the platform reported a failure after since — it says nothing about
+// the platform after that failure.
+func (h *Health) ReportSuccess(id PlatformID, since uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	e := h.entry(id)
+	if e.lastFailure > since {
+		return
+	}
 	e.consecutive = 0
 	e.transition(BreakerClosed)
 }
@@ -133,6 +145,7 @@ func (h *Health) ReportFailure(id PlatformID) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	e := h.entry(id)
+	e.lastFailure = h.seq.Add(1)
 	h.refreshLocked(e)
 	switch e.state {
 	case BreakerHalfOpen:

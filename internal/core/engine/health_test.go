@@ -58,11 +58,47 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 	const id = PlatformID("p")
 	h.ReportFailure(id)
 	h.ReportFailure(id)
-	h.ReportSuccess(id)
+	h.ReportSuccess(id, h.FailureSeq())
 	h.ReportFailure(id)
 	h.ReportFailure(id)
 	if h.Quarantined(id) {
 		t.Error("non-consecutive failures quarantined the platform")
+	}
+}
+
+// An execution that started before its platform's latest failure
+// reports a stale success: it neither closes an Open breaker nor resets
+// a streak, while a success that started after the failure does both.
+func TestStaleSuccessIgnored(t *testing.T) {
+	h := NewHealth(HealthConfig{Threshold: 3, Cooldown: time.Hour}, time.Now)
+	const id = PlatformID("p")
+
+	// A streak: a success that started before the second failure does
+	// not reset it, so the third failure trips the breaker.
+	h.ReportFailure(id)
+	since := h.FailureSeq()
+	h.ReportFailure(id)
+	h.ReportSuccess(id, since)
+	if h.ReportFailure(id); h.State(id) != BreakerOpen {
+		t.Fatalf("state = %v: the stale success reset the streak", h.State(id))
+	}
+
+	// An Open breaker: a success that started before the failures that
+	// opened it leaves it Open.
+	h.ReportSuccess(id, since)
+	if h.State(id) != BreakerOpen {
+		t.Fatalf("state = %v: a stale success closed the breaker", h.State(id))
+	}
+	if trips, recoveries := h.Transitions(id); trips != 1 || recoveries != 0 {
+		t.Errorf("trips %d, recoveries %d after a stale success, want 1 and 0", trips, recoveries)
+	}
+
+	// A failure on another platform does not make this one's success stale.
+	fresh := h.FailureSeq()
+	h.ReportFailure("other")
+	h.ReportSuccess(id, fresh)
+	if h.State(id) != BreakerClosed {
+		t.Fatalf("state = %v: a fresh success did not close the breaker", h.State(id))
 	}
 }
 
@@ -97,7 +133,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if h.State(id) != BreakerHalfOpen {
 		t.Fatal("breaker did not relax again after second cooldown")
 	}
-	h.ReportSuccess(id)
+	h.ReportSuccess(id, h.FailureSeq())
 	if h.State(id) != BreakerClosed {
 		t.Fatal("successful probe did not close the breaker")
 	}
@@ -119,7 +155,7 @@ func TestHealthCountsTransitions(t *testing.T) {
 
 	// Two failures trip the breaker once; a third keeps it open without
 	// re-counting, and a success while Closed is no recovery.
-	h.ReportSuccess("flaky")
+	h.ReportSuccess("flaky", h.FailureSeq())
 	h.ReportFailure("flaky")
 	h.ReportFailure("flaky")
 	h.ReportFailure("flaky")
@@ -131,7 +167,7 @@ func TestHealthCountsTransitions(t *testing.T) {
 		t.Fatalf("state after cooldown = %v", got)
 	}
 	check("half-open", 1, 0)
-	h.ReportSuccess("flaky")
+	h.ReportSuccess("flaky", h.FailureSeq())
 	check("after the recovery", 1, 1)
 
 	// Trip again, then a failed half-open probe re-trips.
@@ -163,7 +199,7 @@ func TestRegistryHealthSharedAndConcurrent(t *testing.T) {
 				h.ReportFailure(id)
 				h.ReportFailure(id)
 				h.ReportFailure(id)
-				h.ReportSuccess(id)
+				h.ReportSuccess(id, h.FailureSeq())
 				h.State(id)
 				h.QuarantinedPlatforms()
 				h.Transitions(id)

@@ -2,12 +2,15 @@ package executor
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"rheem/internal/core/channel"
 	"rheem/internal/core/cost"
 	"rheem/internal/core/engine"
 	"rheem/internal/core/fault"
@@ -141,12 +144,10 @@ func TestChaosFailoverProducesIdenticalRecords(t *testing.T) {
 			t.Errorf("re-planned op %d still assigned to the dead platform", opID)
 		}
 	}
-	// Assert on the recorded trip, not the final state: the two chaos
-	// atoms run concurrently, so the one permitted execution can report
-	// its success after its sibling's three failures opened the breaker
-	// — and any completed execution closes a breaker (Health.
-	// ReportSuccess). The failover above already proves the breaker was
-	// open when it mattered; which report lands last is scheduling.
+	// The two chaos atoms run concurrently, so the one permitted
+	// execution can report its success after its sibling's failures;
+	// that success is stale and leaves the breaker as they set it
+	// (TestStaleSuccessDoesNotStopFailover pins the interleaving).
 	if trips, _ := reg.Health().Transitions("chaos"); trips < 1 {
 		t.Errorf("chaos breaker trips = %d, want at least one (final state %v)", trips, res.PlatformHealth["chaos"])
 	}
@@ -380,5 +381,94 @@ func TestChaosFailoverWithWarmedCalibrator(t *testing.T) {
 	}
 	if folds := cal.Folds(); folds != 1 {
 		t.Errorf("executor runs folded into the calibrator (folds=%d, want only the warm-up's 1)", folds)
+	}
+}
+
+// heldPlatform is the java engine under the ID "chaos". Its first
+// execution succeeds but is held until the fourth call; every other
+// execution fails. With two chaos atoms, calls two to four are the
+// sibling's three attempts, so the held success is reported after two
+// of the sibling's failures were, and the fourth call returns only once
+// it has been.
+type heldPlatform struct {
+	engine.Platform
+	mu       sync.Mutex
+	calls    int
+	release  chan struct{} // closed by the fourth call
+	reported chan struct{} // closed when the held atom's span ends
+}
+
+func (p *heldPlatform) ID() engine.PlatformID { return "chaos" }
+
+func (p *heldPlatform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) (map[int]*channel.Channel, engine.Metrics, error) {
+	p.mu.Lock()
+	p.calls++
+	call := p.calls
+	p.mu.Unlock()
+	await := func(ch chan struct{}) error {
+		select {
+		case <-ch:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(10 * time.Second):
+			return errors.New("held: the interleaving never happened")
+		}
+	}
+	switch call {
+	case 1:
+		if err := await(p.release); err != nil {
+			return nil, engine.Metrics{}, err
+		}
+		return p.Platform.ExecuteAtom(ctx, atom, inputs)
+	case 4:
+		close(p.release)
+		if err := await(p.reported); err != nil {
+			return nil, engine.Metrics{}, err
+		}
+	}
+	return nil, engine.Metrics{Jobs: 1}, errors.New("held: injected failure")
+}
+
+// TestStaleSuccessDoesNotStopFailover is the chaos failover's race made
+// deterministic: the one permitted execution on the dying platform
+// started before its sibling failed and reports its success between
+// the sibling's second and third failure. That success is stale: it
+// must not reset the sibling's streak, so the third failure opens the
+// breaker and the run fails over instead of failing.
+func TestStaleSuccessDoesNotStopFailover(t *testing.T) {
+	pp, fa := faultPlan(t, []engine.PlatformID{"chaos", "chaos"})
+	reg := engine.NewRegistry()
+	if _, err := javaengine.Register(reg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sparksim.Register(reg, sparksim.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	p := &heldPlatform{Platform: javaengine.New(), release: make(chan struct{}), reported: make(chan struct{})}
+	if err := reg.RegisterPlatform(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.CloneMappings(javaengine.ID, p.ID()); err != nil {
+		t.Fatal(err)
+	}
+	ep, err := optimizer.Optimize(pp, reg, optimizer.Options{DisableRules: true, ForcedAssignments: fa})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	res, err := Run(ep, reg, Options{Parallelism: 2, RetryBackoff: -1, Tracer: trace.New(func(e trace.Event) {
+		if e.Kind == trace.SpanEnd && e.Err == nil && e.Span.Platform == p.ID() {
+			once.Do(func() { close(p.reported) })
+		}
+	})})
+	if err != nil {
+		t.Fatalf("a stale success stopped the failover: %v", err)
+	}
+	if res.Failovers < 1 || len(res.Records) != 16 {
+		t.Errorf("Failovers = %d with %d records, want ≥1 and 16", res.Failovers, len(res.Records))
+	}
+	if st := reg.Health().State(p.ID()); st != engine.BreakerOpen {
+		t.Errorf("chaos breaker = %v after the run, want open", st)
 	}
 }

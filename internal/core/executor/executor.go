@@ -452,11 +452,12 @@ func (p *planScope) runComputeAtom(sp *trace.Span, atom *engine.TaskAtom) (engin
 	var m engine.Metrics
 	for attempt := 0; ; attempt++ {
 		attStart := p.tr.Now()
+		since := health.FailureSeq()
 		exits, m, err = p.attempt(platform, atom, inputs, sh)
 		att := trace.Attempt{Number: attempt + 1, Wall: p.tr.Now().Sub(attStart)}
 		if err == nil {
 			sp.Attempts = append(sp.Attempts, att)
-			health.ReportSuccess(atom.Platform)
+			health.ReportSuccess(atom.Platform, since)
 			break
 		}
 		fatal := engine.IsFatal(err)

@@ -12,9 +12,7 @@ import (
 	"rheem/internal/core/engine"
 	"rheem/internal/core/physical"
 	"rheem/internal/core/trace"
-	"rheem/internal/storage"
-	"rheem/internal/storage/csvstore"
-	"rheem/internal/storage/memstore"
+	"rheem/internal/storage/blob"
 )
 
 var base = time.Unix(2000, 0).UTC()
@@ -318,11 +316,28 @@ func TestPerfettoExportSurvivesLosingMonotonicReadings(t *testing.T) {
 	}
 }
 
-func TestRecorderEviction(t *testing.T) {
-	store := storage.NewManager(0, nil)
-	if err := store.Register(memstore.New(1 << 30)); err != nil {
+// stateDir opens a fresh blob directory for a recorder to persist into.
+func stateDir(t *testing.T) *blob.Dir {
+	t.Helper()
+	dir, err := blob.Open(t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
+	return dir
+}
+
+// persisted lists the files a recorder's directory holds.
+func persisted(t *testing.T, dir *blob.Dir) []string {
+	t.Helper()
+	names, err := dir.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+func TestRecorderEviction(t *testing.T) {
+	store := stateDir(t)
 	r := NewRecorder(2, store)
 	for id := int64(1); id <= 3; id++ {
 		r.Record(id, "run", at(0), at(1), nil, &trace.Trace{Spans: []*trace.Span{span(1, "op", 0, 1)}})
@@ -333,11 +348,11 @@ func TestRecorderEviction(t *testing.T) {
 	if _, ok := r.Get(1); ok {
 		t.Error("evicted run 1 still retained")
 	}
-	if ds := store.Datasets(); len(ds) != 2 || ds[0] != "runprofile-2" || ds[1] != "runprofile-3" {
-		t.Errorf("persisted datasets = %v", ds)
+	if ds := persisted(t, store); len(ds) != 2 || ds[0] != "runprofile-2.json" || ds[1] != "runprofile-3.json" {
+		t.Errorf("persisted files = %v", ds)
 	}
 	// A tighter bound evicts at once: a recorder keeping one record
-	// rehydrates only the newest and deletes the other's dataset.
+	// rehydrates only the newest and deletes the other's file.
 	r = NewRecorder(1, store)
 	if _, err := r.LoadPersisted(); err != nil {
 		t.Fatal(err)
@@ -345,8 +360,8 @@ func TestRecorderEviction(t *testing.T) {
 	if got := r.Runs(); len(got) != 1 || got[0] != 3 {
 		t.Errorf("runs rehydrated under a bound of 1 = %v", got)
 	}
-	if ds := store.Datasets(); len(ds) != 1 || ds[0] != "runprofile-3" {
-		t.Errorf("datasets after rehydrating under a bound of 1 = %v", ds)
+	if ds := persisted(t, store); len(ds) != 1 || ds[0] != "runprofile-3.json" {
+		t.Errorf("files after rehydrating under a bound of 1 = %v", ds)
 	}
 }
 
@@ -398,12 +413,8 @@ func TestRecorderBuildsProfileOnce(t *testing.T) {
 		t.Errorf("profile built on read lost the run's times or name: %+v", p)
 	}
 
-	store := storage.NewManager(0, nil)
-	if err := store.Register(memstore.New(1 << 20)); err != nil {
-		t.Fatal(err)
-	}
-	if rec := NewRecorder(4, store).Record(2, "kept", at(0), at(1), nil, nil); rec.Profile == nil {
-		t.Error("a persisted record went to the store without its profile")
+	if rec := NewRecorder(4, stateDir(t)).Record(2, "kept", at(0), at(1), nil, nil); rec.Profile == nil {
+		t.Error("a persisted record went to its file without its profile")
 	}
 }
 
@@ -417,19 +428,16 @@ func TestRecorderFailedRun(t *testing.T) {
 }
 
 // TestRecorderPersistenceSurvivesRestart is the acceptance bar: a fresh
-// recorder over a fresh manager on the same directory must reproduce
-// the profile JSON and the Perfetto export byte-identically.
+// recorder over the same directory, opened afresh, must reproduce the
+// profile JSON and the Perfetto export byte-identically — and the file
+// is the record's JSON, which encoding/json reads back as the record.
 func TestRecorderPersistenceSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	st, err := csvstore.New(dir)
+	d1, err := blob.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := storage.NewManager(0, nil)
-	if err := mgr.Register(st); err != nil {
-		t.Fatal(err)
-	}
-	r1 := NewRecorder(4, mgr)
+	r1 := NewRecorder(4, d1)
 	spans := []*trace.Span{span(1, "source", 0, 1), span(2, "sink", 1, 4)}
 	chainAtoms(spans...)
 	spans[0].QueueWait = 100 * time.Millisecond
@@ -452,16 +460,24 @@ func TestRecorderPersistenceSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// "Restart": fresh store, fresh manager, fresh recorder, same dir.
-	st2, err := csvstore.New(dir)
+	raw, err := d1.Get("runprofile-5.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr2 := storage.NewManager(0, nil)
-	if err := mgr2.Register(st2); err != nil {
+	if want, err := json.Marshal(before); err != nil || !bytes.Equal(raw, want) {
+		t.Errorf("runprofile-5.json is not json.Marshal of the record (%v):\nfile %s\nwant %s", err, raw, want)
+	}
+	var decoded Record
+	if err := json.Unmarshal(raw, &decoded); err != nil || decoded.RunID != 5 || decoded.Name != "restart-demo" || len(decoded.Spans) != 3 {
+		t.Errorf("runprofile-5.json decodes to run %d %q with %d spans (%v)", decoded.RunID, decoded.Name, len(decoded.Spans), err)
+	}
+
+	// "Restart": a fresh directory handle and recorder over the same path.
+	d2, err := blob.Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := NewRecorder(4, mgr2)
+	r2 := NewRecorder(4, d2)
 	maxID, err := r2.LoadPersisted()
 	if err != nil {
 		t.Fatal(err)
@@ -495,5 +511,33 @@ func TestRecorderPersistenceSurvivesRestart(t *testing.T) {
 	}
 	if after.Spans[0].Atom != nil {
 		t.Error("persisted span carried its Atom pointer")
+	}
+}
+
+// A record file that does not decode fails the load, naming the run:
+// silently dropping it would look like a lost history.
+func TestCorruptPersistedRecordFailsLoad(t *testing.T) {
+	dir := stateDir(t)
+	if err := dir.Put("runprofile-7.json", []byte("{not json")); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewRecorder(4, dir).LoadPersisted()
+	if err == nil || !strings.Contains(err.Error(), "run 7") {
+		t.Fatalf("LoadPersisted over a garbage runprofile-7.json = %v, want an error naming run 7", err)
+	}
+}
+
+// Files an older build wrote, and other kinds of state in the same
+// directory, are not records: the load skips them.
+func TestOldStateIgnoredOnLoad(t *testing.T) {
+	dir := stateDir(t)
+	for _, name := range []string{"runprofile-3.csv", "calibration.csv", "calibration.bin"} {
+		if err := dir.Put(name, []byte("json\n\"{}\"\n")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := NewRecorder(4, dir)
+	if maxID, err := r.LoadPersisted(); err != nil || maxID != 0 || len(r.Runs()) != 0 {
+		t.Errorf("LoadPersisted over old state = max %d, runs %v, %v", maxID, r.Runs(), err)
 	}
 }

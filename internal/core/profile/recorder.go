@@ -10,21 +10,19 @@ import (
 	"time"
 
 	"rheem/internal/core/trace"
-	"rheem/internal/data"
-	"rheem/internal/storage"
+	"rheem/internal/storage/blob"
 )
 
 // DefaultHistory is how many completed-run records a recorder keeps
 // when the caller does not say.
 const DefaultHistory = 64
 
-// datasetPrefix names persisted records in the storage layer:
-// "runprofile-<runID>".
-const datasetPrefix = "runprofile-"
+const recordPrefix, recordSuffix = "runprofile-", ".json"
 
-// recordSchema is the one-column storage schema a persisted record is
-// written under — the record's JSON as a single string quantum.
-var recordSchema = data.MustSchema(data.Field{Name: "json", Type: data.KindString})
+// recordFile names the file that persists a run's record as JSON.
+func recordFile(runID int64) string {
+	return recordPrefix + strconv.FormatInt(runID, 10) + recordSuffix
+}
 
 // Record is one completed run as the flight recorder keeps it: the raw
 // spans and audit trail plus the profile built from them. Spans lose
@@ -57,28 +55,28 @@ func (rec *Record) built() *Record {
 }
 
 // Recorder keeps a bounded history of completed-run records, optionally
-// persisting each through the storage layer so the history survives a
-// process restart. All methods are safe for concurrent use.
+// persisting each as a file so the history survives a process restart.
+// All methods are safe for concurrent use.
 type Recorder struct {
 	mu      sync.Mutex
 	history int
-	store   *storage.Manager
+	dir     *blob.Dir
 	recs    map[int64]*Record
 	order   []int64 // insertion order, oldest first
 }
 
 // NewRecorder returns a recorder keeping up to history records
-// (0 → DefaultHistory). A nil store keeps records in memory only.
-func NewRecorder(history int, store *storage.Manager) *Recorder {
+// (0 → DefaultHistory). A nil dir keeps records in memory only.
+func NewRecorder(history int, dir *blob.Dir) *Recorder {
 	if history <= 0 {
 		history = DefaultHistory
 	}
-	return &Recorder{history: history, store: store, recs: map[int64]*Record{}}
+	return &Recorder{history: history, dir: dir, recs: map[int64]*Record{}}
 }
 
 // Record folds a completed run into the history: evicts past the
-// history bound and, if a store is configured, builds the run's profile
-// and persists the record. Without a store the profile is built the
+// history bound and, with a directory, builds the run's profile and
+// persists the record. Without one the profile is built the
 // first time Get reads the record — most runs are never looked at.
 // Returns the stored record, whose Profile is nil until then.
 func (r *Recorder) Record(runID int64, name string, started, ended time.Time, runErr error, tr *trace.Trace) *Record {
@@ -101,7 +99,7 @@ func (r *Recorder) Record(runID int64, name string, started, ended time.Time, ru
 		ended:   ended,
 		runErr:  errStr,
 	}
-	if r.store != nil {
+	if r.dir != nil {
 		rec = rec.built() // the persisted JSON carries the profile
 	}
 	r.mu.Lock()
@@ -119,7 +117,7 @@ func (r *Recorder) Record(runID int64, name string, started, ended time.Time, ru
 
 // Annotate appends spans to an already-recorded run — the job service
 // uses it to attach the admission/queue/dispatch phases after the job
-// reaches its terminal state — then, with a store, rebuilds the profile
+// reaches its terminal state — then, with a directory, rebuilds the profile
 // and re-persists (without one the profile is built when first read).
 // Spans with ID 0 are assigned IDs continuing past the record's highest.
 // Unknown runs (evicted, or never recorded) return an error. Annotate
@@ -156,7 +154,7 @@ func (r *Recorder) Annotate(runID int64, spans ...*trace.Span) error {
 	}
 	rec.Profile = nil
 	next := &rec
-	if r.store != nil {
+	if r.dir != nil {
 		next = next.built()
 	}
 	r.recs[runID] = next
@@ -187,58 +185,51 @@ func (r *Recorder) Runs() []int64 {
 	return out
 }
 
-// LoadPersisted rehydrates the history from the storage layer after a
-// restart: adopts datasets written by a previous process, decodes every
-// runprofile-* record, and returns the highest run ID seen so the run
-// tracker can seed its counter past it. Records beyond the history
-// bound are evicted oldest-first, exactly as if they had just been
-// recorded.
+// LoadPersisted rehydrates the history after a restart: decodes every
+// runprofile-<id>.json a previous process left in the directory and
+// returns the highest run ID seen so the run tracker can seed its
+// counter past it. Records beyond the history bound are evicted
+// oldest-first, exactly as if they had just been recorded.
 func (r *Recorder) LoadPersisted() (maxRunID int64, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.store == nil {
+	if r.dir == nil {
 		return 0, nil
 	}
-	r.store.Adopt()
+	names, err := r.dir.List()
+	if err != nil {
+		return 0, fmt.Errorf("profile: listing persisted runs: %w", err)
+	}
 	var ids []int64
-	for _, ds := range r.store.Datasets() {
-		id, ok := strings.CutPrefix(ds, datasetPrefix)
-		if !ok {
-			continue
+	for _, name := range names {
+		// Other state, or an older build's runprofile-<id>.csv, is no record.
+		id := strings.TrimSuffix(strings.TrimPrefix(name, recordPrefix), recordSuffix)
+		if n, perr := strconv.ParseInt(id, 10, 64); perr == nil && name == recordFile(n) {
+			ids = append(ids, n)
 		}
-		n, perr := strconv.ParseInt(id, 10, 64)
-		if perr != nil {
-			continue
-		}
-		ids = append(ids, n)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		_, recs, gerr := r.store.Get(datasetPrefix + strconv.FormatInt(id, 10))
+		b, gerr := r.dir.Get(recordFile(id))
 		if gerr != nil {
 			return 0, fmt.Errorf("profile: loading run %d: %w", id, gerr)
 		}
-		if len(recs) != 1 {
-			return 0, fmt.Errorf("profile: run %d dataset has %d quanta, want 1", id, len(recs))
-		}
 		var rec Record
-		if uerr := json.Unmarshal([]byte(recs[0].Field(0).Str()), &rec); uerr != nil {
+		if uerr := json.Unmarshal(b, &rec); uerr != nil {
 			return 0, fmt.Errorf("profile: decoding run %d: %w", id, uerr)
 		}
 		if _, dup := r.recs[id]; !dup {
 			r.order = append(r.order, id)
 		}
 		r.recs[id] = &rec
-		if id > maxRunID {
-			maxRunID = id
-		}
+		maxRunID = id // ids ascend
 	}
 	r.trimLocked()
 	return maxRunID, nil
 }
 
 // trimLocked evicts the oldest records past the history bound,
-// deleting their persisted datasets.
+// deleting their files.
 func (r *Recorder) trimLocked() {
 	excess := len(r.order) - r.history
 	if excess <= 0 {
@@ -246,30 +237,25 @@ func (r *Recorder) trimLocked() {
 	}
 	for _, id := range r.order[:excess] {
 		delete(r.recs, id)
-		if r.store != nil {
-			// Best-effort: the dataset may predate persistence or be gone.
-			_ = r.store.Delete(datasetPrefix + strconv.FormatInt(id, 10))
+		if r.dir != nil {
+			// Best-effort: the file may predate persistence or be gone.
+			_ = r.dir.Delete(recordFile(id))
 		}
 	}
 	copy(r.order, r.order[excess:])
 	r.order = r.order[:len(r.order)-excess]
 }
 
-// persistLocked writes one record through the storage manager as a
-// single-quantum dataset holding the record's JSON.
+// persistLocked writes one record's JSON to its file.
 func (r *Recorder) persistLocked(rec *Record) {
-	if r.store == nil {
+	if r.dir == nil {
 		return
 	}
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return
 	}
-	// Best-effort: a full store must not fail the run that produced the
+	// Best-effort: a full disk must not fail the run that produced the
 	// profile; the in-memory record still serves until eviction.
-	_, _ = r.store.Put(storage.PutRequest{
-		Dataset: datasetPrefix + strconv.FormatInt(rec.RunID, 10),
-		Schema:  recordSchema,
-		Records: []data.Record{data.NewRecord(data.Str(string(b)))},
-	})
+	_ = r.dir.Put(recordFile(rec.RunID), b)
 }

@@ -1,6 +1,9 @@
 package service
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,11 +72,12 @@ func TestCalibrationSharedAcrossTenants(t *testing.T) {
 
 // TestCalibrationPersistenceAcrossRestart: state learned by one
 // service process is rehydrated by a fresh process pointed at the same
-// store — warm plans from the first request after a restart.
+// state directory — warm plans from the first request after a restart.
+// The file is the calibrator's codec as it is.
 func TestCalibrationPersistenceAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 
-	s1 := newTestService(t, Config{Calibration: true, CalibrationStore: profileStore(t, dir)})
+	s1 := newTestService(t, Config{Calibration: true, StateDir: dir})
 	for i := 0; i < 4; i++ {
 		st, err := s1.Submit(wordcountReq("acme", 300, uint64(20+i)))
 		if err != nil {
@@ -89,12 +93,12 @@ func TestCalibrationPersistenceAcrossRestart(t *testing.T) {
 	}
 
 	// saveCalibration lands after the job turns terminal (same
-	// goroutine as annotateRun) — poll the store until the persisted
+	// goroutine as annotateRun) — poll the file until the persisted
 	// state caught up with the in-memory fold count.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		probe := cost.NewCalibrator(cost.CalibratorConfig{})
-		if err := loadCalibration(s1.cfg.CalibrationStore, probe); err == nil && probe.Folds() >= wantFolds {
+		if err := loadCalibration(s1.state, probe); err == nil && probe.Folds() >= wantFolds {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -105,8 +109,11 @@ func TestCalibrationPersistenceAcrossRestart(t *testing.T) {
 	wantState := s1.cal.Encode()
 	s1.Kill()
 	s1.Close()
+	if raw, err := os.ReadFile(filepath.Join(dir, "calibration.bin")); err != nil || string(raw) != string(wantState) {
+		t.Fatalf("calibration.bin is not Calibrator.Encode() (%v)", err)
+	}
 
-	s2 := newTestService(t, Config{Calibration: true, CalibrationStore: profileStore(t, dir)})
+	s2 := newTestService(t, Config{Calibration: true, StateDir: dir})
 	if got := s2.cal.Folds(); got != wantFolds {
 		t.Fatalf("restarted service rehydrated %d folds, want %d", got, wantFolds)
 	}
@@ -124,5 +131,23 @@ func TestCalibrationPersistenceAcrossRestart(t *testing.T) {
 	}
 	if got := s2.cal.Folds(); got <= wantFolds {
 		t.Fatalf("warm service stopped learning: folds %d, want > %d", got, wantFolds)
+	}
+}
+
+// A calibration.bin that does not decode fails New, and the error names
+// the file: starting cold over it would discard what was learned.
+func TestCorruptCalibrationStateFailsNew(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "calibration.bin"), []byte("not a calibrator"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{CatalogScale: 500, Calibration: true, StateDir: dir})
+	if err == nil {
+		s.Kill()
+		s.Close()
+		t.Fatal("New accepted a garbage calibration.bin")
+	}
+	if !strings.Contains(err.Error(), "calibration.bin") {
+		t.Errorf("error does not name the file: %v", err)
 	}
 }

@@ -312,7 +312,7 @@ func TestTenantExclusionsSurviveFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn.reportOutcome([]engine.PlatformID{javaengine.ID}, true)
+	tn.reportOutcome([]engine.PlatformID{javaengine.ID}, true, 0)
 	if ex := tn.health.QuarantinedPlatforms(); len(ex) != 1 || ex[0] != javaengine.ID {
 		t.Fatalf("tenant excludes %v, want java alone", ex)
 	}
@@ -363,7 +363,7 @@ func TestFailedJobReportsItsLastPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn.reportOutcome([]engine.PlatformID{javaengine.ID, sparksim.ID, relengine.ID}, true)
+	tn.reportOutcome([]engine.PlatformID{javaengine.ID, sparksim.ID, relengine.ID}, true, 0)
 
 	st, err := s.Submit(Request{Tenant: "doomed", Spec: Spec{Kind: KindWorkload, Workload: WorkloadWordcount, N: 100, Seed: 3}})
 	if err != nil {

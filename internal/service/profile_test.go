@@ -9,23 +9,7 @@ import (
 
 	"rheem/internal/core/profile"
 	"rheem/internal/core/trace"
-	"rheem/internal/storage"
-	"rheem/internal/storage/csvstore"
 )
-
-// profileStore builds a csvstore-backed storage manager rooted in dir.
-func profileStore(t *testing.T, dir string) *storage.Manager {
-	t.Helper()
-	st, err := csvstore.New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := storage.NewManager(0, nil)
-	if err := m.Register(st); err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
 
 // waitAnnotated polls until the run's profile carries the service-layer
 // phase spans — annotateRun lands after the job turns terminal, so the
@@ -108,7 +92,7 @@ func TestFlightRecorderAnnotatesJobs(t *testing.T) {
 // TestProfilePersistenceAcrossRestart is the acceptance criterion: a
 // profile recorded by one service process is reproduced byte-for-byte —
 // profile JSON and Perfetto export alike — by a fresh process pointed at
-// the same profile store, and new runs never reuse persisted run IDs.
+// the same state directory, and new runs never reuse persisted run IDs.
 func TestProfilePersistenceAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 
@@ -139,7 +123,7 @@ func TestProfilePersistenceAcrossRestart(t *testing.T) {
 		return profJSON, buf.Bytes()
 	}
 
-	s1, err := New(Config{CatalogScale: 500, ProfileStore: profileStore(t, dir)})
+	s1, err := New(Config{CatalogScale: 500, StateDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +136,7 @@ func TestProfilePersistenceAcrossRestart(t *testing.T) {
 	s1.Close()
 
 	// "Restart": a fresh service over the same directory.
-	s2, err := New(Config{CatalogScale: 500, ProfileStore: profileStore(t, dir)})
+	s2, err := New(Config{CatalogScale: 500, StateDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ import (
 	"rheem/internal/core/profile"
 	"rheem/internal/core/trace"
 	"rheem/internal/data"
-	"rheem/internal/storage"
+	"rheem/internal/storage/blob"
 )
 
 // ShedError reports a submission rejected by admission control. The
@@ -90,10 +90,13 @@ type Config struct {
 	// history (0 selects profile.DefaultHistory; negative disables the
 	// recorder entirely).
 	ProfileHistory int
-	// ProfileStore, when set, persists recorded profiles so they
-	// survive a service restart; the recorder rehydrates from it in New
-	// and seeds run IDs past the persisted maximum.
-	ProfileStore *storage.Manager
+	// StateDir, when set, is the directory the service keeps its state
+	// in across restarts: the recorder's profiles (runprofile-<id>.json,
+	// rehydrated in New, with run IDs seeded past the persisted maximum)
+	// and, with Calibration on, the calibrator's state (calibration.bin,
+	// saved after every finished job and rehydrated in New). Empty keeps
+	// both in memory only.
+	StateDir string
 
 	// Calibration enables the shared cost calibrator: every tenant's
 	// finished jobs fold their estimate-vs-actual residuals into one
@@ -101,10 +104,6 @@ type Config struct {
 	// learned corrections — the service's live traffic warms the
 	// optimizer. Inspect it at GET /calibration.
 	Calibration bool
-	// CalibrationStore, when set (and Calibration is on), persists the
-	// calibrator's state after every finished job and rehydrates it in
-	// New, so learning survives restarts.
-	CalibrationStore *storage.Manager
 
 	// FailureThreshold consecutive job failures attributed to a platform
 	// open that tenant's breaker for it (default 3); Cooldown is how
@@ -173,6 +172,7 @@ type Service struct {
 	pool      *executor.Pool
 	rec       *profile.Recorder // nil when ProfileHistory < 0
 	cal       *cost.Calibrator  // nil unless Config.Calibration
+	state     *blob.Dir         // nil unless Config.StateDir
 	calSave   sync.Mutex        // one saveCalibration at a time
 	platforms []engine.PlatformID
 
@@ -234,14 +234,20 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 	hub.Runs().SetDoneHistory(cfg.RunHistory)
-	// The flight recorder sees every engine run; with a store it
-	// rehydrates the persisted profile history and advances the run-ID
+	var state *blob.Dir
+	if cfg.StateDir != "" {
+		if state, err = blob.Open(cfg.StateDir); err != nil {
+			return nil, fmt.Errorf("service: state directory: %w", err)
+		}
+	}
+	// The flight recorder sees every engine run; with a state directory
+	// it rehydrates the persisted profile history and advances the run-ID
 	// counter past it, so post-restart runs never collide with the
 	// profiles a previous process left behind.
 	var rec *profile.Recorder
 	if cfg.ProfileHistory >= 0 {
-		rec = profile.NewRecorder(cfg.ProfileHistory, cfg.ProfileStore)
-		if cfg.ProfileStore != nil {
+		rec = profile.NewRecorder(cfg.ProfileHistory, state)
+		if state != nil {
 			maxID, err := rec.LoadPersisted()
 			if err != nil {
 				return nil, fmt.Errorf("service: loading persisted profiles: %w", err)
@@ -250,14 +256,14 @@ func New(cfg Config) (*Service, error) {
 		}
 		hub.SetFlightRecorder(rec)
 	}
-	// The shared calibrator, rehydrated from its store before the
-	// dispatcher starts so the very first job is priced with whatever a
-	// previous process learned.
+	// The shared calibrator, rehydrated from the state directory before
+	// the dispatcher starts so the very first job is priced with whatever
+	// a previous process learned.
 	var cal *cost.Calibrator
 	if cfg.Calibration {
 		cal = cost.NewCalibrator(cost.CalibratorConfig{})
-		if cfg.CalibrationStore != nil {
-			if err := loadCalibration(cfg.CalibrationStore, cal); err != nil {
+		if state != nil {
+			if err := loadCalibration(state, cal); err != nil {
 				return nil, fmt.Errorf("service: loading calibration: %w", err)
 			}
 		}
@@ -271,6 +277,7 @@ func New(cfg Config) (*Service, error) {
 		cat:        cat,
 		rec:        rec,
 		cal:        cal,
+		state:      state,
 		pool:       executor.NewPool(cfg.PoolSize),
 		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
@@ -514,6 +521,7 @@ func (s *Service) runJob(j *Job, tn *tenant) {
 	j.cancel = cancel
 	s.mu.Unlock()
 	excluded := tn.health.QuarantinedPlatforms()
+	since := tn.health.FailureSeq()
 	s.mQueueWait.With(j.tenant).Observe(j.started.Sub(j.submitted).Seconds())
 
 	// Tenant health may have opened a breaker for every platform; keep
@@ -580,7 +588,7 @@ func (s *Service) runJob(j *Job, tn *tenant) {
 
 	s.mu.Lock()
 	if state != StateCancelled && len(platforms) > 0 {
-		tn.reportOutcome(platforms, state == StateFailed)
+		tn.reportOutcome(platforms, state == StateFailed, since)
 	}
 	j.runID = runID
 	s.jobDoneLocked(j, tn, state, err, recs, digest, platforms, failovers)
@@ -598,7 +606,7 @@ func (s *Service) runJob(j *Job, tn *tenant) {
 // profile, correlated by run ID and tagged with the job and tenant, so
 // a job's path from submission to result reads as one trace. Called
 // once the job is terminal, outside s.mu (Annotate re-persists the
-// record through the profile store).
+// record to the state directory).
 func (s *Service) annotateRun(j *Job) {
 	if s.rec == nil {
 		return

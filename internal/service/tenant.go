@@ -115,13 +115,14 @@ type TenantStatus struct {
 }
 
 // reportOutcome feeds a finished job into the tenant's breakers, once
-// per platform its plan used.
-func (t *tenant) reportOutcome(platforms []engine.PlatformID, failed bool) {
+// per platform its plan used; since is the breakers' FailureSeq when the
+// job started.
+func (t *tenant) reportOutcome(platforms []engine.PlatformID, failed bool, since uint64) {
 	for _, id := range platforms {
 		if failed {
 			t.health.ReportFailure(id)
 		} else {
-			t.health.ReportSuccess(id)
+			t.health.ReportSuccess(id, since)
 		}
 	}
 }

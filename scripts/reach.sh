@@ -11,8 +11,8 @@
 #   - benchmarks/e2e -quick, every workload at -trace 0 and -trace 1;
 #   - rheem-serve through CI's service-smoke sequence (submit, poll,
 #     result, profile, Perfetto export, scrape, calibration warm-up,
-#     drain), then restarted over the same -profile-dir and
-#     -calibration-dir, so rehydration is reached too;
+#     drain), then restarted over the same -state-dir, so rehydrating
+#     profiles and calibration is reached too;
 #   - rheem-bench -quick, -mappings, -metrics, -scrape, -trace,
 #     -profile and -perfetto;
 #   - rheem-sql -demo on every platform, -explain, and over a CSV table;
@@ -97,8 +97,7 @@ await() { # await ID: poll the job until it succeeds
   return 1
 }
 
-dirs=(-profile-dir "$work/profiles" -calibration-dir "$work/calibration")
-serve "$work/serve1.log" -catalog-scale 2000 "${dirs[@]}"
+serve "$work/serve1.log" -catalog-scale 2000 -state-dir "$work/state"
 id="$(submit '{"tenant":"ci","spec":{"kind":"sql","query":"SELECT well, AVG(pressure) AS p FROM sensors GROUP BY well ORDER BY well LIMIT 5"}}')"
 await "$id"
 curl -sf "$base/jobs/$id/result" >/dev/null
@@ -120,7 +119,7 @@ curl -sf "$base/jobs" >/dev/null
 curl -sf "$base/tenants" >/dev/null
 curl -sf "$base/healthz" >/dev/null
 stop
-serve "$work/serve2.log" -catalog-scale 2000 "${dirs[@]}"
+serve "$work/serve2.log" -catalog-scale 2000 -state-dir "$work/state"
 curl -sf "$base/runs/$rid/profile" >/dev/null
 curl -sf "$base/calibration" >/dev/null
 stop
