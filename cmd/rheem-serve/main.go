@@ -28,8 +28,9 @@
 //
 // -state-dir names a directory that keeps both across a restart: one
 // runprofile-<id>.json per retained profile while the recorder is on,
-// and calibration.bin while calibration is. Files an older build wrote
-// there (runprofile-<id>.csv, calibration.csv) are ignored.
+// and calibration.json, the GET /calibration document, while
+// calibration is. Files an older build wrote there
+// (runprofile-<id>.csv, calibration.csv, calibration.bin) are ignored.
 //
 // Shutdown: the first SIGTERM/SIGINT starts a graceful drain — stop
 // admitting (503), let queued and running jobs finish (force-cancelled

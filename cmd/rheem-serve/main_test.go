@@ -190,7 +190,9 @@ func TestServeBadFlags(t *testing.T) {
 // TestServeProfileSurvivesRestart boots the server with a state
 // directory, runs a job, captures its profile, Perfetto export and the
 // learned calibration over HTTP, restarts the process loop on the same
-// directory, and verifies all three documents come back byte-identical.
+// directory, and verifies all three documents come back byte-identical
+// and that calibration.json is the /calibration body on both sides of
+// the restart.
 func TestServeProfileSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 
@@ -273,10 +275,20 @@ func TestServeProfileSurvivesRestart(t *testing.T) {
 	wantTrace := fetch(base, tracePath)
 	wantCal := fetch(base, "/calibration")
 	stop(sig, done)
-	for _, name := range []string{fmt.Sprintf("runprofile-%d.json", runID), "calibration.bin"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Errorf("state directory lacks %s: %v", name, err)
+	if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("runprofile-%d.json", runID))); err != nil {
+		t.Errorf("state directory lacks the run's profile: %v", err)
+	}
+	// calibration.json is the /calibration body, byte for byte.
+	calFile := func() []byte {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join(dir, "calibration.json"))
+		if err != nil {
+			t.Fatalf("state directory lacks calibration.json: %v", err)
 		}
+		return raw
+	}
+	if got := calFile(); !bytes.Equal(wantCal, got) {
+		t.Errorf("calibration.json is not the /calibration body:\nfile:     %s\nendpoint: %s", got, wantCal)
 	}
 
 	addr2, sig2, done2, _ := startServe(t, "-state-dir", dir)
@@ -287,8 +299,12 @@ func TestServeProfileSurvivesRestart(t *testing.T) {
 	if got := fetch(base2, tracePath); !bytes.Equal(wantTrace, got) {
 		t.Errorf("Perfetto export changed across restart:\nbefore: %s\nafter:  %s", wantTrace, got)
 	}
-	if got := fetch(base2, "/calibration"); !bytes.Equal(wantCal, got) {
-		t.Errorf("calibration changed across restart:\nbefore: %s\nafter:  %s", wantCal, got)
+	gotCal := fetch(base2, "/calibration")
+	if !bytes.Equal(wantCal, gotCal) {
+		t.Errorf("calibration changed across restart:\nbefore: %s\nafter:  %s", wantCal, gotCal)
+	}
+	if got := calFile(); !bytes.Equal(gotCal, got) {
+		t.Errorf("after the restart, calibration.json is not the /calibration body:\nfile:     %s\nendpoint: %s", got, gotCal)
 	}
 	stop(sig2, done2)
 }

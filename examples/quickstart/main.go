@@ -4,7 +4,9 @@
 // pipeline once against the fluent API, and run it three times: pinned
 // to the single-node engine, pinned to the Spark simulator, and with
 // the multi-platform optimizer choosing. The results are identical;
-// the execution plans are not — which is the point of the paper.
+// the execution plans are not — which is the point of the paper. A
+// second job reads its input through a source function and counts the
+// distinct long words among the first thousand.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -58,6 +60,21 @@ func main() {
 			fmt.Printf("    %-12s %d\n", r.Field(0).Str(), r.Field(1).Int())
 		}
 	}
+
+	// A source function instead of a slice, with a cardinality hint; a
+	// filter with a selectivity hint (5 of the 12 vocabulary words are
+	// long); then take the first 1 000 words, deduplicate and count.
+	out, _, err := ctx.NewJob("long-words").
+		ReadSource("words", func() ([]data.Record, error) { return words, nil }, int64(len(words))).
+		Sample(1_000).
+		Filter(func(r data.Record) (bool, error) { return len(r.Field(0).Str()) > 6, nil }, 5.0/12).
+		Distinct().
+		Count().
+		Collect()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\n--- distinct words longer than 6 letters among the first 1 000: %d\n", out[0].Field(0).Int())
 
 	// Explain shows where the optimizer put each task atom.
 	p, err := ctx.NewJob("explain").

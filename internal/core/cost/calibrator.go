@@ -22,11 +22,13 @@ package cost
 
 import (
 	"bytes"
-	"encoding/binary"
+	"cmp"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -156,7 +158,7 @@ type Calibrator struct {
 	cfg   CalibratorConfig
 	cost  map[cellKey]*cell
 	card  map[string]*cell
-	folds int64 // Fold batches applied (restart-surviving via the codec)
+	folds int64 // Fold batches applied (restart-surviving via the document)
 }
 
 // NewCalibrator returns an empty calibrator (every factor 1).
@@ -166,16 +168,6 @@ func NewCalibrator(cfg CalibratorConfig) *Calibrator {
 		cost: map[cellKey]*cell{},
 		card: map[string]*cell{},
 	}
-}
-
-// Config returns the effective (default-filled) configuration.
-func (c *Calibrator) Config() CalibratorConfig {
-	if c == nil {
-		return CalibratorConfig{}.withDefaults()
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.cfg
 }
 
 // Fold absorbs one completed run's observations. Observations with a
@@ -239,7 +231,7 @@ func (c *Calibrator) CardFactor(kind string) float64 {
 }
 
 // Folds returns how many Fold batches the calibrator has absorbed
-// (including folds rehydrated through Decode).
+// (including folds restored through UnmarshalJSON).
 func (c *Calibrator) Folds() int64 {
 	if c == nil {
 		return 0
@@ -249,7 +241,13 @@ func (c *Calibrator) Folds() int64 {
 	return c.folds
 }
 
-// CalibrationCell is one learned factor in a snapshot.
+// calibrationSchema versions the calibration document. A reader takes
+// only its own schema: a change to what a cell holds bumps it.
+const calibrationSchema = 1
+
+// CalibrationCell is one correction cell in a snapshot. Samples, Weight
+// and SumLog are its state; Factor and Applied are derived from them
+// and the config, and a reader ignores them.
 type CalibrationCell struct {
 	Kind     string  `json:"kind"`
 	Platform string  `json:"platform,omitempty"` // empty on card cells
@@ -257,11 +255,16 @@ type CalibrationCell struct {
 	Samples  int64   `json:"samples"`
 	// Applied reports whether the cell has cleared the min-sample guard
 	// (false means the optimizer still sees factor 1 from it).
-	Applied bool `json:"applied"`
+	Applied bool    `json:"applied"`
+	Weight  float64 `json:"weight"`  // decayed observation weight w
+	SumLog  float64 `json:"sum_log"` // decayed sum of log(ratio)
 }
 
-// CalibrationSnapshot is the debug view served by GET /calibration.
+// CalibrationSnapshot is the calibrator's state as one document, cells
+// sorted by key: the body of GET /calibration and what MarshalJSON
+// writes.
 type CalibrationSnapshot struct {
+	Schema     int               `json:"schema"`
 	Decay      float64           `json:"decay"`
 	MinSamples int               `json:"min_samples"`
 	MinFactor  float64           `json:"min_factor"`
@@ -280,6 +283,7 @@ func (c *Calibrator) Snapshot() *CalibrationSnapshot {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	s := &CalibrationSnapshot{
+		Schema:     calibrationSchema,
 		Decay:      c.cfg.Decay,
 		MinSamples: c.cfg.MinSamples,
 		MinFactor:  c.cfg.MinFactor,
@@ -289,299 +293,102 @@ func (c *Calibrator) Snapshot() *CalibrationSnapshot {
 		Card:       make([]CalibrationCell, 0, len(c.card)),
 	}
 	for k, ce := range c.cost {
-		s.Cost = append(s.Cost, CalibrationCell{
-			Kind: k.Kind, Platform: k.Platform,
-			Factor: ce.factor(c.cfg), Samples: ce.n,
-			Applied: ce.n >= int64(c.cfg.MinSamples),
-		})
+		s.Cost = append(s.Cost, ce.snapshot(k.Kind, k.Platform, c.cfg))
 	}
 	for k, ce := range c.card {
-		s.Card = append(s.Card, CalibrationCell{
-			Kind:   k,
-			Factor: ce.factor(c.cfg), Samples: ce.n,
-			Applied: ce.n >= int64(c.cfg.MinSamples),
-		})
+		s.Card = append(s.Card, ce.snapshot(k, "", c.cfg))
 	}
-	sortCells(s.Cost)
-	sortCells(s.Card)
+	slices.SortFunc(s.Cost, compareCells)
+	slices.SortFunc(s.Card, compareCells)
 	return s
 }
 
-func sortCells(cells []CalibrationCell) {
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].Kind != cells[j].Kind {
-			return cells[i].Kind < cells[j].Kind
-		}
-		return cells[i].Platform < cells[j].Platform
-	})
+func (ce *cell) snapshot(kind, platform string, cfg CalibratorConfig) CalibrationCell {
+	return CalibrationCell{
+		Kind: kind, Platform: platform,
+		Factor: ce.factor(cfg), Samples: ce.n,
+		Applied: ce.n >= int64(cfg.MinSamples),
+		Weight:  ce.w, SumLog: ce.sumLog,
+	}
 }
 
-// --- persisted codec ----------------------------------------------------
-//
-// Binary, versioned, deterministic (cells sorted by key on encode) and
-// decode-hardened: length prefixes are attacker-controlled until the
-// payload behind them has been read, so preallocation is capped and
-// every float is validated — a corrupt or hostile store can fail the
-// load, but it can never install a NaN factor or a multi-gigabyte
-// allocation. Decode→Encode is a fixpoint (enforced by
-// FuzzCalibrationRoundTrip).
-
-// calMagic and calVersion head every encoded calibration state.
-var calMagic = []byte("RHCAL")
-
-const calVersion = 1
-
-// codec caps, mirroring data.ReadBinary's preallocation discipline.
-const (
-	calMaxString   = 1 << 10 // operator kinds and platform IDs are short
-	calMaxPrealloc = 1 << 12 // cells preallocated before payload is seen
-)
-
-// Encode serialises the calibrator's full state.
-func (c *Calibrator) Encode() []byte {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var buf bytes.Buffer
-	buf.Write(calMagic)
-	buf.WriteByte(calVersion)
-	putF := func(f float64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-		buf.Write(b[:])
-	}
-	putV := func(v uint64) {
-		var b [binary.MaxVarintLen64]byte
-		buf.Write(b[:binary.PutUvarint(b[:], v)])
-	}
-	putS := func(s string) {
-		putV(uint64(len(s)))
-		buf.WriteString(s)
-	}
-	putF(c.cfg.Decay)
-	putV(uint64(c.cfg.MinSamples))
-	putF(c.cfg.MinFactor)
-	putF(c.cfg.MaxFactor)
-	putV(uint64(c.folds))
-
-	costKeys := make([]cellKey, 0, len(c.cost))
-	for k := range c.cost {
-		costKeys = append(costKeys, k)
-	}
-	sort.Slice(costKeys, func(i, j int) bool {
-		if costKeys[i].Kind != costKeys[j].Kind {
-			return costKeys[i].Kind < costKeys[j].Kind
-		}
-		return costKeys[i].Platform < costKeys[j].Platform
-	})
-	putV(uint64(len(costKeys)))
-	for _, k := range costKeys {
-		ce := c.cost[k]
-		putS(k.Kind)
-		putS(k.Platform)
-		putF(ce.w)
-		putF(ce.sumLog)
-		putV(uint64(ce.n))
-	}
-
-	cardKeys := make([]string, 0, len(c.card))
-	for k := range c.card {
-		cardKeys = append(cardKeys, k)
-	}
-	sort.Strings(cardKeys)
-	putV(uint64(len(cardKeys)))
-	for _, k := range cardKeys {
-		ce := c.card[k]
-		putS(k)
-		putF(ce.w)
-		putF(ce.sumLog)
-		putV(uint64(ce.n))
-	}
-	return buf.Bytes()
+// compareCells orders cells by (kind, platform), the document's order.
+func compareCells(a, b CalibrationCell) int {
+	return cmp.Or(strings.Compare(a.Kind, b.Kind), strings.Compare(a.Platform, b.Platform))
 }
 
-// calReader decodes the calibration wire format with validation.
-type calReader struct {
-	r *bytes.Reader
+// MarshalJSON writes the calibrator's Snapshot, its one serialized
+// form: GET /calibration serves it, and rheem-serve keeps it in its
+// state directory.
+func (c *Calibrator) MarshalJSON() ([]byte, error) {
+	return json.Marshal(c.Snapshot())
 }
 
-func (d *calReader) f64() (float64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(d.r, b[:]); err != nil {
-		return 0, err
+// UnmarshalJSON replaces the calibrator's state with a document
+// MarshalJSON wrote. The document comes from outside the program, so
+// all of it is checked before anything is replaced: no unknown field,
+// the current schema, a config equal to its defaulted form, no negative
+// count, a positive weight exactly on cells with samples, a kind on
+// every cell and a platform on exactly the cost cells, and keys in
+// strictly ascending order — which rejects duplicates and makes
+// decode→encode a fixpoint (FuzzCalibrationRoundTrip). JSON carries no
+// NaN or infinity, so a restored calibrator upholds every factor
+// invariant Fold does.
+func (c *Calibrator) UnmarshalJSON(b []byte) error {
+	if c == nil {
+		return fmt.Errorf("cost: calibration: UnmarshalJSON on nil *Calibrator")
 	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0, fmt.Errorf("cost: calibration decode: non-finite float")
+	var s CalibrationSnapshot
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		return fmt.Errorf("cost: calibration: %w", err)
 	}
-	return f, nil
-}
-
-func (d *calReader) uvarint() (uint64, error) {
-	return binary.ReadUvarint(d.r)
-}
-
-func (d *calReader) str() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("cost: calibration: data after the document")
 	}
-	if n > calMaxString {
-		return "", fmt.Errorf("cost: calibration decode: string length %d exceeds cap", n)
+	cfg := CalibratorConfig{Decay: s.Decay, MinSamples: s.MinSamples, MinFactor: s.MinFactor, MaxFactor: s.MaxFactor}
+	switch {
+	case s.Schema != calibrationSchema:
+		return fmt.Errorf("cost: calibration: schema %d, want %d", s.Schema, calibrationSchema)
+	case cfg != cfg.withDefaults():
+		return fmt.Errorf("cost: calibration: config outside valid range")
+	case s.Folds < 0:
+		return fmt.Errorf("cost: calibration: negative folds")
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		return "", err
+	costM := make(map[cellKey]*cell, len(s.Cost))
+	cardM := make(map[string]*cell, len(s.Card))
+	if err := restoreCells(s.Cost, true, func(cc CalibrationCell, ce *cell) {
+		costM[cellKey{Kind: cc.Kind, Platform: cc.Platform}] = ce
+	}); err != nil {
+		return err
 	}
-	return string(b), nil
-}
-
-func (d *calReader) cell() (cell, error) {
-	w, err := d.f64()
-	if err != nil {
-		return cell{}, err
+	if err := restoreCells(s.Card, false, func(cc CalibrationCell, ce *cell) { cardM[cc.Kind] = ce }); err != nil {
+		return err
 	}
-	sumLog, err := d.f64()
-	if err != nil {
-		return cell{}, err
-	}
-	n, err := d.uvarint()
-	if err != nil {
-		return cell{}, err
-	}
-	if w < 0 || n > math.MaxInt64 {
-		return cell{}, fmt.Errorf("cost: calibration decode: invalid cell state")
-	}
-	return cell{w: w, sumLog: sumLog, n: int64(n)}, nil
-}
-
-func calPrealloc(n uint64) int {
-	if n > calMaxPrealloc {
-		return calMaxPrealloc
-	}
-	return int(n)
-}
-
-// DecodeCalibrator parses state written by Encode into a fresh
-// calibrator. The embedded configuration is re-validated through the
-// same defaulting as NewCalibrator, so a decoded calibrator upholds
-// every factor invariant the original did.
-func DecodeCalibrator(b []byte) (*Calibrator, error) {
-	if len(b) < len(calMagic)+1 || !bytes.Equal(b[:len(calMagic)], calMagic) {
-		return nil, fmt.Errorf("cost: calibration decode: bad magic")
-	}
-	if v := b[len(calMagic)]; v != calVersion {
-		return nil, fmt.Errorf("cost: calibration decode: unsupported version %d", v)
-	}
-	d := &calReader{r: bytes.NewReader(b[len(calMagic)+1:])}
-	var cfg CalibratorConfig
-	var err error
-	if cfg.Decay, err = d.f64(); err != nil {
-		return nil, err
-	}
-	minSamples, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if minSamples > math.MaxInt32 {
-		return nil, fmt.Errorf("cost: calibration decode: min_samples %d out of range", minSamples)
-	}
-	cfg.MinSamples = int(minSamples)
-	if cfg.MinFactor, err = d.f64(); err != nil {
-		return nil, err
-	}
-	if cfg.MaxFactor, err = d.f64(); err != nil {
-		return nil, err
-	}
-	if cfg != cfg.withDefaults() {
-		return nil, fmt.Errorf("cost: calibration decode: config outside valid range")
-	}
-	folds, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if folds > math.MaxInt64 {
-		return nil, fmt.Errorf("cost: calibration decode: folds out of range")
-	}
-
-	cal := NewCalibrator(cfg)
-	cal.folds = int64(folds)
-
-	nCost, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	costKeys := make([]cellKey, 0, calPrealloc(nCost))
-	for i := uint64(0); i < nCost; i++ {
-		var k cellKey
-		if k.Kind, err = d.str(); err != nil {
-			return nil, err
-		}
-		if k.Platform, err = d.str(); err != nil {
-			return nil, err
-		}
-		ce, err := d.cell()
-		if err != nil {
-			return nil, err
-		}
-		// Strictly ascending keys make Decode∘Encode a fixpoint and
-		// reject duplicate cells in one check.
-		if len(costKeys) > 0 {
-			prev := costKeys[len(costKeys)-1]
-			if k.Kind < prev.Kind || (k.Kind == prev.Kind && k.Platform <= prev.Platform) {
-				return nil, fmt.Errorf("cost: calibration decode: cost cells out of order")
-			}
-		}
-		costKeys = append(costKeys, k)
-		cal.cost[k] = &ce
-	}
-
-	nCard, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	cardKeys := make([]string, 0, calPrealloc(nCard))
-	for i := uint64(0); i < nCard; i++ {
-		k, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		ce, err := d.cell()
-		if err != nil {
-			return nil, err
-		}
-		if len(cardKeys) > 0 && k <= cardKeys[len(cardKeys)-1] {
-			return nil, fmt.Errorf("cost: calibration decode: card cells out of order")
-		}
-		cardKeys = append(cardKeys, k)
-		cal.card[k] = &ce
-	}
-	if d.r.Len() != 0 {
-		return nil, fmt.Errorf("cost: calibration decode: %d trailing bytes", d.r.Len())
-	}
-	return cal, nil
-}
-
-// Replace swaps this calibrator's state for the decoded one's — how a
-// restarted service rehydrates a live (already-shared) calibrator from
-// its persisted snapshot without re-plumbing pointers.
-func (c *Calibrator) Replace(from *Calibrator) {
-	if c == nil || from == nil || c == from {
-		return
-	}
-	from.mu.RLock()
-	cfg, folds := from.cfg, from.folds
-	costM := make(map[cellKey]*cell, len(from.cost))
-	for k, ce := range from.cost {
-		cp := *ce
-		costM[k] = &cp
-	}
-	cardM := make(map[string]*cell, len(from.card))
-	for k, ce := range from.card {
-		cp := *ce
-		cardM[k] = &cp
-	}
-	from.mu.RUnlock()
 	c.mu.Lock()
-	c.cfg, c.folds, c.cost, c.card = cfg, folds, costM, cardM
+	c.cfg, c.folds, c.cost, c.card = cfg, s.Folds, costM, cardM
 	c.mu.Unlock()
+	return nil
+}
+
+// restoreCells checks one cell list of a document (cost says which)
+// and hands each cell's state to put.
+func restoreCells(cells []CalibrationCell, cost bool, put func(CalibrationCell, *cell)) error {
+	for i, cc := range cells {
+		switch {
+		case cc.Kind == "":
+			return fmt.Errorf("cost: calibration: cell %d has no kind", i)
+		case cost && cc.Platform == "":
+			return fmt.Errorf("cost: calibration: cost cell %q has no platform", cc.Kind)
+		case !cost && cc.Platform != "":
+			return fmt.Errorf("cost: calibration: card cell %q names platform %q", cc.Kind, cc.Platform)
+		case cc.Samples < 0 || cc.Weight < 0 || (cc.Weight > 0) != (cc.Samples > 0):
+			return fmt.Errorf("cost: calibration: cell %s/%s has weight %v with %d samples", cc.Kind, cc.Platform, cc.Weight, cc.Samples)
+		case i > 0 && compareCells(cells[i-1], cc) >= 0:
+			return fmt.Errorf("cost: calibration: cell %s/%s out of order", cc.Kind, cc.Platform)
+		}
+		put(cc, &cell{w: cc.Weight, sumLog: cc.SumLog, n: cc.Samples})
+	}
+	return nil
 }

@@ -2,9 +2,12 @@ package cost
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -185,7 +188,12 @@ func TestCalibratorNilReceiverSafe(t *testing.T) {
 	if s := cal.Snapshot(); s != nil {
 		t.Fatalf("nil Snapshot = %v, want nil", s)
 	}
-	cal.Replace(NewCalibrator(CalibratorConfig{}))
+	if b, err := cal.MarshalJSON(); err != nil || string(b) != "null" {
+		t.Fatalf("nil MarshalJSON = %s, %v; want null", b, err)
+	}
+	if err := cal.UnmarshalJSON([]byte("{}")); err == nil {
+		t.Fatal("nil UnmarshalJSON accepted a document")
+	}
 }
 
 func TestCalibratorCardFactorGuard(t *testing.T) {
@@ -218,11 +226,17 @@ func warmedCalibrator(t *testing.T) *Calibrator {
 	return cal
 }
 
+// The document round-trips: unmarshalling what MarshalJSON wrote into
+// a calibrator of another config adopts config, counts and cells, and
+// marshalling again gives the same bytes.
 func TestCalibratorCodecRoundTrip(t *testing.T) {
 	cal := warmedCalibrator(t)
-	enc := cal.Encode()
-	dec, err := DecodeCalibrator(enc)
+	enc, err := json.Marshal(cal)
 	if err != nil {
+		t.Fatal(err)
+	}
+	dec := NewCalibrator(CalibratorConfig{})
+	if err := json.Unmarshal(enc, dec); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if !reflect.DeepEqual(cal.Snapshot(), dec.Snapshot()) {
@@ -231,14 +245,20 @@ func TestCalibratorCodecRoundTrip(t *testing.T) {
 	if cal.Folds() != dec.Folds() {
 		t.Fatalf("folds %d != %d", cal.Folds(), dec.Folds())
 	}
-	re := dec.Encode()
+	re, err := json.Marshal(dec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(enc, re) {
-		t.Fatalf("encode not deterministic across decode: %d vs %d bytes", len(enc), len(re))
+		t.Fatalf("encode not deterministic across decode:\n%s\nvs\n%s", enc, re)
 	}
 	// An empty calibrator round-trips too.
-	empty := NewCalibrator(CalibratorConfig{})
-	dec2, err := DecodeCalibrator(empty.Encode())
+	empty, err := json.Marshal(NewCalibrator(CalibratorConfig{}))
 	if err != nil {
+		t.Fatal(err)
+	}
+	dec2 := NewCalibrator(CalibratorConfig{MinSamples: 1})
+	if err := json.Unmarshal(empty, dec2); err != nil {
 		t.Fatalf("decode empty: %v", err)
 	}
 	if got := dec2.CostFactor("Map", "java"); got != 1 {
@@ -246,45 +266,134 @@ func TestCalibratorCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// Every document that breaks a rule is rejected with an error naming
+// the calibration, and the receiver keeps its state. Two of the cases
+// are states only a restore can produce: a cost cell with samples but
+// no weight (reported applied while the optimizer priced it at 1) and
+// a card cell without a kind.
 func TestCalibratorDecodeRejectsCorruption(t *testing.T) {
-	valid := warmedCalibrator(t).Encode()
+	valid, err := json.Marshal(warmedCalibrator(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := func(f func(s *CalibrationSnapshot)) []byte {
+		s := warmedCalibrator(t).Snapshot()
+		f(s)
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
 	cases := map[string][]byte{
-		"empty":       nil,
-		"bad magic":   []byte("NOCAL\x01rest"),
-		"bad version": append(append([]byte{}, "RHCAL\xff"...), valid[6:]...),
-		"truncated":   valid[:len(valid)/2],
-		"trailing":    append(append([]byte{}, valid...), 0),
+		"empty":          nil,
+		"null":           []byte("null"),
+		"binary":         []byte("RHCAL\x01rest"),
+		"truncated":      valid[:len(valid)/2],
+		"trailing":       append(append([]byte{}, valid...), "{}"...),
+		"unknown field":  append([]byte(`{"extra":1,`), valid[1:]...),
+		"NaN":            bytes.Replace(valid, []byte(`"decay":0.7`), []byte(`"decay":NaN`), 1),
+		"out of range":   bytes.Replace(valid, []byte(`"decay":0.7`), []byte(`"decay":1e999`), 1),
+		"no schema":      edit(func(s *CalibrationSnapshot) { s.Schema = 0 }),
+		"future schema":  edit(func(s *CalibrationSnapshot) { s.Schema = calibrationSchema + 1 }),
+		"bad config":     edit(func(s *CalibrationSnapshot) { s.Decay = 1.5 }),
+		"swapped clamp":  edit(func(s *CalibrationSnapshot) { s.MinFactor, s.MaxFactor = s.MaxFactor, s.MinFactor }),
+		"negative folds": edit(func(s *CalibrationSnapshot) { s.Folds = -1 }),
+		"negative samples": edit(func(s *CalibrationSnapshot) {
+			s.Cost[0].Samples, s.Cost[0].Weight = -1, 0
+		}),
+		"negative weight": edit(func(s *CalibrationSnapshot) {
+			s.Card[0].Weight, s.Card[0].Samples = -1, 0
+		}),
+		"weight without samples": edit(func(s *CalibrationSnapshot) { s.Card[0].Samples = 0 }),
+		"samples without weight": edit(func(s *CalibrationSnapshot) {
+			s.Cost[0].Weight, s.Cost[0].Samples = 0, 9
+		}),
+		"card cell without kind":     edit(func(s *CalibrationSnapshot) { s.Card[0].Kind = "" }),
+		"cost cell without kind":     edit(func(s *CalibrationSnapshot) { s.Cost[0].Kind = "" }),
+		"cost cell without platform": edit(func(s *CalibrationSnapshot) { s.Cost[0].Platform = "" }),
+		"card cell with platform":    edit(func(s *CalibrationSnapshot) { s.Card[0].Platform = "java" }),
+		"duplicate cost cell":        edit(func(s *CalibrationSnapshot) { s.Cost[1] = s.Cost[0] }),
+		"cost cells out of order": edit(func(s *CalibrationSnapshot) {
+			s.Cost[0], s.Cost[1] = s.Cost[1], s.Cost[0]
+		}),
+		"card cells out of order": edit(func(s *CalibrationSnapshot) { slices.Reverse(s.Card) }),
 	}
-	// Non-finite config float.
-	nan := append([]byte{}, valid...)
-	for i := 6; i < 14; i++ {
-		nan[i] = 0xff
-	}
-	cases["nan config"] = nan
 	for name, b := range cases {
-		if _, err := DecodeCalibrator(b); err == nil {
+		cal := NewCalibrator(CalibratorConfig{MinSamples: 1})
+		cal.Fold([]AtomObs{obs("Map", "java", time.Second, 2*time.Second)}, nil)
+		before := cal.Snapshot()
+		err := cal.UnmarshalJSON(b)
+		if err == nil {
 			t.Errorf("%s: decode accepted corrupt input", name)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), "cost: calibration") {
+			t.Errorf("%s: error %q does not name the calibration", name, err)
+		}
+		if !reflect.DeepEqual(before, cal.Snapshot()) {
+			t.Errorf("%s: a rejected document changed the calibrator", name)
 		}
 	}
 }
 
+// Unmarshalling into a warmed calibrator adopts the document whole —
+// the calibrator's own cells are gone — and shares no cell with the
+// calibrator that wrote it.
 func TestCalibratorReplace(t *testing.T) {
 	shared := NewCalibrator(CalibratorConfig{MinSamples: 1})
-	shared.Fold([]AtomObs{obs("Map", "java", time.Second, 2*time.Second)}, nil)
+	shared.Fold([]AtomObs{obs("OnlyHere", "java", time.Second, 2*time.Second)}, nil)
 	warmed := warmedCalibrator(t)
-	shared.Replace(warmed)
-	if !reflect.DeepEqual(shared.Snapshot(), warmed.Snapshot()) {
-		t.Fatal("Replace did not adopt source state")
+	doc, err := json.Marshal(warmed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Replaced state is a deep copy: folding into the source must not
-	// leak into the destination.
+	if err := json.Unmarshal(doc, shared); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(shared.Snapshot(), warmed.Snapshot()) {
+		t.Fatal("UnmarshalJSON did not adopt the document")
+	}
+	// Folding into either side must not leak into the other.
 	before := shared.CostFactor("Map", "java")
 	for i := 0; i < 10; i++ {
 		warmed.Fold([]AtomObs{obs("Map", "java", time.Second, 9*time.Second)}, nil)
 	}
 	if got := shared.CostFactor("Map", "java"); got != before {
-		t.Fatalf("Replace aliased cell state: %v -> %v", before, got)
+		t.Fatalf("restored state aliases the source's cells: %v -> %v", before, got)
 	}
+	snap := warmed.Snapshot()
+	shared.Fold(nil, []CardObs{{Kind: "Map", Estimated: 1, Actual: 1000}})
+	if !reflect.DeepEqual(snap, warmed.Snapshot()) {
+		t.Fatal("folding into the restored calibrator changed the source")
+	}
+
+	// -race: readers and folds see either state whole while the
+	// document is unmarshalled into the calibrator they share.
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if f := shared.CostFactor("Map", "java"); !(f > 0) {
+					t.Errorf("unsafe factor during replace: %v", f)
+					return
+				}
+				shared.Fold([]AtomObs{obs("Map", "java", time.Second, 2*time.Second)}, nil)
+				if _, err := json.Marshal(shared); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		if err := json.Unmarshal(doc, shared); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
 }
 
 // -race stress: concurrent folds (runs completing) while readers (the
@@ -322,7 +431,10 @@ func TestCalibratorConcurrentFoldAndRead(t *testing.T) {
 				}
 				cal.CardFactor("Map")
 				cal.Snapshot()
-				cal.Encode()
+				if _, err := json.Marshal(cal); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 	}

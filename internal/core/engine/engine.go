@@ -386,18 +386,6 @@ func (r *Registry) MappingFor(p PlatformID, kind plan.OpKind, algo physical.Algo
 	return fallback, haveFallback
 }
 
-// PlatformsFor lists platforms declaring any mapping for the kind.
-func (r *Registry) PlatformsFor(kind plan.OpKind) []PlatformID {
-	s := r.view()
-	var out []PlatformID
-	for _, id := range s.ids {
-		if len(s.byOp[opKey{id, kind}]) > 0 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // Channels returns the shared conversion graph.
 func (r *Registry) Channels() *channel.Registry { return r.channels }
 

@@ -124,8 +124,9 @@ func TestRegistryMappings(t *testing.T) {
 	if _, ok := r.MappingFor("fake", plan.KindJoin, physical.HashJoin); ok {
 		t.Error("mapping for undeclared kind found")
 	}
-	if pls := r.PlatformsFor(plan.KindGroupBy); len(pls) != 1 || pls[0] != "fake" {
-		t.Errorf("PlatformsFor = %v", pls)
+	// Only the two accepted mappings are registered, in order.
+	if ms := r.Mappings(); len(ms) != 2 || ms[0].Hint != "hash" || ms[1].Hint != "fallback" {
+		t.Errorf("Mappings = %+v", ms)
 	}
 }
 

@@ -92,7 +92,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		b, err := json.MarshalIndent(cal.Snapshot(), "", "  ")
+		b, err := json.MarshalIndent(cal, "", "  ")
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

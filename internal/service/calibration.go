@@ -1,11 +1,14 @@
 // Calibration persistence: the shared cost calibrator's state, saved
 // to the state directory after every finished job and rehydrated in
 // New — the learning loop survives restarts the same way run profiles
-// do. The file holds the calibrator's binary codec as it is; the codec
-// is versioned and decode-hardened (cost.DecodeCalibrator).
+// do. The file is the calibrator's JSON document, byte for byte the
+// body of GET /calibration; the calibrator checks it on the way in
+// (cost.Calibrator.UnmarshalJSON). A calibration.bin an older build
+// wrote is ignored.
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -15,12 +18,13 @@ import (
 )
 
 // calibrationFile names the persisted calibration state.
-const calibrationFile = "calibration.bin"
+const calibrationFile = "calibration.json"
 
 // loadCalibration rehydrates cal from the directory's persisted state,
-// if any. A missing file is a cold start, not an error; a present but
-// corrupt file fails the load loudly — silently discarding learned
-// state would look like a regression in every plan choice.
+// if any. It runs before cal is shared, so it fills it in place. A
+// missing file is a cold start, not an error; a present but corrupt
+// file fails the load loudly — silently discarding learned state would
+// look like a regression in every plan choice.
 func loadCalibration(dir *blob.Dir, cal *cost.Calibrator) error {
 	raw, err := dir.Get(calibrationFile)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -29,11 +33,9 @@ func loadCalibration(dir *blob.Dir, cal *cost.Calibrator) error {
 	if err != nil {
 		return err
 	}
-	decoded, err := cost.DecodeCalibrator(raw)
-	if err != nil {
+	if err := json.Unmarshal(raw, cal); err != nil {
 		return fmt.Errorf("%s: %w", calibrationFile, err)
 	}
-	cal.Replace(decoded)
 	return nil
 }
 
@@ -50,5 +52,9 @@ func (s *Service) saveCalibration() {
 	}
 	s.calSave.Lock()
 	defer s.calSave.Unlock()
-	_ = s.state.Put(calibrationFile, s.cal.Encode())
+	b, err := json.MarshalIndent(s.cal, "", "  ")
+	if err != nil {
+		return
+	}
+	_ = s.state.Put(calibrationFile, append(b, '\n'))
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,7 +74,8 @@ func TestCalibrationSharedAcrossTenants(t *testing.T) {
 // TestCalibrationPersistenceAcrossRestart: state learned by one
 // service process is rehydrated by a fresh process pointed at the same
 // state directory — warm plans from the first request after a restart.
-// The file is the calibrator's codec as it is.
+// The file is the calibrator's JSON document, indented as GET
+// /calibration serves it.
 func TestCalibrationPersistenceAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 
@@ -106,19 +108,19 @@ func TestCalibrationPersistenceAcrossRestart(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	wantState := s1.cal.Encode()
+	wantState := calibrationDoc(t, s1.cal)
 	s1.Kill()
 	s1.Close()
-	if raw, err := os.ReadFile(filepath.Join(dir, "calibration.bin")); err != nil || string(raw) != string(wantState) {
-		t.Fatalf("calibration.bin is not Calibrator.Encode() (%v)", err)
+	if raw, err := os.ReadFile(filepath.Join(dir, "calibration.json")); err != nil || string(raw) != string(wantState) {
+		t.Fatalf("calibration.json is not the calibrator's document (%v):\n%s\nwant\n%s", err, raw, wantState)
 	}
 
 	s2 := newTestService(t, Config{Calibration: true, StateDir: dir})
 	if got := s2.cal.Folds(); got != wantFolds {
 		t.Fatalf("restarted service rehydrated %d folds, want %d", got, wantFolds)
 	}
-	if got := s2.cal.Encode(); string(got) != string(wantState) {
-		t.Fatalf("rehydrated state differs from persisted state:\nwant %x\ngot  %x", wantState, got)
+	if got := calibrationDoc(t, s2.cal); string(got) != string(wantState) {
+		t.Fatalf("rehydrated state differs from persisted state:\nwant %s\ngot  %s", wantState, got)
 	}
 
 	// The warm service keeps learning on top of the rehydrated state.
@@ -134,20 +136,43 @@ func TestCalibrationPersistenceAcrossRestart(t *testing.T) {
 	}
 }
 
-// A calibration.bin that does not decode fails New, and the error names
-// the file: starting cold over it would discard what was learned.
+// calibrationDoc is the calibrator's document as the service writes it.
+func calibrationDoc(t *testing.T, cal *cost.Calibrator) []byte {
+	t.Helper()
+	b, err := json.MarshalIndent(cal, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
+}
+
+// A calibration.json that does not decode fails New, and the error
+// names the file: starting cold over it would discard what was learned.
 func TestCorruptCalibrationStateFailsNew(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "calibration.bin"), []byte("not a calibrator"), 0o600); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "calibration.json"), []byte(`{"schema":1,"decay":`), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(Config{CatalogScale: 500, Calibration: true, StateDir: dir})
 	if err == nil {
 		s.Kill()
 		s.Close()
-		t.Fatal("New accepted a garbage calibration.bin")
+		t.Fatal("New accepted a garbage calibration.json")
 	}
-	if !strings.Contains(err.Error(), "calibration.bin") {
+	if !strings.Contains(err.Error(), "calibration.json") {
 		t.Errorf("error does not name the file: %v", err)
+	}
+}
+
+// A state directory holding only the binary calibration.bin an older
+// build wrote starts cold: the file is not read, and New does not fail.
+func TestOldCalibrationStateIgnored(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "calibration.bin"), []byte("RHCAL\x01not a document"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestService(t, Config{Calibration: true, StateDir: dir})
+	if folds, cells := s.cal.Folds(), len(s.cal.Snapshot().Cost); folds != 0 || cells != 0 {
+		t.Fatalf("cold start expected, got %d folds and %d cost cells", folds, cells)
 	}
 }

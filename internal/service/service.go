@@ -93,9 +93,9 @@ type Config struct {
 	// StateDir, when set, is the directory the service keeps its state
 	// in across restarts: the recorder's profiles (runprofile-<id>.json,
 	// rehydrated in New, with run IDs seeded past the persisted maximum)
-	// and, with Calibration on, the calibrator's state (calibration.bin,
-	// saved after every finished job and rehydrated in New). Empty keeps
-	// both in memory only.
+	// and, with Calibration on, the calibrator's state (calibration.json,
+	// the GET /calibration document, saved after every finished job and
+	// rehydrated in New). Empty keeps both in memory only.
 	StateDir string
 
 	// Calibration enables the shared cost calibrator: every tenant's

@@ -1,6 +1,6 @@
 // Package blob keeps named byte values as files in one directory: the
 // state the job service carries across a restart (flight-recorder
-// profiles, the cost calibrator's codec). A value is replaced whole —
+// profiles, the cost calibrator's JSON document). A value is replaced whole —
 // Put writes a temporary file beside its target and renames it over
 // the target, so a reader sees the old bytes or the new ones, never a
 // mix. There is no fsync: the flight recorder writes on every job.

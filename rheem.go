@@ -110,8 +110,9 @@ func WithFlightRecorder(rec *profile.Recorder) ContextOption {
 // re-optimization, failover re-plan) multiplies its model costs by the
 // learned per-(operator kind, platform) correction factors — so
 // platform choices improve with traffic instead of relying on
-// hand-set constants. Pass a calibrator rehydrated from storage to
-// keep learning across restarts, or share one calibrator between
+// hand-set constants. Pass a calibrator restored with json.Unmarshal
+// from a document it wrote earlier (its MarshalJSON) to keep learning
+// across restarts, or share one calibrator between
 // contexts (via a shared hub or the same calibrator value) to pool
 // their traffic. Inspect it at GET /calibration and through the
 // rheem_calibration_* metrics.
