@@ -8,8 +8,11 @@
 // number of rows: transpose only the columns the stages read into leased
 // buffers (scratch.go), evaluate each filter into a selection vector the
 // later stages read through and each column map into columns that live
-// for the window, and finish the window before starting the next, so no
-// full-length intermediate is ever built.
+// for the window, and hand the window to the consumer, so no full-length
+// intermediate is ever built. A window's head — the load and the filters
+// ahead of the first column map — may run on a helper goroutine, ahead
+// of the consumer; its tail — the column maps, the row UDFs and the
+// consumer — runs on the forcing goroutine in window order (morsel.go).
 //
 // Each stage is the column form of the same declarative spec that
 // generated the operator's row UDF (plan.ColumnPredicate / ColProject /
@@ -33,6 +36,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 
 	"rheem/internal/core/algo"
@@ -282,64 +286,121 @@ func (p *pipeline) load(w *win, lo, hi int) bool {
 // in sel (ascending; read-only, and leased: dead after the call), and a
 // window that has no column form to rows after running it through the
 // stages' row UDFs. values says whether columns reads the output's values
-// or only which rows survived.
-func (p *pipeline) run(values bool, columns func(w *win, sel []int32) error, rows func([]data.Record) error) error {
-	s := lease()
-	err := p.runIn(s, values, columns, rows)
+// or only which rows survived. A forcing of more than one window on more
+// than one P is morsel-parallel (morsel.go), in scratch of its own; any
+// other runs on this goroutine in s — the caller's, or, when s is nil, one
+// run leases.
+func (p *pipeline) run(s *scratch, values bool, columns func(w *win, sel []int32) error, rows func([]data.Record) error) error {
+	if p.size() > window {
+		if workers := runtime.GOMAXPROCS(0); workers > 1 {
+			return p.runMorsels(workers, values, columns, rows)
+		}
+	}
+	if s != nil {
+		return p.serial(s, values, columns, rows)
+	}
+	s = lease()
+	err := p.serial(s, values, columns, rows)
 	s.release()
 	return err
 }
 
-// runIn is run in a scratch the caller leased.
-func (p *pipeline) runIn(s *scratch, values bool, columns func(w *win, sel []int32) error, rows func([]data.Record) error) error {
-	n := len(p.rows)
-	if p.cols != nil {
-		n = p.cols.Len()
-	}
-	w := &s.win
-	w.reads, w.all = p.reads(w.reads[:0], values)
-	if more := p.calc - len(w.maps.calc); more > 0 {
-		w.maps.calc = append(w.maps.calc, make([]batch.Column, more)...)
-	}
-	for lo := 0; lo < n; lo += window {
+// serial is run's loop on one goroutine: window after window, in s.
+func (p *pipeline) serial(s *scratch, values bool, columns func(w *win, sel []int32) error, rows func([]data.Record) error) error {
+	s.win.prepare(p, values)
+	for lo, n := 0, p.size(); lo < n; lo += window {
 		if err := p.ctx.Err(); err != nil {
 			return err
 		}
-		hi := min(lo+window, n)
-		if !p.load(w, lo, hi) {
-			recs, err := p.rowWindow(p.rows[lo:hi])
-			if err == nil {
-				err = rows(recs)
-			}
-			if err != nil {
-				return err
-			}
-			continue
+		if f := atHead.Load(); f != nil {
+			(*f)(lo/window, false)
 		}
-		var sel []int32 // nil: every row, of which there are live
-		live := w.n
-		for i := range p.stages {
-			switch st := &p.stages[i]; {
-			case st.op.ColPred != nil:
-				sel = selectRows(s.sel[:live], sel, w.col(st.col), w.off, st.op.ColPred)
-			case st.op.ColMap != nil:
-				// The map's output is dense: the rows that reached it,
-				// renumbered, and every one of them selected.
-				var err error
-				if live, err = w.mapColumns(st, sel, live); err != nil {
-					return err
-				}
-				sel = nil
-			}
-		}
-		if sel == nil {
-			sel = everyRow[:live]
-		}
-		if err := columns(w, sel); err != nil {
+		sel, ok := p.head(s, lo, min(lo+window, n))
+		if err := p.tail(s, sel, ok, lo, columns, rows); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// size is the number of source rows.
+func (p *pipeline) size() int {
+	if p.cols != nil {
+		return p.cols.Len()
+	}
+	return len(p.rows)
+}
+
+// prepare readies w for a forcing of p: the read set, and room for the
+// computed columns.
+func (w *win) prepare(p *pipeline, values bool) {
+	w.reads, w.all = p.reads(w.reads[:0], values)
+	if more := p.calc - len(w.maps.calc); more > 0 {
+		w.maps.calc = append(w.maps.calc, make([]batch.Column, more)...)
+	}
+}
+
+// split is the index of the first column map: the stages before it are a
+// window's head, those from it on its tail.
+func (p *pipeline) split() int {
+	for i := range p.stages {
+		if p.stages[i].op.ColMap != nil {
+			return i
+		}
+	}
+	return len(p.stages)
+}
+
+// head is the part of a window that only runs the engine's own code: it
+// loads source rows [lo, hi) into s and runs the filters ahead of the first
+// column map. It returns the rows those keep — nil: every row — and false
+// for a window that has no column form.
+func (p *pipeline) head(s *scratch, lo, hi int) (sel []int32, ok bool) {
+	w := &s.win
+	if !p.load(w, lo, hi) {
+		return nil, false
+	}
+	for _, st := range p.stages[:p.split()] {
+		if st.op.ColPred != nil {
+			sel = selectRows(s.sel[:w.n], sel, w.col(st.col), w.off, st.op.ColPred)
+		}
+	}
+	return sel, true
+}
+
+// tail finishes the window at lo whose head left sel and ok in s: the
+// stages from the first column map on and the consumer, or, for a window
+// without a column form, the stages' row UDFs and the rows consumer. It
+// runs on the forcing goroutine, a window at a time in window order, so a
+// user function and a consumer are never called concurrently.
+func (p *pipeline) tail(s *scratch, sel []int32, ok bool, lo int, columns func(w *win, sel []int32) error, rows func([]data.Record) error) error {
+	if !ok {
+		recs, err := p.rowWindow(p.rows[lo:min(lo+window, len(p.rows))])
+		if err == nil {
+			err = rows(recs)
+		}
+		return err
+	}
+	w := &s.win
+	live := w.n // when sel is nil: every row, of which there are live
+	for i := p.split(); i < len(p.stages); i++ {
+		switch st := &p.stages[i]; {
+		case st.op.ColPred != nil:
+			sel = selectRows(s.sel[:live], sel, w.col(st.col), w.off, st.op.ColPred)
+		case st.op.ColMap != nil:
+			// The map's output is dense: the rows that reached it,
+			// renumbered, and every one of them selected.
+			var err error
+			if live, err = w.mapColumns(st, sel, live); err != nil {
+				return err
+			}
+			sel = nil
+		}
+	}
+	if sel == nil {
+		sel = everyRow[:live]
+	}
+	return columns(w, sel)
 }
 
 // mapColumns runs a column map over the live rows of the window — those
@@ -463,7 +524,7 @@ func (p *pipeline) force() (any, error) {
 func (p *pipeline) records() ([]data.Record, error) {
 	var out []data.Record
 	original := p.cols == nil && p.proj == nil
-	err := p.run(p.cols != nil, func(w *win, sel []int32) error {
+	err := p.run(nil, p.cols != nil, func(w *win, sel []int32) error {
 		if out == nil {
 			out = make([]data.Record, 0, len(sel)) // exact when there is one window
 		}
@@ -500,7 +561,7 @@ func (p *pipeline) records() ([]data.Record, error) {
 func (p *pipeline) gather() (*batch.Batch, error) {
 	var cols []batch.Column
 	n := 0
-	err := p.run(true, func(w *win, sel []int32) error {
+	err := p.run(nil, true, func(w *win, sel []int32) error {
 		if cols == nil {
 			if len(sel) == w.n && p.calc == 0 {
 				return nil
@@ -766,7 +827,7 @@ type folder struct {
 // fold forces the pipeline through the aggregate.
 func (p *pipeline) fold(fns []plan.AggFn) ([]data.Record, error) {
 	f := folder{fns: fns}
-	err := p.run(true, func(w *win, sel []int32) error {
+	err := p.run(nil, true, func(w *win, sel []int32) error {
 		return f.columns(p, w, sel)
 	}, func(recs []data.Record) error {
 		for _, r := range recs {

@@ -41,7 +41,7 @@ type grouper struct {
 // per group from one []data.Value slab, in first-seen order, or stably
 // sorted by key — as algo.SortGroup orders groups — when sorted is set.
 func (p *pipeline) group(lop *plan.Operator, sorted bool) ([]data.Record, error) {
-	spec, s := lop.ColGroup, lease()
+	spec, s := lop.ColGroup, lease() // the groups, and a serial forcing's windows
 	g := &s.group
 	g.lop = lop
 	g.cols = slices.Grow(g.cols[:0], len(spec.Out))[:len(spec.Out)]
@@ -54,7 +54,7 @@ func (p *pipeline) group(lop *plan.Operator, sorted bool) ([]data.Record, error)
 		}
 	}
 	p.project(need)
-	err := p.runIn(s, true, func(w *win, sel []int32) error {
+	err := p.run(s, true, func(w *win, sel []int32) error {
 		g.columns(p, w, sel)
 		return nil
 	}, func(recs []data.Record) error {

@@ -2,19 +2,22 @@
 // — the reproduction's stand-in for the "plain Java program" side of
 // the paper's Figure 2 (see DESIGN.md §3).
 //
-// It executes every physical operator sequentially on driver-resident
-// data. Operators carrying a declarative column hint form a lazy
-// pipeline that is forced once, 4 096 rows at a time over column
-// slices, by whatever consumes it (columnar.go) — the layout this
-// engine owns; for everything else the rows go to algo.Exec, the one
-// definition of what an operator computes that every platform shares. A
-// panicking operator fails its job, not the process: engine.RunAtom
-// recovers it into a Fatal error. The engine has no per-job overhead
-// worth modelling and no parallelism: its simulated time equals its
-// measured wall time plus a small constant per atom. That is exactly
-// why it wins on small inputs
-// and iteration-heavy loops, and loses to the Spark simulator once
-// inputs are large enough for parallelism to amortise job overheads.
+// It executes the physical operators of an atom one after the other on
+// driver-resident data. Operators carrying a declarative column hint form
+// a lazy pipeline that is forced once, 4 096 rows at a time over column
+// slices, by whatever consumes it (columnar.go) — the layout this engine
+// owns; for everything else the rows go to algo.Exec, the one definition
+// of what an operator computes that every platform shares. A forcing of
+// more than one window uses every core: helper goroutines load and filter
+// windows while the forcing goroutine consumes them in window order
+// (morsel.go), so results and the sequence of user-function calls are the
+// serial forcing's. A panicking operator fails its job, not the process:
+// engine.RunAtom recovers it into a Fatal error. The engine has no per-job
+// overhead worth modelling and no cluster: its simulated time equals its
+// measured wall time plus a small constant per atom. That is exactly why
+// it wins on small inputs and iteration-heavy loops, and loses to the
+// Spark simulator once inputs are large enough for a cluster's
+// parallelism to amortise job overheads.
 package javaengine
 
 import (

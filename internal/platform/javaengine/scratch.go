@@ -2,6 +2,7 @@ package javaengine
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"rheem/internal/core/batch"
 )
@@ -24,8 +25,10 @@ var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 func lease() *scratch { return scratches.Get().(*scratch) }
 
-// scribble, set by tests, overwrites what release keeps before it is pooled.
-var scribble func(*scratch)
+// scribble, set by tests, overwrites what release keeps before it is
+// pooled. It is atomic because a helper may release a forcing's slots after
+// the forcing returned (morsel.go).
+var scribble atomic.Pointer[func(*scratch)]
 
 // release returns s to the pool with every reference into the finished job
 // severed. A window's columns are views — over a columnar source, of storage
@@ -62,8 +65,8 @@ func (s *scratch) release() {
 		clear(accs[j])
 		accs[j] = accs[j][:0]
 	}
-	if scribble != nil {
-		scribble(s)
+	if f := scribble.Load(); f != nil {
+		(*f)(s)
 	}
 	scratches.Put(s)
 }

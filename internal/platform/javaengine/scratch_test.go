@@ -62,8 +62,9 @@ func flood[T any](s []T, v T) {
 // input shape, the error paths that release mid-job), the column maps
 // against their hand-written row twins, and the grouped kernels.
 func TestLeaseScribbled(t *testing.T) {
-	scribble = scribbleScratch
-	defer func() { scribble = nil }()
+	f := scribbleScratch
+	scribble.Store(&f)
+	defer scribble.Store(nil)
 	t.Run("window-boundaries", TestPipelineWindowBoundaries)
 	t.Run("map-columns", TestMapColumnsMatchesRowTwin)
 	t.Run("map-once-per-window", TestMapColumnsRunsOncePerWindow)
