@@ -57,7 +57,8 @@ const (
 // conversion graph. engine.NewRegistry installs them in every
 // registry; platform-native formats connect through their existing
 // Collection edges or register direct batch edges of their own (the
-// way relengine links Table↔Batch).
+// way relengine links Table↔Batch). Both edges keep their input's Bytes:
+// a batch's Bytes is its records' sum by contract (batch.Batch.Bytes).
 func RegisterBatchConverters(r *Registry) {
 	r.Register(Converter{
 		From: Collection, To: Batch,
@@ -67,7 +68,7 @@ func RegisterBatchConverters(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			return NewBatch(batch.FromRecords(recs)), nil
+			return ch.Rewrap(Batch, batch.FromRecords(recs)), nil
 		},
 	})
 	r.Register(Converter{
@@ -78,7 +79,7 @@ func RegisterBatchConverters(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			return NewCollection(b.ToRecords()), nil
+			return ch.Rewrap(Collection, b.ToRecords()), nil
 		},
 	})
 }

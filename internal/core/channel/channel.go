@@ -65,6 +65,14 @@ func NewCollection(recs []data.Record) *Channel {
 	}
 }
 
+// Rewrap returns a channel in format f over payload, which holds exactly
+// c's records — a view, a copy or another layout of them. It keeps c's
+// Records and Bytes rather than counting them again: a converter that only
+// re-slices or re-wraps records has no volume of its own to measure.
+func (c *Channel) Rewrap(f Format, payload any) *Channel {
+	return &Channel{Format: f, Payload: payload, Records: c.Records, Bytes: c.Bytes}
+}
+
 // AsCollection returns the record slice of a Collection channel.
 func (c *Channel) AsCollection() ([]data.Record, error) {
 	if c.Format != Collection {

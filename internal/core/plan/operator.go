@@ -84,6 +84,13 @@ func (k OpKind) Arity() int {
 // The UDF signatures logical operators are parameterised with. Each
 // corresponds to the applyOp of a LogicalOperator template (§3.2):
 // users provide these functions, RHEEM invokes them per data quantum.
+//
+// A UDF may be called concurrently. The Spark simulator runs the
+// partitions of a stage of 4 096 rows or more on every core, as Spark runs
+// its tasks, and WithShards runs shards at once on every platform. Only
+// javaengine and relengine, unsharded, call a user function from one
+// goroutine at a time within a run. A UDF that keeps state across calls
+// must guard it.
 type (
 	// SourceFunc produces the input records of a plan.
 	SourceFunc func() ([]data.Record, error)

@@ -34,12 +34,11 @@
 package javaengine
 
 import (
-	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
+	"rheem/internal/core/engine"
 	"rheem/internal/data"
 )
 
@@ -91,21 +90,11 @@ type morsels struct {
 // forcing, what its head left there, and the signal that the head is done.
 type slot struct {
 	*scratch
-	sel      []int32    // the rows the head's filters kept; nil: every row
-	columnar bool       // false: the window has no column form
-	panicked *headPanic // raised at the window's turn
+	sel      []int32             // the rows the head's filters kept; nil: every row
+	columnar bool                // false: the window has no column form
+	panicked *engine.HelperPanic // raised at the window's turn
 	ready    chan struct{}
 }
-
-// headPanic is what a head panicked with and the stack it panicked on.
-// Its text is the value's, so the first line of the engine.Fatal it ends
-// in is the serial forcing's, then the head's stack.
-type headPanic struct {
-	v     any
-	stack []byte
-}
-
-func (h *headPanic) String() string { return fmt.Sprintf("%v\n\nhead's goroutine:\n%s", h.v, h.stack) }
 
 // idle is the free list of forcing states: at most one per P, because a
 // forcing keeps every P busy, so no more than GOMAXPROCS run at once
@@ -222,7 +211,7 @@ func (m *morsels) produce(j int, helper bool) {
 	sl := m.ring[j%len(m.ring)]
 	defer func() {
 		if v := recover(); v != nil {
-			sl.panicked = &headPanic{v, debug.Stack()}
+			sl.panicked = engine.NewHelperPanic(v)
 		}
 		sl.ready <- struct{}{}
 	}()

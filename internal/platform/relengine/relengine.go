@@ -60,7 +60,8 @@ func tableChannel(t *Table) *channel.Channel {
 }
 
 // RegisterConverters implements engine.Platform: table ↔ collection,
-// priced as bulk export/load.
+// priced as bulk export/load. Every edge moves its input's records as
+// they are, so it keeps the input's Bytes instead of counting them again.
 func (p *Platform) RegisterConverters(reg *channel.Registry) {
 	const perByte = 2.0 // ns/byte: COPY-style bulk transfer
 	reg.Register(channel.Converter{
@@ -71,7 +72,7 @@ func (p *Platform) RegisterConverters(reg *channel.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			return tableChannel(&Table{rows: data.CloneRecords(recs)}), nil
+			return ch.Rewrap(channel.Table, &Table{rows: data.CloneRecords(recs)}), nil
 		},
 	})
 	reg.Register(channel.Converter{
@@ -85,7 +86,7 @@ func (p *Platform) RegisterConverters(reg *channel.Registry) {
 			// A view, not a copy: a table's rows are immutable, and the
 			// clipped capacity sends a consumer's append to storage of its
 			// own instead of the table's backing array.
-			return channel.NewCollection(t.rows[:len(t.rows):len(t.rows)]), nil
+			return ch.Rewrap(channel.Collection, t.rows[:len(t.rows):len(t.rows)]), nil
 		},
 	})
 	// Direct table ↔ batch edges: a columnar export skips the row
@@ -103,7 +104,7 @@ func (p *Platform) RegisterConverters(reg *channel.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			return channel.NewBatch(batch.FromRecords(t.rows)), nil
+			return ch.Rewrap(channel.Batch, batch.FromRecords(t.rows)), nil
 		},
 	})
 	reg.Register(channel.Converter{
@@ -114,7 +115,7 @@ func (p *Platform) RegisterConverters(reg *channel.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			return tableChannel(&Table{rows: data.CloneRecords(b.ToRecords())}), nil
+			return ch.Rewrap(channel.Table, &Table{rows: data.CloneRecords(b.ToRecords())}), nil
 		},
 	})
 }

@@ -3,10 +3,14 @@ package sparksim
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"rheem/internal/core/algo"
 	"rheem/internal/core/channel"
+	"rheem/internal/core/engine"
 	"rheem/internal/core/physical"
 	"rheem/internal/core/plan"
 	"rheem/internal/data"
@@ -82,50 +86,217 @@ func (d *datasetOps) broadcast(bytes int64) {
 // parallelism, no dispatch overhead).
 func (d *datasetOps) driver(t time.Duration) { d.clock += t }
 
-// mapPartitions applies f to every partition as one stage, measuring
-// real per-partition compute for the wave model.
-func (d *datasetOps) mapPartitions(parts [][]data.Record, f func([]data.Record) ([]data.Record, error)) ([][]data.Record, error) {
-	out := make([][]data.Record, len(parts))
-	times := make([]time.Duration, len(parts))
-	for i, p := range parts {
-		t0 := time.Now()
-		np, err := f(p)
-		if err != nil {
-			return nil, err
+// morselRows is the smallest stage whose tasks fan out: javaengine's
+// window, the morsel size there. A smaller stage's tasks all run on the
+// atom's goroutine, because starting a helper costs more than they do.
+const morselRows = 4096
+
+// helpers counts the stage helpers running in the process. A stage takes
+// one only while fewer than GOMAXPROCS−1 run: one stage's own goroutine
+// and the helpers fill every P, and stages running at once share them.
+var helpers atomic.Int32
+
+// atTask, set by tests, is called with each partition a stage has claimed,
+// before it runs, and whether a helper claimed it.
+var atTask atomic.Pointer[func(i int, helper bool)]
+
+// stage is one run of a stage's tasks: task(i) for every partition i.
+// The atom's goroutine and its helpers claim partitions from next, in
+// partition order; whoever finishes the last one closes done.
+type stage struct {
+	ctx      context.Context
+	task     func(i int) error
+	n        int
+	times    []time.Duration // each task's own wall time, by partition
+	next     atomic.Int64
+	finished atomic.Int64
+	failedAt atomic.Int64  // the lowest partition that failed; n: none did
+	done     chan struct{} // nil when no helper was started
+
+	mu       sync.Mutex // guards err and panicked, partition failedAt's failure
+	err      error
+	panicked *engine.HelperPanic
+}
+
+// runStage runs task(i) for every partition i in [0, n) as one stage of
+// the virtual clock, on the atom's goroutine and — for a stage of rows ≥
+// morselRows — up to GOMAXPROCS−1 helpers. A helper is taken only if the
+// process-wide budget has one free, so the stage never waits for one; it
+// waits only for tasks a helper is already running.
+//
+// Results cannot depend on how many goroutines ran: task i writes what
+// belongs to partition i alone, and measures its own wall time. A failure
+// is the first in partition order: partitions are claimed in order, and
+// once one fails, or finds the context cancelled, those after it are
+// skipped. A task's panic is raised again here, once the stage is over.
+func (d *datasetOps) runStage(ctx context.Context, n, rows int, task func(i int) error) error {
+	s := &stage{ctx: ctx, task: task, n: n, times: make([]time.Duration, n)}
+	s.failedAt.Store(int64(n))
+	if rows >= morselRows {
+		for want := min(runtime.GOMAXPROCS(0), n) - 1; want > 0 && takeHelper(); want-- {
+			if s.done == nil {
+				s.done = make(chan struct{})
+			}
+			go s.help()
 		}
-		times[i] = time.Since(t0)
-		out[i] = np
 	}
-	d.stage(times)
+	s.work(false)
+	if s.finished.Load() < int64(n) {
+		<-s.done
+	}
+	if s.panicked != nil {
+		panic(s.panicked)
+	}
+	if s.err != nil {
+		return s.err
+	}
+	d.stage(s.times)
+	return nil
+}
+
+// takeHelper takes a helper from the process-wide budget, if one is free.
+func takeHelper() bool {
+	for {
+		n := helpers.Load()
+		if int(n) >= runtime.GOMAXPROCS(0)-1 {
+			return false
+		}
+		if helpers.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// help is a helper's life: it runs the stage's tasks it can claim and
+// gives its place in the budget back.
+func (s *stage) help() {
+	defer helpers.Add(-1)
+	s.work(true)
+}
+
+// work claims partitions until none is left, and runs each.
+func (s *stage) work(helper bool) {
+	for {
+		i := int(s.next.Add(1) - 1)
+		if i >= s.n {
+			return
+		}
+		if f := atTask.Load(); f != nil {
+			(*f)(i, helper)
+		}
+		s.run(i)
+		if s.finished.Add(1) == int64(s.n) && s.done != nil {
+			close(s.done)
+		}
+	}
+}
+
+// run runs partition i's task, unless a partition before it failed.
+func (s *stage) run(i int) {
+	if int64(i) > s.failedAt.Load() {
+		return
+	}
+	if err := s.ctx.Err(); err != nil {
+		s.fail(i, err, nil)
+		return
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			s.fail(i, nil, engine.NewHelperPanic(v))
+		}
+	}()
+	t0 := time.Now()
+	err := s.task(i)
+	s.times[i] = time.Since(t0)
+	if err != nil {
+		s.fail(i, err, nil)
+	}
+}
+
+// fail records partition i's failure unless one before it failed.
+func (s *stage) fail(i int, err error, p *engine.HelperPanic) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if int64(i) < s.failedAt.Load() {
+		s.failedAt.Store(int64(i))
+		s.err, s.panicked = err, p
+	}
+}
+
+// rowCount is the number of records across partitions.
+func rowCount(parts [][]data.Record) int {
+	var n int
+	for _, p := range parts {
+		n += len(p)
+	}
+	return n
+}
+
+// mapPartitions applies op to every partition, against the broadcast
+// right side if it has one, as one stage, measuring real per-partition
+// compute for the wave model.
+func (d *datasetOps) mapPartitions(ctx context.Context, op *physical.Operator, parts [][]data.Record, broadcast []data.Record) ([][]data.Record, error) {
+	out := make([][]data.Record, len(parts))
+	err := d.runStage(ctx, len(parts), rowCount(parts), func(i int) (err error) {
+		out[i], err = algo.Exec(op, parts[i], broadcast)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
 // partitionByKey redistributes records into cfg.Partitions buckets by
-// key hash — a full shuffle. Key extraction is charged as a map stage;
-// the movement as shuffle volume.
-func (d *datasetOps) partitionByKey(parts [][]data.Record, key plan.KeyFunc) ([][]data.Record, error) {
-	var records int64
-	for _, p := range parts {
-		records += int64(len(p))
-	}
-	n := d.cfg.tunedPartitions(records)
-	buckets := make([][]data.Record, n)
-	times := make([]time.Duration, len(parts))
-	var bytes int64
-	for i, p := range parts {
-		t0 := time.Now()
-		for _, r := range p {
+// key hash — a full shuffle. Key extraction and hashing are charged as a
+// map stage, the movement as shuffle volume. Each task notes the bucket
+// of every record of its partition; the records then move in partition
+// order, so a bucket holds them in the order a single loop over the
+// partitions would have appended them.
+func (d *datasetOps) partitionByKey(ctx context.Context, parts [][]data.Record, key plan.KeyFunc) ([][]data.Record, error) {
+	records := rowCount(parts)
+	n := d.cfg.tunedPartitions(int64(records))
+	dest := make([]int32, records) // by record, in partition order
+	sizes := make([]int64, len(parts))
+	err := d.runStage(ctx, len(parts), records, func(i int) error {
+		off := 0
+		for _, p := range parts[:i] {
+			off += len(p)
+		}
+		var size int64
+		for j, r := range parts[i] {
 			k, err := key(r)
 			if err != nil {
-				return nil, fmt.Errorf("sparksim: shuffle key: %w", err)
+				return fmt.Errorf("sparksim: shuffle key: %w", err)
 			}
-			b := int(data.Hash(k, 7) % uint64(n))
-			buckets[b] = append(buckets[b], r)
-			bytes += int64(r.Bytes())
+			dest[off+j] = int32(data.Hash(k, 7) % uint64(n))
+			size += int64(r.Bytes())
 		}
-		times[i] = time.Since(t0)
+		sizes[i] = size
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	d.stage(times)
+	counts := make([]int, n)
+	for _, b := range dest {
+		counts[b]++
+	}
+	buckets := make([][]data.Record, n)
+	for b, c := range counts {
+		if c > 0 {
+			buckets[b] = make([]data.Record, 0, c)
+		}
+	}
+	var bytes int64
+	j := 0
+	for i, p := range parts {
+		for _, r := range p {
+			buckets[dest[j]] = append(buckets[dest[j]], r)
+			j++
+		}
+		bytes += sizes[i]
+	}
 	d.shuffle(bytes)
 	return buckets, nil
 }
@@ -137,17 +308,15 @@ func (d *datasetOps) partitionByKey(parts [][]data.Record, key plan.KeyFunc) ([]
 // that costs: the split, the shuffle, the map-side combine, the broadcast,
 // the driver-side finish, and the clock over all of them. What an
 // operator computes on the rows of one partition is algo.Exec's to say.
-func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []any) (any, error) {
+func (d *datasetOps) ExecOp(ctx context.Context, op *physical.Operator, inputs []any) (any, error) {
 	in := func(i int) [][]data.Record { return inputs[i].([][]data.Record) }
 	lop := op.Logical
-	var rAll []data.Record // a broadcast right side
-	rows := func(p []data.Record) ([]data.Record, error) { return algo.Exec(op, p, rAll) }
 	// onDriver applies the operator once more to its per-partition
 	// partials, collected on the driver; the time is charged there,
 	// divided by par where the step is modelled as a parallel merge.
 	onDriver := func(partials [][]data.Record, par int) ([]data.Record, error) {
 		t0 := time.Now()
-		out, err := rows(flatten(partials))
+		out, err := algo.Exec(op, flatten(partials), nil)
 		d.driver(time.Since(t0) / time.Duration(par))
 		return out, err
 	}
@@ -164,35 +333,35 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 		return splitEven(recs, d.cfg.tunedPartitions(int64(len(recs)))), nil
 
 	case plan.KindMap, plan.KindFlatMap, plan.KindFilter:
-		return d.mapPartitions(in(0), rows)
+		return d.mapPartitions(ctx, op, in(0), nil)
 
 	case plan.KindGroupBy, plan.KindDistinct:
 		key := lop.Key
 		if lop.Kind() == plan.KindDistinct {
 			key = plan.RecordKey()
 		}
-		shuffled, err := d.partitionByKey(in(0), key)
+		shuffled, err := d.partitionByKey(ctx, in(0), key)
 		if err != nil {
 			return nil, err
 		}
-		return d.mapPartitions(shuffled, rows)
+		return d.mapPartitions(ctx, op, shuffled, nil)
 
 	case plan.KindReduceByKey:
 		// Map-side combine, then shuffle, then final reduce — the real
 		// Spark execution strategy, which keeps shuffle volume at
 		// O(partitions × keys).
-		combined, err := d.mapPartitions(in(0), rows)
+		combined, err := d.mapPartitions(ctx, op, in(0), nil)
 		if err != nil {
 			return nil, err
 		}
-		shuffled, err := d.partitionByKey(combined, lop.Key)
+		shuffled, err := d.partitionByKey(ctx, combined, lop.Key)
 		if err != nil {
 			return nil, err
 		}
-		return d.mapPartitions(shuffled, rows)
+		return d.mapPartitions(ctx, op, shuffled, nil)
 
 	case plan.KindReduce:
-		partials, err := d.mapPartitions(in(0), rows)
+		partials, err := d.mapPartitions(ctx, op, in(0), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -206,7 +375,7 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 		// Global sort: per-partition sort stage, then a merge modelled
 		// on the driver, range-split back into partitions. The full
 		// volume crosses the wire.
-		sortedParts, err := d.mapPartitions(in(0), rows)
+		sortedParts, err := d.mapPartitions(ctx, op, in(0), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -229,40 +398,34 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 		return out, nil
 
 	case plan.KindJoin:
-		lParts, err := d.partitionByKey(in(0), lop.Key)
+		lParts, err := d.partitionByKey(ctx, in(0), lop.Key)
 		if err != nil {
 			return nil, err
 		}
-		rParts, err := d.partitionByKey(in(1), lop.RightKey)
+		rParts, err := d.partitionByKey(ctx, in(1), lop.RightKey)
 		if err != nil {
 			return nil, err
 		}
 		out := make([][]data.Record, len(lParts))
-		times := make([]time.Duration, len(lParts))
-		for i := range lParts {
-			t0 := time.Now()
-			if out[i], err = algo.Exec(op, lParts[i], rParts[i]); err != nil {
-				return nil, err
-			}
-			times[i] = time.Since(t0)
+		err = d.runStage(ctx, len(lParts), rowCount(lParts)+rowCount(rParts), func(i int) (err error) {
+			out[i], err = algo.Exec(op, lParts[i], rParts[i])
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
-		d.stage(times)
 		return out, nil
 
 	case plan.KindThetaJoin, plan.KindCartesian:
 		// Broadcast the right side to every worker, then join each
 		// left partition against the full right side.
-		rAll = flatten(in(1))
+		rAll := flatten(in(1))
 		d.broadcast(data.TotalBytes(rAll))
-		return d.mapPartitions(in(0), rows)
+		return d.mapPartitions(ctx, op, in(0), rAll)
 
 	case plan.KindCount:
-		var n int64
-		for _, p := range in(0) {
-			n += int64(len(p))
-		}
 		d.driver(10 * time.Microsecond)
-		return [][]data.Record{{data.NewRecord(data.Int(n))}}, nil
+		return [][]data.Record{{data.NewRecord(data.Int(int64(rowCount(in(0)))))}}, nil
 
 	case plan.KindSample:
 		var out []data.Record

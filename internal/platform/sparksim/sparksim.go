@@ -20,9 +20,14 @@
 //     divided across simulated slots);
 //   - shuffle and broadcast network time as bytes over bandwidth.
 //
-// Measured per-partition compute is real; only parallelism and cluster
-// overheads are modelled. See bench_test.go and EXPERIMENTS.md for the
-// calibration used to regenerate the paper's figures.
+// Measured per-partition compute is real, and so is its parallelism on
+// the host: a stage of at least morselRows rows runs its partitions on the
+// atom's goroutine and up to GOMAXPROCS−1 helpers (dataset.go), each task
+// timing itself. The cluster — its slots, waves, dispatch, network and
+// job overhead — is what the clock models. A UDF placed here may therefore
+// be called concurrently from different partitions, as on Spark. See
+// bench_test.go and EXPERIMENTS.md for the calibration used to regenerate
+// the paper's figures.
 package sparksim
 
 import (
@@ -131,7 +136,8 @@ func (p *Platform) Profile() engine.Profile {
 func (p *Platform) NativeFormat() channel.Format { return channel.Partitioned }
 
 // RegisterConverters implements engine.Platform: partitioned ↔
-// collection, priced as cluster↔driver movement.
+// collection, priced as cluster↔driver movement. Both edges re-slice
+// their input's records, so they keep its Bytes.
 func (p *Platform) RegisterConverters(reg *channel.Registry) {
 	const perByte = 1e9 / shuffleBandwidth // ns per byte
 	reg.Register(channel.Converter{
@@ -142,7 +148,7 @@ func (p *Platform) RegisterConverters(reg *channel.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			return newPartChannel(splitEven(recs, p.cfg.tunedPartitions(int64(len(recs))))), nil
+			return ch.Rewrap(channel.Partitioned, splitEven(recs, p.cfg.tunedPartitions(int64(len(recs))))), nil
 		},
 	})
 	reg.Register(channel.Converter{
@@ -153,7 +159,7 @@ func (p *Platform) RegisterConverters(reg *channel.Registry) {
 			if err != nil {
 				return nil, err
 			}
-			return channel.NewCollection(flatten(parts)), nil
+			return ch.Rewrap(channel.Collection, flatten(parts)), nil
 		},
 	})
 }
@@ -231,11 +237,7 @@ func partsOf(ch *channel.Channel) ([][]data.Record, error) {
 }
 
 func flatten(parts [][]data.Record) []data.Record {
-	var n int
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]data.Record, 0, n)
+	out := make([]data.Record, 0, rowCount(parts))
 	for _, p := range parts {
 		out = append(out, p...)
 	}

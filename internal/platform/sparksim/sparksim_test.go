@@ -106,22 +106,28 @@ func TestPartsOfErrors(t *testing.T) {
 	}
 }
 
-// runAtomOn runs a one-plan atom on the platform directly.
-func runAtomOn(t *testing.T, p *Platform, build func(b *plan.Builder)) (map[int]*channel.Channel, engine.Metrics, *physical.Plan) {
-	t.Helper()
+// runAtom runs a one-plan atom on the platform directly, under ctx.
+func runAtom(ctx context.Context, p *Platform, build func(b *plan.Builder)) (map[int]*channel.Channel, engine.Metrics, *physical.Plan, error) {
 	b := plan.NewBuilder("t")
 	build(b)
 	lp, err := b.Build()
 	if err != nil {
-		t.Fatal(err)
+		return nil, engine.Metrics{}, nil, err
 	}
 	pp, err := physical.FromLogical(lp)
 	if err != nil {
-		t.Fatal(err)
+		return nil, engine.Metrics{}, nil, err
 	}
 	atom := &engine.TaskAtom{ID: 0, Kind: engine.AtomCompute, Platform: ID,
 		Ops: pp.Ops, Exits: []*physical.Operator{pp.SinkOp}}
-	exits, m, err := p.ExecuteAtom(context.Background(), atom, engine.AtomInputs{})
+	exits, m, err := p.ExecuteAtom(ctx, atom, engine.AtomInputs{})
+	return exits, m, pp, err
+}
+
+// runAtomOn is runAtom for an atom that must succeed.
+func runAtomOn(t *testing.T, p *Platform, build func(b *plan.Builder)) (map[int]*channel.Channel, engine.Metrics, *physical.Plan) {
+	t.Helper()
+	exits, m, pp, err := runAtom(context.Background(), p, build)
 	if err != nil {
 		t.Fatal(err)
 	}
