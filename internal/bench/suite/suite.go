@@ -2,27 +2,23 @@
 // scenario matrix (single-platform cores, the §1 multi-platform
 // pipeline, the E8 fan-out diamond, the E11 sharded wide chain) executed
 // with warmup plus N repetitions, persisted as one machine-readable
-// BENCH_<area>.json per area, and a compare mode that diffs two result
-// sets and flags regressions past a threshold.
+// BENCH_<area>.json per area.
 //
-// No command drives it any more: `rheem-bench -suite`/`-compare`, the
-// checked-in baselines and the CI job that compared against them are
-// gone, and this package goes next (ROADMAP 1a). It is still here only
-// because its 42 tier-1 test ids, with the 4 of metrics.Snapshot.Quantile
-// which it alone calls, are more than one PR may remove.
+// No command drives it any more: `rheem-bench -suite`, the checked-in
+// baselines and the CI job that compared against them are gone, and this
+// package goes next (ROADMAP 1a). It is still here only because its 13
+// tier-1 test ids, with the 5 of metrics.Snapshot.Quantile which it alone
+// calls, are more than one PR may remove.
 //
 // The design follows elastic-package's system benchmarking loop
-// (scenario → run → collect metrics → summary report → compare against
-// a previous run; SNIPPETS.md) and closes ROADMAP item 5: every PR's
-// "faster" claim becomes a checked-in artifact `-compare` can gate on
-// instead of prose in EXPERIMENTS.md.
+// (scenario → run → collect metrics → summary report; SNIPPETS.md).
 //
 // Noise handling: the headline wall/sim numbers are the minimum over
 // repetitions (the least-disturbed run — the same best-of policy E10
 // and E11 use), every repetition is retained in rep_wall_ns for
 // post-hoc inspection, and a scenario whose rep-to-rep spread exceeds
-// the noise tolerance is flagged Noisy so a compare reader knows the
-// number is soft.
+// the noise tolerance is flagged Noisy so a reader knows the number is
+// soft.
 package suite
 
 import (
@@ -114,7 +110,7 @@ type File struct {
 	Area   string `json:"area"`
 	Tier   string `json:"tier"`
 	// Quick marks a test-shrunk run; quick and non-quick runs execute
-	// different workload sizes, so Compare refuses to mix them.
+	// different workload sizes, and must not be compared.
 	Quick     bool     `json:"quick,omitempty"`
 	Env       Env      `json:"env"`
 	Scenarios []Result `json:"scenarios"`

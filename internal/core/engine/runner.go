@@ -25,24 +25,6 @@ type DatasetOps interface {
 	ExecOp(ctx context.Context, op *physical.Operator, inputs []any) (any, error)
 }
 
-// HelperPanic is a panic recovered on a platform's helper goroutine, to
-// be raised again on the atom's goroutine, where RunAtom recovers it: the
-// value and the stack it was raised on. Its text is the value's, then that
-// stack, so the first line of the Fatal it ends in is the one the panic
-// would have made on the atom's goroutine, and the helper's frames follow.
-type HelperPanic struct {
-	V     any
-	Stack []byte
-}
-
-// NewHelperPanic wraps what recover returned with the calling goroutine's
-// stack.
-func NewHelperPanic(v any) *HelperPanic { return &HelperPanic{v, debug.Stack()} }
-
-func (p *HelperPanic) String() string {
-	return fmt.Sprintf("%v\n\nhelper's goroutine:\n%s", p.V, p.Stack)
-}
-
 // RunAtom executes a compute atom's operators in order, tracking
 // intermediate native datasets, and exports the exits. It returns the
 // exit channels keyed by physical operator id.

@@ -8,10 +8,11 @@
 // slices, by whatever consumes it (columnar.go) — the layout this engine
 // owns; for everything else the rows go to algo.Exec, the one definition
 // of what an operator computes that every platform shares. A forcing of
-// more than one window uses every core: helper goroutines load and filter
-// windows while the forcing goroutine consumes them in window order
-// (morsel.go), so results and the sequence of user-function calls are the
-// serial forcing's. A panicking operator fails its job, not the process:
+// more than one window uses every core: the process's helpers (engine's
+// helper runtime, shared with sparksim's stages) load and filter windows
+// while the forcing goroutine consumes them in window order (morsel.go), so
+// results and the sequence of user-function calls are the serial
+// forcing's. A panicking operator fails its job, not the process:
 // engine.RunAtom recovers it into a Fatal error. The engine has no per-job
 // overhead worth modelling and no cluster: its simulated time equals its
 // measured wall time plus a small constant per atom. That is exactly why

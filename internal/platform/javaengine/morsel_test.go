@@ -147,7 +147,8 @@ func TestMorselForcingsDoNotDeadlock(t *testing.T) {
 			want[fmt.Sprint(name, i)] = out
 		}
 	}
-	goroutines, started := runtime.NumGoroutine(), helpers.started.Load()
+	goroutines := runtime.NumGoroutine()
+	_, started := engine.Helpers()
 	var wg sync.WaitGroup
 	for g := 0; g < 4*runtime.GOMAXPROCS(0); g++ {
 		wg.Add(1)
@@ -173,12 +174,13 @@ func TestMorselForcingsDoNotDeadlock(t *testing.T) {
 		buf := make([]byte, 1<<20)
 		t.Fatalf("concurrent forcings did not finish:\n%s", buf[:runtime.Stack(buf, true)])
 	}
-	if now := helpers.started.Load(); now > max(started, 1) {
+	if _, now := engine.Helpers(); now > max(started, 1) {
 		t.Errorf("%d helpers at GOMAXPROCS 2, %d before", now, started)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		extra := runtime.NumGoroutine() - goroutines - int(helpers.started.Load()-started)
+		_, now := engine.Helpers()
+		extra := runtime.NumGoroutine() - goroutines - (now - started)
 		if extra <= 0 {
 			break
 		}
@@ -279,7 +281,7 @@ func TestMorselFailuresInWindowOrder(t *testing.T) {
 			_, err := runWhole(src, true, failAt(c.errs...))
 			switch got := firstLine(err); {
 			case got == firstLine(serial) && engine.IsFatal(err) == engine.IsFatal(serial):
-				if c.panicAt >= 0 && strings.HasPrefix(c.want, "head") && !strings.Contains(err.Error(), "javaengine.help(") {
+				if c.panicAt >= 0 && strings.HasPrefix(c.want, "head") && !strings.Contains(err.Error(), "core/engine.help(") {
 					t.Fatalf("%s: the helper's panic lost the helper's stack:\n%v", c.name, err)
 				}
 				raised++

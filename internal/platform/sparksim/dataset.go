@@ -3,8 +3,6 @@ package sparksim
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -91,136 +89,38 @@ func (d *datasetOps) driver(t time.Duration) { d.clock += t }
 // atom's goroutine, because starting a helper costs more than they do.
 const morselRows = 4096
 
-// helpers counts the stage helpers running in the process. A stage takes
-// one only while fewer than GOMAXPROCS−1 run: one stage's own goroutine
-// and the helpers fill every P, and stages running at once share them.
-var helpers atomic.Int32
-
-// atTask, set by tests, is called with each partition a stage has claimed,
-// before it runs, and whether a helper claimed it.
+// atTask, set by tests, is called with each partition a stage runs, before
+// it runs, and whether a helper claimed it.
 var atTask atomic.Pointer[func(i int, helper bool)]
 
-// stage is one run of a stage's tasks: task(i) for every partition i.
-// The atom's goroutine and its helpers claim partitions from next, in
-// partition order; whoever finishes the last one closes done.
-type stage struct {
-	ctx      context.Context
-	task     func(i int) error
-	n        int
-	times    []time.Duration // each task's own wall time, by partition
-	next     atomic.Int64
-	finished atomic.Int64
-	failedAt atomic.Int64  // the lowest partition that failed; n: none did
-	done     chan struct{} // nil when no helper was started
-
-	mu       sync.Mutex // guards err and panicked, partition failedAt's failure
-	err      error
-	panicked *engine.HelperPanic
-}
-
 // runStage runs task(i) for every partition i in [0, n) as one stage of
-// the virtual clock, on the atom's goroutine and — for a stage of rows ≥
-// morselRows — up to GOMAXPROCS−1 helpers. A helper is taken only if the
-// process-wide budget has one free, so the stage never waits for one; it
-// waits only for tasks a helper is already running.
-//
+// the virtual clock: on the atom's goroutine and, for a stage of rows ≥
+// morselRows, on the helpers the process-wide budget has free (engine.Run).
 // Results cannot depend on how many goroutines ran: task i writes what
-// belongs to partition i alone, and measures its own wall time. A failure
-// is the first in partition order: partitions are claimed in order, and
-// once one fails, or finds the context cancelled, those after it are
-// skipped. A task's panic is raised again here, once the stage is over.
+// belongs to partition i alone, and measures its own wall time. A
+// partition that finds the context cancelled fails with its error.
 func (d *datasetOps) runStage(ctx context.Context, n, rows int, task func(i int) error) error {
-	s := &stage{ctx: ctx, task: task, n: n, times: make([]time.Duration, n)}
-	s.failedAt.Store(int64(n))
+	times, want := make([]time.Duration, n), 0
 	if rows >= morselRows {
-		for want := min(runtime.GOMAXPROCS(0), n) - 1; want > 0 && takeHelper(); want-- {
-			if s.done == nil {
-				s.done = make(chan struct{})
-			}
-			go s.help()
-		}
+		want = n - 1
 	}
-	s.work(false)
-	if s.finished.Load() < int64(n) {
-		<-s.done
-	}
-	if s.panicked != nil {
-		panic(s.panicked)
-	}
-	if s.err != nil {
-		return s.err
-	}
-	d.stage(s.times)
-	return nil
-}
-
-// takeHelper takes a helper from the process-wide budget, if one is free.
-func takeHelper() bool {
-	for {
-		n := helpers.Load()
-		if int(n) >= runtime.GOMAXPROCS(0)-1 {
-			return false
-		}
-		if helpers.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-// help is a helper's life: it runs the stage's tasks it can claim and
-// gives its place in the budget back.
-func (s *stage) help() {
-	defer helpers.Add(-1)
-	s.work(true)
-}
-
-// work claims partitions until none is left, and runs each.
-func (s *stage) work(helper bool) {
-	for {
-		i := int(s.next.Add(1) - 1)
-		if i >= s.n {
-			return
-		}
+	err := engine.Run(n, want, func(i int, helper bool) error {
 		if f := atTask.Load(); f != nil {
 			(*f)(i, helper)
 		}
-		s.run(i)
-		if s.finished.Add(1) == int64(s.n) && s.done != nil {
-			close(s.done)
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-	}
-}
-
-// run runs partition i's task, unless a partition before it failed.
-func (s *stage) run(i int) {
-	if int64(i) > s.failedAt.Load() {
-		return
-	}
-	if err := s.ctx.Err(); err != nil {
-		s.fail(i, err, nil)
-		return
-	}
-	defer func() {
-		if v := recover(); v != nil {
-			s.fail(i, nil, engine.NewHelperPanic(v))
-		}
-	}()
-	t0 := time.Now()
-	err := s.task(i)
-	s.times[i] = time.Since(t0)
+		t0 := time.Now()
+		err := task(i)
+		times[i] = time.Since(t0)
+		return err
+	})
 	if err != nil {
-		s.fail(i, err, nil)
+		return err
 	}
-}
-
-// fail records partition i's failure unless one before it failed.
-func (s *stage) fail(i int, err error, p *engine.HelperPanic) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if int64(i) < s.failedAt.Load() {
-		s.failedAt.Store(int64(i))
-		s.err, s.panicked = err, p
-	}
+	d.stage(times)
+	return nil
 }
 
 // rowCount is the number of records across partitions.

@@ -22,8 +22,8 @@
 //
 // Measured per-partition compute is real, and so is its parallelism on
 // the host: a stage of at least morselRows rows runs its partitions on the
-// atom's goroutine and up to GOMAXPROCS−1 helpers (dataset.go), each task
-// timing itself. The cluster — its slots, waves, dispatch, network and
+// atom's goroutine and the process's helpers (engine.Run, under the one
+// budget javaengine's forcings share), each task timing itself. The cluster — its slots, waves, dispatch, network and
 // job overhead — is what the clock models. A UDF placed here may therefore
 // be called concurrently from different partitions, as on Spark. See
 // bench_test.go and EXPERIMENTS.md for the calibration used to regenerate

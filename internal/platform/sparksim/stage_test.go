@@ -292,7 +292,7 @@ func TestStageFailuresInPartitionOrder(t *testing.T) {
 			err := run()
 			switch got := firstLine(err); {
 			case got == firstLine(serial) && engine.IsFatal(err):
-				if strings.Contains(c.want, "refused") && !strings.Contains(err.Error(), "sparksim.(*stage).help(") {
+				if strings.Contains(c.want, "refused") && !strings.Contains(err.Error(), "core/engine.help(") {
 					t.Fatalf("%s: the helper's panic lost the helper's stack:\n%v", c.name, err)
 				}
 				raised++
@@ -316,8 +316,9 @@ func TestHelpersBounded(t *testing.T) {
 	var peak atomic.Int32
 	setTask(t, func(int, bool) {
 		for {
-			was, n := peak.Load(), helpers.Load()
-			if n <= was || peak.CompareAndSwap(was, n) {
+			n, _ := engine.Helpers()
+			was := peak.Load()
+			if int32(n) <= was || peak.CompareAndSwap(was, int32(n)) {
 				return
 			}
 		}
@@ -341,10 +342,10 @@ func TestHelpersBounded(t *testing.T) {
 		t.Errorf("%d helpers ran at once at GOMAXPROCS 4", n)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for helpers.Load() != 0 && time.Now().Before(deadline) {
+	for n, _ := engine.Helpers(); n != 0 && time.Now().Before(deadline); n, _ = engine.Helpers() {
 		time.Sleep(time.Millisecond)
 	}
-	if n := helpers.Load(); n != 0 {
+	if n, _ := engine.Helpers(); n != 0 {
 		t.Errorf("%d helpers still hold the budget after every stage ended", n)
 	}
 }
