@@ -15,7 +15,9 @@
 // Endpoints: POST /jobs, GET /jobs, GET /jobs/{id},
 // GET /jobs/{id}/result, DELETE /jobs/{id}, GET /tenants, GET /healthz,
 // plus /metrics, /runs, /runs/{id}/profile, /runs/{id}/trace.json,
-// /calibration and /debug/pprof from the telemetry hub.
+// /calibration and /debug/pprof from the telemetry hub. POST /jobs
+// holds its 202 until the job is terminal, for at most 10 ms, and
+// ?wait=<duration> on it and on GET /jobs/{id} chooses the hold.
 //
 // The flight recorder keeps a bounded history of completed-run
 // profiles (-profile-history, negative disables).

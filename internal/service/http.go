@@ -5,9 +5,11 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -26,6 +28,15 @@ import (
 //	GET    /tenants         per-tenant quotas, counters, health
 //	GET    /healthz         liveness (503 while draining)
 //	GET    /metrics /runs /debug/pprof/...  telemetry (hub server)
+//
+// A 202 means accepted; its body is the job's status when the reply was
+// written. POST /jobs holds that reply until the job is terminal, for at
+// most submitWait, so a small job's result digest comes back in the
+// first reply. ?wait=<Go duration> on POST /jobs and GET /jobs/{id}
+// chooses the hold: 0 (GET's default) answers at once, a wait past
+// Config.MaxDeadline is cut to it, and a negative or unparseable one is
+// a 400 before anything is admitted. The job's terminal state — drain
+// and kill included — the bound or the client going away ends a hold.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -55,11 +66,31 @@ type apiError struct {
 // numbers, and the decoder must not buffer whatever a client sends.
 const maxRequestBody = 1 << 20
 
+// submitWait is how long POST /jobs holds its reply for the job to turn
+// terminal when the request names no wait: 50× a small job's median
+// queue-and-run time, so that job is answered in one round trip, and
+// 1 % of the 1 s Retry-After a shed client is asked for, so a client
+// submitting long jobs back to back loses at most 10 ms a submit.
+const submitWait = 10 * time.Millisecond
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	wait, err := s.waitParam(r, submitWait)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		return
+	}
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	body := http.MaxBytesReader(w, r.Body, maxRequestBody)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err = dec.Decode(&req)
+	if err == nil {
+		// Read the body to its end: only then does the server watch the
+		// connection, and cancel r.Context() when the client goes away
+		// during the hold.
+		_, err = io.Copy(io.Discard, body)
+	}
+	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -68,7 +99,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, apiError{Error: fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
-	st, err := s.Submit(req)
+	j, st, err := s.admit(req)
 	if err != nil {
 		var shed *ShedError
 		switch {
@@ -87,8 +118,52 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	if wait > 0 {
+		hold(r.Context(), j, wait)
+		st = s.statusOf(j)
+	}
 	w.Header().Set("Location", "/jobs/"+st.ID)
 	writeJSON(w, http.StatusAccepted, st)
+}
+
+// waitParam reads the request's wait parameter: def when it names none,
+// cut to Config.MaxDeadline, an error when negative or no Go duration.
+func (s *Service) waitParam(r *http.Request, def time.Duration) (time.Duration, error) {
+	if r.URL.RawQuery == "" {
+		return def, nil
+	}
+	q := r.URL.Query()
+	if !q.Has("wait") {
+		return def, nil
+	}
+	d, err := time.ParseDuration(q.Get("wait"))
+	if err != nil {
+		return 0, fmt.Errorf("bad wait: %v", err)
+	}
+	if d < 0 {
+		return 0, fmt.Errorf("bad wait %s: negative", d)
+	}
+	return min(d, s.cfg.MaxDeadline), nil
+}
+
+// hold blocks until j is terminal, d has passed or ctx is done, whichever
+// comes first. It waits on the job itself, so a job evicted from the
+// history meanwhile still reports its own terminal state, and on one
+// timer rather than a derived context: a hold must cost less than the
+// poll it saves.
+func hold(ctx context.Context, j *Job, d time.Duration) {
+	select {
+	case <-j.done:
+		return
+	default:
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-j.done:
+	case <-t.C:
+	case <-ctx.Done():
+	}
 }
 
 func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -98,12 +173,20 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, err := s.Status(r.PathValue("id"))
+	wait, err := s.waitParam(r, 0)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, apiError{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	j := s.lookup(r.PathValue("id"))
+	if j == nil {
+		writeJSON(w, http.StatusNotFound, apiError{Error: ErrNotFound.Error()})
+		return
+	}
+	if wait > 0 {
+		hold(r.Context(), j, wait)
+	}
+	writeJSON(w, http.StatusOK, s.statusOf(j))
 }
 
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {

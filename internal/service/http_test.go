@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -414,5 +415,249 @@ func TestServeBindsAndServes(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz over Serve: %d", resp.StatusCode)
+	}
+}
+
+// postQuery POSTs req to /jobs?query and decodes a 202 body; it reports
+// how long the reply took.
+func postQuery(t *testing.T, base, query string, req Request) (*http.Response, JobStatus, time.Duration) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Timeout: 20 * time.Second}
+	start := time.Now()
+	resp, err := client.Post(base+"/jobs"+query, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	took := time.Since(start)
+	var st JobStatus
+	if resp.StatusCode == http.StatusAccepted {
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp, st, took
+}
+
+// TestHTTPSubmitAnswersFastJobTerminal: a job that ends within the hold
+// is answered in one round trip, 202 with the status GET /jobs/{id}
+// reports — records, digest, platforms and run id included.
+func TestHTTPSubmitAnswersFastJobTerminal(t *testing.T) {
+	_, srv := startAPI(t, Config{})
+	resp, st, _ := postQuery(t, srv.URL, "?wait=30s", wordcountReq("acme", 300, 5))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit returned %d", resp.StatusCode)
+	}
+	if loc := resp.Header.Get("Location"); loc != "/jobs/"+st.ID {
+		t.Fatalf("Location = %q, want /jobs/%s", loc, st.ID)
+	}
+	if st.State != StateSucceeded || st.Records == 0 || st.Digest == "" || len(st.Platforms) == 0 || st.RunID == 0 {
+		t.Fatalf("POST body %+v, want a succeeded job with its result's fingerprint", st)
+	}
+	var got JobStatus
+	getJSON(t, srv.URL+"/jobs/"+st.ID, &got)
+	if !reflect.DeepEqual(got, st) {
+		t.Fatalf("GET /jobs/%s = %+v, POST answered %+v", st.ID, got, st)
+	}
+}
+
+// TestHTTPSubmitWaitZeroAnswersQueued: ?wait=0 is the immediate ack.
+func TestHTTPSubmitWaitZeroAnswersQueued(t *testing.T) {
+	s, srv := startAPI(t, Config{})
+	resp, st, _ := postQuery(t, srv.URL, "?wait=0", wordcountReq("acme", 300, 5))
+	if resp.StatusCode != http.StatusAccepted || st.State != StateQueued {
+		t.Fatalf("?wait=0: %d %s, want 202 queued", resp.StatusCode, st.State)
+	}
+	waitTerminal(t, s, st.ID)
+}
+
+// TestHTTPHoldEndsAtItsBound: a job that cannot run — the pool's one
+// slot is taken — is answered as it stands once the hold ends, and not
+// before: the default hold for the running job, ?wait=50ms for the
+// queued one behind it.
+func TestHTTPHoldEndsAtItsBound(t *testing.T) {
+	s, srv := startAPI(t, Config{MaxActiveJobs: 1, PoolSize: 1})
+	if err := s.pool.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer s.pool.Release()
+
+	for i, c := range []struct {
+		query string
+		bound time.Duration
+	}{{"", submitWait}, {"?wait=50ms", 50 * time.Millisecond}} {
+		resp, st, took := postQuery(t, srv.URL, c.query, wordcountReq("acme", 100, 1))
+		if resp.StatusCode != http.StatusAccepted || terminal(st.State) {
+			t.Fatalf("POST /jobs%s: %d %s, want 202 and a job not yet terminal", c.query, resp.StatusCode, st.State)
+		}
+		if took < c.bound {
+			t.Errorf("POST /jobs%s answered %s after %v, before its %v hold ended", c.query, st.State, took, c.bound)
+		}
+		if resp.Header.Get("Location") != "/jobs/"+st.ID {
+			t.Errorf("POST /jobs%s: Location %q", c.query, resp.Header.Get("Location"))
+		}
+		if i == 0 {
+			// Running, so the next job queues behind it.
+			waitState(t, s, st.ID, StateRunning)
+		} else if st.State != StateQueued {
+			t.Errorf("POST /jobs%s: %s, want queued", c.query, st.State)
+		}
+	}
+}
+
+// TestHTTPStatusLongPolls: GET /jobs/{id}?wait= answers when the job
+// turns terminal; without the parameter it answers at once.
+func TestHTTPStatusLongPolls(t *testing.T) {
+	s, srv := startAPI(t, Config{MaxActiveJobs: 1, PoolSize: 1})
+	if err := s.pool.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	_, st, _ := postQuery(t, srv.URL, "?wait=0", wordcountReq("acme", 100, 1))
+	waitState(t, s, st.ID, StateRunning)
+	var now JobStatus
+	getJSON(t, srv.URL+"/jobs/"+st.ID, &now)
+	if now.State != StateRunning {
+		t.Fatalf("GET without wait: %s, want running", now.State)
+	}
+
+	got := make(chan JobStatus, 1)
+	go func() {
+		var final JobStatus
+		resp, err := http.Get(srv.URL + "/jobs/" + st.ID + "?wait=30s")
+		if err == nil {
+			json.NewDecoder(resp.Body).Decode(&final)
+			resp.Body.Close()
+		}
+		got <- final
+	}()
+	select {
+	case early := <-got:
+		t.Fatalf("long poll answered %q while the job could not run", early.State)
+	case <-time.After(50 * time.Millisecond):
+	}
+	s.pool.Release()
+	select {
+	case final := <-got:
+		if final.State != StateSucceeded || final.Digest == "" {
+			t.Fatalf("long poll answered %+v, want the succeeded job", final)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("long poll did not answer when the job finished")
+	}
+}
+
+// TestHTTPBadWaitAdmitsNothing: a negative or unparseable wait is a 400
+// on POST, before admission, and on GET.
+func TestHTTPBadWaitAdmitsNothing(t *testing.T) {
+	s, srv := startAPI(t, Config{})
+	for _, q := range []string{"?wait=-1s", "?wait=soon", "?wait=", "?wait=5"} {
+		resp, _, _ := postQuery(t, srv.URL, q, wordcountReq("acme", 100, 1))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /jobs%s: %d, want 400", q, resp.StatusCode)
+		}
+		if resp := getJSON(t, srv.URL+"/jobs/j-1"+q, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET /jobs/j-1%s: %d, want 400", q, resp.StatusCode)
+		}
+	}
+	if jobs, tenants := s.Jobs(), s.Tenants(); len(jobs) != 0 || len(tenants) != 0 {
+		t.Errorf("bad waits admitted %d job(s) and %d tenant(s)", len(jobs), len(tenants))
+	}
+}
+
+// TestHTTPHoldEndsWhenTheClientGoes: a client that disconnects during
+// a long hold releases its handler at once, not at the bound.
+func TestHTTPHoldEndsWhenTheClientGoes(t *testing.T) {
+	s := newTestService(t, Config{MaxActiveJobs: 1, PoolSize: 1})
+	returned := make(chan struct{}, 1)
+	h := s.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		returned <- struct{}{}
+	}))
+	t.Cleanup(srv.Close)
+	if err := s.pool.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer s.pool.Release()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	body, _ := json.Marshal(wordcountReq("acme", 100, 1))
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/jobs?wait=1m", bytes.NewReader(body))
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(s.Jobs()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the job was never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("the cancelled request got a reply")
+	}
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler still holds for a client that has gone")
+	}
+}
+
+// TestHTTPHoldReportsAnEvictedJob: a hold watches the job it admitted,
+// not its id, so a job that ends and leaves the bounded history before
+// the reply is written is still answered with its own terminal state.
+// Kill cancels the queued jobs in one step, the second evicting the
+// first from a one-job history.
+func TestHTTPHoldReportsAnEvictedJob(t *testing.T) {
+	s, srv := startAPI(t, Config{MaxActiveJobs: 1, PoolSize: 1, JobHistory: 1})
+	if err := s.pool.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer s.pool.Release()
+	running, err := s.Submit(wordcountReq("acme", 100, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, running.ID, StateRunning)
+
+	body, _ := json.Marshal(wordcountReq("acme", 100, 2))
+	got := make(chan JobStatus, 1)
+	go func() {
+		var st JobStatus
+		resp, err := http.Post(srv.URL+"/jobs?wait=30s", "application/json", bytes.NewReader(body))
+		if err == nil {
+			json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+		}
+		got <- st
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(s.Jobs()) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the held job was never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	held := s.Jobs()[1]
+	if _, err := s.Submit(wordcountReq("acme", 100, 3)); err != nil {
+		t.Fatal(err)
+	}
+	s.Kill()
+	st := <-got
+	if st.ID != held.ID || st.State != StateCancelled {
+		t.Fatalf("held POST answered %+v, want %s cancelled", st, held.ID)
+	}
+	if _, err := s.Status(held.ID); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("%s is still in the history (%v): the test evicts nothing", held.ID, err)
 	}
 }

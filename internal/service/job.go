@@ -72,12 +72,6 @@ func (j *Job) build() (p *plan.Plan, err error) {
 	return j.buildPlan()
 }
 
-// ID returns the job's service-assigned identity.
-func (j *Job) ID() string { return j.id }
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
 // JobStatus is the API's JSON view of one job.
 type JobStatus struct {
 	ID        string    `json:"id"`

@@ -361,12 +361,19 @@ func (s *Service) tenantLocked(name string, now time.Time) (*tenant, error) {
 // (retryable overload), ErrDraining (shutting down), anything else is
 // the submitter's fault (HTTP 400).
 func (s *Service) Submit(req Request) (JobStatus, error) {
+	_, st, err := s.admit(req)
+	return st, err
+}
+
+// admit is Submit returning the admitted job as well as its status at
+// admission, so POST /jobs can hold its reply on that very job.
+func (s *Service) admit(req Request) (*Job, JobStatus, error) {
 	req.normalize()
 	if err := req.Validate(); err != nil {
-		return JobStatus{}, err
+		return nil, JobStatus{}, err
 	}
 	if req.Platform != "" && !s.knownPlatform(engine.PlatformID(req.Platform)) {
-		return JobStatus{}, fmt.Errorf("service: unknown platform %q", req.Platform)
+		return nil, JobStatus{}, fmt.Errorf("service: unknown platform %q", req.Platform)
 	}
 	now := s.now()
 	id := fmt.Sprintf("j-%d", s.nextID.Add(1))
@@ -379,7 +386,7 @@ func (s *Service) Submit(req Request) (JobStatus, error) {
 	if req.Spec.Kind == KindSQL {
 		p, err := req.Spec.BuildPlan(planName, s.cat)
 		if err != nil {
-			return JobStatus{}, err
+			return nil, JobStatus{}, err
 		}
 		build = func() (*plan.Plan, error) { return p, nil }
 	} else {
@@ -395,26 +402,26 @@ func (s *Service) Submit(req Request) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining || s.closed {
-		return JobStatus{}, ErrDraining
+		return nil, JobStatus{}, ErrDraining
 	}
 	tn, err := s.tenantLocked(req.Tenant, now)
 	if err != nil {
-		return JobStatus{}, err
+		return nil, JobStatus{}, err
 	}
 	if ok, retry := tn.bucket.take(now); !ok {
 		tn.shed++
 		s.mShed.With(tn.name, "rate-limit").Inc()
-		return JobStatus{}, &ShedError{Reason: "tenant rate limit", RetryAfter: retry}
+		return nil, JobStatus{}, &ShedError{Reason: "tenant rate limit", RetryAfter: retry}
 	}
 	if s.queued >= s.cfg.QueueDepth {
 		tn.shed++
 		s.mShed.With(tn.name, "queue-full").Inc()
-		return JobStatus{}, &ShedError{Reason: "service queue full", RetryAfter: time.Second}
+		return nil, JobStatus{}, &ShedError{Reason: "service queue full", RetryAfter: time.Second}
 	}
 	if len(tn.queue) >= tn.quota.MaxQueued {
 		tn.shed++
 		s.mShed.With(tn.name, "tenant-queue-full").Inc()
-		return JobStatus{}, &ShedError{Reason: "tenant queue full", RetryAfter: time.Second}
+		return nil, JobStatus{}, &ShedError{Reason: "tenant queue full", RetryAfter: time.Second}
 	}
 	tn.queue = append(tn.queue, j)
 	tn.accepted++
@@ -424,7 +431,7 @@ func (s *Service) Submit(req Request) (JobStatus, error) {
 	s.mAccepted.With(tn.name).Inc()
 	j.acked = s.now() // the admission span's end, the queue span's start
 	s.cond.Signal()
-	return j.statusLocked(), nil
+	return j, j.statusLocked(), nil
 }
 
 func (s *Service) knownPlatform(id engine.PlatformID) bool {
@@ -713,6 +720,20 @@ func (s *Service) Status(id string) (JobStatus, error) {
 	return j.statusLocked(), nil
 }
 
+// lookup returns the remembered job with the id, or nil.
+func (s *Service) lookup(id string) *Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.jobs[id]
+}
+
+// statusOf snapshots a job the caller holds, remembered or evicted.
+func (s *Service) statusOf(j *Job) JobStatus {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return j.statusLocked()
+}
+
 // Result returns a succeeded job's records and digest.
 func (s *Service) Result(id string) ([]data.Record, string, error) {
 	s.mu.Lock()
@@ -802,9 +823,7 @@ func (s *Service) Cancel(id string) (JobStatus, error) {
 // Wait blocks until the job is terminal (or ctx expires) and returns
 // its final status.
 func (s *Service) Wait(ctx context.Context, id string) (JobStatus, error) {
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
+	j := s.lookup(id)
 	if j == nil {
 		return JobStatus{}, ErrNotFound
 	}
@@ -813,9 +832,7 @@ func (s *Service) Wait(ctx context.Context, id string) (JobStatus, error) {
 	case <-ctx.Done():
 		return JobStatus{}, ctx.Err()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return j.statusLocked(), nil
+	return s.statusOf(j), nil
 }
 
 // DrainReport summarizes a completed drain.

@@ -14,7 +14,7 @@ import (
 	"rheem/internal/data"
 )
 
-func newTestService(t *testing.T, cfg Config) *Service {
+func newTestService(t testing.TB, cfg Config) *Service {
 	t.Helper()
 	if cfg.CatalogScale == 0 {
 		cfg.CatalogScale = 500
@@ -47,7 +47,7 @@ func waitTerminal(t *testing.T, s *Service, id string) JobStatus {
 // waitState polls until the job reaches state (dispatch is
 // asynchronous; tests that reason about queue occupancy first wait for
 // the head job to actually start).
-func waitState(t *testing.T, s *Service, id, state string) {
+func waitState(t testing.TB, s *Service, id, state string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
