@@ -6,7 +6,8 @@
 // the multi-platform optimizer choosing. The results are identical;
 // the execution plans are not — which is the point of the paper. A
 // second job reads its input through a source function and counts the
-// distinct long words among the first thousand.
+// distinct long words among the first thousand; the last one reads a
+// source inside a loop body.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -90,4 +91,21 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nexecution plan chosen by the optimizer:\n%s", explained)
+
+	// A loop body reads through a source function too, evaluated again
+	// every round: starting from the first 100 words' vocabulary, each of
+	// three rounds adds the thousand words after them and deduplicates.
+	next := func() ([]data.Record, error) { return words[100:1_100], nil }
+	out, _, err = ctx.NewJob("vocabulary").
+		ReadCollection("seen", words[:100]).
+		Distinct().
+		Repeat(3, func(lb *rheem.LoopBody, seen *rheem.DataQuanta) *rheem.DataQuanta {
+			return seen.Union(lb.ReadSource("batch", next, 1_000)).Distinct()
+		}).
+		Count().
+		Collect()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\n--- vocabulary after three rounds of a loop reading a source: %d words\n", out[0].Field(0).Int())
 }

@@ -7,8 +7,6 @@
 
 package channel
 
-import "rheem/internal/data"
-
 // Partition splits a Collection or Batch channel into at most p
 // non-empty shards of the same format. The split is contiguous and
 // order-preserving: concatenating the shards in index order yields the
@@ -67,23 +65,4 @@ func partitionBatch(ch *Channel, p int) ([]*Channel, error) {
 		out = append(out, NewBatch(b.Slice(lo, hi)))
 	}
 	return out, nil
-}
-
-// Concat merges Collection shards back into one Collection channel,
-// preserving shard order — the inverse of Partition for record-wise
-// (streamy) operator chains.
-func Concat(shards []*Channel) (*Channel, error) {
-	var n int64
-	for _, s := range shards {
-		n += s.Records
-	}
-	out := make([]data.Record, 0, n)
-	for _, s := range shards {
-		recs, err := s.AsCollection()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, recs...)
-	}
-	return NewCollection(out), nil
 }

@@ -107,31 +107,6 @@ func TestPartitionRejectsNonCollection(t *testing.T) {
 	}
 }
 
-func TestConcatInvertsPartition(t *testing.T) {
-	ch := intChannel(53)
-	orig, _ := ch.AsCollection()
-	shards, err := Partition(ch, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := Concat(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Format != Collection || merged.Records != int64(len(orig)) {
-		t.Fatalf("Concat = %+v", merged)
-	}
-	got, _ := merged.AsCollection()
-	for i := range orig {
-		if !data.EqualRecords(orig[i], got[i]) {
-			t.Fatalf("Concat reordered record %d", i)
-		}
-	}
-	if _, err := Concat([]*Channel{{Format: Table}}); err == nil {
-		t.Error("Concat accepted a non-collection shard")
-	}
-}
-
 // --- conversion-chain property test -----------------------------------
 
 // The converters below move real records between synthetic formats the

@@ -38,7 +38,10 @@ type PlatformID string
 // prune platforms that cannot run an operator at all.
 type Profile struct {
 	Description string
-	Distributed bool // parallel, partitioned execution
+	// Distributed marks parallel, partitioned execution. Such a
+	// platform is priced and run as one job per atom: the executor
+	// never fans its atoms out into shards.
+	Distributed bool
 	Relational  bool // table-native execution
 	Streaming   bool // reserved; no bundled platform streams yet
 }
@@ -199,18 +202,6 @@ type Platform interface {
 	// RegisterConverters adds the platform's channel converters
 	// (native ↔ Collection at minimum) to the conversion graph.
 	RegisterConverters(reg *channel.Registry)
-}
-
-// Sharder is an optional Platform capability: split a native-format
-// channel into at most p shard channels for intra-atom data
-// parallelism, without bouncing through the hub Collection format. The
-// split must be contiguous and order-preserving — concatenating the
-// shards in index order replays the original channel's record sequence
-// — and every returned shard must be non-empty. Platforms that do not
-// implement Sharder still participate in sharded execution; the
-// executor splits their inputs through the Collection format instead.
-type Sharder interface {
-	SplitNative(ch *channel.Channel, p int) ([]*channel.Channel, error)
 }
 
 // Vectorized is an optional Platform capability: the platform executes

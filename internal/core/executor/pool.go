@@ -9,15 +9,17 @@
 // holds a slot, and only while it executes. A compute atom blocks for
 // its slot before it starts, holding nothing. Loop atoms never hold one
 // — their body plans' compute atoms acquire slots themselves. A sharded
-// atom's extra shard goroutines each need a slot too, but only ever
-// TryAcquire it: a shard that gets none runs inline under its atom's
-// slot. So no slot holder ever waits for another slot, and the pool
-// cannot deadlock, no matter how small it is relative to plan depth,
-// shard fan-out or how many runs share it.
+// atom's extra shard goroutines (shard.go: an atom on a single-node
+// platform, when the plan carries a shard count) each need a slot too,
+// but only ever TryAcquire it: a shard that gets none runs inline under
+// its atom's slot. So no slot holder ever waits for another slot, and
+// the pool cannot deadlock, no matter how small it is relative to plan
+// depth, shard fan-out or how many runs share it.
 //
 // Pool is also the executor's only semaphore type: a run's own budget
 // of extra shard goroutines is a private Pool of as many slots as the
-// plan's shard count (optimizer.Options.Shards).
+// plan's shard count (optimizer.Options.Shards, which no run option
+// sets: the fan-out is internal).
 
 package executor
 

@@ -15,8 +15,10 @@
 //     in-flight atoms in the dispatcher itself (a counter — which is
 //     what keeps Parallelism 1 in topological order); Options.Pool is
 //     the host-wide semaphore every compute atom blocks on; run.shards
-//     is the run's budget of extra shard goroutines, which is only ever
-//     TryAcquired, together with a Pool slot (see shard.go);
+//     is the run's budget of extra shard goroutines (made only when the
+//     plan carries a shard count, used only by atoms on single-node
+//     platforms), which is only ever TryAcquired, together with a Pool
+//     slot (see shard.go);
 //   - runAtom is the one place an atom runs: it holds the Pool slot,
 //     owns the atom's span and recovers panics into engine.Fatal;
 //   - the first atom error wins: it cancels the run context so

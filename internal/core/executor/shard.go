@@ -1,9 +1,13 @@
 // Intra-atom data parallelism: one wide task atom fans out over P
 // shards of its input batch, each shard executed as a full atom run on
 // the assigned platform, and the exits merged driver-side with
-// deterministic semantics. The PR-1 scheduler parallelizes *across*
-// atoms; sharding parallelizes *inside* one, so a single big
+// deterministic semantics. The scheduler parallelizes *across* atoms;
+// sharding parallelizes *inside* one, so a single big
 // Map/Filter/ReduceByKey no longer serializes the run.
+//
+// The fan-out is internal — P is the plan's optimizer.Options.Shards,
+// which no run option sets — and covers only atoms on single-node
+// platforms, the ones the optimizer discounts (planShards).
 //
 // Merge semantics per operator class (see DESIGN.md §5):
 //
@@ -56,9 +60,12 @@ type shardedExec struct {
 
 // planShards decides whether the atom can execute sharded and, if so,
 // splits its single external input. nil means "run unsharded" — never
-// an error: sharding is an optimization, not a requirement.
+// an error: sharding is an optimization, not a requirement. A
+// distributed platform is never fanned out: it parallelises across its
+// own partitions, and the optimizer prices it as one job
+// (shardDiscounts), so the fan-out and the price agree.
 func (r *run) planShards(platform engine.Platform, atom *engine.TaskAtom, inputs engine.AtomInputs) *shardedExec {
-	if r.shards == nil || atom.Kind != engine.AtomCompute {
+	if r.shards == nil || atom.Kind != engine.AtomCompute || platform.Profile().Distributed {
 		return nil
 	}
 	extPos, extSlot, n := 0, 0, 0
@@ -80,7 +87,7 @@ func (r *run) planShards(platform engine.Platform, atom *engine.TaskAtom, inputs
 	if in.Records < 2 {
 		return nil
 	}
-	split := r.splitShardInput(platform, in)
+	split := r.splitShardInput(in)
 	if len(split) < 2 {
 		return nil
 	}
@@ -121,38 +128,32 @@ func shardClasses(atom *engine.TaskAtom) (map[int]*physical.Operator, bool) {
 }
 
 // splitShardInput splits an input channel (the consuming operator's
-// wanted format — platform-native, or channel.Batch on the vectorized
-// path) into at most the plan's Options.Shards shards: natively when
-// the platform is an engine.Sharder, otherwise through the hub
-// Collection format with the shards converted back to the input's own
-// format. The mechanical
-// split cost is not charged to the run — native splits are slice
-// views, and the hub fallback only triggers for platforms without
-// native sharding. nil (or a single shard) means "don't shard".
-func (r *run) splitShardInput(platform engine.Platform, ch *channel.Channel) []*channel.Channel {
-	n := r.shards.Size()
-	if s, ok := platform.(engine.Sharder); ok {
-		if shards, err := s.SplitNative(ch, n); err == nil {
-			return shards
+// wanted format) into at most the plan's Options.Shards contiguous
+// shards of that format. channel.Partition slices a Collection or a
+// Batch in place; any other format (relengine's Table) is split
+// through the hub Collection format and each shard converted back.
+// The mechanical split cost is not charged to the run. nil (or a
+// single shard) means "don't shard".
+func (r *run) splitShardInput(ch *channel.Channel) []*channel.Channel {
+	in, hub := ch, ch.Format != channel.Collection && ch.Format != channel.Batch
+	if hub {
+		var err error
+		if in, _, _, err = r.reg.Channels().Convert(ch, channel.Collection); err != nil {
+			return nil
 		}
 	}
-	coll, _, _, err := r.reg.Channels().Convert(ch, channel.Collection)
-	if err != nil {
-		return nil
-	}
-	parts, err := channel.Partition(coll, n)
+	parts, err := channel.Partition(in, r.shards.Size())
 	if err != nil || len(parts) < 2 {
 		return nil
 	}
-	out := make([]*channel.Channel, 0, len(parts))
-	for _, p := range parts {
-		conv, _, _, cerr := r.reg.Channels().Convert(p, ch.Format)
-		if cerr != nil {
-			return nil
+	if hub {
+		for i, p := range parts {
+			if parts[i], _, _, err = r.reg.Channels().Convert(p, ch.Format); err != nil {
+				return nil
+			}
 		}
-		out = append(out, conv)
 	}
-	return out
+	return parts
 }
 
 // tryShardSlot claims what an extra shard goroutine must hold: a slot of

@@ -146,7 +146,9 @@ func TestShardChaosTransientRetries(t *testing.T) {
 // TestShardChaosFailover: the chaos platform dies permanently, so the
 // sharded atom exhausts its retries there and fails over; the re-plan
 // must re-shard on the surviving platform and reproduce the clean
-// output exactly.
+// output exactly. The source runs on java here, so the cheapest
+// survivor is java itself (no conversion): spark, being distributed,
+// would run the atom whole.
 func TestShardChaosFailover(t *testing.T) {
 	build := func(b *plan.Builder, s *plan.Operator) {
 		m := b.Map(s, func(r data.Record) (data.Record, error) {
@@ -154,13 +156,22 @@ func TestShardChaosFailover(t *testing.T) {
 		})
 		b.Collect(b.ReduceByKey(m, modKey(6), sumReduce))
 	}
-	ppClean, faClean := chaosShardFixture(t, intRecords(100), build)
+	fixture := func() (*physical.Plan, map[int]engine.PlatformID) {
+		pp, fa := chaosShardFixture(t, intRecords(100), build)
+		for id, pl := range fa {
+			if pl == "spark" {
+				fa[id] = "java"
+			}
+		}
+		return pp, fa
+	}
+	ppClean, faClean := fixture()
 	clean, _, err := runShardChaos(t, ppClean, faClean, fault.Options{}, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	pp, fa := chaosShardFixture(t, intRecords(100), build)
+	pp, fa := fixture()
 	res, p, err := runShardChaos(t, pp, fa,
 		fault.Options{Schedules: []fault.Schedule{failAlways(nil)}},
 		4, Options{RetryBackoff: -1})

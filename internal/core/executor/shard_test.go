@@ -349,3 +349,38 @@ func TestShardedMetricsAggregate(t *testing.T) {
 		t.Errorf("sharded Sim %v looks summed, unsharded is %v", res.Metrics.Sim, base.Metrics.Sim)
 	}
 }
+
+// TestShardedDistributedRunsWhole: a map chain pinned to the simulated
+// cluster is priced as one job (the optimizer's shard discount skips a
+// distributed platform), so it runs as one: no shard spans, as many
+// platform jobs as without a fan-out, and the same records byte for
+// byte. The cluster parallelises across its own partitions.
+func TestShardedDistributedRunsWhole(t *testing.T) {
+	build := func(b *plan.Builder, s *plan.Operator) {
+		m := b.Map(s, func(r data.Record) (data.Record, error) {
+			return data.NewRecord(r.Field(0), data.Int(r.Field(0).Int()*3)), nil
+		})
+		b.Collect(b.Map(m, plan.Identity()))
+	}
+	run := func(shards int) *Result {
+		pp, fa := shardFixture(t, intRecords(101), build)
+		for id, pl := range fa {
+			if pl == sparksim.ID {
+				fa[id] = javaengine.ID
+			} else {
+				fa[id] = sparksim.ID
+			}
+		}
+		return runWithShards(t, pp, fa, shards)
+	}
+	base, sharded := run(1), run(4)
+	if n, fanOuts := countShardSpans(sharded); n != 0 || len(fanOuts) != 0 {
+		t.Errorf("sparksim chain fanned out: %d shard spans, widths %v", n, fanOuts)
+	}
+	if sharded.Metrics.Jobs != base.Metrics.Jobs {
+		t.Errorf("Shards: 4 launched %d jobs, Shards: 1 %d", sharded.Metrics.Jobs, base.Metrics.Jobs)
+	}
+	if !bytes.Equal(recordBytes(t, sharded.Records), recordBytes(t, base.Records)) {
+		t.Errorf("records differ (%d vs %d)", len(sharded.Records), len(base.Records))
+	}
+}

@@ -187,18 +187,6 @@ func (p *Platform) NativeFormat() channel.Format { return p.inner.NativeFormat()
 // RegisterConverters implements engine.Platform.
 func (p *Platform) RegisterConverters(reg *channel.Registry) { p.inner.RegisterConverters(reg) }
 
-// SplitNative forwards intra-atom shard splitting to the inner
-// platform. Splitting is metadata work — no faults are injected here;
-// the shard executions themselves go through ExecuteAtom and face the
-// schedules. Returns an error when the inner platform is no Sharder,
-// which makes the executor fall back to hub-format splitting.
-func (p *Platform) SplitNative(ch *channel.Channel, n int) ([]*channel.Channel, error) {
-	if s, ok := p.inner.(engine.Sharder); ok {
-		return s.SplitNative(ch, n)
-	}
-	return nil, fmt.Errorf("fault: inner platform %s cannot split natively", p.inner.ID())
-}
-
 // Kill marks the platform dead: every subsequent execution fails with
 // cause (ErrKilled if nil) until Revive. Schedules express planned
 // failure patterns; Kill is the manual chaos switch.

@@ -9,7 +9,6 @@ import (
 	"rheem/internal/core/channel"
 	"rheem/internal/core/cost"
 	"rheem/internal/core/engine"
-	"rheem/internal/data"
 )
 
 // innerPlatform is a minimal healthy platform: every execution
@@ -171,43 +170,5 @@ func TestRegisterClonesDonorMappings(t *testing.T) {
 	}
 	if cloned != 1 {
 		t.Errorf("cloned %d mappings onto the wrapper, want 1", cloned)
-	}
-}
-
-// sharderPlatform is an innerPlatform that can also split natively.
-type sharderPlatform struct {
-	innerPlatform
-	splits int
-}
-
-func (p *sharderPlatform) SplitNative(ch *channel.Channel, n int) ([]*channel.Channel, error) {
-	p.splits++
-	return channel.Partition(ch, n)
-}
-
-func TestSplitNativeForwardsToInner(t *testing.T) {
-	inner := &sharderPlatform{innerPlatform: innerPlatform{id: "stub"}}
-	// A schedule that would fail every execution must NOT fire on a
-	// split: splitting is metadata work, faults target ExecuteAtom.
-	p := Wrap(inner, Options{Schedules: []Schedule{FailFirstN(100, nil)}})
-	recs := make([]data.Record, 8)
-	for i := range recs {
-		recs[i] = data.NewRecord(data.Int(int64(i)))
-	}
-	shards, err := p.SplitNative(channel.NewCollection(recs), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) != 4 || inner.splits != 1 {
-		t.Errorf("forwarded split = %d shards, %d inner calls", len(shards), inner.splits)
-	}
-}
-
-func TestSplitNativeErrorsWhenInnerCannotShard(t *testing.T) {
-	// The executor treats this error as "fall back to hub-format
-	// splitting", so it must surface rather than panic or silently split.
-	p := Wrap(&innerPlatform{id: "stub"}, Options{})
-	if _, err := p.SplitNative(channel.NewCollection(nil), 4); err == nil {
-		t.Error("SplitNative on a non-sharder inner platform succeeded")
 	}
 }

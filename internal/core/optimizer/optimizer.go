@@ -49,11 +49,12 @@ type Options struct {
 	// ShardDiscount and failover re-planning run through the same DP,
 	// both inherit calibrated costs automatically.
 	Calibration *cost.Calibrator
-	// Shards is the run's intra-atom shard fan-out (≤1 = off); the
-	// executor takes it from ExecutionPlan.Options. The DP discounts
-	// the compute cost of shardable operator kinds on non-distributed
-	// platforms by cost.ShardDiscount — distributed platforms already
-	// price their internal parallelism, and unshardable kinds run whole
+	// Shards is the run's intra-atom shard fan-out (≤1 = off); no run
+	// option sets it. The executor takes it from ExecutionPlan.Options.
+	// The DP discounts the compute cost of shardable operator kinds on
+	// non-distributed platforms by cost.ShardDiscount — distributed
+	// platforms already price their internal parallelism, and the
+	// executor fans out no atom of theirs; unshardable kinds run whole
 	// either way. The discount can flip a platform assignment: a sharded
 	// single-node engine beats the simulated cluster on mid-size inputs
 	// where the cluster's per-job overhead still dominates.
@@ -463,7 +464,7 @@ func assignPlatforms(p *physical.Plan, pos []int32, reg *engine.Registry, opts O
 // kinds mirror the executor's shardability classes (shard.go): the
 // record-wise operators plus the combining exits. Sink is excluded —
 // it is free anyway — and distributed platforms already price their
-// own parallelism.
+// own parallelism, so the executor never fans them out either.
 func shardDiscounts(opts Options, prof engine.Profile, kind plan.OpKind) bool {
 	if opts.Shards <= 1 || prof.Distributed {
 		return false

@@ -87,8 +87,7 @@ func (k OpKind) Arity() int {
 //
 // A UDF may be called concurrently. The Spark simulator runs the
 // partitions of a stage of 4 096 rows or more on every core, as Spark runs
-// its tasks, and WithShards runs shards at once on every platform. Only
-// javaengine and relengine, unsharded, call a user function from one
+// its tasks. Only javaengine and relengine call a user function from one
 // goroutine at a time within a run. A UDF that keeps state across calls
 // must guard it.
 type (

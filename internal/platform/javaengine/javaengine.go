@@ -64,13 +64,6 @@ func (p *Platform) NativeFormat() channel.Format { return channel.Collection }
 // the hub format, so no converters are needed.
 func (p *Platform) RegisterConverters(*channel.Registry) {}
 
-// SplitNative implements engine.Sharder: the native format is the hub
-// Collection, so a shard is simply a contiguous slice view of the
-// record batch — zero copies.
-func (p *Platform) SplitNative(ch *channel.Channel, n int) ([]*channel.Channel, error) {
-	return channel.Partition(ch, n)
-}
-
 // SupportsBatch implements engine.Vectorized: an operator whose logical
 // form carries a declarative column hint executes directly on
 // channel.Batch inputs. A sink hands a batch through when it is given

@@ -120,32 +120,6 @@ func (p *Platform) RegisterConverters(reg *channel.Registry) {
 	})
 }
 
-// SplitNative implements engine.Sharder: each shard is a table over a
-// contiguous slice of the source table's rows, so no rows are copied.
-func (p *Platform) SplitNative(ch *channel.Channel, n int) ([]*channel.Channel, error) {
-	t, err := tableOf(ch)
-	if err != nil {
-		return nil, err
-	}
-	rows := t.rows
-	if n > len(rows) {
-		n = len(rows)
-	}
-	if n <= 1 {
-		return []*channel.Channel{ch}, nil
-	}
-	chunk := (len(rows) + n - 1) / n
-	out := make([]*channel.Channel, 0, n)
-	for lo := 0; lo < len(rows); lo += chunk {
-		hi := lo + chunk
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		out = append(out, tableChannel(&Table{rows: rows[lo:hi]}))
-	}
-	return out, nil
-}
-
 func tableOf(ch *channel.Channel) (*Table, error) {
 	if ch.Format != channel.Table {
 		return nil, fmt.Errorf("relengine: channel format %s is not table", ch.Format)

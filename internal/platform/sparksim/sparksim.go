@@ -164,55 +164,6 @@ func (p *Platform) RegisterConverters(reg *channel.Registry) {
 	})
 }
 
-// SplitNative implements engine.Sharder: shards are contiguous groups
-// of the dataset's existing partitions, so no records move. When the
-// dataset has fewer non-empty partitions than requested shards, the
-// flattened records are re-split evenly instead.
-func (p *Platform) SplitNative(ch *channel.Channel, n int) ([]*channel.Channel, error) {
-	parts, err := partsOf(ch)
-	if err != nil {
-		return nil, err
-	}
-	nonEmpty := make([][]data.Record, 0, len(parts))
-	for _, part := range parts {
-		if len(part) > 0 {
-			nonEmpty = append(nonEmpty, part)
-		}
-	}
-	if n > len(nonEmpty) {
-		// Too few partitions to group: fall back to an even record split,
-		// one partition per shard. Order across shards stays the flatten
-		// order of the original partitions.
-		recs := flatten(parts)
-		if n > len(recs) {
-			n = len(recs)
-		}
-		if n <= 1 {
-			return []*channel.Channel{ch}, nil
-		}
-		out := make([]*channel.Channel, 0, n)
-		for _, shard := range splitEven(recs, n) {
-			if len(shard) > 0 {
-				out = append(out, newPartChannel([][]data.Record{shard}))
-			}
-		}
-		return out, nil
-	}
-	if n <= 1 {
-		return []*channel.Channel{ch}, nil
-	}
-	chunk := (len(nonEmpty) + n - 1) / n
-	out := make([]*channel.Channel, 0, n)
-	for lo := 0; lo < len(nonEmpty); lo += chunk {
-		hi := lo + chunk
-		if hi > len(nonEmpty) {
-			hi = len(nonEmpty)
-		}
-		out = append(out, newPartChannel(nonEmpty[lo:hi]))
-	}
-	return out, nil
-}
-
 // newPartChannel wraps partitions in a Partitioned channel with
 // volume metadata.
 func newPartChannel(parts [][]data.Record) *channel.Channel {

@@ -162,6 +162,8 @@ func TestHTTPBadRequests(t *testing.T) {
 		`{"unknown_field": 1}`,   // unknown field
 		`{"spec":{"kind":"no"}}`, // unknown kind
 		`{"spec":{"kind":"sql","query":"SELEC"}}`, // parse error
+		// No submission chooses a shard fan-out: "shards" is an unknown field.
+		`{"spec":{"kind":"workload","workload":"wordcount","n":100},"shards":4}`,
 	}
 	for i, body := range cases {
 		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))

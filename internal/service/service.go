@@ -59,10 +59,9 @@ type Config struct {
 	// (default 64); submissions past it are shed with 429.
 	QueueDepth int
 	// PoolSize is the shared scheduler pool's slot count — the global
-	// bound on concurrently executing atoms, and shards of atoms,
-	// across ALL jobs (default runtime.NumCPU()). Without it, N
-	// concurrent jobs each spin their own worker pool and oversubscribe
-	// the host N-fold.
+	// bound on concurrently executing atoms across ALL jobs (default
+	// runtime.NumCPU()). Without it, N concurrent jobs each spin their
+	// own worker pool and oversubscribe the host N-fold.
 	PoolSize int
 
 	// DefaultQuota applies to tenants without an entry in Quotas.
@@ -558,9 +557,6 @@ func (s *Service) runJob(j *Job, tn *tenant) {
 			opts = append(opts, rheem.OnPlatform(engine.PlatformID(j.req.Platform)))
 		} else if len(excluded) > 0 {
 			opts = append(opts, rheem.WithExcludedPlatforms(excluded...))
-		}
-		if j.req.Shards > 0 {
-			opts = append(opts, rheem.WithShards(j.req.Shards))
 		}
 		var rep *rheem.Report
 		recs, rep, err = s.rctx.Execute(p, opts...)

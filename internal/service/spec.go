@@ -83,8 +83,6 @@ type Request struct {
 	// Platform pins the job to one platform instead of letting the
 	// optimizer choose.
 	Platform string `json:"platform,omitempty"`
-	// Shards enables intra-atom data parallelism (see rheem.WithShards).
-	Shards int `json:"shards,omitempty"`
 }
 
 func (r *Request) normalize() {

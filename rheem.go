@@ -30,7 +30,6 @@ package rheem
 
 import (
 	"context"
-	"runtime"
 	"time"
 
 	"rheem/internal/core/cost"
@@ -253,12 +252,9 @@ func WithExcludedPlatforms(ids ...engine.PlatformID) RunOption {
 
 // WithSchedulerPool makes the run draw its execution slots from a
 // shared executor.Pool: every compute atom holds one while it executes,
-// and so does every extra shard goroutine of a sharded atom (a shard
-// that gets none runs inline under its atom's slot), so the pool's size
-// bounds what N concurrent jobs execute at once however they set
-// WithShards — how a long-running service keeps its jobs from
-// oversubscribing the host. A pool of one runs a job's atoms one at a
-// time.
+// so the pool's size bounds what N concurrent jobs execute at once —
+// how a long-running service keeps its jobs from oversubscribing the
+// host. A pool of one runs a job's atoms one at a time.
 func WithSchedulerPool(p *executor.Pool) RunOption {
 	return func(rc *runConfig) { rc.exec.Pool = p }
 }
@@ -280,30 +276,6 @@ func WithMonitor(f func(trace.Event)) RunOption {
 // bound.
 func WithAtomTimeout(d time.Duration) RunOption {
 	return func(rc *runConfig) { rc.exec.AtomTimeout = d }
-}
-
-// WithShards enables intra-atom data parallelism: a shardable task
-// atom's input batch is split into up to n shards that execute
-// concurrently on the assigned platform, and the results are merged
-// with deterministic, order-preserving semantics — output is
-// byte-identical to an unsharded run. Shardable atoms are single-input
-// chains of record-wise operators (Map, FlatMap, Filter) optionally
-// capped by an aggregation exit (ReduceByKey, Reduce, Count, Distinct,
-// Sort); everything else runs whole, exactly as without the option.
-// The optimizer is told about the fan-out and discounts shardable
-// work on single-node platforms accordingly, so sharding can change
-// the platform assignment. The run spawns at most n extra shard
-// goroutines at a time, and under WithSchedulerPool each also needs a
-// pool slot — a shard that gets neither runs inline on its atom's
-// goroutine, so the fan-out never exceeds the host bound. n ≤ 0
-// selects runtime.GOMAXPROCS(0).
-func WithShards(n int) RunOption {
-	return func(rc *runConfig) {
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		rc.opt.Shards = n
-	}
 }
 
 // WithTracing enables cross-layer observability for the run: the
