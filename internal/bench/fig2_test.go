@@ -72,10 +72,11 @@ func TestFigure2Shape(t *testing.T) {
 // the production cost constants, gives the 100-iteration SVM's loop to
 // java up to 190 000 points and to sparksim from 195 000. E1 (rheem-bench
 // -experiment fig2, simulated time, on a 2-core Xeon) measures java
-// 1.4× ahead at 100 000 points and sparksim 1.1× ahead at 200 000. The
-// bracket is that measured one: the flip falls after fig2FlipAfter
-// points and by fig2FlipBy. A change that moves it re-states the
-// bracket and re-measures E1.
+// 1.6–2× ahead at 100 000 points and the two even at 200 000 (java/spark
+// 0.89–1.05 over eight runs; java runs the per-point gradient Map over
+// row windows on both cores). The bracket is that measured one: the
+// flip falls after fig2FlipAfter points and by fig2FlipBy. A change that
+// moves it re-states the bracket and re-measures E1.
 const fig2FlipAfter, fig2FlipBy = 100_000, 200_000
 
 // TestOptimizerTracksFigure2 plans the Figure 2 SVM without running it

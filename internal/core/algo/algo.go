@@ -7,9 +7,13 @@
 // optimizer chose — onto those kernels: the single-node engine calls it
 // on whole datasets, the Spark simulator per partition (after
 // shuffling), the relational engine on table row sets and the executor
-// on the concatenated partials of a sharded atom. A platform owns where
-// the rows live, how they move and what that costs; nothing outside
-// this package calls a kernel directly. So adding a physical operator —
+// on the concatenated partials of a sharded atom. A run of Map, Filter and
+// FlatMap operators has one more form, the fused narrow chain (Chain,
+// chain.go): record by record, each output handed straight to its consumer,
+// its bytes counted in the same loop where they are needed, which
+// javaengine runs a window and sparksim a partition at a time. A platform owns where the rows live, how they move
+// and what that costs; nothing outside this package calls a kernel
+// directly. So adding a physical operator —
 // the paper's extensibility story (§5.2, IEJoin) — means adding one
 // kernel, its case in Exec, and declarative mappings.
 package algo
@@ -18,6 +22,7 @@ import (
 	"fmt"
 	"sort"
 
+	"rheem/internal/core/physical"
 	"rheem/internal/core/plan"
 	"rheem/internal/data"
 )
@@ -137,24 +142,62 @@ func SortGroup(recs []data.Record, key plan.KeyFunc) ([]Group, error) {
 // sorted is set (physical.SortGroupBy). The first key or reduce failure
 // in input order is the one reported.
 func ReduceByKey(recs []data.Record, key plan.KeyFunc, f plan.ReduceFunc, sorted bool) ([]data.Record, error) {
-	var t KeyTable
-	out := []data.Record{} // empty input yields an empty result, not nil
+	fd := &fold{keyed: true, key: key, f: f, sorted: sorted, out: []data.Record{}} // empty input yields an empty result, not nil
 	for _, r := range recs {
-		k, err := key(r)
+		if err := fd.add(r); err != nil {
+			return nil, err
+		}
+	}
+	return fd.result(), nil
+}
+
+// fold is ReduceByKey or Reduce a record at a time: the records add is
+// handed, in order, are folded as they come, so whoever produces them
+// need not gather them first.
+type fold struct {
+	keyed  bool // ReduceByKey; otherwise Reduce
+	key    plan.KeyFunc
+	f      plan.ReduceFunc
+	sorted bool
+	t      KeyTable      // ReduceByKey's keys
+	out    []data.Record // ReduceByKey's accumulators by key number; Reduce's one
+}
+
+// newFold is the fold of op, a ReduceByKey or a Reduce.
+func newFold(op *physical.Operator) *fold {
+	lop := op.Logical
+	if lop.Kind() == plan.KindReduceByKey {
+		return &fold{keyed: true, key: lop.Key, f: lop.Reduce, sorted: op.Algo == physical.SortGroupBy, out: []data.Record{}}
+	}
+	return &fold{f: lop.Reduce}
+}
+
+func (fd *fold) add(r data.Record) error {
+	i, added := 0, len(fd.out) == 0
+	if fd.keyed {
+		k, err := fd.key(r)
 		if err != nil {
-			return nil, fmt.Errorf("algo: group key: %w", err)
+			return fmt.Errorf("algo: group key: %w", err)
 		}
-		i, added := t.Add(k)
-		if added {
-			out = append(out, r)
-		} else if out[i], err = f(out[i], r); err != nil {
-			return nil, fmt.Errorf("algo: reduce: %w", err)
-		}
+		i, added = fd.t.Add(k)
 	}
-	if sorted {
-		sort.Stable(&byKey{t.keys, out})
+	if added {
+		fd.out = append(fd.out, r)
+		return nil
 	}
-	return out, nil
+	var err error
+	if fd.out[i], err = fd.f(fd.out[i], r); err != nil {
+		return fmt.Errorf("algo: reduce: %w", err)
+	}
+	return nil
+}
+
+// result is what the fold makes of the records added.
+func (fd *fold) result() []data.Record {
+	if fd.sorted {
+		sort.Stable(&byKey{fd.t.keys, fd.out})
+	}
+	return fd.out
 }
 
 // byKey orders accumulators by their keys.
@@ -173,18 +216,13 @@ func (s *byKey) Swap(i, j int) {
 // Reduce folds an entire dataset pairwise. An empty input yields an
 // empty output (no identity element is assumed).
 func Reduce(recs []data.Record, f plan.ReduceFunc) ([]data.Record, error) {
-	if len(recs) == 0 {
-		return nil, nil
-	}
-	acc := recs[0]
-	var err error
-	for _, r := range recs[1:] {
-		acc, err = f(acc, r)
-		if err != nil {
-			return nil, fmt.Errorf("algo: reduce: %w", err)
+	fd := &fold{f: f}
+	for _, r := range recs {
+		if err := fd.add(r); err != nil {
+			return nil, err
 		}
 	}
-	return []data.Record{acc}, nil
+	return fd.result(), nil
 }
 
 // SortBy orders records by key. The sort is stable.

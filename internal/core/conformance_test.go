@@ -269,6 +269,28 @@ func fullBattery() []confCase {
 			sorted := b.Sort(s[0], modKey(97), false)
 			b.Collect(b.Union(b.Sample(sorted, 0), b.Sample(sorted, 3))) // three records, none from the first
 		}},
+		confCase{
+			// Past three 4 096-row windows: javaengine forces the chain a
+			// window at a time on every core, sparksim fuses it into one
+			// pass per partition of stages that fan out.
+			name: "udf-chain-windows", recs: confRecords(3*4096+17, 0),
+			build: func(b *plan.Builder, s []*plan.Operator) {
+				m := b.Map(s[0], func(r data.Record) (data.Record, error) {
+					return data.NewRecord(r.Field(0), data.Int(r.Field(0).Int()*3+1), r.Field(1)), nil
+				})
+				f := b.Filter(m, func(r data.Record) (bool, error) { return r.Field(0).Int()%5 != 2, nil })
+				fm := b.FlatMap(f, func(r data.Record) ([]data.Record, error) {
+					out := make([]data.Record, r.Field(0).Int()%4)
+					for i := range out {
+						out[i] = r.Append(data.Int(int64(i)))
+					}
+					return out, nil
+				})
+				b.Collect(b.Map(fm, func(r data.Record) (data.Record, error) {
+					return data.NewRecord(r.Field(0), r.Field(2), data.Int(r.Field(1).Int()+r.Field(3).Int())), nil
+				}))
+			},
+		},
 		confCase{name: "map-columns", build: func(b *plan.Builder, s []*plan.Operator) { b.Collect(b.MapColumns(s[0], confColumnMap)) }},
 		confCase{name: "map-columns-chain", build: func(b *plan.Builder, s []*plan.Operator) {
 			m := b.MapColumns(b.FilterWhere(s[0], 1, plan.Less, data.Str("v2")), confColumnMap)

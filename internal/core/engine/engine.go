@@ -115,6 +115,28 @@ func (a *TaskAtom) position(opID int) int {
 	return slices.IndexFunc(a.Ops, func(op *physical.Operator) bool { return op.ID == opID })
 }
 
+// Reader returns the one operator of the atom that reads op's output:
+// nil when op leaves the atom or is read more than once, or by nothing.
+// A platform that runs operators lazily can hand that reader op's work
+// unevaluated, because nothing else will ask for it.
+func (a *TaskAtom) Reader(op *physical.Operator) *physical.Operator {
+	if slices.Contains(a.Exits, op) {
+		return nil
+	}
+	var reader *physical.Operator
+	for _, c := range a.Ops {
+		for _, in := range c.Inputs {
+			if in == op {
+				if reader != nil {
+					return nil
+				}
+				reader = c
+			}
+		}
+	}
+	return reader
+}
+
 // String renders the atom for plan explanations.
 func (a *TaskAtom) String() string {
 	if a.label != "" {

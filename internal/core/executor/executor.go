@@ -224,7 +224,7 @@ func Run(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts Options) (res *
 	}
 	r.top = planScope{run: r, ep: ep, channels: make([]*channel.Channel, ids), topLevel: true, iter: -1}
 	top := &r.top
-	// Atoms recover on their own goroutines; this one covers the sink
+	// Atoms recover in runAtom, wherever it runs; this one covers the sink
 	// materialization below, which runs converters on the caller's.
 	defer recoverFatal("materializing the result", &err)
 

@@ -90,10 +90,11 @@ func (p *planScope) runPlan() error {
 	}
 }
 
-// runAtom is the one place an atom executes, on a goroutine of its
-// own: it takes the atom's slot from the host pool, opens its span,
-// runs it, recovers a panic from anything it ran into an engine.Fatal
-// (see recoverFatal), and closes the span with the outcome. Everything
+// runAtom is the one place an atom executes — on the dispatcher's
+// goroutine when it is the only atom that can run, otherwise on a
+// goroutine of its own. It takes the atom's slot from the host pool,
+// opens its span, runs it, recovers a panic from anything it ran into an
+// engine.Fatal (see recoverFatal), and closes the span with the outcome. Everything
 // the atom holds — its pool slot above all — is released by the time
 // runAtom returns, so the dispatcher never learns of a finished atom
 // (and Run never returns) while the atom still occupies a slot.
@@ -205,7 +206,7 @@ func (p *planScope) scheduleAtoms() (replan bool, failover *failoverError, err e
 		flagged bool
 		err     error
 	}
-	doneCh := make(chan doneMsg)
+	var doneCh chan doneMsg // made when the first atom goes to a goroutine
 	// Adaptive re-optimization is the top level's, once per run; only
 	// this goroutine ever writes res.Reoptimized.
 	adaptive := p.topLevel && !p.res.Reoptimized
@@ -213,22 +214,35 @@ func (p *planScope) scheduleAtoms() (replan bool, failover *failoverError, err e
 	var firstErr error
 
 	for {
-		// FIFO dispatch keeps Parallelism=1 runs in the plan's
-		// topological atom order — the sequential executor's behavior.
-		for !stopping && inflight < p.opts.Parallelism && len(ready) > 0 {
-			n := ready[0]
-			ready = ready[1:]
-			inflight++
-			go func() {
-				flagged, err := p.runAtom(n)
-				doneCh <- doneMsg{n: n, flagged: flagged, err: err}
-			}()
+		var m doneMsg
+		if !stopping && inflight == 0 && len(ready) == 1 {
+			// The one atom that can run: nothing is in flight to overlap
+			// it with, so it runs here, with no goroutine or hand-off —
+			// every atom of a chain plan, and a one-atom plan's only one.
+			m.n, ready = ready[0], ready[1:]
+			m.flagged, m.err = p.runAtom(m.n)
+		} else {
+			// FIFO dispatch keeps Parallelism=1 runs in the plan's
+			// topological atom order — the sequential executor's behavior.
+			for !stopping && inflight < p.opts.Parallelism && len(ready) > 0 {
+				n := ready[0]
+				ready = ready[1:]
+				inflight++
+				if doneCh == nil {
+					doneCh = make(chan doneMsg)
+				}
+				done := doneCh
+				go func() {
+					flagged, err := p.runAtom(n)
+					done <- doneMsg{n: n, flagged: flagged, err: err}
+				}()
+			}
+			if inflight == 0 {
+				break
+			}
+			m = <-doneCh
+			inflight--
 		}
-		if inflight == 0 {
-			break
-		}
-		m := <-doneCh
-		inflight--
 		p.flagged = p.flagged || m.flagged
 		if m.err != nil {
 			var fe *failoverError

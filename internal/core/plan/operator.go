@@ -85,11 +85,13 @@ func (k OpKind) Arity() int {
 // corresponds to the applyOp of a LogicalOperator template (§3.2):
 // users provide these functions, RHEEM invokes them per data quantum.
 //
-// A UDF may be called concurrently. The Spark simulator runs the
-// partitions of a stage of 4 096 rows or more on every core, as Spark runs
-// its tasks. Only javaengine and relengine call a user function from one
-// goroutine at a time within a run. A UDF that keeps state across calls
-// must guard it.
+// A UDF may be called concurrently, on different data quanta, and the
+// outputs keep input order whatever ran them. javaengine and sparksim run a
+// chain of Map, Filter and FlatMap UDFs as one pass over each 4 096-row
+// window or partition, on every core; sparksim runs a stage's key, reduce
+// and group UDFs per partition the same way, as Spark runs its tasks. Only
+// relengine calls a user function from one goroutine at a time within a
+// run. A UDF that keeps state across calls must guard it.
 type (
 	// SourceFunc produces the input records of a plan.
 	SourceFunc func() ([]data.Record, error)

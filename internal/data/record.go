@@ -141,16 +141,27 @@ func SortRecordsBy(recs []Record, key func(Record) Value) {
 // its constants are kept apart from the layout so that modelled costs do
 // not move with it (for a record of scalars the two happen to agree: a
 // 16-byte header and 16 bytes a field).
+//
+// It is the row path's byte count (every exit's and shuffle's), so it
+// reads a field's layout directly: one range check tells a tag — a
+// scalar, the empty string or the nil vector, whose payload is the tag
+// itself — from a string's or vector's data, and only those read their
+// length.
 func (r Record) Bytes() int {
-	n := 16 // the record header
+	n := 16 * (1 + r.n) // the record header, and 16 a field
+	tags := uintptr(unsafe.Pointer(&kindTags))
 	for _, v := range r.Fields() {
-		switch v.Kind() {
+		if i := uintptr(v.p) - tags; i < uintptr(len(kindTags)) {
+			if Kind(i) == KindVector {
+				n += 8 // the nil vector's header
+			}
+			continue
+		}
+		switch Kind(v.n >> kindShift) { // null: p is nil and n is 0
 		case KindString:
-			n += 16 + v.len()
+			n += v.len()
 		case KindVector:
-			n += 24 + 8*v.len()
-		default:
-			n += 16
+			n += 8 + 8*v.len()
 		}
 	}
 	return n

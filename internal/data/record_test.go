@@ -118,6 +118,53 @@ func TestBytesEstimates(t *testing.T) {
 	}
 }
 
+// TestRecordBytesModel holds Bytes, which reads the layout, to the model
+// it states: a 16-byte header, 16 a scalar or null, 16 plus the length a
+// string, 24 plus 8 an element a vector, the nil one included.
+func TestRecordBytesModel(t *testing.T) {
+	model := func(r Record) int {
+		n := 16
+		for _, v := range r.Fields() {
+			switch v.Kind() {
+			case KindString:
+				n += 16 + len(v.Str())
+			case KindVector:
+				n += 24 + 8*len(v.Vec())
+			default:
+				n += 16
+			}
+		}
+		return n
+	}
+	for _, c := range []struct {
+		name string
+		v    Value
+		want int
+	}{
+		{"null", Null(), 32},
+		{"bool", Bool(true), 32},
+		{"int", Int(-7), 32},
+		{"float", Float(2.5), 32},
+		{"empty string", Str(""), 32},
+		{"string", Str("sensor"), 38},
+		{"nil vector", Vec(nil), 40},
+		{"empty vector", Vec([]float64{}), 40},
+		{"vector", Vec([]float64{1, 2, 3}), 64},
+	} {
+		r := NewRecord(c.v)
+		if got, m := r.Bytes(), model(r); got != c.want || m != c.want {
+			t.Errorf("%s: Bytes = %d, the model says %d, want %d", c.name, got, m, c.want)
+		}
+	}
+	wide := NewRecord(Null(), Bool(false), Int(1), Float(0), Str(""), Str("abc"), Vec(nil), Vec([]float64{}), Vec([]float64{4}))
+	if got, want := wide.Bytes(), model(wide); got != want {
+		t.Errorf("every kind in one record: Bytes = %d, the model says %d", got, want)
+	}
+	if got := (Record{}).Bytes(); got != 16 {
+		t.Errorf("the empty record: Bytes = %d, want 16", got)
+	}
+}
+
 func TestCloneRecords(t *testing.T) {
 	recs := []Record{NewRecord(Int(1)), NewRecord(Int(2))}
 	cl := CloneRecords(recs)

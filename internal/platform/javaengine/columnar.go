@@ -65,8 +65,9 @@ type atRest struct{ cols *batch.Batch }
 // pipeline is a lazy hinted chain: a source — rows an operator of the
 // same atom produced, a columnar batch from a channel, or one at rest —
 // plus the hinted filters, projections and column maps appended so far.
-// A pipeline has one reader (execHinted evaluates a chain read more than
-// once where it is produced), which either appends to it or forces it.
+// A pipeline has one reader (execHinted evaluates a chain that leaves the
+// atom, or is read more than once, where it is produced), which either
+// appends to it or forces it.
 //
 // A column is named by an id: c ≥ 0 is column c of the source, ^k < 0 the
 // k-th column the chain's column maps compute (win.col).
@@ -121,6 +122,8 @@ func asPipeline(ctx context.Context, ds any) *pipeline {
 		}
 	case []data.Record:
 		p.rows = ds
+	case counted:
+		p.rows = ds.recs
 	}
 	return p
 }
@@ -654,26 +657,6 @@ func take[T any](dst, src []T, sel []int32) []T {
 	return dst
 }
 
-// shared reports whether op's output is read more than once — by
-// several operators of the atom, or by one and the atom's exit.
-func (d *datasetOps) shared(op *physical.Operator) bool {
-	if d.atom == nil {
-		return false
-	}
-	n := 0
-	if slices.Contains(d.atom.Exits, op) {
-		n++
-	}
-	for _, c := range d.atom.Ops {
-		for _, in := range c.Inputs {
-			if in == op {
-				n++
-			}
-		}
-	}
-	return n > 1
-}
-
 // columnReaders reports whether a source's readers all take columns: it
 // is not an exit of the atom, and every operator of the atom reading it is
 // hinted. Then nobody needs its rows made.
@@ -731,9 +714,9 @@ func (d *datasetOps) execHinted(ctx context.Context, op *physical.Operator, inpu
 		p.stages = make([]stage, 0, len(d.atom.Ops))
 	}
 	p.push(op.Logical)
-	if d.shared(op) {
-		// Several readers: evaluate the chain here, once, and hand each
-		// of them the result.
+	if d.atom != nil && d.atom.Reader(op) == nil {
+		// An exit, or several readers: evaluate the chain here, once, and
+		// hand each of them the result.
 		out, err = p.force()
 		return out, true, err
 	}

@@ -67,6 +67,9 @@ func execOp(lop *plan.Operator, in any, algo physical.Algorithm) (out any, err e
 	if p, ok := out.(*pipeline); ok && err == nil {
 		out, err = p.force()
 	}
+	if c, ok := out.(counted); ok {
+		out = c.recs // a UDF twin's forced rows
+	}
 	return out, err
 }
 

@@ -6,13 +6,17 @@
 // driver-resident data. Operators carrying a declarative column hint form
 // a lazy pipeline that is forced once, 4 096 rows at a time over column
 // slices, by whatever consumes it (columnar.go) — the layout this engine
-// owns; for everything else the rows go to algo.Exec, the one definition
-// of what an operator computes that every platform shares. A forcing of
-// more than one window uses every core: the process's helpers (engine's
-// helper runtime, shared with sparksim's stages) load and filter windows
-// while the forcing goroutine consumes them in window order (morsel.go), so
-// results and the sequence of user-function calls are the serial
-// forcing's. A panicking operator fails its job, not the process:
+// owns. A run of un-hinted Map, Filter and FlatMap operators is one fused
+// pass (algo.Chain), forced a 4 096-row window at a time (rows.go); for
+// everything else the rows go to algo.Exec, the one definition of what an
+// operator computes that every platform shares. A forcing of more than one
+// window uses every core, on the process's helpers (engine's helper
+// runtime, shared with sparksim's stages). A hinted forcing's helpers load
+// and filter windows while the forcing goroutine consumes them in window
+// order (morsel.go), so results and the sequence of user-function calls
+// are the serial forcing's; a UDF chain's windows run whole on any
+// goroutine, so its UDFs may be called concurrently, and its outputs keep
+// input order. A panicking operator fails its job, not the process:
 // engine.RunAtom recovers it into a Fatal error. The engine has no per-job
 // overhead worth modelling and no cluster: its simulated time equals its
 // measured wall time plus a small constant per atom. That is exactly why
@@ -126,9 +130,13 @@ func (d *datasetOps) ToChannel(ds any) (*channel.Channel, error) {
 			return nil, err
 		}
 	}
-	if b, ok := ds.(*batch.Batch); ok {
-		d.outRecords += int64(b.Len())
-		return channel.NewBatch(b), nil
+	switch ds := ds.(type) {
+	case *batch.Batch:
+		d.outRecords += int64(ds.Len())
+		return channel.NewBatch(ds), nil
+	case counted:
+		d.outRecords += int64(len(ds.recs))
+		return &channel.Channel{Format: channel.Collection, Payload: ds.recs, Records: int64(len(ds.recs)), Bytes: ds.bytes}, nil
 	}
 	recs := ds.([]data.Record)
 	d.outRecords += int64(len(recs))
@@ -138,8 +146,11 @@ func (d *datasetOps) ToChannel(ds any) (*channel.Channel, error) {
 // asRecords materialises a dataset for the row code; columnar batches
 // are converted losslessly. ExecOp has forced any pipeline by then.
 func asRecords(ds any) []data.Record {
-	if b, ok := ds.(*batch.Batch); ok {
-		return b.ToRecords()
+	switch ds := ds.(type) {
+	case *batch.Batch:
+		return ds.ToRecords()
+	case counted:
+		return ds.recs
 	}
 	return ds.([]data.Record)
 }
@@ -163,6 +174,9 @@ func (d *datasetOps) ExecOp(ctx context.Context, op *physical.Operator, inputs [
 		return op.Logical.Source()
 	case plan.KindSink:
 		return inputs[0], nil // rows, a batch or a pipeline, untouched
+	}
+	if algo.Narrow(op.Logical) {
+		return d.execRows(ctx, op, inputs[0])
 	}
 	var in [2][]data.Record
 	for i, ds := range inputs {

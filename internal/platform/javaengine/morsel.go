@@ -7,9 +7,11 @@
 // window without a column form, and the consumer — stays on the forcing
 // goroutine and runs a window at a time in window order. So a float sum
 // still folds left to right, groups are still numbered first-seen, and no
-// user function is ever called concurrently or in another sequence: the
-// result is the serial forcing's by construction, and so is its first
-// error, the context's included.
+// user function of a hinted chain is ever called concurrently or in
+// another sequence: the result is the serial forcing's by construction,
+// and so is its first error, the context's included. A chain of un-hinted
+// row UDFs is not a pipeline and has no head to hand out: its windows are
+// the tasks of a plain run, whole (rows.go).
 
 package javaengine
 

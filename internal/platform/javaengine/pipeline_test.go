@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rheem/internal/core/batch"
@@ -250,9 +251,10 @@ func TestPipelineWindowBoundaries(t *testing.T) {
 // once per row, not once per reader.
 func TestPipelineEvaluatedOnce(t *testing.T) {
 	recs := boundaryRecs(3*window+7, true)
-	var upstream, stage int
+	var upstream atomic.Int64 // a UDF may be called concurrently
+	var stage int
 	build := func(b *plan.Builder, s *plan.Operator) *plan.Operator {
-		m := b.Map(s, func(r data.Record) (data.Record, error) { upstream++; return r, nil })
+		m := b.Map(s, func(r data.Record) (data.Record, error) { upstream.Add(1); return r, nil })
 		f := b.FilterWhere(m, 1, plan.LessEq, data.Float(50))
 		match := f.Filter
 		f.Filter = func(r data.Record) (bool, error) { stage++; return match(r) }
@@ -262,8 +264,8 @@ func TestPipelineEvaluatedOnce(t *testing.T) {
 	if _, err := runChain(t, recs, true, "fan-out", build); err != nil {
 		t.Fatal(err)
 	}
-	if upstream != len(recs) {
-		t.Errorf("the UDF upstream of a chain with two readers ran %d times over %d rows", upstream, len(recs))
+	if n := upstream.Load(); n != int64(len(recs)) {
+		t.Errorf("the UDF upstream of a chain with two readers ran %d times over %d rows", n, len(recs))
 	}
 	// Ragged rows sit in windows 1, 2 and 3; the fourth (7 rows) is clean.
 	if stage != 3*window {

@@ -1,0 +1,159 @@
+package javaengine
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"rheem/internal/core/engine"
+	"rheem/internal/core/physical"
+	"rheem/internal/core/plan"
+	"rheem/internal/data"
+)
+
+// setRowWindow installs f as the test hook on every row window until the
+// test ends.
+func setRowWindow(t *testing.T, f func(window int, helper bool)) {
+	atRowWindow.Store(&f)
+	t.Cleanup(func() { atRowWindow.Store(nil) })
+}
+
+// indexRows are n one-field rows holding their own index.
+func indexRows(n int) []data.Record {
+	out := make([]data.Record, n)
+	for i := range out {
+		out[i] = data.NewRecord(data.Int(int64(i)))
+	}
+	return out
+}
+
+// filterAtom is source → Filter(keep) → sink over recs as one atom.
+func filterAtom(t *testing.T, recs []data.Record, keep plan.FilterFunc) (*engine.TaskAtom, *physical.Operator) {
+	t.Helper()
+	b := plan.NewBuilder("rows")
+	b.Collect(b.Filter(b.Source("s", plan.Collection(recs)), keep))
+	pp, err := physical.FromLogical(b.MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inAtom(pp), pp.Ops[1]
+}
+
+// TestRowWindowFailuresInWindowOrder: a UDF chain forced over windows on
+// helpers fails as its first failing window in window order does. With an
+// error in window 5 and a panic in window 2, it is the panic that
+// surfaces, raised on the forcing goroutine as an engine.HelperPanic that
+// carries the helper's stack; with the panic in window 6 instead, window
+// 5's error. The UDF panics only on a helper, so a run in which the
+// forcing goroutine claimed window 2 itself ends with window 5's error.
+func TestRowWindowFailuresInWindowOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(4)
+	var onHelper [8]atomic.Bool
+	setRowWindow(t, func(w int, helper bool) {
+		onHelper[w].Store(helper)
+		if !helper {
+			// Slow the forcing goroutine down, so helpers claim windows.
+			time.Sleep(200 * time.Microsecond)
+		}
+	})
+	var panicAt atomic.Int64
+	keep := func(r data.Record) (bool, error) {
+		i := r.Field(0).Int()
+		if i%window != 0 {
+			return true, nil
+		}
+		switch w := int(i / window); {
+		case int64(w) == panicAt.Load() && onHelper[w].Load():
+			panic(fmt.Sprintf("window %d refused", w))
+		case w == 5:
+			return false, errors.New("window 5 failed")
+		}
+		return true, nil
+	}
+	recs := indexRows(8 * window)
+	atom, filter := filterAtom(t, recs, keep)
+	force := func() (v any, err error) {
+		for w := range onHelper {
+			onHelper[w].Store(false)
+		}
+		defer func() { v = recover() }()
+		_, err = (&datasetOps{atom: atom}).ExecOp(context.Background(), filter, []any{recs})
+		return nil, err
+	}
+	for _, c := range []struct {
+		panicAt int
+		raised  bool // the panic is what surfaces when a helper met it
+	}{{2, true}, {6, false}} {
+		panicAt.Store(int64(c.panicAt))
+		raised := 0
+		for try := 0; try < 200 && raised < 5; try++ {
+			v, err := force()
+			switch p, _ := v.(*engine.HelperPanic); {
+			case p != nil && c.raised:
+				if fmt.Sprint(p.V) != "window 2 refused" || !strings.Contains(string(p.Stack), "core/engine.help(") {
+					t.Fatalf("panic at %d: raised %v, from a stack without the helper's frame:\n%s", c.panicAt, p.V, p.Stack)
+				}
+				raised++
+			case v == nil && err != nil && err.Error() == "window 5 failed":
+				// Window 5's error: the panic was not met on a helper, or
+				// comes after it in window order.
+				if !c.raised && onHelper[c.panicAt].Load() {
+					raised++
+				}
+			default:
+				t.Fatalf("panic at %d: the forcing raised %v and returned %v", c.panicAt, v, err)
+			}
+		}
+		if raised == 0 {
+			t.Errorf("panic at %d: no helper ever met its window in 200 runs", c.panicAt)
+		}
+	}
+}
+
+// TestRowWindowsStopOnCancel: once a window cancels the job, no later
+// window's UDF is called, and the atom returns the context's error as it
+// is, which engine.RunAtom does not make Fatal.
+func TestRowWindowsStopOnCancel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancelled := make(chan struct{})
+		// Every window but the first waits, once claimed, for the first to
+		// cancel: whichever goroutine claimed it, it then finds the context
+		// done.
+		setRowWindow(t, func(w int, _ bool) {
+			if w > 0 {
+				<-cancelled
+			}
+		})
+		var later atomic.Int64
+		atom, _ := filterAtom(t, indexRows(4*window), func(r data.Record) (bool, error) {
+			switch i := r.Field(0).Int(); {
+			case i == 0:
+				cancel()
+				close(cancelled)
+			case i >= window:
+				later.Add(1)
+			}
+			return true, nil
+		})
+		_, _, err := New().ExecuteAtom(ctx, atom, engine.AtomInputs{})
+		cancel()
+		if err != context.Canceled {
+			t.Errorf("GOMAXPROCS %d: err = %v, want context.Canceled itself", procs, err)
+		}
+		if engine.IsFatal(err) {
+			t.Errorf("GOMAXPROCS %d: a cancelled forcing is Fatal: %v", procs, err)
+		}
+		if n := later.Load(); n != 0 {
+			t.Errorf("GOMAXPROCS %d: the UDF ran on %d records of later windows after the cancel", procs, n)
+		}
+	}
+}

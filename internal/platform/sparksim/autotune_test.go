@@ -71,7 +71,7 @@ func TestAutoTuneKeepsWidePartitioningForBigInput(t *testing.T) {
 	cfg := Config{Partitions: 8, AutoTunePartitions: true, TargetRecordsPerTask: 100}
 	cfg.defaults()
 	d := &datasetOps{cfg: cfg}
-	parts, err := d.partitionByKey(context.Background(), splitEven(datagen.ZipfInts(5000, 500, 2), 8), plan.FieldKey(0))
+	parts, err := d.partitionByKey(context.Background(), newDataset(splitEven(datagen.ZipfInts(5000, 500, 2), 8)), plan.FieldKey(0))
 	if err != nil {
 		t.Fatal(err)
 	}

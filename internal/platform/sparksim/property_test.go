@@ -51,7 +51,7 @@ func TestQuickShufflePreservesRecords(t *testing.T) {
 	f := func(g partGen) bool {
 		recs := toRecords(g.Keys)
 		d := &datasetOps{cfg: cfg}
-		parts, err := d.partitionByKey(context.Background(), splitEven(recs, 3), plan.FieldKey(0))
+		parts, err := d.partitionByKey(context.Background(), newDataset(splitEven(recs, 3)), plan.FieldKey(0))
 		if err != nil {
 			return false
 		}
@@ -79,7 +79,7 @@ func TestQuickShuffleCoPartitions(t *testing.T) {
 	f := func(g partGen) bool {
 		recs := toRecords(g.Keys)
 		d := &datasetOps{cfg: cfg}
-		parts, err := d.partitionByKey(context.Background(), splitEven(recs, 4), plan.FieldKey(0))
+		parts, err := d.partitionByKey(context.Background(), newDataset(splitEven(recs, 4)), plan.FieldKey(0))
 		if err != nil {
 			return false
 		}

@@ -23,9 +23,13 @@
 // Measured per-partition compute is real, and so is its parallelism on
 // the host: a stage of at least morselRows rows runs its partitions on the
 // atom's goroutine and the process's helpers (engine.Run, under the one
-// budget javaengine's forcings share), each task timing itself. The cluster — its slots, waves, dispatch, network and
-// job overhead — is what the clock models. A UDF placed here may therefore
-// be called concurrently from different partitions, as on Spark. See
+// budget javaengine's forcings share), each task timing itself. A run of
+// Map, Filter and FlatMap operators is pipelined as on Spark: the stage
+// that reads it runs it inside its own tasks, one fused pass a partition
+// (algo.Chain), and the clock still charges each of them its waves' task
+// overhead. The cluster — its slots, waves, dispatch, network and job
+// overhead — is what the clock models. A UDF placed here may therefore be
+// called concurrently from different partitions, as on Spark. See
 // bench_test.go and EXPERIMENTS.md for the calibration used to regenerate
 // the paper's figures.
 package sparksim
@@ -164,17 +168,6 @@ func (p *Platform) RegisterConverters(reg *channel.Registry) {
 	})
 }
 
-// newPartChannel wraps partitions in a Partitioned channel with
-// volume metadata.
-func newPartChannel(parts [][]data.Record) *channel.Channel {
-	var n, bytes int64
-	for _, p := range parts {
-		n += int64(len(p))
-		bytes += data.TotalBytes(p)
-	}
-	return &channel.Channel{Format: channel.Partitioned, Payload: parts, Records: n, Bytes: bytes}
-}
-
 // partsOf extracts the partition payload of a Partitioned channel.
 func partsOf(ch *channel.Channel) ([][]data.Record, error) {
 	if ch.Format != channel.Partitioned {
@@ -220,7 +213,7 @@ func splitEven(recs []data.Record, n int) [][]data.Record {
 // simulated job.
 func (p *Platform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) (map[int]*channel.Channel, engine.Metrics, error) {
 	start := time.Now()
-	d := &datasetOps{cfg: p.cfg}
+	d := &datasetOps{cfg: p.cfg, atom: atom}
 	exits, err := engine.RunAtom(ctx, d, atom, inputs)
 	m := engine.Metrics{
 		Wall:          time.Since(start),

@@ -122,7 +122,7 @@ func TestStagesMatchSerial(t *testing.T) {
 	// records in the order one pass over the partitions appends them.
 	runtime.GOMAXPROCS(4)
 	parts := splitEven(recs, p.cfg.Partitions)
-	shuffled, err := (&datasetOps{cfg: p.cfg}).partitionByKey(context.Background(), parts, key)
+	shuffled, err := (&datasetOps{cfg: p.cfg}).partitionByKey(context.Background(), newDataset(parts), key)
 	if err != nil {
 		t.Fatal(err)
 	}
