@@ -1,6 +1,7 @@
 // Not built under the race detector: it has sync.Pool drop what it holds
-// at random, and the single-node engine leases its window scratch from
-// one, so what a Run allocates would move with it.
+// at random, and the engines keep buffers in pools (a FlatMap's row
+// windows, a column map's one-row window), so what a Run allocates would
+// move with it.
 
 //go:build !race
 

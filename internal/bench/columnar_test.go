@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
-	"time"
 
 	"rheem/internal/core/executor"
 	"rheem/internal/data"
@@ -22,11 +21,17 @@ func colRecordBytes(t *testing.T, recs []data.Record) []byte {
 // TestColumnarSpeedup is E13's acceptance gate on the hot-path chain:
 // the hinted plan must produce byte-identical results to its UDF twin
 // and be meaningfully faster on wall clock. The gate here is a
-// conservative 1.5× at a mid size so it holds under the race detector
-// and on loaded CI boxes; the full gap at 1M rows is E13's table
-// (rheem-bench -experiment columnar).
+// conservative 1.5× at a mid size; the full gap at 1M rows is E13's
+// table (rheem-bench -experiment columnar). Both plans run at one worker
+// so the gate compares the two kernels rather than how each spreads over
+// the cores (the UDF twin runs its row windows on every core too), and
+// the runs alternate so that a loaded stretch of the box slows both
+// sides; each side keeps its fastest of five. On a 2-core box the race
+// build read 1.27–1.48× at two workers with the sides run back to back,
+// and 1.58–2.46× over 30 runs this way.
 func TestColumnarSpeedup(t *testing.T) {
-	const rows, reps = 200_000, 3
+	const rows, reps = 200_000, 5
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	recs := ColumnarRecords(rows)
 	run := func(hinted bool) *executor.Result {
 		t.Helper()
@@ -35,27 +40,23 @@ func TestColumnarSpeedup(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ctx.Close()
+		runtime.GC()
 		res, err := RunColumnarTraced(ctx, nil, recs, hinted)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	best := func(hinted bool) (*executor.Result, time.Duration) {
-		runtime.GC()
-		res := run(hinted)
-		min := res.Metrics.Wall
-		for i := 1; i < reps; i++ {
-			runtime.GC()
-			if r := run(hinted); r.Metrics.Wall < min {
-				res, min = r, r.Metrics.Wall
-			}
+	var udf, col *executor.Result
+	for i := 0; i < reps; i++ {
+		if r := run(false); udf == nil || r.Metrics.Wall < udf.Metrics.Wall {
+			udf = r
 		}
-		return res, min
+		if r := run(true); col == nil || r.Metrics.Wall < col.Metrics.Wall {
+			col = r
+		}
 	}
-
-	udf, udfWall := best(false)
-	col, colWall := best(true)
+	udfWall, colWall := udf.Metrics.Wall, col.Metrics.Wall
 	if !bytes.Equal(colRecordBytes(t, udf.Records), colRecordBytes(t, col.Records)) {
 		t.Errorf("hinted plan's records differ from its UDF twin's:\n  udf    %v\n  hinted %v", udf.Records, col.Records)
 	}

@@ -110,65 +110,54 @@ func cutLast(s string, sep byte) (before, after string, found bool) {
 // WriteBinary writes records in the compact binary format and returns
 // the number of payload bytes written. It buffers w itself unless w is a
 // *bufio.Writer, which it writes through and flushes.
+//
+// It writes straight into the buffer and allocates nothing per record,
+// field or string. A failed write sticks in the bufio.Writer, which then
+// writes nothing more, and surfaces from Flush; the count stops growing
+// at the first failure.
 func WriteBinary(w io.Writer, recs []Record) (int64, error) {
 	bw, ok := w.(*bufio.Writer)
 	if !ok {
 		bw = bufio.NewWriter(w)
 	}
-	cw := &countingWriter{w: bw}
+	var n int64
 	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := cw.Write(buf[:n])
-		return err
-	}
-	if err := putUvarint(uint64(len(recs))); err != nil {
-		return cw.n, err
-	}
+	n += writeUvarint(bw, &buf, uint64(len(recs)))
 	for _, r := range recs {
-		if err := putUvarint(uint64(r.Len())); err != nil {
-			return cw.n, err
-		}
+		n += writeUvarint(bw, &buf, uint64(r.Len()))
 		for _, v := range r.Fields() {
 			k := v.Kind()
-			if _, err := cw.Write([]byte{byte(k)}); err != nil {
-				return cw.n, err
+			if bw.WriteByte(byte(k)) == nil {
+				n++
 			}
 			switch k {
 			case KindNull:
 			case KindBool, KindInt:
-				if err := putUvarint(zigzag(v.int())); err != nil {
-					return cw.n, err
-				}
+				n += writeUvarint(bw, &buf, zigzag(v.int()))
 			case KindFloat:
-				if err := putUvarint(v.n); err != nil {
-					return cw.n, err
-				}
+				n += writeUvarint(bw, &buf, v.n)
 			case KindString:
-				if err := putUvarint(uint64(v.len())); err != nil {
-					return cw.n, err
-				}
-				if _, err := io.WriteString(cw, v.str()); err != nil {
-					return cw.n, err
-				}
+				n += writeUvarint(bw, &buf, uint64(v.len()))
+				m, _ := bw.WriteString(v.str())
+				n += int64(m)
 			case KindVector:
-				if err := putUvarint(uint64(v.len())); err != nil {
-					return cw.n, err
-				}
+				n += writeUvarint(bw, &buf, uint64(v.len()))
 				for _, f := range v.vec() {
-					if err := putUvarint(math.Float64bits(f)); err != nil {
-						return cw.n, err
-					}
+					n += writeUvarint(bw, &buf, math.Float64bits(f))
 				}
 			default:
-				return cw.n, fmt.Errorf("data: binary-encode unknown kind %d", k)
+				return n, fmt.Errorf("data: binary-encode unknown kind %d", k)
 			}
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	return n, bw.Flush()
+}
+
+// writeUvarint writes v as a uvarint through buf and returns the bytes
+// bw took.
+func writeUvarint(bw *bufio.Writer, buf *[binary.MaxVarintLen64]byte, v uint64) int64 {
+	m, _ := bw.Write(buf[:binary.PutUvarint(buf[:], v)])
+	return int64(m)
 }
 
 // preallocCap bounds slice preallocation from length prefixes read off
@@ -276,14 +265,3 @@ func readFullCapped(r io.Reader, n uint64) ([]byte, error) {
 
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}

@@ -1,7 +1,11 @@
 package data
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/hex"
+	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -189,5 +193,74 @@ func TestZigzagRoundTrip(t *testing.T) {
 	f := func(v int64) bool { return unzigzag(zigzag(v)) == v }
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBinaryGoldenBytes pins the binary format field by field: one
+// single-field record per case, its exact bytes in hex (record count,
+// arity, kind byte, payload). service.Digest hashes these bytes, so a
+// change here changes every job's digest.
+func TestBinaryGoldenBytes(t *testing.T) {
+	cases := []struct {
+		name string
+		v    Value
+		hex  string
+	}{
+		{"null", Null(), "010100"},
+		{"false", Bool(false), "01010100"},
+		{"true", Bool(true), "01010102"},
+		{"negative int", Int(-300), "010102d704"},
+		{"float", Float(1.5), "01010380808080808080fc3f"},
+		{"negative zero", Float(math.Copysign(0, -1)), "01010380808080808080808001"},
+		{"NaN", Float(math.NaN()), "01010381808080808080fc7f"},
+		{"empty string", Str(""), "01010400"},
+		{"multi-byte string", Str("né世"), "010104066ec3a9e4b896"},
+		{"vector", Vec([]float64{1, -2.5}), "0101050280808080808080f83f8080808080808082c001"},
+		{"nil vector", Vec(nil), "01010500"},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		n, err := WriteBinary(&buf, []Record{NewRecord(c.v)})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := hex.EncodeToString(buf.Bytes())
+		if got != c.hex {
+			t.Errorf("%s encodes as %s, want %s", c.name, got, c.hex)
+		}
+		if n != int64(buf.Len()) {
+			t.Errorf("%s: reported %d bytes, wrote %d", c.name, n, buf.Len())
+		}
+	}
+}
+
+// TestWriteBinaryAllocationsIndependentOfRows: WriteBinary writes
+// straight into the bufio.Writer it is handed, so a batch of 5 000 rows
+// costs the objects one of 5 rows does. An object per record, field or
+// string — a kind byte boxed into a slice, a string copied for a writer
+// without WriteString — is thousands of objects on the large batch.
+// Sampled heap profiles barely show such one-byte objects; this count
+// does.
+func TestWriteBinaryAllocationsIndependentOfRows(t *testing.T) {
+	rows := func(n int) []Record {
+		recs := make([]Record, n)
+		for i := range recs {
+			recs[i] = NewRecord(Null(), Bool(i%2 == 0), Int(int64(-i)), Float(float64(i)/3),
+				Str("row"), Vec([]float64{float64(i), 1}))
+		}
+		return recs
+	}
+	bw := bufio.NewWriter(io.Discard)
+	allocs := func(recs []Record) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := WriteBinary(bw, recs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(rows(5)), allocs(rows(5000))
+	t.Logf("%.0f objects for 5 rows, %.0f for 5 000", small, large)
+	if large > small+1 {
+		t.Errorf("WriteBinary made %.0f objects for 5 000 rows and %.0f for 5", large, small)
 	}
 }

@@ -28,7 +28,8 @@ import (
 // with its ring on a free list: no forcing allocates it, its slots or its
 // run's channels. The windows' memory is not part of it: each slot leases a
 // scratch for the forcing and returns it at the end, as a serial forcing
-// does, so an idle process holds no window memory here.
+// does, so the window memory an idle process holds is scratch.go's free
+// list of scratches, not these states.
 type morsels struct {
 	engine.Ordered
 	p     *pipeline

@@ -1,6 +1,7 @@
 package javaengine
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -17,25 +18,49 @@ type scratch struct {
 	group grouper
 }
 
-// maxCols bounds the columns a pooled scratch keeps, as window bounds their
+// maxCols bounds the columns a kept scratch keeps, as window bounds their
 // rows and its groups: one that served a wider job is dropped.
 const maxCols = 64
 
-var scratches = sync.Pool{New: func() any { return new(scratch) }}
+// scratches is the free list of released scratches: at most four per P,
+// which covers two morsel-parallel forcings at once (each leases two
+// windows per worker); a scratch released beyond that is dropped. It is
+// not a sync.Pool: the collector empties a pool, and a race build's pool
+// drops one Put in four at random, so a forcing would make its window
+// buffers again at the collector's or the race detector's whim. The price
+// is that an idle process keeps up to 4 × GOMAXPROCS scratches, each
+// window-sized, with every reference into the jobs that used them severed.
+var scratches struct {
+	sync.Mutex
+	free []*scratch
+}
 
-func lease() *scratch { return scratches.Get().(*scratch) }
+func lease() *scratch {
+	var s *scratch
+	scratches.Lock()
+	if n := len(scratches.free); n > 0 {
+		s = scratches.free[n-1]
+		scratches.free = scratches.free[:n-1]
+	}
+	scratches.Unlock()
+	if s == nil {
+		s = new(scratch)
+	}
+	return s
+}
 
 // scribble, set by tests, overwrites what release keeps before it is
-// pooled. It is atomic because a helper may release a forcing's slots after
+// kept. It is atomic because a helper may release a forcing's slots after
 // the forcing returned (morsel.go).
 var scribble atomic.Pointer[func(*scratch)]
 
-// release returns s to the pool with every reference into the finished job
-// severed. A window's columns are views — over a columnar source, of storage
-// every job shares, which Column.Fill would write into — and go; the storage
-// behind them keeps its numbers (every reader writes first, a computed
-// column through Column.Reset) and loses its strings, values and bitmaps.
-// An emptied map still means "no key of this kind yet": the grouper asks len.
+// release returns s to the free list with every reference into the finished
+// job severed. A window's columns are views — over a columnar source, of
+// storage every job shares, which Column.Fill would write into — and go; the
+// storage behind them keeps its numbers (every reader writes first, a
+// computed column through Column.Reset) and loses its strings, values and
+// bitmaps. An emptied map still means "no key of this kind yet": the grouper
+// asks len.
 func (s *scratch) release() {
 	w, g := &s.win, &s.group
 	if len(w.cols)+len(w.maps.calc) > maxCols {
@@ -68,5 +93,9 @@ func (s *scratch) release() {
 	if f := scribble.Load(); f != nil {
 		(*f)(s)
 	}
-	scratches.Put(s)
+	scratches.Lock()
+	if len(scratches.free) < 4*runtime.GOMAXPROCS(0) {
+		scratches.free = append(scratches.free, s)
+	}
+	scratches.Unlock()
 }

@@ -19,7 +19,7 @@ import (
 )
 
 // scribbleScratch is the lease's poison: every buffer release keeps is
-// overwritten before it is pooled — selections and group ids with a row
+// overwritten before it is kept — selections and group ids with a row
 // no window has, numbers with a pattern, strings, values, keys and
 // accumulators with a marker — so a result that aliases leased memory, or
 // a forcing that reads a buffer before writing it, no longer agrees with
@@ -160,7 +160,7 @@ func rowsSource(recs []data.Record) func(*plan.Builder) *plan.Operator {
 // storage a column holds — so a scratch that kept such a view would have
 // the next rows-source job transpose over the catalog. Chains over a batch
 // at rest alternate with chains over rows whose columns are of every kind,
-// on one goroutine (the pool hands the same scratch back), and the batch
+// on one goroutine (the free list hands the same scratch back), and the batch
 // must encode to the same bytes afterwards.
 func TestLeaseLeavesColumnsAtRestAlone(t *testing.T) {
 	cols := batch.FromRecords(leaseRecs(window + 300))
@@ -201,7 +201,7 @@ func TestLeaseLeavesColumnsAtRestAlone(t *testing.T) {
 
 // TestLeaseConcurrentForcings: goroutines force different chains over one
 // batch at rest, leasing and releasing scratches to one another through
-// the pool, each compared with its UDF twin — under -race this is also the
+// the free list, each compared with its UDF twin — under -race this is also the
 // check that nothing leased is shared.
 func TestLeaseConcurrentForcings(t *testing.T) {
 	cols := batch.FromRecords(leaseRecs(2*window + 100))
@@ -278,7 +278,7 @@ func severed(s *scratch) error {
 // groups' keys and accumulators in the scratch — the error path returns it,
 // the panic drops it — and the next job on the same goroutine, grouping
 // other rows under other keys, answers what its UDF twin answers. What the
-// pool hands out in between refers to nothing.
+// free list hands out in between refers to nothing.
 func TestLeaseAfterFailure(t *testing.T) {
 	recs := leaseRecs(2*window + 50)
 	failing := func(fail func() error) func(*plan.Builder, *plan.Operator) *plan.Operator {
@@ -356,7 +356,7 @@ func TestGatherCatchesUpByWindows(t *testing.T) {
 		}
 		return out.(*batch.Batch)
 	}
-	force() // warm-up: the pool
+	force() // warm-up: the free list of scratches
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	out := force()

@@ -21,9 +21,9 @@ import (
 // with its window scratch leased, a control plane that allocates per
 // plan and per atom and two-word data quanta (112/116/116/115/116/117/
 // 98/137 objects, 24.1/14.0/13.1/14.3/12.9/11.9/11.4/22.3 KB) plus, in
-// bytes, the 1.4 KB a query reads more when one of the twenty had its
-// scratch made anew — the pool is emptied by the collector and keeps a
-// scratch per P. With three-word quanta (a 24-byte Value and Record)
+// bytes, the 1.4 KB a query read more when one of the twenty had its
+// scratch made anew while scratches were kept in a sync.Pool, which the
+// collector empties. With three-word quanta (a 24-byte Value and Record)
 // the bytes read 28.1/15.2/14.4/15.3/13.6/11.9/12.0/26.3 KB. With objects
 // per operator — a physical plan built one at a time, atom inputs in
 // maps, names through fmt — and two trace snapshots a run they read
@@ -97,11 +97,16 @@ func TestSQLAllocationGate(t *testing.T) {
 // four percent above the most the columnar plans read over inputs
 // generated as columns with their window scratch leased, on a control
 // plane that allocates per plan and per atom, a flight recorder that
-// builds a profile only when one is read and two-word data quanta (152 /
-// 269–270 / 189 objects, 78.0–80.1 / 185–204 / 79.0–82.2 KB: a 4 000-row
-// scratch the collector took from the pool is 200 KB to make again, 10
-// KB a job over twenty, and the sensor job allocates enough for that to
-// happen). With three-word quanta (a 24-byte Value and Record) the bytes
+// builds a profile only when one is read, two-word data quanta, window
+// scratch kept on a free list and a digest encoder that writes straight
+// into its buffer (113 / 203–204 / 185–186 objects, 77.6–77.8 /
+// 185.3–186.1 / 78.8–79.3 KB at GOMAXPROCS 1 and 4). With the scratch in
+// a sync.Pool they read 113–114 / 205–206 / 185–186 objects and 77.6–79.7
+// / 192–203 / 78.8–80.2 KB: a 4 000-row scratch the collector took from
+// the pool is 200 KB to make again, 10 KB a job over twenty, and the
+// sensor job allocates enough for that to happen. With an object per
+// field and per string in the digest as well they read 152 / 269–270 /
+// 189 objects and 78.0–80.1 / 185–204 / 79.0–82.2 KB. With three-word quanta (a 24-byte Value and Record) the bytes
 // read 78.6–79.8 / 196–217 / 107 KB. Building the
 // physical plan an operator at a time and every profile twice they read
 // 191 / 314–319 / 297 objects and 79.6–80.7 / 197–217 / 112 KB. With
@@ -111,9 +116,9 @@ func TestSQLAllocationGate(t *testing.T) {
 // records generated one by one 12 200 / 12 286 / 2 037 objects and 0.70 /
 // 1.76 / 0.14 MB.
 var builtinGate = []struct{ objects, bytes float64 }{
-	{158, 83_000},  // wordcount, n = 4 000
-	{281, 212_000}, // sensor, n = 4 000
-	{197, 86_000},  // fanout, 200 × 4
+	{118, 81_000},  // wordcount, n = 4 000
+	{212, 194_000}, // sensor, n = 4 000
+	{194, 82_500},  // fanout, 200 × 4
 }
 
 // TestBuiltinAllocationGate is ROADMAP item 2a's gate: the service's own

@@ -872,9 +872,10 @@ func TestHintedChainAllocationGate(t *testing.T) {
 		// pipeline's window-sized buffers, which are leased: a forcing
 		// that allocates its window scratch again reads 60 KB. Measured
 		// at 91 objects and 10.0 KB (124 and 10.6 KB while the control
-		// plane allocated per operator), 21 KB when the collector had taken
-		// the scratch from the pool; the headroom is for that and for
-		// toolchain drift, not for per-row work, which at this input
+		// plane allocated per operator). Scratches sit on a free list, not
+		// in a sync.Pool, so neither a collection nor a race build's
+		// dropped Puts make a forcing allocate them again. The headroom is
+		// for toolchain drift, not for per-row work, which at this input
 		// size would overshoot it many times.
 		perJob      = 200
 		perJobBytes = 32 << 10
