@@ -7,9 +7,11 @@
 package core
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
+	"rheem/internal/core/batch"
 	"rheem/internal/core/plan"
 	"rheem/internal/data"
 )
@@ -49,6 +51,56 @@ func sourceConfCases(columns bool) []inAtomCase {
 	}
 }
 
+// sharedSources, while a test sets it, makes confSource hand every plan
+// over one record slice the same batch — as every job over a catalog table
+// or of one built-in spec reads the same batch — and keeps the batches for
+// checkSharedSources.
+var sharedSources map[sourceKey]sharedSource
+
+type sourceKey struct {
+	first *data.Record
+	n     int
+}
+
+type sharedSource struct {
+	recs []data.Record
+	cols *batch.Batch
+}
+
+// columnsOf is recs at rest in column form: while sharedSources is set,
+// the one batch every plan over recs reads.
+func columnsOf(recs []data.Record) *batch.Batch {
+	if sharedSources == nil || len(recs) == 0 {
+		return batch.FromRecords(recs)
+	}
+	k := sourceKey{&recs[0], len(recs)}
+	s, ok := sharedSources[k]
+	if !ok {
+		s = sharedSource{recs, batch.FromRecords(recs)}
+		sharedSources[k] = s
+	}
+	return s.cols
+}
+
+// checkSharedSources fails t for every shared batch that no longer encodes,
+// row by row in order, to the records it was made from: a plan that read it
+// wrote to its columns.
+func checkSharedSources(t *testing.T) {
+	t.Helper()
+	inOrder := func(recs []data.Record) []byte {
+		var buf bytes.Buffer
+		if _, err := data.WriteBinary(&buf, recs); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, s := range sharedSources {
+		if !bytes.Equal(inOrder(s.cols.ToRecords()), inOrder(s.recs)) {
+			t.Errorf("a source batch of %d rows changed under the plans that read it", len(s.recs))
+		}
+	}
+}
+
 // TestColumnarSourceMatchesRowSource: a plan whose sources keep their
 // records at rest in column form gives, on every platform and shard width,
 // the bytes — or the error — it gives over row sources. In one atom with
@@ -56,7 +108,10 @@ func sourceConfCases(columns bool) []inAtomCase {
 // column, ragged records, which a batch only carries as rows; the column
 // maps over two windows; the cases above) and alone in an atom feeding
 // another platform (the cross-platform battery, its join of two sources
-// included), where it leaves as rows.
+// included), where it leaves as rows. A case's plans read one batch per
+// source, as concurrent jobs read a catalog table or a built-in's input,
+// and each batch must encode to the same bytes after every platform ran
+// them: nothing downstream of a shared source may write to its columns.
 func TestColumnarSourceMatchesRowSource(t *testing.T) {
 	inAtom := append(inAtomBattery(), sourceConfCases(true)...)
 	rowTwins := append(inAtomBattery(), sourceConfCases(false)...)
@@ -64,8 +119,12 @@ func TestColumnarSourceMatchesRowSource(t *testing.T) {
 		c.name, c.recs = "map-columns-"+c.name, mapConfRecords(8193)
 		inAtom, rowTwins = append(inAtom, c), append(rowTwins, c)
 	}
+	sharedSources = map[sourceKey]sharedSource{}
+	defer func() { sharedSources = nil }()
 	for i, c := range inAtom {
 		t.Run("in-atom/"+c.name, func(t *testing.T) {
+			clear(sharedSources)
+			defer checkSharedSources(t)
 			for _, target := range confPlatforms {
 				for _, shards := range []int{1, 4} {
 					want, wantErr := runInAtom(t, rowTwins[i], target, shards, true, false)
@@ -82,6 +141,8 @@ func TestColumnarSourceMatchesRowSource(t *testing.T) {
 	}
 	for _, c := range fullBattery() {
 		t.Run("fed/"+c.name, func(t *testing.T) {
+			clear(sharedSources)
+			defer checkSharedSources(t)
 			atRest := c
 			atRest.columns = true
 			for _, target := range confPlatforms {

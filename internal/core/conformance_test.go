@@ -126,7 +126,7 @@ type confCase struct {
 // hint, when recs are ragged.
 func confSource(b *plan.Builder, name string, recs []data.Record, columns bool) *plan.Operator {
 	if columns {
-		return b.SourceColumns(name, batch.FromRecords(recs))
+		return b.SourceColumns(name, columnsOf(recs))
 	}
 	src := b.Source(name, plan.Collection(recs))
 	src.CardHint = int64(len(recs))

@@ -143,9 +143,11 @@ func (s *columnRows) source() ([]data.Record, error) {
 // carrying the batch as a vectorization hint beside the SourceFunc that
 // reads it out as rows (at most once, and only if a row reader asks).
 // The batch is shared, not copied: by every job a catalog builds a plan
-// for, concurrently, so nothing downstream may write to its columns. A
-// row-backed batch (ragged records) has no column form and carries no
-// hint.
+// for and by every job of one built-in service spec, whose input is
+// generated once per spec, concurrently — so nothing downstream may write
+// to its columns (TestColumnarSourceMatchesRowSource holds every platform
+// to that). A row-backed batch (ragged records) has no column form and
+// carries no hint.
 func (b *Builder) SourceColumns(name string, cols *batch.Batch) *Operator {
 	o := b.Source(name, (&columnRows{cols: cols}).source)
 	o.CardHint = int64(cols.Len())

@@ -10,7 +10,9 @@
 package service
 
 import (
+	"container/list"
 	"fmt"
+	"sync"
 	"time"
 
 	"rheem/internal/apps/rheemql"
@@ -33,8 +35,11 @@ const (
 	WorkloadFanout    = "fanout"
 )
 
-// The largest workload a request may ask for: generated inputs live in
-// the server's memory, 144 bytes a sensor reading.
+// The largest workload a request may ask for. A built-in's input is
+// generated as columns and kept in the server's memory — 40 bytes a sensor
+// reading (five 8-byte values), 16 a word, 8 a fanout int — and the inputs
+// kept for reuse (builtinInputs) hold at most MaxWorkloadN rows together:
+// 40 MiB at most.
 const MaxWorkloadN, MaxBranches, MaxWells = 1 << 20, 64, 1 << 16
 
 // Spec describes what a job computes.
@@ -171,14 +176,91 @@ func (s *Spec) BuildPlan(name string, cat *rheemql.Catalog) (*plan.Plan, error) 
 	case KindWorkload:
 		switch s.Workload {
 		case WorkloadWordcount:
-			return wordcountPlan(name, s.sized(2000), s.Seed)
+			return wordcountPlan(name, builtinInputs.get(inputKey{WorkloadWordcount, s.sized(2000), 0, s.Seed}))
 		case WorkloadSensor:
-			return sensorPlan(name, s.sized(2000), s.wells(), s.Seed)
+			return sensorPlan(name, builtinInputs.get(inputKey{WorkloadSensor, s.sized(2000), s.wells(), s.Seed}))
 		case WorkloadFanout:
-			return fanoutPlan(name, s.sized(200), s.branches(), s.Seed)
+			return fanoutPlan(name, builtinInputs.get(inputKey{WorkloadFanout, s.sized(200), 0, s.Seed}), s.branches())
 		}
 	}
 	return nil, fmt.Errorf("service: cannot build plan for spec kind %q", s.Kind)
+}
+
+// builtinInputs is the built-ins' generated inputs, one per (workload, n,
+// wells, seed), shared read-only by every plan built for it while it is
+// kept, as the catalog's tables are shared by every query.
+var builtinInputs inputMemo
+
+// inputKey is all a built-in's input depends on; wells is 0 for the
+// workloads that have none.
+type inputKey struct {
+	workload string
+	n, wells int
+	seed     uint64
+}
+
+// generate makes the input of k as columns.
+func (k inputKey) generate() *batch.Batch {
+	switch k.workload {
+	case WorkloadWordcount:
+		return datagen.WordColumns(k.n, k.seed)
+	case WorkloadSensor:
+		return datagen.SensorColumns(datagen.SensorConfig{N: k.n, Wells: k.wells, Seed: k.seed})
+	}
+	ints := make([]int64, k.n)
+	for i := range ints {
+		ints[i] = int64(i) + int64(k.seed)
+	}
+	cols, err := batch.New(k.n, []batch.Column{{Kind: batch.ColInt64, Int64s: ints}})
+	if err != nil {
+		panic(err) // one column of n rows by construction
+	}
+	return cols
+}
+
+// inputMemo keeps generated inputs, at most MaxWorkloadN rows of them
+// together, and evicts the least recently used first. Its lock covers the
+// bookkeeping alone: an input is generated outside it, once, by the first
+// caller of its key, and every other caller of that key waits for it.
+type inputMemo struct {
+	mu    sync.Mutex
+	rows  int
+	byKey map[inputKey]*list.Element // values are *memoInput
+	lru   list.List                  // most recently used at the front
+}
+
+type memoInput struct {
+	key  inputKey
+	once sync.Once
+	cols *batch.Batch
+}
+
+// get returns the input of k, generating it on first use.
+func (m *inputMemo) get(k inputKey) *batch.Batch {
+	if k.n > MaxWorkloadN { // past the door's bound: the plan alone keeps it
+		return k.generate()
+	}
+	m.mu.Lock()
+	el := m.byKey[k]
+	if el != nil {
+		m.lru.MoveToFront(el)
+	} else {
+		for m.rows+k.n > MaxWorkloadN {
+			old := m.lru.Remove(m.lru.Back()).(*memoInput)
+			delete(m.byKey, old.key)
+			m.rows -= old.key.n
+		}
+		if m.byKey == nil {
+			m.byKey = map[inputKey]*list.Element{}
+		}
+		el = m.lru.PushFront(&memoInput{key: k})
+		m.byKey[k] = el
+		m.rows += k.n
+	}
+	in := el.Value.(*memoInput)
+	m.mu.Unlock()
+	in.once.Do(func() { in.cols = k.generate() })
+	return in.cols
 }
 
 func (s *Spec) sized(def int) int {
@@ -204,9 +286,9 @@ func (s *Spec) wells() int {
 
 // wordcountPlan is the classic, as SELECT word, COUNT(*) … GROUP BY word
 // ORDER BY word.
-func wordcountPlan(name string, n int, seed uint64) (*plan.Plan, error) {
+func wordcountPlan(name string, words *batch.Batch) (*plan.Plan, error) {
 	b := plan.NewBuilder(name)
-	src := b.SourceColumns("words", datagen.WordColumns(n, seed))
+	src := b.SourceColumns("words", words)
 	counts := b.GroupAggregate(src, []int{0}, plan.GroupCol{Fn: plan.GroupKey}, plan.GroupCol{Fn: plan.GroupCountAll})
 	b.Collect(b.Sort(counts, plan.FieldKey(0), false))
 	return b.Build()
@@ -214,9 +296,9 @@ func wordcountPlan(name string, n int, seed uint64) (*plan.Plan, error) {
 
 // sensorPlan is the §1 pipeline shape: normalize (a column map: pressure in
 // kPa, clamped at 0) → per-well sums and count → a vector of means → sort.
-func sensorPlan(name string, n, wells int, seed uint64) (*plan.Plan, error) {
+func sensorPlan(name string, readings *batch.Batch) (*plan.Plan, error) {
 	b := plan.NewBuilder(name)
-	src := b.SourceColumns("readings", datagen.SensorColumns(datagen.SensorConfig{N: n, Wells: wells, Seed: seed}))
+	src := b.SourceColumns("readings", readings)
 	norm := b.MapColumns(src, plan.ColumnMap{
 		In:  []plan.ColumnIn{{Field: 0, Kind: batch.ColInt64}, {Field: 2, Kind: batch.ColFloat64}, {Field: 3, Kind: batch.ColFloat64}, {Field: 4, Kind: batch.ColFloat64}},
 		Out: []batch.ColKind{batch.ColInt64, batch.ColFloat64, batch.ColFloat64, batch.ColFloat64},
@@ -244,17 +326,9 @@ func sensorPlan(name string, n, wells int, seed uint64) (*plan.Plan, error) {
 // independent legs (column maps, each burning a deterministic amount of
 // CPU per value), unioned and summed to a checksum — wide enough to
 // exercise the shared scheduler pool.
-func fanoutPlan(name string, n, branches int, seed uint64) (*plan.Plan, error) {
-	ints := make([]int64, n)
-	for i := range ints {
-		ints[i] = int64(i) + int64(seed)
-	}
-	cols, err := batch.New(n, []batch.Column{{Kind: batch.ColInt64, Int64s: ints}})
-	if err != nil {
-		return nil, err
-	}
+func fanoutPlan(name string, ints *batch.Batch, branches int) (*plan.Plan, error) {
 	b := plan.NewBuilder(name)
-	src := b.SourceColumns("ints", cols)
+	src := b.SourceColumns("ints", ints)
 	legs := make([]*plan.Operator, branches)
 	for i := range legs {
 		leg := uint64(i + 1)

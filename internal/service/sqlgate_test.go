@@ -98,9 +98,12 @@ func TestSQLAllocationGate(t *testing.T) {
 // generated as columns with their window scratch leased, on a control
 // plane that allocates per plan and per atom, a flight recorder that
 // builds a profile only when one is read, two-word data quanta, window
-// scratch kept on a free list and a digest encoder that writes straight
-// into its buffer (113 / 203–204 / 185–186 objects, 77.6–77.8 /
-// 185.3–186.1 / 78.8–79.3 KB at GOMAXPROCS 1 and 4). With the scratch in
+// scratch kept on a free list, a digest encoder that writes straight into
+// its buffer and each input generated once per spec and shared by every
+// job of it (109 / 195 / 182–183 objects, 11.8 / 20.7–20.9 / 76.8–77.1 KB
+// at GOMAXPROCS 1, 2 and 4). With every job generating its own input they
+// read 113 / 203–204 / 185–186 objects and 77.6–77.8 / 185.3–186.1 /
+// 78.8–79.3 KB: the input is 64 KB of words, 160 KB of readings. With the scratch in
 // a sync.Pool they read 113–114 / 205–206 / 185–186 objects and 77.6–79.7
 // / 192–203 / 78.8–80.2 KB: a 4 000-row scratch the collector took from
 // the pool is 200 KB to make again, 10 KB a job over twenty, and the
@@ -116,9 +119,9 @@ func TestSQLAllocationGate(t *testing.T) {
 // records generated one by one 12 200 / 12 286 / 2 037 objects and 0.70 /
 // 1.76 / 0.14 MB.
 var builtinGate = []struct{ objects, bytes float64 }{
-	{118, 81_000},  // wordcount, n = 4 000
-	{212, 194_000}, // sensor, n = 4 000
-	{194, 82_500},  // fanout, 200 × 4
+	{114, 12_300}, // wordcount, n = 4 000
+	{203, 21_800}, // sensor, n = 4 000
+	{191, 80_500}, // fanout, 200 × 4
 }
 
 // TestBuiltinAllocationGate is ROADMAP item 2a's gate: the service's own

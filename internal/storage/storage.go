@@ -1,19 +1,11 @@
-// Package storage implements RHEEM's data storage abstraction (paper
-// §6): a three-level stack that mirrors the processing abstraction.
-//
-//   - At the application level (l-store), callers issue logical
-//     storage requests — store this dataset, with these access
-//     expectations — via the Manager, without naming a storage engine.
-//   - At the core level (p-store), the Manager's placement optimizer
-//     (the WWHow!-style component) prices each registered store by its
-//     write cost plus the expected read and format-conversion cost,
-//     and produces an execution storage plan: a placement plus a
-//     Cartilage-style transformation plan of *storage atoms* — "the
-//     minimum unit of data quanta transformation (e.g., projection)" —
-//     applied while the data is uploaded.
-//   - At the execution level (x-store), Store implementations persist
-//     the transformed quanta in their native representation: driver
-//     memory, CSV files, or simulated-DFS blocks.
+// Package storage is what is left of RHEEM's data storage abstraction
+// (paper §6), which no execution path reads through: the x-store level's
+// Store interface, whose implementations persist data quanta in their
+// native representation (driver memory, CSV files, simulated-DFS blocks),
+// and the Cartilage-style transformation plans of *storage atoms* — "the
+// minimum unit of data quanta transformation (e.g., projection)". The
+// placement manager that priced stores and applied those plans on upload
+// is gone.
 //
 // A HotBuffer keeps frequently read datasets in decoded native form,
 // the paper's "specialized buffers for embracing frequently accessed
