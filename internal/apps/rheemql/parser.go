@@ -3,6 +3,7 @@ package rheemql
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // ColumnRef names a column, optionally qualified by a table alias.
@@ -386,15 +387,11 @@ func (p *parser) parseComparison() (Comparison, error) {
 		cmp.RightCol = &rc
 	case tokNumber:
 		p.i++
-		if i64, err := strconv.ParseInt(t.text, 10, 64); err == nil {
-			cmp.RightLit = &Literal{IsInt: true, Int: i64, Num: float64(i64)}
-		} else {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return Comparison{}, fmt.Errorf("rheemql: bad number %q", t.text)
-			}
-			cmp.RightLit = &Literal{Num: f}
+		lit, err := numberLiteral(t.text)
+		if err != nil {
+			return Comparison{}, err
 		}
+		cmp.RightLit = lit
 	case tokString:
 		p.i++
 		cmp.RightLit = &Literal{IsString: true, Str: t.text}
@@ -409,4 +406,21 @@ func (p *parser) parseComparison() (Comparison, error) {
 		return Comparison{}, fmt.Errorf("rheemql: unexpected %q in comparison", t.text)
 	}
 	return cmp, nil
+}
+
+// numberLiteral reads a number token: an int when it has no dot and fits
+// int64, a float otherwise. A token with a dot goes straight to
+// ParseFloat, because a failed ParseInt allocates the *NumError it
+// returns.
+func numberLiteral(text string) (*Literal, error) {
+	if !strings.Contains(text, ".") {
+		if i64, err := strconv.ParseInt(text, 10, 64); err == nil {
+			return &Literal{IsInt: true, Int: i64, Num: float64(i64)}, nil
+		}
+	}
+	f, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		return nil, fmt.Errorf("rheemql: bad number %q", text)
+	}
+	return &Literal{Num: f}, nil
 }

@@ -95,6 +95,38 @@ func TestParseFullQuery(t *testing.T) {
 	}
 }
 
+// TestNumberLiterals: a dot-free literal is an int unless it overflows
+// int64, when it is a float, as a dotted one is; and a float literal
+// costs no more to parse than its int twin — trying a dotted token as an
+// int first allocated the *NumError the failure returns.
+func TestNumberLiterals(t *testing.T) {
+	for _, c := range []struct {
+		text  string
+		isInt bool
+		num   float64
+	}{{"175", true, 175}, {"175.5", false, 175.5}, {"99999999999999999999", false, 1e20}} {
+		q, err := Parse("SELECT well FROM sensors WHERE pressure > " + c.text)
+		if err != nil {
+			t.Fatalf("%s: %v", c.text, err)
+		}
+		if lit := q.Where[0].RightLit; lit.IsInt != c.isInt || lit.Num != c.num {
+			t.Errorf("%s parsed as %+v", c.text, *lit)
+		}
+	}
+	allocs := func(sql string) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, err := Parse(sql); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	f := allocs("SELECT well FROM sensors WHERE pressure > 175.5")
+	i := allocs("SELECT well FROM sensors WHERE pressure > 17555")
+	if f > i {
+		t.Errorf("a float literal costs %.0f allocations to parse, its int twin %.0f", f, i)
+	}
+}
+
 func TestParseJoin(t *testing.T) {
 	q, err := Parse("SELECT a.x, b.y FROM a JOIN b ON a.id = b.aid WHERE a.x < b.y")
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"rheem/internal/apps/cleaning"
 	"rheem/internal/apps/ml"
 	"rheem/internal/core/engine"
+	"rheem/internal/core/optimizer"
 	"rheem/internal/core/plan"
 	"rheem/internal/data"
 	"rheem/internal/data/datagen"
@@ -53,13 +54,14 @@ func platformsUsed(rep *rheem.Report) string {
 		return "?"
 	}
 	ids := map[string]bool{}
-	for _, pl := range rep.Plan.Assignment {
-		ids[string(pl)] = true
-	}
-	for _, body := range rep.Plan.LoopBodies {
-		for _, pl := range body.Assignment {
-			ids[string(pl)] = true
+	add := func(ep *optimizer.ExecutionPlan) {
+		for _, op := range ep.Physical.Ops {
+			ids[string(ep.Assignment[op.ID])] = true
 		}
+	}
+	add(rep.Plan)
+	for _, body := range rep.Plan.LoopBodies {
+		add(body)
 	}
 	out := make([]string, 0, len(ids))
 	for id := range ids {

@@ -17,8 +17,8 @@ import (
 // bodies per platform.
 func assignedTo(ep *optimizer.ExecutionPlan) map[engine.PlatformID]int {
 	n := map[engine.PlatformID]int{}
-	for _, pl := range ep.Assignment {
-		n[pl]++
+	for _, op := range ep.Physical.Ops {
+		n[ep.Assignment[op.ID]]++
 	}
 	for _, body := range ep.LoopBodies {
 		for pl, c := range assignedTo(body) {

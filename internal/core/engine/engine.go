@@ -210,7 +210,8 @@ type Platform interface {
 	NativeFormat() channel.Format
 	// ExecuteAtom runs a compute atom: it converts nothing (inputs
 	// arrive already in native format), executes the atom's operators
-	// in order, and returns a native-format channel per exit operator.
+	// in order, and returns a native-format channel per exit operator,
+	// by position: exits[i] is atom.Exits[i]'s.
 	//
 	// ExecuteAtom MUST be safe for concurrent calls: the executor
 	// schedules independent atoms in parallel, so any state shared
@@ -220,7 +221,7 @@ type Platform interface {
 	// allocate a fresh DatasetOps per atom. Input channels may be
 	// shared with concurrently executing atoms and must be treated as
 	// immutable.
-	ExecuteAtom(ctx context.Context, atom *TaskAtom, inputs AtomInputs) (map[int]*channel.Channel, Metrics, error)
+	ExecuteAtom(ctx context.Context, atom *TaskAtom, inputs AtomInputs) ([]*channel.Channel, Metrics, error)
 	// RegisterConverters adds the platform's channel converters
 	// (native ↔ Collection at minimum) to the conversion graph.
 	RegisterConverters(reg *channel.Registry)

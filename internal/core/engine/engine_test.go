@@ -25,7 +25,7 @@ func (f *fakePlatform) Profile() Profile                     { return Profile{De
 func (f *fakePlatform) NativeFormat() channel.Format         { return channel.Collection }
 func (f *fakePlatform) RegisterConverters(*channel.Registry) {}
 
-func (f *fakePlatform) ExecuteAtom(ctx context.Context, atom *TaskAtom, inputs AtomInputs) (map[int]*channel.Channel, Metrics, error) {
+func (f *fakePlatform) ExecuteAtom(ctx context.Context, atom *TaskAtom, inputs AtomInputs) ([]*channel.Channel, Metrics, error) {
 	d := &fakeOps{}
 	exits, err := RunAtom(ctx, d, atom, inputs)
 	return exits, Metrics{Jobs: 1, Sim: time.Millisecond}, err
@@ -158,12 +158,12 @@ func buildAtomFixture(t *testing.T) (*physical.Plan, *TaskAtom) {
 }
 
 func TestRunAtomWholePlan(t *testing.T) {
-	pp, atom := buildAtomFixture(t)
+	_, atom := buildAtomFixture(t)
 	exits, err := RunAtom(context.Background(), fakeOps{}, atom, AtomInputs{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := exits[pp.SinkOp.ID]
+	out := exits[0]
 	recs, err := out.AsCollection()
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestRunAtomExternalInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _ := exits[pp.SinkOp.ID].AsCollection()
+	recs, _ := exits[0].AsCollection()
 	if len(recs) != 1 || recs[0].Field(0).Int() != 9 {
 		t.Errorf("external-input atom output = %v", recs)
 	}

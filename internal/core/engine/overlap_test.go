@@ -19,7 +19,7 @@ import (
 
 // platform is what both engines offer: running one compute atom.
 type platform interface {
-	ExecuteAtom(context.Context, *engine.TaskAtom, engine.AtomInputs) (map[int]*channel.Channel, engine.Metrics, error)
+	ExecuteAtom(context.Context, *engine.TaskAtom, engine.AtomInputs) ([]*channel.Channel, engine.Metrics, error)
 }
 
 // runOn runs source → build(...) → sink over recs as one atom on p.

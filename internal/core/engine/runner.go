@@ -27,7 +27,8 @@ type DatasetOps interface {
 
 // RunAtom executes a compute atom's operators in order, tracking
 // intermediate native datasets, and exports the exits. It returns the
-// exit channels keyed by physical operator id.
+// exit channels by position: exits[i] is atom.Exits[i]'s, as AtomInputs
+// is indexed by position in atom.Ops.
 //
 // A panic anywhere below it — a UDF indexing past its record, a kernel
 // bug, on any platform — is recovered here, once per atom, and returned
@@ -38,7 +39,7 @@ type DatasetOps interface {
 // operator named is the one executing when the panic surfaced; where a
 // platform evaluates lazily that is the operator (or exit) that forced
 // the work, and the stack shows the stage that failed.
-func RunAtom(ctx context.Context, d DatasetOps, atom *TaskAtom, inputs AtomInputs) (exits map[int]*channel.Channel, err error) {
+func RunAtom(ctx context.Context, d DatasetOps, atom *TaskAtom, inputs AtomInputs) (exits []*channel.Channel, err error) {
 	if atom.Kind != AtomCompute {
 		return nil, fmt.Errorf("engine: RunAtom on %v atom", atom.Kind)
 	}
@@ -95,8 +96,8 @@ func RunAtom(ctx context.Context, d DatasetOps, atom *TaskAtom, inputs AtomInput
 		}
 		native[i] = out
 	}
-	exits = make(map[int]*channel.Channel, len(atom.Exits))
-	for _, ex := range atom.Exits {
+	exits = make([]*channel.Channel, len(atom.Exits))
+	for i, ex := range atom.Exits {
 		running = ex
 		j := atom.position(ex.ID)
 		if j < 0 {
@@ -106,7 +107,7 @@ func RunAtom(ctx context.Context, d DatasetOps, atom *TaskAtom, inputs AtomInput
 		if err != nil {
 			return nil, fmt.Errorf("engine: atom#%d: export of %s: %w", atom.ID, ex.Name(), err)
 		}
-		exits[ex.ID] = ch
+		exits[i] = ch
 	}
 	return exits, nil
 }

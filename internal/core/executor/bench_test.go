@@ -17,14 +17,14 @@ import (
 // was built with: no work and no allocation, so a Run over it measures
 // the executor alone.
 type noopPlatform struct {
-	exits map[int]map[int]*channel.Channel // atom ID → its exits
+	exits [][]*channel.Channel // by atom ID: its exits
 }
 
 func (*noopPlatform) ID() engine.PlatformID                { return "noop" }
 func (*noopPlatform) Profile() engine.Profile              { return engine.Profile{} }
 func (*noopPlatform) NativeFormat() channel.Format         { return channel.Collection }
 func (*noopPlatform) RegisterConverters(*channel.Registry) {}
-func (p *noopPlatform) ExecuteAtom(_ context.Context, atom *engine.TaskAtom, _ engine.AtomInputs) (map[int]*channel.Channel, engine.Metrics, error) {
+func (p *noopPlatform) ExecuteAtom(_ context.Context, atom *engine.TaskAtom, _ engine.AtomInputs) ([]*channel.Channel, engine.Metrics, error) {
 	return p.exits[atom.ID], engine.Metrics{Jobs: 1}, nil
 }
 
@@ -38,7 +38,7 @@ func noopPlan(tb testing.TB, n int) (*optimizer.ExecutionPlan, *engine.Registry)
 	b.Collect(b.Source("s", plan.Collection(nil)))
 	src := b.MustBuild().Operators()[0]
 
-	p := &noopPlatform{exits: map[int]map[int]*channel.Channel{}}
+	p := &noopPlatform{exits: make([][]*channel.Channel, n)}
 	reg := engine.NewRegistry()
 	if err := reg.RegisterPlatform(p); err != nil {
 		tb.Fatal(err)
@@ -46,9 +46,9 @@ func noopPlan(tb testing.TB, n int) (*optimizer.ExecutionPlan, *engine.Registry)
 	pp := &physical.Plan{Name: fmt.Sprintf("noop-%d", n)}
 	ep := &optimizer.ExecutionPlan{
 		Physical:   pp,
-		Assignment: map[int]engine.PlatformID{},
+		Assignment: make([]engine.PlatformID, n),
 		Estimates:  &cost.Estimates{Cards: make([]int64, n)},
-		OpCosts:    map[int]cost.Cost{},
+		OpCosts:    make([]cost.Cost, n),
 	}
 	for i := 0; i < n; i++ {
 		op := &physical.Operator{ID: i, Logical: src, Algo: physical.Default}
@@ -59,7 +59,7 @@ func noopPlan(tb testing.TB, n int) (*optimizer.ExecutionPlan, *engine.Registry)
 		atom.Seal()
 		ep.Atoms = append(ep.Atoms, atom)
 		ep.Assignment[i] = p.ID()
-		p.exits[i] = map[int]*channel.Channel{i: channel.NewCollection(nil)}
+		p.exits[i] = []*channel.Channel{channel.NewCollection(nil)}
 	}
 	return ep, reg
 }

@@ -400,7 +400,7 @@ type heldPlatform struct {
 
 func (p *heldPlatform) ID() engine.PlatformID { return "chaos" }
 
-func (p *heldPlatform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) (map[int]*channel.Channel, engine.Metrics, error) {
+func (p *heldPlatform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) ([]*channel.Channel, engine.Metrics, error) {
 	p.mu.Lock()
 	p.calls++
 	call := p.calls

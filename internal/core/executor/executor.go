@@ -281,12 +281,7 @@ func atomKindEst(ep *optimizer.ExecutionPlan, atom *engine.TaskAtom) map[string]
 	}
 	m := make(map[string]int64) // no hint: an atom's kinds are few, however many its operators
 	for _, op := range atom.Ops {
-		if c, ok := ep.RawOpCosts[op.ID]; ok {
-			m[op.Kind().String()] += int64(c.Total())
-		}
-	}
-	if len(m) == 0 {
-		return nil
+		m[op.Kind().String()] += int64(ep.RawOpCosts[op.ID].Total())
 	}
 	return m
 }
@@ -448,7 +443,7 @@ func (p *planScope) runComputeAtom(sp *trace.Span, atom *engine.TaskAtom) (engin
 	}
 
 	health := p.reg.Health()
-	var exits map[int]*channel.Channel
+	var exits []*channel.Channel
 	var m engine.Metrics
 	for attempt := 0; ; attempt++ {
 		attStart := p.tr.Now()
@@ -495,12 +490,14 @@ func (p *planScope) runComputeAtom(sp *trace.Span, atom *engine.TaskAtom) (engin
 		}
 		return m, nil, err
 	}
+	if len(exits) != len(atom.Exits) {
+		p.charge(m)
+		return m, nil, engine.Fatal(fmt.Errorf("executor: %s returned %d exits for its %d", atom, len(exits), len(atom.Exits)))
+	}
 	p.mu.Lock()
 	p.res.Metrics.Add(m)
-	for id, ch := range exits {
-		if id >= 0 && id < len(p.channels) { // an exit outside the plan has no reader
-			p.channels[id] = ch
-		}
+	for i, ex := range atom.Exits {
+		p.channels[ex.ID] = exits[i]
 	}
 	audits := p.auditCardsLocked(atom, exits)
 	p.mu.Unlock()
@@ -531,14 +528,14 @@ func (r *run) charge(m engine.Metrics) {
 // optimizer's estimates and returns one audit record per audited exit,
 // flagged or not, for the tracer; the flagged ones also land in
 // Result.Mismatches. The caller holds run.mu.
-func (p *planScope) auditCardsLocked(atom *engine.TaskAtom, exits map[int]*channel.Channel) []trace.CardAudit {
+func (p *planScope) auditCardsLocked(atom *engine.TaskAtom, exits []*channel.Channel) []trace.CardAudit {
 	est := p.ep.Estimates
 	if est == nil {
 		return nil
 	}
 	var audits []trace.CardAudit
-	for _, ex := range atom.Exits {
-		ch := exits[ex.ID]
+	for i, ex := range atom.Exits {
+		ch := exits[i]
 		if ch == nil || ch.Records < 0 || p.audited[ex.ID] {
 			continue
 		}

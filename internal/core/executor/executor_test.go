@@ -33,7 +33,7 @@ type flakyPlatform struct {
 
 func (f *flakyPlatform) ID() engine.PlatformID { return "flaky" }
 
-func (f *flakyPlatform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) (map[int]*channel.Channel, engine.Metrics, error) {
+func (f *flakyPlatform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) ([]*channel.Channel, engine.Metrics, error) {
 	f.calls++
 	if f.failuresLeft > 0 {
 		f.failuresLeft--

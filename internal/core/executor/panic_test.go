@@ -173,7 +173,7 @@ type rawPlatform struct{ *javaengine.Platform }
 
 func (rawPlatform) ID() engine.PlatformID { return "raw" }
 
-func (rawPlatform) ExecuteAtom(context.Context, *engine.TaskAtom, engine.AtomInputs) (map[int]*channel.Channel, engine.Metrics, error) {
+func (rawPlatform) ExecuteAtom(context.Context, *engine.TaskAtom, engine.AtomInputs) ([]*channel.Channel, engine.Metrics, error) {
 	panic("platform exploded")
 }
 

@@ -253,7 +253,7 @@ type gaugedPlatform struct {
 	inFlight, peak *int64
 }
 
-func (p gaugedPlatform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) (map[int]*channel.Channel, engine.Metrics, error) {
+func (p gaugedPlatform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) ([]*channel.Channel, engine.Metrics, error) {
 	defer enterGauge(p.inFlight, p.peak)()
 	return p.Platform.ExecuteAtom(ctx, atom, inputs)
 }

@@ -60,8 +60,8 @@ func lyingSourcePlan(t *testing.T) *physical.Plan {
 func bodyPlatforms(ep *optimizer.ExecutionPlan) map[string]bool {
 	out := map[string]bool{}
 	for _, bodyEP := range ep.LoopBodies {
-		for _, pl := range bodyEP.Assignment {
-			out[string(pl)] = true
+		for _, op := range bodyEP.Physical.Ops {
+			out[string(bodyEP.Assignment[op.ID])] = true
 		}
 	}
 	return out

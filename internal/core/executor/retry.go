@@ -28,7 +28,7 @@ func (e *failoverError) Unwrap() error { return e.err }
 // over its planned shards when sh is set — bounding it with
 // Options.AtomTimeout when set. The deadline is per attempt: a retry
 // gets a fresh budget, and a sharded retry re-executes every shard.
-func (p *planScope) attempt(platform engine.Platform, atom *engine.TaskAtom, inputs engine.AtomInputs, sh *shardedExec) (exits map[int]*channel.Channel, m engine.Metrics, err error) {
+func (p *planScope) attempt(platform engine.Platform, atom *engine.TaskAtom, inputs engine.AtomInputs, sh *shardedExec) (exits []*channel.Channel, m engine.Metrics, err error) {
 	ctx := p.ctx
 	if p.opts.AtomTimeout > 0 {
 		var cancel context.CancelFunc

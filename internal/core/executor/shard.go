@@ -191,10 +191,10 @@ func (r *run) releaseShardSlot() {
 // the slowest shard's simulated time (shards run in parallel) plus the
 // merge's conversion cost; Jobs and the volume counters sum over
 // shards — a P-shard execution really launches P platform jobs.
-func (p *planScope) executeShards(ctx context.Context, platform engine.Platform, atom *engine.TaskAtom, sh *shardedExec) (map[int]*channel.Channel, engine.Metrics, error) {
+func (p *planScope) executeShards(ctx context.Context, platform engine.Platform, atom *engine.TaskAtom, sh *shardedExec) ([]*channel.Channel, engine.Metrics, error) {
 	start := time.Now()
 	type shardResult struct {
-		exits map[int]*channel.Channel
+		exits []*channel.Channel
 		m     engine.Metrics
 		err   error
 	}
@@ -248,11 +248,14 @@ func (p *planScope) executeShards(ctx context.Context, platform engine.Platform,
 		return nil, m, firstErr
 	}
 
-	exits := make(map[int]*channel.Channel, len(atom.Exits))
-	for _, ex := range atom.Exits {
+	exits := make([]*channel.Channel, len(atom.Exits))
+	for x, ex := range atom.Exits {
 		parts := make([][]data.Record, len(results))
 		for i, r := range results {
-			ch := r.exits[ex.ID]
+			var ch *channel.Channel
+			if x < len(r.exits) {
+				ch = r.exits[x]
+			}
 			if ch == nil {
 				return nil, m, fmt.Errorf("executor: %s shard %d produced no exit for %s", atom, i, ex.Name())
 			}
@@ -267,7 +270,7 @@ func (p *planScope) executeShards(ctx context.Context, platform engine.Platform,
 			// failure is deterministic, so don't retry or fail over.
 			return nil, m, engine.Fatal(fmt.Errorf("executor: merging %s of %s: %w", ex.Name(), atom, err))
 		}
-		exits[ex.ID] = channel.NewCollection(merged)
+		exits[x] = channel.NewCollection(merged)
 	}
 	return exits, m, nil
 }

@@ -224,7 +224,7 @@ func (p *Platform) CallsFor(atomID int) int {
 // kill switch and the failure schedules, then delegates to the inner
 // platform. Injected failures report Metrics{Jobs: 1} — a failed job
 // submission still happened.
-func (p *Platform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) (map[int]*channel.Channel, engine.Metrics, error) {
+func (p *Platform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) ([]*channel.Channel, engine.Metrics, error) {
 	p.mu.Lock()
 	p.stats.Calls++
 	p.atomCalls[atom.ID]++

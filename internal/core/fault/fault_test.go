@@ -23,9 +23,9 @@ func (p *innerPlatform) ID() engine.PlatformID                { return p.id }
 func (p *innerPlatform) Profile() engine.Profile              { return engine.Profile{Description: "stub"} }
 func (p *innerPlatform) NativeFormat() channel.Format         { return channel.Format("stub") }
 func (p *innerPlatform) RegisterConverters(*channel.Registry) {}
-func (p *innerPlatform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) (map[int]*channel.Channel, engine.Metrics, error) {
+func (p *innerPlatform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) ([]*channel.Channel, engine.Metrics, error) {
 	p.calls++
-	return map[int]*channel.Channel{}, engine.Metrics{Jobs: 1}, nil
+	return make([]*channel.Channel, len(atom.Exits)), engine.Metrics{Jobs: 1}, nil
 }
 
 func atom(id int) *engine.TaskAtom {

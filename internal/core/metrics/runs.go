@@ -51,11 +51,30 @@ type Run struct {
 	replans   int
 
 	recordsOut int64
-	occupancy  map[string]int // platform → atoms currently executing
-	window     []rateSample
+	// occupancy counts the atoms executing on each platform the run has
+	// started one on: as many entries as the registry has platforms.
+	occupancy []occupant
+	window    []rateSample
 
 	done bool
 	err  string
+}
+
+// occupant is one platform's count of atoms executing on it.
+type occupant struct {
+	platform string
+	atoms    int
+}
+
+// occupant returns the platform's entry, added at zero if it has none.
+func (r *Run) occupant(platform string) *occupant {
+	for i := range r.occupancy {
+		if r.occupancy[i].platform == platform {
+			return &r.occupancy[i]
+		}
+	}
+	r.occupancy = append(r.occupancy, occupant{platform: platform})
+	return &r.occupancy[len(r.occupancy)-1]
 }
 
 // RunStatus is one run's JSON-serializable progress snapshot.
@@ -124,10 +143,7 @@ func (r *Run) setTotal(n int) {
 func (r *Run) spanStarted(platform string) {
 	r.mu.Lock()
 	r.running++
-	if r.occupancy == nil {
-		r.occupancy = map[string]int{}
-	}
-	r.occupancy[platform]++
+	r.occupant(platform).atoms++
 	r.mu.Unlock()
 }
 
@@ -140,8 +156,8 @@ func (r *Run) spanEnded(platform string, records int64, failed, topLevel bool) {
 	if r.running > 0 {
 		r.running--
 	}
-	if r.occupancy[platform] > 0 {
-		r.occupancy[platform]--
+	if o := r.occupant(platform); o.atoms > 0 {
+		o.atoms--
 	}
 	if topLevel {
 		if failed {
@@ -233,15 +249,12 @@ func (r *Run) status() RunStatus {
 		if span > 0 {
 			st.RecordsPerSec = float64(recs) / span.Seconds()
 		}
-		if len(r.occupancy) > 0 {
-			st.Occupancy = make(map[string]int, len(r.occupancy))
-			for k, v := range r.occupancy {
-				if v > 0 {
-					st.Occupancy[k] = v
+		for _, o := range r.occupancy {
+			if o.atoms > 0 {
+				if st.Occupancy == nil {
+					st.Occupancy = make(map[string]int, len(r.occupancy))
 				}
-			}
-			if len(st.Occupancy) == 0 {
-				st.Occupancy = nil
+				st.Occupancy[o.platform] = o.atoms
 			}
 		}
 	}

@@ -203,7 +203,7 @@ func runChainAtoms(t *testing.T, p engine.Platform, ops []*physical.Operator, fu
 		}
 		run.shuffled += m.ShuffledBytes
 		run.taskOverheads += int64(m.Sim / chainOverhead)
-		ch := exits[g[len(g)-1].ID]
+		ch := exits[0] // the atom's one exit, g's last operator
 		made[g[len(g)-1].ID] = ch
 		recs := channelRecords(t, ch)
 		if got := data.TotalBytes(recs); ch.Bytes != got {

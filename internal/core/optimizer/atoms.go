@@ -19,7 +19,7 @@ import (
 // During adaptive re-optimization, frozen (already-executed) operators
 // are never grouped with unfrozen ones, so fully-frozen atoms can be
 // skipped wholesale by the executor.
-func splitAtoms(p *physical.Plan, pos []int32, assignment map[int]engine.PlatformID, frozen map[int]bool) ([]*engine.TaskAtom, error) {
+func splitAtoms(p *physical.Plan, pos []int32, assignment []engine.PlatformID, frozen map[int]bool) ([]*engine.TaskAtom, error) {
 	// Every set the splitter keeps is a row of bits over one backing
 	// slice, indexed by operator position or by atom ID (there are at
 	// most as many atoms as operators, so one row width fits both).
@@ -48,8 +48,8 @@ func splitAtoms(p *physical.Plan, pos []int32, assignment map[int]engine.Platfor
 			ancestors(i).set(int(pos[in.ID]))
 			ancestors(i).or(ancestors(int(pos[in.ID])))
 		}
-		pl, ok := assignment[op.ID]
-		if !ok {
+		pl := assignment[op.ID]
+		if pl == "" {
 			return nil, fmt.Errorf("optimizer: %s has no platform assignment", op.Name())
 		}
 		switch op.Kind() {

@@ -29,18 +29,19 @@ var sqlTemplates = []struct{ name, sql string }{
 // small-sql templates on the default three-platform registry — rules,
 // estimates, DP, atom split, from a freshly translated physical plan the
 // way Context.Execute hands it over — may allocate what it returns (the
-// plan's maps, estimates, atoms) and little else, and asking the
+// plan's per-operator slices, estimates, atoms) and little else, and asking the
 // conversion graph for a path's cost allocates nothing. A map per DP
 // cell or a slice per path search shows up here as a multiple of the
 // limit.
 func TestOptimizeAllocationGate(t *testing.T) {
 	const (
 		runs = 20
-		// Measured at 20 on every template, pinned about four percent
-		// above: the plan's maps are sized as tables at once, its scratch
+		// Measured at 14 on every template, pinned one above: the plan's
+		// assignment and costs are slices by operator ID, its scratch
 		// shares two backing arrays and no atom label costs a string per
-		// operator (27–30 before, 188–298 before the dense DP).
-		limit = 21
+		// operator (20 with the assignment and costs in Go maps sized as
+		// tables, 27–30 before that, 188–298 before the dense DP).
+		limit = 15
 	)
 	ctx, err := rheem.NewContext(rheem.Config{})
 	if err != nil {

@@ -86,9 +86,15 @@ type Options struct {
 // physical plan, the per-operator platform assignment, the task atoms
 // in a topologically valid execution order, nested loop-body plans,
 // and the predicted cost.
+//
+// Assignment, OpCosts and RawOpCosts are indexed by operator ID and
+// Physical.IDBound() long. An ID that is not an operator of this plan —
+// a loop body's operator at the top level, the enclosing plan's in a
+// body, an operator a rewrite rule removed — holds the zero value.
 type ExecutionPlan struct {
-	Physical   *physical.Plan
-	Assignment map[int]engine.PlatformID
+	Physical *physical.Plan
+	// Assignment is each operator's platform; "" outside this plan.
+	Assignment []engine.PlatformID
 	Atoms      []*engine.TaskAtom
 	LoopBodies map[int]*ExecutionPlan // keyed by loop physical op ID
 	Estimated  cost.Cost
@@ -97,15 +103,15 @@ type ExecutionPlan struct {
 	// platform and algorithm (loops carry their whole body's cost,
 	// multiplied by the expected iterations). The executor's audit
 	// trail compares these predictions against measured runtimes.
-	OpCosts map[int]cost.Cost
+	OpCosts []cost.Cost
 	// RawOpCosts / RawEstimates / RawEstimated are the same predictions
 	// with calibration stripped: raw model costs on raw rule-derived
 	// cardinalities. The executor records these in its spans and audits
 	// so the calibrator always learns against the fixed, uncalibrated
 	// model — learning against already-corrected estimates would feed
 	// the correction back into itself. Without calibration they alias
-	// the calibrated fields (RawOpCosts is OpCosts, the same map).
-	RawOpCosts   map[int]cost.Cost
+	// the calibrated fields (RawOpCosts is OpCosts, the same slice).
+	RawOpCosts   []cost.Cost
 	RawEstimates *cost.Estimates
 	RawEstimated cost.Cost
 	// Options is what Optimize was called with (maps shared, not
@@ -152,18 +158,19 @@ func Optimize(p *physical.Plan, reg *engine.Registry, opts Options) (*ExecutionP
 }
 
 func optimizeWith(p *physical.Plan, reg *engine.Registry, opts Options, est, rawEst *cost.Estimates) (*ExecutionPlan, error) {
+	ids := p.IDBound()
 	ep := &ExecutionPlan{
 		Physical:     p,
-		Assignment:   make(map[int]engine.PlatformID, perOp(p)),
+		Assignment:   make([]engine.PlatformID, ids),
 		Estimates:    est,
 		RawEstimates: rawEst,
-		OpCosts:      make(map[int]cost.Cost, perOp(p)),
+		OpCosts:      make([]cost.Cost, ids),
 	}
 	// Uncalibrated, raw and calibrated costs are one computation: vectorCost
-	// writes the same value into both, so one map serves.
+	// writes the same value into both, so one slice serves.
 	ep.RawOpCosts = ep.OpCosts
 	if opts.Calibration != nil {
-		ep.RawOpCosts = make(map[int]cost.Cost, perOp(p))
+		ep.RawOpCosts = make([]cost.Cost, ids)
 	}
 	// Optimize loop bodies first: a loop's cost and platform derive
 	// from its body.
@@ -192,13 +199,6 @@ func optimizeWith(p *physical.Plan, reg *engine.Registry, opts Options, est, raw
 	ep.Atoms = atoms
 	return ep, nil
 }
-
-// perOp is the size hint of a map keyed by the plan's operators: never
-// below nine, so the runtime builds the map as a table at once — four
-// objects up to some 900 operators. A small map takes two objects up to
-// eight entries and four past them, and a plan's width would show in
-// what optimizing it allocates.
-func perOp(p *physical.Plan) int { return max(len(p.Ops), 9) }
 
 // positions maps operator IDs to positions in p.Ops (-1: not in this
 // plan; IDs are shared across a plan tree). The DP's table and the atom
@@ -513,7 +513,7 @@ func (d *dp) cheapestInput(in *physical.Operator, consumer int, op *physical.Ope
 // estimate then slightly over-counts the shared subtree, which is an
 // accepted approximation (plans are trees in practice).
 func (d *dp) backtrack(op *physical.Operator, pi int, ep *ExecutionPlan) {
-	if _, done := ep.Assignment[op.ID]; done {
+	if ep.Assignment[op.ID] != "" {
 		return
 	}
 	c := &d.row(op)[pi]

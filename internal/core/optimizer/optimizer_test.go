@@ -62,7 +62,7 @@ func TestOptimizeAssignsEverythingAndSplitsAtoms(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range pp.Ops {
-		if _, ok := ep.Assignment[op.ID]; !ok {
+		if ep.Assignment[op.ID] == "" {
 			t.Errorf("%s unassigned", op.Name())
 		}
 		if op.Algo == "" {
@@ -91,9 +91,9 @@ func TestFixedPlatformPinsEverything(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pin, err)
 		}
-		for id, pl := range ep.Assignment {
-			if pl != pin {
-				t.Errorf("pin %s: op %d on %s", pin, id, pl)
+		for _, op := range ep.Physical.Ops {
+			if pl := ep.Assignment[op.ID]; pl != pin {
+				t.Errorf("pin %s: op %d on %s", pin, op.ID, pl)
 			}
 		}
 		// Single platform ⇒ single compute atom.
@@ -207,6 +207,52 @@ func TestLoopBodiesOptimizedRecursively(t *testing.T) {
 	}
 	if loops != 1 {
 		t.Errorf("%d loop atoms", loops)
+	}
+}
+
+// TestLoopPlanSlicesHoldOnlyTheirOps: a plan's per-operator slices are
+// indexed by the ID space its loop bodies share. In the top-level plan and
+// in each body, every operator of that plan has a platform and every other
+// ID has the zero platform and zero costs, calibrated or not.
+func TestLoopPlanSlicesHoldOnlyTheirOps(t *testing.T) {
+	bb := plan.NewBodyBuilder("body")
+	bb.Collect(bb.Filter(bb.Map(bb.LoopInput("st"), plan.Identity()), func(data.Record) (bool, error) { return true, nil }))
+	body := bb.MustBuild()
+	for _, cal := range []*cost.Calibrator{nil, cost.NewCalibrator(cost.CalibratorConfig{})} {
+		pp := physOf(t, func(b *plan.Builder) {
+			s := b.Source("s", plan.Collection(nil))
+			s.CardHint = 10
+			b.Collect(b.Map(b.Repeat(s, 5, body), plan.Identity()))
+		})
+		ep, err := Optimize(pp, fullRegistry(t), Options{Calibration: cal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans := []*ExecutionPlan{ep}
+		for _, b := range ep.LoopBodies {
+			plans = append(plans, b)
+		}
+		if len(plans) != 2 {
+			t.Fatalf("%d loop bodies, want 1", len(plans)-1)
+		}
+		for _, e := range plans {
+			n := e.Physical.IDBound()
+			if len(e.Assignment) != n || len(e.OpCosts) != n || len(e.RawOpCosts) != n {
+				t.Fatalf("%q: slices %d, %d, %d long, want the ID bound %d", e.Physical.Name, len(e.Assignment), len(e.OpCosts), len(e.RawOpCosts), n)
+			}
+			ops := make([]bool, n)
+			for _, op := range e.Physical.Ops {
+				ops[op.ID] = true
+			}
+			for id := range ops {
+				switch {
+				case ops[id] && e.Assignment[id] == "":
+					t.Errorf("%q, calibrated %t: op %d has no platform", e.Physical.Name, cal != nil, id)
+				case !ops[id] && (e.Assignment[id] != "" || e.OpCosts[id] != (cost.Cost{}) || e.RawOpCosts[id] != (cost.Cost{})):
+					t.Errorf("%q, calibrated %t: ID %d is not in the plan but holds %q, %v, %v", e.Physical.Name, cal != nil, id, e.Assignment[id], e.OpCosts[id], e.RawOpCosts[id])
+				}
+			}
+		}
 	}
 }
 
@@ -371,9 +417,9 @@ func TestClonedPlatformTieIsStable(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			for id, pl := range ep.Assignment {
-				if pl != c.want {
-					t.Fatalf("%s run %d: op %d on %s, want every op on the first-registered %s", c.name, i, id, pl, c.want)
+			for _, op := range ep.Physical.Ops {
+				if pl := ep.Assignment[op.ID]; pl != c.want {
+					t.Fatalf("%s run %d: op %d on %s, want every op on the first-registered %s", c.name, i, op.ID, pl, c.want)
 				}
 			}
 			if got := ep.String(); first == "" {

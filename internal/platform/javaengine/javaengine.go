@@ -76,7 +76,7 @@ func (p *Platform) RegisterConverters(*channel.Registry) {}
 func (p *Platform) SupportsBatch(op *physical.Operator) bool { return hinted(op.Logical) }
 
 // ExecuteAtom implements engine.Platform.
-func (p *Platform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) (map[int]*channel.Channel, engine.Metrics, error) {
+func (p *Platform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) ([]*channel.Channel, engine.Metrics, error) {
 	start := time.Now()
 	d := &datasetOps{atom: atom}
 	exits, err := engine.RunAtom(ctx, d, atom, inputs)

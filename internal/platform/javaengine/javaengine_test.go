@@ -26,7 +26,7 @@ func runPlanOn(t *testing.T, p *Platform, build func(b *plan.Builder)) ([]data.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := exits[pp.SinkOp.ID].AsCollection()
+	recs, err := exits[0].AsCollection()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestGroupByAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
-		recs, _ := exits[pp.SinkOp.ID].AsCollection()
+		recs, _ := exits[0].AsCollection()
 		if len(recs) != 2 {
 			t.Errorf("%s: %d groups", algo, len(recs))
 		}

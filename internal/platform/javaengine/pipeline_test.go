@@ -98,7 +98,7 @@ func runChain(t *testing.T, in any, hinted bool, name string, build func(b *plan
 	if err != nil {
 		return nil, err
 	}
-	exit := exits[pp.SinkOp.ID]
+	exit := exits[0]
 	if exit.Format == channel.Batch {
 		out, err := exit.AsBatch()
 		if err != nil {

@@ -138,7 +138,7 @@ func runWhole(source func(*plan.Builder) *plan.Operator, hinted bool, build func
 	if err != nil {
 		return nil, err
 	}
-	recs, err := exits[pp.SinkOp.ID].AsCollection()
+	recs, err := exits[0].AsCollection()
 	if err != nil {
 		return nil, err
 	}

@@ -36,7 +36,7 @@ func TestTempTablesAndRelease(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab, err := tableOf(exits[pp.SinkOp.ID])
+		tab, err := tableOf(exits[0])
 		if err != nil {
 			t.Fatal(err)
 		}

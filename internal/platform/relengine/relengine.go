@@ -3,6 +3,7 @@ package relengine
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"rheem/internal/core/algo"
@@ -55,8 +56,34 @@ func tableChannel(t *Table) *channel.Channel {
 		Format:  channel.Table,
 		Payload: t,
 		Records: int64(len(t.rows)),
-		Bytes:   data.TotalBytes(t.rows),
+		Bytes:   tableBytes(t.rows),
 	}
+}
+
+// countWindow is how many rows tableBytes counts as one task: javaengine's
+// window.
+const countWindow = 4096
+
+// tableBytes is data.TotalBytes of a table's rows. A table of two windows
+// or more is counted a window a task on engine's helper runtime, and the
+// windows' counts are summed in window order: the same exact count, off
+// the atom's goroutine alone.
+func tableBytes(rows []data.Record) int64 {
+	windows := (len(rows) + countWindow - 1) / countWindow
+	if windows < 2 || runtime.GOMAXPROCS(0) == 1 {
+		return data.TotalBytes(rows)
+	}
+	sizes := make([]int64, windows)
+	_ = engine.Run(windows, windows-1, func(w int, _ bool) error { // no task fails
+		lo := w * countWindow
+		sizes[w] = data.TotalBytes(rows[lo:min(lo+countWindow, len(rows))])
+		return nil
+	})
+	var n int64
+	for _, s := range sizes {
+		n += s
+	}
+	return n
 }
 
 // RegisterConverters implements engine.Platform: table ↔ collection,
@@ -132,7 +159,7 @@ func tableOf(ch *channel.Channel) (*Table, error) {
 }
 
 // ExecuteAtom implements engine.Platform.
-func (p *Platform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) (map[int]*channel.Channel, engine.Metrics, error) {
+func (p *Platform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) ([]*channel.Channel, engine.Metrics, error) {
 	start := time.Now()
 	d := &datasetOps{}
 	exits, err := engine.RunAtom(ctx, d, atom, inputs)

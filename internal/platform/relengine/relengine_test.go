@@ -3,6 +3,7 @@ package relengine
 import (
 	"context"
 	"slices"
+	"strings"
 	"testing"
 
 	"rheem/internal/core/channel"
@@ -19,6 +20,22 @@ func people() []data.Record {
 		data.NewRecord(data.Int(2), data.Str("bob"), data.Int(25)),
 		data.NewRecord(data.Int(3), data.Str("cyd"), data.Int(30)),
 		data.NewRecord(data.Int(4), data.Str("dan"), data.Int(41)),
+	}
+}
+
+// TestTableBytesMatchesTotalBytes: a table's channel counts its rows'
+// bytes exactly, whether the count runs serially (one window) or a window
+// a task on the helper runtime (two windows, many, a ragged last one).
+func TestTableBytesMatchesTotalBytes(t *testing.T) {
+	for _, n := range []int{0, 1, countWindow, countWindow + 1, 2 * countWindow, 9*countWindow + 17} {
+		rows := make([]data.Record, n)
+		for i := range rows {
+			rows[i] = data.NewRecord(data.Int(int64(i)), data.Str(strings.Repeat("x", i%13)))
+		}
+		ch := tableChannel(&Table{rows: rows})
+		if want := data.TotalBytes(rows); ch.Bytes != want {
+			t.Errorf("%d rows: the channel counts %d bytes, data.TotalBytes %d", n, ch.Bytes, want)
+		}
 	}
 }
 
@@ -112,7 +129,7 @@ func TestExecuteAtomAggregation(t *testing.T) {
 	if m.Sim < connectOverhead {
 		t.Errorf("sim %v below connect overhead", m.Sim)
 	}
-	tab, err := tableOf(exits[pp.SinkOp.ID])
+	tab, err := tableOf(exits[0])
 	if err != nil {
 		t.Fatal(err)
 	}

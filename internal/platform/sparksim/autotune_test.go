@@ -46,14 +46,14 @@ func TestAutoTuneReducesSimTimeOnTinyInput(t *testing.T) {
 	tuned.AutoTunePartitions = true
 	tuned.TargetRecordsPerTask = 1000
 
-	_, mBase, _ := runAtomOn(t, New(base), build)
-	exits, mTuned, pp := runAtomOn(t, New(tuned), build)
+	_, mBase := runAtomOn(t, New(base), build)
+	sink, mTuned := runAtomOn(t, New(tuned), build)
 
 	if mTuned.Sim >= mBase.Sim {
 		t.Errorf("auto-tune did not help: tuned %v vs static %v", mTuned.Sim, mBase.Sim)
 	}
 	// Results identical regardless of tuning.
-	parts, err := partsOf(exits[pp.SinkOp.ID])
+	parts, err := partsOf(sink)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,7 +211,7 @@ func splitEven(recs []data.Record, n int) [][]data.Record {
 
 // ExecuteAtom implements engine.Platform: one atom execution is one
 // simulated job.
-func (p *Platform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) (map[int]*channel.Channel, engine.Metrics, error) {
+func (p *Platform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) ([]*channel.Channel, engine.Metrics, error) {
 	start := time.Now()
 	d := &datasetOps{cfg: p.cfg, atom: atom}
 	exits, err := engine.RunAtom(ctx, d, atom, inputs)

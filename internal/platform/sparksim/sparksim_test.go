@@ -106,37 +106,41 @@ func TestPartsOfErrors(t *testing.T) {
 	}
 }
 
-// runAtom runs a one-plan atom on the platform directly, under ctx.
-func runAtom(ctx context.Context, p *Platform, build func(b *plan.Builder)) (map[int]*channel.Channel, engine.Metrics, *physical.Plan, error) {
+// runAtom runs a one-plan atom on the platform directly, under ctx, and
+// returns its one exit: the sink's channel.
+func runAtom(ctx context.Context, p *Platform, build func(b *plan.Builder)) (*channel.Channel, engine.Metrics, error) {
 	b := plan.NewBuilder("t")
 	build(b)
 	lp, err := b.Build()
 	if err != nil {
-		return nil, engine.Metrics{}, nil, err
+		return nil, engine.Metrics{}, err
 	}
 	pp, err := physical.FromLogical(lp)
 	if err != nil {
-		return nil, engine.Metrics{}, nil, err
+		return nil, engine.Metrics{}, err
 	}
 	atom := &engine.TaskAtom{ID: 0, Kind: engine.AtomCompute, Platform: ID,
 		Ops: pp.Ops, Exits: []*physical.Operator{pp.SinkOp}}
 	exits, m, err := p.ExecuteAtom(ctx, atom, engine.AtomInputs{})
-	return exits, m, pp, err
+	if err != nil {
+		return nil, m, err
+	}
+	return exits[0], m, nil
 }
 
 // runAtomOn is runAtom for an atom that must succeed.
-func runAtomOn(t *testing.T, p *Platform, build func(b *plan.Builder)) (map[int]*channel.Channel, engine.Metrics, *physical.Plan) {
+func runAtomOn(t *testing.T, p *Platform, build func(b *plan.Builder)) (*channel.Channel, engine.Metrics) {
 	t.Helper()
-	exits, m, pp, err := runAtom(context.Background(), p, build)
+	sink, m, err := runAtom(context.Background(), p, build)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return exits, m, pp
+	return sink, m
 }
 
 func TestVirtualClockChargesJobOverhead(t *testing.T) {
 	p := New(Config{JobOverhead: 500 * time.Millisecond, TaskOverhead: time.Microsecond})
-	_, m, _ := runAtomOn(t, p, func(b *plan.Builder) {
+	_, m := runAtomOn(t, p, func(b *plan.Builder) {
 		s := b.Source("s", plan.Collection(intRecords(10)))
 		b.Collect(s)
 	})
@@ -154,7 +158,7 @@ func TestVirtualClockChargesJobOverhead(t *testing.T) {
 
 func TestShuffleAccountedOnWideOps(t *testing.T) {
 	p := New(Config{JobOverhead: time.Millisecond})
-	exits, m, pp := runAtomOn(t, p, func(b *plan.Builder) {
+	sink, m := runAtomOn(t, p, func(b *plan.Builder) {
 		s := b.Source("s", plan.Collection(datagen.ZipfInts(1000, 50, 1)))
 		ones := b.Map(s, func(r data.Record) (data.Record, error) {
 			return r.Append(data.Int(1)), nil
@@ -165,7 +169,7 @@ func TestShuffleAccountedOnWideOps(t *testing.T) {
 	if m.ShuffledBytes == 0 {
 		t.Error("wide operator moved no shuffle bytes")
 	}
-	parts, err := partsOf(exits[pp.SinkOp.ID])
+	parts, err := partsOf(sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +181,7 @@ func TestShuffleAccountedOnWideOps(t *testing.T) {
 
 func TestNarrowOpsDoNotShuffle(t *testing.T) {
 	p := New(Config{JobOverhead: time.Millisecond})
-	_, m, _ := runAtomOn(t, p, func(b *plan.Builder) {
+	_, m := runAtomOn(t, p, func(b *plan.Builder) {
 		s := b.Source("s", plan.Collection(intRecords(1000)))
 		f := b.Filter(s, func(r data.Record) (bool, error) { return r.Field(0).Int()%2 == 0, nil })
 		mm := b.Map(f, plan.Identity())
@@ -190,7 +194,7 @@ func TestNarrowOpsDoNotShuffle(t *testing.T) {
 
 func TestBroadcastChargedOnThetaJoin(t *testing.T) {
 	p := New(Config{JobOverhead: time.Millisecond, Workers: 3})
-	_, m, _ := runAtomOn(t, p, func(b *plan.Builder) {
+	_, m := runAtomOn(t, p, func(b *plan.Builder) {
 		l := b.Source("l", plan.Collection(intRecords(50)))
 		r := b.Source("r", plan.Collection(intRecords(20)))
 		tj := b.ThetaJoin(l, r, func(a, c data.Record) (bool, error) {
@@ -207,12 +211,12 @@ func TestBroadcastChargedOnThetaJoin(t *testing.T) {
 
 func TestSortProducesGlobalOrder(t *testing.T) {
 	p := New(Config{JobOverhead: time.Millisecond, Partitions: 4})
-	exits, _, pp := runAtomOn(t, p, func(b *plan.Builder) {
+	sink, _ := runAtomOn(t, p, func(b *plan.Builder) {
 		s := b.Source("s", plan.Collection(datagen.ZipfInts(500, 100, 2)))
 		so := b.Sort(s, plan.FieldKey(0), false)
 		b.Collect(so)
 	})
-	parts, err := partsOf(exits[pp.SinkOp.ID])
+	parts, err := partsOf(sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +248,7 @@ func TestReduceByKeyMapSideCombineLimitsShuffle(t *testing.T) {
 	// far below the raw input volume.
 	recs := datagen.ZipfInts(10000, 4, 3) // only 4 distinct keys
 	p := New(Config{JobOverhead: time.Millisecond})
-	_, m, _ := runAtomOn(t, p, func(b *plan.Builder) {
+	_, m := runAtomOn(t, p, func(b *plan.Builder) {
 		s := b.Source("s", plan.Collection(recs))
 		ones := b.Map(s, func(r data.Record) (data.Record, error) {
 			return r.Append(data.Int(1)), nil

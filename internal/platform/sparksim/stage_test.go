@@ -39,11 +39,11 @@ func setTask(t *testing.T, f func(i int, helper bool)) {
 
 // execute runs a one-plan atom on p under ctx and returns its records.
 func execute(ctx context.Context, p *Platform, build func(b *plan.Builder)) ([]data.Record, engine.Metrics, error) {
-	exits, m, pp, err := runAtom(ctx, p, build)
+	sink, m, err := runAtom(ctx, p, build)
 	if err != nil {
 		return nil, m, err
 	}
-	parts, err := partsOf(exits[pp.SinkOp.ID])
+	parts, err := partsOf(sink)
 	if err != nil {
 		return nil, m, err
 	}

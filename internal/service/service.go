@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -688,20 +689,20 @@ func (s *Service) finishLocked(j *Job, tn *tenant, state string, err error, recs
 	}
 }
 
-// planPlatforms lists the distinct platforms an execution plan used.
+// planPlatforms lists the distinct platforms an execution plan's top
+// level used, in order. There are as few as the registry has platforms,
+// so a sorted insert into a short slice dedupes them.
 func planPlatforms(ep *optimizer.ExecutionPlan) []engine.PlatformID {
 	if ep == nil {
 		return nil
 	}
-	seen := map[engine.PlatformID]bool{}
-	for _, id := range ep.Assignment {
-		seen[id] = true
+	var out []engine.PlatformID
+	for _, op := range ep.Physical.Ops {
+		id := ep.Assignment[op.ID]
+		if i, found := slices.BinarySearch(out, id); !found {
+			out = slices.Insert(out, i, id)
+		}
 	}
-	out := make([]engine.PlatformID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -19,11 +19,16 @@ import (
 // DefaultCatalog(500): objects and bytes, pinned about four percent
 // above what the vectorized lowering reads over the catalog's columns
 // with its window scratch leased, a control plane that allocates per
-// plan and per atom and two-word data quanta (112/116/116/115/116/117/
-// 98/137 objects, 24.1/14.0/13.1/14.3/12.9/11.9/11.4/22.3 KB) plus, in
-// bytes, the 1.4 KB a query read more when one of the twenty had its
-// scratch made anew while scratches were kept in a sync.Pool, which the
-// collector empties. With three-word quanta (a 24-byte Value and Record)
+// plan and per atom and keeps a plan's per-operator state, an atom's
+// exits and a run's platform counts in slices, and two-word data quanta
+// (99/106/103/105/106/104/88–90/127 objects, 22.5/12.3/11.4/12.7/11.3/
+// 10.2/9.8–10.5/20.7 KB) plus, in bytes, the 1.4 KB a query read more
+// when one of the twenty had its scratch made anew while scratches were
+// kept in a sync.Pool, which the collector empties. With the execution
+// plan's assignment and costs in Go maps, the atom's exits in a map and
+// float literals tried as ints first they read 112/116/116/115/116/117/
+// 98/137 objects and 24.1/14.0/13.1/14.3/12.9/11.9/11.4/22.3 KB. With
+// three-word quanta (a 24-byte Value and Record)
 // the bytes read 28.1/15.2/14.4/15.3/13.6/11.9/12.0/26.3 KB. With objects
 // per operator — a physical plan built one at a time, atom inputs in
 // maps, names through fmt — and two trace snapshots a run they read
@@ -40,14 +45,14 @@ var sqlGateTemplates = []struct {
 	name, sql      string
 	objects, bytes float64
 }{
-	{"filter", "SELECT well, pressure FROM sensors WHERE pressure > 175.5 AND hour < 52", 117, 26500},
-	{"group", "SELECT well, COUNT(*) AS n, AVG(pressure) AS p FROM sensors WHERE hour < 40 GROUP BY well", 121, 16000},
-	{"having", "SELECT well, AVG(temperature) AS t FROM sensors GROUP BY well HAVING t > 68.5", 121, 15100},
-	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 120, 16300},
-	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 121, 14800},
-	{"global", "SELECT COUNT(*) AS n, MAX(pressure) AS hi, MIN(flow) AS lo FROM sensors WHERE temperature < 73.0", 122, 13900},
-	{"wordfilter", "SELECT word FROM words WHERE word = 'big'", 102, 13300},
-	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 144, 24600},
+	{"filter", "SELECT well, pressure FROM sensors WHERE pressure > 175.5 AND hour < 52", 103, 24800},
+	{"group", "SELECT well, COUNT(*) AS n, AVG(pressure) AS p FROM sensors WHERE hour < 40 GROUP BY well", 110, 14300},
+	{"having", "SELECT well, AVG(temperature) AS t FROM sensors GROUP BY well HAVING t > 68.5", 107, 13300},
+	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 109, 14700},
+	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 110, 13200},
+	{"global", "SELECT COUNT(*) AS n, MAX(pressure) AS hi, MIN(flow) AS lo FROM sensors WHERE temperature < 73.0", 108, 12100},
+	{"wordfilter", "SELECT word FROM words WHERE word = 'big'", 94, 12300},
+	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 132, 23000},
 }
 
 // TestSQLAllocationGate is ROADMAP item 2's gate on the SQL path: a
@@ -99,9 +104,13 @@ func TestSQLAllocationGate(t *testing.T) {
 // plane that allocates per plan and per atom, a flight recorder that
 // builds a profile only when one is read, two-word data quanta, window
 // scratch kept on a free list, a digest encoder that writes straight into
-// its buffer and each input generated once per spec and shared by every
-// job of it (109 / 195 / 182–183 objects, 11.8 / 20.7–20.9 / 76.8–77.1 KB
-// at GOMAXPROCS 1, 2 and 4). With every job generating its own input they
+// its buffer, each input generated once per spec and shared by every
+// job of it, and a plan's per-operator state, an atom's exits and a
+// run's platform counts in slices (97 / 183 / 170–171 objects, 9.7–9.9 /
+// 18.7 / 75.2–75.6 KB at GOMAXPROCS 1 to 4). With the execution plan's
+// assignment and costs, the atom's exits and the run's occupancy in Go
+// maps they read 109 / 195 / 182–183 objects and 11.8 / 20.7–20.9 /
+// 76.8–77.1 KB. With every job generating its own input as well they
 // read 113 / 203–204 / 185–186 objects and 77.6–77.8 / 185.3–186.1 /
 // 78.8–79.3 KB: the input is 64 KB of words, 160 KB of readings. With the scratch in
 // a sync.Pool they read 113–114 / 205–206 / 185–186 objects and 77.6–79.7
@@ -119,9 +128,9 @@ func TestSQLAllocationGate(t *testing.T) {
 // records generated one by one 12 200 / 12 286 / 2 037 objects and 0.70 /
 // 1.76 / 0.14 MB.
 var builtinGate = []struct{ objects, bytes float64 }{
-	{114, 12_300}, // wordcount, n = 4 000
-	{203, 21_800}, // sensor, n = 4 000
-	{191, 80_500}, // fanout, 200 × 4
+	{101, 10_300}, // wordcount, n = 4 000
+	{191, 19_500}, // sensor, n = 4 000
+	{178, 78_700}, // fanout, 200 × 4
 }
 
 // TestBuiltinAllocationGate is ROADMAP item 2a's gate: the service's own

@@ -6,10 +6,6 @@
 // minimum unit of data quanta transformation (e.g., projection)". The
 // placement manager that priced stores and applied those plans on upload
 // is gone.
-//
-// A HotBuffer keeps frequently read datasets in decoded native form,
-// the paper's "specialized buffers for embracing frequently accessed
-// data in their native format".
 package storage
 
 import (

@@ -53,8 +53,8 @@ func runLyingLoop(t *testing.T, opts ...rheem.RunOption) *rheem.Report {
 // platform.
 func planPlatforms(ep *optimizer.ExecutionPlan) map[engine.PlatformID]int {
 	n := map[engine.PlatformID]int{}
-	for _, pl := range ep.Assignment {
-		n[pl]++
+	for _, op := range ep.Physical.Ops {
+		n[ep.Assignment[op.ID]]++
 	}
 	for _, body := range ep.LoopBodies {
 		for pl, c := range planPlatforms(body) {

@@ -871,8 +871,9 @@ func TestHintedChainAllocationGate(t *testing.T) {
 		// optimizing the plan, the atom's spans and channels — not the
 		// pipeline's window-sized buffers, which are leased: a forcing
 		// that allocates its window scratch again reads 60 KB. Measured
-		// at 91 objects and 10.0 KB (124 and 10.6 KB while the control
-		// plane allocated per operator). Scratches sit on a free list, not
+		// at 81 objects and 8.5 KB (91 and 10.0 KB while the execution
+		// plan kept its per-operator state in Go maps, 124 and 10.6 KB
+		// while the control plane allocated per operator). Scratches sit on a free list, not
 		// in a sync.Pool, so neither a collection nor a race build's
 		// dropped Puts make a forcing allocate them again. The headroom is
 		// for toolchain drift, not for per-row work, which at this input
