@@ -25,9 +25,10 @@ import (
 // optimizing and running a plan allocate per plan and per atom, never
 // per operator. A one-atom chain of hinted filters over a columnar
 // source, 4 operators long and 32, must cost each layer the same count
-// at both widths, give or take one. They read translate 3, optimize 14
-// and run 31 at both; with the execution plan's per-operator state in Go
-// maps, optimize 20 and run 32. While the layers allocated per operator,
+// at both widths, give or take one. They read translate 3, optimize 9
+// and run 31 at both; optimize 14 while the optimizer made its scratch
+// per call; with the execution plan's per-operator state in Go maps,
+// optimize 20 and run 32. While the layers allocated per operator,
 // translation read 12 and 80, optimization 27 and 73, the run 42 and 85.
 func TestControlPlaneAllocationsIndependentOfWidth(t *testing.T) {
 	ctx, err := rheem.NewContext(rheem.Config{})

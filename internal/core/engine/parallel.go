@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"sync/atomic"
 )
 
@@ -265,26 +266,69 @@ func (o *Ordered) detach() {
 // Run runs task(i, helper) for every i in [0, n) on the calling goroutine
 // and up to want helpers, and returns once every task is done, with the
 // first failure in index order; a task's panic is raised here. A task that
-// should stop with its caller's context returns the context's error.
+// should stop with its caller's context returns the context's error. Its
+// state, ring and signals included, is leased from a free list.
 func Run(n, want int, task func(i int, helper bool) error) error {
-	o := new(Ordered)
-	o.Start(taskFunc(task), n, n, want)
+	var r *run
+	runs.Lock()
+	if k := len(runs.free); k > 0 {
+		r = runs.free[k-1]
+		runs.free = runs.free[:k-1]
+	}
+	runs.Unlock()
+	if r == nil {
+		r = new(run)
+	}
+	r.task = task
+	r.Start(r, n, n, want)
 	var err error
 	var p *HelperPanic
 	for i := 0; i < n; i++ {
-		if t := o.wait(i); err == nil && p == nil {
+		if t := r.wait(i); err == nil && p == nil {
 			err, p = t.err, t.panicked
 		}
 	}
-	o.Stop()
+	r.Stop() // r may be on the free list from here
 	if p != nil {
 		panic(p)
 	}
 	return err
 }
 
-// taskFunc is a Run's tasks: one function, and nothing to release.
-type taskFunc func(i int, helper bool) error
+// run is a Run's state: its ordered run and the one function it calls.
+type run struct {
+	Ordered
+	task func(i int, helper bool) error
+}
 
-func (f taskFunc) Do(i int, helper bool) error { return f(i, helper) }
-func (taskFunc) Release()                      {}
+// maxTurns bounds the ring a kept run state keeps: one that served more
+// tasks is dropped.
+const maxTurns = 256
+
+// runs is the free list of Run's states, at most four per P. It is not a
+// sync.Pool: a pool keeps what is put back on the P that put it, the last
+// one out of a run may be a helper, and a race build's pool drops one Put
+// in four.
+var runs struct {
+	sync.Mutex
+	free []*run
+}
+
+func (r *run) Do(i int, helper bool) error { return r.task(i, helper) }
+
+// Release severs the state from the finished run and puts it on the free
+// list, if it has room.
+func (r *run) Release() {
+	r.task = nil
+	for k := range r.ring {
+		r.ring[k].err, r.ring[k].panicked = nil, nil
+	}
+	if len(r.turns) > maxTurns {
+		return
+	}
+	runs.Lock()
+	if len(runs.free) < 4*runtime.GOMAXPROCS(0) {
+		runs.free = append(runs.free, r)
+	}
+	runs.Unlock()
+}

@@ -19,13 +19,14 @@ import (
 // During adaptive re-optimization, frozen (already-executed) operators
 // are never grouped with unfrozen ones, so fully-frozen atoms can be
 // skipped wholesale by the executor.
-func splitAtoms(p *physical.Plan, pos []int32, assignment []engine.PlatformID, frozen map[int]bool) ([]*engine.TaskAtom, error) {
+func splitAtoms(p *physical.Plan, s *scratch, assignment []engine.PlatformID, frozen map[int]bool) ([]*engine.TaskAtom, error) {
 	// Every set the splitter keeps is a row of bits over one backing
 	// slice, indexed by operator position or by atom ID (there are at
 	// most as many atoms as operators, so one row width fits both).
-	n := len(p.Ops)
+	pos, n := s.pos, len(p.Ops)
 	w := (n + 63) / 64
-	store := make([]uint64, (3*n+2)*w)
+	s.bits = grown(s.bits, (3*n+2)*w)
+	store := s.bits
 	row := func(i int) bitset { return store[i*w : (i+1)*w] }
 	ancestors := func(op int) bitset { return row(op) }       // transitive input closure, for the convexity check
 	members := func(atom int) bitset { return row(n + atom) } // the atom's operators

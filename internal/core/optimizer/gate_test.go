@@ -1,6 +1,7 @@
 package optimizer_test
 
 import (
+	"runtime"
 	"testing"
 
 	"rheem"
@@ -36,12 +37,18 @@ var sqlTemplates = []struct{ name, sql string }{
 func TestOptimizeAllocationGate(t *testing.T) {
 	const (
 		runs = 20
-		// Measured at 14 on every template, pinned one above: the plan's
-		// assignment and costs are slices by operator ID, its scratch
-		// shares two backing arrays and no atom label costs a string per
-		// operator (20 with the assignment and costs in Go maps sized as
-		// tables, 27–30 before that, 188–298 before the dense DP).
-		limit = 15
+		// Measured at 9 on every template, pinned one above: the plan's
+		// assignment and costs are slices by operator ID, the DP's
+		// 16-byte cells and the atom split's bit rows are scratch leased
+		// from a free list, and no atom label costs a string per operator
+		// (14 with the scratch made per call in two backing arrays and
+		// four more slices, 20 with the assignment and costs in Go maps
+		// sized as tables, 27–30 before that, 188–298 before the dense DP).
+		limit = 10
+		// Bytes read 896–1 127 per Optimize over 20 readings a template at
+		// GOMAXPROCS 1 to 4, pinned 4 % above the most; 2.3–3.2 KB while
+		// every DP cell was 88 bytes and the scratch was made per call.
+		bytesLimit = 1170
 	)
 	ctx, err := rheem.NewContext(rheem.Config{})
 	if err != nil {
@@ -72,16 +79,25 @@ func TestOptimizeAllocationGate(t *testing.T) {
 			}
 		}
 		next := 0
+		var before, after runtime.MemStats
 		got := testing.AllocsPerRun(runs, func() {
+			if next == 1 { // past the warm-up call
+				runtime.ReadMemStats(&before)
+			}
 			pp := fresh[next]
 			next++
 			if _, err := optimizer.Optimize(pp, reg, optimizer.Options{}); err != nil {
 				t.Fatalf("%s: %v", tpl.name, err)
 			}
 		})
-		t.Logf("%-10s %d ops: %.0f allocations per Optimize", tpl.name, len(fresh[0].Ops), got)
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%-10s %d ops: %.0f allocations, %.0f bytes per Optimize", tpl.name, len(fresh[0].Ops), got, bytes)
 		if got > limit {
 			t.Errorf("%s: Optimize made %.0f allocations, gate is %d", tpl.name, got, limit)
+		}
+		if bytes > bytesLimit {
+			t.Errorf("%s: Optimize allocated %.0f bytes, gate is %d", tpl.name, bytes, bytesLimit)
 		}
 	}
 

@@ -23,8 +23,10 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"rheem/internal/core/cost"
@@ -188,11 +190,14 @@ func optimizeWith(p *physical.Plan, reg *engine.Registry, opts Options, est, raw
 		}
 	}
 
-	pos := positions(p)
-	if err := assignPlatforms(p, pos, reg, opts, ep); err != nil {
+	// Leased after the bodies' recursion: every plan level holds its own.
+	s := lease()
+	defer s.release()
+	s.positions(p)
+	if err := assignPlatforms(p, s, reg, opts, ep); err != nil {
 		return nil, err
 	}
-	atoms, err := splitAtoms(p, pos, ep.Assignment, opts.Frozen)
+	atoms, err := splitAtoms(p, s, ep.Assignment, opts.Frozen)
 	if err != nil {
 		return nil, err
 	}
@@ -200,22 +205,76 @@ func optimizeWith(p *physical.Plan, reg *engine.Registry, opts Options, est, raw
 	return ep, nil
 }
 
+// scratch is what one plan level's DP and atom split work in and do not
+// return. It is leased from a free list and every slice grows to the
+// widest plan it served, so planning allocates only the ExecutionPlan,
+// its per-ID slices, the estimates and the atoms.
+type scratch struct {
+	pos   []int32  // operator ID → position in p.Ops; -1: not in this plan
+	ints  []int32  // the designated roots' marks, then every cell's input picks
+	cells []choice // the DP table, [operator position × platform index]
+	cards []int64  // the cost models' input cardinalities, calibrated and raw
+	bits  []uint64 // splitAtoms' bit rows
+}
+
+// maxCells bounds the DP table a kept scratch keeps: one that served a
+// wider plan is dropped.
+const maxCells = 4096
+
+// scratches is the free list of released scratches, at most four per P.
+// It is not a sync.Pool: the collector empties a pool, and a race build's
+// pool drops one Put in four, so planning would allocate its scratch again
+// at the collector's or the race detector's whim.
+var scratches struct {
+	sync.Mutex
+	free []*scratch
+}
+
+func lease() *scratch {
+	scratches.Lock()
+	defer scratches.Unlock()
+	if n := len(scratches.free); n > 0 {
+		s := scratches.free[n-1]
+		scratches.free = scratches.free[:n-1]
+		return s
+	}
+	return new(scratch)
+}
+
+func (s *scratch) release() {
+	scratches.Lock()
+	if cap(s.cells) <= maxCells && len(scratches.free) < 4*runtime.GOMAXPROCS(0) {
+		scratches.free = append(scratches.free, s)
+	}
+	scratches.Unlock()
+}
+
+// grown returns buf resized to n and cleared, reallocated only when it
+// is too short.
+func grown[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // positions maps operator IDs to positions in p.Ops (-1: not in this
-// plan; IDs are shared across a plan tree). The DP's table and the atom
-// splitter's sets are indexed by position.
-func positions(p *physical.Plan) []int32 {
+// plan; IDs are shared across a plan tree) into s.pos. The DP's table
+// and the atom splitter's sets are indexed by position.
+func (s *scratch) positions(p *physical.Plan) {
 	maxID := -1
 	for _, op := range p.Ops {
 		maxID = max(maxID, op.ID)
 	}
-	pos := make([]int32, maxID+1)
-	for i := range pos {
-		pos[i] = -1
+	s.pos = grown(s.pos, maxID+1)
+	for i := range s.pos {
+		s.pos[i] = -1
 	}
 	for i, op := range p.Ops {
-		pos[op.ID] = int32(i)
+		s.pos[op.ID] = int32(i)
 	}
-	return pos
 }
 
 // doWhileIterGuess is the iteration count assumed for a DoWhile loop
@@ -236,12 +295,12 @@ func loopCosts(op *physical.Operator, body *ExecutionPlan) (c, raw cost.Cost) {
 }
 
 // choice is one DP cell: the best known way to have op's output
-// materialised on a given platform.
+// materialised on a given platform. It is 16 bytes: what the cell's cost
+// vector is, vectorCost recomputes for the chosen path alone.
 type choice struct {
 	total    time.Duration
-	opCost   cost.Cost
-	algo     physical.Algorithm
-	inPlats  []int32 // chosen platform (index) per input
+	in       int32 // offset of the chosen platform (index) per input in dp.picks
+	algo     uint8 // index into physical.Candidates(op)
 	feasible bool
 }
 
@@ -298,6 +357,7 @@ type dp struct {
 	platforms []engine.Platform
 	pos       []int32
 	cells     []choice
+	picks     []int32 // every feasible cell's input picks, one run of len(op.Inputs) each
 }
 
 // row returns op's cells, one per platform.
@@ -315,7 +375,8 @@ func (d *dp) row(op *physical.Operator) []choice {
 // order they were registered (or physical.Candidates lists them) and
 // replaces the incumbent only on a strictly lower total. Platforms with
 // identical costs (CloneMappings makes them) always yield one plan.
-func assignPlatforms(p *physical.Plan, pos []int32, reg *engine.Registry, opts Options, ep *ExecutionPlan) error {
+func assignPlatforms(p *physical.Plan, s *scratch, reg *engine.Registry, opts Options, ep *ExecutionPlan) error {
+	pos := s.pos
 	d := dp{reg: reg, est: ep.Estimates, platforms: reg.Platforms(), pos: pos}
 	np := len(d.platforms)
 	if np == 0 {
@@ -332,12 +393,13 @@ func assignPlatforms(p *physical.Plan, pos []int32, reg *engine.Registry, opts O
 		}
 	}
 	// One backing array for the root marks and all cells' input picks,
-	// one scratch slice for the cost models' input cardinalities.
-	ints := make([]int32, 2*len(p.Ops)+edges*np)
-	roots := designatedRoots(p, pos, ints)
-	picks := ints[2*len(p.Ops):]
-	d.cells = make([]choice, len(p.Ops)*np)
-	cards := make([]int64, 2*maxIn)
+	// one slice for the cost models' input cardinalities.
+	s.ints = grown(s.ints, 2*len(p.Ops)+edges*np)
+	s.cells, s.cards = grown(s.cells, len(p.Ops)*np), grown(s.cards, 2*maxIn)
+	roots := designatedRoots(p, pos, s.ints)
+	d.picks, d.cells = s.ints[2*len(p.Ops):], s.cells
+	cards := s.cards
+	next := int32(0) // the next cell's input picks in d.picks
 
 	for _, op := range p.Ops {
 		cells := d.row(op)
@@ -351,17 +413,16 @@ func assignPlatforms(p *physical.Plan, pos []int32, reg *engine.Registry, opts O
 			if pi < 0 {
 				return fmt.Errorf("optimizer: loop body of %s sits on an unregistered platform", op.Name())
 			}
+			lc, _ := loopCosts(op, body)
 			c := &cells[pi]
-			c.opCost, _ = loopCosts(op, body)
-			c.algo, c.feasible = physical.Default, true
-			c.total = c.opCost.Total()
-			c.inPlats, picks = picks[:nin:nin], picks[nin:]
+			*c = choice{total: lc.Total(), in: next, feasible: true} // algo 0: a loop's one candidate, Default
+			next += int32(nin)
 			for i, in := range op.Inputs {
 				from, total, ok := d.cheapestInput(in, pi, op)
 				if !ok {
 					return fmt.Errorf("optimizer: no feasible platform chain into %s", op.Name())
 				}
-				c.inPlats[i] = int32(from)
+				d.picks[int(c.in)+i] = int32(from)
 				c.total += total
 			}
 			continue
@@ -391,7 +452,7 @@ func assignPlatforms(p *physical.Plan, pos []int32, reg *engine.Registry, opts O
 			// opens a new task atom on its platform: at the component's
 			// designated root, and wherever an input arrives from
 			// another platform. Within an atom, startup is paid once.
-			inPlats := picks[:nin:nin]
+			inPlats := d.picks[next : int(next)+nin]
 			var inTotal time.Duration
 			newAtom := nin == 0 && roots[pos[op.ID]] != 0
 			feasibleInputs := true
@@ -409,7 +470,7 @@ func assignPlatforms(p *physical.Plan, pos []int32, reg *engine.Registry, opts O
 				continue
 			}
 			best := &cells[pi]
-			for _, algo := range physical.Candidates(op) {
+			for ai, algo := range physical.Candidates(op) {
 				m, ok := reg.MappingFor(pl, kind, algo)
 				if !ok {
 					continue
@@ -429,11 +490,11 @@ func assignPlatforms(p *physical.Plan, pos []int32, reg *engine.Registry, opts O
 					total += oc.Startup
 				}
 				if !best.feasible || total < best.total {
-					*best = choice{opCost: oc, algo: algo, feasible: true, total: total, inPlats: inPlats}
+					*best = choice{total: total, in: next, algo: uint8(ai), feasible: true}
 				}
 			}
 			if best.feasible {
-				picks = picks[nin:]
+				next += int32(nin)
 				offered = true
 			}
 		}
@@ -516,11 +577,11 @@ func (d *dp) backtrack(op *physical.Operator, pi int, ep *ExecutionPlan) {
 	if ep.Assignment[op.ID] != "" {
 		return
 	}
-	c := &d.row(op)[pi]
+	c := d.row(op)[pi]
 	ep.Assignment[op.ID] = d.platforms[pi].ID()
-	op.Algo = c.algo
+	op.Algo = physical.Candidates(op)[c.algo]
 	for i, in := range op.Inputs {
-		d.backtrack(in, int(c.inPlats[i]), ep)
+		d.backtrack(in, int(d.picks[int(c.in)+i]), ep)
 	}
 }
 

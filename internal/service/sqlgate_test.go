@@ -20,11 +20,15 @@ import (
 // above what the vectorized lowering reads over the catalog's columns
 // with its window scratch leased, a control plane that allocates per
 // plan and per atom and keeps a plan's per-operator state, an atom's
-// exits and a run's platform counts in slices, and two-word data quanta
-// (99/106/103/105/106/104/88–90/127 objects, 22.5/12.3/11.4/12.7/11.3/
-// 10.2/9.8–10.5/20.7 KB) plus, in bytes, the 1.4 KB a query read more
-// when one of the twenty had its scratch made anew while scratches were
-// kept in a sync.Pool, which the collector empties. With the execution
+// exits and a run's platform counts in slices, an optimizer whose
+// 16-byte DP cells and other scratch are leased, and two-word data
+// quanta (94/101/98/100/101/99/83/122 objects, 20.8/10.9/10.1/10.6/9.6/
+// 8.8/8.4/18.6 KB at GOMAXPROCS 1 to 4) plus, in bytes, the 1.4 KB a
+// query read more when one of the twenty had its scratch made anew while
+// scratches were kept in a sync.Pool, which the collector empties. With
+// 88-byte DP cells and the optimizer's scratch made per call they read
+// 99/106/103/105/106/104/88–90/127 objects and 22.5/12.3/11.4/12.7/11.3/
+// 10.2/9.8–10.5/20.7 KB. With the execution
 // plan's assignment and costs in Go maps, the atom's exits in a map and
 // float literals tried as ints first they read 112/116/116/115/116/117/
 // 98/137 objects and 24.1/14.0/13.1/14.3/12.9/11.9/11.4/22.3 KB. With
@@ -45,14 +49,14 @@ var sqlGateTemplates = []struct {
 	name, sql      string
 	objects, bytes float64
 }{
-	{"filter", "SELECT well, pressure FROM sensors WHERE pressure > 175.5 AND hour < 52", 103, 24800},
-	{"group", "SELECT well, COUNT(*) AS n, AVG(pressure) AS p FROM sensors WHERE hour < 40 GROUP BY well", 110, 14300},
-	{"having", "SELECT well, AVG(temperature) AS t FROM sensors GROUP BY well HAVING t > 68.5", 107, 13300},
-	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 109, 14700},
-	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 110, 13200},
-	{"global", "SELECT COUNT(*) AS n, MAX(pressure) AS hi, MIN(flow) AS lo FROM sensors WHERE temperature < 73.0", 108, 12100},
-	{"wordfilter", "SELECT word FROM words WHERE word = 'big'", 94, 12300},
-	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 132, 23000},
+	{"filter", "SELECT well, pressure FROM sensors WHERE pressure > 175.5 AND hour < 52", 98, 23000},
+	{"group", "SELECT well, COUNT(*) AS n, AVG(pressure) AS p FROM sensors WHERE hour < 40 GROUP BY well", 105, 12800},
+	{"having", "SELECT well, AVG(temperature) AS t FROM sensors GROUP BY well HAVING t > 68.5", 102, 11900},
+	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 104, 12500},
+	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 105, 11400},
+	{"global", "SELECT COUNT(*) AS n, MAX(pressure) AS hi, MIN(flow) AS lo FROM sensors WHERE temperature < 73.0", 103, 10700},
+	{"wordfilter", "SELECT word FROM words WHERE word = 'big'", 87, 10200},
+	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 127, 20800},
 }
 
 // TestSQLAllocationGate is ROADMAP item 2's gate on the SQL path: a
@@ -105,9 +109,12 @@ func TestSQLAllocationGate(t *testing.T) {
 // builds a profile only when one is read, two-word data quanta, window
 // scratch kept on a free list, a digest encoder that writes straight into
 // its buffer, each input generated once per spec and shared by every
-// job of it, and a plan's per-operator state, an atom's exits and a
-// run's platform counts in slices (97 / 183 / 170–171 objects, 9.7–9.9 /
-// 18.7 / 75.2–75.6 KB at GOMAXPROCS 1 to 4). With the execution plan's
+// job of it, a plan's per-operator state, an atom's exits and a run's
+// platform counts in slices, and an optimizer whose 16-byte DP cells and
+// other scratch are leased (92 / 178 / 165–166 objects, 8.3–8.5 /
+// 16.6–16.8 / 71.9–72.3 KB at GOMAXPROCS 1 to 4). With 88-byte DP cells
+// and the optimizer's scratch made per call they read 97 / 183 / 170–171
+// objects and 9.7–9.9 / 18.7 / 75.2–75.6 KB. With the execution plan's
 // assignment and costs, the atom's exits and the run's occupancy in Go
 // maps they read 109 / 195 / 182–183 objects and 11.8 / 20.7–20.9 /
 // 76.8–77.1 KB. With every job generating its own input as well they
@@ -128,9 +135,9 @@ func TestSQLAllocationGate(t *testing.T) {
 // records generated one by one 12 200 / 12 286 / 2 037 objects and 0.70 /
 // 1.76 / 0.14 MB.
 var builtinGate = []struct{ objects, bytes float64 }{
-	{101, 10_300}, // wordcount, n = 4 000
-	{191, 19_500}, // sensor, n = 4 000
-	{178, 78_700}, // fanout, 200 × 4
+	{96, 8_900},   // wordcount, n = 4 000
+	{186, 17_500}, // sensor, n = 4 000
+	{173, 75_300}, // fanout, 200 × 4
 }
 
 // TestBuiltinAllocationGate is ROADMAP item 2a's gate: the service's own

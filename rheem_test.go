@@ -871,9 +871,11 @@ func TestHintedChainAllocationGate(t *testing.T) {
 		// optimizing the plan, the atom's spans and channels — not the
 		// pipeline's window-sized buffers, which are leased: a forcing
 		// that allocates its window scratch again reads 60 KB. Measured
-		// at 81 objects and 8.5 KB (91 and 10.0 KB while the execution
-		// plan kept its per-operator state in Go maps, 124 and 10.6 KB
-		// while the control plane allocated per operator). Scratches sit on a free list, not
+		// at 76–77 objects and 6.8–6.9 KB (81 and 8.5 KB while the
+		// optimizer's DP cells were 88 bytes and its scratch was made per
+		// call, 91 and 10.0 KB while the execution plan kept its
+		// per-operator state in Go maps, 124 and 10.6 KB while the
+		// control plane allocated per operator). Scratches sit on a free list, not
 		// in a sync.Pool, so neither a collection nor a race build's
 		// dropped Puts make a forcing allocate them again. The headroom is
 		// for toolchain drift, not for per-row work, which at this input
