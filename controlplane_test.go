@@ -26,7 +26,9 @@ import (
 // per operator. A one-atom chain of hinted filters over a columnar
 // source, 4 operators long and 32, must cost each layer the same count
 // at both widths, give or take one. They read translate 3, optimize 9
-// and run 31 at both; optimize 14 while the optimizer made its scratch
+// and run 25 at both; run 31 while a Run allocated its state (the run,
+// its audit ledger, the top scope's channels and the scheduler's graph)
+// instead of leasing it; optimize 14 while the optimizer made its scratch
 // per call; with the execution plan's per-operator state in Go maps,
 // optimize 20 and run 32. While the layers allocated per operator,
 // translation read 12 and 80, optimization 27 and 73, the run 42 and 85.

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 )
 
@@ -269,16 +268,7 @@ func (o *Ordered) detach() {
 // should stop with its caller's context returns the context's error. Its
 // state, ring and signals included, is leased from a free list.
 func Run(n, want int, task func(i int, helper bool) error) error {
-	var r *run
-	runs.Lock()
-	if k := len(runs.free); k > 0 {
-		r = runs.free[k-1]
-		runs.free = runs.free[:k-1]
-	}
-	runs.Unlock()
-	if r == nil {
-		r = new(run)
-	}
+	r := runs.Get()
 	r.task = task
 	r.Start(r, n, n, want)
 	var err error
@@ -305,14 +295,9 @@ type run struct {
 // tasks is dropped.
 const maxTurns = 256
 
-// runs is the free list of Run's states, at most four per P. It is not a
-// sync.Pool: a pool keeps what is put back on the P that put it, the last
-// one out of a run may be a helper, and a race build's pool drops one Put
-// in four.
-var runs struct {
-	sync.Mutex
-	free []*run
-}
+// runs is the free list of Run's states, at most four per P; the last one
+// out of a run, which puts it back, may be a helper.
+var runs = FreeList[run]{PerP: 4, Keep: func(r *run) bool { return len(r.turns) <= maxTurns }}
 
 func (r *run) Do(i int, helper bool) error { return r.task(i, helper) }
 
@@ -323,12 +308,5 @@ func (r *run) Release() {
 	for k := range r.ring {
 		r.ring[k].err, r.ring[k].panicked = nil, nil
 	}
-	if len(r.turns) > maxTurns {
-		return
-	}
-	runs.Lock()
-	if len(runs.free) < 4*runtime.GOMAXPROCS(0) {
-		runs.free = append(runs.free, r)
-	}
-	runs.Unlock()
+	runs.Put(r)
 }

@@ -169,8 +169,29 @@ type run struct {
 	// quiesced, so it needs no lock. It only grows, which bounds the
 	// failover loop by the registry size.
 	excluded map[engine.PlatformID]bool
-	// top is the scope of the plan Run was given, allocated with the run.
+	// top is the scope of the plan Run was given, leased with the run.
 	top planScope
+}
+
+// maxIDs bounds the ID tables a kept run state keeps (they grow together):
+// one that served a wider plan is dropped.
+const maxIDs = 4096
+
+// runs is the free list of run states, at most four per P.
+var runs = engine.FreeList[run]{PerP: 4, Keep: func(r *run) bool { return cap(r.audited) <= maxIDs }}
+
+// release clears every slot of the finished run — its channels, the
+// scheduler's nodes, the context, the tracer, the result — and puts the
+// state on the free list: nothing of a finished job stays pinned by it.
+func (r *run) release() {
+	audited, t := r.audited, r.top
+	clear(audited)
+	clear(t.channels)
+	clear(t.nodes[:cap(t.nodes)]) // a re-plan's graph may be the shorter
+	clear(t.producer)
+	clear(t.ready[:cap(t.ready)])
+	*r = run{audited: audited, top: planScope{channels: t.channels, nodes: t.nodes, producer: t.producer, ready: t.ready}}
+	runs.Put(r)
 }
 
 // planScope is one execution plan being scheduled within a run: the
@@ -187,6 +208,10 @@ type planScope struct {
 	// flagged records that some atom's audit in this plan flagged a
 	// gross cardinality miss. Owned by the plan's dispatcher goroutine.
 	flagged bool
+	// nodes, producer and ready are scheduleAtoms' graph, kept across
+	// re-plans; the top scope's are leased with the run.
+	nodes           []atomNode
+	producer, ready []*atomNode
 }
 
 // recoverFatal is the executor's panic net, deferred wherever code the
@@ -206,6 +231,8 @@ func recoverFatal(what any, err *error) {
 // got — FinalPlan, Failovers, Reoptimized and Mismatches — and no
 // Records, PlatformHealth or Trace.
 func Run(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts Options) (res *Result, err error) {
+	r := runs.Get()
+	defer r.release() // deferred first, so it runs after every other step
 	opts.defaults()
 	ctx, cancel := context.WithCancel(opts.Context)
 	defer cancel()
@@ -218,12 +245,13 @@ func Run(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts Options) (res *
 	}
 	res = &Result{FinalPlan: ep}
 	ids := ep.Physical.IDBound()
-	r := &run{reg: reg, opts: opts, ctx: ctx, cancel: cancel, tr: tr, res: res, audited: make([]bool, ids)}
+	r.reg, r.opts, r.ctx, r.cancel, r.tr, r.res = reg, opts, ctx, cancel, tr, res
+	r.audited = engine.Grown(r.audited, ids)
 	if n := ep.Options.Shards; n > 1 {
 		r.shards = NewPool(n)
 	}
-	r.top = planScope{run: r, ep: ep, channels: make([]*channel.Channel, ids), topLevel: true, iter: -1}
 	top := &r.top
+	top.run, top.ep, top.channels, top.topLevel, top.iter = r, ep, engine.Grown(top.channels, ids), true, -1
 	// Atoms recover in runAtom, wherever it runs; this one covers the sink
 	// materialization below, which runs converters on the caller's.
 	defer recoverFatal("materializing the result", &err)

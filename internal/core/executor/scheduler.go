@@ -155,9 +155,11 @@ func (p *planScope) scheduleAtoms() (replan bool, failover *failoverError, err e
 	// Graph setup is single-threaded: no workers are live yet, so the
 	// channel table can be read unlocked. The pending atoms' nodes share
 	// one slab and the producer index is a table by operator ID: the
-	// graph costs the same whatever the plan's width.
-	nodes := make([]atomNode, 0, len(p.ep.Atoms))
-	producer := make([]*atomNode, len(p.channels))
+	// graph costs the same whatever the plan's width. The slab's capacity
+	// is every atom, so no append moves a node a pointer was taken to.
+	p.nodes = engine.Grown(p.nodes, len(p.ep.Atoms))
+	p.producer = engine.Grown(p.producer, len(p.channels))
+	nodes, producer := p.nodes[:0], p.producer
 	for _, atom := range p.ep.Atoms {
 		if atomDone(atom, p.channels) {
 			continue // outputs already available (re-optimized run)
@@ -167,7 +169,8 @@ func (p *planScope) scheduleAtoms() (replan bool, failover *failoverError, err e
 			producer[op.ID] = &nodes[len(nodes)-1]
 		}
 	}
-	ready := make([]*atomNode, 0, len(nodes))
+	p.ready = engine.Grown(p.ready, len(nodes))
+	ready := p.ready[:0]
 	for i := range nodes {
 		n := &nodes[i]
 		// The producers an atom waits for: those of its inputs that cross

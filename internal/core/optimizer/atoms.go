@@ -25,7 +25,7 @@ func splitAtoms(p *physical.Plan, s *scratch, assignment []engine.PlatformID, fr
 	// most as many atoms as operators, so one row width fits both).
 	pos, n := s.pos, len(p.Ops)
 	w := (n + 63) / 64
-	s.bits = grown(s.bits, (3*n+2)*w)
+	s.bits = engine.Grown(s.bits, (3*n+2)*w)
 	store := s.bits
 	row := func(i int) bitset { return store[i*w : (i+1)*w] }
 	ancestors := func(op int) bitset { return row(op) }       // transitive input closure, for the convexity check

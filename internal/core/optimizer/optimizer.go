@@ -23,10 +23,8 @@ package optimizer
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"rheem/internal/core/cost"
@@ -191,8 +189,8 @@ func optimizeWith(p *physical.Plan, reg *engine.Registry, opts Options, est, raw
 	}
 
 	// Leased after the bodies' recursion: every plan level holds its own.
-	s := lease()
-	defer s.release()
+	s := scratches.Get()
+	defer scratches.Put(s)
 	s.positions(p)
 	if err := assignPlatforms(p, s, reg, opts, ep); err != nil {
 		return nil, err
@@ -222,43 +220,7 @@ type scratch struct {
 const maxCells = 4096
 
 // scratches is the free list of released scratches, at most four per P.
-// It is not a sync.Pool: the collector empties a pool, and a race build's
-// pool drops one Put in four, so planning would allocate its scratch again
-// at the collector's or the race detector's whim.
-var scratches struct {
-	sync.Mutex
-	free []*scratch
-}
-
-func lease() *scratch {
-	scratches.Lock()
-	defer scratches.Unlock()
-	if n := len(scratches.free); n > 0 {
-		s := scratches.free[n-1]
-		scratches.free = scratches.free[:n-1]
-		return s
-	}
-	return new(scratch)
-}
-
-func (s *scratch) release() {
-	scratches.Lock()
-	if cap(s.cells) <= maxCells && len(scratches.free) < 4*runtime.GOMAXPROCS(0) {
-		scratches.free = append(scratches.free, s)
-	}
-	scratches.Unlock()
-}
-
-// grown returns buf resized to n and cleared, reallocated only when it
-// is too short.
-func grown[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
-}
+var scratches = engine.FreeList[scratch]{PerP: 4, Keep: func(s *scratch) bool { return cap(s.cells) <= maxCells }}
 
 // positions maps operator IDs to positions in p.Ops (-1: not in this
 // plan; IDs are shared across a plan tree) into s.pos. The DP's table
@@ -268,7 +230,7 @@ func (s *scratch) positions(p *physical.Plan) {
 	for _, op := range p.Ops {
 		maxID = max(maxID, op.ID)
 	}
-	s.pos = grown(s.pos, maxID+1)
+	s.pos = engine.Grown(s.pos, maxID+1)
 	for i := range s.pos {
 		s.pos[i] = -1
 	}
@@ -394,8 +356,8 @@ func assignPlatforms(p *physical.Plan, s *scratch, reg *engine.Registry, opts Op
 	}
 	// One backing array for the root marks and all cells' input picks,
 	// one slice for the cost models' input cardinalities.
-	s.ints = grown(s.ints, 2*len(p.Ops)+edges*np)
-	s.cells, s.cards = grown(s.cells, len(p.Ops)*np), grown(s.cards, 2*maxIn)
+	s.ints = engine.Grown(s.ints, 2*len(p.Ops)+edges*np)
+	s.cells, s.cards = engine.Grown(s.cells, len(p.Ops)*np), engine.Grown(s.cards, 2*maxIn)
 	roots := designatedRoots(p, pos, s.ints)
 	d.picks, d.cells = s.ints[2*len(p.Ops):], s.cells
 	cards := s.cards

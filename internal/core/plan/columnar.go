@@ -227,6 +227,10 @@ func (m *ColumnMap) Apply(n int, in, out []batch.Column) error {
 // in one, is an error naming the operator and the field.
 func (m *ColumnMap) MapFunc() MapFunc {
 	type window struct{ in, out []batch.Column }
+	// A sync.Pool, not an engine.FreeList (which plan, imported by engine,
+	// cannot use): the UDF runs per record on every helper of a chain at
+	// once, which a pool's per-P caches serve without a lock, and the
+	// windows of a closure nobody calls any more are the collector's.
 	pool := sync.Pool{New: func() any {
 		w := &window{in: make([]batch.Column, len(m.In)), out: make([]batch.Column, len(m.Out))}
 		for i, c := range m.In {

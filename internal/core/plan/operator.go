@@ -198,8 +198,9 @@ type IECondition struct {
 type Operator struct {
 	id   int
 	kind OpKind
+	n    uint8 // inputs held in in; every kind's arity is at most 2
 	name string
-	in   []*Operator
+	in   [2]*Operator
 
 	// UDF payloads; only the fields matching the kind are set.
 	Source     SourceFunc
@@ -273,7 +274,7 @@ func (o *Operator) AppendName(b []byte) []byte {
 
 // Inputs returns the upstream operators. Callers must not mutate the
 // returned slice.
-func (o *Operator) Inputs() []*Operator { return o.in }
+func (o *Operator) Inputs() []*Operator { return o.in[:o.n:o.n] }
 
 // validatePayload checks that exactly the payload required by the kind
 // is present.

@@ -60,10 +60,10 @@ func (p *Plan) Validate() error {
 		if err := op.validatePayload(); err != nil {
 			return fmt.Errorf("plan %q: %w", p.name, err)
 		}
-		if got, want := len(op.in), op.kind.Arity(); got != want {
+		if got, want := len(op.Inputs()), op.kind.Arity(); got != want {
 			return fmt.Errorf("plan %q: %s has %d inputs, kind wants %d", p.name, op.Name(), got, want)
 		}
-		for _, in := range op.in {
+		for _, in := range op.Inputs() {
 			if in.id < 0 || in.id >= i || p.ops[in.id] != in {
 				return fmt.Errorf("plan %q: %s consumes %s before definition (cycle or foreign operator)",
 					p.name, op.Name(), in.Name())
@@ -107,7 +107,7 @@ func (p *Plan) Validate() error {
 func (p *Plan) Consumers() map[int][]*Operator {
 	out := make(map[int][]*Operator, len(p.ops))
 	for _, op := range p.ops {
-		for _, in := range op.in {
+		for _, in := range op.Inputs() {
 			out[in.id] = append(out[in.id], op)
 		}
 	}
@@ -122,9 +122,9 @@ func (p *Plan) String() string {
 	for _, op := range p.ops {
 		sb.WriteString("  ")
 		sb.WriteString(op.Name())
-		if len(op.in) > 0 {
+		if ins := op.Inputs(); len(ins) > 0 {
 			sb.WriteString(" <- ")
-			for i, in := range op.in {
+			for i, in := range ins {
 				if i > 0 {
 					sb.WriteString(", ")
 				}
@@ -153,15 +153,19 @@ type Builder struct {
 	err   error
 }
 
+// opsHint is the operator index a builder starts with: most plans fit,
+// so the index is one allocation, not a doubling per power of two.
+const opsHint = 8
+
 // NewBuilder starts a top-level plan.
 func NewBuilder(name string) *Builder {
-	return &Builder{plan: &Plan{name: name}}
+	return &Builder{plan: &Plan{name: name, ops: make([]*Operator, 0, opsHint)}}
 }
 
 // NewBodyBuilder starts a loop-body plan. The body reads its
 // per-iteration input through the LoopInput operator.
 func NewBodyBuilder(name string) *Builder {
-	return &Builder{plan: &Plan{name: name, body: true}}
+	return &Builder{plan: &Plan{name: name, body: true, ops: make([]*Operator, 0, opsHint)}}
 }
 
 func (b *Builder) add(op *Operator) *Operator {
@@ -193,22 +197,22 @@ func (b *Builder) LoopInput(name string) *Operator {
 
 // Map adds a map operator.
 func (b *Builder) Map(in *Operator, fn MapFunc) *Operator {
-	return b.add(&Operator{kind: KindMap, in: []*Operator{in}, Map: fn})
+	return b.add(&Operator{kind: KindMap, n: 1, in: [2]*Operator{in}, Map: fn})
 }
 
 // FlatMap adds a flat-map operator.
 func (b *Builder) FlatMap(in *Operator, fn FlatMapFunc) *Operator {
-	return b.add(&Operator{kind: KindFlatMap, in: []*Operator{in}, FlatMap: fn})
+	return b.add(&Operator{kind: KindFlatMap, n: 1, in: [2]*Operator{in}, FlatMap: fn})
 }
 
 // Filter adds a filter operator.
 func (b *Builder) Filter(in *Operator, fn FilterFunc) *Operator {
-	return b.add(&Operator{kind: KindFilter, in: []*Operator{in}, Filter: fn})
+	return b.add(&Operator{kind: KindFilter, n: 1, in: [2]*Operator{in}, Filter: fn})
 }
 
 // GroupBy adds a group-by operator applying fn to each key group.
 func (b *Builder) GroupBy(in *Operator, key KeyFunc, fn GroupFunc) *Operator {
-	return b.add(&Operator{kind: KindGroupBy, in: []*Operator{in}, Key: key, Group: fn})
+	return b.add(&Operator{kind: KindGroupBy, n: 1, in: [2]*Operator{in}, Key: key, Group: fn})
 }
 
 // ReduceByKey adds a per-key pairwise fold. The reducer must preserve
@@ -216,32 +220,32 @@ func (b *Builder) GroupBy(in *Operator, key KeyFunc, fn GroupFunc) *Operator {
 // re-derive the key from partially reduced records when shuffling
 // map-side combined results.
 func (b *Builder) ReduceByKey(in *Operator, key KeyFunc, fn ReduceFunc) *Operator {
-	return b.add(&Operator{kind: KindReduceByKey, in: []*Operator{in}, Key: key, Reduce: fn})
+	return b.add(&Operator{kind: KindReduceByKey, n: 1, in: [2]*Operator{in}, Key: key, Reduce: fn})
 }
 
 // Reduce adds a global pairwise fold to a single record.
 func (b *Builder) Reduce(in *Operator, fn ReduceFunc) *Operator {
-	return b.add(&Operator{kind: KindReduce, in: []*Operator{in}, Reduce: fn})
+	return b.add(&Operator{kind: KindReduce, n: 1, in: [2]*Operator{in}, Reduce: fn})
 }
 
 // Sort adds an ordering operator.
 func (b *Builder) Sort(in *Operator, key KeyFunc, desc bool) *Operator {
-	return b.add(&Operator{kind: KindSort, in: []*Operator{in}, Key: key, Desc: desc})
+	return b.add(&Operator{kind: KindSort, n: 1, in: [2]*Operator{in}, Key: key, Desc: desc})
 }
 
 // Distinct adds a duplicate-elimination operator.
 func (b *Builder) Distinct(in *Operator) *Operator {
-	return b.add(&Operator{kind: KindDistinct, in: []*Operator{in}})
+	return b.add(&Operator{kind: KindDistinct, n: 1, in: [2]*Operator{in}})
 }
 
 // Union adds a bag-union of two inputs.
 func (b *Builder) Union(l, r *Operator) *Operator {
-	return b.add(&Operator{kind: KindUnion, in: []*Operator{l, r}})
+	return b.add(&Operator{kind: KindUnion, n: 2, in: [2]*Operator{l, r}})
 }
 
 // Join adds an equi-join; output records are Concat(left, right).
 func (b *Builder) Join(l, r *Operator, lkey, rkey KeyFunc) *Operator {
-	return b.add(&Operator{kind: KindJoin, in: []*Operator{l, r}, Key: lkey, RightKey: rkey})
+	return b.add(&Operator{kind: KindJoin, n: 2, in: [2]*Operator{l, r}, Key: lkey, RightKey: rkey})
 }
 
 // ThetaJoin adds a predicate join. Declarative inequality conditions
@@ -249,38 +253,38 @@ func (b *Builder) Join(l, r *Operator, lkey, rkey KeyFunc) *Operator {
 // Build; when present, the optimizer may choose the IEJoin physical
 // operator, with pred (if non-nil) applied as a residual filter.
 func (b *Builder) ThetaJoin(l, r *Operator, pred PredFunc, conds ...IECondition) *Operator {
-	return b.add(&Operator{kind: KindThetaJoin, in: []*Operator{l, r}, Pred: pred, Conditions: conds})
+	return b.add(&Operator{kind: KindThetaJoin, n: 2, in: [2]*Operator{l, r}, Pred: pred, Conditions: conds})
 }
 
 // Cartesian adds a cross product.
 func (b *Builder) Cartesian(l, r *Operator) *Operator {
-	return b.add(&Operator{kind: KindCartesian, in: []*Operator{l, r}})
+	return b.add(&Operator{kind: KindCartesian, n: 2, in: [2]*Operator{l, r}})
 }
 
 // Count adds a counting operator emitting a single (int) record.
 func (b *Builder) Count(in *Operator) *Operator {
-	return b.add(&Operator{kind: KindCount, in: []*Operator{in}})
+	return b.add(&Operator{kind: KindCount, n: 1, in: [2]*Operator{in}})
 }
 
 // Sample adds a take-first-N operator.
 func (b *Builder) Sample(in *Operator, n int) *Operator {
-	return b.add(&Operator{kind: KindSample, in: []*Operator{in}, N: n})
+	return b.add(&Operator{kind: KindSample, n: 1, in: [2]*Operator{in}, N: n})
 }
 
 // Repeat adds a fixed-iteration loop over body.
 func (b *Builder) Repeat(in *Operator, times int, body *Plan) *Operator {
-	return b.add(&Operator{kind: KindRepeat, in: []*Operator{in}, Times: times, Body: body})
+	return b.add(&Operator{kind: KindRepeat, n: 1, in: [2]*Operator{in}, Times: times, Body: body})
 }
 
 // DoWhile adds a conditional loop over body; cond is evaluated on each
 // iteration's output and the loop continues while it returns true.
 func (b *Builder) DoWhile(in *Operator, cond CondFunc, maxIter int, body *Plan) *Operator {
-	return b.add(&Operator{kind: KindDoWhile, in: []*Operator{in}, Cond: cond, MaxIter: maxIter, Body: body})
+	return b.add(&Operator{kind: KindDoWhile, n: 1, in: [2]*Operator{in}, Cond: cond, MaxIter: maxIter, Body: body})
 }
 
 // Collect marks the plan's sink.
 func (b *Builder) Collect(in *Operator) *Operator {
-	op := b.add(&Operator{kind: KindSink, in: []*Operator{in}})
+	op := b.add(&Operator{kind: KindSink, n: 1, in: [2]*Operator{in}})
 	if b.plan.sink != nil {
 		b.fail(fmt.Errorf("plan %q: multiple sinks", b.plan.name))
 	}

@@ -12,7 +12,7 @@ import (
 // This file implements the two wire formats data quanta travel in:
 //
 //   - CSV with a typed header, the human-facing format used by the
-//     csvstore storage engine and the CLIs; and
+//     CLIs; and
 //   - a compact binary format used by the simulated DFS blocks and by
 //     the shuffle byte-accounting of the Spark simulator.
 //

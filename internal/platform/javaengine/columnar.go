@@ -302,7 +302,7 @@ func (p *pipeline) run(s *scratch, values bool, columns func(w *win, sel []int32
 	if s != nil {
 		return p.serial(s, values, columns, rows)
 	}
-	s = lease()
+	s = scratches.Get()
 	err := p.serial(s, values, columns, rows)
 	s.release()
 	return err

@@ -41,7 +41,7 @@ type grouper struct {
 // per group from one []data.Value slab, in first-seen order, or stably
 // sorted by key — as algo.SortGroup orders groups — when sorted is set.
 func (p *pipeline) group(lop *plan.Operator, sorted bool) ([]data.Record, error) {
-	spec, s := lop.ColGroup, lease() // the groups, and a serial forcing's windows
+	spec, s := lop.ColGroup, scratches.Get() // the groups, and a serial forcing's windows
 	g := &s.group
 	g.lop = lop
 	g.cols = slices.Grow(g.cols[:0], len(spec.Out))[:len(spec.Out)]

@@ -16,8 +16,6 @@
 package javaengine
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"rheem/internal/core/engine"
@@ -47,14 +45,9 @@ type slot struct {
 
 // idle is the free list of forcing states: at most one per P, because a
 // forcing keeps every P busy; a forcing beyond them makes its own state,
-// and it is dropped. It is not a sync.Pool: a pool keeps what is put back
-// on the P that put it, and a forcing goroutine that has since moved to
-// another P — or a helper that was the last to let go — would leave the
-// next forcing to allocate its state again.
-var idle struct {
-	sync.Mutex
-	states []*morsels
-}
+// and it is dropped. The goroutine that puts a state back — a helper that
+// was the last to let go — is often not on the P of the next forcing.
+var idle = engine.FreeList[morsels]{PerP: 1}
 
 // atHead, set by tests, is called before each window's head with the
 // window's index and whether a helper runs it.
@@ -67,16 +60,7 @@ func (p *pipeline) runMorsels(workers int, values bool, columns func(w *win, sel
 		return err // before any helper is hired
 	}
 	windows := (p.size() + window - 1) / window
-	var m *morsels
-	idle.Lock()
-	if n := len(idle.states); n > 0 {
-		m = idle.states[n-1]
-		idle.states = idle.states[:n-1]
-	}
-	idle.Unlock()
-	if m == nil {
-		m = new(morsels)
-	}
+	m := idle.Get()
 	m.p = p
 	r := min(2*workers, windows)
 	for len(m.slots) < r {
@@ -84,7 +68,7 @@ func (p *pipeline) runMorsels(workers int, values bool, columns func(w *win, sel
 	}
 	m.ring = m.slots[:r]
 	for k := range m.ring {
-		m.ring[k].scratch = lease()
+		m.ring[k].scratch = scratches.Get()
 		m.ring[k].win.prepare(p, values)
 	}
 	m.Start(m, windows, r, windows-1)
@@ -123,9 +107,5 @@ func (m *morsels) Release() {
 		m.ring[k] = slot{}
 	}
 	m.p, m.ring = nil, nil
-	idle.Lock()
-	if len(idle.states) < runtime.GOMAXPROCS(0) {
-		idle.states = append(idle.states, m)
-	}
-	idle.Unlock()
+	idle.Put(m)
 }

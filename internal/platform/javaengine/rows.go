@@ -183,7 +183,11 @@ func (c *rowChain) window(w int, helper bool) error {
 	return err
 }
 
-// rowBufs holds the buffers a FlatMap's windows are built in.
+// rowBufs holds the buffers a FlatMap's windows are built in. It stays a
+// sync.Pool, not an engine.FreeList: every helper of a chain leases and
+// releases one a window, all at once, which a pool's per-P caches serve
+// without a lock; and a buffer holds up to four windows of records, which
+// the collector should have back once no job runs a FlatMap.
 var rowBufs = sync.Pool{New: func() any { return new([]data.Record) }}
 
 func leaseRows() *[]data.Record { return rowBufs.Get().(*[]data.Record) }

@@ -1,11 +1,10 @@
 package javaengine
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"rheem/internal/core/batch"
+	"rheem/internal/core/engine"
 )
 
 // scratch is the memory of one forcing. What leaves a forcing — result rows,
@@ -24,30 +23,11 @@ const maxCols = 64
 
 // scratches is the free list of released scratches: at most four per P,
 // which covers two morsel-parallel forcings at once (each leases two
-// windows per worker); a scratch released beyond that is dropped. It is
-// not a sync.Pool: the collector empties a pool, and a race build's pool
-// drops one Put in four at random, so a forcing would make its window
-// buffers again at the collector's or the race detector's whim. The price
-// is that an idle process keeps up to 4 × GOMAXPROCS scratches, each
-// window-sized, with every reference into the jobs that used them severed.
-var scratches struct {
-	sync.Mutex
-	free []*scratch
-}
-
-func lease() *scratch {
-	var s *scratch
-	scratches.Lock()
-	if n := len(scratches.free); n > 0 {
-		s = scratches.free[n-1]
-		scratches.free = scratches.free[:n-1]
-	}
-	scratches.Unlock()
-	if s == nil {
-		s = new(scratch)
-	}
-	return s
-}
+// windows per worker); a scratch released beyond that is dropped, and one
+// that grew past maxCols or a window of groups keeps only what fits. An
+// idle process keeps up to 4 × GOMAXPROCS scratches, each window-sized,
+// with every reference into the jobs that used them severed.
+var scratches = engine.FreeList[scratch]{PerP: 4}
 
 // scribble, set by tests, overwrites what release keeps before it is
 // kept. It is atomic because a helper may release a forcing's slots after
@@ -93,9 +73,5 @@ func (s *scratch) release() {
 	if f := scribble.Load(); f != nil {
 		(*f)(s)
 	}
-	scratches.Lock()
-	if len(scratches.free) < 4*runtime.GOMAXPROCS(0) {
-		scratches.free = append(scratches.free, s)
-	}
-	scratches.Unlock()
+	scratches.Put(s)
 }

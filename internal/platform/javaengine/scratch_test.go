@@ -315,7 +315,7 @@ func TestLeaseAfterFailure(t *testing.T) {
 			if _, err := runWhole(src, true, failing(fail)); err == nil || !strings.Contains(err.Error(), "row refused") {
 				t.Fatalf("%s: the failing job returned %v", name, err)
 			}
-			s := lease()
+			s := scratches.Get()
 			if err := severed(s); err != nil {
 				t.Errorf("after the %s: %v", name, err)
 			}

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"rheem/internal/core/engine"
@@ -127,7 +126,7 @@ func (j *Job) statusLocked() JobStatus {
 // their digests match.
 func Digest(recs []data.Record) (string, error) {
 	h := sha256.New()
-	bw := digestWriters.Get().(*bufio.Writer)
+	bw := digestWriters.Get() // a new one's buffer is made by Reset
 	bw.Reset(h)
 	_, err := data.WriteBinary(bw, recs)
 	bw.Reset(nil)
@@ -140,5 +139,5 @@ func Digest(recs []data.Record) (string, error) {
 
 // digestWriters are the buffers between the encoder and the hash, which
 // every job would otherwise allocate: WriteBinary writes through, and
-// flushes, a *bufio.Writer it is handed.
-var digestWriters = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
+// flushes, a *bufio.Writer it is handed. Each is 4 KB, one kept per P.
+var digestWriters = engine.FreeList[bufio.Writer]{PerP: 1}

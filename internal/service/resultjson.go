@@ -15,7 +15,10 @@ import (
 	"rheem/internal/data"
 )
 
-// resultBufs holds the buffers result bodies are built in.
+// resultBufs holds the buffers result bodies are built in. It stays a
+// sync.Pool, not an engine.FreeList: a body's buffer may grow to a
+// megabyte, and between bursts of reads the collector should have it back
+// rather than a list keeping several per P for the life of the server.
 var resultBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledResult is the largest buffer kept for the next result: one

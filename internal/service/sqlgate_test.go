@@ -21,12 +21,15 @@ import (
 // with its window scratch leased, a control plane that allocates per
 // plan and per atom and keeps a plan's per-operator state, an atom's
 // exits and a run's platform counts in slices, an optimizer whose
-// 16-byte DP cells and other scratch are leased, and two-word data
-// quanta (94/101/98/100/101/99/83/122 objects, 20.8/10.9/10.1/10.6/9.6/
-// 8.8/8.4/18.6 KB at GOMAXPROCS 1 to 4) plus, in bytes, the 1.4 KB a
-// query read more when one of the twenty had its scratch made anew while
-// scratches were kept in a sync.Pool, which the collector empties. With
-// 88-byte DP cells and the optimizer's scratch made per call they read
+// 16-byte DP cells and other scratch are leased, a logical plan whose
+// operators keep their inputs inline, a run whose state is leased, and
+// two-word data quanta (81/90/87/86/88/88/72/108 objects, 20.3/10.6/9.7/
+// 10.1/9.1/8.5/8.0/18.1 KB at GOMAXPROCS 1 to 4, twenty readings) plus,
+// in bytes, the 1.4 KB a query read more when one of the twenty had its
+// scratch made anew while scratches were kept in a sync.Pool, which the
+// collector empties. With a slice per logical edge and the run's state
+// made per Run they read 94/101/98/100/101/99/83/122 objects and 20.8/
+// 10.9/10.1/10.6/9.6/8.8/8.4/18.6 KB. With 88-byte DP cells and the optimizer's scratch made per call they read
 // 99/106/103/105/106/104/88–90/127 objects and 22.5/12.3/11.4/12.7/11.3/
 // 10.2/9.8–10.5/20.7 KB. With the execution
 // plan's assignment and costs in Go maps, the atom's exits in a map and
@@ -49,14 +52,14 @@ var sqlGateTemplates = []struct {
 	name, sql      string
 	objects, bytes float64
 }{
-	{"filter", "SELECT well, pressure FROM sensors WHERE pressure > 175.5 AND hour < 52", 98, 23000},
-	{"group", "SELECT well, COUNT(*) AS n, AVG(pressure) AS p FROM sensors WHERE hour < 40 GROUP BY well", 105, 12800},
-	{"having", "SELECT well, AVG(temperature) AS t FROM sensors GROUP BY well HAVING t > 68.5", 102, 11900},
-	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 104, 12500},
-	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 105, 11400},
-	{"global", "SELECT COUNT(*) AS n, MAX(pressure) AS hi, MIN(flow) AS lo FROM sensors WHERE temperature < 73.0", 103, 10700},
-	{"wordfilter", "SELECT word FROM words WHERE word = 'big'", 87, 10200},
-	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 127, 20800},
+	{"filter", "SELECT well, pressure FROM sensors WHERE pressure > 175.5 AND hour < 52", 85, 22500},
+	{"group", "SELECT well, COUNT(*) AS n, AVG(pressure) AS p FROM sensors WHERE hour < 40 GROUP BY well", 94, 12400},
+	{"having", "SELECT well, AVG(temperature) AS t FROM sensors GROUP BY well HAVING t > 68.5", 91, 11500},
+	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 90, 12000},
+	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 92, 10900},
+	{"global", "SELECT COUNT(*) AS n, MAX(pressure) AS hi, MIN(flow) AS lo FROM sensors WHERE temperature < 73.0", 92, 10300},
+	{"wordfilter", "SELECT word FROM words WHERE word = 'big'", 75, 9800},
+	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 113, 20300},
 }
 
 // TestSQLAllocationGate is ROADMAP item 2's gate on the SQL path: a
@@ -111,8 +114,12 @@ func TestSQLAllocationGate(t *testing.T) {
 // its buffer, each input generated once per spec and shared by every
 // job of it, a plan's per-operator state, an atom's exits and a run's
 // platform counts in slices, and an optimizer whose 16-byte DP cells and
-// other scratch are leased (92 / 178 / 165–166 objects, 8.3–8.5 /
-// 16.6–16.8 / 71.9–72.3 KB at GOMAXPROCS 1 to 4). With 88-byte DP cells
+// other scratch are leased, a logical plan whose operators keep their
+// inputs inline and a run whose state is leased (81–82 / 164 / 147
+// objects, 7.9–8.0 / 16.1 / 71.3 KB at GOMAXPROCS 1 to 4, twenty
+// readings). With a slice per logical edge and the run's state made per
+// Run they read 92 / 178 / 165–166 objects and 8.3–8.5 / 16.6–16.8 /
+// 71.9–72.3 KB. With 88-byte DP cells
 // and the optimizer's scratch made per call they read 97 / 183 / 170–171
 // objects and 9.7–9.9 / 18.7 / 75.2–75.6 KB. With the execution plan's
 // assignment and costs, the atom's exits and the run's occupancy in Go
@@ -135,9 +142,9 @@ func TestSQLAllocationGate(t *testing.T) {
 // records generated one by one 12 200 / 12 286 / 2 037 objects and 0.70 /
 // 1.76 / 0.14 MB.
 var builtinGate = []struct{ objects, bytes float64 }{
-	{96, 8_900},   // wordcount, n = 4 000
-	{186, 17_500}, // sensor, n = 4 000
-	{173, 75_300}, // fanout, 200 × 4
+	{86, 8_400},   // wordcount, n = 4 000
+	{171, 16_800}, // sensor, n = 4 000
+	{153, 74_200}, // fanout, 200 × 4
 }
 
 // TestBuiltinAllocationGate is ROADMAP item 2a's gate: the service's own

@@ -871,7 +871,9 @@ func TestHintedChainAllocationGate(t *testing.T) {
 		// optimizing the plan, the atom's spans and channels — not the
 		// pipeline's window-sized buffers, which are leased: a forcing
 		// that allocates its window scratch again reads 60 KB. Measured
-		// at 76–77 objects and 6.8–6.9 KB (81 and 8.5 KB while the
+		// at 63–64 objects and 6.3–7.4 KB at GOMAXPROCS 1 to 4 (76–77 and
+		// 6.8–6.9 KB while every logical edge was a slice of its own and
+		// a Run allocated its state, 81 and 8.5 KB while the
 		// optimizer's DP cells were 88 bytes and its scratch was made per
 		// call, 91 and 10.0 KB while the execution plan kept its
 		// per-operator state in Go maps, 124 and 10.6 KB while the
@@ -942,7 +944,8 @@ func TestRowPathAllocationGate(t *testing.T) {
 		rows = 100_000
 		keys = 32
 		jobs = 5
-		// Measured at 176, exactly the floor of 2×80 + 16; three-word
+		// Measured at 176, exactly the floor of 2×80 + 16, at GOMAXPROCS
+		// 1 to 4 with edges inline and the run state leased; three-word
 		// quanta read 280 (2×128 + 24), and a 64-byte Value with a
 		// group-then-fold reduce 754.
 		bytesPerRow = 200

@@ -83,7 +83,8 @@ stop() { # stop: graceful drain, which must exit 0
   wait "$serve_pid"
   serve_pid=""
 }
-field() { sed -n "s/^  \"$1\": \"\{0,1\}\([^\",]*\)\"\{0,1\},\{0,1\}$/\1/p"; }
+# field NAME prints the named top-level field of the JSON object on stdin.
+field() { python3 -c 'import json,sys; print(json.load(sys.stdin).get(sys.argv[1], ""))' "$1"; }
 submit() { curl -sf -X POST "$base/jobs" -d "$1" | field id; }
 await() { # await ID: poll the job until it succeeds
   local state=""
