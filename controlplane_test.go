@@ -46,7 +46,7 @@ func TestControlPlaneAllocationsIndependentOfWidth(t *testing.T) {
 	type counts struct{ translate, optimize, run float64 }
 	measure := func(width int) counts {
 		b := plan.NewBuilder("chain")
-		op := b.SourceColumns("cols", cols)
+		op := b.SourceColumns("cols", cols, nil)
 		for i := 0; i < width-2; i++ {
 			op = b.FilterWhere(op, 1, plan.Less, data.Int(100))
 			op.Selectivity = 1 // every row passes: no audit flags a miss

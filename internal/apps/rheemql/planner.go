@@ -47,9 +47,7 @@ func (c *Catalog) Register(name string, schema *data.Schema, recs []data.Record)
 // row form the records the table holds rather than a copy made of the
 // columns per query.
 func (t *TableDef) source(b *plan.Builder, name string) *plan.Operator {
-	src := b.SourceColumns(name, t.cols)
-	src.Source = t.rows
-	return src
+	return b.SourceColumns(name, t.cols, t.rows)
 }
 
 // Compiled is a query lowered to a logical plan.

@@ -607,14 +607,14 @@ func TestCatalogTablesAtRestInBothForms(t *testing.T) {
 		return c.Plan.Operators()[0]
 	}
 	first, again := scan("SELECT id FROM t WHERE id > 1"), scan("SELECT s FROM t")
-	if first.ColSource == nil || first.ColSource != again.ColSource || first.ColSource.Len() != 2 || first.CardHint != 2 {
-		t.Errorf("two scans of t carry %p and %p (CardHint %d), want the one batch of its 2 rows", first.ColSource, again.ColSource, first.CardHint)
+	if first.ColSource() == nil || first.ColSource() != again.ColSource() || first.ColSource().Len() != 2 || first.CardHint != 2 {
+		t.Errorf("two scans of t carry %p and %p (CardHint %d), want the one batch of its 2 rows", first.ColSource(), again.ColSource(), first.CardHint)
 	}
-	if rows, err := first.Source(); err != nil || len(rows) != 2 || &rows[0] != &recs[0] {
+	if rows, err := first.Source()(); err != nil || len(rows) != 2 || &rows[0] != &recs[0] {
 		t.Errorf("the scan's row form is not the registered records: %v, %v", rows, err)
 	}
-	if src := scan("SELECT id FROM ragged"); src.ColSource != nil || src.CardHint != 2 {
-		t.Errorf("a ragged table's scan carries ColSource=%v CardHint=%d, want no hint and 2", src.ColSource, src.CardHint)
+	if src := scan("SELECT id FROM ragged"); src.ColSource() != nil || src.CardHint != 2 {
+		t.Errorf("a ragged table's scan carries ColSource=%v CardHint=%d, want no hint and 2", src.ColSource(), src.CardHint)
 	}
 	ctx := testCtx(t)
 	got, _, _, err := Run(ctx, cat, "SELECT s, id FROM t WHERE id >= 1", rheem.OnPlatform(javaengine.ID))

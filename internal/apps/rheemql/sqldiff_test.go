@@ -8,10 +8,54 @@ import (
 	"strings"
 	"testing"
 
-	"rheem"
+	"rheem/internal/core/engine"
+	"rheem/internal/core/executor"
+	"rheem/internal/core/optimizer"
+	"rheem/internal/core/physical"
+	"rheem/internal/core/plan"
 	"rheem/internal/data"
 	"rheem/internal/platform/javaengine"
 )
+
+// runForm runs lp pinned to platform id: as compiled, over the catalog's
+// rows ("row-source": the scans without their columns) or with every
+// column hint dropped ("udf"). A dropped hint's operator is built again
+// from the UDF the builder derived from it.
+func runForm(reg *engine.Registry, lp *plan.Plan, id engine.PlatformID, form string) ([]data.Record, error) {
+	pp, err := physical.FromLogical(lp)
+	if err != nil {
+		return nil, err
+	}
+	for _, op := range pp.Ops {
+		lop := op.Logical
+		var fn any
+		switch {
+		case form == "compiled":
+		case lop.ColSource() != nil:
+			fn = lop.Source()
+		case form == "row-source":
+		case lop.ColPred() != nil:
+			fn = lop.Filter()
+		case lop.ColProject() != nil:
+			fn = lop.Map()
+		case lop.ColGroup() != nil:
+			fn = lop.Group()
+		}
+		if fn != nil {
+			op.Logical = plan.NewSynthetic(lop.Kind(), lop.Name(), fn)
+			op.Logical.Key, op.Logical.CardHint, op.Logical.Selectivity = lop.Key, lop.CardHint, lop.Selectivity
+		}
+	}
+	ep, err := optimizer.Optimize(pp, reg, optimizer.Options{FixedPlatform: id})
+	if err != nil {
+		return nil, err
+	}
+	res, err := executor.Run(ep, reg, executor.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return res.Records, nil
+}
 
 // sqlGen draws queries from RheemQL's grammar over the tables of
 // diffCatalog: plain and aggregated select lists, zero to two GROUP BY
@@ -191,16 +235,7 @@ func TestSQLHintedMatchesUDF(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", sql, err)
 					}
-					for _, op := range c.Plan.Operators() {
-						switch form {
-						case "udf":
-							op.ColPred, op.ColProject, op.ColGroup = nil, nil, nil
-							fallthrough
-						case "row-source":
-							op.ColSource = nil
-						}
-					}
-					recs, _, err := ctx.Execute(c.Plan, rheem.OnPlatform(p.ID()))
+					recs, err := runForm(ctx.Registry(), c.Plan, p.ID(), form)
 					if err != nil {
 						t.Fatalf("%s on %s (%s): %v", sql, p.ID(), form, err)
 					}

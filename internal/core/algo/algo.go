@@ -167,9 +167,9 @@ type fold struct {
 func newFold(op *physical.Operator) *fold {
 	lop := op.Logical
 	if lop.Kind() == plan.KindReduceByKey {
-		return &fold{keyed: true, key: lop.Key, f: lop.Reduce, sorted: op.Algo == physical.SortGroupBy, out: []data.Record{}}
+		return &fold{keyed: true, key: lop.Key, f: lop.Reduce(), sorted: op.Algo == physical.SortGroupBy, out: []data.Record{}}
 	}
-	return &fold{f: lop.Reduce}
+	return &fold{f: lop.Reduce()}
 }
 
 func (fd *fold) add(r data.Record) error {

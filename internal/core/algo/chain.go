@@ -26,12 +26,22 @@ func Narrow(lop *plan.Operator) bool {
 // failure stops the chain, and the one returned is met by the first
 // record in input order that fails anywhere along it. The empty chain
 // hands its input on.
-type Chain []*plan.Operator
+type Chain []Link
+
+// Link is one operator of a Chain: its UDF, read once.
+type Link struct {
+	mapFn   plan.MapFunc
+	filter  plan.FilterFunc
+	flatMap plan.FlatMapFunc
+}
+
+// LinkOf is the link of a narrow operator.
+func LinkOf(lop *plan.Operator) Link { return Link{lop.Map(), lop.Filter(), lop.FlatMap()} }
 
 // Then is c followed by lop. It never writes to c's storage, so a
 // chain can be extended by several readers.
 func (c Chain) Then(lop *plan.Operator) Chain {
-	return append(c[:len(c):len(c)], lop)
+	return append(c[:len(c):len(c)], LinkOf(lop))
 }
 
 // each runs recs through the chain and hands every output to emit, in
@@ -48,18 +58,18 @@ func (c Chain) each(recs []data.Record, emit func(data.Record) error) error {
 // push runs r through the chain from operator i on.
 func (c Chain) push(i int, r data.Record, emit func(data.Record) error) error {
 	for ; i < len(c); i++ {
-		switch op := c[i]; op.Kind() {
-		case plan.KindMap:
+		switch l := &c[i]; {
+		case l.mapFn != nil:
 			var err error
-			if r, err = op.Map(r); err != nil {
+			if r, err = l.mapFn(r); err != nil {
 				return err
 			}
-		case plan.KindFilter:
-			if ok, err := op.Filter(r); err != nil || !ok {
+		case l.filter != nil:
+			if ok, err := l.filter(r); err != nil || !ok {
 				return err
 			}
-		default: // plan.KindFlatMap
-			outs, err := op.FlatMap(r)
+		default:
+			outs, err := l.flatMap(r)
 			if err != nil {
 				return err
 			}
@@ -113,8 +123,8 @@ func (c Chain) Records(recs []data.Record, count bool) ([]data.Record, int64, er
 // Expands reports whether the chain may make more outputs than it reads
 // records: whether it holds a FlatMap.
 func (c Chain) Expands() bool {
-	for _, op := range c {
-		if op.Kind() == plan.KindFlatMap {
+	for _, l := range c {
+		if l.flatMap != nil {
 			return true
 		}
 	}

@@ -23,11 +23,12 @@ func Exec(op *physical.Operator, l, r []data.Record) ([]data.Record, error) {
 	lop := op.Logical
 	switch lop.Kind() {
 	case plan.KindMap:
-		return MapRows(make([]data.Record, 0, len(l)), l, lop.Map)
+		return MapRows(make([]data.Record, 0, len(l)), l, lop.Map())
 	case plan.KindFlatMap:
 		var out []data.Record
+		fn := lop.FlatMap()
 		for _, rec := range l {
-			nrs, err := lop.FlatMap(rec)
+			nrs, err := fn(rec)
 			if err != nil {
 				return nil, err
 			}
@@ -35,7 +36,7 @@ func Exec(op *physical.Operator, l, r []data.Record) ([]data.Record, error) {
 		}
 		return out, nil
 	case plan.KindFilter:
-		return FilterRows(make([]data.Record, 0, len(l)), l, lop.Filter)
+		return FilterRows(make([]data.Record, 0, len(l)), l, lop.Filter())
 	case plan.KindGroupBy:
 		group := HashGroup
 		if op.Algo == physical.SortGroupBy {
@@ -46,8 +47,9 @@ func Exec(op *physical.Operator, l, r []data.Record) ([]data.Record, error) {
 			return nil, err
 		}
 		var out []data.Record
+		fn := lop.Group()
 		for _, g := range groups {
-			res, err := lop.Group(g.Key, g.Records)
+			res, err := fn(g.Key, g.Records)
 			if err != nil {
 				return nil, err
 			}
@@ -55,11 +57,11 @@ func Exec(op *physical.Operator, l, r []data.Record) ([]data.Record, error) {
 		}
 		return out, nil
 	case plan.KindReduceByKey:
-		return ReduceByKey(l, lop.Key, lop.Reduce, op.Algo == physical.SortGroupBy)
+		return ReduceByKey(l, lop.Key, lop.Reduce(), op.Algo == physical.SortGroupBy)
 	case plan.KindReduce:
-		return Reduce(l, lop.Reduce)
+		return Reduce(l, lop.Reduce())
 	case plan.KindSort:
-		return SortBy(l, lop.Key, lop.Desc)
+		return SortBy(l, lop.Key, lop.Desc())
 	case plan.KindDistinct:
 		if op.Algo == physical.SortDistinct {
 			var err error
@@ -73,12 +75,12 @@ func Exec(op *physical.Operator, l, r []data.Record) ([]data.Record, error) {
 		return append(append(out, l...), r...), nil
 	case plan.KindJoin:
 		if op.Algo == physical.SortMergeJoin {
-			return SortMergeJoin(l, r, lop.Key, lop.RightKey)
+			return SortMergeJoin(l, r, lop.Key, lop.RightKey())
 		}
-		return HashJoin(l, r, lop.Key, lop.RightKey)
+		return HashJoin(l, r, lop.Key, lop.RightKey())
 	case plan.KindThetaJoin:
-		if op.Algo == physical.IEJoin && len(lop.Conditions) > 0 {
-			return IEJoinRecords(l, r, lop.Conditions, lop.Pred)
+		if op.Algo == physical.IEJoin && len(lop.Conditions()) > 0 {
+			return IEJoinRecords(l, r, lop.Conditions(), lop.Pred())
 		}
 		return NestedLoopJoin(l, r, thetaPred(lop))
 	case plan.KindCartesian:
@@ -86,7 +88,7 @@ func Exec(op *physical.Operator, l, r []data.Record) ([]data.Record, error) {
 	case plan.KindCount:
 		return []data.Record{data.NewRecord(data.Int(int64(len(l))))}, nil
 	case plan.KindSample:
-		return l[:min(len(l), lop.N)], nil
+		return l[:min(len(l), lop.N())], nil
 	}
 	return nil, fmt.Errorf("algo: %s has no row form: its platform or the executor runs it", lop.Kind())
 }
@@ -118,7 +120,7 @@ func FilterRows(dst, recs []data.Record, f plan.FilterFunc) ([]data.Record, erro
 // thetaPred is a theta join's whole predicate for the nested loop: the
 // declarative conditions first, then the residual predicate if any.
 func thetaPred(lop *plan.Operator) plan.PredFunc {
-	conds, residual := lop.Conditions, lop.Pred
+	conds, residual := lop.Conditions(), lop.Pred()
 	return func(l, r data.Record) (bool, error) {
 		for _, c := range conds {
 			if !c.Op.Eval(l.Field(c.LeftField), r.Field(c.RightField)) {

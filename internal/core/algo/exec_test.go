@@ -12,15 +12,18 @@ import (
 	"rheem/internal/data"
 )
 
-// opOf is a free-standing physical operator of the kind, its payload set
-// by fill.
-func opOf(kind plan.OpKind, a physical.Algorithm, fill func(*plan.Operator)) *physical.Operator {
-	lop := plan.NewSynthetic(kind, kind.String())
-	if fill != nil {
-		fill(lop)
+// opOf is a free-standing physical operator running lop, or an operator
+// of the kind without a payload when lop is nil.
+func opOf(kind plan.OpKind, a physical.Algorithm, lop *plan.Operator) *physical.Operator {
+	if lop == nil {
+		lop = plan.NewSynthetic(kind, kind.String(), nil)
 	}
 	return &physical.Operator{Logical: lop, Algo: a}
 }
+
+// free builds operators of no plan: their inputs are the physical
+// operator's.
+func free() *plan.Builder { return plan.NewBuilder("free") }
 
 func render(recs []data.Record) string {
 	s := make([]string, len(recs))
@@ -104,7 +107,7 @@ func TestExecThetaJoin(t *testing.T) {
 			t.Fatalf("%s: the fixture joins nothing", c.name)
 		}
 		for _, a := range []physical.Algorithm{physical.NestedLoop, physical.IEJoin} {
-			out, err := Exec(opOf(plan.KindThetaJoin, a, func(o *plan.Operator) { o.Conditions, o.Pred = c.conds, c.pred }), l, r)
+			out, err := Exec(opOf(plan.KindThetaJoin, a, free().ThetaJoin(nil, nil, c.pred, c.conds...)), l, r)
 			if err != nil {
 				t.Fatalf("%s under %s: %v", c.name, a, err)
 			}
@@ -114,9 +117,7 @@ func TestExecThetaJoin(t *testing.T) {
 		}
 	}
 	boom := errors.New("boom")
-	_, err := Exec(opOf(plan.KindThetaJoin, physical.NestedLoop, func(o *plan.Operator) {
-		o.Pred = func(a, b data.Record) (bool, error) { return false, boom }
-	}), l, r)
+	_, err := Exec(opOf(plan.KindThetaJoin, physical.NestedLoop, free().ThetaJoin(nil, nil, func(a, b data.Record) (bool, error) { return false, boom })), l, r)
 	if !errors.Is(err, boom) {
 		t.Errorf("a failing residual returned %v", err)
 	}
@@ -140,14 +141,14 @@ func TestExecGroupingAlgorithms(t *testing.T) {
 	cases := []struct {
 		kind        plan.OpKind
 		hash, sort  physical.Algorithm
-		fill        func(*plan.Operator)
+		lop         *plan.Operator
 		first, keys string
 	}{
 		{plan.KindGroupBy, physical.HashGroupBy, physical.SortGroupBy,
-			func(o *plan.Operator) { o.Key, o.Group = plan.FieldKey(0), count },
+			free().GroupBy(nil, plan.FieldKey(0), count),
 			"(3, 3) (1, 2) (2, 1)", "(1, 2) (2, 1) (3, 3)"},
 		{plan.KindReduceByKey, physical.HashGroupBy, physical.SortGroupBy,
-			func(o *plan.Operator) { o.Key, o.Reduce = plan.FieldKey(0), sum },
+			free().ReduceByKey(nil, plan.FieldKey(0), sum),
 			"(3, 6) (1, 18) (2, 8)", "(1, 18) (2, 8) (3, 6)"},
 		{plan.KindDistinct, physical.HashDistinct, physical.SortDistinct, nil,
 			"(3, 1) (1, 2) (3, 4) (2, 8) (1, 16)", render(distinct)},
@@ -157,7 +158,7 @@ func TestExecGroupingAlgorithms(t *testing.T) {
 			a    physical.Algorithm
 			want string
 		}{{c.hash, c.first}, {c.sort, c.keys}, {physical.Default, c.first}} {
-			out, err := Exec(opOf(c.kind, v.a, c.fill), recs, nil)
+			out, err := Exec(opOf(c.kind, v.a, c.lop), recs, nil)
 			if err != nil {
 				t.Fatalf("%s[%s]: %v", c.kind, v.a, err)
 			}
@@ -173,18 +174,18 @@ func TestExecGroupingAlgorithms(t *testing.T) {
 // past a short input, Count counts, a join reads its algorithm.
 func TestExecBinaryAndSlicing(t *testing.T) {
 	l, r := intRecs(3, 1, 2), intRecs(1, 3)
-	keys := func(o *plan.Operator) { o.Key, o.RightKey = plan.FieldKey(0), plan.FieldKey(0) }
+	keys := func() *plan.Operator { return free().Join(nil, nil, plan.FieldKey(0), plan.FieldKey(0)) }
 	for _, c := range []struct {
 		op   *physical.Operator
 		want string
 	}{
 		{opOf(plan.KindUnion, physical.Default, nil), "(3) (1) (2) (1) (3)"},
 		{opOf(plan.KindCount, physical.Default, nil), "(3)"},
-		{opOf(plan.KindSample, physical.Default, func(o *plan.Operator) { o.N = 2 }), "(3) (1)"},
-		{opOf(plan.KindSample, physical.Default, func(o *plan.Operator) { o.N = 7 }), "(3) (1) (2)"},
+		{opOf(plan.KindSample, physical.Default, free().Sample(nil, 2)), "(3) (1)"},
+		{opOf(plan.KindSample, physical.Default, free().Sample(nil, 7)), "(3) (1) (2)"},
 		{opOf(plan.KindSample, physical.Default, nil), ""}, // N = 0: LIMIT 0
-		{opOf(plan.KindJoin, physical.HashJoin, keys), "(3, 3) (1, 1)"},
-		{opOf(plan.KindJoin, physical.SortMergeJoin, keys), "(1, 1) (3, 3)"},
+		{opOf(plan.KindJoin, physical.HashJoin, keys()), "(3, 3) (1, 1)"},
+		{opOf(plan.KindJoin, physical.SortMergeJoin, keys()), "(1, 1) (3, 3)"},
 		{opOf(plan.KindCartesian, physical.Default, nil), "(3, 1) (3, 3) (1, 1) (1, 3) (2, 1) (2, 3)"},
 	} {
 		out, err := Exec(c.op, l, r)

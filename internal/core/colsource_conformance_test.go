@@ -165,8 +165,8 @@ func TestSourceColumnsRowsMadeOnce(t *testing.T) {
 	src := confSource(b, "src", recs, true)
 	b.Collect(src)
 	b.MustBuild()
-	if src.ColSource == nil || src.CardHint != 5 {
-		t.Fatalf("SourceColumns set ColSource=%v CardHint=%d, want the batch and 5", src.ColSource, src.CardHint)
+	if src.ColSource() == nil || src.CardHint != 5 {
+		t.Fatalf("SourceColumns set ColSource=%v CardHint=%d, want the batch and 5", src.ColSource(), src.CardHint)
 	}
 	// Several readers at once: an abandoned attempt of a retried atom may
 	// still be reading when the next one starts.
@@ -176,7 +176,7 @@ func TestSourceColumnsRowsMadeOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rows[i], _ = src.Source()
+			rows[i], _ = src.Source()()
 		}()
 	}
 	wg.Wait()
@@ -189,7 +189,7 @@ func TestSourceColumnsRowsMadeOnce(t *testing.T) {
 		}
 	}
 	ragged := plan.NewBuilder("ragged")
-	if src := confSource(ragged, "src", []data.Record{data.NewRecord(data.Int(1)), data.NewRecord()}, true); src.ColSource != nil {
-		t.Errorf("a row-backed batch has no column form, yet the source carries the hint %v", src.ColSource)
+	if src := confSource(ragged, "src", []data.Record{data.NewRecord(data.Int(1)), data.NewRecord()}, true); src.ColSource() != nil {
+		t.Errorf("a row-backed batch has no column form, yet the source carries the hint %v", src.ColSource())
 	}
 }

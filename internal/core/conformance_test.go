@@ -78,20 +78,37 @@ func canonical(t *testing.T, recs []data.Record) string {
 	return strings.Join(enc, "\x00")
 }
 
-// udfTwin drops every column hint from a freshly built plan, loop
-// bodies included. What remains are the UDFs the hint helpers generated
-// (ColumnPredicate.FilterFunc, Record.Project, ColumnMap.MapFunc,
-// ColumnAggregate.ReduceFunc, ColumnGroupAggregate.KeyFunc/GroupFunc):
-// the same plan as a caller without the helpers would have written it,
-// which every platform runs row by row.
-func udfTwin(p *plan.Plan) *plan.Plan {
-	for _, op := range p.Operators() {
-		op.ColSource, op.ColPred, op.ColProject, op.ColMap, op.ColAgg, op.ColGroup = nil, nil, nil, nil, nil, nil
-		if op.Body != nil {
-			udfTwin(op.Body)
-		}
+// udfTwin swaps every operator of a physical plan that carries a column
+// hint, loop bodies included, for its twin built from the UDF the hint
+// helper generated (ColumnPredicate.FilterFunc, Record.Project,
+// ColumnMap.MapFunc, ColumnAggregate.ReduceFunc,
+// ColumnGroupAggregate.KeyFunc/GroupFunc): the same plan as a caller
+// without the helpers would have written it, which every platform runs
+// row by row.
+func udfTwin(pp *physical.Plan) {
+	forEachOp(pp, func(op *physical.Operator) { op.Logical = rowTwin(op.Logical) })
+}
+
+// rowTwin is lop without its column form, or lop when it has none.
+func rowTwin(lop *plan.Operator) *plan.Operator {
+	var fn any
+	switch {
+	case lop.ColSource() != nil:
+		fn = lop.Source()
+	case lop.ColPred() != nil:
+		fn = lop.Filter()
+	case lop.ColProject() != nil, lop.ColMap() != nil:
+		fn = lop.Map()
+	case lop.ColAgg() != nil:
+		fn = lop.Reduce()
+	case lop.ColGroup() != nil:
+		fn = lop.Group()
+	default:
+		return lop
 	}
-	return p
+	twin := plan.NewSynthetic(lop.Kind(), lop.Name(), fn)
+	twin.Key, twin.Schema, twin.CardHint, twin.Selectivity = lop.Key, lop.Schema, lop.CardHint, lop.Selectivity
+	return twin
 }
 
 // forEachOp walks a physical plan's operators, descending into loop
@@ -126,7 +143,7 @@ type confCase struct {
 // hint, when recs are ragged.
 func confSource(b *plan.Builder, name string, recs []data.Record, columns bool) *plan.Operator {
 	if columns {
-		return b.SourceColumns(name, columnsOf(recs))
+		return b.SourceColumns(name, columnsOf(recs), nil)
 	}
 	src := b.Source(name, plan.Collection(recs))
 	src.CardHint = int64(len(recs))
@@ -178,13 +195,12 @@ func runConformanceCal(t *testing.T, c confCase, target engine.PlatformID, shard
 		feeder = relengine.ID
 	}
 
-	lp := confPlan(c, fmt.Sprintf("conf-%s-%s-%d", c.name, target, shards))
-	if !hinted {
-		udfTwin(lp)
-	}
-	pp, err := physical.FromLogical(lp)
+	pp, err := physical.FromLogical(confPlan(c, fmt.Sprintf("conf-%s-%s-%d", c.name, target, shards)))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !hinted {
+		udfTwin(pp)
 	}
 
 	opts := optimizer.Options{DisableRules: true, Shards: shards, Calibration: cal}
@@ -612,7 +628,7 @@ func TestConformanceCoversAllSharedKinds(t *testing.T) {
 	}
 	for kind := plan.KindSource; kind <= plan.KindSink; kind++ {
 		// Over no rows only the dispatch runs: an error is "no row form".
-		_, err := algo.Exec(&physical.Operator{Logical: plan.NewSynthetic(kind, "probe")}, nil, nil)
+		_, err := algo.Exec(&physical.Operator{Logical: plan.NewSynthetic(kind, "probe", nil)}, nil, nil)
 		if err == nil && !exercised[kind] {
 			t.Errorf("operator kind %s has a row form in algo.Exec but is missing from the conformance battery", kind)
 		}
@@ -800,13 +816,12 @@ func runInAtom(t *testing.T, c inAtomCase, target engine.PlatformID, shards int,
 	t.Helper()
 	b := plan.NewBuilder("inatom-" + c.name)
 	c.build(b, confSource(b, "src", c.recs, columns))
-	lp := b.MustBuild()
-	if !hinted {
-		udfTwin(lp)
-	}
-	pp, err := physical.FromLogical(lp)
+	pp, err := physical.FromLogical(b.MustBuild())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !hinted {
+		udfTwin(pp)
 	}
 	reg := confRegistry(t)
 	ep, err := optimizer.Optimize(pp, reg, optimizer.Options{DisableRules: true, Shards: shards, FixedPlatform: target})

@@ -171,27 +171,14 @@ func estimateInto(p *physical.Plan, est *Estimates, loopInputCard int64) {
 		case plan.KindMap, plan.KindSort, plan.KindSink:
 			card = in[0]
 		case plan.KindFlatMap:
-			fan := lop.GroupFanout
-			if fan <= 0 {
-				fan = 2
-			}
-			card = int64(float64(in[0]) * fan)
+			card = int64(float64(in[0]) * 2)
 		case plan.KindFilter:
 			sel := lop.Selectivity
 			if sel <= 0 {
 				sel = 0.5
 			}
 			card = int64(float64(in[0]) * sel)
-		case plan.KindGroupBy:
-			d := distinctEstimate(lop, in[0])
-			if lop.GroupFanout > 0 {
-				card = int64(float64(in[0]) * lop.GroupFanout)
-			} else {
-				card = d
-			}
-		case plan.KindReduceByKey:
-			card = distinctEstimate(lop, in[0])
-		case plan.KindDistinct:
+		case plan.KindGroupBy, plan.KindReduceByKey, plan.KindDistinct:
 			card = distinctEstimate(lop, in[0])
 		case plan.KindReduce, plan.KindCount:
 			card = 1
@@ -209,7 +196,7 @@ func estimateInto(p *physical.Plan, est *Estimates, loopInputCard int64) {
 		case plan.KindCartesian:
 			card = in[0] * in[1]
 		case plan.KindSample:
-			card = min64(int64(lop.N), in[0])
+			card = min64(int64(lop.N()), in[0])
 		case plan.KindRepeat, plan.KindDoWhile:
 			estimateInto(op.Body, est, in[0])
 			card = est.Cards[op.Body.SinkOp.ID]
@@ -239,8 +226,8 @@ func estimateInto(p *physical.Plan, est *Estimates, loopInputCard int64) {
 }
 
 func distinctEstimate(lop *plan.Operator, in int64) int64 {
-	if lop.DistinctKeys > 0 {
-		return min64(lop.DistinctKeys, in)
+	if lop.DistinctKeys() > 0 {
+		return min64(lop.DistinctKeys(), in)
 	}
 	if in <= 1 {
 		return in

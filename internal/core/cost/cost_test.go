@@ -90,7 +90,7 @@ func TestEstimateDefaultsAndKinds(t *testing.T) {
 		r.CardHint = 200
 		j := b.Join(l, r, plan.FieldKey(0), plan.FieldKey(0))
 		g := b.ReduceByKey(j, plan.FieldKey(0), plan.SumField(0))
-		g.DistinctKeys = 7
+		g.SetDistinctKeys(7)
 		c := b.Count(g)
 		b.Collect(c)
 	})

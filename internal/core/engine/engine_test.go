@@ -41,12 +41,12 @@ func (fakeOps) ExecOp(_ context.Context, op *physical.Operator, inputs []any) (a
 	lop := op.Logical
 	switch lop.Kind() {
 	case plan.KindSource:
-		return lop.Source()
+		return lop.Source()()
 	case plan.KindMap:
 		in := inputs[0].([]data.Record)
 		out := make([]data.Record, len(in))
 		for i, r := range in {
-			nr, err := lop.Map(r)
+			nr, err := lop.Map()(r)
 			if err != nil {
 				return nil, err
 			}
@@ -235,9 +235,9 @@ func TestRunAtomRecoversPanics(t *testing.T) {
 	pp, atom := buildAtomFixture(t)
 	for _, op := range pp.Ops {
 		if op.Kind() == plan.KindMap {
-			op.Logical.Map = func(r data.Record) (data.Record, error) {
+			op.Logical = plan.NewSynthetic(plan.KindMap, op.Logical.Name(), plan.MapFunc(func(r data.Record) (data.Record, error) {
 				return data.NewRecord(r.Field(7)), nil // past the record
-			}
+			}))
 		}
 	}
 	_, err := RunAtom(context.Background(), fakeOps{}, atom, AtomInputs{})

@@ -616,9 +616,9 @@ func (p *planScope) runLoop(sp *trace.Span, atom *engine.TaskAtom) (flagged bool
 	}
 
 	lop := loopOp.Logical
-	maxIter := lop.Times
+	maxIter := lop.Times()
 	if lop.Kind() == plan.KindDoWhile {
-		maxIter = lop.MaxIter
+		maxIter = lop.MaxIter()
 		if maxIter <= 0 {
 			maxIter = 100
 		}
@@ -647,7 +647,7 @@ func (p *planScope) runLoop(sp *trace.Span, atom *engine.TaskAtom) (flagged bool
 				return flagged, fmt.Errorf("executor: loop %s condition input: %w", loopOp.Name(), err)
 			}
 			p.charge(move)
-			cont, err := lop.Cond(iter, recs)
+			cont, err := lop.Cond()(iter, recs)
 			if err != nil {
 				return flagged, fmt.Errorf("executor: loop %s condition: %w", loopOp.Name(), err)
 			}

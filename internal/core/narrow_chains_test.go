@@ -186,7 +186,7 @@ func runChainAtoms(t *testing.T, p engine.Platform, ops []*physical.Operator, fu
 			for slot, in := range op.Inputs {
 				switch {
 				case in.Kind() == plan.KindSource:
-					recs, err := in.Logical.Source()
+					recs, err := in.Logical.Source()()
 					if err != nil {
 						t.Fatal(err)
 					}

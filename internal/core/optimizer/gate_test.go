@@ -78,6 +78,13 @@ func TestOptimizeAllocationGate(t *testing.T) {
 				t.Fatalf("%s: %v", tpl.name, err)
 			}
 		}
+		// The window closes inside the last call, while AllocsPerRun still
+		// holds GOMAXPROCS at 1. Restoring it restarts the world with an
+		// idle P, and when no idle thread is there to take it the runtime
+		// starts one: allocm's 5.5 KB (the m, two g's, two profiling
+		// stacks) then landed in the window, which read 1 299 bytes a
+		// call against 1 026 on a loaded box (found with MemProfileRate 1
+		// and a profile diff across the window).
 		next := 0
 		var before, after runtime.MemStats
 		got := testing.AllocsPerRun(runs, func() {
@@ -89,8 +96,10 @@ func TestOptimizeAllocationGate(t *testing.T) {
 			if _, err := optimizer.Optimize(pp, reg, optimizer.Options{}); err != nil {
 				t.Fatalf("%s: %v", tpl.name, err)
 			}
+			if next == runs+1 {
+				runtime.ReadMemStats(&after)
+			}
 		})
-		runtime.ReadMemStats(&after)
 		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
 		t.Logf("%-10s %d ops: %.0f allocations, %.0f bytes per Optimize", tpl.name, len(fresh[0].Ops), got, bytes)
 		if got > limit {

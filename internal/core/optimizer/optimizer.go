@@ -246,9 +246,9 @@ const doWhileIterGuess = 10
 // loopCosts prices a loop operator from its optimized body: the body's
 // estimate — calibrated and raw — times the expected iteration count.
 func loopCosts(op *physical.Operator, body *ExecutionPlan) (c, raw cost.Cost) {
-	iters := op.Logical.Times
+	iters := op.Logical.Times()
 	if op.Kind() == plan.KindDoWhile {
-		iters = op.Logical.MaxIter
+		iters = op.Logical.MaxIter()
 		if iters <= 0 {
 			iters = doWhileIterGuess
 		}

@@ -70,7 +70,7 @@ func (FuseFilters) Apply(p *physical.Plan) (bool, error) {
 			continue
 		}
 		in := op.Inputs[0]
-		if in.Kind() != plan.KindFilter || in.Logical.ColPred != nil || op.Logical.ColPred != nil {
+		if in.Kind() != plan.KindFilter || in.Logical.ColPred() != nil || op.Logical.ColPred() != nil {
 			continue
 		}
 		if consumers == nil {
@@ -79,15 +79,14 @@ func (FuseFilters) Apply(p *physical.Plan) (bool, error) {
 		if len(consumers[in.ID]) != 1 {
 			continue
 		}
-		first, second := in.Logical.Filter, op.Logical.Filter
-		fused := plan.NewSynthetic(plan.KindFilter, "FusedFilter")
-		fused.Filter = func(r data.Record) (bool, error) {
+		first, second := in.Logical.Filter(), op.Logical.Filter()
+		fused := plan.NewSynthetic(plan.KindFilter, "FusedFilter", plan.FilterFunc(func(r data.Record) (bool, error) {
 			ok, err := first(r)
 			if err != nil || !ok {
 				return false, err
 			}
 			return second(r)
-		}
+		}))
 		// Combined selectivity.
 		s1, s2 := in.Logical.Selectivity, op.Logical.Selectivity
 		if s1 <= 0 {

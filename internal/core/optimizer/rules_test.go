@@ -55,7 +55,7 @@ func TestFuseFilters(t *testing.T) {
 		v    int64
 		want bool
 	}{{4, false}, {11, false}, {12, true}} {
-		got, err := fused.Logical.Filter(data.NewRecord(data.Int(tc.v)))
+		got, err := fused.Logical.Filter()(data.NewRecord(data.Int(tc.v)))
 		if err != nil || got != tc.want {
 			t.Errorf("fused(%d) = %v, want %v", tc.v, got, tc.want)
 		}
@@ -102,7 +102,7 @@ func TestFuseFiltersLeavesHintedFilters(t *testing.T) {
 	}
 	hinted := 0
 	for _, op := range pp.Ops {
-		if op.Kind() == plan.KindFilter && op.Logical.ColPred != nil {
+		if op.Kind() == plan.KindFilter && op.Logical.ColPred() != nil {
 			hinted++
 		}
 	}

@@ -27,10 +27,10 @@ func (SharedScan) Name() string { return "shared-scan" }
 func (SharedScan) Apply(p *physical.Plan) (bool, error) {
 	byKey := map[string]*physical.Operator{}
 	for _, op := range p.Ops {
-		if op.Kind() != plan.KindSource || op.Logical.ScanKey == "" {
+		if op.Kind() != plan.KindSource || op.Logical.ScanKey() == "" {
 			continue
 		}
-		key := op.Logical.ScanKey
+		key := op.Logical.ScanKey()
 		first, seen := byKey[key]
 		if !seen {
 			byKey[key] = op

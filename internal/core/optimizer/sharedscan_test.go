@@ -11,9 +11,9 @@ func TestSharedScanMergesDeclaredSources(t *testing.T) {
 	src := plan.Collection([]data.Record{data.NewRecord(data.Int(1))})
 	pp := physOf(t, func(b *plan.Builder) {
 		l := b.Source("l", src)
-		l.ScanKey = "d"
+		l.SetScanKey("d")
 		r := b.Source("r", src)
-		r.ScanKey = "d"
+		r.SetScanKey("d")
 		j := b.Cartesian(l, r)
 		b.Collect(j)
 	})
@@ -69,9 +69,9 @@ func TestSharedScanIsStrictlyOptIn(t *testing.T) {
 	// Different keys must not merge either.
 	pp2 := physOf(t, func(b *plan.Builder) {
 		l := b.Source("l", plan.Collection(recs))
-		l.ScanKey = "a"
+		l.SetScanKey("a")
 		r := b.Source("r", plan.Collection(recs))
-		r.ScanKey = "b"
+		r.SetScanKey("b")
 		b.Collect(b.Cartesian(l, r))
 	})
 	if changed, _ := (SharedScan{}).Apply(pp2); changed {
@@ -90,10 +90,10 @@ func TestSharedScanEndToEndCorrect(t *testing.T) {
 	pp := physOf(t, func(b *plan.Builder) {
 		l := b.Source("l", src)
 		l.CardHint = 3
-		l.ScanKey = "d"
+		l.SetScanKey("d")
 		r := b.Source("r", src)
 		r.CardHint = 3
-		r.ScanKey = "d"
+		r.SetScanKey("d")
 		b.Collect(b.Cartesian(l, r))
 	})
 	ep, err := Optimize(pp, reg, Options{})

@@ -141,9 +141,9 @@ func fromLogical(out *Plan, p *plan.Plan) {
 				pop.Inputs[j] = &slab[in.ID()]
 			}
 		}
-		if lop.Body != nil {
+		if body := lop.Body(); body != nil {
 			pop.Body = &Plan{nextID: out.nextID}
-			fromLogical(pop.Body, lop.Body)
+			fromLogical(pop.Body, body)
 		}
 		out.Ops[i] = pop
 		if lop == p.Sink() {
@@ -179,7 +179,7 @@ func Candidates(o *Operator) []Algorithm {
 	case plan.KindJoin:
 		return []Algorithm{HashJoin, SortMergeJoin}
 	case plan.KindThetaJoin:
-		if len(o.Logical.Conditions) > 0 {
+		if len(o.Logical.Conditions()) > 0 {
 			return []Algorithm{IEJoin, NestedLoop}
 		}
 		return []Algorithm{NestedLoop}

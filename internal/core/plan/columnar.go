@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
 	"rheem/internal/core/batch"
 	"rheem/internal/data"
@@ -140,19 +141,23 @@ func (s *columnRows) source() ([]data.Record, error) {
 }
 
 // SourceColumns adds a source whose records are at rest in column form,
-// carrying the batch as a vectorization hint beside the SourceFunc that
-// reads it out as rows (at most once, and only if a row reader asks).
+// carrying the batch as a vectorization hint beside rows, its row form:
+// nil reads the batch out as rows (at most once, and only if a row
+// reader asks).
 // The batch is shared, not copied: by every job a catalog builds a plan
 // for and by every job of one built-in service spec, whose input is
 // generated once per spec, concurrently — so nothing downstream may write
 // to its columns (TestColumnarSourceMatchesRowSource holds every platform
 // to that). A row-backed batch (ragged records) has no column form and
 // carries no hint.
-func (b *Builder) SourceColumns(name string, cols *batch.Batch) *Operator {
-	o := b.Source(name, (&columnRows{cols: cols}).source)
+func (b *Builder) SourceColumns(name string, cols *batch.Batch, rows SourceFunc) *Operator {
+	if rows == nil {
+		rows = (&columnRows{cols: cols}).source
+	}
+	o := b.Source(name, rows)
 	o.CardHint = int64(cols.Len())
 	if cols.Columnar() {
-		o.ColSource = cols
+		o.flags, o.col = colSource, unsafe.Pointer(cols)
 	}
 	return o
 }
@@ -162,7 +167,7 @@ func (b *Builder) SourceColumns(name string, cols *batch.Batch) *Operator {
 func (b *Builder) FilterWhere(in *Operator, field int, op CompareOp, operand data.Value) *Operator {
 	p := &ColumnPredicate{Field: field, Op: op, Operand: operand}
 	o := b.Filter(in, p.FilterFunc())
-	o.ColPred = p
+	o.flags, o.col = colPred, unsafe.Pointer(p)
 	return o
 }
 
@@ -173,7 +178,7 @@ func (b *Builder) ProjectCols(in *Operator, idx ...int) *Operator {
 	o := b.Map(in, func(r data.Record) (data.Record, error) {
 		return r.Project(cols...), nil
 	})
-	o.ColProject = cols
+	o.flags, o.col, o.colLen = colProject, unsafe.Pointer(unsafe.SliceData(cols)), int32(len(cols))
 	return o
 }
 
@@ -268,7 +273,8 @@ func (m *ColumnMap) MapFunc() MapFunc {
 func (b *Builder) MapColumns(in *Operator, spec ColumnMap) *Operator {
 	m := &ColumnMap{In: append([]ColumnIn(nil), spec.In...), Out: append([]batch.ColKind(nil), spec.Out...), Fn: spec.Fn}
 	o := b.Map(in, m.MapFunc())
-	m.op, o.ColMap = o, m
+	m.op = o
+	o.flags, o.col = colMap, unsafe.Pointer(m)
 	if m.Fn == nil || len(m.Out) == 0 {
 		b.fail(fmt.Errorf("plan: %s requires a column function and at least one output column", o.Name()))
 	}
@@ -290,7 +296,7 @@ func (b *Builder) MapColumns(in *Operator, spec ColumnMap) *Operator {
 func (b *Builder) AggregateCols(in *Operator, fns ...AggFn) *Operator {
 	agg := &ColumnAggregate{Fns: append([]AggFn(nil), fns...)}
 	o := b.Reduce(in, agg.ReduceFunc())
-	o.ColAgg = agg
+	o.flags, o.col = colAgg, unsafe.Pointer(agg)
 	return o
 }
 
@@ -446,6 +452,6 @@ func (f GroupFn) Result(s GroupState) data.Value {
 func (b *Builder) GroupAggregate(in *Operator, keys []int, out ...GroupCol) *Operator {
 	g := &ColumnGroupAggregate{Keys: append([]int(nil), keys...), Out: append([]GroupCol(nil), out...)}
 	o := b.GroupBy(in, g.KeyFunc(), g.GroupFunc())
-	o.ColGroup = g
+	o.flags, o.col = colGroup, unsafe.Pointer(g)
 	return o
 }

@@ -66,11 +66,13 @@ func Identity() MapFunc {
 	return func(r data.Record) (data.Record, error) { return r, nil }
 }
 
-// NewSynthetic creates a free-standing logical operator of the given
-// kind for optimizer rules and enhancer physical operators. The caller
-// sets the kind's payload fields afterwards. Synthetic operators do not
-// belong to any logical plan (their inputs live at the physical level),
-// so their ID is -1.
-func NewSynthetic(kind OpKind, name string) *Operator {
-	return &Operator{id: -1, kind: kind, name: name}
+// NewSynthetic creates a free-standing operator of kind holding fn, its
+// UDF (nil for a kind without one), for optimizer rules and enhancer
+// physical operators. It belongs to no logical plan, so its ID is -1.
+func NewSynthetic(kind OpKind, name string, fn any) *Operator {
+	return &Operator{id: -1, kind: kind, name: name, fn: fn}
 }
+
+// WithUDF is a copy of the operator, of no plan, holding fn as its UDF
+// beside its column form: tests count a derived UDF's calls with it.
+func (o *Operator) WithUDF(fn any) *Operator { c := *o; c.fn = fn; return &c }

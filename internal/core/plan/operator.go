@@ -18,13 +18,14 @@ package plan
 import (
 	"fmt"
 	"strconv"
+	"unsafe"
 
 	"rheem/internal/core/batch"
 	"rheem/internal/data"
 )
 
 // OpKind enumerates the dataflow shapes of the logical operator pool.
-type OpKind int
+type OpKind uint8
 
 // The logical operator kinds. The set follows the paper's examples
 // (Map, GroupBy, Loop, ...) completed with the standard second-order
@@ -192,63 +193,124 @@ type IECondition struct {
 	RightField int
 }
 
-// Operator is a node of a logical plan. The kind discriminates which
-// payload fields are meaningful; Validate enforces the correspondence.
-// Operators are created through Builder and are immutable afterwards.
+// Operator is a node of a logical plan; Validate checks that it holds the
+// payload its kind needs. A kind holds at most one UDF beside Key and at
+// most one column form, each in one slot the builder alone writes and an
+// accessor of its name reads (Map, ColPred, ...); what only loops,
+// theta-joins, samples and rare hints use sits behind ext.
 type Operator struct {
-	id   int
-	kind OpKind
-	n    uint8 // inputs held in in; every kind's arity is at most 2
-	name string
-	in   [2]*Operator
+	id     int32
+	kind   OpKind
+	n      uint8 // inputs held in in; every kind's arity is at most 2
+	flags  uint8 // the column form col holds, and Sort's descending bit
+	colLen int32 // ColProject's length
+	name   string
+	in     [2]*Operator
+	fn     any            // the kind's UDF; Join's is its right KeyFunc
+	col    unsafe.Pointer // the kind's column form, which flags names
+	ext    *opExt
 
-	// UDF payloads; only the fields matching the kind are set.
-	Source     SourceFunc
-	Map        MapFunc
-	FlatMap    FlatMapFunc
-	Filter     FilterFunc
-	Key        KeyFunc // GroupBy, ReduceByKey, Sort, Join (left)
-	RightKey   KeyFunc // Join (right)
-	Group      GroupFunc
-	Reduce     ReduceFunc
-	Pred       PredFunc      // ThetaJoin (residual predicate, may be nil if Conditions given)
-	Conditions []IECondition // ThetaJoin declarative inequality conditions
-	Cond       CondFunc      // DoWhile
-	Times      int           // Repeat
-	MaxIter    int           // DoWhile safety bound (0 = default)
-	N          int           // Sample
-	Desc       bool          // Sort: descending order
-	Body       *Plan         // Repeat, DoWhile
+	Key KeyFunc // GroupBy, ReduceByKey, Sort, Join (left)
 
 	// Optimizer hints.
-	Schema   *data.Schema // Source/LoopInput: advisory schema
-	CardHint int64        // Source/LoopInput: expected record count
-	// ScanKey marks sources that provably produce identical records:
-	// sources sharing a non-empty ScanKey may be merged by the
-	// shared-scan optimization. Closure identity cannot be established
-	// portably in Go, so sharing is opt-in.
-	ScanKey      string
-	Selectivity  float64 // Filter/ThetaJoin: expected pass fraction (0 = default)
-	DistinctKeys int64   // GroupBy/ReduceByKey/Distinct: expected key count
-	GroupFanout  float64 // GroupBy: expected output records per input record (0 = default 1)
-
-	// Vectorization hints: declarative column forms of the operator's
-	// UDF, letting batch-capable platforms run a columnar kernel
-	// instead of calling the closure per record. The builder helpers
-	// (SourceColumns, FilterWhere, ProjectCols, MapColumns,
-	// AggregateCols, GroupAggregate) derive the UDF and the
-	// hint from one specification so the two can never disagree; the
-	// UDF remains the semantic ground truth on row-path platforms.
-	ColSource  *batch.Batch          // Source: the records at rest in column form, shared read-only
-	ColPred    *ColumnPredicate      // Filter: Field ⟨Op⟩ Operand
-	ColProject []int                 // Map that is a pure field projection
-	ColMap     *ColumnMap            // Map computing typed columns from typed columns, a window at a time
-	ColAgg     *ColumnAggregate      // Reduce: per-field pairwise fold
-	ColGroup   *ColumnGroupAggregate // GroupBy: key columns and per-column folds
+	Schema      *data.Schema // Source/LoopInput: advisory schema
+	CardHint    int64        // Source/LoopInput: expected record count
+	Selectivity float64      // Filter/ThetaJoin: expected pass fraction (0 = default)
 }
 
+// opExt is what only loops, theta-joins, samples and rare hints use.
+type opExt struct {
+	body         *Plan         // Repeat, DoWhile
+	times        int           // Repeat
+	maxIter      int           // DoWhile safety bound (0 = default)
+	n            int           // Sample
+	conds        []IECondition // ThetaJoin declarative inequality conditions
+	scanKey      string
+	distinctKeys int64
+}
+
+// The column forms flags names, and Sort's descending bit. A column form
+// is a declarative vectorization hint of the UDF (columnar.go).
+const (
+	colSource  uint8 = iota + 1 // Source: the records at rest in column form, shared read-only
+	colPred                     // Filter: Field ⟨Op⟩ Operand
+	colProject                  // Map that is a pure field projection
+	colMap                      // Map computing typed columns from typed columns, a window at a time
+	colAgg                      // Reduce: per-field pairwise fold
+	colGroup                    // GroupBy: key columns and per-column folds
+	colMask    uint8 = 7
+	descending uint8 = 8
+)
+
+func udf[F any](o *Operator) F { f, _ := o.fn.(F); return f }
+
+func colOf[T any](o *Operator, form uint8) *T {
+	if o.flags&colMask != form {
+		return nil
+	}
+	return (*T)(o.col)
+}
+
+var noExt opExt
+
+func (o *Operator) extOrZero() *opExt {
+	if o.ext == nil {
+		return &noExt
+	}
+	return o.ext
+}
+
+// ownExt is the operator's opExt, allocated when a rare hint is set on an
+// operator whose kind has none.
+func (o *Operator) ownExt() *opExt {
+	if o.ext == nil {
+		o.ext = new(opExt)
+	}
+	return o.ext
+}
+
+// The UDF accessors: each returns nil on a kind that does not hold it.
+func (o *Operator) Source() SourceFunc   { return udf[SourceFunc](o) }
+func (o *Operator) Map() MapFunc         { return udf[MapFunc](o) }
+func (o *Operator) FlatMap() FlatMapFunc { return udf[FlatMapFunc](o) }
+func (o *Operator) Filter() FilterFunc   { return udf[FilterFunc](o) }
+func (o *Operator) Group() GroupFunc     { return udf[GroupFunc](o) }
+func (o *Operator) Reduce() ReduceFunc   { return udf[ReduceFunc](o) } // Reduce, ReduceByKey
+func (o *Operator) Pred() PredFunc       { return udf[PredFunc](o) }   // ThetaJoin's residual, may be nil beside Conditions
+func (o *Operator) Cond() CondFunc       { return udf[CondFunc](o) }   // DoWhile
+func (o *Operator) RightKey() KeyFunc    { return udf[KeyFunc](o) }    // Join
+
+// Desc reports whether a Sort orders descending.
+func (o *Operator) Desc() bool { return o.flags&descending != 0 }
+
+// The loop, theta-join, sample and rare-hint accessors: each returns the
+// zero value on an operator that does not hold it.
+func (o *Operator) Body() *Plan               { return o.extOrZero().body }
+func (o *Operator) Times() int                { return o.extOrZero().times }
+func (o *Operator) MaxIter() int              { return o.extOrZero().maxIter }
+func (o *Operator) N() int                    { return o.extOrZero().n }
+func (o *Operator) Conditions() []IECondition { return o.extOrZero().conds }
+func (o *Operator) DistinctKeys() int64       { return o.extOrZero().distinctKeys } // GroupBy/ReduceByKey/Distinct: expected key count
+func (o *Operator) ScanKey() string           { return o.extOrZero().scanKey }
+func (o *Operator) SetDistinctKeys(n int64)   { o.ownExt().distinctKeys = n }
+
+// SetScanKey marks a source that provably produces identical records:
+// sources sharing a non-empty ScanKey may be merged by the shared-scan
+// optimization. Closure identity cannot be established portably in Go,
+// so sharing is opt-in.
+func (o *Operator) SetScanKey(key string) { o.ownExt().scanKey = key }
+
+// The column-form accessors: each returns nil on an operator that does
+// not hold it.
+func (o *Operator) ColSource() *batch.Batch         { return colOf[batch.Batch](o, colSource) }
+func (o *Operator) ColPred() *ColumnPredicate       { return colOf[ColumnPredicate](o, colPred) }
+func (o *Operator) ColMap() *ColumnMap              { return colOf[ColumnMap](o, colMap) }
+func (o *Operator) ColAgg() *ColumnAggregate        { return colOf[ColumnAggregate](o, colAgg) }
+func (o *Operator) ColGroup() *ColumnGroupAggregate { return colOf[ColumnGroupAggregate](o, colGroup) }
+func (o *Operator) ColProject() []int               { return unsafe.Slice(colOf[int](o, colProject), o.colLen) }
+
 // ID returns the operator's plan-local identifier.
-func (o *Operator) ID() int { return o.id }
+func (o *Operator) ID() int { return int(o.id) }
 
 // Kind returns the operator's dataflow kind.
 func (o *Operator) Kind() OpKind { return o.kind }
@@ -258,7 +320,7 @@ func (o *Operator) Name() string {
 	if o.name != "" {
 		return o.name
 	}
-	return o.kind.String() + "#" + strconv.Itoa(o.id)
+	return o.kind.String() + "#" + strconv.Itoa(int(o.id))
 }
 
 // AppendName appends the operator's display name to b, so a label made
@@ -279,66 +341,38 @@ func (o *Operator) Inputs() []*Operator { return o.in[:o.n:o.n] }
 // validatePayload checks that exactly the payload required by the kind
 // is present.
 func (o *Operator) validatePayload() error {
-	missing := func(what string) error {
-		return fmt.Errorf("plan: %s requires %s", o.Name(), what)
-	}
-	switch o.kind {
-	case KindSource:
-		if o.Source == nil {
-			return missing("a SourceFunc")
-		}
-	case KindMap:
-		if o.Map == nil {
-			return missing("a MapFunc")
-		}
-	case KindFlatMap:
-		if o.FlatMap == nil {
-			return missing("a FlatMapFunc")
-		}
-	case KindFilter:
-		if o.Filter == nil {
-			return missing("a FilterFunc")
-		}
-	case KindGroupBy:
-		if o.Key == nil || o.Group == nil {
-			return missing("a KeyFunc and a GroupFunc")
-		}
-	case KindReduceByKey:
-		if o.Key == nil || o.Reduce == nil {
-			return missing("a KeyFunc and a ReduceFunc")
-		}
-	case KindReduce:
-		if o.Reduce == nil {
-			return missing("a ReduceFunc")
-		}
-	case KindSort:
-		if o.Key == nil {
-			return missing("a KeyFunc")
-		}
-	case KindJoin:
-		if o.Key == nil || o.RightKey == nil {
-			return missing("left and right KeyFuncs")
-		}
-	case KindThetaJoin:
-		if o.Pred == nil && len(o.Conditions) == 0 {
-			return missing("a PredFunc or inequality Conditions")
-		}
-	case KindRepeat:
-		if o.Body == nil || o.Times <= 0 {
-			return missing("a Body plan and positive Times")
-		}
-	case KindDoWhile:
-		if o.Body == nil || o.Cond == nil {
-			return missing("a Body plan and a CondFunc")
-		}
-	case KindSample:
-		if o.N < 0 { // 0 is LIMIT 0: no record; the evaluator slices l[:N]
-			return missing("non-negative N")
-		}
-	case KindDistinct, KindUnion, KindCartesian, KindCount, KindSink, KindLoopInput:
-		// No payload.
-	default:
+	var missing string
+	switch k := o.kind; {
+	case k == KindSource && o.Source() == nil:
+		missing = "a SourceFunc"
+	case k == KindMap && o.Map() == nil:
+		missing = "a MapFunc"
+	case k == KindFlatMap && o.FlatMap() == nil:
+		missing = "a FlatMapFunc"
+	case k == KindFilter && o.Filter() == nil:
+		missing = "a FilterFunc"
+	case k == KindGroupBy && (o.Key == nil || o.Group() == nil):
+		missing = "a KeyFunc and a GroupFunc"
+	case k == KindReduceByKey && (o.Key == nil || o.Reduce() == nil):
+		missing = "a KeyFunc and a ReduceFunc"
+	case k == KindReduce && o.Reduce() == nil:
+		missing = "a ReduceFunc"
+	case k == KindSort && o.Key == nil:
+		missing = "a KeyFunc"
+	case k == KindJoin && (o.Key == nil || o.RightKey() == nil):
+		missing = "left and right KeyFuncs"
+	case k == KindThetaJoin && o.Pred() == nil && len(o.Conditions()) == 0:
+		missing = "a PredFunc or inequality Conditions"
+	case k == KindRepeat && (o.Body() == nil || o.Times() <= 0):
+		missing = "a Body plan and positive Times"
+	case k == KindDoWhile && (o.Body() == nil || o.Cond() == nil):
+		missing = "a Body plan and a CondFunc"
+	case k == KindSample && o.N() < 0: // 0 is LIMIT 0: no record; the evaluator slices l[:N]
+		missing = "non-negative N"
+	case k > KindSink:
 		return fmt.Errorf("plan: %s has unknown kind", o.Name())
+	default: // the payload is there, or the kind has none
+		return nil
 	}
-	return nil
+	return fmt.Errorf("plan: %s requires %s", o.Name(), missing)
 }

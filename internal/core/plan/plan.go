@@ -25,9 +25,6 @@ func (p *Plan) Operators() []*Operator { return p.ops }
 // Sink returns the plan's sink operator.
 func (p *Plan) Sink() *Operator { return p.sink }
 
-// IsBody reports whether this plan is a loop body.
-func (p *Plan) IsBody() bool { return p.body }
-
 // LoopInput returns the body plan's LoopInput operator, or nil for a
 // top-level plan.
 func (p *Plan) LoopInput() *Operator {
@@ -64,13 +61,13 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("plan %q: %s has %d inputs, kind wants %d", p.name, op.Name(), got, want)
 		}
 		for _, in := range op.Inputs() {
-			if in.id < 0 || in.id >= i || p.ops[in.id] != in {
+			if in.id < 0 || int(in.id) >= i || p.ops[in.id] != in {
 				return fmt.Errorf("plan %q: %s consumes %s before definition (cycle or foreign operator)",
 					p.name, op.Name(), in.Name())
 			}
 			consumed[in.id>>6] |= 1 << (in.id & 63)
 		}
-		if op.id != i {
+		if int(op.id) != i {
 			return fmt.Errorf("plan %q: operator id %d at position %d", p.name, op.id, i)
 		}
 		switch op.kind {
@@ -80,10 +77,10 @@ func (p *Plan) Validate() error {
 				return fmt.Errorf("plan %q: LoopInput outside a loop body", p.name)
 			}
 		case KindRepeat, KindDoWhile:
-			if err := op.Body.Validate(); err != nil {
+			if err := op.Body().Validate(); err != nil {
 				return fmt.Errorf("plan %q: loop body of %s: %w", p.name, op.Name(), err)
 			}
-			if !op.Body.body || op.Body.LoopInput() == nil {
+			if !op.Body().body || op.Body().LoopInput() == nil {
 				return fmt.Errorf("plan %q: body of %s lacks a LoopInput", p.name, op.Name())
 			}
 		}
@@ -100,18 +97,6 @@ func (p *Plan) Validate() error {
 		return fmt.Errorf("plan %q: sink operator has kind %s", p.name, p.sink.kind)
 	}
 	return nil
-}
-
-// Consumers returns, for each operator id, the operators that consume
-// its output. The map is rebuilt on each call; optimizer passes cache it.
-func (p *Plan) Consumers() map[int][]*Operator {
-	out := make(map[int][]*Operator, len(p.ops))
-	for _, op := range p.ops {
-		for _, in := range op.Inputs() {
-			out[in.id] = append(out[in.id], op)
-		}
-	}
-	return out
 }
 
 // String renders the plan as an indented operator list, one line per
@@ -132,8 +117,8 @@ func (p *Plan) String() string {
 			}
 		}
 		sb.WriteByte('\n')
-		if op.Body != nil {
-			for _, line := range strings.Split(strings.TrimRight(op.Body.String(), "\n"), "\n") {
+		if body := op.Body(); body != nil {
+			for _, line := range strings.Split(strings.TrimRight(body.String(), "\n"), "\n") {
 				sb.WriteString("    ")
 				sb.WriteString(line)
 				sb.WriteByte('\n')
@@ -173,10 +158,30 @@ func (b *Builder) add(op *Operator) *Operator {
 		b.fail(fmt.Errorf("plan: builder for %q used after Build", b.plan.name))
 		return op
 	}
-	op.id = b.next
+	op.id = int32(b.next)
 	b.next++
 	b.plan.ops = append(b.plan.ops, op)
 	return op
+}
+
+// unary adds an operator of kind over in, holding the kind's key and UDF.
+func (b *Builder) unary(kind OpKind, in *Operator, key KeyFunc, fn any) *Operator {
+	return b.add(&Operator{kind: kind, n: 1, in: [2]*Operator{in}, Key: key, fn: fn})
+}
+
+// binary adds an operator of kind over l and r, holding the kind's keys.
+func (b *Builder) binary(kind OpKind, l, r *Operator, lkey, rkey KeyFunc) *Operator {
+	return b.add(&Operator{kind: kind, n: 2, in: [2]*Operator{l, r}, Key: lkey, fn: rkey})
+}
+
+// withExt adds op with its opExt, in one allocation.
+func (b *Builder) withExt(op Operator, ext opExt) *Operator {
+	both := &struct {
+		op  Operator
+		ext opExt
+	}{op, ext}
+	both.op.ext = &both.ext
+	return b.add(&both.op)
 }
 
 func (b *Builder) fail(err error) {
@@ -187,7 +192,7 @@ func (b *Builder) fail(err error) {
 
 // Source adds a source operator reading from fn.
 func (b *Builder) Source(name string, fn SourceFunc) *Operator {
-	return b.add(&Operator{kind: KindSource, name: name, Source: fn})
+	return b.add(&Operator{kind: KindSource, name: name, fn: fn})
 }
 
 // LoopInput adds the loop-body input placeholder.
@@ -196,23 +201,21 @@ func (b *Builder) LoopInput(name string) *Operator {
 }
 
 // Map adds a map operator.
-func (b *Builder) Map(in *Operator, fn MapFunc) *Operator {
-	return b.add(&Operator{kind: KindMap, n: 1, in: [2]*Operator{in}, Map: fn})
-}
+func (b *Builder) Map(in *Operator, fn MapFunc) *Operator { return b.unary(KindMap, in, nil, fn) }
 
 // FlatMap adds a flat-map operator.
 func (b *Builder) FlatMap(in *Operator, fn FlatMapFunc) *Operator {
-	return b.add(&Operator{kind: KindFlatMap, n: 1, in: [2]*Operator{in}, FlatMap: fn})
+	return b.unary(KindFlatMap, in, nil, fn)
 }
 
 // Filter adds a filter operator.
 func (b *Builder) Filter(in *Operator, fn FilterFunc) *Operator {
-	return b.add(&Operator{kind: KindFilter, n: 1, in: [2]*Operator{in}, Filter: fn})
+	return b.unary(KindFilter, in, nil, fn)
 }
 
 // GroupBy adds a group-by operator applying fn to each key group.
 func (b *Builder) GroupBy(in *Operator, key KeyFunc, fn GroupFunc) *Operator {
-	return b.add(&Operator{kind: KindGroupBy, n: 1, in: [2]*Operator{in}, Key: key, Group: fn})
+	return b.unary(KindGroupBy, in, key, fn)
 }
 
 // ReduceByKey adds a per-key pairwise fold. The reducer must preserve
@@ -220,71 +223,66 @@ func (b *Builder) GroupBy(in *Operator, key KeyFunc, fn GroupFunc) *Operator {
 // re-derive the key from partially reduced records when shuffling
 // map-side combined results.
 func (b *Builder) ReduceByKey(in *Operator, key KeyFunc, fn ReduceFunc) *Operator {
-	return b.add(&Operator{kind: KindReduceByKey, n: 1, in: [2]*Operator{in}, Key: key, Reduce: fn})
+	return b.unary(KindReduceByKey, in, key, fn)
 }
 
 // Reduce adds a global pairwise fold to a single record.
 func (b *Builder) Reduce(in *Operator, fn ReduceFunc) *Operator {
-	return b.add(&Operator{kind: KindReduce, n: 1, in: [2]*Operator{in}, Reduce: fn})
+	return b.unary(KindReduce, in, nil, fn)
 }
 
 // Sort adds an ordering operator.
 func (b *Builder) Sort(in *Operator, key KeyFunc, desc bool) *Operator {
-	return b.add(&Operator{kind: KindSort, n: 1, in: [2]*Operator{in}, Key: key, Desc: desc})
+	op := b.unary(KindSort, in, key, nil)
+	if desc {
+		op.flags = descending
+	}
+	return op
 }
 
 // Distinct adds a duplicate-elimination operator.
-func (b *Builder) Distinct(in *Operator) *Operator {
-	return b.add(&Operator{kind: KindDistinct, n: 1, in: [2]*Operator{in}})
-}
+func (b *Builder) Distinct(in *Operator) *Operator { return b.unary(KindDistinct, in, nil, nil) }
 
 // Union adds a bag-union of two inputs.
-func (b *Builder) Union(l, r *Operator) *Operator {
-	return b.add(&Operator{kind: KindUnion, n: 2, in: [2]*Operator{l, r}})
-}
+func (b *Builder) Union(l, r *Operator) *Operator { return b.binary(KindUnion, l, r, nil, nil) }
 
 // Join adds an equi-join; output records are Concat(left, right).
 func (b *Builder) Join(l, r *Operator, lkey, rkey KeyFunc) *Operator {
-	return b.add(&Operator{kind: KindJoin, n: 2, in: [2]*Operator{l, r}, Key: lkey, RightKey: rkey})
+	return b.binary(KindJoin, l, r, lkey, rkey)
 }
 
-// ThetaJoin adds a predicate join. Declarative inequality conditions
-// may be attached with Conditions on the returned operator before
-// Build; when present, the optimizer may choose the IEJoin physical
-// operator, with pred (if non-nil) applied as a residual filter.
+// ThetaJoin adds a predicate join. When declarative inequality conditions
+// are given, the optimizer may choose the IEJoin physical operator, with
+// pred (if non-nil) applied as a residual filter.
 func (b *Builder) ThetaJoin(l, r *Operator, pred PredFunc, conds ...IECondition) *Operator {
-	return b.add(&Operator{kind: KindThetaJoin, n: 2, in: [2]*Operator{l, r}, Pred: pred, Conditions: conds})
+	return b.withExt(Operator{kind: KindThetaJoin, n: 2, in: [2]*Operator{l, r}, fn: pred}, opExt{conds: conds})
 }
 
 // Cartesian adds a cross product.
-func (b *Builder) Cartesian(l, r *Operator) *Operator {
-	return b.add(&Operator{kind: KindCartesian, n: 2, in: [2]*Operator{l, r}})
-}
+func (b *Builder) Cartesian(l, r *Operator) *Operator { return b.binary(KindCartesian, l, r, nil, nil) }
 
 // Count adds a counting operator emitting a single (int) record.
-func (b *Builder) Count(in *Operator) *Operator {
-	return b.add(&Operator{kind: KindCount, n: 1, in: [2]*Operator{in}})
-}
+func (b *Builder) Count(in *Operator) *Operator { return b.unary(KindCount, in, nil, nil) }
 
 // Sample adds a take-first-N operator.
 func (b *Builder) Sample(in *Operator, n int) *Operator {
-	return b.add(&Operator{kind: KindSample, n: 1, in: [2]*Operator{in}, N: n})
+	return b.withExt(Operator{kind: KindSample, n: 1, in: [2]*Operator{in}}, opExt{n: n})
 }
 
 // Repeat adds a fixed-iteration loop over body.
 func (b *Builder) Repeat(in *Operator, times int, body *Plan) *Operator {
-	return b.add(&Operator{kind: KindRepeat, n: 1, in: [2]*Operator{in}, Times: times, Body: body})
+	return b.withExt(Operator{kind: KindRepeat, n: 1, in: [2]*Operator{in}}, opExt{times: times, body: body})
 }
 
 // DoWhile adds a conditional loop over body; cond is evaluated on each
 // iteration's output and the loop continues while it returns true.
 func (b *Builder) DoWhile(in *Operator, cond CondFunc, maxIter int, body *Plan) *Operator {
-	return b.add(&Operator{kind: KindDoWhile, n: 1, in: [2]*Operator{in}, Cond: cond, MaxIter: maxIter, Body: body})
+	return b.withExt(Operator{kind: KindDoWhile, n: 1, in: [2]*Operator{in}, fn: cond}, opExt{maxIter: maxIter, body: body})
 }
 
 // Collect marks the plan's sink.
 func (b *Builder) Collect(in *Operator) *Operator {
-	op := b.add(&Operator{kind: KindSink, n: 1, in: [2]*Operator{in}})
+	op := b.unary(KindSink, in, nil, nil)
 	if b.plan.sink != nil {
 		b.fail(fmt.Errorf("plan %q: multiple sinks", b.plan.name))
 	}

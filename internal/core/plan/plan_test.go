@@ -43,8 +43,16 @@ func TestBuildJoinPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(p.Consumers()[l.ID()]); got != 1 {
-		t.Errorf("left source has %d consumers", got)
+	consumers := 0
+	for _, op := range p.Operators() {
+		for _, in := range op.Inputs() {
+			if in == l {
+				consumers++
+			}
+		}
+	}
+	if consumers != 1 {
+		t.Errorf("left source has %d consumers", consumers)
 	}
 }
 

@@ -147,10 +147,10 @@ func (p *pipeline) push(lop *plan.Operator) {
 		p.stages = make([]stage, 0, 4)
 	}
 	st := stage{op: lop}
-	if pred := lop.ColPred; pred != nil {
+	if pred := lop.ColPred(); pred != nil {
 		st.col = p.source(pred.Field)
 		p.project(nil, st.col)
-	} else if m := lop.ColMap; m != nil {
+	} else if m := lop.ColMap(); m != nil {
 		// One allocation: the inputs' ids, then the output's.
 		ids := make([]int, len(m.In)+len(m.Out))
 		for i, c := range m.In {
@@ -164,7 +164,7 @@ func (p *pipeline) push(lop *plan.Operator) {
 		}
 		p.calc += len(m.Out)
 	} else {
-		p.project(lop.ColProject)
+		p.project(lop.ColProject())
 	}
 	p.stages = append(p.stages, st)
 }
@@ -197,7 +197,7 @@ func (p *pipeline) reads(cols []int, values bool) (_ []int, all bool) {
 		return cols, true
 	}
 	for _, st := range p.stages {
-		if st.op.ColPred != nil {
+		if st.op.ColPred() != nil {
 			cols = append(cols, st.col)
 		}
 		cols = append(cols, st.in...)
@@ -347,7 +347,7 @@ func (w *win) prepare(p *pipeline, values bool) {
 // window's head, those from it on its tail.
 func (p *pipeline) split() int {
 	for i := range p.stages {
-		if p.stages[i].op.ColMap != nil {
+		if p.stages[i].op.ColMap() != nil {
 			return i
 		}
 	}
@@ -364,8 +364,8 @@ func (p *pipeline) head(s *scratch, lo, hi int) (sel []int32, ok bool) {
 		return nil, false
 	}
 	for _, st := range p.stages[:p.split()] {
-		if st.op.ColPred != nil {
-			sel = selectRows(s.sel[:w.n], sel, w.col(st.col), w.off, st.op.ColPred)
+		if st.op.ColPred() != nil {
+			sel = selectRows(s.sel[:w.n], sel, w.col(st.col), w.off, st.op.ColPred())
 		}
 	}
 	return sel, true
@@ -388,9 +388,9 @@ func (p *pipeline) tail(s *scratch, sel []int32, ok bool, lo int, columns func(w
 	live := w.n // when sel is nil: every row, of which there are live
 	for i := p.split(); i < len(p.stages); i++ {
 		switch st := &p.stages[i]; {
-		case st.op.ColPred != nil:
-			sel = selectRows(s.sel[:live], sel, w.col(st.col), w.off, st.op.ColPred)
-		case st.op.ColMap != nil:
+		case st.op.ColPred() != nil:
+			sel = selectRows(s.sel[:live], sel, w.col(st.col), w.off, st.op.ColPred())
+		case st.op.ColMap() != nil:
 			// The map's output is dense: the rows that reached it,
 			// renumbered, and every one of them selected.
 			var err error
@@ -415,7 +415,7 @@ func (p *pipeline) tail(s *scratch, sel []int32, ok bool, lo int, columns func(w
 // the map's row UDF a live row at a time, which is where the error for
 // such a value comes from.
 func (w *win) mapColumns(st *stage, sel []int32, live int) (int, error) {
-	m, mw := st.op.ColMap, &w.maps
+	m, mw := st.op.ColMap(), &w.maps
 	if sel != nil {
 		live = len(sel)
 	}
@@ -453,6 +453,7 @@ func (w *win) mapColumns(st *stage, sel []int32, live int) (int, error) {
 			mw.vals = append(mw.vals, make([]data.Value, c.Field+1-len(mw.vals))...)
 		}
 	}
+	fn := st.op.Map()
 	for k := 0; k < live; k++ {
 		i := k
 		if sel != nil {
@@ -461,7 +462,7 @@ func (w *win) mapColumns(st *stage, sel []int32, live int) (int, error) {
 		for a, id := range st.in {
 			mw.vals[m.In[a].Field] = w.col(id).Value(w.off, i)
 		}
-		rec, err := st.op.Map(data.NewRecord(mw.vals...))
+		rec, err := fn(data.NewRecord(mw.vals...))
 		if err != nil {
 			return 0, err
 		}
@@ -491,10 +492,10 @@ func ascending(sel []int32) {
 func (p *pipeline) rowWindow(recs []data.Record) (_ []data.Record, err error) {
 	recs = slices.Clone(recs)
 	for _, st := range p.stages {
-		if st.op.ColPred != nil {
-			recs, err = algo.FilterRows(recs[:0], recs, st.op.Filter)
+		if st.op.ColPred() != nil {
+			recs, err = algo.FilterRows(recs[:0], recs, st.op.Filter())
 		} else { // a projection or a column map: either way the operator's row UDF
-			recs, err = algo.MapRows(recs[:0], recs, st.op.Map)
+			recs, err = algo.MapRows(recs[:0], recs, st.op.Map())
 		}
 		if err != nil {
 			return nil, err
@@ -680,13 +681,13 @@ func hinted(lop *plan.Operator) bool {
 	}
 	switch lop.Kind() {
 	case plan.KindFilter:
-		return lop.ColPred != nil
+		return lop.ColPred() != nil
 	case plan.KindMap:
-		return lop.ColProject != nil || lop.ColMap != nil
+		return lop.ColProject() != nil || lop.ColMap() != nil
 	case plan.KindReduce:
-		return lop.ColAgg != nil
+		return lop.ColAgg() != nil
 	case plan.KindGroupBy:
-		return lop.ColGroup != nil
+		return lop.ColGroup() != nil
 	}
 	return false
 }
@@ -700,11 +701,11 @@ func (d *datasetOps) execHinted(ctx context.Context, op *physical.Operator, inpu
 		return nil, false, nil
 	}
 	p := asPipeline(ctx, inputs[0])
-	if agg := op.Logical.ColAgg; agg != nil {
+	if agg := op.Logical.ColAgg(); agg != nil {
 		out, err = p.fold(agg.Fns)
 		return out, true, err
 	}
-	if op.Logical.ColGroup != nil {
+	if op.Logical.ColGroup() != nil {
 		out, err = p.group(op.Logical, op.Algo == physical.SortGroupBy)
 		return out, true, err
 	}

@@ -21,12 +21,26 @@ func physOp(lop *plan.Operator) *physical.Operator {
 	return &physical.Operator{Logical: lop, Algo: physical.Default}
 }
 
-// udfTwin is the same operator without its column hint: what is left is
-// the UDF the builder helper generated from the same spec.
+// udfTwin is the same operator without its column hint, built from the
+// UDF the builder helper generated from the same spec. A source keeps its
+// columns, and an operator without a hint is its own twin.
 func udfTwin(lop *plan.Operator) *plan.Operator {
-	twin := *lop
-	twin.ColPred, twin.ColProject, twin.ColMap, twin.ColAgg, twin.ColGroup = nil, nil, nil, nil, nil
-	return &twin
+	var fn any
+	switch {
+	case lop.ColPred() != nil:
+		fn = lop.Filter()
+	case lop.ColProject() != nil, lop.ColMap() != nil:
+		fn = lop.Map()
+	case lop.ColAgg() != nil:
+		fn = lop.Reduce()
+	case lop.ColGroup() != nil:
+		fn = lop.Group()
+	default:
+		return lop
+	}
+	twin := plan.NewSynthetic(lop.Kind(), lop.Name(), fn)
+	twin.Key, twin.Selectivity = lop.Key, lop.Selectivity
+	return twin
 }
 
 // buildHinted builds the three hinted operators over one source and
@@ -296,23 +310,17 @@ func TestHintedAggregateMatchesUDF(t *testing.T) {
 	}
 }
 
-// countUDFs wraps the row UDFs of hinted operators so a test can tell
-// whether the row code ran: the returned counter is the number of UDF
-// calls so far.
-func countUDFs(lops ...*plan.Operator) *int {
-	calls := new(int)
-	for _, lop := range lops {
-		if f := lop.Filter; f != nil {
-			lop.Filter = func(r data.Record) (bool, error) { *calls++; return f(r) }
-		}
-		if f := lop.Map; f != nil {
-			lop.Map = func(r data.Record) (data.Record, error) { *calls++; return f(r) }
-		}
-		if f := lop.Reduce; f != nil {
-			lop.Reduce = func(a, b data.Record) (data.Record, error) { *calls++; return f(a, b) }
-		}
+// countCalls is a hinted operator whose row UDF adds to calls, so a test can
+// tell whether the row code ran.
+func countCalls(calls *int, lop *plan.Operator) *plan.Operator {
+	if f := lop.Filter(); f != nil {
+		return lop.WithUDF(plan.FilterFunc(func(r data.Record) (bool, error) { *calls++; return f(r) }))
 	}
-	return calls
+	if f := lop.Map(); f != nil {
+		return lop.WithUDF(plan.MapFunc(func(r data.Record) (data.Record, error) { *calls++; return f(r) }))
+	}
+	f := lop.Reduce()
+	return lop.WithUDF(plan.ReduceFunc(func(a, b data.Record) (data.Record, error) { *calls++; return f(a, b) }))
 }
 
 // TestHintedKernelsActuallyVectorize guards against silent fallback: a
@@ -335,7 +343,8 @@ func TestHintedKernelsActuallyVectorize(t *testing.T) {
 		return out
 	}
 	f, p, a := buildHinted(t, plan.Less, data.Int(10))
-	calls := countUDFs(f, p, a)
+	calls := new(int)
+	f, p, a = countCalls(calls, f), countCalls(calls, p), countCalls(calls, a)
 	in := batch.FromRecords(recs)
 	for name, src := range map[string]any{"batch": in, "rows": recs} {
 		chain := exec(p, exec(f, src))
@@ -412,20 +421,21 @@ func inAtom(pp *physical.Plan) *engine.TaskAtom {
 }
 
 // inAtomChain is source → filter → filter → project → aggregate over
-// five-column rows, hinted or as its UDF twin.
+// five-column rows, hinted or as its UDF twin, which the plain builder
+// calls make of the same specs.
 func inAtomChain(recs []data.Record, hinted bool) func(*plan.Builder) {
 	return func(b *plan.Builder) {
 		src := b.Source("s", plan.Collection(recs))
-		f1 := b.FilterWhere(src, 3, plan.Less, data.Int(5))
-		f2 := b.FilterWhere(f1, 0, plan.GreaterEq, data.Int(10))
-		p := b.ProjectCols(f2, 2, 0)
-		a := b.AggregateCols(p, plan.AggSum, plan.AggMax)
-		b.Collect(a)
-		if !hinted {
-			for _, op := range []*plan.Operator{f1, f2, p, a} {
-				op.ColPred, op.ColProject, op.ColAgg, op.ColGroup = nil, nil, nil, nil
-			}
+		if hinted {
+			f1 := b.FilterWhere(src, 3, plan.Less, data.Int(5))
+			f2 := b.FilterWhere(f1, 0, plan.GreaterEq, data.Int(10))
+			b.Collect(b.AggregateCols(b.ProjectCols(f2, 2, 0), plan.AggSum, plan.AggMax))
+			return
 		}
+		f1 := b.Filter(src, (&plan.ColumnPredicate{Field: 3, Op: plan.Less, Operand: data.Int(5)}).FilterFunc())
+		f2 := b.Filter(f1, (&plan.ColumnPredicate{Field: 0, Op: plan.GreaterEq, Operand: data.Int(10)}).FilterFunc())
+		p := b.Map(f2, func(r data.Record) (data.Record, error) { return r.Project(2, 0), nil })
+		b.Collect(b.Reduce(p, (&plan.ColumnAggregate{Fns: []plan.AggFn{plan.AggSum, plan.AggMax}}).ReduceFunc()))
 	}
 }
 
@@ -505,7 +515,7 @@ func TestColumnarSourceRowsOrColumns(t *testing.T) {
 		}, true, false},
 	} {
 		b := plan.NewBuilder("source")
-		c.build(b, b.SourceColumns("s", cols))
+		c.build(b, b.SourceColumns("s", cols, nil))
 		pp, err := physical.FromLogical(b.MustBuild())
 		if err != nil {
 			t.Fatal(err)
@@ -524,14 +534,23 @@ func TestColumnarSourceRowsOrColumns(t *testing.T) {
 	}
 
 	made, calls := 0, new(int)
-	got, _ := runPlanOn(t, New(), func(b *plan.Builder) {
-		src := b.SourceColumns("s", cols)
-		rows := src.Source
-		src.Source = func() ([]data.Record, error) { made++; return rows() }
-		filter := b.FilterWhere(src, 0, plan.GreaterEq, data.Int(45))
-		calls = countUDFs(filter)
-		b.Collect(filter)
-	})
+	b := plan.NewBuilder("t")
+	src := b.SourceColumns("s", cols, func() ([]data.Record, error) { made++; return cols.ToRecords(), nil })
+	filter := b.FilterWhere(src, 0, plan.GreaterEq, data.Int(45))
+	b.Collect(filter)
+	pp, err := physical.FromLogical(b.MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp.Ops[filter.ID()].Logical = countCalls(calls, filter)
+	exits, _, err := New().ExecuteAtom(context.Background(), inAtom(pp), engine.AtomInputs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := exits[0].AsCollection()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 5 || !bytes.Equal(encodeRecs(t, got), encodeRecs(t, recs[45:])) {
 		t.Errorf("filter over the columnar source to the sink = %v", got)
 	}

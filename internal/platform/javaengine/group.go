@@ -19,8 +19,8 @@ import (
 // input — no per-window partials to combine — so float sums add in input
 // order across window boundaries, as the UDF twin adds them down a group.
 type grouper struct {
-	lop  *plan.Operator // spec (ColGroup) and, for windows without a column form, the derived Key UDF
-	cols []int          // by output column: its argument as a column of the pipeline's output
+	spec *plan.ColumnGroupAggregate // the keys and folds the consumer computes
+	cols []int                      // by output column: its argument as a column of the pipeline's output
 
 	// Groups are numbered by the key the derived KeyFunc gives their first
 	// row: int keys and string keys (a multi-column composite is one) in a
@@ -41,9 +41,9 @@ type grouper struct {
 // per group from one []data.Value slab, in first-seen order, or stably
 // sorted by key — as algo.SortGroup orders groups — when sorted is set.
 func (p *pipeline) group(lop *plan.Operator, sorted bool) ([]data.Record, error) {
-	spec, s := lop.ColGroup, scratches.Get() // the groups, and a serial forcing's windows
+	spec, s := lop.ColGroup(), scratches.Get() // the groups, and a serial forcing's windows
 	g := &s.group
-	g.lop = lop
+	g.spec = spec
 	g.cols = slices.Grow(g.cols[:0], len(spec.Out))[:len(spec.Out)]
 	g.accs = slices.Grow(g.accs[:0], len(spec.Out))[:len(spec.Out)]
 	// The pipeline's output becomes the fields the spec names, keys first.
@@ -95,7 +95,7 @@ func (p *pipeline) group(lop *plan.Operator, sorted bool) ([]data.Record, error)
 
 // add returns the group of key k, numbering it if it is new.
 func (g *grouper) add(k data.Value) int32 {
-	if len(g.lop.ColGroup.Keys) == 0 { // the global aggregate: one group, no table
+	if len(g.spec.Keys) == 0 { // the global aggregate: one group, no table
 		g.keys = append(g.keys[:0], k)
 		return 0
 	}
@@ -134,7 +134,7 @@ func lookup[K comparable](g *grouper, m *map[K]int32, k K, v data.Value) int32 {
 // or all-string key column and a composite straight through their map.
 func (g *grouper) number(p *pipeline, w *win, sel []int32) {
 	g.gid = slices.Grow(g.gid[:0], len(sel))[:len(sel)]
-	nk := len(g.lop.ColGroup.Keys)
+	nk := len(g.spec.Keys)
 	if nk == 0 {
 		g.add(data.Int(0))
 		clear(g.gid)
@@ -185,7 +185,7 @@ func (g *grouper) columns(p *pipeline, w *win, sel []int32) {
 	}
 	g.number(p, w, sel)
 	g.grow()
-	for j, oc := range g.lop.ColGroup.Out {
+	for j, oc := range g.spec.Out {
 		st, col := g.accs[j], (*batch.Column)(nil)
 		if oc.Fn != plan.GroupCountAll {
 			col = w.out(p, g.cols[j])

@@ -104,10 +104,10 @@ func TestHintedGroupNeverCallsTheUDFs(t *testing.T) {
 	g := b.GroupAggregate(b.FilterWhere(b.Source("s", plan.Collection(nil)), 0, plan.GreaterEq, data.Int(0)), []int{2}, everyFold(2, 3)...)
 	b.Collect(g)
 	b.MustBuild()
-	key, group := g.Key, g.Group
+	key, group := g.Key, g.Group()
 	calls := 0
+	g = g.WithUDF(plan.GroupFunc(func(k data.Value, rs []data.Record) ([]data.Record, error) { calls++; return group(k, rs) }))
 	g.Key = func(r data.Record) (data.Value, error) { calls++; return key(r) }
-	g.Group = func(k data.Value, rs []data.Record) ([]data.Record, error) { calls++; return group(k, rs) }
 	p := asPipeline(context.Background(), recs)
 	p.push(g.Inputs()[0])
 	out, err := p.group(g, false)
@@ -146,7 +146,7 @@ func BenchmarkGroupAggregate(b *testing.B) {
 				pb.MustBuild()
 				for _, lop := range []*plan.Operator{g, udfTwin(g)} {
 					name := "hinted"
-					if lop.ColGroup == nil {
+					if lop.ColGroup() == nil {
 						name = "udf"
 					}
 					b.Run(fmt.Sprintf("%d/%d/%s/%s", rows, groups, kind, name), func(b *testing.B) {

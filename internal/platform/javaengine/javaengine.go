@@ -168,10 +168,10 @@ func (d *datasetOps) ExecOp(ctx context.Context, op *physical.Operator, inputs [
 	}
 	switch op.Kind() {
 	case plan.KindSource:
-		if cols := op.Logical.ColSource; cols != nil && d.columnReaders(op) {
+		if cols := op.Logical.ColSource(); cols != nil && d.columnReaders(op) {
 			return atRest{cols}, nil
 		}
-		return op.Logical.Source()
+		return op.Logical.Source()()
 	case plan.KindSink:
 		return inputs[0], nil // rows, a batch or a pipeline, untouched
 	}

@@ -111,7 +111,7 @@ func TestGroupByAlgorithms(t *testing.T) {
 
 func TestLoopKindsRejected(t *testing.T) {
 	d := &datasetOps{}
-	op := &physical.Operator{Logical: plan.NewSynthetic(plan.KindLoopInput, "li")}
+	op := &physical.Operator{Logical: plan.NewSynthetic(plan.KindLoopInput, "li", nil)}
 	if _, err := d.ExecOp(context.Background(), op, nil); err == nil {
 		t.Error("LoopInput executed by platform")
 	}

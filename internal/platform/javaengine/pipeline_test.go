@@ -58,6 +58,17 @@ func boundaryRecs(n int, ragged bool) []data.Record {
 // ends in "/sorted" has its grouping sort-based.
 func runChain(t *testing.T, in any, hinted bool, name string, build func(b *plan.Builder, src *plan.Operator) *plan.Operator) ([]byte, error) {
 	t.Helper()
+	rewrite := func(*physical.Operator) {}
+	if !hinted {
+		rewrite = func(op *physical.Operator) { op.Logical = udfTwin(op.Logical) }
+	}
+	return runChainWith(t, in, rewrite, name, build)
+}
+
+// runChainWith is runChain with rewrite applied to every operator below
+// the source before the atom runs.
+func runChainWith(t *testing.T, in any, rewrite func(*physical.Operator), name string, build func(b *plan.Builder, src *plan.Operator) *plan.Operator) ([]byte, error) {
+	t.Helper()
 	b := plan.NewBuilder("boundary")
 	src := b.Source("s", plan.Collection(nil))
 	b.Collect(build(b, src))
@@ -79,9 +90,7 @@ func runChain(t *testing.T, in any, hinted bool, name string, build func(b *plan
 		if op.Kind() == plan.KindSource {
 			continue
 		}
-		if !hinted {
-			op.Logical = udfTwin(op.Logical)
-		}
+		rewrite(op)
 		if op.Kind() == plan.KindGroupBy && strings.HasSuffix(name, "/sorted") {
 			op.Algo = physical.SortGroupBy
 		}
@@ -253,15 +262,19 @@ func TestPipelineEvaluatedOnce(t *testing.T) {
 	recs := boundaryRecs(3*window+7, true)
 	var upstream atomic.Int64 // a UDF may be called concurrently
 	var stage int
+	var f *plan.Operator
 	build := func(b *plan.Builder, s *plan.Operator) *plan.Operator {
 		m := b.Map(s, func(r data.Record) (data.Record, error) { upstream.Add(1); return r, nil })
-		f := b.FilterWhere(m, 1, plan.LessEq, data.Float(50))
-		match := f.Filter
-		f.Filter = func(r data.Record) (bool, error) { stage++; return match(r) }
+		f = b.FilterWhere(m, 1, plan.LessEq, data.Float(50))
 		p := b.ProjectCols(f, 1, 0)
 		return b.Union(b.AggregateCols(p, plan.AggMax, plan.AggSum), b.Count(p))
 	}
-	if _, err := runChain(t, recs, true, "fan-out", build); err != nil {
+	counting := func(op *physical.Operator) {
+		if match := op.Logical.Filter(); op.Logical == f {
+			op.Logical = f.WithUDF(plan.FilterFunc(func(r data.Record) (bool, error) { stage++; return match(r) }))
+		}
+	}
+	if _, err := runChainWith(t, recs, counting, "fan-out", build); err != nil {
 		t.Fatal(err)
 	}
 	if n := upstream.Load(); n != int64(len(recs)) {
@@ -279,7 +292,8 @@ func TestPipelineEvaluatedOnce(t *testing.T) {
 func TestPipelineHonoursCancellation(t *testing.T) {
 	recs := boundaryRecs(3*window+7, true) // ragged: every row it reads goes through the counting UDF
 	f, _, _ := buildHinted(t, plan.LessEq, data.Int(1<<40))
-	calls := countUDFs(f)
+	calls := new(int)
+	f = countCalls(calls, f)
 	ctx, cancel := context.WithCancel(context.Background())
 	out, err := (&datasetOps{}).ExecOp(ctx, physOp(f), []any{recs})
 	if err != nil {

@@ -48,8 +48,8 @@ type rowChain struct {
 	ctx   context.Context
 	in    []data.Record
 	chain algo.Chain
-	first [1]*plan.Operator // a one-operator chain's storage
-	count bool              // whether a forcing counts its outputs' Bytes
+	first [1]algo.Link // a one-operator chain's storage
+	count bool         // whether a forcing counts its outputs' Bytes
 	// What a forcing's windows made, by window.
 	expands bool
 	out     []data.Record    // in the windows' slots, unless the chain expands
@@ -80,7 +80,7 @@ func (d *datasetOps) execRows(ctx context.Context, op *physical.Operator, in any
 			}
 			in = recs
 		}
-		c.first[0] = op.Logical
+		c.first[0] = algo.LinkOf(op.Logical)
 		c.in, c.chain = asRecords(in), c.first[:]
 	}
 	// Only what may leave the atom counts its bytes: an exit, an output

@@ -60,7 +60,7 @@ func (s *scratch) release() {
 			c.Valid = nil
 		}
 	}
-	g.lop = nil
+	g.spec = nil
 	clear(g.ints)
 	clear(g.strs)
 	clear(g.keys)

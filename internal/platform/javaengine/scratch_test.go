@@ -148,7 +148,7 @@ func runWhole(source func(*plan.Builder) *plan.Operator, hinted bool, build func
 }
 
 func atRestSource(cols *batch.Batch) func(*plan.Builder) *plan.Operator {
-	return func(b *plan.Builder) *plan.Operator { return b.SourceColumns("s", cols) }
+	return func(b *plan.Builder) *plan.Operator { return b.SourceColumns("s", cols, nil) }
 }
 
 func rowsSource(recs []data.Record) func(*plan.Builder) *plan.Operator {
@@ -253,8 +253,8 @@ func severed(s *scratch) error {
 			}
 		}
 	}
-	if g.lop != nil || len(g.ints) != 0 || len(g.strs) != 0 || g.any != nil || len(g.keys) != 0 {
-		return fmt.Errorf("the grouper keeps its operator or %d+%d+%d keys", len(g.ints), len(g.strs), len(g.keys))
+	if g.spec != nil || len(g.ints) != 0 || len(g.strs) != 0 || g.any != nil || len(g.keys) != 0 {
+		return fmt.Errorf("the grouper keeps its spec or %d+%d+%d keys", len(g.ints), len(g.strs), len(g.keys))
 	}
 	for _, vals := range [][]data.Value{g.keys[:cap(g.keys)], w.maps.vals[:cap(w.maps.vals)]} {
 		for _, v := range vals {

@@ -223,7 +223,7 @@ func (d *datasetOps) ExecOp(_ context.Context, op *physical.Operator, inputs []a
 	case plan.KindSink:
 		return inputs[0], nil
 	case plan.KindSource:
-		out, err = op.Logical.Source()
+		out, err = op.Logical.Source()()
 	default:
 		relational = k != plan.KindMap && k != plan.KindFlatMap && k != plan.KindFilter
 		var in [2][]data.Record

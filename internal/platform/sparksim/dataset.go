@@ -330,7 +330,7 @@ func (d *datasetOps) ExecOp(ctx context.Context, op *physical.Operator, inputs [
 	switch lop.Kind() {
 	case plan.KindSource:
 		t0 := time.Now()
-		recs, err := lop.Source()
+		recs, err := lop.Source()()
 		if err != nil {
 			return nil, err
 		}
@@ -423,7 +423,7 @@ func (d *datasetOps) ExecOp(ctx context.Context, op *physical.Operator, inputs [
 		if err != nil {
 			return nil, err
 		}
-		rParts, err := d.partitionByKey(ctx, in(1), lop.RightKey)
+		rParts, err := d.partitionByKey(ctx, in(1), lop.RightKey())
 		if err != nil {
 			return nil, err
 		}
@@ -454,12 +454,7 @@ func (d *datasetOps) ExecOp(ctx context.Context, op *physical.Operator, inputs [
 	case plan.KindSample:
 		var out []data.Record
 		for _, p := range in(0).parts {
-			for _, r := range p {
-				if len(out) >= lop.N {
-					break
-				}
-				out = append(out, r)
-			}
+			out = append(out, p[:min(len(p), lop.N()-len(out))]...)
 		}
 		d.driver(time.Duration(len(out)) * 50 * time.Nanosecond)
 		return newDataset([][]data.Record{out}), nil

@@ -74,8 +74,8 @@ func TestBuiltinDigestsPinned(t *testing.T) {
 func sourceBatch(tb testing.TB, p *plan.Plan) *batch.Batch {
 	tb.Helper()
 	for _, op := range p.Operators() {
-		if op.ColSource != nil {
-			return op.ColSource
+		if op.ColSource() != nil {
+			return op.ColSource()
 		}
 	}
 	tb.Fatalf("plan %s has no columnar source", p.Name())

@@ -288,7 +288,7 @@ func (s *Spec) wells() int {
 // ORDER BY word.
 func wordcountPlan(name string, words *batch.Batch) (*plan.Plan, error) {
 	b := plan.NewBuilder(name)
-	src := b.SourceColumns("words", words)
+	src := b.SourceColumns("words", words, nil)
 	counts := b.GroupAggregate(src, []int{0}, plan.GroupCol{Fn: plan.GroupKey}, plan.GroupCol{Fn: plan.GroupCountAll})
 	b.Collect(b.Sort(counts, plan.FieldKey(0), false))
 	return b.Build()
@@ -298,7 +298,7 @@ func wordcountPlan(name string, words *batch.Batch) (*plan.Plan, error) {
 // kPa, clamped at 0) → per-well sums and count → a vector of means → sort.
 func sensorPlan(name string, readings *batch.Batch) (*plan.Plan, error) {
 	b := plan.NewBuilder(name)
-	src := b.SourceColumns("readings", readings)
+	src := b.SourceColumns("readings", readings, nil)
 	norm := b.MapColumns(src, plan.ColumnMap{
 		In:  []plan.ColumnIn{{Field: 0, Kind: batch.ColInt64}, {Field: 2, Kind: batch.ColFloat64}, {Field: 3, Kind: batch.ColFloat64}, {Field: 4, Kind: batch.ColFloat64}},
 		Out: []batch.ColKind{batch.ColInt64, batch.ColFloat64, batch.ColFloat64, batch.ColFloat64},
@@ -328,7 +328,7 @@ func sensorPlan(name string, readings *batch.Batch) (*plan.Plan, error) {
 // exercise the shared scheduler pool.
 func fanoutPlan(name string, ints *batch.Batch, branches int) (*plan.Plan, error) {
 	b := plan.NewBuilder(name)
-	src := b.SourceColumns("ints", ints)
+	src := b.SourceColumns("ints", ints, nil)
 	legs := make([]*plan.Operator, branches)
 	for i := range legs {
 		leg := uint64(i + 1)

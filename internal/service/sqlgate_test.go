@@ -17,17 +17,23 @@ import (
 // benchmark's small-sql workload (benchmarks/e2e/sqlref.go) at one
 // literal each, with what rheemql.Run may allocate for one over
 // DefaultCatalog(500): objects and bytes, pinned about four percent
-// above what the vectorized lowering reads over the catalog's columns
+// (in bytes, four percent and 280 bytes: a thread the runtime starts
+// inside the window, allocm's 5.5 KB, over twenty queries) above what
+// the vectorized lowering reads over the catalog's columns
 // with its window scratch leased, a control plane that allocates per
 // plan and per atom and keeps a plan's per-operator state, an atom's
 // exits and a run's platform counts in slices, an optimizer whose
 // 16-byte DP cells and other scratch are leased, a logical plan whose
-// operators keep their inputs inline, a run whose state is leased, and
-// two-word data quanta (81/90/87/86/88/88/72/108 objects, 20.3/10.6/9.7/
-// 10.1/9.1/8.5/8.0/18.1 KB at GOMAXPROCS 1 to 4, twenty readings) plus,
-// in bytes, the 1.4 KB a query read more when one of the twenty had its
-// scratch made anew while scratches were kept in a sync.Pool, which the
-// collector empties. With a slice per logical edge and the run's state
+// operators keep their inputs inline in 112 bytes, a catalog scan that
+// takes the table's records as its row form, a run whose state is
+// leased, and two-word data quanta (79/88/85/84/86/86/70/106 objects,
+// 19.2/9.7/8.8/8.9/8.1/7.6/7.1/16.8 KB at GOMAXPROCS 1 to 4, twenty
+// readings). With every operator carrying every kind's fields in 320
+// bytes and a scan deriving its row form from the columns they read
+// 81/90/87/86/88/88/72/108 objects and 20.3/10.6/9.7/10.1/9.1/8.5/8.0/
+// 18.1 KB, pinned 1.4 KB higher in bytes for when one query of the
+// twenty made its scratch anew while scratches were kept in a
+// sync.Pool, which the collector empties. With a slice per logical edge and the run's state
 // made per Run they read 94/101/98/100/101/99/83/122 objects and 20.8/
 // 10.9/10.1/10.6/9.6/8.8/8.4/18.6 KB. With 88-byte DP cells and the optimizer's scratch made per call they read
 // 99/106/103/105/106/104/88–90/127 objects and 22.5/12.3/11.4/12.7/11.3/
@@ -52,14 +58,14 @@ var sqlGateTemplates = []struct {
 	name, sql      string
 	objects, bytes float64
 }{
-	{"filter", "SELECT well, pressure FROM sensors WHERE pressure > 175.5 AND hour < 52", 85, 22500},
-	{"group", "SELECT well, COUNT(*) AS n, AVG(pressure) AS p FROM sensors WHERE hour < 40 GROUP BY well", 94, 12400},
-	{"having", "SELECT well, AVG(temperature) AS t FROM sensors GROUP BY well HAVING t > 68.5", 91, 11500},
-	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 90, 12000},
-	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 92, 10900},
-	{"global", "SELECT COUNT(*) AS n, MAX(pressure) AS hi, MIN(flow) AS lo FROM sensors WHERE temperature < 73.0", 92, 10300},
-	{"wordfilter", "SELECT word FROM words WHERE word = 'big'", 75, 9800},
-	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 113, 20300},
+	{"filter", "SELECT well, pressure FROM sensors WHERE pressure > 175.5 AND hour < 52", 83, 20300},
+	{"group", "SELECT well, COUNT(*) AS n, AVG(pressure) AS p FROM sensors WHERE hour < 40 GROUP BY well", 92, 10400},
+	{"having", "SELECT well, AVG(temperature) AS t FROM sensors GROUP BY well HAVING t > 68.5", 89, 9400},
+	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 88, 9600},
+	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 90, 8700},
+	{"global", "SELECT COUNT(*) AS n, MAX(pressure) AS hi, MIN(flow) AS lo FROM sensors WHERE temperature < 73.0", 90, 8200},
+	{"wordfilter", "SELECT word FROM words WHERE word = 'big'", 73, 7700},
+	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 111, 17800},
 }
 
 // TestSQLAllocationGate is ROADMAP item 2's gate on the SQL path: a
@@ -106,7 +112,8 @@ func TestSQLAllocationGate(t *testing.T) {
 // the plan, execute it, digest the result (runBuiltin), on a service
 // configured like the repository benchmark's service-http workload and at
 // that workload's sizes — may allocate: objects and bytes, pinned about
-// four percent above the most the columnar plans read over inputs
+// four percent (in bytes, four percent and 280 bytes for a thread the
+// runtime starts inside the window) above the most the columnar plans read over inputs
 // generated as columns with their window scratch leased, on a control
 // plane that allocates per plan and per atom, a flight recorder that
 // builds a profile only when one is read, two-word data quanta, window
@@ -115,9 +122,11 @@ func TestSQLAllocationGate(t *testing.T) {
 // job of it, a plan's per-operator state, an atom's exits and a run's
 // platform counts in slices, and an optimizer whose 16-byte DP cells and
 // other scratch are leased, a logical plan whose operators keep their
-// inputs inline and a run whose state is leased (81–82 / 164 / 147
-// objects, 7.9–8.0 / 16.1 / 71.3 KB at GOMAXPROCS 1 to 4, twenty
-// readings). With a slice per logical edge and the run's state made per
+// inputs inline in 112 bytes and a run whose state is leased (81 / 164 /
+// 147 objects, 7.1 / 14.9 / 69.2 KB at GOMAXPROCS 1 to 4, twenty
+// readings). With every operator carrying every kind's fields in 320
+// bytes they read 81–82 / 164 / 147 objects and 7.9–8.0 / 16.1 / 71.3
+// KB. With a slice per logical edge and the run's state made per
 // Run they read 92 / 178 / 165–166 objects and 8.3–8.5 / 16.6–16.8 /
 // 71.9–72.3 KB. With 88-byte DP cells
 // and the optimizer's scratch made per call they read 97 / 183 / 170–171
@@ -142,9 +151,9 @@ func TestSQLAllocationGate(t *testing.T) {
 // records generated one by one 12 200 / 12 286 / 2 037 objects and 0.70 /
 // 1.76 / 0.14 MB.
 var builtinGate = []struct{ objects, bytes float64 }{
-	{86, 8_400},   // wordcount, n = 4 000
-	{171, 16_800}, // sensor, n = 4 000
-	{153, 74_200}, // fanout, 200 × 4
+	{85, 7_700},   // wordcount, n = 4 000
+	{171, 15_800}, // sensor, n = 4 000
+	{153, 72_300}, // fanout, 200 × 4
 }
 
 // TestBuiltinAllocationGate is ROADMAP item 2a's gate: the service's own

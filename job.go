@@ -66,7 +66,7 @@ func (q *DataQuanta) ShareScan(key string) *DataQuanta {
 		q.job.fail(fmt.Errorf("rheem: ShareScan on %s (want a source)", q.op.Kind()))
 		return q
 	}
-	q.op.ScanKey = key
+	q.op.SetScanKey(key)
 	return q
 }
 

@@ -798,11 +798,12 @@ func TestPanickingOperatorFailsTheJobNotTheProcess(t *testing.T) {
 	defer ctx.Close()
 	build := func(field int, hinted bool) *plan.Plan {
 		b := plan.NewBuilder("panics")
-		f := b.FilterWhere(b.Source("rows", plan.Collection(recs)), field, plan.Less, data.Int(5))
-		if !hinted {
-			f.ColPred = nil
+		src := b.Source("rows", plan.Collection(recs))
+		if hinted {
+			b.Collect(b.FilterWhere(src, field, plan.Less, data.Int(5)))
+		} else {
+			b.Collect(b.Filter(src, (&plan.ColumnPredicate{Field: field, Op: plan.Less, Operand: data.Int(5)}).FilterFunc()))
 		}
-		b.Collect(f)
 		return b.MustBuild()
 	}
 	for _, id := range []engine.PlatformID{javaengine.ID, sparksim.ID, relengine.ID} {
@@ -871,8 +872,9 @@ func TestHintedChainAllocationGate(t *testing.T) {
 		// optimizing the plan, the atom's spans and channels — not the
 		// pipeline's window-sized buffers, which are leased: a forcing
 		// that allocates its window scratch again reads 60 KB. Measured
-		// at 63–64 objects and 6.3–7.4 KB at GOMAXPROCS 1 to 4 (76–77 and
-		// 6.8–6.9 KB while every logical edge was a slice of its own and
+		// at 63–64 objects and 5.2–5.3 KB at GOMAXPROCS 1 to 4 (6.3–7.4 KB
+		// while every operator carried every kind's fields in 320 bytes,
+		// 76–77 and 6.8–6.9 KB while every logical edge was a slice of its own and
 		// a Run allocated its state, 81 and 8.5 KB while the
 		// optimizer's DP cells were 88 bytes and its scratch was made per
 		// call, 91 and 10.0 KB while the execution plan kept its
