@@ -26,7 +26,9 @@ import (
 // per operator. A one-atom chain of hinted filters over a columnar
 // source, 4 operators long and 32, must cost each layer the same count
 // at both widths, give or take one. They read translate 3, optimize 9
-// and run 25 at both; run 31 while a Run allocated its state (the run,
+// and run 20 at both; run 25 while a run's telemetry was a tracer,
+// closure and consumer slice apart from its run and its trace was
+// copied out; run 31 while a Run allocated its state (the run,
 // its audit ledger, the top scope's channels and the scheduler's graph)
 // instead of leasing it; optimize 14 while the optimizer made its scratch
 // per call; with the execution plan's per-operator state in Go maps,

@@ -89,15 +89,17 @@ func BenchmarkRunNoopAtoms(b *testing.B) {
 }
 
 // runAllocationGate is the allocation count of one Run over the
-// one-atom noop plan, pinned about four percent above its reading since
-// the run's state — the run, its audit ledger, the top scope's channels
-// and the scheduler's graph — is leased from a free list (12 at
-// GOMAXPROCS 1 to 4; 18 while each Run made those six sized from the
-// plan, 20 while every atom ran on a goroutine of its own, 26 with its
-// channels, audit ledger and producer index in maps, a seen set per atom
-// and the top scope allocated apart, 30 before the executor became a run
-// object).
-const runAllocationGate = 13
+// one-atom noop plan, pinned one above its reading since the tracer
+// hands its trace over instead of copying it and adopts the audit
+// records it is given (9 at GOMAXPROCS 1 to 4, 20 readings; 12 while
+// Audit copied the records, Snapshot copied both lists and KindEst was a
+// map; 18 while each Run made its state — the run, its audit ledger,
+// the top scope's channels and the scheduler's graph — sized from the
+// plan instead of leasing it, 20 while every atom ran on a goroutine of
+// its own, 26 with its channels, audit ledger and producer index in
+// maps, a seen set per atom and the top scope allocated apart, 30 before
+// the executor became a run object).
+const runAllocationGate = 10
 
 // TestRunAllocationGate pins what a Run allocates around one no-op atom.
 func TestRunAllocationGate(t *testing.T) {

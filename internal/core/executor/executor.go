@@ -32,6 +32,7 @@ import (
 	"maps"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -298,20 +299,29 @@ func atomOps(atom *engine.TaskAtom) []*physical.Operator {
 	return atom.Ops
 }
 
-// atomKindEst splits a compute atom's RAW estimated cost by operator
-// kind — the span-level attribution the cost calibrator folds measured
-// time against. Raw, so calibration corrections never enter their own
-// learning target. Nil for loop atoms (their body atoms carry the
-// attribution) and for plans with no raw costs.
-func atomKindEst(ep *optimizer.ExecutionPlan, atom *engine.TaskAtom) map[string]int64 {
+// newAtomSpan allocates span sp with its KindEst: a compute atom's RAW
+// estimated cost by operator kind, which the calibrator folds measured
+// time against (raw, so its corrections never enter their own target),
+// up to five kinds in the span's allocation. None for loops.
+func newAtomSpan(ep *optimizer.ExecutionPlan, atom *engine.TaskAtom, sp trace.Span) *trace.Span {
+	s := &struct {
+		sp    trace.Span
+		kinds [5]trace.KindCost
+	}{sp: sp}
 	if atom.Kind != engine.AtomCompute || len(ep.RawOpCosts) == 0 {
-		return nil
+		return &s.sp
 	}
-	m := make(map[string]int64) // no hint: an atom's kinds are few, however many its operators
+	kinds := s.kinds[:0]
 	for _, op := range atom.Ops {
-		m[op.Kind().String()] += int64(ep.RawOpCosts[op.ID].Total())
+		kind, ns := op.Kind().String(), int64(ep.RawOpCosts[op.ID].Total())
+		if i := slices.IndexFunc(kinds, func(k trace.KindCost) bool { return k.Kind == kind }); i >= 0 {
+			kinds[i].NS += ns
+		} else {
+			kinds = append(kinds, trace.KindCost{Kind: kind, NS: ns})
+		}
 	}
-	return m
+	s.sp.KindEst = slices.Clip(kinds)
+	return &s.sp
 }
 
 // atomDone reports whether every output the atom owes the rest of the

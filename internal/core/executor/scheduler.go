@@ -120,12 +120,11 @@ func (p *planScope) runAtom(n *atomNode) (flagged bool, err error) {
 			defer pool.Release()
 		}
 	}
-	sp := p.tr.Begin(&trace.Span{
+	sp := p.tr.Begin(newAtomSpan(p.ep, atom, trace.Span{
 		Kind: kind, AtomID: atom.ID, Name: atom.String(),
 		Platform: atom.Platform, Plan: p.ep.Physical.Name, Iteration: p.iter,
-		Shard: -1, EstCost: atomEstCost(p.ep, atom),
-		KindEst: atomKindEst(p.ep, atom), Atom: atom,
-	}, n.readyAt)
+		Shard: -1, EstCost: atomEstCost(p.ep, atom), Atom: atom,
+	}), n.readyAt)
 	var m engine.Metrics
 	var audits []trace.CardAudit
 	defer func() {

@@ -127,14 +127,15 @@ func (h *Hub) Calibrator() *cost.Calibrator { return h.cal.Load() }
 // Runs returns the hub's run tracker.
 func (h *Hub) Runs() *RunTracker { return h.runs }
 
-// NewRunTracer registers a run and returns a tracer whose span stream
-// feeds the hub (plus any extra consumers), and the run handle the
-// caller must End. This is the single wiring point between a Context's
-// Execute and the live telemetry layer.
+// NewRunTracer registers a run and returns its tracer, whose span
+// stream feeds the hub (plus any extra consumers), and the run handle
+// the caller must End. The run owns the tracer and is its sink. This is
+// the single wiring point between Execute and the live telemetry layer.
 func (h *Hub) NewRunTracer(name string, extra ...trace.Consumer) (*trace.Tracer, *Run) {
 	run := h.runs.Begin(name)
-	consumers := append([]trace.Consumer{h.col.Consumer(run)}, extra...)
-	return trace.New(consumers...), run
+	run.col = h.col
+	h.col.runsTotal.Inc()
+	return run.tracer.Init(run, extra...), run
 }
 
 // BindEngine exports a platform registry's scrape-time state: each
@@ -221,7 +222,7 @@ func (h *Hub) BindChannels(reg *channel.Registry) {
 
 // Collector folds span-stream events into the hub's instruments. One
 // collector serves every run on the hub; per-run progress goes to the
-// Run handle the consumer was built with.
+// Run whose tracer emitted the event.
 type Collector struct {
 	atomLatency  *HistogramVec // platform
 	queueWait    *HistogramVec // platform
@@ -293,67 +294,64 @@ func newCollector(reg *Registry) *Collector {
 	return c
 }
 
-// Consumer returns a trace consumer that updates the shared
-// instruments and the given run's live progress. Consumers are invoked
-// under the tracer's lock, so per-event work stays small: a few atomic
-// adds plus one short critical section on the run.
-func (c *Collector) Consumer(run *Run) trace.Consumer {
-	c.runsTotal.Inc()
-	return func(e trace.Event) {
-		switch e.Kind {
-		case trace.RunStart:
-			run.setTotal(e.TotalAtoms)
-		case trace.SpanStart:
-			// Shard spans are sub-atom work: they feed their own
-			// instruments below but must not skew atom counters or the
-			// run's progress denominator.
-			if e.Span.Kind == trace.KindShard {
-				return
+// fold updates the shared instruments and the run's live progress with
+// one event of the run's span stream. It runs under the tracer's lock,
+// so per-event work stays small: a few atomic adds plus one short
+// critical section on the run.
+func (c *Collector) fold(run *Run, e trace.Event) {
+	switch e.Kind {
+	case trace.RunStart:
+		run.setTotal(e.TotalAtoms)
+	case trace.SpanStart:
+		// Shard spans are sub-atom work: they feed their own
+		// instruments below but must not skew atom counters or the
+		// run's progress denominator.
+		if e.Span.Kind == trace.KindShard {
+			return
+		}
+		run.spanStarted(string(e.Span.Platform))
+	case trace.SpanRetry:
+		c.retries.With(string(e.Span.Platform)).Inc()
+		run.retry()
+	case trace.SpanEnd:
+		sp := e.Span
+		platform := string(sp.Platform)
+		if sp.Kind == trace.KindShard {
+			c.shards.With(platform).Inc()
+			c.shardLatency.With(platform).Observe(sp.Wall.Seconds())
+			return
+		}
+		c.atoms.With(platform, spanStatus(e.Err)).Inc()
+		if sp.Kind == trace.KindAtom {
+			c.atomLatency.With(platform).Observe(sp.Wall.Seconds())
+			if sp.QueueWait > 0 {
+				c.queueWait.With(platform).Observe(sp.QueueWait.Seconds())
 			}
-			run.spanStarted(string(e.Span.Platform))
-		case trace.SpanRetry:
-			c.retries.With(string(e.Span.Platform)).Inc()
-			run.retry()
-		case trace.SpanEnd:
-			sp := e.Span
-			platform := string(sp.Platform)
-			if sp.Kind == trace.KindShard {
-				c.shards.With(platform).Inc()
-				c.shardLatency.With(platform).Observe(sp.Wall.Seconds())
-				return
+			if sp.ConvBytes > 0 {
+				c.convBytes.With(platform).Observe(float64(sp.ConvBytes))
 			}
-			c.atoms.With(platform, spanStatus(e.Err)).Inc()
-			if sp.Kind == trace.KindAtom {
-				c.atomLatency.With(platform).Observe(sp.Wall.Seconds())
-				if sp.QueueWait > 0 {
-					c.queueWait.With(platform).Observe(sp.QueueWait.Seconds())
-				}
-				if sp.ConvBytes > 0 {
-					c.convBytes.With(platform).Observe(float64(sp.ConvBytes))
-				}
-			}
-			if !sp.Failed() {
-				c.recordsIn.With(platform).Add(e.Metrics.InRecords)
-				c.recordsOut.With(platform).Add(e.Metrics.OutRecords)
-			}
-			for f, n := range sp.InFormats {
-				c.informats.With(platform, f).Add(int64(n))
-			}
-			records := int64(0)
-			if !sp.Failed() {
-				records = e.Metrics.OutRecords
-			}
-			run.spanEnded(platform, records, sp.Failed(), sp.Iteration < 0)
-		case trace.Failover:
-			c.failovers.Inc()
-			run.failover()
-		case trace.Replan:
-			c.replans.Inc()
-			run.replan()
-		case trace.AuditRecords:
-			for _, a := range e.Audits {
-				c.audits.With(strconv.FormatBool(a.Flagged)).Inc()
-			}
+		}
+		if !sp.Failed() {
+			c.recordsIn.With(platform).Add(e.Metrics.InRecords)
+			c.recordsOut.With(platform).Add(e.Metrics.OutRecords)
+		}
+		for f, n := range sp.InFormats {
+			c.informats.With(platform, f).Add(int64(n))
+		}
+		records := int64(0)
+		if !sp.Failed() {
+			records = e.Metrics.OutRecords
+		}
+		run.spanEnded(platform, records, sp.Failed(), sp.Iteration < 0)
+	case trace.Failover:
+		c.failovers.Inc()
+		run.failover()
+	case trace.Replan:
+		c.replans.Inc()
+		run.replan()
+	case trace.AuditRecords:
+		for _, a := range e.Audits {
+			c.audits.With(strconv.FormatBool(a.Flagged)).Inc()
 		}
 	}
 }

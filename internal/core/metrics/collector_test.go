@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -192,4 +193,81 @@ func TestRunTrackerWriteJSON(t *testing.T) {
 			t.Errorf("payload missing %s:\n%s", want, out)
 		}
 	}
+}
+
+// runTracerAllocationGate is what one run's telemetry allocates, pinned
+// one above its reading: the run (which holds its tracer), the span, the
+// tracer's span list, the audit record the tracer adopts and the
+// snapshot's Trace — 5 objects at GOMAXPROCS 1 to 4. It read 14 while the run, its tracer, the
+// collector's closure and its consumer slice were four objects,
+// occupancy and the rate window grew on the heap, Audit copied the
+// records, Snapshot copied both lists and a two-label child lookup
+// joined its key.
+const runTracerAllocationGate = 6
+
+// TestRunTracerAllocationGate pins a run's telemetry cost, end to end
+// through the hub: NewRunTracer, Start, one span, one audit record,
+// Snapshot, End.
+func TestRunTracerAllocationGate(t *testing.T) {
+	h := NewHub()
+	got := testing.AllocsPerRun(200, func() {
+		tr, run := h.NewRunTracer("gate")
+		tr.Start("gate", 1)
+		sp := tr.Begin(&trace.Span{Kind: trace.KindAtom, Platform: "java", Iteration: -1}, time.Time{})
+		tr.End(sp, engine.Metrics{InRecords: 4, OutRecords: 2}, nil)
+		tr.Audit(trace.CardAudit{OpID: 1, Estimated: 2, Actual: 2})
+		if snap := tr.Snapshot(); len(snap.Spans) != 1 || len(snap.Audits) != 1 {
+			t.Fatalf("snapshot holds %d spans and %d audits, want 1 and 1", len(snap.Spans), len(snap.Audits))
+		}
+		run.End(nil)
+	})
+	t.Logf("%.0f allocations per traced run (gate %d)", got, runTracerAllocationGate)
+	if got > runTracerAllocationGate {
+		t.Errorf("%.0f allocations per traced run, gate is %d", got, runTracerAllocationGate)
+	}
+}
+
+// TestRunSinkConcurrent drives one run's tracer from many goroutines, as
+// the scheduler does, while /runs is read: the run folds every event
+// under its tracer's lock, a fourth platform spills its occupancy past
+// the run's own array, and every count comes out exact.
+func TestRunSinkConcurrent(t *testing.T) {
+	h := NewHub()
+	tr, run := h.NewRunTracer("concurrent")
+	const workers, spans = 8, 50
+	tr.Start("concurrent", workers*spans)
+	stop, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				h.Runs().Status()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(platform engine.PlatformID) {
+			defer wg.Done()
+			for i := 0; i < spans; i++ {
+				sp := tr.Begin(&trace.Span{Kind: trace.KindAtom, Platform: platform, Iteration: -1}, time.Time{})
+				tr.End(sp, engine.Metrics{OutRecords: 1}, nil)
+				tr.Audit(trace.CardAudit{OpID: i})
+			}
+		}([]engine.PlatformID{"java", "sparksim", "relengine", "fourth"}[w%4])
+	}
+	wg.Wait()
+	close(stop)
+	<-scraped
+	st := h.Runs().Status()[0]
+	snap := tr.Snapshot()
+	if st.AtomsDone != workers*spans || st.RecordsOut != workers*spans || st.AtomsRunning != 0 ||
+		len(snap.Spans) != workers*spans || len(snap.Audits) != workers*spans {
+		t.Errorf("status %+v and %d spans, %d audits after %d spans", st, len(snap.Spans), len(snap.Audits), workers*spans)
+	}
+	run.End(nil)
 }

@@ -151,9 +151,34 @@ const (
 	typeHistogram = "histogram"
 )
 
-// labelKey joins label values into a map key. 0x1f (unit separator)
-// cannot appear in reasonable label values.
-func labelKey(values []string) string { return strings.Join(values, "\x1f") }
+// child returns the family's child in m for the label values, made by mk
+// on first use. Its key, the values joined by 0x1f (unit separator), is
+// built on the stack: only a new child's key becomes a string.
+func child[T any](f *family, m map[string]*T, values []string, mk func() *T) *T {
+	var buf [64]byte
+	key := buf[:0]
+	for i, v := range values {
+		if i > 0 {
+			key = append(key, '\x1f')
+		}
+		key = append(key, v...)
+	}
+	f.mu.RLock()
+	c := m[string(key)]
+	f.mu.RUnlock()
+	if c != nil {
+		return c
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c = m[string(key)]; c == nil {
+		c = mk()
+		k := string(key)
+		m[k] = c
+		f.order = append(f.order, k)
+	}
+	return c
+}
 
 // family is one named metric family: a set of children keyed by label
 // values, or a callback producing samples at scrape time. A gauge is
@@ -249,21 +274,7 @@ type CounterVec struct{ f *family }
 // With returns the child counter for the label values (created on
 // first use). len(values) must match the registered label names.
 func (v *CounterVec) With(values ...string) *Counter {
-	key := labelKey(values)
-	v.f.mu.RLock()
-	c := v.f.counters[key]
-	v.f.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	v.f.mu.Lock()
-	defer v.f.mu.Unlock()
-	if c = v.f.counters[key]; c == nil {
-		c = &Counter{}
-		v.f.counters[key] = c
-		v.f.order = append(v.f.order, key)
-	}
-	return c
+	return child(v.f, v.f.counters, values, func() *Counter { return &Counter{} })
 }
 
 // HistogramVec is a labelled histogram family.
@@ -271,21 +282,7 @@ type HistogramVec struct{ f *family }
 
 // With returns the child histogram for the label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	key := labelKey(values)
-	v.f.mu.RLock()
-	h := v.f.hists[key]
-	v.f.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	v.f.mu.Lock()
-	defer v.f.mu.Unlock()
-	if h = v.f.hists[key]; h == nil {
-		h = newHistogram(v.f.bounds)
-		v.f.hists[key] = h
-		v.f.order = append(v.f.order, key)
-	}
-	return h
+	return child(v.f, v.f.hists, values, func() *Histogram { return newHistogram(v.f.bounds) })
 }
 
 // labelsFor reconstructs name/value pairs from a child key.

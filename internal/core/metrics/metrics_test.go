@@ -193,3 +193,29 @@ func TestCheckName(t *testing.T) {
 		}
 	}
 }
+
+// TestWithExistingChildAllocatesNothing: every span end looks up
+// two-label children (rheem_atoms_total{platform,status}); finding one
+// that exists builds its key on the stack, and only a new child's key
+// becomes a string.
+func TestWithExistingChildAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	cv := r.CounterVec("lookups_total", "Lookups.", "platform", "status")
+	hv := r.HistogramVec("lookup_seconds", "Lookups.", LatencyBuckets, "platform", "format")
+	cv.With("java", "ok").Inc()
+	hv.With("java", "batch").Observe(1)
+	if got := testing.AllocsPerRun(100, func() {
+		cv.With("java", "ok").Inc()
+		hv.With("java", "batch").Observe(1)
+	}); got != 0 {
+		t.Errorf("looking up existing two-label children made %.0f allocations, want 0", got)
+	}
+	cv.With("sparksim", "error").Add(2)
+	snap := r.Snapshot()
+	// java/ok: one call before the window, and AllocsPerRun's 101.
+	for labels, want := range map[[2]string]float64{{"java", "ok"}: 102, {"sparksim", "error"}: 2} {
+		if got, ok := snap.Counter("lookups_total", map[string]string{"platform": labels[0], "status": labels[1]}); !ok || got != want {
+			t.Errorf("lookups_total%v = %v (present=%v), want %v", labels, got, ok, want)
+		}
+	}
+}

@@ -1,6 +1,6 @@
 // Live run progress: every Context.Execute registers a Run with the
-// hub's RunTracker, the span-stream collector updates it as atoms
-// start and finish, and the /runs endpoint serializes the tracker —
+// hub's RunTracker, the run folds its own span stream as atoms start
+// and finish, and the /runs endpoint serializes the tracker —
 // so a long multi-platform job can be watched while it executes
 // (atoms completed/total, current records/sec, per-platform atom
 // occupancy, failovers so far).
@@ -10,9 +10,12 @@ package metrics
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
+
+	"rheem/internal/core/trace"
 )
 
 // DefaultDoneHistory bounds how many finished runs /runs keeps
@@ -30,12 +33,13 @@ type rateSample struct {
 	records int64
 }
 
-// Run is one in-flight (or recently finished) Execute, updated by the
-// hub's span-stream collector. All methods are safe for concurrent
-// use.
+// Run is one in-flight (or recently finished) Execute. It owns its
+// tracer and is the tracer's sink; all methods are safe for concurrent use.
 type Run struct {
 	mu        sync.Mutex
-	tracker   *RunTracker // retires the run on End; nil in tests
+	tracker   *RunTracker // retires the run on End
+	col       *Collector  // nil on a run begun on a bare tracker
+	tracer    trace.Tracer
 	id        int64
 	name      string
 	startedAt time.Time
@@ -52,9 +56,12 @@ type Run struct {
 
 	recordsOut int64
 	// occupancy counts the atoms executing on each platform the run has
-	// started one on: as many entries as the registry has platforms.
+	// started one on: as many entries as the registry has platforms. It
+	// and the rate window spill from the run's arrays only past 3 and 4.
 	occupancy []occupant
 	window    []rateSample
+	occBuf    [3]occupant
+	winBuf    [4]rateSample
 
 	done bool
 	err  string
@@ -120,6 +127,10 @@ func (r *Run) Started() time.Time {
 	defer r.mu.Unlock()
 	return r.startedAt
 }
+
+// Consume folds one event of the run's span stream through the hub's
+// Collector: a Run is its tracer's trace.Sink.
+func (r *Run) Consume(e trace.Event) { r.col.fold(r, e) }
 
 // Ended returns when the run finished — zero while still in flight.
 func (r *Run) Ended() time.Time {
@@ -262,14 +273,15 @@ func (r *Run) status() RunStatus {
 }
 
 // RunTracker registers runs and serves their progress. One tracker is
-// shared by every Context bound to the same Hub.
+// shared by every Context bound to the same Hub. Its done-history keeps
+// a finished run's frozen status, not the run and its spans.
 type RunTracker struct {
 	mu      sync.Mutex
 	now     func() time.Time
 	nextID  int64
 	history int // finished runs kept; see SetDoneHistory
 	active  []*Run
-	done    []*Run // most recent last, bounded by history
+	done    []RunStatus // most recent last, bounded by history
 }
 
 // NewRunTracker returns an empty tracker keeping DefaultDoneHistory
@@ -317,6 +329,7 @@ func (t *RunTracker) Begin(name string) *Run {
 	defer t.mu.Unlock()
 	t.nextID++
 	r := &Run{tracker: t, id: t.nextID, name: name, now: t.now, startedAt: t.now()}
+	r.occupancy, r.window = r.occBuf[:0], r.winBuf[:0]
 	t.active = append(t.active, r)
 	return r
 }
@@ -329,64 +342,37 @@ func (t *RunTracker) Tracked() int {
 	return len(t.active) + len(t.done)
 }
 
-// retire moves a finished run from the active list into the bounded
-// done-history. Idempotent: a run already retired (or swept by Status)
-// is left alone.
+// retire moves a finished run's frozen status from the active list into
+// the bounded done-history. Idempotent: a run already retired is left
+// alone.
 func (t *RunTracker) retire(r *Run) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i, a := range t.active {
-		if a == r {
-			t.active = append(t.active[:i], t.active[i+1:]...)
-			t.done = append(t.done, r)
-			t.trimDoneLocked()
-			return
-		}
+	if i := slices.Index(t.active, r); i >= 0 {
+		t.active = slices.Delete(t.active, i, i+1) // clears the tail: nothing pins r
+		// The history is sized once, so a retirement never grows it.
+		t.done = append(slices.Grow(t.done, t.history-len(t.done)), r.status())
+		t.trimDoneLocked()
 	}
 }
 
 // trimDoneLocked drops the oldest finished runs past the history cap.
 func (t *RunTracker) trimDoneLocked() {
 	if excess := len(t.done) - t.history; excess > 0 {
-		// Copy down and nil out the tail so evicted runs (and their
-		// rate windows) are actually garbage-collectable.
-		copy(t.done, t.done[excess:])
-		for i := len(t.done) - excess; i < len(t.done); i++ {
-			t.done[i] = nil
-		}
-		t.done = t.done[:len(t.done)-excess]
+		t.done = slices.Delete(t.done, 0, excess) // clears the tail too
 	}
 }
 
 // Status snapshots every tracked run: in-flight runs first (oldest
-// first), then up to the history cap of finished ones. Runs normally
-// retire themselves on End; the sweep here is a safety net for runs
-// created without a tracker backlink (direct struct literals in
-// tests).
+// first), then up to the history cap of finished ones.
 func (t *RunTracker) Status() []RunStatus {
 	t.mu.Lock()
-	var stillActive []*Run
+	out := make([]RunStatus, 0, len(t.active)+len(t.done))
 	for _, r := range t.active {
-		r.mu.Lock()
-		finished := r.done
-		r.mu.Unlock()
-		if finished {
-			t.done = append(t.done, r)
-		} else {
-			stillActive = append(stillActive, r)
-		}
-	}
-	t.active = stillActive
-	t.trimDoneLocked()
-	runs := make([]*Run, 0, len(t.active)+len(t.done))
-	runs = append(runs, t.active...)
-	runs = append(runs, t.done...)
-	t.mu.Unlock()
-
-	out := make([]RunStatus, 0, len(runs))
-	for _, r := range runs {
 		out = append(out, r.status())
 	}
+	out = append(out, t.done...)
+	t.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Done != out[j].Done {
 			return !out[i].Done

@@ -169,24 +169,29 @@ func (p *Plan) IDBound() int {
 	return n
 }
 
+// algos backs every decision space Candidates returns, each sliced to
+// its own length and capacity: one read-only array, never a new slice.
+var algos = [...]Algorithm{HashGroupBy, SortGroupBy, HashJoin, SortMergeJoin,
+	IEJoin, NestedLoop, HashDistinct, SortDistinct, Default}
+
 // Candidates returns the algorithmic decision space of an operator —
 // the alternatives "from which the optimizer of the core level will
-// have to choose" (paper Example 2).
+// have to choose" (paper Example 2). Callers share it and only read it.
 func Candidates(o *Operator) []Algorithm {
 	switch o.Kind() {
 	case plan.KindGroupBy, plan.KindReduceByKey:
-		return []Algorithm{HashGroupBy, SortGroupBy}
+		return algos[0:2:2] // HashGroupBy, SortGroupBy
 	case plan.KindJoin:
-		return []Algorithm{HashJoin, SortMergeJoin}
+		return algos[2:4:4] // HashJoin, SortMergeJoin
 	case plan.KindThetaJoin:
 		if len(o.Logical.Conditions()) > 0 {
-			return []Algorithm{IEJoin, NestedLoop}
+			return algos[4:6:6] // IEJoin, NestedLoop
 		}
-		return []Algorithm{NestedLoop}
+		return algos[5:6:6] // NestedLoop
 	case plan.KindDistinct:
-		return []Algorithm{HashDistinct, SortDistinct}
+		return algos[6:8:8] // HashDistinct, SortDistinct
 	default:
-		return []Algorithm{Default}
+		return algos[8:9:9] // Default
 	}
 }
 

@@ -139,6 +139,56 @@ func TestCandidates(t *testing.T) {
 	}
 }
 
+// candidatesFn is Candidates behind a package variable, so a call
+// through it is never inlined into the caller.
+var (
+	candidatesFn = Candidates
+	candidatesTo []Algorithm
+)
+
+// TestCandidatesAllocateNothing hands out the decision space of an
+// operator of every kind through a call that is not inlined: it must
+// allocate nothing, which a slice literal does only while the inliner
+// lets the caller's stack hold it.
+func TestCandidatesAllocateNothing(t *testing.T) {
+	mapFn := func(r data.Record) (data.Record, error) { return r, nil }
+	reduceFn := func(a, _ data.Record) (data.Record, error) { return a, nil }
+	pred := func(data.Record, data.Record) (bool, error) { return true, nil }
+	key := plan.FieldKey(0)
+	bb := plan.NewBodyBuilder("body")
+	in := bb.LoopInput("in")
+	bb.Collect(bb.Map(in, mapFn))
+	body := bb.MustBuild()
+
+	b := plan.NewBuilder("kinds")
+	s := b.Source("s", plan.Collection(nil))
+	ops := []*plan.Operator{
+		s, in, b.Map(s, mapFn),
+		b.FlatMap(s, func(r data.Record) ([]data.Record, error) { return nil, nil }),
+		b.Filter(s, func(data.Record) (bool, error) { return true, nil }),
+		b.GroupBy(s, key, func(_ data.Value, g []data.Record) ([]data.Record, error) { return g, nil }),
+		b.ReduceByKey(s, key, reduceFn), b.Reduce(s, reduceFn), b.Sort(s, key, false),
+		b.Distinct(s), b.Union(s, s), b.Join(s, s, key, key), b.ThetaJoin(s, s, pred),
+		b.ThetaJoin(s, s, nil, plan.IECondition{Op: plan.Less}), b.Cartesian(s, s),
+		b.Count(s), b.Sample(s, 1), b.Repeat(s, 2, body),
+		b.DoWhile(s, func(int, []data.Record) (bool, error) { return false, nil }, 2, body),
+		b.Collect(s),
+	}
+	seen := map[plan.OpKind]bool{}
+	for _, lop := range ops {
+		op := &Operator{Logical: lop}
+		seen[lop.Kind()] = true
+		if got := testing.AllocsPerRun(100, func() { candidatesTo = candidatesFn(op) }); got != 0 {
+			t.Errorf("Candidates of a %s made %.0f allocations, want 0", lop.Kind(), got)
+		}
+	}
+	for k := plan.KindSource; k <= plan.KindSink; k++ {
+		if !seen[k] {
+			t.Errorf("no %s operator was checked", k)
+		}
+	}
+}
+
 func TestRemoveAndNormalize(t *testing.T) {
 	p, _ := FromLogical(buildLogical(t))
 	var filterOp *Operator

@@ -17,8 +17,8 @@ import (
 //
 // Time attribution: a KindAtom span's measured compute time is
 // Metrics.Sim minus the input-conversion share (ConvTime), and its
-// KindEst map says how the optimizer split the RAW estimate across the
-// atom's operator kinds. The measured time is apportioned over the
+// KindEst says how the optimizer split the RAW estimate across the
+// atom's operator kinds, in a fixed order: one trace, one sequence. The measured time is apportioned over the
 // kinds by their estimated share — within one atom there is no finer
 // measurement — so each kind's observation keeps its own estimate but
 // sees the atom-level actual/estimated ratio. Failed spans, loop spans
@@ -40,24 +40,24 @@ func Observations(spans []*trace.Span, audits []trace.CardAudit) ([]cost.AtomObs
 			continue
 		}
 		var totalEst int64
-		for _, ns := range sp.KindEst {
-			if ns > 0 {
-				totalEst += ns
+		for _, k := range sp.KindEst {
+			if k.NS > 0 {
+				totalEst += k.NS
 			}
 		}
 		if totalEst <= 0 {
 			continue
 		}
 		ratio := float64(actual) / float64(totalEst)
-		for kind, ns := range sp.KindEst {
-			if ns <= 0 {
+		for _, k := range sp.KindEst {
+			if k.NS <= 0 {
 				continue
 			}
 			atoms = append(atoms, cost.AtomObs{
-				Kind:      kind,
+				Kind:      k.Kind,
 				Platform:  string(sp.Platform),
-				Estimated: time.Duration(ns),
-				Actual:    time.Duration(float64(ns) * ratio),
+				Estimated: time.Duration(k.NS),
+				Actual:    time.Duration(float64(k.NS) * ratio),
 			})
 		}
 	}

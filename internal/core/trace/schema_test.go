@@ -35,7 +35,7 @@ func fullTrace() *Trace {
 		Iteration: 3, Shard: 1, Shards: 4, Job: "job-1", Tenant: "t",
 		StartedAt: at, EndedAt: at.Add(time.Second), QueueWait: 5, Wall: 6,
 		ConvTime: 7, ConvBytes: 8, ConvSteps: 9, InFormats: map[string]int{"batch": 1},
-		EstCost: 10, KindEst: map[string]int64{"Map": 11},
+		EstCost: 10, KindEst: KindCosts{{Kind: "Map", NS: 11}},
 		Attempts: []Attempt{{Number: 1, Wall: 12, Err: "boom", Fatal: true}},
 		Retries:  1, Metrics: m, Err: "boom", Atom: &engine.TaskAtom{},
 	}

@@ -9,19 +9,20 @@
 // channel, and the raw material for any future learned cost model.
 //
 // The Tracer is a synchronous span stream: the executor publishes span
-// lifecycle events, and any number of Consumers observe them. Consumer
-// callbacks are serialized by the tracer's lock, so a consumer needs no
-// synchronization of its own — whoever monitors a run (rheem.WithMonitor,
-// the metrics hub) is exactly such a consumer. Finished
-// spans and audit records accumulate in the tracer and are exported as
-// an immutable Trace snapshot, which can be dumped as flame-friendly
-// JSON (one line per span).
+// lifecycle events to the tracer's Sink (the metrics hub's run) and to
+// any number of Consumers (rheem.WithMonitor). Both are called under the
+// tracer's lock, so neither needs synchronization of its own. Finished
+// spans and audit records accumulate in the tracer and are handed over,
+// not copied, as an immutable Trace snapshot, which can be dumped as
+// flame-friendly JSON (one line per span).
 package trace
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -129,7 +130,7 @@ type Span struct {
 	// atom time against these — raw, so the learning target never moves
 	// as calibration itself kicks in. Empty on spans the optimizer did
 	// not cost (loops, service phases).
-	KindEst map[string]int64 `json:"kind_est_ns,omitempty"`
+	KindEst KindCosts `json:"kind_est_ns,omitempty"`
 
 	Attempts []Attempt `json:"attempts,omitempty"`
 	// Retries counts attempts that were retried (len(Attempts)-1 for
@@ -148,6 +149,36 @@ type Span struct {
 
 // Failed reports whether the span ended in an error.
 func (s *Span) Failed() bool { return s.Err != "" }
+
+// KindCost is one operator kind's share of an atom's estimated cost.
+type KindCost struct {
+	Kind string
+	NS   int64
+}
+
+// KindCosts is a span's per-kind cost split, a kind's entry where it is
+// first seen. Its JSON is a map's object, {"Map": 11}, in sorted order.
+type KindCosts []KindCost
+
+// MarshalJSON writes the split as a JSON object keyed by kind.
+func (k KindCosts) MarshalJSON() ([]byte, error) {
+	m := make(map[string]int64, len(k))
+	for _, c := range k {
+		m[c.Kind] += c.NS
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON reads a JSON object keyed by kind.
+func (k *KindCosts) UnmarshalJSON(b []byte) error {
+	var m map[string]int64
+	err := json.Unmarshal(b, &m)
+	for kind, ns := range m {
+		*k = append(*k, KindCost{Kind: kind, NS: ns})
+	}
+	sort.Slice(*k, func(i, j int) bool { return (*k)[i].Kind < (*k)[j].Kind })
+	return err
+}
 
 // CardAudit is one estimate-vs-actual record of the optimizer audit
 // trail: for an operator whose output crossed an atom boundary, the
@@ -240,12 +271,17 @@ type Event struct {
 // SpanEnd.
 type Consumer func(Event)
 
+// Sink is a Consumer with state of its own (the metrics hub's run) that
+// costs no closure to wire. The tracer calls it first, under the same rules.
+type Sink interface{ Consume(Event) }
+
 // Tracer collects a run's spans and audit records and fans events out
-// to consumers. All methods are safe for concurrent use — the executor
-// publishes from many scheduler goroutines at once.
+// to its sink and consumers. All methods are safe for concurrent use —
+// the executor publishes from many scheduler goroutines at once.
 type Tracer struct {
 	mu        sync.Mutex
 	now       func() time.Time
+	sink      Sink
 	consumers []Consumer
 	spans     []*Span
 	audits    []CardAudit
@@ -253,8 +289,14 @@ type Tracer struct {
 }
 
 // New returns a tracer with the given initial consumers.
-func New(consumers ...Consumer) *Tracer {
-	return &Tracer{now: time.Now, consumers: consumers}
+func New(consumers ...Consumer) *Tracer { return new(Tracer).Init(nil, consumers...) }
+
+// Init readies a zero Tracer held by value with its sink (nil for none)
+// and consumers, and returns it. Empty lists are non-nil: they encode as [].
+func (t *Tracer) Init(sink Sink, consumers ...Consumer) *Tracer {
+	t.now, t.sink, t.consumers = time.Now, sink, consumers
+	t.spans, t.audits = []*Span{}, []CardAudit{}
+	return t
 }
 
 // SetClock injects a clock (tests only).
@@ -273,6 +315,9 @@ func (t *Tracer) Now() time.Time {
 }
 
 func (t *Tracer) emitLocked(e Event) {
+	if t.sink != nil {
+		t.sink.Consume(e)
+	}
 	for _, c := range t.consumers {
 		c(e)
 	}
@@ -361,30 +406,30 @@ func (t *Tracer) PlanDone(m engine.Metrics) {
 }
 
 // Audit appends estimate-vs-actual records to the audit trail and
-// emits them to consumers as one AuditRecords event.
+// emits them to consumers as one AuditRecords event. An empty trail
+// adopts the caller's slice: the caller must not write to it again.
 func (t *Tracer) Audit(records ...CardAudit) {
 	if len(records) == 0 {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.audits = append(t.audits, records...)
+	if len(t.audits) == 0 {
+		t.audits = records
+	} else {
+		t.audits = append(t.audits, records...)
+	}
 	t.emitLocked(Event{Kind: AuditRecords, Audits: records})
 }
 
 // Snapshot exports the finished spans and audit records collected so
-// far. The returned Trace shares span pointers but every shared span
-// has ended, so it is safe to read (and serialize) concurrently.
+// far: the tracer's own slices, capped, so later End and Audit calls
+// and appends to the snapshot never meet. Every span it holds has
+// ended, so it is safe to read (and serialize) concurrently.
 func (t *Tracer) Snapshot() *Trace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	tr := &Trace{
-		Spans:  make([]*Span, len(t.spans)),
-		Audits: make([]CardAudit, len(t.audits)),
-	}
-	copy(tr.Spans, t.spans)
-	copy(tr.Audits, t.audits)
-	return tr
+	return &Trace{Spans: slices.Clip(t.spans), Audits: slices.Clip(t.audits)}
 }
 
 // Trace is an immutable export of a run's spans and audit trail.

@@ -204,7 +204,7 @@ func TestWriteJSONGoldenLines(t *testing.T) {
 		Plan: "q1", Iteration: -1, Shard: -1,
 	}, time.Time{})
 	sp.InFormats = map[string]int{"collection": 2, "batch": 1}
-	sp.KindEst = map[string]int64{"Map": 500}
+	sp.KindEst = KindCosts{{Kind: "Map", NS: 500}}
 	tr.End(sp, engine.Metrics{Jobs: 1, OutRecords: 5}, nil)
 	shard := tr.Begin(&Span{
 		Kind: KindShard, AtomID: 7, Name: "map", Platform: "java",
@@ -242,5 +242,55 @@ func TestWriteJSONGoldenLines(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("line %d:\n got %s\nwant %s", i+1, got[i], want[i])
 		}
+	}
+}
+
+// TestSnapshotHandedOverNotShared: a snapshot hands over the tracer's
+// own slices, capped, so spans ended and records audited after it —
+// which land in the tracer's spare capacity — never show in it, and an
+// append to it never writes into the tracer's.
+func TestSnapshotHandedOverNotShared(t *testing.T) {
+	tr := New()
+	end := func(id int) {
+		sp := tr.Begin(&Span{Kind: KindAtom, AtomID: id}, time.Time{})
+		tr.End(sp, engine.Metrics{}, nil)
+	}
+	for id := 0; id < 3; id++ {
+		end(id) // the span list's capacity is now 4
+	}
+	tr.Audit(append(make([]CardAudit, 0, 8), CardAudit{OpID: 0})...) // adopted with spare capacity
+	snap := tr.Snapshot()
+	end(3)
+	tr.Audit(CardAudit{OpID: 1})
+	if len(snap.Spans) != 3 || len(snap.Audits) != 1 || snap.Spans[2].AtomID != 2 || snap.Audits[0].OpID != 0 {
+		t.Fatalf("a later End or Audit changed the snapshot: %d spans, %d audits", len(snap.Spans), len(snap.Audits))
+	}
+	snap.Spans = append(snap.Spans, &Span{AtomID: 99})
+	snap.Audits = append(snap.Audits, CardAudit{OpID: 99})
+	now := tr.Snapshot()
+	if len(now.Spans) != 4 || now.Spans[3].AtomID != 3 || len(now.Audits) != 2 || now.Audits[1].OpID != 1 {
+		t.Errorf("an append to a snapshot wrote into the tracer: spans %d (last atom %d), audits %v",
+			len(now.Spans), now.Spans[len(now.Spans)-1].AtomID, now.Audits)
+	}
+}
+
+// TestKindCostsJSONIsAnObject: the per-kind split reads and writes the
+// object a map makes, keys sorted, so the trace line never changed
+// when the split became a slice.
+func TestKindCostsJSONIsAnObject(t *testing.T) {
+	k := KindCosts{{Kind: "Sink", NS: 1}, {Kind: "Map", NS: 11}}
+	b, err := json.Marshal(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"Map":11,"Sink":1}`; string(b) != want {
+		t.Errorf("KindCosts encodes as %s, want %s", b, want)
+	}
+	var back KindCosts
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != 2 || back[0] != (KindCost{Kind: "Map", NS: 11}) || back[1] != (KindCost{Kind: "Sink", NS: 1}) {
+		t.Errorf("KindCosts decodes as %v", back)
 	}
 }

@@ -26,9 +26,12 @@ import (
 // 16-byte DP cells and other scratch are leased, a logical plan whose
 // operators keep their inputs inline in 112 bytes, a catalog scan that
 // takes the table's records as its row form, a run whose state is
-// leased, and two-word data quanta (79/88/85/84/86/86/70/106 objects,
-// 19.2/9.7/8.8/8.9/8.1/7.6/7.1/16.8 KB at GOMAXPROCS 1 to 4, twenty
-// readings). With every operator carrying every kind's fields in 320
+// leased, a run whose telemetry is the run itself, handing its trace
+// over, and two-word data quanta (68/77/74/74/75/75/59/95 objects,
+// 18.9/9.4/8.6/8.9/7.9/7.4/6.9/16.6 KB at GOMAXPROCS 1 to 4, twenty
+// readings). With a tracer, closure and consumer slice apart from each
+// run and its trace copied out they read 79/88/85/84/86/86/70/106
+// objects and 19.2/9.7/8.8/8.9/8.1/7.6/7.1/16.8 KB. With every operator carrying every kind's fields in 320
 // bytes and a scan deriving its row form from the columns they read
 // 81/90/87/86/88/88/72/108 objects and 20.3/10.6/9.7/10.1/9.1/8.5/8.0/
 // 18.1 KB, pinned 1.4 KB higher in bytes for when one query of the
@@ -58,14 +61,14 @@ var sqlGateTemplates = []struct {
 	name, sql      string
 	objects, bytes float64
 }{
-	{"filter", "SELECT well, pressure FROM sensors WHERE pressure > 175.5 AND hour < 52", 83, 20300},
-	{"group", "SELECT well, COUNT(*) AS n, AVG(pressure) AS p FROM sensors WHERE hour < 40 GROUP BY well", 92, 10400},
-	{"having", "SELECT well, AVG(temperature) AS t FROM sensors GROUP BY well HAVING t > 68.5", 89, 9400},
-	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 88, 9600},
-	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 90, 8700},
-	{"global", "SELECT COUNT(*) AS n, MAX(pressure) AS hi, MIN(flow) AS lo FROM sensors WHERE temperature < 73.0", 90, 8200},
-	{"wordfilter", "SELECT word FROM words WHERE word = 'big'", 73, 7700},
-	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 111, 17800},
+	{"filter", "SELECT well, pressure FROM sensors WHERE pressure > 175.5 AND hour < 52", 71, 20000},
+	{"group", "SELECT well, COUNT(*) AS n, AVG(pressure) AS p FROM sensors WHERE hour < 40 GROUP BY well", 81, 10100},
+	{"having", "SELECT well, AVG(temperature) AS t FROM sensors GROUP BY well HAVING t > 68.5", 77, 9200},
+	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 77, 9600},
+	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 78, 8500},
+	{"global", "SELECT COUNT(*) AS n, MAX(pressure) AS hi, MIN(flow) AS lo FROM sensors WHERE temperature < 73.0", 78, 8000},
+	{"wordfilter", "SELECT word FROM words WHERE word = 'big'", 62, 7500},
+	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 99, 17600},
 }
 
 // TestSQLAllocationGate is ROADMAP item 2's gate on the SQL path: a
@@ -122,9 +125,12 @@ func TestSQLAllocationGate(t *testing.T) {
 // job of it, a plan's per-operator state, an atom's exits and a run's
 // platform counts in slices, and an optimizer whose 16-byte DP cells and
 // other scratch are leased, a logical plan whose operators keep their
-// inputs inline in 112 bytes and a run whose state is leased (81 / 164 /
-// 147 objects, 7.1 / 14.9 / 69.2 KB at GOMAXPROCS 1 to 4, twenty
-// readings). With every operator carrying every kind's fields in 320
+// inputs inline in 112 bytes, a run whose state is leased and a run
+// whose telemetry is the run itself, handing its trace over (70 / 153 /
+// 136 objects, 6.8 / 14.6 / 69.0 KB at GOMAXPROCS 1 to 4, twenty
+// readings). With a tracer, closure and consumer slice apart from each
+// run and its trace copied out they read 81 / 164 / 147 objects and
+// 7.1 / 14.9 / 69.2 KB. With every operator carrying every kind's fields in 320
 // bytes they read 81–82 / 164 / 147 objects and 7.9–8.0 / 16.1 / 71.3
 // KB. With a slice per logical edge and the run's state made per
 // Run they read 92 / 178 / 165–166 objects and 8.3–8.5 / 16.6–16.8 /
@@ -151,9 +157,9 @@ func TestSQLAllocationGate(t *testing.T) {
 // records generated one by one 12 200 / 12 286 / 2 037 objects and 0.70 /
 // 1.76 / 0.14 MB.
 var builtinGate = []struct{ objects, bytes float64 }{
-	{85, 7_700},   // wordcount, n = 4 000
-	{171, 15_800}, // sensor, n = 4 000
-	{153, 72_300}, // fanout, 200 × 4
+	{73, 7_400},   // wordcount, n = 4 000
+	{160, 15_600}, // sensor, n = 4 000
+	{142, 72_100}, // fanout, 200 × 4
 }
 
 // TestBuiltinAllocationGate is ROADMAP item 2a's gate: the service's own

@@ -30,6 +30,7 @@ package rheem
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"rheem/internal/core/cost"
@@ -361,14 +362,10 @@ func (c *Context) Execute(p *plan.Plan, opts ...RunOption) ([]data.Record, *Repo
 	// calibrator folds whatever finished: completed spans of a failed run
 	// are still evidence about the cost model. A finished run hands them
 	// the trace the executor took; a failed one's result carries none, so
-	// the spans that completed come from the tracer. So does the
-	// recorder's copy when the Report carries res.Trace: the caller owns
-	// that one.
-	var snap *trace.Trace
-	if err != nil || rc.tracing {
+	// the spans that completed come from the tracer.
+	snap := res.Trace
+	if err != nil {
 		snap = tracer.Snapshot()
-	} else {
-		snap = res.Trace
 	}
 	if rec := c.hub.FlightRecorder(); rec != nil {
 		rec.Record(run.ID(), p.Name(), run.Started(), run.Ended(), err, snap)
@@ -389,7 +386,9 @@ func (c *Context) Execute(p *plan.Plan, opts ...RunOption) ([]data.Record, *Repo
 	rep.Metrics = res.Metrics
 	rep.PlatformHealth = res.PlatformHealth
 	if rc.tracing {
-		rep.Trace = res.Trace
+		// The caller owns this trace: it shares no slice with the one the
+		// recorder keeps.
+		rep.Trace = &trace.Trace{Spans: slices.Clone(snap.Spans), Audits: slices.Clone(snap.Audits)}
 		rep.Telemetry = c.hub.Registry().Snapshot()
 	}
 	return res.Records, rep, nil

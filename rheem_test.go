@@ -389,6 +389,37 @@ func TestWithTracingExposesTraceAndStats(t *testing.T) {
 	}
 }
 
+// TestTracedReportSharesNoSliceWithRecorder: the trace a WithTracing
+// caller receives is the caller's to change; the flight recorder and the
+// calibrator read the run's own, so the two share no backing array.
+func TestTracedReportSharesNoSliceWithRecorder(t *testing.T) {
+	ctx := newCtx(t)
+	rec := profile.NewRecorder(8, nil)
+	ctx.Telemetry().SetFlightRecorder(rec)
+	_, rep, err := ctx.NewJob("handover").ReadCollection("words", datagen.Words(200, 2)).
+		Map(func(r data.Record) (data.Record, error) { return r.Append(data.Int(1)), nil }).
+		ReduceByKey(plan.FieldKey(0), plan.SumField(1)).
+		Collect(rheem.WithTracing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, ok := rec.Get(rep.RunID)
+	if !ok {
+		t.Fatalf("the recorder has no record of run %d", rep.RunID)
+	}
+	if len(rep.Trace.Spans) == 0 || len(rep.Trace.Spans) != len(kept.Spans) ||
+		len(rep.Trace.Audits) == 0 || len(rep.Trace.Audits) != len(kept.Audits) {
+		t.Fatalf("report holds %d spans and %d audits, the recorder %d and %d",
+			len(rep.Trace.Spans), len(rep.Trace.Audits), len(kept.Spans), len(kept.Audits))
+	}
+	if &rep.Trace.Spans[0] == &kept.Spans[0] {
+		t.Error("the report's spans share their backing array with the recorder's")
+	}
+	if &rep.Trace.Audits[0] == &kept.Audits[0] {
+		t.Error("the report's audits share their backing array with the recorder's")
+	}
+}
+
 // TestReportSnapshotsDoNotAlias pins the Report contract: the
 // telemetry snapshot is a deep copy, so mutating a finished report
 // cannot corrupt the live registry a subsequent run reads and extends.
@@ -872,7 +903,10 @@ func TestHintedChainAllocationGate(t *testing.T) {
 		// optimizing the plan, the atom's spans and channels — not the
 		// pipeline's window-sized buffers, which are leased: a forcing
 		// that allocates its window scratch again reads 60 KB. Measured
-		// at 63–64 objects and 5.2–5.3 KB at GOMAXPROCS 1 to 4 (6.3–7.4 KB
+		// at 51 objects and 5.0 KB at GOMAXPROCS 1 to 4, 20 readings (63–64
+		// objects and 5.2–5.3 KB while a run's telemetry was a tracer, a
+		// closure and a consumer slice apart from the run, and its trace
+		// was copied on the way out; 6.3–7.4 KB
 		// while every operator carried every kind's fields in 320 bytes,
 		// 76–77 and 6.8–6.9 KB while every logical edge was a slice of its own and
 		// a Run allocated its state, 81 and 8.5 KB while the
