@@ -6,7 +6,6 @@ package rheem_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -301,34 +300,24 @@ func BenchmarkExecutorParallelismProfiled(b *testing.B) {
 	}
 }
 
-// --- E11 / sharded intra-atom execution -----------------------------------
+// --- E11 / one intra-atom parallelism: row windows ------------------------
 
-// BenchmarkShardedExecution runs the wide single-atom chain (one
-// source feeding a Map+Filter chain with per-record work — no
-// independent branches, so inter-atom scheduling cannot help) at shard
-// fan-out 1 vs GOMAXPROCS (at least 4, since the fan-out models
-// platform slots, not host threads). The sharded variant's wall time
-// shrinks toward the slowest shard; records are identical either way.
+// BenchmarkShardedExecution runs the wide single-atom chain (one source
+// feeding a Map+Filter chain with CPU-bound per-record work over eight
+// row windows and a ragged ninth — no independent branches, so
+// inter-atom scheduling cannot help). Its windows run on engine's helper
+// runtime, so run it at -cpu 1,2 to see the atom's wall time shrink;
+// records are identical at every width.
 func BenchmarkShardedExecution(b *testing.B) {
 	ctx := benchCtx(b)
-	const recs = 200
-	const delay = 100 * time.Microsecond
-	wide := runtime.GOMAXPROCS(0)
-	if wide < 4 {
-		wide = 4
-	}
-	for _, shards := range []int{1, wide} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := bench.RunWideTraced(ctx.Registry(), nil, recs, delay, shards)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Records) != bench.WideRecords(recs) {
-					b.Fatalf("%d records", len(res.Records))
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		res, err := bench.RunWideTraced(ctx.Registry(), nil, bench.WideRows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Records) != bench.WideRecords(bench.WideRows) {
+			b.Fatalf("%d records", len(res.Records))
+		}
 	}
 }
 

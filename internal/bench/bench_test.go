@@ -130,7 +130,7 @@ func TestForcedRunsAreRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctx.Close()
-	if _, err := RunWideTraced(ctx.Registry(), hub, 20, 0, 2); err != nil {
+	if _, err := RunWideTraced(ctx.Registry(), hub, 20); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := RunColumnarTraced(ctx, hub, ColumnarRecords(100), true); err != nil {

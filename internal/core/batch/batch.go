@@ -3,8 +3,8 @@
 // showed is the decisive lever against the row-at-a-time tax at the
 // abstraction layer. A Batch is exchanged between platforms through
 // the channel conversion graph (channel.Batch); vectorized execution
-// operators loop over its columns without boxing values, and shard
-// fan-out takes zero-copy column-slice views.
+// operators loop over its columns without boxing values, and a Slice
+// of one is a zero-copy column view.
 //
 // The format is lossless over the full data.Record model. Columns
 // whose values are uniformly one scalar kind become typed slices

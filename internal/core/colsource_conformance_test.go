@@ -102,7 +102,7 @@ func checkSharedSources(t *testing.T) {
 }
 
 // TestColumnarSourceMatchesRowSource: a plan whose sources keep their
-// records at rest in column form gives, on every platform and shard width,
+// records at rest in column form gives, on every platform and GOMAXPROCS,
 // the bytes — or the error — it gives over row sources. In one atom with
 // its readers (the hinted battery: empty, one row, nulls, a mixed-kind
 // column, ragged records, which a batch only carries as rows; the column
@@ -126,14 +126,15 @@ func TestColumnarSourceMatchesRowSource(t *testing.T) {
 			clear(sharedSources)
 			defer checkSharedSources(t)
 			for _, target := range confPlatforms {
-				for _, shards := range []int{1, 4} {
-					want, wantErr := runInAtom(t, rowTwins[i], target, shards, true, false)
-					got, gotErr := runInAtom(t, c, target, shards, true, true)
+				for _, workers := range confWorkers {
+					setWorkers(t, workers)
+					want, wantErr := runInAtom(t, rowTwins[i], target, true, false)
+					got, gotErr := runInAtom(t, c, target, true, true)
 					switch {
 					case (wantErr == nil) != (gotErr == nil), wantErr != nil && wantErr.Error() != gotErr.Error():
-						t.Errorf("on %s shards=%d: failed with %v over rows, %v over columns", target, shards, wantErr, gotErr)
+						t.Errorf("on %s at GOMAXPROCS %d: failed with %v over rows, %v over columns", target, workers, wantErr, gotErr)
 					case got != want:
-						t.Errorf("on %s shards=%d: the columnar source diverges from the row source", target, shards)
+						t.Errorf("on %s at GOMAXPROCS %d: the columnar source diverges from the row source", target, workers)
 					}
 				}
 			}
@@ -146,9 +147,10 @@ func TestColumnarSourceMatchesRowSource(t *testing.T) {
 			atRest := c
 			atRest.columns = true
 			for _, target := range confPlatforms {
-				for _, shards := range []int{1, 4} {
-					if runConformance(t, atRest, target, shards, true) != runConformance(t, c, target, shards, true) {
-						t.Errorf("on %s shards=%d: the columnar source diverges from the row source", target, shards)
+				for _, workers := range confWorkers {
+					setWorkers(t, workers)
+					if runConformance(t, atRest, target, true) != runConformance(t, c, target, true) {
+						t.Errorf("on %s at GOMAXPROCS %d: the columnar source diverges from the row source", target, workers)
 					}
 				}
 			}

@@ -3,8 +3,8 @@
 // paper's central promise is that platform choice is a *cost* decision,
 // never a *semantics* decision (§2: "the same logical plan can run on
 // any platform with the same result"). This suite enforces that: each
-// plan shape in the battery runs on every platform and at shards=1 vs
-// shards=4, and the canonicalized outputs must be byte-identical.
+// plan shape in the battery runs on every platform at GOMAXPROCS 1 and
+// 4, and the canonicalized outputs must be byte-identical.
 //
 // The single-node engine runs operators built with the column-hint
 // helpers on vectorized kernels and everything else row by row. That is
@@ -23,6 +23,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -46,6 +47,19 @@ import (
 // confPlatforms are the conformance targets: every platform that maps
 // the full operator set.
 var confPlatforms = []engine.PlatformID{javaengine.ID, sparksim.ID, relengine.ID}
+
+// confWorkers is the suites' workers axis: every case runs at GOMAXPROCS
+// 1 and 4, so a platform's parallelism inside an atom — javaengine's row
+// windows, sparksim's partitions, on engine's helper runtime — must not
+// change a byte of any answer.
+var confWorkers = []int{1, 4}
+
+// setWorkers sets GOMAXPROCS for one step of a workers loop; the value
+// the test started with comes back when it ends.
+func setWorkers(t *testing.T, workers int) {
+	old := runtime.GOMAXPROCS(workers)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
 
 func confRegistry(t *testing.T) *engine.Registry {
 	t.Helper()
@@ -169,22 +183,21 @@ func confPlan(c confCase, name string) *plan.Plan {
 	return b.MustBuild()
 }
 
-// runConformance executes one case on one platform with the given
-// shard fan-out and returns the canonicalized output. The sources are
-// pinned to a *different* feeder platform so the compute chain is a
-// separate atom with an external input — the shape sharding applies
-// to — and every result crosses a real platform boundary. hinted=false
-// runs the case's UDF twin.
-func runConformance(t *testing.T, c confCase, target engine.PlatformID, shards int, hinted bool) string {
+// runConformance executes one case on one platform and returns the
+// canonicalized output. The sources are pinned to a *different* feeder
+// platform so the compute chain is a separate atom with an external
+// input, and every result crosses a real platform boundary.
+// hinted=false runs the case's UDF twin.
+func runConformance(t *testing.T, c confCase, target engine.PlatformID, hinted bool) string {
 	t.Helper()
-	return runConformanceCal(t, c, target, shards, hinted, nil)
+	return runConformanceCal(t, c, target, hinted, nil)
 }
 
 // runConformanceCal is runConformance with a cost calibrator threaded
 // into both the optimizer and the executor (mid-run re-planning), the
 // way rheem.Execute wires one — the calibration differential suite's
 // entry point.
-func runConformanceCal(t *testing.T, c confCase, target engine.PlatformID, shards int, hinted bool, cal *cost.Calibrator) string {
+func runConformanceCal(t *testing.T, c confCase, target engine.PlatformID, hinted bool, cal *cost.Calibrator) string {
 	t.Helper()
 	reg := confRegistry(t)
 	// The java target is fed from relengine, whose direct Table → Batch
@@ -195,7 +208,7 @@ func runConformanceCal(t *testing.T, c confCase, target engine.PlatformID, shard
 		feeder = relengine.ID
 	}
 
-	pp, err := physical.FromLogical(confPlan(c, fmt.Sprintf("conf-%s-%s-%d", c.name, target, shards)))
+	pp, err := physical.FromLogical(confPlan(c, fmt.Sprintf("conf-%s-%s", c.name, target)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +216,7 @@ func runConformanceCal(t *testing.T, c confCase, target engine.PlatformID, shard
 		udfTwin(pp)
 	}
 
-	opts := optimizer.Options{DisableRules: true, Shards: shards, Calibration: cal}
+	opts := optimizer.Options{DisableRules: true, Calibration: cal}
 	if c.loop {
 		opts.FixedPlatform = target
 	} else {
@@ -230,7 +243,7 @@ func runConformanceCal(t *testing.T, c confCase, target engine.PlatformID, shard
 	}
 	res, err := executor.Run(ep, reg, executor.Options{Calibration: cal})
 	if err != nil {
-		t.Fatalf("%s on %s (shards=%d): %v", c.name, target, shards, err)
+		t.Fatalf("%s on %s (GOMAXPROCS %d): %v", c.name, target, runtime.GOMAXPROCS(0), err)
 	}
 	return canonical(t, res.Records)
 }
@@ -537,26 +550,28 @@ func conformanceBattery() []confCase {
 }
 
 // TestCrossPlatformConformance is the differential suite: for every
-// plan shape, every platform × shard width must reproduce the java
-// shards=1 reference output, canonicalized, byte for byte.
+// plan shape, every platform × workers must reproduce the java
+// reference output at GOMAXPROCS 1, canonicalized, byte for byte.
 func TestCrossPlatformConformance(t *testing.T) {
 	for _, c := range fullBattery() {
 		t.Run(c.name, func(t *testing.T) {
-			ref := runConformance(t, c, javaengine.ID, 1, true)
+			setWorkers(t, 1)
+			ref := runConformance(t, c, javaengine.ID, true)
 			if ref == "" && c.name != "flatmap" {
 				// Every battery case is built to produce output; an empty
 				// reference means the case itself is broken.
 				t.Fatalf("reference output for %s is empty", c.name)
 			}
 			for _, target := range confPlatforms {
-				for _, shards := range []int{1, 4} {
-					if target == javaengine.ID && shards == 1 {
+				for _, workers := range confWorkers {
+					if target == javaengine.ID && workers == 1 {
 						continue // the reference itself
 					}
-					got := runConformance(t, c, target, shards, true)
+					setWorkers(t, workers)
+					got := runConformance(t, c, target, true)
 					if got != ref {
-						t.Errorf("%s on %s with shards=%d diverges from the java shards=1 reference",
-							c.name, target, shards)
+						t.Errorf("%s on %s at GOMAXPROCS %d diverges from the java reference at 1",
+							c.name, target, workers)
 					}
 				}
 			}
@@ -568,18 +583,20 @@ func TestCrossPlatformConformance(t *testing.T) {
 // java engine as written — hinted operators on the vectorized kernels,
 // their external input arriving as a channel.Batch — against each
 // case's UDF twin run row by row: a column hint must be a pure physical
-// substitution — byte-identical results, sharded or not. (For the cases
+// substitution — byte-identical results at any GOMAXPROCS. (For the cases
 // without a hint the twin is the plan itself, which keeps the battery
 // whole under one comparison.)
 func TestCrossPlatformConformanceColumnar(t *testing.T) {
 	for _, c := range fullBattery() {
 		t.Run(c.name, func(t *testing.T) {
-			ref := runConformance(t, c, javaengine.ID, 1, false)
-			for _, shards := range []int{1, 4} {
-				got := runConformance(t, c, javaengine.ID, shards, true)
+			setWorkers(t, 1)
+			ref := runConformance(t, c, javaengine.ID, false)
+			for _, workers := range confWorkers {
+				setWorkers(t, workers)
+				got := runConformance(t, c, javaengine.ID, true)
 				if got != ref {
-					t.Errorf("%s as hinted (shards=%d) diverges from its UDF twin",
-						c.name, shards)
+					t.Errorf("%s as hinted (GOMAXPROCS %d) diverges from its UDF twin",
+						c.name, workers)
 				}
 			}
 		})
@@ -680,8 +697,7 @@ func warmedConfCalibrator(t *testing.T) *cost.Calibrator {
 // suite: results are a semantics contract, calibration is a cost
 // lever. For every battery case on every platform, outputs with
 // calibration off (nil), on-but-empty, and warmed with extreme hostile
-// factors must be byte-identical — at shards=1 and shards=4, since
-// calibrated cardinalities also feed the sharding decision.
+// factors must be byte-identical — at GOMAXPROCS 1 and 4.
 func TestConformanceCalibrationDifferential(t *testing.T) {
 	warm := warmedConfCalibrator(t)
 	empty := cost.NewCalibrator(cost.CalibratorConfig{})
@@ -692,13 +708,15 @@ func TestConformanceCalibrationDifferential(t *testing.T) {
 	for _, c := range fullBattery() {
 		t.Run(c.name, func(t *testing.T) {
 			for _, target := range confPlatforms {
-				ref := runConformance(t, c, target, 1, true)
+				setWorkers(t, 1)
+				ref := runConformance(t, c, target, true)
 				for _, v := range variants {
-					for _, shards := range []int{1, 4} {
-						got := runConformanceCal(t, c, target, shards, true, v.cal)
+					for _, workers := range confWorkers {
+						setWorkers(t, workers)
+						got := runConformanceCal(t, c, target, true, v.cal)
 						if got != ref {
-							t.Errorf("%s on %s: calibration=%s shards=%d changed the output",
-								c.name, target, v.name, shards)
+							t.Errorf("%s on %s: calibration=%s at GOMAXPROCS %d changed the output",
+								c.name, target, v.name, workers)
 						}
 					}
 				}
@@ -812,7 +830,7 @@ func hintedChainBattery() []inAtomCase {
 // Context.Execute produces for a pinned plan, where no channel
 // conversion stands between the source's rows and the hinted operator.
 // columns keeps the source's records at rest in column form (confSource).
-func runInAtom(t *testing.T, c inAtomCase, target engine.PlatformID, shards int, hinted, columns bool) (string, error) {
+func runInAtom(t *testing.T, c inAtomCase, target engine.PlatformID, hinted, columns bool) (string, error) {
 	t.Helper()
 	b := plan.NewBuilder("inatom-" + c.name)
 	c.build(b, confSource(b, "src", c.recs, columns))
@@ -824,7 +842,7 @@ func runInAtom(t *testing.T, c inAtomCase, target engine.PlatformID, shards int,
 		udfTwin(pp)
 	}
 	reg := confRegistry(t)
-	ep, err := optimizer.Optimize(pp, reg, optimizer.Options{DisableRules: true, Shards: shards, FixedPlatform: target})
+	ep, err := optimizer.Optimize(pp, reg, optimizer.Options{DisableRules: true, FixedPlatform: target})
 	if err != nil {
 		t.Fatalf("%s on %s: optimize: %v", c.name, target, err)
 	}
@@ -854,21 +872,22 @@ func runInAtom(t *testing.T, c inAtomCase, target engine.PlatformID, shards int,
 }
 
 // TestInAtomHintedMatchesUDFTwin is the differential suite for hinted
-// operators fed from inside their own atom: on every platform, sharded
-// or not, the plan as hinted and its UDF twin must agree byte for byte
-// — or fail with the same error text.
+// operators fed from inside their own atom: on every platform, at
+// GOMAXPROCS 1 and 4, the plan as hinted and its UDF twin must agree
+// byte for byte — or fail with the same error text.
 func TestInAtomHintedMatchesUDFTwin(t *testing.T) {
 	for _, c := range inAtomBattery() {
 		t.Run(c.name, func(t *testing.T) {
 			for _, target := range confPlatforms {
-				for _, shards := range []int{1, 4} {
-					want, wantErr := runInAtom(t, c, target, shards, false, false)
-					got, gotErr := runInAtom(t, c, target, shards, true, false)
+				for _, workers := range confWorkers {
+					setWorkers(t, workers)
+					want, wantErr := runInAtom(t, c, target, false, false)
+					got, gotErr := runInAtom(t, c, target, true, false)
 					switch {
 					case (wantErr == nil) != (gotErr == nil), wantErr != nil && wantErr.Error() != gotErr.Error():
-						t.Errorf("%s on %s shards=%d: UDF twin failed with %v, hinted plan with %v", c.name, target, shards, wantErr, gotErr)
+						t.Errorf("%s on %s at GOMAXPROCS %d: UDF twin failed with %v, hinted plan with %v", c.name, target, workers, wantErr, gotErr)
 					case got != want:
-						t.Errorf("%s on %s shards=%d: hinted plan diverges from its UDF twin", c.name, target, shards)
+						t.Errorf("%s on %s at GOMAXPROCS %d: hinted plan diverges from its UDF twin", c.name, target, workers)
 					}
 					if c.name == "string-sum-error" && wantErr == nil {
 						t.Errorf("%s on %s: summing strings did not fail", c.name, target)

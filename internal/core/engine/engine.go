@@ -33,19 +33,6 @@ import (
 // PlatformID identifies a registered processing platform.
 type PlatformID string
 
-// Profile is a platform's data processing profile (paper §8, challenge
-// 2): the kind of processing it supports, used by the optimizer to
-// prune platforms that cannot run an operator at all.
-type Profile struct {
-	Description string
-	// Distributed marks parallel, partitioned execution. Such a
-	// platform is priced and run as one job per atom: the executor
-	// never fans its atoms out into shards.
-	Distributed bool
-	Relational  bool // table-native execution
-	Streaming   bool // reserved; no bundled platform streams yet
-}
-
 // Metrics reports what executing (part of) a plan actually did. Wall
 // is measured host time; Sim is the virtual cluster clock (see
 // DESIGN.md §5 "Real execution + virtual clock") — identical to Wall
@@ -204,8 +191,6 @@ func (in AtomInputs) Channel(pos, slot int) *channel.Channel {
 type Platform interface {
 	// ID returns the platform's unique identifier.
 	ID() PlatformID
-	// Profile describes the platform's processing profile.
-	Profile() Profile
 	// NativeFormat is the channel format the platform computes in.
 	NativeFormat() channel.Format
 	// ExecuteAtom runs a compute atom: it converts nothing (inputs

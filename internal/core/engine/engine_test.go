@@ -21,7 +21,6 @@ type fakePlatform struct {
 }
 
 func (f *fakePlatform) ID() PlatformID                       { return f.id }
-func (f *fakePlatform) Profile() Profile                     { return Profile{Description: "fake"} }
 func (f *fakePlatform) NativeFormat() channel.Format         { return channel.Collection }
 func (f *fakePlatform) RegisterConverters(*channel.Registry) {}
 

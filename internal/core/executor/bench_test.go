@@ -21,7 +21,6 @@ type noopPlatform struct {
 }
 
 func (*noopPlatform) ID() engine.PlatformID                { return "noop" }
-func (*noopPlatform) Profile() engine.Profile              { return engine.Profile{} }
 func (*noopPlatform) NativeFormat() channel.Format         { return channel.Collection }
 func (*noopPlatform) RegisterConverters(*channel.Registry) {}
 func (p *noopPlatform) ExecuteAtom(_ context.Context, atom *engine.TaskAtom, _ engine.AtomInputs) ([]*channel.Channel, engine.Metrics, error) {

@@ -20,7 +20,7 @@
 // aggregated.
 //
 // One Run is one run value (registry, defaulted options, context,
-// tracer, result, audit ledger, slot budget) and each execution plan it
+// tracer, result, audit ledger) and each execution plan it
 // schedules — the top-level plan, every loop-body iteration — is a
 // planScope over it; everything below Run is a method on one of the
 // two.
@@ -57,7 +57,7 @@ const retryBudget = 2
 const auditFactor = 8
 
 // Options configures a run. It holds run settings only: what the plan
-// was made under — pins, exclusions, the shard count — is the plan's
+// was made under — pins and exclusions — is the plan's
 // ExecutionPlan.Options, which the run and every re-plan read.
 type Options struct {
 	// Context cancels execution between (and inside) atoms.
@@ -78,9 +78,10 @@ type Options struct {
 	// bound.
 	AtomTimeout time.Duration
 	// Pool, when set, is the host-wide bound on execution: every compute
-	// atom holds one of its slots while it executes, and so does every
-	// extra shard goroutine (loop atoms never hold one — see pool.go for
-	// the no-deadlock argument). Parallelism still caps this run's own
+	// atom holds one of its slots while it executes (loop atoms never
+	// hold one — see pool.go for the no-deadlock argument). Inside an
+	// atom, parallelism is the platform's own, on engine's helper
+	// runtime, and takes no slot. Parallelism still caps this run's own
 	// in-flight atoms; the pool bounds the total across every run
 	// sharing it. nil means no cross-run bound — the single-shot
 	// behavior.
@@ -153,12 +154,6 @@ type run struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	tr     *trace.Tracer // the run's span stream; serializes consumers
-	// shards is the run's budget of extra shard goroutines, sized by
-	// the plan's Options.Shards (nil when sharding is off); its size is
-	// also the fan-out. It is only ever TryAcquired: an atom that finds
-	// no free slot runs the shard inline in its own goroutine, so shard
-	// scheduling cannot deadlock the atoms.
-	shards *Pool
 
 	mu  sync.Mutex // guards res, every plan's channel table, audited
 	res *Result
@@ -248,9 +243,6 @@ func Run(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts Options) (res *
 	ids := ep.Physical.IDBound()
 	r.reg, r.opts, r.ctx, r.cancel, r.tr, r.res = reg, opts, ctx, cancel, tr, res
 	r.audited = engine.Grown(r.audited, ids)
-	if n := ep.Options.Shards; n > 1 {
-		r.shards = NewPool(n)
-	}
 	top := &r.top
 	top.run, top.ep, top.channels, top.topLevel, top.iter = r, ep, engine.Grown(top.channels, ids), true, -1
 	// Atoms recover in runAtom, wherever it runs; this one covers the sink
@@ -472,21 +464,13 @@ func (p *planScope) runComputeAtom(sp *trace.Span, atom *engine.TaskAtom) (engin
 	if err != nil {
 		return move, nil, err
 	}
-	// Sharding decision: made once per atom, after input conversion (so
-	// the split sees platform-native channels) and outside the retry
-	// loop (a retry re-executes the same shards).
-	sh := p.planShards(platform, atom, inputs)
-	if sh != nil {
-		sp.Shards = len(sh.shards)
-	}
-
 	health := p.reg.Health()
 	var exits []*channel.Channel
 	var m engine.Metrics
 	for attempt := 0; ; attempt++ {
 		attStart := p.tr.Now()
 		since := health.FailureSeq()
-		exits, m, err = p.attempt(platform, atom, inputs, sh)
+		exits, m, err = p.attempt(platform, atom, inputs)
 		att := trace.Attempt{Number: attempt + 1, Wall: p.tr.Now().Sub(attStart)}
 		if err == nil {
 			sp.Attempts = append(sp.Attempts, att)

@@ -24,7 +24,6 @@ type mintPlatform struct {
 }
 
 func (*mintPlatform) ID() engine.PlatformID                { return "mint" }
-func (*mintPlatform) Profile() engine.Profile              { return engine.Profile{} }
 func (*mintPlatform) NativeFormat() channel.Format         { return channel.Collection }
 func (*mintPlatform) RegisterConverters(*channel.Registry) {}
 func (p *mintPlatform) ExecuteAtom(_ context.Context, atom *engine.TaskAtom, _ engine.AtomInputs) ([]*channel.Channel, engine.Metrics, error) {

@@ -88,49 +88,6 @@ func TestPanickingLoopConditionFailsTheRun(t *testing.T) {
 	}
 }
 
-// TestPanickingShardMergeUDFFailsTheRun: the driver-side combine of a
-// sharded ReduceByKey runs the reduce UDF in the executor. The UDF only
-// panics on a sum no single shard reaches, so every shard's platform
-// execution succeeds and the panic is the merge's.
-func TestPanickingShardMergeUDFFailsTheRun(t *testing.T) {
-	pp, fa := shardFixture(t, intRecords(8), func(b *plan.Builder, s *plan.Operator) {
-		m := b.Map(s, func(data.Record) (data.Record, error) {
-			return data.NewRecord(data.Int(0), data.Int(1)), nil
-		})
-		b.Collect(b.ReduceByKey(m, modKey(1), func(a, c data.Record) (data.Record, error) {
-			sum := a.Field(1).Int() + c.Field(1).Int()
-			if sum > 2 {
-				panic("merge exploded")
-			}
-			return data.NewRecord(a.Field(0), data.Int(sum)), nil
-		}))
-	})
-	reg := fullRegistry(t)
-	ep, err := optimizer.Optimize(pp, reg, optimizer.Options{DisableRules: true, ForcedAssignments: fa, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, msg := expectPanicContained(t, reg, ep, Options{})
-	if !strings.Contains(msg, "merge exploded") {
-		t.Errorf("run error = %q", msg)
-	}
-	shards := 0
-	for _, sp := range tr.Spans {
-		if sp.Kind == trace.KindShard {
-			shards++
-			if sp.Failed() {
-				t.Errorf("shard %d failed (%s): the panic was meant for the merge", sp.Shard, sp.Err)
-			}
-		}
-	}
-	if shards != 4 {
-		t.Errorf("%d shard spans, want 4", shards)
-	}
-	if sp := failedSpan(t, tr, trace.KindAtom); len(sp.Attempts) != 0 || sp.Retries != 0 {
-		t.Errorf("panicked atom span records %d attempts, %d retries; a panic is never retried", len(sp.Attempts), sp.Retries)
-	}
-}
-
 // TestPanickingConverterFailsTheRun: converters run in the executor — on
 // a scheduler goroutine to feed an atom across a platform edge, on the
 // caller's own to materialize the result.
@@ -142,7 +99,7 @@ func TestPanickingConverterFailsTheRun(t *testing.T) {
 	t.Run("atom input", func(t *testing.T) {
 		reg := fullRegistry(t)
 		reg.Channels().Register(boom)
-		pp, fa := shardFixture(t, intRecords(8), func(b *plan.Builder, s *plan.Operator) {
+		pp, fa := edgeFixture(t, intRecords(8), func(b *plan.Builder, s *plan.Operator) {
 			b.Collect(b.Map(s, plan.Identity()))
 		})
 		ep, err := optimizer.Optimize(pp, reg, optimizer.Options{DisableRules: true, ForcedAssignments: fa})
@@ -178,41 +135,59 @@ func (rawPlatform) ExecuteAtom(context.Context, *engine.TaskAtom, engine.AtomInp
 }
 
 // TestPanickingPlatformFailsTheRun: a platform that panics in
-// ExecuteAtom does so on a scheduler goroutine when the atom runs whole,
-// and on shard goroutines of their own when it fans out.
+// ExecuteAtom does so on a scheduler goroutine.
 func TestPanickingPlatformFailsTheRun(t *testing.T) {
-	for name, shards := range map[string]int{"whole": 1, "sharded": 4} {
-		t.Run(name, func(t *testing.T) {
-			reg := fullRegistry(t)
-			if err := reg.RegisterPlatform(rawPlatform{javaengine.New()}); err != nil {
-				t.Fatal(err)
-			}
-			if err := reg.CloneMappings(javaengine.ID, "raw"); err != nil {
-				t.Fatal(err)
-			}
-			pp, fa := shardFixture(t, intRecords(8), func(b *plan.Builder, s *plan.Operator) {
-				b.Collect(b.Map(s, plan.Identity()))
-			})
-			for id, pl := range fa {
-				if pl == javaengine.ID {
-					fa[id] = "raw"
-				}
-			}
-			ep, err := optimizer.Optimize(pp, reg, optimizer.Options{DisableRules: true, ForcedAssignments: fa, Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr, msg := expectPanicContained(t, reg, ep, Options{})
-			if !strings.Contains(msg, "platform exploded") {
-				t.Errorf("run error = %q", msg)
-			}
-			kind := trace.KindAtom
-			if shards > 1 {
-				kind = trace.KindShard
-			}
-			if sp := failedSpan(t, tr, kind); sp.Platform != "raw" {
-				t.Errorf("failed %s span ran on %s", kind, sp.Platform)
-			}
+	t.Run("whole", func(t *testing.T) {
+		reg := fullRegistry(t)
+		if err := reg.RegisterPlatform(rawPlatform{javaengine.New()}); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.CloneMappings(javaengine.ID, "raw"); err != nil {
+			t.Fatal(err)
+		}
+		pp, fa := edgeFixture(t, intRecords(8), func(b *plan.Builder, s *plan.Operator) {
+			b.Collect(b.Map(s, plan.Identity()))
 		})
+		for id, pl := range fa {
+			if pl == javaengine.ID {
+				fa[id] = "raw"
+			}
+		}
+		ep, err := optimizer.Optimize(pp, reg, optimizer.Options{DisableRules: true, ForcedAssignments: fa})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, msg := expectPanicContained(t, reg, ep, Options{})
+		if !strings.Contains(msg, "platform exploded") {
+			t.Errorf("run error = %q", msg)
+		}
+		if sp := failedSpan(t, tr, trace.KindAtom); sp.Platform != "raw" {
+			t.Errorf("failed atom span ran on %s", sp.Platform)
+		}
+	})
+}
+
+// edgeFixture builds a plan whose source is pinned to spark and whose
+// compute chain is pinned to java, so the chain becomes a compute atom
+// with exactly one external input, across a platform edge. build
+// receives the builder and the source operator and must Collect a sink.
+func edgeFixture(t *testing.T, recs []data.Record, build func(b *plan.Builder, s *plan.Operator)) (*physical.Plan, map[int]engine.PlatformID) {
+	t.Helper()
+	b := plan.NewBuilder("edge-fixture")
+	s := b.Source("src", plan.Collection(recs))
+	s.CardHint = int64(len(recs))
+	build(b, s)
+	pp, err := physical.FromLogical(b.MustBuild())
+	if err != nil {
+		t.Fatal(err)
 	}
+	fa := map[int]engine.PlatformID{}
+	for _, op := range pp.Ops {
+		if op.Kind() == plan.KindSource {
+			fa[op.ID] = sparksim.ID
+		} else {
+			fa[op.ID] = javaengine.ID
+		}
+	}
+	return pp, fa
 }

@@ -5,21 +5,14 @@
 // load is highest. A Pool is that bound: one fixed set of execution
 // slots shared by every run that carries it in Options.Pool.
 //
-// Slot discipline: only leaf work — what actually occupies a platform —
-// holds a slot, and only while it executes. A compute atom blocks for
+// Slot discipline: only atoms hold slots — what actually occupies a
+// platform — and only while they execute. A compute atom blocks for
 // its slot before it starts, holding nothing. Loop atoms never hold one
-// — their body plans' compute atoms acquire slots themselves. A sharded
-// atom's extra shard goroutines (shard.go: an atom on a single-node
-// platform, when the plan carries a shard count) each need a slot too,
-// but only ever TryAcquire it: a shard that gets none runs inline under
-// its atom's slot. So no slot holder ever waits for another slot, and
-// the pool cannot deadlock, no matter how small it is relative to plan
-// depth, shard fan-out or how many runs share it.
-//
-// Pool is also the executor's only semaphore type: a run's own budget
-// of extra shard goroutines is a private Pool of as many slots as the
-// plan's shard count (optimizer.Options.Shards, which no run option
-// sets: the fan-out is internal).
+// — their body plans' compute atoms acquire slots themselves. So no
+// slot holder ever waits for another slot, and the pool cannot
+// deadlock, no matter how small it is relative to plan depth or how
+// many runs share it. Parallelism inside an atom is the platform's,
+// on engine's helper runtime, and takes no slot.
 
 package executor
 
@@ -53,9 +46,7 @@ func (p *Pool) Acquire(ctx context.Context) error {
 }
 
 // TryAcquire takes a slot if one is free and reports whether it did; it
-// never blocks. It is how work that already runs under a slot asks for
-// a second one — a sharded atom's extra shard goroutines — since
-// blocking there could leave every slot held by a waiter.
+// never blocks.
 func (p *Pool) TryAcquire() bool {
 	select {
 	case p.sem <- struct{}{}:

@@ -1,7 +1,6 @@
 package executor
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -9,9 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"rheem/internal/core/channel"
 	"rheem/internal/core/engine"
-	"rheem/internal/core/fault"
 	"rheem/internal/core/optimizer"
 	"rheem/internal/core/physical"
 	"rheem/internal/core/plan"
@@ -226,8 +223,8 @@ func TestPoolAcquireRespectsCancellation(t *testing.T) {
 	}
 }
 
-// TestPoolTryAcquire pins the non-blocking acquisition shard goroutines
-// use: a full pool answers false at once, a released slot can be won.
+// TestPoolTryAcquire pins the non-blocking acquisition: a full pool
+// answers false at once, a released slot can be won.
 func TestPoolTryAcquire(t *testing.T) {
 	pool := NewPool(1)
 	if !pool.TryAcquire() {
@@ -244,99 +241,4 @@ func TestPoolTryAcquire(t *testing.T) {
 		t.Fatal("TryAcquire failed after the slot was released")
 	}
 	pool.Release()
-}
-
-// gaugedPlatform is a fault-wrapped platform that reports how many of
-// its ExecuteAtom calls overlap.
-type gaugedPlatform struct {
-	*fault.Platform
-	inFlight, peak *int64
-}
-
-func (p gaugedPlatform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) ([]*channel.Channel, engine.Metrics, error) {
-	defer enterGauge(p.inFlight, p.peak)()
-	return p.Platform.ExecuteAtom(ctx, atom, inputs)
-}
-
-// TestPoolBoundsShardFanOut: the host pool bounds shards like atoms.
-// Three concurrent runs fan one atom each out over four shards on a
-// platform slow enough for the executions to overlap; sharing a
-// two-slot pool, no more than two may ever execute at once, the answer
-// is the unpooled run's byte for byte, and nothing holds a slot once
-// its Run has returned.
-func TestPoolBoundsShardFanOut(t *testing.T) {
-	const poolSize, runs, shards = 2, 3, 4
-	reg := fullRegistry(t)
-	var inFlight, peak int64
-	gauged := gaugedPlatform{
-		Platform: fault.Wrap(javaengine.New(), fault.Options{ID: "gauged", Latency: 2 * time.Millisecond}),
-		inFlight: &inFlight, peak: &peak,
-	}
-	if err := reg.RegisterPlatform(gauged); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.CloneMappings(javaengine.ID, "gauged"); err != nil {
-		t.Fatal(err)
-	}
-	pp, fa := shardFixture(t, intRecords(64), func(b *plan.Builder, s *plan.Operator) {
-		b.Collect(b.Map(s, func(r data.Record) (data.Record, error) {
-			return data.NewRecord(r.Field(0), data.Int(r.Field(0).Int()*3)), nil
-		}))
-	})
-	for id, pl := range fa {
-		if pl == javaengine.ID {
-			fa[id] = "gauged"
-		}
-	}
-	ep, err := optimizer.Optimize(pp, reg, optimizer.Options{DisableRules: true, ForcedAssignments: fa, Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	unpooled, err := Run(ep, reg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt64(&peak); got <= poolSize {
-		t.Fatalf("unpooled run peaked at %d concurrent executions: the fixture cannot show a bound of %d", got, poolSize)
-	}
-	want := recordBytes(t, unpooled.Records)
-
-	pool := NewPool(poolSize)
-	check := func(res *Result, err error) {
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if n, _ := countShardSpans(res); n != shards {
-			t.Errorf("%d shard spans, want %d: the pool must bound the fan-out, not cancel it", n, shards)
-		}
-		if !bytes.Equal(recordBytes(t, res.Records), want) {
-			t.Error("pooled run's records differ from the unpooled run's")
-		}
-	}
-	atomic.StoreInt64(&peak, 0)
-	var wg sync.WaitGroup
-	for i := 0; i < runs; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			check(Run(ep, reg, Options{Pool: pool}))
-		}()
-	}
-	wg.Wait()
-	if got := atomic.LoadInt64(&peak); got > poolSize {
-		t.Errorf("peak concurrent executions %d exceeds pool size %d", got, poolSize)
-	}
-	if pool.InUse() != 0 {
-		t.Errorf("pool has %d slots still held after all runs finished", pool.InUse())
-	}
-	// Alone, a run's shard goroutines are the only other slot holders:
-	// they too must be done with their slots when Run returns.
-	for i := 0; i < 10; i++ {
-		check(Run(ep, reg, Options{Pool: pool}))
-		if got := pool.InUse(); got != 0 {
-			t.Fatalf("run %d returned holding %d pool slot(s)", i, got)
-		}
-	}
 }

@@ -199,12 +199,11 @@ func TestReoptimizationCheaperThanStubborn(t *testing.T) {
 	}
 }
 
-// TestReplanKeepsForcedAssignmentsAndShards: a re-plan starts from the
-// options the plan was made with, so an operator the caller pinned
-// stays put — where the observed cardinalities alone would move it —
-// the plan's shard count carries over, and the caller's map is left as
-// it was.
-func TestReplanKeepsForcedAssignmentsAndShards(t *testing.T) {
+// TestReplanKeepsForcedAssignments: a re-plan starts from the options
+// the plan was made with, so an operator the caller pinned stays put —
+// where the observed cardinalities alone would move it — and the
+// caller's map is left as it was.
+func TestReplanKeepsForcedAssignments(t *testing.T) {
 	reg := defaultRegistry(t)
 	pp := lyingSourcePlan(t)
 	bodyMap := -1
@@ -218,7 +217,7 @@ func TestReplanKeepsForcedAssignmentsAndShards(t *testing.T) {
 		}
 	}
 	pins := map[int]engine.PlatformID{bodyMap: sparksim.ID}
-	ep, err := optimizer.Optimize(pp, reg, optimizer.Options{ForcedAssignments: pins, Shards: 4})
+	ep, err := optimizer.Optimize(pp, reg, optimizer.Options{ForcedAssignments: pins})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,9 +239,6 @@ func TestReplanKeepsForcedAssignmentsAndShards(t *testing.T) {
 	}
 	if pl := final.Options.ForcedAssignments[bodyMap]; pl != sparksim.ID {
 		t.Errorf("re-plan dropped the caller's pin: %v", final.Options.ForcedAssignments)
-	}
-	if final.Options.Shards != 4 {
-		t.Errorf("re-plan's shard count = %d, want the plan's 4", final.Options.Shards)
 	}
 	if len(pins) != 1 {
 		t.Errorf("the re-plan wrote into the caller's pins: %v", pins)

@@ -24,22 +24,17 @@ type failoverError struct {
 func (e *failoverError) Error() string { return e.err.Error() }
 func (e *failoverError) Unwrap() error { return e.err }
 
-// attempt runs one execution attempt of an atom — whole, or fanned out
-// over its planned shards when sh is set — bounding it with
+// attempt runs one execution attempt of an atom, bounding it with
 // Options.AtomTimeout when set. The deadline is per attempt: a retry
-// gets a fresh budget, and a sharded retry re-executes every shard.
-func (p *planScope) attempt(platform engine.Platform, atom *engine.TaskAtom, inputs engine.AtomInputs, sh *shardedExec) (exits []*channel.Channel, m engine.Metrics, err error) {
+// gets a fresh budget.
+func (p *planScope) attempt(platform engine.Platform, atom *engine.TaskAtom, inputs engine.AtomInputs) (exits []*channel.Channel, m engine.Metrics, err error) {
 	ctx := p.ctx
 	if p.opts.AtomTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, p.opts.AtomTimeout)
 		defer cancel()
 	}
-	if sh != nil {
-		exits, m, err = p.executeShards(ctx, platform, atom, sh)
-	} else {
-		exits, m, err = platform.ExecuteAtom(ctx, atom, inputs)
-	}
+	exits, m, err = platform.ExecuteAtom(ctx, atom, inputs)
 	if err != nil && ctx.Err() != nil && p.ctx.Err() == nil {
 		// The attempt deadline (not the run) expired: surface it as a
 		// retryable attempt failure rather than a bare context error.

@@ -11,14 +11,12 @@
 //   - every plan's channel table, Result accumulation and the audit
 //     ledger are guarded by run.mu; trace consumers are serialized by
 //     the run's Tracer;
-//   - three bounds, one semaphore type: Parallelism caps a plan's
-//     in-flight atoms in the dispatcher itself (a counter — which is
-//     what keeps Parallelism 1 in topological order); Options.Pool is
-//     the host-wide semaphore every compute atom blocks on; run.shards
-//     is the run's budget of extra shard goroutines (made only when the
-//     plan carries a shard count, used only by atoms on single-node
-//     platforms), which is only ever TryAcquired, together with a Pool
-//     slot (see shard.go);
+//   - two bounds: Parallelism caps a plan's in-flight atoms in the
+//     dispatcher itself (a counter — which is what keeps Parallelism 1
+//     in topological order); Options.Pool is the host-wide semaphore
+//     every compute atom blocks on. Only atoms hold its slots: inside
+//     an atom, parallelism is the platform's (javaengine's windows,
+//     sparksim's partitions) on engine's helper runtime;
 //   - runAtom is the one place an atom runs: it holds the Pool slot,
 //     owns the atom's span and recovers panics into engine.Fatal;
 //   - the first atom error wins: it cancels the run context so

@@ -178,9 +178,6 @@ func (p *Platform) ID() engine.PlatformID {
 	return p.inner.ID()
 }
 
-// Profile implements engine.Platform.
-func (p *Platform) Profile() engine.Profile { return p.inner.Profile() }
-
 // NativeFormat implements engine.Platform.
 func (p *Platform) NativeFormat() channel.Format { return p.inner.NativeFormat() }
 

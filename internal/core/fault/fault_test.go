@@ -20,7 +20,6 @@ type innerPlatform struct {
 }
 
 func (p *innerPlatform) ID() engine.PlatformID                { return p.id }
-func (p *innerPlatform) Profile() engine.Profile              { return engine.Profile{Description: "stub"} }
 func (p *innerPlatform) NativeFormat() channel.Format         { return channel.Format("stub") }
 func (p *innerPlatform) RegisterConverters(*channel.Registry) {}
 func (p *innerPlatform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, inputs engine.AtomInputs) ([]*channel.Channel, engine.Metrics, error) {

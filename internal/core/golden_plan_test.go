@@ -121,21 +121,17 @@ func goldenVariants(t *testing.T) []goldenVariant {
 				CardOverrides: map[int]int64{pp.Ops[0].ID: 5_000_000},
 			}
 		}},
-		goldenVariant{"shards-4", func(*physical.Plan) optimizer.Options { return optimizer.Options{Shards: 4} }},
-		goldenVariant{"big-input-shards-4", func(pp *physical.Plan) optimizer.Options {
+		goldenVariant{"big-input", func(pp *physical.Plan) optimizer.Options {
 			ov := map[int]int64{}
 			for _, op := range pp.Ops {
 				if op.Kind() == plan.KindSource {
 					ov[op.ID] = 2_000_000
 				}
 			}
-			return optimizer.Options{Shards: 4, CardOverrides: ov}
+			return optimizer.Options{CardOverrides: ov}
 		}},
 		goldenVariant{"calibrated", func(*physical.Plan) optimizer.Options {
 			return optimizer.Options{Calibration: cal}
-		}},
-		goldenVariant{"calibrated-shards-4", func(*physical.Plan) optimizer.Options {
-			return optimizer.Options{Calibration: cal, Shards: 4}
 		}},
 	)
 }
@@ -169,8 +165,8 @@ func renderGoldenPlans(t *testing.T) string {
 // must reproduce, byte for byte, the plans, assignments, algorithms and
 // cost vectors the map-based code produced for the conformance battery
 // × {free, rules off, each platform fixed, forced assignments, an
-// excluded platform with and without frozen sources, shards, large
-// inputs, a hostile warm calibrator} — loop bodies included.
+// excluded platform with and without frozen sources, large inputs, a
+// hostile warm calibrator} — loop bodies included.
 func TestOptimizerGoldenPlans(t *testing.T) {
 	got := renderGoldenPlans(t)
 	want, err := os.ReadFile(goldenPlans)

@@ -20,7 +20,7 @@ import (
 
 // mapConfRecords is n (id int, value float or null, aux int, w float)
 // rows; every float is a small multiple of ½, so sums are exact in
-// whatever order a platform or a shard fan-out adds them.
+// whatever order a platform or its windows add them.
 func mapConfRecords(n int) []data.Record {
 	out := make([]data.Record, n)
 	for i := range out {
@@ -117,9 +117,9 @@ func mapConfCases(columns bool) []inAtomCase {
 }
 
 // TestMapColumnsConformance: a plan built on MapColumns gives, on every
-// platform and shard width, the bytes its hand-written row twin gives on
-// the single-node engine — fed from another platform (on the java engine
-// a batch channel, as shard views when sharded) and from a source in its
+// platform at GOMAXPROCS 1 and 4, the bytes its hand-written row twin
+// gives on the single-node engine — fed from another platform (on the
+// java engine a batch channel) and from a source in its
 // own atom (rows), over inputs that end one row short of a 4 096-row
 // window, on its edge, one past it and one past the second.
 func TestMapColumnsConformance(t *testing.T) {
@@ -131,18 +131,19 @@ func TestMapColumnsConformance(t *testing.T) {
 				external := func(c inAtomCase) confCase {
 					return confCase{name: c.name, recs: recs, build: func(b *plan.Builder, s []*plan.Operator) { c.build(b, s[0]) }}
 				}
-				ref := runConformance(t, external(twins[i]), javaengine.ID, 1, true)
+				ref := runConformance(t, external(twins[i]), javaengine.ID, true)
 				if ref == "" {
 					t.Fatal("the row twin's reference output is empty")
 				}
 				c.recs = recs
 				for _, target := range confPlatforms {
-					for _, shards := range []int{1, 4} {
-						if got := runConformance(t, external(c), target, shards, true); got != ref {
-							t.Errorf("on %s with shards=%d, fed from another platform: diverges from the row twin", target, shards)
+					for _, workers := range confWorkers {
+						setWorkers(t, workers)
+						if got := runConformance(t, external(c), target, true); got != ref {
+							t.Errorf("on %s at GOMAXPROCS %d, fed from another platform: diverges from the row twin", target, workers)
 						}
-						if got, err := runInAtom(t, c, target, shards, true, false); err != nil || got != ref {
-							t.Errorf("on %s with shards=%d, source in the atom: diverges from the row twin (%v)", target, shards, err)
+						if got, err := runInAtom(t, c, target, true, false); err != nil || got != ref {
+							t.Errorf("on %s at GOMAXPROCS %d, source in the atom: diverges from the row twin (%v)", target, workers, err)
 						}
 					}
 				}
@@ -154,7 +155,7 @@ func TestMapColumnsConformance(t *testing.T) {
 // TestMapColumnsFailuresConformance: what a column map cannot take as
 // declared — a null, a record too short, a column of another kind — and
 // what its function refuses or panics on fails the job on every platform,
-// sharded or not, with the same words from the map's name on: the row
+// at GOMAXPROCS 1 and 4, with the same words from the map's name on: the row
 // form is where all of them are decided, and the java engine's windows
 // come to it. A null in a row a filter dropped fails nothing.
 func TestMapColumnsFailuresConformance(t *testing.T) {
@@ -199,20 +200,21 @@ func TestMapColumnsFailuresConformance(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for _, target := range confPlatforms {
-				for _, shards := range []int{1, 4} {
+				for _, workers := range confWorkers {
+					setWorkers(t, workers)
 					for _, columns := range []bool{false, true} { // the source as rows, and at rest in column form
 						_, err := runInAtom(t, inAtomCase{c.name, c.recs, func(b *plan.Builder, s *plan.Operator) {
 							b.Collect(b.AggregateCols(b.ProjectCols(b.MapColumns(s, c.spec), 0), plan.AggMax))
-						}}, target, shards, true, columns)
+						}}, target, true, columns)
 						if err == nil || !engine.IsFatal(err) {
-							t.Fatalf("on %s with shards=%d, columns=%v: got %v, want a fatal error", target, shards, columns, err)
+							t.Fatalf("on %s at GOMAXPROCS %d, columns=%v: got %v, want a fatal error", target, workers, columns, err)
 						}
 						got := err.Error()[max(strings.LastIndex(err.Error(), "Map#"), 0):]
 						if line, _, _ := strings.Cut(got, "\n"); line != c.want {
-							t.Errorf("on %s with shards=%d, columns=%v: failed with %q, want %q", target, shards, columns, err, c.want)
+							t.Errorf("on %s at GOMAXPROCS %d, columns=%v: failed with %q, want %q", target, workers, columns, err, c.want)
 						}
 						if c.name == "function-panic" && !strings.Contains(err.Error(), "panicked") {
-							t.Errorf("on %s with shards=%d: the panic is not reported as one: %v", target, shards, err)
+							t.Errorf("on %s at GOMAXPROCS %d: the panic is not reported as one: %v", target, workers, err)
 						}
 					}
 				}

@@ -46,19 +46,9 @@ type Options struct {
 	// runs (cost.Calibrator). The DP multiplies each candidate's model
 	// cost by its factor, so platform choices improve with traffic. Nil
 	// (or a cold calibrator) leaves every cost untouched. Because
-	// ShardDiscount and failover re-planning run through the same DP,
-	// both inherit calibrated costs automatically.
+	// failover re-planning runs through the same DP, it inherits
+	// calibrated costs automatically.
 	Calibration *cost.Calibrator
-	// Shards is the run's intra-atom shard fan-out (≤1 = off); no run
-	// option sets it. The executor takes it from ExecutionPlan.Options.
-	// The DP discounts the compute cost of shardable operator kinds on
-	// non-distributed platforms by cost.ShardDiscount — distributed
-	// platforms already price their internal parallelism, and the
-	// executor fans out no atom of theirs; unshardable kinds run whole
-	// either way. The discount can flip a platform assignment: a sharded
-	// single-node engine beats the simulated cluster on mid-size inputs
-	// where the cluster's per-job overhead still dominates.
-	Shards int
 
 	// The remaining options are set by callers and, on top of theirs,
 	// by the executor when it re-plans a partially executed job with
@@ -115,8 +105,8 @@ type ExecutionPlan struct {
 	RawEstimates *cost.Estimates
 	RawEstimated cost.Cost
 	// Options is what Optimize was called with (maps shared, not
-	// copied): the caller's pins, exclusions and shard count, which
-	// every mid-run re-plan starts from. Loop-body plans leave it zero.
+	// copied): the caller's pins and exclusions, which every mid-run
+	// re-plan starts from. Loop-body plans leave it zero.
 	Options Options
 }
 
@@ -438,9 +428,6 @@ func assignPlatforms(p *physical.Plan, s *scratch, reg *engine.Registry, opts Op
 					continue
 				}
 				oc := m.Cost(op, inCards, outCard)
-				if shardDiscounts(opts, platform.Profile(), kind) {
-					oc = cost.ShardDiscount(oc, opts.Shards)
-				}
 				// Learned correction: scale the model's estimate by the
 				// observed actual/estimated ratio for this (kind,
 				// platform). CostFactor is 1 on a nil or cold calibrator.
@@ -480,25 +467,6 @@ func assignPlatforms(p *physical.Plan, s *scratch, reg *engine.Registry, opts Op
 	// (the DP optimises the scalar total only).
 	ep.Estimated, ep.RawEstimated = vectorCost(p, reg, opts, ep, roots, pos, cards)
 	return nil
-}
-
-// shardDiscounts reports whether the shard cost discount applies to an
-// operator of the given kind on a platform with the given profile. The
-// kinds mirror the executor's shardability classes (shard.go): the
-// record-wise operators plus the combining exits. Sink is excluded —
-// it is free anyway — and distributed platforms already price their
-// own parallelism, so the executor never fans them out either.
-func shardDiscounts(opts Options, prof engine.Profile, kind plan.OpKind) bool {
-	if opts.Shards <= 1 || prof.Distributed {
-		return false
-	}
-	switch kind {
-	case plan.KindMap, plan.KindFlatMap, plan.KindFilter,
-		plan.KindReduceByKey, plan.KindReduce, plan.KindCount,
-		plan.KindDistinct, plan.KindSort:
-		return true
-	}
-	return false
 }
 
 // cheapestInput finds the platform (by index) to produce input in on,
@@ -575,10 +543,6 @@ func vectorCost(p *physical.Plan, reg *engine.Registry, opts Options, ep *Execut
 				raw := oc
 				if rawEst != est {
 					raw = m.Cost(op, rawIn, rawEst.Cards[op.ID])
-				}
-				if pf, pok := reg.Platform(pl); pok && shardDiscounts(opts, pf.Profile(), op.Kind()) {
-					oc = cost.ShardDiscount(oc, opts.Shards)
-					raw = cost.ShardDiscount(raw, opts.Shards)
 				}
 				if f := opts.Calibration.CostFactor(op.Kind().String(), string(pl)); f != 1 {
 					oc = oc.Times(f)

@@ -3,7 +3,7 @@
 // variants give one answer — and they do where data.Compare's zero is
 // data.Equal and data.Hash agrees. The cases here are the keys that used
 // to tell the variants apart: ints where float64 runs out of integers and
-// floats with NaN among them. Every platform × algorithm × shard width ×
+// floats with NaN among them. Every platform × algorithm × GOMAXPROCS ×
 // hinted/UDF-twin variant must give the answer the order defines, and
 // that answer is computed here in plain Go, without asking data.Compare.
 package core
@@ -122,10 +122,11 @@ func TestOrderConformance(t *testing.T) {
 			for _, algo := range tc.algos {
 				c := confCase{name: "order-" + tc.name, recs: recs, algo: algo, build: tc.build}
 				for _, target := range confPlatforms {
-					for _, shards := range []int{1, 4} {
+					for _, workers := range confWorkers {
+						setWorkers(t, workers)
 						for _, hinted := range []bool{true, false} {
-							if got := runConformance(t, c, target, shards, hinted); got != want {
-								t.Errorf("%s under %q on %s, shards=%d, hinted=%v: not the answer the order defines", tc.name, algo, target, shards, hinted)
+							if got := runConformance(t, c, target, hinted); got != want {
+								t.Errorf("%s under %q on %s, GOMAXPROCS %d, hinted=%v: not the answer the order defines", tc.name, algo, target, workers, hinted)
 							}
 						}
 					}
@@ -167,13 +168,14 @@ func TestFilterWhereNaNConformance(t *testing.T) {
 					b.Collect(b.FilterWhere(src, 0, op, data.Float(operand)))
 				}}
 				for _, target := range confPlatforms {
-					for _, shards := range []int{1, 4} {
+					for _, workers := range confWorkers {
+						setWorkers(t, workers)
 						// The UDF twin, the hinted plan, and the hinted plan
 						// over columns at rest (read in place on java).
 						for _, v := range [][2]bool{{false, false}, {true, false}, {true, true}} {
-							got, err := runInAtom(t, c, target, shards, v[0], v[1])
+							got, err := runInAtom(t, c, target, v[0], v[1])
 							if err != nil || got != want {
-								t.Errorf("%s on %s, shards=%d, hinted=%v, columns=%v: kept other rows than the order says (%v)", c.name, target, shards, v[0], v[1], err)
+								t.Errorf("%s on %s, GOMAXPROCS %d, hinted=%v, columns=%v: kept other rows than the order says (%v)", c.name, target, workers, v[0], v[1], err)
 							}
 						}
 					}

@@ -55,11 +55,6 @@ func New() *Platform { return &Platform{} }
 // ID implements engine.Platform.
 func (p *Platform) ID() engine.PlatformID { return ID }
 
-// Profile implements engine.Platform.
-func (p *Platform) Profile() engine.Profile {
-	return engine.Profile{Description: "single-node in-process engine"}
-}
-
 // NativeFormat implements engine.Platform: the engine computes directly
 // on driver collections.
 func (p *Platform) NativeFormat() channel.Format { return channel.Collection }

@@ -42,11 +42,6 @@ func New() *Platform { return &Platform{} }
 // ID implements engine.Platform.
 func (p *Platform) ID() engine.PlatformID { return ID }
 
-// Profile implements engine.Platform.
-func (p *Platform) Profile() engine.Profile {
-	return engine.Profile{Description: "mini relational engine", Relational: true}
-}
-
 // NativeFormat implements engine.Platform.
 func (p *Platform) NativeFormat() channel.Format { return channel.Table }
 

@@ -151,9 +151,6 @@ func TestSimTimeProfileFavoursRelationalOps(t *testing.T) {
 
 func TestProfileAndFormat(t *testing.T) {
 	p := New()
-	if !p.Profile().Relational {
-		t.Error("not marked relational")
-	}
 	if p.NativeFormat() != channel.Table {
 		t.Error("native format wrong")
 	}

@@ -131,11 +131,6 @@ func New(cfg Config) *Platform {
 // ID implements engine.Platform.
 func (p *Platform) ID() engine.PlatformID { return ID }
 
-// Profile implements engine.Platform.
-func (p *Platform) Profile() engine.Profile {
-	return engine.Profile{Description: "simulated distributed dataflow cluster", Distributed: true}
-}
-
 // NativeFormat implements engine.Platform.
 func (p *Platform) NativeFormat() channel.Format { return channel.Partitioned }
 

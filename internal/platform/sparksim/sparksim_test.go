@@ -264,9 +264,6 @@ func TestReduceByKeyMapSideCombineLimitsShuffle(t *testing.T) {
 
 func TestProfileAndFormat(t *testing.T) {
 	p := New(Config{})
-	if !p.Profile().Distributed {
-		t.Error("not marked distributed")
-	}
 	if p.NativeFormat() != channel.Partitioned {
 		t.Error("native format wrong")
 	}

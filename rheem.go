@@ -262,7 +262,7 @@ func WithSchedulerPool(p *executor.Pool) RunOption {
 
 // WithMonitor subscribes f to the run's span stream — the one event
 // vocabulary of a run (trace.Event: SpanStart, SpanRetry and SpanEnd
-// per atom, loop and shard with the span they concern, LoopIteration,
+// per atom and loop with the span they concern, LoopIteration,
 // Replan, Failover, RunStart, AuditRecords, and PlanDone on success
 // only). Calls are serialized, and one span's events arrive in program
 // order; f must not block for long and should read the span during the
