@@ -19,6 +19,7 @@ package algo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rheem/internal/core/physical"
@@ -117,7 +118,7 @@ func SortGroup(recs []data.Record, key plan.KeyFunc) ([]Group, error) {
 		}
 		ks[i] = keyed{k, r}
 	}
-	sort.SliceStable(ks, func(i, j int) bool { return data.Compare(ks[i].k, ks[j].k) < 0 })
+	slices.SortStableFunc(ks, func(a, b keyed) int { return data.Compare(a.k, b.k) })
 	var out []Group
 	for i := 0; i < len(ks); {
 		j := i
@@ -238,12 +239,11 @@ func SortBy(recs []data.Record, key plan.KeyFunc, desc bool) ([]data.Record, err
 		}
 		ks[i] = keyed{k, r}
 	}
-	sort.SliceStable(ks, func(i, j int) bool {
-		c := data.Compare(ks[i].k, ks[j].k)
+	slices.SortStableFunc(ks, func(a, b keyed) int {
 		if desc {
-			return c > 0
+			return -data.Compare(a.k, b.k)
 		}
-		return c < 0
+		return data.Compare(a.k, b.k)
 	})
 	out := make([]data.Record, len(ks))
 	for i, kr := range ks {

@@ -2,6 +2,7 @@ package algo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rheem/internal/core/batch"
@@ -56,9 +57,7 @@ func IEJoin(l, r []data.Record, c1, c2 plan.IECondition, emit func(l, r data.Rec
 	for i := range l1 {
 		l1[i] = i
 	}
-	sort.SliceStable(l1, func(a, b int) bool {
-		return data.Compare(tuples[l1[a]].x, tuples[l1[b]].x) < 0
-	})
+	slices.SortStableFunc(l1, func(a, b int) int { return data.Compare(tuples[a].x, tuples[b].x) })
 	// posInL1[t] = position of tuple t in L1.
 	posInL1 := make([]int, n)
 	for pos, t := range l1 {
@@ -78,12 +77,11 @@ func IEJoin(l, r []data.Record, c1, c2 plan.IECondition, emit func(l, r data.Rec
 		l2[i] = i
 	}
 	ascending := c2.Op == plan.Greater || c2.Op == plan.GreaterEq
-	sort.SliceStable(l2, func(a, b int) bool {
-		c := data.Compare(tuples[l2[a]].y, tuples[l2[b]].y)
+	slices.SortStableFunc(l2, func(a, b int) int {
 		if ascending {
-			return c < 0
+			return data.Compare(tuples[a].y, tuples[b].y)
 		}
-		return c > 0
+		return -data.Compare(tuples[a].y, tuples[b].y)
 	})
 
 	visited := batch.NewBitset(n)
@@ -167,8 +165,8 @@ func IEJoinSingle(l, r []data.Record, c plan.IECondition, emit func(l, r data.Re
 	}
 	sorted := make([]data.Record, len(r))
 	copy(sorted, r)
-	sort.SliceStable(sorted, func(a, b int) bool {
-		return data.Compare(sorted[a].Field(c.RightField), sorted[b].Field(c.RightField)) < 0
+	slices.SortStableFunc(sorted, func(a, b data.Record) int {
+		return data.Compare(a.Field(c.RightField), b.Field(c.RightField))
 	})
 	vals := make([]data.Value, len(sorted))
 	for i, rec := range sorted {

@@ -32,6 +32,10 @@ var helpers = struct {
 	busy    atomic.Int32 // helpers handed a run and not back yet: the budget
 }{work: make(chan ticket, 256)}
 
+// HelperTask, set by tests, keeps task i for a helper while (*HelperTask)(i)
+// and GOMAXPROCS > 1: a run's caller hires helpers until one has claimed it.
+var HelperTask atomic.Pointer[func(task int) bool]
+
 // Helpers reports how many helpers are in flight and how many there are.
 func Helpers() (inFlight, started int) {
 	return int(helpers.busy.Load()), int(helpers.started.Load())
@@ -132,7 +136,7 @@ func (o *Ordered) wait(i int) *turn {
 			return t
 		default:
 		}
-		j, ok := o.claim()
+		j, ok := o.claim(false)
 		if !ok {
 			<-t.done
 			return t
@@ -147,11 +151,16 @@ func (o *Ordered) Stop() {
 	o.detach()
 }
 
-func (o *Ordered) claim() (int, bool) {
+func (o *Ordered) claim(helper bool) (int, bool) {
 	for {
 		j := o.next.Load()
 		if j >= o.limit.Load() {
 			return 0, false
+		}
+		if f := HelperTask.Load(); !helper && f != nil && runtime.GOMAXPROCS(0) > 1 && (*f)(int(j)) {
+			o.hire()
+			runtime.Gosched()
+			continue
 		}
 		if o.next.CompareAndSwap(j, j+1) {
 			return int(j), true
@@ -214,7 +223,7 @@ func (o *Ordered) hire() bool {
 func help(t ticket) {
 	for {
 		if o := t.o; t.attach() {
-			for j, ok := o.claim(); ok; j, ok = o.claim() {
+			for j, ok := o.claim(true); ok; j, ok = o.claim(true) {
 				o.do(j, true)
 			}
 			o.detach()

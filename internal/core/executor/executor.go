@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -293,8 +294,9 @@ func atomOps(atom *engine.TaskAtom) []*physical.Operator {
 
 // newAtomSpan allocates span sp with its KindEst: a compute atom's RAW
 // estimated cost by operator kind, which the calibrator folds measured
-// time against (raw, so its corrections never enter their own target),
-// up to five kinds in the span's allocation. None for loops.
+// time against (raw, so its corrections never enter their own target): up
+// to five kinds in the span's allocation, more in a slice of exactly that
+// many. None for loops.
 func newAtomSpan(ep *optimizer.ExecutionPlan, atom *engine.TaskAtom, sp trace.Span) *trace.Span {
 	s := &struct {
 		sp    trace.Span
@@ -303,7 +305,14 @@ func newAtomSpan(ep *optimizer.ExecutionPlan, atom *engine.TaskAtom, sp trace.Sp
 	if atom.Kind != engine.AtomCompute || len(ep.RawOpCosts) == 0 {
 		return &s.sp
 	}
+	var seen uint32 // by plan.OpKind
+	for _, op := range atom.Ops {
+		seen |= 1 << op.Kind()
+	}
 	kinds := s.kinds[:0]
+	if n := bits.OnesCount32(seen); n > len(s.kinds) {
+		kinds = make([]trace.KindCost, 0, n)
+	}
 	for _, op := range atom.Ops {
 		kind, ns := op.Kind().String(), int64(ep.RawOpCosts[op.ID].Total())
 		if i := slices.IndexFunc(kinds, func(k trace.KindCost) bool { return k.Kind == kind }); i >= 0 {

@@ -660,13 +660,13 @@ func take[T any](dst, src []T, sel []int32) []T {
 
 // columnReaders reports whether a source's readers all take columns: it
 // is not an exit of the atom, and every operator of the atom reading it is
-// hinted. Then nobody needs its rows made.
+// hinted or a union. Then nobody needs its rows made.
 func (d *datasetOps) columnReaders(src *physical.Operator) bool {
 	if d.atom == nil || slices.Contains(d.atom.Exits, src) {
 		return false
 	}
 	for _, c := range d.atom.Ops {
-		if slices.Contains(c.Inputs, src) && !hinted(c.Logical) {
+		if slices.Contains(c.Inputs, src) && !hinted(c.Logical) && c.Kind() != plan.KindUnion {
 			return false
 		}
 	}
@@ -694,21 +694,21 @@ func hinted(lop *plan.Operator) bool {
 
 // execHinted handles an operator that carries a column hint: a filter,
 // projection or column map becomes a stage of its input's pipeline, an
-// aggregate folds it, a grouped aggregate groups it. handled=false sends an
-// un-hinted operator to the row code.
+// aggregate folds it, a grouped aggregate groups it — a union's pipelines,
+// leg after leg. handled=false sends an un-hinted operator to the row code.
 func (d *datasetOps) execHinted(ctx context.Context, op *physical.Operator, inputs []any) (out any, handled bool, err error) {
 	if !hinted(op.Logical) {
 		return nil, false, nil
 	}
-	p := asPipeline(ctx, inputs[0])
 	if agg := op.Logical.ColAgg(); agg != nil {
-		out, err = p.fold(agg.Fns)
+		out, err = fold(ctx, legsOf(inputs), agg.Fns)
 		return out, true, err
 	}
 	if op.Logical.ColGroup() != nil {
-		out, err = p.group(op.Logical, op.Algo == physical.SortGroupBy)
+		out, err = group(ctx, legsOf(inputs), op.Logical, op.Algo == physical.SortGroupBy)
 		return out, true, err
 	}
+	p := asPipeline(ctx, inputs[0])
 	if p.stages == nil && d.atom != nil {
 		// Room for the longest chain the atom holds: a pipeline never
 		// grows its stage list, whatever the atom's width.
@@ -808,21 +808,26 @@ type folder struct {
 	slow []int        // scratch: the columns of a window no typed loop covers
 }
 
-// fold forces the pipeline through the aggregate.
-func (p *pipeline) fold(fns []plan.AggFn) ([]data.Record, error) {
-	f := folder{fns: fns}
-	err := p.run(nil, true, func(w *win, sel []int32) error {
-		return f.columns(p, w, sel)
-	}, func(recs []data.Record) error {
+// fold forces the legs' pipelines, in order, through the aggregate.
+func fold(ctx context.Context, legs []any, fns []plan.AggFn) ([]data.Record, error) {
+	f, p := folder{fns: fns}, (*pipeline)(nil)
+	columns := func(w *win, sel []int32) error { return f.columns(p, w, sel) }
+	rows := func(recs []data.Record) error {
 		for _, r := range recs {
 			if err := f.add(r.Fields()); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
-	if err != nil || f.n == 0 {
-		return nil, err
+	}
+	for _, leg := range legs {
+		p = asPipeline(ctx, leg)
+		if err := p.run(nil, true, columns, rows); err != nil {
+			return nil, err
+		}
+	}
+	if f.n == 0 {
+		return nil, nil
 	}
 	return []data.Record{data.NewRecord(f.acc...)}, nil
 }

@@ -57,6 +57,15 @@ func buildHinted(t *testing.T, op plan.CompareOp, operand data.Value) (*plan.Ope
 	return f, p, a
 }
 
+// asRecords is a dataset's rows, as the row code takes them.
+func asRecords(ds any) []data.Record {
+	recs, err := rowsOf(context.Background(), ds)
+	if err != nil {
+		panic(err)
+	}
+	return recs
+}
+
 // encodeRecs is the byte-identity yardstick.
 func encodeRecs(t *testing.T, recs []data.Record) []byte {
 	t.Helper()

@@ -1,9 +1,9 @@
 package javaengine
 
 import (
+	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"rheem/internal/core/algo"
 	"rheem/internal/core/batch"
@@ -37,10 +37,10 @@ type grouper struct {
 	buf  []byte              // a composite key
 }
 
-// group forces the pipeline through the grouped aggregate: one record
-// per group from one []data.Value slab, in first-seen order, or stably
-// sorted by key — as algo.SortGroup orders groups — when sorted is set.
-func (p *pipeline) group(lop *plan.Operator, sorted bool) ([]data.Record, error) {
+// group forces the legs' pipelines, in order, through the grouped aggregate:
+// one record per group from one []data.Value slab, in first-seen order, or
+// stably sorted by key — as algo.SortGroup orders groups — when sorted is set.
+func group(ctx context.Context, legs []any, lop *plan.Operator, sorted bool) ([]data.Record, error) {
 	spec, s := lop.ColGroup(), scratches.Get() // the groups, and a serial forcing's windows
 	g := &s.group
 	g.spec = spec
@@ -53,11 +53,12 @@ func (p *pipeline) group(lop *plan.Operator, sorted bool) ([]data.Record, error)
 			g.cols[j], need = len(need), append(need, oc.Field)
 		}
 	}
-	p.project(need)
-	err := p.run(s, true, func(w *win, sel []int32) error {
+	var p *pipeline
+	columns := func(w *win, sel []int32) error {
 		g.columns(p, w, sel)
 		return nil
-	}, func(recs []data.Record) error {
+	}
+	rows := func(recs []data.Record) error {
 		for _, r := range recs {
 			k, err := lop.Key(r)
 			if err != nil {
@@ -70,7 +71,13 @@ func (p *pipeline) group(lop *plan.Operator, sorted bool) ([]data.Record, error)
 			}
 		}
 		return nil
-	})
+	}
+	var err error
+	for i := 0; i < len(legs) && err == nil; i++ {
+		p = asPipeline(ctx, legs[i])
+		p.project(need)
+		err = p.run(s, true, columns, rows)
+	}
 	if err != nil || len(g.keys) == 0 {
 		s.release()
 		return nil, err
@@ -78,7 +85,7 @@ func (p *pipeline) group(lop *plan.Operator, sorted bool) ([]data.Record, error)
 	order := slices.Grow(g.gid[:0], len(g.keys))[:len(g.keys)]
 	ascending(order)
 	if sorted {
-		sort.SliceStable(order, func(i, j int) bool { return data.Compare(g.keys[order[i]], g.keys[order[j]]) < 0 })
+		slices.SortStableFunc(order, func(a, b int32) int { return data.Compare(g.keys[a], g.keys[b]) })
 	}
 	width := len(spec.Out)
 	slab, out := make([]data.Value, len(order)*width), make([]data.Record, len(order))

@@ -104,13 +104,13 @@ func TestHintedGroupNeverCallsTheUDFs(t *testing.T) {
 	g := b.GroupAggregate(b.FilterWhere(b.Source("s", plan.Collection(nil)), 0, plan.GreaterEq, data.Int(0)), []int{2}, everyFold(2, 3)...)
 	b.Collect(g)
 	b.MustBuild()
-	key, group := g.Key, g.Group()
+	key, groupUDF := g.Key, g.Group()
 	calls := 0
-	g = g.WithUDF(plan.GroupFunc(func(k data.Value, rs []data.Record) ([]data.Record, error) { calls++; return group(k, rs) }))
+	g = g.WithUDF(plan.GroupFunc(func(k data.Value, rs []data.Record) ([]data.Record, error) { calls++; return groupUDF(k, rs) }))
 	g.Key = func(r data.Record) (data.Value, error) { calls++; return key(r) }
 	p := asPipeline(context.Background(), recs)
 	p.push(g.Inputs()[0])
-	out, err := p.group(g, false)
+	out, err := group(context.Background(), []any{p}, g, false)
 	if err != nil || len(out) == 0 {
 		t.Fatal(out, err)
 	}

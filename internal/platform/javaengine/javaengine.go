@@ -5,9 +5,10 @@
 // It executes the physical operators of an atom one after the other on
 // driver-resident data. Operators carrying a declarative column hint form
 // a lazy pipeline that is forced once, 4 096 rows at a time over column
-// slices, by whatever consumes it (columnar.go) — the layout this engine
-// owns. A run of un-hinted Map, Filter and FlatMap operators is one fused
-// pass (algo.Chain), forced a 4 096-row window at a time (rows.go); for
+// slices, by whatever consumes it (columnar.go), a union of them by the
+// aggregate that folds its legs in turn — the layout this engine owns. A
+// run of un-hinted Map, Filter and FlatMap operators is one fused pass
+// (algo.Chain), forced a 4 096-row window at a time (rows.go); for
 // everything else the rows go to algo.Exec, the one definition of what an
 // operator computes that every platform shares. A forcing of more than one
 // window uses every core, on the process's helpers (engine's helper
@@ -27,6 +28,7 @@ package javaengine
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"rheem/internal/core/algo"
@@ -90,11 +92,10 @@ func (p *Platform) ExecuteAtom(ctx context.Context, atom *engine.TaskAtom, input
 }
 
 // datasetOps adapts the engine's datasets — []data.Record rows, a
-// *batch.Batch from a channel, a columnar source's batch atRest, or the
-// lazy *pipeline a hinted filter or projection returns — to the generic
-// atom runner. atom is the one being
-// run (nil in kernel tests), which lets a hinted operator see how many
-// operators read its output.
+// *batch.Batch from a channel, a columnar source's batch atRest, the lazy
+// *pipeline a hinted filter or projection returns or the lazy *union — to
+// the generic atom runner. atom is the one being run (nil in kernel
+// tests), which lets an operator see how many operators read its output.
 type datasetOps struct {
 	atom       *engine.TaskAtom
 	inRecords  int64
@@ -138,25 +139,78 @@ func (d *datasetOps) ToChannel(ds any) (*channel.Channel, error) {
 	return channel.NewCollection(recs), nil
 }
 
-// asRecords materialises a dataset for the row code; columnar batches
-// are converted losslessly. ExecOp has forced any pipeline by then.
-func asRecords(ds any) []data.Record {
+// rowsOf forces a dataset into rows for the row code: a pipeline or
+// columns at rest through a forcing, a batch converted losslessly.
+func rowsOf(ctx context.Context, ds any) ([]data.Record, error) {
 	switch ds := ds.(type) {
+	case *pipeline, atRest:
+		return asPipeline(ctx, ds).records()
 	case *batch.Batch:
-		return ds.ToRecords()
+		return ds.ToRecords(), nil
 	case counted:
-		return ds.recs
+		return ds.recs, nil
 	}
-	return ds.([]data.Record)
+	return ds.([]data.Record), nil
+}
+
+// union is a lazy Union: its legs in order, never a union, which its one
+// reader (takesLegs) splices in or runs in turn through one accumulator.
+type union struct {
+	legs   []any
+	inline [4]any // legs' storage while there are at most four
+}
+
+// takesLegs reports whether an operator reads a union leg by leg.
+func takesLegs(r *physical.Operator) bool {
+	return r != nil && (r.Kind() == plan.KindUnion || r.Logical.ColAgg() != nil || r.Logical.ColGroup() != nil)
+}
+
+// splice is the union of the inputs, a union's legs for the union.
+func splice(inputs []any) *union {
+	u, ok := inputs[0].(*union) // a left-deep chain's legs grow in place
+	if ok {
+		inputs = inputs[1:]
+	} else {
+		u = new(union)
+		u.legs = u.inline[:0]
+	}
+	for i := range inputs {
+		u.legs = append(u.legs, legsOf(inputs[i:])...)
+	}
+	return u
+}
+
+// legsOf returns the legs a consumer runs: a union's, or inputs[0] alone.
+func legsOf(inputs []any) []any {
+	if u, ok := inputs[0].(*union); ok {
+		return u.legs
+	}
+	return inputs[:1]
+}
+
+// concat forces the inputs, a union's legs for the union, into one
+// exactly sized slice of their rows in order.
+func concat(ctx context.Context, inputs []any) ([]data.Record, error) {
+	parts := make([][]data.Record, 0, 4)
+	for i := range inputs {
+		for _, leg := range legsOf(inputs[i:]) {
+			recs, err := rowsOf(ctx, leg)
+			if err != nil {
+				return nil, err
+			}
+			parts = append(parts, recs)
+		}
+	}
+	return slices.Concat(parts...), nil
 }
 
 // ExecOp executes one physical operator. What is the engine's own is the
 // layout: an operator with a column hint joins or folds its input's lazy
-// pipeline (columnar.go), a source reads on the driver — its columns as
-// they stand when only such operators read it — and a sink hands its
-// input through. What any other operator computes on rows is
-// algo.Exec's to say; a pipeline or batch it is handed is forced into
-// rows first.
+// pipeline (columnar.go), a union hands its legs on to a reader that takes
+// them, a source reads on the driver — its columns as they stand when only
+// such operators read it — and a sink hands its input through. What any
+// other operator computes on rows is algo.Exec's to say; a pipeline or
+// batch it is handed is forced into rows first.
 func (d *datasetOps) ExecOp(ctx context.Context, op *physical.Operator, inputs []any) (any, error) {
 	if out, handled, err := d.execHinted(ctx, op, inputs); handled {
 		return out, err
@@ -169,27 +223,28 @@ func (d *datasetOps) ExecOp(ctx context.Context, op *physical.Operator, inputs [
 		return op.Logical.Source()()
 	case plan.KindSink:
 		return inputs[0], nil // rows, a batch or a pipeline, untouched
+	case plan.KindUnion: // lazy for a reader that takes legs, else forced here, once
+		if d.atom != nil && takesLegs(d.atom.Reader(op)) {
+			return splice(inputs), nil
+		}
+		return concat(ctx, inputs)
 	}
 	if algo.Narrow(op.Logical) {
 		return d.execRows(ctx, op, inputs[0])
 	}
 	var in [2][]data.Record
 	for i, ds := range inputs {
-		if p, ok := ds.(*pipeline); ok {
-			recs, err := p.records()
-			if err != nil {
-				return nil, err
-			}
-			ds = recs
+		var err error
+		if in[i], err = rowsOf(ctx, ds); err != nil {
+			return nil, err
 		}
-		in[i] = asRecords(ds)
 	}
 	return algo.Exec(op, in[0], in[1])
 }
 
 // Register creates the platform, registers it and its declarative
 // operator mappings, and returns it. Cost constants are calibrated to
-// the shared kernels: ~500ns of CPU per record for linear operators.
+// the shared kernels: 200 ns of CPU per record for linear operators.
 func Register(reg *engine.Registry) (*Platform, error) {
 	p := New()
 	if err := reg.RegisterPlatform(p); err != nil {

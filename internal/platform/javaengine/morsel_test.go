@@ -234,22 +234,22 @@ func failAt(errs ...int) func(*plan.Builder, *plan.Operator) *plan.Operator {
 // error in a later window, after one in an earlier window — and of two
 // errors the first window's is the one reported, and the atom's error
 // carries the helper's stack, where the head panicked. The test hook
-// panics only on a helper; a run in which the forcing goroutine produced that window
-// itself must end as the serial forcing does without the panic.
+// panics only on a helper, and engine.HelperTask keeps that window for one.
 func TestMorselFailuresInWindowOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	src := rowsSource(boundaryRecs(8*window, false))
 	var anywhere atomic.Bool // panic on the forcing goroutine too: the serial reference
 	var panicAt atomic.Int64
+	var helperMet atomic.Bool
 	setHead(t, func(w int, helper bool) {
-		if !helper {
-			// Slow the forcing goroutine down, so helpers claim windows.
-			time.Sleep(200 * time.Microsecond)
-		}
 		if int64(w) == panicAt.Load() && (helper || anywhere.Load()) {
+			helperMet.Store(helper)
 			panic(fmt.Sprintf("head of window %d refused", w))
 		}
 	})
+	keepForHelper := func(w int) bool { return int64(w) == panicAt.Load() }
+	engine.HelperTask.Store(&keepForHelper)
+	t.Cleanup(func() { engine.HelperTask.Store(nil) })
 	serially := func(at int, errs []int) error {
 		panicAt.Store(int64(at))
 		anywhere.Store(true)
@@ -268,7 +268,7 @@ func TestMorselFailuresInWindowOrder(t *testing.T) {
 		{"helper panic at 2, error at 5", 2, []int{5}, "head of window 2 refused"},
 		{"helper panic at 6", 6, nil, "head of window 6 refused"},
 	} {
-		serial, clean := serially(c.panicAt, c.errs), serially(-1, c.errs)
+		serial := serially(c.panicAt, c.errs)
 		if serial == nil || !strings.Contains(serial.Error(), c.want) {
 			t.Fatalf("%s: the serial forcing returned %v, want %q", c.name, serial, c.want)
 		}
@@ -277,24 +277,19 @@ func TestMorselFailuresInWindowOrder(t *testing.T) {
 		}
 		panicAt.Store(int64(c.panicAt))
 		anywhere.Store(false)
+		helperMet.Store(false)
 		runtime.GOMAXPROCS(4)
-		raised := 0
-		for try := 0; try < 200 && raised < 5; try++ {
-			_, err := runWhole(src, true, failAt(c.errs...))
-			switch got := firstLine(err); {
-			case got == firstLine(serial) && engine.IsFatal(err) == engine.IsFatal(serial):
-				if c.panicAt >= 0 && strings.HasPrefix(c.want, "head") && !strings.Contains(err.Error(), "core/engine.help(") {
-					t.Fatalf("%s: the helper's panic lost the helper's stack:\n%v", c.name, err)
-				}
-				raised++
-			case got == firstLine(clean) && engine.IsFatal(err) == engine.IsFatal(clean):
-				// The forcing goroutine produced the panicking window itself.
-			default:
-				t.Fatalf("%s: morsel-parallel forcing returned %v, serial %v", c.name, err, serial)
-			}
+		_, err := runWhole(src, true, failAt(c.errs...))
+		if firstLine(err) != firstLine(serial) || engine.IsFatal(err) != engine.IsFatal(serial) {
+			t.Fatalf("%s: morsel-parallel forcing returned %v, serial %v", c.name, err, serial)
 		}
-		if raised == 0 {
-			t.Errorf("%s: no helper ever met the panic in 200 runs", c.name)
+		if strings.HasPrefix(c.want, "head") {
+			if !helperMet.Load() {
+				t.Fatalf("%s: no helper met the panic", c.name)
+			}
+			if !strings.Contains(err.Error(), "core/engine.help(") {
+				t.Fatalf("%s: the helper's panic lost the helper's stack:\n%v", c.name, err)
+			}
 		}
 	}
 }

@@ -73,15 +73,12 @@ func (d *datasetOps) execRows(ctx context.Context, op *physical.Operator, in any
 	if prev, ok := in.(*rowChain); ok {
 		c.in, c.chain = prev.in, prev.chain.Then(op.Logical)
 	} else {
-		if p, ok := in.(*pipeline); ok {
-			recs, err := p.records()
-			if err != nil {
-				return nil, err
-			}
-			in = recs
+		recs, err := rowsOf(ctx, in)
+		if err != nil {
+			return nil, err
 		}
 		c.first[0] = algo.LinkOf(op.Logical)
-		c.in, c.chain = asRecords(in), c.first[:]
+		c.in, c.chain = recs, c.first[:]
 	}
 	// Only what may leave the atom counts its bytes: an exit, an output
 	// read twice, one a sink hands on.

@@ -49,20 +49,17 @@ func filterAtom(t *testing.T, recs []data.Record, keep plan.FilterFunc) (*engine
 // error in window 5 and a panic in window 2, it is the panic that
 // surfaces, raised on the forcing goroutine as an engine.HelperPanic that
 // carries the helper's stack; with the panic in window 6 instead, window
-// 5's error. The UDF panics only on a helper, so a run in which the
-// forcing goroutine claimed window 2 itself ends with window 5's error.
+// 5's error, which waits until window 6 has panicked. The UDF panics only
+// on a helper, and engine.HelperTask keeps the panicking window for one.
 func TestRowWindowFailuresInWindowOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(4)
 	var onHelper [8]atomic.Bool
-	setRowWindow(t, func(w int, helper bool) {
-		onHelper[w].Store(helper)
-		if !helper {
-			// Slow the forcing goroutine down, so helpers claim windows.
-			time.Sleep(200 * time.Microsecond)
-		}
-	})
+	setRowWindow(t, func(w int, helper bool) { onHelper[w].Store(helper) })
 	var panicAt atomic.Int64
+	keepForHelper := func(w int) bool { return int64(w) == panicAt.Load() }
+	engine.HelperTask.Store(&keepForHelper)
+	t.Cleanup(func() { engine.HelperTask.Store(nil) })
 	keep := func(r data.Record) (bool, error) {
 		i := r.Field(0).Int()
 		if i%window != 0 {
@@ -72,46 +69,42 @@ func TestRowWindowFailuresInWindowOrder(t *testing.T) {
 		case int64(w) == panicAt.Load() && onHelper[w].Load():
 			panic(fmt.Sprintf("window %d refused", w))
 		case w == 5:
+			if at := int(panicAt.Load()); at > w {
+				// Fail only once the later window has met its panic.
+				for deadline := time.Now().Add(10 * time.Second); !onHelper[at].Load() && time.Now().Before(deadline); {
+					time.Sleep(10 * time.Microsecond)
+				}
+			}
 			return false, errors.New("window 5 failed")
 		}
 		return true, nil
 	}
 	recs := indexRows(8 * window)
 	atom, filter := filterAtom(t, recs, keep)
-	force := func() (v any, err error) {
+	for _, c := range []struct {
+		panicAt int
+		raised  bool // the panic is what surfaces
+	}{{2, true}, {6, false}} {
 		for w := range onHelper {
 			onHelper[w].Store(false)
 		}
-		defer func() { v = recover() }()
-		_, err = (&datasetOps{atom: atom}).ExecOp(context.Background(), filter, []any{recs})
-		return nil, err
-	}
-	for _, c := range []struct {
-		panicAt int
-		raised  bool // the panic is what surfaces when a helper met it
-	}{{2, true}, {6, false}} {
 		panicAt.Store(int64(c.panicAt))
-		raised := 0
-		for try := 0; try < 200 && raised < 5; try++ {
-			v, err := force()
-			switch p, _ := v.(*engine.HelperPanic); {
-			case p != nil && c.raised:
-				if fmt.Sprint(p.V) != "window 2 refused" || !strings.Contains(string(p.Stack), "core/engine.help(") {
-					t.Fatalf("panic at %d: raised %v, from a stack without the helper's frame:\n%s", c.panicAt, p.V, p.Stack)
-				}
-				raised++
-			case v == nil && err != nil && err.Error() == "window 5 failed":
-				// Window 5's error: the panic was not met on a helper, or
-				// comes after it in window order.
-				if !c.raised && onHelper[c.panicAt].Load() {
-					raised++
-				}
-			default:
-				t.Fatalf("panic at %d: the forcing raised %v and returned %v", c.panicAt, v, err)
-			}
+		v, err := func() (v any, err error) {
+			defer func() { v = recover() }()
+			_, err = (&datasetOps{atom: atom}).ExecOp(context.Background(), filter, []any{recs})
+			return nil, err
+		}()
+		if !onHelper[c.panicAt].Load() {
+			t.Fatalf("panic at %d: no helper met its window", c.panicAt)
 		}
-		if raised == 0 {
-			t.Errorf("panic at %d: no helper ever met its window in 200 runs", c.panicAt)
+		switch p, _ := v.(*engine.HelperPanic); {
+		case c.raised && p != nil:
+			if fmt.Sprint(p.V) != "window 2 refused" || !strings.Contains(string(p.Stack), "core/engine.help(") {
+				t.Fatalf("panic at %d: raised %v, from a stack without the helper's frame:\n%s", c.panicAt, p.V, p.Stack)
+			}
+		case !c.raised && v == nil && err != nil && err.Error() == "window 5 failed":
+		default:
+			t.Fatalf("panic at %d: the forcing raised %v and returned %v", c.panicAt, v, err)
 		}
 	}
 }

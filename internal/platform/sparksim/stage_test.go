@@ -214,20 +214,18 @@ func TestStageStopsOnCancel(t *testing.T) {
 // the job as the same panic on the atom's goroutine does — the same
 // first line, Fatal, the helper's frames in the text — and of errors and
 // panics in several partitions the first in partition order is reported.
+// engine.HelperTask keeps the panicking partition for a helper.
 func TestStageFailuresInPartitionOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const parts = 8
 	chunk := (stageRows + parts - 1) / parts
 	var helperRan [parts]atomic.Bool
-	setTask(t, func(i int, helper bool) {
-		helperRan[i].Store(helper)
-		if !helper {
-			// Slow the atom's goroutine down, so helpers claim partitions.
-			time.Sleep(200 * time.Microsecond)
-		}
-	})
+	setTask(t, func(i int, helper bool) { helperRan[i].Store(helper) })
 	var anywhere atomic.Bool // panic on the atom's goroutine too: the serial reference
 	var panicAt atomic.Int64
+	keepForHelper := func(i int) bool { return int64(i) == panicAt.Load() }
+	engine.HelperTask.Store(&keepForHelper)
+	t.Cleanup(func() { engine.HelperTask.Store(nil) })
 	var errs atomic.Pointer[[]int]
 	udf := func(r data.Record) (data.Record, error) {
 		v := int(r.Field(0).Int())
@@ -280,30 +278,27 @@ func TestStageFailuresInPartitionOrder(t *testing.T) {
 		{"helper panic at 2, error at 5", 2, []int{5}, "partition 2 refused"},
 		{"helper panic at 6", 6, nil, "partition 6 refused"},
 	} {
-		serial, clean := serially(c.panicAt, c.errs), serially(-1, c.errs)
+		serial := serially(c.panicAt, c.errs)
 		if serial == nil || !strings.Contains(serial.Error(), c.want) || !engine.IsFatal(serial) {
 			t.Fatalf("%s: the serial stage returned %v, want a Fatal %q", c.name, serial, c.want)
 		}
 		panicAt.Store(int64(c.panicAt))
 		anywhere.Store(false)
-		runtime.GOMAXPROCS(4)
-		raised := 0
-		for try := 0; try < 200 && raised < 5; try++ {
-			err := run()
-			switch got := firstLine(err); {
-			case got == firstLine(serial) && engine.IsFatal(err):
-				if strings.Contains(c.want, "refused") && !strings.Contains(err.Error(), "core/engine.help(") {
-					t.Fatalf("%s: the helper's panic lost the helper's stack:\n%v", c.name, err)
-				}
-				raised++
-			case got == firstLine(clean) && engine.IsFatal(err) == engine.IsFatal(clean):
-				// The atom's goroutine ran the panicking partition itself.
-			default:
-				t.Fatalf("%s: the fanned-out stage returned %v, serial %v", c.name, err, serial)
-			}
+		for i := range helperRan {
+			helperRan[i].Store(false)
 		}
-		if raised == 0 {
-			t.Errorf("%s: no helper ever met the panic in 200 runs", c.name)
+		runtime.GOMAXPROCS(4)
+		err := run()
+		if firstLine(err) != firstLine(serial) || !engine.IsFatal(err) {
+			t.Fatalf("%s: the fanned-out stage returned %v, serial %v", c.name, err, serial)
+		}
+		if strings.Contains(c.want, "refused") {
+			if !helperRan[c.panicAt].Load() {
+				t.Fatalf("%s: no helper ran the panicking partition", c.name)
+			}
+			if !strings.Contains(err.Error(), "core/engine.help(") {
+				t.Fatalf("%s: the helper's panic lost the helper's stack:\n%v", c.name, err)
+			}
 		}
 	}
 }

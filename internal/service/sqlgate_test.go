@@ -27,9 +27,12 @@ import (
 // operators keep their inputs inline in 112 bytes, a catalog scan that
 // takes the table's records as its row form, a run whose state is
 // leased, a run whose telemetry is the run itself, handing its trace
-// over, and two-word data quanta (68/77/74/74/75/75/59/95 objects,
-// 18.9/9.4/8.6/8.9/7.9/7.4/6.9/16.6 KB at GOMAXPROCS 1 to 4, twenty
-// readings). With a tracer, closure and consumer slice apart from each
+// over, two-word data quanta, sorts without a reflect swapper and an
+// atom span that keeps six operator kinds in a slice of six
+// (68/77/74/70/72/75/59/91 objects, 18.9/9.4/8.5/8.7/7.7/7.3/6.9/16.4 KB
+// at GOMAXPROCS 1 to 4, twelve readings). With sort.SliceStable and
+// six kinds spilt to a ten-entry array they read 68/77/74/74/75/75/59/95
+// objects and 18.9/9.4/8.6/8.9/7.9/7.4/6.9/16.6 KB. With a tracer, closure and consumer slice apart from each
 // run and its trace copied out they read 79/88/85/84/86/86/70/106
 // objects and 19.2/9.7/8.8/8.9/8.1/7.6/7.1/16.8 KB. With every operator carrying every kind's fields in 320
 // bytes and a scan deriving its row form from the columns they read
@@ -64,11 +67,11 @@ var sqlGateTemplates = []struct {
 	{"filter", "SELECT well, pressure FROM sensors WHERE pressure > 175.5 AND hour < 52", 71, 20000},
 	{"group", "SELECT well, COUNT(*) AS n, AVG(pressure) AS p FROM sensors WHERE hour < 40 GROUP BY well", 81, 10100},
 	{"having", "SELECT well, AVG(temperature) AS t FROM sensors GROUP BY well HAVING t > 68.5", 77, 9200},
-	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 77, 9600},
-	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 78, 8500},
+	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 73, 9300},
+	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 75, 8400},
 	{"global", "SELECT COUNT(*) AS n, MAX(pressure) AS hi, MIN(flow) AS lo FROM sensors WHERE temperature < 73.0", 78, 8000},
 	{"wordfilter", "SELECT word FROM words WHERE word = 'big'", 62, 7500},
-	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 99, 17600},
+	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 95, 17400},
 }
 
 // TestSQLAllocationGate is ROADMAP item 2's gate on the SQL path: a
@@ -125,10 +128,13 @@ func TestSQLAllocationGate(t *testing.T) {
 // job of it, a plan's per-operator state, an atom's exits and a run's
 // platform counts in slices, and an optimizer whose 16-byte DP cells and
 // other scratch are leased, a logical plan whose operators keep their
-// inputs inline in 112 bytes, a run whose state is leased and a run
-// whose telemetry is the run itself, handing its trace over (70 / 153 /
-// 136 objects, 6.8 / 14.6 / 69.0 KB at GOMAXPROCS 1 to 4, twenty
-// readings). With a tracer, closure and consumer slice apart from each
+// inputs inline in 112 bytes, a run whose state is leased, a run
+// whose telemetry is the run itself, handing its trace over, sorts without
+// a reflect swapper and a union of column chains folded leg by leg where
+// the legs stand (66 / 150 / 118 objects, 6.7 / 14.5 / 11.2 KB at
+// GOMAXPROCS 1 to 4, twelve readings). With sort.SliceStable and every
+// union's legs made into records and copied they read 70 / 153 / 136
+// objects and 6.8 / 14.6 / 69.0 KB. With a tracer, closure and consumer slice apart from each
 // run and its trace copied out they read 81 / 164 / 147 objects and
 // 7.1 / 14.9 / 69.2 KB. With every operator carrying every kind's fields in 320
 // bytes they read 81–82 / 164 / 147 objects and 7.9–8.0 / 16.1 / 71.3
@@ -159,7 +165,7 @@ func TestSQLAllocationGate(t *testing.T) {
 var builtinGate = []struct{ objects, bytes float64 }{
 	{73, 7_400},   // wordcount, n = 4 000
 	{160, 15_600}, // sensor, n = 4 000
-	{142, 72_100}, // fanout, 200 × 4
+	{123, 12_000}, // fanout, 200 × 4
 }
 
 // TestBuiltinAllocationGate is ROADMAP item 2a's gate: the service's own
@@ -186,5 +192,34 @@ func TestBuiltinAllocationGate(t *testing.T) {
 		if bytes > pin.bytes {
 			t.Errorf("%s allocated %.0f bytes per job, gate is %.0f", spec.Workload, bytes, pin.bytes)
 		}
+	}
+}
+
+// TestUnionBytesIndependentOfRows: the fanout built-in's union of column
+// chains stays in columns. Its legs are folded where they stand, so a job
+// over 8 200 rows allocates less than 2 bytes a row more than one over 200.
+// While each leg was made into records and every two-way union copied them
+// again, that difference was 430 bytes a row.
+func TestUnionBytesIndependentOfRows(t *testing.T) {
+	svc := benchService(t)
+	const jobs = 20
+	perJob := func(n int) float64 {
+		spec := Spec{Kind: KindWorkload, Workload: WorkloadFanout, N: n, Branches: 4, Seed: 3}
+		if _, platforms := runBuiltin(t, svc, spec); len(platforms) != 1 || platforms[0] != "java" {
+			t.Fatalf("fanout over %d rows ran on %v, want java alone", n, platforms)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for j := 0; j < jobs; j++ {
+			runBuiltin(t, svc, spec)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / jobs
+	}
+	small, large := perJob(200), perJob(8200)
+	perRow := (large - small) / 8000
+	t.Logf("%.0f bytes a job over 200 rows, %.0f over 8 200: %.2f a row", small, large, perRow)
+	if perRow >= 2 {
+		t.Errorf("fanout allocates %.2f bytes per input row, want < 2", perRow)
 	}
 }
