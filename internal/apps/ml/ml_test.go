@@ -12,9 +12,7 @@ import (
 
 func testCtx(t *testing.T) *rheem.Context {
 	t.Helper()
-	ctx, err := rheem.NewContext(rheem.Config{
-		Spark: sparksim.Config{JobOverhead: 1e5, TaskOverhead: 1e4},
-	})
+	ctx, err := rheem.NewContext(rheem.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,14 +11,11 @@ import (
 	"rheem/internal/data"
 	"rheem/internal/data/datagen"
 	"rheem/internal/platform/javaengine"
-	"rheem/internal/platform/sparksim"
 )
 
 func testCtx(t *testing.T) *rheem.Context {
 	t.Helper()
-	ctx, err := rheem.NewContext(rheem.Config{
-		Spark: sparksim.Config{JobOverhead: 1e5, TaskOverhead: 1e4},
-	})
+	ctx, err := rheem.NewContext(rheem.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,10 +61,6 @@ type ReplayResult struct {
 	Rounds []ReplayRound
 }
 
-// Cold and Warm return the first and last rounds' oracle gaps.
-func (r *ReplayResult) Cold() time.Duration { return r.Rounds[0].Gap }
-func (r *ReplayResult) Warm() time.Duration { return r.Rounds[len(r.Rounds)-1].Gap }
-
 // CalibrationReplay runs the E15 oracle replay for the given number of
 // rounds (<= 0 means 6) and returns the learning curve. Deterministic:
 // fixed datagen seed, simulated time only.

@@ -25,7 +25,7 @@ func TestCalibrationReplayClosesOracleGap(t *testing.T) {
 			r.Round, r.Optimizer, r.Java, r.Spark, r.Chosen, r.Gap, r.Folds)
 	}
 
-	cold, warm := res.Cold(), res.Warm()
+	cold, warm := res.Rounds[0].Gap, res.Rounds[len(res.Rounds)-1].Gap
 	// The injected skew must actually mislead the cold optimizer —
 	// otherwise the experiment gates nothing.
 	if cold <= 0 {

@@ -10,105 +10,6 @@ import (
 	"rheem/internal/data"
 )
 
-func intChannel(n int) *Channel {
-	recs := make([]data.Record, n)
-	for i := range recs {
-		recs[i] = data.NewRecord(data.Int(int64(i)), data.Str(fmt.Sprintf("r%d", i)))
-	}
-	return NewCollection(recs)
-}
-
-func TestPartitionContiguousAndOrderPreserving(t *testing.T) {
-	for _, tc := range []struct {
-		n, p, wantShards int
-	}{
-		{n: 100, p: 4, wantShards: 4},
-		{n: 101, p: 4, wantShards: 4}, // uneven tail
-		{n: 7, p: 3, wantShards: 3},
-		{n: 4, p: 4, wantShards: 4},
-		{n: 3, p: 8, wantShards: 3}, // p clamped to record count
-		{n: 2, p: 2, wantShards: 2},
-	} {
-		ch := intChannel(tc.n)
-		orig, _ := ch.AsCollection()
-		shards, err := Partition(ch, tc.p)
-		if err != nil {
-			t.Fatalf("Partition(%d, %d): %v", tc.n, tc.p, err)
-		}
-		if len(shards) != tc.wantShards {
-			t.Errorf("Partition(%d, %d) = %d shards, want %d", tc.n, tc.p, len(shards), tc.wantShards)
-		}
-		// Contiguous + order-preserving: concatenation in shard index
-		// order replays the original sequence exactly.
-		var replay []data.Record
-		for i, s := range shards {
-			recs, err := s.AsCollection()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(recs) == 0 {
-				t.Errorf("Partition(%d, %d): shard %d is empty", tc.n, tc.p, i)
-			}
-			if s.Records != int64(len(recs)) {
-				t.Errorf("shard %d metadata says %d records, holds %d", i, s.Records, len(recs))
-			}
-			replay = append(replay, recs...)
-		}
-		if len(replay) != len(orig) {
-			t.Fatalf("Partition(%d, %d): shards replay %d records", tc.n, tc.p, len(replay))
-		}
-		for i := range orig {
-			if !data.EqualRecords(orig[i], replay[i]) {
-				t.Fatalf("Partition(%d, %d): record %d reordered", tc.n, tc.p, i)
-			}
-		}
-	}
-}
-
-func TestPartitionDegenerateReturnsOriginal(t *testing.T) {
-	for _, tc := range []struct {
-		n, p int
-	}{
-		{n: 0, p: 4},  // empty
-		{n: 1, p: 4},  // single record
-		{n: 10, p: 1}, // p ≤ 1
-		{n: 10, p: 0},
-	} {
-		ch := intChannel(tc.n)
-		shards, err := Partition(ch, tc.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(shards) != 1 || shards[0] != ch {
-			t.Errorf("Partition(n=%d, p=%d) = %d shards, want the original channel unsplit",
-				tc.n, tc.p, len(shards))
-		}
-	}
-}
-
-func TestPartitionSharesBackingArray(t *testing.T) {
-	// Shards are slice views into the original collection — Partition
-	// must not copy a large batch P times.
-	ch := intChannel(16)
-	orig, _ := ch.AsCollection()
-	shards, err := Partition(ch, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, _ := shards[0].AsCollection()
-	if &recs[0] != &orig[0] {
-		t.Error("shard 0 does not alias the original backing array")
-	}
-}
-
-func TestPartitionRejectsNonCollection(t *testing.T) {
-	if _, err := Partition(&Channel{Format: Table, Payload: 42}, 4); err == nil {
-		t.Error("Partition accepted a table channel")
-	}
-}
-
-// --- conversion-chain property test -----------------------------------
-
 // The converters below move real records between synthetic formats the
 // way platform converters do (re-chunking, re-ordering, serialising),
 // so a random walk over the graph exercises genuine payload

@@ -52,29 +52,6 @@ func (c Cost) String() string {
 		c.Total(), c.CPU, c.IO, c.Net, c.Startup)
 }
 
-// ShardEfficiency is the assumed per-shard parallel efficiency of
-// intra-atom sharding: n shards deliver 1 + ShardEfficiency·(n−1)
-// effective parallelism, not n — split/merge work and memory-bandwidth
-// contention eat the rest. Calibrated against the E11 experiment.
-const ShardEfficiency = 0.7
-
-// ShardDiscount prices running an operator fanned out over n shards:
-// the compute components (CPU, IO) divide by the effective parallelism
-// while Net and Startup — movement and per-job charges that sharding
-// does not parallelize — stay whole. The optimizer applies it to
-// shardable operators on non-distributed platforms, which is how
-// sharding can flip a platform assignment: a single-node engine with
-// shards behaves like a small cluster without the job overhead.
-func ShardDiscount(c Cost, shards int) Cost {
-	if shards <= 1 {
-		return c
-	}
-	eff := 1 + ShardEfficiency*float64(shards-1)
-	c.CPU = time.Duration(float64(c.CPU) / eff)
-	c.IO = time.Duration(float64(c.IO) / eff)
-	return c
-}
-
 // Model is the plugin signature a mapping attaches: estimate the cost
 // of running op on the mapping's platform, given estimated input and
 // output cardinalities. Models are pure functions of their arguments
@@ -179,7 +156,7 @@ func estimateInto(p *physical.Plan, est *Estimates, loopInputCard int64) {
 			}
 			card = int64(float64(in[0]) * sel)
 		case plan.KindGroupBy, plan.KindReduceByKey, plan.KindDistinct:
-			card = distinctEstimate(lop, in[0])
+			card = distinctEstimate(in[0])
 		case plan.KindReduce, plan.KindCount:
 			card = 1
 		case plan.KindUnion:
@@ -225,10 +202,7 @@ func estimateInto(p *physical.Plan, est *Estimates, loopInputCard int64) {
 	}
 }
 
-func distinctEstimate(lop *plan.Operator, in int64) int64 {
-	if lop.DistinctKeys() > 0 {
-		return min64(lop.DistinctKeys(), in)
-	}
+func distinctEstimate(in int64) int64 {
 	if in <= 1 {
 		return in
 	}

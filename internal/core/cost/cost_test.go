@@ -90,7 +90,6 @@ func TestEstimateDefaultsAndKinds(t *testing.T) {
 		r.CardHint = 200
 		j := b.Join(l, r, plan.FieldKey(0), plan.FieldKey(0))
 		g := b.ReduceByKey(j, plan.FieldKey(0), plan.SumField(0))
-		g.SetDistinctKeys(7)
 		c := b.Count(g)
 		b.Collect(c)
 	})
@@ -110,7 +109,7 @@ func TestEstimateDefaultsAndKinds(t *testing.T) {
 	if get(plan.KindJoin) != DefaultSourceCard { // max(1000, 200)
 		t.Errorf("join card = %d", get(plan.KindJoin))
 	}
-	if get(plan.KindReduceByKey) != 7 {
+	if get(plan.KindReduceByKey) != 31 { // √1000 keys
 		t.Errorf("reducebykey card = %d", get(plan.KindReduceByKey))
 	}
 	if get(plan.KindCount) != 1 {

@@ -50,50 +50,6 @@ func TestNLogNBoundaries(t *testing.T) {
 	}
 }
 
-// TestShardDiscountBoundaries pins the degenerate shard counts: a
-// zero or negative fan-out is "not sharded" and must return the cost
-// unchanged — the discount divides by 1 + ShardEfficiency·(n−1), which
-// for n ≤ 0 would *inflate* the cost (or flip its sign) if applied.
-// Real fan-outs divide CPU and IO by the effective parallelism while
-// Net and Startup stay whole.
-func TestShardDiscountBoundaries(t *testing.T) {
-	base := Cost{CPU: 1700 * time.Millisecond, IO: 340 * time.Millisecond,
-		Net: 50 * time.Millisecond, Startup: 20 * time.Millisecond}
-	eff := func(n int) float64 { return 1 + ShardEfficiency*float64(n-1) }
-	cases := []struct {
-		name   string
-		shards int
-		want   Cost
-	}{
-		{"negative clamps to unsharded", -1, base},
-		{"zero clamps to unsharded", 0, base},
-		{"one is unsharded", 1, base},
-		{"two divides compute by 1.7", 2, Cost{
-			CPU:     time.Duration(float64(base.CPU) / eff(2)),
-			IO:      time.Duration(float64(base.IO) / eff(2)),
-			Net:     base.Net,
-			Startup: base.Startup,
-		}},
-		{"four divides compute by 3.1", 4, Cost{
-			CPU:     time.Duration(float64(base.CPU) / eff(4)),
-			IO:      time.Duration(float64(base.IO) / eff(4)),
-			Net:     base.Net,
-			Startup: base.Startup,
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := ShardDiscount(base, tc.shards)
-			if got != tc.want {
-				t.Errorf("ShardDiscount(%v, %d) = %+v, want %+v", base, tc.shards, got, tc.want)
-			}
-			if got.CPU <= 0 || got.IO <= 0 {
-				t.Errorf("discount produced a non-positive compute cost: %+v", got)
-			}
-		})
-	}
-}
-
 func TestPairQuadratic(t *testing.T) {
 	m := PairQuadratic(0, time.Nanosecond)
 	if c := m(nil, []int64{100, 200}, 0); c.CPU != 20000*time.Nanosecond {

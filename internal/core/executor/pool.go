@@ -45,18 +45,7 @@ func (p *Pool) Acquire(ctx context.Context) error {
 	}
 }
 
-// TryAcquire takes a slot if one is free and reports whether it did; it
-// never blocks.
-func (p *Pool) TryAcquire() bool {
-	select {
-	case p.sem <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release returns a slot taken with Acquire or TryAcquire.
+// Release returns a slot taken with Acquire.
 func (p *Pool) Release() { <-p.sem }
 
 // Size returns the pool's slot count.

@@ -222,23 +222,3 @@ func TestPoolAcquireRespectsCancellation(t *testing.T) {
 		t.Fatal("cancelled run did not return while waiting for a pool slot")
 	}
 }
-
-// TestPoolTryAcquire pins the non-blocking acquisition: a full pool
-// answers false at once, a released slot can be won.
-func TestPoolTryAcquire(t *testing.T) {
-	pool := NewPool(1)
-	if !pool.TryAcquire() {
-		t.Fatal("TryAcquire failed on an empty pool")
-	}
-	if pool.TryAcquire() {
-		t.Fatal("TryAcquire succeeded on a full pool")
-	}
-	if pool.InUse() != 1 {
-		t.Fatalf("InUse = %d after one successful and one refused TryAcquire", pool.InUse())
-	}
-	pool.Release()
-	if !pool.TryAcquire() {
-		t.Fatal("TryAcquire failed after the slot was released")
-	}
-	pool.Release()
-}

@@ -121,7 +121,7 @@ func (p *planScope) runAtom(n *atomNode) (flagged bool, err error) {
 	sp := p.tr.Begin(newAtomSpan(p.ep, atom, trace.Span{
 		Kind: kind, AtomID: atom.ID, Name: atom.String(),
 		Platform: atom.Platform, Plan: p.ep.Physical.Name, Iteration: p.iter,
-		Shard: -1, EstCost: atomEstCost(p.ep, atom), Atom: atom,
+		EstCost: atomEstCost(p.ep, atom), Atom: atom,
 	}), n.readyAt)
 	var m engine.Metrics
 	var audits []trace.CardAudit

@@ -224,20 +224,18 @@ func (h *Hub) BindChannels(reg *channel.Registry) {
 // collector serves every run on the hub; per-run progress goes to the
 // Run whose tracer emitted the event.
 type Collector struct {
-	atomLatency  *HistogramVec // platform
-	queueWait    *HistogramVec // platform
-	convBytes    *HistogramVec // platform
-	shardLatency *HistogramVec // platform
-	shards       *CounterVec   // platform
-	atoms        *CounterVec   // platform, status
-	recordsIn    *CounterVec   // platform
-	recordsOut   *CounterVec   // platform
-	informats    *CounterVec   // platform, format
-	retries      *CounterVec   // platform
-	failovers    *Counter
-	replans      *Counter
-	runsTotal    *Counter
-	audits       *CounterVec // flagged
+	atomLatency *HistogramVec // platform
+	queueWait   *HistogramVec // platform
+	convBytes   *HistogramVec // platform
+	atoms       *CounterVec   // platform, status
+	recordsIn   *CounterVec   // platform
+	recordsOut  *CounterVec   // platform
+	informats   *CounterVec   // platform, format
+	retries     *CounterVec   // platform
+	failovers   *Counter
+	replans     *Counter
+	runsTotal   *Counter
+	audits      *CounterVec // flagged
 }
 
 // newCollector registers the collector's instruments on the registry.
@@ -252,11 +250,6 @@ func newCollector(reg *Registry) *Collector {
 		convBytes: reg.HistogramVec("rheem_conversion_bytes",
 			"Bytes converted across platform boundaries to feed an atom.",
 			SizeBuckets, "platform"),
-		shardLatency: reg.HistogramVec("rheem_shard_latency_seconds",
-			"Wall latency of individual intra-atom shard executions; the spread exposes shard skew.",
-			LatencyBuckets, "platform"),
-		shards: reg.CounterVec("rheem_shards_total",
-			"Intra-atom shard executions launched.", "platform"),
 		atoms: reg.CounterVec("rheem_atoms_total",
 			"Task atom executions by final status: ok, error, or cancelled.", "platform", "status"),
 		recordsIn: reg.CounterVec("rheem_records_in_total",
@@ -303,12 +296,6 @@ func (c *Collector) fold(run *Run, e trace.Event) {
 	case trace.RunStart:
 		run.setTotal(e.TotalAtoms)
 	case trace.SpanStart:
-		// Shard spans are sub-atom work: they feed their own
-		// instruments below but must not skew atom counters or the
-		// run's progress denominator.
-		if e.Span.Kind == trace.KindShard {
-			return
-		}
 		run.spanStarted(string(e.Span.Platform))
 	case trace.SpanRetry:
 		c.retries.With(string(e.Span.Platform)).Inc()
@@ -316,11 +303,6 @@ func (c *Collector) fold(run *Run, e trace.Event) {
 	case trace.SpanEnd:
 		sp := e.Span
 		platform := string(sp.Platform)
-		if sp.Kind == trace.KindShard {
-			c.shards.With(platform).Inc()
-			c.shardLatency.With(platform).Observe(sp.Wall.Seconds())
-			return
-		}
 		c.atoms.With(platform, spanStatus(e.Err)).Inc()
 		if sp.Kind == trace.KindAtom {
 			c.atomLatency.With(platform).Observe(sp.Wall.Seconds())

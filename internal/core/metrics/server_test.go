@@ -116,12 +116,12 @@ func TestProfileEndpointBuildsOnRead(t *testing.T) {
 	at := func(ms int) time.Time { return started.Add(time.Duration(ms) * time.Millisecond) }
 	span := func(id int, name string, from, to int) *trace.Span {
 		return &trace.Span{ID: id, Kind: trace.KindAtom, AtomID: id - 1, Name: name, Platform: "java",
-			Iteration: -1, Shard: -1, StartedAt: at(from), EndedAt: at(to), Wall: at(to).Sub(at(from))}
+			Iteration: -1, StartedAt: at(from), EndedAt: at(to), Wall: at(to).Sub(at(from))}
 	}
 	spans := []*trace.Span{span(1, "atom#0@java{src → Map#1}", 0, 3), span(2, "atom#1@java{Sink#2}", 3, 5)}
 	rec.Record(7, "lazy", at(0), at(6), nil, &trace.Trace{Spans: spans})
 	dispatch := &trace.Span{Kind: trace.KindDispatch, Name: "dispatch", Plan: "t/lazy#j-1",
-		Iteration: -1, Shard: -1, Job: "j-1", Tenant: "t", StartedAt: at(0), EndedAt: at(6), Wall: at(6).Sub(at(0))}
+		Iteration: -1, Job: "j-1", Tenant: "t", StartedAt: at(0), EndedAt: at(6), Wall: at(6).Sub(at(0))}
 	if err := rec.Annotate(7, dispatch); err != nil {
 		t.Fatal(err)
 	}

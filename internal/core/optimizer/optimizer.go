@@ -39,7 +39,8 @@ type Options struct {
 	// single-platform baselines of the experiments. Empty means free
 	// choice.
 	FixedPlatform engine.PlatformID
-	// DisableRules skips the rewrite phase (DefaultRules) entirely.
+	// DisableRules skips the rewrite phase (shared scan, filter
+	// push-down) entirely.
 	DisableRules bool
 	// Calibration supplies learned per-(kind, platform) cost correction
 	// factors and per-kind cardinality corrections folded from completed
@@ -130,7 +131,7 @@ func (ep *ExecutionPlan) String() string {
 // platforms.
 func Optimize(p *physical.Plan, reg *engine.Registry, opts Options) (*ExecutionPlan, error) {
 	if !opts.DisableRules {
-		if err := applyRules(p, DefaultRules()); err != nil {
+		if err := applyRules(p); err != nil {
 			return nil, err
 		}
 	}

@@ -5,43 +5,30 @@ import (
 
 	"rheem/internal/core/physical"
 	"rheem/internal/core/plan"
-	"rheem/internal/data"
 )
 
-// Rule is a pluggable physical-plan rewrite. Rules are applied to a
-// fixpoint (bounded), and must preserve plan semantics. They are the
-// paper's "rules ... as plugins" (§4.2): registering a new rule does
-// not touch the optimizer core.
-type Rule interface {
-	// Name identifies the rule in diagnostics.
-	Name() string
-	// Apply attempts one rewrite, reporting whether it changed the
-	// plan. The optimizer re-invokes rules until none fires.
-	Apply(p *physical.Plan) (bool, error)
-}
+// maxPasses bounds the rewrite phase's fixpoint.
+const maxPasses = 32
 
-// DefaultRules returns the built-in rewrite set.
-func DefaultRules() []Rule {
-	return []Rule{SharedScan{}, FuseFilters{}, PushFilterBeforeSort{}}
-}
-
-// applyRules drives rules to a bounded fixpoint.
-func applyRules(p *physical.Plan, rules []Rule) error {
-	const maxPasses = 32
+// applyRules is the rewrite phase: shared scan, then filter push-down,
+// pass after pass until neither changes the plan (at most maxPasses),
+// then the same inside every loop body. Each rewrite preserves the
+// plan's semantics.
+func applyRules(p *physical.Plan) error {
 	for pass := 0; pass < maxPasses; pass++ {
-		changed := false
-		for _, r := range rules {
-			ch, err := r.Apply(p)
-			if err != nil {
-				return fmt.Errorf("optimizer: rule %s: %w", r.Name(), err)
-			}
-			changed = changed || ch
+		scanned, err := sharedScan(p)
+		if err != nil {
+			return fmt.Errorf("optimizer: shared scan: %w", err)
 		}
-		if !changed {
+		pushed, err := pushFilterBeforeSort(p)
+		if err != nil {
+			return fmt.Errorf("optimizer: filter push-down: %w", err)
+		}
+		if !scanned && !pushed {
 			// Recurse into loop bodies once the top level is stable.
 			for _, op := range p.Ops {
 				if op.Body != nil {
-					if err := applyRules(op.Body, rules); err != nil {
+					if err := applyRules(op.Body); err != nil {
 						return err
 					}
 				}
@@ -49,76 +36,14 @@ func applyRules(p *physical.Plan, rules []Rule) error {
 			return p.Validate()
 		}
 	}
-	return fmt.Errorf("optimizer: rules did not reach a fixpoint in %d passes", 32)
+	return fmt.Errorf("optimizer: rewrites did not reach a fixpoint in %d passes", maxPasses)
 }
 
-// FuseFilters merges a Filter whose single input is another Filter with
-// no other consumers into one conjunctive Filter, halving per-record
-// dispatch overhead. A filter carrying a column predicate is left alone:
-// the closure would erase the hint, and where hints are honoured
-// consecutive hinted filters are one pass over one selection vector.
-type FuseFilters struct{}
-
-// Name implements Rule.
-func (FuseFilters) Name() string { return "fuse-filters" }
-
-// Apply implements Rule.
-func (FuseFilters) Apply(p *physical.Plan) (bool, error) {
-	var consumers map[int][]*physical.Operator // built at the first Filter→Filter pair
-	for _, op := range p.Ops {
-		if op.Kind() != plan.KindFilter {
-			continue
-		}
-		in := op.Inputs[0]
-		if in.Kind() != plan.KindFilter || in.Logical.ColPred() != nil || op.Logical.ColPred() != nil {
-			continue
-		}
-		if consumers == nil {
-			consumers = p.Consumers()
-		}
-		if len(consumers[in.ID]) != 1 {
-			continue
-		}
-		first, second := in.Logical.Filter(), op.Logical.Filter()
-		fused := plan.NewSynthetic(plan.KindFilter, "FusedFilter", plan.FilterFunc(func(r data.Record) (bool, error) {
-			ok, err := first(r)
-			if err != nil || !ok {
-				return false, err
-			}
-			return second(r)
-		}))
-		// Combined selectivity.
-		s1, s2 := in.Logical.Selectivity, op.Logical.Selectivity
-		if s1 <= 0 {
-			s1 = 0.5
-		}
-		if s2 <= 0 {
-			s2 = 0.5
-		}
-		fused.Selectivity = s1 * s2
-		merged := p.NewEnhancer(fused, in.Inputs[0])
-		for _, c := range consumers[op.ID] {
-			c.ReplaceInput(op, merged)
-		}
-		if p.SinkOp == op {
-			p.SinkOp = merged
-		}
-		removeOps(p, op, in)
-		return true, p.Normalize()
-	}
-	return false, nil
-}
-
-// PushFilterBeforeSort swaps Sort→Filter into Filter→Sort: filtering a
-// sorted stream and sorting a filtered stream produce the same output,
-// but the latter sorts fewer records.
-type PushFilterBeforeSort struct{}
-
-// Name implements Rule.
-func (PushFilterBeforeSort) Name() string { return "push-filter-before-sort" }
-
-// Apply implements Rule.
-func (PushFilterBeforeSort) Apply(p *physical.Plan) (bool, error) {
+// pushFilterBeforeSort swaps one Sort→Filter into Filter→Sort and
+// reports whether it did: filtering a sorted stream and sorting a
+// filtered stream produce the same output, but the latter sorts fewer
+// records.
+func pushFilterBeforeSort(p *physical.Plan) (bool, error) {
 	var consumers map[int][]*physical.Operator // built at the first Sort→Filter pair
 	for _, op := range p.Ops {
 		if op.Kind() != plan.KindFilter {
@@ -147,20 +72,4 @@ func (PushFilterBeforeSort) Apply(p *physical.Plan) (bool, error) {
 		return true, p.Normalize()
 	}
 	return false, nil
-}
-
-// removeOps deletes operators from the plan's op list (their wiring
-// must already be bypassed).
-func removeOps(p *physical.Plan, victims ...*physical.Operator) {
-	dead := make(map[int]bool, len(victims))
-	for _, v := range victims {
-		dead[v.ID] = true
-	}
-	kept := p.Ops[:0]
-	for _, op := range p.Ops {
-		if !dead[op.ID] {
-			kept = append(kept, op)
-		}
-	}
-	p.Ops = kept
 }

@@ -1,30 +1,26 @@
 package optimizer
 
 import (
+	"slices"
+
 	"rheem/internal/core/physical"
 	"rheem/internal/core/plan"
 )
 
-// SharedScan merges Source operators that declare the same ScanKey
-// into a single scan — the paper's example of a "traditional physical
-// optimization" the multi-platform optimizer should still apply (§4.2:
-// "shared scans and optimized data access paths"). Self-joins built by
-// the cleaning application read the same collection twice; after this
-// rule the data is scanned (and, on the Spark simulator, parallelized)
-// once.
+// sharedScan merges one Source that declares the same ScanKey as an
+// earlier one into that scan and reports whether it did — the paper's
+// example of a "traditional physical optimization" the multi-platform
+// optimizer should still apply (§4.2: "shared scans and optimized data
+// access paths"). Self-joins built by the cleaning application read the
+// same collection twice; after this rewrite the data is scanned (and,
+// on the Spark simulator, parallelized) once.
 //
 // Sharing is strictly opt-in through plan.Operator.ScanKey: Go cannot
 // portably establish that two source closures capture the same data
 // (function values are not comparable, and reflect exposes only the
 // shared code pointer), so only sources whose author declared them
 // identical are merged.
-type SharedScan struct{}
-
-// Name implements Rule.
-func (SharedScan) Name() string { return "shared-scan" }
-
-// Apply implements Rule.
-func (SharedScan) Apply(p *physical.Plan) (bool, error) {
+func sharedScan(p *physical.Plan) (bool, error) {
 	byKey := map[string]*physical.Operator{}
 	for _, op := range p.Ops {
 		if op.Kind() != plan.KindSource || op.Logical.ScanKey() == "" {
@@ -43,7 +39,7 @@ func (SharedScan) Apply(p *physical.Plan) (bool, error) {
 		if p.SinkOp == op {
 			p.SinkOp = first
 		}
-		removeOps(p, op)
+		p.Ops = slices.DeleteFunc(p.Ops, func(o *physical.Operator) bool { return o == op })
 		return true, p.Normalize()
 	}
 	return false, nil

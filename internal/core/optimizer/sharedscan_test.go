@@ -17,12 +17,12 @@ func TestSharedScanMergesDeclaredSources(t *testing.T) {
 		j := b.Cartesian(l, r)
 		b.Collect(j)
 	})
-	changed, err := (SharedScan{}).Apply(pp)
+	changed, err := sharedScan(pp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !changed {
-		t.Fatal("rule did not fire on shared-key sources")
+		t.Fatal("shared scan did not fire on shared-key sources")
 	}
 	sources := 0
 	for _, op := range pp.Ops {
@@ -45,8 +45,8 @@ func TestSharedScanMergesDeclaredSources(t *testing.T) {
 		}
 	}
 	// Idempotent.
-	if changed, _ := (SharedScan{}).Apply(pp); changed {
-		t.Error("rule fired twice")
+	if changed, _ := sharedScan(pp); changed {
+		t.Error("shared scan fired twice")
 	}
 }
 
@@ -63,8 +63,8 @@ func TestSharedScanIsStrictlyOptIn(t *testing.T) {
 		j := b.Cartesian(l, r)
 		b.Collect(j)
 	})
-	if changed, _ := (SharedScan{}).Apply(pp); changed {
-		t.Error("rule merged unkeyed sources")
+	if changed, _ := sharedScan(pp); changed {
+		t.Error("shared scan merged unkeyed sources")
 	}
 	// Different keys must not merge either.
 	pp2 := physOf(t, func(b *plan.Builder) {
@@ -74,8 +74,8 @@ func TestSharedScanIsStrictlyOptIn(t *testing.T) {
 		r.SetScanKey("b")
 		b.Collect(b.Cartesian(l, r))
 	})
-	if changed, _ := (SharedScan{}).Apply(pp2); changed {
-		t.Error("rule merged differently-keyed sources")
+	if changed, _ := sharedScan(pp2); changed {
+		t.Error("shared scan merged differently-keyed sources")
 	}
 }
 
@@ -100,7 +100,7 @@ func TestSharedScanEndToEndCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rule applied during Optimize (DefaultRules includes SharedScan).
+	// Optimize runs the shared scan in its rewrite phase.
 	sources := 0
 	for _, op := range ep.Physical.Ops {
 		if op.Kind() == plan.KindSource {

@@ -277,7 +277,7 @@ func (p *Plan) String() string {
 	return sb.String()
 }
 
-// --- rewrite helpers used by optimizer rules ---
+// --- rewrite helpers for the optimizer's plan rewrites ---
 
 // NewEnhancer creates an enhancer operator wrapping a synthesized
 // logical payload and registers it in the plan (appended; callers must

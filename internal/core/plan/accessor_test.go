@@ -20,35 +20,34 @@ func TestAccessorsByKind(t *testing.T) {
 	bb.Collect(bb.LoopInput("li"))
 	body := bb.MustBuild()
 	holds := map[string]func(*Operator) bool{
-		"Source":       func(o *Operator) bool { return o.Source() != nil },
-		"Map":          func(o *Operator) bool { return o.Map() != nil },
-		"FlatMap":      func(o *Operator) bool { return o.FlatMap() != nil },
-		"Filter":       func(o *Operator) bool { return o.Filter() != nil },
-		"Group":        func(o *Operator) bool { return o.Group() != nil },
-		"Reduce":       func(o *Operator) bool { return o.Reduce() != nil },
-		"Pred":         func(o *Operator) bool { return o.Pred() != nil },
-		"Cond":         func(o *Operator) bool { return o.Cond() != nil },
-		"RightKey":     func(o *Operator) bool { return o.RightKey() != nil },
-		"Desc":         func(o *Operator) bool { return o.Desc() },
-		"Body":         func(o *Operator) bool { return o.Body() == body },
-		"Times":        func(o *Operator) bool { return o.Times() == 3 },
-		"MaxIter":      func(o *Operator) bool { return o.MaxIter() == 4 },
-		"N":            func(o *Operator) bool { return o.N() == 5 },
-		"Conditions":   func(o *Operator) bool { return len(o.Conditions()) == 1 && o.Conditions()[0].Op == GreaterEq },
-		"ScanKey":      func(o *Operator) bool { return o.ScanKey() == "k" },
-		"DistinctKeys": func(o *Operator) bool { return o.DistinctKeys() == 6 },
-		"ColSource":    func(o *Operator) bool { return o.ColSource() == cols },
-		"ColPred":      func(o *Operator) bool { return o.ColPred() != nil && o.ColPred().Field == 1 },
-		"ColProject":   func(o *Operator) bool { return slices.Equal(o.ColProject(), []int{1, 0}) },
-		"ColMap":       func(o *Operator) bool { return o.ColMap() != nil && len(o.ColMap().Out) == 1 },
-		"ColAgg":       func(o *Operator) bool { return o.ColAgg() != nil && len(o.ColAgg().Fns) == 2 },
-		"ColGroup":     func(o *Operator) bool { return o.ColGroup() != nil && len(o.ColGroup().Out) == 1 },
+		"Source":     func(o *Operator) bool { return o.Source() != nil },
+		"Map":        func(o *Operator) bool { return o.Map() != nil },
+		"FlatMap":    func(o *Operator) bool { return o.FlatMap() != nil },
+		"Filter":     func(o *Operator) bool { return o.Filter() != nil },
+		"Group":      func(o *Operator) bool { return o.Group() != nil },
+		"Reduce":     func(o *Operator) bool { return o.Reduce() != nil },
+		"Pred":       func(o *Operator) bool { return o.Pred() != nil },
+		"Cond":       func(o *Operator) bool { return o.Cond() != nil },
+		"RightKey":   func(o *Operator) bool { return o.RightKey() != nil },
+		"Desc":       func(o *Operator) bool { return o.Desc() },
+		"Body":       func(o *Operator) bool { return o.Body() == body },
+		"Times":      func(o *Operator) bool { return o.Times() == 3 },
+		"MaxIter":    func(o *Operator) bool { return o.MaxIter() == 4 },
+		"N":          func(o *Operator) bool { return o.N() == 5 },
+		"Conditions": func(o *Operator) bool { return len(o.Conditions()) == 1 && o.Conditions()[0].Op == GreaterEq },
+		"ScanKey":    func(o *Operator) bool { return o.ScanKey() == "k" },
+		"ColSource":  func(o *Operator) bool { return o.ColSource() == cols },
+		"ColPred":    func(o *Operator) bool { return o.ColPred() != nil && o.ColPred().Field == 1 },
+		"ColProject": func(o *Operator) bool { return slices.Equal(o.ColProject(), []int{1, 0}) },
+		"ColMap":     func(o *Operator) bool { return o.ColMap() != nil && len(o.ColMap().Out) == 1 },
+		"ColAgg":     func(o *Operator) bool { return o.ColAgg() != nil && len(o.ColAgg().Fns) == 2 },
+		"ColGroup":   func(o *Operator) bool { return o.ColGroup() != nil && len(o.ColGroup().Out) == 1 },
 	}
 	anyHolds := func(o *Operator) bool { // the zero value, read any other way
 		return o.Source() != nil || o.Map() != nil || o.FlatMap() != nil || o.Filter() != nil ||
 			o.Group() != nil || o.Reduce() != nil || o.Pred() != nil || o.Cond() != nil ||
 			o.RightKey() != nil || o.Desc() || o.Body() != nil || o.Times() != 0 || o.MaxIter() != 0 ||
-			o.N() != 0 || o.Conditions() != nil || o.ScanKey() != "" || o.DistinctKeys() != 0 ||
+			o.N() != 0 || o.Conditions() != nil || o.ScanKey() != "" ||
 			o.ColSource() != nil || o.ColPred() != nil || o.ColProject() != nil || o.ColMap() != nil ||
 			o.ColAgg() != nil || o.ColGroup() != nil
 	}
@@ -57,9 +56,7 @@ func TestAccessorsByKind(t *testing.T) {
 	src := b.Source("s", sampleSource())
 	rare := b.Source("rare", sampleSource())
 	rare.SetScanKey("k")
-	rare.SetDistinctKeys(6)
 	theta := b.ThetaJoin(src, src, func(l, r data.Record) (bool, error) { return true, nil }, IECondition{Op: GreaterEq})
-	theta.SetDistinctKeys(6)
 	colMap := ColumnMap{In: []ColumnIn{{Field: 0, Kind: batch.ColInt64}}, Out: []batch.ColKind{batch.ColInt64},
 		Fn: func(n int, in, out []batch.Column) error { return nil }}
 	cases := []struct {
@@ -67,7 +64,7 @@ func TestAccessorsByKind(t *testing.T) {
 		want []string
 	}{
 		{src, []string{"Source"}},
-		{rare, []string{"Source", "ScanKey", "DistinctKeys"}},
+		{rare, []string{"Source", "ScanKey"}},
 		{b.SourceColumns("c", cols, nil), []string{"Source", "ColSource"}},
 		{b.LoopInput("li"), nil},
 		{b.Map(src, Identity()), []string{"Map"}},
@@ -87,7 +84,7 @@ func TestAccessorsByKind(t *testing.T) {
 		{b.Distinct(src), nil},
 		{b.Union(src, src), nil},
 		{b.Join(src, src, FieldKey(0), FieldKey(0)), []string{"RightKey"}},
-		{theta, []string{"Pred", "Conditions", "DistinctKeys"}},
+		{theta, []string{"Pred", "Conditions"}},
 		{b.Cartesian(src, src), nil},
 		{b.Count(src), nil},
 		{b.Sample(src, 5), []string{"N"}},

@@ -49,17 +49,6 @@ func SumField(i int) ReduceFunc {
 	}
 }
 
-// MaxByField returns a ReduceFunc keeping whichever record has the
-// larger field i.
-func MaxByField(i int) ReduceFunc {
-	return func(a, b data.Record) (data.Record, error) {
-		if data.Compare(a.Field(i), b.Field(i)) >= 0 {
-			return a, nil
-		}
-		return b, nil
-	}
-}
-
 // Identity returns a MapFunc passing records through unchanged, useful
 // as a placeholder in enhancer positions.
 func Identity() MapFunc {
@@ -67,8 +56,8 @@ func Identity() MapFunc {
 }
 
 // NewSynthetic creates a free-standing operator of kind holding fn, its
-// UDF (nil for a kind without one), for optimizer rules and enhancer
-// physical operators. It belongs to no logical plan, so its ID is -1.
+// UDF (nil for a kind without one), for enhancer physical operators and
+// a test's reference twins. It belongs to no logical plan, so its ID is -1.
 func NewSynthetic(kind OpKind, name string, fn any) *Operator {
 	return &Operator{id: -1, kind: kind, name: name, fn: fn}
 }

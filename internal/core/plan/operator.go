@@ -220,13 +220,12 @@ type Operator struct {
 
 // opExt is what only loops, theta-joins, samples and rare hints use.
 type opExt struct {
-	body         *Plan         // Repeat, DoWhile
-	times        int           // Repeat
-	maxIter      int           // DoWhile safety bound (0 = default)
-	n            int           // Sample
-	conds        []IECondition // ThetaJoin declarative inequality conditions
-	scanKey      string
-	distinctKeys int64
+	body    *Plan         // Repeat, DoWhile
+	times   int           // Repeat
+	maxIter int           // DoWhile safety bound (0 = default)
+	n       int           // Sample
+	conds   []IECondition // ThetaJoin declarative inequality conditions
+	scanKey string
 }
 
 // The column forms flags names, and Sort's descending bit. A column form
@@ -290,9 +289,7 @@ func (o *Operator) Times() int                { return o.extOrZero().times }
 func (o *Operator) MaxIter() int              { return o.extOrZero().maxIter }
 func (o *Operator) N() int                    { return o.extOrZero().n }
 func (o *Operator) Conditions() []IECondition { return o.extOrZero().conds }
-func (o *Operator) DistinctKeys() int64       { return o.extOrZero().distinctKeys } // GroupBy/ReduceByKey/Distinct: expected key count
 func (o *Operator) ScanKey() string           { return o.extOrZero().scanKey }
-func (o *Operator) SetDistinctKeys(n int64)   { o.ownExt().distinctKeys = n }
 
 // SetScanKey marks a source that provably produces identical records:
 // sources sharing a non-empty ScanKey may be merged by the shared-scan

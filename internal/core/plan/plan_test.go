@@ -267,10 +267,6 @@ func TestHelperUDFs(t *testing.T) {
 	if fsum.Field(0).Float() != 2.5 {
 		t.Error("SumField float broken")
 	}
-	mx, _ := MaxByField(0)(data.NewRecord(data.Int(2)), data.NewRecord(data.Int(9)))
-	if mx.Field(0).Int() != 9 {
-		t.Error("MaxByField broken")
-	}
 
 	src := Collection([]data.Record{r})
 	got, err := src()

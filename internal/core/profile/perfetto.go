@@ -167,9 +167,6 @@ func spanArgs(sp *trace.Span) map[string]any {
 		if sp.Iteration >= 0 {
 			args["iteration"] = sp.Iteration
 		}
-		if sp.Shard >= 0 {
-			args["shard"] = sp.Shard
-		}
 		if sp.Retries > 0 {
 			args["retries"] = sp.Retries
 		}

@@ -1,9 +1,8 @@
 // Package profile is the run flight recorder: it folds one run's span
 // trace into a Profile — critical path over the span DAG, time
 // attribution split into queue-wait/compute/conversion/retry per
-// platform and per operator, top-N slowest atoms, shard-imbalance
-// stats — and exports any recorded run as Chrome-trace-event (Perfetto)
-// JSON. The paper's freedom argument rests on knowing *where* a
+// platform and per operator, top-N slowest atoms — and exports any
+// recorded run as Chrome-trace-event (Perfetto) JSON. The paper's freedom argument rests on knowing *where* a
 // cross-platform plan spends its time; aggregates (the metrics Hub)
 // answer that for the fleet, this package answers it for a single run.
 //
@@ -107,23 +106,6 @@ type AtomSummary struct {
 	Retries     int    `json:"retries"`
 }
 
-// ShardStat summarizes the shard spans of one sharded atom execution:
-// fan-out width, observed executions (more than Shards under retries),
-// and wall-clock spread. ImbalancePct is 100·(max−mean)/mean — how much
-// longer the straggler ran than the average shard.
-type ShardStat struct {
-	AtomID       int     `json:"atom_id"`
-	Name         string  `json:"name"`
-	Platform     string  `json:"platform"`
-	Iteration    int     `json:"iteration"`
-	Shards       int     `json:"shards"`
-	Executions   int     `json:"executions"`
-	MinWallNS    int64   `json:"min_wall_ns"`
-	MaxWallNS    int64   `json:"max_wall_ns"`
-	MeanWallNS   int64   `json:"mean_wall_ns"`
-	ImbalancePct float64 `json:"imbalance_pct"`
-}
-
 // Phase is one service-layer span (admission, queue, dispatch) of the
 // job that owned this run — present only on runs annotated by the job
 // service.
@@ -149,7 +131,7 @@ type Profile struct {
 	Atoms int `json:"atoms"`
 
 	// Total and its per-platform/per-operator splits attribute atom-span
-	// time (all iterations; shard and loop spans excluded so nothing is
+	// time (all iterations; loop spans excluded so nothing is
 	// double-counted).
 	Total     Buckets           `json:"total"`
 	Platforms []PlatformProfile `json:"platforms"`
@@ -161,9 +143,8 @@ type Profile struct {
 	CriticalPathNS int64      `json:"critical_path_ns"`
 	CriticalPath   []PathStep `json:"critical_path"`
 
-	TopAtoms   []AtomSummary `json:"top_atoms"`
-	ShardStats []ShardStat   `json:"shard_stats,omitempty"`
-	Phases     []Phase       `json:"phases,omitempty"`
+	TopAtoms []AtomSummary `json:"top_atoms"`
+	Phases   []Phase       `json:"phases,omitempty"`
 
 	// Formats aggregates the executor's per-consumer channel format
 	// choice (span in_formats) across the run's atoms.
@@ -248,7 +229,6 @@ func Build(runID int64, name string, started, ended time.Time, runErr string, sp
 
 	p.CriticalPathNS, p.CriticalPath = criticalPath(spans)
 	p.TopAtoms = topAtoms(atoms)
-	p.ShardStats = shardStats(spans)
 	return p
 }
 
@@ -412,66 +392,6 @@ func topAtoms(atoms []*trace.Span) []AtomSummary {
 			ConvNS:      int64(sp.ConvTime),
 			Retries:     sp.Retries,
 		})
-	}
-	return out
-}
-
-func shardStats(spans []*trace.Span) []ShardStat {
-	type key struct {
-		plan string
-		atom int
-		iter int
-	}
-	groups := map[key][]*trace.Span{}
-	var order []key
-	for _, sp := range spans {
-		if sp.Kind != trace.KindShard {
-			continue
-		}
-		k := key{sp.Plan, sp.AtomID, sp.Iteration}
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], sp)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.plan != b.plan {
-			return a.plan < b.plan
-		}
-		if a.atom != b.atom {
-			return a.atom < b.atom
-		}
-		return a.iter < b.iter
-	})
-	var out []ShardStat
-	for _, k := range order {
-		g := groups[k]
-		st := ShardStat{
-			AtomID:     k.atom,
-			Name:       g[0].Name,
-			Platform:   string(g[0].Platform),
-			Iteration:  k.iter,
-			Shards:     g[0].Shards,
-			Executions: len(g),
-			MinWallNS:  int64(g[0].Wall),
-		}
-		var sum int64
-		for _, sp := range g {
-			w := int64(sp.Wall)
-			sum += w
-			if w < st.MinWallNS {
-				st.MinWallNS = w
-			}
-			if w > st.MaxWallNS {
-				st.MaxWallNS = w
-			}
-		}
-		st.MeanWallNS = sum / int64(len(g))
-		if st.MeanWallNS > 0 {
-			st.ImbalancePct = 100 * float64(st.MaxWallNS-st.MeanWallNS) / float64(st.MeanWallNS)
-		}
-		out = append(out, st)
 	}
 	return out
 }

@@ -24,7 +24,7 @@ func at(sec int) time.Time { return base.Add(time.Duration(sec) * time.Second) }
 func span(id int, name string, start, end int) *trace.Span {
 	return &trace.Span{
 		ID: id, Kind: trace.KindAtom, AtomID: id, Name: name, Platform: "java",
-		Plan: "p", Iteration: -1, Shard: -1,
+		Plan: "p", Iteration: -1,
 		StartedAt: at(start), EndedAt: at(end),
 		Wall: at(end).Sub(at(start)),
 	}
@@ -123,8 +123,10 @@ func TestAttributionBuckets(t *testing.T) {
 		{Number: 1, Wall: 3 * time.Second, Err: "transient"},
 		{Number: 2, Wall: 5 * time.Second},
 	}
+	sp.InFormats = map[string]int{"batch": 2}
 	other := span(2, "sink", 10, 12)
 	other.Platform = "spark"
+	other.InFormats = map[string]int{"batch": 1, "collection": 1}
 	p := Build(1, "attr", at(0), at(12), "", []*trace.Span{sp, other})
 
 	if p.Total.QueueWaitNS != int64(2*time.Second) ||
@@ -142,36 +144,8 @@ func TestAttributionBuckets(t *testing.T) {
 	if len(p.Operators) != 2 || p.Operators[0].Name != "map" || p.Operators[0].Spans != 1 {
 		t.Errorf("operators = %+v", p.Operators)
 	}
-}
-
-func TestShardStatsAndFormats(t *testing.T) {
-	atomSpan := span(1, "map", 0, 4)
-	atomSpan.Shards = 2
-	atomSpan.InFormats = map[string]int{"batch": 2}
-	s0 := span(2, "map", 0, 1)
-	s0.Kind, s0.AtomID, s0.Shard, s0.Shards = trace.KindShard, 1, 0, 2
-	s1 := span(3, "map", 0, 4)
-	s1.Kind, s1.AtomID, s1.Shard, s1.Shards = trace.KindShard, 1, 1, 2
-	p := Build(1, "shards", at(0), at(4), "", []*trace.Span{atomSpan, s0, s1})
-
-	if len(p.ShardStats) != 1 {
-		t.Fatalf("shard stats = %+v", p.ShardStats)
-	}
-	st := p.ShardStats[0]
-	if st.Shards != 2 || st.Executions != 2 ||
-		st.MinWallNS != int64(time.Second) || st.MaxWallNS != int64(4*time.Second) {
-		t.Errorf("stat = %+v", st)
-	}
-	// mean 2.5s, max 4s → 60% over mean.
-	if st.ImbalancePct < 59.9 || st.ImbalancePct > 60.1 {
-		t.Errorf("imbalance = %v, want 60", st.ImbalancePct)
-	}
-	if p.Formats["batch"] != 2 {
-		t.Errorf("formats = %v", p.Formats)
-	}
-	// Shard spans must not double into attribution or atom counts.
-	if p.Atoms != 1 || p.Total.ComputeNS != int64(4*time.Second) {
-		t.Errorf("atoms = %d total = %+v", p.Atoms, p.Total)
+	if len(p.Formats) != 2 || p.Formats["batch"] != 3 || p.Formats["collection"] != 1 {
+		t.Errorf("formats = %v, want the atom spans' in_formats summed", p.Formats)
 	}
 }
 
@@ -197,7 +171,7 @@ func TestTopAtomsBounded(t *testing.T) {
 func TestPhasesOrdered(t *testing.T) {
 	mk := func(kind string, start, end int) *trace.Span {
 		return &trace.Span{
-			Kind: kind, Name: kind, Plan: "t/demo#j-1", Iteration: -1, Shard: -1,
+			Kind: kind, Name: kind, Plan: "t/demo#j-1", Iteration: -1,
 			Job: "j-1", Tenant: "t",
 			StartedAt: at(start), EndedAt: at(end), Wall: at(end).Sub(at(start)),
 		}
@@ -370,7 +344,7 @@ func TestRecorderAnnotate(t *testing.T) {
 	r.Record(9, "demo", at(0), at(6), nil, &trace.Trace{Spans: []*trace.Span{span(1, "map", 1, 3)}})
 	err := r.Annotate(9, &trace.Span{
 		Kind: trace.KindDispatch, Name: "dispatch", Plan: "t/demo#j-1",
-		Iteration: -1, Shard: -1, Job: "j-1", Tenant: "t",
+		Iteration: -1, Job: "j-1", Tenant: "t",
 		StartedAt: at(0), EndedAt: at(6), Wall: 6 * time.Second,
 	})
 	if err != nil {
@@ -402,7 +376,7 @@ func TestRecorderBuildsProfileOnce(t *testing.T) {
 	if first.Profile == nil || first != again {
 		t.Fatalf("Get returned %p then %p, want one built record", first, again)
 	}
-	if err := r.Annotate(1, &trace.Span{Kind: trace.KindQueue, Iteration: -1, Shard: -1, StartedAt: at(0), EndedAt: at(1), Wall: time.Second}); err != nil {
+	if err := r.Annotate(1, &trace.Span{Kind: trace.KindQueue, Iteration: -1, StartedAt: at(0), EndedAt: at(1), Wall: time.Second}); err != nil {
 		t.Fatal(err)
 	}
 	annotated, _ := r.Get(1)
@@ -445,7 +419,7 @@ func TestRecorderPersistenceSurvivesRestart(t *testing.T) {
 	r1.Record(5, "restart-demo", at(0), at(4), nil, &trace.Trace{Spans: spans})
 	if err := r1.Annotate(5, &trace.Span{
 		Kind: trace.KindDispatch, Name: "dispatch", Plan: "t/d#j-1",
-		Iteration: -1, Shard: -1, Job: "j-1", Tenant: "t",
+		Iteration: -1, Job: "j-1", Tenant: "t",
 		StartedAt: at(0), EndedAt: at(4), Wall: 4 * time.Second,
 	}); err != nil {
 		t.Fatal(err)

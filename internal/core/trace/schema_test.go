@@ -16,13 +16,13 @@ import (
 	"rheem/internal/core/engine"
 )
 
-// schemaGolden is the key set of every WriteJSON line at JSONSchema 3,
+// schemaGolden is the key set of every WriteJSON line at JSONSchema 4,
 // with each JSON type. rheem.WithMonitor hands callers trace.Event and
 // /runs/{id}/trace.json serves these lines, so their shape is public:
 // a change here is a schema change — bump JSONSchema, say what changed
 // next to it, delete the file and run the test once to re-record (it
 // writes the file and fails).
-const schemaGolden = "testdata/schema_v3.golden"
+const schemaGolden = "testdata/schema_v4.golden"
 
 // fullTrace is one span and one audit record with every field set: a
 // zero field would be dropped by omitempty and leave its key unpinned.
@@ -31,8 +31,8 @@ func fullTrace() *Trace {
 	m := engine.Metrics{Wall: 1, Sim: 2, Jobs: 3, InRecords: 4, OutRecords: 5,
 		ShuffledBytes: 6, MovedBytes: 7, Conversions: 8, Retries: 9}
 	sp := &Span{
-		ID: 1, Kind: KindShard, AtomID: 2, Name: "atom#2[map]", Platform: "java", Plan: "p",
-		Iteration: 3, Shard: 1, Shards: 4, Job: "job-1", Tenant: "t",
+		ID: 1, Kind: KindAtom, AtomID: 2, Name: "atom#2[map]", Platform: "java", Plan: "p",
+		Iteration: 3, Job: "job-1", Tenant: "t",
 		StartedAt: at, EndedAt: at.Add(time.Second), QueueWait: 5, Wall: 6,
 		ConvTime: 7, ConvBytes: 8, ConvSteps: 9, InFormats: map[string]int{"batch": 1},
 		EstCost: 10, KindEst: KindCosts{{Kind: "Map", NS: 11}},
@@ -90,8 +90,8 @@ func TestJSONSchemaFrozen(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			t.Fatalf("line is not a JSON object: %v\n%s", err, sc.Text())
 		}
-		if got := line["schema"]; got != float64(JSONSchema) || JSONSchema != 3 {
-			t.Errorf("line carries schema %v, JSONSchema is %d, the golden file is for 3", got, JSONSchema)
+		if got := line["schema"]; got != float64(JSONSchema) || JSONSchema != 4 {
+			t.Errorf("line carries schema %v, JSONSchema is %d, the golden file is for 4", got, JSONSchema)
 		}
 		keyPaths(fmt.Sprint(line["type"]), line, &paths)
 	}

@@ -29,14 +29,13 @@ import (
 	"rheem/internal/core/engine"
 )
 
-// Span kinds: a platform-executed compute atom, a loop the executor
-// unrolls itself, or one shard of a sharded atom execution.
+// Span kinds: a platform-executed compute atom, or a loop the executor
+// unrolls itself.
 const (
 	KindAtom = "atom"
 	KindLoop = "loop"
-	// KindShard spans are children of a sharded KindAtom span: one per
-	// shard per attempt, tagged with the shard index. Skew shows up as
-	// spread between sibling shard spans.
+	// KindShard names no span. It stays only because the e2e
+	// benchmark's trace filter (benchmarks/e2e/workload.go) reads it.
 	KindShard = "shard"
 )
 
@@ -88,12 +87,6 @@ type Span struct {
 	// Iteration is the enclosing loop iteration for loop-body spans,
 	// -1 at the top level.
 	Iteration int `json:"iteration"`
-	// Shard is the 0-based shard index on KindShard spans, -1 otherwise.
-	Shard int `json:"shard"`
-	// Shards is the intra-atom fan-out width: on a sharded KindAtom span
-	// the number of shards the execution split into, and on a KindShard
-	// span the parent's total shard count. 0 means unsharded.
-	Shards int `json:"shards,omitempty"`
 	// Job and Tenant tag service-layer spans (admission, queue,
 	// dispatch) with the job they belong to — the correlation key that
 	// joins a job's service-side phases to its engine run's atom spans.
@@ -475,7 +468,10 @@ func (tr *Trace) Platforms() []engine.PlatformID {
 // v3 added the cost-calibration feedback fields: kind_est_ns on spans
 // (raw per-kind estimated cost split) and op_kind / raw_estimated on
 // audit records.
-const JSONSchema = 3
+//
+// v4 dropped the shard and shards span fields with the executor's shard
+// fan-out.
+const JSONSchema = 4
 
 // WriteJSON dumps the trace as JSON lines — one object per span, then
 // one per audit record, each tagged with "schema" and "type" fields.

@@ -201,19 +201,19 @@ func TestWriteJSONGoldenLines(t *testing.T) {
 
 	sp := tr.Begin(&Span{
 		Kind: KindAtom, AtomID: 7, Name: "map", Platform: "java",
-		Plan: "q1", Iteration: -1, Shard: -1,
+		Plan: "q1", Iteration: -1,
 	}, time.Time{})
 	sp.InFormats = map[string]int{"collection": 2, "batch": 1}
 	sp.KindEst = KindCosts{{Kind: "Map", NS: 500}}
 	tr.End(sp, engine.Metrics{Jobs: 1, OutRecords: 5}, nil)
-	shard := tr.Begin(&Span{
-		Kind: KindShard, AtomID: 7, Name: "map", Platform: "java",
-		Plan: "q1", Iteration: -1, Shard: 2, Shards: 4,
+	loop := tr.Begin(&Span{
+		Kind: KindLoop, AtomID: 8, Name: "loop", Platform: "java",
+		Plan: "q1", Iteration: -1,
 	}, time.Time{})
-	tr.End(shard, engine.Metrics{Jobs: 1, OutRecords: 2}, nil)
+	tr.End(loop, engine.Metrics{Jobs: 1, OutRecords: 2}, nil)
 	adm := tr.Begin(&Span{
 		Kind: KindAdmission, Name: "admission",
-		Plan: "acme/demo#j-1", Iteration: -1, Shard: -1,
+		Plan: "acme/demo#j-1", Iteration: -1,
 		Job: "j-1", Tenant: "acme",
 	}, time.Time{})
 	tr.End(adm, engine.Metrics{}, nil)
@@ -229,10 +229,10 @@ func TestWriteJSONGoldenLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		`{"schema":3,"type":"span","id":1,"kind":"atom","atom_id":7,"name":"map","platform":"java","plan":"q1","iteration":-1,"shard":-1,"started_at":"1970-01-01T00:16:41Z","ended_at":"1970-01-01T00:16:42Z","queue_wait_ns":0,"wall_ns":1000000000,"conv_ns":0,"conv_bytes":0,"conv_steps":0,"in_formats":{"batch":1,"collection":2},"est_cost_ns":0,"kind_est_ns":{"Map":500},"retries":0,"metrics":{"Wall":0,"Sim":0,"Jobs":1,"InRecords":0,"OutRecords":5,"ShuffledBytes":0,"MovedBytes":0,"Conversions":0,"Retries":0}}`,
-		`{"schema":3,"type":"span","id":2,"kind":"shard","atom_id":7,"name":"map","platform":"java","plan":"q1","iteration":-1,"shard":2,"shards":4,"started_at":"1970-01-01T00:16:43Z","ended_at":"1970-01-01T00:16:44Z","queue_wait_ns":0,"wall_ns":1000000000,"conv_ns":0,"conv_bytes":0,"conv_steps":0,"est_cost_ns":0,"retries":0,"metrics":{"Wall":0,"Sim":0,"Jobs":1,"InRecords":0,"OutRecords":2,"ShuffledBytes":0,"MovedBytes":0,"Conversions":0,"Retries":0}}`,
-		`{"schema":3,"type":"span","id":3,"kind":"admission","atom_id":0,"name":"admission","platform":"","plan":"acme/demo#j-1","iteration":-1,"shard":-1,"job":"j-1","tenant":"acme","started_at":"1970-01-01T00:16:45Z","ended_at":"1970-01-01T00:16:46Z","queue_wait_ns":0,"wall_ns":1000000000,"conv_ns":0,"conv_bytes":0,"conv_steps":0,"est_cost_ns":0,"retries":0,"metrics":{"Wall":0,"Sim":0,"Jobs":0,"InRecords":0,"OutRecords":0,"ShuffledBytes":0,"MovedBytes":0,"Conversions":0,"Retries":0}}`,
-		`{"schema":3,"type":"audit","op_id":1,"op":"map","platform":"java","estimated":10,"actual":40,"err_factor":4,"flagged":true,"est_cost_ns":250000,"op_kind":"Map","raw_estimated":10}`,
+		`{"schema":4,"type":"span","id":1,"kind":"atom","atom_id":7,"name":"map","platform":"java","plan":"q1","iteration":-1,"started_at":"1970-01-01T00:16:41Z","ended_at":"1970-01-01T00:16:42Z","queue_wait_ns":0,"wall_ns":1000000000,"conv_ns":0,"conv_bytes":0,"conv_steps":0,"in_formats":{"batch":1,"collection":2},"est_cost_ns":0,"kind_est_ns":{"Map":500},"retries":0,"metrics":{"Wall":0,"Sim":0,"Jobs":1,"InRecords":0,"OutRecords":5,"ShuffledBytes":0,"MovedBytes":0,"Conversions":0,"Retries":0}}`,
+		`{"schema":4,"type":"span","id":2,"kind":"loop","atom_id":8,"name":"loop","platform":"java","plan":"q1","iteration":-1,"started_at":"1970-01-01T00:16:43Z","ended_at":"1970-01-01T00:16:44Z","queue_wait_ns":0,"wall_ns":1000000000,"conv_ns":0,"conv_bytes":0,"conv_steps":0,"est_cost_ns":0,"retries":0,"metrics":{"Wall":0,"Sim":0,"Jobs":1,"InRecords":0,"OutRecords":2,"ShuffledBytes":0,"MovedBytes":0,"Conversions":0,"Retries":0}}`,
+		`{"schema":4,"type":"span","id":3,"kind":"admission","atom_id":0,"name":"admission","platform":"","plan":"acme/demo#j-1","iteration":-1,"job":"j-1","tenant":"acme","started_at":"1970-01-01T00:16:45Z","ended_at":"1970-01-01T00:16:46Z","queue_wait_ns":0,"wall_ns":1000000000,"conv_ns":0,"conv_bytes":0,"conv_steps":0,"est_cost_ns":0,"retries":0,"metrics":{"Wall":0,"Sim":0,"Jobs":0,"InRecords":0,"OutRecords":0,"ShuffledBytes":0,"MovedBytes":0,"Conversions":0,"Retries":0}}`,
+		`{"schema":4,"type":"audit","op_id":1,"op":"map","platform":"java","estimated":10,"actual":40,"err_factor":4,"flagged":true,"est_cost_ns":250000,"op_kind":"Map","raw_estimated":10}`,
 	}
 	got := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	if len(got) != len(want) {

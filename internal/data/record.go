@@ -1,7 +1,6 @@
 package data
 
 import (
-	"sort"
 	"strings"
 	"unsafe"
 )
@@ -122,17 +121,6 @@ func (r Record) String() string {
 	}
 	sb.WriteByte(')')
 	return sb.String()
-}
-
-// SortRecords sorts records in place under CompareRecords. Sort-based
-// physical operators use it as their common ordering primitive.
-func SortRecords(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool { return CompareRecords(recs[i], recs[j]) < 0 })
-}
-
-// SortRecordsBy sorts records in place by a derived key value.
-func SortRecordsBy(recs []Record, key func(Record) Value) {
-	sort.SliceStable(recs, func(i, j int) bool { return Compare(key(recs[i]), key(recs[j])) < 0 })
 }
 
 // Bytes estimates the in-memory footprint of the record in bytes. The

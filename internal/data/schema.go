@@ -68,34 +68,6 @@ func (s *Schema) IndexOf(name string) int {
 	return -1
 }
 
-// Project returns a new schema containing the named fields, in order.
-func (s *Schema) Project(names ...string) (*Schema, error) {
-	fields := make([]Field, len(names))
-	for i, n := range names {
-		j := s.IndexOf(n)
-		if j < 0 {
-			return nil, fmt.Errorf("data: project: no field %q in %s", n, s)
-		}
-		fields[i] = s.fields[j]
-	}
-	return NewSchema(fields...)
-}
-
-// Concat returns the join-output schema of two schemas. Name clashes are
-// disambiguated by prefixing the right-hand field with "r_", matching
-// the convention of the relational platform's join operators.
-func (s *Schema) Concat(o *Schema) (*Schema, error) {
-	fields := make([]Field, 0, len(s.fields)+len(o.fields))
-	fields = append(fields, s.fields...)
-	for _, f := range o.fields {
-		if s.IndexOf(f.Name) >= 0 {
-			f.Name = "r_" + f.Name
-		}
-		fields = append(fields, f)
-	}
-	return NewSchema(fields...)
-}
-
 // Validate checks that a record matches the schema's arity and that each
 // non-null field has the declared kind.
 func (s *Schema) Validate(r Record) error {
@@ -130,31 +102,7 @@ func (s *Schema) String() string {
 	return sb.String()
 }
 
-// ParseSchema parses the textual schema form "name:type,name:type,...",
-// the format used by CSV headers and the cleaning CLI.
-func ParseSchema(spec string) (*Schema, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, fmt.Errorf("data: empty schema spec")
-	}
-	parts := strings.Split(spec, ",")
-	fields := make([]Field, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		name, typ, ok := strings.Cut(p, ":")
-		if !ok {
-			return nil, fmt.Errorf("data: schema field %q is not name:type", p)
-		}
-		k, err := ParseKind(strings.TrimSpace(typ))
-		if err != nil {
-			return nil, err
-		}
-		fields = append(fields, Field{Name: strings.TrimSpace(name), Type: k})
-	}
-	return NewSchema(fields...)
-}
-
-// Spec renders the schema in the form accepted by ParseSchema.
+// Spec renders the schema as "name:type,name:type,...".
 func (s *Schema) Spec() string {
 	parts := make([]string, len(s.fields))
 	for i, f := range s.fields {

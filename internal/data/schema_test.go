@@ -46,32 +46,6 @@ func TestSchemaIndexOfAndField(t *testing.T) {
 	}
 }
 
-func TestSchemaProject(t *testing.T) {
-	s := taxSchema(t)
-	p, err := s.Project("city", "id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Len() != 2 || p.Field(0).Name != "city" || p.Field(1).Name != "id" {
-		t.Error("Project wrong")
-	}
-	if _, err := s.Project("ghost"); err == nil {
-		t.Error("Project of missing field accepted")
-	}
-}
-
-func TestSchemaConcatRenamesClashes(t *testing.T) {
-	s := taxSchema(t)
-	o := MustSchema(Field{"id", KindInt}, Field{"rate", KindFloat})
-	c, err := s.Concat(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.IndexOf("r_id") != 4 || c.IndexOf("rate") != 5 {
-		t.Errorf("Concat schema = %s", c)
-	}
-}
-
 func TestSchemaValidate(t *testing.T) {
 	s := taxSchema(t)
 	good := NewRecord(Int(1), Str("10001"), Str("NYC"), Float(55000))
@@ -88,32 +62,6 @@ func TestSchemaValidate(t *testing.T) {
 	bad := NewRecord(Str("x"), Str("10001"), Str("NYC"), Float(1))
 	if err := s.Validate(bad); err == nil {
 		t.Error("type mismatch accepted")
-	}
-}
-
-func TestSchemaSpecRoundTrip(t *testing.T) {
-	s := taxSchema(t)
-	parsed, err := ParseSchema(s.Spec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.Spec() != s.Spec() {
-		t.Errorf("spec round trip: %q vs %q", parsed.Spec(), s.Spec())
-	}
-}
-
-func TestParseSchemaErrors(t *testing.T) {
-	for _, bad := range []string{"", "name", "a:frob", "a:int,,b:int"} {
-		if _, err := ParseSchema(bad); err == nil {
-			t.Errorf("ParseSchema(%q) accepted", bad)
-		}
-	}
-	s, err := ParseSchema(" a:int , b : string ")
-	if err != nil {
-		t.Fatalf("whitespace spec rejected: %v", err)
-	}
-	if s.Field(1).Name != "b" || s.Field(1).Type != KindString {
-		t.Error("whitespace spec parsed wrong")
 	}
 }
 

@@ -630,7 +630,7 @@ func (s *Service) annotateRun(j *Job) {
 			wall = 0
 		}
 		return &trace.Span{
-			Kind: kind, Name: kind, Plan: planName, Iteration: -1, Shard: -1,
+			Kind: kind, Name: kind, Plan: planName, Iteration: -1,
 			Job: id, Tenant: tenant,
 			StartedAt: from, EndedAt: to, Wall: wall,
 		}

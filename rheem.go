@@ -48,13 +48,10 @@ import (
 	"rheem/internal/platform/sparksim"
 )
 
-// Config is the simulated Spark cluster's profile. Every context
-// registers all three bundled platforms; the single-node and relational
-// engines have no settings. To keep a run off a platform, pass
-// WithExcludedPlatforms.
+// Config holds no setting any more. Every context registers all three
+// bundled platforms with their one profile each; to keep a run off a
+// platform, pass WithExcludedPlatforms.
 type Config struct {
-	Spark sparksim.Config
-
 	// Columnar is ignored.
 	//
 	// Deprecated: vectorized batch execution is no longer a mode. An
@@ -144,7 +141,7 @@ func NewContext(cfg Config, opts ...ContextOption) (*Context, error) {
 	if _, err := javaengine.Register(c.reg); err != nil {
 		return nil, err
 	}
-	if _, err := sparksim.Register(c.reg, cfg.Spark); err != nil {
+	if _, err := sparksim.Register(c.reg, sparksim.Config{}); err != nil {
 		return nil, err
 	}
 	if _, err := relengine.Register(c.reg); err != nil {

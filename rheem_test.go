@@ -39,11 +39,7 @@ var allPlatforms = []struct {
 
 func newCtx(t *testing.T) *rheem.Context {
 	t.Helper()
-	// Small overheads keep tests fast while still exercising the
-	// virtual clock.
-	ctx, err := rheem.NewContext(rheem.Config{
-		Spark: sparksim.Config{JobOverhead: 1e6, TaskOverhead: 1e5}, // 1ms, 0.1ms
-	})
+	ctx, err := rheem.NewContext(rheem.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +222,12 @@ func TestLoopBodyWithSource(t *testing.T) {
 			pts := lb.ReadCollection("points", points)
 			// state × points, keep the max point value seen, add 1.
 			return state.Cartesian(pts).
-				Reduce(plan.MaxByField(1)).
+				Reduce(func(a, b data.Record) (data.Record, error) {
+					if a.Field(1).Int() >= b.Field(1).Int() {
+						return a, nil
+					}
+					return b, nil
+				}).
 				Map(func(r data.Record) (data.Record, error) {
 					return data.NewRecord(data.Int(r.Field(1).Int() + 1)), nil
 				})
@@ -613,9 +614,7 @@ func mustCollect(t *testing.T, q *rheem.DataQuanta, opts ...rheem.RunOption) []d
 // the profile and its Perfetto export over HTTP.
 func TestFlightRecorderEndToEnd(t *testing.T) {
 	rec := profile.NewRecorder(4, nil)
-	ctx, err := rheem.NewContext(rheem.Config{
-		Spark: sparksim.Config{JobOverhead: 1e6, TaskOverhead: 1e5},
-	}, rheem.WithFlightRecorder(rec))
+	ctx, err := rheem.NewContext(rheem.Config{}, rheem.WithFlightRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Reach map: which of the module's functions does no job enter?
+# Reach map and gate: which of the module's functions does no job enter?
 #
 # Builds every command, every example and the e2e benchmark with
 # coverage instrumentation over rheem/..., drives them through the
@@ -19,6 +19,17 @@
 #   - rheem-clean -demo on every platform and over a CSV file with -fd
 #     and -dc rules;
 #   - every example.
+#
+# The gate: scripts/reach.golden holds the unreached functions, one line
+# each, "package file function", sorted (byte order); a package no binary
+# links is one line "package * *". It carries no line numbers, statement
+# counts or totals, because those move on unrelated edits. The script
+# compares its list with the golden and, on any difference, prints a
+# unified diff from the golden to the list and exits 1. The diff is the
+# edit to make: a function that no job enters any more is deleted or
+# reached by real traffic, or, when it is kept on purpose (a test hook,
+# a fault path, a String method), its line goes into the golden; a
+# golden line whose function is now reached or gone is dropped.
 #
 # Usage: bash scripts/reach.sh > reach.txt
 # Everything it writes goes to a temporary directory, removed on exit;
@@ -211,8 +222,8 @@ END {
     printf "A\t%s\t%d functions, %d statements, %d lines\n", pkg, pkgDead[pkg], pkgStmts[pkg], pkgLines[pkg]
   printf "S\tNo job enters %d of the module'"'"'s %d functions (%d statements, %d lines); %s of statements are reached.\n", dead, funcs, deadStmts, deadLines, total
   for (pkg in linked) if (!(pkg in seen)) printf "U\t%s\n", pkg
-}' "$work/func.txt" "$work/profile.txt" "$work/packages.txt" | sort -t"$(printf '\t')" -k1,1 -k2,2 -k3,3V |
-  awk -F'\t' '
+}' "$work/func.txt" "$work/profile.txt" "$work/packages.txt" | sort -t"$(printf '\t')" -k1,1 -k2,2 -k3,3V >"$work/map.tsv"
+awk -F'\t' '
   $1 == "S" { summary = $2; next }
   $1 == "A" { head[$2] = $3; next }
   $1 == "B" {
@@ -225,5 +236,16 @@ END {
     print summary
     printf "%s", body
     printf "\nPackages no binary links:\n%s", unlinked == "" ? "  (none)\n" : unlinked
-  }'
+  }' "$work/map.tsv"
+
+# --- the gate ---------------------------------------------------------------
+awk -F'\t' '
+  $1 == "B" { sub(/:.*/, "", $3); print $2, $3, $4 }
+  $1 == "U" { print $2, "*", "*" }' "$work/map.tsv" | LC_ALL=C sort >"$work/reach.list"
+if ! diff -u --label scripts/reach.golden --label unreached scripts/reach.golden "$work/reach.list" >"$work/reach.diff"; then
+  printf '\nThe unreached functions differ from scripts/reach.golden:\n'
+  cat "$work/reach.diff"
+  echo "reach: the list differs from scripts/reach.golden (diff above)" >&2
+  exit 1
+fi
 step "done"
