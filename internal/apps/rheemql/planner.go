@@ -171,7 +171,7 @@ func Compile(q *Query, cat *Catalog) (*Compiled, error) {
 		if idx < 0 {
 			return nil, fmt.Errorf("rheemql: ORDER BY column %s is not in the output", q.OrderBy.Col)
 		}
-		cur = b.Sort(cur, plan.FieldKey(idx), q.OrderBy.Desc)
+		cur = b.SortColumn(cur, idx, q.OrderBy.Desc)
 	}
 	if q.Limit >= 0 {
 		cur = b.Sample(cur, q.Limit)

@@ -28,6 +28,10 @@ func runForm(reg *engine.Registry, lp *plan.Plan, id engine.PlatformID, form str
 	}
 	for _, op := range pp.Ops {
 		lop := op.Logical
+		if _, ok := lop.ColSort(); ok && form == "udf" { // the FieldKey SortColumn derived
+			op.Logical = plan.NewBuilder("udf").Sort(nil, lop.Key, lop.Desc())
+			continue
+		}
 		var fn any
 		switch {
 		case form == "compiled":
@@ -204,27 +208,48 @@ func canonicalRows(t *testing.T, recs []data.Record) string {
 	return strings.Join(enc, "\x00")
 }
 
+// orderedRows is the records' binary encodings in the order they came.
+func orderedRows(t *testing.T, recs []data.Record) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := data.WriteBinary(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
 // TestSQLHintedMatchesUDF is the differential suite over generated SQL:
 // each query runs on the single-node engine as compiled — the catalog's
-// columns read where they stand, filters, projections and aggregates on
-// the column kernels — on the same engine over the catalog's rows, on it
-// again with every hint dropped, and on the two platforms that run the
-// derived row UDFs, and all five must return the same multiset byte for
-// byte.
+// columns read where they stand, filters, projections, aggregates and
+// ORDER BY on the column kernels — on the same engine over the catalog's
+// rows, on it again with every hint dropped, and on the two platforms
+// that run the derived row UDFs, and all five must return the same
+// multiset byte for byte. Order is part of an ORDER BY's answer: every
+// form must return its rows in key order, and, the generator ordering
+// only by a column unique in the output, the very same sequence. The last
+// catalog, 3 × 4 096 + 17 rows, takes twenty queries with an ORDER BY, so
+// the sort reads several of javaengine's windows.
 func TestSQLHintedMatchesUDF(t *testing.T) {
 	ctx := testCtx(t)
 	rng := rand.New(rand.NewPCG(19, 2016))
 	gen := &sqlGen{rng: rng}
-	answered := 0
-	for _, n := range []int{0, 1, 37, 300} {
+	answered, ordered := 0, 0
+	for _, n := range []int{0, 1, 37, 300, 3*4096 + 17} {
 		cat := diffCatalog(t, rng, n)
-		for i := 0; i < 60; i++ {
+		queries := 60
+		if n > 4096 {
+			queries = 20
+		}
+		for i := 0; i < queries; i++ {
 			sql := gen.query()
+			for n > 4096 && !strings.Contains(sql, " ORDER BY ") {
+				sql = gen.query()
+			}
 			q, err := Parse(sql)
 			if err != nil {
 				t.Fatalf("generated query does not parse: %s: %v", sql, err)
 			}
-			var want string
+			var want, wantSeq string
 			for _, p := range ctx.Registry().Platforms() {
 				forms := []string{"compiled"}
 				if p.ID() == javaengine.ID { // the others never read a hint
@@ -248,11 +273,32 @@ func TestSQLHintedMatchesUDF(t *testing.T) {
 					} else if got != want {
 						t.Errorf("n=%d: %s\n on %s (%s) diverges from the plan as compiled on %s", n, sql, p.ID(), form, javaengine.ID)
 					}
+					if q.OrderBy == nil {
+						continue
+					}
+					key := c.Schema.IndexOf(q.OrderBy.Col.Column)
+					for r := 1; r < len(recs); r++ {
+						if c := data.Compare(recs[r-1].Field(key), recs[r].Field(key)); c > 0 && !q.OrderBy.Desc || c < 0 && q.OrderBy.Desc {
+							t.Errorf("n=%d: %s\n on %s (%s): row %d is out of key order: %v after %v", n, sql, p.ID(), form, r, recs[r], recs[r-1])
+							break
+						}
+					}
+					if seq := orderedRows(t, recs); wantSeq == "" {
+						wantSeq = seq
+						if len(recs) > 1 {
+							ordered++
+						}
+					} else if seq != wantSeq {
+						t.Errorf("n=%d: %s\n on %s (%s) returns its rows in another order than the plan as compiled on %s", n, sql, p.ID(), form, javaengine.ID)
+					}
 				}
 			}
 		}
 	}
-	if answered < 60 {
+	if answered < 80 {
 		t.Errorf("only %d generated queries returned rows: the generator has drifted into the empty corner", answered)
+	}
+	if ordered < 20 {
+		t.Errorf("only %d generated ORDER BY queries returned two rows or more: too few to tell an order", ordered)
 	}
 }

@@ -18,6 +18,7 @@
 package algo
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -227,29 +228,54 @@ func Reduce(recs []data.Record, f plan.ReduceFunc) ([]data.Record, error) {
 
 // SortBy orders records by key. The sort is stable.
 func SortBy(recs []data.Record, key plan.KeyFunc, desc bool) ([]data.Record, error) {
-	type keyed struct {
-		k data.Value
-		r data.Record
-	}
-	ks := make([]keyed, len(recs))
-	for i, r := range recs {
-		k, err := key(r)
+	k := SortKeys{keys: make([]data.Value, 0, len(recs))}
+	for _, r := range recs {
+		v, err := key(r)
 		if err != nil {
 			return nil, fmt.Errorf("algo: sort key: %w", err)
 		}
-		ks[i] = keyed{k, r}
+		k.Add(v)
 	}
-	slices.SortStableFunc(ks, func(a, b keyed) int {
-		if desc {
-			return -data.Compare(a.k, b.k)
-		}
-		return data.Compare(a.k, b.k)
-	})
-	out := make([]data.Record, len(ks))
-	for i, kr := range ks {
-		out[i] = kr.r
+	out := make([]data.Record, len(recs))
+	for i, j := range k.Order(nil, desc) {
+		out[i] = recs[j]
 	}
 	return out, nil
+}
+
+// SortKeys are a sort's keys, collected in input order, and the one kernel
+// that orders them. The zero value is empty.
+type SortKeys struct{ keys []data.Value }
+
+// Add appends one key.
+func (k *SortKeys) Add(v data.Value) { k.keys = append(k.keys, v) }
+
+// Reset empties the keys, keeping their storage but no value.
+func (k *SortKeys) Reset() {
+	clear(k.keys)
+	k.keys = k.keys[:0]
+}
+
+// Order returns, in idx's storage, the keys' indexes in the order a sort
+// by them delivers: ascending under data.Compare, or descending as its
+// negation, ties in input order either way. It allocates nothing once idx
+// has room for the keys.
+func (k *SortKeys) Order(idx []int32, desc bool) []int32 {
+	idx = slices.Grow(idx[:0], len(k.keys))[:len(k.keys)]
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sign := 1
+	if desc {
+		sign = -1
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		if c := data.Compare(k.keys[a], k.keys[b]); c != 0 {
+			return sign * c
+		}
+		return cmp.Compare(a, b)
+	})
+	return idx
 }
 
 // Distinct removes duplicate records (under data.EqualRecords) keeping

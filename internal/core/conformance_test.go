@@ -96,7 +96,7 @@ func canonical(t *testing.T, recs []data.Record) string {
 // hint, loop bodies included, for its twin built from the UDF the hint
 // helper generated (ColumnPredicate.FilterFunc, Record.Project,
 // ColumnMap.MapFunc, ColumnAggregate.ReduceFunc,
-// ColumnGroupAggregate.KeyFunc/GroupFunc): the same plan as a caller
+// ColumnGroupAggregate.KeyFunc/GroupFunc, a sort column's FieldKey): the same plan as a caller
 // without the helpers would have written it, which every platform runs
 // row by row.
 func udfTwin(pp *physical.Plan) {
@@ -105,6 +105,9 @@ func udfTwin(pp *physical.Plan) {
 
 // rowTwin is lop without its column form, or lop when it has none.
 func rowTwin(lop *plan.Operator) *plan.Operator {
+	if _, ok := lop.ColSort(); ok { // the FieldKey SortColumn derived
+		return plan.NewBuilder("twin").Sort(nil, lop.Key, lop.Desc())
+	}
 	var fn any
 	switch {
 	case lop.ColSource() != nil:

@@ -6,13 +6,15 @@
 // goroutine met it. A task's panic is raised again on the caller at the
 // task's turn, with the stack it was raised on.
 //
-// At most GOMAXPROCS−1 helpers are in flight in the process, whichever
-// runs they serve, and nothing waits for one to be free: a caller that
-// finds the budget spent runs its tasks itself, and when the task it needs
-// next is in a helper's hands it runs later ones until none is left to
-// claim, and only then waits, for a task already running. A blocking
-// handoff would deadlock two runs that each hold a helper the other's
-// caller is waiting for; that is executor.Pool's rule too.
+// At most min(GOMAXPROCS, NumCPU)−1 helpers are in flight in the process
+// (budget), whichever runs they serve: a helper beyond the cores could not
+// run beside the caller and the others, so a hand-off to it would only
+// cost. Nothing waits for one to be free: a caller that finds the budget
+// spent runs its tasks itself, and when the task it needs next is in a
+// helper's hands it runs later ones until none is left to claim, and only
+// then waits, for a task already running. A blocking handoff would
+// deadlock two runs that each hold a helper the other's caller is waiting
+// for; that is executor.Pool's rule too.
 
 package engine
 
@@ -25,16 +27,22 @@ import (
 
 // helpers is the process's set of parked helper goroutines, started
 // lazily. A hire leaves its ticket in work only for a free helper, parked
-// or not yet, so work holds fewer tickets than GOMAXPROCS.
+// or not yet, so work never holds more tickets than the budget.
 var helpers = struct {
 	work    chan ticket
-	started atomic.Int32 // goroutines in the set: at most the highest GOMAXPROCS−1 seen
+	started atomic.Int32 // goroutines in the set: at most the highest budget seen
 	busy    atomic.Int32 // helpers handed a run and not back yet: the budget
 }{work: make(chan ticket, 256)}
 
 // HelperTask, set by tests, keeps task i for a helper while (*HelperTask)(i)
-// and GOMAXPROCS > 1: a run's caller hires helpers until one has claimed it.
+// and the budget is not 0: a run's caller hires helpers until one has
+// claimed it.
 var HelperTask atomic.Pointer[func(task int) bool]
+
+// budget is how many helpers may be in flight: one fewer than the cores the
+// process may run on at once, which are GOMAXPROCS or the machine's CPUs,
+// whichever are fewer.
+func budget() int { return min(runtime.GOMAXPROCS(0), runtime.NumCPU()) - 1 }
 
 // Helpers reports how many helpers are in flight and how many there are.
 func Helpers() (inFlight, started int) {
@@ -95,9 +103,10 @@ type turn struct {
 }
 
 // Start begins a run of tasks 0 … n−1 over a ring of ahead places and
-// hands it to up to want helpers, as many as the budget has free.
+// hands it to up to want helpers — never more than the budget — as many as
+// it has free.
 func (o *Ordered) Start(tasks Tasks, n, ahead, want int) {
-	o.tasks, o.n, o.want = tasks, n, min(want, runtime.GOMAXPROCS(0)-1)
+	o.tasks, o.n, o.want = tasks, n, min(want, budget())
 	for len(o.turns) < ahead {
 		o.turns = append(o.turns, turn{done: make(chan struct{}, 1)})
 	}
@@ -157,7 +166,7 @@ func (o *Ordered) claim(helper bool) (int, bool) {
 		if j >= o.limit.Load() {
 			return 0, false
 		}
-		if f := HelperTask.Load(); !helper && f != nil && runtime.GOMAXPROCS(0) > 1 && (*f)(int(j)) {
+		if f := HelperTask.Load(); !helper && f != nil && budget() > 0 && (*f)(int(j)) {
 			o.hire()
 			runtime.Gosched()
 			continue
@@ -190,11 +199,11 @@ func (o *Ordered) do(i int, helper bool) {
 // hire hands the run to a helper if the budget has one free: to a new one
 // while the set has no helper that is not in flight. It never waits.
 func (o *Ordered) hire() bool {
-	budget := int32(runtime.GOMAXPROCS(0) - 1)
+	limit := int32(budget())
 	var n int32 // helpers in flight before this one
 	for {
 		n = helpers.busy.Load()
-		if n >= budget {
+		if n >= limit {
 			return false
 		}
 		if helpers.busy.CompareAndSwap(n, n+1) {

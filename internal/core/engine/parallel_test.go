@@ -85,9 +85,15 @@ func TestRunSkipsTasksAfterAFailure(t *testing.T) {
 
 // TestRunNeverWaitsForAHelper: while another run holds the whole budget,
 // a run that asks for every helper gets none and runs all its tasks on its
-// own goroutine, at once, rather than wait for one to come free.
+// own goroutine, at once, rather than wait for one to come free. The
+// budget at GOMAXPROCS 4 is three helpers on four cores or more, one on
+// two; a single core has none to hold.
 func TestRunNeverWaitsForAHelper(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	whole := int32(budget())
+	if whole < 1 {
+		t.Skipf("%d CPU: no helper to hold", runtime.NumCPU())
+	}
 	hold, held := make(chan struct{}), make(chan error, 1)
 	var blocked atomic.Int32
 	deadline := time.Now().Add(5 * time.Second)
@@ -104,7 +110,7 @@ func TestRunNeverWaitsForAHelper(t *testing.T) {
 				<-hold
 			}
 			// The caller leaves the helpers tasks to take.
-			for blocked.Load() < 3 && time.Now().Before(deadline) {
+			for blocked.Load() < whole && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
 			return nil
@@ -116,14 +122,14 @@ func TestRunNeverWaitsForAHelper(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	for ; blocked.Load() < 3; time.Sleep(time.Millisecond) {
+	for ; blocked.Load() < whole; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			inFlight, started := Helpers()
-			t.Fatalf("%d helpers took a task of the holding run, want 3 (%d in flight, %d started)", blocked.Load(), inFlight, started)
+			t.Fatalf("%d helpers took a task of the holding run, want %d (%d in flight, %d started)", blocked.Load(), whole, inFlight, started)
 		}
 	}
-	if n, _ := Helpers(); n != 3 {
-		t.Fatalf("%d helpers in flight, want the whole budget of 3", n)
+	if n, _ := Helpers(); n != int(whole) {
+		t.Fatalf("%d helpers in flight, want the whole budget of %d", n, whole)
 	}
 	var onHelper atomic.Int32
 	if err := Run(8, 7, func(_ int, helper bool) error {
@@ -136,6 +142,32 @@ func TestRunNeverWaitsForAHelper(t *testing.T) {
 	}
 	if n := onHelper.Load(); n != 0 {
 		t.Errorf("%d tasks ran on a helper beyond the budget", n)
+	}
+}
+
+// TestHelperBudgetFollowsTheCPUs: a GOMAXPROCS above the cores does not
+// widen the budget. A wide run at GOMAXPROCS 4 — 64 tasks, asking for 63
+// helpers — never has more than NumCPU−1 helpers in flight, and no more
+// than that were ever started; at GOMAXPROCS−1 = 3 on a 2-core host, the
+// extra helpers could only have waited for a core.
+func TestHelperBudgetFollowsTheCPUs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	limit := min(4, runtime.NumCPU()) - 1
+	var peak atomic.Int32
+	if err := Run(64, 63, func(int, bool) error {
+		n, _ := Helpers()
+		for was := peak.Load(); int32(n) > was && !peak.CompareAndSwap(was, int32(n)); was = peak.Load() {
+		}
+		time.Sleep(100 * time.Microsecond) // long enough for every helper hired to join
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := int(peak.Load()); n > limit {
+		t.Errorf("%d helpers in flight at GOMAXPROCS 4 on %d CPUs, want at most %d", n, runtime.NumCPU(), limit)
+	}
+	if _, started := Helpers(); started > limit {
+		t.Errorf("%d helpers started on %d CPUs, want at most %d", started, runtime.NumCPU(), limit)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"rheem/internal/core/physical"
@@ -31,6 +32,18 @@ func edgeRecords() []data.Record {
 	recs := make([]data.Record, len(keys))
 	for i, k := range keys {
 		recs[i] = data.NewRecord(k, data.Int(1<<i))
+	}
+	return recs
+}
+
+// floatRecords are (key, payload) rows with float keys only, NaN three
+// times, -0 and +0, and 2.5 twice; the payloads are distinct bits.
+func floatRecords() []data.Record {
+	nan := math.NaN()
+	keys := []float64{2.5, nan, math.Copysign(0, -1), 1, nan, 0, 2.5, nan, -1}
+	recs := make([]data.Record, len(keys))
+	for i, k := range keys {
+		recs[i] = data.NewRecord(data.Float(k), data.Int(1<<i))
 	}
 	return recs
 }
@@ -88,6 +101,21 @@ func TestOrderConformance(t *testing.T) {
 	last := func(n int) []data.Record { // the n largest, as a descending sort leads with them
 		return sorted[len(sorted)-n:]
 	}
+	// A descending sort is the negated order, ties in input order: the NaN
+	// pair, and 2⁵³+1 twice, keep their input order.
+	desc := []data.Record{recs[4], recs[0], recs[6], recs[7], recs[2], recs[3], recs[1], recs[5]}
+	swap := func(rs []data.Record) []data.Record { // (payload, key), as ProjectCols(…, 1, 0) makes them
+		out := make([]data.Record, len(rs))
+		for i, r := range rs {
+			out[i] = data.NewRecord(r.Field(1), r.Field(0))
+		}
+		return out
+	}
+	// Float keys alone: NaN = NaN = NaN < -1 < -0 = +0 < 1 < 2.5 = 2.5,
+	// the zeros and the 2.5s tied.
+	floats := floatRecords()
+	floatAsc := []data.Record{floats[1], floats[4], floats[7], floats[8], floats[2], floats[5], floats[3], floats[0], floats[6]}
+	floatDesc := []data.Record{floats[0], floats[6], floats[3], floats[2], floats[5], floats[8], floats[1], floats[4], floats[7]}
 
 	groupAlgos := []physical.Algorithm{physical.HashGroupBy, physical.SortGroupBy}
 	for _, tc := range []struct {
@@ -95,38 +123,74 @@ func TestOrderConformance(t *testing.T) {
 		algos []physical.Algorithm // the alternatives the optimizer chooses between; "" leaves its choice
 		build func(b *plan.Builder, s []*plan.Operator)
 		want  []data.Record
+		recs  []data.Record // the source's, when not the edge records
 	}{
 		// A sort's order shows in which rows a first-N sample keeps.
 		{"sort-asc", []physical.Algorithm{""}, func(b *plan.Builder, s []*plan.Operator) {
 			b.Collect(b.Sample(b.Sort(s[0], plan.FieldKey(0), false), 5))
-		}, sorted[:5]},
+		}, sorted[:5], nil},
 		{"sort-desc", []physical.Algorithm{""}, func(b *plan.Builder, s []*plan.Operator) {
 			b.Collect(b.Sample(b.Sort(s[0], plan.FieldKey(0), true), 4))
-		}, last(4)},
+		}, last(4), nil},
+		// The column-keyed sort (javaengine orders a forcing's survivors),
+		// each LIMIT cutting through a tie group, so the rows it keeps name
+		// the order within the group too.
+		{"column-sort-asc", []physical.Algorithm{""}, func(b *plan.Builder, s []*plan.Operator) {
+			b.Collect(b.Sample(b.SortColumn(s[0], 0, false), 1))
+		}, sorted[:1], nil},
+		{"column-sort-desc", []physical.Algorithm{""}, func(b *plan.Builder, s []*plan.Operator) {
+			b.Collect(b.Sample(b.SortColumn(s[0], 0, true), 7))
+		}, desc[:7], nil},
+		{"column-sort-projected", []physical.Algorithm{""}, func(b *plan.Builder, s []*plan.Operator) {
+			b.Collect(b.Sample(b.SortColumn(b.ProjectCols(s[0], 1, 0), 1, true), 2))
+		}, swap(desc[:2]), nil},
+		{"column-sort-float-asc", []physical.Algorithm{""}, func(b *plan.Builder, s []*plan.Operator) {
+			b.Collect(b.Sample(b.SortColumn(s[0], 0, false), 2))
+		}, floatAsc[:2], floats},
+		{"column-sort-float-desc", []physical.Algorithm{""}, func(b *plan.Builder, s []*plan.Operator) {
+			b.Collect(b.Sample(b.SortColumn(b.FilterWhere(s[0], 1, plan.NotEq, data.Int(1<<7)), 0, true), 7))
+		}, floatDesc[:7], floats},
+		{"column-sort-float-zeros", []physical.Algorithm{""}, func(b *plan.Builder, s []*plan.Operator) {
+			b.Collect(b.Sample(b.SortColumn(s[0], 0, true), 4))
+		}, floatDesc[:4], floats},
 		{"reduce-by-key", groupAlgos, func(b *plan.Builder, s []*plan.Operator) {
 			b.Collect(b.ReduceByKey(s[0], plan.FieldKey(0), sumReduce))
-		}, reduced},
+		}, reduced, nil},
 		{"group-aggregate", groupAlgos, func(b *plan.Builder, s []*plan.Operator) {
 			b.Collect(b.GroupAggregate(s[0], []int{0}, plan.GroupCol{Fn: plan.GroupKey}, plan.GroupCol{Fn: plan.GroupCountAll},
 				plan.GroupCol{Fn: plan.GroupSum, Field: 1}, plan.GroupCol{Fn: plan.GroupMin, Field: 1}, plan.GroupCol{Fn: plan.GroupMax, Field: 1}))
-		}, grouped},
+		}, grouped, nil},
 		{"distinct", []physical.Algorithm{physical.HashDistinct, physical.SortDistinct}, func(b *plan.Builder, s []*plan.Operator) {
 			b.Collect(b.Distinct(b.ProjectCols(s[0], 0)))
-		}, distinct},
+		}, distinct, nil},
 		{"join", []physical.Algorithm{physical.HashJoin, physical.SortMergeJoin}, func(b *plan.Builder, s []*plan.Operator) {
 			b.Collect(b.Join(s[0], b.Map(s[0], rekey), plan.FieldKey(0), plan.FieldKey(0)))
-		}, joined},
+		}, joined, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := canonical(t, tc.want)
+			if tc.recs == nil {
+				tc.recs = recs
+			}
 			for _, algo := range tc.algos {
-				c := confCase{name: "order-" + tc.name, recs: recs, algo: algo, build: tc.build}
+				c := confCase{name: "order-" + tc.name, recs: tc.recs, algo: algo, build: tc.build}
 				for _, target := range confPlatforms {
 					for _, workers := range confWorkers {
 						setWorkers(t, workers)
 						for _, hinted := range []bool{true, false} {
 							if got := runConformance(t, c, target, hinted); got != want {
 								t.Errorf("%s under %q on %s, GOMAXPROCS %d, hinted=%v: not the answer the order defines", tc.name, algo, target, workers, hinted)
+							}
+							if !strings.HasPrefix(tc.name, "column-") {
+								continue
+							}
+							// In the source's atom too: over its rows, and over
+							// its columns at rest, which java reads in place.
+							ic := inAtomCase{c.name, c.recs, func(b *plan.Builder, src *plan.Operator) { tc.build(b, []*plan.Operator{src}) }}
+							for _, columns := range []bool{false, true} {
+								if got, err := runInAtom(t, ic, target, hinted, columns); err != nil || got != want {
+									t.Errorf("%s in one atom on %s, GOMAXPROCS %d, hinted=%v, columns=%v: not the answer the order defines (%v)", tc.name, target, workers, hinted, columns, err)
+								}
 							}
 						}
 					}

@@ -42,14 +42,16 @@ func TestAccessorsByKind(t *testing.T) {
 		"ColMap":     func(o *Operator) bool { return o.ColMap() != nil && len(o.ColMap().Out) == 1 },
 		"ColAgg":     func(o *Operator) bool { return o.ColAgg() != nil && len(o.ColAgg().Fns) == 2 },
 		"ColGroup":   func(o *Operator) bool { return o.ColGroup() != nil && len(o.ColGroup().Out) == 1 },
+		"ColSort":    func(o *Operator) bool { c, ok := o.ColSort(); return ok && c == 1 },
 	}
+	sortCol := func(o *Operator) bool { _, ok := o.ColSort(); return ok }
 	anyHolds := func(o *Operator) bool { // the zero value, read any other way
 		return o.Source() != nil || o.Map() != nil || o.FlatMap() != nil || o.Filter() != nil ||
 			o.Group() != nil || o.Reduce() != nil || o.Pred() != nil || o.Cond() != nil ||
 			o.RightKey() != nil || o.Desc() || o.Body() != nil || o.Times() != 0 || o.MaxIter() != 0 ||
 			o.N() != 0 || o.Conditions() != nil || o.ScanKey() != "" ||
 			o.ColSource() != nil || o.ColPred() != nil || o.ColProject() != nil || o.ColMap() != nil ||
-			o.ColAgg() != nil || o.ColGroup() != nil
+			o.ColAgg() != nil || o.ColGroup() != nil || sortCol(o)
 	}
 
 	b := NewBuilder("kinds")
@@ -81,6 +83,8 @@ func TestAccessorsByKind(t *testing.T) {
 		{b.AggregateCols(src, AggFirst, AggSum), []string{"Reduce", "ColAgg"}},
 		{b.Sort(src, FieldKey(0), true), []string{"Desc"}},
 		{b.Sort(src, FieldKey(0), false), nil},
+		{b.SortColumn(src, 1, true), []string{"Desc", "ColSort"}},
+		{b.SortColumn(src, 1, false), []string{"ColSort"}},
 		{b.Distinct(src), nil},
 		{b.Union(src, src), nil},
 		{b.Join(src, src, FieldKey(0), FieldKey(0)), []string{"RightKey"}},

@@ -182,6 +182,14 @@ func (b *Builder) ProjectCols(in *Operator, idx ...int) *Operator {
 	return o
 }
 
+// SortColumn adds a Sort keyed by field, carrying the key column as a
+// vectorization hint beside the FieldKey it derives from it.
+func (b *Builder) SortColumn(in *Operator, field int, desc bool) *Operator {
+	o := b.Sort(in, FieldKey(field), desc)
+	o.flags, o.colLen = o.flags|colSort, int32(field)
+	return o
+}
+
 // ColumnIn is one input of a ColumnMap: a field of the input records and
 // the kind every value of it has.
 type ColumnIn struct {

@@ -203,7 +203,7 @@ type Operator struct {
 	kind   OpKind
 	n      uint8 // inputs held in in; every kind's arity is at most 2
 	flags  uint8 // the column form col holds, and Sort's descending bit
-	colLen int32 // ColProject's length
+	colLen int32 // ColProject's length; ColSort's key column
 	name   string
 	in     [2]*Operator
 	fn     any            // the kind's UDF; Join's is its right KeyFunc
@@ -237,6 +237,7 @@ const (
 	colMap                      // Map computing typed columns from typed columns, a window at a time
 	colAgg                      // Reduce: per-field pairwise fold
 	colGroup                    // GroupBy: key columns and per-column folds
+	colSort                     // Sort keyed by one column, held in colLen: col holds nothing
 	colMask    uint8 = 7
 	descending uint8 = 8
 )
@@ -304,7 +305,23 @@ func (o *Operator) ColPred() *ColumnPredicate       { return colOf[ColumnPredica
 func (o *Operator) ColMap() *ColumnMap              { return colOf[ColumnMap](o, colMap) }
 func (o *Operator) ColAgg() *ColumnAggregate        { return colOf[ColumnAggregate](o, colAgg) }
 func (o *Operator) ColGroup() *ColumnGroupAggregate { return colOf[ColumnGroupAggregate](o, colGroup) }
-func (o *Operator) ColProject() []int               { return unsafe.Slice(colOf[int](o, colProject), o.colLen) }
+
+// ColProject returns a projection's column list, nil on any other operator.
+func (o *Operator) ColProject() []int {
+	if o.flags&colMask != colProject {
+		return nil
+	}
+	return unsafe.Slice((*int)(o.col), o.colLen)
+}
+
+// ColSort returns a Sort's key column and true when the Sort is keyed by
+// a declared column (Builder.SortColumn), -1 and false otherwise.
+func (o *Operator) ColSort() (int, bool) {
+	if o.flags&colMask != colSort {
+		return -1, false
+	}
+	return int(o.colLen), true
+}
 
 // ID returns the operator's plan-local identifier.
 func (o *Operator) ID() int { return int(o.id) }

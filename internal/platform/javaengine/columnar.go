@@ -1,18 +1,19 @@
 // Vectorized execution operators: a hinted chain (filter, projection,
 // column map, global or grouped aggregate) inside an atom is one lazy
-// pipeline, run vector-at-a-time. ExecOp on a hinted filter, projection
-// or column map computes nothing: it appends a stage to a pipeline value,
-// and whatever consumes that value forces it — a hinted aggregate folds
-// or groups it, the row code asks for rows, ToChannel for the dataset in
-// its source's form. Forcing walks the source in windows of a fixed
-// number of rows: transpose only the columns the stages read into leased
-// buffers (scratch.go), evaluate each filter into a selection vector the
-// later stages read through and each column map into columns that live
-// for the window, and hand the window to the consumer, so no full-length
-// intermediate is ever built. A window's head — the load and the filters
-// ahead of the first column map — may run on a helper goroutine, ahead
-// of the consumer; its tail — the column maps, the row UDFs and the
-// consumer — runs on the forcing goroutine in window order (morsel.go).
+// pipeline, run vector-at-a-time. ExecOp on a hinted filter, projection or
+// column map computes nothing: it appends a stage to a pipeline value, and
+// whatever consumes that value forces it — a hinted aggregate folds or
+// groups it, a column-keyed sort orders its survivors (sort.go), the row
+// code asks for rows, ToChannel for the dataset in its source's form.
+// Forcing walks the source in windows of a fixed number of rows: transpose
+// only the columns the stages read into leased buffers (scratch.go),
+// evaluate each filter into a selection vector the later stages read
+// through and each column map into columns that live for the window, and
+// hand the window to the consumer, so no full-length intermediate is ever
+// built. A window's head — the load and the filters ahead of the first
+// column map — may run on a helper goroutine, ahead of the consumer; its
+// tail — the column maps, the row UDFs and the consumer — runs on the
+// forcing goroutine in window order (morsel.go).
 //
 // Each stage is the column form of the same declarative spec that
 // generated the operator's row UDF (plan.ColumnPredicate / ColProject /
@@ -104,13 +105,19 @@ type stage struct {
 
 // asPipeline starts a pipeline over ds, or continues the one ds is.
 func asPipeline(ctx context.Context, ds any) *pipeline {
-	if p, ok := ds.(*pipeline); ok {
-		if !p.done {
-			return p
-		}
-		ds = p.out
+	if p, ok := ds.(*pipeline); ok && !p.done {
+		return p
 	}
-	p := &pipeline{ctx: ctx, maxCol: -1}
+	return new(pipeline).over(ctx, ds)
+}
+
+// over makes p a pipeline of no stages over ds, a forced pipeline's result
+// for the pipeline.
+func (p *pipeline) over(ctx context.Context, ds any) *pipeline {
+	if done, ok := ds.(*pipeline); ok {
+		ds = done.out
+	}
+	*p = pipeline{ctx: ctx, maxCol: -1}
 	switch ds := ds.(type) {
 	case atRest:
 		p.cols, p.asRows = ds.cols, true

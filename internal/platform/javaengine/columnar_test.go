@@ -25,6 +25,9 @@ func physOp(lop *plan.Operator) *physical.Operator {
 // UDF the builder helper generated from the same spec. A source keeps its
 // columns, and an operator without a hint is its own twin.
 func udfTwin(lop *plan.Operator) *plan.Operator {
+	if _, ok := lop.ColSort(); ok { // the FieldKey SortColumn derived
+		return plan.NewBuilder("twin").Sort(nil, lop.Key, lop.Desc())
+	}
 	var fn any
 	switch {
 	case lop.ColPred() != nil:

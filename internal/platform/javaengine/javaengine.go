@@ -5,25 +5,26 @@
 // It executes the physical operators of an atom one after the other on
 // driver-resident data. Operators carrying a declarative column hint form
 // a lazy pipeline that is forced once, 4 096 rows at a time over column
-// slices, by whatever consumes it (columnar.go), a union of them by the
-// aggregate that folds its legs in turn — the layout this engine owns. A
-// run of un-hinted Map, Filter and FlatMap operators is one fused pass
-// (algo.Chain), forced a 4 096-row window at a time (rows.go); for
-// everything else the rows go to algo.Exec, the one definition of what an
-// operator computes that every platform shares. A forcing of more than one
-// window uses every core, on the process's helpers (engine's helper
-// runtime, shared with sparksim's stages). A hinted forcing's helpers load
-// and filter windows while the forcing goroutine consumes them in window
-// order (morsel.go), so results and the sequence of user-function calls
-// are the serial forcing's; a UDF chain's windows run whole on any
-// goroutine, so its UDFs may be called concurrently, and its outputs keep
-// input order. A panicking operator fails its job, not the process:
-// engine.RunAtom recovers it into a Fatal error. The engine has no per-job
-// overhead worth modelling and no cluster: its simulated time equals its
-// measured wall time plus a small constant per atom. That is exactly why
-// it wins on small inputs and iteration-heavy loops, and loses to the
-// Spark simulator once inputs are large enough for a cluster's
-// parallelism to amortise job overheads.
+// slices, by whatever consumes it (columnar.go) — a Sort keyed by a column
+// orders its survivors and makes only the rows that leave (sort.go) — a
+// union of them by the aggregate that folds its legs in turn: the layout
+// this engine owns. A run of un-hinted Map, Filter and FlatMap operators
+// is one fused pass (algo.Chain), forced a 4 096-row window at a time
+// (rows.go); for everything else the rows go to algo.Exec, the one
+// definition of what an operator computes that every platform shares. A
+// forcing of more than one window uses every core, on the process's
+// helpers (engine's helper runtime, shared with sparksim's stages). A
+// hinted forcing's helpers load and filter windows while the forcing
+// goroutine consumes them in window order (morsel.go), so results and the
+// sequence of user-function calls are the serial forcing's; a UDF chain's
+// windows run whole on any goroutine, so its UDFs may be called
+// concurrently, and its outputs keep input order. A panicking operator
+// fails its job, not the process: engine.RunAtom recovers it into a Fatal
+// error. The engine has no per-job overhead worth modelling and no
+// cluster: its simulated time equals its measured wall time plus a small
+// constant per atom. That is exactly why it wins on small inputs and
+// iteration-heavy loops, and loses to the Spark simulator once inputs are
+// large enough for a cluster's parallelism to amortise job overheads.
 package javaengine
 
 import (
@@ -206,7 +207,8 @@ func concat(ctx context.Context, inputs []any) ([]data.Record, error) {
 
 // ExecOp executes one physical operator. What is the engine's own is the
 // layout: an operator with a column hint joins or folds its input's lazy
-// pipeline (columnar.go), a union hands its legs on to a reader that takes
+// pipeline (columnar.go), a Sort keyed by a column orders its survivors
+// where they stand (sort.go), a union hands its legs on to a reader that takes
 // them, a source reads on the driver — its columns as they stand when only
 // such operators read it — and a sink hands its input through. What any
 // other operator computes on rows is algo.Exec's to say; a pipeline or
@@ -228,6 +230,16 @@ func (d *datasetOps) ExecOp(ctx context.Context, op *physical.Operator, inputs [
 			return splice(inputs), nil
 		}
 		return concat(ctx, inputs)
+	case plan.KindSort: // on its key column, cut to a LIMIT that reads it alone
+		if _, ok := op.Logical.ColSort(); ok {
+			limit := -1
+			if d.atom != nil {
+				if r := d.atom.Reader(op); r != nil && r.Kind() == plan.KindSample {
+					limit = r.Logical.N()
+				}
+			}
+			return sortColumn(ctx, inputs[0], op.Logical, limit)
+		}
 	}
 	if algo.Narrow(op.Logical) {
 		return d.execRows(ctx, op, inputs[0])

@@ -123,6 +123,9 @@ func mapChains(m mapper) map[string]func(*plan.Builder, *plan.Operator) *plan.Op
 			p := m(b, s, "scale")
 			return b.Union(b.AggregateCols(p, folds...), b.Map(p, tag))
 		},
+		"filter/map/sort-limit": func(b *plan.Builder, s *plan.Operator) *plan.Operator {
+			return b.Sample(b.SortColumn(m(b, filter(b, s), "scale"), 1, true), window+5)
+		},
 		"guarded/map/sink": func(b *plan.Builder, s *plan.Operator) *plan.Operator {
 			return m(b, b.FilterWhere(s, 2, plan.GreaterEq, data.Int(0)), "bump")
 		},

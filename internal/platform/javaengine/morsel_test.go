@@ -129,9 +129,9 @@ func TestMorselForcingMatchesSerial(t *testing.T) {
 // multi-window chains at once at GOMAXPROCS 2, so forcings outnumber the
 // one helper and each other's helpers are busy; none may wait for one. All
 // finish within the deadline with their serial answers, the process has at
-// most GOMAXPROCS−1 helpers, the goroutine count returns to what it was
-// plus the helpers started, and the free list keeps at most GOMAXPROCS
-// states, none of them holding a window's scratch.
+// most min(GOMAXPROCS, NumCPU)−1 helpers, the goroutine count returns to
+// what it was plus the helpers started, and the free list keeps at most
+// GOMAXPROCS states, none of them holding a window's scratch.
 func TestMorselForcingsDoNotDeadlock(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	recs := leaseRecs(5*window + 100)
@@ -234,8 +234,12 @@ func failAt(errs ...int) func(*plan.Builder, *plan.Operator) *plan.Operator {
 // error in a later window, after one in an earlier window — and of two
 // errors the first window's is the one reported, and the atom's error
 // carries the helper's stack, where the head panicked. The test hook
-// panics only on a helper, and engine.HelperTask keeps that window for one.
+// panics only on a helper, and engine.HelperTask keeps that window for one,
+// so a single core, which has no helper, skips it.
 func TestMorselFailuresInWindowOrder(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skipf("%d CPU: no helper to keep a window for", runtime.NumCPU())
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	src := rowsSource(boundaryRecs(8*window, false))
 	var anywhere atomic.Bool // panic on the forcing goroutine too: the serial reference

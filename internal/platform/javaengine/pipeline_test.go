@@ -127,8 +127,8 @@ func runChainWith(t *testing.T, in any, rewrite func(*physical.Operator), name s
 // exactly one, one over, two and one and three and a bit, as rows, as a
 // batch and as four shard views of a batch (validity offsets that are
 // not zero), into every kind of consumer — and the hinted chain must
-// agree with its UDF twin byte for byte, or fail with the same error
-// text. For the grouped consumer every group's rows straddle the window
+// agree with its UDF twin byte for byte, in order, or fail with the same
+// error text. For the grouped consumer every group's rows straddle the window
 // edges: the int key's table meets its first null key in window 2 and
 // hands its groups to the general one; the float key has the NaN (a
 // group per row), the −0 and the integer. The column maps' chains
@@ -176,6 +176,25 @@ func TestPipelineWindowBoundaries(t *testing.T) {
 		// nothing is copied until then, and the catch-up must be exact.
 		"filter/late-drop": func(b *plan.Builder, s *plan.Operator) *plan.Operator {
 			return b.ProjectCols(b.FilterWhere(s, 0, plan.Less, data.Int(2*window+10)), 2, 1)
+		},
+		// The column-keyed sort over every input shape: float keys with the
+		// NaN, the nulls, the −0 and the int of window 3, int keys with
+		// nulls, keys a UDF made,
+		// and LIMITs cutting through tied keys, a window's worth and none.
+		"filter/sort": func(b *plan.Builder, s *plan.Operator) *plan.Operator {
+			return b.SortColumn(filter(b, s), 1, false)
+		},
+		"project/sort-desc-limit": func(b *plan.Builder, s *plan.Operator) *plan.Operator {
+			return b.Sample(b.SortColumn(project(b, s), 0, true), window+5)
+		},
+		"sort-int-limit": func(b *plan.Builder, s *plan.Operator) *plan.Operator {
+			return b.Sample(b.SortColumn(s, 2, false), 300)
+		},
+		"sort-limit-0": func(b *plan.Builder, s *plan.Operator) *plan.Operator {
+			return b.Sample(b.SortColumn(s, 0, true), 0)
+		},
+		"udf-map/sort": func(b *plan.Builder, s *plan.Operator) *plan.Operator {
+			return b.SortColumn(b.Map(s, tag), 3, true)
 		},
 		// Error texts: a string sum, a sum that meets another kind in
 		// window 3, too few folds for two survivors — and for exactly one,

@@ -49,9 +49,14 @@ func filterAtom(t *testing.T, recs []data.Record, keep plan.FilterFunc) (*engine
 // error in window 5 and a panic in window 2, it is the panic that
 // surfaces, raised on the forcing goroutine as an engine.HelperPanic that
 // carries the helper's stack; with the panic in window 6 instead, window
-// 5's error, which waits until window 6 has panicked. The UDF panics only
-// on a helper, and engine.HelperTask keeps the panicking window for one.
+// 5's error, which waits until window 6 has panicked — a case that needs
+// two helpers, so three cores. The UDF panics only on a helper, and
+// engine.HelperTask keeps the panicking window for one, so a single core,
+// which has no helper, skips the test.
 func TestRowWindowFailuresInWindowOrder(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skipf("%d CPU: no helper to keep a window for", runtime.NumCPU())
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(4)
 	var onHelper [8]atomic.Bool
@@ -85,6 +90,12 @@ func TestRowWindowFailuresInWindowOrder(t *testing.T) {
 		panicAt int
 		raised  bool // the panic is what surfaces
 	}{{2, true}, {6, false}} {
+		if c.panicAt == 6 && runtime.NumCPU() < 3 {
+			// Window 5 waits for window 6 to meet a helper, so the case
+			// needs two: with one, window 5 may hold it.
+			t.Logf("panic at 6 skipped: %d CPUs give one helper, the case needs two", runtime.NumCPU())
+			continue
+		}
 		for w := range onHelper {
 			onHelper[w].Store(false)
 		}

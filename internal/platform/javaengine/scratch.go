@@ -8,18 +8,23 @@ import (
 )
 
 // scratch is the memory of one forcing. What leaves a forcing — result rows,
-// gathered batches, group records — is freshly allocated; what does not is
+// gathered batches, group and sorted records — is freshly allocated; what does not is
 // here, leased where it starts and returned where it ends, error or not
 // (a panic drops the lease).
 type scratch struct {
 	sel   [window]int32 // the rows of a window its filters keep
 	win   win
 	group grouper
+	sort  sorter
 }
 
 // maxCols bounds the columns a kept scratch keeps, as window bounds their
 // rows and its groups: one that served a wider job is dropped.
 const maxCols = 64
+
+// maxSorted bounds the survivors whose keys and positions a kept scratch
+// keeps room for: one that sorted more is dropped.
+const maxSorted = 4 * window
 
 // scratches is the free list of released scratches: at most four per P,
 // which covers two morsel-parallel forcings at once (each leases two
@@ -49,6 +54,9 @@ func (s *scratch) release() {
 	if g.any != nil || len(g.keys) > window { // keys is the table's own then
 		*g = grouper{}
 	}
+	if len(s.sort.pos) > maxSorted {
+		s.sort = sorter{}
+	}
 	clear(w.cols)
 	clear(w.maps.args)
 	clear(w.maps.vals)
@@ -60,6 +68,8 @@ func (s *scratch) release() {
 			c.Valid = nil
 		}
 	}
+	s.sort.keys.Reset()
+	s.sort.pos, s.sort.in = s.sort.pos[:0], pipeline{}
 	g.spec = nil
 	clear(g.ints)
 	clear(g.strs)

@@ -290,7 +290,7 @@ func wordcountPlan(name string, words *batch.Batch) (*plan.Plan, error) {
 	b := plan.NewBuilder(name)
 	src := b.SourceColumns("words", words, nil)
 	counts := b.GroupAggregate(src, []int{0}, plan.GroupCol{Fn: plan.GroupKey}, plan.GroupCol{Fn: plan.GroupCountAll})
-	b.Collect(b.Sort(counts, plan.FieldKey(0), false))
+	b.Collect(b.SortColumn(counts, 0, false))
 	return b.Build()
 }
 
@@ -318,7 +318,7 @@ func sensorPlan(name string, readings *batch.Batch) (*plan.Plan, error) {
 		cnt := float64(r.Field(4).Int())
 		return data.NewRecord(r.Field(0), data.Vec([]float64{r.Field(1).Float() / cnt, r.Field(2).Float() / cnt, r.Field(3).Float() / cnt})), nil
 	})
-	b.Collect(b.Sort(feats, plan.FieldKey(0), false))
+	b.Collect(b.SortColumn(feats, 0, false))
 	return b.Build()
 }
 

@@ -27,10 +27,13 @@ import (
 // operators keep their inputs inline in 112 bytes, a catalog scan that
 // takes the table's records as its row form, a run whose state is
 // leased, a run whose telemetry is the run itself, handing its trace
-// over, two-word data quanta, sorts without a reflect swapper and an
-// atom span that keeps six operator kinds in a slice of six
-// (68/77/74/70/72/75/59/91 objects, 18.9/9.4/8.5/8.7/7.7/7.3/6.9/16.4 KB
-// at GOMAXPROCS 1 to 4, twelve readings). With sort.SliceStable and
+// over, two-word data quanta, sorts without a reflect swapper, an
+// atom span that keeps six operator kinds in a slice of six and ORDER BY
+// on the columns, making only the rows that leave
+// (68/77/74/68/71/75/59/89 objects, 18.9/9.4/8.5/7.6/7.2/7.3/6.9/13.7 KB
+// at GOMAXPROCS 1 to 4, twelve readings). With the sort over records, as
+// key/record pairs, they read 68/77/74/70/72/75/59/91 objects and
+// 18.9/9.4/8.5/8.7/7.7/7.3/6.9/16.4 KB. With sort.SliceStable and
 // six kinds spilt to a ten-entry array they read 68/77/74/74/75/75/59/95
 // objects and 18.9/9.4/8.6/8.9/7.9/7.4/6.9/16.6 KB. With a tracer, closure and consumer slice apart from each
 // run and its trace copied out they read 79/88/85/84/86/86/70/106
@@ -67,11 +70,11 @@ var sqlGateTemplates = []struct {
 	{"filter", "SELECT well, pressure FROM sensors WHERE pressure > 175.5 AND hour < 52", 71, 20000},
 	{"group", "SELECT well, COUNT(*) AS n, AVG(pressure) AS p FROM sensors WHERE hour < 40 GROUP BY well", 81, 10100},
 	{"having", "SELECT well, AVG(temperature) AS t FROM sensors GROUP BY well HAVING t > 68.5", 77, 9200},
-	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 73, 9300},
-	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 75, 8400},
+	{"topn", "SELECT hour, flow FROM sensors WHERE well = 8 ORDER BY flow DESC LIMIT 10", 71, 8200},
+	{"wordcount", "SELECT word, COUNT(*) AS n FROM words GROUP BY word ORDER BY word LIMIT 5", 74, 7800},
 	{"global", "SELECT COUNT(*) AS n, MAX(pressure) AS hi, MIN(flow) AS lo FROM sensors WHERE temperature < 73.0", 78, 8000},
 	{"wordfilter", "SELECT word FROM words WHERE word = 'big'", 62, 7500},
-	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 95, 17400},
+	{"grouporder", "SELECT hour, SUM(flow) AS f, COUNT(*) AS n FROM sensors WHERE well < 12 GROUP BY hour HAVING n > 1 ORDER BY hour", 93, 14600},
 }
 
 // TestSQLAllocationGate is ROADMAP item 2's gate on the SQL path: a
@@ -130,9 +133,12 @@ func TestSQLAllocationGate(t *testing.T) {
 // other scratch are leased, a logical plan whose operators keep their
 // inputs inline in 112 bytes, a run whose state is leased, a run
 // whose telemetry is the run itself, handing its trace over, sorts without
-// a reflect swapper and a union of column chains folded leg by leg where
-// the legs stand (66 / 150 / 118 objects, 6.7 / 14.5 / 11.2 KB at
-// GOMAXPROCS 1 to 4, twelve readings). With sort.SliceStable and every
+// a reflect swapper, a union of column chains folded leg by leg where
+// the legs stand and sorts on their key column
+// (66 / 149–150 / 118 objects, 6.3 / 13.3–13.6 / 11.2 KB at
+// GOMAXPROCS 1 to 4, twelve readings). With the sorts over records, as
+// key/record pairs, they read 66 / 150 / 118 objects and 6.7 / 14.5 /
+// 11.2 KB. With sort.SliceStable and every
 // union's legs made into records and copied they read 70 / 153 / 136
 // objects and 6.8 / 14.6 / 69.0 KB. With a tracer, closure and consumer slice apart from each
 // run and its trace copied out they read 81 / 164 / 147 objects and
@@ -163,8 +169,8 @@ func TestSQLAllocationGate(t *testing.T) {
 // records generated one by one 12 200 / 12 286 / 2 037 objects and 0.70 /
 // 1.76 / 0.14 MB.
 var builtinGate = []struct{ objects, bytes float64 }{
-	{73, 7_400},   // wordcount, n = 4 000
-	{160, 15_600}, // sensor, n = 4 000
+	{69, 6_900},   // wordcount, n = 4 000
+	{156, 14_500}, // sensor, n = 4 000
 	{123, 12_000}, // fanout, 200 × 4
 }
 
@@ -221,5 +227,45 @@ func TestUnionBytesIndependentOfRows(t *testing.T) {
 	t.Logf("%.0f bytes a job over 200 rows, %.0f over 8 200: %.2f a row", small, large, perRow)
 	if perRow >= 2 {
 		t.Errorf("fanout allocates %.2f bytes per input row, want < 2", perRow)
+	}
+}
+
+// TestTopNBytesIndependentOfRows: a top-n stays in columns until its rows
+// leave. The sort collects the survivors' keys and positions in leased
+// scratch and makes only the ten records the LIMIT keeps, so a query over
+// 8 000 catalog rows allocates less than 2 bytes a row more than one over
+// 500. While the sort's input was made into records and sorted as
+// key/record pairs, the difference was 140 bytes a row.
+func TestTopNBytesIndependentOfRows(t *testing.T) {
+	ctx, err := rheem.NewContext(rheem.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctx.Close()
+	const jobs, sql = 20, "SELECT hour, flow FROM sensors ORDER BY flow DESC LIMIT 10"
+	perQuery := func(n int) float64 {
+		cat, err := DefaultCatalog(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := func() {
+			if recs, _, _, err := rheemql.Run(ctx, cat, sql); err != nil || len(recs) != 10 {
+				t.Fatalf("over %d rows: %d rows, %v", n, len(recs), err)
+			}
+		}
+		job() // warm-up: the scratch grows to the survivors once
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for j := 0; j < jobs; j++ {
+			job()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / jobs
+	}
+	small, large := perQuery(500), perQuery(8000)
+	perRow := (large - small) / 7500
+	t.Logf("%.0f bytes a query over 500 rows, %.0f over 8 000: %.2f a row", small, large, perRow)
+	if perRow >= 2 {
+		t.Errorf("a top-n allocates %.2f bytes per input row, want < 2", perRow)
 	}
 }
