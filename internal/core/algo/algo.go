@@ -21,7 +21,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"rheem/internal/core/physical"
 	"rheem/internal/core/plan"
@@ -107,28 +106,24 @@ func HashGroup(recs []data.Record, key plan.KeyFunc) ([]Group, error) {
 // group. Keys order under data.Compare, whose zero is data.Equal within
 // a kind, so sorting and hashing form the same groups.
 func SortGroup(recs []data.Record, key plan.KeyFunc) ([]Group, error) {
-	type keyed struct {
-		k data.Value
-		r data.Record
-	}
-	ks := make([]keyed, len(recs))
-	for i, r := range recs {
-		k, err := key(r)
+	k := SortKeys{keys: make([]data.Value, 0, len(recs))}
+	for _, r := range recs {
+		v, err := key(r)
 		if err != nil {
 			return nil, fmt.Errorf("algo: group key: %w", err)
 		}
-		ks[i] = keyed{k, r}
+		k.Add(v)
 	}
-	slices.SortStableFunc(ks, func(a, b keyed) int { return data.Compare(a.k, b.k) })
+	order := k.Order(nil, false)
 	var out []Group
-	for i := 0; i < len(ks); {
-		j := i
-		for j < len(ks) && data.Compare(ks[i].k, ks[j].k) == 0 {
+	for i := 0; i < len(order); {
+		j, first := i, k.keys[order[i]]
+		for j < len(order) && data.Compare(first, k.keys[order[j]]) == 0 {
 			j++
 		}
-		g := Group{Key: ks[i].k, Records: make([]data.Record, 0, j-i)}
-		for _, kr := range ks[i:j] {
-			g.Records = append(g.Records, kr.r)
+		g := Group{Key: first, Records: make([]data.Record, 0, j-i)}
+		for _, at := range order[i:j] {
+			g.Records = append(g.Records, recs[at])
 		}
 		out = append(out, g)
 		i = j
@@ -195,23 +190,14 @@ func (fd *fold) add(r data.Record) error {
 
 // result is what the fold makes of the records added.
 func (fd *fold) result() []data.Record {
-	if fd.sorted {
-		sort.Stable(&byKey{fd.t.keys, fd.out})
+	if !fd.sorted {
+		return fd.out
 	}
-	return fd.out
-}
-
-// byKey orders accumulators by their keys.
-type byKey struct {
-	keys []data.Value
-	recs []data.Record
-}
-
-func (s *byKey) Len() int           { return len(s.keys) }
-func (s *byKey) Less(i, j int) bool { return data.Compare(s.keys[i], s.keys[j]) < 0 }
-func (s *byKey) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.recs[i], s.recs[j] = s.recs[j], s.recs[i]
+	k, out := SortKeys{keys: fd.t.keys}, make([]data.Record, len(fd.out))
+	for i, j := range k.Order(nil, false) {
+		out[i] = fd.out[j]
+	}
+	return out
 }
 
 // Reduce folds an entire dataset pairwise. An empty input yields an

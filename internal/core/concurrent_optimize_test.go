@@ -27,7 +27,7 @@ func TestConcurrentOptimizeMatchesSerial(t *testing.T) {
 	var jobs []job
 	for _, v := range goldenVariants(t) {
 		for _, c := range conformanceBattery() {
-			jobs = append(jobs, job{c.name + "/" + v.name, func() *plan.Plan { return confPlan(c, "concurrent-"+c.name) }, v.opts})
+			jobs = append(jobs, job{c.name + "/" + v.name, func() *plan.Plan { return c.plan("concurrent-"+c.name, cell{}) }, v.opts})
 		}
 		jobs = append(jobs,
 			job{"chain-32/" + v.name, func() *plan.Plan { return filterChain("chain-32", 32) }, v.opts},
@@ -72,7 +72,7 @@ func TestConcurrentOptimizeMatchesSerial(t *testing.T) {
 // sink: one plan level of width operators.
 func filterChain(name string, width int) *plan.Plan {
 	b := plan.NewBuilder(name)
-	op := confSource(b, "src", confRecords(97, 0), false)
+	op := rowSource(b, "src", confRecords(97, 0))
 	for i := 0; i < width-2; i++ {
 		op = b.FilterWhere(op, 0, plan.Less, data.Int(1_000_000))
 	}
@@ -90,7 +90,7 @@ func wideRepeat() *plan.Plan {
 	}
 	bb.Collect(op)
 	b := plan.NewBuilder("repeat-wide")
-	src := confSource(b, "src", confRecords(97, 0), false)
+	src := rowSource(b, "src", confRecords(97, 0))
 	loop := b.Repeat(b.FilterWhere(src, 0, plan.Less, data.Int(1_000_000)), 3, bb.MustBuild())
 	b.Collect(b.FilterWhere(loop, 0, plan.Less, data.Int(1_000_000)))
 	return b.MustBuild()

@@ -16,7 +16,6 @@ import (
 	"rheem/internal/core/plan"
 	"rheem/internal/data"
 	"rheem/internal/platform/javaengine"
-	"rheem/internal/platform/relengine"
 )
 
 // TestConcurrentRunsMatchSerial: Run leases its state — the run, its audit
@@ -36,25 +35,8 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 	var jobs []job
 	for _, c := range conformanceBattery() {
 		for _, target := range confPlatforms {
-			feeder := javaengine.ID
-			if target == javaengine.ID {
-				feeder = relengine.ID
-			}
 			jobs = append(jobs, job{c.name + "/" + string(target), func() (string, error) {
-				return runRendered(reg, confPlan(c, "concurrent-"+c.name), func(pp *physical.Plan) optimizer.Options {
-					if c.loop {
-						return optimizer.Options{DisableRules: true, FixedPlatform: target}
-					}
-					fa := map[int]engine.PlatformID{}
-					forEachOp(pp, func(op *physical.Operator) {
-						if op.Kind() == plan.KindSource {
-							fa[op.ID] = feeder
-						} else {
-							fa[op.ID] = target
-						}
-					})
-					return optimizer.Options{DisableRules: true, ForcedAssignments: fa}
-				}, executor.Options{})
+				return runRendered(reg, c.plan("concurrent-"+c.name, cell{}), cell{platform: target, place: fed}.options, executor.Options{})
 			}})
 		}
 	}
@@ -74,7 +56,7 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 				return "", err
 			}
 			b := plan.NewBuilder("retried")
-			src := confSource(b, "src", confRecords(97, 0), false)
+			src := rowSource(b, "src", confRecords(97, 0))
 			b.Collect(b.Map(src, func(r data.Record) (data.Record, error) { return r.Append(data.Int(1)), nil }))
 			return runRendered(reg, b.MustBuild(), func(*physical.Plan) optimizer.Options {
 				return optimizer.Options{FixedPlatform: flaky.ID()}

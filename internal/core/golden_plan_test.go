@@ -144,7 +144,7 @@ func renderGoldenPlans(t *testing.T) string {
 	var sb strings.Builder
 	for _, c := range conformanceBattery() {
 		for _, v := range variants {
-			pp, err := physical.FromLogical(confPlan(c, "golden-"+c.name))
+			pp, err := physical.FromLogical(c.plan("golden-"+c.name, cell{}))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -81,100 +81,86 @@ var mapConfRows = map[string]plan.MapFunc{
 	},
 }
 
+// mapConf is the column map name of the suite over in: MapColumns in the
+// hinted plan, its hand-written row twin in the twins.
+func (b *builder) mapConf(in *plan.Operator, name string) *plan.Operator {
+	if b.x.form == twin || b.x.form == hand {
+		return b.Map(in, mapConfRows[name])
+	}
+	return b.MapColumns(in, mapConfColumns[name])
+}
+
 // mapConfCases are the shapes a column map is read in: by the sink, a
 // global fold, a grouping, a row operator, two readers at once, and — the
 // map that fails on nulls and negatives — behind the hinted filter that
-// drops both. columns builds them on MapColumns, otherwise on the twins.
-func mapConfCases(columns bool) []inAtomCase {
-	m := func(b *plan.Builder, in *plan.Operator, name string) *plan.Operator {
-		if columns {
-			return b.MapColumns(in, mapConfColumns[name])
-		}
-		return b.Map(in, mapConfRows[name])
-	}
+// drops both. Their sources are for the caller to set.
+func mapConfCases() []bcase {
 	tag := func(r data.Record) (data.Record, error) { return r.Append(data.Str("udf")), nil }
 	folds := []plan.AggFn{plan.AggSum, plan.AggMax, plan.AggMin, plan.AggFirst}
-	return []inAtomCase{
-		{name: "sink", build: func(b *plan.Builder, s *plan.Operator) { b.Collect(m(b, s, "norm")) }},
-		{name: "aggregate", build: func(b *plan.Builder, s *plan.Operator) {
-			b.Collect(b.AggregateCols(b.ProjectCols(m(b, s, "norm"), 0, 1, 2), folds[:3]...))
-		}},
-		{name: "group", build: func(b *plan.Builder, s *plan.Operator) {
-			b.Collect(b.GroupAggregate(m(b, s, "norm"), []int{2, 0}, plan.GroupCol{Fn: plan.GroupKey, Field: 2}, plan.GroupCol{Fn: plan.GroupKey},
+	return []bcase{
+		one("sink", nil, func(b *builder, s *plan.Operator) { b.Collect(b.mapConf(s, "norm")) }),
+		one("aggregate", nil, func(b *builder, s *plan.Operator) {
+			b.Collect(b.AggregateCols(b.ProjectCols(b.mapConf(s, "norm"), 0, 1, 2), folds[:3]...))
+		}),
+		one("group", nil, func(b *builder, s *plan.Operator) {
+			b.Collect(b.GroupAggregate(b.mapConf(s, "norm"), []int{2, 0}, plan.GroupCol{Fn: plan.GroupKey, Field: 2}, plan.GroupCol{Fn: plan.GroupKey},
 				plan.GroupCol{Fn: plan.GroupCountAll}, plan.GroupCol{Fn: plan.GroupSum, Field: 1}, plan.GroupCol{Fn: plan.GroupMax, Field: 1}))
-		}},
-		{name: "row-operator", build: func(b *plan.Builder, s *plan.Operator) { b.Collect(b.Map(m(b, s, "norm"), tag)) }},
-		{name: "two-readers", build: func(b *plan.Builder, s *plan.Operator) {
-			p := b.ProjectCols(m(b, s, "norm"), 0, 1, 2)
+		}),
+		one("row-operator", nil, func(b *builder, s *plan.Operator) { b.Collect(b.Map(b.mapConf(s, "norm"), tag)) }),
+		one("two-readers", nil, func(b *builder, s *plan.Operator) {
+			p := b.ProjectCols(b.mapConf(s, "norm"), 0, 1, 2)
 			b.Collect(b.Union(b.AggregateCols(p, folds[:3]...), b.Map(p, tag)))
-		}},
-		{name: "behind-filter", build: func(b *plan.Builder, s *plan.Operator) {
-			g := b.GroupAggregate(m(b, b.FilterWhere(s, 1, plan.GreaterEq, data.Float(0)), "root"), []int{0},
+		}),
+		one("behind-filter", nil, func(b *builder, s *plan.Operator) {
+			g := b.GroupAggregate(b.mapConf(b.FilterWhere(s, 1, plan.GreaterEq, data.Float(0)), "root"), []int{0},
 				plan.GroupCol{Fn: plan.GroupKey}, plan.GroupCol{Fn: plan.GroupSum, Field: 1}, plan.GroupCol{Fn: plan.GroupCountAll})
 			b.Collect(g)
-		}},
+		}),
 	}
 }
 
-// TestMapColumnsConformance: a plan built on MapColumns gives, on every
-// platform at GOMAXPROCS 1 and 4, the bytes its hand-written row twin
-// gives on the single-node engine — fed from another platform (on the
-// java engine a batch channel) and from a source in its
-// own atom (rows), over inputs that end one row short of a 4 096-row
-// window, on its edge, one past it and one past the second.
+// TestMapColumnsConformance: a plan built on MapColumns gives the bytes
+// its hand-written row twin gives fed to the single-node engine — fed from
+// another platform and from a source in its own atom, over inputs that end
+// one row short of a 4 096-row window, on its edge, one past it and one
+// past the second.
 func TestMapColumnsConformance(t *testing.T) {
+	var cases []bcase
 	for _, n := range []int{4095, 4096, 4097, 8193} {
 		recs := mapConfRecords(n)
-		twins := mapConfCases(false)
-		for i, c := range mapConfCases(true) {
-			t.Run(fmt.Sprintf("%s-%d", c.name, n), func(t *testing.T) {
-				external := func(c inAtomCase) confCase {
-					return confCase{name: c.name, recs: recs, build: func(b *plan.Builder, s []*plan.Operator) { c.build(b, s[0]) }}
-				}
-				ref := runConformance(t, external(twins[i]), javaengine.ID, true)
-				if ref == "" {
-					t.Fatal("the row twin's reference output is empty")
-				}
-				c.recs = recs
-				for _, target := range confPlatforms {
-					for _, workers := range confWorkers {
-						setWorkers(t, workers)
-						if got := runConformance(t, external(c), target, true); got != ref {
-							t.Errorf("on %s at GOMAXPROCS %d, fed from another platform: diverges from the row twin", target, workers)
-						}
-						if got, err := runInAtom(t, c, target, true, false); err != nil || got != ref {
-							t.Errorf("on %s at GOMAXPROCS %d, source in the atom: diverges from the row twin (%v)", target, workers, err)
-						}
-					}
-				}
-			})
+		for _, c := range mapConfCases() {
+			c.name, c.recs, c.check = fmt.Sprintf("%s-%d", c.name, n), [][]data.Record{recs}, nonEmpty
+			cases = append(cases, c)
 		}
 	}
+	ref := cell{platform: javaengine.ID, workers: 1, form: hand, place: fed}
+	newBattery(t, ref, grid(confPlatforms, cell{form: hinted, src: rows, place: fed}, cell{form: hinted, src: rows, place: pinned})).run(t, cases)
 }
 
 // TestMapColumnsFailuresConformance: what a column map cannot take as
 // declared — a null, a record too short, a column of another kind — and
-// what its function refuses or panics on fails the job on every platform,
-// at GOMAXPROCS 1 and 4, with the same words from the map's name on: the row
-// form is where all of them are decided, and the java engine's windows
-// come to it. A null in a row a filter dropped fails nothing.
+// what its function refuses or panics on fails the job fatally, everywhere
+// with the same words from the map's name on: the row form decides all of
+// them. A null in a row a filter dropped fails nothing.
 func TestMapColumnsFailuresConformance(t *testing.T) {
 	recs := mapConfRecords(4200) // value is null at 7, 1007, …; the second window holds 4 104 of them
 	short := append(mapConfRecords(4100), data.NewRecord(data.Int(1), data.Float(1)))
 	ints := []batch.ColKind{batch.ColInt64}
 	value := plan.ColumnMap{In: []plan.ColumnIn{{Field: 1, Kind: batch.ColFloat64}}, Out: []batch.ColKind{batch.ColFloat64},
 		Fn: func(_ int, in, out []batch.Column) error { copy(out[0].Float64s, in[0].Float64s); return nil }}
-	fails := func(fn func(int64) error) plan.ColumnMap {
+	// fails is a map whose function meets fail at row 4150.
+	fails := func(fail func() error) plan.ColumnMap {
 		return plan.ColumnMap{In: []plan.ColumnIn{{Field: 0, Kind: batch.ColInt64}}, Out: ints, Fn: func(_ int, in, out []batch.Column) error {
 			for i, id := range in[0].Int64s {
-				if err := fn(id); err != nil {
-					return err
+				if id == 4150 {
+					return fail()
 				}
 				out[0].Int64s[i] = id
 			}
 			return nil
 		}}
 	}
+	var cases []bcase
 	for _, c := range []struct {
 		name string
 		recs []data.Record
@@ -185,40 +171,18 @@ func TestMapColumnsFailuresConformance(t *testing.T) {
 		{"ragged-record", short, mapConfColumns["norm"], "Map#1: reads field 3 of a 2-field record"},
 		{"wrong-kind", recs, plan.ColumnMap{In: []plan.ColumnIn{{Field: 3, Kind: batch.ColInt64}}, Out: ints, Fn: value.Fn},
 			"Map#1: field 3 holds a float value, declared int64"},
-		{"function-error", recs, fails(func(id int64) error {
-			if id == 4150 {
-				return errors.New("row refused")
-			}
-			return nil
-		}), "Map#1: row refused"},
-		{"function-panic", recs, fails(func(id int64) error {
-			if id == 4150 {
-				panic("row exploded")
-			}
-			return nil
-		}), "Map#1: row exploded"},
+		{"function-error", recs, fails(func() error { return errors.New("row refused") }), "Map#1: row refused"},
+		{"function-panic", recs, fails(func() error { panic("row exploded") }), "Map#1: row exploded"},
 	} {
-		t.Run(c.name, func(t *testing.T) {
-			for _, target := range confPlatforms {
-				for _, workers := range confWorkers {
-					setWorkers(t, workers)
-					for _, columns := range []bool{false, true} { // the source as rows, and at rest in column form
-						_, err := runInAtom(t, inAtomCase{c.name, c.recs, func(b *plan.Builder, s *plan.Operator) {
-							b.Collect(b.AggregateCols(b.ProjectCols(b.MapColumns(s, c.spec), 0), plan.AggMax))
-						}}, target, true, columns)
-						if err == nil || !engine.IsFatal(err) {
-							t.Fatalf("on %s at GOMAXPROCS %d, columns=%v: got %v, want a fatal error", target, workers, columns, err)
-						}
-						got := err.Error()[max(strings.LastIndex(err.Error(), "Map#"), 0):]
-						if line, _, _ := strings.Cut(got, "\n"); line != c.want {
-							t.Errorf("on %s at GOMAXPROCS %d, columns=%v: failed with %q, want %q", target, workers, columns, err, c.want)
-						}
-						if c.name == "function-panic" && !strings.Contains(err.Error(), "panicked") {
-							t.Errorf("on %s at GOMAXPROCS %d: the panic is not reported as one: %v", target, workers, err)
-						}
-					}
-				}
-			}
+		bc := one(c.name, c.recs, func(b *builder, s *plan.Operator) {
+			b.Collect(b.AggregateCols(b.ProjectCols(b.MapColumns(s, c.spec), 0), plan.AggMax))
 		})
+		bc.wantErr, bc.check = c.want, func(t *testing.T, x cell, o outcome) {
+			if !engine.IsFatal(o.err) || c.name == "function-panic" && !strings.Contains(o.err.Error(), "panicked") {
+				t.Errorf("%v: failed with %v, want a fatal error, reported as a panic if it is one", x, o.err)
+			}
+		}
+		cases = append(cases, bc)
 	}
+	newBattery(t, cell{}, grid(confPlatforms, cell{form: hinted, src: rows, place: pinned}, cell{form: hinted, src: columns, place: pinned})).run(t, cases)
 }

@@ -97,103 +97,71 @@ func TestOrderConformance(t *testing.T) {
 		grouped = append(grouped, data.NewRecord(g[0].Field(0), data.Int(int64(len(g))), data.Float(float64(sum)), lo, hi))
 		distinct = append(distinct, data.NewRecord(g[0].Field(0)))
 	}
-	sorted := []data.Record{recs[1], recs[5], recs[3], recs[2], recs[7], recs[0], recs[6], recs[4]}
-	last := func(n int) []data.Record { // the n largest, as a descending sort leads with them
-		return sorted[len(sorted)-n:]
-	}
 	// A descending sort is the negated order, ties in input order: the NaN
 	// pair, and 2⁵³+1 twice, keep their input order.
+	sorted := []data.Record{recs[1], recs[5], recs[3], recs[2], recs[7], recs[0], recs[6], recs[4]}
 	desc := []data.Record{recs[4], recs[0], recs[6], recs[7], recs[2], recs[3], recs[1], recs[5]}
-	swap := func(rs []data.Record) []data.Record { // (payload, key), as ProjectCols(…, 1, 0) makes them
-		out := make([]data.Record, len(rs))
-		for i, r := range rs {
-			out[i] = data.NewRecord(r.Field(1), r.Field(0))
-		}
-		return out
-	}
+	swapped := []data.Record{data.NewRecord(desc[0].Field(1), desc[0].Field(0)), data.NewRecord(desc[1].Field(1), desc[1].Field(0))} // as ProjectCols(…, 1, 0) makes them
 	// Float keys alone: NaN = NaN = NaN < -1 < -0 = +0 < 1 < 2.5 = 2.5,
 	// the zeros and the 2.5s tied.
 	floats := floatRecords()
 	floatAsc := []data.Record{floats[1], floats[4], floats[7], floats[8], floats[2], floats[5], floats[3], floats[0], floats[6]}
 	floatDesc := []data.Record{floats[0], floats[6], floats[3], floats[2], floats[5], floats[8], floats[1], floats[4], floats[7]}
 
-	groupAlgos := []physical.Algorithm{physical.HashGroupBy, physical.SortGroupBy}
+	// Fed from another platform; the column-keyed sorts in the source's atom
+	// too, over its rows and over its columns at rest, which java reads in
+	// place.
+	fedCells := newBattery(t, cell{}, grid(confPlatforms, cell{form: hinted, src: rows, place: fed}, cell{form: twin, src: rows, place: fed}))
+	pinnedCells := newBattery(t, cell{}, grid(confPlatforms, cell{form: hinted, src: rows, place: pinned}, cell{form: hinted, src: columns, place: pinned},
+		cell{form: twin, src: rows, place: pinned}, cell{form: twin, src: columns, place: pinned}))
+	none := []physical.Algorithm{""} // the optimizer's choice
 	for _, tc := range []struct {
 		name  string
-		algos []physical.Algorithm // the alternatives the optimizer chooses between; "" leaves its choice
-		build func(b *plan.Builder, s []*plan.Operator)
+		algos []physical.Algorithm // the alternatives the optimizer chooses between
+		build func(b *builder, s *plan.Operator)
 		want  []data.Record
 		recs  []data.Record // the source's, when not the edge records
 	}{
 		// A sort's order shows in which rows a first-N sample keeps.
-		{"sort-asc", []physical.Algorithm{""}, func(b *plan.Builder, s []*plan.Operator) {
-			b.Collect(b.Sample(b.Sort(s[0], plan.FieldKey(0), false), 5))
-		}, sorted[:5], nil},
-		{"sort-desc", []physical.Algorithm{""}, func(b *plan.Builder, s []*plan.Operator) {
-			b.Collect(b.Sample(b.Sort(s[0], plan.FieldKey(0), true), 4))
-		}, last(4), nil},
+		{"sort-asc", none, func(b *builder, s *plan.Operator) { b.Collect(b.Sample(b.Sort(s, plan.FieldKey(0), false), 5)) }, sorted[:5], nil},
+		{"sort-desc", none, func(b *builder, s *plan.Operator) { b.Collect(b.Sample(b.Sort(s, plan.FieldKey(0), true), 4)) }, sorted[4:], nil},
 		// The column-keyed sort (javaengine orders a forcing's survivors),
 		// each LIMIT cutting through a tie group, so the rows it keeps name
 		// the order within the group too.
-		{"column-sort-asc", []physical.Algorithm{""}, func(b *plan.Builder, s []*plan.Operator) {
-			b.Collect(b.Sample(b.SortColumn(s[0], 0, false), 1))
-		}, sorted[:1], nil},
-		{"column-sort-desc", []physical.Algorithm{""}, func(b *plan.Builder, s []*plan.Operator) {
-			b.Collect(b.Sample(b.SortColumn(s[0], 0, true), 7))
-		}, desc[:7], nil},
-		{"column-sort-projected", []physical.Algorithm{""}, func(b *plan.Builder, s []*plan.Operator) {
-			b.Collect(b.Sample(b.SortColumn(b.ProjectCols(s[0], 1, 0), 1, true), 2))
-		}, swap(desc[:2]), nil},
-		{"column-sort-float-asc", []physical.Algorithm{""}, func(b *plan.Builder, s []*plan.Operator) {
-			b.Collect(b.Sample(b.SortColumn(s[0], 0, false), 2))
-		}, floatAsc[:2], floats},
-		{"column-sort-float-desc", []physical.Algorithm{""}, func(b *plan.Builder, s []*plan.Operator) {
-			b.Collect(b.Sample(b.SortColumn(b.FilterWhere(s[0], 1, plan.NotEq, data.Int(1<<7)), 0, true), 7))
+		{"column-sort-asc", none, func(b *builder, s *plan.Operator) { b.Collect(b.Sample(b.SortColumn(s, 0, false), 1)) }, sorted[:1], nil},
+		{"column-sort-desc", none, func(b *builder, s *plan.Operator) { b.Collect(b.Sample(b.SortColumn(s, 0, true), 7)) }, desc[:7], nil},
+		{"column-sort-projected", none, func(b *builder, s *plan.Operator) {
+			b.Collect(b.Sample(b.SortColumn(b.ProjectCols(s, 1, 0), 1, true), 2))
+		}, swapped, nil},
+		{"column-sort-float-asc", none, func(b *builder, s *plan.Operator) { b.Collect(b.Sample(b.SortColumn(s, 0, false), 2)) }, floatAsc[:2], floats},
+		{"column-sort-float-desc", none, func(b *builder, s *plan.Operator) {
+			b.Collect(b.Sample(b.SortColumn(b.FilterWhere(s, 1, plan.NotEq, data.Int(1<<7)), 0, true), 7))
 		}, floatDesc[:7], floats},
-		{"column-sort-float-zeros", []physical.Algorithm{""}, func(b *plan.Builder, s []*plan.Operator) {
-			b.Collect(b.Sample(b.SortColumn(s[0], 0, true), 4))
-		}, floatDesc[:4], floats},
-		{"reduce-by-key", groupAlgos, func(b *plan.Builder, s []*plan.Operator) {
-			b.Collect(b.ReduceByKey(s[0], plan.FieldKey(0), sumReduce))
+		{"column-sort-float-zeros", none, func(b *builder, s *plan.Operator) { b.Collect(b.Sample(b.SortColumn(s, 0, true), 4)) }, floatDesc[:4], floats},
+		{"reduce-by-key", []physical.Algorithm{physical.HashGroupBy, physical.SortGroupBy}, func(b *builder, s *plan.Operator) {
+			b.Collect(b.ReduceByKey(s, plan.FieldKey(0), sumReduce))
 		}, reduced, nil},
-		{"group-aggregate", groupAlgos, func(b *plan.Builder, s []*plan.Operator) {
-			b.Collect(b.GroupAggregate(s[0], []int{0}, plan.GroupCol{Fn: plan.GroupKey}, plan.GroupCol{Fn: plan.GroupCountAll},
+		{"group-aggregate", []physical.Algorithm{physical.HashGroupBy, physical.SortGroupBy}, func(b *builder, s *plan.Operator) {
+			b.Collect(b.GroupAggregate(s, []int{0}, plan.GroupCol{Fn: plan.GroupKey}, plan.GroupCol{Fn: plan.GroupCountAll},
 				plan.GroupCol{Fn: plan.GroupSum, Field: 1}, plan.GroupCol{Fn: plan.GroupMin, Field: 1}, plan.GroupCol{Fn: plan.GroupMax, Field: 1}))
 		}, grouped, nil},
-		{"distinct", []physical.Algorithm{physical.HashDistinct, physical.SortDistinct}, func(b *plan.Builder, s []*plan.Operator) {
-			b.Collect(b.Distinct(b.ProjectCols(s[0], 0)))
+		{"distinct", []physical.Algorithm{physical.HashDistinct, physical.SortDistinct}, func(b *builder, s *plan.Operator) {
+			b.Collect(b.Distinct(b.ProjectCols(s, 0)))
 		}, distinct, nil},
-		{"join", []physical.Algorithm{physical.HashJoin, physical.SortMergeJoin}, func(b *plan.Builder, s []*plan.Operator) {
-			b.Collect(b.Join(s[0], b.Map(s[0], rekey), plan.FieldKey(0), plan.FieldKey(0)))
+		{"join", []physical.Algorithm{physical.HashJoin, physical.SortMergeJoin}, func(b *builder, s *plan.Operator) {
+			b.Collect(b.Join(s, b.Map(s, rekey), plan.FieldKey(0), plan.FieldKey(0)))
 		}, joined, nil},
 	} {
+		if tc.recs == nil {
+			tc.recs = recs
+		}
 		t.Run(tc.name, func(t *testing.T) {
-			want := canonical(t, tc.want)
-			if tc.recs == nil {
-				tc.recs = recs
-			}
 			for _, algo := range tc.algos {
-				c := confCase{name: "order-" + tc.name, recs: tc.recs, algo: algo, build: tc.build}
-				for _, target := range confPlatforms {
-					for _, workers := range confWorkers {
-						setWorkers(t, workers)
-						for _, hinted := range []bool{true, false} {
-							if got := runConformance(t, c, target, hinted); got != want {
-								t.Errorf("%s under %q on %s, GOMAXPROCS %d, hinted=%v: not the answer the order defines", tc.name, algo, target, workers, hinted)
-							}
-							if !strings.HasPrefix(tc.name, "column-") {
-								continue
-							}
-							// In the source's atom too: over its rows, and over
-							// its columns at rest, which java reads in place.
-							ic := inAtomCase{c.name, c.recs, func(b *plan.Builder, src *plan.Operator) { tc.build(b, []*plan.Operator{src}) }}
-							for _, columns := range []bool{false, true} {
-								if got, err := runInAtom(t, ic, target, hinted, columns); err != nil || got != want {
-									t.Errorf("%s in one atom on %s, GOMAXPROCS %d, hinted=%v, columns=%v: not the answer the order defines (%v)", tc.name, target, workers, hinted, columns, err)
-								}
-							}
-						}
-					}
+				c := one("order-"+tc.name, tc.recs, tc.build)
+				c.algo, c.want = algo, tc.want
+				fedCells.check(t, c)
+				if strings.HasPrefix(tc.name, "column-") {
+					pinnedCells.check(t, c)
 				}
 			}
 		})
@@ -216,6 +184,10 @@ func TestFilterWhereNaNConformance(t *testing.T) {
 		}
 		recs[i] = data.NewRecord(data.Float(x), data.Int(int64(i)))
 	}
+	// The UDF twin, the hinted plan, and the hinted plan over columns at
+	// rest (read in place on java).
+	cells := newBattery(t, cell{}, grid(confPlatforms, cell{form: twin, src: rows, place: pinned},
+		cell{form: hinted, src: rows, place: pinned}, cell{form: hinted, src: columns, place: pinned}))
 	for _, op := range []plan.CompareOp{plan.Less, plan.LessEq, plan.Greater, plan.GreaterEq, plan.Eq, plan.NotEq} {
 		t.Run(op.String(), func(t *testing.T) {
 			for _, operand := range []float64{5, nan} {
@@ -227,23 +199,9 @@ func TestFilterWhereNaNConformance(t *testing.T) {
 						kept = append(kept, r)
 					}
 				}
-				want := canonical(t, kept)
-				c := inAtomCase{fmt.Sprintf("x%s%v", op, operand), recs, func(b *plan.Builder, src *plan.Operator) {
-					b.Collect(b.FilterWhere(src, 0, op, data.Float(operand)))
-				}}
-				for _, target := range confPlatforms {
-					for _, workers := range confWorkers {
-						setWorkers(t, workers)
-						// The UDF twin, the hinted plan, and the hinted plan
-						// over columns at rest (read in place on java).
-						for _, v := range [][2]bool{{false, false}, {true, false}, {true, true}} {
-							got, err := runInAtom(t, c, target, v[0], v[1])
-							if err != nil || got != want {
-								t.Errorf("%s on %s, GOMAXPROCS %d, hinted=%v, columns=%v: kept other rows than the order says (%v)", c.name, target, workers, v[0], v[1], err)
-							}
-						}
-					}
-				}
+				c := one(fmt.Sprintf("x%s%v", op, operand), recs, func(b *builder, s *plan.Operator) { b.Collect(b.FilterWhere(s, 0, op, data.Float(operand))) })
+				c.want = kept
+				cells.check(t, c)
 			}
 		})
 	}

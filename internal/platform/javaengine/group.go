@@ -27,10 +27,11 @@ type grouper struct {
 	// Go map each while every key so far is of that kind — the other map is
 	// empty — and the first of another — a float, a null — moves the groups,
 	// in order, to the KeyTable.
-	ints map[int64]int32
-	strs map[string]int32
-	any  *algo.KeyTable
-	keys []data.Value // by group
+	ints   map[int64]int32
+	strs   map[string]int32
+	any    *algo.KeyTable
+	keys   []data.Value  // by group
+	sorted algo.SortKeys // the keys again, when the groups leave in key order
 
 	accs [][]plan.GroupState // by output column, by group
 	gid  []int32             // the group of each surviving row of a window; at the end, the groups' order
@@ -85,7 +86,10 @@ func group(ctx context.Context, legs []any, lop *plan.Operator, sorted bool) ([]
 	order := slices.Grow(g.gid[:0], len(g.keys))[:len(g.keys)]
 	ascending(order)
 	if sorted {
-		slices.SortStableFunc(order, func(a, b int32) int { return data.Compare(g.keys[a], g.keys[b]) })
+		for _, k := range g.keys {
+			g.sorted.Add(k)
+		}
+		order = g.sorted.Order(order, false)
 	}
 	width := len(spec.Out)
 	slab, out := make([]data.Value, len(order)*width), make([]data.Record, len(order))

@@ -48,21 +48,21 @@ func filterAtom(t *testing.T, recs []data.Record, keep plan.FilterFunc) (*engine
 // helpers fails as its first failing window in window order does. With an
 // error in window 5 and a panic in window 2, it is the panic that
 // surfaces, raised on the forcing goroutine as an engine.HelperPanic that
-// carries the helper's stack; with the panic in window 6 instead, window
-// 5's error, which waits until window 6 has panicked — a case that needs
-// two helpers, so three cores. The UDF panics only on a helper, and
-// engine.HelperTask keeps the panicking window for one, so a single core,
-// which has no helper, skips the test.
+// carries the helper's stack: engine.HelperTask keeps window 2 for a
+// helper, so a single core, which has no helper, skips the test. With the
+// panic in window 6 instead, window 5's error, which waits until window 6
+// has panicked: whichever of the forcing goroutine and its one helper runs
+// window 5, the other claims window 6 next.
 func TestRowWindowFailuresInWindowOrder(t *testing.T) {
 	if runtime.NumCPU() < 2 {
 		t.Skipf("%d CPU: no helper to keep a window for", runtime.NumCPU())
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(4)
-	var onHelper [8]atomic.Bool
+	var onHelper, panicked [8]atomic.Bool
 	setRowWindow(t, func(w int, helper bool) { onHelper[w].Store(helper) })
 	var panicAt atomic.Int64
-	keepForHelper := func(w int) bool { return int64(w) == panicAt.Load() }
+	keepForHelper := func(w int) bool { return w == 2 && panicAt.Load() == 2 }
 	engine.HelperTask.Store(&keepForHelper)
 	t.Cleanup(func() { engine.HelperTask.Store(nil) })
 	keep := func(r data.Record) (bool, error) {
@@ -71,12 +71,13 @@ func TestRowWindowFailuresInWindowOrder(t *testing.T) {
 			return true, nil
 		}
 		switch w := int(i / window); {
-		case int64(w) == panicAt.Load() && onHelper[w].Load():
+		case int64(w) == panicAt.Load():
+			panicked[w].Store(true)
 			panic(fmt.Sprintf("window %d refused", w))
 		case w == 5:
 			if at := int(panicAt.Load()); at > w {
 				// Fail only once the later window has met its panic.
-				for deadline := time.Now().Add(10 * time.Second); !onHelper[at].Load() && time.Now().Before(deadline); {
+				for deadline := time.Now().Add(10 * time.Second); !panicked[at].Load() && time.Now().Before(deadline); {
 					time.Sleep(10 * time.Microsecond)
 				}
 			}
@@ -90,14 +91,9 @@ func TestRowWindowFailuresInWindowOrder(t *testing.T) {
 		panicAt int
 		raised  bool // the panic is what surfaces
 	}{{2, true}, {6, false}} {
-		if c.panicAt == 6 && runtime.NumCPU() < 3 {
-			// Window 5 waits for window 6 to meet a helper, so the case
-			// needs two: with one, window 5 may hold it.
-			t.Logf("panic at 6 skipped: %d CPUs give one helper, the case needs two", runtime.NumCPU())
-			continue
-		}
 		for w := range onHelper {
 			onHelper[w].Store(false)
+			panicked[w].Store(false)
 		}
 		panicAt.Store(int64(c.panicAt))
 		v, err := func() (v any, err error) {
@@ -105,12 +101,11 @@ func TestRowWindowFailuresInWindowOrder(t *testing.T) {
 			_, err = (&datasetOps{atom: atom}).ExecOp(context.Background(), filter, []any{recs})
 			return nil, err
 		}()
-		if !onHelper[c.panicAt].Load() {
-			t.Fatalf("panic at %d: no helper met its window", c.panicAt)
-		}
 		switch p, _ := v.(*engine.HelperPanic); {
+		case !panicked[c.panicAt].Load():
+			t.Fatalf("panic at %d: the window never met its panic", c.panicAt)
 		case c.raised && p != nil:
-			if fmt.Sprint(p.V) != "window 2 refused" || !strings.Contains(string(p.Stack), "core/engine.help(") {
+			if !onHelper[2].Load() || fmt.Sprint(p.V) != "window 2 refused" || !strings.Contains(string(p.Stack), "core/engine.help(") {
 				t.Fatalf("panic at %d: raised %v, from a stack without the helper's frame:\n%s", c.panicAt, p.V, p.Stack)
 			}
 		case !c.raised && v == nil && err != nil && err.Error() == "window 5 failed":

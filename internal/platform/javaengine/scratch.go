@@ -69,6 +69,7 @@ func (s *scratch) release() {
 		}
 	}
 	s.sort.keys.Reset()
+	g.sorted.Reset()
 	s.sort.pos, s.sort.in = s.sort.pos[:0], pipeline{}
 	g.spec = nil
 	clear(g.ints)
